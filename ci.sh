@@ -14,6 +14,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release"
 cargo build --workspace --release
 
+echo "== engine.rs size guard (the engine drives jvm-vm's loop; it has no interpreter of its own)"
+# 2,942 lines when it carried a private DOp executor and a second trace
+# tier. A second executor creeping back in shows up here first.
+engine_lines=$(wc -l < crates/exec/src/engine.rs)
+if [ "$engine_lines" -ge 1800 ]; then
+    echo "crates/exec/src/engine.rs has $engine_lines lines (limit 1800)" >&2
+    exit 1
+fi
+
 echo "== cargo test (release)"
 cargo test --workspace -q --release
 
@@ -45,12 +54,13 @@ cargo test -p trace-conformance -q --release --test faults
 echo "== concurrent shared-cache tests (debug-invariants: threaded paths assert in situ)"
 cargo test -p trace-cache -p trace-exec --features trace-cache/debug-invariants -q
 
-echo "== register-IR differential (debug: register-bounds + invariant asserts; release: at speed)"
-# The register-lowered trace tier against the plain interpreter: six
-# workloads, seeded fuzz, and the guard-flip chaos programs that force
-# a side-exit resume from every guard kind.
-cargo test --features debug-invariants -q --test reg_differential --test reg_golden
-cargo test -q --release --test reg_differential
+echo "== trace-engine differential (debug: register/slab-bounds + invariant asserts; release: at speed)"
+# The trace engine against the plain interpreter: six workloads, seeded
+# fuzz, the guard-flip chaos programs that force a side-exit resume from
+# every guard kind, and the loop<->trace hand-off suite (never-enter
+# equivalence, fuel cut at every instruction, in-trace overflow and GC).
+cargo test --features debug-invariants -q --test engine_differential --test reg_differential --test reg_golden
+cargo test -q --release --test engine_differential --test reg_differential
 
 echo "== superinstruction fusion differential (debug: stack/shadow asserts; release: at speed)"
 # The fused decoded interpreter against the reference oracle: six
@@ -69,10 +79,11 @@ cargo run --release -p trace-bench --bin hot_path -- --smoke --workload scimark 
 grep -q '"lowered-reg"' /tmp/BENCH_hot_path.reg.smoke.json
 grep -q '"reg_lowering"' /tmp/BENCH_hot_path.reg.smoke.json
 
-echo "== interp-speed bench smoke (test scale; fused leg + fusion stats must be present)"
+echo "== interp-speed bench smoke (test scale; fused leg + fusion stats must be present;"
+echo "   gate: never-entering engine <= 1.5x the decoded loop + bcg.observe, interleaved, min of 5)"
 cargo run --release -p trace-bench --bin interp_speed -- --smoke --out /tmp/BENCH_interp.smoke.json
 grep -q '"fused"' /tmp/BENCH_interp.smoke.json
-grep -q '"engine-dop"' /tmp/BENCH_interp.smoke.json
+grep -q '"never-enter"' /tmp/BENCH_interp.smoke.json
 grep -q '"fusion"' /tmp/BENCH_interp.smoke.json
 grep -q '"dispatches_eliminated"' /tmp/BENCH_interp.smoke.json
 grep -q '"hot_opcode_triples"' /tmp/BENCH_interp.smoke.json

@@ -90,6 +90,7 @@ impl BranchCorrelationGraph {
     }
 
     /// Profiler statistics so far.
+    #[inline]
     pub fn stats(&self) -> ProfilerStats {
         self.stats
     }
@@ -160,6 +161,7 @@ impl BranchCorrelationGraph {
     }
 
     /// Whether any signals are pending (cheaper than draining).
+    #[inline]
     pub fn has_signals(&self) -> bool {
         !self.signals.is_empty()
     }
@@ -199,6 +201,13 @@ impl BranchCorrelationGraph {
     #[inline]
     pub fn decay_epoch(&self) -> u64 {
         self.stats.dispatches / u64::from(self.config.decay_interval.max(1))
+    }
+
+    /// The dispatch count at which [`Self::decay_epoch`] next advances —
+    /// for consumers on the dispatch path that want to detect the epoch
+    /// boundary with a compare instead of the epoch's division.
+    pub fn next_decay_epoch_at(&self) -> u64 {
+        (self.decay_epoch() + 1) * u64::from(self.config.decay_interval.max(1))
     }
 
     /// Stamps a node with the trace cache's generation counter. The trace

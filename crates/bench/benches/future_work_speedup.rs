@@ -85,17 +85,6 @@ fn bench_future_work(c: &mut Criterion) {
                 black_box(r.checksum)
             })
         });
-        group.bench_function(format!("{}/engine_nofuse", w.name), |b| {
-            // Fusion ablation: trace execution without superinstructions.
-            let mut engine = TracingVm::new(
-                &w.program,
-                EngineConfig::paper_default().with_superinstructions(false),
-            );
-            b.iter(|| {
-                let r = engine.run(black_box(&w.args)).unwrap();
-                black_box(r.checksum)
-            })
-        });
     }
     group.finish();
 

@@ -10,9 +10,12 @@
 //!              [--smoke] [--out PATH]
 //! ```
 //!
-//! `--smoke` is the CI setting: test scale, 2 repeats — seconds, not
-//! minutes. Default is small scale, 5 repeats. `TRACE_BENCH_SCALE` is
-//! honoured when `--scale` is absent, matching the other benches.
+//! `--smoke` is the CI setting: test scale, 5 repeats — seconds, not
+//! minutes — and a gate: it exits 1 if the never-entering engine costs
+//! more than [`interp_speed::NEVER_ENTER_MAX_RATIO`] × the decoded loop
+//! driving the bare profiler on any workload. Default is small scale,
+//! 5 repeats, no gate. `TRACE_BENCH_SCALE` is honoured when `--scale`
+//! is absent, matching the other benches.
 
 use trace_bench::interp_speed;
 use trace_bench::parse_scale;
@@ -79,7 +82,7 @@ fn main() {
         .as_deref()
         .and_then(parse_scale);
     let (scale, repeats) = if smoke {
-        (scale.unwrap_or(Scale::Test), repeats.unwrap_or(2))
+        (scale.unwrap_or(Scale::Test), repeats.unwrap_or(5))
     } else {
         (
             scale.or(env_scale).unwrap_or(Scale::Small),
@@ -97,5 +100,14 @@ fn main() {
             eprintln!("failed to write {out}: {e}");
             std::process::exit(1);
         }
+    }
+
+    let worst = report.max_never_enter_ratio();
+    if smoke && worst > interp_speed::NEVER_ENTER_MAX_RATIO {
+        eprintln!(
+            "never-enter engine is {worst:.2}x the loop + observe (bound {:.2}x)",
+            interp_speed::NEVER_ENTER_MAX_RATIO
+        );
+        std::process::exit(1);
     }
 }

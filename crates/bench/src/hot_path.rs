@@ -12,10 +12,9 @@
 //!   cache at every block boundary) vs the overhauled path (`observe`
 //!   returning the context node, whose inline trace-link slot answers
 //!   the entry check without hashing).
-//! * **trace execution** — full warm [`TracingVm`] runs: decoded-DOp
-//!   trace execution (`reg_ir` off) vs the register-lowered form
-//!   (`reg_ir` on), the end-to-end payoff of folding stack traffic into
-//!   three-address code.
+//! * **trace execution** — full warm [`TracingVm`] runs (register-lowered
+//!   traces, out-of-trace code on the decoded loop), for scale against
+//!   the two replay paths.
 //!
 //! Methodology: the dynamic block stream of each workload is captured
 //! once by running the interpreter, then replayed straight into the
@@ -68,10 +67,9 @@ pub struct HotPathRow {
     pub profiled: PathTiming,
     /// Profiler + trace monitor dispatch against a warmed cache.
     pub trace_mode: PathTiming,
-    /// Warm trace-*executing* engine, full runs: decoded-DOp traces
-    /// (baseline) vs register-lowered traces (new), normalised to ns per
+    /// Warm trace-*executing* engine, full runs, normalised to ns per
     /// dynamic block dispatch of the workload's stream.
-    pub exec: PathTiming,
+    pub exec_ns: f64,
     /// Lowering-shape counters from the register engine (cumulative
     /// over its compiled traces).
     pub reg: RegStats,
@@ -123,7 +121,7 @@ impl HotPathReport {
                     "     \"trace_ns_per_dispatch\": ",
                     "{{\"baseline\": {:.3}, \"new\": {:.3}, \"improvement_pct\": {:.2}}},\n",
                     "     \"exec_ns_per_dispatch\": ",
-                    "{{\"decoded-dop\": {:.3}, \"lowered-reg\": {:.3}, \"improvement_pct\": {:.2}}},\n",
+                    "{{\"lowered-reg\": {:.3}}},\n",
                     "     \"reg_lowering\": ",
                     "{{\"before\": {}, \"after\": {}, \"regs\": {}, ",
                     "\"eliminated\": {}, \"guards_fused\": {}}}}}{}\n",
@@ -136,9 +134,7 @@ impl HotPathReport {
                 r.trace_mode.baseline_ns,
                 r.trace_mode.new_ns,
                 r.trace_mode.improvement_pct(),
-                r.exec.baseline_ns,
-                r.exec.new_ns,
-                r.exec.improvement_pct(),
+                r.exec_ns,
                 r.reg.before,
                 r.reg.after,
                 r.reg.regs,
@@ -159,7 +155,7 @@ impl HotPathReport {
             self.scale, self.repeats
         ));
         out.push_str(&format!(
-            "{:<10} {:>12} {:>10} {:>8} {:>8} {:>10} {:>8} {:>8} {:>9} {:>9} {:>8}\n",
+            "{:<10} {:>12} {:>10} {:>8} {:>8} {:>10} {:>8} {:>8} {:>9}\n",
             "workload",
             "dispatches",
             "prof-ref",
@@ -168,13 +164,11 @@ impl HotPathReport {
             "trace-ref",
             "trace",
             "gain%",
-            "exec-dop",
-            "exec-reg",
-            "gain%"
+            "exec-reg"
         ));
         for r in &self.rows {
             out.push_str(&format!(
-                "{:<10} {:>12} {:>10.2} {:>8.2} {:>8.1} {:>10.2} {:>8.2} {:>8.1} {:>9.2} {:>9.2} {:>8.1}\n",
+                "{:<10} {:>12} {:>10.2} {:>8.2} {:>8.1} {:>10.2} {:>8.2} {:>8.1} {:>9.2}\n",
                 r.name,
                 r.dispatches,
                 r.profiled.baseline_ns,
@@ -183,9 +177,7 @@ impl HotPathReport {
                 r.trace_mode.baseline_ns,
                 r.trace_mode.new_ns,
                 r.trace_mode.improvement_pct(),
-                r.exec.baseline_ns,
-                r.exec.new_ns,
-                r.exec.improvement_pct(),
+                r.exec_ns,
             ));
         }
         out
@@ -267,56 +259,32 @@ fn build_warm_state(
     (bcg, cache)
 }
 
-/// Full-engine run timings: decoded-DOp trace execution (`reg_ir` off)
-/// vs register-lowered trace execution (`reg_ir` on), both with a warm
-/// private cache (one untimed run compiles the traces). Unlike the
-/// replay timings these include out-of-trace interpretation — they are
-/// the end-to-end cost of the run, normalised by the same dynamic
-/// dispatch count so the two legs are directly comparable.
+/// Full-engine run timing with a warm private cache (one untimed run
+/// compiles the traces). Unlike the replay timings this includes
+/// out-of-trace interpretation — it is the end-to-end cost of the run,
+/// normalised by the same dynamic dispatch count.
 fn engine_timing(
     w: &Workload,
     dispatches: u64,
     config: &TraceJitConfig,
     repeats: usize,
-) -> (PathTiming, RegStats) {
-    let mk = |reg_ir: bool| {
-        let mut jit = *config;
-        jit.vm.capture_output = false;
+) -> (f64, RegStats) {
+    let mut jit = *config;
+    jit.vm.capture_output = false;
+    let mut engine = TracingVm::new(
+        &w.program,
         EngineConfig {
             jit,
-            optimize: true,
-            superinstructions: true,
-            reg_ir,
-            dop_fusion: true,
-            health: true,
-        }
-    };
-    let mut dop = TracingVm::new(&w.program, mk(false));
-    let warm = dop.run(&w.args).expect("workload runs");
-    assert_eq!(
-        warm.checksum, w.expected_checksum,
-        "{}: decoded leg",
-        w.name
-    );
-    let baseline_ns = min_ns_per_dispatch(dispatches, repeats, || {
-        let r = dop.run(&w.args).expect("workload runs");
-        std::hint::black_box(r.checksum);
-    });
-
-    let mut reg = TracingVm::new(&w.program, mk(true));
-    let warm = reg.run(&w.args).expect("workload runs");
-    assert_eq!(warm.checksum, w.expected_checksum, "{}: reg leg", w.name);
-    let new_ns = min_ns_per_dispatch(dispatches, repeats, || {
-        let r = reg.run(&w.args).expect("workload runs");
-        std::hint::black_box(r.checksum);
-    });
-    (
-        PathTiming {
-            baseline_ns,
-            new_ns,
+            ..EngineConfig::paper_default().with_optimizer(true)
         },
-        reg.reg_stats(),
-    )
+    );
+    let warm = engine.run(&w.args).expect("workload runs");
+    assert_eq!(warm.checksum, w.expected_checksum, "{}", w.name);
+    let ns = min_ns_per_dispatch(dispatches, repeats, || {
+        let r = engine.run(&w.args).expect("workload runs");
+        std::hint::black_box(r.checksum);
+    });
+    (ns, engine.reg_stats())
 }
 
 /// Trace-mode replay timings against the (frozen) warmed cache.
@@ -400,13 +368,13 @@ pub fn run_filtered(scale: Scale, repeats: usize, only: Option<&str>) -> HotPath
         let stream = capture_stream(&w);
         let profiled = profiled_timing(&stream, &config, repeats);
         let trace_mode = trace_mode_timing(&stream, &w.program, &config, repeats);
-        let (exec, reg) = engine_timing(&w, stream.len() as u64, &config, repeats);
+        let (exec_ns, reg) = engine_timing(&w, stream.len() as u64, &config, repeats);
         rows.push(HotPathRow {
             name: w.name,
             dispatches: stream.len() as u64,
             profiled,
             trace_mode,
-            exec,
+            exec_ns,
             reg,
         });
     }

@@ -21,20 +21,22 @@
 //! The report also carries the decoded-code and frame-arena byte
 //! footprints, since the decoded form trades memory for dispatch speed.
 //!
-//! Four additions ride along:
+//! Five additions ride along:
 //!
 //! * a **fused** leg — the same decoded `Vm` after the profile-driven
 //!   superinstruction pass (`jvm_vm::fuse`): a profiling run collects
 //!   block visits, selection picks the patterns that clear the default
 //!   thresholds, and the timed passes execute the quickened stream;
-//! * an **engine-dop** leg — a warm [`TracingVm`] with `reg_ir` *off*,
-//!   so hot traces execute from decoded `DOp` streams. This is the
-//!   apples-to-apples baseline for the register tier:
-//!   `reg_improvement_pct` compares the two warm engines, never a warm
-//!   engine against a bare interpreter (the old methodology double-
-//!   counted trace-pipeline overheads on one side — see EXPERIMENTS.md);
-//! * a **lowered-reg** leg (warm `TracingVm`, register-lowered traces),
-//!   as before;
+//! * a **lowered-reg** leg (warm [`TracingVm`], register-lowered
+//!   traces);
+//! * an **observe** / **never-enter** pair — the decoded `Vm` driving
+//!   `bcg.observe` from a closure observer, against a `TracingVm` whose
+//!   start delay is so long that no trace is ever built. Both execute
+//!   every block out of trace with the profiler attached, so their
+//!   ratio prices the engine's dispatch hook (signals, health epoch,
+//!   entry check) over the bare profiler. The two are timed
+//!   *interleaved* so host drift hits both; [`NEVER_ENTER_MAX_RATIO`]
+//!   is the CI bound;
 //! * per-workload **opcode pair and triple histograms** — the hottest
 //!   dynamic adjacencies, reconstructed exactly from the block-dispatch
 //!   stream — the evidence base for the superinstruction table, plus
@@ -50,9 +52,21 @@ use jvm_vm::{
     BlockCounts, DecodedMemory, DecodedProgram, FusionConfig, NullObserver, ReferenceVm, Vm,
     VmConfig,
 };
+use trace_bcg::BranchCorrelationGraph;
 use trace_exec::{EngineConfig, TracingVm};
 use trace_jit::TraceJitConfig;
 use trace_workloads::registry::{self, Scale, Workload};
+
+/// CI bound on [`InterpRow::never_enter_ratio`]: the engine's
+/// out-of-trace path is the decoded loop itself, so a never-entering
+/// engine may cost at most this much more than the loop driving the bare
+/// profiler (it was 2.0–2.3× while the engine had an interpreter of its
+/// own).
+pub const NEVER_ENTER_MAX_RATIO: f64 = 1.5;
+
+/// A start delay no run reaches: no node ever leaves `NewlyCreated`, so
+/// the engine builds — and enters — nothing.
+const NEVER_ENTER_START_DELAY: u32 = 1_000_000_000;
 
 /// How many hot opcode pairs each row reports.
 pub const TOP_PAIRS: usize = 8;
@@ -89,14 +103,19 @@ pub struct InterpRow {
     /// Decoded engine after profile-driven superinstruction fusion, ns
     /// per (source) instruction.
     pub fused_ns_per_instr: f64,
-    /// Warm trace-executing engine with decoded-`DOp` traces (`reg_ir`
-    /// off), ns per (source) instruction — the fair baseline for the
-    /// register tier.
-    pub engine_dop_ns_per_instr: f64,
     /// Warm trace-executing engine with register-lowered traces, ns per
-    /// (source) instruction. Below `decoded_ns_per_instr` once the hot
-    /// paths run from three-address code.
+    /// (source) instruction.
     pub lowered_reg_ns_per_instr: f64,
+    /// Decoded engine driving `bcg.observe` from a closure observer, ns
+    /// per instruction (min over the interleaved repeats).
+    pub observe_ns_per_instr: f64,
+    /// `TracingVm` that never builds a trace, ns per instruction (min
+    /// over the interleaved repeats).
+    pub never_enter_ns_per_instr: f64,
+    /// Median over the repeats of each round's never-enter / observe —
+    /// the two were timed back to back, so this is the drift-robust
+    /// spread check beside [`Self::never_enter_ratio`].
+    pub never_enter_median_ratio: f64,
     /// Hottest dynamic opcode pairs `(first, second, count)` — the
     /// fusion/lowering shopping list for this workload.
     pub hot_pairs: Vec<(&'static str, &'static str, u64)>,
@@ -144,29 +163,19 @@ impl InterpRow {
         (1.0 - self.fused_ns_per_instr / self.decoded_ns_per_instr) * 100.0
     }
 
-    /// Decoded-trace engine, ns per block dispatch (of the source
-    /// stream — the engine itself dispatches far fewer blocks).
-    pub fn engine_dop_ns_per_dispatch(&self) -> f64 {
-        self.engine_dop_ns_per_instr * self.instructions as f64 / self.dispatches.max(1) as f64
-    }
-
     /// Register-trace engine, ns per block dispatch (of the source
     /// stream — the engine itself dispatches far fewer blocks).
     pub fn lowered_reg_ns_per_dispatch(&self) -> f64 {
         self.lowered_reg_ns_per_instr * self.instructions as f64 / self.dispatches.max(1) as f64
     }
 
-    /// Percentage reduction of the register-trace engine relative to the
-    /// *decoded-trace engine* (positive = register traces faster). Both
-    /// sides are warm `TracingVm`s differing only in `reg_ir`, so this
-    /// isolates the lowering itself; comparing a warm engine against a
-    /// bare interpreter (the pre-fix methodology) mixes trace-pipeline
-    /// overheads into one side and is not reported any more.
-    pub fn reg_improvement_pct(&self) -> f64 {
-        if self.engine_dop_ns_per_instr == 0.0 {
-            return 0.0;
+    /// Never-entering engine over the decoded loop driving the bare
+    /// profiler (min over min; 1.0 = the hook is free).
+    pub fn never_enter_ratio(&self) -> f64 {
+        if self.observe_ns_per_instr == 0.0 {
+            return 1.0;
         }
-        (1.0 - self.lowered_reg_ns_per_instr / self.engine_dop_ns_per_instr) * 100.0
+        self.never_enter_ns_per_instr / self.observe_ns_per_instr
     }
 }
 
@@ -216,6 +225,14 @@ impl InterpReport {
         (log_sum / self.rows.len() as f64).exp()
     }
 
+    /// The worst [`InterpRow::never_enter_ratio`] over the rows.
+    pub fn max_never_enter_ratio(&self) -> f64 {
+        self.rows
+            .iter()
+            .map(InterpRow::never_enter_ratio)
+            .fold(1.0, f64::max)
+    }
+
     /// Workloads on which the fused leg beat the unfused decoded leg on
     /// ns/dispatch.
     pub fn fused_wins(&self) -> usize {
@@ -245,6 +262,10 @@ impl InterpReport {
             self.geomean_fused_speedup()
         ));
         out.push_str(&format!("  \"fused_wins\": {},\n", self.fused_wins()));
+        out.push_str(&format!(
+            "  \"max_never_enter_ratio\": {:.3},\n",
+            self.max_never_enter_ratio()
+        ));
         out.push_str("  \"workloads\": [\n");
         for (i, r) in self.rows.iter().enumerate() {
             let pairs: Vec<String> = r
@@ -268,12 +289,12 @@ impl InterpReport {
                     "    {{\"name\": \"{}\", \"instructions\": {}, \"dispatches\": {},\n",
                     "     \"ns_per_instruction\": ",
                     "{{\"reference\": {:.3}, \"decoded\": {:.3}, \"fused\": {:.3}, ",
-                    "\"engine-dop\": {:.3}, \"lowered-reg\": {:.3}, ",
+                    "\"lowered-reg\": {:.3}, \"observe\": {:.3}, \"never-enter\": {:.3}, ",
                     "\"improvement_pct\": {:.2}, \"fused_improvement_pct\": {:.2}, ",
-                    "\"reg_improvement_pct\": {:.2}}},\n",
+                    "\"never_enter_ratio\": {:.3}, \"never_enter_median_ratio\": {:.3}}},\n",
                     "     \"ns_per_dispatch\": ",
                     "{{\"reference\": {:.3}, \"decoded\": {:.3}, \"fused\": {:.3}, ",
-                    "\"engine-dop\": {:.3}, \"lowered-reg\": {:.3}}},\n",
+                    "\"lowered-reg\": {:.3}}},\n",
                     "     \"fusion\": {{\"candidates\": {}, \"applied\": {}, ",
                     "\"dispatches_eliminated\": {}, \"selected\": [{}]}},\n",
                     "     \"hot_opcode_pairs\": [{}],\n",
@@ -287,15 +308,16 @@ impl InterpReport {
                 r.reference_ns_per_instr,
                 r.decoded_ns_per_instr,
                 r.fused_ns_per_instr,
-                r.engine_dop_ns_per_instr,
                 r.lowered_reg_ns_per_instr,
+                r.observe_ns_per_instr,
+                r.never_enter_ns_per_instr,
                 r.improvement_pct(),
                 r.fused_improvement_pct(),
-                r.reg_improvement_pct(),
+                r.never_enter_ratio(),
+                r.never_enter_median_ratio,
                 r.reference_ns_per_dispatch(),
                 r.decoded_ns_per_dispatch(),
                 r.fused_ns_per_dispatch(),
-                r.engine_dop_ns_per_dispatch(),
                 r.lowered_reg_ns_per_dispatch(),
                 r.fusion.candidates,
                 r.fusion.applied,
@@ -322,30 +344,32 @@ impl InterpReport {
             self.scale, self.repeats
         ));
         out.push_str(&format!(
-            "{:<10} {:>14} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>6} {:>8}\n",
+            "{:<10} {:>14} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>6} {:>8}\n",
             "workload",
             "instructions",
             "ref",
             "decoded",
             "fused",
-            "eng-dop",
             "reg",
+            "observe",
+            "never",
             "fuse%",
-            "reg%",
+            "nev/ob",
             "dec-KiB"
         ));
         for r in &self.rows {
             out.push_str(&format!(
-                "{:<10} {:>14} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>6.1} {:>6.1} {:>8.1}\n",
+                "{:<10} {:>14} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>6.1} {:>6.2} {:>8.1}\n",
                 r.name,
                 r.instructions,
                 r.reference_ns_per_instr,
                 r.decoded_ns_per_instr,
                 r.fused_ns_per_instr,
-                r.engine_dop_ns_per_instr,
                 r.lowered_reg_ns_per_instr,
+                r.observe_ns_per_instr,
+                r.never_enter_ns_per_instr,
                 r.fused_improvement_pct(),
-                r.reg_improvement_pct(),
+                r.never_enter_ratio(),
                 r.decoded_memory.total() as f64 / 1024.0,
             ));
         }
@@ -380,12 +404,13 @@ impl InterpReport {
             ));
         }
         out.push_str(&format!(
-            "geomean speedup {:.3}x ({:.1}% ns/instruction); fused over decoded {:.3}x, faster on {}/{} workloads\n",
+            "geomean speedup {:.3}x ({:.1}% ns/instruction); fused over decoded {:.3}x, faster on {}/{} workloads; never-enter engine at most {:.2}x observe\n",
             self.geomean_speedup(),
             self.geomean_improvement_pct(),
             self.geomean_fused_speedup(),
             self.fused_wins(),
             self.rows.len(),
+            self.max_never_enter_ratio(),
         ));
         out
     }
@@ -535,6 +560,30 @@ fn min_secs(repeats: usize, mut pass: impl FnMut()) -> f64 {
     best
 }
 
+/// Times `a` and `b` alternately — one untimed warm-up each, then
+/// `repeats` rounds of a-then-b — so drift of the host lands on both.
+/// Returns each side's minimum seconds and the median over the rounds
+/// of `b / a`.
+fn interleaved_secs(repeats: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64, f64) {
+    a();
+    b();
+    let (mut min_a, mut min_b) = (f64::INFINITY, f64::INFINITY);
+    let mut ratios = Vec::new();
+    for _ in 0..repeats.max(1) {
+        let start = Instant::now();
+        a();
+        let ta = start.elapsed().as_secs_f64();
+        let start = Instant::now();
+        b();
+        let tb = start.elapsed().as_secs_f64();
+        min_a = min_a.min(ta);
+        min_b = min_b.min(tb);
+        ratios.push(tb / ta);
+    }
+    ratios.sort_by(f64::total_cmp);
+    (min_a, min_b, ratios[ratios.len() / 2])
+}
+
 fn measure_workload(w: &Workload, repeats: usize) -> InterpRow {
     // Output capture off: timing must not include sink pushes.
     let config = VmConfig {
@@ -566,44 +615,55 @@ fn measure_workload(w: &Workload, repeats: usize) -> InterpRow {
         std::hint::black_box(r);
     });
 
-    // Warm trace-executing engines. The untimed warm-up run inside
+    // Warm trace-executing engine. The untimed warm-up run inside
     // `min_secs` compiles the hot traces, so the timed passes run them
-    // from decoded `DOp` streams (engine-dop) and three-address register
-    // code (lowered-reg) respectively — the two legs differ only in
-    // `reg_ir`, which is what makes their ratio a fair lowering number.
+    // from three-address register code.
     let mut jit = TraceJitConfig::paper_default();
     jit.vm.capture_output = false;
-    let mut dop_engine = TracingVm::new(
-        &w.program,
-        EngineConfig {
-            jit,
-            optimize: true,
-            superinstructions: true,
-            reg_ir: false,
-            dop_fusion: true,
-            health: true,
-        },
-    );
-    let dop_secs = min_secs(repeats, || {
-        let r = dop_engine.run(&w.args).expect("runs");
-        std::hint::black_box(r.checksum);
-    });
-
     let mut reg_engine = TracingVm::new(
         &w.program,
         EngineConfig {
             jit,
-            optimize: true,
-            superinstructions: true,
-            reg_ir: true,
-            dop_fusion: true,
-            health: true,
+            ..EngineConfig::paper_default().with_optimizer(true)
         },
     );
     let reg_secs = min_secs(repeats, || {
         let r = reg_engine.run(&w.args).expect("runs");
         std::hint::black_box(r.checksum);
     });
+
+    // The never-enter pair: the same loop, the same profiler on every
+    // block, nothing ever built. DOp fusion is off on the engine so
+    // both sides execute the identical plain decoded stream.
+    let never_jit = jit.with_start_delay(NEVER_ENTER_START_DELAY);
+    let mut observed = Vm::with_config(&w.program, config);
+    let mut bcg = BranchCorrelationGraph::new(never_jit.bcg_config());
+    let mut never_engine = TracingVm::new(
+        &w.program,
+        EngineConfig {
+            jit: never_jit,
+            ..EngineConfig::paper_default().with_dop_fusion(false)
+        },
+    );
+    let mut never_entered = 0;
+    let (obs_min, nev_min, never_enter_median_ratio) = interleaved_secs(
+        repeats,
+        || {
+            bcg.begin_stream();
+            let r = observed
+                .run(&w.args, &mut |b| {
+                    bcg.observe(b);
+                })
+                .expect("runs");
+            std::hint::black_box(r);
+        },
+        || {
+            let r = never_engine.run(&w.args).expect("runs");
+            never_entered = r.traces.entered;
+            std::hint::black_box(r.checksum);
+        },
+    );
+    assert_eq!(never_entered, 0, "{}: never-enter leg entered", w.name);
 
     // Both engines must have done the identical semantic work — this is
     // the same equivalence the differential suite pins, re-checked on
@@ -640,12 +700,6 @@ fn measure_workload(w: &Workload, repeats: usize) -> InterpRow {
     );
 
     assert_eq!(
-        dop_engine.run(&w.args).expect("runs").checksum,
-        w.expected_checksum,
-        "{}: decoded-trace engine diverged",
-        w.name
-    );
-    assert_eq!(
         reg_engine.run(&w.args).expect("runs").checksum,
         w.expected_checksum,
         "{}: register-trace engine diverged",
@@ -661,8 +715,10 @@ fn measure_workload(w: &Workload, repeats: usize) -> InterpRow {
         reference_ns_per_instr: ref_secs * 1e9 / instructions as f64,
         decoded_ns_per_instr: dec_secs * 1e9 / instructions as f64,
         fused_ns_per_instr: fused_secs * 1e9 / instructions as f64,
-        engine_dop_ns_per_instr: dop_secs * 1e9 / instructions as f64,
         lowered_reg_ns_per_instr: reg_secs * 1e9 / instructions as f64,
+        observe_ns_per_instr: obs_min * 1e9 / instructions as f64,
+        never_enter_ns_per_instr: nev_min * 1e9 / instructions as f64,
+        never_enter_median_ratio,
         hot_pairs,
         hot_triples,
         fusion: FusionStats {
@@ -709,8 +765,10 @@ mod tests {
             reference_ns_per_instr: 10.0,
             decoded_ns_per_instr: 5.0,
             fused_ns_per_instr: 4.0,
-            engine_dop_ns_per_instr: 5.0,
             lowered_reg_ns_per_instr: 2.5,
+            observe_ns_per_instr: 4.0,
+            never_enter_ns_per_instr: 5.0,
+            never_enter_median_ratio: 1.25,
             hot_pairs: Vec::new(),
             hot_triples: Vec::new(),
             fusion: FusionStats::default(),
@@ -722,10 +780,8 @@ mod tests {
         assert!((r.decoded_ns_per_dispatch() - 50.0).abs() < 1e-9);
         assert!((r.fused_ns_per_dispatch() - 40.0).abs() < 1e-9);
         assert!((r.fused_improvement_pct() - 20.0).abs() < 1e-9);
-        assert!((r.engine_dop_ns_per_dispatch() - 50.0).abs() < 1e-9);
         assert!((r.lowered_reg_ns_per_dispatch() - 25.0).abs() < 1e-9);
-        // reg improvement is engine-vs-engine: 2.5 vs 5.0 → 50%.
-        assert!((r.reg_improvement_pct() - 50.0).abs() < 1e-9);
+        assert!((r.never_enter_ratio() - 1.25).abs() < 1e-9);
     }
 
     #[test]
@@ -737,8 +793,10 @@ mod tests {
             reference_ns_per_instr: ref_ns,
             decoded_ns_per_instr: dec_ns,
             fused_ns_per_instr: dec_ns / 2.0,
-            engine_dop_ns_per_instr: dec_ns,
             lowered_reg_ns_per_instr: dec_ns,
+            observe_ns_per_instr: dec_ns,
+            never_enter_ns_per_instr: dec_ns,
+            never_enter_median_ratio: 1.0,
             hot_pairs: Vec::new(),
             hot_triples: Vec::new(),
             fusion: FusionStats::default(),
@@ -767,8 +825,8 @@ mod tests {
         assert!(json.contains("\"lowered-reg\""), "reg leg must be in JSON");
         assert!(json.contains("\"fused\""), "fused leg must be in JSON");
         assert!(
-            json.contains("\"engine-dop\""),
-            "engine-dop leg must be in JSON"
+            json.contains("\"never-enter\""),
+            "never-enter leg must be in JSON"
         );
         assert!(json.contains("\"fusion\""), "fusion stats must be in JSON");
         assert!(json.contains("\"dispatches_eliminated\""));

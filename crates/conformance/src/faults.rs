@@ -62,8 +62,6 @@ pub fn fault_campaign_config() -> EngineConfig {
         }
         .with_threshold(0.90),
         optimize: false,
-        superinstructions: true,
-        reg_ir: true,
         dop_fusion: true,
         health: true,
     }
@@ -137,13 +135,16 @@ pub fn run_fault_case(
                     ));
                 }
                 // The budget must hold at every settled point unless a
-                // single trace overran it (counted, never silent).
-                let stats = cache.stats();
-                if stats.budget_overruns == 0 && cache.payload_bytes() > budget {
+                // single trace overran it (counted, never silent). The
+                // constructor thread is live: read the payload (under the
+                // cache's lock, where an overrun is also counted) before
+                // the lock-free counters, or an overrunning insert between
+                // the two reads looks like a silent one.
+                let payload = cache.payload_bytes();
+                if payload > budget && cache.stats().budget_overruns == 0 {
                     return Err(format!(
-                        "run {run}: payload {} exceeds budget {budget} \
-                         with no recorded overrun",
-                        cache.payload_bytes()
+                        "run {run}: payload {payload} exceeds budget {budget} \
+                         with no recorded overrun"
                     ));
                 }
             }

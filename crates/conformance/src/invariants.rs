@@ -7,11 +7,11 @@
 //! description of the violated paper rule; DESIGN.md ("Conformance
 //! invariants") maps every invariant to the rule it encodes.
 
-use jvm_bytecode::Program;
+use jvm_bytecode::{FuncId, Program};
 use jvm_vm::decode::DecodedProgram;
 use trace_bcg::BranchCorrelationGraph;
 use trace_cache::TraceCache;
-use trace_exec::{LoweredTrace, XInstr};
+use trace_exec::{RInstr, RegTrace};
 
 /// Graph-wide counter and state-machine invariants (§3.3, §4.1.1):
 /// counters bounded by the saturation limit, `total_weight` equal to the
@@ -94,14 +94,30 @@ pub fn check_link_coherence(cache: &TraceCache, bcg: &BranchCorrelationGraph) {
     }
 }
 
-/// Side-exit target validity: every guard's exit anchor in a lowered
+/// Side-exit target validity: every exit record of a register-lowered
 /// trace must resume at an in-range decoded pc of its function, inside
-/// the block the anchor names; every decoded jump target must be a block
-/// entry marker. A violation would make a failing guard resume the
-/// interpreter at a garbage pc — the exact class of bug trace execution
-/// must never exhibit.
-pub fn check_side_exits(program: &Program, decoded: &DecodedProgram, lt: &LoweredTrace) {
-    let check_exit = |what: &str, e: &trace_exec::Exit| {
+/// the block the record names; every decoded switch target must be a
+/// block entry marker; and every frame image must fit the region the
+/// arena allocates for its frame. A violation would make a failing
+/// guard resume the interpreter at a garbage pc or write outside its
+/// frame — the exact class of bug trace execution must never exhibit.
+pub fn check_side_exits(program: &Program, decoded: &DecodedProgram, rt: &RegTrace) {
+    let check_image = |what: &str, cur: FuncId, image: u32| {
+        let df = &decoded.funcs[cur.0 as usize];
+        let img = &rt.images[image as usize];
+        assert!(
+            u64::from(img.base) + img.stack.len() as u64 <= u64::from(df.max_stack),
+            "{what}: frame image overflows the operand-stack region"
+        );
+        for &(slot, _) in img.dirty.iter() {
+            assert!(
+                slot < df.num_locals,
+                "{what}: dirty slot {slot} not a local"
+            );
+        }
+    };
+    let check_exit = |what: &str, cur: FuncId, idx: u32| {
+        let e = &rt.exits[idx as usize];
         assert!(
             (e.func.0 as usize) < decoded.funcs.len(),
             "{what}: exit names unknown function {:?}",
@@ -123,18 +139,30 @@ pub fn check_side_exits(program: &Program, decoded: &DecodedProgram, lt: &Lowere
             "{what}: exit block {} out of range",
             e.block
         );
+        assert_eq!(
+            e.func, cur,
+            "{what}: exit anchors in {:?} but the stream is executing {cur:?}",
+            e.func
+        );
+        check_image(what, cur, e.image);
+    };
+    let check_local = |what: &str, cur: FuncId, slot: u16| {
+        assert!(
+            slot < decoded.funcs[cur.0 as usize].num_locals,
+            "{what}: slot {slot} not a local of {cur:?}"
+        );
     };
     // Return continuations (`ret` on call guards) resume *mid-block* at
     // the decoded pc right after the call — in range, but not required
     // to be a block entry.
-    let check_resume = |what: &str, func: jvm_bytecode::FuncId, t: u32| {
+    let check_resume = |what: &str, func: FuncId, t: u32| {
         let df = &decoded.funcs[func.0 as usize];
         assert!(
             (t as usize) < df.code.len(),
             "{what}: resume pc {t} out of range"
         );
     };
-    let check_marker = |what: &str, func: jvm_bytecode::FuncId, t: u32| {
+    let check_marker = |what: &str, func: FuncId, t: u32| {
         let df = &decoded.funcs[func.0 as usize];
         assert!(
             (t as usize) < df.code.len(),
@@ -148,60 +176,70 @@ pub fn check_side_exits(program: &Program, decoded: &DecodedProgram, lt: &Lowere
 
     // Exits anchor into the function owning each instruction. The
     // lowered stream switches functions at Enter/GuardVirtual (into the
-    // callee) and GuardReturn (into the recorded continuation's
-    // function — which may leave the trace's entry function, so a call
-    // stack would not suffice); track the current function alongside
+    // callee), RetStatic (back to the in-trace caller) and GuardReturn
+    // (into the recorded continuation's function — which may leave the
+    // trace's entry function); track the current function alongside
     // and require every guard's exit to anchor inside it.
-    let mut cur = lt.src_blocks[0].func;
-    for x in &lt.code {
-        let check_exit_here = |what: &str, e: &trace_exec::Exit| {
-            check_exit(what, e);
-            assert_eq!(
-                e.func, cur,
-                "{what}: exit anchors in {:?} but the stream is executing {cur:?}",
-                e.func
-            );
-        };
-        match x {
-            XInstr::Jump { target } => check_marker("jump", cur, *target),
-            XInstr::GuardCond { target, exit, .. } => {
-                check_exit_here("guard-cond", exit);
-                check_marker("guard-cond", cur, *target);
+    let mut cur = rt.src_blocks[0].func;
+    let mut callers: Vec<FuncId> = Vec::new();
+    for r in &rt.code {
+        match r {
+            RInstr::LoadLocal { slot, .. } | RInstr::IncLocal { slot, .. } => {
+                check_local("local", cur, *slot)
             }
-            XInstr::GuardSwitch {
+            RInstr::NewObj { image, .. } | RInstr::NewArray { image, .. } => {
+                check_image("alloc", cur, *image)
+            }
+            RInstr::GuardCond { exit, .. } => check_exit("guard-cond", cur, *exit),
+            RInstr::GuardSwitch {
                 targets,
                 default,
                 expected,
                 exit,
                 ..
             } => {
-                check_exit_here("guard-switch", exit);
+                check_exit("guard-switch", cur, *exit);
                 for &t in targets.iter() {
                     check_marker("guard-switch", cur, t);
                 }
                 check_marker("guard-switch-default", cur, *default);
                 check_marker("guard-switch-expected", cur, *expected);
             }
-            XInstr::EnterStatic { callee, ret } => {
+            RInstr::EnterStatic {
+                callee, ret, image, ..
+            } => {
+                check_image("enter-static", cur, *image);
                 check_resume("enter-static-ret", cur, *ret);
+                callers.push(cur);
                 cur = *callee;
             }
-            XInstr::GuardVirtual {
+            RInstr::GuardVirtual {
                 expected,
                 ret,
                 exit,
                 ..
             } => {
-                check_exit_here("guard-virtual", exit);
+                check_exit("guard-virtual", cur, *exit);
                 check_resume("guard-virtual-ret", cur, *ret);
+                callers.push(cur);
                 cur = *expected;
             }
-            XInstr::GuardReturn { expected, exit, .. } => {
-                check_exit_here("guard-return", exit);
+            RInstr::RetStatic { .. } => {
+                cur = callers
+                    .pop()
+                    .expect("static return pairs with an in-trace call");
+            }
+            RInstr::GuardReturn { expected, exit, .. } => {
+                check_exit("guard-return", cur, *exit);
+                assert!(callers.is_empty(), "guarded return below the entry depth");
                 cur = expected.func;
             }
-            XInstr::Finish { exit, .. } => check_exit_here("finish", exit),
-            XInstr::Op(_) | XInstr::Fused(_) | XInstr::FallThrough => {}
+            RInstr::Finish { exit, .. } => check_exit("finish", cur, *exit),
+            _ => {}
         }
     }
+    assert!(
+        matches!(rt.code.last(), Some(RInstr::Finish { .. })),
+        "a register trace hands back to the loop through a final finish"
+    );
 }

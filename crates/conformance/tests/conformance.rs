@@ -239,17 +239,17 @@ fn linked_traces_have_valid_side_exits() {
         ls.run_program(&w.program, &w.args)
             .unwrap_or_else(|d| panic!("workload {}: {d}", w.name));
 
-        let mut decoded = DecodedProgram::decode(&w.program);
-        for (entry, trace) in ls.cache.iter_links() {
+        let decoded = DecodedProgram::decode(&w.program);
+        for (_, trace) in ls.cache.iter_links() {
             // Some cached traces legitimately refuse compilation
             // (disconnected block pairs after invalidation); validity
             // applies to the ones the engine would actually run.
             let Ok(ct) = trace_exec::compile(&w.program, trace) else {
                 continue;
             };
-            let lt = trace_exec::lower_trace(&w.program, &mut decoded, &ct);
-            trace_conformance::invariants::check_side_exits(&w.program, &decoded, &lt);
-            let _ = entry;
+            let rt = trace_exec::lower_reg(&w.program, &decoded, &ct)
+                .expect("workload traces lower to register form");
+            trace_conformance::invariants::check_side_exits(&w.program, &decoded, &rt);
             checked += 1;
         }
     }

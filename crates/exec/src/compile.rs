@@ -14,10 +14,6 @@
 //! | `return` | [`TInstr::GuardReturn`] — side-exits unless the caller's continuation is the recorded next block |
 //! | last block's terminator | [`TInstr::Finish`] — executed with full interpreter semantics; the trace then completes |
 //!
-//! After compilation the [`crate::fuse`] pass may additionally collapse
-//! straight-line instruction groups into [`TInstr::Fused`]
-//! superinstructions.
-//!
 //! Every control `TInstr` carries its source location and re-anchors the
 //! frame's `pc` before evaluating, so side exits resume the interpreter
 //! at exactly the guarded instruction with the operand stack untouched —
@@ -146,16 +142,13 @@ pub enum TInstr {
         /// Source pc.
         pc: u32,
     },
-    /// A fused superinstruction standing for several source instructions
-    /// (see [`crate::fuse`]).
-    Fused(crate::fuse::Fused),
 }
 
 impl TInstr {
     /// Whether this compiled instruction ends a source basic block (used
     /// for per-block accounting during trace execution).
     pub fn ends_block(&self) -> bool {
-        !matches!(self, TInstr::Op(_) | TInstr::Fused(_))
+        !matches!(self, TInstr::Op(_))
     }
 }
 

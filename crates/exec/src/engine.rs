@@ -1,42 +1,38 @@
 //! The trace-executing virtual machine.
 //!
 //! [`TracingVm`] is the "fully integrated" system the paper names as its
-//! next step (§6): out-of-trace code is interpreted from the **decoded
-//! threaded form** ([`jvm_vm::DecodedProgram`]) with the profiler attached
-//! to every dispatch, while cached traces execute from compiled, guarded
-//! straight-line code — lowered to the same decoded form by
-//! [`crate::lower`] — with **no dispatch and no profiling points inside**
-//! ("a trace dispatch executes a single profiling statement, all of the
-//! inlined ones are removed", §5.4).
+//! next step (§6), built the way the paper builds it: the trace cache
+//! lives *inside* the interpreter's dispatch loop. Out-of-trace code runs
+//! on [`jvm_vm::Vm`]'s decoded loop — the engine has no interpreter of its
+//! own — with the engine attached to the loop's block-dispatch hook
+//! ([`jvm_vm::BlockDriver`]). At every dispatch the driver feeds the
+//! profiler, handles its signals, advances the trace-health epoch and
+//! checks the entry link; when a trace is linked the loop hands over its
+//! machine state and the trace runs from register-lowered, guarded
+//! straight-line code ([`crate::reg`], executed by [`crate::regexec`])
+//! against the *same* frame arena, with **no dispatch and no profiling
+//! points inside** ("a trace dispatch executes a single profiling
+//! statement, all of the inlined ones are removed", §5.4).
 //!
-//! Out-of-trace dispatch is marker-driven: the decoded streams bake an
-//! [`op::ENTER_BLOCK`] marker at every basic-block start, so block-entry
-//! detection — and with it the profiler hook and the trace-entry check —
-//! is one opcode case instead of a per-instruction block-index
-//! comparison. Frame `pc`s are indices into the decoded streams
-//! throughout, including across trace entry and side exits.
-//!
-//! Guard failures side-exit: the frame's `pc` is re-anchored at the
-//! guarded instruction (whose operands were only peeked, never popped)
-//! and the interpreter resumes there, re-executing it with full
-//! semantics. The resume point sits just *past* its block's entry marker,
-//! so the dispatch event the reference system would fire on resumption is
+//! Guard failures side-exit: the frame image is written back into the
+//! arena, the frame's `pc` is re-anchored at the guarded instruction and
+//! the loop resumes there, re-executing it with full semantics. The
+//! resume point sits just *past* its block's entry marker, so the
+//! dispatch event the reference system would fire on resumption is
 //! accounted for **eagerly** at the exit itself, in the same order the
-//! out-of-trace loop would. Consequently the engine is *semantically
-//! transparent*: with optimization off it executes exactly the same
-//! instruction sequence as the plain interpreter — a property the
-//! differential tests pin down on all six workloads.
+//! loop would. A trace that runs to its end hands its final terminator
+//! back to the loop the same way. Consequently the engine is
+//! *semantically transparent*: with optimization off it executes exactly
+//! the same instruction sequence as the plain interpreter — a property
+//! the differential tests pin down on all six workloads. A trace the
+//! register lowering refuses is simply never entered.
 
 use std::collections::HashMap;
-use std::rc::Rc;
 use std::sync::Arc;
 
-use jvm_bytecode::{BlockId, ClassId, FuncId, Intrinsic, Program};
-use jvm_vm::decode::{eval_f_rel, eval_i_rel, op, INTRINSIC_ORDER};
-use jvm_vm::{
-    fold_checksum, DOp, DecodedProgram, ExecStats, Heap, HeapObj, OutputItem, Value, VmError,
-};
-use trace_bcg::{BranchCorrelationGraph, NodeState, Signal, SignalKind};
+use jvm_bytecode::{BlockId, Program};
+use jvm_vm::{BlockDriver, DecodedProgram, Machine, OutputItem, Value, Vm, VmError};
+use trace_bcg::{Branch, BranchCorrelationGraph, NodeState, Signal, SignalKind};
 use trace_cache::{
     run_health_epoch, BcgSnapshot, ConstructorStats, HealthStats, OutcomeRecord, TraceCache,
     TraceConstructor, TraceExecStats, TraceHealth, TraceId, TraceOutcome, TraceStore,
@@ -44,11 +40,10 @@ use trace_cache::{
 use trace_jit::{RunReport, TraceJitConfig};
 use trace_persist::{program_hash, Snapshot, SnapshotError, SnapshotReader};
 
-use crate::compile::{compile, CondKind};
-use crate::fuse::{fuse_trace, FuseStats, Fused};
-use crate::lower::{lower_trace, lower_trace_frozen, LoweredTrace, XInstr};
+use crate::compile::compile;
 use crate::opt::{optimize_trace, OptStats};
-use crate::reg::{lower_reg, FrameImage, RBin, RInstr, RUn, RegStats, RegTrace, TraceArtifact};
+use crate::reg::{lower_reg, RegStats, RegTrace};
+use crate::regexec::TraceRun;
 use crate::shared::SharedSession;
 
 /// Engine configuration.
@@ -58,21 +53,12 @@ pub struct EngineConfig {
     pub jit: TraceJitConfig,
     /// Whether compiled traces are run through the peephole optimizer.
     pub optimize: bool,
-    /// Whether compiled traces are fused into superinstructions
-    /// (accounting-transparent; on by default).
-    pub superinstructions: bool,
-    /// Whether compiled traces are lowered to the register IR
-    /// ([`crate::reg`]) and run in the register-file loop; traces the
-    /// register lowering refuses fall back to the decoded form. On by
-    /// default.
-    pub reg_ir: bool,
     /// Whether the out-of-trace decoded streams are rewritten with
     /// profile-driven DOp superinstructions ([`jvm_vm::fuse`]) after the
     /// first run: block visits are counted during the first run and the
     /// selection is applied when it completes. Trace execution is
-    /// unaffected (traces lower from source instructions); the engine's
-    /// fallback interpreter transparently unfuses groups it steps
-    /// through one instruction at a time. On by default.
+    /// unaffected (traces lower from source instructions, and quickening
+    /// keeps every resume pc valid). On by default.
     pub dop_fusion: bool,
     /// Whether the lifetime trace-health subsystem runs: per-trace
     /// dispatch outcomes feed the cache's health ledger, and at every
@@ -84,14 +70,11 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Paper parameters, optimizer off (pure trace execution),
-    /// superinstruction fusion on, register-IR lowering on.
+    /// Paper parameters, optimizer off (pure trace execution).
     pub fn paper_default() -> Self {
         EngineConfig {
             jit: TraceJitConfig::paper_default(),
             optimize: false,
-            superinstructions: true,
-            reg_ir: true,
             dop_fusion: true,
             health: true,
         }
@@ -100,18 +83,6 @@ impl EngineConfig {
     /// Returns this configuration with the optimizer toggled.
     pub fn with_optimizer(mut self, on: bool) -> Self {
         self.optimize = on;
-        self
-    }
-
-    /// Returns this configuration with superinstruction fusion toggled.
-    pub fn with_superinstructions(mut self, on: bool) -> Self {
-        self.superinstructions = on;
-        self
-    }
-
-    /// Returns this configuration with register-IR lowering toggled.
-    pub fn with_reg_ir(mut self, on: bool) -> Self {
-        self.reg_ir = on;
         self
     }
 
@@ -153,74 +124,6 @@ pub struct WarmBootReport {
     pub artifacts_prebuilt: usize,
 }
 
-/// One activation record. `pc` is an index into the owning function's
-/// *decoded* stream; block-entry detection is carried by the stream's
-/// markers, so no per-frame block bookkeeping is needed.
-#[derive(Debug)]
-struct ExFrame {
-    func: FuncId,
-    pc: u32,
-    locals: Vec<Value>,
-    stack: Vec<Value>,
-}
-
-impl ExFrame {
-    fn new(func: FuncId, num_locals: u16, args: &[Value]) -> Self {
-        // Args-first fill: the argument prefix is written exactly once,
-        // only the tail is zeroed.
-        let mut locals = Vec::with_capacity(num_locals as usize);
-        locals.extend_from_slice(args);
-        locals.resize(num_locals as usize, Value::default());
-        ExFrame {
-            func,
-            pc: 0,
-            locals,
-            stack: Vec::with_capacity(8),
-        }
-    }
-}
-
-/// Reads virtual register `r` without a release-mode bounds check.
-///
-/// `lower_reg` numbers every operand below the trace's `num_regs` and
-/// [`TracingVm::execute_reg_trace`] grows the register file to at least
-/// that length on entry, so all register accesses are in range by
-/// construction (the same argument as the interpreter's slab `slot`).
-#[inline(always)]
-fn rget(regs: &[Value], r: crate::reg::Reg) -> Value {
-    debug_assert!((r as usize) < regs.len(), "lowered register bounds");
-    // SAFETY: see above — register numbers are bounded by the lowering.
-    unsafe { *regs.get_unchecked(r as usize) }
-}
-
-/// Writes virtual register `r` without a release-mode bounds check
-/// (see [`rget`]).
-#[inline(always)]
-fn rset(regs: &mut [Value], r: crate::reg::Reg, v: Value) {
-    debug_assert!((r as usize) < regs.len(), "lowered register bounds");
-    // SAFETY: see `rget` — register numbers are bounded by the lowering.
-    unsafe { *regs.get_unchecked_mut(r as usize) = v }
-}
-
-enum Step {
-    Ok,
-    Finished(Option<Value>),
-}
-
-enum TraceRun {
-    Completed,
-    SideExited {
-        /// The trace exited before completing even its first block — the
-        /// entry guard failed immediately. A streak of these means the
-        /// link serves a path the program no longer takes.
-        immediate: bool,
-        /// Guard site: how many blocks completed before the exit. Feeds
-        /// the health ledger's per-guard side-exit histogram.
-        site: u32,
-    },
-    Finished(Option<Value>),
-}
-
 /// Consecutive immediate entry side-exits of the same trace before the
 /// engine quarantines it: the trace costs an entry + guard evaluation
 /// every dispatch and never makes progress, so it is retired and its
@@ -231,61 +134,122 @@ const ENTRY_EXIT_STREAK_LIMIT: u32 = 8;
 /// engine's fault triggers — corrupt artifacts and entry-exit streaks.
 const QUARANTINE_COOLDOWN: u32 = 4;
 
-/// The trace-executing VM: decoded-form interpreter + profiler + trace
-/// cache + trace compiler + guarded trace execution, in one engine.
+/// How many tail slots of the outcome buffer [`Driver::note_outcome`]
+/// scans for a record to coalesce into.
+const OUTCOME_COALESCE_WINDOW: usize = 4;
+
+/// The profile → select → trace pipeline plus the scratch state trace
+/// execution needs: everything the register executor
+/// ([`crate::regexec`]) touches besides the machine itself. Kept apart
+/// from the artifact table so a running trace can be borrowed from the
+/// table while the executor mutates this.
 #[derive(Debug)]
-pub struct TracingVm<'p> {
-    program: &'p Program,
-    /// The program in decoded threaded form — the only representation the
-    /// execution paths read. Mutable because trace lowering interns
-    /// optimizer-made constants into its pools.
-    decoded: DecodedProgram,
-    config: EngineConfig,
-    bcg: BranchCorrelationGraph,
+pub(crate) struct Jit<'p> {
+    pub(crate) program: &'p Program,
+    pub(crate) bcg: BranchCorrelationGraph,
     constructor: TraceConstructor,
     cache: TraceCache,
-    lowered: HashMap<TraceId, Rc<TraceArtifact>>,
-    uncompilable: std::collections::HashSet<TraceId>,
-    opt_stats: OptStats,
-    fuse_stats: FuseStats,
-    reg_stats: RegStats,
-    /// Block-visit profile accumulated during the first run; input to
-    /// the DOp-fusion selection (see [`jvm_vm::fuse`]).
-    block_visits: jvm_vm::fuse::BlockCounts,
-    /// Rewrite report of the applied DOp-fusion plan, once fused.
-    dop_fusion_report: Option<jvm_vm::fuse::FusionReport>,
-    // Run state.
-    heap: Heap,
-    frames: Vec<ExFrame>,
-    stats: ExecStats,
-    trace_stats: TraceExecStats,
-    checksum: u64,
-    output: Vec<OutputItem>,
-    prev_block: Option<BlockId>,
-    /// Monomorphic compiled-trace cache: the last `(trace id, lowered
-    /// trace)` that dispatched. The entry-branch → trace-id step is
-    /// already hashless (the BCG node's inline trace-link slot); this
-    /// removes the `lowered` map probe for loop traces that re-enter
-    /// through the same branch every iteration. No version stamp needed:
-    /// a `TraceId`'s lowered form never changes.
-    hot_trace: Option<(TraceId, Rc<TraceArtifact>)>,
-    /// Reusable register file for register-trace execution: sized (and
-    /// constant-seeded) per trace on entry, recycled across entries so
-    /// the hot path never allocates.
-    reg_file: Vec<Value>,
-    /// Reusable signal drain buffer: the dispatch loop never allocates.
-    signal_buf: Vec<Signal>,
     /// Shared-cache session, when this VM dispatches against a cache
     /// other VMs share. Signals then go to the off-thread constructor as
     /// bounded snapshots instead of being handled inline, and trace
     /// lookups/artifacts resolve through the shared cache.
     shared: Option<SharedSession>,
-    /// Per-VM memo of shared-cache artifacts (`None` = trace exists but
-    /// has no artifact, e.g. its chain stopped matching the program flow;
-    /// both outcomes are permanent for a given id).
-    shared_lowered: HashMap<TraceId, Option<Arc<TraceArtifact>>>,
-    /// Shared-mode analogue of `hot_trace`.
-    hot_shared: Option<(TraceId, Arc<TraceArtifact>)>,
+    /// Reusable signal drain buffer: the dispatch hook never allocates.
+    signal_buf: Vec<Signal>,
+    pub(crate) trace_stats: TraceExecStats,
+    /// Reusable register file for trace execution: grown per trace on
+    /// entry, recycled across entries so the hot path never allocates.
+    pub(crate) reg_file: Vec<Value>,
+}
+
+impl Jit<'_> {
+    /// The engine's view of whichever cache it dispatches against, for
+    /// the policy paths off the per-dispatch fast path (quarantine,
+    /// health flushes). The per-dispatch lookup calls the concrete
+    /// cache instead — see [`Driver::on_block`].
+    fn store_mut(&mut self) -> &mut dyn TraceStore {
+        match &mut self.shared {
+            Some(sess) => &mut sess.cache,
+            None => &mut self.cache,
+        }
+    }
+
+    fn store(&self) -> &dyn TraceStore {
+        match &self.shared {
+            Some(sess) => &sess.cache,
+            None => &self.cache,
+        }
+    }
+
+    /// Drains pending profiler signals and routes them: inline
+    /// construction in private mode; bounded snapshot submission to the
+    /// off-thread constructor in shared mode, deferring the batch back
+    /// into the profiler (for decay-driven re-raise) when the queue is
+    /// full. Once the construction service is permanently degraded the
+    /// signals are discarded outright — no snapshot is captured, no
+    /// submit attempted, and nothing is parked for a constructor that
+    /// will never come back.
+    #[inline]
+    pub(crate) fn dispatch_signals(&mut self) {
+        if self.bcg.has_signals() {
+            self.route_signals();
+        }
+    }
+
+    #[cold]
+    fn route_signals(&mut self) {
+        self.bcg.drain_signals_into(&mut self.signal_buf);
+        match &self.shared {
+            None => {
+                self.constructor
+                    .handle_batch(&self.signal_buf, &mut self.bcg, &mut self.cache);
+            }
+            Some(sess) => {
+                if sess.health.is_degraded() {
+                    sess.health.note_degraded_discard();
+                    return;
+                }
+                let snap =
+                    BcgSnapshot::capture_bounded(&self.bcg, &self.signal_buf, sess.snapshot_limit);
+                if !sess.queue.submit(snap) {
+                    self.bcg.defer_signals(&self.signal_buf);
+                }
+            }
+        }
+    }
+}
+
+/// A trace linked at a block dispatch: what [`Driver::on_block`] hands
+/// the loop and gets back in [`Driver::run_trace`].
+#[derive(Debug, Clone, Copy)]
+struct Linked {
+    tid: TraceId,
+    entry: Branch,
+}
+
+/// The engine's side of the loop's dispatch hook.
+#[derive(Debug)]
+struct Driver<'p> {
+    jit: Jit<'p>,
+    config: EngineConfig,
+    /// Lowered traces this VM can dispatch, private or shared alike.
+    arts: Vec<Arc<RegTrace>>,
+    /// Trace id → index into `arts`; `None` = the trace has no artifact
+    /// (its chain stopped matching the program flow, the register
+    /// lowering refused it, or the shared builder published none). Both
+    /// outcomes are permanent for a given id — ids are never reused and
+    /// a trace's lowered form never changes — so this never revalidates.
+    art_of: HashMap<TraceId, Option<u32>>,
+    /// Monomorphic memo of the last resolved `(trace id, arts index)`:
+    /// loop traces re-enter through the same branch every iteration.
+    hot: Option<(TraceId, u32)>,
+    opt_stats: OptStats,
+    reg_stats: RegStats,
+    /// Block-visit profile accumulated during the first run; input to
+    /// the DOp-fusion selection (see [`jvm_vm::fuse`]).
+    block_visits: jvm_vm::fuse::BlockCounts,
+    /// Whether this run is the one counting `block_visits`.
+    profile_fusion: bool,
     /// `(trace id, consecutive immediate entry side-exits)` — the
     /// engine-side quarantine trigger (see [`ENTRY_EXIT_STREAK_LIMIT`]).
     entry_exit_streak: Option<(TraceId, u32)>,
@@ -296,59 +260,319 @@ pub struct TracingVm<'p> {
     /// one batch at each decay epoch (and at run exit) — one ledger
     /// lookup per run, not per dispatch.
     outcome_buf: Vec<(OutcomeRecord, u64)>,
-    /// The profiler decay epoch the health ladder last ran at
-    /// ([`trace_bcg::BranchCorrelationGraph::decay_epoch`]).
-    last_health_epoch: u64,
+    /// The profiler dispatch count at which the next decay epoch
+    /// ([`trace_bcg::BranchCorrelationGraph::decay_epoch`]) opens and
+    /// the health ladder runs again. Kept as a count so the per-dispatch
+    /// check is a compare, not the epoch's division.
+    health_epoch_at: u64,
 }
 
-/// The engine's view of whichever cache it dispatches against — the
-/// single policy path shared by private and shared modes. Takes the two
-/// fields (not `&mut self`) so callers keep disjoint borrows of the
-/// profiler and outcome buffer.
-fn store_mut<'a>(
-    shared: &'a mut Option<SharedSession>,
-    cache: &'a mut TraceCache,
-) -> &'a mut dyn TraceStore {
-    match shared {
-        Some(sess) => &mut sess.cache,
-        None => cache,
+impl BlockDriver for Driver<'_> {
+    type Trace = Linked;
+
+    /// One dispatch per basic block: profiler hook, signal handling,
+    /// health epoch, then the trace-entry check. Inlined into the loop
+    /// on measurement: out of line, the never-entering engine costs
+    /// 1.3–1.4× the loop + `bcg.observe` instead of 1.1–1.2×
+    /// (EXPERIMENTS.md, "One loop, one frame arena").
+    #[inline]
+    fn on_block(&mut self, bid: BlockId) -> Option<Linked> {
+        if self.profile_fusion {
+            self.block_visits.counts[bid.func.0 as usize][bid.block as usize] += 1;
+        }
+        let jit = &mut self.jit;
+        let node = jit.bcg.observe(bid);
+        jit.dispatch_signals();
+        // The health ladder is synced to the profiler's decay window:
+        // flush outcomes + run the demotion epoch when the dispatch
+        // count crosses an epoch boundary.
+        if self.config.health && jit.bcg.stats().dispatches >= self.health_epoch_at {
+            self.flush_health_epoch();
+        }
+        // Entry check through the branch node's trace-link slot — a
+        // version compare against the cache, no hashing — dispatched
+        // statically on the cache kind. (The first block of a stream has
+        // no branch, hence no node and no entry.) In private mode
+        // signals were just handled, so a trace built by this very
+        // dispatch is immediately enterable — the slot revalidates on
+        // the version bump. In shared mode the slot stamp makes the
+        // lock-free probe one version compare on the steady state.
+        let jit = &mut self.jit;
+        let linked = node.and_then(|n| {
+            let tid = match &mut jit.shared {
+                None => jit.cache.lookup_entry_cached(&mut jit.bcg, n),
+                Some(sess) => sess.cache.lookup_entry_cached(&mut jit.bcg, n),
+            }?;
+            Some(Linked {
+                tid,
+                entry: jit.bcg.node(n).branch(),
+            })
+        });
+        if linked.is_none() {
+            jit.trace_stats.blocks_outside += 1;
+        }
+        linked
     }
+
+    fn run_trace(&mut self, linked: Linked, m: &mut Machine<'_>) -> Result<(), VmError> {
+        let Linked { tid, entry } = linked;
+        let Some(idx) = self.artifact_index(tid, entry, m.decoded) else {
+            // Linked but not executable: the block runs in the loop.
+            self.jit.trace_stats.blocks_outside += 1;
+            return Ok(());
+        };
+        if self.jit.trace_stats.first_entry_dispatch == 0 {
+            // Warm-up marker: how many block dispatches this run paid
+            // before the very first trace entry.
+            self.jit.trace_stats.first_entry_dispatch = m.stats.block_dispatches;
+        }
+        let rt: &RegTrace = &self.arts[idx as usize];
+        match self.jit.execute(rt, entry.0, m)? {
+            TraceRun::Completed => {
+                self.note_outcome(tid, entry, TraceOutcome::Completed);
+                self.entry_exit_streak = None;
+            }
+            TraceRun::SideExited { site } => {
+                self.note_outcome(tid, entry, TraceOutcome::SideExit { site });
+                if site == 0 {
+                    self.note_immediate_entry_exit(tid, entry);
+                } else {
+                    self.entry_exit_streak = None;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Driver<'_> {
+    /// Resolves a linked trace id to its artifact, building (private
+    /// mode) or fetching (shared mode) it on first use.
+    #[inline]
+    fn artifact_index(
+        &mut self,
+        tid: TraceId,
+        entry: Branch,
+        decoded: &DecodedProgram,
+    ) -> Option<u32> {
+        if let Some((hot_tid, idx)) = self.hot {
+            if hot_tid == tid {
+                return Some(idx);
+            }
+        }
+        let idx = match self.art_of.get(&tid) {
+            Some(memo) => *memo,
+            None => {
+                let art = if self.jit.shared.is_some() {
+                    self.fetch_shared_artifact(tid, entry)
+                } else {
+                    self.build_artifact(tid, decoded).map(Arc::new)
+                };
+                self.install(tid, art)
+            }
+        }?;
+        self.hot = Some((tid, idx));
+        Some(idx)
+    }
+
+    /// Records the (permanent) artifact outcome for `tid`.
+    fn install(&mut self, tid: TraceId, art: Option<Arc<RegTrace>>) -> Option<u32> {
+        let idx = art.map(|art| {
+            self.arts.push(art);
+            u32::try_from(self.arts.len() - 1).expect("trace ids are 32-bit")
+        });
+        self.art_of.insert(tid, idx);
+        idx
+    }
+
+    /// Compiles, optimizes (as configured) and register-lowers a linked
+    /// trace of the private cache. `None` — permanently — when the block
+    /// chain no longer matches the program's control flow or the
+    /// register lowering refuses it; the trace is then never entered.
+    fn build_artifact(&mut self, tid: TraceId, decoded: &DecodedProgram) -> Option<RegTrace> {
+        let program = self.jit.program;
+        let mut ct = compile(program, self.jit.cache.trace(tid)).ok()?;
+        if self.config.optimize {
+            let s = optimize_trace(&mut ct);
+            self.opt_stats.before += s.before;
+            self.opt_stats.after += s.after;
+            self.opt_stats.folds += s.folds;
+            self.opt_stats.eliminations += s.eliminations;
+            self.opt_stats.identities += s.identities;
+            self.opt_stats.reductions += s.reductions;
+        }
+        let rt = lower_reg(program, decoded, &ct)?;
+        let s = rt.stats;
+        self.reg_stats.before += s.before;
+        self.reg_stats.after += s.after;
+        self.reg_stats.regs += s.regs;
+        self.reg_stats.eliminated += s.eliminated;
+        self.reg_stats.guards_fused += s.guards_fused;
+        Some(rt)
+    }
+
+    /// Shared-mode artifact resolution. Failures surface as "no
+    /// artifact" — the VM keeps interpreting. A corrupt artifact
+    /// additionally quarantines the trace so every VM stops dispatching
+    /// it and the constructor cools down before rebuilding the key.
+    fn fetch_shared_artifact(&mut self, tid: TraceId, entry: Branch) -> Option<Arc<RegTrace>> {
+        let sess = self.jit.shared.as_ref().expect("shared mode");
+        match sess.cache.artifact_checked(tid) {
+            Ok(artifact) => {
+                #[cfg(feature = "debug-invariants")]
+                if let Some(art) = &artifact {
+                    assert_eq!(
+                        art.src_blocks.first().copied(),
+                        Some(entry.1),
+                        "published artifact must start at the linked entry's target"
+                    );
+                }
+                artifact
+            }
+            Err(trace_cache::TraceCacheError::CorruptArtifact(_)) => {
+                // Never execute a corrupt artifact: retire the trace for
+                // everyone — through the same policy path every other
+                // quarantine takes — and blacklist its key until the
+                // cooldown decays.
+                self.jit.store_mut().quarantine(entry, QUARANTINE_COOLDOWN);
+                None
+            }
+            // Evicted (link outlived its trace by one probe) or unknown:
+            // ids are never reused, so "no artifact" is permanent.
+            Err(_) => None,
+        }
+    }
+
+    /// Records an immediate entry side-exit of `tid`; at
+    /// [`ENTRY_EXIT_STREAK_LIMIT`] consecutive occurrences the trace is
+    /// quarantined — retired from the cache with its `(entry, path)` key
+    /// blacklisted — so dispatch stops paying for an entry that never
+    /// makes progress.
+    fn note_immediate_entry_exit(&mut self, tid: TraceId, entry: Branch) {
+        let streak = match self.entry_exit_streak {
+            Some((t, n)) if t == tid => n + 1,
+            _ => 1,
+        };
+        if streak >= ENTRY_EXIT_STREAK_LIMIT {
+            self.entry_exit_streak = None;
+            self.jit.store_mut().quarantine(entry, QUARANTINE_COOLDOWN);
+            self.hot = None;
+        } else {
+            self.entry_exit_streak = Some((tid, streak));
+        }
+    }
+
+    /// Buffers one trace-dispatch outcome for the health ledger (no-op
+    /// with health off). The buffer is run-length encoded: an outcome
+    /// matching a recent record bumps that record's counter instead of
+    /// pushing — the tail slot first, which is where a hot loop's repeat
+    /// lands. The ledger's streak logic only depends on each trace's
+    /// *own* outcome subsequence, so merging across records of *other*
+    /// traces is sound — the backward scan stops at the first record of
+    /// the same trace (its order must be preserved) and is capped at a
+    /// few slots so loop nests that alternate between traces still
+    /// coalesce. Flushed at epoch boundaries and run exit.
+    #[inline]
+    fn note_outcome(&mut self, tid: TraceId, entry: Branch, outcome: TraceOutcome) {
+        if !self.config.health {
+            return;
+        }
+        let rec = OutcomeRecord {
+            tid,
+            entry,
+            outcome,
+        };
+        if let Some((slot, n)) = self.outcome_buf.last_mut() {
+            if *slot == rec {
+                *n += 1;
+                return;
+            }
+        }
+        self.note_outcome_slow(rec);
+    }
+
+    fn note_outcome_slow(&mut self, rec: OutcomeRecord) {
+        for (slot, n) in self
+            .outcome_buf
+            .iter_mut()
+            .rev()
+            .take(OUTCOME_COALESCE_WINDOW)
+        {
+            if slot.tid == rec.tid {
+                if *slot == rec {
+                    *n += 1;
+                    return;
+                }
+                break;
+            }
+        }
+        self.outcome_buf.push((rec, 1));
+    }
+
+    /// Epoch boundary: feed buffered outcomes to the health ledger and
+    /// run the demotion ladder through the unified [`TraceStore`] path.
+    /// Any applied demotion invalidates the hot-trace memo and the
+    /// streak counter — the retired trace must not be served from a
+    /// stale handle.
+    #[cold]
+    fn flush_health_epoch(&mut self) {
+        self.health_epoch_at = self.jit.bcg.next_decay_epoch_at();
+        let store = self.jit.store_mut();
+        store.record_outcome_runs(&self.outcome_buf);
+        let applied = run_health_epoch(store);
+        self.outcome_buf.clear();
+        if applied > 0 {
+            self.hot = None;
+            self.entry_exit_streak = None;
+        }
+    }
+}
+
+/// The trace-executing VM: the decoded interpreter with profiler, trace
+/// cache, trace compiler and guarded trace execution attached to its
+/// dispatch hook.
+#[derive(Debug)]
+pub struct TracingVm<'p> {
+    /// The decoded interpreter: the only out-of-trace executor, and the
+    /// owner of all run state (heap, frame arena, counters, output).
+    vm: Vm<'p>,
+    driver: Driver<'p>,
+    /// Rewrite report of the applied DOp-fusion plan, once fused.
+    dop_fusion_report: Option<jvm_vm::fuse::FusionReport>,
 }
 
 impl<'p> TracingVm<'p> {
     /// Assembles the engine for a program, running the one-time decode
     /// pass.
     pub fn new(program: &'p Program, config: EngineConfig) -> Self {
+        let bcg = BranchCorrelationGraph::new(config.jit.bcg_config());
+        let health_epoch_at = bcg.next_decay_epoch_at();
         TracingVm {
-            program,
-            decoded: DecodedProgram::decode(program),
-            config,
-            bcg: BranchCorrelationGraph::new(config.jit.bcg_config()),
-            constructor: TraceConstructor::new(config.jit.constructor_config()),
-            cache: TraceCache::new(),
-            lowered: HashMap::new(),
-            uncompilable: std::collections::HashSet::new(),
-            opt_stats: OptStats::default(),
-            fuse_stats: FuseStats::default(),
-            reg_stats: RegStats::default(),
-            block_visits: jvm_vm::fuse::BlockCounts::for_program(program),
+            vm: Vm::with_config(program, config.jit.vm),
+            driver: Driver {
+                jit: Jit {
+                    program,
+                    bcg,
+                    constructor: TraceConstructor::new(config.jit.constructor_config()),
+                    cache: TraceCache::new(),
+                    shared: None,
+                    signal_buf: Vec::new(),
+                    trace_stats: TraceExecStats::default(),
+                    reg_file: Vec::new(),
+                },
+                config,
+                arts: Vec::new(),
+                art_of: HashMap::new(),
+                hot: None,
+                opt_stats: OptStats::default(),
+                reg_stats: RegStats::default(),
+                block_visits: jvm_vm::fuse::BlockCounts::for_program(program),
+                profile_fusion: false,
+                entry_exit_streak: None,
+                outcome_buf: Vec::new(),
+                health_epoch_at,
+            },
             dop_fusion_report: None,
-            heap: Heap::new(config.jit.vm.gc_threshold),
-            frames: Vec::new(),
-            stats: ExecStats::default(),
-            trace_stats: TraceExecStats::default(),
-            checksum: 0,
-            output: Vec::new(),
-            prev_block: None,
-            hot_trace: None,
-            reg_file: Vec::new(),
-            signal_buf: Vec::new(),
-            shared: None,
-            shared_lowered: HashMap::new(),
-            hot_shared: None,
-            entry_exit_streak: None,
-            outcome_buf: Vec::new(),
-            last_health_epoch: 0,
         }
     }
 
@@ -359,96 +583,82 @@ impl<'p> TracingVm<'p> {
     /// [`crate::shared`]). The session must belong to `program`.
     pub fn new_shared(program: &'p Program, config: EngineConfig, session: SharedSession) -> Self {
         let mut vm = Self::new(program, config);
-        vm.shared = Some(session);
+        vm.driver.jit.shared = Some(session);
         vm
     }
 
     /// The trace cache (shared structure with the base system).
     pub fn cache(&self) -> &TraceCache {
-        &self.cache
+        &self.driver.jit.cache
     }
 
     /// The shared-cache session, when running in shared mode.
     pub fn shared(&self) -> Option<&SharedSession> {
-        self.shared.as_ref()
+        self.driver.jit.shared.as_ref()
     }
 
     /// The decoded program the engine executes from.
     pub fn decoded(&self) -> &DecodedProgram {
-        &self.decoded
+        self.vm.decoded()
     }
 
     /// Cumulative inline-constructor counters (private mode; shared-mode
     /// construction happens on the session's service thread). Lets a
     /// harness separate boot-time replay work from in-run construction.
     pub fn constructor_stats(&self) -> ConstructorStats {
-        self.constructor.stats()
+        self.driver.jit.constructor.stats()
     }
 
     /// Aggregated optimizer statistics over all compiled traces.
     pub fn opt_stats(&self) -> OptStats {
-        self.opt_stats
-    }
-
-    /// Aggregated superinstruction-fusion statistics over all compiled
-    /// traces.
-    pub fn fuse_stats(&self) -> FuseStats {
-        self.fuse_stats
+        self.driver.opt_stats
     }
 
     /// Aggregated register-lowering statistics over all compiled traces
     /// (registers allocated, stack ops eliminated, guards fused).
     pub fn reg_stats(&self) -> RegStats {
-        self.reg_stats
+        self.driver.reg_stats
     }
 
-    /// Number of traces compiled (and lowered) so far.
+    /// Number of lowered traces this VM can dispatch: compiled here
+    /// (private mode) or resolved from the session (shared mode).
     pub fn compiled_count(&self) -> usize {
-        self.lowered.len()
-    }
-
-    /// Number of compiled traces running in register form.
-    pub fn reg_lowered_count(&self) -> usize {
-        self.lowered
-            .values()
-            .filter(|a| matches!(***a, TraceArtifact::Reg(_)))
-            .count()
+        self.driver.arts.len()
     }
 
     /// Real byte footprint of all lowered traces.
     pub fn lowered_memory(&self) -> usize {
-        self.lowered.values().map(|a| a.memory_estimate()).sum()
+        self.driver.arts.iter().map(|a| a.memory_estimate()).sum()
     }
 
     /// Output captured from print intrinsics during the most recent run
     /// (when `jit.vm.capture_output` is enabled).
     pub fn output(&self) -> &[OutputItem] {
-        &self.output
+        self.vm.output()
+    }
+
+    /// The decoded interpreter the engine runs on, for reading the run
+    /// state of the most recent run — counters, checksum, heap
+    /// statistics — whether it returned a report or an error.
+    pub fn interpreter(&self) -> &Vm<'p> {
+        &self.vm
     }
 
     /// Health-ledger counters of whichever cache this VM dispatches
     /// against (private or shared) — recorded outcomes, epochs judged,
     /// probations, demotions, re-admissions under watch.
     pub fn health_stats(&self) -> HealthStats {
-        let store: &dyn TraceStore = match &self.shared {
-            Some(sess) => &sess.cache,
-            None => &self.cache,
-        };
-        store.health_stats()
+        self.driver.jit.store().health_stats()
     }
 
     /// Lifetime health telemetry for one tracked trace (a snapshot).
     pub fn trace_health(&self, tid: TraceId) -> Option<TraceHealth> {
-        let store: &dyn TraceStore = match &self.shared {
-            Some(sess) => &sess.cache,
-            None => &self.cache,
-        };
-        store.trace_health(tid)
+        self.driver.jit.store().trace_health(tid)
     }
 
     /// Construction-service health gauges (shared mode only).
     pub fn service_health(&self) -> Option<trace_cache::ServiceHealthSnapshot> {
-        self.shared.as_ref().map(|sess| sess.health.snapshot())
+        self.shared().map(|sess| sess.health.snapshot())
     }
 
     /// Machine-readable reason the runtime is running degraded, if it
@@ -457,12 +667,12 @@ impl<'p> TracingVm<'p> {
     /// `"health-off"` when the trace-health subsystem is disabled by
     /// configuration. `None` means fully healthy.
     pub fn degraded_reason(&self) -> Option<&'static str> {
-        if let Some(sess) = &self.shared {
+        if let Some(sess) = self.shared() {
             if sess.health.is_degraded() {
                 return Some("constructor-degraded");
             }
         }
-        if !self.config.health {
+        if !self.driver.config.health {
             return Some("health-off");
         }
         None
@@ -475,176 +685,48 @@ impl<'p> TracingVm<'p> {
     ///
     /// Propagates runtime traps and resource limits as [`VmError`].
     pub fn run(&mut self, args: &[Value]) -> Result<RunReport, VmError> {
-        // Reset run state; profiler/cache/lowered traces persist.
-        self.heap = Heap::new(self.config.jit.vm.gc_threshold);
-        self.frames.clear();
-        self.stats = ExecStats::default();
-        self.checksum = 0;
-        self.output.clear();
-        self.prev_block = None;
-        self.bcg.begin_stream();
-
-        let program = self.program;
-        let entry = program.entry();
-        let ef = program.function(entry);
-        if args.len() != ef.num_params() as usize {
-            return Err(VmError::BadEntryArgs {
-                func: entry,
-                expected: ef.num_params(),
-                provided: args.len(),
-            });
-        }
-        self.frames.push(ExFrame::new(entry, ef.num_locals(), args));
-        self.stats.max_frame_depth = 1;
-
+        // Run state is reset by the loop; profiler/cache/lowered traces
+        // persist.
+        let driver = &mut self.driver;
+        driver.jit.bcg.begin_stream();
         // DOp fusion profiles the first run and rewrites when it
         // completes; afterwards the streams are already fused.
-        let profile_fusion = self.config.dop_fusion && self.dop_fusion_report.is_none();
+        driver.profile_fusion = driver.config.dop_fusion && self.dop_fusion_report.is_none();
 
-        let result = loop {
-            let (func_id, pc) = {
-                let f = self.frames.last().expect("frame exists");
-                (f.func, f.pc)
-            };
-            let d = self.decoded.func(func_id).code[pc as usize];
+        let result = self.vm.run_driven(args, &mut *driver)?;
 
-            if d.op == op::ENTER_BLOCK {
-                // One dispatch per basic block: profiler hook + trace
-                // entry check, then fall into the block body.
-                self.frames.last_mut().expect("frame exists").pc = pc + 1;
-                self.stats.block_dispatches += 1;
-                if profile_fusion {
-                    self.block_visits.counts[func_id.0 as usize][d.b as usize] += 1;
-                }
-                let bid = BlockId::new(func_id, d.b);
-                let node = self.bcg.observe(bid);
-                self.dispatch_signals();
-                if self.config.health {
-                    // The health ladder is synced to the profiler's decay
-                    // window: flush outcomes + run the demotion epoch when
-                    // the dispatch count crosses an epoch boundary.
-                    let epoch = self.bcg.decay_epoch();
-                    if epoch != self.last_health_epoch {
-                        self.last_health_epoch = epoch;
-                        self.flush_health_epoch();
-                    }
-                }
-                let prev = self.prev_block.replace(bid);
-                // Entry check through the BCG node's trace-link slot: a
-                // version compare against the cache, no hashing. (In
-                // private mode signals were just handled, so a trace built
-                // by this very dispatch is immediately enterable — the
-                // slot revalidates on the version bump. In shared mode the
-                // slot stamp makes the lock-free probe one version
-                // compare on the steady state.)
-                let tid = {
-                    let store = store_mut(&mut self.shared, &mut self.cache);
-                    match (node, prev) {
-                        (Some(n), Some(_)) => store.lookup_entry_cached(&mut self.bcg, n),
-                        (None, Some(p)) => store.lookup_entry((p, bid)),
-                        (_, None) => None,
-                    }
-                };
-                let ran = match tid {
-                    Some(tid) if self.shared.is_some() => {
-                        let entry = (prev.expect("linked entry has a source block"), bid);
-                        match self.shared_lowered_for(tid, entry) {
-                            Some(art) => Some(match &*art {
-                                TraceArtifact::Reg(rt) => self.execute_reg_trace(rt, prev)?,
-                                TraceArtifact::Decoded(lt) => self.execute_trace(lt, prev)?,
-                            }),
-                            None => None,
-                        }
-                    }
-                    Some(tid) => match self.lowered_for(tid) {
-                        Some(art) => Some(match &*art {
-                            TraceArtifact::Reg(rt) => self.execute_reg_trace(rt, prev)?,
-                            TraceArtifact::Decoded(lt) => self.execute_trace(lt, prev)?,
-                        }),
-                        None => None,
-                    },
-                    None => None,
-                };
-                if ran.is_some() && self.trace_stats.first_entry_dispatch == 0 {
-                    // Warm-up marker: how many block dispatches this run
-                    // paid before the very first trace entry.
-                    self.trace_stats.first_entry_dispatch = self.stats.block_dispatches;
-                }
-                match ran {
-                    Some(TraceRun::Finished(v)) => {
-                        let entry = (prev.expect("linked entry has a source block"), bid);
-                        self.note_outcome(tid.expect("trace ran"), entry, TraceOutcome::Completed);
-                        break v;
-                    }
-                    Some(TraceRun::SideExited {
-                        immediate: true,
-                        site,
-                    }) => {
-                        let entry = (prev.expect("linked entry has a source block"), bid);
-                        let t = tid.expect("trace ran");
-                        self.note_outcome(t, entry, TraceOutcome::SideExit { site });
-                        self.note_immediate_entry_exit(t, entry);
-                    }
-                    Some(TraceRun::SideExited {
-                        immediate: false,
-                        site,
-                    }) => {
-                        let entry = (prev.expect("linked entry has a source block"), bid);
-                        let t = tid.expect("trace ran");
-                        self.note_outcome(t, entry, TraceOutcome::SideExit { site });
-                        self.entry_exit_streak = None;
-                    }
-                    Some(TraceRun::Completed) => {
-                        let entry = (prev.expect("linked entry has a source block"), bid);
-                        self.note_outcome(tid.expect("trace ran"), entry, TraceOutcome::Completed);
-                        self.entry_exit_streak = None;
-                    }
-                    None => self.trace_stats.blocks_outside += 1,
-                }
-                continue;
-            }
-
-            self.tick()?;
-            match self.exec(d)? {
-                Step::Ok => {}
-                Step::Finished(v) => break v,
-            }
-        };
-
-        if profile_fusion {
-            self.apply_dop_fusion();
+        if driver.profile_fusion {
+            // Quickening is in place (stream length, targets and
+            // side-exit dpcs unchanged), so compiled traces and resume
+            // points stay valid.
+            let visits = std::mem::take(&mut driver.block_visits);
+            self.dop_fusion_report = Some(
+                self.vm
+                    .fuse_with_profile(visits, &jvm_vm::fuse::FusionConfig::default()),
+            );
         }
 
         // Settle pending outcomes so health telemetry read between runs
         // reflects everything this run dispatched. The demotion epoch
         // itself only runs at decay boundaries.
-        if !self.outcome_buf.is_empty() {
-            let store = store_mut(&mut self.shared, &mut self.cache);
-            store.record_outcome_runs(&self.outcome_buf);
-            self.outcome_buf.clear();
+        if !driver.outcome_buf.is_empty() {
+            driver
+                .jit
+                .store_mut()
+                .record_outcome_runs(&driver.outcome_buf);
+            driver.outcome_buf.clear();
         }
 
+        let jit = &driver.jit;
         Ok(RunReport {
             result,
-            checksum: self.checksum,
-            exec: self.stats,
-            profiler: self.bcg.stats(),
-            traces: self.trace_stats,
-            constructor: self.constructor.stats(),
-            cache: self.cache.stats(),
+            checksum: self.vm.checksum(),
+            exec: self.vm.stats(),
+            profiler: jit.bcg.stats(),
+            traces: jit.trace_stats,
+            constructor: jit.constructor.stats(),
+            cache: jit.cache.stats(),
         })
-    }
-
-    /// Applies the profile-driven DOp-fusion selection to the decoded
-    /// streams, using the block visits counted during the first run.
-    /// Quickening is in place (stream length, targets and side-exit
-    /// dpcs unchanged), so compiled traces and resume points stay valid.
-    fn apply_dop_fusion(&mut self) {
-        let visits = std::mem::take(&mut self.block_visits);
-        let profile = jvm_vm::fuse::FusionProfile::collect(&self.decoded, visits);
-        let plan =
-            jvm_vm::fuse::FusionPlan::select(profile, &jvm_vm::fuse::FusionConfig::default());
-        self.dop_fusion_report = Some(jvm_vm::fuse::apply(&mut self.decoded, &plan));
     }
 
     /// The DOp-fusion rewrite report: per-function candidates
@@ -665,10 +747,11 @@ impl<'p> TracingVm<'p> {
     /// Panics if the VM runs in shared-cache mode.
     pub fn snapshot(&self) -> Vec<u8> {
         assert!(
-            self.shared.is_none(),
+            self.shared().is_none(),
             "snapshot() captures the private profile/cache; this VM is in shared mode"
         );
-        Snapshot::capture(program_hash(self.program), &self.bcg, &self.cache).to_bytes()
+        let jit = &self.driver.jit;
+        Snapshot::capture(program_hash(self.driver.jit.program), &jit.bcg, &jit.cache).to_bytes()
     }
 
     /// Warm boot: decodes a snapshot, **merges** its profile into the
@@ -677,7 +760,7 @@ impl<'p> TracingVm<'p> {
     /// so stale counts age out at the next slow-path visit instead of
     /// pinning predictions), restores the cache contents — budget sweep
     /// and quarantine blacklist included — and pre-builds artifacts for
-    /// every restored trace against the frozen decoded program.
+    /// every restored trace.
     ///
     /// No partial state on failure: every decode and validation error
     /// surfaces before the profiler or cache is touched.
@@ -692,15 +775,16 @@ impl<'p> TracingVm<'p> {
     /// Panics if the VM runs in shared-cache mode.
     pub fn load_snapshot(&mut self, bytes: &[u8]) -> Result<WarmBootReport, SnapshotError> {
         assert!(
-            self.shared.is_none(),
+            self.shared().is_none(),
             "load_snapshot() targets the private profile/cache; this VM is in shared mode"
         );
-        let snap = SnapshotReader::new().read(bytes, program_hash(self.program))?;
+        let snap = SnapshotReader::new().read(bytes, program_hash(self.driver.jit.program))?;
         // `merge_into` validates the profile image before mutating, and
         // the cache image was validated by the reader, so from here on
         // nothing fails.
-        let merge = trace_bcg::image::merge_into(&mut self.bcg, &snap.bcg)?;
-        let restore = snap.cache.restore_into(&mut self.cache)?;
+        let jit = &mut self.driver.jit;
+        let merge = trace_bcg::image::merge_into(&mut jit.bcg, &snap.bcg)?;
+        let restore = snap.cache.restore_into(&mut jit.cache)?;
         let artifacts_prebuilt = self.prebuild_artifacts();
         Ok(WarmBootReport {
             nodes_merged: merge.nodes_merged,
@@ -731,19 +815,20 @@ impl<'p> TracingVm<'p> {
     /// Panics if the VM runs in shared-cache mode.
     pub fn aot_replay(&mut self, bytes: &[u8]) -> Result<WarmBootReport, SnapshotError> {
         assert!(
-            self.shared.is_none(),
+            self.shared().is_none(),
             "aot_replay() targets the private profile/cache; this VM is in shared mode"
         );
-        let snap = SnapshotReader::new().read(bytes, program_hash(self.program))?;
-        let merge = trace_bcg::image::merge_into(&mut self.bcg, &snap.bcg)?;
-        self.cache.set_budget(snap.cache.budget.map(|b| b as usize));
+        let snap = SnapshotReader::new().read(bytes, program_hash(self.driver.jit.program))?;
+        let jit = &mut self.driver.jit;
+        let merge = trace_bcg::image::merge_into(&mut jit.bcg, &snap.bcg)?;
+        jit.cache.set_budget(snap.cache.budget.map(|b| b as usize));
         let mut quarantine_restored = 0;
         for q in &snap.cache.quarantine {
-            self.cache
+            jit.cache
                 .restore_quarantine(q.entry, q.blocks.clone(), q.cooldown);
             quarantine_restored += 1;
         }
-        let signals: Vec<Signal> = self
+        let signals: Vec<Signal> = jit
             .bcg
             .iter()
             .filter(|(_, n)| n.state().is_traceable())
@@ -756,10 +841,10 @@ impl<'p> TracingVm<'p> {
                 },
             })
             .collect();
-        let admitted = self
+        let admitted = jit
             .constructor
-            .handle_batch(&signals, &mut self.bcg, &mut self.cache);
-        let links_installed = self.cache.iter_links().count();
+            .handle_batch(&signals, &mut jit.bcg, &mut jit.cache);
+        let links_installed = jit.cache.iter_links().count();
         let artifacts_prebuilt = self.prebuild_artifacts();
         Ok(WarmBootReport {
             nodes_merged: merge.nodes_merged,
@@ -771,13 +856,12 @@ impl<'p> TracingVm<'p> {
         })
     }
 
-    /// Pre-builds artifacts for every linked trace that lacks one, using
-    /// the frozen decoded lowering for the non-register fallback (see
-    /// [`Self::build_artifact`]); traces the frozen path refuses lower
-    /// lazily at their first dispatch instead. Returns how many
-    /// artifacts were built.
+    /// Pre-builds artifacts for every linked trace that lacks one.
+    /// Returns how many were built.
     fn prebuild_artifacts(&mut self) -> usize {
-        let mut tids: Vec<TraceId> = self
+        let driver = &mut self.driver;
+        let mut tids: Vec<TraceId> = driver
+            .jit
             .cache
             .iter_links()
             .map(|(_, trace)| trace.id())
@@ -786,1705 +870,15 @@ impl<'p> TracingVm<'p> {
         tids.dedup();
         let mut built = 0;
         for tid in tids {
-            if self.lowered.contains_key(&tid) || self.uncompilable.contains(&tid) {
+            if driver.art_of.contains_key(&tid) {
                 continue;
             }
-            if let Some(artifact) = self.build_artifact(tid, true) {
-                self.lowered.insert(tid, Rc::new(artifact));
+            let art = driver.build_artifact(tid, self.vm.decoded()).map(Arc::new);
+            if driver.install(tid, art).is_some() {
                 built += 1;
             }
         }
         built
-    }
-
-    /// Fuel + instruction accounting, shared by interpreter and trace
-    /// execution.
-    #[inline]
-    fn tick(&mut self) -> Result<(), VmError> {
-        if self.stats.instructions >= self.config.jit.vm.max_steps {
-            return Err(VmError::OutOfFuel);
-        }
-        self.stats.instructions += 1;
-        Ok(())
-    }
-
-    /// Drains pending profiler signals and routes them: inline
-    /// construction in private mode; bounded snapshot submission to the
-    /// off-thread constructor in shared mode, deferring the batch back
-    /// into the profiler (for decay-driven re-raise) when the queue is
-    /// full. Once the construction service is permanently degraded the
-    /// signals are discarded outright — no snapshot is captured, no
-    /// submit attempted, and nothing is parked for a constructor that
-    /// will never come back.
-    #[inline]
-    fn dispatch_signals(&mut self) {
-        if !self.bcg.has_signals() {
-            return;
-        }
-        self.bcg.drain_signals_into(&mut self.signal_buf);
-        match &self.shared {
-            None => {
-                self.constructor
-                    .handle_batch(&self.signal_buf, &mut self.bcg, &mut self.cache);
-            }
-            Some(sess) => {
-                if sess.health.is_degraded() {
-                    sess.health.note_degraded_discard();
-                    return;
-                }
-                let snap =
-                    BcgSnapshot::capture_bounded(&self.bcg, &self.signal_buf, sess.snapshot_limit);
-                if !sess.queue.submit(snap) {
-                    self.bcg.defer_signals(&self.signal_buf);
-                }
-            }
-        }
-    }
-
-    /// Records an immediate entry side-exit of `tid`; at
-    /// [`ENTRY_EXIT_STREAK_LIMIT`] consecutive occurrences the trace is
-    /// quarantined — retired from the cache with its `(entry, path)` key
-    /// blacklisted — so dispatch stops paying for an entry that never
-    /// makes progress.
-    fn note_immediate_entry_exit(&mut self, tid: TraceId, entry: trace_bcg::Branch) {
-        let streak = match self.entry_exit_streak {
-            Some((t, n)) if t == tid => n + 1,
-            _ => 1,
-        };
-        if streak >= ENTRY_EXIT_STREAK_LIMIT {
-            self.entry_exit_streak = None;
-            store_mut(&mut self.shared, &mut self.cache).quarantine(entry, QUARANTINE_COOLDOWN);
-            self.hot_trace = None;
-            self.hot_shared = None;
-        } else {
-            self.entry_exit_streak = Some((tid, streak));
-        }
-    }
-
-    /// Buffers one trace-dispatch outcome for the health ledger (no-op
-    /// with health off). The buffer is run-length encoded: an outcome
-    /// matching a recent record bumps that record's counter instead of
-    /// pushing. The ledger's streak logic only depends on each trace's
-    /// *own* outcome subsequence, so merging across records of *other*
-    /// traces is sound — the backward scan stops at the first record of
-    /// the same trace (its order must be preserved) and is capped at a
-    /// few slots so loop nests that alternate between traces still
-    /// coalesce. Flushed at epoch boundaries and run exit.
-    #[inline]
-    fn note_outcome(&mut self, tid: TraceId, entry: trace_bcg::Branch, outcome: TraceOutcome) {
-        if self.config.health {
-            let rec = OutcomeRecord {
-                tid,
-                entry,
-                outcome,
-            };
-            for (slot, n) in self.outcome_buf.iter_mut().rev().take(4) {
-                if slot.tid == rec.tid {
-                    if *slot == rec {
-                        *n += 1;
-                        return;
-                    }
-                    break;
-                }
-            }
-            self.outcome_buf.push((rec, 1));
-        }
-    }
-
-    /// Epoch boundary: feed buffered outcomes to the health ledger and
-    /// run the demotion ladder through the unified [`TraceStore`] path.
-    /// Any applied demotion invalidates the monomorphic hot-trace memos
-    /// and the streak counter — the retired trace must not be served
-    /// from a stale handle.
-    fn flush_health_epoch(&mut self) {
-        let store = store_mut(&mut self.shared, &mut self.cache);
-        store.record_outcome_runs(&self.outcome_buf);
-        let applied = run_health_epoch(store);
-        self.outcome_buf.clear();
-        if applied > 0 {
-            self.hot_trace = None;
-            self.hot_shared = None;
-            self.entry_exit_streak = None;
-        }
-    }
-
-    /// Resolves a linked trace id to its lowered form, compiling
-    /// (optimizing, register-lowering or fusing as configured) and
-    /// lowering on first use; refreshes the monomorphic hot-trace cache
-    /// on success. Register lowering runs on the post-opt, pre-fusion
-    /// code (its own pass subsumes fusion's stack-traffic wins); traces
-    /// it refuses fall back to fusion + decoded lowering.
-    fn lowered_for(&mut self, tid: TraceId) -> Option<Rc<TraceArtifact>> {
-        if let Some((hot_tid, art)) = &self.hot_trace {
-            if *hot_tid == tid {
-                return Some(Rc::clone(art));
-            }
-        }
-        if self.uncompilable.contains(&tid) {
-            return None;
-        }
-        if !self.lowered.contains_key(&tid) {
-            match self.build_artifact(tid, false) {
-                Some(artifact) => {
-                    self.lowered.insert(tid, Rc::new(artifact));
-                }
-                None => return None,
-            }
-        }
-        let art = Rc::clone(&self.lowered[&tid]);
-        self.hot_trace = Some((tid, Rc::clone(&art)));
-        Some(art)
-    }
-
-    /// Compiles + lowers the artifact for a linked trace: optimize (as
-    /// configured), register-lower, or fall back to superinstruction
-    /// fusion + decoded lowering. With `frozen` the decoded fallback
-    /// refuses to mutate the decoded streams (it interns nothing) and
-    /// returns `None` when it can't — the snapshot prebuild path uses
-    /// this, leaving refused traces to lower lazily at first dispatch.
-    /// Marks the trace uncompilable (permanently) on a compile error.
-    fn build_artifact(&mut self, tid: TraceId, frozen: bool) -> Option<TraceArtifact> {
-        let mut ct = match compile(self.program, self.cache.trace(tid)) {
-            Ok(ct) => ct,
-            Err(_) => {
-                self.uncompilable.insert(tid);
-                return None;
-            }
-        };
-        if self.config.optimize {
-            let s = optimize_trace(&mut ct);
-            self.opt_stats.before += s.before;
-            self.opt_stats.after += s.after;
-            self.opt_stats.folds += s.folds;
-            self.opt_stats.eliminations += s.eliminations;
-            self.opt_stats.identities += s.identities;
-            self.opt_stats.reductions += s.reductions;
-        }
-        let reg = if self.config.reg_ir {
-            lower_reg(self.program, &self.decoded, &ct)
-        } else {
-            None
-        };
-        match reg {
-            Some(rt) => {
-                let s = rt.stats;
-                self.reg_stats.before += s.before;
-                self.reg_stats.after += s.after;
-                self.reg_stats.regs += s.regs;
-                self.reg_stats.eliminated += s.eliminated;
-                self.reg_stats.guards_fused += s.guards_fused;
-                Some(TraceArtifact::Reg(rt))
-            }
-            None => {
-                if self.config.superinstructions {
-                    let s = fuse_trace(&mut ct);
-                    self.fuse_stats.before += s.before;
-                    self.fuse_stats.after += s.after;
-                    self.fuse_stats.fused_groups += s.fused_groups;
-                }
-                if frozen {
-                    lower_trace_frozen(self.program, &self.decoded, &ct).map(TraceArtifact::Decoded)
-                } else {
-                    let lt = lower_trace(self.program, &mut self.decoded, &ct);
-                    Some(TraceArtifact::Decoded(lt))
-                }
-            }
-        }
-    }
-
-    /// Shared-mode analogue of [`Self::lowered_for`]: resolves a
-    /// shared-cache id to its published artifact through a per-VM memo.
-    /// Both outcomes are permanent for a given id (the builder runs once
-    /// per hash-consed chain, and ids are never reused), so the memo
-    /// never revalidates.
-    ///
-    /// Failures surface as "no artifact" — the VM keeps interpreting. A
-    /// corrupt artifact additionally quarantines the trace so every VM
-    /// stops dispatching it and the constructor cools down before
-    /// rebuilding the key.
-    fn shared_lowered_for(
-        &mut self,
-        tid: TraceId,
-        entry: trace_bcg::Branch,
-    ) -> Option<Arc<TraceArtifact>> {
-        if let Some((hot_tid, art)) = &self.hot_shared {
-            if *hot_tid == tid {
-                return Some(Arc::clone(art));
-            }
-        }
-        if let Some(memo) = self.shared_lowered.get(&tid) {
-            let art = memo.clone()?;
-            self.hot_shared = Some((tid, Arc::clone(&art)));
-            return Some(art);
-        }
-        let mut corrupt = false;
-        let resolved = {
-            let sess = self.shared.as_ref().expect("shared mode");
-            match sess.cache.artifact_checked(tid) {
-                Ok(artifact) => {
-                    #[cfg(feature = "debug-invariants")]
-                    if let Some(art) = &artifact {
-                        assert_eq!(
-                            art.src_blocks().first().copied(),
-                            Some(entry.1),
-                            "published artifact must start at the linked entry's target"
-                        );
-                    }
-                    artifact
-                }
-                Err(trace_cache::TraceCacheError::CorruptArtifact(_)) => {
-                    corrupt = true;
-                    None
-                }
-                // Evicted (link outlived its trace by one probe) or
-                // unknown: ids are never reused, so "no artifact" is
-                // permanent.
-                Err(_) => None,
-            }
-        };
-        if corrupt {
-            // Never execute a corrupt artifact: retire the trace for
-            // everyone — through the same policy path every other
-            // quarantine takes — and blacklist its key until the
-            // cooldown decays.
-            store_mut(&mut self.shared, &mut self.cache).quarantine(entry, QUARANTINE_COOLDOWN);
-        }
-        let art = self.shared_lowered.entry(tid).or_insert(resolved).clone()?;
-        self.hot_shared = Some((tid, Arc::clone(&art)));
-        Some(art)
-    }
-
-    /// Executes one lowered trace.
-    fn execute_trace(
-        &mut self,
-        lt: &LoweredTrace,
-        pre_entry: Option<BlockId>,
-    ) -> Result<TraceRun, VmError> {
-        self.trace_stats.entered += 1;
-        let mut blocks_done = 0u64;
-        let mut instrs = 0u64;
-
-        macro_rules! side_exit {
-            ($exit:expr) => {{
-                let exit = $exit;
-                {
-                    let f = self.frames.last_mut().expect("frame exists");
-                    debug_assert_eq!(f.func, exit.func);
-                    f.pc = exit.dpc;
-                }
-                self.trace_stats.exited_early += 1;
-                self.trace_stats.blocks_in_partial += blocks_done;
-                self.trace_stats.instrs_in_partial += instrs;
-                let prev = if blocks_done == 0 {
-                    pre_entry
-                } else {
-                    Some(lt.src_blocks[blocks_done as usize - 1])
-                };
-                if let Some(p) = prev {
-                    self.bcg.set_context(p);
-                } else {
-                    self.bcg.begin_stream();
-                }
-                // The resume pc sits past its block's entry marker, so
-                // the out-of-trace loop will not re-fire the dispatch:
-                // account for it eagerly, in the exact order the loop
-                // would (dispatch count, observe, signal handling,
-                // prev-block update, outside-block count). The resumed
-                // block never re-enters the trace whose guard just failed
-                // — the remainder of the block runs in interpreter code
-                // before the next dispatch point, as in the real system.
-                self.stats.block_dispatches += 1;
-                let bid = BlockId::new(exit.func, exit.block);
-                let _ = self.bcg.observe(bid);
-                self.dispatch_signals();
-                self.prev_block = Some(bid);
-                self.trace_stats.blocks_outside += 1;
-                return Ok(TraceRun::SideExited {
-                    immediate: blocks_done == 0,
-                    site: u32::try_from(blocks_done).unwrap_or(u32::MAX),
-                });
-            }};
-        }
-
-        for t in lt.code.iter() {
-            match t {
-                XInstr::Op(d) => {
-                    self.tick()?;
-                    instrs += 1;
-                    match self.exec(*d)? {
-                        Step::Ok => {}
-                        Step::Finished(_) => unreachable!("Op is never control"),
-                    }
-                }
-                XInstr::Fused(f) => {
-                    // Accounting-transparent: the group costs its full
-                    // source width in fuel and instruction counts.
-                    let w = f.width();
-                    for _ in 0..w {
-                        self.tick()?;
-                    }
-                    instrs += w;
-                    let frame = self.frames.last_mut().expect("frame exists");
-                    match *f {
-                        Fused::LLBin { a, b, op } => {
-                            // Type errors surface in the pop order the
-                            // unfused sequence would use (right first).
-                            let vb = frame.locals[b as usize].as_int()?;
-                            let va = frame.locals[a as usize].as_int()?;
-                            frame.stack.push(Value::Int(op.apply(va, vb)));
-                        }
-                        Fused::LCBin { a, c, op } => {
-                            let va = frame.locals[a as usize].as_int()?;
-                            frame.stack.push(Value::Int(op.apply(va, c)));
-                        }
-                        Fused::BinStore { op, d } => {
-                            let vb = frame.stack.pop().expect("verified").as_int()?;
-                            let va = frame.stack.pop().expect("verified").as_int()?;
-                            frame.locals[d as usize] = Value::Int(op.apply(va, vb));
-                        }
-                        Fused::Move { a, d } => {
-                            frame.locals[d as usize] = frame.locals[a as usize];
-                        }
-                        Fused::ConstStore { c, d } => {
-                            frame.locals[d as usize] = Value::Int(c);
-                        }
-                        Fused::LoadLoad { a, b } => {
-                            let va = frame.locals[a as usize];
-                            let vb = frame.locals[b as usize];
-                            frame.stack.push(va);
-                            frame.stack.push(vb);
-                        }
-                        Fused::ArrayGet { arr, idx } => {
-                            // Checks in the unfused pop order: index, then
-                            // array reference, then element type + bounds.
-                            let iv = frame.locals[idx as usize].as_int()?;
-                            let av = frame.locals[arr as usize].as_ref_id()?;
-                            match self.heap.get(av) {
-                                HeapObj::Array { elems } => {
-                                    if iv < 0 || iv as usize >= elems.len() {
-                                        return Err(VmError::IndexOutOfBounds {
-                                            index: iv,
-                                            len: elems.len(),
-                                        });
-                                    }
-                                    frame.stack.push(elems[iv as usize]);
-                                }
-                                HeapObj::Object { .. } => {
-                                    return Err(VmError::TypeError {
-                                        expected: "array",
-                                        found: "object",
-                                    })
-                                }
-                            }
-                        }
-                        Fused::ArraySet { arr, idx, val } => {
-                            let v = frame.locals[val as usize];
-                            let iv = frame.locals[idx as usize].as_int()?;
-                            let av = frame.locals[arr as usize].as_ref_id()?;
-                            match self.heap.get_mut(av) {
-                                HeapObj::Array { elems } => {
-                                    if iv < 0 || iv as usize >= elems.len() {
-                                        return Err(VmError::IndexOutOfBounds {
-                                            index: iv,
-                                            len: elems.len(),
-                                        });
-                                    }
-                                    elems[iv as usize] = v;
-                                }
-                                HeapObj::Object { .. } => {
-                                    return Err(VmError::TypeError {
-                                        expected: "array",
-                                        found: "object",
-                                    })
-                                }
-                            }
-                        }
-                    }
-                    frame.pc += w as u32;
-                }
-                XInstr::FallThrough => {
-                    blocks_done += 1;
-                }
-                XInstr::Jump { target } => {
-                    self.tick()?;
-                    instrs += 1;
-                    let f = self.frames.last_mut().expect("frame exists");
-                    f.pc = *target;
-                    blocks_done += 1;
-                }
-                XInstr::GuardCond {
-                    kind,
-                    expected_taken,
-                    target,
-                    exit,
-                } => {
-                    let taken = self.eval_cond(*kind)?;
-                    if taken != *expected_taken {
-                        side_exit!(*exit);
-                    }
-                    self.tick()?;
-                    instrs += 1;
-                    self.stats.branches += 1;
-                    let f = self.frames.last_mut().expect("frame exists");
-                    for _ in 0..kind.arity() {
-                        f.stack.pop();
-                    }
-                    if taken {
-                        self.stats.taken_branches += 1;
-                        f.pc = *target;
-                    } else {
-                        // Decoded fall-through: the next block's marker.
-                        f.pc = exit.dpc + 1;
-                    }
-                    blocks_done += 1;
-                }
-                XInstr::GuardSwitch {
-                    low,
-                    targets,
-                    default,
-                    expected,
-                    exit,
-                } => {
-                    let f = self.frames.last().expect("frame exists");
-                    let v = f.stack.last().expect("verified").as_int()?;
-                    let idx = v.wrapping_sub(*low);
-                    let actual = if idx >= 0 && (idx as usize) < targets.len() {
-                        targets[idx as usize]
-                    } else {
-                        *default
-                    };
-                    if actual != *expected {
-                        side_exit!(*exit);
-                    }
-                    self.tick()?;
-                    instrs += 1;
-                    self.stats.branches += 1;
-                    self.stats.taken_branches += 1;
-                    let f = self.frames.last_mut().expect("frame exists");
-                    f.stack.pop();
-                    f.pc = *expected;
-                    blocks_done += 1;
-                }
-                XInstr::EnterStatic { callee, ret } => {
-                    self.tick()?;
-                    instrs += 1;
-                    {
-                        let f = self.frames.last_mut().expect("frame exists");
-                        f.pc = *ret;
-                    }
-                    // The callee starts past its entry marker: its block-0
-                    // dispatch is absorbed by the trace.
-                    self.push_call(*callee, 1)?;
-                    blocks_done += 1;
-                }
-                XInstr::GuardVirtual {
-                    slot,
-                    argc,
-                    expected,
-                    ret,
-                    exit,
-                } => {
-                    let f = self.frames.last().expect("frame exists");
-                    let recv_idx = f.stack.len() - *argc as usize;
-                    let recv = f.stack[recv_idx].as_ref_id()?;
-                    let class = match self.heap.get(recv) {
-                        HeapObj::Object { class, .. } => *class,
-                        HeapObj::Array { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "object receiver",
-                                found: "array",
-                            })
-                        }
-                    };
-                    let callee = self.program.class(class).resolve(*slot);
-                    if callee != *expected {
-                        side_exit!(*exit);
-                    }
-                    self.tick()?;
-                    instrs += 1;
-                    self.stats.virtual_calls += 1;
-                    {
-                        let f = self.frames.last_mut().expect("frame exists");
-                        f.pc = *ret;
-                    }
-                    self.push_call(callee, 1)?;
-                    blocks_done += 1;
-                }
-                XInstr::GuardReturn {
-                    expected,
-                    has_value,
-                    exit,
-                } => {
-                    if self.frames.len() < 2 {
-                        // Returning from the outermost frame ends the
-                        // program; hand it to the interpreter.
-                        side_exit!(*exit);
-                    }
-                    let caller = &self.frames[self.frames.len() - 2];
-                    let cont = BlockId::new(
-                        caller.func,
-                        self.decoded.func(caller.func).block_of[caller.pc as usize],
-                    );
-                    if cont != *expected {
-                        side_exit!(*exit);
-                    }
-                    self.tick()?;
-                    instrs += 1;
-                    self.stats.returns += 1;
-                    let mut frame = self.frames.pop().expect("frame exists");
-                    if *has_value {
-                        let v = frame.stack.pop().expect("verified");
-                        self.frames.last_mut().expect("caller exists").stack.push(v);
-                    }
-                    blocks_done += 1;
-                }
-                XInstr::Finish { op: d, exit } => {
-                    {
-                        let f = self.frames.last_mut().expect("frame exists");
-                        f.pc = exit.dpc;
-                    }
-                    self.tick()?;
-                    instrs += 1;
-                    blocks_done += 1;
-                    match self.exec(*d)? {
-                        Step::Ok => {}
-                        Step::Finished(v) => {
-                            self.trace_stats.completed += 1;
-                            self.trace_stats.blocks_in_completed += blocks_done;
-                            self.trace_stats.instrs_in_completed += instrs;
-                            return Ok(TraceRun::Finished(v));
-                        }
-                    }
-                }
-            }
-        }
-
-        // Trace ran to completion.
-        self.trace_stats.completed += 1;
-        self.trace_stats.blocks_in_completed += blocks_done;
-        self.trace_stats.instrs_in_completed += instrs;
-        let last = *lt.src_blocks.last().expect("traces are nonempty");
-        self.bcg.set_context(last);
-        self.prev_block = Some(last);
-        Ok(TraceRun::Completed)
-    }
-
-    /// Writes a frame image back into the current frame: dirty locals
-    /// first, then the register stack on top of the frame's real prefix.
-    /// Used at side exits (full deopt), calls (arguments cross the real
-    /// stack) and allocations (collection roots).
-    #[inline]
-    fn materialize(&mut self, image: &FrameImage, regs: &[Value]) {
-        let f = self.frames.last_mut().expect("frame exists");
-        for &(slot, r) in image.dirty.iter() {
-            f.locals[slot as usize] = rget(regs, r);
-        }
-        debug_assert_eq!(
-            f.stack.len(),
-            image.base as usize,
-            "real stack prefix must match the lowering's model"
-        );
-        for &r in image.stack.iter() {
-            f.stack.push(rget(regs, r));
-        }
-    }
-
-    /// Executes one register-lowered trace in the tight register-file
-    /// loop: a flat `Vec<Value>` register frame, no per-op operand-stack
-    /// bookkeeping. Fuel is charged in batches (each instruction's
-    /// weight covers the stack ops folded into it), which is
-    /// observationally identical to per-op ticking — see [`crate::reg`].
-    fn execute_reg_trace(
-        &mut self,
-        rt: &RegTrace,
-        pre_entry: Option<BlockId>,
-    ) -> Result<TraceRun, VmError> {
-        self.trace_stats.entered += 1;
-        let mut instrs = 0u64;
-        let max_steps = self.config.jit.vm.max_steps;
-        // Fuel is accounted against a local budget while inside the
-        // trace — per-instruction ticking compares two values the
-        // compiler keeps in registers — and folded back into the
-        // engine-wide counter once per exit path. Nothing reached from
-        // inside the loop reads `stats.instructions` (tick() is never
-        // called here), so the deferred sync is unobservable.
-        let budget = max_steps - self.stats.instructions;
-        let mut regs = std::mem::take(&mut self.reg_file);
-        // The lowering is single-assignment: every non-constant register
-        // is written before it is read, so stale values from an earlier
-        // trace are never observable and the file only needs to grow to
-        // this trace's high-water mark — no per-entry zero fill. Hot
-        // short traces are entered millions of times, so this setup cost
-        // is the dominant fixed overhead.
-        if regs.len() < rt.num_regs as usize {
-            regs.resize(rt.num_regs as usize, Value::default());
-        }
-        for &(r, v) in &rt.consts {
-            rset(&mut regs, r, v);
-        }
-
-        macro_rules! tick_n {
-            ($n:expr) => {{
-                let n = $n as u64;
-                if n > budget - instrs {
-                    // Saturate exactly where per-op ticking would stop.
-                    self.stats.instructions = max_steps;
-                    self.reg_file = regs;
-                    return Err(VmError::OutOfFuel);
-                }
-                instrs += n;
-            }};
-        }
-
-        macro_rules! reg_exit {
-            ($idx:expr) => {{
-                self.stats.instructions += instrs;
-                let exit = &rt.exits[$idx as usize];
-                self.materialize(&rt.images[exit.image as usize], &regs);
-                {
-                    let f = self.frames.last_mut().expect("frame exists");
-                    debug_assert_eq!(f.func, exit.func);
-                    f.pc = exit.dpc;
-                }
-                self.trace_stats.exited_early += 1;
-                self.trace_stats.blocks_in_partial += exit.blocks_done as u64;
-                self.trace_stats.instrs_in_partial += instrs;
-                let prev = if exit.blocks_done == 0 {
-                    pre_entry
-                } else {
-                    Some(rt.src_blocks[exit.blocks_done as usize - 1])
-                };
-                if let Some(p) = prev {
-                    self.bcg.set_context(p);
-                } else {
-                    self.bcg.begin_stream();
-                }
-                // Eager resume-dispatch accounting, exactly as in
-                // `execute_trace`'s side_exit!.
-                self.stats.block_dispatches += 1;
-                let bid = BlockId::new(exit.func, exit.block);
-                let _ = self.bcg.observe(bid);
-                self.dispatch_signals();
-                self.prev_block = Some(bid);
-                self.trace_stats.blocks_outside += 1;
-                let immediate = exit.blocks_done == 0;
-                let site = exit.blocks_done;
-                self.reg_file = regs;
-                return Ok(TraceRun::SideExited { immediate, site });
-            }};
-        }
-
-        macro_rules! bin_i {
-            ($a:expr, $b:expr, $f:expr) => {{
-                // Type errors surface in interpreter pop order: right
-                // operand first.
-                let vb = rget(&regs, $b).as_int()?;
-                let va = rget(&regs, $a).as_int()?;
-                Value::Int($f(va, vb))
-            }};
-        }
-        macro_rules! bin_f {
-            ($a:expr, $b:expr, $f:expr) => {{
-                let vb = rget(&regs, $b).as_float()?;
-                let va = rget(&regs, $a).as_float()?;
-                Value::Float($f(va, vb))
-            }};
-        }
-
-        for t in rt.code.iter() {
-            match t {
-                RInstr::PullStack { dst } => {
-                    // Pure data movement from the real entry stack; no
-                    // source instruction, no fuel.
-                    let v = self
-                        .frames
-                        .last_mut()
-                        .expect("frame exists")
-                        .stack
-                        .pop()
-                        .expect("lowering tracked the entry stack");
-                    rset(&mut regs, *dst, v);
-                }
-                RInstr::LoadLocal { slot, dst, w } => {
-                    tick_n!(*w);
-                    let f = self.frames.last().expect("frame exists");
-                    rset(&mut regs, *dst, f.locals[*slot as usize]);
-                }
-                RInstr::IncLocal { slot, dst, imm, w } => {
-                    tick_n!(*w);
-                    let f = self.frames.last().expect("frame exists");
-                    let v = f.locals[*slot as usize].as_int()?;
-                    rset(&mut regs, *dst, Value::Int(v.wrapping_add(*imm as i64)));
-                }
-                RInstr::IncReg { src, dst, imm, w } => {
-                    tick_n!(*w);
-                    let v = rget(&regs, *src).as_int()?;
-                    rset(&mut regs, *dst, Value::Int(v.wrapping_add(*imm as i64)));
-                }
-                RInstr::Bin { op, a, b, dst, w } => {
-                    tick_n!(*w);
-                    let v = match op {
-                        RBin::IAdd => bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_add(y)),
-                        RBin::ISub => bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_sub(y)),
-                        RBin::IMul => bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_mul(y)),
-                        RBin::IDiv => {
-                            let vb = rget(&regs, *b).as_int()?;
-                            let va = rget(&regs, *a).as_int()?;
-                            if vb == 0 {
-                                return Err(VmError::DivisionByZero);
-                            }
-                            Value::Int(va.wrapping_div(vb))
-                        }
-                        RBin::IRem => {
-                            let vb = rget(&regs, *b).as_int()?;
-                            let va = rget(&regs, *a).as_int()?;
-                            if vb == 0 {
-                                return Err(VmError::DivisionByZero);
-                            }
-                            Value::Int(va.wrapping_rem(vb))
-                        }
-                        RBin::IShl => {
-                            bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_shl(y as u32 & 63))
-                        }
-                        RBin::IShr => {
-                            bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_shr(y as u32 & 63))
-                        }
-                        RBin::IUShr => {
-                            bin_i!(*a, *b, |x: i64, y: i64| ((x as u64) >> (y as u32 & 63))
-                                as i64)
-                        }
-                        RBin::IAnd => bin_i!(*a, *b, |x: i64, y: i64| x & y),
-                        RBin::IOr => bin_i!(*a, *b, |x: i64, y: i64| x | y),
-                        RBin::IXor => bin_i!(*a, *b, |x: i64, y: i64| x ^ y),
-                        RBin::FAdd => bin_f!(*a, *b, |x: f64, y: f64| x + y),
-                        RBin::FSub => bin_f!(*a, *b, |x: f64, y: f64| x - y),
-                        RBin::FMul => bin_f!(*a, *b, |x: f64, y: f64| x * y),
-                        RBin::FDiv => bin_f!(*a, *b, |x: f64, y: f64| x / y),
-                    };
-                    rset(&mut regs, *dst, v);
-                }
-                RInstr::Un { op, a, dst, w } => {
-                    tick_n!(*w);
-                    let v = match op {
-                        RUn::INeg => Value::Int(rget(&regs, *a).as_int()?.wrapping_neg()),
-                        RUn::FNeg => Value::Float(-rget(&regs, *a).as_float()?),
-                        RUn::I2F => Value::Float(rget(&regs, *a).as_int()? as f64),
-                        RUn::F2I => Value::Int(rget(&regs, *a).as_float()? as i64),
-                    };
-                    rset(&mut regs, *dst, v);
-                }
-                RInstr::Intrinsic { i, a, b, dst, w } => {
-                    tick_n!(*w);
-                    match i {
-                        Intrinsic::Sqrt => {
-                            let v = Value::Float(rget(&regs, *a).as_float()?.sqrt());
-                            rset(&mut regs, *dst, v);
-                        }
-                        Intrinsic::Sin => {
-                            let v = Value::Float(rget(&regs, *a).as_float()?.sin());
-                            rset(&mut regs, *dst, v);
-                        }
-                        Intrinsic::Cos => {
-                            let v = Value::Float(rget(&regs, *a).as_float()?.cos());
-                            rset(&mut regs, *dst, v);
-                        }
-                        Intrinsic::Exp => {
-                            let v = Value::Float(rget(&regs, *a).as_float()?.exp());
-                            rset(&mut regs, *dst, v);
-                        }
-                        Intrinsic::Log => {
-                            let v = Value::Float(rget(&regs, *a).as_float()?.ln());
-                            rset(&mut regs, *dst, v);
-                        }
-                        Intrinsic::AbsF => {
-                            let v = Value::Float(rget(&regs, *a).as_float()?.abs());
-                            rset(&mut regs, *dst, v);
-                        }
-                        Intrinsic::AbsI => {
-                            let v = Value::Int(rget(&regs, *a).as_int()?.wrapping_abs());
-                            rset(&mut regs, *dst, v);
-                        }
-                        Intrinsic::MinI => {
-                            let v = bin_i!(*a, *b, |x: i64, y: i64| x.min(y));
-                            rset(&mut regs, *dst, v);
-                        }
-                        Intrinsic::MaxI => {
-                            let v = bin_i!(*a, *b, |x: i64, y: i64| x.max(y));
-                            rset(&mut regs, *dst, v);
-                        }
-                        Intrinsic::PrintInt => {
-                            let v = rget(&regs, *a).as_int()?;
-                            if self.config.jit.vm.capture_output {
-                                self.output.push(OutputItem::Int(v));
-                            }
-                        }
-                        Intrinsic::PrintFloat => {
-                            let v = rget(&regs, *a).as_float()?;
-                            if self.config.jit.vm.capture_output {
-                                self.output.push(OutputItem::Float(v));
-                            }
-                        }
-                        Intrinsic::Checksum => {
-                            let v = rget(&regs, *a).as_int()?;
-                            self.checksum = fold_checksum(self.checksum, v);
-                        }
-                    }
-                }
-                RInstr::GetField { obj, field, dst, w } => {
-                    tick_n!(*w);
-                    let o = rget(&regs, *obj).as_ref_id()?;
-                    match self.heap.get(o) {
-                        HeapObj::Object { fields, .. } => {
-                            let v = *fields.get(*field as usize).ok_or(VmError::BadField {
-                                field: *field,
-                                num_fields: fields.len() as u16,
-                            })?;
-                            rset(&mut regs, *dst, v);
-                        }
-                        HeapObj::Array { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "object",
-                                found: "array",
-                            })
-                        }
-                    }
-                }
-                RInstr::PutField { obj, val, field, w } => {
-                    tick_n!(*w);
-                    let o = rget(&regs, *obj).as_ref_id()?;
-                    let v = rget(&regs, *val);
-                    match self.heap.get_mut(o) {
-                        HeapObj::Object { fields, .. } => {
-                            let len = fields.len();
-                            *fields.get_mut(*field as usize).ok_or(VmError::BadField {
-                                field: *field,
-                                num_fields: len as u16,
-                            })? = v;
-                        }
-                        HeapObj::Array { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "object",
-                                found: "array",
-                            })
-                        }
-                    }
-                }
-                RInstr::ALoad { arr, idx, dst, w } => {
-                    tick_n!(*w);
-                    let iv = rget(&regs, *idx).as_int()?;
-                    let av = rget(&regs, *arr).as_ref_id()?;
-                    match self.heap.get(av) {
-                        HeapObj::Array { elems } => {
-                            if iv < 0 || iv as usize >= elems.len() {
-                                return Err(VmError::IndexOutOfBounds {
-                                    index: iv,
-                                    len: elems.len(),
-                                });
-                            }
-                            rset(&mut regs, *dst, elems[iv as usize]);
-                        }
-                        HeapObj::Object { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "array",
-                                found: "object",
-                            })
-                        }
-                    }
-                }
-                RInstr::AStore { arr, idx, val, w } => {
-                    tick_n!(*w);
-                    let v = rget(&regs, *val);
-                    let iv = rget(&regs, *idx).as_int()?;
-                    let av = rget(&regs, *arr).as_ref_id()?;
-                    match self.heap.get_mut(av) {
-                        HeapObj::Array { elems } => {
-                            if iv < 0 || iv as usize >= elems.len() {
-                                return Err(VmError::IndexOutOfBounds {
-                                    index: iv,
-                                    len: elems.len(),
-                                });
-                            }
-                            elems[iv as usize] = v;
-                        }
-                        HeapObj::Object { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "array",
-                                found: "object",
-                            })
-                        }
-                    }
-                }
-                RInstr::ArrayLen { arr, dst, w } => {
-                    tick_n!(*w);
-                    let av = rget(&regs, *arr).as_ref_id()?;
-                    match self.heap.get(av) {
-                        HeapObj::Array { elems } => {
-                            rset(&mut regs, *dst, Value::Int(elems.len() as i64));
-                        }
-                        HeapObj::Object { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "array",
-                                found: "object",
-                            })
-                        }
-                    }
-                }
-                RInstr::NewObj {
-                    class,
-                    nfields,
-                    dst,
-                    image,
-                    w,
-                } => {
-                    tick_n!(*w);
-                    // Root every live register through the real frame,
-                    // collect, then pull the stack back (the values stay
-                    // in registers).
-                    let img = &rt.images[*image as usize];
-                    self.materialize(img, &regs);
-                    self.maybe_collect();
-                    let r = self.heap.alloc_object(*class, *nfields);
-                    self.frames
-                        .last_mut()
-                        .expect("frame exists")
-                        .stack
-                        .truncate(img.base as usize);
-                    rset(&mut regs, *dst, Value::Ref(r));
-                }
-                RInstr::NewArray { len, dst, image, w } => {
-                    tick_n!(*w);
-                    // The interpreter pops the length before collecting.
-                    let lv = rget(&regs, *len).as_int()?;
-                    let img = &rt.images[*image as usize];
-                    self.materialize(img, &regs);
-                    self.maybe_collect();
-                    let r = self.heap.alloc_array(lv)?;
-                    self.frames
-                        .last_mut()
-                        .expect("frame exists")
-                        .stack
-                        .truncate(img.base as usize);
-                    rset(&mut regs, *dst, Value::Ref(r));
-                }
-                RInstr::GuardCond {
-                    kind,
-                    a,
-                    b,
-                    expected_taken,
-                    exit,
-                    pre,
-                } => {
-                    tick_n!(*pre);
-                    let taken = match kind {
-                        CondKind::ICmp(op) => {
-                            let vb = rget(&regs, *b).as_int()?;
-                            let va = rget(&regs, *a).as_int()?;
-                            op.eval_i64(va, vb)
-                        }
-                        CondKind::IZero(op) => op.eval_i64(rget(&regs, *a).as_int()?, 0),
-                        CondKind::FCmp(op) => {
-                            let vb = rget(&regs, *b).as_float()?;
-                            let va = rget(&regs, *a).as_float()?;
-                            op.eval_f64(va, vb)
-                        }
-                        CondKind::Null => matches!(rget(&regs, *a), Value::Null),
-                        CondKind::NonNull => !matches!(rget(&regs, *a), Value::Null),
-                    };
-                    if taken != *expected_taken {
-                        reg_exit!(*exit);
-                    }
-                    tick_n!(1u32);
-                    self.stats.branches += 1;
-                    if taken {
-                        self.stats.taken_branches += 1;
-                    }
-                }
-                RInstr::GuardSwitch {
-                    low,
-                    targets,
-                    default,
-                    expected,
-                    selector,
-                    exit,
-                    pre,
-                } => {
-                    tick_n!(*pre);
-                    let v = rget(&regs, *selector).as_int()?;
-                    let idx = v.wrapping_sub(*low);
-                    let actual = if idx >= 0 && (idx as usize) < targets.len() {
-                        targets[idx as usize]
-                    } else {
-                        *default
-                    };
-                    if actual != *expected {
-                        reg_exit!(*exit);
-                    }
-                    tick_n!(1u32);
-                    self.stats.branches += 1;
-                    self.stats.taken_branches += 1;
-                }
-                RInstr::EnterStatic {
-                    callee,
-                    ret,
-                    image,
-                    w,
-                } => {
-                    tick_n!(*w);
-                    // Arguments cross the real stack: materialize, then
-                    // let the frame push consume them.
-                    self.materialize(&rt.images[*image as usize], &regs);
-                    self.frames.last_mut().expect("frame exists").pc = *ret;
-                    if let Err(e) = self.push_call(*callee, 1) {
-                        self.stats.instructions += instrs;
-                        self.reg_file = regs;
-                        return Err(e);
-                    }
-                }
-                RInstr::GuardVirtual {
-                    slot,
-                    argc: _,
-                    recv,
-                    expected,
-                    ret,
-                    exit,
-                    pre,
-                } => {
-                    tick_n!(*pre);
-                    let rid = rget(&regs, *recv).as_ref_id()?;
-                    let class = match self.heap.get(rid) {
-                        HeapObj::Object { class, .. } => *class,
-                        HeapObj::Array { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "object receiver",
-                                found: "array",
-                            })
-                        }
-                    };
-                    let callee = self.program.class(class).resolve(*slot);
-                    if callee != *expected {
-                        reg_exit!(*exit);
-                    }
-                    tick_n!(1u32);
-                    self.stats.virtual_calls += 1;
-                    // The exit's image doubles as the call
-                    // materialization: both need the full frame.
-                    let img_idx = rt.exits[*exit as usize].image;
-                    self.materialize(&rt.images[img_idx as usize], &regs);
-                    self.frames.last_mut().expect("frame exists").pc = *ret;
-                    if let Err(e) = self.push_call(callee, 1) {
-                        self.stats.instructions += instrs;
-                        self.reg_file = regs;
-                        return Err(e);
-                    }
-                }
-                RInstr::RetStatic { w } => {
-                    tick_n!(*w);
-                    self.stats.returns += 1;
-                    // The return value (if any) lives in a register; the
-                    // callee frame just goes away.
-                    self.frames.pop();
-                }
-                RInstr::GuardReturn {
-                    has_value,
-                    retval,
-                    expected,
-                    exit,
-                    pre,
-                } => {
-                    tick_n!(*pre);
-                    if self.frames.len() < 2 {
-                        reg_exit!(*exit);
-                    }
-                    let caller = &self.frames[self.frames.len() - 2];
-                    let cont = BlockId::new(
-                        caller.func,
-                        self.decoded.func(caller.func).block_of[caller.pc as usize],
-                    );
-                    if cont != *expected {
-                        reg_exit!(*exit);
-                    }
-                    tick_n!(1u32);
-                    self.stats.returns += 1;
-                    self.frames.pop();
-                    if *has_value {
-                        let v = rget(&regs, *retval);
-                        self.frames.last_mut().expect("caller exists").stack.push(v);
-                    }
-                }
-                RInstr::Finish { op: d, exit, pre } => {
-                    tick_n!(*pre);
-                    let e = &rt.exits[*exit as usize];
-                    self.materialize(&rt.images[e.image as usize], &regs);
-                    self.frames.last_mut().expect("frame exists").pc = e.dpc;
-                    tick_n!(1u32);
-                    self.stats.instructions += instrs;
-                    match self.exec(*d) {
-                        Err(e) => {
-                            self.reg_file = regs;
-                            return Err(e);
-                        }
-                        Ok(Step::Ok) => {}
-                        Ok(Step::Finished(v)) => {
-                            self.trace_stats.completed += 1;
-                            self.trace_stats.blocks_in_completed += rt.src_blocks.len() as u64;
-                            self.trace_stats.instrs_in_completed += instrs;
-                            self.reg_file = regs;
-                            return Ok(TraceRun::Finished(v));
-                        }
-                    }
-                }
-            }
-        }
-
-        // Trace ran to completion.
-        self.trace_stats.completed += 1;
-        self.trace_stats.blocks_in_completed += rt.src_blocks.len() as u64;
-        self.trace_stats.instrs_in_completed += instrs;
-        let last = *rt.src_blocks.last().expect("traces are nonempty");
-        self.bcg.set_context(last);
-        self.prev_block = Some(last);
-        self.reg_file = regs;
-        Ok(TraceRun::Completed)
-    }
-
-    /// Peeks the operands of a guarded conditional without popping.
-    fn eval_cond(&self, kind: CondKind) -> Result<bool, VmError> {
-        let f = self.frames.last().expect("frame exists");
-        let n = f.stack.len();
-        Ok(match kind {
-            CondKind::ICmp(op) => {
-                let b = f.stack[n - 1].as_int()?;
-                let a = f.stack[n - 2].as_int()?;
-                op.eval_i64(a, b)
-            }
-            CondKind::IZero(op) => {
-                let a = f.stack[n - 1].as_int()?;
-                op.eval_i64(a, 0)
-            }
-            CondKind::FCmp(op) => {
-                let b = f.stack[n - 1].as_float()?;
-                let a = f.stack[n - 2].as_float()?;
-                op.eval_f64(a, b)
-            }
-            CondKind::Null => matches!(f.stack[n - 1], Value::Null),
-            CondKind::NonNull => !matches!(f.stack[n - 1], Value::Null),
-        })
-    }
-
-    /// Pops arguments and pushes a callee frame starting at decoded
-    /// `start_pc` (0 out of trace — the entry marker fires a dispatch —
-    /// or 1 in-trace, where the trace absorbs it); the caller's `pc` must
-    /// already point at the continuation.
-    fn push_call(&mut self, callee: FuncId, start_pc: u32) -> Result<(), VmError> {
-        if self.frames.len() >= self.config.jit.vm.max_frames {
-            return Err(VmError::CallStackOverflow);
-        }
-        self.stats.calls += 1;
-        let cf = self.program.function(callee);
-        let argc = cf.num_params() as usize;
-        let frame = self.frames.last_mut().expect("frame exists");
-        let split = frame.stack.len() - argc;
-        let mut callee_frame = ExFrame::new(callee, cf.num_locals(), &frame.stack[split..]);
-        callee_frame.pc = start_pc;
-        frame.stack.truncate(split);
-        self.frames.push(callee_frame);
-        self.stats.max_frame_depth = self.stats.max_frame_depth.max(self.frames.len());
-        Ok(())
-    }
-
-    fn maybe_collect(&mut self) {
-        if self.heap.should_collect() {
-            let TracingVm { heap, frames, .. } = self;
-            let roots = frames.iter().flat_map(|f| {
-                f.stack
-                    .iter()
-                    .chain(f.locals.iter())
-                    .filter_map(|v| match v {
-                        Value::Ref(r) => Some(*r),
-                        _ => None,
-                    })
-            });
-            heap.collect(roots);
-        }
-    }
-
-    /// Executes one decoded instruction with full interpreter semantics.
-    /// The caller is responsible for fuel accounting ([`Self::tick`]).
-    #[inline(always)]
-    fn exec(&mut self, d: DOp) -> Result<Step, VmError> {
-        // A fused superinstruction head (see jvm_vm::fuse) is
-        // transparently unfused: this single-step path executes the
-        // head's original opcode (operands are preserved by the
-        // rewrite), and the group's shadow slots still hold the
-        // remaining constituents for the following steps.
-        let d = if jvm_vm::fuse::is_fused(d.op) {
-            DOp::new(jvm_vm::fuse::base_op(d.op), d.a, d.b)
-        } else {
-            d
-        };
-        let program = self.program;
-        macro_rules! frame {
-            () => {
-                self.frames.last_mut().expect("frame exists")
-            };
-        }
-        macro_rules! pop {
-            ($f:expr) => {
-                $f.stack.pop().expect("verified code cannot underflow")
-            };
-        }
-        macro_rules! binop_i {
-            ($op:expr) => {{
-                let f = frame!();
-                let b = pop!(f).as_int()?;
-                let a = pop!(f).as_int()?;
-                f.stack.push(Value::Int($op(a, b)));
-                f.pc += 1;
-            }};
-        }
-        macro_rules! binop_f {
-            ($op:expr) => {{
-                let f = frame!();
-                let b = pop!(f).as_float()?;
-                let a = pop!(f).as_float()?;
-                f.stack.push(Value::Float($op(a, b)));
-                f.pc += 1;
-            }};
-        }
-
-        match d.op {
-            op::ICONST => {
-                let v = self.decoded.iconsts[d.b as usize];
-                let f = frame!();
-                f.stack.push(Value::Int(v));
-                f.pc += 1;
-            }
-            op::FCONST => {
-                let v = self.decoded.fconsts[d.b as usize];
-                let f = frame!();
-                f.stack.push(Value::Float(v));
-                f.pc += 1;
-            }
-            op::CONST_NULL => {
-                let f = frame!();
-                f.stack.push(Value::Null);
-                f.pc += 1;
-            }
-            op::DUP => {
-                let f = frame!();
-                let v = *f.stack.last().expect("verified");
-                f.stack.push(v);
-                f.pc += 1;
-            }
-            op::DUP2 => {
-                let f = frame!();
-                let n = f.stack.len();
-                let a = f.stack[n - 2];
-                let b = f.stack[n - 1];
-                f.stack.push(a);
-                f.stack.push(b);
-                f.pc += 1;
-            }
-            op::POP => {
-                let f = frame!();
-                let _ = pop!(f);
-                f.pc += 1;
-            }
-            op::SWAP => {
-                let f = frame!();
-                let n = f.stack.len();
-                f.stack.swap(n - 1, n - 2);
-                f.pc += 1;
-            }
-            op::LOAD => {
-                let f = frame!();
-                f.stack.push(f.locals[d.a as usize]);
-                f.pc += 1;
-            }
-            op::STORE => {
-                let f = frame!();
-                let v = pop!(f);
-                f.locals[d.a as usize] = v;
-                f.pc += 1;
-            }
-            op::IINC => {
-                let f = frame!();
-                let v = f.locals[d.a as usize].as_int()?;
-                f.locals[d.a as usize] = Value::Int(v.wrapping_add(d.b as i32 as i64));
-                f.pc += 1;
-            }
-            op::IADD => binop_i!(|a: i64, b: i64| a.wrapping_add(b)),
-            op::ISUB => binop_i!(|a: i64, b: i64| a.wrapping_sub(b)),
-            op::IMUL => binop_i!(|a: i64, b: i64| a.wrapping_mul(b)),
-            op::IDIV => {
-                let f = frame!();
-                let b = pop!(f).as_int()?;
-                let a = pop!(f).as_int()?;
-                if b == 0 {
-                    return Err(VmError::DivisionByZero);
-                }
-                f.stack.push(Value::Int(a.wrapping_div(b)));
-                f.pc += 1;
-            }
-            op::IREM => {
-                let f = frame!();
-                let b = pop!(f).as_int()?;
-                let a = pop!(f).as_int()?;
-                if b == 0 {
-                    return Err(VmError::DivisionByZero);
-                }
-                f.stack.push(Value::Int(a.wrapping_rem(b)));
-                f.pc += 1;
-            }
-            op::INEG => {
-                let f = frame!();
-                let a = pop!(f).as_int()?;
-                f.stack.push(Value::Int(a.wrapping_neg()));
-                f.pc += 1;
-            }
-            op::ISHL => binop_i!(|a: i64, b: i64| a.wrapping_shl(b as u32 & 63)),
-            op::ISHR => binop_i!(|a: i64, b: i64| a.wrapping_shr(b as u32 & 63)),
-            op::IUSHR => binop_i!(|a: i64, b: i64| ((a as u64) >> (b as u32 & 63)) as i64),
-            op::IAND => binop_i!(|a: i64, b: i64| a & b),
-            op::IOR => binop_i!(|a: i64, b: i64| a | b),
-            op::IXOR => binop_i!(|a: i64, b: i64| a ^ b),
-            op::FADD => binop_f!(|a: f64, b: f64| a + b),
-            op::FSUB => binop_f!(|a: f64, b: f64| a - b),
-            op::FMUL => binop_f!(|a: f64, b: f64| a * b),
-            op::FDIV => binop_f!(|a: f64, b: f64| a / b),
-            op::FNEG => {
-                let f = frame!();
-                let a = pop!(f).as_float()?;
-                f.stack.push(Value::Float(-a));
-                f.pc += 1;
-            }
-            op::I2F => {
-                let f = frame!();
-                let a = pop!(f).as_int()?;
-                f.stack.push(Value::Float(a as f64));
-                f.pc += 1;
-            }
-            op::F2I => {
-                let f = frame!();
-                let a = pop!(f).as_float()?;
-                f.stack.push(Value::Int(a as i64));
-                f.pc += 1;
-            }
-            o @ op::IF_ICMP_EQ..=op::IF_ICMP_GE => {
-                let f = frame!();
-                let b = pop!(f).as_int()?;
-                let a = pop!(f).as_int()?;
-                self.stats.branches += 1;
-                if eval_i_rel(o - op::IF_ICMP_EQ, a, b) {
-                    self.stats.taken_branches += 1;
-                    frame!().pc = d.b;
-                } else {
-                    frame!().pc += 1;
-                }
-            }
-            o @ op::IF_I_EQ..=op::IF_I_GE => {
-                let f = frame!();
-                let a = pop!(f).as_int()?;
-                self.stats.branches += 1;
-                if eval_i_rel(o - op::IF_I_EQ, a, 0) {
-                    self.stats.taken_branches += 1;
-                    frame!().pc = d.b;
-                } else {
-                    frame!().pc += 1;
-                }
-            }
-            o @ op::IF_FCMP_EQ..=op::IF_FCMP_GE => {
-                let f = frame!();
-                let b = pop!(f).as_float()?;
-                let a = pop!(f).as_float()?;
-                self.stats.branches += 1;
-                if eval_f_rel(o - op::IF_FCMP_EQ, a, b) {
-                    self.stats.taken_branches += 1;
-                    frame!().pc = d.b;
-                } else {
-                    frame!().pc += 1;
-                }
-            }
-            op::IF_NULL => {
-                let f = frame!();
-                let v = pop!(f);
-                self.stats.branches += 1;
-                if matches!(v, Value::Null) {
-                    self.stats.taken_branches += 1;
-                    frame!().pc = d.b;
-                } else {
-                    frame!().pc += 1;
-                }
-            }
-            op::IF_NON_NULL => {
-                let f = frame!();
-                let v = pop!(f);
-                self.stats.branches += 1;
-                if !matches!(v, Value::Null) {
-                    self.stats.taken_branches += 1;
-                    frame!().pc = d.b;
-                } else {
-                    frame!().pc += 1;
-                }
-            }
-            op::GOTO => {
-                frame!().pc = d.b;
-            }
-            op::TABLE_SWITCH => {
-                let f = frame!();
-                let v = pop!(f).as_int()?;
-                self.stats.branches += 1;
-                self.stats.taken_branches += 1;
-                let sw = &self.decoded.switches[d.b as usize];
-                let idx = v.wrapping_sub(sw.low);
-                let target = if idx >= 0 && (idx as usize) < sw.targets.len() {
-                    sw.targets[idx as usize]
-                } else {
-                    sw.default
-                };
-                frame!().pc = target;
-            }
-            op::INVOKE_STATIC => {
-                frame!().pc += 1;
-                self.push_call(FuncId(d.b), 0)?;
-            }
-            op::INVOKE_VIRTUAL => {
-                let f = frame!();
-                let recv_idx = f.stack.len() - d.b as usize;
-                let recv = f.stack[recv_idx].as_ref_id()?;
-                let class = match self.heap.get(recv) {
-                    HeapObj::Object { class, .. } => *class,
-                    HeapObj::Array { .. } => {
-                        return Err(VmError::TypeError {
-                            expected: "object receiver",
-                            found: "array",
-                        })
-                    }
-                };
-                let callee = program.class(class).resolve(d.a);
-                self.stats.virtual_calls += 1;
-                frame!().pc += 1;
-                self.push_call(callee, 0)?;
-            }
-            op::RETURN => {
-                let f = frame!();
-                let v = pop!(f);
-                self.stats.returns += 1;
-                self.frames.pop();
-                match self.frames.last_mut() {
-                    None => return Ok(Step::Finished(Some(v))),
-                    Some(caller) => caller.stack.push(v),
-                }
-            }
-            op::RETURN_VOID => {
-                self.stats.returns += 1;
-                self.frames.pop();
-                if self.frames.is_empty() {
-                    return Ok(Step::Finished(None));
-                }
-            }
-            op::NEW => {
-                self.maybe_collect();
-                let r = self.heap.alloc_object(ClassId(d.b), d.a);
-                let f = frame!();
-                f.stack.push(Value::Ref(r));
-                f.pc += 1;
-            }
-            op::GET_FIELD => {
-                let f = frame!();
-                let obj = pop!(f).as_ref_id()?;
-                match self.heap.get(obj) {
-                    HeapObj::Object { fields, .. } => {
-                        let v = *fields.get(d.a as usize).ok_or(VmError::BadField {
-                            field: d.a,
-                            num_fields: fields.len() as u16,
-                        })?;
-                        let f = frame!();
-                        f.stack.push(v);
-                        f.pc += 1;
-                    }
-                    HeapObj::Array { .. } => {
-                        return Err(VmError::TypeError {
-                            expected: "object",
-                            found: "array",
-                        })
-                    }
-                }
-            }
-            op::PUT_FIELD => {
-                let f = frame!();
-                let v = pop!(f);
-                let obj = pop!(f).as_ref_id()?;
-                f.pc += 1;
-                match self.heap.get_mut(obj) {
-                    HeapObj::Object { fields, .. } => {
-                        let len = fields.len();
-                        *fields.get_mut(d.a as usize).ok_or(VmError::BadField {
-                            field: d.a,
-                            num_fields: len as u16,
-                        })? = v;
-                    }
-                    HeapObj::Array { .. } => {
-                        return Err(VmError::TypeError {
-                            expected: "object",
-                            found: "array",
-                        })
-                    }
-                }
-            }
-            op::NEW_ARRAY => {
-                let f = frame!();
-                let len = pop!(f).as_int()?;
-                self.maybe_collect();
-                let r = self.heap.alloc_array(len)?;
-                let f = frame!();
-                f.stack.push(Value::Ref(r));
-                f.pc += 1;
-            }
-            op::ALOAD => {
-                let f = frame!();
-                let idx = pop!(f).as_int()?;
-                let arr = pop!(f).as_ref_id()?;
-                match self.heap.get(arr) {
-                    HeapObj::Array { elems } => {
-                        if idx < 0 || idx as usize >= elems.len() {
-                            return Err(VmError::IndexOutOfBounds {
-                                index: idx,
-                                len: elems.len(),
-                            });
-                        }
-                        let v = elems[idx as usize];
-                        let f = frame!();
-                        f.stack.push(v);
-                        f.pc += 1;
-                    }
-                    HeapObj::Object { .. } => {
-                        return Err(VmError::TypeError {
-                            expected: "array",
-                            found: "object",
-                        })
-                    }
-                }
-            }
-            op::ASTORE => {
-                let f = frame!();
-                let v = pop!(f);
-                let idx = pop!(f).as_int()?;
-                let arr = pop!(f).as_ref_id()?;
-                f.pc += 1;
-                match self.heap.get_mut(arr) {
-                    HeapObj::Array { elems } => {
-                        if idx < 0 || idx as usize >= elems.len() {
-                            return Err(VmError::IndexOutOfBounds {
-                                index: idx,
-                                len: elems.len(),
-                            });
-                        }
-                        elems[idx as usize] = v;
-                    }
-                    HeapObj::Object { .. } => {
-                        return Err(VmError::TypeError {
-                            expected: "array",
-                            found: "object",
-                        })
-                    }
-                }
-            }
-            op::ARRAY_LEN => {
-                let f = frame!();
-                let arr = pop!(f).as_ref_id()?;
-                match self.heap.get(arr) {
-                    HeapObj::Array { elems } => {
-                        let len = elems.len() as i64;
-                        let f = frame!();
-                        f.stack.push(Value::Int(len));
-                        f.pc += 1;
-                    }
-                    HeapObj::Object { .. } => {
-                        return Err(VmError::TypeError {
-                            expected: "array",
-                            found: "object",
-                        })
-                    }
-                }
-            }
-            o @ op::SQRT..=op::CHECKSUM => {
-                self.exec_intrinsic(INTRINSIC_ORDER[(o - op::SQRT) as usize])?
-            }
-            op::NOP => {
-                frame!().pc += 1;
-            }
-            other => unreachable!("corrupt decoded stream: opcode {other}"),
-        }
-        Ok(Step::Ok)
-    }
-
-    fn exec_intrinsic(&mut self, i: Intrinsic) -> Result<(), VmError> {
-        let capture = self.config.jit.vm.capture_output;
-        let f = self.frames.last_mut().expect("frame exists");
-        macro_rules! popv {
-            () => {
-                f.stack.pop().expect("verified code cannot underflow")
-            };
-        }
-        match i {
-            Intrinsic::Sqrt => {
-                let v = popv!().as_float()?;
-                f.stack.push(Value::Float(v.sqrt()));
-            }
-            Intrinsic::Sin => {
-                let v = popv!().as_float()?;
-                f.stack.push(Value::Float(v.sin()));
-            }
-            Intrinsic::Cos => {
-                let v = popv!().as_float()?;
-                f.stack.push(Value::Float(v.cos()));
-            }
-            Intrinsic::Exp => {
-                let v = popv!().as_float()?;
-                f.stack.push(Value::Float(v.exp()));
-            }
-            Intrinsic::Log => {
-                let v = popv!().as_float()?;
-                f.stack.push(Value::Float(v.ln()));
-            }
-            Intrinsic::AbsF => {
-                let v = popv!().as_float()?;
-                f.stack.push(Value::Float(v.abs()));
-            }
-            Intrinsic::AbsI => {
-                let v = popv!().as_int()?;
-                f.stack.push(Value::Int(v.wrapping_abs()));
-            }
-            Intrinsic::MinI => {
-                let b = popv!().as_int()?;
-                let a = popv!().as_int()?;
-                f.stack.push(Value::Int(a.min(b)));
-            }
-            Intrinsic::MaxI => {
-                let b = popv!().as_int()?;
-                let a = popv!().as_int()?;
-                f.stack.push(Value::Int(a.max(b)));
-            }
-            Intrinsic::PrintInt => {
-                let v = popv!().as_int()?;
-                if capture {
-                    self.output.push(OutputItem::Int(v));
-                }
-            }
-            Intrinsic::PrintFloat => {
-                let v = popv!().as_float()?;
-                if capture {
-                    self.output.push(OutputItem::Float(v));
-                }
-            }
-            Intrinsic::Checksum => {
-                let v = popv!().as_int()?;
-                self.checksum = fold_checksum(self.checksum, v);
-            }
-        }
-        self.frames.last_mut().expect("frame exists").pc += 1;
-        Ok(())
     }
 }
 
@@ -2836,15 +1230,12 @@ mod tests {
     }
 
     #[test]
-    fn lowered_traces_report_memory_and_share_pools() {
+    fn lowered_traces_report_memory() {
         let program = loop_program();
         let mut engine = TracingVm::new(&program, EngineConfig::paper_default());
         engine.run(&[Value::Int(20_000)]).unwrap();
         assert!(engine.compiled_count() > 0);
         assert!(engine.lowered_memory() > 0);
-        // Trace lowering reuses the program pools; the tiny loop adds no
-        // novel constants without the optimizer.
-        assert!(engine.decoded().iconsts.len() < 16);
     }
 
     #[test]
@@ -2862,7 +1253,7 @@ mod tests {
         assert!(report.links_installed > 0);
         assert!(
             report.artifacts_prebuilt > 0,
-            "restored traces must pre-lower against the frozen decoded program"
+            "restored traces must pre-lower before serving"
         );
         let got = booted.run(&[Value::Int(20_000)]).unwrap();
         assert_eq!(got.result, want.result);

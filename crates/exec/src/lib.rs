@@ -19,43 +19,39 @@
 //!   optimisation is sound as long as side exits restore interpreter
 //!   state — which the guards guarantee by construction (they resume at
 //!   the guarded instruction with the operand stack untouched).
-//! * [`lower`] — lowers compiled traces onto the VM's pre-decoded form:
-//!   a [`LoweredTrace`] is a flat [`XInstr`] stream whose ordinary ops
-//!   are 8-byte decoded `DOp`s and whose guards carry pre-resolved
-//!   side-[`Exit`]s (decoded pc + block), so leaving a trace lands the
-//!   decoded interpreter directly on the right instruction.
-//! * [`reg`] — the final lowering stage: an abstract-stack pass renames
+//! * [`reg`] — the lowering stage: an abstract-stack pass renames
 //!   operand-stack slots and locals to **virtual registers**, folding
 //!   stack traffic into three-address [`RInstr`]s, fusing
 //!   compare-and-branch into single guard ops, and pre-resolving
 //!   constants into a per-trace constant table. Every guard carries a
 //!   [`FrameImage`] mapping live registers back to the stack/locals
 //!   frame, so a side exit reconstructs the interpreter frame exactly
-//!   at the guarded instruction.
-//! * [`engine`] — [`TracingVm`], a complete execution engine that
-//!   interprets out-of-trace code block-by-block over the decoded
-//!   streams (with the profiler attached, as in the base system) and
-//!   executes cached traces from their lowered form, eliminating the
-//!   per-block dispatch and profiling points inside traces.
-//!   Differential tests pin its semantics against the baseline
-//!   interpreter on all six workloads.
+//!   at the guarded instruction — pre-resolved to its decoded pc and
+//!   block, so leaving a trace lands the decoded interpreter directly
+//!   on the right instruction.
+//! * [`regexec`] — the register-trace executor: runs a lowered trace
+//!   against the decoded interpreter's own frame arena, heap and
+//!   counters.
+//! * [`engine`] — [`TracingVm`], the complete execution engine: the
+//!   decoded interpreter ([`jvm_vm::Vm`]) runs all out-of-trace code,
+//!   with the engine attached to its block-dispatch hook (profiler,
+//!   constructor, health ladder, entry check) and executing linked
+//!   traces from their lowered form, eliminating the per-block dispatch
+//!   and profiling points inside traces. Differential tests pin its
+//!   semantics against the baseline interpreter on all six workloads.
 
 pub mod compile;
 pub mod engine;
-pub mod fuse;
-pub mod lower;
 pub mod opt;
 pub mod reg;
+mod regexec;
 pub mod shared;
 
 pub use compile::{compile, compile_blocks, CompileError, CompiledTrace, CondKind, TInstr};
 pub use engine::{EngineConfig, TracingVm, WarmBootReport};
-pub use fuse::{fuse_trace, FuseStats, Fused, FusedBin};
-pub use lower::{lower_trace, lower_trace_frozen, Exit, LoweredTrace, XInstr};
 pub use opt::{optimize, OptStats};
 pub use reg::{
     disassemble, lower_reg, FrameImage, RBin, RExit, RInstr, RUn, Reg, RegStats, RegTrace,
-    TraceArtifact,
 };
 pub use shared::{
     artifact_builder, run_shared_constructor, run_supervised_shared_constructor, shared_session,

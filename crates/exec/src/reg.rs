@@ -2,9 +2,8 @@
 //! register linear IR.
 //!
 //! [`crate::compile`] produces straight-line stack code ([`TInstr`] over
-//! source instructions), and the decoded lowering ([`crate::lower`])
-//! executes it one stack push/pop at a time. A real tracing JIT resolves
-//! that operand traffic *at compile time*: inside a trace every value's
+//! source instructions). A real tracing JIT resolves its operand traffic
+//! *at compile time*: inside a trace every value's
 //! producer and consumer are known, so stack slots can be renamed to
 //! virtual registers and the pushes and pops deleted (the coldbrew and
 //! b3-rs pipelines in SNIPPETS.md §1/§3 are the exemplars). This pass
@@ -59,20 +58,29 @@
 //! referenced by the abstract state at every allocation point and thus
 //! rooted through the materialized frame.
 //!
+//! **Frame bounds.** The executor indexes the interpreter's frame slab
+//! without release-mode bounds checks, so the lowering *checks* the
+//! bounds it relies on instead of assuming them: a trace is refused
+//! unless every local slot it reads or writes back is below its frame's
+//! `num_locals` and every [`FrameImage`] fits its frame's verifier-proven
+//! operand-stack bound (invariant R2 in DESIGN.md). It likewise refuses
+//! a trace that does not end in exactly one [`RInstr::Finish`], which is
+//! what hands the frame back to the interpreter loop.
+//!
 //! Lowering is *total* on the traces the engine compiles, with a few
-//! `None` fallbacks (the engine then runs the decoded form instead): an
-//! in-trace return whose recorded continuation contradicts the static
-//! call site, a continuation block whose entry depth is unreachable in
-//! the depth map, and register-file overflow.
+//! `None` refusals (the engine then never enters the trace —
+//! interpreter-only, never wrong): an in-trace return whose recorded
+//! continuation contradicts the static call site, a continuation block
+//! whose entry depth is unreachable in the depth map, register-file
+//! overflow, and a violated frame bound.
 
 use std::collections::HashMap;
 
 use jvm_bytecode::{stack_depths, BlockId, ClassId, CmpOp, FuncId, Instr, Intrinsic, Program};
-use jvm_vm::{DOp, DecodedProgram, Value};
+use jvm_vm::{DecodedProgram, Value};
 use trace_cache::TraceId;
 
 use crate::compile::{CompiledTrace, CondKind, TInstr};
-use crate::lower::LoweredTrace;
 
 /// A virtual register index into the trace's flat register file.
 pub type Reg = u16;
@@ -465,21 +473,19 @@ pub enum RInstr {
         /// Pre-evaluation fuel weight.
         pre: u32,
     },
-    /// The final block's terminator: materialize the exit's image,
-    /// re-anchor the pc, and execute the original decoded op with full
-    /// interpreter semantics; the trace then completes.
+    /// The final block's terminator, handed back to the interpreter
+    /// loop: materialize the exit's image and re-anchor the pc *on* the
+    /// terminator; the trace then completes and the loop executes (and
+    /// charges) it with full semantics. Always the last instruction.
     Finish {
-        /// The decoded terminator.
-        op: DOp,
         /// Exit record carrying the resume pc and frame image.
         exit: u32,
-        /// Pre-execution fuel weight.
+        /// Fuel weight of the eliminated ops before the terminator.
         pre: u32,
     },
 }
 
-/// Per-trace lowering statistics, aggregated by the engine like
-/// [`crate::fuse::FuseStats`].
+/// Per-trace lowering statistics, aggregated by the engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegStats {
     /// Compiled (stack) instructions before lowering.
@@ -546,37 +552,6 @@ impl RegTrace {
     }
 }
 
-/// A published trace artifact: the register form when lowering
-/// succeeded, the decoded stack form otherwise. Both the private cache
-/// and the shared cache store this type, so the register form flows
-/// through frozen publication unchanged (its constants are inline — no
-/// pool interning).
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceArtifact {
-    /// Register-lowered form (the fast path).
-    Reg(RegTrace),
-    /// Decoded stack form (fallback).
-    Decoded(LoweredTrace),
-}
-
-impl TraceArtifact {
-    /// The source block sequence.
-    pub fn src_blocks(&self) -> &[BlockId] {
-        match self {
-            TraceArtifact::Reg(rt) => &rt.src_blocks,
-            TraceArtifact::Decoded(lt) => &lt.src_blocks,
-        }
-    }
-
-    /// Real byte footprint of the artifact.
-    pub fn memory_estimate(&self) -> usize {
-        match self {
-            TraceArtifact::Reg(rt) => rt.memory_estimate(),
-            TraceArtifact::Decoded(lt) => lt.memory_estimate(),
-        }
-    }
-}
-
 /// One lowering context: the function a stretch of trace code executes
 /// in, with its local rename table and abstract stack.
 struct Ctx {
@@ -594,10 +569,13 @@ struct Ctx {
 }
 
 impl Ctx {
-    fn new(program: &Program, func: FuncId) -> Ctx {
+    /// A fresh context for `func`. The rename table is sized to the
+    /// frame region the arena allocates for it, so a slot the table
+    /// admits is a slot inside the region.
+    fn new(decoded: &DecodedProgram, func: FuncId) -> Ctx {
         Ctx {
             func,
-            rename: vec![None; program.function(func).num_locals() as usize],
+            rename: vec![None; usize::from(decoded.func(func).num_locals)],
             stack: Vec::new(),
             pending: 0,
             cont_block: BlockId::new(func, 0),
@@ -694,8 +672,20 @@ impl<'a> Lowering<'a> {
         self.ctx.stack.pop()
     }
 
-    /// Snapshots the current frame image.
-    fn image(&mut self) -> u32 {
+    /// The rename-table entry of local `slot`; `None` (refusing the
+    /// trace) when the slot is outside the frame's locals.
+    fn local(&mut self, slot: u16) -> Option<&mut Option<(Reg, bool)>> {
+        self.ctx.rename.get_mut(usize::from(slot))
+    }
+
+    /// Snapshots the current frame image; `None` if its stack would not
+    /// fit the frame's region. (Dirty slots index the rename table, so
+    /// they are inside the frame's locals by construction.)
+    fn image(&mut self) -> Option<u32> {
+        let max_stack = self.decoded.func(self.ctx.func).max_stack;
+        if u64::from(self.ctx.pending) + self.ctx.stack.len() as u64 > u64::from(max_stack) {
+            return None;
+        }
         let dirty: Vec<(u16, Reg)> = self
             .ctx
             .rename
@@ -711,13 +701,18 @@ impl<'a> Lowering<'a> {
             stack: self.ctx.stack.clone().into_boxed_slice(),
             dirty: dirty.into_boxed_slice(),
         });
-        (self.images.len() - 1) as u32
+        Some((self.images.len() - 1) as u32)
     }
 
     /// Builds a side-exit record anchored at source `(func, pc)` with
     /// the current frame image and block accounting.
-    fn exit_for(&mut self, func: FuncId, pc: u32) -> u32 {
-        let image = self.image();
+    fn exit_for(&mut self, func: FuncId, pc: u32) -> Option<u32> {
+        // The image is checked against the *current* frame, so the exit
+        // must anchor in it.
+        if func != self.ctx.func {
+            return None;
+        }
+        let image = self.image()?;
         let df = self.decoded.func(func);
         let dpc = df.pc_map[pc as usize];
         self.exits.push(RExit {
@@ -727,7 +722,7 @@ impl<'a> Lowering<'a> {
             blocks_done: self.block_idx,
             image,
         });
-        (self.exits.len() - 1) as u32
+        Some((self.exits.len() - 1) as u32)
     }
 
     /// Marks every renamed local clean — called after an emitted
@@ -758,10 +753,13 @@ impl<'a> Lowering<'a> {
     /// callee starts with its shallow argument slots renamed *clean* to
     /// the registers that fed them, and the caller resumes with
     /// everything real.
-    fn enter_callee(&mut self, callee: FuncId, argc: u16, ret: u32) {
+    fn enter_callee(&mut self, callee: FuncId, argc: u16, ret: u32) -> Option<()> {
         let abs_len = self.ctx.stack.len();
         let k = (argc as usize).min(abs_len);
-        let mut callee_ctx = Ctx::new(self.program, callee);
+        let mut callee_ctx = Ctx::new(self.decoded, callee);
+        if usize::from(argc) > callee_ctx.rename.len() {
+            return None;
+        }
         for j in 0..k {
             // Arguments deeper than the abstract stack were already real;
             // they reach the callee's low slots through the real stack.
@@ -780,6 +778,7 @@ impl<'a> Lowering<'a> {
         );
         let saved = std::mem::replace(&mut self.ctx, callee_ctx);
         self.callers.push(saved);
+        Some(())
     }
 }
 
@@ -789,7 +788,7 @@ impl<'a> Lowering<'a> {
 /// frozen (shared) publication.
 ///
 /// Returns `None` when the trace cannot be expressed in register form
-/// (see the module docs); the caller falls back to the decoded lowering.
+/// (see the module docs); the engine then never enters it.
 pub fn lower_reg(
     program: &Program,
     decoded: &DecodedProgram,
@@ -803,7 +802,7 @@ pub fn lower_reg(
         consts: Vec::new(),
         exits: Vec::new(),
         images: Vec::new(),
-        ctx: Ctx::new(program, first.func),
+        ctx: Ctx::new(decoded, first.func),
         callers: Vec::new(),
         depths: HashMap::new(),
         next_reg: 0,
@@ -844,7 +843,7 @@ pub fn lower_reg(
                 // The exit image keeps the operands on the abstract
                 // stack: a failed guard resumes at the branch, which
                 // re-pops them.
-                let exit = lo.exit_for(*func, *pc);
+                let exit = lo.exit_for(*func, *pc)?;
                 for _ in 0..kind.arity() {
                     lo.ctx.stack.pop();
                 }
@@ -870,7 +869,7 @@ pub fn lower_reg(
             } => {
                 lo.ensure(1)?;
                 let selector = *lo.ctx.stack.last().expect("ensured");
-                let exit = lo.exit_for(*func, *pc);
+                let exit = lo.exit_for(*func, *pc)?;
                 lo.ctx.stack.pop();
                 let pre = lo.take_pre();
                 let df = lo.decoded.func(*func);
@@ -888,7 +887,7 @@ pub fn lower_reg(
             }
             TInstr::EnterStatic { callee, func, pc } => {
                 let argc = program.function(*callee).num_params();
-                let image = lo.image();
+                let image = lo.image()?;
                 let ret = lo.decoded.func(*func).pc_map[*pc as usize] + 1;
                 let w = lo.take_w();
                 lo.code.push(RInstr::EnterStatic {
@@ -897,7 +896,7 @@ pub fn lower_reg(
                     image,
                     w,
                 });
-                lo.enter_callee(*callee, argc, ret);
+                lo.enter_callee(*callee, argc, ret)?;
                 lo.block_idx += 1;
             }
             TInstr::GuardVirtual {
@@ -910,7 +909,7 @@ pub fn lower_reg(
                 lo.ensure(*argc as usize)?;
                 let n = lo.ctx.stack.len();
                 let recv = lo.ctx.stack[n - *argc as usize];
-                let exit = lo.exit_for(*func, *pc);
+                let exit = lo.exit_for(*func, *pc)?;
                 let ret = lo.decoded.func(*func).pc_map[*pc as usize] + 1;
                 let pre = lo.take_pre();
                 lo.code.push(RInstr::GuardVirtual {
@@ -922,7 +921,7 @@ pub fn lower_reg(
                     exit,
                     pre,
                 });
-                lo.enter_callee(*expected, *argc, ret);
+                lo.enter_callee(*expected, *argc, ret)?;
                 lo.block_idx += 1;
             }
             TInstr::GuardReturn {
@@ -937,7 +936,7 @@ pub fn lower_reg(
                     if *has_value {
                         lo.ensure(1)?;
                     }
-                    let exit = lo.exit_for(*func, *pc);
+                    let exit = lo.exit_for(*func, *pc)?;
                     let retval = if *has_value {
                         lo.ctx.stack.pop().expect("ensured")
                     } else {
@@ -954,14 +953,14 @@ pub fn lower_reg(
                     // Continue in the (real) caller frame: nothing
                     // renamed, the full continuation depth is real.
                     let pending = lo.entry_depth(*expected)?;
-                    lo.ctx = Ctx::new(program, expected.func);
+                    lo.ctx = Ctx::new(decoded, expected.func);
                     lo.ctx.pending = pending;
                     lo.block_idx += 1;
                 } else {
                     // The caller is on the lowering stack: the
                     // continuation is statically known. A recorded
                     // continuation that contradicts the call site cannot
-                    // execute — refuse and let the decoded form handle it.
+                    // execute — refuse.
                     if lo.callers.last().expect("nonempty").cont_block != *expected {
                         return None;
                     }
@@ -976,23 +975,24 @@ pub fn lower_reg(
                 }
             }
             TInstr::Finish { instr: _, func, pc } => {
-                let exit = lo.exit_for(*func, *pc);
+                let exit = lo.exit_for(*func, *pc)?;
                 let pre = lo.take_pre();
-                let dpc = lo.exits[exit as usize].dpc;
-                lo.code.push(RInstr::Finish {
-                    op: lo.decoded.func(*func).code[dpc as usize],
-                    exit,
-                    pre,
-                });
+                lo.code.push(RInstr::Finish { exit, pre });
                 lo.block_idx += 1;
             }
-            // Lowering runs on pre-fusion code; a fused group cannot
-            // appear. Refuse rather than trust.
-            TInstr::Fused(_) => return None,
         }
     }
     debug_assert_eq!(lo.pending_w, 0, "Finish consumes all pending weight");
     debug_assert_eq!(lo.block_idx as usize, ct.src_blocks.len());
+    // The executor leaves a completed trace through its final `Finish`.
+    let finishes = lo
+        .code
+        .iter()
+        .filter(|r| matches!(r, RInstr::Finish { .. }))
+        .count();
+    if finishes != 1 || !matches!(lo.code.last(), Some(RInstr::Finish { .. })) {
+        return None;
+    }
 
     let stats = RegStats {
         before: ct.code.len(),
@@ -1043,7 +1043,7 @@ impl<'a> Lowering<'a> {
                 self.ctx.stack.push(r);
                 self.elim();
             }
-            Instr::Load(slot) => match self.ctx.rename[*slot as usize] {
+            Instr::Load(slot) => match self.local(*slot).copied()? {
                 Some((r, _)) => {
                     self.ctx.stack.push(r);
                     self.elim();
@@ -1056,19 +1056,19 @@ impl<'a> Lowering<'a> {
                         dst,
                         w,
                     });
-                    self.ctx.rename[*slot as usize] = Some((dst, false));
+                    *self.local(*slot)? = Some((dst, false));
                     self.ctx.stack.push(dst);
                 }
             },
             Instr::Store(slot) => {
                 let r = self.pop1()?;
-                self.ctx.rename[*slot as usize] = Some((r, true));
+                *self.local(*slot)? = Some((r, true));
                 self.elim();
             }
             Instr::IInc(slot, imm) => {
                 let dst = self.fresh()?;
                 let w = self.take_w();
-                match self.ctx.rename[*slot as usize] {
+                match self.local(*slot).copied()? {
                     Some((src, _)) => self.code.push(RInstr::IncReg {
                         src,
                         dst,
@@ -1082,7 +1082,7 @@ impl<'a> Lowering<'a> {
                         w,
                     }),
                 }
-                self.ctx.rename[*slot as usize] = Some((dst, true));
+                *self.local(*slot)? = Some((dst, true));
             }
             Instr::Dup => {
                 self.ensure(1)?;
@@ -1197,7 +1197,7 @@ impl<'a> Lowering<'a> {
             Instr::New(class) => {
                 // Collection happens before the push: image the live
                 // frame as-is.
-                let image = self.image();
+                let image = self.image()?;
                 let nfields = self.program.class(*class).num_fields();
                 let dst = self.fresh()?;
                 let w = self.take_w();
@@ -1214,7 +1214,7 @@ impl<'a> Lowering<'a> {
             Instr::NewArray => {
                 // The interpreter pops the length before collecting.
                 let len = self.pop1()?;
-                let image = self.image();
+                let image = self.image()?;
                 let dst = self.fresh()?;
                 let w = self.take_w();
                 self.code.push(RInstr::NewArray { len, dst, image, w });

@@ -1,0 +1,700 @@
+//! The register-trace executor: runs a [`RegTrace`] against the decoded
+//! interpreter's own machine state.
+//!
+//! A trace is entered from the loop's dispatch hook with the top frame's
+//! `pc`/`sp` flushed into the [`jvm_vm::FrameArena`]. From there the
+//! executor works on the *same slab* the loop does: locals are
+//! `slab[base + slot]`, frame images are written at `sp`, in-trace calls
+//! and returns push and pop arena frames, and allocation roots are the
+//! arena's. Every way out — side exit, completion, error — leaves the top
+//! frame's `pc` and `sp` where the loop must resume, so leaving a trace is
+//! a reload of the loop's cached frame state and nothing else.
+//!
+//! Fuel is charged in batches (each instruction's weight covers the stack
+//! ops folded into it), which is observationally identical to per-op
+//! ticking — see [`crate::reg`].
+
+use jvm_bytecode::{BlockId, Intrinsic};
+use jvm_vm::{arena, fold_checksum, HeapObj, Machine, OutputItem, Value, VmError};
+
+use crate::compile::CondKind;
+use crate::engine::Jit;
+use crate::reg::{RBin, RInstr, RUn, Reg, RegTrace};
+
+/// How a trace execution ended (errors aside).
+pub(crate) enum TraceRun {
+    /// Ran to its end; the final terminator is the loop's next
+    /// instruction.
+    Completed,
+    /// A guard failed.
+    SideExited {
+        /// Guard site: how many blocks completed before the exit. Feeds
+        /// the health ledger's per-guard side-exit histogram; `0` means
+        /// the entry guard failed immediately, and a streak of those
+        /// means the link serves a path the program no longer takes.
+        site: u32,
+    },
+}
+
+/// Reads virtual register `r` without a release-mode bounds check.
+///
+/// `lower_reg` numbers every operand below the trace's `num_regs` and
+/// [`Jit::execute`] grows the register file to at least that length on
+/// entry, so all register accesses are in range by construction
+/// (invariant R1 in DESIGN.md).
+#[inline(always)]
+fn rget(regs: &[Value], r: Reg) -> Value {
+    debug_assert!((r as usize) < regs.len(), "lowered register bounds");
+    // SAFETY: see above — register numbers are bounded by the lowering.
+    unsafe { *regs.get_unchecked(r as usize) }
+}
+
+/// Writes virtual register `r` without a release-mode bounds check
+/// (see [`rget`]).
+#[inline(always)]
+fn rset(regs: &mut [Value], r: Reg, v: Value) {
+    debug_assert!((r as usize) < regs.len(), "lowered register bounds");
+    // SAFETY: see `rget` — register numbers are bounded by the lowering.
+    unsafe { *regs.get_unchecked_mut(r as usize) = v }
+}
+
+/// Reads slab slot `i` of the current frame's region without a
+/// release-mode bounds check.
+///
+/// `lower_reg` refuses a trace unless every local slot it touches is
+/// below its frame's `num_locals` and every frame image fits the
+/// frame's operand-stack bound, and the arena sizes the slab to cover
+/// the whole region of every live frame — so every index the executor
+/// forms lies inside the slab (invariant R2 in DESIGN.md).
+#[inline(always)]
+fn sget(slab: &[Value], i: u32) -> Value {
+    // SAFETY: see above — the index is inside the top frame's region.
+    unsafe { arena::slot(slab, i) }
+}
+
+/// Writes slab slot `i` of the current frame's region (see [`sget`]).
+#[inline(always)]
+fn sset(slab: &mut [Value], i: u32, v: Value) {
+    // SAFETY: see `sget` — the index is inside the top frame's region.
+    unsafe { *arena::slot_mut(slab, i) = v }
+}
+
+impl Jit<'_> {
+    /// Executes one register-lowered trace entered over the branch
+    /// `pre_entry → rt.src_blocks[0]`, borrowing the recycled register
+    /// file for the duration.
+    pub(crate) fn execute(
+        &mut self,
+        rt: &RegTrace,
+        pre_entry: BlockId,
+        m: &mut Machine<'_>,
+    ) -> Result<TraceRun, VmError> {
+        let mut regs = std::mem::take(&mut self.reg_file);
+        let run = self.execute_with(rt, pre_entry, m, &mut regs);
+        self.reg_file = regs;
+        run
+    }
+
+    /// The tight register-file loop: a flat `Vec<Value>` register frame,
+    /// no per-op operand-stack bookkeeping.
+    fn execute_with(
+        &mut self,
+        rt: &RegTrace,
+        pre_entry: BlockId,
+        m: &mut Machine<'_>,
+        regs: &mut Vec<Value>,
+    ) -> Result<TraceRun, VmError> {
+        self.trace_stats.entered += 1;
+        let mut instrs = 0u64;
+        let max_steps = m.config.max_steps;
+        // Fuel is accounted against a local budget while inside the
+        // trace — per-instruction ticking compares two values the
+        // compiler keeps in registers — and folded back into the
+        // machine's counter once per exit path. Nothing reached from
+        // inside the loop reads `stats.instructions`, so the deferred
+        // sync is unobservable.
+        let budget = max_steps - m.stats.instructions;
+        // The lowering is single-assignment: every non-constant register
+        // is written before it is read, so stale values from an earlier
+        // trace are never observable and the file only needs to grow to
+        // this trace's high-water mark — no per-entry zero fill. Hot
+        // short traces are entered millions of times, so this setup cost
+        // is the dominant fixed overhead.
+        if regs.len() < rt.num_regs as usize {
+            regs.resize(rt.num_regs as usize, Value::default());
+        }
+        for &(r, v) in &rt.consts {
+            rset(regs, r, v);
+        }
+        // The current frame's region, cached like the loop caches it;
+        // `sp` is flushed wherever the arena or the loop reads it.
+        let (mut base, mut sp) = {
+            let t = m.arena.top();
+            (t.base, t.sp)
+        };
+
+        macro_rules! tick_n {
+            ($n:expr) => {{
+                let n = $n as u64;
+                if n > budget - instrs {
+                    // Saturate exactly where per-op ticking would stop.
+                    m.stats.instructions = max_steps;
+                    return Err(VmError::OutOfFuel);
+                }
+                instrs += n;
+            }};
+        }
+
+        // Writes a frame image back into the current frame: dirty locals
+        // first, then the register stack on top of the frame's real
+        // prefix. Used at side exits and completion (full deopt), calls
+        // (arguments cross the real stack) and allocations (collection
+        // roots).
+        macro_rules! materialize {
+            ($image:expr) => {{
+                let image = &rt.images[$image as usize];
+                debug_assert_eq!(
+                    sp - m.arena.top().stack_base,
+                    image.base,
+                    "real stack prefix must match the lowering's model"
+                );
+                let slab = &mut m.arena.slab[..];
+                for &(slot, r) in image.dirty.iter() {
+                    sset(slab, base + u32::from(slot), rget(regs, r));
+                }
+                for &r in image.stack.iter() {
+                    sset(slab, sp, rget(regs, r));
+                    sp += 1;
+                }
+                image
+            }};
+        }
+
+        // Re-anchors the top frame at an exit record's resume point with
+        // its frame image written back: where the loop picks up.
+        macro_rules! hand_back {
+            ($exit:expr) => {{
+                let exit = $exit;
+                materialize!(exit.image);
+                let t = m.arena.top_mut();
+                debug_assert_eq!(t.func, exit.func);
+                t.pc = exit.dpc;
+                t.sp = sp;
+            }};
+        }
+
+        macro_rules! reg_exit {
+            ($idx:expr) => {{
+                m.stats.instructions += instrs;
+                let exit = &rt.exits[$idx as usize];
+                hand_back!(exit);
+                self.trace_stats.exited_early += 1;
+                self.trace_stats.blocks_in_partial += exit.blocks_done as u64;
+                self.trace_stats.instrs_in_partial += instrs;
+                self.bcg.set_context(if exit.blocks_done == 0 {
+                    pre_entry
+                } else {
+                    rt.src_blocks[exit.blocks_done as usize - 1]
+                });
+                // The resume pc sits past its block's entry marker, so
+                // the loop will not re-fire the dispatch: account for it
+                // eagerly, in the exact order the hook would (dispatch
+                // count, observe, signal handling, outside-block
+                // count). The resumed block never
+                // re-enters the trace whose guard just failed — the
+                // remainder of the block runs in interpreter code before
+                // the next dispatch point, as in the real system.
+                m.stats.block_dispatches += 1;
+                let bid = BlockId::new(exit.func, exit.block);
+                let _ = self.bcg.observe(bid);
+                self.dispatch_signals();
+                self.trace_stats.blocks_outside += 1;
+                return Ok(TraceRun::SideExited {
+                    site: exit.blocks_done,
+                });
+            }};
+        }
+
+        // Pushes the callee's arena frame over the materialized caller
+        // frame and moves the cached region into it. The callee's own
+        // `pc` is never read: its entry-marker dispatch is absorbed by
+        // the trace, and every way out re-anchors the top frame.
+        macro_rules! enter_call {
+            ($callee:expr, $argc:expr, $ret:expr) => {{
+                if m.arena.depth() >= m.config.max_frames {
+                    m.stats.instructions += instrs;
+                    return Err(VmError::CallStackOverflow);
+                }
+                m.stats.calls += 1;
+                let callee = $callee;
+                let cdf = m.decoded.func(callee);
+                {
+                    let t = m.arena.top_mut();
+                    t.pc = $ret;
+                    t.sp = sp;
+                }
+                m.arena
+                    .push_call(callee, u32::from(cdf.num_locals), cdf.frame_size, $argc);
+                m.stats.max_frame_depth = m.stats.max_frame_depth.max(m.arena.depth());
+                let t = m.arena.top();
+                base = t.base;
+                sp = t.sp;
+            }};
+        }
+
+        // Pops the callee frame and moves the cached region back to the
+        // caller's (whose `sp` was flushed when the call was made).
+        macro_rules! leave_call {
+            () => {{
+                m.stats.returns += 1;
+                m.arena.pop_frame();
+                let t = m.arena.top();
+                base = t.base;
+                sp = t.sp;
+            }};
+        }
+
+        // Runs a collection if the heap suggests one; the frame image
+        // was just materialized, so the arena's live regions are exactly
+        // the roots.
+        macro_rules! maybe_collect {
+            () => {{
+                if m.heap.should_collect() {
+                    m.arena.top_mut().sp = sp;
+                    m.heap.collect(m.arena.roots());
+                }
+            }};
+        }
+
+        macro_rules! bin_i {
+            ($a:expr, $b:expr, $f:expr) => {{
+                // Type errors surface in interpreter pop order: right
+                // operand first.
+                let vb = rget(regs, $b).as_int()?;
+                let va = rget(regs, $a).as_int()?;
+                Value::Int($f(va, vb))
+            }};
+        }
+        macro_rules! bin_f {
+            ($a:expr, $b:expr, $f:expr) => {{
+                let vb = rget(regs, $b).as_float()?;
+                let va = rget(regs, $a).as_float()?;
+                Value::Float($f(va, vb))
+            }};
+        }
+
+        for t in rt.code.iter() {
+            match t {
+                RInstr::PullStack { dst } => {
+                    // Pure data movement from the real entry stack; no
+                    // source instruction, no fuel.
+                    sp -= 1;
+                    rset(regs, *dst, sget(&m.arena.slab, sp));
+                }
+                RInstr::LoadLocal { slot, dst, w } => {
+                    tick_n!(*w);
+                    rset(regs, *dst, sget(&m.arena.slab, base + u32::from(*slot)));
+                }
+                RInstr::IncLocal { slot, dst, imm, w } => {
+                    tick_n!(*w);
+                    let v = sget(&m.arena.slab, base + u32::from(*slot)).as_int()?;
+                    rset(regs, *dst, Value::Int(v.wrapping_add(*imm as i64)));
+                }
+                RInstr::IncReg { src, dst, imm, w } => {
+                    tick_n!(*w);
+                    let v = rget(regs, *src).as_int()?;
+                    rset(regs, *dst, Value::Int(v.wrapping_add(*imm as i64)));
+                }
+                RInstr::Bin { op, a, b, dst, w } => {
+                    tick_n!(*w);
+                    let v = match op {
+                        RBin::IAdd => bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_add(y)),
+                        RBin::ISub => bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_sub(y)),
+                        RBin::IMul => bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_mul(y)),
+                        RBin::IDiv => {
+                            let vb = rget(regs, *b).as_int()?;
+                            let va = rget(regs, *a).as_int()?;
+                            if vb == 0 {
+                                return Err(VmError::DivisionByZero);
+                            }
+                            Value::Int(va.wrapping_div(vb))
+                        }
+                        RBin::IRem => {
+                            let vb = rget(regs, *b).as_int()?;
+                            let va = rget(regs, *a).as_int()?;
+                            if vb == 0 {
+                                return Err(VmError::DivisionByZero);
+                            }
+                            Value::Int(va.wrapping_rem(vb))
+                        }
+                        RBin::IShl => {
+                            bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_shl(y as u32 & 63))
+                        }
+                        RBin::IShr => {
+                            bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_shr(y as u32 & 63))
+                        }
+                        RBin::IUShr => {
+                            bin_i!(*a, *b, |x: i64, y: i64| ((x as u64) >> (y as u32 & 63))
+                                as i64)
+                        }
+                        RBin::IAnd => bin_i!(*a, *b, |x: i64, y: i64| x & y),
+                        RBin::IOr => bin_i!(*a, *b, |x: i64, y: i64| x | y),
+                        RBin::IXor => bin_i!(*a, *b, |x: i64, y: i64| x ^ y),
+                        RBin::FAdd => bin_f!(*a, *b, |x: f64, y: f64| x + y),
+                        RBin::FSub => bin_f!(*a, *b, |x: f64, y: f64| x - y),
+                        RBin::FMul => bin_f!(*a, *b, |x: f64, y: f64| x * y),
+                        RBin::FDiv => bin_f!(*a, *b, |x: f64, y: f64| x / y),
+                    };
+                    rset(regs, *dst, v);
+                }
+                RInstr::Un { op, a, dst, w } => {
+                    tick_n!(*w);
+                    let v = match op {
+                        RUn::INeg => Value::Int(rget(regs, *a).as_int()?.wrapping_neg()),
+                        RUn::FNeg => Value::Float(-rget(regs, *a).as_float()?),
+                        RUn::I2F => Value::Float(rget(regs, *a).as_int()? as f64),
+                        RUn::F2I => Value::Int(rget(regs, *a).as_float()? as i64),
+                    };
+                    rset(regs, *dst, v);
+                }
+                RInstr::Intrinsic { i, a, b, dst, w } => {
+                    tick_n!(*w);
+                    match i {
+                        Intrinsic::Sqrt => {
+                            let v = Value::Float(rget(regs, *a).as_float()?.sqrt());
+                            rset(regs, *dst, v);
+                        }
+                        Intrinsic::Sin => {
+                            let v = Value::Float(rget(regs, *a).as_float()?.sin());
+                            rset(regs, *dst, v);
+                        }
+                        Intrinsic::Cos => {
+                            let v = Value::Float(rget(regs, *a).as_float()?.cos());
+                            rset(regs, *dst, v);
+                        }
+                        Intrinsic::Exp => {
+                            let v = Value::Float(rget(regs, *a).as_float()?.exp());
+                            rset(regs, *dst, v);
+                        }
+                        Intrinsic::Log => {
+                            let v = Value::Float(rget(regs, *a).as_float()?.ln());
+                            rset(regs, *dst, v);
+                        }
+                        Intrinsic::AbsF => {
+                            let v = Value::Float(rget(regs, *a).as_float()?.abs());
+                            rset(regs, *dst, v);
+                        }
+                        Intrinsic::AbsI => {
+                            let v = Value::Int(rget(regs, *a).as_int()?.wrapping_abs());
+                            rset(regs, *dst, v);
+                        }
+                        Intrinsic::MinI => {
+                            let v = bin_i!(*a, *b, |x: i64, y: i64| x.min(y));
+                            rset(regs, *dst, v);
+                        }
+                        Intrinsic::MaxI => {
+                            let v = bin_i!(*a, *b, |x: i64, y: i64| x.max(y));
+                            rset(regs, *dst, v);
+                        }
+                        Intrinsic::PrintInt => {
+                            let v = rget(regs, *a).as_int()?;
+                            if m.config.capture_output {
+                                m.output.push(OutputItem::Int(v));
+                            }
+                        }
+                        Intrinsic::PrintFloat => {
+                            let v = rget(regs, *a).as_float()?;
+                            if m.config.capture_output {
+                                m.output.push(OutputItem::Float(v));
+                            }
+                        }
+                        Intrinsic::Checksum => {
+                            let v = rget(regs, *a).as_int()?;
+                            *m.checksum = fold_checksum(*m.checksum, v);
+                        }
+                    }
+                }
+                RInstr::GetField { obj, field, dst, w } => {
+                    tick_n!(*w);
+                    let o = rget(regs, *obj).as_ref_id()?;
+                    match m.heap.get(o) {
+                        HeapObj::Object { fields, .. } => {
+                            let v = *fields.get(*field as usize).ok_or(VmError::BadField {
+                                field: *field,
+                                num_fields: fields.len() as u16,
+                            })?;
+                            rset(regs, *dst, v);
+                        }
+                        HeapObj::Array { .. } => {
+                            return Err(VmError::TypeError {
+                                expected: "object",
+                                found: "array",
+                            })
+                        }
+                    }
+                }
+                RInstr::PutField { obj, val, field, w } => {
+                    tick_n!(*w);
+                    let o = rget(regs, *obj).as_ref_id()?;
+                    let v = rget(regs, *val);
+                    match m.heap.get_mut(o) {
+                        HeapObj::Object { fields, .. } => {
+                            let len = fields.len();
+                            *fields.get_mut(*field as usize).ok_or(VmError::BadField {
+                                field: *field,
+                                num_fields: len as u16,
+                            })? = v;
+                        }
+                        HeapObj::Array { .. } => {
+                            return Err(VmError::TypeError {
+                                expected: "object",
+                                found: "array",
+                            })
+                        }
+                    }
+                }
+                RInstr::ALoad { arr, idx, dst, w } => {
+                    tick_n!(*w);
+                    let iv = rget(regs, *idx).as_int()?;
+                    let av = rget(regs, *arr).as_ref_id()?;
+                    match m.heap.get(av) {
+                        HeapObj::Array { elems } => {
+                            if iv < 0 || iv as usize >= elems.len() {
+                                return Err(VmError::IndexOutOfBounds {
+                                    index: iv,
+                                    len: elems.len(),
+                                });
+                            }
+                            rset(regs, *dst, elems[iv as usize]);
+                        }
+                        HeapObj::Object { .. } => {
+                            return Err(VmError::TypeError {
+                                expected: "array",
+                                found: "object",
+                            })
+                        }
+                    }
+                }
+                RInstr::AStore { arr, idx, val, w } => {
+                    tick_n!(*w);
+                    let v = rget(regs, *val);
+                    let iv = rget(regs, *idx).as_int()?;
+                    let av = rget(regs, *arr).as_ref_id()?;
+                    match m.heap.get_mut(av) {
+                        HeapObj::Array { elems } => {
+                            if iv < 0 || iv as usize >= elems.len() {
+                                return Err(VmError::IndexOutOfBounds {
+                                    index: iv,
+                                    len: elems.len(),
+                                });
+                            }
+                            elems[iv as usize] = v;
+                        }
+                        HeapObj::Object { .. } => {
+                            return Err(VmError::TypeError {
+                                expected: "array",
+                                found: "object",
+                            })
+                        }
+                    }
+                }
+                RInstr::ArrayLen { arr, dst, w } => {
+                    tick_n!(*w);
+                    let av = rget(regs, *arr).as_ref_id()?;
+                    match m.heap.get(av) {
+                        HeapObj::Array { elems } => {
+                            rset(regs, *dst, Value::Int(elems.len() as i64));
+                        }
+                        HeapObj::Object { .. } => {
+                            return Err(VmError::TypeError {
+                                expected: "array",
+                                found: "object",
+                            })
+                        }
+                    }
+                }
+                RInstr::NewObj {
+                    class,
+                    nfields,
+                    dst,
+                    image,
+                    w,
+                } => {
+                    tick_n!(*w);
+                    // Root every live register through the real frame,
+                    // collect, then drop the stack back (the values stay
+                    // in registers).
+                    let img = materialize!(*image);
+                    maybe_collect!();
+                    let r = m.heap.alloc_object(*class, *nfields);
+                    sp -= img.stack.len() as u32;
+                    rset(regs, *dst, Value::Ref(r));
+                }
+                RInstr::NewArray { len, dst, image, w } => {
+                    tick_n!(*w);
+                    // The interpreter pops the length before collecting.
+                    let lv = rget(regs, *len).as_int()?;
+                    let img = materialize!(*image);
+                    maybe_collect!();
+                    let r = m.heap.alloc_array(lv)?;
+                    sp -= img.stack.len() as u32;
+                    rset(regs, *dst, Value::Ref(r));
+                }
+                RInstr::GuardCond {
+                    kind,
+                    a,
+                    b,
+                    expected_taken,
+                    exit,
+                    pre,
+                } => {
+                    tick_n!(*pre);
+                    let taken = match kind {
+                        CondKind::ICmp(op) => {
+                            let vb = rget(regs, *b).as_int()?;
+                            let va = rget(regs, *a).as_int()?;
+                            op.eval_i64(va, vb)
+                        }
+                        CondKind::IZero(op) => op.eval_i64(rget(regs, *a).as_int()?, 0),
+                        CondKind::FCmp(op) => {
+                            let vb = rget(regs, *b).as_float()?;
+                            let va = rget(regs, *a).as_float()?;
+                            op.eval_f64(va, vb)
+                        }
+                        CondKind::Null => matches!(rget(regs, *a), Value::Null),
+                        CondKind::NonNull => !matches!(rget(regs, *a), Value::Null),
+                    };
+                    if taken != *expected_taken {
+                        reg_exit!(*exit);
+                    }
+                    tick_n!(1u32);
+                    m.stats.branches += 1;
+                    if taken {
+                        m.stats.taken_branches += 1;
+                    }
+                }
+                RInstr::GuardSwitch {
+                    low,
+                    targets,
+                    default,
+                    expected,
+                    selector,
+                    exit,
+                    pre,
+                } => {
+                    tick_n!(*pre);
+                    let v = rget(regs, *selector).as_int()?;
+                    let idx = v.wrapping_sub(*low);
+                    let actual = if idx >= 0 && (idx as usize) < targets.len() {
+                        targets[idx as usize]
+                    } else {
+                        *default
+                    };
+                    if actual != *expected {
+                        reg_exit!(*exit);
+                    }
+                    tick_n!(1u32);
+                    m.stats.branches += 1;
+                    m.stats.taken_branches += 1;
+                }
+                RInstr::EnterStatic {
+                    callee,
+                    ret,
+                    image,
+                    w,
+                } => {
+                    tick_n!(*w);
+                    // Arguments cross the real stack: materialize, then
+                    // let the frame push consume them.
+                    materialize!(*image);
+                    let argc = u32::from(m.decoded.func(*callee).num_params);
+                    enter_call!(*callee, argc, *ret);
+                }
+                RInstr::GuardVirtual {
+                    slot,
+                    argc,
+                    recv,
+                    expected,
+                    ret,
+                    exit,
+                    pre,
+                } => {
+                    tick_n!(*pre);
+                    let rid = rget(regs, *recv).as_ref_id()?;
+                    let class = match m.heap.get(rid) {
+                        HeapObj::Object { class, .. } => *class,
+                        HeapObj::Array { .. } => {
+                            return Err(VmError::TypeError {
+                                expected: "object receiver",
+                                found: "array",
+                            })
+                        }
+                    };
+                    let callee = self.program.class(class).resolve(*slot);
+                    if callee != *expected {
+                        reg_exit!(*exit);
+                    }
+                    tick_n!(1u32);
+                    m.stats.virtual_calls += 1;
+                    // The exit's image doubles as the call
+                    // materialization: both need the full frame.
+                    materialize!(rt.exits[*exit as usize].image);
+                    enter_call!(callee, u32::from(*argc), *ret);
+                }
+                RInstr::RetStatic { w } => {
+                    tick_n!(*w);
+                    // The return value (if any) lives in a register; the
+                    // callee frame just goes away.
+                    leave_call!();
+                }
+                RInstr::GuardReturn {
+                    has_value,
+                    retval,
+                    expected,
+                    exit,
+                    pre,
+                } => {
+                    tick_n!(*pre);
+                    let depth = m.arena.depth();
+                    if depth < 2 {
+                        // Returning from the outermost frame ends the
+                        // program; hand it to the interpreter.
+                        reg_exit!(*exit);
+                    }
+                    let caller = &m.arena.frames[depth - 2];
+                    let cont = BlockId::new(
+                        caller.func,
+                        m.decoded.func(caller.func).block_of[caller.pc as usize],
+                    );
+                    if cont != *expected {
+                        reg_exit!(*exit);
+                    }
+                    tick_n!(1u32);
+                    leave_call!();
+                    if *has_value {
+                        // Onto the *real* caller stack: the caller frame
+                        // was never part of this trace.
+                        sset(&mut m.arena.slab, sp, rget(regs, *retval));
+                        sp += 1;
+                    }
+                }
+                RInstr::Finish { exit, pre } => {
+                    // The last block's terminator goes back to the loop:
+                    // rebuild the frame and leave `pc` on it. It runs —
+                    // and is charged — there, with full semantics.
+                    tick_n!(*pre);
+                    hand_back!(&rt.exits[*exit as usize]);
+                }
+            }
+        }
+
+        // Trace ran to completion.
+        m.stats.instructions += instrs;
+        self.trace_stats.completed += 1;
+        self.trace_stats.blocks_in_completed += rt.src_blocks.len() as u64;
+        self.trace_stats.instrs_in_completed += instrs;
+        let last = *rt.src_blocks.last().expect("traces are nonempty");
+        self.bcg.set_context(last);
+        Ok(TraceRun::Completed)
+    }
+}

@@ -4,16 +4,16 @@
 //! dispatch thread. A *shared session* splits it:
 //!
 //! * the [`SharedCache`] (a [`trace_cache::SharedTraceCache`] whose
-//!   artifacts are [`LoweredTrace`]s) is probed lock-free by every
+//!   artifacts are [`RegTrace`]s) is probed lock-free by every
 //!   dispatching VM;
 //! * construction runs on a background thread: dispatchers drain their
 //!   profiler signals into a bounded [`ConstructionQueue`] as
 //!   [`BcgSnapshot`]s, and [`run_shared_constructor`] plans, hash-conses
 //!   and lowers on the other side;
-//! * lowering uses the **frozen** path ([`crate::lower_trace_frozen`])
-//!   against a private decoded copy — decoding is deterministic, so the
-//!   builder's pools agree with every VM's pools and the published
-//!   artifact's constant indices resolve identically everywhere.
+//! * lowering runs against a private decoded copy — decoding is
+//!   deterministic and register traces carry their constants inline, so
+//!   a published artifact's resume pcs and block indices resolve
+//!   identically in every VM.
 //!
 //! Degradation contract: when the queue is full the dispatcher defers
 //! the drained signals back into its profiler
@@ -39,13 +39,11 @@ use trace_cache::{
 
 use crate::compile::compile_blocks;
 use crate::engine::EngineConfig;
-use crate::fuse::fuse_trace;
-use crate::lower::lower_trace_frozen;
 use crate::opt::optimize_trace;
-use crate::reg::{lower_reg, TraceArtifact};
+use crate::reg::{lower_reg, RegTrace};
 
 /// The shared cache type every concurrent VM dispatches against.
-pub type SharedCache = SharedTraceCache<TraceArtifact>;
+pub type SharedCache = SharedTraceCache<RegTrace>;
 
 /// Default bound on the construction queue (snapshot batches in flight).
 pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
@@ -115,16 +113,14 @@ pub fn shared_session(
 }
 
 /// The artifact build hook for a shared cache: compile → (optionally)
-/// optimize → register-lower (when `reg_ir` is on) → fall back to
-/// (optionally) fuse + frozen-lower against a private decoded copy of
-/// the program. Returns `None` — an artifact-less trace, which VMs
-/// simply keep interpreting — when the block chain no longer matches
-/// the program's control flow or when the optimizer invented a constant
-/// the frozen pools don't hold.
+/// optimize → register-lower against a private decoded copy of the
+/// program. Returns `None` — an artifact-less trace, which VMs simply
+/// keep interpreting — when the block chain no longer matches the
+/// program's control flow or the register lowering refuses it.
 ///
 /// Register lowering needs no pool interning at all (constants ride in
 /// the per-trace constant table), so it publishes against the read-only
-/// decoded copy without any frozen-path caveats.
+/// decoded copy.
 ///
 /// The placeholder id stamped into the artifact is never read by the
 /// engine (dispatch keys artifacts by the *cache's* id); the cache's
@@ -133,22 +129,14 @@ pub fn shared_session(
 pub fn artifact_builder(
     program: &Program,
     config: EngineConfig,
-) -> impl FnMut(&[BlockId]) -> Option<TraceArtifact> + '_ {
+) -> impl FnMut(&[BlockId]) -> Option<RegTrace> + '_ {
     let decoded = DecodedProgram::decode(program);
     move |blocks: &[BlockId]| {
         let mut ct = compile_blocks(program, TraceId::from_raw(u32::MAX), blocks).ok()?;
         if config.optimize {
             optimize_trace(&mut ct);
         }
-        if config.reg_ir {
-            if let Some(rt) = lower_reg(program, &decoded, &ct) {
-                return Some(TraceArtifact::Reg(rt));
-            }
-        }
-        if config.superinstructions {
-            fuse_trace(&mut ct);
-        }
-        lower_trace_frozen(program, &decoded, &ct).map(TraceArtifact::Decoded)
+        lower_reg(program, &decoded, &ct)
     }
 }
 
@@ -224,7 +212,7 @@ mod tests {
         let blk = |b: u32| BlockId::new(program.entry(), b);
         let mut build = artifact_builder(&program, EngineConfig::paper_default());
         let art = build(&[blk(1), blk(2), blk(1)]).expect("connected chain lowers");
-        assert_eq!(art.src_blocks(), vec![blk(1), blk(2), blk(1)]);
+        assert_eq!(art.src_blocks, vec![blk(1), blk(2), blk(1)]);
         assert!(build(&[blk(0), blk(2)]).is_none(), "disconnected chain");
     }
 

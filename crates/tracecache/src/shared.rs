@@ -453,7 +453,7 @@ struct StatsAtomic {
 ///
 /// Generic over the artifact type `A` so this crate needs no knowledge
 /// of the executor's lowered representation; the executor instantiates
-/// `SharedTraceCache<LoweredTrace>`.
+/// `SharedTraceCache<RegTrace>`.
 ///
 /// A cache must be shared only between VMs running the *same program*:
 /// block ids carry no program identity, and artifacts are only valid

@@ -26,6 +26,34 @@ use jvm_bytecode::FuncId;
 
 use crate::value::Value;
 
+/// Reads slab slot `i` without a release-mode bounds check (debug builds
+/// assert it).
+///
+/// # Safety
+///
+/// `i` must be less than `slab.len()`. Callers discharge this with a
+/// static bound on the frame region they index — the verifier's for the
+/// interpreter, the lowering-time check for register traces (DESIGN.md,
+/// "Unchecked-access invariants").
+#[inline(always)]
+pub unsafe fn slot(slab: &[Value], i: u32) -> Value {
+    debug_assert!((i as usize) < slab.len(), "frame-region bound");
+    // SAFETY: the caller guarantees `i < slab.len()`.
+    unsafe { *slab.get_unchecked(i as usize) }
+}
+
+/// Mutable counterpart of [`slot`].
+///
+/// # Safety
+///
+/// `i` must be less than `slab.len()` (see [`slot`]).
+#[inline(always)]
+pub unsafe fn slot_mut(slab: &mut [Value], i: u32) -> &mut Value {
+    debug_assert!((i as usize) < slab.len(), "frame-region bound");
+    // SAFETY: the caller guarantees `i < slab.len()`.
+    unsafe { slab.get_unchecked_mut(i as usize) }
+}
+
 /// Bookkeeping for one arena frame. The interpreter caches the hot fields
 /// (`pc`, `sp`) in locals and flushes them here at call/return/GC
 /// boundaries.

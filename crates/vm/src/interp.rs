@@ -29,8 +29,9 @@
 
 use jvm_bytecode::{BlockId, ClassId, FuncId, Program};
 
-use crate::arena::FrameArena;
+use crate::arena::{self, FrameArena};
 use crate::decode::{eval_f_rel, eval_i_rel, op, DOp, DecodedProgram};
+use crate::driver::{BlockDriver, Machine, Observing};
 use crate::error::VmError;
 use crate::fuse::{self, fop, BlockCounts, FusionConfig, FusionPlan, FusionReport};
 use crate::heap::{Heap, HeapObj, HeapStats};
@@ -86,17 +87,15 @@ pub fn fold_checksum(acc: u64, v: i64) -> u64 {
 /// frame, so all interpreter accesses are in range by construction.
 #[inline(always)]
 fn slot(slab: &[Value], i: u32) -> Value {
-    debug_assert!((i as usize) < slab.len(), "verified frame bounds");
     // SAFETY: see above — the index is within the slab for verified code.
-    unsafe { *slab.get_unchecked(i as usize) }
+    unsafe { arena::slot(slab, i) }
 }
 
 /// Writes slab slot `i` without a release-mode bounds check (see [`slot`]).
 #[inline(always)]
 fn slot_mut(slab: &mut [Value], i: u32) -> &mut Value {
-    debug_assert!((i as usize) < slab.len(), "verified frame bounds");
     // SAFETY: see `slot` — the index is within the slab for verified code.
-    unsafe { slab.get_unchecked_mut(i as usize) }
+    unsafe { arena::slot_mut(slab, i) }
 }
 
 /// The virtual machine.
@@ -217,6 +216,22 @@ impl<'p> Vm<'p> {
         &mut self,
         args: &[Value],
         observer: &mut O,
+    ) -> Result<Option<Value>, VmError> {
+        self.run_driven(args, Observing(observer))
+    }
+
+    /// [`Self::run`] with a [`BlockDriver`] on the dispatch hook: every
+    /// block dispatch is offered to `driver`, which may run a linked
+    /// trace against the machine state in place of the block (see
+    /// [`crate::driver`] for the hand-off contract).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::run`], plus any [`VmError`] a trace raises.
+    pub fn run_driven<D: BlockDriver>(
+        &mut self,
+        args: &[Value],
+        mut driver: D,
     ) -> Result<Option<Value>, VmError> {
         // Reset run state.
         self.heap = Heap::new(self.config.gc_threshold);
@@ -429,8 +444,26 @@ impl<'p> Vm<'p> {
             // fuel and are not instructions.
             if d.op == op::ENTER_BLOCK {
                 stats.block_dispatches += 1;
-                observer.on_block(BlockId::new(func, d.b));
+                let linked = driver.on_block(BlockId::new(func, d.b));
                 pc += 1;
+                if let Some(trace) = linked {
+                    {
+                        let t = arena.top_mut();
+                        t.pc = pc;
+                        t.sp = sp;
+                    }
+                    let mut m = Machine {
+                        decoded,
+                        config: &config,
+                        heap: &mut *heap,
+                        arena: &mut *arena,
+                        stats: &mut *stats,
+                        checksum: &mut *checksum,
+                        output: &mut *output,
+                    };
+                    driver.run_trace(trace, &mut m)?;
+                    reload!();
+                }
                 continue;
             }
 

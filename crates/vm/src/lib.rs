@@ -41,6 +41,7 @@
 pub mod arena;
 pub mod decode;
 pub mod dispatch;
+pub mod driver;
 pub mod error;
 pub mod frame;
 pub mod fuse;
@@ -54,6 +55,7 @@ pub mod value;
 pub use arena::{FrameArena, FrameInfo};
 pub use decode::{DOp, DecodedFunction, DecodedMemory, DecodedProgram};
 pub use dispatch::DispatchCounts;
+pub use driver::{BlockDriver, Machine};
 pub use error::VmError;
 pub use fuse::{BlockCounts, FuseQuirk, FusionConfig, FusionPlan, FusionProfile, FusionReport};
 pub use heap::{Heap, HeapObj};

@@ -47,16 +47,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     })?;
     let profiled_time = t0.elapsed();
 
-    // Trace-executing engine (second run = warm cache), decoded form.
+    // Trace-executing engine (second run = warm cache).
     let mut engine = TracingVm::new(
         &w.program,
         EngineConfig {
             jit,
-            optimize: false,
-            superinstructions: true,
-            reg_ir: false,
-            dop_fusion: true,
-            health: true,
+            ..EngineConfig::paper_default()
         },
     );
     engine.run(&w.args)?;
@@ -70,11 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &w.program,
         EngineConfig {
             jit,
-            optimize: true,
-            superinstructions: true,
-            reg_ir: false,
-            dop_fusion: true,
-            health: true,
+            ..EngineConfig::paper_default().with_optimizer(true)
         },
     );
     opt_engine.run(&w.args)?;
@@ -82,24 +74,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let opt_report = opt_engine.run(&w.args)?;
     let opt_time = t0.elapsed();
     assert_eq!(opt_report.checksum, w.expected_checksum);
-
-    // Register-lowered traces: the final lowering stage.
-    let mut reg_engine = TracingVm::new(
-        &w.program,
-        EngineConfig {
-            jit,
-            optimize: true,
-            superinstructions: true,
-            reg_ir: true,
-            dop_fusion: true,
-            health: true,
-        },
-    );
-    reg_engine.run(&w.args)?;
-    let t0 = Instant::now();
-    let reg_report = reg_engine.run(&w.args)?;
-    let reg_time = t0.elapsed();
-    assert_eq!(reg_report.checksum, w.expected_checksum);
 
     println!("interpreter (no profiler) : {plain_time:>10.2?}  {plain_dispatches} dispatches");
     println!(
@@ -115,18 +89,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "engine + trace optimizer  : {opt_time:>10.2?}  {} instructions executed (vs {})",
         opt_report.exec.instructions, report.exec.instructions
     );
-    println!("engine + register traces  : {reg_time:>10.2?}");
     let s = opt_engine.opt_stats();
     println!(
         "\ntrace optimizer: {} folds, {} dead-stack eliminations, {} identities, {} strength reductions — {:.1}% of compiled trace code removed",
         s.folds, s.eliminations, s.identities, s.reductions, 100.0 * s.savings()
     );
-    let fs = engine.fuse_stats();
-    println!(
-        "superinstructions: {} groups fused, compiled code {} -> {} entries",
-        fs.fused_groups, fs.before, fs.after
-    );
-    let rs = reg_engine.reg_stats();
+    let rs = engine.reg_stats();
     println!(
         "register lowering: {} -> {} instrs, {} virtual regs, {} stack ops eliminated, {} guards fused",
         rs.before, rs.after, rs.regs, rs.eliminated, rs.guards_fused

@@ -26,7 +26,6 @@ struct Options {
     threshold: f64,
     delay: u32,
     unroll: usize,
-    reg_ir: bool,
     dop_fusion: bool,
     /// Lifetime trace-health subsystem (demotion ladder); `--no-health`
     /// restores fast-trigger-only quarantining.
@@ -49,7 +48,6 @@ impl Default for Options {
             threshold: 0.97,
             delay: 64,
             unroll: 1,
-            reg_ir: true,
             dop_fusion: true,
             health: true,
             out: ".".into(),
@@ -63,7 +61,7 @@ impl Default for Options {
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  tracevm run <workload> [--scale test|small|paper] [--engine interp|trace|exec|exec-opt]\n\
-         \x20                        [--threshold T] [--delay D] [--unroll N] [--no-reg] [--no-fuse] [--no-health]\n\
+         \x20                        [--threshold T] [--delay D] [--unroll N] [--no-fuse] [--no-health]\n\
          \x20                        [--save-snapshot FILE] [--load-snapshot FILE [--aot]]\n\
          \x20 tracevm disasm <workload> [--scale ...]\n\
          \x20 tracevm dot <workload> [--out DIR] [--scale ...]\n\
@@ -109,7 +107,6 @@ fn parse_options(args: &mut std::env::Args, opts: &mut Options) -> Result<(), St
                     .parse()
                     .map_err(|e| format!("bad unroll: {e}"))?
             }
-            "--no-reg" => opts.reg_ir = false,
             "--no-fuse" => opts.dop_fusion = false,
             "--no-health" => opts.health = false,
             "--out" => opts.out = need("--out")?,
@@ -215,8 +212,6 @@ fn cmd_run(w: &Workload, opts: &Options) -> Result<(), Box<dyn std::error::Error
                 EngineConfig {
                     jit: jit_config(opts),
                     optimize: opts.engine == "exec-opt",
-                    superinstructions: true,
-                    reg_ir: opts.reg_ir,
                     dop_fusion: opts.dop_fusion,
                     health: opts.health,
                 },

@@ -3,22 +3,26 @@
 //! engine must produce identical results and checksums — the trace
 //! machinery, guards, side exits and peephole passes may never change
 //! observable semantics.
+//!
+//! The engine runs out-of-trace code on the interpreter's own decoded
+//! loop, so an engine that never builds a trace must be the interpreter
+//! plus a profiler, bit for bit — the last test here. (The hand-offs
+//! between loop and trace are pinned in `reg_differential.rs`, on the
+//! guard-flip programs.)
 
+use tracecache_repro::bcg::BranchCorrelationGraph;
+use tracecache_repro::bytecode::Program;
+use tracecache_repro::conformance::genprog::{args_from, build_program, gen_block};
 use tracecache_repro::exec::{EngineConfig, TracingVm};
 use tracecache_repro::jit::TraceJitConfig;
-use tracecache_repro::vm::{NullObserver, Vm};
+use tracecache_repro::vm::{NullObserver, Value, Vm};
+use tracecache_repro::workloads::prng::{seed_stream, Xoshiro256StarStar};
 use tracecache_repro::workloads::{registry, Scale};
 
-// `reg_ir: false` keeps this suite pinned on the decoded-trace path —
-// the register path has its own differential suite (reg_differential.rs).
 fn engine_config() -> EngineConfig {
     EngineConfig {
         jit: TraceJitConfig::paper_default().with_start_delay(16),
-        optimize: false,
-        superinstructions: true,
-        reg_ir: false,
-        dop_fusion: true,
-        health: true,
+        ..EngineConfig::paper_default()
     }
 }
 
@@ -108,5 +112,75 @@ fn warm_engine_runs_stay_correct() {
     for i in 0..3 {
         let report = engine.run(&w.args).unwrap();
         assert_eq!(report.checksum, w.expected_checksum, "run {i}");
+    }
+}
+
+/// A start delay no run reaches: no node ever leaves `NewlyCreated`, so
+/// nothing is built and every block runs on the loop.
+fn never_enter_config() -> EngineConfig {
+    EngineConfig {
+        jit: TraceJitConfig::paper_default().with_start_delay(1_000_000_000),
+        ..EngineConfig::paper_default()
+    }
+}
+
+/// Runs `program` twice on a never-entering engine and twice on the
+/// interpreter with `bcg.observe` as its observer (the second engine run
+/// executes DOp-fused streams), demanding identical everything.
+fn assert_never_enter_matches(program: &Program, args: &[Value], label: &str) {
+    let config = never_enter_config();
+    let mut plain = Vm::new(program);
+    let mut bcg = BranchCorrelationGraph::new(config.jit.bcg_config());
+    let mut engine = TracingVm::new(program, config);
+    for run in 0..2 {
+        bcg.begin_stream();
+        let want = plain.run(args, &mut |b| {
+            bcg.observe(b);
+        });
+        match (engine.run(args), want) {
+            (Ok(report), Ok(want)) => {
+                assert_eq!(report.result, want, "{label} run {run}: result");
+                assert_eq!(
+                    report.checksum,
+                    plain.checksum(),
+                    "{label} run {run}: checksum"
+                );
+                assert_eq!(report.exec, plain.stats(), "{label} run {run}: exec stats");
+                assert_eq!(
+                    report.profiler,
+                    bcg.stats(),
+                    "{label} run {run}: profiler stats"
+                );
+                assert_eq!(report.traces.entered, 0, "{label} run {run}: entered");
+                assert_eq!(
+                    report.traces.blocks_outside,
+                    report.exec.block_dispatches * (run + 1),
+                    "{label} run {run}: every dispatch (of every run so far) is outside"
+                );
+                assert_eq!(report.cache.traces_constructed, 0, "{label} run {run}");
+            }
+            (Err(got), Err(want)) => assert_eq!(got, want, "{label} run {run}: trap"),
+            (got, want) => panic!("{label} run {run}: engine {got:?} vs interpreter {want:?}"),
+        }
+        assert_eq!(
+            engine.interpreter().heap_stats(),
+            plain.heap_stats(),
+            "{label} run {run}: heap stats"
+        );
+    }
+}
+
+#[test]
+fn never_entering_engine_is_the_interpreter_plus_profiler() {
+    for w in registry::all(Scale::Test) {
+        assert_never_enter_matches(&w.program, &w.args, w.name);
+    }
+    for case in 0..64 {
+        let seed = seed_stream(0xE7E4_0FF5, case);
+        let mut rng = Xoshiro256StarStar::new(seed);
+        let stmts = gen_block(&mut rng, 3, 1, 8);
+        let program = build_program(&stmts);
+        let args = args_from(rng.next_i64());
+        assert_never_enter_matches(&program, &args, &format!("seed {seed:#x}"));
     }
 }

@@ -91,11 +91,7 @@ fn engines_agree_on_random_programs() {
             &program,
             EngineConfig {
                 jit,
-                optimize: false,
-                superinstructions: true,
-                reg_ir: true,
-                dop_fusion: true,
-                health: true,
+                ..EngineConfig::paper_default()
             },
         );
         let r = engine.run(&args).expect("engine runs");
@@ -109,11 +105,7 @@ fn engines_agree_on_random_programs() {
             &program,
             EngineConfig {
                 jit,
-                optimize: true,
-                superinstructions: true,
-                reg_ir: true,
-                dop_fusion: true,
-                health: true,
+                ..EngineConfig::paper_default().with_optimizer(true)
             },
         );
         let r = opt.run(&args).expect("optimizing engine runs");
@@ -150,11 +142,7 @@ fn unrolling_preserves_semantics_on_random_programs() {
             &program,
             EngineConfig {
                 jit,
-                optimize: true,
-                superinstructions: true,
-                reg_ir: true,
-                dop_fusion: true,
-                health: true,
+                ..EngineConfig::paper_default().with_optimizer(true)
             },
         );
         let r = engine.run(&args).expect("engine runs");

@@ -1,42 +1,36 @@
-//! Differential testing of the register-lowered trace path: with
-//! `reg_ir` on, the engine executes hot traces from three-address
-//! virtual-register code, and nothing observable may change — results,
-//! checksums, and (unoptimized) the exact instruction count must match
-//! the plain interpreter bit-for-bit.
+//! Differential testing of the register-lowered trace path: the engine
+//! executes hot traces from three-address virtual-register code, and
+//! nothing observable may change — results, checksums, and
+//! (unoptimized) the exact instruction count must match the plain
+//! interpreter bit-for-bit.
 //!
-//! Coverage is three-pronged:
+//! The six paper workloads are `engine_differential.rs`'s rows; this
+//! suite adds:
 //!
-//! * all six paper workloads, asserting traces really take the register
-//!   path (not the decoded fallback);
 //! * a seeded fuzz corpus over the shared [`genprog`] generator;
 //! * hand-built side-exit-heavy chaos programs that force every guard
 //!   kind to *fail* — conditional, switch, virtual-dispatch and
 //!   return-continuation (including the depth-0 recursive-entry case) —
 //!   so the register→frame reconstruction at each exit kind is proven
-//!   against the interpreter, not just the guard-passes fast path.
+//!   against the interpreter, not just the guard-passes fast path;
+//! * the seam between trace and loop on those same programs: a fuel
+//!   limit placed at *every* instruction index cuts every hand-off
+//!   (trace entry, side exit, the final terminator handed back,
+//!   in-trace call and return) exactly where it cuts the interpreter;
+//!   in-trace stack overflow and collection agree with the
+//!   interpreter's; and hand-backs that land inside DOp-fused groups
+//!   execute the remainder unfused.
 //!
 //! [`genprog`]: tracecache_repro::conformance::genprog
 
 use tracecache_repro::bytecode::{CmpOp, Intrinsic, Program, ProgramBuilder};
 use tracecache_repro::conformance::genprog::{args_from, build_program, gen_block};
-use tracecache_repro::exec::{EngineConfig, TracingVm};
+use tracecache_repro::exec::{compile, lower_reg, EngineConfig, TracingVm};
 use tracecache_repro::jit::TraceJitConfig;
-use tracecache_repro::vm::{NullObserver, Value, Vm};
+use tracecache_repro::vm::{fuse, NullObserver, Value, Vm, VmError};
 use tracecache_repro::workloads::prng::{seed_stream, Xoshiro256StarStar};
-use tracecache_repro::workloads::{registry, Scale};
 
 const BASE_SEED: u64 = 0xD1FF_5EED ^ 0x4E67;
-
-fn reg_config() -> EngineConfig {
-    EngineConfig {
-        jit: TraceJitConfig::paper_default().with_start_delay(16),
-        optimize: false,
-        superinstructions: true,
-        reg_ir: true,
-        dop_fusion: true,
-        health: true,
-    }
-}
 
 /// Aggressive tracing so the tiny chaos programs actually trace.
 fn chaos_config() -> EngineConfig {
@@ -44,11 +38,7 @@ fn chaos_config() -> EngineConfig {
         jit: TraceJitConfig::paper_default()
             .with_start_delay(2)
             .with_threshold(0.90),
-        optimize: false,
-        superinstructions: true,
-        reg_ir: true,
-        dop_fusion: true,
-        health: true,
+        ..EngineConfig::paper_default()
     }
 }
 
@@ -77,29 +67,7 @@ fn assert_reg_matches(
         plain.stats().instructions,
         "{label}: register traces must execute the same instruction sequence"
     );
-    (report.traces, engine.reg_lowered_count())
-}
-
-#[test]
-fn reg_engine_matches_interpreter_on_all_workloads() {
-    for w in registry::all(Scale::Test) {
-        let (traces, reg_count) = assert_reg_matches(&w.program, &w.args, reg_config(), w.name);
-        assert!(traces.entered > 0, "{}: no traces dispatched", w.name);
-        assert!(reg_count > 0, "{}: no trace took the register path", w.name);
-    }
-}
-
-#[test]
-fn optimized_reg_engine_preserves_semantics_on_all_workloads() {
-    for w in registry::all(Scale::Test) {
-        let mut engine = TracingVm::new(&w.program, reg_config().with_optimizer(true));
-        let report = engine.run(&w.args).unwrap();
-        assert_eq!(
-            report.checksum, w.expected_checksum,
-            "{}: optimizer + register lowering broke semantics",
-            w.name
-        );
-    }
+    (report.traces, engine.compiled_count())
 }
 
 #[test]
@@ -119,35 +87,24 @@ fn reg_engine_matches_interpreter_on_random_programs() {
     }
 }
 
-/// Warm register traces stay correct across runs (the constant table and
-/// register file are rebuilt per dispatch, never stale).
-#[test]
-fn warm_reg_engine_runs_stay_correct() {
-    let w = registry::compress(Scale::Test);
-    let mut engine = TracingVm::new(&w.program, reg_config());
-    for i in 0..3 {
-        let report = engine.run(&w.args).unwrap();
-        assert_eq!(report.checksum, w.expected_checksum, "run {i}");
-    }
-    assert!(engine.reg_lowered_count() > 0);
-}
-
-/// A hot loop whose conditional flips every 16th iteration: the trace
-/// guards the 15/16-biased direction and must side-exit (reconstructing
-/// the frame) on each flip.
-fn cond_flip_program() -> Program {
+/// A hot loop whose conditional — `load; load; if_icmp`, fusable —
+/// flips whenever `i & mask == 0`, closed by `iinc; goto` (a fusable
+/// pair): traces enter, side-exit and complete many times over.
+fn cond_flip_program(mask: i64) -> Program {
     let mut pb = ProgramBuilder::new();
     let f = pb.declare_function("main", 1, true);
     let b = pb.function_mut(f);
     let s = b.alloc_local();
-    b.iconst(0).store(s);
+    let t = b.alloc_local();
+    let z = b.alloc_local();
+    b.iconst(0).store(s).iconst(0).store(z);
     let head = b.bind_new_label();
     let exit = b.new_label();
     let rare = b.new_label();
     let join = b.new_label();
     b.load(0).if_i(CmpOp::Le, exit);
-    b.load(0).iconst(15).iand().if_i(CmpOp::Eq, rare);
-    // common arm: s = s*3 + i
+    b.load(0).iconst(mask).iand().store(t);
+    b.load(t).load(z).if_icmp(CmpOp::Eq, rare);
     b.load(s)
         .iconst(3)
         .imul()
@@ -167,7 +124,7 @@ fn cond_flip_program() -> Program {
 
 #[test]
 fn cond_guard_side_exits_reconstruct_the_frame() {
-    let program = cond_flip_program();
+    let program = cond_flip_program(15);
     let (traces, reg_count) =
         assert_reg_matches(&program, &[Value::Int(4_000)], chaos_config(), "cond-flip");
     assert!(reg_count > 0, "register traces must lower");
@@ -222,17 +179,21 @@ fn switch_guard_side_exits_reconstruct_the_frame() {
 
 /// Virtual dispatch whose receiver class flips every 16th iteration,
 /// selected branch-free through an array so the *receiver guard* (not an
-/// earlier conditional guard) takes the miss. Also covers allocation and
-/// array traffic inside register traces.
+/// earlier conditional guard) takes the miss. The loop also calls a leaf
+/// statically and allocates garbage with a live field write, so traces
+/// carry in-trace calls, static and guarded returns, array traffic and
+/// allocation points (collection roots).
 fn virtual_flip_program() -> Program {
     let mut pb = ProgramBuilder::new();
+    let leaf = pb.declare_function("leaf", 2, true);
+    pb.function_mut(leaf).load(0).load(1).iadd().ret();
     let ma = pb.declare_function("A.m", 1, true);
     pb.function_mut(ma).iconst(17).ret();
     let mb = pb.declare_function("B.m", 1, true);
     pb.function_mut(mb).iconst(91).ret();
-    let a = pb.declare_class("A", None, 0);
+    let a = pb.declare_class("A", None, 1);
     let slot = pb.add_method(a, ma);
-    let bcls = pb.declare_class("B", None, 0);
+    let bcls = pb.declare_class("B", None, 1);
     let slot_b = pb.add_method(bcls, mb);
     assert_eq!(slot, slot_b);
 
@@ -248,6 +209,7 @@ fn virtual_flip_program() -> Program {
     let head = b.bind_new_label();
     let exit = b.new_label();
     b.load(0).if_i(CmpOp::Le, exit);
+    b.load(s).load(0).invoke_static(leaf).store(s);
     // idx = ((i & 15) + 15) >> 4  — branch-free: 0 iff (i & 15) == 0.
     b.load(arr);
     b.load(0)
@@ -259,6 +221,7 @@ fn virtual_flip_program() -> Program {
         .ishr();
     b.aload().invoke_virtual(slot, 1);
     b.load(s).iadd().store(s);
+    b.new_obj(a).load(s).put_field(0);
     b.load(s).intrinsic(Intrinsic::Checksum);
     b.iinc(0, -1).goto(head);
     b.bind(exit);
@@ -327,7 +290,7 @@ fn return_guard_side_exits_reconstruct_the_frame() {
 #[test]
 fn chaos_programs_survive_warm_optimized_runs() {
     for (name, program, n) in [
-        ("cond-flip", cond_flip_program(), 2_000),
+        ("cond-flip", cond_flip_program(15), 2_000),
         ("switch-flip", switch_flip_program(), 2_000),
         ("virtual-flip", virtual_flip_program(), 2_000),
         ("recursive-return", recursive_return_program(), 200),
@@ -342,4 +305,196 @@ fn chaos_programs_survive_warm_optimized_runs() {
             assert_eq!(report.checksum, want, "{name} run {run}");
         }
     }
+}
+
+/// Everything observable about a finished (or cut) run that must not
+/// depend on who executed it.
+fn run_state(vm: &Vm<'_>) -> (u64, u64, usize, u64, u64, u64) {
+    let s = vm.stats();
+    (
+        s.instructions,
+        vm.checksum(),
+        vm.output().len(),
+        vm.heap_stats().allocations,
+        s.calls,
+        s.returns,
+    )
+}
+
+/// Cuts `program` off at every fuel value from 0 to one past its full
+/// instruction count, on the interpreter and on an engine booted with
+/// the traces of a full run already linked, and demands the same
+/// outcome and the same machine state at every cut.
+fn assert_fuel_cuts_match(name: &str, program: &Program, args: &[Value]) {
+    let config = chaos_config();
+    let mut warm = TracingVm::new(program, config);
+    let full = warm.run(args).unwrap();
+    assert!(
+        full.traces.completed > 0 && full.traces.exited_early > 0,
+        "{name}: the warm-up must both complete and side-exit traces: {:?}",
+        full.traces
+    );
+    let snapshot = warm.snapshot();
+
+    for fuel in 0..=full.exec.instructions + 1 {
+        let mut cut = config;
+        cut.jit.vm.max_steps = fuel;
+        let mut plain = Vm::with_config(program, cut.jit.vm);
+        let want = plain.run(args, &mut NullObserver);
+        let mut engine = TracingVm::new(program, cut);
+        engine.load_snapshot(&snapshot).unwrap();
+        let got = engine.run(args);
+        if fuel < full.exec.instructions {
+            assert_eq!(want, Err(VmError::OutOfFuel), "{name}: fuel {fuel}");
+        }
+        assert_eq!(
+            got.as_ref().map(|r| r.result).map_err(Clone::clone),
+            want,
+            "{name}: fuel {fuel}"
+        );
+        assert_eq!(
+            run_state(engine.interpreter()),
+            run_state(&plain),
+            "{name}: machine state at fuel {fuel}"
+        );
+        if let Ok(report) = got {
+            assert!(report.traces.entered > 0, "{name}: fuel {fuel} ran cold");
+        }
+    }
+}
+
+#[test]
+fn fuel_cut_at_every_instruction_matches_the_interpreter() {
+    assert_fuel_cuts_match("cond-flip", &cond_flip_program(15), &[Value::Int(70)]);
+    assert_fuel_cuts_match("virtual-flip", &virtual_flip_program(), &[Value::Int(40)]);
+    assert_fuel_cuts_match(
+        "recursive-return",
+        &recursive_return_program(),
+        &[Value::Int(20)],
+    );
+}
+
+#[test]
+fn in_trace_call_stack_overflow_matches_the_interpreter() {
+    let program = recursive_return_program();
+    let mut config = chaos_config();
+    config.jit.vm.max_frames = 48;
+
+    // Warm the traces below the limit, then recurse through it: the
+    // overflowing call is made from inside a trace.
+    let mut engine = TracingVm::new(&program, config);
+    engine.run(&[Value::Int(40)]).unwrap();
+    let mut plain = Vm::with_config(&program, config.jit.vm);
+    assert_eq!(
+        plain.run(&[Value::Int(400)], &mut NullObserver),
+        Err(VmError::CallStackOverflow)
+    );
+    assert_eq!(
+        engine.run(&[Value::Int(400)]).map(|r| r.result),
+        Err(VmError::CallStackOverflow)
+    );
+    let (got, want) = (engine.interpreter().stats(), plain.stats());
+    assert_eq!(run_state(engine.interpreter()), run_state(&plain));
+    assert_eq!(got.max_frame_depth, want.max_frame_depth);
+    assert_eq!(got.branches, want.branches);
+    assert!(
+        got.block_dispatches * 2 < want.block_dispatches,
+        "the recursion must have run in traces: {} vs {} dispatches",
+        got.block_dispatches,
+        want.block_dispatches
+    );
+}
+
+#[test]
+fn allocation_storm_collects_exactly_like_the_interpreter() {
+    let program = virtual_flip_program();
+    let mut config = chaos_config();
+    config.jit.vm.gc_threshold = 64;
+    let args = [Value::Int(5_000)];
+
+    let mut plain = Vm::with_config(&program, config.jit.vm);
+    let want = plain.run(&args, &mut NullObserver).unwrap();
+    assert!(plain.heap_stats().collections > 3, "the storm must collect");
+
+    let mut engine = TracingVm::new(&program, config);
+    for run in 0..2 {
+        let report = engine.run(&args).unwrap();
+        assert_eq!(report.result, want, "run {run}");
+        assert_eq!(report.checksum, plain.checksum(), "run {run}");
+        assert_eq!(
+            report.exec.instructions,
+            plain.stats().instructions,
+            "run {run}"
+        );
+        assert!(
+            report.traces.completed > 1_000,
+            "run {run}: {:?}",
+            report.traces
+        );
+        assert_eq!(
+            engine.interpreter().heap_stats(),
+            plain.heap_stats(),
+            "run {run}: same allocations, same collections, same survivors"
+        );
+    }
+}
+
+#[test]
+fn hand_backs_land_inside_fused_groups_and_on_standalone_ops() {
+    let program = cond_flip_program(63);
+    let mut plain = Vm::new(&program);
+    let mut engine = TracingVm::new(&program, EngineConfig::paper_default());
+
+    // Run 1 is shorter than the start delay: every block is profiled on
+    // the loop, nothing is traced, and the fusion selection made when it
+    // ends covers every pattern of the loop body. The later runs trace
+    // (a 63/64 bias clears the threshold) and side-exit into the fused
+    // streams.
+    for (run, n) in [40, 20_000, 20_000].into_iter().enumerate() {
+        let args = [Value::Int(n)];
+        let want = plain.run(&args, &mut NullObserver).unwrap();
+        let report = engine.run(&args).unwrap();
+        assert_eq!(report.result, want, "run {run}");
+        assert_eq!(report.checksum, plain.checksum(), "run {run}");
+        assert_eq!(report.exec.instructions, plain.stats().instructions);
+        assert_eq!(report.traces.exited_early > 0, run > 0, "run {run}");
+    }
+
+    // Where do this engine's traces hand back to the loop? A guarded
+    // instruction is its block's terminator, so it is never a group
+    // *head*; it is either the tail of a group (`load; if_icmp`,
+    // `iinc; goto`) — the hand-back lands on a shadow slot and the loop
+    // must run it unfused — or a standalone op, from which the loop
+    // walks into the next block's fused heads.
+    let decoded = engine.decoded();
+    let (mut on_shadow, mut standalone) = (0, 0);
+    for trace in engine.cache().iter_traces().filter(|t| !t.is_empty()) {
+        let Ok(ct) = compile(&program, trace) else {
+            continue;
+        };
+        let rt = lower_reg(&program, decoded, &ct).expect("lowers");
+        for exit in &rt.exits {
+            let df = decoded.func(exit.func);
+            let at = exit.dpc as usize;
+            assert!(!fuse::is_fused(df.code[at].op), "a guard on a group head");
+            let covered = (at.saturating_sub(2)..at).any(|h| {
+                df.block_of[h] == exit.block
+                    && fuse::is_fused(df.code[h].op)
+                    && h + fuse::desc_for(df.code[h].op).width() > at
+            });
+            if covered {
+                on_shadow += 1;
+            } else {
+                standalone += 1;
+            }
+        }
+    }
+    assert!(on_shadow > 0, "no hand-back lands on a shadow slot");
+    assert!(standalone > 0, "no hand-back lands on a standalone op");
+    let df = decoded.func(program.entry());
+    assert!(
+        (1..df.code.len())
+            .any(|i| df.block_of[i - 1] != df.block_of[i] && fuse::is_fused(df.code[i + 1].op)),
+        "no block opens with a fused group"
+    );
 }
