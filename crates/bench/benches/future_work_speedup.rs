@@ -10,8 +10,7 @@
 //! * `profiled` — the interpreter with the BCG profiler on every block
 //!   dispatch (the always-profiling upper bound);
 //! * `engine` — the trace-executing VM: profiler on out-of-trace
-//!   dispatches only, traces run from compiled guarded code;
-//! * `engine_opt` — the same with the trace peephole optimizer.
+//!   dispatches only, traces run from compiled guarded code.
 //!
 //! The paper's claim corresponds to `engine` landing close to
 //! `interpreter` and well below `profiled`.
@@ -75,41 +74,26 @@ fn bench_future_work(c: &mut Criterion) {
                 black_box(r.checksum)
             })
         });
-        group.bench_function(format!("{}/engine_opt", w.name), |b| {
-            let mut engine = TracingVm::new(
-                &w.program,
-                EngineConfig::paper_default().with_optimizer(true),
-            );
-            b.iter(|| {
-                let r = engine.run(black_box(&w.args)).unwrap();
-                black_box(r.checksum)
-            })
-        });
     }
     group.finish();
 
-    // One-shot summary: dispatch reduction and optimizer savings.
+    // One-shot summary: dispatch reduction.
     println!("\nfuture-work summary (warmed engine, one run each):");
     for w in &workloads {
         let mut plain = Vm::new(&w.program);
         plain.run(&w.args, &mut NullObserver).unwrap();
         let interpreter_dispatches = plain.stats().block_dispatches;
 
-        let mut engine = TracingVm::new(
-            &w.program,
-            EngineConfig::paper_default().with_optimizer(true),
-        );
+        let mut engine = TracingVm::new(&w.program, EngineConfig::paper_default());
         let _ = engine.run(&w.args).unwrap(); // warm the cache
         let r = engine.run(&w.args).unwrap();
-        let s = engine.opt_stats();
         println!(
-            "  {:10} dispatches {:>9} (interpreter {:>9}, {:>5.2}x fewer)  completion {:>6.2}%  opt-savings {:>5.1}%",
+            "  {:10} dispatches {:>9} (interpreter {:>9}, {:>5.2}x fewer)  completion {:>6.2}%",
             w.name,
             r.exec.block_dispatches,
             interpreter_dispatches,
             interpreter_dispatches as f64 / r.exec.block_dispatches.max(1) as f64,
             100.0 * r.completion_rate(),
-            100.0 * s.savings(),
         );
     }
 }

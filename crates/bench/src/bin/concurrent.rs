@@ -23,8 +23,8 @@
 //! degraded (interpreter-only) mode.
 //!
 //! `--load-snapshot` runs only the snapshot warm-boot leg (cold start vs
-//! `TracingVm::load_snapshot` vs `TracingVm::aot_replay`, single VM) —
-//! the default full run includes this leg alongside the thread ladder.
+//! `TracingVm::load_snapshot`, single VM) — the default full run
+//! includes this leg alongside the thread ladder.
 //!
 //! `--phase-shift` runs only the self-healing A/B leg: each phase-shift
 //! workload once with the trace-health ladder on (default) and once

@@ -15,9 +15,8 @@
 //!
 //! A fourth, single-VM leg measures **snapshot warm boot**: one private
 //! VM is warmed and snapshotted ([`TracingVm::snapshot`]), then fresh
-//! VMs are booted from those bytes — via [`TracingVm::load_snapshot`]
-//! (verbatim restore) and [`TracingVm::aot_replay`] (profile replayed
-//! through the constructor) — and compared against a cold start on
+//! VMs are booted from those bytes with [`TracingVm::load_snapshot`]
+//! and compared against a cold start on
 //! dispatches-before-first-trace-entry and in-run construction events.
 //!
 //! Each measurement is the *minimum wall clock* over `repeats`
@@ -126,8 +125,8 @@ impl ConcurrentRow {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BootPoint {
     /// Minimum wall clock of the timed run, seconds. Boot itself
-    /// (loading or replaying the snapshot) is *not* timed — the point of
-    /// the leg is what serving costs after the boot mode did its work.
+    /// (loading the snapshot) is *not* timed — the point of the leg is
+    /// what serving costs after the boot did its work.
     pub wall_s: f64,
     /// Instructions retired in the best repeat.
     pub instructions: u64,
@@ -136,14 +135,14 @@ pub struct BootPoint {
     /// Block dispatches paid before the first trace entry (0 = the run
     /// never entered a trace) — time-to-first-trace-hit.
     pub first_entry_dispatch: u64,
-    /// Traces constructed *during the timed run*; boot-time replay work
-    /// is subtracted out. A warm start should construct (almost) nothing.
+    /// Traces constructed *during the timed run*. A warm start should
+    /// construct (almost) nothing.
     pub traces_constructed: u64,
     /// Traces entered during the run.
     pub traces_entered: u64,
 }
 
-/// One workload's cold / warm-boot / AOT-replay comparison.
+/// One workload's cold vs warm-boot comparison.
 #[derive(Debug, Clone)]
 pub struct WarmBootRow {
     /// Workload name (registry name).
@@ -154,14 +153,10 @@ pub struct WarmBootRow {
     pub boot_traces: usize,
     /// Trace artifacts pre-built (compiled + lowered) by the warm boot.
     pub boot_artifacts: usize,
-    /// Traces the AOT replay re-admitted through the constructor.
-    pub aot_traces: usize,
     /// Fresh VM, no snapshot.
     pub cold: BootPoint,
     /// Fresh VM booted with [`TracingVm::load_snapshot`].
     pub warm: BootPoint,
-    /// Fresh VM booted with [`TracingVm::aot_replay`].
-    pub aot: BootPoint,
 }
 
 impl WarmBootRow {
@@ -328,16 +323,14 @@ impl ConcurrentReport {
         for (i, r) in self.warm_boot.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"snapshot_bytes\": {}, \"boot_traces\": {}, \
-                 \"boot_artifacts\": {}, \"aot_traces\": {},\n     \"cold\": {},\n     \
-                 \"warm_boot\": {},\n     \"aot_replay\": {}}}{}\n",
+                 \"boot_artifacts\": {},\n     \"cold\": {},\n     \
+                 \"warm_boot\": {}}}{}\n",
                 r.name,
                 r.snapshot_bytes,
                 r.boot_traces,
                 r.boot_artifacts,
-                r.aot_traces,
                 boot_point(&r.cold),
                 boot_point(&r.warm),
-                boot_point(&r.aot),
                 if i + 1 == self.warm_boot.len() {
                     ""
                 } else {
@@ -482,7 +475,7 @@ impl ConcurrentReport {
 
     /// Renders the snapshot warm-boot table: dispatches paid before the
     /// first trace entry (`…-fed`) and traces constructed during the
-    /// timed run (`…-cons`) for cold start, warm boot, and AOT replay.
+    /// timed run (`…-cons`) for cold start and warm boot.
     pub fn render_warm_boot(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -491,31 +484,27 @@ impl ConcurrentReport {
             self.scale, self.repeats
         ));
         out.push_str(&format!(
-            "{:<10} {:>7} {:>6} {:>5} {:>8} {:>8} {:>8} {:>9} {:>9} {:>9}\n",
+            "{:<10} {:>7} {:>6} {:>5} {:>8} {:>8} {:>9} {:>9}\n",
             "workload",
             "snap-B",
             "traces",
             "preb",
             "cold-fed",
             "warm-fed",
-            "aot-fed",
             "cold-cons",
-            "warm-cons",
-            "aot-cons"
+            "warm-cons"
         ));
         for r in &self.warm_boot {
             out.push_str(&format!(
-                "{:<10} {:>7} {:>6} {:>5} {:>8} {:>8} {:>8} {:>9} {:>9} {:>9}\n",
+                "{:<10} {:>7} {:>6} {:>5} {:>8} {:>8} {:>9} {:>9}\n",
                 r.name,
                 r.snapshot_bytes,
                 r.boot_traces,
                 r.boot_artifacts,
                 r.cold.first_entry_dispatch,
                 r.warm.first_entry_dispatch,
-                r.aot.first_entry_dispatch,
                 r.cold.traces_constructed,
                 r.warm.traces_constructed,
-                r.aot.traces_constructed,
             ));
             if let Some(ratio) = r.warmup_ratio() {
                 out.push_str(&format!(
@@ -651,61 +640,38 @@ fn measure_shared(
     }
 }
 
-/// How a [`measure_boot`] VM starts.
-#[derive(Clone, Copy)]
-enum BootMode {
-    Cold,
-    Warm,
-    Aot,
-}
-
-impl BootMode {
-    fn label(self) -> &'static str {
-        match self {
-            BootMode::Cold => "cold",
-            BootMode::Warm => "warm-boot",
-            BootMode::Aot => "aot-replay",
-        }
-    }
-}
-
-/// One single-VM boot-mode measurement: per repeat, a fresh VM boots
-/// per `mode` from `snapshot` and runs the workload once; the fastest
-/// repeat is kept. Returns the point plus that repeat's boot report
-/// (`None` for cold starts). Only the run is timed — the leg measures
-/// what serving costs *after* the boot mode did its work.
+/// One single-VM boot measurement: per repeat, a fresh VM starts cold
+/// (`snapshot` is `None`) or warm-boots from `snapshot`, and runs the
+/// workload once; the fastest repeat is kept. Returns the point plus
+/// that repeat's boot report (`None` for cold starts). Only the run is
+/// timed — the leg measures what serving costs *after* the boot did its
+/// work.
 fn measure_boot(
     w: &Workload,
     config: EngineConfig,
     repeats: usize,
-    snapshot: &[u8],
-    mode: BootMode,
+    snapshot: Option<&[u8]>,
 ) -> (BootPoint, Option<trace_exec::WarmBootReport>) {
     let mut best: Option<(BootPoint, Option<trace_exec::WarmBootReport>)> = None;
     for _ in 0..repeats.max(1) {
         let mut vm = TracingVm::new(&w.program, config);
-        let boot = match mode {
-            BootMode::Cold => None,
-            BootMode::Warm => Some(vm.load_snapshot(snapshot).expect("own snapshot loads")),
-            BootMode::Aot => Some(vm.aot_replay(snapshot).expect("own snapshot replays")),
-        };
-        let replayed = vm.constructor_stats().traces_created;
+        let boot = snapshot.map(|bytes| vm.load_snapshot(bytes).expect("own snapshot loads"));
         let start = Instant::now();
         let report = vm.run(&w.args).expect("workload runs");
         let wall = start.elapsed().as_secs_f64();
         assert_eq!(
             report.checksum,
             w.expected_checksum,
-            "{} checksum diverged after {} start",
+            "{} checksum diverged after a {} start",
             w.name,
-            mode.label()
+            if boot.is_some() { "warm-boot" } else { "cold" }
         );
         let point = BootPoint {
             wall_s: wall,
             instructions: report.exec.instructions,
             instr_per_s: report.exec.instructions as f64 / wall.max(f64::MIN_POSITIVE),
             first_entry_dispatch: report.traces.first_entry_dispatch,
-            traces_constructed: report.constructor.traces_created - replayed,
+            traces_constructed: report.constructor.traces_created,
             traces_entered: report.traces.entered,
         };
         if best.as_ref().is_none_or(|(b, _)| wall < b.wall_s) {
@@ -716,8 +682,8 @@ fn measure_boot(
 }
 
 /// Measures the snapshot warm-boot leg for every registry workload at
-/// `scale`: one private VM is warmed and snapshotted, then cold /
-/// warm-boot / AOT-replay starts are compared over `repeats`.
+/// `scale`: one private VM is warmed and snapshotted, then cold and
+/// warm-boot starts are compared over `repeats`.
 pub fn run_warm_boot_filtered(
     scale: Scale,
     repeats: usize,
@@ -734,19 +700,16 @@ pub fn run_warm_boot_filtered(
         let mut warming = TracingVm::new(&w.program, config);
         warming.run(&w.args).expect("warming run");
         let snapshot = warming.snapshot();
-        let (cold, _) = measure_boot(&w, config, repeats, &snapshot, BootMode::Cold);
-        let (warm, warm_report) = measure_boot(&w, config, repeats, &snapshot, BootMode::Warm);
-        let (aot, aot_report) = measure_boot(&w, config, repeats, &snapshot, BootMode::Aot);
+        let (cold, _) = measure_boot(&w, config, repeats, None);
+        let (warm, warm_report) = measure_boot(&w, config, repeats, Some(&snapshot));
         let wb = warm_report.unwrap_or_default();
         rows.push(WarmBootRow {
             name: w.name,
             snapshot_bytes: snapshot.len(),
             boot_traces: wb.traces_installed,
             boot_artifacts: wb.artifacts_prebuilt,
-            aot_traces: aot_report.unwrap_or_default().traces_installed,
             cold,
             warm,
-            aot,
         });
     }
     rows
@@ -1282,7 +1245,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_boot_leg_measures_all_three_start_modes() {
+    fn warm_boot_leg_measures_both_start_modes() {
         let report = run_boot_only(Scale::Test, 1, Some("compress"));
         assert!(report.rows.is_empty());
         assert_eq!(report.warm_boot.len(), 1);
@@ -1290,8 +1253,7 @@ mod tests {
         assert!(r.snapshot_bytes > 0);
         assert!(r.boot_traces > 0, "compress must snapshot some traces");
         assert!(r.boot_artifacts > 0, "warm boot must pre-build artifacts");
-        assert!(r.aot_traces > 0, "aot replay must re-admit traces");
-        for p in [&r.cold, &r.warm, &r.aot] {
+        for p in [&r.cold, &r.warm] {
             assert!(p.instructions > 0);
             assert!(p.instr_per_s > 0.0);
         }
@@ -1306,7 +1268,6 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"warm_boot\""));
         assert!(json.contains("\"first_entry_dispatch\""));
-        assert!(json.contains("\"aot_replay\""));
         assert!(report.render().contains("Snapshot warm boot"));
     }
 

@@ -275,7 +275,7 @@ fn engine_timing(
         &w.program,
         EngineConfig {
             jit,
-            ..EngineConfig::paper_default().with_optimizer(true)
+            ..EngineConfig::paper_default()
         },
     );
     let warm = engine.run(&w.args).expect("workload runs");

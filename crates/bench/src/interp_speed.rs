@@ -624,7 +624,7 @@ fn measure_workload(w: &Workload, repeats: usize) -> InterpRow {
         &w.program,
         EngineConfig {
             jit,
-            ..EngineConfig::paper_default().with_optimizer(true)
+            ..EngineConfig::paper_default()
         },
     );
     let reg_secs = min_secs(repeats, || {

@@ -61,7 +61,6 @@ pub fn fault_campaign_config() -> EngineConfig {
             ..TraceJitConfig::paper_default()
         }
         .with_threshold(0.90),
-        optimize: false,
         dop_fusion: true,
         health: true,
     }

@@ -1,23 +1,28 @@
-//! Trace flattening: from a block sequence to guarded straight-line code.
+//! Trace validation: from a block sequence to a checked chain with one
+//! control step per block.
 //!
-//! A compiled trace mirrors the exact instruction sequence the program
-//! executes along the trace's path. Control instructions are rewritten:
+//! A trace executes the exact instruction sequence the program executes
+//! along its path, so its straight-line instructions need no copy — the
+//! lowering ([`crate::reg`]) reads them from the [`Program`]. What this
+//! pass contributes is the *control* knowledge: for every block of the
+//! chain, how its terminator continues into the next block, checked
+//! against the program's control flow (restored snapshots reach this
+//! pass, so it verifies rather than trusts):
 //!
-//! | source terminator | compiled form |
+//! | source terminator | step |
 //! |---|---|
-//! | conditional branch | [`TInstr::GuardCond`] — side-exits if the outcome differs from the recorded direction |
-//! | `goto` | [`TInstr::Jump`] — keeps `pc` in sync, no guard needed |
-//! | implicit fall-through | [`TInstr::FallThrough`] — block-boundary marker |
-//! | `tableswitch` | [`TInstr::GuardSwitch`] — side-exits unless the selector lands on the recorded target |
-//! | `invokestatic` | [`TInstr::EnterStatic`] — pushes the callee frame (its entry block is the next trace block by construction) |
-//! | `invokevirtual` | [`TInstr::GuardVirtual`] — side-exits unless the receiver resolves to the recorded callee |
-//! | `return` | [`TInstr::GuardReturn`] — side-exits unless the caller's continuation is the recorded next block |
-//! | last block's terminator | [`TInstr::Finish`] — executed with full interpreter semantics; the trace then completes |
+//! | conditional branch | [`Step::GuardCond`] — side-exits if the outcome differs from the recorded direction |
+//! | `goto` | [`Step::Jump`] — no guard needed |
+//! | implicit fall-through | [`Step::FallThrough`] — block boundary; the block's last instruction is straight-line |
+//! | `tableswitch` | [`Step::GuardSwitch`] — side-exits unless the selector lands on the recorded target |
+//! | `invokestatic` | [`Step::EnterStatic`] — pushes the callee frame (its entry block is the next trace block by construction) |
+//! | `invokevirtual` | [`Step::GuardVirtual`] — side-exits unless the receiver resolves to the recorded callee |
+//! | `return` | [`Step::GuardReturn`] — side-exits unless the caller's continuation is the recorded next block |
+//! | last block's terminator | [`Step::Finish`] — handed back to the interpreter loop; the trace then completes |
 //!
-//! Every control `TInstr` carries its source location and re-anchors the
-//! frame's `pc` before evaluating, so side exits resume the interpreter
-//! at exactly the guarded instruction with the operand stack untouched —
-//! this is also what makes the [`crate::opt`] peephole passes safe.
+//! Every step but a fall-through sits on its block's last instruction,
+//! which is where a failed guard resumes the interpreter with the
+//! operand stack untouched.
 
 use std::error::Error;
 use std::fmt;
@@ -50,61 +55,31 @@ impl CondKind {
     }
 }
 
-/// One instruction of a compiled trace.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TInstr {
-    /// A plain (branch-free) instruction, executed exactly as the
-    /// interpreter would.
-    Op(Instr),
+/// How one block of a compiled trace continues into the next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
     /// Guarded conditional branch: continue in-trace if the outcome
-    /// equals `expected_taken`, otherwise side-exit at (`func`, `pc`).
+    /// equals `expected_taken`, otherwise side-exit at the branch.
     GuardCond {
         /// Branch shape.
         kind: CondKind,
         /// Direction the trace recorded.
         expected_taken: bool,
-        /// Target pc when taken (applied on a taken pass).
-        target: u32,
-        /// Owning function.
-        func: FuncId,
-        /// Source pc (side-exit resume point).
-        pc: u32,
     },
-    /// Unconditional jump (a `goto` inside the trace): sets `pc`.
-    Jump {
-        /// Jump target pc.
-        target: u32,
-        /// Owning function.
-        func: FuncId,
-        /// Source pc.
-        pc: u32,
-    },
+    /// Unconditional jump (a `goto` inside the trace).
+    Jump,
     /// Block boundary with fall-through (no control transfer).
     FallThrough,
     /// Guarded `tableswitch`: side-exit unless the selector maps to
     /// `expected_pc`.
     GuardSwitch {
-        /// Lowest selector mapped to `targets[0]`.
-        low: i64,
-        /// Jump table.
-        targets: Box<[u32]>,
-        /// Out-of-range target.
-        default: u32,
         /// The pc the trace expects the switch to select.
         expected_pc: u32,
-        /// Owning function.
-        func: FuncId,
-        /// Source pc.
-        pc: u32,
     },
     /// Static call whose callee body continues the trace.
     EnterStatic {
         /// The callee.
         callee: FuncId,
-        /// Owning function.
-        func: FuncId,
-        /// Source pc.
-        pc: u32,
     },
     /// Virtual call with a receiver guard: side-exit unless dispatch
     /// resolves to `expected`.
@@ -115,10 +90,6 @@ pub enum TInstr {
         argc: u16,
         /// Callee the trace recorded.
         expected: FuncId,
-        /// Owning function.
-        func: FuncId,
-        /// Source pc.
-        pc: u32,
     },
     /// Return with a continuation guard: side-exit unless the caller
     /// resumes in `expected`.
@@ -127,43 +98,25 @@ pub enum TInstr {
         expected: BlockId,
         /// Whether a value is returned.
         has_value: bool,
-        /// Owning function.
-        func: FuncId,
-        /// Source pc.
-        pc: u32,
     },
-    /// The final block's terminator, executed with full interpreter
-    /// semantics; afterwards the trace has completed.
-    Finish {
-        /// The terminator instruction.
-        instr: Instr,
-        /// Owning function.
-        func: FuncId,
-        /// Source pc.
-        pc: u32,
-    },
+    /// The final block's terminator, executed by the interpreter loop
+    /// with full semantics; afterwards the trace has completed.
+    Finish,
 }
 
-impl TInstr {
-    /// Whether this compiled instruction ends a source basic block (used
-    /// for per-block accounting during trace execution).
-    pub fn ends_block(&self) -> bool {
-        !matches!(self, TInstr::Op(_))
-    }
-}
-
-/// A trace flattened to guarded straight-line code.
-#[derive(Debug, Clone, PartialEq)]
+/// A trace checked against its program: the block chain plus, for every
+/// block, the control step that leaves it.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledTrace {
     /// The cache id this was compiled from.
     pub trace_id: TraceId,
-    /// The guarded instruction sequence.
-    pub code: Vec<TInstr>,
     /// The source block sequence (owned copy so the execution engine
     /// needs no cache access on the hot path).
     pub src_blocks: Vec<BlockId>,
-    /// Source instruction count across all blocks (pre-optimisation
-    /// baseline for the optimizer's statistics).
+    /// `steps[i]` leaves `src_blocks[i]`; the last one is
+    /// [`Step::Finish`].
+    pub steps: Vec<Step>,
+    /// Source instruction count across all blocks.
     pub src_instrs: usize,
 }
 
@@ -225,165 +178,115 @@ pub fn compile_blocks(
     trace_id: TraceId,
     blocks: &[BlockId],
 ) -> Result<CompiledTrace, CompileError> {
-    let mut code: Vec<TInstr> = Vec::new();
+    let mut steps: Vec<Step> = Vec::with_capacity(blocks.len());
     let mut src_instrs = 0usize;
 
     for (i, &blk) in blocks.iter().enumerate() {
         let func = program.function(blk.func);
         let block = func.block(blk.block);
         src_instrs += block.len() as usize;
-        let last_block = i + 1 == blocks.len();
-        let next = blocks.get(i + 1).copied();
-
-        for pc in block.start..block.end {
-            let ins = &func.code()[pc as usize];
-            let is_term = pc == block.end - 1;
-            if !is_term {
-                code.push(TInstr::Op(ins.clone()));
-                continue;
-            }
-            if last_block {
-                code.push(TInstr::Finish {
-                    instr: ins.clone(),
-                    func: blk.func,
-                    pc,
-                });
-                break;
-            }
-            let next = next.expect("non-last block has a successor");
-            let cond = |kind: CondKind, target: u32| -> Result<TInstr, CompileError> {
-                let taken = BlockId::new(blk.func, func.block_index_of(target));
-                let fall = BlockId::new(blk.func, func.block_index_of(pc + 1));
-                if taken == fall {
-                    // Degenerate branch to the very next instruction: both
-                    // outcomes stay on the trace. Guarding on "taken" is
-                    // still *correct* (a false outcome side-exits and the
-                    // interpreter resumes at the branch), merely
-                    // conservative for this rare shape.
-                    if next != taken {
-                        return err(format!("branch at {}:{pc} cannot reach {next}", blk.func));
-                    }
-                    return Ok(TInstr::GuardCond {
-                        kind,
-                        expected_taken: true,
-                        target,
-                        func: blk.func,
-                        pc,
-                    });
-                }
-                let expected_taken = if next == taken {
-                    true
-                } else if next == fall {
-                    false
-                } else {
-                    return err(format!("branch at {}:{pc} cannot reach {next}", blk.func));
-                };
-                Ok(TInstr::GuardCond {
-                    kind,
-                    expected_taken,
-                    target,
-                    func: blk.func,
-                    pc,
-                })
+        let Some(&next) = blocks.get(i + 1) else {
+            steps.push(Step::Finish);
+            break;
+        };
+        let pc = block.end - 1;
+        let cond = |kind: CondKind, target: u32| -> Result<Step, CompileError> {
+            let taken = BlockId::new(blk.func, func.block_index_of(target));
+            let fall = BlockId::new(blk.func, func.block_index_of(pc + 1));
+            // A degenerate branch to the very next instruction keeps both
+            // outcomes on the trace. Guarding on "taken" is still
+            // *correct* (a false outcome side-exits and the interpreter
+            // resumes at the branch), merely conservative for this rare
+            // shape.
+            let expected_taken = if next == taken {
+                true
+            } else if next == fall {
+                false
+            } else {
+                return err(format!("branch at {}:{pc} cannot reach {next}", blk.func));
             };
-            match ins {
-                Instr::IfICmp(op, t) => code.push(cond(CondKind::ICmp(*op), *t)?),
-                Instr::IfI(op, t) => code.push(cond(CondKind::IZero(*op), *t)?),
-                Instr::IfFCmp(op, t) => code.push(cond(CondKind::FCmp(*op), *t)?),
-                Instr::IfNull(t) => code.push(cond(CondKind::Null, *t)?),
-                Instr::IfNonNull(t) => code.push(cond(CondKind::NonNull, *t)?),
-                Instr::Goto(t) => {
-                    let target_block = BlockId::new(blk.func, func.block_index_of(*t));
-                    if next != target_block {
-                        return err(format!(
-                            "goto at {}:{pc} targets {target_block}, trace expects {next}",
-                            blk.func
-                        ));
-                    }
-                    code.push(TInstr::Jump {
-                        target: *t,
-                        func: blk.func,
-                        pc,
-                    });
+            Ok(Step::GuardCond {
+                kind,
+                expected_taken,
+            })
+        };
+        steps.push(match &func.code()[pc as usize] {
+            Instr::IfICmp(op, t) => cond(CondKind::ICmp(*op), *t)?,
+            Instr::IfI(op, t) => cond(CondKind::IZero(*op), *t)?,
+            Instr::IfFCmp(op, t) => cond(CondKind::FCmp(*op), *t)?,
+            Instr::IfNull(t) => cond(CondKind::Null, *t)?,
+            Instr::IfNonNull(t) => cond(CondKind::NonNull, *t)?,
+            Instr::Goto(t) => {
+                let target_block = BlockId::new(blk.func, func.block_index_of(*t));
+                if next != target_block {
+                    return err(format!(
+                        "goto at {}:{pc} targets {target_block}, trace expects {next}",
+                        blk.func
+                    ));
                 }
-                Instr::TableSwitch {
-                    low,
-                    targets,
-                    default,
-                } => {
-                    if next.func != blk.func {
-                        return err("switch successor must stay in the function");
-                    }
-                    let expected_pc = func.block(next.block).start;
-                    let reachable = targets
-                        .iter()
-                        .chain(std::iter::once(default))
-                        .any(|&t| func.block_index_of(t) == next.block);
-                    if !reachable {
-                        return err(format!("switch at {}:{pc} cannot reach {next}", blk.func));
-                    }
-                    code.push(TInstr::GuardSwitch {
-                        low: *low,
-                        targets: targets.clone(),
-                        default: *default,
-                        expected_pc,
-                        func: blk.func,
-                        pc,
-                    });
+                Step::Jump
+            }
+            Instr::TableSwitch {
+                targets, default, ..
+            } => {
+                if next.func != blk.func {
+                    return err("switch successor must stay in the function");
                 }
-                Instr::InvokeStatic(callee) => {
-                    if next != BlockId::new(*callee, 0) {
-                        return err(format!(
-                            "static call at {}:{pc} enters {callee}, trace expects {next}",
-                            blk.func
-                        ));
-                    }
-                    code.push(TInstr::EnterStatic {
-                        callee: *callee,
-                        func: blk.func,
-                        pc,
-                    });
+                let reachable = targets
+                    .iter()
+                    .chain(std::iter::once(default))
+                    .any(|&t| func.block_index_of(t) == next.block);
+                if !reachable {
+                    return err(format!("switch at {}:{pc} cannot reach {next}", blk.func));
                 }
-                Instr::InvokeVirtual { slot, argc } => {
-                    if next.block != 0 {
-                        return err(format!("virtual call at {}:{pc} must enter a function entry, trace expects {next}", blk.func));
-                    }
-                    code.push(TInstr::GuardVirtual {
-                        slot: *slot,
-                        argc: *argc,
-                        expected: next.func,
-                        func: blk.func,
-                        pc,
-                    });
-                }
-                Instr::Return | Instr::ReturnVoid => {
-                    code.push(TInstr::GuardReturn {
-                        expected: next,
-                        has_value: matches!(ins, Instr::Return),
-                        func: blk.func,
-                        pc,
-                    });
-                }
-                other => {
-                    // Implicit fall-through into a leader.
-                    let fall = BlockId::new(blk.func, func.block_index_of(pc + 1));
-                    if next != fall {
-                        return err(format!(
-                            "fall-through at {}:{pc} reaches {fall}, trace expects {next}",
-                            blk.func
-                        ));
-                    }
-                    code.push(TInstr::Op(other.clone()));
-                    code.push(TInstr::FallThrough);
+                Step::GuardSwitch {
+                    expected_pc: func.block(next.block).start,
                 }
             }
-        }
+            Instr::InvokeStatic(callee) => {
+                if next != BlockId::new(*callee, 0) {
+                    return err(format!(
+                        "static call at {}:{pc} enters {callee}, trace expects {next}",
+                        blk.func
+                    ));
+                }
+                Step::EnterStatic { callee: *callee }
+            }
+            Instr::InvokeVirtual { slot, argc } => {
+                if next.block != 0 {
+                    return err(format!(
+                        "virtual call at {}:{pc} must enter a function entry, trace expects {next}",
+                        blk.func
+                    ));
+                }
+                Step::GuardVirtual {
+                    slot: *slot,
+                    argc: *argc,
+                    expected: next.func,
+                }
+            }
+            ret @ (Instr::Return | Instr::ReturnVoid) => Step::GuardReturn {
+                expected: next,
+                has_value: matches!(ret, Instr::Return),
+            },
+            _ => {
+                // Implicit fall-through into a leader.
+                let fall = BlockId::new(blk.func, func.block_index_of(pc + 1));
+                if next != fall {
+                    return err(format!(
+                        "fall-through at {}:{pc} reaches {fall}, trace expects {next}",
+                        blk.func
+                    ));
+                }
+                Step::FallThrough
+            }
+        });
     }
 
     Ok(CompiledTrace {
         trace_id,
-        code,
         src_blocks: blocks.to_vec(),
+        steps,
         src_instrs,
     })
 }
@@ -430,30 +333,17 @@ mod tests {
         let (cache, id) = make_trace(&p, vec![blk(&p, 1), blk(&p, 2), blk(&p, 1)]);
         let ct = compile(&p, cache.trace(id)).unwrap();
         assert_eq!(ct.blocks(), 3);
-        // b1: load + guard(not taken); b2: 5 ops + jump; b1 again: load + finish.
-        let guards = ct
-            .code
-            .iter()
-            .filter(|t| matches!(t, TInstr::GuardCond { .. }))
-            .count();
-        assert_eq!(guards, 1);
-        assert!(matches!(
-            ct.code
-                .iter()
-                .find(|t| matches!(t, TInstr::GuardCond { .. })),
-            Some(TInstr::GuardCond {
-                expected_taken: false,
-                ..
-            })
-        ));
         assert_eq!(
-            ct.code
-                .iter()
-                .filter(|t| matches!(t, TInstr::Jump { .. }))
-                .count(),
-            1
+            ct.steps,
+            vec![
+                Step::GuardCond {
+                    kind: CondKind::IZero(CmpOp::Le),
+                    expected_taken: false,
+                },
+                Step::Jump,
+                Step::Finish,
+            ]
         );
-        assert!(matches!(ct.code.last(), Some(TInstr::Finish { .. })));
         assert_eq!(ct.src_instrs, 2 + 6 + 2);
     }
 
@@ -463,13 +353,13 @@ mod tests {
         // Trace: b1 -> b3 (exit taken).
         let (cache, id) = make_trace(&p, vec![blk(&p, 1), blk(&p, 3)]);
         let ct = compile(&p, cache.trace(id)).unwrap();
-        assert!(ct.code.iter().any(|t| matches!(
-            t,
-            TInstr::GuardCond {
+        assert!(matches!(
+            ct.steps[0],
+            Step::GuardCond {
                 expected_taken: true,
                 ..
             }
-        )));
+        ));
     }
 
     #[test]
@@ -478,6 +368,69 @@ mod tests {
         // b2 ends with goto b1; pretending it flows to b3 must fail.
         let (cache, id) = make_trace(&p, vec![blk(&p, 2), blk(&p, 3)]);
         assert!(compile(&p, cache.trace(id)).is_err());
+    }
+
+    #[test]
+    fn every_terminator_shape_rejects_a_successor_it_cannot_reach() {
+        let mut pb = ProgramBuilder::new();
+        let leaf = pb.declare_function("leaf", 0, true);
+        {
+            let b = pb.function_mut(leaf);
+            let tail = b.new_label();
+            b.iconst(5).goto(tail);
+            b.bind(tail);
+            b.ret();
+        }
+        let m = pb.declare_function("C.m", 1, true);
+        pb.function_mut(m).iconst(3).ret();
+        let c = pb.declare_class("C", None, 0);
+        let slot = pb.add_method(c, m);
+        let f = pb.declare_function("main", 1, true);
+        {
+            let b = pb.function_mut(f);
+            let (arm, default, exit) = (b.new_label(), b.new_label(), b.new_label());
+            b.load(0).if_i(CmpOp::Le, exit); // b0: cond
+            b.load(0).table_switch(0, &[arm], default); // b1: switch
+            b.bind(arm);
+            b.invoke_static(leaf); // b2: static call
+            b.pop().new_obj(c).invoke_virtual(slot, 1); // b3: virtual call
+            b.pop().iconst(0).pop(); // b4: falls through
+            b.bind(default);
+            b.goto(exit); // b5: goto
+            b.bind(exit);
+            b.iconst(1).ret(); // b6
+        }
+        let p = pb.build(f).unwrap();
+        let main = |b| BlockId::new(f, b);
+        let entry = |func| BlockId::new(func, 0);
+        // (block, a successor its terminator reaches, ones it cannot)
+        let cases = [
+            (main(0), main(1), vec![main(2), entry(leaf)]),
+            (main(0), main(6), vec![main(5)]),
+            (main(1), main(2), vec![main(6), entry(leaf)]),
+            (main(1), main(5), vec![main(3)]),
+            (
+                main(2),
+                entry(leaf),
+                vec![BlockId::new(leaf, 1), entry(m), main(3)],
+            ),
+            (main(3), entry(m), vec![BlockId::new(leaf, 1), main(4)]),
+            (main(4), main(5), vec![main(6), main(4)]),
+            (main(5), main(6), vec![main(0), entry(leaf)]),
+        ];
+        for (from, reachable, unreachable) in cases {
+            let id = TraceId::from_raw(0);
+            assert!(
+                compile_blocks(&p, id, &[from, reachable]).is_ok(),
+                "{from} -> {reachable}"
+            );
+            for to in unreachable {
+                assert!(
+                    compile_blocks(&p, id, &[from, to]).is_err(),
+                    "{from} -> {to} must be rejected"
+                );
+            }
+        }
     }
 
     #[test]
@@ -499,15 +452,17 @@ mod tests {
             0.99,
         );
         let ct = compile(&p, cache.trace(id)).unwrap();
-        assert!(ct
-            .code
-            .iter()
-            .any(|t| matches!(t, TInstr::EnterStatic { .. })));
-        assert!(ct
-            .code
-            .iter()
-            .any(|t| matches!(t, TInstr::GuardReturn { .. })));
-        assert!(matches!(ct.code.last(), Some(TInstr::Finish { .. })));
+        assert_eq!(
+            ct.steps,
+            vec![
+                Step::EnterStatic { callee: leaf },
+                Step::GuardReturn {
+                    expected: BlockId::new(f, 1),
+                    has_value: true,
+                },
+                Step::Finish,
+            ]
+        );
     }
 
     #[test]
@@ -516,17 +471,5 @@ mod tests {
         assert_eq!(CondKind::FCmp(CmpOp::Lt).arity(), 2);
         assert_eq!(CondKind::IZero(CmpOp::Gt).arity(), 1);
         assert_eq!(CondKind::Null.arity(), 1);
-    }
-
-    #[test]
-    fn ends_block_classification() {
-        assert!(!TInstr::Op(Instr::Nop).ends_block());
-        assert!(TInstr::FallThrough.ends_block());
-        assert!(TInstr::Jump {
-            target: 0,
-            func: FuncId(0),
-            pc: 0
-        }
-        .ends_block());
     }
 }

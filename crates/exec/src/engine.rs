@@ -22,27 +22,24 @@
 //! accounted for **eagerly** at the exit itself, in the same order the
 //! loop would. A trace that runs to its end hands its final terminator
 //! back to the loop the same way. Consequently the engine is
-//! *semantically transparent*: with optimization off it executes exactly
-//! the same instruction sequence as the plain interpreter — a property
-//! the differential tests pin down on all six workloads. A trace the
-//! register lowering refuses is simply never entered.
+//! *semantically transparent*: it executes exactly the same instruction
+//! sequence as the plain interpreter, under every configuration — a
+//! property the differential tests pin down on all six workloads. A
+//! trace the register lowering refuses is simply never entered.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use jvm_bytecode::{BlockId, Program};
 use jvm_vm::{BlockDriver, DecodedProgram, Machine, OutputItem, Value, Vm, VmError};
-use trace_bcg::{Branch, BranchCorrelationGraph, NodeState, Signal, SignalKind};
+use trace_bcg::{Branch, BranchCorrelationGraph, Signal};
 use trace_cache::{
-    run_health_epoch, BcgSnapshot, ConstructorStats, HealthStats, OutcomeRecord, TraceCache,
-    TraceConstructor, TraceExecStats, TraceHealth, TraceId, TraceOutcome, TraceStore,
+    run_health_epoch, BcgSnapshot, HealthStats, OutcomeRecord, TraceCache, TraceConstructor,
+    TraceExecStats, TraceHealth, TraceId, TraceOutcome, TraceStore,
 };
 use trace_jit::{RunReport, TraceJitConfig};
 use trace_persist::{program_hash, Snapshot, SnapshotError, SnapshotReader};
 
-use crate::compile::compile;
-use crate::opt::{optimize_trace, OptStats};
-use crate::reg::{lower_reg, RegStats, RegTrace};
+use crate::reg::{build_trace, RegStats, RegTrace};
 use crate::regexec::TraceRun;
 use crate::shared::SharedSession;
 
@@ -51,8 +48,6 @@ use crate::shared::SharedSession;
 pub struct EngineConfig {
     /// Profiler/constructor/VM parameters (shared with the base system).
     pub jit: TraceJitConfig,
-    /// Whether compiled traces are run through the peephole optimizer.
-    pub optimize: bool,
     /// Whether the out-of-trace decoded streams are rewritten with
     /// profile-driven DOp superinstructions ([`jvm_vm::fuse`]) after the
     /// first run: block visits are counted during the first run and the
@@ -70,20 +65,13 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Paper parameters, optimizer off (pure trace execution).
+    /// Paper parameters.
     pub fn paper_default() -> Self {
         EngineConfig {
             jit: TraceJitConfig::paper_default(),
-            optimize: false,
             dop_fusion: true,
             health: true,
         }
-    }
-
-    /// Returns this configuration with the optimizer toggled.
-    pub fn with_optimizer(mut self, on: bool) -> Self {
-        self.optimize = on;
-        self
     }
 
     /// Returns this configuration with decoded-stream DOp fusion toggled.
@@ -105,16 +93,14 @@ impl Default for EngineConfig {
     }
 }
 
-/// What a warm boot ([`TracingVm::load_snapshot`]) or an AOT replay
-/// ([`TracingVm::aot_replay`]) accomplished.
+/// What a warm boot ([`TracingVm::load_snapshot`]) accomplished.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WarmBootReport {
     /// Snapshot profile nodes merged into already-live nodes.
     pub nodes_merged: usize,
     /// Snapshot profile nodes newly created in the live profiler.
     pub nodes_created: usize,
-    /// Trace objects installed from the snapshot (warm boot) or
-    /// re-admitted by the constructor replay (AOT).
+    /// Trace objects installed from the snapshot.
     pub traces_installed: usize,
     /// Entry links live in the cache after the operation.
     pub links_installed: usize,
@@ -227,23 +213,32 @@ struct Linked {
     entry: Branch,
 }
 
+/// What this VM knows about one trace id's executable form. Once
+/// resolved the answer is permanent — ids are never reused and a trace's
+/// lowered form never changes — so a slot never revalidates.
+#[derive(Debug, Default)]
+enum Artifact {
+    /// Not resolved yet: built (private mode) or fetched (shared mode)
+    /// at the trace's first entry, or by a warm boot.
+    #[default]
+    Unbuilt,
+    /// No artifact, ever: the chain stopped matching the program flow,
+    /// the register lowering refused it, or the shared builder
+    /// published none. The trace is never entered.
+    Refused,
+    /// The lowered trace, private or shared alike.
+    Built(Arc<RegTrace>),
+}
+
 /// The engine's side of the loop's dispatch hook.
 #[derive(Debug)]
 struct Driver<'p> {
     jit: Jit<'p>,
     config: EngineConfig,
-    /// Lowered traces this VM can dispatch, private or shared alike.
-    arts: Vec<Arc<RegTrace>>,
-    /// Trace id → index into `arts`; `None` = the trace has no artifact
-    /// (its chain stopped matching the program flow, the register
-    /// lowering refused it, or the shared builder published none). Both
-    /// outcomes are permanent for a given id — ids are never reused and
-    /// a trace's lowered form never changes — so this never revalidates.
-    art_of: HashMap<TraceId, Option<u32>>,
-    /// Monomorphic memo of the last resolved `(trace id, arts index)`:
-    /// loop traces re-enter through the same branch every iteration.
-    hot: Option<(TraceId, u32)>,
-    opt_stats: OptStats,
+    /// Artifact of every trace id this VM has resolved, indexed by
+    /// [`TraceId::index`] (ids are dense per cache, private and shared
+    /// alike); slots past the end are [`Artifact::Unbuilt`].
+    arts: Vec<Artifact>,
     reg_stats: RegStats,
     /// Block-visit profile accumulated during the first run; input to
     /// the DOp-fusion selection (see [`jvm_vm::fuse`]).
@@ -316,17 +311,22 @@ impl BlockDriver for Driver<'_> {
 
     fn run_trace(&mut self, linked: Linked, m: &mut Machine<'_>) -> Result<(), VmError> {
         let Linked { tid, entry } = linked;
-        let Some(idx) = self.artifact_index(tid, entry, m.decoded) else {
-            // Linked but not executable: the block runs in the loop.
-            self.jit.trace_stats.blocks_outside += 1;
-            return Ok(());
+        let rt: &RegTrace = match self.arts.get(tid.index()) {
+            Some(Artifact::Built(rt)) => rt,
+            Some(Artifact::Refused) => return self.not_executable(),
+            Some(Artifact::Unbuilt) | None => {
+                self.resolve_artifact(tid, entry, m.decoded);
+                match &self.arts[tid.index()] {
+                    Artifact::Built(rt) => rt,
+                    _ => return self.not_executable(),
+                }
+            }
         };
         if self.jit.trace_stats.first_entry_dispatch == 0 {
             // Warm-up marker: how many block dispatches this run paid
             // before the very first trace entry.
             self.jit.trace_stats.first_entry_dispatch = m.stats.block_dispatches;
         }
-        let rt: &RegTrace = &self.arts[idx as usize];
         match self.jit.execute(rt, entry.0, m)? {
             TraceRun::Completed => {
                 self.note_outcome(tid, entry, TraceOutcome::Completed);
@@ -346,62 +346,48 @@ impl BlockDriver for Driver<'_> {
 }
 
 impl Driver<'_> {
-    /// Resolves a linked trace id to its artifact, building (private
-    /// mode) or fetching (shared mode) it on first use.
-    #[inline]
-    fn artifact_index(
-        &mut self,
-        tid: TraceId,
-        entry: Branch,
-        decoded: &DecodedProgram,
-    ) -> Option<u32> {
-        if let Some((hot_tid, idx)) = self.hot {
-            if hot_tid == tid {
-                return Some(idx);
-            }
+    /// The lowered traces this VM can dispatch.
+    fn built(&self) -> impl Iterator<Item = &RegTrace> {
+        self.arts.iter().filter_map(|a| match a {
+            Artifact::Built(rt) => Some(&**rt),
+            _ => None,
+        })
+    }
+
+    /// A linked trace without an artifact: its block runs in the loop.
+    fn not_executable(&mut self) -> Result<(), VmError> {
+        self.jit.trace_stats.blocks_outside += 1;
+        Ok(())
+    }
+
+    /// First entry of `tid`: builds (private mode) or fetches (shared
+    /// mode) its lowered trace and records the outcome.
+    #[cold]
+    fn resolve_artifact(&mut self, tid: TraceId, entry: Branch, decoded: &DecodedProgram) {
+        let art = if self.jit.shared.is_some() {
+            self.fetch_shared_artifact(tid, entry)
+        } else {
+            self.build_artifact(tid, decoded).map(Arc::new)
+        };
+        self.install(tid, art);
+    }
+
+    /// Records the (permanent) artifact outcome for `tid`; returns
+    /// whether there is an artifact.
+    fn install(&mut self, tid: TraceId, art: Option<Arc<RegTrace>>) -> bool {
+        let built = art.is_some();
+        if self.arts.len() <= tid.index() {
+            self.arts.resize_with(tid.index() + 1, Artifact::default);
         }
-        let idx = match self.art_of.get(&tid) {
-            Some(memo) => *memo,
-            None => {
-                let art = if self.jit.shared.is_some() {
-                    self.fetch_shared_artifact(tid, entry)
-                } else {
-                    self.build_artifact(tid, decoded).map(Arc::new)
-                };
-                self.install(tid, art)
-            }
-        }?;
-        self.hot = Some((tid, idx));
-        Some(idx)
+        self.arts[tid.index()] = art.map_or(Artifact::Refused, Artifact::Built);
+        built
     }
 
-    /// Records the (permanent) artifact outcome for `tid`.
-    fn install(&mut self, tid: TraceId, art: Option<Arc<RegTrace>>) -> Option<u32> {
-        let idx = art.map(|art| {
-            self.arts.push(art);
-            u32::try_from(self.arts.len() - 1).expect("trace ids are 32-bit")
-        });
-        self.art_of.insert(tid, idx);
-        idx
-    }
-
-    /// Compiles, optimizes (as configured) and register-lowers a linked
-    /// trace of the private cache. `None` — permanently — when the block
-    /// chain no longer matches the program's control flow or the
-    /// register lowering refuses it; the trace is then never entered.
+    /// Builds the artifact of a linked trace of the private cache,
+    /// folding its lowering statistics into the VM's totals.
     fn build_artifact(&mut self, tid: TraceId, decoded: &DecodedProgram) -> Option<RegTrace> {
-        let program = self.jit.program;
-        let mut ct = compile(program, self.jit.cache.trace(tid)).ok()?;
-        if self.config.optimize {
-            let s = optimize_trace(&mut ct);
-            self.opt_stats.before += s.before;
-            self.opt_stats.after += s.after;
-            self.opt_stats.folds += s.folds;
-            self.opt_stats.eliminations += s.eliminations;
-            self.opt_stats.identities += s.identities;
-            self.opt_stats.reductions += s.reductions;
-        }
-        let rt = lower_reg(program, decoded, &ct)?;
+        let blocks = self.jit.cache.trace(tid).blocks();
+        let rt = build_trace(self.jit.program, decoded, tid, blocks)?;
         let s = rt.stats;
         self.reg_stats.before += s.before;
         self.reg_stats.after += s.after;
@@ -456,7 +442,6 @@ impl Driver<'_> {
         if streak >= ENTRY_EXIT_STREAK_LIMIT {
             self.entry_exit_streak = None;
             self.jit.store_mut().quarantine(entry, QUARANTINE_COOLDOWN);
-            self.hot = None;
         } else {
             self.entry_exit_streak = Some((tid, streak));
         }
@@ -511,9 +496,8 @@ impl Driver<'_> {
 
     /// Epoch boundary: feed buffered outcomes to the health ledger and
     /// run the demotion ladder through the unified [`TraceStore`] path.
-    /// Any applied demotion invalidates the hot-trace memo and the
-    /// streak counter — the retired trace must not be served from a
-    /// stale handle.
+    /// Any applied demotion resets the streak counter, which may name a
+    /// trace the ladder just retired.
     #[cold]
     fn flush_health_epoch(&mut self) {
         self.health_epoch_at = self.jit.bcg.next_decay_epoch_at();
@@ -522,7 +506,6 @@ impl Driver<'_> {
         let applied = run_health_epoch(store);
         self.outcome_buf.clear();
         if applied > 0 {
-            self.hot = None;
             self.entry_exit_streak = None;
         }
     }
@@ -562,9 +545,6 @@ impl<'p> TracingVm<'p> {
                 },
                 config,
                 arts: Vec::new(),
-                art_of: HashMap::new(),
-                hot: None,
-                opt_stats: OptStats::default(),
                 reg_stats: RegStats::default(),
                 block_visits: jvm_vm::fuse::BlockCounts::for_program(program),
                 profile_fusion: false,
@@ -602,18 +582,6 @@ impl<'p> TracingVm<'p> {
         self.vm.decoded()
     }
 
-    /// Cumulative inline-constructor counters (private mode; shared-mode
-    /// construction happens on the session's service thread). Lets a
-    /// harness separate boot-time replay work from in-run construction.
-    pub fn constructor_stats(&self) -> ConstructorStats {
-        self.driver.jit.constructor.stats()
-    }
-
-    /// Aggregated optimizer statistics over all compiled traces.
-    pub fn opt_stats(&self) -> OptStats {
-        self.driver.opt_stats
-    }
-
     /// Aggregated register-lowering statistics over all compiled traces
     /// (registers allocated, stack ops eliminated, guards fused).
     pub fn reg_stats(&self) -> RegStats {
@@ -623,12 +591,12 @@ impl<'p> TracingVm<'p> {
     /// Number of lowered traces this VM can dispatch: compiled here
     /// (private mode) or resolved from the session (shared mode).
     pub fn compiled_count(&self) -> usize {
-        self.driver.arts.len()
+        self.driver.built().count()
     }
 
     /// Real byte footprint of all lowered traces.
     pub fn lowered_memory(&self) -> usize {
-        self.driver.arts.iter().map(|a| a.memory_estimate()).sum()
+        self.driver.built().map(RegTrace::memory_estimate).sum()
     }
 
     /// Output captured from print intrinsics during the most recent run
@@ -796,66 +764,6 @@ impl<'p> TracingVm<'p> {
         })
     }
 
-    /// AOT replay: decodes a snapshot, merges its profile like
-    /// [`Self::load_snapshot`], but restores only the cache's
-    /// **admission controls** (payload budget and quarantine blacklist)
-    /// — not the trace contents. It then re-raises a hot-state signal
-    /// for every traceable node and routes the batch through the live
-    /// trace constructor, so every trace is re-derived and re-admitted
-    /// under the current budget and blacklist before serving, exactly
-    /// as it would have been built online. Artifacts are pre-built for
-    /// whatever the constructor admitted.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError`] as for [`Self::load_snapshot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the VM runs in shared-cache mode.
-    pub fn aot_replay(&mut self, bytes: &[u8]) -> Result<WarmBootReport, SnapshotError> {
-        assert!(
-            self.shared().is_none(),
-            "aot_replay() targets the private profile/cache; this VM is in shared mode"
-        );
-        let snap = SnapshotReader::new().read(bytes, program_hash(self.driver.jit.program))?;
-        let jit = &mut self.driver.jit;
-        let merge = trace_bcg::image::merge_into(&mut jit.bcg, &snap.bcg)?;
-        jit.cache.set_budget(snap.cache.budget.map(|b| b as usize));
-        let mut quarantine_restored = 0;
-        for q in &snap.cache.quarantine {
-            jit.cache
-                .restore_quarantine(q.entry, q.blocks.clone(), q.cooldown);
-            quarantine_restored += 1;
-        }
-        let signals: Vec<Signal> = jit
-            .bcg
-            .iter()
-            .filter(|(_, n)| n.state().is_traceable())
-            .map(|(idx, n)| Signal {
-                node: idx,
-                branch: n.branch(),
-                kind: SignalKind::StateChange {
-                    old: NodeState::NewlyCreated,
-                    new: n.state(),
-                },
-            })
-            .collect();
-        let admitted = jit
-            .constructor
-            .handle_batch(&signals, &mut jit.bcg, &mut jit.cache);
-        let links_installed = jit.cache.iter_links().count();
-        let artifacts_prebuilt = self.prebuild_artifacts();
-        Ok(WarmBootReport {
-            nodes_merged: merge.nodes_merged,
-            nodes_created: merge.nodes_created,
-            traces_installed: admitted as usize,
-            links_installed,
-            quarantine_restored,
-            artifacts_prebuilt,
-        })
-    }
-
     /// Pre-builds artifacts for every linked trace that lacks one.
     /// Returns how many were built.
     fn prebuild_artifacts(&mut self) -> usize {
@@ -870,12 +778,9 @@ impl<'p> TracingVm<'p> {
         tids.dedup();
         let mut built = 0;
         for tid in tids {
-            if driver.art_of.contains_key(&tid) {
-                continue;
-            }
-            let art = driver.build_artifact(tid, self.vm.decoded()).map(Arc::new);
-            if driver.install(tid, art).is_some() {
-                built += 1;
+            if matches!(driver.arts.get(tid.index()), None | Some(Artifact::Unbuilt)) {
+                let art = driver.build_artifact(tid, self.vm.decoded()).map(Arc::new);
+                built += usize::from(driver.install(tid, art));
             }
         }
         built
@@ -970,52 +875,6 @@ mod tests {
             report.traces.exited_early > 0,
             "phase change must cause side exits"
         );
-    }
-
-    #[test]
-    fn optimizer_reduces_executed_instructions() {
-        // A hot loop with foldable constant arithmetic in the body.
-        let mut pb = ProgramBuilder::new();
-        let f = pb.declare_function("main", 1, true);
-        let b = pb.function_mut(f);
-        let acc = b.alloc_local();
-        b.iconst(0).store(acc);
-        let head = b.bind_new_label();
-        let exit = b.new_label();
-        b.load(0).if_i(CmpOp::Le, exit);
-        // acc += (3*4) + i*1 + 0   — plenty to fold.
-        b.load(acc)
-            .iconst(3)
-            .iconst(4)
-            .imul()
-            .iadd()
-            .load(0)
-            .iconst(1)
-            .imul()
-            .iadd()
-            .iconst(0)
-            .iadd()
-            .store(acc);
-        b.iinc(0, -1).goto(head);
-        b.bind(exit);
-        b.load(acc).ret();
-        let program = pb.build(f).unwrap();
-
-        let mut base = TracingVm::new(&program, EngineConfig::paper_default());
-        let r0 = base.run(&[Value::Int(20_000)]).unwrap();
-        let mut opt = TracingVm::new(&program, EngineConfig::paper_default().with_optimizer(true));
-        let r1 = opt.run(&[Value::Int(20_000)]).unwrap();
-
-        assert_eq!(r0.result, r1.result, "optimizer must preserve semantics");
-        assert!(
-            r1.exec.instructions < r0.exec.instructions,
-            "optimized {} vs baseline {}",
-            r1.exec.instructions,
-            r0.exec.instructions
-        );
-        let s = opt.opt_stats();
-        assert!(s.folds + s.identities + s.eliminations + s.reductions > 0);
-        assert!(s.savings() > 0.0);
     }
 
     #[test]
@@ -1276,28 +1135,6 @@ mod tests {
         let mut v2 = TracingVm::new(&program, EngineConfig::paper_default());
         v2.load_snapshot(&rebytes).unwrap();
         assert_eq!(rebytes, v2.snapshot());
-    }
-
-    #[test]
-    fn aot_replay_rebuilds_traces_through_the_constructor() {
-        let program = loop_program();
-        let mut warm = TracingVm::new(&program, EngineConfig::paper_default());
-        let want = warm.run(&[Value::Int(20_000)]).unwrap();
-        let bytes = warm.snapshot();
-
-        let mut aot = TracingVm::new(&program, EngineConfig::paper_default());
-        let report = aot.aot_replay(&bytes).unwrap();
-        assert!(
-            report.traces_installed > 0,
-            "constructor replay must re-admit traces from the merged profile"
-        );
-        assert!(report.links_installed > 0);
-        assert!(report.artifacts_prebuilt > 0);
-        let got = aot.run(&[Value::Int(20_000)]).unwrap();
-        assert_eq!(got.result, want.result);
-        assert_eq!(got.checksum, want.checksum);
-        assert_eq!(got.exec.instructions, want.exec.instructions);
-        assert!(got.traces.first_entry_dispatch < want.traces.first_entry_dispatch);
     }
 
     #[test]

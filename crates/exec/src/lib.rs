@@ -6,19 +6,15 @@
 //!
 //! This crate implements that future work on top of the reproduction:
 //!
-//! * [`compile`](mod@compile) — flattens a cached trace (a sequence of basic blocks)
-//!   into straight-line guarded code: conditional branches whose
+//! * [`compile`](mod@compile) — checks a cached trace (a sequence of
+//!   basic blocks) against the program's control flow and names the
+//!   control step that leaves each block: conditional branches whose
 //!   direction the trace predicts become **guards** that side-exit back
 //!   to the interpreter when the prediction fails; virtual calls get
 //!   receiver guards; returns get continuation guards; everything else
-//!   runs unchanged.
-//! * [`opt`] — a peephole optimizer over the flattened code (constant
-//!   folding, algebraic identities, dead stack traffic, strength
-//!   reduction), exploiting the paper's fourth design criterion: traces
-//!   have a single entry and a known path, so path-specialised
-//!   optimisation is sound as long as side exits restore interpreter
-//!   state — which the guards guarantee by construction (they resume at
-//!   the guarded instruction with the operand stack untouched).
+//!   runs unchanged. (The paper leaves optimising traces as future work,
+//!   §3.7; so does this crate — there is no trace optimizer, and the
+//!   engine executes exactly the interpreter's instruction sequence.)
 //! * [`reg`] — the lowering stage: an abstract-stack pass renames
 //!   operand-stack slots and locals to **virtual registers**, folding
 //!   stack traffic into three-address [`RInstr`]s, fusing
@@ -42,14 +38,12 @@
 
 pub mod compile;
 pub mod engine;
-pub mod opt;
 pub mod reg;
 mod regexec;
 pub mod shared;
 
-pub use compile::{compile, compile_blocks, CompileError, CompiledTrace, CondKind, TInstr};
+pub use compile::{compile, compile_blocks, CompileError, CompiledTrace, CondKind, Step};
 pub use engine::{EngineConfig, TracingVm, WarmBootReport};
-pub use opt::{optimize, OptStats};
 pub use reg::{
     disassemble, lower_reg, FrameImage, RBin, RExit, RInstr, RUn, Reg, RegStats, RegTrace,
 };

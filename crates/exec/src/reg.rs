@@ -1,14 +1,15 @@
-//! Register-machine lowering: from guarded stack code to a virtual-
+//! Register-machine lowering: from a checked block chain to a virtual-
 //! register linear IR.
 //!
-//! [`crate::compile`] produces straight-line stack code ([`TInstr`] over
-//! source instructions). A real tracing JIT resolves its operand traffic
-//! *at compile time*: inside a trace every value's
-//! producer and consumer are known, so stack slots can be renamed to
-//! virtual registers and the pushes and pops deleted (the coldbrew and
-//! b3-rs pipelines in SNIPPETS.md §1/§3 are the exemplars). This pass
-//! runs an abstract interpretation of the operand stack over the
-//! compiled trace:
+//! [`crate::compile`] checks a trace's block chain and names the control
+//! step that leaves each block; the straight-line instructions in
+//! between are read here, from the [`Program`] itself. A real tracing JIT
+//! resolves its operand traffic *at compile time*: inside a trace every
+//! value's producer and consumer are known, so stack slots can be
+//! renamed to virtual registers and the pushes and pops deleted (the
+//! coldbrew and b3-rs pipelines in SNIPPETS.md §1/§3 are the exemplars).
+//! This pass runs an abstract interpretation of the operand stack along
+//! the chain:
 //!
 //! * each stack slot is renamed to a fresh virtual register (SSA-style:
 //!   every [`RInstr`] writes a new register), so `load a; load b; iadd;
@@ -33,9 +34,9 @@
 //! eliminated ops before them (`pre`), charged before the guard
 //! evaluates. Batching is observationally identical to per-op ticking —
 //! only the last tick of a batch can fail, and both schemes leave the
-//! instruction counter saturated at the fuel limit — so the unoptimized
-//! register path executes *exactly* the interpreter's instruction count,
-//! a property the differential tests pin down.
+//! instruction counter saturated at the fuel limit — so the register
+//! path executes *exactly* the interpreter's instruction count, a
+//! property the differential tests pin down.
 //!
 //! **Trace entry mid-function.** A trace may start at a block whose
 //! entry stack depth is nonzero. The lowering seeds its model from the
@@ -80,7 +81,7 @@ use jvm_bytecode::{stack_depths, BlockId, ClassId, CmpOp, FuncId, Instr, Intrins
 use jvm_vm::{DecodedProgram, Value};
 use trace_cache::TraceId;
 
-use crate::compile::{CompiledTrace, CondKind, TInstr};
+use crate::compile::{compile_blocks, CompiledTrace, CondKind, Step};
 
 /// A virtual register index into the trace's flat register file.
 pub type Reg = u16;
@@ -518,8 +519,6 @@ pub struct RegTrace {
     /// The source block sequence (side-exit context reconstruction and
     /// completion accounting).
     pub src_blocks: Vec<BlockId>,
-    /// Source instruction count (pre-optimisation baseline).
-    pub src_instrs: usize,
     /// Register-file size.
     pub num_regs: u16,
     /// Lowering statistics for this trace.
@@ -597,7 +596,7 @@ struct Lowering<'a> {
     /// Accumulated fuel weight of eliminated ops since the last emitted
     /// weighted instruction.
     pending_w: u32,
-    /// Source blocks fully processed so far (block-ending `TInstr`s).
+    /// Source blocks fully processed so far.
     block_idx: u32,
     eliminated: u64,
     guards_fused: u64,
@@ -782,10 +781,24 @@ impl<'a> Lowering<'a> {
     }
 }
 
+/// The whole artifact build, [`compile_blocks`] → [`lower_reg`]: the one
+/// way a block chain becomes executable, for the engine's private cache
+/// and the shared-cache builder alike. `None` — permanently, for this
+/// chain — when it no longer matches the program's control flow or the
+/// lowering refuses it; the trace is then never entered.
+pub(crate) fn build_trace(
+    program: &Program,
+    decoded: &DecodedProgram,
+    trace_id: TraceId,
+    blocks: &[BlockId],
+) -> Option<RegTrace> {
+    let ct = compile_blocks(program, trace_id, blocks).ok()?;
+    lower_reg(program, decoded, &ct)
+}
+
 /// Lowers a compiled trace to register form. `decoded` is read-only —
-/// the register form pre-resolves constants inline, so this pass never
-/// interns into the pools and the same lowering serves both private and
-/// frozen (shared) publication.
+/// constants ride in the per-trace table, not the decoded pools — so one
+/// lowering serves both private and shared publication.
 ///
 /// Returns `None` when the trace cannot be expressed in register form
 /// (see the module docs); the engine then never enters it.
@@ -813,25 +826,34 @@ pub fn lower_reg(
     };
     lo.ctx.pending = lo.entry_depth(first)?;
 
-    for t in &ct.code {
-        match t {
-            TInstr::Op(ins) => lo.lower_op(ins)?,
-            TInstr::Jump { .. } => {
+    let mut fall_throughs = 0;
+    for (&blk, &step) in ct.src_blocks.iter().zip(&ct.steps) {
+        let func = blk.func;
+        let source = program.function(func);
+        let block = source.block(blk.block);
+        // Every step but a fall-through sits on the block's terminator.
+        let pc = block.end - 1;
+        let body_end = if step == Step::FallThrough {
+            block.end
+        } else {
+            pc
+        };
+        for ins in &source.code()[block.start as usize..body_end as usize] {
+            lo.lower_op(ins)?;
+        }
+        match step {
+            Step::Jump => {
                 // A goto costs one instruction but transfers no data; its
                 // fuel folds into the next weight.
                 lo.elim();
-                lo.block_idx += 1;
             }
-            TInstr::FallThrough => {
+            Step::FallThrough => {
                 // Not an instruction — a block-boundary marker.
-                lo.block_idx += 1;
+                fall_throughs += 1;
             }
-            TInstr::GuardCond {
+            Step::GuardCond {
                 kind,
                 expected_taken,
-                target: _,
-                func,
-                pc,
             } => {
                 lo.ensure(kind.arity())?;
                 let n = lo.ctx.stack.len();
@@ -843,147 +865,137 @@ pub fn lower_reg(
                 // The exit image keeps the operands on the abstract
                 // stack: a failed guard resumes at the branch, which
                 // re-pops them.
-                let exit = lo.exit_for(*func, *pc)?;
+                let exit = lo.exit_for(func, pc)?;
                 for _ in 0..kind.arity() {
                     lo.ctx.stack.pop();
                 }
                 let pre = lo.take_pre();
                 lo.code.push(RInstr::GuardCond {
-                    kind: *kind,
+                    kind,
                     a,
                     b,
-                    expected_taken: *expected_taken,
+                    expected_taken,
                     exit,
                     pre,
                 });
                 lo.guards_fused += 1;
-                lo.block_idx += 1;
             }
-            TInstr::GuardSwitch {
-                low,
-                targets,
-                default,
-                expected_pc,
-                func,
-                pc,
-            } => {
+            Step::GuardSwitch { expected_pc } => {
+                let Instr::TableSwitch {
+                    low,
+                    targets,
+                    default,
+                } = &source.code()[pc as usize]
+                else {
+                    return None;
+                };
                 lo.ensure(1)?;
                 let selector = *lo.ctx.stack.last().expect("ensured");
-                let exit = lo.exit_for(*func, *pc)?;
+                let exit = lo.exit_for(func, pc)?;
                 lo.ctx.stack.pop();
                 let pre = lo.take_pre();
-                let df = lo.decoded.func(*func);
+                let df = lo.decoded.func(func);
                 lo.code.push(RInstr::GuardSwitch {
                     low: *low,
                     targets: targets.iter().map(|&t| df.block_entry(t)).collect(),
                     default: df.block_entry(*default),
-                    expected: df.block_entry(*expected_pc),
+                    expected: df.block_entry(expected_pc),
                     selector,
                     exit,
                     pre,
                 });
                 lo.guards_fused += 1;
-                lo.block_idx += 1;
             }
-            TInstr::EnterStatic { callee, func, pc } => {
-                let argc = program.function(*callee).num_params();
+            Step::EnterStatic { callee } => {
+                let argc = program.function(callee).num_params();
                 let image = lo.image()?;
-                let ret = lo.decoded.func(*func).pc_map[*pc as usize] + 1;
+                let ret = lo.decoded.func(func).pc_map[pc as usize] + 1;
                 let w = lo.take_w();
                 lo.code.push(RInstr::EnterStatic {
-                    callee: *callee,
+                    callee,
                     ret,
                     image,
                     w,
                 });
-                lo.enter_callee(*callee, argc, ret)?;
-                lo.block_idx += 1;
+                lo.enter_callee(callee, argc, ret)?;
             }
-            TInstr::GuardVirtual {
+            Step::GuardVirtual {
                 slot,
                 argc,
                 expected,
-                func,
-                pc,
             } => {
-                lo.ensure(*argc as usize)?;
+                lo.ensure(argc as usize)?;
                 let n = lo.ctx.stack.len();
-                let recv = lo.ctx.stack[n - *argc as usize];
-                let exit = lo.exit_for(*func, *pc)?;
-                let ret = lo.decoded.func(*func).pc_map[*pc as usize] + 1;
+                let recv = lo.ctx.stack[n - argc as usize];
+                let exit = lo.exit_for(func, pc)?;
+                let ret = lo.decoded.func(func).pc_map[pc as usize] + 1;
                 let pre = lo.take_pre();
                 lo.code.push(RInstr::GuardVirtual {
-                    slot: *slot,
-                    argc: *argc,
+                    slot,
+                    argc,
                     recv,
-                    expected: *expected,
+                    expected,
                     ret,
                     exit,
                     pre,
                 });
-                lo.enter_callee(*expected, *argc, ret)?;
-                lo.block_idx += 1;
+                lo.enter_callee(expected, argc, ret)?;
             }
-            TInstr::GuardReturn {
+            Step::GuardReturn {
                 expected,
                 has_value,
-                func,
-                pc,
             } => {
                 if lo.callers.is_empty() {
                     // Return at the trace's entry depth: the caller frame
                     // is real, so the continuation stays a runtime guard.
-                    if *has_value {
+                    if has_value {
                         lo.ensure(1)?;
                     }
-                    let exit = lo.exit_for(*func, *pc)?;
-                    let retval = if *has_value {
+                    let exit = lo.exit_for(func, pc)?;
+                    let retval = if has_value {
                         lo.ctx.stack.pop().expect("ensured")
                     } else {
                         0
                     };
                     let pre = lo.take_pre();
                     lo.code.push(RInstr::GuardReturn {
-                        has_value: *has_value,
+                        has_value,
                         retval,
-                        expected: *expected,
+                        expected,
                         exit,
                         pre,
                     });
                     // Continue in the (real) caller frame: nothing
                     // renamed, the full continuation depth is real.
-                    let pending = lo.entry_depth(*expected)?;
+                    let pending = lo.entry_depth(expected)?;
                     lo.ctx = Ctx::new(decoded, expected.func);
                     lo.ctx.pending = pending;
-                    lo.block_idx += 1;
                 } else {
                     // The caller is on the lowering stack: the
                     // continuation is statically known. A recorded
                     // continuation that contradicts the call site cannot
                     // execute — refuse.
-                    if lo.callers.last().expect("nonempty").cont_block != *expected {
+                    if lo.callers.last().expect("nonempty").cont_block != expected {
                         return None;
                     }
-                    let retval = if *has_value { Some(lo.pop1()?) } else { None };
+                    let retval = if has_value { Some(lo.pop1()?) } else { None };
                     let w = lo.take_w();
                     lo.code.push(RInstr::RetStatic { w });
                     lo.ctx = lo.callers.pop().expect("nonempty");
                     if let Some(r) = retval {
                         lo.ctx.stack.push(r);
                     }
-                    lo.block_idx += 1;
                 }
             }
-            TInstr::Finish { instr: _, func, pc } => {
-                let exit = lo.exit_for(*func, *pc)?;
+            Step::Finish => {
+                let exit = lo.exit_for(func, pc)?;
                 let pre = lo.take_pre();
                 lo.code.push(RInstr::Finish { exit, pre });
-                lo.block_idx += 1;
             }
         }
+        lo.block_idx += 1;
     }
     debug_assert_eq!(lo.pending_w, 0, "Finish consumes all pending weight");
-    debug_assert_eq!(lo.block_idx as usize, ct.src_blocks.len());
     // The executor leaves a completed trace through its final `Finish`.
     let finishes = lo
         .code
@@ -995,7 +1007,7 @@ pub fn lower_reg(
     }
 
     let stats = RegStats {
-        before: ct.code.len(),
+        before: ct.src_instrs + fall_throughs,
         after: lo.code.len(),
         regs: lo.next_reg as u64,
         eliminated: lo.eliminated,
@@ -1008,7 +1020,6 @@ pub fn lower_reg(
         exits: lo.exits,
         images: lo.images,
         src_blocks: ct.src_blocks.clone(),
-        src_instrs: ct.src_instrs,
         num_regs: lo.next_reg as u16,
         stats,
     })
@@ -1222,7 +1233,7 @@ impl<'a> Lowering<'a> {
                 self.mark_clean();
             }
             Instr::Nop => self.elim(),
-            // Control instructions never appear as TInstr::Op.
+            // Control instructions are steps, never block bodies.
             Instr::IfICmp(..)
             | Instr::IfI(..)
             | Instr::IfFCmp(..)

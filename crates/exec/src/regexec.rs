@@ -12,7 +12,8 @@
 //!
 //! Fuel is charged in batches (each instruction's weight covers the stack
 //! ops folded into it), which is observationally identical to per-op
-//! ticking — see [`crate::reg`].
+//! ticking — see [`crate::reg`] — and reaches the machine's counter on
+//! every way out, errors included.
 
 use jvm_bytecode::{BlockId, Intrinsic};
 use jvm_vm::{arena, fold_checksum, HeapObj, Machine, OutputItem, Value, VmError};
@@ -83,6 +84,13 @@ impl Jit<'_> {
     /// Executes one register-lowered trace entered over the branch
     /// `pre_entry → rt.src_blocks[0]`, borrowing the recycled register
     /// file for the duration.
+    ///
+    /// Fuel is accounted in a local counter while inside the trace and
+    /// folded into the machine's counter here, on the one way out —
+    /// side exit, completion and every error alike, so a trap raised
+    /// mid-trace leaves the same instruction count the interpreter
+    /// would. Nothing reached from inside the loop reads
+    /// `stats.instructions`, so the deferred sync is unobservable.
     pub(crate) fn execute(
         &mut self,
         rt: &RegTrace,
@@ -90,30 +98,29 @@ impl Jit<'_> {
         m: &mut Machine<'_>,
     ) -> Result<TraceRun, VmError> {
         let mut regs = std::mem::take(&mut self.reg_file);
-        let run = self.execute_with(rt, pre_entry, m, &mut regs);
+        let mut instrs = 0u64;
+        let run = self.execute_with(rt, pre_entry, m, &mut regs, &mut instrs);
+        m.stats.instructions += instrs;
         self.reg_file = regs;
         run
     }
 
     /// The tight register-file loop: a flat `Vec<Value>` register frame,
-    /// no per-op operand-stack bookkeeping.
+    /// no per-op operand-stack bookkeeping. `instrs` is the caller's
+    /// fuel counter; inlined into [`Self::execute`] so it stays a local
+    /// there and per-instruction ticking compares two values the
+    /// compiler keeps in registers.
+    #[inline(always)]
     fn execute_with(
         &mut self,
         rt: &RegTrace,
         pre_entry: BlockId,
         m: &mut Machine<'_>,
         regs: &mut Vec<Value>,
+        instrs: &mut u64,
     ) -> Result<TraceRun, VmError> {
         self.trace_stats.entered += 1;
-        let mut instrs = 0u64;
-        let max_steps = m.config.max_steps;
-        // Fuel is accounted against a local budget while inside the
-        // trace — per-instruction ticking compares two values the
-        // compiler keeps in registers — and folded back into the
-        // machine's counter once per exit path. Nothing reached from
-        // inside the loop reads `stats.instructions`, so the deferred
-        // sync is unobservable.
-        let budget = max_steps - m.stats.instructions;
+        let budget = m.config.max_steps - m.stats.instructions;
         // The lowering is single-assignment: every non-constant register
         // is written before it is read, so stale values from an earlier
         // trace are never observable and the file only needs to grow to
@@ -136,12 +143,12 @@ impl Jit<'_> {
         macro_rules! tick_n {
             ($n:expr) => {{
                 let n = $n as u64;
-                if n > budget - instrs {
+                if n > budget - *instrs {
                     // Saturate exactly where per-op ticking would stop.
-                    m.stats.instructions = max_steps;
+                    *instrs = budget;
                     return Err(VmError::OutOfFuel);
                 }
-                instrs += n;
+                *instrs += n;
             }};
         }
 
@@ -185,12 +192,11 @@ impl Jit<'_> {
 
         macro_rules! reg_exit {
             ($idx:expr) => {{
-                m.stats.instructions += instrs;
                 let exit = &rt.exits[$idx as usize];
                 hand_back!(exit);
                 self.trace_stats.exited_early += 1;
                 self.trace_stats.blocks_in_partial += exit.blocks_done as u64;
-                self.trace_stats.instrs_in_partial += instrs;
+                self.trace_stats.instrs_in_partial += *instrs;
                 self.bcg.set_context(if exit.blocks_done == 0 {
                     pre_entry
                 } else {
@@ -222,7 +228,6 @@ impl Jit<'_> {
         macro_rules! enter_call {
             ($callee:expr, $argc:expr, $ret:expr) => {{
                 if m.arena.depth() >= m.config.max_frames {
-                    m.stats.instructions += instrs;
                     return Err(VmError::CallStackOverflow);
                 }
                 m.stats.calls += 1;
@@ -264,6 +269,23 @@ impl Jit<'_> {
                     m.heap.collect(m.arena.roots());
                 }
             }};
+        }
+
+        // Evaluates a guard's operand. A guard charges its own
+        // instruction only once it passes (a failed guard hands the
+        // instruction back to the loop, which charges it there) — but a
+        // trap while evaluating it *is* that instruction executing, so
+        // the trap path charges it first, as the interpreter would have.
+        macro_rules! guard_operand {
+            ($e:expr) => {
+                match $e {
+                    Ok(v) => v,
+                    Err(e) => {
+                        tick_n!(1u32);
+                        return Err(e);
+                    }
+                }
+            };
         }
 
         macro_rules! bin_i {
@@ -551,14 +573,16 @@ impl Jit<'_> {
                     tick_n!(*pre);
                     let taken = match kind {
                         CondKind::ICmp(op) => {
-                            let vb = rget(regs, *b).as_int()?;
-                            let va = rget(regs, *a).as_int()?;
+                            let vb = guard_operand!(rget(regs, *b).as_int());
+                            let va = guard_operand!(rget(regs, *a).as_int());
                             op.eval_i64(va, vb)
                         }
-                        CondKind::IZero(op) => op.eval_i64(rget(regs, *a).as_int()?, 0),
+                        CondKind::IZero(op) => {
+                            op.eval_i64(guard_operand!(rget(regs, *a).as_int()), 0)
+                        }
                         CondKind::FCmp(op) => {
-                            let vb = rget(regs, *b).as_float()?;
-                            let va = rget(regs, *a).as_float()?;
+                            let vb = guard_operand!(rget(regs, *b).as_float());
+                            let va = guard_operand!(rget(regs, *a).as_float());
                             op.eval_f64(va, vb)
                         }
                         CondKind::Null => matches!(rget(regs, *a), Value::Null),
@@ -583,7 +607,7 @@ impl Jit<'_> {
                     pre,
                 } => {
                     tick_n!(*pre);
-                    let v = rget(regs, *selector).as_int()?;
+                    let v = guard_operand!(rget(regs, *selector).as_int());
                     let idx = v.wrapping_sub(*low);
                     let actual = if idx >= 0 && (idx as usize) < targets.len() {
                         targets[idx as usize]
@@ -620,16 +644,14 @@ impl Jit<'_> {
                     pre,
                 } => {
                     tick_n!(*pre);
-                    let rid = rget(regs, *recv).as_ref_id()?;
-                    let class = match m.heap.get(rid) {
-                        HeapObj::Object { class, .. } => *class,
-                        HeapObj::Array { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "object receiver",
-                                found: "array",
-                            })
-                        }
-                    };
+                    let rid = guard_operand!(rget(regs, *recv).as_ref_id());
+                    let class = guard_operand!(match m.heap.get(rid) {
+                        HeapObj::Object { class, .. } => Ok(*class),
+                        HeapObj::Array { .. } => Err(VmError::TypeError {
+                            expected: "object receiver",
+                            found: "array",
+                        }),
+                    });
                     let callee = self.program.class(class).resolve(*slot);
                     if callee != *expected {
                         reg_exit!(*exit);
@@ -689,10 +711,9 @@ impl Jit<'_> {
         }
 
         // Trace ran to completion.
-        m.stats.instructions += instrs;
         self.trace_stats.completed += 1;
         self.trace_stats.blocks_in_completed += rt.src_blocks.len() as u64;
-        self.trace_stats.instrs_in_completed += instrs;
+        self.trace_stats.instrs_in_completed += *instrs;
         let last = *rt.src_blocks.last().expect("traces are nonempty");
         self.bcg.set_context(last);
         Ok(TraceRun::Completed)

@@ -37,10 +37,8 @@ use trace_cache::{
     SharedTraceCache, SupervisorConfig, TraceId,
 };
 
-use crate::compile::compile_blocks;
 use crate::engine::EngineConfig;
-use crate::opt::optimize_trace;
-use crate::reg::{lower_reg, RegTrace};
+use crate::reg::{build_trace, RegTrace};
 
 /// The shared cache type every concurrent VM dispatches against.
 pub type SharedCache = SharedTraceCache<RegTrace>;
@@ -112,32 +110,19 @@ pub fn shared_session(
     (cache, session, rx)
 }
 
-/// The artifact build hook for a shared cache: compile → (optionally)
-/// optimize → register-lower against a private decoded copy of the
-/// program. Returns `None` — an artifact-less trace, which VMs simply
-/// keep interpreting — when the block chain no longer matches the
-/// program's control flow or the register lowering refuses it.
-///
-/// Register lowering needs no pool interning at all (constants ride in
-/// the per-trace constant table), so it publishes against the read-only
-/// decoded copy.
+/// The artifact build hook for a shared cache: the engine's one build
+/// path, run against a private decoded copy of the program. Returns
+/// `None` — an artifact-less trace, which VMs simply keep interpreting —
+/// when the block chain no longer matches the program's control flow or
+/// the register lowering refuses it.
 ///
 /// The placeholder id stamped into the artifact is never read by the
 /// engine (dispatch keys artifacts by the *cache's* id); the cache's
 /// hash-consing makes one artifact serve every VM that links the same
 /// block chain.
-pub fn artifact_builder(
-    program: &Program,
-    config: EngineConfig,
-) -> impl FnMut(&[BlockId]) -> Option<RegTrace> + '_ {
+pub fn artifact_builder(program: &Program) -> impl FnMut(&[BlockId]) -> Option<RegTrace> + '_ {
     let decoded = DecodedProgram::decode(program);
-    move |blocks: &[BlockId]| {
-        let mut ct = compile_blocks(program, TraceId::from_raw(u32::MAX), blocks).ok()?;
-        if config.optimize {
-            optimize_trace(&mut ct);
-        }
-        lower_reg(program, &decoded, &ct)
-    }
+    move |blocks: &[BlockId]| build_trace(program, &decoded, TraceId::from_raw(u32::MAX), blocks)
 }
 
 /// Runs the construction service for a shared session until every queue
@@ -153,7 +138,7 @@ pub fn run_shared_constructor(
         rx,
         cache,
         config.jit.constructor_config(),
-        artifact_builder(program, config),
+        artifact_builder(program),
     )
 }
 
@@ -179,7 +164,7 @@ pub fn run_supervised_shared_constructor(
         supervisor,
         health,
         faults,
-        artifact_builder(program, config),
+        artifact_builder(program),
     )
 }
 
@@ -210,7 +195,7 @@ mod tests {
     fn artifact_builder_lowers_connected_chains_and_rejects_broken_ones() {
         let program = loop_program();
         let blk = |b: u32| BlockId::new(program.entry(), b);
-        let mut build = artifact_builder(&program, EngineConfig::paper_default());
+        let mut build = artifact_builder(&program);
         let art = build(&[blk(1), blk(2), blk(1)]).expect("connected chain lowers");
         assert_eq!(art.src_blocks, vec![blk(1), blk(2), blk(1)]);
         assert!(build(&[blk(0), blk(2)]).is_none(), "disconnected chain");
@@ -376,7 +361,7 @@ mod tests {
         // Plant the loop trace by hand. With argument 0 the loop guard
         // fails at entry (0 <= 0 exits immediately), so every dispatch
         // of this trace is an immediate side exit.
-        let mut build = artifact_builder(&program, config);
+        let mut build = artifact_builder(&program);
         cache.insert_and_link_with((blk(0), blk(1)), vec![blk(1), blk(2), blk(1)], 0.99, |b| {
             build(b)
         });

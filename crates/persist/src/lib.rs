@@ -22,13 +22,12 @@
 //!   panic and never partial state (decoding builds a pure value that
 //!   is applied only after full validation).
 //!
-//! The engine wires this into three modes (see `trace-exec`):
-//! `snapshot` dumps a warmed VM, `warm-boot` loads and **merges** a
-//! snapshot into a live profiler (stale counts age out under the normal
-//! decay discipline rather than pinning predictions), and `aot-replay`
-//! replays the profile through the trace constructor so traces are
-//! pre-built — re-admitted past the payload budget and quarantine
-//! blacklist — before serving.
+//! The engine wires this into two operations (see `trace-exec`):
+//! `snapshot` dumps a warmed VM, and `load_snapshot` (warm boot) loads
+//! and **merges** a snapshot into a live profiler (stale counts age out
+//! under the normal decay discipline rather than pinning predictions),
+//! restores the cache contents and pre-builds the traces' artifacts
+//! before serving.
 
 pub mod cache;
 pub mod cursor;

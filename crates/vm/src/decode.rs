@@ -512,139 +512,6 @@ impl DecodedProgram {
         &self.funcs[id.index()]
     }
 
-    /// Interns an integer constant into the pool after decoding (used by
-    /// the trace engine when lowering compiled traces, whose optimizer may
-    /// invent constants the original program never mentioned). Linear
-    /// scan: lowering is a cold path and pools stay small.
-    pub fn intern_iconst(&mut self, v: i64) -> u32 {
-        if let Some(i) = self.iconsts.iter().position(|&x| x == v) {
-            return i as u32;
-        }
-        self.iconsts.push(v);
-        (self.iconsts.len() - 1) as u32
-    }
-
-    /// Interns a float constant (by bit pattern, so NaNs dedupe too).
-    pub fn intern_fconst(&mut self, v: f64) -> u32 {
-        if let Some(i) = self
-            .fconsts
-            .iter()
-            .position(|&x| x.to_bits() == v.to_bits())
-        {
-            return i as u32;
-        }
-        self.fconsts.push(v);
-        (self.fconsts.len() - 1) as u32
-    }
-
-    /// Encodes one **straight-line** (branch-free, call-free) instruction
-    /// against this program's pools, interning constants as needed.
-    /// Returns `None` for control instructions — their targets need a
-    /// function context and already exist in the decoded streams.
-    pub fn encode_straightline(&mut self, program: &Program, ins: &Instr) -> Option<DOp> {
-        Some(match ins {
-            Instr::IConst(v) => DOp::new(op::ICONST, 0, self.intern_iconst(*v)),
-            Instr::FConst(v) => DOp::new(op::FCONST, 0, self.intern_fconst(*v)),
-            Instr::ConstNull => DOp::new(op::CONST_NULL, 0, 0),
-            Instr::Dup => DOp::new(op::DUP, 0, 0),
-            Instr::Dup2 => DOp::new(op::DUP2, 0, 0),
-            Instr::Pop => DOp::new(op::POP, 0, 0),
-            Instr::Swap => DOp::new(op::SWAP, 0, 0),
-            Instr::Load(s) => DOp::new(op::LOAD, *s, 0),
-            Instr::Store(s) => DOp::new(op::STORE, *s, 0),
-            Instr::IInc(s, d) => DOp::new(op::IINC, *s, *d as u32),
-            Instr::IAdd => DOp::new(op::IADD, 0, 0),
-            Instr::ISub => DOp::new(op::ISUB, 0, 0),
-            Instr::IMul => DOp::new(op::IMUL, 0, 0),
-            Instr::IDiv => DOp::new(op::IDIV, 0, 0),
-            Instr::IRem => DOp::new(op::IREM, 0, 0),
-            Instr::INeg => DOp::new(op::INEG, 0, 0),
-            Instr::IShl => DOp::new(op::ISHL, 0, 0),
-            Instr::IShr => DOp::new(op::ISHR, 0, 0),
-            Instr::IUShr => DOp::new(op::IUSHR, 0, 0),
-            Instr::IAnd => DOp::new(op::IAND, 0, 0),
-            Instr::IOr => DOp::new(op::IOR, 0, 0),
-            Instr::IXor => DOp::new(op::IXOR, 0, 0),
-            Instr::FAdd => DOp::new(op::FADD, 0, 0),
-            Instr::FSub => DOp::new(op::FSUB, 0, 0),
-            Instr::FMul => DOp::new(op::FMUL, 0, 0),
-            Instr::FDiv => DOp::new(op::FDIV, 0, 0),
-            Instr::FNeg => DOp::new(op::FNEG, 0, 0),
-            Instr::I2F => DOp::new(op::I2F, 0, 0),
-            Instr::F2I => DOp::new(op::F2I, 0, 0),
-            Instr::New(class) => {
-                let nf = program.class(*class).num_fields();
-                DOp::new(op::NEW, nf, class.0)
-            }
-            Instr::GetField(n) => DOp::new(op::GET_FIELD, *n, 0),
-            Instr::PutField(n) => DOp::new(op::PUT_FIELD, *n, 0),
-            Instr::NewArray => DOp::new(op::NEW_ARRAY, 0, 0),
-            Instr::ALoad => DOp::new(op::ALOAD, 0, 0),
-            Instr::AStore => DOp::new(op::ASTORE, 0, 0),
-            Instr::ArrayLen => DOp::new(op::ARRAY_LEN, 0, 0),
-            Instr::Intrinsic(i) => {
-                let off = INTRINSIC_ORDER
-                    .iter()
-                    .position(|x| x == i)
-                    .expect("all intrinsics are in INTRINSIC_ORDER")
-                    as u8;
-                DOp::new(op::SQRT + off, 0, 0)
-            }
-            Instr::Nop => DOp::new(op::NOP, 0, 0),
-            Instr::IfICmp(..)
-            | Instr::IfI(..)
-            | Instr::IfFCmp(..)
-            | Instr::IfNull(..)
-            | Instr::IfNonNull(..)
-            | Instr::Goto(..)
-            | Instr::TableSwitch { .. }
-            | Instr::InvokeStatic(..)
-            | Instr::InvokeVirtual { .. }
-            | Instr::Return
-            | Instr::ReturnVoid => return None,
-        })
-    }
-
-    /// Read-only variant of [`Self::encode_straightline`]: encodes a
-    /// straight-line instruction **without interning**, returning `None`
-    /// if the instruction is control flow *or* mentions a constant the
-    /// pools do not already hold.
-    ///
-    /// The decode pass is deterministic, so two `DecodedProgram`s decoded
-    /// from the same program have byte-identical pools and streams. A
-    /// `DOp` produced read-only against one copy is therefore valid
-    /// against *every* copy — which is what lets a shared trace cache
-    /// lower traces once, on a constructor thread, and hand the artifact
-    /// to many VMs that each own a private decoded copy. Only optimizer-
-    /// invented constants (absent from the original program) fail here.
-    pub fn encode_straightline_frozen(&self, program: &Program, ins: &Instr) -> Option<DOp> {
-        match ins {
-            Instr::IConst(v) => {
-                let i = self.iconsts.iter().position(|x| x == v)?;
-                Some(DOp::new(op::ICONST, 0, i as u32))
-            }
-            Instr::FConst(v) => {
-                let i = self
-                    .fconsts
-                    .iter()
-                    .position(|x| x.to_bits() == v.to_bits())?;
-                Some(DOp::new(op::FCONST, 0, i as u32))
-            }
-            _ => {
-                // Every other straight-line shape touches no pool; the
-                // mutable encoder is pure for them. (It can intern only
-                // via the two constant arms handled above.)
-                let mut probe = Self {
-                    funcs: Vec::new(),
-                    iconsts: Vec::new(),
-                    fconsts: Vec::new(),
-                    switches: Vec::new(),
-                };
-                probe.encode_straightline(program, ins)
-            }
-        }
-    }
-
     /// Real byte footprint (capacities, not lengths).
     pub fn memory_estimate(&self) -> DecodedMemory {
         let mut m = DecodedMemory::default();
@@ -789,31 +656,17 @@ mod tests {
     }
 
     #[test]
-    fn frozen_encoding_matches_mutable_and_refuses_novel_constants() {
+    fn decoding_is_deterministic() {
+        // A shared cache lowers a trace once, against the constructor
+        // thread's decoded copy, and hands it to VMs that each decoded
+        // their own: every decoded index must mean the same in all of them.
         let p = loop_program();
-        let mut d = DecodedProgram::decode(&p);
-        // Pooled constant and pool-free shapes agree with the interner.
-        for ins in [Instr::IConst(0), Instr::IAdd, Instr::Load(0), Instr::Dup] {
-            let frozen = d.encode_straightline_frozen(&p, &ins);
-            assert_eq!(frozen, d.encode_straightline(&p, &ins), "{ins:?}");
-            assert!(frozen.is_some(), "{ins:?}");
-        }
-        // Control flow refuses, as in the mutable encoder.
-        assert!(d.encode_straightline_frozen(&p, &Instr::Goto(0)).is_none());
-        // A constant the program never mentioned cannot be encoded
-        // read-only — and the attempt must not grow the pools.
-        let pool = d.iconsts.clone();
-        assert!(d
-            .encode_straightline_frozen(&p, &Instr::IConst(424_242))
-            .is_none());
-        assert_eq!(d.iconsts, pool);
-        // Decode determinism: two copies have identical pools, so a DOp
-        // encoded against one indexes the same constant in the other.
-        let d2 = DecodedProgram::decode(&p);
-        assert_eq!(d.iconsts, d2.iconsts);
-        assert_eq!(d.fconsts, d2.fconsts);
-        let dop = d.encode_straightline_frozen(&p, &Instr::IConst(0)).unwrap();
-        assert_eq!(d2.iconsts[dop.b as usize], 0);
+        let (a, b) = (DecodedProgram::decode(&p), DecodedProgram::decode(&p));
+        assert_eq!(a.disassemble(&p), b.disassemble(&p));
+        assert_eq!(a.iconsts, b.iconsts);
+        assert_eq!(a.switches, b.switches);
+        let (fa, fb) = (a.func(p.entry()), b.func(p.entry()));
+        assert_eq!((&fa.pc_map, &fa.block_of), (&fb.pc_map, &fb.block_of));
     }
 
     #[test]

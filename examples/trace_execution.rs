@@ -1,13 +1,12 @@
-//! The paper's future work (§6), live: execute the traces, then optimize
-//! them.
+//! The paper's future work (§6), live: execute the traces.
 //!
-//! Runs a workload under three engines and compares wall time and
+//! Runs a workload under three executors and compares wall time and
 //! dispatch counts:
 //!
-//! 1. the plain block-dispatch interpreter with the profiler attached
-//!    (what the base system pays while profiling);
-//! 2. the trace-executing engine (profiling only outside traces);
-//! 3. the same engine with the trace peephole optimizer.
+//! 1. the plain block-dispatch interpreter (the lower bound);
+//! 2. the same with the profiler attached (what the base system pays
+//!    while profiling);
+//! 3. the trace-executing engine (profiling only outside traces).
 //!
 //! ```text
 //! cargo run --release --example trace_execution [workload]
@@ -61,20 +60,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine_time = t0.elapsed();
     assert_eq!(report.checksum, w.expected_checksum);
 
-    // With the trace optimizer.
-    let mut opt_engine = TracingVm::new(
-        &w.program,
-        EngineConfig {
-            jit,
-            ..EngineConfig::paper_default().with_optimizer(true)
-        },
-    );
-    opt_engine.run(&w.args)?;
-    let t0 = Instant::now();
-    let opt_report = opt_engine.run(&w.args)?;
-    let opt_time = t0.elapsed();
-    assert_eq!(opt_report.checksum, w.expected_checksum);
-
     println!("interpreter (no profiler) : {plain_time:>10.2?}  {plain_dispatches} dispatches");
     println!(
         "interpreter + profiler    : {profiled_time:>10.2?}  (profiling overhead {:+.1}%)",
@@ -85,18 +70,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.exec.block_dispatches,
         plain_dispatches as f64 / report.exec.block_dispatches.max(1) as f64
     );
-    println!(
-        "engine + trace optimizer  : {opt_time:>10.2?}  {} instructions executed (vs {})",
-        opt_report.exec.instructions, report.exec.instructions
-    );
-    let s = opt_engine.opt_stats();
-    println!(
-        "\ntrace optimizer: {} folds, {} dead-stack eliminations, {} identities, {} strength reductions — {:.1}% of compiled trace code removed",
-        s.folds, s.eliminations, s.identities, s.reductions, 100.0 * s.savings()
-    );
     let rs = engine.reg_stats();
     println!(
-        "register lowering: {} -> {} instrs, {} virtual regs, {} stack ops eliminated, {} guards fused",
+        "\nregister lowering: {} -> {} instrs, {} virtual regs, {} stack ops eliminated, {} guards fused",
         rs.before, rs.after, rs.regs, rs.eliminated, rs.guards_fused
     );
     if let Some(rep) = engine.dop_fusion_report() {

@@ -1,7 +1,7 @@
 //! `tracevm` — command-line front end for the trace-cache reproduction.
 //!
 //! ```text
-//! tracevm run <workload> [--scale test|small|paper] [--engine interp|trace|exec|exec-opt]
+//! tracevm run <workload> [--scale test|small|paper] [--engine interp|trace|exec]
 //!                        [--threshold 0.97] [--delay 64] [--unroll 1]
 //! tracevm disasm <workload> [--scale ...]
 //! tracevm dot <workload> [--out DIR] [--scale ...]
@@ -17,7 +17,7 @@ use tracecache_repro::bytecode::disasm;
 use tracecache_repro::exec::{EngineConfig, TracingVm};
 use tracecache_repro::jit::{RunReport, TraceJitConfig, TraceVm};
 use tracecache_repro::tracecache::dot as trace_dot;
-use tracecache_repro::vm::{NullObserver, Vm};
+use tracecache_repro::vm::{ExecStats, NullObserver, Value, Vm};
 use tracecache_repro::workloads::{registry, Scale, Workload};
 
 struct Options {
@@ -35,9 +35,6 @@ struct Options {
     save_snapshot: Option<String>,
     /// Boot the VM from this snapshot before the run.
     load_snapshot: Option<String>,
-    /// With `--load-snapshot`: AOT-replay the profile through the
-    /// constructor instead of restoring the cache contents directly.
-    aot: bool,
 }
 
 impl Default for Options {
@@ -53,16 +50,15 @@ impl Default for Options {
             out: ".".into(),
             save_snapshot: None,
             load_snapshot: None,
-            aot: false,
         }
     }
 }
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  tracevm run <workload> [--scale test|small|paper] [--engine interp|trace|exec|exec-opt]\n\
+        "usage:\n  tracevm run <workload> [--scale test|small|paper] [--engine interp|trace|exec]\n\
          \x20                        [--threshold T] [--delay D] [--unroll N] [--no-fuse] [--no-health]\n\
-         \x20                        [--save-snapshot FILE] [--load-snapshot FILE [--aot]]\n\
+         \x20                        [--save-snapshot FILE] [--load-snapshot FILE]\n\
          \x20 tracevm disasm <workload> [--scale ...]\n\
          \x20 tracevm dot <workload> [--out DIR] [--scale ...]\n\
          \x20 tracevm compare <workload> [--scale ...]\n\
@@ -112,7 +108,6 @@ fn parse_options(args: &mut std::env::Args, opts: &mut Options) -> Result<(), St
             "--out" => opts.out = need("--out")?,
             "--save-snapshot" => opts.save_snapshot = Some(need("--save-snapshot")?),
             "--load-snapshot" => opts.load_snapshot = Some(need("--load-snapshot")?),
-            "--aot" => opts.aot = true,
             other => return Err(format!("unknown option `{other}`")),
         }
     }
@@ -126,20 +121,37 @@ fn jit_config(opts: &Options) -> TraceJitConfig {
         .with_loop_unroll(opts.unroll)
 }
 
-fn print_report(w: &Workload, r: &RunReport) {
+/// The end-to-end semantic check of every `run`: the VM's checksum
+/// against the workload's Rust reference implementation. A mismatch is
+/// the run's error, so the process exits nonzero.
+fn checksum_verdict(got: u64, expected: u64) -> Result<(), String> {
+    if got == expected {
+        Ok(())
+    } else {
+        Err(format!(
+            "checksum mismatch: got {got:#018x}, reference {expected:#018x}"
+        ))
+    }
+}
+
+/// Prints the lines every engine shares.
+fn print_outcome(w: &Workload, result: Option<Value>, checksum: u64, exec: &ExecStats) {
     println!("workload            : {} — {}", w.name, w.description);
-    println!("result              : {:?}", r.result);
+    println!("result              : {result:?}");
     println!(
-        "checksum            : {:#018x} ({})",
-        r.checksum,
-        if r.checksum == w.expected_checksum {
+        "checksum            : {checksum:#018x} ({})",
+        if checksum_verdict(checksum, w.expected_checksum).is_ok() {
             "matches reference"
         } else {
             "MISMATCH!"
         }
     );
-    println!("instructions        : {}", r.exec.instructions);
-    println!("block dispatches    : {}", r.exec.block_dispatches);
+    println!("instructions        : {}", exec.instructions);
+    println!("block dispatches    : {}", exec.block_dispatches);
+}
+
+fn print_report(w: &Workload, r: &RunReport) {
+    print_outcome(w, r.result, r.checksum, &r.exec);
     println!("trace dispatches    : {}", r.traces.trace_dispatches());
     println!(
         "traces              : {} entered, {} completed, {} early exits",
@@ -166,31 +178,16 @@ fn print_report(w: &Workload, r: &RunReport) {
 }
 
 fn cmd_run(w: &Workload, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    if (opts.save_snapshot.is_some() || opts.load_snapshot.is_some() || opts.aot)
-        && !matches!(opts.engine.as_str(), "exec" | "exec-opt")
-    {
-        return Err("snapshot options require --engine exec or exec-opt".into());
+    if (opts.save_snapshot.is_some() || opts.load_snapshot.is_some()) && opts.engine != "exec" {
+        return Err("snapshot options require --engine exec".into());
     }
-    if opts.aot && opts.load_snapshot.is_none() {
-        return Err("--aot requires --load-snapshot".into());
-    }
-    match opts.engine.as_str() {
+    // Every arm prints its report in full and yields the checksum it
+    // saw; the verdict on it is the run's exit status.
+    let checksum = match opts.engine.as_str() {
         "interp" => {
             let mut vm = Vm::new(&w.program);
             let result = vm.run(&w.args, &mut NullObserver)?;
-            println!("workload            : {} — {}", w.name, w.description);
-            println!("result              : {result:?}");
-            println!(
-                "checksum            : {:#018x} ({})",
-                vm.checksum(),
-                if vm.checksum() == w.expected_checksum {
-                    "matches reference"
-                } else {
-                    "MISMATCH!"
-                }
-            );
-            println!("instructions        : {}", vm.stats().instructions);
-            println!("block dispatches    : {}", vm.stats().block_dispatches);
+            print_outcome(w, result, vm.checksum(), &vm.stats());
             let m = vm.decoded().memory_estimate();
             println!(
                 "decoded code        : {} bytes ({} code, {} maps, {} pools)",
@@ -200,32 +197,28 @@ fn cmd_run(w: &Workload, opts: &Options) -> Result<(), Box<dyn std::error::Error
                 m.pool_bytes
             );
             println!("frame arena         : {} bytes", vm.arena_memory());
+            vm.checksum()
         }
         "trace" => {
             let mut tvm = TraceVm::new(&w.program, jit_config(opts));
             let r = tvm.run(&w.args)?;
             print_report(w, &r);
+            r.checksum
         }
-        "exec" | "exec-opt" => {
+        "exec" => {
             let mut engine = TracingVm::new(
                 &w.program,
                 EngineConfig {
                     jit: jit_config(opts),
-                    optimize: opts.engine == "exec-opt",
                     dop_fusion: opts.dop_fusion,
                     health: opts.health,
                 },
             );
             if let Some(path) = &opts.load_snapshot {
                 let bytes = std::fs::read(path)?;
-                let boot = if opts.aot {
-                    engine.aot_replay(&bytes)?
-                } else {
-                    engine.load_snapshot(&bytes)?
-                };
+                let boot = engine.load_snapshot(&bytes)?;
                 println!(
-                    "{:<20}: {} nodes ({} new), {} traces, {} links, {} quarantined, {} artifacts pre-built",
-                    if opts.aot { "aot replay" } else { "warm boot" },
+                    "warm boot           : {} nodes ({} new), {} traces, {} links, {} quarantined, {} artifacts pre-built",
                     boot.nodes_merged + boot.nodes_created,
                     boot.nodes_created,
                     boot.traces_installed,
@@ -245,17 +238,6 @@ fn cmd_run(w: &Workload, opts: &Options) -> Result<(), Box<dyn std::error::Error
                 println!("snapshot            : {} bytes -> {path}", bytes.len());
             }
             print_report(w, &r);
-            let s = engine.opt_stats();
-            if opts.engine == "exec-opt" {
-                println!(
-                    "trace optimizer     : {:.1}% of compiled code removed ({} folds, {} elims, {} identities, {} reductions)",
-                    100.0 * s.savings(),
-                    s.folds,
-                    s.eliminations,
-                    s.identities,
-                    s.reductions
-                );
-            }
             println!("compiled traces     : {}", engine.compiled_count());
             match engine.dop_fusion_report() {
                 Some(rep) => {
@@ -303,10 +285,11 @@ fn cmd_run(w: &Workload, opts: &Options) -> Result<(), Box<dyn std::error::Error
                 "degraded            : {}",
                 engine.degraded_reason().unwrap_or("no")
             );
+            r.checksum
         }
         other => return Err(format!("unknown engine `{other}`").into()),
-    }
-    Ok(())
+    };
+    Ok(checksum_verdict(checksum, w.expected_checksum)?)
 }
 
 fn cmd_compare(w: &Workload, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
@@ -396,5 +379,17 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::checksum_verdict;
+
+    #[test]
+    fn a_checksum_mismatch_is_an_error() {
+        assert_eq!(checksum_verdict(7, 7), Ok(()));
+        let err = checksum_verdict(7, 8).unwrap_err();
+        assert!(err.contains("0x0000000000000007") && err.contains("0x0000000000000008"));
     }
 }

@@ -19,7 +19,8 @@
 //! * [`baselines`] — Dynamo-style NET and rePLay-style selection for
 //!   comparison (paper §2);
 //! * [`exec`] — the paper's stated future work (§6): compiled, guarded
-//!   trace execution with side exits, plus a trace peephole optimizer;
+//!   trace execution with side exits, retiring exactly the
+//!   interpreter's instruction sequence;
 //! * [`conformance`] — the model-based conformance harness: an
 //!   executable, deliberately naive transcription of the paper's BCG and
 //!   trace-cutting rules checked in lockstep against the optimised

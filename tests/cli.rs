@@ -25,7 +25,7 @@ fn list_names_all_six_workloads() {
 
 #[test]
 fn run_reports_matching_checksum_on_every_engine() {
-    for engine in ["interp", "trace", "exec", "exec-opt"] {
+    for engine in ["interp", "trace", "exec"] {
         let out = tracevm()
             .args([
                 "run", "compress", "--scale", "test", "--engine", engine, "--delay", "16",

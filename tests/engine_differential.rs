@@ -1,7 +1,7 @@
 //! Differential testing of the trace-executing engine against the plain
-//! interpreter: on every workload, with and without the optimizer, the
-//! engine must produce identical results and checksums — the trace
-//! machinery, guards, side exits and peephole passes may never change
+//! interpreter: on every workload, under every configuration, the engine
+//! must produce identical results, checksums and instruction counts —
+//! the trace machinery, guards and side exits may never change
 //! observable semantics.
 //!
 //! The engine runs out-of-trace code on the interpreter's own decoded
@@ -15,7 +15,7 @@ use tracecache_repro::bytecode::Program;
 use tracecache_repro::conformance::genprog::{args_from, build_program, gen_block};
 use tracecache_repro::exec::{EngineConfig, TracingVm};
 use tracecache_repro::jit::TraceJitConfig;
-use tracecache_repro::vm::{NullObserver, Value, Vm};
+use tracecache_repro::vm::{NullObserver, ReferenceVm, Value, Vm};
 use tracecache_repro::workloads::prng::{seed_stream, Xoshiro256StarStar};
 use tracecache_repro::workloads::{registry, Scale};
 
@@ -40,8 +40,7 @@ fn engine_matches_interpreter_on_all_workloads() {
         assert_eq!(
             report.exec.instructions,
             plain.stats().instructions,
-            "{}: unoptimized trace execution must execute the same \
-             instruction sequence",
+            "{}: trace execution must execute the same instruction sequence",
             w.name
         );
     }
@@ -83,25 +82,39 @@ fn engine_reduces_dispatches_on_all_workloads() {
     }
 }
 
+/// The whole configuration space — `dop_fusion` × `health` — against the
+/// frozen reference interpreter, two runs per VM: the second executes
+/// DOp-fused streams (when fusion is on) against a warm cache. Exact
+/// parity in every cell; a new knob is one more factor here.
 #[test]
-fn optimized_engine_preserves_semantics_on_all_workloads() {
+fn every_configuration_matches_the_reference_on_all_workloads() {
     for w in registry::all(Scale::Test) {
-        let mut engine = TracingVm::new(&w.program, engine_config().with_optimizer(true));
-        let report = engine.run(&w.args).unwrap();
-        assert_eq!(
-            report.checksum, w.expected_checksum,
-            "{}: optimizer broke semantics",
-            w.name
-        );
-        let baseline = {
-            let mut e = TracingVm::new(&w.program, engine_config());
-            e.run(&w.args).unwrap()
-        };
-        assert!(
-            report.exec.instructions <= baseline.exec.instructions,
-            "{}: optimizer must never add instructions",
-            w.name
-        );
+        let mut reference = ReferenceVm::new(&w.program);
+        let want = reference.run(&w.args, &mut NullObserver).unwrap();
+        assert_eq!(reference.checksum(), w.expected_checksum, "{}", w.name);
+        for (dop_fusion, health) in [(true, true), (true, false), (false, true), (false, false)] {
+            let config = engine_config()
+                .with_dop_fusion(dop_fusion)
+                .with_health(health);
+            let mut engine = TracingVm::new(&w.program, config);
+            for run in 0..2 {
+                let label = format!("{} fusion={dop_fusion} health={health} run {run}", w.name);
+                let report = engine.run(&w.args).unwrap();
+                assert_eq!(report.result, want, "{label}: result");
+                assert_eq!(report.checksum, reference.checksum(), "{label}: checksum");
+                assert_eq!(
+                    report.exec.instructions,
+                    reference.stats().instructions,
+                    "{label}: instruction count"
+                );
+                assert!(report.traces.entered > 0, "{label}: ran cold");
+                assert_eq!(
+                    engine.dop_fusion_report().is_some(),
+                    dop_fusion,
+                    "{label}: fused streams"
+                );
+            }
+        }
     }
 }
 

@@ -1,8 +1,7 @@
 //! Differential testing of the register-lowered trace path: the engine
 //! executes hot traces from three-address virtual-register code, and
-//! nothing observable may change — results, checksums, and
-//! (unoptimized) the exact instruction count must match the plain
-//! interpreter bit-for-bit.
+//! nothing observable may change — results, checksums, and the exact
+//! instruction count must match the plain interpreter bit-for-bit.
 //!
 //! The six paper workloads are `engine_differential.rs`'s rows; this
 //! suite adds:
@@ -17,13 +16,13 @@
 //!   limit placed at *every* instruction index cuts every hand-off
 //!   (trace entry, side exit, the final terminator handed back,
 //!   in-trace call and return) exactly where it cuts the interpreter;
-//!   in-trace stack overflow and collection agree with the
-//!   interpreter's; and hand-backs that land inside DOp-fused groups
+//!   in-trace stack overflow, runtime traps and collection agree with
+//!   the interpreter's; and hand-backs that land inside DOp-fused groups
 //!   execute the remainder unfused.
 //!
 //! [`genprog`]: tracecache_repro::conformance::genprog
 
-use tracecache_repro::bytecode::{CmpOp, Intrinsic, Program, ProgramBuilder};
+use tracecache_repro::bytecode::{CmpOp, FunctionBuilder, Intrinsic, Program, ProgramBuilder};
 use tracecache_repro::conformance::genprog::{args_from, build_program, gen_block};
 use tracecache_repro::exec::{compile, lower_reg, EngineConfig, TracingVm};
 use tracecache_repro::jit::TraceJitConfig;
@@ -284,11 +283,11 @@ fn return_guard_side_exits_reconstruct_the_frame() {
     assert!(traces.entered > 0, "{traces:?}");
 }
 
-/// Every chaos program stays correct across warm re-runs and under the
-/// optimizer — the side-exit-heavy paths are where stale register state
-/// would show.
+/// Every chaos program stays exact across warm re-runs — every guard
+/// kind fails again and again against a cache and a register file that
+/// earlier runs left behind, which is where stale state would show.
 #[test]
-fn chaos_programs_survive_warm_optimized_runs() {
+fn chaos_programs_survive_warm_runs() {
     for (name, program, n) in [
         ("cond-flip", cond_flip_program(15), 2_000),
         ("switch-flip", switch_flip_program(), 2_000),
@@ -297,12 +296,17 @@ fn chaos_programs_survive_warm_optimized_runs() {
     ] {
         let args = [Value::Int(n)];
         let mut plain = Vm::new(&program);
-        plain.run(&args, &mut NullObserver).unwrap();
-        let want = plain.checksum();
-        let mut engine = TracingVm::new(&program, chaos_config().with_optimizer(true));
+        let want = plain.run(&args, &mut NullObserver).unwrap();
+        let mut engine = TracingVm::new(&program, chaos_config());
         for run in 0..3 {
             let report = engine.run(&args).unwrap();
-            assert_eq!(report.checksum, want, "{name} run {run}");
+            assert_eq!(report.result, want, "{name} run {run}");
+            assert_eq!(report.checksum, plain.checksum(), "{name} run {run}");
+            assert_eq!(
+                report.exec.instructions,
+                plain.stats().instructions,
+                "{name} run {run}"
+            );
         }
     }
 }
@@ -403,6 +407,150 @@ fn in_trace_call_stack_overflow_matches_the_interpreter() {
         got.block_dispatches,
         want.block_dispatches
     );
+}
+
+/// Locals and the vtable slot a [`trap_loop_program`] body works with.
+struct TrapLoop {
+    /// The loop counter.
+    i: u16,
+    /// A two-element array `[null, C object]`.
+    pair: u16,
+    /// Vtable slot of `C.m` (one receiver argument, returns 3).
+    slot: u16,
+}
+
+/// `main(n, lim)`: a counted loop `for i in (lim+1..=n).rev()` that runs
+/// `body` — which leaves one int on the stack — then prints and
+/// checksums an accumulator, every iteration. The bodies below trap
+/// exactly when `i == 0`, so `lim = 0` runs clean and a negative `lim`
+/// walks the same (already traced) loop into the trap.
+fn trap_loop_program(body: impl FnOnce(&mut FunctionBuilder, &TrapLoop)) -> Program {
+    let mut pb = ProgramBuilder::new();
+    let m = pb.declare_function("C.m", 1, true);
+    pb.function_mut(m).iconst(3).ret();
+    let c = pb.declare_class("C", None, 1);
+    let slot = pb.add_method(c, m);
+    let f = pb.declare_function("main", 2, true);
+    let b = pb.function_mut(f);
+    let acc = b.alloc_local();
+    let l = TrapLoop {
+        i: 0,
+        pair: b.alloc_local(),
+        slot,
+    };
+    b.iconst(0).store(acc);
+    b.iconst(2).new_array().store(l.pair);
+    b.load(l.pair).iconst(0).const_null().astore();
+    b.load(l.pair).iconst(1).new_obj(c).astore();
+    let head = b.bind_new_label();
+    let exit = b.new_label();
+    b.load(l.i).load(1).if_icmp(CmpOp::Le, exit);
+    body(b, &l);
+    b.load(acc).iadd().store(acc);
+    b.load(acc).intrinsic(Intrinsic::PrintInt);
+    b.load(acc).intrinsic(Intrinsic::Checksum);
+    b.iinc(l.i, -1).goto(head);
+    b.bind(exit);
+    b.load(acc).ret();
+    pb.build(f).unwrap()
+}
+
+impl TrapLoop {
+    /// Pushes `min(i, 1)`: 1 until the loop counter reaches 0.
+    fn push_clamped(&self, b: &mut FunctionBuilder) {
+        b.load(self.i).iconst(1).intrinsic(Intrinsic::MinI);
+    }
+
+    /// Pushes `pair[min(i, 1)]`: the object until `i` reaches 0, then
+    /// null.
+    fn push_receiver(&self, b: &mut FunctionBuilder) {
+        b.load(self.pair);
+        self.push_clamped(b);
+        b.aload();
+    }
+}
+
+#[test]
+fn in_trace_traps_match_the_interpreter() {
+    let cases = [
+        (
+            "division by zero",
+            trap_loop_program(|b, l| {
+                b.iconst(1000).load(l.i).idiv();
+            }),
+            VmError::DivisionByZero,
+        ),
+        (
+            "array index out of bounds",
+            trap_loop_program(|b, l| {
+                // pair[min(i, 1) - 1]: index -1 at i == 0.
+                b.load(l.pair);
+                l.push_clamped(b);
+                b.iconst(1).isub().aload().pop().iconst(1);
+            }),
+            VmError::IndexOutOfBounds { index: -1, len: 2 },
+        ),
+        (
+            "field access on null",
+            trap_loop_program(|b, l| {
+                l.push_receiver(b);
+                b.get_field(0);
+            }),
+            VmError::NullPointer,
+        ),
+        (
+            "virtual call on null",
+            trap_loop_program(|b, l| {
+                l.push_receiver(b);
+                b.invoke_virtual(l.slot, 1);
+            }),
+            VmError::NullPointer,
+        ),
+        (
+            "negative array length",
+            trap_loop_program(|b, l| {
+                // new [min(i, 1) - 1]: empty until i == 0, then -1.
+                l.push_clamped(b);
+                b.iconst(1).isub().new_array().array_len();
+            }),
+            VmError::NegativeArrayLength { len: -1 },
+        ),
+    ];
+    for (name, program, trap) in cases {
+        let config = chaos_config();
+        let mut plain = Vm::with_config(&program, config.jit.vm);
+        let mut engine = TracingVm::new(&program, config);
+
+        // A clean run links the loop's traces; the second run walks the
+        // same loop five iterations further, into the trap.
+        let clean = [Value::Int(400), Value::Int(0)];
+        let want = plain.run(&clean, &mut NullObserver).unwrap();
+        let report = engine.run(&clean).unwrap();
+        assert_eq!(report.result, want, "{name}: clean run");
+        assert!(report.traces.completed > 100, "{name}: {:?}", report.traces);
+
+        let trapping = [Value::Int(400), Value::Int(-5)];
+        assert_eq!(
+            plain.run(&trapping, &mut NullObserver),
+            Err(trap.clone()),
+            "{name}: interpreter"
+        );
+        assert_eq!(
+            engine.run(&trapping).map(|r| r.result),
+            Err(trap),
+            "{name}: engine"
+        );
+        let (got, want) = (engine.interpreter(), &plain);
+        assert!(
+            got.stats().block_dispatches * 3 < want.stats().block_dispatches * 2,
+            "{name}: the loop must have run in traces: {} vs {} dispatches",
+            got.stats().block_dispatches,
+            want.stats().block_dispatches
+        );
+        assert_eq!(run_state(got), run_state(want), "{name}: machine state");
+        assert_eq!(got.output(), want.output(), "{name}: output");
+        assert_eq!(got.heap_stats(), want.heap_stats(), "{name}: heap stats");
+    }
 }
 
 #[test]
