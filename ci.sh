@@ -25,6 +25,23 @@ if [ "$engine_lines" -ge 1400 ]; then
     exit 1
 fi
 
+echo "== cache policy written once (SharedTraceCache wraps the generic TraceCache of tracecache/src/cache.rs)"
+# TraceCache and SharedTraceCache used to carry a transcription each of
+# the hash-cons / budget / quarantine policy, with three copies of the
+# counters and a shard striping no writer could contend on. A second copy of the sweep or the tombstoning shows up here
+# first.
+for f in enforce_budget tombstone reclaim_if_unlinked; do
+    n=$(grep -rnE "fn $f\b" crates/tracecache/src/ | wc -l)
+    if [ "$n" -ne 1 ]; then
+        echo "fn $f is defined $n times under crates/tracecache/src/ (want exactly 1)" >&2
+        exit 1
+    fi
+done
+if grep -rnE 'SharedCacheStats|StatsAtomic|with_shards' crates/; then
+    echo "a removed second copy of the cache counters / shard striping is back (matches above)" >&2
+    exit 1
+fi
+
 echo "== cargo test (release)"
 cargo test --workspace -q --release
 
@@ -46,6 +63,13 @@ cargo test -p trace-conformance --features debug-invariants -q phase_shift
 cargo test -p trace-conformance --features debug-invariants -q model_health
 cargo test --features debug-invariants -q --test health --test health_staleness
 cargo test -q --release --test health --test health_staleness
+
+echo "== private vs shared cache policy differential (debug: the core's structural asserts after every op of both shells; release: at speed)"
+# One policy, two link stores: seeded insert / try-insert / unlink /
+# quarantine / set-budget streams must leave TraceCache and
+# SharedTraceCache in the same state after every op.
+cargo test --features debug-invariants -q --test cache_policy_differential
+cargo test -q --release --test cache_policy_differential
 
 echo "== fault-injection conformance (supervised deployment vs interpreter oracle)"
 # Engine-level fault campaigns: corrupt artifacts, failed budget checks,
@@ -95,6 +119,9 @@ echo "== snapshot round-trip differential (debug: decoder/merge asserts in situ)
 # programs round-trip bit-identically, warm boot matches the interpreter
 # oracle, and the byte-level container format stays pinned.
 cargo test --features debug-invariants -q --test snapshot_differential --test snapshot_golden
+
+echo "== persist unit tests, cache invariants armed (a forged zero-completion trace must be refused, not planted)"
+cargo test -p trace-persist --features debug-invariants -q
 
 echo "== snapshot hostile-input campaign (release: >=256 mutants per source)"
 # Bit flips, truncations, section swaps, hostile length fields: every

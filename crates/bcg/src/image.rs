@@ -16,7 +16,7 @@
 //!   window of pending `since_decay` / `delay_remaining` updates)
 //!   arithmetically, without mutating the graph;
 //! * [`import`] reconstructs a graph from an image alone (used by the
-//!   differential round-trip suites and AOT replay);
+//!   differential round-trip suites);
 //! * [`merge_into`] folds an image into a *live* graph — the warm-boot
 //!   path — with saturating counter addition and clamping rules that
 //!   put every merged node back under the lazy-decay discipline: the
@@ -258,8 +258,7 @@ pub fn import(config: BcgConfig, image: &BcgImage) -> Result<BranchCorrelationGr
 /// state tag (so merging into an empty graph equals [`import`]); a node
 /// with live counters gets its tag re-evaluated from the merged
 /// counters. **No signals are raised** (warm boot restores trace links
-/// from the snapshot directly, and AOT replay synthesizes its own
-/// signals).
+/// from the snapshot directly).
 ///
 /// # Errors
 ///

@@ -52,7 +52,7 @@ pub struct SharedPoint {
     pub built: u64,
     /// Construction-queue counters (high-water depth, drops).
     pub queue: QueueStats,
-    /// Estimated bytes of the session (shards + cons state + artifacts
+    /// Estimated bytes of the session (link table + hash-cons state + artifacts
     /// + in-flight snapshots).
     pub memory_bytes: usize,
 }
@@ -222,8 +222,8 @@ pub struct ConcurrentReport {
     pub queue_capacity: usize,
     /// Per-workload rows.
     pub rows: Vec<ConcurrentRow>,
-    /// Single-VM snapshot warm-boot rows (cold vs warm boot vs AOT
-    /// replay), one per workload.
+    /// Single-VM snapshot warm-boot rows (cold vs warm boot), one per
+    /// workload.
     pub warm_boot: Vec<WarmBootRow>,
     /// Phase-shift self-healing rows (health on vs off), one per
     /// phase-shift variant.
@@ -615,7 +615,7 @@ fn measure_shared(
             let memory = session.memory_estimate();
             drop(session);
             let stats = svc.join().expect("constructor service");
-            (r, (stats.traces_created, queue, memory))
+            (r, (stats.constructor.traces_created, queue, memory))
         });
         if r.0 < best.0 {
             best = r;
@@ -1062,7 +1062,7 @@ impl FaultReport {
 /// Counters captured from the best (fastest) faulted repeat.
 struct FaultCounters {
     fired: u64,
-    cache: trace_cache::SharedCacheStats,
+    cache: trace_cache::CacheStats,
     health: trace_cache::ServiceHealthSnapshot,
 }
 

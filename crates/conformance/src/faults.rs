@@ -18,7 +18,7 @@ use std::sync::Arc;
 use jvm_bytecode::Program;
 use jvm_vm::{NullObserver, Value, Vm};
 use trace_cache::{
-    FaultConfig, FaultPlan, FaultStats, ServiceHealthSnapshot, SharedCacheStats, SupervisorConfig,
+    CacheStats, FaultConfig, FaultPlan, FaultStats, ServiceHealthSnapshot, SupervisorConfig,
 };
 use trace_exec::{run_supervised_shared_constructor, shared_session, EngineConfig, TracingVm};
 use trace_jit::TraceJitConfig;
@@ -43,7 +43,7 @@ pub struct FaultCaseReport {
     /// Fault-plan draw/fire counters.
     pub faults: FaultStats,
     /// Shared-cache counters after the last run.
-    pub cache: SharedCacheStats,
+    pub cache: CacheStats,
     /// Supervisor health after the constructor exited.
     pub health: ServiceHealthSnapshot,
     /// Payload bytes held by the cache after the last run.

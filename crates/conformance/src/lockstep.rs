@@ -264,15 +264,18 @@ impl Lockstep {
                         tid.index()
                     )));
                 }
-                let batch: Vec<OutcomeRecord> = outcomes
+                let runs: Vec<(OutcomeRecord, u64)> = outcomes
                     .iter()
-                    .map(|&outcome| OutcomeRecord {
-                        tid,
-                        entry,
-                        outcome,
+                    .map(|&outcome| {
+                        let rec = OutcomeRecord {
+                            tid,
+                            entry,
+                            outcome,
+                        };
+                        (rec, 1)
                     })
                     .collect();
-                TraceStore::record_outcomes(&mut self.cache, &batch);
+                TraceStore::record_outcome_runs(&mut self.cache, &runs);
                 for &outcome in outcomes {
                     self.model_cache.record_outcome(mid, entry, outcome);
                 }

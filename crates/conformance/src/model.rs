@@ -28,7 +28,10 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use jvm_bytecode::BlockId;
 use trace_bcg::{BcgConfig, Branch, NodeState, PackedBranch, SignalKind};
-use trace_cache::{trace_cost, ConstructorConfig, TraceOutcome};
+use trace_cache::{
+    trace_cost, ConstructorConfig, TraceOutcome, MAX_ENTRY_POINTS, MAX_PATH_NODES,
+    MAX_TRACE_BLOCKS, MIN_TRACE_BLOCKS,
+};
 
 /// A deliberately planted model bug, used by the regression tests to
 /// prove the harness detects real divergences. `None` in normal runs.
@@ -951,7 +954,7 @@ impl ModelConstructor {
         visited.insert(origin);
         let mut entries = Vec::new();
         while let Some(b) = stack.pop() {
-            if entries.len() >= self.config.max_entry_points {
+            if entries.len() >= MAX_ENTRY_POINTS {
                 break;
             }
             let node = bcg.node(b).expect("visited node exists");
@@ -1004,7 +1007,7 @@ impl ModelConstructor {
             }
             path.push(next);
             pos_of.insert(next, path.len() - 1);
-            if path.len() >= self.config.max_path_nodes {
+            if path.len() >= MAX_PATH_NODES {
                 break;
             }
         }
@@ -1059,7 +1062,7 @@ impl ModelConstructor {
         while i < chain.len() && i < emit_limit {
             let mut j = i;
             let mut prob = 1.0;
-            while j + 1 < chain.len() && (j + 1 - i) < self.config.max_trace_blocks {
+            while j + 1 < chain.len() && (j + 1 - i) < MAX_TRACE_BLOCKS {
                 let extended = prob * link_prob[j];
                 if extended < self.config.threshold {
                     break;
@@ -1068,7 +1071,7 @@ impl ModelConstructor {
                 j += 1;
             }
             let len = j + 1 - i;
-            if len >= self.config.min_trace_blocks {
+            if len >= MIN_TRACE_BLOCKS {
                 let entry = chain[i];
                 let blocks: Vec<BlockId> = chain[i..=j].iter().map(|b| b.1).collect();
                 // Quarantine refusals tick the cooldown and install

@@ -22,8 +22,6 @@ pub struct TraceJitConfig {
     /// Whether the profiler's predicted-successor inline cache is enabled
     /// (ablation knob; on in the paper).
     pub inline_cache: bool,
-    /// Hard cap on blocks per trace.
-    pub max_trace_blocks: usize,
     /// Extra loop-body copies appended when a trace ends in a loop
     /// (paper: 1, "unrolled once"; ablation knob).
     pub loop_unroll: usize,
@@ -39,7 +37,6 @@ impl TraceJitConfig {
             start_delay: 64,
             decay_interval: 256,
             inline_cache: true,
-            max_trace_blocks: 64,
             loop_unroll: 1,
             vm: VmConfig::default(),
         }
@@ -83,9 +80,7 @@ impl TraceJitConfig {
     pub fn constructor_config(&self) -> ConstructorConfig {
         ConstructorConfig {
             threshold: self.threshold,
-            max_trace_blocks: self.max_trace_blocks,
             loop_unroll: self.loop_unroll,
-            ..ConstructorConfig::paper_default()
         }
     }
 }

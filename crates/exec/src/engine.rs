@@ -693,7 +693,7 @@ impl<'p> TracingVm<'p> {
             profiler: jit.bcg.stats(),
             traces: jit.trace_stats,
             constructor: jit.constructor.stats(),
-            cache: jit.cache.stats(),
+            cache: jit.store().stats(),
         })
     }
 

@@ -68,7 +68,7 @@ pub struct SharedSession {
 }
 
 impl SharedSession {
-    /// Estimated bytes held by the whole session: shard slot tables,
+    /// Estimated bytes held by the whole session: the link table,
     /// hash-cons state, `Arc`'d lowered artifacts, and the snapshots
     /// currently in flight on the construction channel.
     pub fn memory_estimate(&self) -> usize {
@@ -223,7 +223,10 @@ mod tests {
                 vm.run(&[Value::Int(40_000)]).unwrap()
             }; // session (queue handle) dropped here → service exits
             let stats = svc.join().expect("constructor thread");
-            assert!(stats.traces_created > 0, "constructor must build traces");
+            assert!(
+                stats.constructor.traces_created > 0,
+                "constructor must build traces"
+            );
             report
         });
         assert_eq!(cold.result, want);
@@ -248,6 +251,11 @@ mod tests {
         };
         assert_eq!(warm.result, want);
         assert!(warm.traces.entered > 0, "shared traces must dispatch");
+        assert!(
+            warm.cache.links_live > 0,
+            "a shared-mode report carries the shared cache's counters: {:?}",
+            warm.cache
+        );
     }
 
     #[test]
@@ -268,10 +276,13 @@ mod tests {
         assert_eq!(results[0], results[1]);
         drop(session);
         let built = run_shared_constructor(rx, &cache, &program, config);
-        assert!(built.traces_created > 0, "first VM's chains must build");
+        assert!(
+            built.constructor.traces_created > 0,
+            "first VM's chains must build"
+        );
         let stats = cache.stats();
         assert!(
-            stats.traces_deduped > 0,
+            stats.traces_reused > 0,
             "second VM's identical chains must hash-cons: {stats:?}"
         );
     }
@@ -338,7 +349,10 @@ mod tests {
                 vm.run(&[Value::Int(40_000)]).unwrap()
             }; // dropping the session also ends the service if it never saw a batch
             let stats = svc.join().expect("supervisor must not panic");
-            assert_eq!(stats.traces_created, 0, "every batch died mid-build");
+            assert_eq!(
+                stats.constructor.traces_created, 0,
+                "every batch died mid-build"
+            );
             report
         });
         assert_eq!(report.result, want);

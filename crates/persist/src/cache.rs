@@ -123,9 +123,11 @@ impl CacheImage {
             if t.blocks.is_empty() {
                 return Err(bad(format!("trace {i} has no blocks")));
             }
+            // (0, 1], the cache's own invariant: the constructor only
+            // emits products of correlations at or above its threshold.
             let c = t.completion();
-            if !c.is_finite() || !(0.0..=1.0).contains(&c) {
-                return Err(bad(format!("trace {i} completion {c} outside [0, 1]")));
+            if !(c > 0.0 && c <= 1.0) {
+                return Err(bad(format!("trace {i} completion {c} outside (0, 1]")));
             }
         }
         let mut prev_key: Option<u64> = None;
@@ -179,8 +181,7 @@ impl CacheImage {
     /// This is the warm-boot path, which deliberately does **not**
     /// consult the quarantine on insertion: the links being restored
     /// were admitted — past that same blacklist — by the process that
-    /// wrote the snapshot. AOT replay re-runs admission via the
-    /// constructor instead.
+    /// wrote the snapshot.
     ///
     /// # Errors
     ///

@@ -451,6 +451,36 @@ mod tests {
         assert_eq!(back.to_bytes(), bytes);
     }
 
+    /// A container can be well-formed down to its checksums and still
+    /// carry a trace the cache's own invariant forbids (completion must
+    /// lie in `(0, 1]`); the reader must refuse it before anything is
+    /// restored, not leave it to `restore_into` to plant or panic on.
+    #[test]
+    fn zero_completion_trace_in_a_checksummed_container_is_rejected() {
+        for zero in [0.0f64, -0.0] {
+            let mut snap = warmed_snapshot();
+            snap.cache.traces[0].completion_bits = zero.to_bits();
+            let bytes = snap.to_bytes();
+            let err = SnapshotReader::new()
+                .read(&bytes, snap.program_hash)
+                .expect_err("a zero-completion trace must not decode");
+            assert!(
+                matches!(
+                    err,
+                    SnapshotError::Malformed {
+                        section: "cache",
+                        ..
+                    }
+                ),
+                "got {err:?}"
+            );
+            let mut target = TraceCache::new();
+            assert!(snap.cache.restore_into(&mut target).is_err());
+            assert_eq!((target.trace_count(), target.link_count()), (0, 0));
+            assert_eq!(target.budget(), None, "a refused image sets no budget");
+        }
+    }
+
     #[test]
     fn header_checks_fire_in_order() {
         let snap = warmed_snapshot();

@@ -1,5 +1,43 @@
-//! The hash-consed trace store.
+//! The hash-consed trace store and its policy, written once.
+//!
+//! The paper has one trace cache: signals in, traces hash-consed and
+//! linked at their entry branches (§4.2). [`TraceCache`] is that cache,
+//! and everything that decides *what* is cached lives here. It is
+//! generic over the little that differs between a cache owned by one VM
+//! (the default, [`PrivateShell`]: a [`BranchTable`] and an inline
+//! health ledger) and the store inside
+//! [`SharedTraceCache`](crate::SharedTraceCache) (a lock-free table and
+//! a ledger behind its own mutex): a [`Shell`] holding the entry links
+//! and reaching the ledger, an optional per-trace payload whose measured
+//! bytes ride on top of the closed-form cost, and a per-insert budget
+//! override.
+//!
+//! # Memory budget and eviction
+//!
+//! [`set_budget`](TraceCache::set_budget) bounds the payload bytes the
+//! cache may hold ([`payload_bytes`](TraceCache::payload_bytes): the
+//! closed-form [`trace_cost`] accounting, plus payload bytes). When an
+//! insert pushes the cache over budget, entry links are evicted by a
+//! deterministic second-chance (clock) sweep in insertion order: a link
+//! touched again since it was last considered gets one more round,
+//! otherwise it is unlinked; the just-written link is never the victim.
+//! A trace whose last link goes is *tombstoned* — removed from the
+//! hash-cons index (so a rebuild mints a fresh id; ids are never reused)
+//! and its storage reclaimed. Every mutation bumps
+//! [`version`](TraceCache::version), so inline BCG link slots and
+//! in-flight cached dispatches revalidate and fall back to block
+//! dispatch.
+//!
+//! # Quarantine
+//!
+//! [`quarantine`](TraceCache::quarantine) tombstones a faulting trace,
+//! removes all its links and blacklists its `(entry, path)` key;
+//! [`try_insert_and_link`](TraceCache::try_insert_and_link) then refuses
+//! to rebuild that exact trace at that entry until the cooldown decays
+//! (one tick per refused attempt), so a trace that keeps faulting cannot
+//! thrash the constructor.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 use jvm_bytecode::BlockId;
@@ -25,24 +63,29 @@ pub fn trace_cost(blocks: usize) -> usize {
     blocks * std::mem::size_of::<BlockId>() + TRACE_BYTES_OVERHEAD
 }
 
-/// Cache bookkeeping counters.
+/// Cache bookkeeping counters, private and shared cache alike.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// New trace objects constructed.
     pub traces_constructed: u64,
     /// Insertions that found an identical block sequence already cached
-    /// ("the trace is retrieved and linked", §4.2).
+    /// ("the trace is retrieved and linked", §4.2) — in a shared cache,
+    /// the cross-VM dedup hits.
     pub traces_reused: u64,
+    /// Entry links written (new or re-linked).
+    pub links_written: u64,
     /// Entry-branch links that replaced a different trace (cache
     /// instability events; the paper's stability criterion wants these
     /// rare, §3.6).
     pub links_replaced: u64,
+    /// Entry links removed by an unlink or a quarantine.
+    pub links_removed: u64,
     /// Entry links removed by the budget's second-chance sweep.
     pub links_evicted: u64,
     /// Trace objects tombstoned because their last link was evicted (or
     /// they were quarantined) and their storage reclaimed.
     pub traces_evicted: u64,
-    /// Traces tombstoned by [`TraceCache::quarantine`].
+    /// Traces tombstoned by a quarantine.
     pub traces_quarantined: u64,
     /// Construction attempts refused because the `(entry, path)` key is
     /// quarantined.
@@ -54,36 +97,79 @@ pub struct CacheStats {
     pub links_live: usize,
 }
 
+impl CacheStats {
+    /// Fraction of insertions served by hash-consing, in `[0, 1]`.
+    pub fn dedup_hit_rate(&self) -> f64 {
+        let total = self.traces_constructed + self.traces_reused;
+        if total == 0 {
+            0.0
+        } else {
+            self.traces_reused as f64 / total as f64
+        }
+    }
+}
+
+/// What differs between the cache one VM owns and the store inside a
+/// [`SharedTraceCache`](crate::SharedTraceCache): where entry links
+/// (keyed by packed entry branch) are stored, and how the health ledger
+/// is reached. The cache is the only writer of the links.
+pub trait Shell {
+    /// The trace linked at `key`, if any.
+    fn link(&self, key: u64) -> Option<TraceId>;
+    /// Links `key` to `id`; returns the trace previously linked there.
+    fn set_link(&mut self, key: u64, id: TraceId) -> Option<TraceId>;
+    /// Removes the link at `key`; returns the trace it pointed to.
+    fn remove_link(&mut self, key: u64) -> Option<TraceId>;
+    /// `id` was linked at `entry` (see [`HealthLedger::note_admission`]).
+    fn admitted(&mut self, id: TraceId, entry: Branch);
+    /// `id` was tombstoned (see [`HealthLedger::forget`]).
+    fn forget(&mut self, id: TraceId);
+    /// Live links, counted the way a reader of the store finds them.
+    #[cfg(feature = "debug-invariants")]
+    fn live_links(&self) -> usize;
+}
+
+/// The single-owner [`Shell`]: everything inline.
+#[derive(Debug, Default)]
+pub struct PrivateShell {
+    /// The dispatch table: entry branch → linked trace. Queried at every
+    /// block boundary, hence the packed-key open-addressed table.
+    by_entry: BranchTable<TraceId>,
+    /// Whole-lifetime trace-health telemetry and demotion ladder; fed
+    /// and scored through the [`crate::TraceStore`] trait.
+    health: HealthLedger,
+}
+
+impl Shell for PrivateShell {
+    fn link(&self, key: u64) -> Option<TraceId> {
+        self.by_entry.get(PackedBranch(key))
+    }
+    fn set_link(&mut self, key: u64, id: TraceId) -> Option<TraceId> {
+        self.by_entry.insert(PackedBranch(key), id)
+    }
+    fn remove_link(&mut self, key: u64) -> Option<TraceId> {
+        self.by_entry.remove(PackedBranch(key))
+    }
+    fn admitted(&mut self, id: TraceId, entry: Branch) {
+        self.health.note_admission(id, entry);
+    }
+    fn forget(&mut self, id: TraceId) {
+        self.health.forget(id);
+    }
+    #[cfg(feature = "debug-invariants")]
+    fn live_links(&self) -> usize {
+        self.by_entry.iter().count()
+    }
+}
+
 /// The trace cache: trace objects hash-consed by block sequence, plus the
 /// dispatch table linking entry branches to traces.
 ///
 /// Separating *trace objects* from *entry links* mirrors the paper: several
 /// entry branches may be "linked into the code" against the same cached
 /// sequence, and relinking an entry never destroys a trace object (old
-/// ids stay valid for the execution monitor).
-///
-/// # Memory budget and eviction
-///
-/// [`set_budget`](Self::set_budget) bounds the payload bytes the cache
-/// may hold ([`payload_bytes`](Self::payload_bytes), the closed-form
-/// [`trace_cost`] accounting). When an insert pushes the cache over
-/// budget, entry links are evicted by a deterministic second-chance
-/// (clock) sweep in insertion order: a link touched again since it was
-/// last considered gets one more round, otherwise it is unlinked. A
-/// trace whose last link goes is *tombstoned* — removed from the
-/// hash-cons index (so a rebuild mints a fresh id; ids are never
-/// reused) and its storage reclaimed. Every eviction bumps
-/// [`version`](Self::version), so inline BCG link slots and in-flight
-/// cached dispatches revalidate and fall back to block dispatch.
-///
-/// # Quarantine
-///
-/// [`quarantine`](Self::quarantine) tombstones a faulting trace and
-/// blacklists its `(entry, path)` key;
-/// [`try_insert_and_link`](Self::try_insert_and_link) then refuses to
-/// rebuild that exact trace at that entry until the cooldown decays
-/// (one tick per refused attempt), so a trace that keeps faulting
-/// cannot thrash the constructor.
+/// ids stay valid for the execution monitor). See the module docs for
+/// the budget, eviction and quarantine policy.
 ///
 /// ```
 /// use jvm_bytecode::{BlockId, FuncId};
@@ -98,19 +184,22 @@ pub struct CacheStats {
 /// assert_eq!(cache.trace(id).len(), 2);
 /// ```
 #[derive(Debug, Default)]
-pub struct TraceCache {
+pub struct TraceCache<S = PrivateShell, P = ()> {
+    /// Slot per id ever assigned; a tombstoned (evicted or quarantined)
+    /// trace keeps its slot with empty blocks. Ids are never reused.
     traces: Vec<Trace>,
+    /// Per-trace payload; reset when the trace is tombstoned.
+    payloads: Vec<P>,
     /// Byte cost charged for each trace; zeroed when tombstoned.
     costs: Vec<usize>,
-    /// Live entry-link keys per trace (the reverse of `by_entry`).
+    /// Live entry-link keys per trace (the reverse of the shell's links).
     entry_keys: Vec<Vec<u64>>,
     /// Hash-consing index; only touched at construction time, so a std
     /// `HashMap` keyed by the full block sequence is fine here.
     /// Tombstoned traces are removed, so a rebuild mints a fresh id.
     by_blocks: HashMap<Vec<BlockId>, TraceId>,
-    /// The dispatch table: entry branch → linked trace. Queried at every
-    /// block boundary, hence the packed-key open-addressed table.
-    by_entry: BranchTable<TraceId>,
+    /// Entry links and the health ledger.
+    shell: S,
     /// Second-chance sweep order: live link keys, oldest first. May hold
     /// stale keys (unlinked outside eviction); `referenced` is the
     /// source of truth and stale keys are dropped when popped.
@@ -127,108 +216,36 @@ pub struct TraceCache {
     stats: CacheStats,
     /// Bumped on every link mutation; lets executors cache lookups.
     version: u64,
-    /// Whole-lifetime trace-health telemetry and demotion ladder; fed
-    /// and scored through the [`crate::TraceStore`] trait.
-    health: HealthLedger,
 }
 
+/// The cache one VM owns.
 impl TraceCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Number of distinct trace objects ever constructed (including
-    /// tombstoned ones — ids are never reused).
-    pub fn trace_count(&self) -> usize {
-        self.traces.len()
-    }
-
     /// Number of live entry links.
     pub fn link_count(&self) -> usize {
-        self.by_entry.len()
-    }
-
-    /// A counter bumped on every entry-link mutation. An executor that
-    /// caches `lookup_entry` results must revalidate when this changes.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Cache statistics.
-    pub fn stats(&self) -> CacheStats {
-        let mut s = self.stats;
-        s.links_live = self.by_entry.len();
-        s
+        self.shell.by_entry.len()
     }
 
     /// The health ledger (telemetry + demotion ladder).
     pub fn health(&self) -> &HealthLedger {
-        &self.health
+        &self.shell.health
     }
 
     /// Mutable health-ledger access (the [`crate::TraceStore`] impl
     /// records outcomes and runs epochs through this).
     pub fn health_mut(&mut self) -> &mut HealthLedger {
-        &mut self.health
-    }
-
-    /// Sets (or clears) the payload byte budget and immediately enforces
-    /// it.
-    pub fn set_budget(&mut self, budget: Option<usize>) {
-        self.budget = budget;
-        // `u64::MAX` is no packed branch, so nothing is protected here.
-        self.enforce_budget(u64::MAX);
-        #[cfg(feature = "debug-invariants")]
-        self.assert_cache_invariants();
-    }
-
-    /// The configured payload budget, if any.
-    pub fn budget(&self) -> Option<usize> {
-        self.budget
-    }
-
-    /// Bytes currently charged against the budget: the [`trace_cost`]
-    /// sum over live (non-tombstoned) traces.
-    pub fn payload_bytes(&self) -> usize {
-        self.payload
-    }
-
-    /// The trace with the given id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    #[inline]
-    pub fn trace(&self, id: TraceId) -> &Trace {
-        &self.traces[id.index()]
-    }
-
-    /// The trace with the given id, surfacing unknown and evicted ids as
-    /// errors instead of panicking / handing back a tombstone. Dispatch
-    /// paths use this and fall back to block dispatch on `Err`.
-    #[inline]
-    pub fn trace_checked(&self, id: TraceId) -> Result<&Trace, TraceCacheError> {
-        match self.traces.get(id.index()) {
-            None => Err(TraceCacheError::UnknownTrace(id)),
-            Some(t) if t.blocks.is_empty() => Err(TraceCacheError::Evicted(id)),
-            Some(t) => Ok(t),
-        }
-    }
-
-    /// Whether the id was assigned and later tombstoned (evicted or
-    /// quarantined).
-    pub fn is_evicted(&self, id: TraceId) -> bool {
-        self.traces
-            .get(id.index())
-            .is_some_and(|t| t.blocks.is_empty())
+        &mut self.shell.health
     }
 
     /// The trace linked at an entry branch, if any. This is the dispatch
     /// check performed when the interpreter takes a branch.
     #[inline]
     pub fn lookup_entry(&self, entry: Branch) -> Option<TraceId> {
-        self.by_entry.get(PackedBranch::pack(entry))
+        self.shell.by_entry.get(PackedBranch::pack(entry))
     }
 
     /// The dispatch check via a BCG node's inline trace-link slot.
@@ -271,9 +288,80 @@ impl TraceCache {
 
     /// Iterates over all `(entry branch, trace)` links.
     pub fn iter_links(&self) -> impl Iterator<Item = (Branch, &Trace)> {
-        self.by_entry
+        self.shell
+            .by_entry
             .iter()
             .map(|(b, id)| (b.unpack(), self.trace(id)))
+    }
+}
+
+impl<S: Shell, P: Default> TraceCache<S, P> {
+    pub(crate) fn shell(&self) -> &S {
+        &self.shell
+    }
+
+    /// Number of distinct trace objects ever constructed (including
+    /// tombstoned ones — ids are never reused).
+    pub fn trace_count(&self) -> usize {
+        self.traces.len()
+    }
+
+    /// A counter bumped on every entry-link mutation. An executor that
+    /// caches `lookup_entry` results must revalidate when this changes.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// Cache statistics.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            links_live: self.referenced.len(),
+            ..self.stats
+        }
+    }
+
+    /// The configured payload budget, if any.
+    pub fn budget(&self) -> Option<usize> {
+        self.budget
+    }
+
+    /// Bytes currently charged against the budget: the [`trace_cost`]
+    /// sum over live (non-tombstoned) traces, plus their payload bytes.
+    pub fn payload_bytes(&self) -> usize {
+        self.payload
+    }
+
+    /// The trace with the given id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    #[inline]
+    pub fn trace(&self, id: TraceId) -> &Trace {
+        &self.traces[id.index()]
+    }
+
+    /// The trace with the given id, surfacing unknown and evicted ids as
+    /// errors instead of panicking / handing back a tombstone. Dispatch
+    /// paths use this and fall back to block dispatch on `Err`.
+    #[inline]
+    pub fn trace_checked(&self, id: TraceId) -> Result<&Trace, TraceCacheError> {
+        match self.traces.get(id.index()) {
+            None => Err(TraceCacheError::UnknownTrace(id)),
+            Some(t) if t.blocks.is_empty() => Err(TraceCacheError::Evicted(id)),
+            Some(t) => Ok(t),
+        }
+    }
+
+    /// The payload of a live trace (same errors as [`Self::trace_checked`]).
+    pub(crate) fn payload_checked(&self, id: TraceId) -> Result<&P, TraceCacheError> {
+        self.trace_checked(id).map(|_| &self.payloads[id.index()])
+    }
+
+    /// Whether the id was assigned and later tombstoned (evicted or
+    /// quarantined).
+    pub fn is_evicted(&self, id: TraceId) -> bool {
+        matches!(self.trace_checked(id), Err(TraceCacheError::Evicted(_)))
     }
 
     /// Iterates over every trace object ever constructed — including
@@ -294,6 +382,20 @@ impl TraceCache {
         })
     }
 
+    /// Estimated heap bytes: the hash-consing index, the trace objects,
+    /// and per live trace its two block sequences and its payload.
+    pub(crate) fn memory_estimate(&self, payload_bytes: impl Fn(&P) -> usize) -> usize {
+        use std::mem::size_of;
+        let per_index_entry = size_of::<Vec<BlockId>>() + size_of::<TraceId>() + size_of::<u64>();
+        let per_trace = size_of::<Trace>() + size_of::<P>();
+        let live = self.traces.iter().zip(&self.payloads);
+        self.by_blocks.capacity() * per_index_entry
+            + self.traces.capacity() * per_trace
+            + live
+                .map(|(t, p)| 2 * t.blocks.len() * size_of::<BlockId>() + payload_bytes(p))
+                .sum::<usize>()
+    }
+
     /// Hash-conses a block sequence into the cache and links it at
     /// `entry`, then enforces the byte budget (the just-written link is
     /// never the victim). Returns the trace id and whether a new trace
@@ -312,61 +414,9 @@ impl TraceCache {
         blocks: Vec<BlockId>,
         expected_completion: f64,
     ) -> (TraceId, bool) {
-        assert!(!blocks.is_empty(), "trace must contain at least one block");
-        assert_eq!(
-            entry.1, blocks[0],
-            "entry branch must target the trace's first block"
-        );
-        let (id, created) = match self.by_blocks.get(&blocks) {
-            Some(&id) => {
-                self.stats.traces_reused += 1;
-                (id, false)
-            }
-            None => {
-                let id = TraceId(self.traces.len() as u32);
-                let cost = trace_cost(blocks.len());
-                self.traces.push(Trace {
-                    id,
-                    blocks: blocks.clone(),
-                    expected_completion,
-                });
-                self.costs.push(cost);
-                self.entry_keys.push(Vec::new());
-                self.payload += cost;
-                self.by_blocks.insert(blocks, id);
-                self.stats.traces_constructed += 1;
-                (id, true)
-            }
-        };
-        let key = PackedBranch::pack(entry).0;
-        match self.by_entry.insert(PackedBranch(key), id) {
-            Some(old) if old != id => {
-                self.stats.links_replaced += 1;
-                self.entry_keys[old.index()].retain(|&k| k != key);
-                self.reclaim_if_unlinked(old);
-            }
-            _ => {}
-        }
-        // Second-chance bookkeeping: a first-time link enters the sweep
-        // unreferenced; touching a live link grants it another round.
-        match self.referenced.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                e.insert(true);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(false);
-                self.clock.push_back(key);
-            }
-        }
-        if !self.entry_keys[id.index()].contains(&key) {
-            self.entry_keys[id.index()].push(key);
-        }
-        self.health.note_admission(id, entry);
-        self.version += 1;
-        self.enforce_budget(key);
-        #[cfg(feature = "debug-invariants")]
-        self.assert_cache_invariants();
-        (id, created)
+        self.insert_with(entry, blocks, expected_completion, None, |_| {
+            (P::default(), 0)
+        })
     }
 
     /// [`Self::insert_and_link`] behind the quarantine blacklist: if the
@@ -379,38 +429,117 @@ impl TraceCache {
         blocks: Vec<BlockId>,
         expected_completion: f64,
     ) -> Result<(TraceId, bool), TraceCacheError> {
+        self.refuse_quarantined(entry, &blocks)?;
+        Ok(self.insert_and_link(entry, blocks, expected_completion))
+    }
+
+    /// The quarantine gate in front of an insert: a blacklisted `(entry,
+    /// path)` is refused and its cooldown ticks down by one; at zero the
+    /// key is re-admitted (the *next* attempt succeeds).
+    pub(crate) fn refuse_quarantined(
+        &mut self,
+        entry: Branch,
+        blocks: &[BlockId],
+    ) -> Result<(), TraceCacheError> {
         let key = PackedBranch::pack(entry).0;
-        if let Some((qblocks, remaining)) = self.quarantined.get_mut(&key) {
-            if *qblocks == blocks {
-                *remaining -= 1;
-                let left = *remaining;
-                if left == 0 {
-                    self.quarantined.remove(&key);
-                }
-                self.stats.quarantine_rejected += 1;
-                return Err(TraceCacheError::Quarantined {
-                    entry,
-                    remaining: left,
+        let Some((_, remaining)) = self
+            .quarantined
+            .get_mut(&key)
+            .filter(|(path, _)| path == blocks)
+        else {
+            return Ok(());
+        };
+        *remaining -= 1;
+        let remaining = *remaining;
+        if remaining == 0 {
+            self.quarantined.remove(&key);
+        }
+        self.stats.quarantine_rejected += 1;
+        Err(TraceCacheError::Quarantined { entry, remaining })
+    }
+
+    /// [`Self::insert_and_link`] with its two hooks: `budget_override`,
+    /// if given, is enforced in place of the configured budget, and
+    /// `build` produces a new trace's payload and its measured bytes. It
+    /// runs before any cache state is touched, so a panicking builder
+    /// leaves the cache consistent.
+    pub(crate) fn insert_with(
+        &mut self,
+        entry: Branch,
+        blocks: Vec<BlockId>,
+        expected_completion: f64,
+        budget_override: Option<usize>,
+        build: impl FnOnce(&[BlockId]) -> (P, usize),
+    ) -> (TraceId, bool) {
+        assert!(!blocks.is_empty(), "trace must contain at least one block");
+        assert_eq!(
+            entry.1, blocks[0],
+            "entry branch must target the trace's first block"
+        );
+        let (id, created) = match self.by_blocks.get(&blocks) {
+            Some(&id) => {
+                self.stats.traces_reused += 1;
+                (id, false)
+            }
+            None => {
+                let (payload, payload_bytes) = build(&blocks);
+                let id = TraceId(self.traces.len() as u32);
+                let cost = trace_cost(blocks.len()) + payload_bytes;
+                self.traces.push(Trace {
+                    id,
+                    blocks: blocks.clone(),
+                    expected_completion,
                 });
+                self.payloads.push(payload);
+                self.costs.push(cost);
+                self.entry_keys.push(Vec::new());
+                self.payload += cost;
+                self.by_blocks.insert(blocks, id);
+                self.stats.traces_constructed += 1;
+                (id, true)
+            }
+        };
+        let key = PackedBranch::pack(entry).0;
+        match self.shell.set_link(key, id) {
+            Some(old) if old != id => {
+                self.stats.links_replaced += 1;
+                self.entry_keys[old.index()].retain(|&k| k != key);
+                self.reclaim_if_unlinked(old);
+            }
+            _ => {}
+        }
+        self.stats.links_written += 1;
+        // Second-chance bookkeeping: a first-time link enters the sweep
+        // unreferenced; touching a live link grants it another round.
+        match self.referenced.entry(key) {
+            Entry::Occupied(mut e) => {
+                e.insert(true);
+            }
+            Entry::Vacant(e) => {
+                e.insert(false);
+                self.clock.push_back(key);
             }
         }
-        Ok(self.insert_and_link(entry, blocks, expected_completion))
+        if !self.entry_keys[id.index()].contains(&key) {
+            self.entry_keys[id.index()].push(key);
+        }
+        self.shell.admitted(id, entry);
+        self.enforce_budget(budget_override.or(self.budget), key);
+        self.mutated();
+        (id, created)
     }
 
     /// Removes the link at an entry branch, if any. Used when a trace's
     /// entry is found to no longer satisfy the criteria.
     pub fn unlink(&mut self, entry: Branch) -> Option<TraceId> {
         let key = PackedBranch::pack(entry).0;
-        let removed = self.by_entry.remove(PackedBranch(key));
-        if let Some(id) = removed {
-            self.referenced.remove(&key);
-            self.entry_keys[id.index()].retain(|&k| k != key);
-            self.reclaim_if_unlinked(id);
-            self.version += 1;
-            #[cfg(feature = "debug-invariants")]
-            self.assert_cache_invariants();
-        }
-        removed
+        let id = self.shell.remove_link(key)?;
+        self.stats.links_removed += 1;
+        self.referenced.remove(&key);
+        self.entry_keys[id.index()].retain(|&k| k != key);
+        self.reclaim_if_unlinked(id);
+        self.mutated();
+        Some(id)
     }
 
     /// Tombstones the trace linked at `entry` and blacklists its
@@ -420,21 +549,16 @@ impl TraceCache {
     /// faulting entry is blacklisted. Returns the tombstoned id, or
     /// `None` if nothing is linked at `entry`.
     pub fn quarantine(&mut self, entry: Branch, cooldown: u32) -> Option<TraceId> {
-        let key = PackedBranch::pack(entry).0;
-        let id = self.by_entry.get(PackedBranch(key))?;
-        self.quarantined.insert(
-            key,
-            (self.traces[id.index()].blocks.clone(), cooldown.max(1)),
-        );
+        let id = self.shell.link(PackedBranch::pack(entry).0)?;
+        self.restore_quarantine(entry, self.traces[id.index()].blocks.clone(), cooldown);
         for k in std::mem::take(&mut self.entry_keys[id.index()]) {
-            self.by_entry.remove(PackedBranch(k));
+            self.shell.remove_link(k);
             self.referenced.remove(&k);
+            self.stats.links_removed += 1;
         }
         self.tombstone(id);
         self.stats.traces_quarantined += 1;
-        self.version += 1;
-        #[cfg(feature = "debug-invariants")]
-        self.assert_cache_invariants();
+        self.mutated();
         Some(id)
     }
 
@@ -449,17 +573,36 @@ impl TraceCache {
         self.quarantined.insert(key, (blocks, cooldown.max(1)));
     }
 
-    /// Tombstones a trace: reclaims its payload bytes and removes it
-    /// from the hash-cons index so a rebuild mints a fresh id.
+    /// Sets (or clears) the payload byte budget and immediately enforces
+    /// it.
+    pub fn set_budget(&mut self, budget: Option<usize>) {
+        self.budget = budget;
+        // `u64::MAX` is no packed branch, so nothing is protected here.
+        self.enforce_budget(budget, u64::MAX);
+        self.mutated();
+    }
+
+    /// Closes a link mutation: the version bump makes every stamped BCG
+    /// slot revalidate.
+    fn mutated(&mut self) {
+        self.version += 1;
+        #[cfg(feature = "debug-invariants")]
+        self.assert_cache_invariants();
+    }
+
+    /// Tombstones a trace: reclaims its payload and its bytes, and
+    /// removes it from the hash-cons index so a rebuild mints a fresh
+    /// id.
     fn tombstone(&mut self, id: TraceId) {
         let i = id.index();
         debug_assert!(self.entry_keys[i].is_empty());
         self.payload -= self.costs[i];
         self.costs[i] = 0;
+        self.payloads[i] = P::default();
         let blocks = std::mem::take(&mut self.traces[i].blocks);
         self.by_blocks.remove(&blocks);
         self.stats.traces_evicted += 1;
-        self.health.forget(id);
+        self.shell.forget(id);
     }
 
     /// In budget mode an unlinked trace can never be chosen by the
@@ -476,11 +619,11 @@ impl TraceCache {
     }
 
     /// Evicts links (second-chance, insertion order) until the payload
-    /// fits the budget. `protect` — the just-written link — is never
+    /// fits `budget`. `protect` — the just-written link — is never
     /// evicted; if it alone remains and the cache is still over budget,
     /// the overrun is counted and the trace stands.
-    fn enforce_budget(&mut self, protect: u64) {
-        let Some(budget) = self.budget else {
+    fn enforce_budget(&mut self, budget: Option<usize>, protect: u64) {
+        let Some(budget) = budget else {
             return;
         };
         while self.payload > budget {
@@ -513,8 +656,8 @@ impl TraceCache {
                 break;
             };
             let id = self
-                .by_entry
-                .remove(PackedBranch(key))
+                .shell
+                .remove_link(key)
                 .expect("sweep key must be linked");
             self.referenced.remove(&key);
             self.entry_keys[id.index()].retain(|&k| k != key);
@@ -522,26 +665,27 @@ impl TraceCache {
             if self.entry_keys[id.index()].is_empty() {
                 self.tombstone(id);
             }
-            self.version += 1;
         }
     }
 
     /// Machine-checked structural invariants, asserted after every link
-    /// mutation when the `debug-invariants` feature is on:
+    /// mutation — of either shell — when the `debug-invariants` feature
+    /// is on:
     ///
     /// - **hash-consing uniqueness** — the block-sequence index has
-    ///   exactly one entry per *live* trace object, every entry
-    ///   round-trips to a trace with that exact sequence, and no two
-    ///   live trace objects share a sequence (§4.2: an identical trace
-    ///   "is retrieved and linked", never duplicated);
+    ///   exactly one entry per *live* trace object and every live trace
+    ///   is found under its own sequence (§4.2: an identical trace "is
+    ///   retrieved and linked", never duplicated);
     /// - **id coherence** — `traces[i].id == i`;
-    /// - **link validity** — every entry link targets an in-range,
-    ///   *live* trace whose first block is the entry branch's target,
-    ///   and the trace is non-empty with a completion estimate in
+    /// - **link validity** — every reverse-list key is found in the
+    ///   shell's links (for the shared shell: by the readers' lock-free
+    ///   probe) under its trace, lands on that trace's first block and
+    ///   is tracked by the sweep; the links and the sweep hold nothing
+    ///   else; tombstones hold no links; completion estimates lie in
     ///   `(0, 1]`;
-    /// - **budget accounting** — the payload counter equals the
-    ///   recomputed cost of the live traces, and every live link is
-    ///   tracked by the second-chance sweep.
+    /// - **budget accounting** — the payload counter equals the summed
+    ///   cost of the live traces, each at least the closed form (payload
+    ///   bytes ride on top).
     #[cfg(feature = "debug-invariants")]
     pub fn assert_cache_invariants(&self) {
         let live = self.traces.iter().filter(|t| !t.blocks.is_empty()).count();
@@ -550,7 +694,8 @@ impl TraceCache {
             live,
             "hash-consing index must have exactly one entry per live trace"
         );
-        let mut payload = 0usize;
+        assert_eq!(self.payloads.len(), self.traces.len());
+        let (mut payload, mut linked) = (0, 0);
         for (i, t) in self.traces.iter().enumerate() {
             assert_eq!(t.id.index(), i, "trace id must equal its slot");
             if t.blocks.is_empty() {
@@ -561,10 +706,9 @@ impl TraceCache {
                 );
                 continue;
             }
-            assert_eq!(
-                self.costs[i],
-                trace_cost(t.blocks.len()),
-                "trace {i} cost must match the closed form"
+            assert!(
+                self.costs[i] >= trace_cost(t.blocks.len()),
+                "trace {i} cost must cover the closed form"
             );
             payload += self.costs[i];
             assert!(
@@ -577,37 +721,29 @@ impl TraceCache {
                 Some(&t.id),
                 "trace {i} must be findable under its own block sequence"
             );
+            for &key in &self.entry_keys[i] {
+                assert_eq!(
+                    self.shell.link(key),
+                    Some(t.id),
+                    "link store out of sync with the reverse list of trace {i}"
+                );
+                assert_eq!(
+                    PackedBranch(key).unpack().1,
+                    t.blocks[0],
+                    "entry link must land on its trace's first block"
+                );
+                assert!(
+                    self.referenced.contains_key(&key),
+                    "live link missing from the sweep"
+                );
+            }
+            linked += self.entry_keys[i].len();
         }
         assert_eq!(payload, self.payload, "payload accounting drifted");
-        assert_eq!(
-            self.referenced.len(),
-            self.by_entry.len(),
-            "sweep must track exactly the live links"
-        );
-        for (entry, id) in self.by_entry.iter() {
-            let (_, to) = entry.unpack();
-            assert!(
-                id.index() < self.traces.len(),
-                "entry link targets out-of-range trace {id:?}"
-            );
-            let t = &self.traces[id.index()];
-            assert!(
-                !t.blocks.is_empty(),
-                "entry link targets tombstoned trace {id:?}"
-            );
-            assert_eq!(
-                t.blocks[0], to,
-                "entry link must land on its trace's first block"
-            );
-            assert!(
-                self.referenced.contains_key(&entry.0),
-                "live link missing from the sweep"
-            );
-            assert!(
-                self.entry_keys[id.index()].contains(&entry.0),
-                "reverse link list out of sync"
-            );
-        }
+        // Every reverse-list key is in both; equal counts leave no room
+        // for a link or a sweep entry the reverse lists do not know.
+        assert_eq!(self.shell.live_links(), linked, "shell holds a stray link");
+        assert_eq!(self.referenced.len(), linked, "sweep tracks a stray link");
     }
 }
 

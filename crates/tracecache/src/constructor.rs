@@ -27,6 +27,17 @@ use jvm_bytecode::BlockId;
 use trace_bcg::{BranchCorrelationGraph, NodeIdx, Signal};
 
 use crate::cache::TraceCache;
+use crate::error::TraceCacheError;
+
+/// Hard cap on blocks per trace.
+pub const MAX_TRACE_BLOCKS: usize = 64;
+/// Hard cap on nodes visited during one forward path walk.
+pub const MAX_PATH_NODES: usize = 256;
+/// Hard cap on entry points processed per signal.
+pub const MAX_ENTRY_POINTS: usize = 32;
+/// Traces shorter than this many blocks are not worth caching (a
+/// one-block trace is just ordinary block dispatch).
+pub const MIN_TRACE_BLOCKS: usize = 2;
 
 /// Tunables of the trace constructor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,20 +45,11 @@ pub struct ConstructorConfig {
     /// Minimum cumulative completion probability of an emitted trace; use
     /// the same value as [`trace_bcg::BcgConfig::threshold`].
     pub threshold: f64,
-    /// Hard cap on blocks per trace.
-    pub max_trace_blocks: usize,
-    /// Hard cap on nodes visited during one forward path walk.
-    pub max_path_nodes: usize,
-    /// Hard cap on entry points processed per signal.
-    pub max_entry_points: usize,
-    /// Traces shorter than this many blocks are not worth caching (a
-    /// one-block trace is just ordinary block dispatch).
-    pub min_trace_blocks: usize,
     /// How many *extra* copies of a terminating loop's body are appended
     /// when the path ends in a loop. The paper unrolls once (`1`); larger
     /// values generalise the rule (an ablation knob — longer loop traces
     /// at the cost of more partial executions when iteration counts are
-    /// low). Still subject to `threshold` and `max_trace_blocks`.
+    /// low). Still subject to `threshold` and [`MAX_TRACE_BLOCKS`].
     pub loop_unroll: usize,
 }
 
@@ -56,10 +58,6 @@ impl ConstructorConfig {
     pub fn paper_default() -> Self {
         ConstructorConfig {
             threshold: 0.97,
-            max_trace_blocks: 64,
-            max_path_nodes: 256,
-            max_entry_points: 32,
-            min_trace_blocks: 2,
             loop_unroll: 1,
         }
     }
@@ -133,6 +131,7 @@ pub struct TraceConstructor {
     config: ConstructorConfig,
     generation: u64,
     stats: ConstructorStats,
+    plan: TracePlan,
 }
 
 impl TraceConstructor {
@@ -142,6 +141,7 @@ impl TraceConstructor {
             config,
             generation: 0,
             stats: ConstructorStats::default(),
+            plan: TracePlan::default(),
         }
     }
 
@@ -164,64 +164,100 @@ impl TraceConstructor {
         cache: &mut TraceCache,
     ) -> u64 {
         self.generation += 1;
-        let mut created = 0;
+        let before = self.stats.traces_created;
         for sig in signals {
             if bcg.node(sig.node).generation() == self.generation {
                 self.stats.signals_suppressed += 1;
                 continue;
             }
-            created += self.handle_one(sig.node, bcg, cache);
-        }
-        created
-    }
-
-    fn handle_one(
-        &mut self,
-        origin: NodeIdx,
-        bcg: &mut BranchCorrelationGraph,
-        cache: &mut TraceCache,
-    ) -> u64 {
-        self.stats.signals_handled += 1;
-        let mut plan = TracePlan::default();
-        plan_for_signal(origin, bcg, &self.config, &mut plan);
-        self.stats.entry_points += plan.counters.entry_points;
-        self.stats.paths_walked += plan.counters.paths_walked;
-        self.stats.loops_unrolled += plan.counters.loops_unrolled;
-        // Everything examined is now up to date. (Marks are only read
-        // across signals, at the `handle_batch` suppression check, so
-        // stamping after planning is equivalent to stamping mid-walk.)
-        for &n in &plan.touched {
-            bcg.mark_generation(n, self.generation);
-        }
-        let mut created = 0;
-        for op in plan.ops {
-            match op {
-                LinkOp::Install {
-                    entry,
-                    blocks,
-                    completion,
-                } => match cache.try_insert_and_link(entry, blocks, completion) {
-                    Ok((_, new)) => {
-                        self.stats.links_written += 1;
-                        if new {
-                            self.stats.traces_created += 1;
-                            created += 1;
-                        }
-                    }
-                    Err(_) => {
-                        // Quarantined: the path faulted recently; skip the
-                        // install and let the cooldown decay.
-                        self.stats.links_quarantine_rejected += 1;
-                    }
-                },
-                LinkOp::Remove { entry } => {
-                    if cache.unlink(entry).is_some() {
-                        self.stats.links_removed += 1;
-                    }
-                }
+            plan_and_apply(
+                sig.node,
+                &*bcg,
+                &self.config,
+                &mut self.plan,
+                &mut self.stats,
+                cache,
+            );
+            // Everything examined is now up to date. (Marks are only
+            // read across signals, at the suppression check above, so
+            // stamping after the plan is applied is equivalent to
+            // stamping mid-walk.)
+            for &n in &self.plan.touched {
+                bcg.mark_generation(n, self.generation);
             }
         }
-        created
+        self.stats.traces_created - before
+    }
+}
+
+/// The construction-side face of a cache: what a [`TracePlan`]'s ops
+/// are applied to. Implemented by [`TraceCache`] (the in-thread
+/// constructor) and by a `(shared cache, artifact builder)` pair (the
+/// off-thread one).
+pub(crate) trait PlanSink {
+    /// Hash-conses `blocks` and links it at `entry`, behind the
+    /// quarantine blacklist. Returns whether a new trace was constructed.
+    fn install(
+        &mut self,
+        entry: trace_bcg::Branch,
+        blocks: Vec<BlockId>,
+        completion: f64,
+    ) -> Result<bool, TraceCacheError>;
+    /// Drops any link at `entry`; returns whether there was one.
+    fn remove(&mut self, entry: trace_bcg::Branch) -> bool;
+}
+
+impl PlanSink for TraceCache {
+    fn install(
+        &mut self,
+        entry: trace_bcg::Branch,
+        blocks: Vec<BlockId>,
+        completion: f64,
+    ) -> Result<bool, TraceCacheError> {
+        self.try_insert_and_link(entry, blocks, completion)
+            .map(|(_, created)| created)
+    }
+    fn remove(&mut self, entry: trace_bcg::Branch) -> bool {
+        self.unlink(entry).is_some()
+    }
+}
+
+/// Plans one signal about `origin` into `plan` (cleared first; left
+/// holding the touched nodes) and applies the plan's ops to `sink`,
+/// accumulating into `stats` — the one place a plan becomes cache calls
+/// and constructor counters, for the in-thread and the off-thread
+/// constructor alike.
+pub(crate) fn plan_and_apply<V: CorrelationView>(
+    origin: NodeIdx,
+    view: &V,
+    config: &ConstructorConfig,
+    plan: &mut TracePlan,
+    stats: &mut ConstructorStats,
+    sink: &mut impl PlanSink,
+) {
+    stats.signals_handled += 1;
+    plan.clear();
+    plan_for_signal(origin, view, config, plan);
+    stats.entry_points += plan.counters.entry_points;
+    stats.paths_walked += plan.counters.paths_walked;
+    stats.loops_unrolled += plan.counters.loops_unrolled;
+    for op in plan.ops.drain(..) {
+        match op {
+            LinkOp::Install {
+                entry,
+                blocks,
+                completion,
+            } => match sink.install(entry, blocks, completion) {
+                Ok(created) => {
+                    stats.links_written += 1;
+                    stats.traces_created += u64::from(created);
+                }
+                // Quarantined: the path faulted recently; skip the
+                // install and let the cooldown decay.
+                Err(_) => stats.links_quarantine_rejected += 1,
+            },
+            LinkOp::Remove { entry } => stats.links_removed += u64::from(sink.remove(entry)),
+        }
     }
 }
 
@@ -322,10 +358,10 @@ pub fn plan_for_signal<V: CorrelationView>(
     config: &ConstructorConfig,
     plan: &mut TracePlan,
 ) {
-    let entries = find_entry_points(origin, view, config);
+    let entries = find_entry_points(origin, view);
     plan.counters.entry_points += entries.len() as u64;
     for entry in entries {
-        let (path, loop_start) = walk_path(entry, view, config);
+        let (path, loop_start) = walk_path(entry, view);
         plan.counters.paths_walked += 1;
         if loop_start.is_some() {
             plan.counters.loops_unrolled += 1;
@@ -339,17 +375,13 @@ pub fn plan_for_signal<V: CorrelationView>(
 /// trace entry points that may reach the changed node. If the region
 /// is a pure cycle with no external entry, the origin itself serves
 /// as entry.
-fn find_entry_points<V: CorrelationView>(
-    origin: NodeIdx,
-    view: &V,
-    config: &ConstructorConfig,
-) -> Vec<NodeIdx> {
+fn find_entry_points<V: CorrelationView>(origin: NodeIdx, view: &V) -> Vec<NodeIdx> {
     let mut visited: HashSet<NodeIdx> = HashSet::new();
     let mut stack = vec![origin];
     visited.insert(origin);
     let mut entries = Vec::new();
     while let Some(n) = stack.pop() {
-        if entries.len() >= config.max_entry_points {
+        if entries.len() >= MAX_ENTRY_POINTS {
             break;
         }
         let mut has_strong_pred = false;
@@ -376,11 +408,7 @@ fn find_entry_points<V: CorrelationView>(
 
 /// Step 2: follow the path of maximum likelihood from `entry` until a
 /// loop (returns its start index), a non-traceable node, or a cap.
-fn walk_path<V: CorrelationView>(
-    entry: NodeIdx,
-    view: &V,
-    config: &ConstructorConfig,
-) -> (Vec<NodeIdx>, Option<usize>) {
+fn walk_path<V: CorrelationView>(entry: NodeIdx, view: &V) -> (Vec<NodeIdx>, Option<usize>) {
     let mut path = vec![entry];
     let mut pos_of: HashMap<NodeIdx, usize> = HashMap::new();
     pos_of.insert(entry, 0);
@@ -406,7 +434,7 @@ fn walk_path<V: CorrelationView>(
         }
         path.push(next);
         pos_of.insert(next, path.len() - 1);
-        if path.len() >= config.max_path_nodes {
+        if path.len() >= MAX_PATH_NODES {
             break;
         }
     }
@@ -478,7 +506,7 @@ fn cut_chain<V: CorrelationView>(
     while i < chain.len() && i < emit_limit {
         let mut j = i;
         let mut prob = 1.0;
-        while j + 1 < chain.len() && (j + 1 - i) < config.max_trace_blocks {
+        while j + 1 < chain.len() && (j + 1 - i) < MAX_TRACE_BLOCKS {
             let extended = prob * link_prob[j];
             if extended < config.threshold {
                 break;
@@ -487,13 +515,13 @@ fn cut_chain<V: CorrelationView>(
             j += 1;
         }
         let len = j + 1 - i;
-        if len >= config.min_trace_blocks {
+        if len >= MIN_TRACE_BLOCKS {
             let entry = view.branch(chain[i]);
             let blocks: Vec<BlockId> = chain[i..=j].iter().map(|&n| view.branch(n).1).collect();
             #[cfg(feature = "debug-invariants")]
             {
                 assert!(
-                    len <= config.max_trace_blocks,
+                    len <= MAX_TRACE_BLOCKS,
                     "emitted trace of {len} blocks exceeds the cap"
                 );
                 assert!(
@@ -571,7 +599,7 @@ mod tests {
         // at least 3 blocks, and — unrolled — up to two iterations.
         let max_len = cache.iter_links().map(|(_, t)| t.len()).max().unwrap();
         assert!(max_len >= 3, "max trace length {max_len}");
-        assert!(max_len <= ConstructorConfig::default().max_trace_blocks);
+        assert!(max_len <= MAX_TRACE_BLOCKS);
         // Every cached trace satisfies the completion threshold estimate.
         for (_, t) in cache.iter_links() {
             assert!(t.expected_completion() >= 0.97 - 1e-9);

@@ -24,14 +24,15 @@
 //! of trace-resident code.
 
 //!
-//! For concurrent deployments, [`shared`] provides a lock-striped
-//! [`SharedTraceCache`] many VMs dispatch against, and [`offthread`]
-//! moves construction to a background thread fed by bounded snapshot
-//! batches.
+//! For concurrent deployments, [`shared`] provides a
+//! [`SharedTraceCache`] many VMs dispatch against lock-free, and
+//! [`offthread`] moves construction to a background thread fed by
+//! bounded snapshot batches.
 //!
-//! The robustness layer spans several modules: both caches enforce a
-//! payload byte budget with second-chance eviction and keep a
-//! quarantine blacklist for faulting traces ([`cache`], [`shared`]);
+//! The robustness layer spans several modules: the one cache policy
+//! ([`cache`], which [`shared`] wraps) enforces a payload byte budget
+//! with second-chance eviction and keeps a quarantine blacklist for
+//! faulting traces;
 //! recoverable failures surface as [`TraceCacheError`] ([`error`]);
 //! [`offthread`] supervises the constructor worker (restart with
 //! backoff, then permanent degraded mode) behind [`ServiceHealth`]
@@ -54,7 +55,8 @@ pub mod trace;
 pub use cache::{trace_cost, CacheStats, TraceCache, TRACE_BYTES_OVERHEAD};
 pub use constructor::{
     plan_for_signal, ConstructorConfig, ConstructorStats, CorrelationView, LinkOp, PlanCounters,
-    TraceConstructor, TracePlan,
+    TraceConstructor, TracePlan, MAX_ENTRY_POINTS, MAX_PATH_NODES, MAX_TRACE_BLOCKS,
+    MIN_TRACE_BLOCKS,
 };
 pub use error::TraceCacheError;
 pub use faults::{FaultConfig, FaultPlan, FaultSite, FaultStats};
@@ -69,6 +71,6 @@ pub use offthread::{
     ServiceHealth, ServiceHealthSnapshot, SupervisorConfig,
 };
 pub use runtime::TraceRuntime;
-pub use shared::{SharedCacheStats, SharedTrace, SharedTraceCache};
+pub use shared::SharedTraceCache;
 pub use store::{run_health_epoch, TraceStore};
 pub use trace::{Trace, TraceId};

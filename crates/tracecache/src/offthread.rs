@@ -47,7 +47,10 @@ use std::time::Duration;
 use jvm_bytecode::BlockId;
 use trace_bcg::{Branch, BranchCorrelationGraph, NodeIdx, NodeState, Signal};
 
-use crate::constructor::{plan_for_signal, ConstructorConfig, CorrelationView, LinkOp, TracePlan};
+use crate::constructor::{
+    plan_and_apply, ConstructorConfig, ConstructorStats, CorrelationView, PlanSink, TracePlan,
+};
+use crate::error::TraceCacheError;
 use crate::faults::{FaultPlan, FaultSite};
 use crate::shared::SharedTraceCache;
 
@@ -55,7 +58,8 @@ use crate::shared::SharedTraceCache;
 const SNAP_NONE: NodeIdx = NodeIdx(u32::MAX);
 
 /// Default cap on nodes per snapshot; regions the planner can examine
-/// are far smaller in practice (`max_path_nodes` bounds each walk).
+/// are far smaller in practice ([`crate::MAX_PATH_NODES`] bounds each
+/// walk).
 pub const SNAPSHOT_NODE_LIMIT: usize = 4096;
 
 #[derive(Debug, Clone)]
@@ -74,9 +78,9 @@ struct SnapNode {
 }
 
 /// A bounded, immutable copy of the BCG region reachable from a signal
-/// batch — everything [`plan_for_signal`] could examine: the transitive
-/// qualified-predecessor closure (entry-point back-tracking) and the
-/// maximum-likelihood forward closure (path walking).
+/// batch — everything [`crate::plan_for_signal`] could examine: the
+/// transitive qualified-predecessor closure (entry-point back-tracking)
+/// and the maximum-likelihood forward closure (path walking).
 ///
 /// Node indices are snapshot-local; the snapshot implements
 /// [`CorrelationView`] so the planner runs on it unchanged.
@@ -384,50 +388,33 @@ pub fn construction_channel(capacity: usize) -> (ConstructionQueue, Construction
     )
 }
 
-/// Builder activity counters (the off-thread analogue of
-/// [`crate::ConstructorStats`]).
+/// Off-thread builder activity: the same [`ConstructorStats`] the
+/// in-thread constructor keeps, plus what only a snapshot-fed service
+/// can count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BuilderStats {
     /// Snapshot batches processed.
     pub jobs: u64,
-    /// Signals that triggered planning.
-    pub signals_handled: u64,
-    /// Signals skipped because their node was already examined earlier
-    /// in the same batch (cascade suppression).
-    pub signals_suppressed: u64,
-    /// Entry points discovered by back-tracking.
-    pub entry_points: u64,
-    /// Forward path walks performed.
-    pub paths_walked: u64,
-    /// Loops detected and unrolled.
-    pub loops_unrolled: u64,
-    /// Entry links written to the shared cache.
-    pub links_written: u64,
-    /// New trace objects the shared cache constructed for our inserts.
-    pub traces_created: u64,
-    /// Stale links removed.
-    pub links_removed: u64,
-    /// Install ops refused by the shared cache's quarantine blacklist.
-    pub links_quarantine_rejected: u64,
     /// Jobs whose snapshot hit the node cap.
     pub snapshots_truncated: u64,
+    /// Planning and cache-op counters.
+    pub constructor: ConstructorStats,
 }
 
-impl BuilderStats {
-    /// Field-wise accumulation (used by the supervisor to fold counters
-    /// across worker incarnations).
-    fn merge(&mut self, o: BuilderStats) {
-        self.jobs += o.jobs;
-        self.signals_handled += o.signals_handled;
-        self.signals_suppressed += o.signals_suppressed;
-        self.entry_points += o.entry_points;
-        self.paths_walked += o.paths_walked;
-        self.loops_unrolled += o.loops_unrolled;
-        self.links_written += o.links_written;
-        self.traces_created += o.traces_created;
-        self.links_removed += o.links_removed;
-        self.links_quarantine_rejected += o.links_quarantine_rejected;
-        self.snapshots_truncated += o.snapshots_truncated;
+impl<A, F: FnMut(&[BlockId]) -> Option<A>> PlanSink for (&SharedTraceCache<A>, F) {
+    fn install(
+        &mut self,
+        entry: Branch,
+        blocks: Vec<BlockId>,
+        completion: f64,
+    ) -> Result<bool, TraceCacheError> {
+        let (cache, build) = self;
+        cache
+            .try_insert_and_link_with(entry, blocks, completion, build)
+            .map(|(_, created)| created)
+    }
+    fn remove(&mut self, entry: Branch) -> bool {
+        self.0.unlink(entry).is_some()
     }
 }
 
@@ -470,49 +457,18 @@ impl OffThreadBuilder {
         let mut touched: HashSet<NodeIdx> = HashSet::new();
         for &origin in snapshot.origins() {
             if touched.contains(&origin) {
-                self.stats.signals_suppressed += 1;
+                self.stats.constructor.signals_suppressed += 1;
                 continue;
             }
-            self.stats.signals_handled += 1;
-            self.plan.clear();
-            plan_for_signal(origin, snapshot, &self.config, &mut self.plan);
-            self.stats.entry_points += self.plan.counters.entry_points;
-            self.stats.paths_walked += self.plan.counters.paths_walked;
-            self.stats.loops_unrolled += self.plan.counters.loops_unrolled;
+            plan_and_apply(
+                origin,
+                snapshot,
+                &self.config,
+                &mut self.plan,
+                &mut self.stats.constructor,
+                &mut (cache, &mut *build),
+            );
             touched.extend(self.plan.touched.iter().copied());
-            for op in &self.plan.ops {
-                match op {
-                    LinkOp::Install {
-                        entry,
-                        blocks,
-                        completion,
-                    } => {
-                        match cache.try_insert_and_link_with(
-                            *entry,
-                            blocks.clone(),
-                            *completion,
-                            |b| build(b),
-                        ) {
-                            Ok((_, new)) => {
-                                self.stats.links_written += 1;
-                                if new {
-                                    self.stats.traces_created += 1;
-                                }
-                            }
-                            Err(_) => {
-                                // Quarantined path still cooling down;
-                                // skip the install.
-                                self.stats.links_quarantine_rejected += 1;
-                            }
-                        }
-                    }
-                    LinkOp::Remove { entry } => {
-                        if cache.unlink(*entry).is_some() {
-                            self.stats.links_removed += 1;
-                        }
-                    }
-                }
-            }
         }
     }
 }
@@ -669,7 +625,6 @@ pub fn run_supervised_constructor_service<A>(
     faults: Option<Arc<FaultPlan>>,
     mut build: impl FnMut(&[BlockId]) -> Option<A>,
 ) -> BuilderStats {
-    let mut total = BuilderStats::default();
     let mut builder = OffThreadBuilder::new(config);
     let mut restarts_used = 0u32;
     while let Some(snapshot) = rx.recv() {
@@ -691,18 +646,19 @@ pub fn run_supervised_constructor_service<A>(
             restarts_used += 1;
             health.note_restart();
             // The worker's internal state may be torn mid-job; its
-            // counters are plain sums and stay valid. Fold them in and
-            // start a fresh incarnation.
-            total.merge(builder.stats());
-            builder = OffThreadBuilder::new(config);
+            // counters are plain sums and stay valid. Start a fresh
+            // incarnation that carries them over.
+            builder = OffThreadBuilder {
+                stats: builder.stats,
+                ..OffThreadBuilder::new(config)
+            };
             let backoff = supervisor.backoff(restarts_used);
             if !backoff.is_zero() {
                 std::thread::sleep(backoff);
             }
         }
     }
-    total.merge(builder.stats());
-    total
+    builder.stats()
 }
 
 #[cfg(test)]
@@ -775,9 +731,9 @@ mod tests {
                     .lookup_entry(entry)
                     .unwrap_or_else(|| panic!("missing shared link at {entry:?}"));
                 let t = shared.trace(id).unwrap();
-                assert_eq!(&t.blocks[..], &blocks[..], "blocks diverged at {entry:?}");
+                assert_eq!(t.blocks(), &blocks[..], "blocks diverged at {entry:?}");
             }
-            let s = builder.stats();
+            let s = builder.stats().constructor;
             let c = ctor.stats();
             assert_eq!(s.signals_handled, c.signals_handled);
             assert_eq!(s.entry_points, c.entry_points);
@@ -928,7 +884,7 @@ mod tests {
         drop(tx);
         let stats = run_constructor_service(rx, &cache, ConstructorConfig::default(), |_| None);
         assert_eq!(stats.jobs, 2);
-        assert!(cache.stats().traces_deduped > 0 || cache.trace_count() > 0);
+        assert!(cache.stats().traces_reused > 0 || cache.trace_count() > 0);
     }
 
     #[test]
@@ -991,7 +947,7 @@ mod tests {
             None,
             |_| None,
         );
-        assert!(stats.jobs == 1 && stats.links_written > 0);
+        assert!(stats.jobs == 1 && stats.constructor.links_written > 0);
         assert!(cache.link_count() > 0);
         let hs = health.snapshot();
         assert!(!hs.degraded && hs.panics == 0 && hs.restarts == 0);
@@ -1030,7 +986,10 @@ mod tests {
         let hs = health.snapshot();
         assert!(!hs.degraded, "one panic must not degrade: {hs:?}");
         assert_eq!((hs.panics, hs.restarts), (1, 1));
-        assert!(stats.links_written > 0, "second batch must be served");
+        assert!(
+            stats.constructor.links_written > 0,
+            "second batch must be served"
+        );
         assert!(cache.link_count() > 0);
     }
 }

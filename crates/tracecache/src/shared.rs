@@ -10,18 +10,25 @@
 //!
 //! # Structure
 //!
-//! * **Entry links** live in N lock-striped shards. Each shard is an
-//!   open-addressed table of `(AtomicU64 key, AtomicU64 value)` slots —
-//!   the same packed-branch scheme as [`trace_bcg::BranchTable`], probed
-//!   lock-free by readers. Writers serialize on a per-shard mutex.
-//! * **Trace objects** are hash-consed under one mutex into `Arc`-shared
-//!   immutable [`SharedTrace`]s; an optional pre-lowered artifact rides
-//!   along. The mutex is only touched at construction time and on the
-//!   first artifact fetch per VM — never on the per-branch dispatch path.
+//! * **Entry links** live in one open-addressed table of `(AtomicU64
+//!   key, AtomicU64 value)` slots — the same packed-branch scheme as
+//!   [`trace_bcg::BranchTable`], probed lock-free by readers and written
+//!   only under the policy mutex.
+//! * **What is cached** — hash-consing, cost accounting, the
+//!   second-chance sweep, the quarantine blacklist, the counters — is
+//!   decided by a [`TraceCache`](crate::TraceCache), the very type a
+//!   single VM owns, instantiated over this module's table and kept
+//!   behind that one mutex, with an optional pre-lowered artifact per
+//!   trace as its payload. The mutex is only touched at construction
+//!   time and on the first artifact fetch per VM — never on the
+//!   per-branch dispatch path.
 //! * A global **version** counter extends the single-threaded
 //!   version-stamped trace-link protocol (see
 //!   [`TraceCache::lookup_entry_cached`](crate::TraceCache::lookup_entry_cached))
 //!   to concurrent publication.
+//! * The **health ledger** sits behind its own mutex, so dispatch
+//!   threads flushing outcomes never wait on a constructor that holds
+//!   the policy mutex while lowering. Lock order: policy, then health.
 //!
 //! # Publication protocol
 //!
@@ -29,12 +36,12 @@
 //! link for at most one probe: any link mutation must eventually force
 //! revalidation. Concurrently that becomes:
 //!
-//! 1. A writer mutates a shard table under its lock — storing a slot's
-//!    *value before its key*, both `Release`, so a reader that observes
-//!    the key (`Acquire`) always observes a fully-written value: links
-//!    are never torn.
-//! 2. After the mutation the writer bumps the global version
-//!    (`fetch_add`, `Release`).
+//! 1. The writer mutates the table under the policy mutex — storing a
+//!    slot's *value before its key*, both `Release`, so a reader that
+//!    observes the key (`Acquire`) always observes a fully-written
+//!    value: links are never torn.
+//! 2. After the mutation the writer publishes the cache's bumped
+//!    version into the global version (`store`, `Release`).
 //! 3. A reader loads the version (`Acquire`) *before* probing. The
 //!    `Acquire` pairs with the bump's `Release`: every mutation at or
 //!    below the loaded version is visible to the probe. The BCG slot is
@@ -50,19 +57,13 @@
 //!
 //! # Memory budget, eviction, quarantine
 //!
-//! [`set_budget`](SharedTraceCache::set_budget) bounds the payload bytes
-//! the cache may hold; every insert then runs the same deterministic
-//! second-chance sweep as the single-owner cache (see
-//! [`crate::TraceCache`] docs), unlinking cold entries and tombstoning
-//! traces whose last link goes. An eviction is just another link
-//! mutation under this protocol: the shard write + version bump force
-//! every VM's inline slots to revalidate, and a VM already holding the
-//! artifact `Arc` finishes its dispatch safely on the retired trace —
-//! never a dangling artifact, at worst one stale (but valid) entry.
-//! [`quarantine`](SharedTraceCache::quarantine) tombstones a faulting
-//! trace, removes all its links and blacklists the `(entry, path)` key
-//! until the cooldown decays (one tick per refused
-//! [`try_insert_and_link_with`](SharedTraceCache::try_insert_and_link_with)).
+//! The budget sweep and the quarantine blacklist are the wrapped
+//! cache's (see [`crate::cache`]); measured artifact bytes ride on a
+//! trace's cost. An eviction or a quarantine is just another link mutation
+//! under this protocol: the table write + version bump force every VM's
+//! inline slots to revalidate, and a VM already holding the artifact
+//! `Arc` finishes its dispatch safely on the retired trace — never a
+//! dangling artifact, at worst one stale (but valid) entry.
 //!
 //! An attached [`FaultPlan`](crate::FaultPlan) can deterministically
 //! corrupt freshly built artifacts (surfaced to executors through
@@ -70,20 +71,19 @@
 //! budget checks; both are exercise paths for the degradation ladder,
 //! never semantic changes.
 
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize};
+use std::sync::atomic::{AtomicPtr, AtomicU64};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use jvm_bytecode::BlockId;
 use trace_bcg::node::NO_TRACE_LINK;
 use trace_bcg::{Branch, BranchCorrelationGraph, NodeIdx, PackedBranch};
 
-use crate::cache::trace_cost;
+use crate::cache::{CacheStats, Shell, TraceCache};
 use crate::error::TraceCacheError;
 use crate::faults::{FaultPlan, FaultSite};
-use crate::health::{Demotion, HealthLedger, HealthStats, OutcomeRecord, TraceHealth};
-use crate::trace::TraceId;
+use crate::health::HealthLedger;
+use crate::trace::{Trace, TraceId};
 
 /// Empty-slot key marker; `PackedBranch` cannot produce it for a real
 /// branch (same convention as `trace_bcg::BranchTable`).
@@ -91,15 +91,10 @@ const KEY_EMPTY: u64 = u64::MAX;
 /// Value marking a deleted link. Live values are raw `TraceId`s (≤
 /// `u32::MAX - 1`), so the marker cannot collide.
 const VAL_TOMBSTONE: u64 = u64::MAX;
-/// Fibonacci multiplier for in-table home slots (same as `BranchTable`).
+/// Fibonacci multiplier for home slots (same as `BranchTable`).
 const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
-/// A *different* odd multiplier for shard selection, so the bits that
-/// pick the shard are uncorrelated with the bits that pick the home slot.
-const SHARD_MIX: u64 = 0xA24B_AED4_963E_E407;
-/// Slots in a fresh shard table.
+/// Slots in a fresh table.
 const INITIAL_SLOTS: usize = 16;
-/// Default shard count.
-const DEFAULT_SHARDS: usize = 16;
 
 /// Locks a mutex, recovering the data on poisoning: a constructor
 /// worker that panicked mid-insert leaves individually-valid state
@@ -142,51 +137,41 @@ impl SlotTable {
     fn home(&self, key: u64) -> usize {
         (key.wrapping_mul(MIX) >> self.shift) as usize
     }
+
+    fn bytes(&self) -> usize {
+        self.slots.len() * std::mem::size_of::<Slot>()
+    }
 }
 
-/// Writer-side bookkeeping, guarded by the shard mutex.
-#[derive(Default)]
-struct ShardWrite {
-    live: usize,
-    tombstones: usize,
+/// The reader side of the entry-link table: the current [`SlotTable`],
+/// published through an `AtomicPtr`.
+struct LinkTable {
+    current: AtomicPtr<SlotTable>,
 }
 
-/// Owned table pointer retired by growth; freed when the shard drops.
-struct Retired(*mut SlotTable);
-// Safety: the pointer is uniquely owned by the retired list and only
-// dereferenced (to free) at drop time.
-unsafe impl Send for Retired {}
-
-struct Shard {
-    table: AtomicPtr<SlotTable>,
-    write: Mutex<ShardWrite>,
-    retired: Mutex<Vec<Retired>>,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            table: AtomicPtr::new(Box::into_raw(SlotTable::alloc(INITIAL_SLOTS))),
-            write: Mutex::new(ShardWrite::default()),
-            retired: Mutex::new(Vec::new()),
+impl Default for LinkTable {
+    fn default() -> Self {
+        LinkTable {
+            current: AtomicPtr::new(Box::into_raw(SlotTable::alloc(INITIAL_SLOTS))),
         }
     }
+}
 
-    /// The current table.
-    ///
-    /// # Safety (internal)
-    ///
-    /// The pointer is always valid while `&self` is held: tables are
-    /// only ever swapped for a newer one (the old pointer moving to the
-    /// retired list) and freed at drop, which requires `&mut self`.
+impl LinkTable {
     #[inline]
     fn table(&self) -> &SlotTable {
-        unsafe { &*self.table.load(Acquire) }
+        // SAFETY: the pointer is always valid while `&self` is held:
+        // tables are only ever swapped for a newer one, the old pointer
+        // moving to the writer's retired list (`SharedShell::retired`),
+        // which sits in the same `SharedTraceCache` readers borrow this
+        // table from and is freed only when that cache is dropped, which
+        // requires `&mut`.
+        unsafe { &*self.current.load(Acquire) }
     }
 
-    /// Lock-free probe. Terminates because writers keep the table at
+    /// Lock-free probe. Terminates because the writer keeps the table at
     /// most 7/8 full (counting tombstones), so an empty slot exists.
-    fn lookup(&self, key: u64) -> Option<u64> {
+    fn lookup(&self, key: u64) -> Option<TraceId> {
         let t = self.table();
         let mut i = t.home(key);
         loop {
@@ -196,88 +181,66 @@ impl Shard {
             }
             if k == key {
                 let v = t.slots[i].val.load(Acquire);
-                return (v != VAL_TOMBSTONE).then_some(v);
+                return (v != VAL_TOMBSTONE).then_some(TraceId(v as u32));
             }
             i = (i + 1) & t.mask;
         }
     }
+}
 
-    /// Inserts or updates a link. Caller holds the write lock. Returns
-    /// the previous live value, if any.
-    fn insert(&self, key: u64, val: u64, w: &mut ShardWrite) -> Option<u64> {
-        debug_assert!(val != VAL_TOMBSTONE);
-        loop {
-            let t = self.table();
-            let mut i = t.home(key);
-            loop {
-                let k = t.slots[i].key.load(Relaxed);
-                if k == key {
-                    let old = t.slots[i].val.swap(val, Release);
-                    return if old == VAL_TOMBSTONE {
-                        w.tombstones -= 1;
-                        w.live += 1;
-                        None
-                    } else {
-                        Some(old)
-                    };
-                }
-                if k == KEY_EMPTY {
-                    if (w.live + w.tombstones + 1) * 8 > t.slots.len() * 7 {
-                        self.grow(w);
-                        break; // re-probe against the new table
-                    }
-                    // Value first, then key: a reader that sees the key
-                    // sees the value.
-                    t.slots[i].val.store(val, Release);
-                    t.slots[i].key.store(key, Release);
-                    w.live += 1;
-                    return None;
-                }
-                i = (i + 1) & t.mask;
-            }
-        }
+impl Drop for LinkTable {
+    fn drop(&mut self) {
+        // SAFETY: `current` always holds a pointer from `Box::into_raw`
+        // that nothing else frees, and `&mut self` rules out readers.
+        unsafe { drop(Box::from_raw(self.current.load(Relaxed))) }
     }
+}
 
-    /// Tombstones a link. Caller holds the write lock.
-    fn remove(&self, key: u64, w: &mut ShardWrite) -> Option<u64> {
-        let t = self.table();
-        let mut i = t.home(key);
-        loop {
-            let k = t.slots[i].key.load(Relaxed);
-            if k == KEY_EMPTY {
-                return None;
-            }
-            if k == key {
-                let old = t.slots[i].val.swap(VAL_TOMBSTONE, Release);
-                return (old != VAL_TOMBSTONE).then(|| {
-                    w.live -= 1;
-                    w.tombstones += 1;
-                    old
-                });
-            }
-            i = (i + 1) & t.mask;
-        }
+/// A table pointer retired by growth, owned by the writer's retired
+/// list and freed when that list — with the cache — is dropped.
+struct Retired(*mut SlotTable);
+// SAFETY: the pointer is uniquely owned by the retired list and only
+// dereferenced under the policy mutex (sizing) or at drop (freeing).
+unsafe impl Send for Retired {}
+
+impl Drop for Retired {
+    fn drop(&mut self) {
+        // SAFETY: the pointer came from `Box::into_raw` in `grow` and
+        // was swapped out of `LinkTable::current`, so this is its only
+        // owner; the list drops with the cache, after every reader.
+        unsafe { drop(Box::from_raw(self.0)) }
     }
+}
 
+/// The [`Shell`] of the cache inside a [`SharedTraceCache`]: the write
+/// side of the link table, and the health ledger behind its own mutex
+/// (locked here while the policy mutex is held: policy, then health).
+/// Lives under the policy mutex, so it is the table's only writer and
+/// relaxed reads of the table are exact.
+#[derive(Default)]
+struct SharedShell {
+    table: Arc<LinkTable>,
+    live: usize,
+    tombstones: usize,
+    retired: Vec<Retired>,
+    health: Arc<Mutex<HealthLedger>>,
+}
+
+impl SharedShell {
     /// Rehashes into a fresh table (doubling if genuinely full, else
-    /// just shedding tombstones) and publishes it. Caller holds the
-    /// write lock, so relaxed reads of the old table are exact.
-    fn grow(&self, w: &mut ShardWrite) {
-        let old = self.table();
+    /// just shedding tombstones) and publishes it.
+    fn grow(&mut self) {
+        let old = self.table.table();
         let cap = old.slots.len();
-        let new_len = if (w.live + 1) * 8 > cap * 7 {
+        let new_len = if (self.live + 1) * 8 > cap * 7 {
             cap * 2
         } else {
             cap
         };
         let new = SlotTable::alloc(new_len);
         for slot in old.slots.iter() {
-            let k = slot.key.load(Relaxed);
-            if k == KEY_EMPTY {
-                continue;
-            }
-            let v = slot.val.load(Relaxed);
-            if v == VAL_TOMBSTONE {
+            let (k, v) = (slot.key.load(Relaxed), slot.val.load(Relaxed));
+            if k == KEY_EMPTY || v == VAL_TOMBSTONE {
                 continue;
             }
             let mut i = new.home(k);
@@ -287,166 +250,111 @@ impl Shard {
             new.slots[i].val.store(v, Relaxed);
             new.slots[i].key.store(k, Relaxed);
         }
-        w.tombstones = 0;
-        let old_ptr = self.table.swap(Box::into_raw(new), Release);
-        lock_recover(&self.retired).push(Retired(old_ptr));
-    }
-
-    fn memory_bytes(&self) -> usize {
-        let current = self.table().slots.len() * std::mem::size_of::<Slot>();
-        let retired: usize = lock_recover(&self.retired)
-            .iter()
-            .map(|r| unsafe { (*r.0).mask + 1 } * std::mem::size_of::<Slot>())
-            .sum();
-        current + retired
+        self.tombstones = 0;
+        let old_ptr = self.table.current.swap(Box::into_raw(new), Release);
+        self.retired.push(Retired(old_ptr));
     }
 }
 
-impl Drop for Shard {
-    fn drop(&mut self) {
-        unsafe {
-            drop(Box::from_raw(self.table.load(Relaxed)));
-            let retired = self
-                .retired
-                .get_mut()
-                .unwrap_or_else(PoisonError::into_inner);
-            for r in retired.drain(..) {
-                drop(Box::from_raw(r.0));
+impl Shell for SharedShell {
+    fn link(&self, key: u64) -> Option<TraceId> {
+        self.table.lookup(key)
+    }
+
+    fn set_link(&mut self, key: u64, id: TraceId) -> Option<TraceId> {
+        let val = u64::from(id.0);
+        loop {
+            let t = self.table.table();
+            let mut i = t.home(key);
+            loop {
+                let k = t.slots[i].key.load(Relaxed);
+                if k == key {
+                    let old = t.slots[i].val.swap(val, Release);
+                    if old != VAL_TOMBSTONE {
+                        return Some(TraceId(old as u32));
+                    }
+                    self.tombstones -= 1;
+                    self.live += 1;
+                    return None;
+                }
+                if k == KEY_EMPTY {
+                    if (self.live + self.tombstones + 1) * 8 > t.slots.len() * 7 {
+                        self.grow();
+                        break; // re-probe against the new table
+                    }
+                    // Value first, then key: a reader that sees the key
+                    // sees the value.
+                    t.slots[i].val.store(val, Release);
+                    t.slots[i].key.store(key, Release);
+                    self.live += 1;
+                    return None;
+                }
+                i = (i + 1) & t.mask;
             }
         }
     }
-}
 
-/// A hash-consed trace shared across VMs: the block sequence, the
-/// completion estimate stamped at first construction, and an optional
-/// pre-built execution artifact (e.g. a lowered trace).
-pub struct SharedTrace<A> {
-    /// The block sequence; `blocks[0]` is the entry block.
-    pub blocks: Arc<[BlockId]>,
-    /// Completion probability estimated at first construction.
-    pub expected_completion: f64,
-    /// Execution artifact, if the builder produced one. Raw access —
-    /// executors must go through
-    /// [`SharedTraceCache::artifact_checked`] so corruption is caught.
-    pub artifact: Option<Arc<A>>,
-    /// Integrity flag set by fault injection
-    /// ([`FaultSite::CorruptArtifact`]). A corrupt artifact must never
-    /// be executed; [`SharedTraceCache::artifact_checked`] surfaces it
-    /// as [`TraceCacheError::CorruptArtifact`].
-    pub corrupted: bool,
-}
-
-impl<A> Clone for SharedTrace<A> {
-    fn clone(&self) -> Self {
-        SharedTrace {
-            blocks: self.blocks.clone(),
-            expected_completion: self.expected_completion,
-            artifact: self.artifact.clone(),
-            corrupted: self.corrupted,
+    /// Tombstones the slot; the key stays so concurrent probes keep
+    /// their chain.
+    fn remove_link(&mut self, key: u64) -> Option<TraceId> {
+        let t = self.table.table();
+        let mut i = t.home(key);
+        loop {
+            let k = t.slots[i].key.load(Relaxed);
+            if k == KEY_EMPTY {
+                return None;
+            }
+            if k == key {
+                let old = t.slots[i].val.swap(VAL_TOMBSTONE, Release);
+                if old == VAL_TOMBSTONE {
+                    return None;
+                }
+                self.live -= 1;
+                self.tombstones += 1;
+                return Some(TraceId(old as u32));
+            }
+            i = (i + 1) & t.mask;
         }
+    }
+
+    fn admitted(&mut self, id: TraceId, entry: Branch) {
+        lock_recover(&self.health).note_admission(id, entry);
+    }
+
+    fn forget(&mut self, id: TraceId) {
+        lock_recover(&self.health).forget(id);
+    }
+
+    #[cfg(feature = "debug-invariants")]
+    fn live_links(&self) -> usize {
+        // Every key in the table, resolved through the readers' probe.
+        let keys = self.table.table().slots.iter().map(|s| s.key.load(Relaxed));
+        let found = keys
+            .filter(|&k| k != KEY_EMPTY && self.link(k).is_some())
+            .count();
+        assert_eq!(found, self.live, "writer's live count drifted");
+        found
     }
 }
 
-struct ConsState<A> {
-    by_blocks: HashMap<Arc<[BlockId]>, TraceId>,
-    /// Slot per id ever assigned; `None` marks a tombstoned (evicted or
-    /// quarantined) trace. Ids are never reused.
-    traces: Vec<Option<SharedTrace<A>>>,
-    /// Byte cost charged per trace; zeroed when tombstoned.
-    costs: Vec<usize>,
-    /// Live entry-link keys per trace (reverse of the shard tables).
-    entry_keys: Vec<Vec<u64>>,
-    /// Second-chance sweep order (may hold stale keys; `referenced` is
-    /// the source of truth).
-    clock: VecDeque<u64>,
-    /// Live link keys → second-chance bit.
-    referenced: HashMap<u64, bool>,
-    /// Blacklist: entry key → (exact block path, refusals remaining).
-    quarantined: HashMap<u64, (Vec<BlockId>, u32)>,
-    /// Sum of `costs` over live traces.
-    payload: usize,
-    /// Byte budget on `payload`; `None` disables eviction.
-    budget: Option<usize>,
-    /// Artifact byte-measure hook, installed with the budget.
-    measure: Option<MeasureFn<A>>,
+/// A pre-built execution artifact (e.g. a lowered trace); a trace's
+/// payload in the shared cache is `Option<Artifact<A>>`.
+struct Artifact<A> {
+    built: Arc<A>,
+    /// Set by fault injection ([`FaultSite::CorruptArtifact`]). A
+    /// corrupt artifact must never be executed;
+    /// [`SharedTraceCache::artifact_checked`] surfaces it as
+    /// [`TraceCacheError::CorruptArtifact`].
+    corrupted: bool,
 }
 
 /// Artifact byte-measure hook installed alongside a payload budget.
 type MeasureFn<A> = Box<dyn Fn(&A) -> usize + Send + Sync>;
 
-impl<A> ConsState<A> {
-    fn new() -> Self {
-        ConsState {
-            by_blocks: HashMap::new(),
-            traces: Vec::new(),
-            costs: Vec::new(),
-            entry_keys: Vec::new(),
-            clock: VecDeque::new(),
-            referenced: HashMap::new(),
-            quarantined: HashMap::new(),
-            payload: 0,
-            budget: None,
-            measure: None,
-        }
-    }
-}
-
-/// Snapshot of the shared cache's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SharedCacheStats {
-    /// New trace objects constructed.
-    pub traces_constructed: u64,
-    /// Insertions that found an identical block sequence already cached —
-    /// the cross-VM dedup hits.
-    pub traces_deduped: u64,
-    /// Entry links written (new or re-linked).
-    pub links_written: u64,
-    /// Links that replaced a different trace (instability events).
-    pub links_replaced: u64,
-    /// Links removed.
-    pub links_removed: u64,
-    /// Links evicted by the budget's second-chance sweep.
-    pub links_evicted: u64,
-    /// Traces tombstoned (last link evicted, or quarantined) and their
-    /// storage reclaimed.
-    pub traces_evicted: u64,
-    /// Traces tombstoned by [`SharedTraceCache::quarantine`].
-    pub traces_quarantined: u64,
-    /// Construction attempts refused by the quarantine blacklist.
-    pub quarantine_rejected: u64,
-    /// Budget-enforcement passes that ended while still over budget.
-    pub budget_overruns: u64,
-    /// Entry branches currently linked.
-    pub links_live: usize,
-    /// Current publication version.
-    pub version: u64,
-}
-
-impl SharedCacheStats {
-    /// Fraction of insertions served by hash-consing, in `[0, 1]`.
-    pub fn dedup_hit_rate(&self) -> f64 {
-        let total = self.traces_constructed + self.traces_deduped;
-        if total == 0 {
-            0.0
-        } else {
-            self.traces_deduped as f64 / total as f64
-        }
-    }
-}
-
-#[derive(Default)]
-struct StatsAtomic {
-    traces_constructed: AtomicU64,
-    traces_deduped: AtomicU64,
-    links_written: AtomicU64,
-    links_replaced: AtomicU64,
-    links_removed: AtomicU64,
-    links_evicted: AtomicU64,
-    traces_evicted: AtomicU64,
-    traces_quarantined: AtomicU64,
-    quarantine_rejected: AtomicU64,
-    budget_overruns: AtomicU64,
-    links_live: AtomicUsize,
+/// Everything the policy mutex guards.
+struct WriteSide<A> {
+    cache: TraceCache<SharedShell, Option<Artifact<A>>>,
+    measure: Option<MeasureFn<A>>,
 }
 
 /// The shared trace cache. See the module docs for the protocol.
@@ -464,16 +372,16 @@ struct StatsAtomic {
 /// per-node link slots, which are only meaningful to the cache that
 /// stamped them.
 pub struct SharedTraceCache<A> {
-    shards: Box<[Shard]>,
-    shard_mask: usize,
+    /// The link table, for readers; `write`'s shell holds the write side.
+    links: Arc<LinkTable>,
     version: AtomicU64,
-    cons: Mutex<ConsState<A>>,
-    stats: StatsAtomic,
+    write: Mutex<WriteSide<A>>,
     faults: OnceLock<Arc<FaultPlan>>,
     /// Whole-lifetime trace-health telemetry and demotion ladder.
-    /// Locked after `cons` when both are needed (admission, tombstone);
-    /// outcome batches and epoch scoring take only this lock.
-    health: Mutex<HealthLedger>,
+    /// Locked after `write` when both are needed (admission, tombstone
+    /// — by `write`'s shell); outcome batches and epoch scoring take
+    /// only this lock.
+    health: Arc<Mutex<HealthLedger>>,
 }
 
 impl<A> Default for SharedTraceCache<A> {
@@ -483,28 +391,23 @@ impl<A> Default for SharedTraceCache<A> {
 }
 
 impl<A> SharedTraceCache<A> {
-    /// A cache with the default shard count.
+    /// An empty cache.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// A cache with `n` lock-striped shards (rounded up to a power of
-    /// two, clamped to `1..=256`).
-    pub fn with_shards(n: usize) -> Self {
-        let n = n.clamp(1, 256).next_power_of_two();
+        let cache = TraceCache::<SharedShell, _>::default();
         SharedTraceCache {
-            shards: (0..n).map(|_| Shard::new()).collect(),
-            shard_mask: n - 1,
+            links: Arc::clone(&cache.shell().table),
+            health: Arc::clone(&cache.shell().health),
             version: AtomicU64::new(0),
-            cons: Mutex::new(ConsState::new()),
-            stats: StatsAtomic::default(),
+            write: Mutex::new(WriteSide {
+                cache,
+                measure: None,
+            }),
             faults: OnceLock::new(),
-            health: Mutex::new(HealthLedger::default()),
         }
     }
 
-    fn cons(&self) -> MutexGuard<'_, ConsState<A>> {
-        lock_recover(&self.cons)
+    fn write(&self) -> MutexGuard<'_, WriteSide<A>> {
+        lock_recover(&self.write)
     }
 
     /// Attaches a fault plan; first call wins, later calls are ignored.
@@ -515,12 +418,8 @@ impl<A> SharedTraceCache<A> {
         let _ = self.faults.set(plan);
     }
 
-    #[inline]
-    fn shard_for(&self, key: u64) -> &Shard {
-        // Top byte of a second-multiplier mix: uncorrelated with the
-        // in-table home slot bits.
-        let h = key.wrapping_mul(SHARD_MIX);
-        &self.shards[(h >> 56) as usize & self.shard_mask]
+    fn fire(&self, site: FaultSite) -> bool {
+        self.faults.get().is_some_and(|p| p.fire(site))
     }
 
     /// The current publication version (bumped after every link
@@ -532,8 +431,7 @@ impl<A> SharedTraceCache<A> {
     /// The trace linked at an entry branch, if any. Lock-free.
     #[inline]
     pub fn lookup_entry(&self, entry: Branch) -> Option<TraceId> {
-        let key = PackedBranch::pack(entry).0;
-        self.shard_for(key).lookup(key).map(|v| TraceId(v as u32))
+        self.links.lookup(PackedBranch::pack(entry).0)
     }
 
     /// The dispatch check via a BCG node's inline trace-link slot —
@@ -541,7 +439,7 @@ impl<A> SharedTraceCache<A> {
     /// [`TraceCache::lookup_entry_cached`](crate::TraceCache::lookup_entry_cached).
     ///
     /// The BCG (and its slots) are private to the calling VM; only the
-    /// version counter and the shard probe touch shared state. The slot
+    /// version counter and the table probe touch shared state. The slot
     /// is stamped with the version loaded *before* the probe, so a
     /// publication racing this lookup leaves the stamp stale and the
     /// next dispatch revalidates (see the module docs).
@@ -561,14 +459,28 @@ impl<A> SharedTraceCache<A> {
         found
     }
 
+    /// Runs one cache mutation under the policy mutex, then publishes
+    /// the cache's version (bumped if any link changed) — still under
+    /// the mutex, so versions reach readers in mutation order. A reader
+    /// that observes the new version is guaranteed to observe the
+    /// mutation (Release/Acquire pairing).
+    fn mutate<R>(&self, f: impl FnOnce(&mut WriteSide<A>) -> R) -> R {
+        let mut w = self.write();
+        let result = f(&mut w);
+        self.version.store(w.cache.version(), Release);
+        result
+    }
+
     /// Hash-conses a block sequence (building its artifact on first
     /// construction), links it at `entry`, and enforces the byte budget
     /// (the just-written link is never the victim). Returns the trace
     /// id and whether a new trace object was constructed.
     ///
-    /// `build` runs under the construction mutex — acceptable because
+    /// `build` runs under the policy mutex — acceptable because
     /// construction is rare and (in the off-thread design) single-caller;
-    /// dispatch threads never take that mutex on the hot path.
+    /// dispatch threads never take that mutex on the hot path. It runs
+    /// before the policy is mutated, so a panicking builder leaves the
+    /// cache consistent.
     ///
     /// This path does **not** consult the quarantine blacklist — the
     /// constructor goes through [`Self::try_insert_and_link_with`].
@@ -583,10 +495,8 @@ impl<A> SharedTraceCache<A> {
         expected_completion: f64,
         build: impl FnOnce(&[BlockId]) -> Option<A>,
     ) -> (TraceId, bool) {
-        match self.insert_inner(entry, blocks, expected_completion, build, false) {
-            Ok(r) => r,
-            Err(_) => unreachable!("quarantine is not consulted on this path"),
-        }
+        self.insert(entry, blocks, expected_completion, build, false)
+            .expect("quarantine is not consulted on this path")
     }
 
     /// [`Self::insert_and_link_with`] behind the quarantine blacklist:
@@ -600,10 +510,10 @@ impl<A> SharedTraceCache<A> {
         expected_completion: f64,
         build: impl FnOnce(&[BlockId]) -> Option<A>,
     ) -> Result<(TraceId, bool), TraceCacheError> {
-        self.insert_inner(entry, blocks, expected_completion, build, true)
+        self.insert(entry, blocks, expected_completion, build, true)
     }
 
-    fn insert_inner(
+    fn insert(
         &self,
         entry: Branch,
         blocks: Vec<BlockId>,
@@ -611,109 +521,24 @@ impl<A> SharedTraceCache<A> {
         build: impl FnOnce(&[BlockId]) -> Option<A>,
         check_quarantine: bool,
     ) -> Result<(TraceId, bool), TraceCacheError> {
-        assert!(!blocks.is_empty(), "trace must contain at least one block");
-        assert_eq!(
-            entry.1, blocks[0],
-            "entry branch must target the trace's first block"
-        );
-        let key = PackedBranch::pack(entry).0;
-        let mut cons = self.cons();
-        if check_quarantine {
-            if let Some((qblocks, remaining)) = cons.quarantined.get_mut(&key) {
-                if *qblocks == blocks {
-                    *remaining -= 1;
-                    let left = *remaining;
-                    if left == 0 {
-                        cons.quarantined.remove(&key);
-                    }
-                    self.stats.quarantine_rejected.fetch_add(1, Relaxed);
-                    return Err(TraceCacheError::Quarantined {
-                        entry,
-                        remaining: left,
-                    });
+        self.mutate(|w| {
+            if check_quarantine {
+                w.cache.refuse_quarantined(entry, &blocks)?;
+            }
+            let budget_override = self.fire(FaultSite::BudgetCheck).then_some(0);
+            let measure = &w.measure;
+            let build = |blocks: &[BlockId]| match build(blocks) {
+                None => (None, 0),
+                Some(built) => {
+                    let bytes = measure.as_ref().map_or(0, |m| m(&built));
+                    let corrupted = self.fire(FaultSite::CorruptArtifact);
+                    let built = Arc::new(built);
+                    (Some(Artifact { built, corrupted }), bytes)
                 }
-            }
-        }
-        let (id, created) = match cons.by_blocks.get(blocks.as_slice()) {
-            Some(&id) => {
-                self.stats.traces_deduped.fetch_add(1, Relaxed);
-                (id, false)
-            }
-            None => {
-                let blocks: Arc<[BlockId]> = blocks.into();
-                let id = TraceId(cons.traces.len() as u32);
-                let artifact = build(&blocks).map(Arc::new);
-                let corrupted = artifact.is_some()
-                    && self
-                        .faults
-                        .get()
-                        .is_some_and(|p| p.fire(FaultSite::CorruptArtifact));
-                let cost = trace_cost(blocks.len())
-                    + match (&artifact, &cons.measure) {
-                        (Some(a), Some(m)) => m(a),
-                        _ => 0,
-                    };
-                cons.traces.push(Some(SharedTrace {
-                    blocks: blocks.clone(),
-                    expected_completion,
-                    artifact,
-                    corrupted,
-                }));
-                cons.costs.push(cost);
-                cons.entry_keys.push(Vec::new());
-                cons.payload += cost;
-                cons.by_blocks.insert(blocks, id);
-                self.stats.traces_constructed.fetch_add(1, Relaxed);
-                (id, true)
-            }
-        };
-        let shard = self.shard_for(key);
-        {
-            let mut w = lock_recover(&shard.write);
-            match shard.insert(key, u64::from(id.0), &mut w) {
-                Some(old) if old != u64::from(id.0) => {
-                    self.stats.links_replaced.fetch_add(1, Relaxed);
-                    let old = TraceId(old as u32);
-                    cons.entry_keys[old.index()].retain(|&k| k != key);
-                    self.reclaim_if_unlinked(&mut cons, old);
-                }
-                Some(_) => {}
-                None => {
-                    self.stats.links_live.fetch_add(1, Relaxed);
-                }
-            }
-            self.stats.links_written.fetch_add(1, Relaxed);
-        }
-        // Second-chance bookkeeping: first-time links enter the sweep
-        // unreferenced; touching a live link grants it another round.
-        match cons.referenced.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                e.insert(true);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(false);
-                cons.clock.push_back(key);
-            }
-        }
-        if !cons.entry_keys[id.index()].contains(&key) {
-            cons.entry_keys[id.index()].push(key);
-        }
-        lock_recover(&self.health).note_admission(id, entry);
-        let budget = if self
-            .faults
-            .get()
-            .is_some_and(|p| p.fire(FaultSite::BudgetCheck))
-        {
-            Some(0)
-        } else {
-            cons.budget
-        };
-        self.enforce_budget(&mut cons, budget, key);
-        drop(cons);
-        // Bump *after* the mutation: a reader that observes this version
-        // is guaranteed to observe the link (Release/Acquire pairing).
-        self.version.fetch_add(1, Release);
-        Ok((id, created))
+            };
+            let cache = &mut w.cache;
+            Ok(cache.insert_with(entry, blocks, expected_completion, budget_override, build))
+        })
     }
 
     /// [`Self::insert_and_link_with`] without an artifact.
@@ -738,24 +563,7 @@ impl<A> SharedTraceCache<A> {
 
     /// Removes the link at an entry branch, if any.
     pub fn unlink(&self, entry: Branch) -> Option<TraceId> {
-        let key = PackedBranch::pack(entry).0;
-        let mut cons = self.cons();
-        let shard = self.shard_for(key);
-        let removed = {
-            let mut w = lock_recover(&shard.write);
-            shard.remove(key, &mut w)
-        };
-        removed.map(|v| {
-            let id = TraceId(v as u32);
-            self.stats.links_removed.fetch_add(1, Relaxed);
-            self.stats.links_live.fetch_sub(1, Relaxed);
-            cons.referenced.remove(&key);
-            cons.entry_keys[id.index()].retain(|&k| k != key);
-            self.reclaim_if_unlinked(&mut cons, id);
-            drop(cons);
-            self.version.fetch_add(1, Release);
-            id
-        })
+        self.mutate(|w| w.cache.unlink(entry))
     }
 
     /// Tombstones the trace linked at `entry`, removes *all* of its
@@ -764,26 +572,7 @@ impl<A> SharedTraceCache<A> {
     /// forces every VM's cached dispatches to revalidate. Returns the
     /// tombstoned id, or `None` if nothing is linked at `entry`.
     pub fn quarantine(&self, entry: Branch, cooldown: u32) -> Option<TraceId> {
-        let key = PackedBranch::pack(entry).0;
-        let mut cons = self.cons();
-        let raw = self.shard_for(key).lookup(key)?;
-        let id = TraceId(raw as u32);
-        let blocks = cons.traces[id.index()].as_ref()?.blocks.to_vec();
-        cons.quarantined.insert(key, (blocks, cooldown.max(1)));
-        for k in std::mem::take(&mut cons.entry_keys[id.index()]) {
-            let shard = self.shard_for(k);
-            let mut w = lock_recover(&shard.write);
-            if shard.remove(k, &mut w).is_some() {
-                self.stats.links_removed.fetch_add(1, Relaxed);
-                self.stats.links_live.fetch_sub(1, Relaxed);
-            }
-            cons.referenced.remove(&k);
-        }
-        self.tombstone(&mut cons, id);
-        self.stats.traces_quarantined.fetch_add(1, Relaxed);
-        drop(cons);
-        self.version.fetch_add(1, Release);
-        Some(id)
+        self.mutate(|w| w.cache.quarantine(entry, cooldown))
     }
 
     /// Sets (or clears) the payload byte budget, installs the artifact
@@ -795,165 +584,43 @@ impl<A> SharedTraceCache<A> {
         budget: Option<usize>,
         measure: impl Fn(&A) -> usize + Send + Sync + 'static,
     ) {
-        let mut cons = self.cons();
-        cons.budget = budget;
-        cons.measure = Some(Box::new(measure));
-        let b = cons.budget;
-        self.enforce_budget(&mut cons, b, u64::MAX);
-        drop(cons);
-        self.version.fetch_add(1, Release);
+        self.mutate(|w| {
+            w.measure = Some(Box::new(measure));
+            w.cache.set_budget(budget);
+        });
     }
 
     /// The configured payload budget, if any.
     pub fn budget(&self) -> Option<usize> {
-        self.cons().budget
+        self.write().cache.budget()
     }
 
     /// Bytes currently charged against the budget: block sequences,
     /// per-trace overhead, and measured artifact bytes of live traces.
     pub fn payload_bytes(&self) -> usize {
-        self.cons().payload
+        self.write().cache.payload_bytes()
     }
 
     /// The quarantine blacklist: `(entry, path, refusals remaining)`,
     /// sorted by packed entry key.
     pub fn quarantine_snapshot(&self) -> Vec<(Branch, Vec<BlockId>, u32)> {
-        let cons = self.cons();
-        let mut keys: Vec<&u64> = cons.quarantined.keys().collect();
-        keys.sort_unstable();
-        keys.into_iter()
-            .map(|k| {
-                let (blocks, remaining) = &cons.quarantined[k];
-                (PackedBranch(*k).unpack(), blocks.clone(), *remaining)
-            })
+        let w = self.write();
+        let list = w.cache.iter_quarantine();
+        list.map(|(entry, path, left)| (entry, path.to_vec(), left))
             .collect()
     }
 
-    /// Ingests a batch of dispatch outcomes into the health ledger.
-    /// Takes only the health lock — never the construction mutex — so
-    /// dispatch threads flushing batches don't contend with the
-    /// constructor.
-    pub fn record_outcomes(&self, batch: &[OutcomeRecord]) {
-        let mut h = lock_recover(&self.health);
-        for rec in batch {
-            h.record(rec);
-        }
+    /// The health ledger, under its own lock — never the policy mutex —
+    /// so dispatch threads flushing outcomes or scoring an epoch (the
+    /// [`crate::TraceStore`] impl) don't contend with the constructor.
+    pub(crate) fn health(&self) -> MutexGuard<'_, HealthLedger> {
+        lock_recover(&self.health)
     }
 
-    /// Run-length-encoded variant of [`SharedTraceCache::record_outcomes`]:
-    /// each `(record, n)` entry stands for `n` identical consecutive
-    /// outcomes. Takes the health lock once for the whole batch.
-    pub fn record_outcome_runs(&self, runs: &[(OutcomeRecord, u64)]) {
-        let mut h = lock_recover(&self.health);
-        for (rec, n) in runs {
-            h.record_run(rec, *n);
-        }
-    }
-
-    /// Closes the health epoch and returns the demotion decisions (see
-    /// [`crate::run_health_epoch`] for how they are applied).
-    pub fn epoch_demotions(&self) -> Vec<Demotion> {
-        lock_recover(&self.health).epoch()
-    }
-
-    /// Health ledger counters.
-    pub fn health_stats(&self) -> HealthStats {
-        lock_recover(&self.health).stats()
-    }
-
-    /// Health telemetry snapshot for one tracked trace.
-    pub fn trace_health(&self, id: TraceId) -> Option<TraceHealth> {
-        lock_recover(&self.health).health_of(id).cloned()
-    }
-
-    fn tombstone(&self, cons: &mut ConsState<A>, id: TraceId) {
-        let i = id.index();
-        debug_assert!(cons.entry_keys[i].is_empty());
-        cons.payload -= cons.costs[i];
-        cons.costs[i] = 0;
-        if let Some(t) = cons.traces[i].take() {
-            cons.by_blocks.remove(&t.blocks[..]);
-        }
-        self.stats.traces_evicted.fetch_add(1, Relaxed);
-        lock_recover(&self.health).forget(id);
-    }
-
-    /// In budget mode an unlinked trace can never be chosen by the
-    /// sweep, so it is reclaimed as soon as its last link goes (same
-    /// rule as the single-owner cache).
-    fn reclaim_if_unlinked(&self, cons: &mut ConsState<A>, id: TraceId) {
-        if cons.budget.is_some()
-            && cons.entry_keys[id.index()].is_empty()
-            && cons.traces[id.index()].is_some()
-        {
-            self.tombstone(cons, id);
-        }
-    }
-
-    /// Evicts links (second-chance, insertion order — identical policy
-    /// to [`crate::TraceCache`]) until the payload fits `budget`.
-    fn enforce_budget(&self, cons: &mut ConsState<A>, budget: Option<usize>, protect: u64) {
-        let Some(budget) = budget else {
-            return;
-        };
-        while cons.payload > budget {
-            let mut victim = None;
-            let mut remaining = 2 * cons.clock.len() + 1;
-            while remaining > 0 {
-                remaining -= 1;
-                let Some(key) = cons.clock.pop_front() else {
-                    break;
-                };
-                match cons.referenced.get(&key).copied() {
-                    None => continue, // stale: unlinked outside the sweep
-                    Some(_) if key == protect => cons.clock.push_back(key),
-                    Some(true) => {
-                        cons.referenced.insert(key, false);
-                        cons.clock.push_back(key);
-                    }
-                    Some(false) => {
-                        victim = Some(key);
-                        break;
-                    }
-                }
-            }
-            let Some(key) = victim else {
-                self.stats.budget_overruns.fetch_add(1, Relaxed);
-                break;
-            };
-            let shard = self.shard_for(key);
-            let removed = {
-                let mut w = lock_recover(&shard.write);
-                shard.remove(key, &mut w)
-            };
-            cons.referenced.remove(&key);
-            let Some(raw) = removed else {
-                continue; // sweep raced an unlink; key already gone
-            };
-            let id = TraceId(raw as u32);
-            self.stats.links_evicted.fetch_add(1, Relaxed);
-            self.stats.links_live.fetch_sub(1, Relaxed);
-            cons.entry_keys[id.index()].retain(|&k| k != key);
-            if cons.entry_keys[id.index()].is_empty() {
-                self.tombstone(cons, id);
-            }
-        }
-    }
-
-    /// The shared trace object for an id (blocks, completion, artifact);
+    /// A copy of the trace object for an id (blocks, completion);
     /// `None` for unknown or tombstoned ids.
-    pub fn trace(&self, id: TraceId) -> Option<SharedTrace<A>> {
-        self.cons().traces.get(id.index()).and_then(|t| t.clone())
-    }
-
-    /// The execution artifact for a trace, if one was built. Raw access
-    /// — dispatch paths use [`Self::artifact_checked`].
-    pub fn artifact(&self, id: TraceId) -> Option<Arc<A>> {
-        self.cons()
-            .traces
-            .get(id.index())
-            .and_then(|t| t.as_ref())
-            .and_then(|t| t.artifact.clone())
+    pub fn trace(&self, id: TraceId) -> Option<Trace> {
+        self.write().cache.trace_checked(id).ok().cloned()
     }
 
     /// The execution artifact with integrity surfaced: `Err` for ids
@@ -964,76 +631,56 @@ impl<A> SharedTraceCache<A> {
     /// artifact and should [`Self::quarantine`] the entry it dispatched
     /// from.
     pub fn artifact_checked(&self, id: TraceId) -> Result<Option<Arc<A>>, TraceCacheError> {
-        let cons = self.cons();
-        match cons.traces.get(id.index()) {
-            None => Err(TraceCacheError::UnknownTrace(id)),
-            Some(None) => Err(TraceCacheError::Evicted(id)),
-            Some(Some(t)) if t.corrupted => Err(TraceCacheError::CorruptArtifact(id)),
-            Some(Some(t)) => Ok(t.artifact.clone()),
+        let w = self.write();
+        match w.cache.payload_checked(id)? {
+            Some(a) if a.corrupted => Err(TraceCacheError::CorruptArtifact(id)),
+            a => Ok(a.as_ref().map(|a| Arc::clone(&a.built))),
         }
     }
 
     /// Number of distinct trace objects ever constructed (tombstoned
     /// slots included; ids are never reused).
     pub fn trace_count(&self) -> usize {
-        self.cons().traces.len()
+        self.write().cache.trace_count()
     }
 
     /// Number of live (non-tombstoned) trace objects.
     pub fn live_trace_count(&self) -> usize {
-        self.cons().traces.iter().flatten().count()
+        let w = self.write();
+        w.cache.iter_traces().filter(|t| !t.is_empty()).count()
     }
 
     /// Number of live entry links.
     pub fn link_count(&self) -> usize {
-        self.stats.links_live.load(Relaxed)
+        self.write().cache.shell().live
     }
 
     /// Counter snapshot.
-    pub fn stats(&self) -> SharedCacheStats {
-        SharedCacheStats {
-            traces_constructed: self.stats.traces_constructed.load(Relaxed),
-            traces_deduped: self.stats.traces_deduped.load(Relaxed),
-            links_written: self.stats.links_written.load(Relaxed),
-            links_replaced: self.stats.links_replaced.load(Relaxed),
-            links_removed: self.stats.links_removed.load(Relaxed),
-            links_evicted: self.stats.links_evicted.load(Relaxed),
-            traces_evicted: self.stats.traces_evicted.load(Relaxed),
-            traces_quarantined: self.stats.traces_quarantined.load(Relaxed),
-            quarantine_rejected: self.stats.quarantine_rejected.load(Relaxed),
-            budget_overruns: self.stats.budget_overruns.load(Relaxed),
-            links_live: self.stats.links_live.load(Relaxed),
-            version: self.version.load(Acquire),
-        }
+    pub fn stats(&self) -> CacheStats {
+        self.write().cache.stats()
     }
 
-    /// Estimated heap footprint in bytes: shard tables (current and
+    /// Estimated heap footprint in bytes: the link table (current and
     /// retired), the hash-consing index, trace objects and their block
     /// sequences, and artifacts as measured by `artifact_bytes`.
-    /// Tombstoned traces contribute only their (empty) table slot.
     pub fn memory_estimate(&self, artifact_bytes: impl Fn(&A) -> usize) -> usize {
-        use std::mem::size_of;
-        let shards: usize = self.shards.iter().map(|s| s.memory_bytes()).sum();
-        let cons = self.cons();
-        let index = cons.by_blocks.capacity()
-            * (size_of::<Arc<[BlockId]>>() + size_of::<TraceId>() + size_of::<u64>());
-        let traces = cons.traces.capacity() * size_of::<Option<SharedTrace<A>>>();
-        let payload: usize = cons
-            .traces
-            .iter()
-            .flatten()
-            .map(|t| {
-                t.blocks.len() * size_of::<BlockId>()
-                    + t.artifact.as_deref().map_or(0, &artifact_bytes)
-            })
-            .sum();
-        shards + index + traces + payload
+        let w = self.write();
+        let retired = w.cache.shell().retired.iter().map(|r| {
+            // SAFETY: a retired pointer stays valid until the list drops
+            // with the cache (see `Retired`).
+            unsafe { (*r.0).bytes() }
+        });
+        self.links.table().bytes()
+            + retired.sum::<usize>()
+            + w.cache
+                .memory_estimate(|a| a.as_ref().map_or(0, |a| artifact_bytes(&a.built)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::trace_cost;
     use crate::faults::FaultConfig;
     use jvm_bytecode::FuncId;
 
@@ -1049,8 +696,8 @@ mod tests {
         assert!(created);
         assert_eq!(c.lookup_entry(entry), Some(id));
         let t = c.trace(id).unwrap();
-        assert_eq!(&t.blocks[..], &[blk(1), blk(2)]);
-        assert_eq!(t.expected_completion, 0.99);
+        assert_eq!(t.blocks(), &[blk(1), blk(2)]);
+        assert_eq!(t.expected_completion(), 0.99);
         assert_eq!(c.trace_count(), 1);
         assert_eq!(c.link_count(), 1);
     }
@@ -1066,7 +713,7 @@ mod tests {
         assert_eq!(c.trace_count(), 1);
         assert_eq!(c.link_count(), 2);
         let s = c.stats();
-        assert_eq!(s.traces_deduped, 1);
+        assert_eq!(s.traces_reused, 1);
         assert_eq!(s.dedup_hit_rate(), 0.5);
     }
 
@@ -1099,8 +746,8 @@ mod tests {
             Some(b.to_vec())
         });
         assert_eq!(builds, 1, "dedup hit must not rebuild the artifact");
-        let a1 = c.artifact(id).unwrap();
-        let a2 = c.artifact(id).unwrap();
+        let a1 = c.artifact_checked(id).unwrap().unwrap();
+        let a2 = c.artifact_checked(id).unwrap().unwrap();
         assert!(Arc::ptr_eq(&a1, &a2));
         assert_eq!(&a1[..], &[blk(1), blk(2)]);
         assert_eq!(
@@ -1111,9 +758,8 @@ mod tests {
 
     #[test]
     fn growth_keeps_all_links_findable() {
-        // One shard so every link lands in the same table and forces
-        // several growth rounds.
-        let c: SharedTraceCache<()> = SharedTraceCache::with_shards(1);
+        // 300 links force several growth rounds of the one table.
+        let c: SharedTraceCache<()> = SharedTraceCache::new();
         let mut expect = Vec::new();
         for i in 0..300u32 {
             let entry = (blk(i), blk(i + 1));
@@ -1128,7 +774,7 @@ mod tests {
 
     #[test]
     fn tombstone_churn_does_not_grow_forever() {
-        let c: SharedTraceCache<()> = SharedTraceCache::with_shards(1);
+        let c: SharedTraceCache<()> = SharedTraceCache::new();
         let entry = |i: u32| (blk(i), blk(i + 1));
         // Insert/remove churn over a small working set: rebuilds shed
         // tombstones instead of doubling without bound.
@@ -1142,8 +788,8 @@ mod tests {
         }
         assert_eq!(c.link_count(), 0);
         // 8 live keys fit comfortably; the table must have stayed small.
-        let bytes = c.shards[0].table().slots.len();
-        assert!(bytes <= 64, "shard table grew to {bytes} slots");
+        let slots = c.links.table().slots.len();
+        assert!(slots <= 64, "link table grew to {slots} slots");
     }
 
     #[test]
@@ -1175,7 +821,7 @@ mod tests {
     /// the sequence check.
     #[test]
     fn concurrent_republish_never_tears_links() {
-        let cache: Arc<SharedTraceCache<Vec<BlockId>>> = Arc::new(SharedTraceCache::with_shards(2));
+        let cache: Arc<SharedTraceCache<Vec<BlockId>>> = Arc::new(SharedTraceCache::new());
         let entry = (blk(0), blk(1));
         let seq_a = vec![blk(1), blk(2)];
         let seq_b = vec![blk(1), blk(3)];
@@ -1191,7 +837,7 @@ mod tests {
                     if i % 17 == 0 {
                         c.unlink(entry);
                     }
-                    // Churn other shards too, to exercise growth under
+                    // Churn other entries too, to exercise growth under
                     // concurrent readers.
                     let e = (blk(100 + i % 50), blk(200 + i % 50));
                     c.insert_and_link(e, vec![blk(200 + i % 50), blk(7)], 0.99);
@@ -1209,12 +855,15 @@ mod tests {
                     if let Some(id) = c.lookup_entry(entry) {
                         let t = c.trace(id).expect("published id must resolve");
                         assert!(
-                            t.blocks[..] == sa[..] || t.blocks[..] == sb[..],
+                            t.blocks() == &sa[..] || t.blocks() == &sb[..],
                             "torn link: {:?}",
-                            &t.blocks[..]
+                            t.blocks()
                         );
-                        let art = c.artifact(id).expect("artifact published with trace");
-                        assert_eq!(&art[..], &t.blocks[..], "artifact/trace mismatch");
+                        let art = c
+                            .artifact_checked(id)
+                            .expect("a linked trace is live")
+                            .expect("artifact published with trace");
+                        assert_eq!(&art[..], t.blocks(), "artifact/trace mismatch");
                     }
                     if i % 5 == 0 {
                         std::thread::yield_now();
@@ -1233,7 +882,7 @@ mod tests {
                 for i in 0..ROUNDS {
                     if let Some(id) = c.lookup_entry_cached(&mut bcg, n) {
                         let t = c.trace(id).expect("stamped id must resolve");
-                        assert_eq!(t.blocks[0], blk(1), "entry must land on block 0");
+                        assert_eq!(t.blocks()[0], blk(1), "entry must land on block 0");
                     }
                     if i % 7 == 0 {
                         std::thread::yield_now();
@@ -1253,10 +902,10 @@ mod tests {
     }
 
     #[test]
-    fn memory_estimate_counts_shards_traces_and_artifacts() {
-        let c: SharedTraceCache<Vec<BlockId>> = SharedTraceCache::with_shards(4);
+    fn memory_estimate_counts_table_traces_and_artifacts() {
+        let c: SharedTraceCache<Vec<BlockId>> = SharedTraceCache::new();
         let empty = c.memory_estimate(|a| a.capacity() * std::mem::size_of::<BlockId>());
-        assert!(empty > 0, "shard tables alone occupy memory");
+        assert!(empty > 0, "the link table alone occupies memory");
         for i in 0..50u32 {
             c.insert_and_link_with(
                 (blk(i), blk(i + 1)),
@@ -1276,7 +925,7 @@ mod tests {
 
     #[test]
     fn budget_bounds_payload_at_every_post_insert_point() {
-        let c: SharedTraceCache<Vec<BlockId>> = SharedTraceCache::with_shards(2);
+        let c: SharedTraceCache<Vec<BlockId>> = SharedTraceCache::new();
         let measure = |a: &Vec<BlockId>| a.capacity() * std::mem::size_of::<BlockId>();
         let budget = 4 * (trace_cost(2) + 2 * std::mem::size_of::<BlockId>());
         c.set_budget(Some(budget), measure);
@@ -1398,7 +1047,7 @@ mod tests {
     /// every evicted id must answer `None`/`Err`, never garbage.
     #[test]
     fn eviction_races_reader_mid_probe() {
-        let cache: Arc<SharedTraceCache<Vec<BlockId>>> = Arc::new(SharedTraceCache::with_shards(2));
+        let cache: Arc<SharedTraceCache<Vec<BlockId>>> = Arc::new(SharedTraceCache::new());
         cache.set_budget(Some(3 * (trace_cost(2) + 64)), |a| {
             a.capacity() * std::mem::size_of::<BlockId>()
         });
@@ -1428,7 +1077,7 @@ mod tests {
                         // The link may be evicted between probe and
                         // fetch; a tombstone is fine, garbage is not.
                         if let Some(t) = c.trace(id) {
-                            assert_eq!(t.blocks[0], blk(100 + k), "incoherent trace");
+                            assert_eq!(t.blocks()[0], blk(100 + k), "incoherent trace");
                             resolved += 1;
                         } else {
                             assert!(matches!(

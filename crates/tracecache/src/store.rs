@@ -1,13 +1,13 @@
 //! The engine-facing cache-policy trait.
 //!
 //! [`TraceCache`](crate::TraceCache) (single-owner) and
-//! [`SharedTraceCache`](crate::SharedTraceCache) (lock-striped,
-//! multi-VM) grew identical policy surfaces — dispatch lookup,
-//! quarantine, and now trace health — that the engine used to select
-//! between with `match &self.shared` at every policy site. `TraceStore`
-//! writes each policy **once**: the executor holds `&mut dyn
-//! TraceStore` and admission/eviction/quarantine/health behave
-//! identically whether the cache is private or shared.
+//! [`SharedTraceCache`](crate::SharedTraceCache) (multi-VM, a mutex
+//! around the same generic `TraceCache`) run one policy, so what they
+//! cache, evict and quarantine cannot differ; what differs is how they
+//! are *reached* (`&mut` vs interior mutability behind an `Arc`).
+//! `TraceStore` is the one surface the engine reaches either through:
+//! the executor holds `&mut dyn TraceStore` instead of selecting with
+//! `match &self.shared` at every policy site.
 //!
 //! The health side of the trait is deliberately split into *decide*
 //! ([`TraceStore::epoch_demotions`], pure ledger math) and *apply*
@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use trace_bcg::{Branch, BranchCorrelationGraph, NodeIdx};
 
-use crate::cache::TraceCache;
+use crate::cache::{CacheStats, TraceCache};
 use crate::health::{Demotion, HealthStats, OutcomeRecord, TraceHealth};
 use crate::shared::SharedTraceCache;
 use crate::trace::TraceId;
@@ -48,14 +48,14 @@ pub trait TraceStore {
     /// refused construction attempts.
     fn quarantine(&mut self, entry: Branch, cooldown: u32) -> Option<TraceId>;
 
-    /// Ingests a batch of dispatch outcomes into the health ledger.
-    fn record_outcomes(&mut self, batch: &[OutcomeRecord]);
+    /// Cache bookkeeping counters.
+    fn stats(&self) -> CacheStats;
 
-    /// Ingests a run-length-encoded batch: each `(record, n)` entry
-    /// stands for `n` identical consecutive outcomes. The executor's
-    /// hot loop produces long runs of identical outcomes, so this is
-    /// the cheap flush path (one ledger lookup per run, not per
-    /// dispatch).
+    /// Ingests a run-length-encoded batch of dispatch outcomes into the
+    /// health ledger: each `(record, n)` entry stands for `n` identical
+    /// consecutive outcomes. The executor's hot loop produces long runs
+    /// of identical outcomes, so a flush costs one ledger lookup per
+    /// run, not per dispatch.
     fn record_outcome_runs(&mut self, runs: &[(OutcomeRecord, u64)]);
 
     /// Closes the health epoch and returns the demotion decisions (in
@@ -107,10 +107,8 @@ impl TraceStore for TraceCache {
         TraceCache::quarantine(self, entry, cooldown)
     }
 
-    fn record_outcomes(&mut self, batch: &[OutcomeRecord]) {
-        for rec in batch {
-            self.health_mut().record(rec);
-        }
+    fn stats(&self) -> CacheStats {
+        TraceCache::stats(self)
     }
 
     fn record_outcome_runs(&mut self, runs: &[(OutcomeRecord, u64)]) {
@@ -149,24 +147,27 @@ impl<A> TraceStore for Arc<SharedTraceCache<A>> {
         SharedTraceCache::quarantine(self, entry, cooldown)
     }
 
-    fn record_outcomes(&mut self, batch: &[OutcomeRecord]) {
-        SharedTraceCache::record_outcomes(self, batch)
+    fn stats(&self) -> CacheStats {
+        SharedTraceCache::stats(self)
     }
 
     fn record_outcome_runs(&mut self, runs: &[(OutcomeRecord, u64)]) {
-        SharedTraceCache::record_outcome_runs(self, runs)
+        let mut health = self.health();
+        for (rec, n) in runs {
+            health.record_run(rec, *n);
+        }
     }
 
     fn epoch_demotions(&mut self) -> Vec<Demotion> {
-        SharedTraceCache::epoch_demotions(self)
+        self.health().epoch()
     }
 
     fn health_stats(&self) -> HealthStats {
-        SharedTraceCache::health_stats(self)
+        self.health().stats()
     }
 
     fn trace_health(&self, tid: TraceId) -> Option<TraceHealth> {
-        SharedTraceCache::trace_health(self, tid)
+        self.health().health_of(tid).cloned()
     }
 }
 
@@ -188,19 +189,17 @@ mod tests {
         outcome: TraceOutcome,
         n: u32,
     ) {
-        let batch: Vec<OutcomeRecord> = (0..n)
-            .map(|_| OutcomeRecord {
-                tid,
-                entry,
-                outcome,
-            })
-            .collect();
-        store.record_outcomes(&batch);
+        let rec = OutcomeRecord {
+            tid,
+            entry,
+            outcome,
+        };
+        store.record_outcome_runs(&[(rec, u64::from(n))]);
     }
 
     /// The demotion ladder, driven through the trait — the same body
-    /// runs against both cache implementations; only the constructor
-    /// entry point (`insert`) is implementation-specific.
+    /// runs against both caches; only the constructor entry point
+    /// (`insert`) is cache-specific.
     fn ladder_demotes_and_cooldown_readmits<S: TraceStore>(
         store: &mut S,
         insert: impl Fn(&mut S, Branch, Vec<BlockId>) -> Result<TraceId, u32>,

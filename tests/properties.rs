@@ -13,7 +13,10 @@
 
 use tracecache_repro::bcg::{BcgConfig, BranchCorrelationGraph};
 use tracecache_repro::bytecode::{BlockId, CmpOp, FuncId, Intrinsic, Program, ProgramBuilder};
-use tracecache_repro::tracecache::{ConstructorConfig, TraceCache, TraceConstructor, TraceRuntime};
+use tracecache_repro::tracecache::{
+    ConstructorConfig, TraceCache, TraceConstructor, TraceRuntime, MAX_TRACE_BLOCKS,
+    MIN_TRACE_BLOCKS,
+};
 use tracecache_repro::vm::{NullObserver, Value, Vm};
 use tracecache_repro::workloads::prng::{seed_stream, Xoshiro256StarStar};
 
@@ -126,15 +129,14 @@ fn constructed_traces_satisfy_invariants() {
                 ctor.handle_batch(&sigs, &mut bcg, &mut cache);
             }
         }
-        let cfg = ctor.config();
         for trace in cache.iter_traces() {
             assert!(
                 trace.expected_completion() >= threshold - 1e-9,
                 "seed {seed:#x}"
             );
             assert!(trace.expected_completion() <= 1.0 + 1e-9, "seed {seed:#x}");
-            assert!(trace.len() >= cfg.min_trace_blocks, "seed {seed:#x}");
-            assert!(trace.len() <= cfg.max_trace_blocks, "seed {seed:#x}");
+            assert!(trace.len() >= MIN_TRACE_BLOCKS, "seed {seed:#x}");
+            assert!(trace.len() <= MAX_TRACE_BLOCKS, "seed {seed:#x}");
         }
         for (entry, trace) in cache.iter_links() {
             assert_eq!(entry.1, trace.blocks()[0], "seed {seed:#x}");

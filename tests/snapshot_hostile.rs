@@ -140,6 +140,29 @@ fn stale_snapshot_quirk_is_caught() {
     );
 }
 
+/// Not a mutant but a forgery: a re-checksummed container whose first
+/// trace has completion zero — outside the cache's `(0, 1]` invariant —
+/// must be refused as malformed and leave the VM cold.
+#[test]
+fn forged_zero_completion_snapshot_is_refused_by_the_vm() {
+    let w = &all(Scale::Test)[0];
+    let (bytes, hash) = warmed_snapshot(&w.program, &w.args);
+    let mut snap = SnapshotReader::new()
+        .read(&bytes, hash)
+        .expect("own snapshot reads");
+    assert!(!snap.cache.links.is_empty(), "warming must link traces");
+    snap.cache.traces[0].completion_bits = 0;
+    let mut vm = TracingVm::new(&w.program, config());
+    let err = vm.load_snapshot(&snap.to_bytes()).unwrap_err();
+    assert!(
+        matches!(err, SnapshotError::Malformed { .. }),
+        "got {err:?}"
+    );
+    assert_eq!(vm.cache().trace_count(), 0);
+    assert_eq!(vm.cache().link_count(), 0);
+    assert_eq!(vm.compiled_count(), 0);
+}
+
 /// No partial state on rejection: a VM that refuses a mutant snapshot
 /// is left exactly as it was — empty profiler-visible cache, nothing
 /// pre-built.

@@ -102,7 +102,7 @@ fn every_constructed_trace_satisfies_its_threshold() {
             trace.expected_completion()
         );
         assert!(trace.len() >= 2);
-        assert!(trace.len() <= paper_cfg().max_trace_blocks);
+        assert!(trace.len() <= tracecache_repro::tracecache::MAX_TRACE_BLOCKS);
     }
 }
 
