@@ -42,6 +42,23 @@ if grep -rnE 'SharedCacheStats|StatsAtomic|with_shards' crates/; then
     exit 1
 fi
 
+echo "== one stack-discipline analysis (the verifier's; Function carries max_stack / depth_at)"
+# bytecode/depth.rs used to re-run a second transfer table over Instr to
+# recover the depths the verifier's fixpoint already held, once per VM
+# and once per lowered trace. A second stack-effect table or per-pc depth
+# map creeping back in shows up here first.
+if [ -e crates/bytecode/src/depth.rs ] \
+    || grep -rnE 'stack_depths|fn stack_effect|mod depth' crates/ src/ tests/ examples/; then
+    echo "a second operand-stack analysis is back (crates/bytecode/src/depth.rs or the matches above)" >&2
+    exit 1
+fi
+
+echo "== health thresholds are constants (trace_cache::health), not a policy struct nobody sets"
+if grep -rn 'HealthPolicy' crates/; then
+    echo "HealthPolicy is back (matches above): seven settable values with one value in use" >&2
+    exit 1
+fi
+
 echo "== cargo test (release)"
 cargo test --workspace -q --release
 

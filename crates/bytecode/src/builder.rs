@@ -574,8 +574,9 @@ impl ProgramBuilder {
                 )
             })
             .collect();
-        let program = Program::from_parts(functions, classes, entry);
-        verifier::verify_program(&program)?;
+        let mut program = Program::from_parts(functions, classes, entry);
+        let facts = verifier::analyze(&program)?;
+        program.attach_facts(facts);
         Ok(program)
     }
 }

@@ -1,13 +1,31 @@
-//! Function model: signature, code, and the per-function block table.
+//! Function model: signature, code, the per-function block table, and
+//! the verifier's operand-stack facts.
 
 use crate::cfg::{self, Block};
 use crate::ids::FuncId;
 use crate::instr::Instr;
 
-/// A function: signature, bytecode, and its computed basic-block table.
+/// What the verifier's fixpoint holds about a function's operand stack
+/// when it accepts the function.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct StackFacts {
+    /// Deepest operand stack over all reachable pcs.
+    pub(crate) max_stack: u32,
+    /// Depth at entry to each pc; `UNREACHABLE` where the fixpoint never
+    /// arrived.
+    pub(crate) depth_at: Vec<u32>,
+}
+
+impl StackFacts {
+    pub(crate) const UNREACHABLE: u32 = u32::MAX;
+}
+
+/// A function: signature, bytecode, its computed basic-block table, and
+/// the verifier's operand-stack facts.
 ///
 /// Functions are created through [`crate::ProgramBuilder`]; the block table
-/// is computed when the program is built, after verification.
+/// is computed when the program is built, and the stack facts are attached
+/// once the program has passed verification.
 #[derive(Debug, Clone)]
 pub struct Function {
     name: String,
@@ -18,19 +36,20 @@ pub struct Function {
     code: Vec<Instr>,
     blocks: Vec<Block>,
     block_of_instr: Vec<u32>,
+    /// Empty until the builder attaches a successful verification's.
+    pub(crate) facts: StackFacts,
 }
 
 impl Function {
     /// Assembles a function from raw parts, computing its block table.
     ///
-    /// This is the low-level constructor used by the builder; the code is
-    /// assumed verified (or about to be verified by
-    /// [`crate::verifier::verify_program`]).
+    /// Crate-private: the result is unverified and carries no stack
+    /// facts; only [`crate::ProgramBuilder::build`] hands functions out.
     ///
     /// # Panics
     ///
     /// Panics if `code` is empty or `num_locals < num_params`.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         name: String,
         id: FuncId,
         num_params: u16,
@@ -53,6 +72,7 @@ impl Function {
             code,
             blocks,
             block_of_instr,
+            facts: StackFacts::default(),
         }
     }
 
@@ -121,6 +141,25 @@ impl Function {
     #[inline]
     pub fn block_len(&self, idx: u32) -> u32 {
         self.blocks[idx as usize].len()
+    }
+
+    /// Maximum operand-stack depth over all reachable pcs, as the
+    /// verifier proved it.
+    #[inline]
+    pub fn max_stack(&self) -> u32 {
+        self.facts.max_stack
+    }
+
+    /// Operand-stack depth at entry to instruction `pc`, the same on
+    /// every path as the verifier proved it; `None` where unreachable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pc` is out of range.
+    #[inline]
+    pub fn depth_at(&self, pc: u32) -> Option<u32> {
+        let d = self.facts.depth_at[pc as usize];
+        (d != StackFacts::UNREACHABLE).then_some(d)
     }
 }
 

@@ -354,11 +354,6 @@ impl Instr {
         )
     }
 
-    /// Returns `true` for `Return`/`ReturnVoid`.
-    pub fn is_return(&self) -> bool {
-        matches!(self, Instr::Return | Instr::ReturnVoid)
-    }
-
     /// Returns `true` for the call instructions.
     pub fn is_call(&self) -> bool {
         matches!(self, Instr::InvokeStatic(..) | Instr::InvokeVirtual { .. })

@@ -49,7 +49,6 @@
 pub mod builder;
 pub mod cfg;
 pub mod class;
-pub mod depth;
 pub mod disasm;
 pub mod error;
 pub mod function;
@@ -61,10 +60,9 @@ pub mod verifier;
 pub use builder::{FunctionBuilder, ProgramBuilder};
 pub use cfg::{Block, TerminatorKind};
 pub use class::Class;
-pub use depth::{max_stack, stack_depths};
 pub use error::BuildError;
 pub use function::Function;
 pub use ids::{BlockId, ClassId, FuncId, Label};
 pub use instr::{CmpOp, Instr, Intrinsic};
-pub use program::Program;
+pub use program::{fnv1a64, Program};
 pub use verifier::VerifyError;

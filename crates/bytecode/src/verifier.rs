@@ -1,9 +1,16 @@
 //! Flow-sensitive bytecode verifier.
 //!
 //! Mirrors the role of the JVM's class-file verifier: every
-//! [`crate::Program`] built through [`crate::ProgramBuilder`] is verified,
-//! so the interpreter can dispense with per-instruction checks that would
-//! distort the dispatch-cost measurements the paper depends on.
+//! [`crate::Program`] is built through [`crate::ProgramBuilder`], which
+//! verifies it — there is no other constructor — so the interpreter can
+//! dispense with per-instruction checks that would distort the
+//! dispatch-cost measurements the paper depends on.
+//!
+//! It is the one stack-discipline analysis of the system: what its
+//! fixpoint holds when it accepts a function — the maximum operand-stack
+//! depth and the entry depth at every reachable pc — stays with the
+//! function ([`crate::Function::max_stack`], [`crate::Function::depth_at`])
+//! for frame sizing and trace lowering to read.
 //!
 //! The verifier runs an abstract interpretation over each function with a
 //! small type lattice ([`AbstractType`]) and checks:
@@ -23,6 +30,7 @@ use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
+use crate::function::StackFacts;
 use crate::ids::FuncId;
 use crate::instr::Instr;
 use crate::program::Program;
@@ -249,15 +257,24 @@ struct SlotSig {
 /// Verifies every function of the program plus cross-cutting class/vtable
 /// consistency.
 ///
+/// Every [`Program`] passed this when it was built; this re-checks it.
+///
 /// # Errors
 ///
 /// Returns the first [`VerifyError`] found.
 pub fn verify_program(program: &Program) -> Result<(), VerifyError> {
+    analyze(program).map(drop)
+}
+
+/// The verification itself: on success, one [`StackFacts`] per function
+/// in id order, for [`crate::ProgramBuilder::build`] to attach.
+pub(crate) fn analyze(program: &Program) -> Result<Vec<StackFacts>, VerifyError> {
     let slot_sigs = collect_slot_sigs(program)?;
-    for func in program.functions() {
-        verify_function(program, func.id(), &slot_sigs)?;
-    }
-    Ok(())
+    program
+        .functions()
+        .iter()
+        .map(|func| verify_function(program, func.id(), &slot_sigs))
+        .collect()
 }
 
 /// Collects and cross-checks the signature of every vtable slot.
@@ -340,14 +357,13 @@ impl AbstractState {
     }
 }
 
-/// Verifies a single function. `slot_sigs` comes from
-/// [`collect_slot_sigs`]; tests may pass an empty slice for functions
-/// without virtual calls.
+/// Verifies a single function and returns the stack facts its fixpoint
+/// holds. `slot_sigs` comes from [`collect_slot_sigs`].
 fn verify_function(
     program: &Program,
     id: FuncId,
     slot_sigs: &[Option<SlotSig>],
-) -> Result<(), VerifyError> {
+) -> Result<StackFacts, VerifyError> {
     use AbstractType::*;
 
     let func = program.function(id);
@@ -371,6 +387,10 @@ fn verify_function(
     states[0] = Some(entry);
     let mut worklist: VecDeque<u32> = VecDeque::new();
     worklist.push_back(0);
+    // Deepest stack after any reachable instruction. Every entry depth
+    // is 0 (pc 0) or some predecessor's exit depth, and no instruction
+    // is transiently deeper than both, so this is the frame bound.
+    let mut max_stack = 0usize;
 
     // Helper macros keep the per-opcode transfer function readable.
     macro_rules! pop {
@@ -673,6 +693,8 @@ fn verify_function(
             Instr::Nop => {}
         }
 
+        max_stack = max_stack.max(st.stack.len());
+
         if matches!(ins, Instr::Return | Instr::ReturnVoid) {
             falls = false;
         }
@@ -707,7 +729,16 @@ fn verify_function(
         }
     }
 
-    Ok(())
+    Ok(StackFacts {
+        max_stack: max_stack as u32,
+        depth_at: states
+            .iter()
+            .map(|st| {
+                st.as_ref()
+                    .map_or(StackFacts::UNREACHABLE, |st| st.stack.len() as u32)
+            })
+            .collect(),
+    })
 }
 
 #[cfg(test)]
@@ -1099,6 +1130,135 @@ mod tests {
             expect_verify_err(pb, f),
             VerifyError::TypeMismatch { .. }
         ));
+    }
+
+    /// Entry depth at every pc, as the verifier recorded it.
+    fn depths(f: &crate::function::Function) -> Vec<Option<u32>> {
+        (0..f.code().len() as u32)
+            .map(|pc| f.depth_at(pc))
+            .collect()
+    }
+
+    // The facts the verifier keeps: `Function::max_stack` and
+    // `Function::depth_at`.
+
+    #[test]
+    fn straight_line_depth() {
+        let mut pb = ProgramBuilder::new();
+        let f = pb.declare_function("f", 0, true);
+        pb.function_mut(f)
+            .iconst(1)
+            .iconst(2)
+            .iconst(3)
+            .iadd()
+            .iadd()
+            .ret();
+        let p = pb.build(f).unwrap();
+        assert_eq!(p.function(f).max_stack(), 3);
+        assert_eq!(depths(p.function(f)), [0, 1, 2, 3, 2, 1].map(Some));
+    }
+
+    #[test]
+    fn branches_join_at_equal_depth() {
+        let mut pb = ProgramBuilder::new();
+        let f = pb.declare_function("f", 1, true);
+        let b = pb.function_mut(f);
+        let other = b.new_label();
+        let join = b.new_label();
+        b.iconst(7).load(0).if_i(CmpOp::Ne, other);
+        b.iconst(1).goto(join);
+        b.bind(other);
+        b.iconst(2).goto(join);
+        b.bind(join);
+        b.iadd().ret();
+        let p = pb.build(f).unwrap();
+        assert_eq!(p.function(f).max_stack(), 2);
+        // Both arms reach the join (pc 7) one deep over the `iconst 7`.
+        assert_eq!(depths(p.function(f)), [0, 1, 2, 1, 2, 1, 2, 2, 1].map(Some));
+    }
+
+    #[test]
+    fn call_effects_use_callee_signature() {
+        let mut pb = ProgramBuilder::new();
+        let leaf = pb.declare_function("leaf", 2, true);
+        pb.function_mut(leaf).load(0).load(1).iadd().ret();
+        let f = pb.declare_function("main", 0, true);
+        pb.function_mut(f)
+            .iconst(1)
+            .iconst(2)
+            .iconst(3)
+            .invoke_static(leaf)
+            .iadd()
+            .ret();
+        let p = pb.build(f).unwrap();
+        assert_eq!(p.function(f).max_stack(), 3);
+        assert_eq!(p.function(leaf).max_stack(), 2);
+        // The call pops the callee's two parameters and pushes its value.
+        assert_eq!(depths(p.function(f)), [0, 1, 2, 3, 2, 1].map(Some));
+    }
+
+    #[test]
+    fn virtual_slot_return_resolved_from_vtable() {
+        let mut pb = ProgramBuilder::new();
+        let m = pb.declare_function("A.get", 1, true);
+        pb.function_mut(m).iconst(9).ret();
+        let f = pb.declare_function("main", 0, true);
+        let a = pb.declare_class("A", None, 0);
+        let slot = pb.add_method(a, m);
+        pb.function_mut(f).new_obj(a).invoke_virtual(slot, 1).ret();
+        let p = pb.build(f).unwrap();
+        assert_eq!(p.function(f).max_stack(), 1);
+        // Receiver popped, the slot's value pushed.
+        assert_eq!(depths(p.function(f)), [0, 1, 1].map(Some));
+    }
+
+    #[test]
+    fn dup2_peak_counts_intermediate_height() {
+        let mut pb = ProgramBuilder::new();
+        let f = pb.declare_function("f", 0, true);
+        pb.function_mut(f)
+            .iconst(1)
+            .iconst(2)
+            .dup2()
+            .iadd()
+            .swap()
+            .isub()
+            .imul()
+            .ret();
+        let p = pb.build(f).unwrap();
+        assert_eq!(p.function(f).max_stack(), 4);
+        assert_eq!(depths(p.function(f)), [0, 1, 2, 4, 3, 3, 2, 1].map(Some));
+    }
+
+    #[test]
+    fn unreachable_code_is_ignored() {
+        // A branch whose arm returns early: the deep arm is reachable
+        // and counts. The tail after its return is not, and neither
+        // raises the bound nor gets a depth.
+        let mut pb = ProgramBuilder::new();
+        let f = pb.declare_function("f", 1, true);
+        let b = pb.function_mut(f);
+        let deep = b.new_label();
+        b.load(0).if_i(CmpOp::Ne, deep);
+        b.iconst(0).ret();
+        b.bind(deep);
+        b.iconst(1)
+            .iconst(2)
+            .iconst(3)
+            .iconst(4)
+            .iadd()
+            .iadd()
+            .iadd()
+            .ret();
+        for _ in 0..6 {
+            b.iconst(0);
+        }
+        b.ret();
+        let p = pb.build(f).unwrap();
+        assert_eq!(p.function(f).max_stack(), 4);
+        let d = depths(p.function(f));
+        assert_eq!(d[..12], [0, 1, 0, 1, 0, 1, 2, 3, 4, 3, 2, 1].map(Some));
+        assert_eq!(d[12..], [None; 7]);
     }
 
     #[test]

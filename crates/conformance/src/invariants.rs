@@ -97,9 +97,11 @@ pub fn check_link_coherence(cache: &TraceCache, bcg: &BranchCorrelationGraph) {
 /// Side-exit target validity: every exit record of a register-lowered
 /// trace must resume at an in-range decoded pc of its function, inside
 /// the block the record names; every decoded switch target must be a
-/// block entry marker; and every frame image must fit the region the
-/// arena allocates for its frame. A violation would make a failing
-/// guard resume the interpreter at a garbage pc or write outside its
+/// block entry marker; every frame image must fit the region the
+/// arena allocates for its frame; and an exit's image must rebuild
+/// exactly the operand-stack depth the verifier proved at its resume
+/// pc. A violation would make a failing guard resume the interpreter at
+/// a garbage pc, on a stack it does not expect, or write outside its
 /// frame — the exact class of bug trace execution must never exhibit.
 pub fn check_side_exits(program: &Program, decoded: &DecodedProgram, rt: &RegTrace) {
     let check_image = |what: &str, cur: FuncId, image: u32| {
@@ -145,6 +147,17 @@ pub fn check_side_exits(program: &Program, decoded: &DecodedProgram, rt: &RegTra
             e.func
         );
         check_image(what, cur, e.image);
+        // The interpreter resumes *at* the exit's instruction, so the
+        // image must rebuild exactly the depth the verifier proved
+        // there. One marker precedes each block, so the source pc is
+        // `dpc - block - 1` (DESIGN.md, decoded layout).
+        let img = &rt.images[e.image as usize];
+        let pc = e.dpc - e.block - 1;
+        assert_eq!(
+            Some(u64::from(img.base) + img.stack.len() as u64),
+            program.function(e.func).depth_at(pc).map(u64::from),
+            "{what}: frame image depth is not the verified depth at pc {pc}"
+        );
     };
     let check_local = |what: &str, cur: FuncId, slot: u16| {
         assert!(

@@ -294,7 +294,7 @@ impl Lockstep {
     /// transcription. Both must demote the same traces — tombstone,
     /// unlink, blacklist — so conformance must hold.
     pub fn health_epoch(&mut self) -> Result<(), Divergence> {
-        let real = run_health_epoch(&mut self.cache);
+        let real = run_health_epoch(&mut self.cache).len() as u32;
         let model = self.model_cache.health_epoch();
         if real != model {
             return Err(self.diverged(format!(

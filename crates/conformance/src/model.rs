@@ -444,10 +444,9 @@ impl ModelBcg {
     }
 }
 
-/// Health-policy thresholds, transcribed verbatim from
-/// `HealthPolicy::default()` in `trace-cache`. They live here as plain
-/// constants — the model has no policy struct — and the lockstep
-/// harness flags any drift between the two copies as a divergence.
+/// Health-policy thresholds, transcribed verbatim from the constants of
+/// `trace_cache::health`. The model keeps its own copy on purpose: the
+/// lockstep harness flags any drift between the two as a divergence.
 mod health_policy {
     /// Weight of the newest epoch's completion rate in the EWMA.
     pub const EWMA_ALPHA: f64 = 0.5;

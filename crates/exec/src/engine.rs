@@ -215,7 +215,9 @@ struct Linked {
 
 /// What this VM knows about one trace id's executable form. Once
 /// resolved the answer is permanent — ids are never reused and a trace's
-/// lowered form never changes — so a slot never revalidates.
+/// lowered form never changes — so a slot never revalidates; the one
+/// transition left is `Built → Refused` when the engine tombstones the
+/// trace ([`Driver::retire`]), which frees its lowered code.
 #[derive(Debug, Default)]
 enum Artifact {
     /// Not resolved yet: built (private mode) or fetched (shared mode)
@@ -420,7 +422,8 @@ impl Driver<'_> {
                 // everyone — through the same policy path every other
                 // quarantine takes — and blacklist its key until the
                 // cooldown decays.
-                self.jit.store_mut().quarantine(entry, QUARANTINE_COOLDOWN);
+                let dead = self.jit.store_mut().quarantine(entry, QUARANTINE_COOLDOWN);
+                self.retire(dead);
                 None
             }
             // Evicted (link outlived its trace by one probe) or unknown:
@@ -441,7 +444,8 @@ impl Driver<'_> {
         };
         if streak >= ENTRY_EXIT_STREAK_LIMIT {
             self.entry_exit_streak = None;
-            self.jit.store_mut().quarantine(entry, QUARANTINE_COOLDOWN);
+            let dead = self.jit.store_mut().quarantine(entry, QUARANTINE_COOLDOWN);
+            self.retire(dead);
         } else {
             self.entry_exit_streak = Some((tid, streak));
         }
@@ -503,10 +507,23 @@ impl Driver<'_> {
         self.health_epoch_at = self.jit.bcg.next_decay_epoch_at();
         let store = self.jit.store_mut();
         store.record_outcome_runs(&self.outcome_buf);
-        let applied = run_health_epoch(store);
+        let demoted = run_health_epoch(store);
         self.outcome_buf.clear();
-        if applied > 0 {
+        if !demoted.is_empty() {
             self.entry_exit_streak = None;
+        }
+        self.retire(demoted);
+    }
+
+    /// Frees the lowered code of traces this engine just tombstoned
+    /// (quarantine, health demotion): ids are never reused, so they can
+    /// never be entered again. Tombstones the engine does not hear of —
+    /// another VM's, in shared mode — keep their slot.
+    fn retire(&mut self, dead: impl IntoIterator<Item = TraceId>) {
+        for tid in dead {
+            if let Some(slot) = self.arts.get_mut(tid.index()) {
+                *slot = Artifact::Refused;
+            }
         }
     }
 }

@@ -40,10 +40,11 @@
 //!
 //! **Trace entry mid-function.** A trace may start at a block whose
 //! entry stack depth is nonzero. The lowering seeds its model from the
-//! verifier's per-pc depth map ([`jvm_bytecode::stack_depths`]) and
-//! pulls real entry-stack values into registers lazily
-//! ([`RInstr::PullStack`]) only when an instruction actually consumes
-//! one.
+//! depth the verifier proved for that pc, which the program carries
+//! ([`jvm_bytecode::Function::depth_at`] — a lookup, nothing is
+//! re-analysed per trace), and pulls real entry-stack values into
+//! registers lazily ([`RInstr::PullStack`]) only when an instruction
+//! actually consumes one.
 //!
 //! **Calls.** Static calls and guarded virtual calls materialize the
 //! caller frame (arguments must cross the real stack into the callee
@@ -63,7 +64,9 @@
 //! without release-mode bounds checks, so the lowering *checks* the
 //! bounds it relies on instead of assuming them: a trace is refused
 //! unless every local slot it reads or writes back is below its frame's
-//! `num_locals` and every [`FrameImage`] fits its frame's verifier-proven
+//! `num_locals`, every side exit's [`FrameImage`] rebuilds *exactly* the
+//! operand-stack depth the verifier proved at the exit's resume pc, and
+//! every call / allocation image fits its frame's verifier-proven
 //! operand-stack bound (invariant R2 in DESIGN.md). It likewise refuses
 //! a trace that does not end in exactly one [`RInstr::Finish`], which is
 //! what hands the frame back to the interpreter loop.
@@ -72,12 +75,10 @@
 //! `None` refusals (the engine then never enters the trace —
 //! interpreter-only, never wrong): an in-trace return whose recorded
 //! continuation contradicts the static call site, a continuation block
-//! whose entry depth is unreachable in the depth map, register-file
-//! overflow, and a violated frame bound.
+//! the verifier found unreachable (it has no entry depth),
+//! register-file overflow, and a violated frame bound or exit depth.
 
-use std::collections::HashMap;
-
-use jvm_bytecode::{stack_depths, BlockId, ClassId, CmpOp, FuncId, Instr, Intrinsic, Program};
+use jvm_bytecode::{BlockId, ClassId, CmpOp, FuncId, Instr, Intrinsic, Program};
 use jvm_vm::{DecodedProgram, Value};
 use trace_cache::TraceId;
 
@@ -580,6 +581,12 @@ impl Ctx {
             cont_block: BlockId::new(func, 0),
         }
     }
+
+    /// The operand-stack depth this context stands for: the real entry
+    /// values not yet pulled plus the abstract stack.
+    fn depth(&self) -> u64 {
+        u64::from(self.pending) + self.stack.len() as u64
+    }
 }
 
 struct Lowering<'a> {
@@ -591,7 +598,6 @@ struct Lowering<'a> {
     images: Vec<FrameImage>,
     ctx: Ctx,
     callers: Vec<Ctx>,
-    depths: HashMap<FuncId, Vec<Option<u32>>>,
     next_reg: u32,
     /// Accumulated fuel weight of eliminated ops since the last emitted
     /// weighted instruction.
@@ -682,7 +688,7 @@ impl<'a> Lowering<'a> {
     /// they are inside the frame's locals by construction.)
     fn image(&mut self) -> Option<u32> {
         let max_stack = self.decoded.func(self.ctx.func).max_stack;
-        if u64::from(self.ctx.pending) + self.ctx.stack.len() as u64 > u64::from(max_stack) {
+        if self.ctx.depth() > u64::from(max_stack) {
             return None;
         }
         let dirty: Vec<(u16, Reg)> = self
@@ -704,11 +710,17 @@ impl<'a> Lowering<'a> {
     }
 
     /// Builds a side-exit record anchored at source `(func, pc)` with
-    /// the current frame image and block accounting.
+    /// the current frame image and block accounting. The interpreter
+    /// resumes *at* `pc`, so the image must rebuild exactly the operand
+    /// stack the verifier proved there — `None` (trace refused) if the
+    /// abstract stack disagrees.
     fn exit_for(&mut self, func: FuncId, pc: u32) -> Option<u32> {
         // The image is checked against the *current* frame, so the exit
         // must anchor in it.
         if func != self.ctx.func {
+            return None;
+        }
+        if self.program.function(func).depth_at(pc).map(u64::from) != Some(self.ctx.depth()) {
             return None;
         }
         let image = self.image()?;
@@ -732,16 +744,11 @@ impl<'a> Lowering<'a> {
         }
     }
 
-    /// Entry stack depth of `block`'s first instruction, from the
-    /// verifier's depth map.
-    fn entry_depth(&mut self, block: BlockId) -> Option<u32> {
-        let program = self.program;
-        let depths = self
-            .depths
-            .entry(block.func)
-            .or_insert_with(|| stack_depths(program, block.func));
-        let start = program.function(block.func).block(block.block).start;
-        depths[start as usize]
+    /// Entry stack depth of `block`'s first instruction, as the verifier
+    /// proved it; `None` for a block it found unreachable.
+    fn entry_depth(&self, block: BlockId) -> Option<u32> {
+        let func = self.program.function(block.func);
+        func.depth_at(func.block(block.block).start)
     }
 
     /// Switches into a callee context after a call returning to decoded
@@ -817,7 +824,6 @@ pub fn lower_reg(
         images: Vec::new(),
         ctx: Ctx::new(decoded, first.func),
         callers: Vec::new(),
-        depths: HashMap::new(),
         next_reg: 0,
         pending_w: 0,
         block_idx: 0,

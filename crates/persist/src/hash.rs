@@ -1,5 +1,6 @@
 //! Hand-rolled integrity primitives: CRC-32 (IEEE 802.3) for per-section
-//! payload checksums and FNV-1a 64 for the program staleness hash.
+//! payload checksums, and the program staleness hash (FNV-1a 64, kept
+//! with the program it is derived from).
 
 /// CRC-32 lookup table for the reflected IEEE polynomial `0xEDB88320`,
 /// built at compile time.
@@ -32,23 +33,14 @@ pub fn crc32(data: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
-/// FNV-1a 64-bit hash of `data`.
-pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The staleness hash of a program: FNV-1a 64 over its full disassembly
 /// listing. The listing covers every function, block, and instruction,
 /// so any bytecode change — recompilation, reordering, edits — produces
 /// a different hash, which is exactly what makes a stale profile
-/// detectable.
+/// detectable. It is [`jvm_bytecode::Program::content_hash`]: computed
+/// the first time anything asks, then answered from the program.
 pub fn program_hash(program: &jvm_bytecode::Program) -> u64 {
-    fnv1a64(jvm_bytecode::disasm::program_to_string(program).as_bytes())
+    program.content_hash()
 }
 
 #[cfg(test)]
@@ -64,13 +56,6 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
-    }
-
-    #[test]
-    fn fnv1a64_known_vectors() {
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

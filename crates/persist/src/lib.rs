@@ -37,7 +37,7 @@ pub mod snapshot;
 
 pub use cache::{CacheImage, QuarantineImage, RestoreReport, TraceImage};
 pub use error::SnapshotError;
-pub use hash::{crc32, fnv1a64, program_hash};
+pub use hash::{crc32, program_hash};
 pub use snapshot::{
     Snapshot, SnapshotReader, SnapshotWriter, MAGIC, SECTION_BCG, SECTION_CACHE,
     SECTION_QUARANTINE, SNAPSHOT_VERSION,

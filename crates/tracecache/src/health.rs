@@ -40,49 +40,31 @@ use crate::trace::TraceId;
 /// exits deeper than this are folded into the last bucket.
 pub const GUARD_SITES_TRACKED: usize = 32;
 
-/// Tunable thresholds of the health scorer and demotion ladder.
-///
-/// The defaults are transcribed verbatim into the conformance model
-/// (`ModelHealth`); change them in both places or the lockstep harness
-/// will flag the divergence.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthPolicy {
-    /// Weight of the newest epoch's completion rate in the EWMA:
-    /// `ewma = alpha * rate + (1 - alpha) * ewma`.
-    pub ewma_alpha: f64,
-    /// EWMA completion rate below which a healthy trace enters
-    /// probation, and a probationary trace is demoted.
-    pub probation_rate: f64,
-    /// Minimum entries in an epoch for its completion rate to count —
-    /// fewer and the epoch is skipped (too little evidence to judge).
-    pub min_epoch_entries: u64,
-    /// Consecutive early exits (no completion in between) at an epoch
-    /// boundary that demote the trace outright, from any ladder state.
-    pub streak_limit: u32,
-    /// Base quarantine cooldown (refused construction attempts) handed
-    /// to the cache on demotion.
-    pub cooldown: u32,
-    /// Cap on the hysteresis escalation: the effective cooldown is
-    /// `cooldown << min(flaps - 1, max_cooldown_shift)`.
-    pub max_cooldown_shift: u32,
-    /// Ledger entries idle (zero entries) for this many consecutive
-    /// epochs are pruned; the trace re-registers on its next outcome.
-    pub idle_epochs_pruned: u32,
-}
+// Thresholds of the health scorer and demotion ladder. Transcribed
+// verbatim into the conformance model (`model::health_policy`); change
+// them in both places or the lockstep harness will flag the divergence.
 
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        HealthPolicy {
-            ewma_alpha: 0.5,
-            probation_rate: 0.5,
-            min_epoch_entries: 8,
-            streak_limit: 16,
-            cooldown: 4,
-            max_cooldown_shift: 4,
-            idle_epochs_pruned: 4,
-        }
-    }
-}
+/// Weight of the newest epoch's completion rate in the EWMA:
+/// `ewma = alpha * rate + (1 - alpha) * ewma`.
+pub const EWMA_ALPHA: f64 = 0.5;
+/// EWMA completion rate below which a healthy trace enters probation,
+/// and a probationary trace is demoted.
+pub const PROBATION_RATE: f64 = 0.5;
+/// Minimum entries in an epoch for its completion rate to count — fewer
+/// and the epoch is skipped (too little evidence to judge).
+pub const MIN_EPOCH_ENTRIES: u64 = 8;
+/// Consecutive early exits (no completion in between) at an epoch
+/// boundary that demote the trace outright, from any ladder state.
+pub const STREAK_LIMIT: u32 = 16;
+/// Base quarantine cooldown (refused construction attempts) handed to
+/// the cache on demotion.
+pub const COOLDOWN: u32 = 4;
+/// Cap on the hysteresis escalation: the effective cooldown is
+/// `COOLDOWN << min(flaps - 1, MAX_COOLDOWN_SHIFT)`.
+pub const MAX_COOLDOWN_SHIFT: u32 = 4;
+/// Ledger entries idle (zero entries) for this many consecutive epochs
+/// are pruned; the trace re-registers on its next outcome.
+pub const IDLE_EPOCHS_PRUNED: u32 = 4;
 
 /// Ladder state of a tracked trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -122,7 +104,7 @@ pub struct TraceHealth {
     pub guard_exits: Vec<u32>,
     /// Consecutive early exits since the last completion.
     pub streak: u32,
-    /// EWMA of the per-epoch completion rate (see [`HealthPolicy`]).
+    /// EWMA of the per-epoch completion rate (see [`EWMA_ALPHA`]).
     pub ewma: f64,
     /// Judged epochs so far (epochs with enough entries to score).
     pub judged_epochs: u64,
@@ -250,7 +232,6 @@ pub struct HealthStats {
 /// [`crate::TraceStore`].
 #[derive(Debug, Default)]
 pub struct HealthLedger {
-    policy: HealthPolicy,
     traces: HashMap<u32, TraceHealth>,
     /// Packed entry key → demotions at that entry so far. The memory
     /// behind hysteresis: never pruned (one `u64 → u32` per entry that
@@ -260,19 +241,6 @@ pub struct HealthLedger {
 }
 
 impl HealthLedger {
-    /// A ledger with the given policy.
-    pub fn new(policy: HealthPolicy) -> Self {
-        HealthLedger {
-            policy,
-            ..Default::default()
-        }
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> HealthPolicy {
-        self.policy
-    }
-
     /// Counter snapshot (with `tracked` filled in).
     pub fn stats(&self) -> HealthStats {
         let mut s = self.stats;
@@ -373,7 +341,6 @@ impl HealthLedger {
     /// [`crate::run_health_epoch`].
     pub fn epoch(&mut self) -> Vec<Demotion> {
         self.stats.epochs += 1;
-        let p = self.policy;
         let mut demotions = Vec::new();
         let mut ids: Vec<u32> = self.traces.keys().copied().collect();
         ids.sort_unstable();
@@ -381,28 +348,28 @@ impl HealthLedger {
             let h = self.traces.get_mut(&id).expect("id collected above");
             if h.epoch_entries == 0 {
                 h.idle_epochs += 1;
-                if h.idle_epochs >= p.idle_epochs_pruned {
+                if h.idle_epochs >= IDLE_EPOCHS_PRUNED {
                     self.traces.remove(&id);
                     self.stats.pruned += 1;
                 }
                 continue;
             }
             h.idle_epochs = 0;
-            let judged = h.epoch_entries >= p.min_epoch_entries;
+            let judged = h.epoch_entries >= MIN_EPOCH_ENTRIES;
             if judged {
                 let rate = h.epoch_completions as f64 / h.epoch_entries as f64;
                 h.ewma = if h.judged_epochs == 0 {
                     rate
                 } else {
-                    p.ewma_alpha * rate + (1.0 - p.ewma_alpha) * h.ewma
+                    EWMA_ALPHA * rate + (1.0 - EWMA_ALPHA) * h.ewma
                 };
                 h.judged_epochs += 1;
             }
             h.epoch_entries = 0;
             h.epoch_completions = 0;
-            let cause = if h.streak >= p.streak_limit {
+            let cause = if h.streak >= STREAK_LIMIT {
                 Some(DemotionCause::ExitStreak)
-            } else if judged && h.ewma < p.probation_rate {
+            } else if judged && h.ewma < PROBATION_RATE {
                 match h.state {
                     HealthState::Healthy => {
                         h.state = HealthState::Probation;
@@ -423,7 +390,7 @@ impl HealthLedger {
                 let key = PackedBranch::pack(entry).0;
                 let flaps = self.flaps.entry(key).or_insert(0);
                 *flaps += 1;
-                let shift = (*flaps - 1).min(p.max_cooldown_shift);
+                let shift = (*flaps - 1).min(MAX_COOLDOWN_SHIFT);
                 if shift > 0 {
                     self.stats.cooldown_escalations += 1;
                 }
@@ -434,7 +401,7 @@ impl HealthLedger {
                 demotions.push(Demotion {
                     tid: TraceId(id),
                     entry,
-                    cooldown: p.cooldown << shift,
+                    cooldown: COOLDOWN << shift,
                     cause,
                 });
                 self.traces.remove(&id);
@@ -504,7 +471,7 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].tid, TraceId(0));
         assert_eq!(d[0].cause, DemotionCause::LowCompletion);
-        assert_eq!(d[0].cooldown, HealthPolicy::default().cooldown);
+        assert_eq!(d[0].cooldown, COOLDOWN);
         assert!(l.health_of(TraceId(0)).is_none(), "demoted ⇒ untracked");
     }
 
@@ -564,7 +531,7 @@ mod tests {
     #[test]
     fn hysteresis_escalates_cooldown_and_watches_readmission() {
         let mut l = HealthLedger::default();
-        let base = HealthPolicy::default().cooldown;
+        let base = COOLDOWN;
         // First demotion at this entry: base cooldown.
         feed(&mut l, 0, 0, 16);
         let d = l.epoch();
@@ -589,7 +556,7 @@ mod tests {
             feed(&mut l, i, 2, 14);
             let d = l.epoch();
             assert_eq!(d.len(), 1);
-            let cap = base << HealthPolicy::default().max_cooldown_shift;
+            let cap = base << MAX_COOLDOWN_SHIFT;
             assert!(
                 d[0].cooldown <= cap,
                 "cooldown {} > cap {cap}",
@@ -611,7 +578,7 @@ mod tests {
     fn idle_entries_are_pruned() {
         let mut l = HealthLedger::default();
         feed(&mut l, 0, 16, 0);
-        for _ in 0..HealthPolicy::default().idle_epochs_pruned + 1 {
+        for _ in 0..IDLE_EPOCHS_PRUNED + 1 {
             let _ = l.epoch();
         }
         assert!(l.health_of(TraceId(0)).is_none());

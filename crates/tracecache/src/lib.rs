@@ -61,8 +61,8 @@ pub use constructor::{
 pub use error::TraceCacheError;
 pub use faults::{FaultConfig, FaultPlan, FaultSite, FaultStats};
 pub use health::{
-    Demotion, DemotionCause, HealthLedger, HealthPolicy, HealthState, HealthStats, OutcomeRecord,
-    TraceHealth, TraceOutcome, GUARD_SITES_TRACKED,
+    Demotion, DemotionCause, HealthLedger, HealthState, HealthStats, OutcomeRecord, TraceHealth,
+    TraceOutcome, GUARD_SITES_TRACKED,
 };
 pub use metrics::TraceExecStats;
 pub use offthread::{

@@ -77,17 +77,16 @@ pub trait TraceStore {
 /// is skipped (not an error) when the entry has been relinked to a
 /// *different* trace since the outcomes were recorded: demoting the
 /// newcomer on the old trace's evidence would be wrong. Returns the
-/// number of demotions applied.
-pub fn run_health_epoch(store: &mut dyn TraceStore) -> u32 {
-    let mut applied = 0;
+/// ids of the traces demoted — tombstoned, never to be entered again —
+/// so the caller can drop whatever it holds for them.
+pub fn run_health_epoch(store: &mut dyn TraceStore) -> Vec<TraceId> {
+    let mut demoted = Vec::new();
     for d in store.epoch_demotions() {
-        if store.lookup_entry(d.entry) == Some(d.tid)
-            && store.quarantine(d.entry, d.cooldown).is_some()
-        {
-            applied += 1;
+        if store.lookup_entry(d.entry) == Some(d.tid) {
+            demoted.extend(store.quarantine(d.entry, d.cooldown));
         }
     }
-    applied
+    demoted
 }
 
 impl TraceStore for TraceCache {
@@ -174,7 +173,7 @@ impl<A> TraceStore for Arc<SharedTraceCache<A>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::health::{HealthPolicy, TraceOutcome};
+    use crate::health::{TraceOutcome, COOLDOWN};
     use jvm_bytecode::{BlockId, FuncId};
 
     fn blk(b: u32) -> BlockId {
@@ -212,11 +211,11 @@ mod tests {
         // Two unhealthy epochs walk healthy → probation → demoted.
         feed(store, tid, entry, TraceOutcome::SideExit { site: 1 }, 14);
         feed(store, tid, entry, TraceOutcome::Completed, 2);
-        assert_eq!(run_health_epoch(store), 0, "first bad epoch: probation");
+        assert_eq!(run_health_epoch(store), [], "first bad epoch: probation");
         assert_eq!(store.lookup_entry(entry), Some(tid));
         feed(store, tid, entry, TraceOutcome::SideExit { site: 1 }, 14);
         feed(store, tid, entry, TraceOutcome::Completed, 2);
-        assert_eq!(run_health_epoch(store), 1, "second bad epoch: demoted");
+        assert_eq!(run_health_epoch(store), [tid], "second bad epoch: demoted");
         assert_eq!(store.lookup_entry(entry), None, "demotion unlinks");
         let s = store.health_stats();
         assert_eq!(s.demotions, 1);
@@ -224,7 +223,7 @@ mod tests {
 
         // Cooldown: the exact (entry, path) is refused `cooldown` times,
         // then re-admitted through the normal constructor path.
-        let base = HealthPolicy::default().cooldown;
+        let base = COOLDOWN;
         for i in 0..base {
             let left = insert(store, entry, path.clone())
                 .expect_err(&format!("attempt {i} must be refused"));
@@ -244,7 +243,11 @@ mod tests {
             14,
         );
         feed(store, readmitted, entry, TraceOutcome::Completed, 2);
-        assert_eq!(run_health_epoch(store), 1, "probation start ⇒ one epoch");
+        assert_eq!(
+            run_health_epoch(store),
+            [readmitted],
+            "probation start ⇒ one epoch"
+        );
         let mut refusals = 0;
         while insert(store, entry, path.clone()).is_err() {
             refusals += 1;
@@ -296,7 +299,7 @@ mod tests {
         // ...but the constructor relinks the entry to a new trace first.
         let (new, _) = cache.insert_and_link(entry, vec![blk(1), blk(3)], 0.99);
         assert_ne!(old, new);
-        assert_eq!(run_health_epoch(&mut cache), 0, "stale decision skipped");
+        assert_eq!(run_health_epoch(&mut cache), [], "stale decision skipped");
         assert_eq!(
             TraceStore::lookup_entry(&cache, entry),
             Some(new),

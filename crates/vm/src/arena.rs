@@ -11,8 +11,9 @@
 //! ```
 //!
 //! Region sizes are static per function (`num_locals + max_stack`, with
-//! `max_stack` proven by the verifier's depth analysis), so a call is a
-//! pointer bump plus an argument `copy_within`, and a return is a pop.
+//! `max_stack` the bound the verifier proved and the program's
+//! `Function` carries), so a call is a pointer bump plus an argument
+//! `copy_within`, and a return is a pop.
 //! Locals are filled **args-first**: arguments are copied into the region
 //! head and only the `argc..num_locals` tail is zeroed — zeroing the tail
 //! is mandatory on every push because the slab reuses memory of returned

@@ -19,9 +19,11 @@
 //!   the reference interpreter's `NO_BLOCK` sentinel semantics;
 //! * call arities, callee field counts and intrinsic identities are
 //!   pre-resolved into the operands;
-//! * per-function **max operand-stack depth** is computed (the verifier's
-//!   depth projection, [`jvm_bytecode::max_stack`]) so frames can live in
-//!   fixed-size regions of a contiguous arena.
+//! * per-function **max operand-stack depth** is read from the program
+//!   (the verifier proved it when the program was built and the
+//!   [`jvm_bytecode::Function`] carries it:
+//!   [`max_stack`](jvm_bytecode::Function::max_stack)) so frames can live
+//!   in fixed-size regions of a contiguous arena.
 //!
 //! The decoded stream is *per-program*: constants and switch tables live
 //! in program-global pools so decoded fragments from different functions
@@ -30,7 +32,7 @@
 
 use std::collections::HashMap;
 
-use jvm_bytecode::{max_stack, CmpOp, FuncId, Instr, Intrinsic, Program};
+use jvm_bytecode::{CmpOp, FuncId, Instr, Intrinsic, Program};
 
 /// Decoded opcodes: dense `u8` values so the interpreter loop compiles to
 /// a jump table. Conditional branches get one opcode **per comparison**
@@ -387,7 +389,7 @@ impl<'p> Decoder<'p> {
             block_of.push(bi);
         }
 
-        let max_stack = max_stack(self.program, id);
+        let max_stack = func.max_stack();
         DecodedFunction {
             code: out,
             pc_map,

@@ -15,9 +15,12 @@
 //!    matches the frozen [`crate::ReferenceVm`] exactly.
 //! 2. **Verifier-justified unchecked stack ops.** The verifier proves
 //!    every reachable pc has a consistent operand-stack depth bounded by
-//!    [`crate::decode::DecodedFunction::max_stack`], so operand traffic
-//!    uses unchecked slab access (verifier invariant 1 in DESIGN.md).
-//!    Debug builds keep `debug_assert!` bounds on every access.
+//!    [`crate::decode::DecodedFunction::max_stack`] — its own bound,
+//!    carried by the program's `Function`; a `Program` that has not
+//!    passed it cannot be constructed outside `jvm-bytecode` — so operand
+//!    traffic uses unchecked slab access (verifier invariant 1 in
+//!    DESIGN.md). Debug builds keep `debug_assert!` bounds on every
+//!    access.
 //! 3. **Frame arena.** All locals and operand stacks live in one
 //!    contiguous [`FrameArena`] slab with per-frame base offsets; a call
 //!    is a pointer bump plus an argument `copy_within` instead of two

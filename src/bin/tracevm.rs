@@ -8,6 +8,8 @@
 //! tracevm compare <workload> [--scale ...]
 //! tracevm list
 //! ```
+//!
+//! `--threshold` takes a completion probability in `(0, 1]`.
 
 use std::process::ExitCode;
 
@@ -62,7 +64,8 @@ fn usage() -> ExitCode {
          \x20 tracevm disasm <workload> [--scale ...]\n\
          \x20 tracevm dot <workload> [--out DIR] [--scale ...]\n\
          \x20 tracevm compare <workload> [--scale ...]\n\
-         \x20 tracevm list"
+         \x20 tracevm list\n\
+         T is the completion threshold, in (0, 1]"
     );
     ExitCode::FAILURE
 }
@@ -89,9 +92,14 @@ fn parse_options(args: &mut std::env::Args, opts: &mut Options) -> Result<(), St
             }
             "--engine" => opts.engine = need("--engine")?,
             "--threshold" => {
-                opts.threshold = need("--threshold")?
+                let t: f64 = need("--threshold")?
                     .parse()
-                    .map_err(|e| format!("bad threshold: {e}"))?
+                    .map_err(|e| format!("bad threshold: {e}"))?;
+                // NaN fails both comparisons.
+                if !(t > 0.0 && t <= 1.0) {
+                    return Err("bad threshold: must be in (0, 1]".into());
+                }
+                opts.threshold = t;
             }
             "--delay" => {
                 opts.delay = need("--delay")?

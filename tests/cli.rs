@@ -90,6 +90,29 @@ fn bad_option_shows_usage() {
 }
 
 #[test]
+fn out_of_range_threshold_is_an_error_not_a_panic() {
+    for bad in ["2", "0", "-1", "nan"] {
+        for cmd in [
+            &["run", "compress", "--engine", "exec"][..],
+            &["run", "compress", "--engine", "trace"],
+            &["compare", "compress"],
+            &["dot", "compress"],
+        ] {
+            let out = tracevm()
+                .args(cmd)
+                .args(["--scale", "test", "--threshold", bad])
+                .output()
+                .expect("binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd:?} {bad}:\n{stderr}");
+            assert!(!stderr.contains("panicked"), "{cmd:?} {bad}:\n{stderr}");
+            assert!(stderr.contains("bad threshold"), "{cmd:?} {bad}:\n{stderr}");
+            assert!(stderr.contains("usage:"), "{cmd:?} {bad}:\n{stderr}");
+        }
+    }
+}
+
+#[test]
 fn dot_writes_both_files() {
     let dir = std::env::temp_dir().join("tracevm_dot_test");
     let _ = std::fs::create_dir_all(&dir);

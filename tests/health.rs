@@ -173,3 +173,35 @@ fn steady_workloads_are_barely_demoted() {
         );
     }
 }
+
+/// A tombstoned trace can never be entered again (ids are not reused),
+/// so the engine must not keep its lowered code: after demotions and
+/// quarantines, what the VM can dispatch is bounded by what is alive in
+/// the cache. (Paper-default tunables: every live trace of these
+/// programs gets entered, so a dead artifact shows as an excess.)
+#[test]
+fn tombstoned_traces_free_their_lowered_code() {
+    for w in variants() {
+        let mut vm = TracingVm::new(&w.program, EngineConfig::paper_default());
+        let mut evicted = 0;
+        for _ in 0..2 {
+            evicted = vm
+                .run(&w.args)
+                .unwrap_or_else(|e| panic!("{}: engine run failed: {e:?}", w.name))
+                .cache
+                .traces_evicted;
+        }
+        assert!(evicted > 0, "{}: the flip tombstoned nothing", w.name);
+        let alive = vm
+            .cache()
+            .iter_traces()
+            .filter(|t| !t.blocks().is_empty())
+            .count();
+        assert!(
+            vm.compiled_count() <= alive,
+            "{}: {} lowered traces held for {alive} live ones ({evicted} tombstoned)",
+            w.name,
+            vm.compiled_count()
+        );
+    }
+}

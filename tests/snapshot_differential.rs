@@ -201,3 +201,19 @@ fn multi_run_snapshots_round_trip() {
         &[w.args.clone(), w.args.clone(), w.args.clone()],
     );
 }
+
+/// Pins the staleness hash's definition — FNV-1a 64 over the disassembly
+/// listing — so a snapshot written by an earlier build keeps loading,
+/// and that the program's memo of it travels with clones.
+#[test]
+fn program_hash_is_fnv1a64_of_the_disassembly_listing() {
+    use tracecache_repro::bytecode::{disasm, fnv1a64};
+    for w in all(Scale::Test) {
+        let unhashed = w.program.clone();
+        let want = fnv1a64(disasm::program_to_string(&w.program).as_bytes());
+        assert_eq!(program_hash(&w.program), want, "{}", w.name);
+        assert_eq!(program_hash(&w.program), want, "{}: asked again", w.name);
+        assert_eq!(program_hash(&w.program.clone()), want, "{}: clone", w.name);
+        assert_eq!(program_hash(&unhashed), want, "{}: unhashed clone", w.name);
+    }
+}
