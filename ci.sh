@@ -42,6 +42,23 @@ if grep -rnE 'SharedCacheStats|StatsAtomic|with_shards' crates/; then
     exit 1
 fi
 
+echo "== one link store (SharedTraceCache is a lock around the TraceCache one VM owns; trace-cache forbids unsafe)"
+# The shared cache used to keep its entry links in a second, lock-free
+# open-addressed table (AtomicPtr growth, tombstones, a retired-table
+# list, five unsafe sites) behind a Shell trait with two impls. The
+# compiler guards the unsafe (#![forbid(unsafe_code)]); this guards the
+# second store.
+if grep -rnE 'trait Shell|PrivateShell|SharedShell|LinkTable|AtomicPtr' crates/; then
+    echo "a second link store is back under crates/ (matches above)" >&2
+    exit 1
+fi
+
+echo "== one profile restore path (trace_bcg::image::merge_into)"
+if grep -n 'fn import' crates/bcg/src/image.rs; then
+    echo "image::import is back: the product restores through merge_into" >&2
+    exit 1
+fi
+
 echo "== one stack-discipline analysis (the verifier's; Function carries max_stack / depth_at)"
 # bytecode/depth.rs used to re-run a second transfer table over Instr to
 # recover the depths the verifier's fixpoint already held, once per VM
@@ -81,8 +98,8 @@ cargo test -p trace-conformance --features debug-invariants -q model_health
 cargo test --features debug-invariants -q --test health --test health_staleness
 cargo test -q --release --test health --test health_staleness
 
-echo "== private vs shared cache policy differential (debug: the core's structural asserts after every op of both shells; release: at speed)"
-# One policy, two link stores: seeded insert / try-insert / unlink /
+echo "== private vs shared cache policy differential (debug: the cache's structural asserts after every op of both; release: at speed)"
+# One cache, owned or behind a lock: seeded insert / try-insert / unlink /
 # quarantine / set-budget streams must leave TraceCache and
 # SharedTraceCache in the same state after every op.
 cargo test --features debug-invariants -q --test cache_policy_differential

@@ -21,6 +21,8 @@
 //! the regularity of the trace than Dynamo" (§3.5). The
 //! `baseline_comparison` bench quantifies exactly that trade-off.
 
+#![forbid(unsafe_code)]
+
 pub mod common;
 pub mod net;
 pub mod replay;

@@ -1,5 +1,9 @@
 //! Profiler configuration.
 
+/// Bits edge counters are shifted right at each decay (paper: 1 — the
+/// counts halve every [`BcgConfig::decay_interval`] executions).
+pub const DECAY_SHIFT: u32 = 1;
+
 /// Tunable parameters of the branch correlation graph.
 ///
 /// The two *algorithm* parameters from the paper's evaluation (§5.2) are
@@ -21,8 +25,6 @@ pub struct BcgConfig {
     /// Executions of a node between decays of its edge counters
     /// (paper: 256).
     pub decay_interval: u32,
-    /// Bits to shift edge counters right at each decay (paper: 1).
-    pub decay_shift: u32,
     /// Saturation bound for the 16-bit edge counters.
     pub max_counter: u16,
     /// Whether the per-node predicted-successor inline cache is used for
@@ -40,7 +42,6 @@ impl BcgConfig {
             start_delay: 64,
             threshold: 0.97,
             decay_interval: 256,
-            decay_shift: 1,
             max_counter: u16::MAX,
             inline_cache: true,
         }
@@ -84,7 +85,6 @@ mod tests {
         assert_eq!(c.start_delay, 64);
         assert_eq!(c.threshold, 0.97);
         assert_eq!(c.decay_interval, 256);
-        assert_eq!(c.decay_shift, 1);
         assert!(c.inline_cache);
     }
 

@@ -4,7 +4,7 @@ use std::fmt;
 
 use jvm_bytecode::BlockId;
 
-use crate::config::BcgConfig;
+use crate::config::{BcgConfig, DECAY_SHIFT};
 use crate::node::{Node, Successor};
 use crate::signal::{Signal, SignalKind};
 use crate::stats::ProfilerStats;
@@ -380,11 +380,6 @@ impl BranchCorrelationGraph {
         node.fp_armed = 0;
     }
 
-    /// Crate-internal stats access for the image module.
-    pub(crate) fn stats_mut(&mut self) -> &mut ProfilerStats {
-        &mut self.stats
-    }
-
     /// Gets or lazily creates the node for `branch`.
     fn get_or_create(&mut self, branch: Branch) -> NodeIdx {
         let key = PackedBranch::pack(branch);
@@ -591,7 +586,7 @@ impl BranchCorrelationGraph {
         let old_pred = node.predicted().map(|s| s.to_block);
 
         for s in node.successors.as_mut_slice() {
-            s.count >>= cfg.decay_shift;
+            s.count >>= DECAY_SHIFT;
         }
         node.successors.retain(|s| s.count > 0);
         node.total_weight = node

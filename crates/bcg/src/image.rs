@@ -6,19 +6,18 @@
 //! deferred-work countdowns (`since_decay`, `delay_remaining`) — and
 //! nothing derived. State tags, cached predictions, predecessor lists,
 //! inline-cache arming, and trace-link stamps are all recomputed on
-//! import, so an image round-trips bit-identically regardless of how
+//! restore, so an image round-trips bit-identically regardless of how
 //! the live graph's fast path happened to be armed at export time.
 //!
-//! Three operations:
+//! Two operations:
 //!
 //! * [`export`] captures a live graph, settling the budgeted fast
 //!   path's lazily-deferred bookkeeping (the `fp_armed - fp_budget`
 //!   window of pending `since_decay` / `delay_remaining` updates)
 //!   arithmetically, without mutating the graph;
-//! * [`import`] reconstructs a graph from an image alone (used by the
-//!   differential round-trip suites);
 //! * [`merge_into`] folds an image into a *live* graph — the warm-boot
-//!   path — with saturating counter addition and clamping rules that
+//!   path; into an empty graph it reconstructs the image exactly —
+//!   with saturating counter addition and clamping rules that
 //!   put every merged node back under the lazy-decay discipline: the
 //!   node is disarmed, its decay window is clamped strictly below the
 //!   interval, and the next slow visit re-arms it from the merged
@@ -51,7 +50,7 @@ pub struct NodeImage {
     /// The branch `(X, Y)` this node profiles.
     pub branch: Branch,
     /// The state tag as last published to the trace cache. Stored — not
-    /// recomputed on import — because the live tag is edge-triggered: it
+    /// recomputed on restore — because the live tag is edge-triggered: it
     /// only re-evaluates at decay or delay expiry, so between decays it
     /// legitimately lags the drifting counters, and signals fire on tag
     /// *changes*.
@@ -196,54 +195,6 @@ pub fn export(bcg: &BranchCorrelationGraph) -> BcgImage {
     BcgImage { nodes }
 }
 
-/// Reconstructs a graph from an image under `config`.
-///
-/// Nodes are created in image order, so indices — and therefore a
-/// subsequent [`export`] — reproduce the image exactly. All derived
-/// state (predecessors, total weight, cached prediction, state tag) is
-/// recomputed; the inline cache starts disarmed and every trace-link
-/// slot starts unvalidated, exactly like a freshly grown graph.
-///
-/// # Errors
-///
-/// Returns an [`ImageError`] on duplicate branches, dangling successor
-/// targets, or decay windows at/past the configured interval. The graph
-/// is built only after full validation — no partial state escapes.
-pub fn import(config: BcgConfig, image: &BcgImage) -> Result<BranchCorrelationGraph, ImageError> {
-    validate(&config, image)?;
-    let mut bcg = BranchCorrelationGraph::new(config);
-    for img in &image.nodes {
-        let idx = bcg.get_or_create_node(img.branch);
-        let node = bcg.node_mut(idx);
-        node.state = img.state;
-        node.executions = img.executions;
-        node.delay_remaining = img.delay_remaining;
-        node.since_decay = img.since_decay;
-    }
-    let mut edges = 0usize;
-    for (i, img) in image.nodes.iter().enumerate() {
-        let idx = NodeIdx(i as u32);
-        for s in &img.successors {
-            let target = bcg
-                .node_index((img.branch.1, s.to_block))
-                .expect("validated: successor target exists");
-            bcg.node_mut(idx).successors.push(Successor {
-                to_block: s.to_block,
-                count: s.count,
-                node: target,
-            });
-            let t = bcg.node_mut(target);
-            if !t.preds.contains(&idx) {
-                t.preds.push(idx);
-            }
-            edges += 1;
-        }
-        refresh_derived(&mut bcg, idx);
-    }
-    bcg.stats_mut().edges_created = edges as u64;
-    Ok(bcg)
-}
-
 /// Folds an image into a live graph — the warm-boot merge.
 ///
 /// Per node: the pending fast-path bookkeeping of the live node is
@@ -255,15 +206,18 @@ pub fn import(config: BcgConfig, image: &BcgImage) -> Result<BranchCorrelationGr
 /// window would have crossed the boundary decays at its very next slow
 /// visit, which is what makes stale loaded counts age out rather than
 /// pin the prediction. A node with no live profile yet adopts the stored
-/// state tag (so merging into an empty graph equals [`import`]); a node
-/// with live counters gets its tag re-evaluated from the merged
-/// counters. **No signals are raised** (warm boot restores trace links
-/// from the snapshot directly).
+/// state tag, and nodes are materialized in image order, so merging into
+/// an empty graph reproduces the image — indices, and therefore a
+/// subsequent [`export`], included; a node with live counters gets its
+/// tag re-evaluated from the merged counters. **No signals are raised**
+/// (warm boot restores trace links from the snapshot directly).
 ///
 /// # Errors
 ///
-/// Validates the image first (same rules as [`import`]); the live graph
-/// is untouched on error.
+/// Returns an [`ImageError`] on duplicate branches, dangling successor
+/// targets, decay windows at/past the configured interval, or a pending
+/// start delay on a node past its start state. The image is validated
+/// first; the live graph is untouched on error.
 pub fn merge_into(
     bcg: &mut BranchCorrelationGraph,
     image: &BcgImage,
@@ -346,7 +300,8 @@ pub fn merge_into(
 /// outside the observe path: total weight and cached prediction (maximal
 /// counter, last-wins tie-break like decay's re-election). The state tag
 /// is *not* touched — it is edge-triggered live state the callers decide
-/// on (import copies the stored tag, merge re-evaluates).
+/// on (a node without live profile adopts the stored tag, otherwise the
+/// merge re-evaluates).
 fn refresh_derived(bcg: &mut BranchCorrelationGraph, idx: NodeIdx) {
     let node = bcg.node_mut(idx);
     node.total_weight = node
@@ -415,6 +370,13 @@ mod tests {
             .with_threshold(threshold)
     }
 
+    /// An image merged into a fresh graph under `config`.
+    fn restore(config: BcgConfig, image: &BcgImage) -> Result<BranchCorrelationGraph, ImageError> {
+        let mut bcg = BranchCorrelationGraph::new(config);
+        merge_into(&mut bcg, image)?;
+        Ok(bcg)
+    }
+
     fn feed(bcg: &mut BranchCorrelationGraph, pattern: &[u32], reps: usize) {
         for _ in 0..reps {
             for &b in pattern {
@@ -424,7 +386,7 @@ mod tests {
     }
 
     #[test]
-    fn export_import_round_trips_bit_identically() {
+    fn export_restore_round_trips_bit_identically() {
         let mut bcg = BranchCorrelationGraph::new(cfg(16, 0.90));
         for i in 0..700 {
             bcg.observe(blk(0));
@@ -433,7 +395,7 @@ mod tests {
         }
         let image = export(&bcg);
         assert!(!image.nodes.is_empty());
-        let rebuilt = import(*bcg.config(), &image).expect("valid image");
+        let rebuilt = restore(*bcg.config(), &image).expect("valid image");
         assert_eq!(export(&rebuilt), image, "round trip must be exact");
         // Derived state agrees with the live graph node for node.
         assert_eq!(rebuilt.len(), bcg.len());
@@ -443,7 +405,7 @@ mod tests {
             assert_eq!(r.state(), live.state());
             assert_eq!(r.total_weight(), live.total_weight());
             assert_eq!(r.successors(), live.successors());
-            // The cached prediction is re-elected maximal on import (the
+            // The cached prediction is re-elected maximal on restore (the
             // live slot may be a non-maximal first-observed edge between
             // decays, which the image deliberately does not store).
             let p = r.predicted().map(|s| s.count);
@@ -470,13 +432,13 @@ mod tests {
         let pending = raw.fp_armed - raw.fp_budget;
         assert!(pending > 0, "test needs an armed node with pending hits");
         assert_eq!(img01.since_decay, raw.since_decay + pending);
-        // Importing and continuing must behave like the original graph.
-        let cont = import(*bcg.config(), &image).unwrap();
+        // Restoring and continuing must behave like the original graph.
+        let cont = restore(*bcg.config(), &image).unwrap();
         assert!(cont.node(n01).since_decay < cont.config().decay_interval);
     }
 
     #[test]
-    fn import_rejects_duplicate_and_dangling_and_overdue() {
+    fn merge_rejects_duplicate_and_dangling_and_overdue() {
         let config = cfg(4, 0.97);
         let node = |b: (u32, u32), succ: Vec<(u32, u16)>| NodeImage {
             branch: (blk(b.0), blk(b.1)),
@@ -496,14 +458,14 @@ mod tests {
             nodes: vec![node((0, 1), vec![]), node((0, 1), vec![])],
         };
         assert!(matches!(
-            import(config, &dup),
+            restore(config, &dup),
             Err(ImageError::DuplicateBranch(_))
         ));
         let dangling = BcgImage {
             nodes: vec![node((0, 1), vec![(2, 5)])],
         };
         assert!(matches!(
-            import(config, &dangling),
+            restore(config, &dangling),
             Err(ImageError::MissingSuccessorTarget { .. })
         ));
         let mut overdue = BcgImage {
@@ -511,7 +473,7 @@ mod tests {
         };
         overdue.nodes[0].since_decay = config.decay_interval;
         assert!(matches!(
-            import(config, &overdue),
+            restore(config, &overdue),
             Err(ImageError::DecayWindow { .. })
         ));
         let mut contradictory = BcgImage {
@@ -520,13 +482,13 @@ mod tests {
         contradictory.nodes[0].delay_remaining = 3;
         contradictory.nodes[0].state = NodeState::Unique;
         assert!(matches!(
-            import(config, &contradictory),
+            restore(config, &contradictory),
             Err(ImageError::DelayedNonStartState { .. })
         ));
     }
 
     #[test]
-    fn merge_into_empty_graph_equals_import() {
+    fn merge_into_empty_graph_reproduces_the_image() {
         let mut bcg = BranchCorrelationGraph::new(cfg(8, 0.90));
         feed(&mut bcg, &[0, 1, 2, 0, 1, 3], 100);
         let image = export(&bcg);

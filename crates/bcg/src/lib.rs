@@ -45,6 +45,8 @@
 //! assert_eq!(bcg.node(node).state(), NodeState::Unique);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod dot;
 pub mod graph;
@@ -56,7 +58,7 @@ pub mod state;
 pub mod stats;
 pub mod table;
 
-pub use config::BcgConfig;
+pub use config::{BcgConfig, DECAY_SHIFT};
 pub use graph::{BranchCorrelationGraph, NodeIdx};
 pub use image::{BcgImage, ImageError, MergeStats, NodeImage, SuccessorImage};
 pub use node::{Node, Successor};

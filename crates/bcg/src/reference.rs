@@ -21,7 +21,7 @@ use std::collections::HashMap;
 
 use jvm_bytecode::BlockId;
 
-use crate::config::BcgConfig;
+use crate::config::{BcgConfig, DECAY_SHIFT};
 use crate::graph::NodeIdx;
 use crate::signal::{Signal, SignalKind};
 use crate::state::NodeState;
@@ -338,7 +338,7 @@ impl ReferenceBcg {
         let old_pred = node.predicted().map(|s| s.to_block);
 
         for s in &mut node.successors {
-            s.count >>= cfg.decay_shift;
+            s.count >>= DECAY_SHIFT;
         }
         node.successors.retain(|s| s.count > 0);
         node.total_weight = node.successors.iter().map(|s| u32::from(s.count)).sum();

@@ -23,6 +23,8 @@
 //! All benches run on the in-tree [`harness`] — the workspace builds
 //! fully offline, with no external benchmarking dependency.
 
+#![forbid(unsafe_code)]
+
 pub mod concurrent;
 pub mod harness;
 pub mod hot_path;

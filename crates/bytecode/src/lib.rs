@@ -46,6 +46,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod cfg;
 pub mod class;

@@ -135,10 +135,10 @@ pub fn run_fault_case(
                 }
                 // The budget must hold at every settled point unless a
                 // single trace overran it (counted, never silent). The
-                // constructor thread is live: read the payload (under the
-                // cache's lock, where an overrun is also counted) before
-                // the lock-free counters, or an overrunning insert between
-                // the two reads looks like a silent one.
+                // constructor thread is live and each read takes the
+                // cache's lock on its own: read the payload before the
+                // counters, or an overrunning insert between the two
+                // reads looks like a silent one.
                 let payload = cache.payload_bytes();
                 if payload > budget && cache.stats().budget_overruns == 0 {
                     return Err(format!(

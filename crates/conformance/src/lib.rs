@@ -39,6 +39,8 @@
 //!   [`Quirk::StaleSnapshotAccepted`] proves the campaign catches a
 //!   reader that silently accepts cross-program snapshots.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod faults;
 pub mod genprog;

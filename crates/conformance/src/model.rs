@@ -27,7 +27,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use jvm_bytecode::BlockId;
-use trace_bcg::{BcgConfig, Branch, NodeState, PackedBranch, SignalKind};
+use trace_bcg::{BcgConfig, Branch, NodeState, PackedBranch, SignalKind, DECAY_SHIFT};
 use trace_cache::{
     trace_cost, ConstructorConfig, TraceOutcome, MAX_ENTRY_POINTS, MAX_PATH_NODES,
     MAX_TRACE_BLOCKS, MIN_TRACE_BLOCKS,
@@ -395,7 +395,7 @@ impl ModelBcg {
         let old_pred = node.predicted().map(|s| s.to_block);
 
         for s in &mut node.successors {
-            s.count >>= cfg.decay_shift;
+            s.count >>= DECAY_SHIFT;
         }
         if !keep_zero {
             node.successors.retain(|s| s.count > 0);

@@ -44,6 +44,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod experiment;
 pub mod overhead;

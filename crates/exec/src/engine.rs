@@ -41,7 +41,7 @@ use trace_persist::{program_hash, Snapshot, SnapshotError, SnapshotReader};
 
 use crate::reg::{build_trace, RegStats, RegTrace};
 use crate::regexec::TraceRun;
-use crate::shared::SharedSession;
+use crate::shared::{SharedSession, SNAPSHOT_LIMIT};
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,11 +49,12 @@ pub struct EngineConfig {
     /// Profiler/constructor/VM parameters (shared with the base system).
     pub jit: TraceJitConfig,
     /// Whether the out-of-trace decoded streams are rewritten with
-    /// profile-driven DOp superinstructions ([`jvm_vm::fuse`]) after the
-    /// first run: block visits are counted during the first run and the
-    /// selection is applied when it completes. Trace execution is
-    /// unaffected (traces lower from source instructions, and quickening
-    /// keeps every resume pc valid). On by default.
+    /// profile-driven DOp superinstructions ([`jvm_vm::fuse`]): block
+    /// visits are counted during the first run that completes, and the
+    /// selection is applied when the *next* run begins — a VM that runs
+    /// once never pays for streams it would not execute. Trace execution
+    /// is unaffected (traces lower from source instructions, and
+    /// quickening keeps every resume pc valid). On by default.
     pub dop_fusion: bool,
     /// Whether the lifetime trace-health subsystem runs: per-trace
     /// dispatch outcomes feed the cache's health ledger, and at every
@@ -196,7 +197,7 @@ impl Jit<'_> {
                     return;
                 }
                 let snap =
-                    BcgSnapshot::capture_bounded(&self.bcg, &self.signal_buf, sess.snapshot_limit);
+                    BcgSnapshot::capture_bounded(&self.bcg, &self.signal_buf, SNAPSHOT_LIMIT);
                 if !sess.queue.submit(snap) {
                     self.bcg.defer_signals(&self.signal_buf);
                 }
@@ -293,7 +294,7 @@ impl BlockDriver for Driver<'_> {
         // signals were just handled, so a trace built by this very
         // dispatch is immediately enterable — the slot revalidates on
         // the version bump. In shared mode the slot stamp makes the
-        // lock-free probe one version compare on the steady state.
+        // locked probe one version compare on the steady state.
         let jit = &mut self.jit;
         let linked = node.and_then(|n| {
             let tid = match &mut jit.shared {
@@ -537,6 +538,10 @@ pub struct TracingVm<'p> {
     /// owner of all run state (heap, frame arena, counters, output).
     vm: Vm<'p>,
     driver: Driver<'p>,
+    /// Whether a run has completed with `block_visits` counting: the
+    /// DOp-fusion profile is ready and the rewrite is due when the next
+    /// run begins.
+    fusion_profiled: bool,
     /// Rewrite report of the applied DOp-fusion plan, once fused.
     dop_fusion_report: Option<jvm_vm::fuse::FusionReport>,
 }
@@ -569,6 +574,7 @@ impl<'p> TracingVm<'p> {
                 outcome_buf: Vec::new(),
                 health_epoch_at,
             },
+            fusion_profiled: false,
             dop_fusion_report: None,
         }
     }
@@ -670,26 +676,19 @@ impl<'p> TracingVm<'p> {
     ///
     /// Propagates runtime traps and resource limits as [`VmError`].
     pub fn run(&mut self, args: &[Value]) -> Result<RunReport, VmError> {
+        // DOp fusion profiles the first run that completes and rewrites
+        // when the next one begins; afterwards the streams are fused.
+        if self.fusion_profiled && self.dop_fusion_report.is_none() {
+            self.apply_dop_fusion();
+        }
         // Run state is reset by the loop; profiler/cache/lowered traces
         // persist.
         let driver = &mut self.driver;
         driver.jit.bcg.begin_stream();
-        // DOp fusion profiles the first run and rewrites when it
-        // completes; afterwards the streams are already fused.
-        driver.profile_fusion = driver.config.dop_fusion && self.dop_fusion_report.is_none();
+        driver.profile_fusion = driver.config.dop_fusion && !self.fusion_profiled;
 
         let result = self.vm.run_driven(args, &mut *driver)?;
-
-        if driver.profile_fusion {
-            // Quickening is in place (stream length, targets and
-            // side-exit dpcs unchanged), so compiled traces and resume
-            // points stay valid.
-            let visits = std::mem::take(&mut driver.block_visits);
-            self.dop_fusion_report = Some(
-                self.vm
-                    .fuse_with_profile(visits, &jvm_vm::fuse::FusionConfig::default()),
-            );
-        }
+        self.fusion_profiled = driver.config.dop_fusion;
 
         // Settle pending outcomes so health telemetry read between runs
         // reflects everything this run dispatched. The demotion epoch
@@ -714,10 +713,26 @@ impl<'p> TracingVm<'p> {
         })
     }
 
+    /// Rewrites the decoded streams from the completed block-visit
+    /// profile. Quickening is in place (stream length, targets and
+    /// side-exit dpcs unchanged), so compiled traces and resume points
+    /// stay valid. Kept out of line: it runs once in a VM's life, and
+    /// inlined into `run` it moves the code every run executes
+    /// (EXPERIMENTS.md, "One link store", the fleet pairs).
+    #[cold]
+    #[inline(never)]
+    fn apply_dop_fusion(&mut self) {
+        let visits = std::mem::take(&mut self.driver.block_visits);
+        self.dop_fusion_report = Some(
+            self.vm
+                .fuse_with_profile(visits, &jvm_vm::fuse::FusionConfig::default()),
+        );
+    }
+
     /// The DOp-fusion rewrite report: per-function candidates
     /// considered, fusions applied and estimated dispatches eliminated.
-    /// `None` until the profiling (first) run completes or when
-    /// `dop_fusion` is off.
+    /// `None` until the run after the profiling (first completed) run
+    /// begins, or when `dop_fusion` is off.
     pub fn dop_fusion_report(&self) -> Option<&jvm_vm::fuse::FusionReport> {
         self.dop_fusion_report.as_ref()
     }

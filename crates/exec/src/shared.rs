@@ -4,8 +4,9 @@
 //! dispatch thread. A *shared session* splits it:
 //!
 //! * the [`SharedCache`] (a [`trace_cache::SharedTraceCache`] whose
-//!   artifacts are [`RegTrace`]s) is probed lock-free by every
-//!   dispatching VM;
+//!   artifacts are [`RegTrace`]s) answers every dispatching VM from its
+//!   own version-stamped link slots, and is locked only to revalidate
+//!   one after a publication;
 //! * construction runs on a background thread: dispatchers drain their
 //!   profiler signals into a bounded [`ConstructionQueue`] as
 //!   [`BcgSnapshot`]s, and [`run_shared_constructor`] plans, hash-conses
@@ -46,9 +47,9 @@ pub type SharedCache = SharedTraceCache<RegTrace>;
 /// Default bound on the construction queue (snapshot batches in flight).
 pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
 
-/// Default per-snapshot node cap (see
+/// Per-snapshot node cap applied when a VM captures a signal batch (see
 /// [`trace_cache::BcgSnapshot::capture_bounded`]).
-pub const DEFAULT_SNAPSHOT_LIMIT: usize = 4096;
+pub const SNAPSHOT_LIMIT: usize = 4096;
 
 /// One VM's handle onto a shared session: the cache plus the sending
 /// side of the construction queue. Cloned once per worker VM.
@@ -58,8 +59,6 @@ pub struct SharedSession {
     pub cache: Arc<SharedCache>,
     /// Sending side of the construction queue.
     pub queue: ConstructionQueue,
-    /// Node cap applied when capturing signal snapshots.
-    pub snapshot_limit: usize,
     /// Health gauges of the (supervised) construction service.
     /// Dispatchers check [`ServiceHealth::is_degraded`] *before*
     /// capturing a snapshot, so a dead constructor stops costing capture
@@ -89,7 +88,6 @@ impl std::fmt::Debug for SharedSession {
             .field("traces", &self.cache.trace_count())
             .field("links", &self.cache.link_count())
             .field("queue", &self.queue.stats())
-            .field("snapshot_limit", &self.snapshot_limit)
             .finish()
     }
 }
@@ -104,7 +102,6 @@ pub fn shared_session(
     let session = SharedSession {
         cache: Arc::clone(&cache),
         queue,
-        snapshot_limit: DEFAULT_SNAPSHOT_LIMIT,
         health: Arc::new(ServiceHealth::new()),
     };
     (cache, session, rx)
@@ -242,7 +239,6 @@ mod tests {
         let warm_session = SharedSession {
             cache: Arc::clone(&cache),
             queue,
-            snapshot_limit: DEFAULT_SNAPSHOT_LIMIT,
             health: Arc::new(ServiceHealth::new()),
         };
         let warm = {

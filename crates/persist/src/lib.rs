@@ -29,6 +29,8 @@
 //! restores the cache contents and pre-builds the traces' artifacts
 //! before serving.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod cursor;
 pub mod error;

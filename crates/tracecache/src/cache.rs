@@ -2,15 +2,12 @@
 //!
 //! The paper has one trace cache: signals in, traces hash-consed and
 //! linked at their entry branches (§4.2). [`TraceCache`] is that cache,
-//! and everything that decides *what* is cached lives here. It is
-//! generic over the little that differs between a cache owned by one VM
-//! (the default, [`PrivateShell`]: a [`BranchTable`] and an inline
-//! health ledger) and the store inside
-//! [`SharedTraceCache`](crate::SharedTraceCache) (a lock-free table and
-//! a ledger behind its own mutex): a [`Shell`] holding the entry links
-//! and reaching the ledger, an optional per-trace payload whose measured
-//! bytes ride on top of the closed-form cost, and a per-insert budget
-//! override.
+//! and everything that decides *what* is cached lives here — the entry
+//! links and the health ledger included. A VM owns one directly;
+//! [`SharedTraceCache`](crate::SharedTraceCache) is the same type behind
+//! a lock, instantiated with an optional per-trace payload (`P`) whose
+//! measured bytes ride on top of the closed-form cost, and using the
+//! per-insert budget override.
 //!
 //! # Memory budget and eviction
 //!
@@ -109,59 +106,6 @@ impl CacheStats {
     }
 }
 
-/// What differs between the cache one VM owns and the store inside a
-/// [`SharedTraceCache`](crate::SharedTraceCache): where entry links
-/// (keyed by packed entry branch) are stored, and how the health ledger
-/// is reached. The cache is the only writer of the links.
-pub trait Shell {
-    /// The trace linked at `key`, if any.
-    fn link(&self, key: u64) -> Option<TraceId>;
-    /// Links `key` to `id`; returns the trace previously linked there.
-    fn set_link(&mut self, key: u64, id: TraceId) -> Option<TraceId>;
-    /// Removes the link at `key`; returns the trace it pointed to.
-    fn remove_link(&mut self, key: u64) -> Option<TraceId>;
-    /// `id` was linked at `entry` (see [`HealthLedger::note_admission`]).
-    fn admitted(&mut self, id: TraceId, entry: Branch);
-    /// `id` was tombstoned (see [`HealthLedger::forget`]).
-    fn forget(&mut self, id: TraceId);
-    /// Live links, counted the way a reader of the store finds them.
-    #[cfg(feature = "debug-invariants")]
-    fn live_links(&self) -> usize;
-}
-
-/// The single-owner [`Shell`]: everything inline.
-#[derive(Debug, Default)]
-pub struct PrivateShell {
-    /// The dispatch table: entry branch → linked trace. Queried at every
-    /// block boundary, hence the packed-key open-addressed table.
-    by_entry: BranchTable<TraceId>,
-    /// Whole-lifetime trace-health telemetry and demotion ladder; fed
-    /// and scored through the [`crate::TraceStore`] trait.
-    health: HealthLedger,
-}
-
-impl Shell for PrivateShell {
-    fn link(&self, key: u64) -> Option<TraceId> {
-        self.by_entry.get(PackedBranch(key))
-    }
-    fn set_link(&mut self, key: u64, id: TraceId) -> Option<TraceId> {
-        self.by_entry.insert(PackedBranch(key), id)
-    }
-    fn remove_link(&mut self, key: u64) -> Option<TraceId> {
-        self.by_entry.remove(PackedBranch(key))
-    }
-    fn admitted(&mut self, id: TraceId, entry: Branch) {
-        self.health.note_admission(id, entry);
-    }
-    fn forget(&mut self, id: TraceId) {
-        self.health.forget(id);
-    }
-    #[cfg(feature = "debug-invariants")]
-    fn live_links(&self) -> usize {
-        self.by_entry.iter().count()
-    }
-}
-
 /// The trace cache: trace objects hash-consed by block sequence, plus the
 /// dispatch table linking entry branches to traces.
 ///
@@ -184,7 +128,7 @@ impl Shell for PrivateShell {
 /// assert_eq!(cache.trace(id).len(), 2);
 /// ```
 #[derive(Debug, Default)]
-pub struct TraceCache<S = PrivateShell, P = ()> {
+pub struct TraceCache<P = ()> {
     /// Slot per id ever assigned; a tombstoned (evicted or quarantined)
     /// trace keeps its slot with empty blocks. Ids are never reused.
     traces: Vec<Trace>,
@@ -192,14 +136,18 @@ pub struct TraceCache<S = PrivateShell, P = ()> {
     payloads: Vec<P>,
     /// Byte cost charged for each trace; zeroed when tombstoned.
     costs: Vec<usize>,
-    /// Live entry-link keys per trace (the reverse of the shell's links).
+    /// Live entry-link keys per trace (the reverse of `by_entry`).
     entry_keys: Vec<Vec<u64>>,
     /// Hash-consing index; only touched at construction time, so a std
     /// `HashMap` keyed by the full block sequence is fine here.
     /// Tombstoned traces are removed, so a rebuild mints a fresh id.
     by_blocks: HashMap<Vec<BlockId>, TraceId>,
-    /// Entry links and the health ledger.
-    shell: S,
+    /// The dispatch table: entry branch → linked trace. Queried at every
+    /// block boundary, hence the packed-key open-addressed table.
+    by_entry: BranchTable<TraceId>,
+    /// Whole-lifetime trace-health telemetry and demotion ladder; fed
+    /// and scored through the [`crate::TraceStore`] trait.
+    health: HealthLedger,
     /// Second-chance sweep order: live link keys, oldest first. May hold
     /// stale keys (unlinked outside eviction); `referenced` is the
     /// source of truth and stale keys are dropped when popped.
@@ -218,34 +166,35 @@ pub struct TraceCache<S = PrivateShell, P = ()> {
     version: u64,
 }
 
-/// The cache one VM owns.
 impl TraceCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
     }
+}
 
+impl<P: Default> TraceCache<P> {
     /// Number of live entry links.
     pub fn link_count(&self) -> usize {
-        self.shell.by_entry.len()
+        self.by_entry.len()
     }
 
     /// The health ledger (telemetry + demotion ladder).
     pub fn health(&self) -> &HealthLedger {
-        &self.shell.health
+        &self.health
     }
 
     /// Mutable health-ledger access (the [`crate::TraceStore`] impl
     /// records outcomes and runs epochs through this).
     pub fn health_mut(&mut self) -> &mut HealthLedger {
-        &mut self.shell.health
+        &mut self.health
     }
 
     /// The trace linked at an entry branch, if any. This is the dispatch
     /// check performed when the interpreter takes a branch.
     #[inline]
     pub fn lookup_entry(&self, entry: Branch) -> Option<TraceId> {
-        self.shell.by_entry.get(PackedBranch::pack(entry))
+        self.by_entry.get(PackedBranch::pack(entry))
     }
 
     /// The dispatch check via a BCG node's inline trace-link slot.
@@ -288,16 +237,9 @@ impl TraceCache {
 
     /// Iterates over all `(entry branch, trace)` links.
     pub fn iter_links(&self) -> impl Iterator<Item = (Branch, &Trace)> {
-        self.shell
-            .by_entry
+        self.by_entry
             .iter()
             .map(|(b, id)| (b.unpack(), self.trace(id)))
-    }
-}
-
-impl<S: Shell, P: Default> TraceCache<S, P> {
-    pub(crate) fn shell(&self) -> &S {
-        &self.shell
     }
 
     /// Number of distinct trace objects ever constructed (including
@@ -382,14 +324,16 @@ impl<S: Shell, P: Default> TraceCache<S, P> {
         })
     }
 
-    /// Estimated heap bytes: the hash-consing index, the trace objects,
-    /// and per live trace its two block sequences and its payload.
+    /// Estimated heap bytes: the entry table, the hash-consing index,
+    /// the trace objects, and per live trace its two block sequences and
+    /// its payload.
     pub(crate) fn memory_estimate(&self, payload_bytes: impl Fn(&P) -> usize) -> usize {
         use std::mem::size_of;
         let per_index_entry = size_of::<Vec<BlockId>>() + size_of::<TraceId>() + size_of::<u64>();
         let per_trace = size_of::<Trace>() + size_of::<P>();
         let live = self.traces.iter().zip(&self.payloads);
-        self.by_blocks.capacity() * per_index_entry
+        self.by_entry.memory_bytes()
+            + self.by_blocks.capacity() * per_index_entry
             + self.traces.capacity() * per_trace
             + live
                 .map(|(t, p)| 2 * t.blocks.len() * size_of::<BlockId>() + payload_bytes(p))
@@ -500,7 +444,7 @@ impl<S: Shell, P: Default> TraceCache<S, P> {
             }
         };
         let key = PackedBranch::pack(entry).0;
-        match self.shell.set_link(key, id) {
+        match self.by_entry.insert(PackedBranch(key), id) {
             Some(old) if old != id => {
                 self.stats.links_replaced += 1;
                 self.entry_keys[old.index()].retain(|&k| k != key);
@@ -523,7 +467,7 @@ impl<S: Shell, P: Default> TraceCache<S, P> {
         if !self.entry_keys[id.index()].contains(&key) {
             self.entry_keys[id.index()].push(key);
         }
-        self.shell.admitted(id, entry);
+        self.health.note_admission(id, entry);
         self.enforce_budget(budget_override.or(self.budget), key);
         self.mutated();
         (id, created)
@@ -533,7 +477,7 @@ impl<S: Shell, P: Default> TraceCache<S, P> {
     /// entry is found to no longer satisfy the criteria.
     pub fn unlink(&mut self, entry: Branch) -> Option<TraceId> {
         let key = PackedBranch::pack(entry).0;
-        let id = self.shell.remove_link(key)?;
+        let id = self.by_entry.remove(PackedBranch(key))?;
         self.stats.links_removed += 1;
         self.referenced.remove(&key);
         self.entry_keys[id.index()].retain(|&k| k != key);
@@ -549,10 +493,10 @@ impl<S: Shell, P: Default> TraceCache<S, P> {
     /// faulting entry is blacklisted. Returns the tombstoned id, or
     /// `None` if nothing is linked at `entry`.
     pub fn quarantine(&mut self, entry: Branch, cooldown: u32) -> Option<TraceId> {
-        let id = self.shell.link(PackedBranch::pack(entry).0)?;
+        let id = self.lookup_entry(entry)?;
         self.restore_quarantine(entry, self.traces[id.index()].blocks.clone(), cooldown);
         for k in std::mem::take(&mut self.entry_keys[id.index()]) {
-            self.shell.remove_link(k);
+            self.by_entry.remove(PackedBranch(k));
             self.referenced.remove(&k);
             self.stats.links_removed += 1;
         }
@@ -602,7 +546,7 @@ impl<S: Shell, P: Default> TraceCache<S, P> {
         let blocks = std::mem::take(&mut self.traces[i].blocks);
         self.by_blocks.remove(&blocks);
         self.stats.traces_evicted += 1;
-        self.shell.forget(id);
+        self.health.forget(id);
     }
 
     /// In budget mode an unlinked trace can never be chosen by the
@@ -656,8 +600,8 @@ impl<S: Shell, P: Default> TraceCache<S, P> {
                 break;
             };
             let id = self
-                .shell
-                .remove_link(key)
+                .by_entry
+                .remove(PackedBranch(key))
                 .expect("sweep key must be linked");
             self.referenced.remove(&key);
             self.entry_keys[id.index()].retain(|&k| k != key);
@@ -669,8 +613,7 @@ impl<S: Shell, P: Default> TraceCache<S, P> {
     }
 
     /// Machine-checked structural invariants, asserted after every link
-    /// mutation — of either shell — when the `debug-invariants` feature
-    /// is on:
+    /// mutation when the `debug-invariants` feature is on:
     ///
     /// - **hash-consing uniqueness** — the block-sequence index has
     ///   exactly one entry per *live* trace object and every live trace
@@ -678,11 +621,10 @@ impl<S: Shell, P: Default> TraceCache<S, P> {
     ///   retrieved and linked", never duplicated);
     /// - **id coherence** — `traces[i].id == i`;
     /// - **link validity** — every reverse-list key is found in the
-    ///   shell's links (for the shared shell: by the readers' lock-free
-    ///   probe) under its trace, lands on that trace's first block and
-    ///   is tracked by the sweep; the links and the sweep hold nothing
-    ///   else; tombstones hold no links; completion estimates lie in
-    ///   `(0, 1]`;
+    ///   entry table under its trace, lands on that trace's first block
+    ///   and is tracked by the sweep; the table and the sweep hold
+    ///   nothing else; tombstones hold no links; completion estimates
+    ///   lie in `(0, 1]`;
     /// - **budget accounting** — the payload counter equals the summed
     ///   cost of the live traces, each at least the closed form (payload
     ///   bytes ride on top).
@@ -723,9 +665,9 @@ impl<S: Shell, P: Default> TraceCache<S, P> {
             );
             for &key in &self.entry_keys[i] {
                 assert_eq!(
-                    self.shell.link(key),
+                    self.by_entry.get(PackedBranch(key)),
                     Some(t.id),
-                    "link store out of sync with the reverse list of trace {i}"
+                    "entry table out of sync with the reverse list of trace {i}"
                 );
                 assert_eq!(
                     PackedBranch(key).unpack().1,
@@ -742,7 +684,11 @@ impl<S: Shell, P: Default> TraceCache<S, P> {
         assert_eq!(payload, self.payload, "payload accounting drifted");
         // Every reverse-list key is in both; equal counts leave no room
         // for a link or a sweep entry the reverse lists do not know.
-        assert_eq!(self.shell.live_links(), linked, "shell holds a stray link");
+        assert_eq!(
+            self.by_entry.len(),
+            linked,
+            "entry table holds a stray link"
+        );
         assert_eq!(self.referenced.len(), linked, "sweep tracks a stray link");
     }
 }

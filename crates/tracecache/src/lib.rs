@@ -22,12 +22,12 @@
 //! profiler sees and measures what the paper's evaluation measures: trace
 //! entries, completions, early exits, and the instruction-stream coverage
 //! of trace-resident code.
-
 //!
 //! For concurrent deployments, [`shared`] provides a
-//! [`SharedTraceCache`] many VMs dispatch against lock-free, and
-//! [`offthread`] moves construction to a background thread fed by
-//! bounded snapshot batches.
+//! [`SharedTraceCache`] — the same cache behind a lock, whose
+//! version-stamped dispatch check takes neither lock nor hash on the
+//! steady state — and [`offthread`] moves construction to a background
+//! thread fed by bounded snapshot batches.
 //!
 //! The robustness layer spans several modules: the one cache policy
 //! ([`cache`], which [`shared`] wraps) enforces a payload byte budget
@@ -38,6 +38,8 @@
 //! backoff, then permanent degraded mode) behind [`ServiceHealth`]
 //! gauges; and [`faults`] provides the deterministic [`FaultPlan`]
 //! oracle the conformance chaos campaigns drive all of it with.
+
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod constructor;

@@ -3,67 +3,42 @@
 //! [`TraceCache`](crate::TraceCache) is single-owner: one VM profiles,
 //! constructs and dispatches. In a multi-VM deployment every instance
 //! would re-discover and re-build identical traces. `SharedTraceCache`
-//! lets any number of dispatch threads *read* entry links without ever
-//! blocking, while construction (typically a single background thread,
-//! see [`crate::offthread`]) publishes hash-consed traces that all VMs
-//! reuse.
+//! is that same cache behind a reader–writer lock: construction
+//! (typically a single background thread, see [`crate::offthread`])
+//! publishes hash-consed traces that all VMs reuse, with an optional
+//! pre-lowered artifact per trace as the cache's payload.
 //!
-//! # Structure
-//!
-//! * **Entry links** live in one open-addressed table of `(AtomicU64
-//!   key, AtomicU64 value)` slots — the same packed-branch scheme as
-//!   [`trace_bcg::BranchTable`], probed lock-free by readers and written
-//!   only under the policy mutex.
-//! * **What is cached** — hash-consing, cost accounting, the
-//!   second-chance sweep, the quarantine blacklist, the counters — is
-//!   decided by a [`TraceCache`](crate::TraceCache), the very type a
-//!   single VM owns, instantiated over this module's table and kept
-//!   behind that one mutex, with an optional pre-lowered artifact per
-//!   trace as its payload. The mutex is only touched at construction
-//!   time and on the first artifact fetch per VM — never on the
-//!   per-branch dispatch path.
-//! * A global **version** counter extends the single-threaded
-//!   version-stamped trace-link protocol (see
-//!   [`TraceCache::lookup_entry_cached`](crate::TraceCache::lookup_entry_cached))
-//!   to concurrent publication.
-//! * The **health ledger** sits behind its own mutex, so dispatch
-//!   threads flushing outcomes never wait on a constructor that holds
-//!   the policy mutex while lowering. Lock order: policy, then health.
-//!
-//! # Publication protocol
+//! # Lock and version
 //!
 //! The paper's invalidation rule is that dispatch may act on a stale
 //! link for at most one probe: any link mutation must eventually force
-//! revalidation. Concurrently that becomes:
+//! revalidation. Every mutation runs under the write lock and stores the
+//! cache's bumped version into an atomic (`Release`) before unlocking.
+//! [`lookup_entry_cached`](SharedTraceCache::lookup_entry_cached) loads
+//! that version (`Acquire`) and, while the BCG node's stamp matches it,
+//! answers from the node's slot — the steady state: no lock, no hash.
+//! Only on a stale stamp does it take the read lock, probe, and stamp
+//! the slot with the *pre-probe* version, so a mutation that lands
+//! between load and probe leaves the stamp already stale and the next
+//! dispatch revalidates. A stamped answer can therefore be newer than
+//! its stamp, never older — and never outlives the next mutation.
 //!
-//! 1. The writer mutates the table under the policy mutex — storing a
-//!    slot's *value before its key*, both `Release`, so a reader that
-//!    observes the key (`Acquire`) always observes a fully-written
-//!    value: links are never torn.
-//! 2. After the mutation the writer publishes the cache's bumped
-//!    version into the global version (`store`, `Release`).
-//! 3. A reader loads the version (`Acquire`) *before* probing. The
-//!    `Acquire` pairs with the bump's `Release`: every mutation at or
-//!    below the loaded version is visible to the probe. The BCG slot is
-//!    stamped with the *pre-probe* version, so a mutation that lands
-//!    between load and probe leaves the stamp already-stale and the next
-//!    dispatch revalidates. A stamped answer can therefore be newer than
-//!    its stamp, never older — and never outlives the next mutation.
-//!
-//! Deletion uses tombstones (a backward-shift delete would move slots
-//! under a concurrent reader's feet); growth publishes a rehashed table
-//! through an `AtomicPtr` and retires the old one until the cache drops,
-//! so a reader mid-probe keeps a valid (if stale) table.
+//! What a reader may wait for: a revalidating probe, an artifact fetch
+//! or an outcome flush that arrives during an insert waits until that
+//! insert — artifact build included, which runs under the write lock —
+//! has finished. Construction is rare (tens of builds and link writes
+//! per workload run) and revalidation happens once per node per version,
+//! so this is off the per-dispatch path.
 //!
 //! # Memory budget, eviction, quarantine
 //!
 //! The budget sweep and the quarantine blacklist are the wrapped
 //! cache's (see [`crate::cache`]); measured artifact bytes ride on a
-//! trace's cost. An eviction or a quarantine is just another link mutation
-//! under this protocol: the table write + version bump force every VM's
-//! inline slots to revalidate, and a VM already holding the artifact
-//! `Arc` finishes its dispatch safely on the retired trace — never a
-//! dangling artifact, at worst one stale (but valid) entry.
+//! trace's cost. An eviction or a quarantine is just another link
+//! mutation: the version bump forces every VM's inline slots to
+//! revalidate, and a VM already holding the artifact `Arc` finishes its
+//! dispatch safely on the retired trace — never a dangling artifact, at
+//! worst one stale (but valid) entry.
 //!
 //! An attached [`FaultPlan`](crate::FaultPlan) can deterministically
 //! corrupt freshly built artifacts (surfaced to executors through
@@ -71,275 +46,22 @@
 //! budget checks; both are exercise paths for the degradation ladder,
 //! never semantic changes.
 
-use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
-use std::sync::atomic::{AtomicPtr, AtomicU64};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering::{Acquire, Release};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use jvm_bytecode::BlockId;
 use trace_bcg::node::NO_TRACE_LINK;
-use trace_bcg::{Branch, BranchCorrelationGraph, NodeIdx, PackedBranch};
+use trace_bcg::{Branch, BranchCorrelationGraph, NodeIdx};
 
-use crate::cache::{CacheStats, Shell, TraceCache};
+use crate::cache::{CacheStats, TraceCache};
 use crate::error::TraceCacheError;
 use crate::faults::{FaultPlan, FaultSite};
-use crate::health::HealthLedger;
 use crate::trace::{Trace, TraceId};
-
-/// Empty-slot key marker; `PackedBranch` cannot produce it for a real
-/// branch (same convention as `trace_bcg::BranchTable`).
-const KEY_EMPTY: u64 = u64::MAX;
-/// Value marking a deleted link. Live values are raw `TraceId`s (≤
-/// `u32::MAX - 1`), so the marker cannot collide.
-const VAL_TOMBSTONE: u64 = u64::MAX;
-/// Fibonacci multiplier for home slots (same as `BranchTable`).
-const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
-/// Slots in a fresh table.
-const INITIAL_SLOTS: usize = 16;
-
-/// Locks a mutex, recovering the data on poisoning: a constructor
-/// worker that panicked mid-insert leaves individually-valid state
-/// (links are written atomically, counters are monotonic), and the
-/// supervisor is the layer that decides whether to keep going.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-struct Slot {
-    key: AtomicU64,
-    val: AtomicU64,
-}
-
-struct SlotTable {
-    /// `slots.len() - 1`; the length is a power of two.
-    mask: usize,
-    /// `64 - log2(slots.len())`: the home-slot shift.
-    shift: u32,
-    slots: Box<[Slot]>,
-}
-
-impl SlotTable {
-    fn alloc(len: usize) -> Box<SlotTable> {
-        debug_assert!(len.is_power_of_two());
-        let slots: Box<[Slot]> = (0..len)
-            .map(|_| Slot {
-                key: AtomicU64::new(KEY_EMPTY),
-                val: AtomicU64::new(VAL_TOMBSTONE),
-            })
-            .collect();
-        Box::new(SlotTable {
-            mask: len - 1,
-            shift: 64 - len.trailing_zeros(),
-            slots,
-        })
-    }
-
-    #[inline]
-    fn home(&self, key: u64) -> usize {
-        (key.wrapping_mul(MIX) >> self.shift) as usize
-    }
-
-    fn bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<Slot>()
-    }
-}
-
-/// The reader side of the entry-link table: the current [`SlotTable`],
-/// published through an `AtomicPtr`.
-struct LinkTable {
-    current: AtomicPtr<SlotTable>,
-}
-
-impl Default for LinkTable {
-    fn default() -> Self {
-        LinkTable {
-            current: AtomicPtr::new(Box::into_raw(SlotTable::alloc(INITIAL_SLOTS))),
-        }
-    }
-}
-
-impl LinkTable {
-    #[inline]
-    fn table(&self) -> &SlotTable {
-        // SAFETY: the pointer is always valid while `&self` is held:
-        // tables are only ever swapped for a newer one, the old pointer
-        // moving to the writer's retired list (`SharedShell::retired`),
-        // which sits in the same `SharedTraceCache` readers borrow this
-        // table from and is freed only when that cache is dropped, which
-        // requires `&mut`.
-        unsafe { &*self.current.load(Acquire) }
-    }
-
-    /// Lock-free probe. Terminates because the writer keeps the table at
-    /// most 7/8 full (counting tombstones), so an empty slot exists.
-    fn lookup(&self, key: u64) -> Option<TraceId> {
-        let t = self.table();
-        let mut i = t.home(key);
-        loop {
-            let k = t.slots[i].key.load(Acquire);
-            if k == KEY_EMPTY {
-                return None;
-            }
-            if k == key {
-                let v = t.slots[i].val.load(Acquire);
-                return (v != VAL_TOMBSTONE).then_some(TraceId(v as u32));
-            }
-            i = (i + 1) & t.mask;
-        }
-    }
-}
-
-impl Drop for LinkTable {
-    fn drop(&mut self) {
-        // SAFETY: `current` always holds a pointer from `Box::into_raw`
-        // that nothing else frees, and `&mut self` rules out readers.
-        unsafe { drop(Box::from_raw(self.current.load(Relaxed))) }
-    }
-}
-
-/// A table pointer retired by growth, owned by the writer's retired
-/// list and freed when that list — with the cache — is dropped.
-struct Retired(*mut SlotTable);
-// SAFETY: the pointer is uniquely owned by the retired list and only
-// dereferenced under the policy mutex (sizing) or at drop (freeing).
-unsafe impl Send for Retired {}
-
-impl Drop for Retired {
-    fn drop(&mut self) {
-        // SAFETY: the pointer came from `Box::into_raw` in `grow` and
-        // was swapped out of `LinkTable::current`, so this is its only
-        // owner; the list drops with the cache, after every reader.
-        unsafe { drop(Box::from_raw(self.0)) }
-    }
-}
-
-/// The [`Shell`] of the cache inside a [`SharedTraceCache`]: the write
-/// side of the link table, and the health ledger behind its own mutex
-/// (locked here while the policy mutex is held: policy, then health).
-/// Lives under the policy mutex, so it is the table's only writer and
-/// relaxed reads of the table are exact.
-#[derive(Default)]
-struct SharedShell {
-    table: Arc<LinkTable>,
-    live: usize,
-    tombstones: usize,
-    retired: Vec<Retired>,
-    health: Arc<Mutex<HealthLedger>>,
-}
-
-impl SharedShell {
-    /// Rehashes into a fresh table (doubling if genuinely full, else
-    /// just shedding tombstones) and publishes it.
-    fn grow(&mut self) {
-        let old = self.table.table();
-        let cap = old.slots.len();
-        let new_len = if (self.live + 1) * 8 > cap * 7 {
-            cap * 2
-        } else {
-            cap
-        };
-        let new = SlotTable::alloc(new_len);
-        for slot in old.slots.iter() {
-            let (k, v) = (slot.key.load(Relaxed), slot.val.load(Relaxed));
-            if k == KEY_EMPTY || v == VAL_TOMBSTONE {
-                continue;
-            }
-            let mut i = new.home(k);
-            while new.slots[i].key.load(Relaxed) != KEY_EMPTY {
-                i = (i + 1) & new.mask;
-            }
-            new.slots[i].val.store(v, Relaxed);
-            new.slots[i].key.store(k, Relaxed);
-        }
-        self.tombstones = 0;
-        let old_ptr = self.table.current.swap(Box::into_raw(new), Release);
-        self.retired.push(Retired(old_ptr));
-    }
-}
-
-impl Shell for SharedShell {
-    fn link(&self, key: u64) -> Option<TraceId> {
-        self.table.lookup(key)
-    }
-
-    fn set_link(&mut self, key: u64, id: TraceId) -> Option<TraceId> {
-        let val = u64::from(id.0);
-        loop {
-            let t = self.table.table();
-            let mut i = t.home(key);
-            loop {
-                let k = t.slots[i].key.load(Relaxed);
-                if k == key {
-                    let old = t.slots[i].val.swap(val, Release);
-                    if old != VAL_TOMBSTONE {
-                        return Some(TraceId(old as u32));
-                    }
-                    self.tombstones -= 1;
-                    self.live += 1;
-                    return None;
-                }
-                if k == KEY_EMPTY {
-                    if (self.live + self.tombstones + 1) * 8 > t.slots.len() * 7 {
-                        self.grow();
-                        break; // re-probe against the new table
-                    }
-                    // Value first, then key: a reader that sees the key
-                    // sees the value.
-                    t.slots[i].val.store(val, Release);
-                    t.slots[i].key.store(key, Release);
-                    self.live += 1;
-                    return None;
-                }
-                i = (i + 1) & t.mask;
-            }
-        }
-    }
-
-    /// Tombstones the slot; the key stays so concurrent probes keep
-    /// their chain.
-    fn remove_link(&mut self, key: u64) -> Option<TraceId> {
-        let t = self.table.table();
-        let mut i = t.home(key);
-        loop {
-            let k = t.slots[i].key.load(Relaxed);
-            if k == KEY_EMPTY {
-                return None;
-            }
-            if k == key {
-                let old = t.slots[i].val.swap(VAL_TOMBSTONE, Release);
-                if old == VAL_TOMBSTONE {
-                    return None;
-                }
-                self.live -= 1;
-                self.tombstones += 1;
-                return Some(TraceId(old as u32));
-            }
-            i = (i + 1) & t.mask;
-        }
-    }
-
-    fn admitted(&mut self, id: TraceId, entry: Branch) {
-        lock_recover(&self.health).note_admission(id, entry);
-    }
-
-    fn forget(&mut self, id: TraceId) {
-        lock_recover(&self.health).forget(id);
-    }
-
-    #[cfg(feature = "debug-invariants")]
-    fn live_links(&self) -> usize {
-        // Every key in the table, resolved through the readers' probe.
-        let keys = self.table.table().slots.iter().map(|s| s.key.load(Relaxed));
-        let found = keys
-            .filter(|&k| k != KEY_EMPTY && self.link(k).is_some())
-            .count();
-        assert_eq!(found, self.live, "writer's live count drifted");
-        found
-    }
-}
 
 /// A pre-built execution artifact (e.g. a lowered trace); a trace's
 /// payload in the shared cache is `Option<Artifact<A>>`.
-struct Artifact<A> {
+pub(crate) struct Artifact<A> {
     built: Arc<A>,
     /// Set by fault injection ([`FaultSite::CorruptArtifact`]). A
     /// corrupt artifact must never be executed;
@@ -351,9 +73,9 @@ struct Artifact<A> {
 /// Artifact byte-measure hook installed alongside a payload budget.
 type MeasureFn<A> = Box<dyn Fn(&A) -> usize + Send + Sync>;
 
-/// Everything the policy mutex guards.
-struct WriteSide<A> {
-    cache: TraceCache<SharedShell, Option<Artifact<A>>>,
+/// Everything the lock guards.
+pub(crate) struct Inner<A> {
+    pub(crate) cache: TraceCache<Option<Artifact<A>>>,
     measure: Option<MeasureFn<A>>,
 }
 
@@ -372,16 +94,10 @@ struct WriteSide<A> {
 /// per-node link slots, which are only meaningful to the cache that
 /// stamped them.
 pub struct SharedTraceCache<A> {
-    /// The link table, for readers; `write`'s shell holds the write side.
-    links: Arc<LinkTable>,
+    /// `inner.cache.version()` as of the last unlock of the write lock.
     version: AtomicU64,
-    write: Mutex<WriteSide<A>>,
+    inner: RwLock<Inner<A>>,
     faults: OnceLock<Arc<FaultPlan>>,
-    /// Whole-lifetime trace-health telemetry and demotion ladder.
-    /// Locked after `write` when both are needed (admission, tombstone
-    /// — by `write`'s shell); outcome batches and epoch scoring take
-    /// only this lock.
-    health: Arc<Mutex<HealthLedger>>,
 }
 
 impl<A> Default for SharedTraceCache<A> {
@@ -393,21 +109,29 @@ impl<A> Default for SharedTraceCache<A> {
 impl<A> SharedTraceCache<A> {
     /// An empty cache.
     pub fn new() -> Self {
-        let cache = TraceCache::<SharedShell, _>::default();
         SharedTraceCache {
-            links: Arc::clone(&cache.shell().table),
-            health: Arc::clone(&cache.shell().health),
             version: AtomicU64::new(0),
-            write: Mutex::new(WriteSide {
-                cache,
+            inner: RwLock::new(Inner {
+                cache: TraceCache::default(),
                 measure: None,
             }),
             faults: OnceLock::new(),
         }
     }
 
-    fn write(&self) -> MutexGuard<'_, WriteSide<A>> {
-        lock_recover(&self.write)
+    /// The read lock, recovering the data on poisoning (see
+    /// [`Self::write`]).
+    pub(crate) fn read(&self) -> RwLockReadGuard<'_, Inner<A>> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The write lock, recovering the data on poisoning: the one piece
+    /// of foreign code that runs under it, an insert's `build`, runs
+    /// before any cache state is touched, so a constructor worker that
+    /// panicked there left the cache as it found it, and the supervisor
+    /// is the layer that decides whether to keep going.
+    pub(crate) fn write(&self) -> RwLockWriteGuard<'_, Inner<A>> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Attaches a fault plan; first call wins, later calls are ignored.
@@ -428,10 +152,10 @@ impl<A> SharedTraceCache<A> {
         self.version.load(Acquire)
     }
 
-    /// The trace linked at an entry branch, if any. Lock-free.
+    /// The trace linked at an entry branch, if any.
     #[inline]
     pub fn lookup_entry(&self, entry: Branch) -> Option<TraceId> {
-        self.links.lookup(PackedBranch::pack(entry).0)
+        self.read().cache.lookup_entry(entry)
     }
 
     /// The dispatch check via a BCG node's inline trace-link slot —
@@ -439,10 +163,11 @@ impl<A> SharedTraceCache<A> {
     /// [`TraceCache::lookup_entry_cached`](crate::TraceCache::lookup_entry_cached).
     ///
     /// The BCG (and its slots) are private to the calling VM; only the
-    /// version counter and the table probe touch shared state. The slot
-    /// is stamped with the version loaded *before* the probe, so a
-    /// publication racing this lookup leaves the stamp stale and the
-    /// next dispatch revalidates (see the module docs).
+    /// version counter and, on a stale stamp, the locked probe touch
+    /// shared state. The slot is stamped with the version loaded
+    /// *before* the probe, so a publication racing this lookup leaves
+    /// the stamp stale and the next dispatch revalidates (see the module
+    /// docs).
     #[inline]
     pub fn lookup_entry_cached(
         &self,
@@ -459,12 +184,12 @@ impl<A> SharedTraceCache<A> {
         found
     }
 
-    /// Runs one cache mutation under the policy mutex, then publishes
-    /// the cache's version (bumped if any link changed) — still under
-    /// the mutex, so versions reach readers in mutation order. A reader
-    /// that observes the new version is guaranteed to observe the
-    /// mutation (Release/Acquire pairing).
-    fn mutate<R>(&self, f: impl FnOnce(&mut WriteSide<A>) -> R) -> R {
+    /// Runs one cache mutation under the write lock, then publishes the
+    /// cache's version (bumped if any link changed) — still under the
+    /// lock, so versions reach readers in mutation order. A reader that
+    /// observes the new version is guaranteed to observe the mutation
+    /// (Release/Acquire pairing).
+    fn mutate<R>(&self, f: impl FnOnce(&mut Inner<A>) -> R) -> R {
         let mut w = self.write();
         let result = f(&mut w);
         self.version.store(w.cache.version(), Release);
@@ -476,11 +201,11 @@ impl<A> SharedTraceCache<A> {
     /// (the just-written link is never the victim). Returns the trace
     /// id and whether a new trace object was constructed.
     ///
-    /// `build` runs under the policy mutex — acceptable because
+    /// `build` runs under the write lock — acceptable because
     /// construction is rare and (in the off-thread design) single-caller;
-    /// dispatch threads never take that mutex on the hot path. It runs
-    /// before the policy is mutated, so a panicking builder leaves the
-    /// cache consistent.
+    /// dispatch threads only take the lock to revalidate a stale stamp.
+    /// It runs before the cache is mutated, so a panicking builder
+    /// leaves the cache consistent.
     ///
     /// This path does **not** consult the quarantine blacklist — the
     /// constructor goes through [`Self::try_insert_and_link_with`].
@@ -592,35 +317,28 @@ impl<A> SharedTraceCache<A> {
 
     /// The configured payload budget, if any.
     pub fn budget(&self) -> Option<usize> {
-        self.write().cache.budget()
+        self.read().cache.budget()
     }
 
     /// Bytes currently charged against the budget: block sequences,
     /// per-trace overhead, and measured artifact bytes of live traces.
     pub fn payload_bytes(&self) -> usize {
-        self.write().cache.payload_bytes()
+        self.read().cache.payload_bytes()
     }
 
     /// The quarantine blacklist: `(entry, path, refusals remaining)`,
     /// sorted by packed entry key.
     pub fn quarantine_snapshot(&self) -> Vec<(Branch, Vec<BlockId>, u32)> {
-        let w = self.write();
-        let list = w.cache.iter_quarantine();
+        let r = self.read();
+        let list = r.cache.iter_quarantine();
         list.map(|(entry, path, left)| (entry, path.to_vec(), left))
             .collect()
-    }
-
-    /// The health ledger, under its own lock — never the policy mutex —
-    /// so dispatch threads flushing outcomes or scoring an epoch (the
-    /// [`crate::TraceStore`] impl) don't contend with the constructor.
-    pub(crate) fn health(&self) -> MutexGuard<'_, HealthLedger> {
-        lock_recover(&self.health)
     }
 
     /// A copy of the trace object for an id (blocks, completion);
     /// `None` for unknown or tombstoned ids.
     pub fn trace(&self, id: TraceId) -> Option<Trace> {
-        self.write().cache.trace_checked(id).ok().cloned()
+        self.read().cache.trace_checked(id).ok().cloned()
     }
 
     /// The execution artifact with integrity surfaced: `Err` for ids
@@ -631,8 +349,8 @@ impl<A> SharedTraceCache<A> {
     /// artifact and should [`Self::quarantine`] the entry it dispatched
     /// from.
     pub fn artifact_checked(&self, id: TraceId) -> Result<Option<Arc<A>>, TraceCacheError> {
-        let w = self.write();
-        match w.cache.payload_checked(id)? {
+        let r = self.read();
+        match r.cache.payload_checked(id)? {
             Some(a) if a.corrupted => Err(TraceCacheError::CorruptArtifact(id)),
             a => Ok(a.as_ref().map(|a| Arc::clone(&a.built))),
         }
@@ -641,39 +359,32 @@ impl<A> SharedTraceCache<A> {
     /// Number of distinct trace objects ever constructed (tombstoned
     /// slots included; ids are never reused).
     pub fn trace_count(&self) -> usize {
-        self.write().cache.trace_count()
+        self.read().cache.trace_count()
     }
 
     /// Number of live (non-tombstoned) trace objects.
     pub fn live_trace_count(&self) -> usize {
-        let w = self.write();
-        w.cache.iter_traces().filter(|t| !t.is_empty()).count()
+        let r = self.read();
+        r.cache.iter_traces().filter(|t| !t.is_empty()).count()
     }
 
     /// Number of live entry links.
     pub fn link_count(&self) -> usize {
-        self.write().cache.shell().live
+        self.read().cache.link_count()
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
-        self.write().cache.stats()
+        self.read().cache.stats()
     }
 
-    /// Estimated heap footprint in bytes: the link table (current and
-    /// retired), the hash-consing index, trace objects and their block
-    /// sequences, and artifacts as measured by `artifact_bytes`.
+    /// Estimated heap footprint in bytes: the entry table, the
+    /// hash-consing index, trace objects and their block sequences, and
+    /// artifacts as measured by `artifact_bytes`.
     pub fn memory_estimate(&self, artifact_bytes: impl Fn(&A) -> usize) -> usize {
-        let w = self.write();
-        let retired = w.cache.shell().retired.iter().map(|r| {
-            // SAFETY: a retired pointer stays valid until the list drops
-            // with the cache (see `Retired`).
-            unsafe { (*r.0).bytes() }
-        });
-        self.links.table().bytes()
-            + retired.sum::<usize>()
-            + w.cache
-                .memory_estimate(|a| a.as_ref().map_or(0, |a| artifact_bytes(&a.built)))
+        self.read()
+            .cache
+            .memory_estimate(|a| a.as_ref().map_or(0, |a| artifact_bytes(&a.built)))
     }
 }
 
@@ -773,11 +484,12 @@ mod tests {
     }
 
     #[test]
-    fn tombstone_churn_does_not_grow_forever() {
+    fn link_churn_does_not_grow_forever() {
         let c: SharedTraceCache<()> = SharedTraceCache::new();
         let entry = |i: u32| (blk(i), blk(i + 1));
-        // Insert/remove churn over a small working set: rebuilds shed
-        // tombstones instead of doubling without bound.
+        // Insert/remove churn over a small working set must not leave
+        // anything behind per round.
+        let mut after_first_round = 0;
         for round in 0..200u32 {
             for i in 0..8 {
                 c.insert_and_link(entry(i), vec![blk(i + 1), blk(i + 2)], 0.99);
@@ -785,11 +497,13 @@ mod tests {
             for i in 0..8 {
                 assert!(c.unlink(entry(i)).is_some(), "round {round} item {i}");
             }
+            if round == 0 {
+                after_first_round = c.memory_estimate(|_| 0);
+            }
         }
         assert_eq!(c.link_count(), 0);
-        // 8 live keys fit comfortably; the table must have stayed small.
-        let slots = c.links.table().slots.len();
-        assert!(slots <= 64, "link table grew to {slots} slots");
+        assert_eq!(c.trace_count(), 8, "hash-consing reuses the 8 sequences");
+        assert_eq!(c.memory_estimate(|_| 0), after_first_round);
     }
 
     #[test]
@@ -905,7 +619,6 @@ mod tests {
     fn memory_estimate_counts_table_traces_and_artifacts() {
         let c: SharedTraceCache<Vec<BlockId>> = SharedTraceCache::new();
         let empty = c.memory_estimate(|a| a.capacity() * std::mem::size_of::<BlockId>());
-        assert!(empty > 0, "the link table alone occupies memory");
         for i in 0..50u32 {
             c.insert_and_link_with(
                 (blk(i), blk(i + 1)),
@@ -919,6 +632,58 @@ mod tests {
             full > empty,
             "estimate must grow with contents: {empty} -> {full}"
         );
+        let without_artifacts = c.memory_estimate(|_| 0);
+        assert_eq!(
+            full - without_artifacts,
+            50 * 2 * std::mem::size_of::<BlockId>(),
+            "artifacts are counted as measured"
+        );
+        assert!(
+            without_artifacts >= 50 * std::mem::size_of::<(u64, TraceId)>(),
+            "the entry table is counted: {without_artifacts}"
+        );
+    }
+
+    /// A `build` that panics under the write lock: it runs before any
+    /// cache state is touched, so the cache is unchanged, readers still
+    /// probe through both paths, and the next insert proceeds.
+    #[test]
+    fn panicking_builder_leaves_the_cache_usable() {
+        let mut bcg = trace_bcg::BranchCorrelationGraph::new(trace_bcg::BcgConfig::paper_default());
+        bcg.observe(blk(0));
+        let n = bcg.observe(blk(1)).expect("branch node");
+        let c: SharedTraceCache<Vec<BlockId>> = SharedTraceCache::new();
+        let entry = (blk(0), blk(1));
+        let (id, _) =
+            c.insert_and_link_with(entry, vec![blk(1), blk(2)], 0.99, |b| Some(b.to_vec()));
+        let (stats, version) = (c.stats(), c.version());
+
+        let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.insert_and_link_with((blk(5), blk(6)), vec![blk(6), blk(7)], 0.99, |_| {
+                panic!("builder killed mid-insert")
+            })
+        }));
+        assert!(killed.is_err());
+
+        assert_eq!(c.stats(), stats, "no cache state was touched");
+        assert_eq!(c.version(), version);
+        assert_eq!(c.trace_count(), 1);
+        assert_eq!(c.lookup_entry(entry), Some(id));
+        assert_eq!(c.lookup_entry((blk(5), blk(6))), None);
+        assert_eq!(c.lookup_entry_cached(&mut bcg, n), Some(id));
+        assert_eq!(
+            &c.artifact_checked(id).unwrap().unwrap()[..],
+            [blk(1), blk(2)]
+        );
+
+        let (next, created) =
+            c.insert_and_link_with((blk(5), blk(6)), vec![blk(6), blk(7)], 0.99, |b| {
+                Some(b.to_vec())
+            });
+        assert!(created);
+        assert_ne!(next, id);
+        assert_eq!(c.lookup_entry((blk(5), blk(6))), Some(next));
+        assert!(c.version() > version);
     }
 
     // --- budget / eviction / quarantine / faults ---

@@ -1,10 +1,10 @@
 //! The engine-facing cache-policy trait.
 //!
 //! [`TraceCache`](crate::TraceCache) (single-owner) and
-//! [`SharedTraceCache`](crate::SharedTraceCache) (multi-VM, a mutex
-//! around the same generic `TraceCache`) run one policy, so what they
-//! cache, evict and quarantine cannot differ; what differs is how they
-//! are *reached* (`&mut` vs interior mutability behind an `Arc`).
+//! [`SharedTraceCache`](crate::SharedTraceCache) (multi-VM, a lock
+//! around the same `TraceCache`) run one policy, so what they cache,
+//! evict and quarantine cannot differ; what differs is how they are
+//! *reached* (`&mut` vs interior mutability behind an `Arc`).
 //! `TraceStore` is the one surface the engine reaches either through:
 //! the executor holds `&mut dyn TraceStore` instead of selecting with
 //! `match &self.shared` at every policy site.
@@ -89,7 +89,7 @@ pub fn run_health_epoch(store: &mut dyn TraceStore) -> Vec<TraceId> {
     demoted
 }
 
-impl TraceStore for TraceCache {
+impl<P: Default> TraceStore for TraceCache<P> {
     fn lookup_entry(&self, entry: Branch) -> Option<TraceId> {
         TraceCache::lookup_entry(self, entry)
     }
@@ -129,6 +129,7 @@ impl TraceStore for TraceCache {
     }
 }
 
+/// Lock and forward: the ledger lives in the one cache under the lock.
 impl<A> TraceStore for Arc<SharedTraceCache<A>> {
     fn lookup_entry(&self, entry: Branch) -> Option<TraceId> {
         SharedTraceCache::lookup_entry(self, entry)
@@ -151,22 +152,19 @@ impl<A> TraceStore for Arc<SharedTraceCache<A>> {
     }
 
     fn record_outcome_runs(&mut self, runs: &[(OutcomeRecord, u64)]) {
-        let mut health = self.health();
-        for (rec, n) in runs {
-            health.record_run(rec, *n);
-        }
+        self.write().cache.record_outcome_runs(runs);
     }
 
     fn epoch_demotions(&mut self) -> Vec<Demotion> {
-        self.health().epoch()
+        self.write().cache.epoch_demotions()
     }
 
     fn health_stats(&self) -> HealthStats {
-        self.health().stats()
+        self.read().cache.health_stats()
     }
 
     fn trace_health(&self, tid: TraceId) -> Option<TraceHealth> {
-        self.health().health_of(tid).cloned()
+        self.read().cache.trace_health(tid)
     }
 }
 

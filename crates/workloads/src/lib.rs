@@ -34,6 +34,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod compress;
 pub mod javac;
 pub mod lcg;

@@ -266,6 +266,9 @@ fn cmd_run(w: &Workload, opts: &Options) -> Result<(), Box<dyn std::error::Error
                         );
                     }
                 }
+                None if opts.dop_fusion => println!(
+                    "dop fusion          : profiled; the streams are rewritten when a second run begins"
+                ),
                 None => println!("dop fusion          : off (--no-fuse)"),
             }
             let m = engine.decoded().memory_estimate();

@@ -45,6 +45,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use jvm_bytecode as bytecode;
 pub use jvm_vm as vm;
 pub use trace_baselines as baselines;

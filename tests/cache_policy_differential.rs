@@ -1,10 +1,9 @@
 //! Private vs shared trace cache, op by op.
 //!
-//! `TraceCache` and `SharedTraceCache` run one policy (the shared cache
-//! wraps the same generic `TraceCache`); what still differs is the link
-//! store under it — a `BranchTable` vs the lock-free val-then-key table
-//! with tombstoned deletes and growth. This differential pins that part:
-//! seeded insert / try-insert / unlink / quarantine / set-budget streams,
+//! `TraceCache` and `SharedTraceCache` are one cache (the shared one is
+//! a lock around the same `TraceCache`, with an artifact payload and an
+//! atomic copy of the version); what still differs is how it is reached.
+//! This differential pins that nothing else does: seeded insert / try-insert / unlink / quarantine / set-budget streams,
 //! with budgets small enough to evict, run against both, and after
 //! *every* op every entry lookup over the block universe, the payload,
 //! the budget, each id's liveness and contents, the quarantine list and

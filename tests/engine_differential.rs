@@ -15,7 +15,7 @@ use tracecache_repro::bytecode::Program;
 use tracecache_repro::conformance::genprog::{args_from, build_program, gen_block};
 use tracecache_repro::exec::{EngineConfig, TracingVm};
 use tracecache_repro::jit::TraceJitConfig;
-use tracecache_repro::vm::{NullObserver, ReferenceVm, Value, Vm};
+use tracecache_repro::vm::{fuse, NullObserver, ReferenceVm, Value, Vm};
 use tracecache_repro::workloads::prng::{seed_stream, Xoshiro256StarStar};
 use tracecache_repro::workloads::{registry, Scale};
 
@@ -84,8 +84,9 @@ fn engine_reduces_dispatches_on_all_workloads() {
 
 /// The whole configuration space — `dop_fusion` × `health` — against the
 /// frozen reference interpreter, two runs per VM: the second executes
-/// DOp-fused streams (when fusion is on) against a warm cache. Exact
-/// parity in every cell; a new knob is one more factor here.
+/// DOp-fused streams (when fusion is on; the rewrite happens as it
+/// begins) against a warm cache. Exact parity in every cell; a new knob
+/// is one more factor here.
 #[test]
 fn every_configuration_matches_the_reference_on_all_workloads() {
     for w in registry::all(Scale::Test) {
@@ -108,11 +109,59 @@ fn every_configuration_matches_the_reference_on_all_workloads() {
                     "{label}: instruction count"
                 );
                 assert!(report.traces.entered > 0, "{label}: ran cold");
-                assert_eq!(
-                    engine.dop_fusion_report().is_some(),
-                    dop_fusion,
-                    "{label}: fused streams"
-                );
+            }
+            assert_eq!(
+                engine.dop_fusion_report().is_some(),
+                dop_fusion,
+                "{} fusion={dop_fusion} health={health}: fused streams",
+                w.name
+            );
+        }
+    }
+}
+
+/// How many decoded ops of the engine's streams are fused group heads.
+fn fused_heads(engine: &TracingVm, program: &Program) -> u64 {
+    let decoded = engine.decoded();
+    let funcs = program.functions().iter();
+    funcs
+        .map(|f| {
+            let code = &decoded.func(f.id()).code;
+            code.iter().filter(|d| fuse::is_fused(d.op)).count() as u64
+        })
+        .sum()
+}
+
+/// A VM that runs once never pays for the DOp-fusion rewrite: the first
+/// run only profiles, and the streams are rewritten when a second run
+/// begins — with exact parity on both.
+#[test]
+fn a_single_run_leaves_the_streams_unfused() {
+    for w in registry::all(Scale::Test) {
+        let mut reference = ReferenceVm::new(&w.program);
+        let want = reference.run(&w.args, &mut NullObserver).unwrap();
+        let mut engine = TracingVm::new(&w.program, engine_config());
+        for run in 0..2 {
+            let label = format!("{} run {run}", w.name);
+            let report = engine.run(&w.args).unwrap();
+            assert_eq!(report.result, want, "{label}: result");
+            assert_eq!(report.checksum, reference.checksum(), "{label}: checksum");
+            assert_eq!(
+                report.exec.instructions,
+                reference.stats().instructions,
+                "{label}: instruction count"
+            );
+            let fused = fused_heads(&engine, &w.program);
+            match engine.dop_fusion_report() {
+                None => {
+                    assert_eq!(run, 0, "{label}: a second run applies the rewrite");
+                    assert_eq!(fused, 0, "{label}: rewritten streams nobody will run");
+                }
+                Some(rep) => {
+                    assert_eq!(run, 1, "{label}: rewritten after the only run");
+                    assert_eq!(fused, rep.fused(), "{label}: report vs streams");
+                    assert!(fused > 0, "{label}: nothing fused at test scale");
+                }
             }
         }
     }

@@ -594,10 +594,10 @@ fn hand_backs_land_inside_fused_groups_and_on_standalone_ops() {
     let mut engine = TracingVm::new(&program, EngineConfig::paper_default());
 
     // Run 1 is shorter than the start delay: every block is profiled on
-    // the loop, nothing is traced, and the fusion selection made when it
-    // ends covers every pattern of the loop body. The later runs trace
-    // (a 63/64 bias clears the threshold) and side-exit into the fused
-    // streams.
+    // the loop, nothing is traced, and the fusion selection made from it
+    // (as run 2 begins) covers every pattern of the loop body. The later
+    // runs trace (a 63/64 bias clears the threshold) and side-exit into
+    // the fused streams.
     for (run, n) in [40, 20_000, 20_000].into_iter().enumerate() {
         let args = [Value::Int(n)];
         let want = plain.run(&args, &mut NullObserver).unwrap();
