@@ -5,6 +5,11 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Every smoke output goes to one private scratch directory, removed on
+# exit: nothing is written to fixed paths outside the checkout.
+smoke_dir=$(mktemp -d)
+trap 'rm -rf "$smoke_dir"' EXIT
+
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -70,7 +75,17 @@ if [ -e crates/bytecode/src/depth.rs ] \
     exit 1
 fi
 
-echo "== health thresholds are constants (trace_cache::health), not a policy struct nobody sets"
+echo "== one retention rule (a per-trace early-exit streak counted at the exit; the cache's quarantine escalates)"
+# The trace-health ledger used to feed a per-trace HashMap through an
+# epoch-flushed, run-length-encoded outcome buffer, judge it with an EWMA /
+# probation ladder at every profiler decay epoch (the decay-epoch clock
+# existed only for it), and sit beside a single-slot entry-exit trigger
+# and an EngineConfig knob that turned it off. A second retention
+# mechanism creeping back in shows up here first.
+if grep -rnE 'HealthLedger|OutcomeRecord|TraceOutcome|run_health_epoch|EWMA_ALPHA|PROBATION_RATE|with_health|no-health|next_decay_epoch_at' crates/ src/ tests/ examples/; then
+    echo "a removed retention mechanism is back (matches above)" >&2
+    exit 1
+fi
 if grep -rn 'HealthPolicy' crates/; then
     echo "HealthPolicy is back (matches above): seven settable values with one value in use" >&2
     exit 1
@@ -88,13 +103,15 @@ echo "== conformance (lockstep + chaos campaigns + corpus replay, in-situ assert
 cargo test -p trace-conformance --features debug-invariants -q
 cargo test -p trace-conformance --features debug-invariants -q --release
 
-echo "== trace-health conformance (demotion ladder lockstep + phase-shift campaigns)"
-# The self-healing ladder against its transcribed model: phase-shift
-# workload lockstep, the chaos campaign that catches the planted
-# rotten-trace quirk, and the engine-level demotion / warm-boot
-# staleness suites — in debug (invariants on) and release.
+echo "== trace-retention conformance (quarantine escalation lockstep + phase-shift campaigns)"
+# The retention rule against its transcribed model: phase-shift workload
+# lockstep, the chaos campaign that catches the planted forgotten-
+# escalation quirk, the model's escalation tests, the caches' escalation
+# tests, and the engine-level streak / warm-boot staleness suites — in
+# debug (invariants on) and release.
 cargo test -p trace-conformance --features debug-invariants -q phase_shift
-cargo test -p trace-conformance --features debug-invariants -q model_health
+cargo test -p trace-conformance --features debug-invariants -q quarantine_escalation
+cargo test -p trace-cache --features debug-invariants -q repeat_quarantine
 cargo test --features debug-invariants -q --test health --test health_staleness
 cargo test -q --release --test health --test health_staleness
 
@@ -131,22 +148,22 @@ cargo test --features debug-invariants -q --test fusion_differential --test fusi
 cargo test -q --release --test fusion_differential
 
 echo "== hot-path bench smoke (test scale)"
-cargo run --release -p trace-bench --bin hot_path -- --smoke --out /tmp/BENCH_hot_path.smoke.json
+cargo run --release -p trace-bench --bin hot_path -- --smoke --out "$smoke_dir/BENCH_hot_path.smoke.json"
 
 echo "== register-IR bench smoke (scimark, lowered-reg leg must be present)"
 cargo run --release -p trace-bench --bin hot_path -- --smoke --workload scimark \
-    --out /tmp/BENCH_hot_path.reg.smoke.json
-grep -q '"lowered-reg"' /tmp/BENCH_hot_path.reg.smoke.json
-grep -q '"reg_lowering"' /tmp/BENCH_hot_path.reg.smoke.json
+    --out "$smoke_dir/BENCH_hot_path.reg.smoke.json"
+grep -q '"lowered-reg"' "$smoke_dir/BENCH_hot_path.reg.smoke.json"
+grep -q '"reg_lowering"' "$smoke_dir/BENCH_hot_path.reg.smoke.json"
 
 echo "== interp-speed bench smoke (test scale; fused leg + fusion stats must be present;"
 echo "   gate: never-entering engine <= 1.5x the decoded loop + bcg.observe, interleaved, min of 5)"
-cargo run --release -p trace-bench --bin interp_speed -- --smoke --out /tmp/BENCH_interp.smoke.json
-grep -q '"fused"' /tmp/BENCH_interp.smoke.json
-grep -q '"never-enter"' /tmp/BENCH_interp.smoke.json
-grep -q '"fusion"' /tmp/BENCH_interp.smoke.json
-grep -q '"dispatches_eliminated"' /tmp/BENCH_interp.smoke.json
-grep -q '"hot_opcode_triples"' /tmp/BENCH_interp.smoke.json
+cargo run --release -p trace-bench --bin interp_speed -- --smoke --out "$smoke_dir/BENCH_interp.smoke.json"
+grep -q '"fused"' "$smoke_dir/BENCH_interp.smoke.json"
+grep -q '"never-enter"' "$smoke_dir/BENCH_interp.smoke.json"
+grep -q '"fusion"' "$smoke_dir/BENCH_interp.smoke.json"
+grep -q '"dispatches_eliminated"' "$smoke_dir/BENCH_interp.smoke.json"
+grep -q '"hot_opcode_triples"' "$smoke_dir/BENCH_interp.smoke.json"
 
 echo "== snapshot round-trip differential (debug: decoder/merge asserts in situ)"
 # Persistence is lossless and canonical: six workloads + seeded fuzz
@@ -164,26 +181,26 @@ echo "== snapshot hostile-input campaign (release: >=256 mutants per source)"
 cargo test -q --release --test snapshot_hostile
 
 echo "== concurrent shared-cache bench smoke (2 threads, test scale)"
-cargo run --release -p trace-bench --bin concurrent -- --smoke --out /tmp/BENCH_concurrent.smoke.json
-grep -q '"warm_boot"' /tmp/BENCH_concurrent.smoke.json
-grep -q '"first_entry_dispatch"' /tmp/BENCH_concurrent.smoke.json
+cargo run --release -p trace-bench --bin concurrent -- --smoke --out "$smoke_dir/BENCH_concurrent.smoke.json"
+grep -q '"warm_boot"' "$smoke_dir/BENCH_concurrent.smoke.json"
+grep -q '"first_entry_dispatch"' "$smoke_dir/BENCH_concurrent.smoke.json"
 
-echo "== phase-shift self-healing bench smoke (health A/B leg, test scale)"
+echo "== phase-shift self-healing bench smoke (one leg per variant, test scale)"
 cargo run --release -p trace-bench --bin concurrent -- --smoke --phase-shift \
-    --out /tmp/BENCH_concurrent_phase_shift.smoke.json
-grep -q '"phase_shift"' /tmp/BENCH_concurrent_phase_shift.smoke.json
-grep -q '"demotions"' /tmp/BENCH_concurrent_phase_shift.smoke.json
-grep -q '"readmissions"' /tmp/BENCH_concurrent_phase_shift.smoke.json
-grep -q '"throughput_retention"' /tmp/BENCH_concurrent_phase_shift.smoke.json
+    --out "$smoke_dir/BENCH_concurrent_phase_shift.smoke.json"
+grep -q '"phase_shift"' "$smoke_dir/BENCH_concurrent_phase_shift.smoke.json"
+grep -q '"demotions"' "$smoke_dir/BENCH_concurrent_phase_shift.smoke.json"
+grep -q '"quarantined"' "$smoke_dir/BENCH_concurrent_phase_shift.smoke.json"
+grep -q '"readmissions"' "$smoke_dir/BENCH_concurrent_phase_shift.smoke.json"
 
 echo "== snapshot warm-boot bench smoke (boot-only leg, test scale)"
 cargo run --release -p trace-bench --bin concurrent -- --smoke --load-snapshot \
-    --out /tmp/BENCH_concurrent_boot.smoke.json
-grep -q '"traces_constructed"' /tmp/BENCH_concurrent_boot.smoke.json
+    --out "$smoke_dir/BENCH_concurrent_boot.smoke.json"
+grep -q '"traces_constructed"' "$smoke_dir/BENCH_concurrent_boot.smoke.json"
 
 echo "== degraded-mode bench smoke (fault injection, 2 threads, test scale)"
 cargo run --release -p trace-bench --bin concurrent -- --smoke --faults 0xFA17_BE4C \
-    --out /tmp/BENCH_concurrent_faults.smoke.json
+    --out "$smoke_dir/BENCH_concurrent_faults.smoke.json"
 
 echo "== bench harness smoke (1 sample, test scale)"
 TRACE_BENCH_SCALE=test TRACE_BENCH_SAMPLES=1 \
@@ -195,6 +212,6 @@ echo "== the repo's benchmark (its own workspace: build, unit tests, 2-round smo
 # notice. The smoke is not a measurement (see benchmark/run.sh --quick).
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --release --offline --manifest-path benchmark/Cargo.toml -q
-benchmark/run.sh --quick --out /tmp/bench_quick.json
+benchmark/run.sh --quick --out "$smoke_dir/bench_quick.json"
 
 echo "CI OK"

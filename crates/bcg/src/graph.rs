@@ -192,24 +192,6 @@ impl BranchCorrelationGraph {
         self.deferred.len()
     }
 
-    /// The profiler's epoch clock: completed decay windows of
-    /// `decay_interval` dispatches (§4.1.1's 256-execution window).
-    /// Derived from the same dispatch counter the lazy per-node decay
-    /// is scheduled against, so consumers syncing to this clock — the
-    /// trace-health EWMA scorer — tick with counter decay rather than
-    /// on a clock of their own.
-    #[inline]
-    pub fn decay_epoch(&self) -> u64 {
-        self.stats.dispatches / u64::from(self.config.decay_interval.max(1))
-    }
-
-    /// The dispatch count at which [`Self::decay_epoch`] next advances —
-    /// for consumers on the dispatch path that want to detect the epoch
-    /// boundary with a compare instead of the epoch's division.
-    pub fn next_decay_epoch_at(&self) -> u64 {
-        (self.decay_epoch() + 1) * u64::from(self.config.decay_interval.max(1))
-    }
-
     /// Stamps a node with the trace cache's generation counter. The trace
     /// cache marks every node it incorporates while reacting to a signal,
     /// "to prevent cascades of state changes" (§4.2).
@@ -686,20 +668,6 @@ mod tests {
         assert_eq!(bcg.observe(blk(0)), None);
         assert!(bcg.is_empty());
         assert_eq!(bcg.stats().dispatches, 1);
-    }
-
-    #[test]
-    fn decay_epoch_advances_with_the_dispatch_window() {
-        let interval = BcgConfig::default().decay_interval as usize;
-        let mut bcg = BranchCorrelationGraph::new(cfg(1, 0.97));
-        assert_eq!(bcg.decay_epoch(), 0);
-        feed(&mut bcg, &[0, 1], interval / 2);
-        assert_eq!(bcg.decay_epoch(), 1, "one full window of dispatches");
-        feed(&mut bcg, &[0, 1], interval / 2);
-        assert_eq!(bcg.decay_epoch(), 2);
-        // The clock counts *dispatches*, exactly like the lazy per-node
-        // decay schedule.
-        assert_eq!(bcg.decay_epoch(), bcg.stats().dispatches / interval as u64);
     }
 
     #[test]

@@ -26,10 +26,10 @@
 //! `TracingVm::load_snapshot`, single VM) — the default full run
 //! includes this leg alongside the thread ladder.
 //!
-//! `--phase-shift` runs only the self-healing A/B leg: each phase-shift
-//! workload once with the trace-health ladder on (default) and once
-//! with it off, reporting demotions, re-admissions, and the throughput
-//! retained by self-healing. The default full run includes this leg.
+//! `--phase-shift` runs only the self-healing leg: each phase-shift
+//! workload on a single VM, reporting throughput, streak demotions,
+//! quarantines and re-admissions. The default full run includes this
+//! leg.
 
 use trace_bench::concurrent;
 use trace_bench::parse_scale;

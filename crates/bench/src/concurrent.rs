@@ -171,39 +171,20 @@ impl WarmBootRow {
     }
 }
 
-/// One phase-shift workload's self-healing A/B: the identical run with
-/// the health ladder on (default) vs off (`--no-health`), single VM.
+/// One phase-shift workload's self-healing leg, single VM: throughput
+/// and what the retention rule did in the best repeat.
 #[derive(Debug, Clone)]
 pub struct PhaseShiftRow {
     /// Workload name (registry name).
     pub name: &'static str,
-    /// Throughput with the health ladder on, best repeat.
-    pub health_on_instr_per_s: f64,
-    /// Throughput with the ladder off (fast trigger only), best repeat.
-    pub health_off_instr_per_s: f64,
-    /// Ladder demotion decisions applied in the best health-on repeat.
+    /// Throughput, best repeat.
+    pub instr_per_s: f64,
+    /// Traces quarantined by the early-exit streak.
     pub demotions: u64,
-    /// Demotions fired by the consecutive-side-exit streak limit.
-    pub streak_demotions: u64,
-    /// Re-admissions at previously-demoted entries (start on probation).
-    pub readmissions: u64,
-    /// Traces quarantined (ladder demotions + fast-trigger hits).
+    /// Traces quarantined for any reason.
     pub quarantined: u64,
-    /// Healthy → probation transitions.
-    pub probations: u64,
-    /// Health epochs run.
-    pub epochs: u64,
-}
-
-impl PhaseShiftRow {
-    /// Throughput retained with self-healing on relative to off
-    /// (≥ 1.0 means demoting the rotten traces paid for itself).
-    pub fn throughput_retention(&self) -> f64 {
-        if self.health_off_instr_per_s == 0.0 {
-            return 0.0;
-        }
-        self.health_on_instr_per_s / self.health_off_instr_per_s
-    }
+    /// Links written at entries quarantined before.
+    pub readmissions: u64,
 }
 
 /// Full report: one row per workload.
@@ -225,8 +206,7 @@ pub struct ConcurrentReport {
     /// Single-VM snapshot warm-boot rows (cold vs warm boot), one per
     /// workload.
     pub warm_boot: Vec<WarmBootRow>,
-    /// Phase-shift self-healing rows (health on vs off), one per
-    /// phase-shift variant.
+    /// Phase-shift self-healing rows, one per phase-shift variant.
     pub phase_shift: Vec<PhaseShiftRow>,
 }
 
@@ -342,20 +322,13 @@ impl ConcurrentReport {
         out.push_str("  \"phase_shift\": [\n");
         for (i, r) in self.phase_shift.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"health_on_instr_per_s\": {:.1}, \
-                 \"health_off_instr_per_s\": {:.1}, \"throughput_retention\": {:.4}, \
-                 \"demotions\": {}, \"streak_demotions\": {}, \"readmissions\": {}, \
-                 \"quarantined\": {}, \"probations\": {}, \"epochs\": {}}}{}\n",
+                "    {{\"name\": \"{}\", \"instr_per_s\": {:.1}, \"demotions\": {}, \
+                 \"quarantined\": {}, \"readmissions\": {}}}{}\n",
                 r.name,
-                r.health_on_instr_per_s,
-                r.health_off_instr_per_s,
-                r.throughput_retention(),
+                r.instr_per_s,
                 r.demotions,
-                r.streak_demotions,
-                r.readmissions,
                 r.quarantined,
-                r.probations,
-                r.epochs,
+                r.readmissions,
                 if i + 1 == self.phase_shift.len() {
                     ""
                 } else {
@@ -443,31 +416,26 @@ impl ConcurrentReport {
         out
     }
 
-    /// Renders the phase-shift self-healing table: health-on vs
-    /// health-off throughput plus the ladder counters.
+    /// Renders the phase-shift self-healing table: throughput plus the
+    /// retention counters.
     pub fn render_phase_shift(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "Phase-shift self-healing, single VM Minstr/s (scale {:?}, min of {} runs; \
-             ret = health-on throughput over health-off)\n",
+            "Phase-shift self-healing, single VM Minstr/s (scale {:?}, min of {} runs)\n",
             self.scale, self.repeats
         ));
         out.push_str(&format!(
-            "{:<18} {:>9} {:>9} {:>6} {:>6} {:>6} {:>6} {:>6} {:>7}\n",
-            "workload", "on", "off", "ret", "demot", "strk", "readm", "quar", "epochs"
+            "{:<18} {:>9} {:>6} {:>6} {:>6}\n",
+            "workload", "Minstr/s", "demot", "quar", "readm"
         ));
         for r in &self.phase_shift {
             out.push_str(&format!(
-                "{:<18} {:>9.2} {:>9.2} {:>5.0}% {:>6} {:>6} {:>6} {:>6} {:>7}\n",
+                "{:<18} {:>9.2} {:>6} {:>6} {:>6}\n",
                 r.name,
-                r.health_on_instr_per_s / 1e6,
-                r.health_off_instr_per_s / 1e6,
-                r.throughput_retention() * 100.0,
+                r.instr_per_s / 1e6,
                 r.demotions,
-                r.streak_demotions,
-                r.readmissions,
                 r.quarantined,
-                r.epochs,
+                r.readmissions,
             ));
         }
         out
@@ -720,8 +688,8 @@ pub fn run_warm_boot_filtered(
 /// at paper defaults the constructor would cut the trace before the
 /// guard and nothing could rot. The leg therefore runs the same tuned
 /// configuration as the robustness test suite (admission 0.90, short
-/// start delay, 64-dispatch decay epoch) so the biased guard lands
-/// inside traces and the ladder has something to judge.
+/// start delay, 64-dispatch decay window) so the biased guard lands
+/// inside traces and the retention rule has something to judge.
 fn phase_shift_config() -> EngineConfig {
     EngineConfig {
         jit: trace_jit::TraceJitConfig {
@@ -734,9 +702,9 @@ fn phase_shift_config() -> EngineConfig {
     }
 }
 
-/// Measures the phase-shift self-healing A/B for every phase-shift
-/// variant at `scale`: one VM with the ladder on vs one with it off,
-/// best of `repeats`, checksums asserted on every run.
+/// Measures the phase-shift self-healing leg for every phase-shift
+/// variant at `scale`: one VM per repeat, best of `repeats`, checksums
+/// asserted on every run.
 pub fn run_phase_shift_filtered(
     scale: Scale,
     repeats: usize,
@@ -755,53 +723,36 @@ pub fn run_phase_shift_filtered(
                 continue;
             }
         }
-        let measure = |config: EngineConfig| {
-            let mut best_wall = f64::INFINITY;
-            let mut best_instr = 0u64;
-            let mut best_health = trace_cache::HealthStats::default();
-            let mut best_quarantined = 0u64;
-            for _ in 0..repeats.max(1) {
-                let mut vm = TracingVm::new(&w.program, config);
-                let start = Instant::now();
-                let report = vm.run(&w.args).expect("phase-shift run");
-                let wall = start.elapsed().as_secs_f64();
-                assert_eq!(
-                    report.checksum, w.expected_checksum,
-                    "{} checksum diverged",
-                    w.name
-                );
-                if wall < best_wall {
-                    best_wall = wall;
-                    best_instr = report.exec.instructions;
-                    best_health = vm.health_stats();
-                    best_quarantined = report.cache.traces_quarantined;
-                }
+        let mut best: Option<(f64, PhaseShiftRow)> = None;
+        for _ in 0..repeats.max(1) {
+            let mut vm = TracingVm::new(&w.program, phase_shift_config());
+            let start = Instant::now();
+            let report = vm.run(&w.args).expect("phase-shift run");
+            let wall = start.elapsed().as_secs_f64();
+            assert_eq!(
+                report.checksum, w.expected_checksum,
+                "{} checksum diverged",
+                w.name
+            );
+            if best.as_ref().is_none_or(|(b, _)| wall < *b) {
+                let hs = vm.health_stats();
+                let row = PhaseShiftRow {
+                    name: w.name,
+                    instr_per_s: report.exec.instructions as f64 / wall.max(f64::MIN_POSITIVE),
+                    demotions: hs.demotions,
+                    quarantined: report.cache.traces_quarantined,
+                    readmissions: hs.readmitted_watched,
+                };
+                best = Some((wall, row));
             }
-            (
-                best_instr as f64 / best_wall.max(f64::MIN_POSITIVE),
-                best_health,
-                best_quarantined,
-            )
-        };
-        let (on_ips, hs, quarantined) = measure(phase_shift_config());
-        let (off_ips, _, _) = measure(phase_shift_config().with_health(false));
-        rows.push(PhaseShiftRow {
-            name: w.name,
-            health_on_instr_per_s: on_ips,
-            health_off_instr_per_s: off_ips,
-            demotions: hs.demotions,
-            streak_demotions: hs.streak_demotions,
-            readmissions: hs.readmitted_watched,
-            quarantined,
-            probations: hs.probations,
-            epochs: hs.epochs,
-        });
+        }
+        rows.extend(best.map(|(_, row)| row));
     }
     rows
 }
 
 /// A phase-shift-only report (`concurrent --phase-shift`): just the
-/// self-healing A/B leg, no thread ladder, no warm boot.
+/// self-healing leg, no thread ladder, no warm boot.
 pub fn run_phase_shift_only(scale: Scale, repeats: usize, only: Option<&str>) -> ConcurrentReport {
     ConcurrentReport {
         scale,
@@ -1278,22 +1229,19 @@ mod tests {
         assert!(report.warm_boot.is_empty());
         assert_eq!(report.phase_shift.len(), 3);
         for r in &report.phase_shift {
-            assert!(r.health_on_instr_per_s > 0.0);
-            assert!(r.health_off_instr_per_s > 0.0);
-            assert!(r.throughput_retention() > 0.0);
+            assert!(r.instr_per_s > 0.0);
             assert!(
-                r.demotions + r.quarantined >= 1,
+                r.demotions >= 1 && r.quarantined >= r.demotions,
                 "{}: the rotten trace was never removed",
                 r.name
             );
-            assert!(r.epochs > 0, "{}: no health epoch ran", r.name);
         }
         // JSON carries the self-healing keys; the table renders.
         let json = report.to_json();
         assert!(json.contains("\"phase_shift\""));
         assert!(json.contains("\"demotions\""));
+        assert!(json.contains("\"quarantined\""));
         assert!(json.contains("\"readmissions\""));
-        assert!(json.contains("\"throughput_retention\""));
         assert!(report.render().contains("Phase-shift self-healing"));
     }
 

@@ -33,8 +33,8 @@
 //!   `bcg.observe` from a closure observer, against a `TracingVm` whose
 //!   start delay is so long that no trace is ever built. Both execute
 //!   every block out of trace with the profiler attached, so their
-//!   ratio prices the engine's dispatch hook (signals, health epoch,
-//!   entry check) over the bare profiler. The two are timed
+//!   ratio prices the engine's dispatch hook (signals, entry check)
+//!   over the bare profiler. The two are timed
 //!   *interleaved* so host drift hits both; [`NEVER_ENTER_MAX_RATIO`]
 //!   is the CI bound;
 //! * per-workload **opcode pair and triple histograms** — the hottest

@@ -16,11 +16,11 @@
 //! * **queue overload** — a signal batch is dropped on both sides (the
 //!   full-construction-queue degradation path) and must re-raise at the
 //!   next decay cycle;
-//! * **phase shift** — the trace at one live entry "rots": a burst of
-//!   mostly-side-exit dispatch outcomes lands in both health ledgers
-//!   and a health epoch follows, so the demotion ladder (probation,
-//!   streak demotion, cooldown hysteresis) must walk identically on
-//!   both sides.
+//! * **phase shift** — the trace at one entry "rots" again and again:
+//!   it is quarantined as the retention rule would, and a decay storm
+//!   drives both constructors back to the entry, so repeat quarantines
+//!   at one entry must escalate their cooldowns identically on both
+//!   sides.
 //!
 //! Campaigns can additionally run the whole case in the lockstep
 //! harness's deferred-construction mode ([`ChaosConfig::defer_window`]),
@@ -32,7 +32,7 @@
 //! shrinking its statement AST (see [`shrink`]).
 
 use trace_bcg::BcgConfig;
-use trace_cache::{trace_cost, ConstructorConfig, FaultConfig, TraceOutcome};
+use trace_cache::{trace_cost, ConstructorConfig, FaultConfig, COOLDOWN};
 use trace_workloads::prng::{seed_stream, Xoshiro256StarStar};
 
 use crate::genprog::{args_from, build_program, gen_block, Stmt};
@@ -62,9 +62,9 @@ pub enum Perturbation {
     /// Feed the next signal batch to both constructors twice (duplicated
     /// queue delivery); hash-consing must make the replay idempotent.
     DuplicateBatch,
-    /// Rot the trace at one live entry: record a mostly-side-exit
-    /// outcome burst into both health ledgers, then run a health epoch,
-    /// exercising the whole demotion ladder in lockstep.
+    /// Rot the trace at one entry again and again: quarantine it at the
+    /// base cooldown, then decay every node so both constructors retry
+    /// the entry — repeat quarantines there must escalate in lockstep.
     PhaseShift,
 }
 
@@ -278,31 +278,21 @@ fn inject(
             ls.duplicate_next_batch();
         }
         Perturbation::PhaseShift => {
-            // The trace at one live entry "rots" — its guard bias has
-            // flipped — so a burst of side exits (with a few
-            // completions mixed in) lands in both health ledgers, and
-            // the epoch that follows walks the demotion ladder on both
-            // sides. Exit counts straddle the streak limit (16) and
-            // the completion rate sits far under the probation
-            // threshold, so campaigns exercise streak demotions,
-            // probation, second-epoch demotions, and (on repeat picks
-            // of the same entry) cooldown hysteresis.
-            let entries = ls.linked_entries();
-            if !entries.is_empty() {
-                let e = entries[rng.range_usize(0, entries.len())];
-                let completions = rng.range_u32(0, 3);
-                let exits = rng.range_u32(12, 20);
-                let mut outcomes = Vec::with_capacity((completions + exits) as usize);
-                for _ in 0..completions {
-                    outcomes.push(TraceOutcome::Completed);
+            // The trace at the first linked entry "rots" — its guard
+            // bias has flipped — and the retention rule quarantines it.
+            // Picking the first entry makes a later injection likely to
+            // hit the same one again once it is re-admitted, and the
+            // decay storm that follows sends both constructors back to
+            // it (each refused retry ticks the cooldown), so repeat
+            // quarantines at one entry — and their escalation — happen
+            // within one case.
+            if let Some(&e) = ls.linked_entries().first() {
+                ls.quarantine(e, COOLDOWN)?;
+                for _ in 0..rng.range_u32(1, 4) {
+                    for b in ls.known_branches() {
+                        ls.force_decay(b)?;
+                    }
                 }
-                for _ in 0..exits {
-                    outcomes.push(TraceOutcome::SideExit {
-                        site: rng.range_u32(0, 4),
-                    });
-                }
-                ls.record_trace_outcomes(e, &outcomes)?;
-                ls.health_epoch()?;
             }
         }
     }

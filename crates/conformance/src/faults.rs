@@ -62,7 +62,6 @@ pub fn fault_campaign_config() -> EngineConfig {
         }
         .with_threshold(0.90),
         dop_fusion: true,
-        health: true,
     }
 }
 

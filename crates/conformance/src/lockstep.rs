@@ -30,10 +30,7 @@
 
 use jvm_bytecode::BlockId;
 use trace_bcg::{Branch, BranchCorrelationGraph, NodeIdx, Signal};
-use trace_cache::{
-    run_health_epoch, ConstructorConfig, OutcomeRecord, TraceCache, TraceConstructor, TraceOutcome,
-    TraceStore,
-};
+use trace_cache::{ConstructorConfig, TraceCache, TraceConstructor};
 
 use crate::model::{ModelBcg, ModelCache, ModelConstructor, ModelSignal, Quirk};
 
@@ -137,7 +134,7 @@ impl Lockstep {
             }
             Quirk::EvictionLeavesStaleLink
             | Quirk::QuarantineForgotten
-            | Quirk::RottenTraceKeptLinked => {
+            | Quirk::EscalationForgotten => {
                 self.model_cache = ModelCache::new().with_quirk(quirk);
             }
             Quirk::StaleSnapshotAccepted => {
@@ -236,71 +233,13 @@ impl Lockstep {
     }
 
     /// Quarantines the trace linked at `entry` on both caches (chaos:
-    /// a trace faulted during execution). Both must tombstone the trace,
-    /// remove all its links, and blacklist the same `(entry, path)` key.
+    /// a trace faulted during execution, or rotted). Both must tombstone
+    /// the trace, remove all its links, and blacklist the same `(entry,
+    /// path)` key for the same — on a repeat at the entry, escalated —
+    /// cooldown.
     pub fn quarantine(&mut self, entry: Branch, cooldown: u32) -> Result<(), Divergence> {
         self.cache.quarantine(entry, cooldown);
         self.model_cache.quarantine(entry, cooldown);
-        self.compare_caches()
-    }
-
-    /// Records a burst of trace-dispatch outcomes for the trace linked
-    /// at `entry` into both health ledgers (chaos: trace execution
-    /// telemetry). The production ledger is fed through the
-    /// [`TraceStore`] trait, the model ledger through its transcription;
-    /// both sides must agree on whether (and which trace) is linked.
-    pub fn record_trace_outcomes(
-        &mut self,
-        entry: Branch,
-        outcomes: &[TraceOutcome],
-    ) -> Result<(), Divergence> {
-        let real = TraceCache::lookup_entry(&self.cache, entry);
-        let model = self.model_cache.lookup_id(entry);
-        match (real, model) {
-            (Some(tid), Some(mid)) => {
-                if tid.index() != mid {
-                    return Err(self.diverged(format!(
-                        "{entry:?}: linked trace id {} vs model {mid}",
-                        tid.index()
-                    )));
-                }
-                let runs: Vec<(OutcomeRecord, u64)> = outcomes
-                    .iter()
-                    .map(|&outcome| {
-                        let rec = OutcomeRecord {
-                            tid,
-                            entry,
-                            outcome,
-                        };
-                        (rec, 1)
-                    })
-                    .collect();
-                TraceStore::record_outcome_runs(&mut self.cache, &runs);
-                for &outcome in outcomes {
-                    self.model_cache.record_outcome(mid, entry, outcome);
-                }
-                Ok(())
-            }
-            (None, None) => Ok(()),
-            _ => Err(self.diverged(format!(
-                "{entry:?}: link presence {real:?} vs model {model:?}"
-            ))),
-        }
-    }
-
-    /// Closes a health epoch on both sides (chaos: the decay-epoch
-    /// boundary the executor syncs health to). Production decides and
-    /// applies through [`run_health_epoch`]; the model through its
-    /// transcription. Both must demote the same traces — tombstone,
-    /// unlink, blacklist — so conformance must hold.
-    pub fn health_epoch(&mut self) -> Result<(), Divergence> {
-        let real = run_health_epoch(&mut self.cache).len() as u32;
-        let model = self.model_cache.health_epoch();
-        if real != model {
-            return Err(self.diverged(format!(
-                "health epoch applied {real} demotions vs model {model}"
-            )));
-        }
         self.compare_caches()
     }
 

@@ -29,8 +29,8 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use jvm_bytecode::BlockId;
 use trace_bcg::{BcgConfig, Branch, NodeState, PackedBranch, SignalKind, DECAY_SHIFT};
 use trace_cache::{
-    trace_cost, ConstructorConfig, TraceOutcome, MAX_ENTRY_POINTS, MAX_PATH_NODES,
-    MAX_TRACE_BLOCKS, MIN_TRACE_BLOCKS,
+    trace_cost, ConstructorConfig, MAX_ENTRY_POINTS, MAX_PATH_NODES, MAX_TRACE_BLOCKS,
+    MIN_TRACE_BLOCKS,
 };
 
 /// A deliberately planted model bug, used by the regression tests to
@@ -64,13 +64,12 @@ pub enum Quirk {
     /// in [`crate::snapshot`] — whose mutants rewrite the hash field —
     /// can expose this bug.
     StaleSnapshotAccepted,
-    /// The model's health epoch runs the ledger math but never applies
-    /// the demotion decisions: a rotten trace (one whose branch bias
-    /// flipped after admission) stays linked and its `(entry, path)`
-    /// key is never blacklisted. Ordinary lockstep never feeds trace
-    /// outcomes, so only a chaos campaign that injects phase-shifted
-    /// dispatch outcomes and health epochs can expose this bug.
-    RottenTraceKeptLinked,
+    /// The model's quarantine forgets the anti-flap escalation: a
+    /// repeat quarantine at an entry blacklists its key for the base
+    /// cooldown instead of a doubled one. Ordinary lockstep quarantines
+    /// nothing, so only a chaos campaign that rots one entry again and
+    /// again can expose this bug.
+    EscalationForgotten,
 }
 
 /// A profiler signal in model coordinates (branches, not node indices).
@@ -444,181 +443,19 @@ impl ModelBcg {
     }
 }
 
-/// Health-policy thresholds, transcribed verbatim from the constants of
-/// `trace_cache::health`. The model keeps its own copy on purpose: the
-/// lockstep harness flags any drift between the two as a divergence.
-mod health_policy {
-    /// Weight of the newest epoch's completion rate in the EWMA.
-    pub const EWMA_ALPHA: f64 = 0.5;
-    /// EWMA below which a healthy trace enters probation and a
-    /// probationary trace is demoted.
-    pub const PROBATION_RATE: f64 = 0.5;
-    /// Minimum entries for an epoch to be judged.
-    pub const MIN_EPOCH_ENTRIES: u64 = 8;
-    /// Consecutive early exits that demote outright, from any state.
-    pub const STREAK_LIMIT: u32 = 16;
-    /// Base quarantine cooldown handed to the cache on demotion.
-    pub const COOLDOWN: u32 = 4;
-    /// Cap on the hysteresis escalation shift.
-    pub const MAX_COOLDOWN_SHIFT: u32 = 4;
-    /// Idle epochs after which a ledger entry is pruned.
-    pub const IDLE_EPOCHS_PRUNED: u32 = 4;
-}
-
-/// Decision-relevant health telemetry for one model trace. Lifetime
-/// counters and per-guard exit histograms are observability-only in
-/// production, so the model tracks just what the demotion ladder reads.
-#[derive(Debug, Clone)]
-pub struct ModelTraceHealth {
-    /// Entry branch of the most recent dispatch (the quarantine key).
-    pub entry: Branch,
-    /// Consecutive early exits since the last completion.
-    pub streak: u32,
-    /// EWMA of the per-epoch completion rate.
-    pub ewma: f64,
-    /// Epochs with enough entries to score.
-    pub judged_epochs: u64,
-    /// Entries in the current epoch window.
-    pub epoch_entries: u64,
-    /// Completions in the current epoch window.
-    pub epoch_completions: u64,
-    /// Consecutive epochs with zero entries (prune clock).
-    pub idle_epochs: u32,
-    /// Whether the trace is on probation (vs healthy).
-    pub on_probation: bool,
-}
-
-impl ModelTraceHealth {
-    fn new(entry: Branch, on_probation: bool) -> Self {
-        ModelTraceHealth {
-            entry,
-            streak: 0,
-            ewma: 1.0,
-            judged_epochs: 0,
-            epoch_entries: 0,
-            epoch_completions: 0,
-            idle_epochs: 0,
-            on_probation,
-        }
-    }
-}
-
-/// A model demotion decision: `(trace id, entry, escalated cooldown)`.
-pub type ModelDemotion = (usize, Branch, u32);
-
-/// The model health ledger: the demotion ladder of `trace-cache`'s
-/// `HealthLedger`, written the slow way from its documented rules.
-/// Keyed by model trace id; the flap memory (hysteresis) is keyed by
-/// plain `Branch` and never pruned, as in production.
-#[derive(Debug, Default)]
-pub struct ModelHealth {
-    traces: HashMap<usize, ModelTraceHealth>,
-    flaps: HashMap<Branch, u32>,
-}
-
-impl ModelHealth {
-    /// Telemetry for a tracked trace.
-    pub fn health_of(&self, id: usize) -> Option<&ModelTraceHealth> {
-        self.traces.get(&id)
-    }
-
-    /// Called on every successful cache admission: an entry that has
-    /// flapped before starts its new trace on probation.
-    fn note_admission(&mut self, id: usize, entry: Branch) {
-        if self.flaps.contains_key(&entry) {
-            self.traces.insert(id, ModelTraceHealth::new(entry, true));
-        }
-    }
-
-    /// Drops a trace from the ledger (tombstoned outside the health
-    /// path).
-    fn forget(&mut self, id: usize) {
-        self.traces.remove(&id);
-    }
-
-    /// Ingests one dispatch outcome; unknown traces register lazily.
-    fn record(&mut self, id: usize, entry: Branch, outcome: TraceOutcome) {
-        let h = self
-            .traces
-            .entry(id)
-            .or_insert_with(|| ModelTraceHealth::new(entry, false));
-        h.entry = entry;
-        h.epoch_entries += 1;
-        match outcome {
-            TraceOutcome::Completed => {
-                h.epoch_completions += 1;
-                h.streak = 0;
-            }
-            TraceOutcome::SideExit { .. } => {
-                h.streak += 1;
-            }
-        }
-    }
-
-    /// Closes the epoch window: scores every tracked trace in ascending
-    /// id order, walks the ladder, and returns the demotion decisions.
-    fn epoch(&mut self) -> Vec<ModelDemotion> {
-        use health_policy as p;
-        let mut demotions = Vec::new();
-        let mut ids: Vec<usize> = self.traces.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let h = self.traces.get_mut(&id).expect("id collected above");
-            if h.epoch_entries == 0 {
-                h.idle_epochs += 1;
-                if h.idle_epochs >= p::IDLE_EPOCHS_PRUNED {
-                    self.traces.remove(&id);
-                }
-                continue;
-            }
-            h.idle_epochs = 0;
-            let judged = h.epoch_entries >= p::MIN_EPOCH_ENTRIES;
-            if judged {
-                let rate = h.epoch_completions as f64 / h.epoch_entries as f64;
-                h.ewma = if h.judged_epochs == 0 {
-                    rate
-                } else {
-                    p::EWMA_ALPHA * rate + (1.0 - p::EWMA_ALPHA) * h.ewma
-                };
-                h.judged_epochs += 1;
-            }
-            h.epoch_entries = 0;
-            h.epoch_completions = 0;
-            let demoted = if h.streak >= p::STREAK_LIMIT {
-                true
-            } else if judged && h.ewma < p::PROBATION_RATE {
-                if h.on_probation {
-                    true
-                } else {
-                    h.on_probation = true;
-                    false
-                }
-            } else {
-                if judged && h.on_probation {
-                    h.on_probation = false;
-                }
-                false
-            };
-            if demoted {
-                let entry = h.entry;
-                let flaps = self.flaps.entry(entry).or_insert(0);
-                *flaps += 1;
-                let shift = (*flaps - 1).min(p::MAX_COOLDOWN_SHIFT);
-                demotions.push((id, entry, p::COOLDOWN << shift));
-                self.traces.remove(&id);
-            }
-        }
-        demotions
-    }
-}
+/// Cap on the anti-flap escalation: the `n`-th quarantine at one entry
+/// blacklists it for `cooldown << min(n - 1, MAX_COOLDOWN_SHIFT)`.
+/// Transcribed from `trace_cache::health`; the model keeps its own copy
+/// on purpose, so lockstep flags any drift between the two.
+const MAX_COOLDOWN_SHIFT: u32 = 4;
 
 /// The model trace cache: hash-consed sequences plus entry links, with
 /// no packed tables. Mirrors the production cache's robustness policy —
 /// the closed-form [`trace_cost`] byte accounting, the second-chance
 /// (clock) eviction sweep, tombstoning (ids never reused), the
-/// quarantine blacklist with its per-refusal cooldown decay, and the
-/// lifetime health ledger with its demotion ladder — written the slow
-/// way over `Branch`-keyed hash maps.
+/// quarantine blacklist with its per-refusal cooldown decay and its
+/// escalation on repeats at one entry — written the slow way over
+/// `Branch`-keyed hash maps.
 #[derive(Debug, Default)]
 pub struct ModelCache {
     /// Trace slots in construction order; tombstoned (evicted or
@@ -638,9 +475,9 @@ pub struct ModelCache {
     referenced: HashMap<Branch, bool>,
     /// Blacklist: entry → (exact block path, refusals remaining).
     quarantined: HashMap<Branch, (Vec<BlockId>, u32)>,
-    /// Lifetime trace-health ledger (owned by the cache, as in
-    /// production, so admission and tombstoning feed it in one place).
-    health: ModelHealth,
+    /// Entry → quarantines there so far (never pruned, as in
+    /// production).
+    flaps: HashMap<Branch, u32>,
     payload: usize,
     budget: Option<usize>,
     quirk: Option<Quirk>,
@@ -726,7 +563,6 @@ impl ModelCache {
         if !self.entry_links[id].contains(&entry) {
             self.entry_links[id].push(entry);
         }
-        self.health.note_admission(id, entry);
         self.enforce_budget(Some(entry));
     }
 
@@ -767,11 +603,21 @@ impl ModelCache {
     /// Tombstones the trace linked at `entry` and blacklists its
     /// `(entry, path)` key, mirroring the production cache: every entry
     /// link of the trace is removed, only the faulting entry is
-    /// blacklisted. Returns whether anything was linked there.
+    /// blacklisted, and each earlier quarantine at the entry doubles the
+    /// cooldown (up to the cap). Returns whether anything was linked
+    /// there.
     pub fn quarantine(&mut self, entry: Branch, cooldown: u32) -> bool {
         let Some(&id) = self.links.get(&entry) else {
             return false;
         };
+        let earlier = self.flaps.entry(entry).or_insert(0);
+        let mut cooldown = cooldown;
+        if self.quirk != Some(Quirk::EscalationForgotten) {
+            for _ in 0..(*earlier).min(MAX_COOLDOWN_SHIFT) {
+                cooldown = cooldown.saturating_mul(2);
+            }
+        }
+        *earlier += 1;
         if self.quirk != Some(Quirk::QuarantineForgotten) {
             let path = self.traces[id]
                 .as_ref()
@@ -794,7 +640,6 @@ impl ModelCache {
         if let Some((blocks, _)) = self.traces[id].take() {
             self.by_blocks.remove(&blocks);
         }
-        self.health.forget(id);
     }
 
     /// In budget mode an unlinked trace is reclaimed as soon as its last
@@ -865,37 +710,6 @@ impl ModelCache {
     /// `TraceId` indices — the lockstep harness asserts that.
     pub fn lookup_id(&self, entry: Branch) -> Option<usize> {
         self.links.get(&entry).copied()
-    }
-
-    /// Health telemetry for a tracked trace.
-    pub fn trace_health(&self, id: usize) -> Option<&ModelTraceHealth> {
-        self.health.health_of(id)
-    }
-
-    /// Ingests one trace dispatch outcome into the health ledger.
-    pub fn record_outcome(&mut self, id: usize, entry: Branch, outcome: TraceOutcome) {
-        self.health.record(id, entry, outcome);
-    }
-
-    /// Runs one health epoch: the ledger decides, and every demotion is
-    /// applied through [`Self::quarantine`] — the same single policy
-    /// path production routes through `run_health_epoch`. A decision is
-    /// skipped when the entry was relinked to a different trace since
-    /// the outcomes were recorded. Returns the demotions applied.
-    pub fn health_epoch(&mut self) -> u32 {
-        let demotions = self.health.epoch();
-        let mut applied = 0;
-        for (id, entry, cooldown) in demotions {
-            if self.quirk == Some(Quirk::RottenTraceKeptLinked) {
-                // Planted bug: the decision is dropped on the floor and
-                // the rotten trace stays linked.
-                continue;
-            }
-            if self.links.get(&entry) == Some(&id) && self.quarantine(entry, cooldown) {
-                applied += 1;
-            }
-        }
-        applied
     }
 }
 
@@ -1186,60 +1000,35 @@ mod tests {
         assert_eq!(quirky.node((blk(0), blk(1))).unwrap().successors.len(), 2);
     }
 
-    /// Feeds `completions` + `exits` outcomes for the trace linked at
-    /// `entry` (completions first, as one burst).
-    fn feed_outcomes(cache: &mut ModelCache, entry: Branch, completions: u32, exits: u32) {
-        let id = cache.lookup_id(entry).expect("entry is linked");
-        for _ in 0..completions {
-            cache.record_outcome(id, entry, TraceOutcome::Completed);
-        }
-        for _ in 0..exits {
-            cache.record_outcome(id, entry, TraceOutcome::SideExit { site: 1 });
-        }
-    }
-
-    #[test]
-    fn model_health_ladder_demotes_escalates_and_readmits() {
-        let mut cache = ModelCache::new();
+    /// Quarantines the trace at `entry` `repeats + 1` times, waiting out
+    /// each cooldown and re-admitting in between; returns the cooldown
+    /// each quarantine blacklisted the key for.
+    fn repeat_quarantines(cache: &mut ModelCache, repeats: u32) -> Vec<u32> {
         let entry = (blk(0), blk(1));
         let path = vec![blk(1), blk(2)];
         assert!(cache.try_insert_and_link(entry, path.clone(), 0.99));
-
-        // Two unhealthy epochs: healthy → probation → demoted.
-        feed_outcomes(&mut cache, entry, 2, 14);
-        assert_eq!(cache.health_epoch(), 0, "first bad epoch: probation");
-        assert!(cache.trace_health(0).unwrap().on_probation);
-        feed_outcomes(&mut cache, entry, 2, 14);
-        assert_eq!(cache.health_epoch(), 1, "second bad epoch: demoted");
-        assert!(cache.lookup(entry).is_none(), "demotion unlinks");
-        assert_eq!(cache.quarantine_list(), vec![(entry, path.clone(), 4)]);
-
-        // Cooldown: 4 refusals, then re-admission — on probation, so a
-        // single unhealthy epoch demotes again with a doubled cooldown.
-        for _ in 0..4 {
-            assert!(!cache.try_insert_and_link(entry, path.clone(), 0.99));
+        let mut cooldowns = Vec::new();
+        for n in 0..=repeats {
+            assert!(cache.quarantine(entry, 4), "quarantine {n}");
+            let left = cache.quarantine_list();
+            assert_eq!(left.len(), 1);
+            cooldowns.push(left[0].2);
+            while !cache.try_insert_and_link(entry, path.clone(), 0.99) {}
+            assert_eq!(cache.lookup_id(entry), Some(n as usize + 1), "fresh id");
         }
-        assert!(cache.try_insert_and_link(entry, path.clone(), 0.99));
-        assert_eq!(cache.lookup_id(entry), Some(1), "fresh id on re-admission");
-        assert!(cache.trace_health(1).unwrap().on_probation);
-        feed_outcomes(&mut cache, entry, 2, 14);
-        assert_eq!(cache.health_epoch(), 1, "watched re-admission: one epoch");
-        assert_eq!(cache.quarantine_list(), vec![(entry, path, 8)]);
+        cooldowns
     }
 
     #[test]
-    fn model_health_streak_demotes_and_quirk_keeps_the_link() {
-        for (quirk, expect_applied) in [(None, 1), (Some(Quirk::RottenTraceKeptLinked), 0)] {
-            let mut cache = match quirk {
-                Some(q) => ModelCache::new().with_quirk(q),
-                None => ModelCache::new(),
-            };
-            let entry = (blk(0), blk(1));
-            assert!(cache.try_insert_and_link(entry, vec![blk(1), blk(2)], 0.99));
-            feed_outcomes(&mut cache, entry, 0, 16);
-            assert_eq!(cache.health_epoch(), expect_applied, "quirk {quirk:?}");
-            assert_eq!(cache.lookup(entry).is_some(), quirk.is_some());
-        }
+    fn model_quarantine_escalation_doubles_to_the_cap() {
+        let got = repeat_quarantines(&mut ModelCache::new(), 6);
+        assert_eq!(got, [4, 8, 16, 32, 64, 64, 64]);
+    }
+
+    #[test]
+    fn model_quarantine_escalation_quirk_keeps_the_base_cooldown() {
+        let mut quirky = ModelCache::new().with_quirk(Quirk::EscalationForgotten);
+        assert_eq!(repeat_quarantines(&mut quirky, 3), [4; 4]);
     }
 
     #[test]

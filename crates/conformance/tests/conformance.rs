@@ -347,7 +347,7 @@ fn quarantine_chaos_catches_the_forgetful_quarantine_model() {
     );
 }
 
-/// The phase-shift workload family (the trace-health fixture: a hot
+/// The phase-shift workload family (the retention fixture: a hot
 /// guard whose bias flips mid-run) must stay in lockstep like the six
 /// paper workloads — the rotting branch is a behavior change, not a
 /// profiling divergence.
@@ -372,15 +372,15 @@ fn phase_shift_workloads_stay_in_lockstep() {
     }
 }
 
-/// Regression trio for the trace-health path: a model whose health
-/// epoch decides but never applies demotions
-/// (`Quirk::RottenTraceKeptLinked`) is invisible to plain lockstep —
-/// nothing feeds trace outcomes — but must be caught once the campaign
-/// injects phase-shifted outcome bursts, because the production ladder
-/// then demotes (unlink + tombstone + blacklist) while the model keeps
-/// the rotten trace linked.
+/// Regression trio for the retention rule's anti-flap: a model whose
+/// quarantine forgets the cooldown escalation
+/// (`Quirk::EscalationForgotten`) is invisible to plain lockstep —
+/// nothing is quarantined — but must be caught once the campaign rots
+/// one entry again and again, because the production cache then
+/// blacklists the repeat for a doubled cooldown while the model keeps
+/// the base one.
 #[test]
-fn phase_shift_chaos_catches_the_rotten_trace_model() {
+fn phase_shift_chaos_catches_the_forgotten_escalation() {
     const BASE: u64 = 0x20AF_5417;
     const CASES: u64 = 64;
     let shift = ChaosConfig::only(Perturbation::PhaseShift);
@@ -389,7 +389,7 @@ fn phase_shift_chaos_catches_the_rotten_trace_model() {
         BASE,
         CASES,
         &ChaosConfig::none(),
-        Some(Quirk::RottenTraceKeptLinked),
+        Some(Quirk::EscalationForgotten),
     );
     assert!(
         plain.failure.is_none(),
@@ -397,12 +397,12 @@ fn phase_shift_chaos_catches_the_rotten_trace_model() {
         plain.failure
     );
 
-    let caught = run_campaign(BASE, CASES, &shift, Some(Quirk::RottenTraceKeptLinked));
+    let caught = run_campaign(BASE, CASES, &shift, Some(Quirk::EscalationForgotten));
     let (seed, d) = caught
         .failure
-        .expect("phase-shift campaign must expose the rotten-trace model");
+        .expect("phase-shift campaign must expose the forgotten escalation");
     assert!(
-        d.what.contains("demotions") || d.what.contains("link") || d.what.contains("quarantine"),
+        d.what.contains("quarantine"),
         "seed {seed:#x}: unexpected divergence field: {d}"
     );
 

@@ -6,8 +6,8 @@
 //! on [`jvm_vm::Vm`]'s decoded loop — the engine has no interpreter of its
 //! own — with the engine attached to the loop's block-dispatch hook
 //! ([`jvm_vm::BlockDriver`]). At every dispatch the driver feeds the
-//! profiler, handles its signals, advances the trace-health epoch and
-//! checks the entry link; when a trace is linked the loop hands over its
+//! profiler, handles its signals and checks the entry link; when a trace
+//! is linked the loop hands over its
 //! machine state and the trace runs from register-lowered, guarded
 //! straight-line code ([`crate::reg`], executed by [`crate::regexec`])
 //! against the *same* frame arena, with **no dispatch and no profiling
@@ -26,6 +26,11 @@
 //! sequence as the plain interpreter, under every configuration — a
 //! property the differential tests pin down on all six workloads. A
 //! trace the register lowering refuses is simply never entered.
+//!
+//! Retention is counted where the trace exits: each artifact slot keeps
+//! the trace's run of consecutive early exits, and the exit that makes
+//! it [`STREAK_LIMIT`] long quarantines the trace (see
+//! [`trace_cache::health`]).
 
 use std::sync::Arc;
 
@@ -33,8 +38,8 @@ use jvm_bytecode::{BlockId, Program};
 use jvm_vm::{BlockDriver, DecodedProgram, Machine, OutputItem, Value, Vm, VmError};
 use trace_bcg::{Branch, BranchCorrelationGraph, Signal};
 use trace_cache::{
-    run_health_epoch, BcgSnapshot, HealthStats, OutcomeRecord, TraceCache, TraceConstructor,
-    TraceExecStats, TraceHealth, TraceId, TraceOutcome, TraceStore,
+    BcgSnapshot, CacheStats, HealthStats, TraceCache, TraceConstructor, TraceExecStats, TraceId,
+    COOLDOWN, STREAK_LIMIT,
 };
 use trace_jit::{RunReport, TraceJitConfig};
 use trace_persist::{program_hash, Snapshot, SnapshotError, SnapshotReader};
@@ -56,13 +61,6 @@ pub struct EngineConfig {
     /// is unaffected (traces lower from source instructions, and
     /// quickening keeps every resume pc valid). On by default.
     pub dop_fusion: bool,
-    /// Whether the lifetime trace-health subsystem runs: per-trace
-    /// dispatch outcomes feed the cache's health ledger, and at every
-    /// profiler decay epoch the demotion ladder retires traces whose
-    /// completion behavior has rotted (see
-    /// [`trace_cache::HealthLedger`]). On by default; `false` restores
-    /// the fast-trigger-only behavior (entry-exit streak quarantine).
-    pub health: bool,
 }
 
 impl EngineConfig {
@@ -71,19 +69,12 @@ impl EngineConfig {
         EngineConfig {
             jit: TraceJitConfig::paper_default(),
             dop_fusion: true,
-            health: true,
         }
     }
 
     /// Returns this configuration with decoded-stream DOp fusion toggled.
     pub fn with_dop_fusion(mut self, on: bool) -> Self {
         self.dop_fusion = on;
-        self
-    }
-
-    /// Returns this configuration with the trace-health subsystem toggled.
-    pub fn with_health(mut self, on: bool) -> Self {
-        self.health = on;
         self
     }
 }
@@ -111,20 +102,6 @@ pub struct WarmBootReport {
     pub artifacts_prebuilt: usize,
 }
 
-/// Consecutive immediate entry side-exits of the same trace before the
-/// engine quarantines it: the trace costs an entry + guard evaluation
-/// every dispatch and never makes progress, so it is retired and its
-/// key blacklisted until the cooldown decays.
-const ENTRY_EXIT_STREAK_LIMIT: u32 = 8;
-
-/// Quarantine cooldown (refused construction attempts) applied by the
-/// engine's fault triggers — corrupt artifacts and entry-exit streaks.
-const QUARANTINE_COOLDOWN: u32 = 4;
-
-/// How many tail slots of the outcome buffer [`Driver::note_outcome`]
-/// scans for a record to coalesce into.
-const OUTCOME_COALESCE_WINDOW: usize = 4;
-
 /// The profile → select → trace pipeline plus the scratch state trace
 /// execution needs: everything the register executor
 /// ([`crate::regexec`]) touches besides the machine itself. Kept apart
@@ -150,21 +127,29 @@ pub(crate) struct Jit<'p> {
 }
 
 impl Jit<'_> {
-    /// The engine's view of whichever cache it dispatches against, for
-    /// the policy paths off the per-dispatch fast path (quarantine,
-    /// health flushes). The per-dispatch lookup calls the concrete
-    /// cache instead — see [`Driver::on_block`].
-    fn store_mut(&mut self) -> &mut dyn TraceStore {
-        match &mut self.shared {
-            Some(sess) => &mut sess.cache,
-            None => &mut self.cache,
+    /// Counters of whichever cache this VM dispatches against.
+    fn cache_stats(&self) -> CacheStats {
+        match &self.shared {
+            Some(sess) => sess.cache.stats(),
+            None => self.cache.stats(),
         }
     }
 
-    fn store(&self) -> &dyn TraceStore {
+    /// Retention counters of whichever cache this VM dispatches against.
+    fn health_stats(&self) -> HealthStats {
         match &self.shared {
-            Some(sess) => &sess.cache,
-            None => &self.cache,
+            Some(sess) => sess.cache.health_stats(),
+            None => self.cache.health_stats(),
+        }
+    }
+
+    /// Quarantines `tid`, linked at `entry`, on its streak of early
+    /// exits; returns the tombstoned id.
+    #[cold]
+    fn demote(&mut self, entry: Branch, tid: TraceId) -> Option<TraceId> {
+        match &self.shared {
+            Some(sess) => sess.cache.demote(entry, tid),
+            None => self.cache.demote(entry, tid),
         }
     }
 
@@ -217,8 +202,8 @@ struct Linked {
 /// What this VM knows about one trace id's executable form. Once
 /// resolved the answer is permanent — ids are never reused and a trace's
 /// lowered form never changes — so a slot never revalidates; the one
-/// transition left is `Built → Refused` when the engine tombstones the
-/// trace ([`Driver::retire`]), which frees its lowered code.
+/// transition left is `Built → Refused` when the trace is tombstoned
+/// ([`Driver::retire`]), which frees its lowered code.
 #[derive(Debug, Default)]
 enum Artifact {
     /// Not resolved yet: built (private mode) or fetched (shared mode)
@@ -229,8 +214,9 @@ enum Artifact {
     /// the register lowering refused it, or the shared builder
     /// published none. The trace is never entered.
     Refused,
-    /// The lowered trace, private or shared alike.
-    Built(Arc<RegTrace>),
+    /// The lowered trace, private or shared alike, and its current run
+    /// of consecutive early exits — the retention rule's one counter.
+    Built(Arc<RegTrace>, u32),
 }
 
 /// The engine's side of the loop's dispatch hook.
@@ -248,28 +234,13 @@ struct Driver<'p> {
     block_visits: jvm_vm::fuse::BlockCounts,
     /// Whether this run is the one counting `block_visits`.
     profile_fusion: bool,
-    /// `(trace id, consecutive immediate entry side-exits)` — the
-    /// engine-side quarantine trigger (see [`ENTRY_EXIT_STREAK_LIMIT`]).
-    entry_exit_streak: Option<(TraceId, u32)>,
-    /// Dispatch outcomes accumulated since the last health flush,
-    /// run-length encoded: a hot loop dispatches the same trace with the
-    /// same outcome over and over, so the common case is bumping the
-    /// tail counter, not pushing. Fed to the cache's health ledger in
-    /// one batch at each decay epoch (and at run exit) — one ledger
-    /// lookup per run, not per dispatch.
-    outcome_buf: Vec<(OutcomeRecord, u64)>,
-    /// The profiler dispatch count at which the next decay epoch
-    /// ([`trace_bcg::BranchCorrelationGraph::decay_epoch`]) opens and
-    /// the health ladder runs again. Kept as a count so the per-dispatch
-    /// check is a compare, not the epoch's division.
-    health_epoch_at: u64,
 }
 
 impl BlockDriver for Driver<'_> {
     type Trace = Linked;
 
     /// One dispatch per basic block: profiler hook, signal handling,
-    /// health epoch, then the trace-entry check. Inlined into the loop
+    /// then the trace-entry check. Inlined into the loop
     /// on measurement: out of line, the never-entering engine costs
     /// 1.3–1.4× the loop + `bcg.observe` instead of 1.1–1.2×
     /// (EXPERIMENTS.md, "One loop, one frame arena").
@@ -281,12 +252,6 @@ impl BlockDriver for Driver<'_> {
         let jit = &mut self.jit;
         let node = jit.bcg.observe(bid);
         jit.dispatch_signals();
-        // The health ladder is synced to the profiler's decay window:
-        // flush outcomes + run the demotion epoch when the dispatch
-        // count crosses an epoch boundary.
-        if self.config.health && jit.bcg.stats().dispatches >= self.health_epoch_at {
-            self.flush_health_epoch();
-        }
         // Entry check through the branch node's trace-link slot — a
         // version compare against the cache, no hashing — dispatched
         // statically on the cache kind. (The first block of a stream has
@@ -295,7 +260,6 @@ impl BlockDriver for Driver<'_> {
         // dispatch is immediately enterable — the slot revalidates on
         // the version bump. In shared mode the slot stamp makes the
         // locked probe one version compare on the steady state.
-        let jit = &mut self.jit;
         let linked = node.and_then(|n| {
             let tid = match &mut jit.shared {
                 None => jit.cache.lookup_entry_cached(&mut jit.bcg, n),
@@ -314,33 +278,30 @@ impl BlockDriver for Driver<'_> {
 
     fn run_trace(&mut self, linked: Linked, m: &mut Machine<'_>) -> Result<(), VmError> {
         let Linked { tid, entry } = linked;
-        let rt: &RegTrace = match self.arts.get(tid.index()) {
-            Some(Artifact::Built(rt)) => rt,
-            Some(Artifact::Refused) => return self.not_executable(),
-            Some(Artifact::Unbuilt) | None => {
-                self.resolve_artifact(tid, entry, m.decoded);
-                match &self.arts[tid.index()] {
-                    Artifact::Built(rt) => rt,
-                    _ => return self.not_executable(),
-                }
-            }
+        if matches!(self.arts.get(tid.index()), Some(Artifact::Unbuilt) | None) {
+            self.resolve_artifact(tid, entry, m.decoded);
+        }
+        let Some(Artifact::Built(rt, streak)) = self.arts.get_mut(tid.index()) else {
+            // A linked trace without an artifact: its block runs in the
+            // loop.
+            self.jit.trace_stats.blocks_outside += 1;
+            return Ok(());
         };
         if self.jit.trace_stats.first_entry_dispatch == 0 {
             // Warm-up marker: how many block dispatches this run paid
             // before the very first trace entry.
             self.jit.trace_stats.first_entry_dispatch = m.stats.block_dispatches;
         }
+        // The retention rule: a completion resets the streak, any early
+        // exit — the entry guard's included — extends it, and the exit
+        // that makes it `STREAK_LIMIT` long quarantines the trace.
         match self.jit.execute(rt, entry.0, m)? {
-            TraceRun::Completed => {
-                self.note_outcome(tid, entry, TraceOutcome::Completed);
-                self.entry_exit_streak = None;
-            }
-            TraceRun::SideExited { site } => {
-                self.note_outcome(tid, entry, TraceOutcome::SideExit { site });
-                if site == 0 {
-                    self.note_immediate_entry_exit(tid, entry);
-                } else {
-                    self.entry_exit_streak = None;
+            TraceRun::Completed => *streak = 0,
+            TraceRun::SideExited => {
+                *streak += 1;
+                if *streak >= STREAK_LIMIT {
+                    let dead = self.jit.demote(entry, tid);
+                    self.retire(dead);
                 }
             }
         }
@@ -352,15 +313,9 @@ impl Driver<'_> {
     /// The lowered traces this VM can dispatch.
     fn built(&self) -> impl Iterator<Item = &RegTrace> {
         self.arts.iter().filter_map(|a| match a {
-            Artifact::Built(rt) => Some(&**rt),
+            Artifact::Built(rt, _) => Some(&**rt),
             _ => None,
         })
-    }
-
-    /// A linked trace without an artifact: its block runs in the loop.
-    fn not_executable(&mut self) -> Result<(), VmError> {
-        self.jit.trace_stats.blocks_outside += 1;
-        Ok(())
     }
 
     /// First entry of `tid`: builds (private mode) or fetches (shared
@@ -382,7 +337,7 @@ impl Driver<'_> {
         if self.arts.len() <= tid.index() {
             self.arts.resize_with(tid.index() + 1, Artifact::default);
         }
-        self.arts[tid.index()] = art.map_or(Artifact::Refused, Artifact::Built);
+        self.arts[tid.index()] = art.map_or(Artifact::Refused, |rt| Artifact::Built(rt, 0));
         built
     }
 
@@ -423,7 +378,7 @@ impl Driver<'_> {
                 // everyone — through the same policy path every other
                 // quarantine takes — and blacklist its key until the
                 // cooldown decays.
-                let dead = self.jit.store_mut().quarantine(entry, QUARANTINE_COOLDOWN);
+                let dead = sess.cache.quarantine(entry, COOLDOWN);
                 self.retire(dead);
                 None
             }
@@ -433,96 +388,26 @@ impl Driver<'_> {
         }
     }
 
-    /// Records an immediate entry side-exit of `tid`; at
-    /// [`ENTRY_EXIT_STREAK_LIMIT`] consecutive occurrences the trace is
-    /// quarantined — retired from the cache with its `(entry, path)` key
-    /// blacklisted — so dispatch stops paying for an entry that never
-    /// makes progress.
-    fn note_immediate_entry_exit(&mut self, tid: TraceId, entry: Branch) {
-        let streak = match self.entry_exit_streak {
-            Some((t, n)) if t == tid => n + 1,
-            _ => 1,
-        };
-        if streak >= ENTRY_EXIT_STREAK_LIMIT {
-            self.entry_exit_streak = None;
-            let dead = self.jit.store_mut().quarantine(entry, QUARANTINE_COOLDOWN);
-            self.retire(dead);
-        } else {
-            self.entry_exit_streak = Some((tid, streak));
-        }
-    }
-
-    /// Buffers one trace-dispatch outcome for the health ledger (no-op
-    /// with health off). The buffer is run-length encoded: an outcome
-    /// matching a recent record bumps that record's counter instead of
-    /// pushing — the tail slot first, which is where a hot loop's repeat
-    /// lands. The ledger's streak logic only depends on each trace's
-    /// *own* outcome subsequence, so merging across records of *other*
-    /// traces is sound — the backward scan stops at the first record of
-    /// the same trace (its order must be preserved) and is capped at a
-    /// few slots so loop nests that alternate between traces still
-    /// coalesce. Flushed at epoch boundaries and run exit.
-    #[inline]
-    fn note_outcome(&mut self, tid: TraceId, entry: Branch, outcome: TraceOutcome) {
-        if !self.config.health {
-            return;
-        }
-        let rec = OutcomeRecord {
-            tid,
-            entry,
-            outcome,
-        };
-        if let Some((slot, n)) = self.outcome_buf.last_mut() {
-            if *slot == rec {
-                *n += 1;
-                return;
-            }
-        }
-        self.note_outcome_slow(rec);
-    }
-
-    fn note_outcome_slow(&mut self, rec: OutcomeRecord) {
-        for (slot, n) in self
-            .outcome_buf
-            .iter_mut()
-            .rev()
-            .take(OUTCOME_COALESCE_WINDOW)
-        {
-            if slot.tid == rec.tid {
-                if *slot == rec {
-                    *n += 1;
-                    return;
-                }
-                break;
-            }
-        }
-        self.outcome_buf.push((rec, 1));
-    }
-
-    /// Epoch boundary: feed buffered outcomes to the health ledger and
-    /// run the demotion ladder through the unified [`TraceStore`] path.
-    /// Any applied demotion resets the streak counter, which may name a
-    /// trace the ladder just retired.
-    #[cold]
-    fn flush_health_epoch(&mut self) {
-        self.health_epoch_at = self.jit.bcg.next_decay_epoch_at();
-        let store = self.jit.store_mut();
-        store.record_outcome_runs(&self.outcome_buf);
-        let demoted = run_health_epoch(store);
-        self.outcome_buf.clear();
-        if !demoted.is_empty() {
-            self.entry_exit_streak = None;
-        }
-        self.retire(demoted);
-    }
-
-    /// Frees the lowered code of traces this engine just tombstoned
-    /// (quarantine, health demotion): ids are never reused, so they can
-    /// never be entered again. Tombstones the engine does not hear of —
-    /// another VM's, in shared mode — keep their slot.
+    /// Frees the lowered code of tombstoned traces: ids are never
+    /// reused, so they can never be entered again.
     fn retire(&mut self, dead: impl IntoIterator<Item = TraceId>) {
         for tid in dead {
             if let Some(slot) = self.arts.get_mut(tid.index()) {
+                *slot = Artifact::Refused;
+            }
+        }
+    }
+
+    /// Shared mode: retires the slots of traces another VM tombstoned
+    /// since this VM's last run (its own quarantines retire at once).
+    fn retire_tombstoned_elsewhere(&mut self) {
+        let Some(sess) = &self.jit.shared else {
+            return;
+        };
+        for (i, slot) in self.arts.iter_mut().enumerate() {
+            if matches!(slot, Artifact::Built(..))
+                && sess.cache.is_evicted(TraceId::from_raw(i as u32))
+            {
                 *slot = Artifact::Refused;
             }
         }
@@ -551,7 +436,6 @@ impl<'p> TracingVm<'p> {
     /// pass.
     pub fn new(program: &'p Program, config: EngineConfig) -> Self {
         let bcg = BranchCorrelationGraph::new(config.jit.bcg_config());
-        let health_epoch_at = bcg.next_decay_epoch_at();
         TracingVm {
             vm: Vm::with_config(program, config.jit.vm),
             driver: Driver {
@@ -570,9 +454,6 @@ impl<'p> TracingVm<'p> {
                 reg_stats: RegStats::default(),
                 block_visits: jvm_vm::fuse::BlockCounts::for_program(program),
                 profile_fusion: false,
-                entry_exit_streak: None,
-                outcome_buf: Vec::new(),
-                health_epoch_at,
             },
             fusion_profiled: false,
             dop_fusion_report: None,
@@ -635,16 +516,11 @@ impl<'p> TracingVm<'p> {
         &self.vm
     }
 
-    /// Health-ledger counters of whichever cache this VM dispatches
-    /// against (private or shared) — recorded outcomes, epochs judged,
-    /// probations, demotions, re-admissions under watch.
+    /// Retention counters of whichever cache this VM dispatches against
+    /// (private or shared): streak demotions, watched re-admissions,
+    /// escalated cooldowns.
     pub fn health_stats(&self) -> HealthStats {
-        self.driver.jit.store().health_stats()
-    }
-
-    /// Lifetime health telemetry for one tracked trace (a snapshot).
-    pub fn trace_health(&self, tid: TraceId) -> Option<TraceHealth> {
-        self.driver.jit.store().trace_health(tid)
+        self.driver.jit.health_stats()
     }
 
     /// Construction-service health gauges (shared mode only).
@@ -654,19 +530,11 @@ impl<'p> TracingVm<'p> {
 
     /// Machine-readable reason the runtime is running degraded, if it
     /// is: `"constructor-degraded"` when the shared construction service
-    /// is permanently down (dispatch keeps interpreting, never wrong),
-    /// `"health-off"` when the trace-health subsystem is disabled by
-    /// configuration. `None` means fully healthy.
+    /// is permanently down (dispatch keeps interpreting, never wrong).
+    /// `None` means fully healthy.
     pub fn degraded_reason(&self) -> Option<&'static str> {
-        if let Some(sess) = self.shared() {
-            if sess.health.is_degraded() {
-                return Some("constructor-degraded");
-            }
-        }
-        if !self.driver.config.health {
-            return Some("health-off");
-        }
-        None
+        let degraded = self.shared().is_some_and(|sess| sess.health.is_degraded());
+        degraded.then_some("constructor-degraded")
     }
 
     /// Executes the program, returning the same [`RunReport`] the base
@@ -684,22 +552,12 @@ impl<'p> TracingVm<'p> {
         // Run state is reset by the loop; profiler/cache/lowered traces
         // persist.
         let driver = &mut self.driver;
+        driver.retire_tombstoned_elsewhere();
         driver.jit.bcg.begin_stream();
         driver.profile_fusion = driver.config.dop_fusion && !self.fusion_profiled;
 
         let result = self.vm.run_driven(args, &mut *driver)?;
         self.fusion_profiled = driver.config.dop_fusion;
-
-        // Settle pending outcomes so health telemetry read between runs
-        // reflects everything this run dispatched. The demotion epoch
-        // itself only runs at decay boundaries.
-        if !driver.outcome_buf.is_empty() {
-            driver
-                .jit
-                .store_mut()
-                .record_outcome_runs(&driver.outcome_buf);
-            driver.outcome_buf.clear();
-        }
 
         let jit = &driver.jit;
         Ok(RunReport {
@@ -709,7 +567,7 @@ impl<'p> TracingVm<'p> {
             profiler: jit.bcg.stats(),
             traces: jit.trace_stats,
             constructor: jit.constructor.stats(),
-            cache: jit.store().stats(),
+            cache: jit.cache_stats(),
         })
     }
 

@@ -31,7 +31,7 @@
 //! * [`engine`] — [`TracingVm`], the complete execution engine: the
 //!   decoded interpreter ([`jvm_vm::Vm`]) runs all out-of-trace code,
 //!   with the engine attached to its block-dispatch hook (profiler,
-//!   constructor, health ladder, entry check) and executing linked
+//!   constructor, entry check) and executing linked
 //!   traces from their lowered form, eliminating the per-block dispatch
 //!   and profiling points inside traces. Differential tests pin its
 //!   semantics against the baseline interpreter on all six workloads.

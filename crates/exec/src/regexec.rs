@@ -27,14 +27,9 @@ pub(crate) enum TraceRun {
     /// Ran to its end; the final terminator is the loop's next
     /// instruction.
     Completed,
-    /// A guard failed.
-    SideExited {
-        /// Guard site: how many blocks completed before the exit. Feeds
-        /// the health ledger's per-guard side-exit histogram; `0` means
-        /// the entry guard failed immediately, and a streak of those
-        /// means the link serves a path the program no longer takes.
-        site: u32,
-    },
+    /// A guard failed — at any site, the entry guard's included: the
+    /// retention rule counts every early exit alike.
+    SideExited,
 }
 
 /// Reads virtual register `r` without a release-mode bounds check.
@@ -215,9 +210,7 @@ impl Jit<'_> {
                 let _ = self.bcg.observe(bid);
                 self.dispatch_signals();
                 self.trace_stats.blocks_outside += 1;
-                return Ok(TraceRun::SideExited {
-                    site: exit.blocks_done,
-                });
+                return Ok(TraceRun::SideExited);
             }};
         }
 

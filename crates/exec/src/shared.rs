@@ -360,8 +360,8 @@ mod tests {
     }
 
     /// A trace that side-exits at entry on every dispatch — its path no
-    /// longer matches the program flow — is quarantined after a streak,
-    /// so dispatch stops paying for it.
+    /// longer matches the program flow — is quarantined by the retention
+    /// streak, so dispatch stops paying for it.
     #[test]
     fn repeated_immediate_entry_exits_quarantine_the_trace() {
         let program = loop_program();
@@ -379,7 +379,7 @@ mod tests {
         let want = plain.run(&[Value::Int(0)], &mut NullObserver).unwrap();
 
         let mut vm = TracingVm::new_shared(&program, config, session);
-        for run in 0..12 {
+        for run in 0..trace_cache::STREAK_LIMIT + 4 {
             let report = vm.run(&[Value::Int(0)]).unwrap();
             assert_eq!(report.result, want, "run {run}");
         }
@@ -392,5 +392,42 @@ mod tests {
         let entered_at_quarantine = vm.run(&[Value::Int(0)]).unwrap().traces.entered;
         let report = vm.run(&[Value::Int(0)]).unwrap();
         assert_eq!(report.traces.entered, entered_at_quarantine);
+    }
+
+    /// A VM hears of the tombstones other VMs of its session make: a
+    /// trace quarantined through the session cache (standing in for the
+    /// other VM) loses its lowered code in every VM at their next run.
+    #[test]
+    fn another_vms_tombstone_frees_the_lowered_code() {
+        let program = loop_program();
+        let config = EngineConfig::paper_default();
+        let blk = |b: u32| BlockId::new(program.entry(), b);
+        let (cache, session, _rx) = shared_session(DEFAULT_QUEUE_CAPACITY);
+        // Plant the loop trace at the back edge: every iteration but the
+        // first enters it.
+        let entry = (blk(2), blk(1));
+        let mut build = artifact_builder(&program);
+        cache.insert_and_link_with(entry, vec![blk(1), blk(2), blk(1)], 0.99, |b| build(b));
+        let mut plain = Vm::new(&program);
+        let want = plain.run(&[Value::Int(100)], &mut NullObserver).unwrap();
+
+        let mut vms: Vec<TracingVm> = (0..2)
+            .map(|_| TracingVm::new_shared(&program, config, session.clone()))
+            .collect();
+        for vm in &mut vms {
+            assert_eq!(vm.run(&[Value::Int(100)]).unwrap().result, want);
+            assert_eq!(vm.compiled_count(), 1, "the planted trace ran");
+        }
+        assert!(cache.quarantine(entry, trace_cache::COOLDOWN).is_some());
+        for vm in &mut vms {
+            assert_eq!(vm.run(&[Value::Int(100)]).unwrap().result, want);
+            assert!(
+                vm.compiled_count() <= cache.live_trace_count(),
+                "{} lowered traces held for {} live ones",
+                vm.compiled_count(),
+                cache.live_trace_count()
+            );
+            assert_eq!(vm.lowered_memory(), 0);
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! The paper has one trace cache: signals in, traces hash-consed and
 //! linked at their entry branches (§4.2). [`TraceCache`] is that cache,
 //! and everything that decides *what* is cached lives here — the entry
-//! links and the health ledger included. A VM owns one directly;
+//! links and the retention counters included. A VM owns one directly;
 //! [`SharedTraceCache`](crate::SharedTraceCache) is the same type behind
 //! a lock, instantiated with an optional per-trace payload (`P`) whose
 //! measured bytes ride on top of the closed-form cost, and using the
@@ -32,7 +32,10 @@
 //! [`try_insert_and_link`](TraceCache::try_insert_and_link) then refuses
 //! to rebuild that exact trace at that entry until the cooldown decays
 //! (one tick per refused attempt), so a trace that keeps faulting cannot
-//! thrash the constructor.
+//! thrash the constructor. A repeat quarantine at the same entry doubles
+//! the cooldown, up to [`COOLDOWN`] `<<` [`MAX_COOLDOWN_SHIFT`]: the
+//! anti-flap of the retention rule (see [`crate::health`]). The memory of
+//! past quarantines per entry stays out of snapshots.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -42,7 +45,7 @@ use trace_bcg::node::NO_TRACE_LINK;
 use trace_bcg::{Branch, BranchCorrelationGraph, BranchTable, NodeIdx, PackedBranch};
 
 use crate::error::TraceCacheError;
-use crate::health::HealthLedger;
+use crate::health::{HealthStats, COOLDOWN, MAX_COOLDOWN_SHIFT};
 use crate::trace::{Trace, TraceId};
 
 /// Fixed per-trace bookkeeping charge in the byte-budget accounting:
@@ -145,9 +148,12 @@ pub struct TraceCache<P = ()> {
     /// The dispatch table: entry branch → linked trace. Queried at every
     /// block boundary, hence the packed-key open-addressed table.
     by_entry: BranchTable<TraceId>,
-    /// Whole-lifetime trace-health telemetry and demotion ladder; fed
-    /// and scored through the [`crate::TraceStore`] trait.
-    health: HealthLedger,
+    /// Packed entry key → quarantines at that entry so far: the memory
+    /// behind the cooldown escalation. Never pruned (one `u64 → u32` per
+    /// entry that ever misbehaved), never snapshotted.
+    flaps: HashMap<u64, u32>,
+    /// Retention counters.
+    health: HealthStats,
     /// Second-chance sweep order: live link keys, oldest first. May hold
     /// stale keys (unlinked outside eviction); `referenced` is the
     /// source of truth and stale keys are dropped when popped.
@@ -179,15 +185,10 @@ impl<P: Default> TraceCache<P> {
         self.by_entry.len()
     }
 
-    /// The health ledger (telemetry + demotion ladder).
-    pub fn health(&self) -> &HealthLedger {
-        &self.health
-    }
-
-    /// Mutable health-ledger access (the [`crate::TraceStore`] impl
-    /// records outcomes and runs epochs through this).
-    pub fn health_mut(&mut self) -> &mut HealthLedger {
-        &mut self.health
+    /// Retention counters: streak demotions, re-admissions at entries
+    /// quarantined before, escalated cooldowns.
+    pub fn health_stats(&self) -> HealthStats {
+        self.health
     }
 
     /// The trace linked at an entry branch, if any. This is the dispatch
@@ -467,7 +468,9 @@ impl<P: Default> TraceCache<P> {
         if !self.entry_keys[id.index()].contains(&key) {
             self.entry_keys[id.index()].push(key);
         }
-        self.health.note_admission(id, entry);
+        if self.flaps.contains_key(&key) {
+            self.health.readmitted_watched += 1;
+        }
         self.enforce_budget(budget_override.or(self.budget), key);
         self.mutated();
         (id, created)
@@ -487,13 +490,21 @@ impl<P: Default> TraceCache<P> {
     }
 
     /// Tombstones the trace linked at `entry` and blacklists its
-    /// `(entry, path)` key for `cooldown` refused construction attempts.
-    /// *Every* entry link of the trace is removed (the version bump
-    /// forces in-flight cached dispatches to revalidate); only the
-    /// faulting entry is blacklisted. Returns the tombstoned id, or
-    /// `None` if nothing is linked at `entry`.
+    /// `(entry, path)` key for `cooldown` refused construction attempts,
+    /// doubled for every earlier quarantine at the same entry up to
+    /// `cooldown << MAX_COOLDOWN_SHIFT`. *Every* entry link of the trace
+    /// is removed (the version bump forces in-flight cached dispatches
+    /// to revalidate); only the faulting entry is blacklisted. Returns
+    /// the tombstoned id, or `None` if nothing is linked at `entry`.
     pub fn quarantine(&mut self, entry: Branch, cooldown: u32) -> Option<TraceId> {
         let id = self.lookup_entry(entry)?;
+        let flaps = self.flaps.entry(PackedBranch::pack(entry).0).or_insert(0);
+        let shift = (*flaps).min(MAX_COOLDOWN_SHIFT);
+        *flaps += 1;
+        if shift > 0 {
+            self.health.cooldown_escalations += 1;
+        }
+        let cooldown = cooldown.saturating_mul(1 << shift);
         self.restore_quarantine(entry, self.traces[id.index()].blocks.clone(), cooldown);
         for k in std::mem::take(&mut self.entry_keys[id.index()]) {
             self.by_entry.remove(PackedBranch(k));
@@ -504,6 +515,20 @@ impl<P: Default> TraceCache<P> {
         self.stats.traces_quarantined += 1;
         self.mutated();
         Some(id)
+    }
+
+    /// The retention rule's verdict on `tid`, which left early
+    /// [`crate::health::STREAK_LIMIT`] times in a row after entering at
+    /// `entry`: [`Self::quarantine`] at the base [`COOLDOWN`], counted as
+    /// a demotion. Skipped (returns `None`) when `entry` has since been
+    /// relinked to another trace — the newcomer is not judged on the old
+    /// trace's exits.
+    pub fn demote(&mut self, entry: Branch, tid: TraceId) -> Option<TraceId> {
+        if self.lookup_entry(entry) != Some(tid) {
+            return None;
+        }
+        self.health.demotions += 1;
+        self.quarantine(entry, COOLDOWN)
     }
 
     /// Restores a quarantine blacklist entry verbatim (snapshot load):
@@ -546,7 +571,6 @@ impl<P: Default> TraceCache<P> {
         let blocks = std::mem::take(&mut self.traces[i].blocks);
         self.by_blocks.remove(&blocks);
         self.stats.traces_evicted += 1;
-        self.health.forget(id);
     }
 
     /// In budget mode an unlinked trace can never be chosen by the
@@ -1004,6 +1028,84 @@ mod tests {
         assert_eq!(c.lookup_entry(entry), Some(nid));
         assert_eq!(c.stats().quarantine_rejected, 2);
         assert_eq!(c.iter_quarantine().count(), 0);
+    }
+
+    /// Repeat quarantines at one entry, with each cache reached through
+    /// closures so the same body runs against the private cache and the
+    /// shared one: the cooldown doubles per repeat up to the cap, and
+    /// every admission at the entry afterwards is a watched re-admission.
+    fn repeat_quarantine_escalates_to_the_cap<C>(
+        cache: &mut C,
+        insert: impl Fn(&mut C, Branch, Vec<BlockId>) -> Result<(TraceId, bool), TraceCacheError>,
+        quarantine: impl Fn(&mut C, Branch, u32) -> Option<TraceId>,
+        health: impl Fn(&C) -> HealthStats,
+    ) {
+        let entry = (blk(0), blk(1));
+        let path = vec![blk(1), blk(2)];
+        let (mut tid, _) = insert(cache, entry, path.clone()).expect("fresh insert");
+        let repeats = MAX_COOLDOWN_SHIFT + 2;
+        for n in 0..=repeats {
+            assert_eq!(
+                quarantine(cache, entry, COOLDOWN),
+                Some(tid),
+                "quarantine {n}"
+            );
+            // The exact (entry, path) is refused the escalated cooldown...
+            let cooldown = COOLDOWN << n.min(MAX_COOLDOWN_SHIFT);
+            for left in (0..cooldown).rev() {
+                match insert(cache, entry, path.clone()) {
+                    Err(TraceCacheError::Quarantined { remaining, .. }) => {
+                        assert_eq!(remaining, left, "quarantine {n}")
+                    }
+                    other => panic!("quarantine {n}: refusal expected, got {other:?}"),
+                }
+            }
+            // ...then re-admitted under a fresh id.
+            let (next, _) = insert(cache, entry, path.clone()).expect("re-admission");
+            assert_ne!(next, tid, "re-admission mints a fresh id");
+            tid = next;
+        }
+        let h = health(cache);
+        assert_eq!(h.cooldown_escalations, u64::from(repeats));
+        assert_eq!(h.readmitted_watched, u64::from(repeats + 1));
+        assert_eq!(h.demotions, 0, "a plain quarantine is no streak demotion");
+        assert_eq!(h.probations, 0);
+    }
+
+    #[test]
+    fn private_repeat_quarantine_escalates_to_the_cap() {
+        repeat_quarantine_escalates_to_the_cap(
+            &mut TraceCache::new(),
+            |c, entry, path| c.try_insert_and_link(entry, path, 0.99),
+            |c, entry, cooldown| c.quarantine(entry, cooldown),
+            TraceCache::health_stats,
+        );
+    }
+
+    #[test]
+    fn shared_repeat_quarantine_escalates_to_the_cap() {
+        repeat_quarantine_escalates_to_the_cap(
+            &mut crate::SharedTraceCache::<()>::new(),
+            |c, entry, path| c.try_insert_and_link(entry, path, 0.99),
+            |c, entry, cooldown| c.quarantine(entry, cooldown),
+            |c| c.health_stats(),
+        );
+    }
+
+    #[test]
+    fn demote_spares_a_relinked_entry() {
+        let mut c = TraceCache::new();
+        let entry = (blk(0), blk(1));
+        let (old, _) = c.insert_and_link(entry, vec![blk(1), blk(2)], 0.99);
+        // The constructor relinks the entry before the verdict lands.
+        let (new, _) = c.insert_and_link(entry, vec![blk(1), blk(3)], 0.99);
+        assert_eq!(c.demote(entry, old), None, "stale verdict skipped");
+        assert_eq!(c.lookup_entry(entry), Some(new));
+        assert_eq!(c.health_stats().demotions, 0);
+        assert_eq!(c.demote(entry, new), Some(new));
+        assert_eq!(c.health_stats().demotions, 1);
+        let left: Vec<u32> = c.iter_quarantine().map(|(_, _, left)| left).collect();
+        assert_eq!(left, [COOLDOWN]);
     }
 
     #[test]

@@ -32,7 +32,8 @@
 //! The robustness layer spans several modules: the one cache policy
 //! ([`cache`], which [`shared`] wraps) enforces a payload byte budget
 //! with second-chance eviction and keeps a quarantine blacklist for
-//! faulting traces;
+//! faulting traces, whose cooldown escalates on repeats at one entry
+//! (the anti-flap of the one retention rule, [`health`]);
 //! recoverable failures surface as [`TraceCacheError`] ([`error`]);
 //! [`offthread`] supervises the constructor worker (restart with
 //! backoff, then permanent degraded mode) behind [`ServiceHealth`]
@@ -51,7 +52,6 @@ pub mod metrics;
 pub mod offthread;
 pub mod runtime;
 pub mod shared;
-pub mod store;
 pub mod trace;
 
 pub use cache::{trace_cost, CacheStats, TraceCache, TRACE_BYTES_OVERHEAD};
@@ -62,10 +62,7 @@ pub use constructor::{
 };
 pub use error::TraceCacheError;
 pub use faults::{FaultConfig, FaultPlan, FaultSite, FaultStats};
-pub use health::{
-    Demotion, DemotionCause, HealthLedger, HealthState, HealthStats, OutcomeRecord, TraceHealth,
-    TraceOutcome, GUARD_SITES_TRACKED,
-};
+pub use health::{HealthStats, COOLDOWN, MAX_COOLDOWN_SHIFT, STREAK_LIMIT};
 pub use metrics::TraceExecStats;
 pub use offthread::{
     construction_channel, run_constructor_service, run_supervised_constructor_service, BcgSnapshot,
@@ -74,5 +71,4 @@ pub use offthread::{
 };
 pub use runtime::TraceRuntime;
 pub use shared::SharedTraceCache;
-pub use store::{run_health_epoch, TraceStore};
 pub use trace::{Trace, TraceId};

@@ -24,7 +24,7 @@
 //! its stamp, never older — and never outlives the next mutation.
 //!
 //! What a reader may wait for: a revalidating probe, an artifact fetch
-//! or an outcome flush that arrives during an insert waits until that
+//! or a quarantine that arrives during an insert waits until that
 //! insert — artifact build included, which runs under the write lock —
 //! has finished. Construction is rare (tens of builds and link writes
 //! per workload run) and revalidation happens once per node per version,
@@ -57,6 +57,7 @@ use trace_bcg::{Branch, BranchCorrelationGraph, NodeIdx};
 use crate::cache::{CacheStats, TraceCache};
 use crate::error::TraceCacheError;
 use crate::faults::{FaultPlan, FaultSite};
+use crate::health::HealthStats;
 use crate::trace::{Trace, TraceId};
 
 /// A pre-built execution artifact (e.g. a lowered trace); a trace's
@@ -300,6 +301,17 @@ impl<A> SharedTraceCache<A> {
         self.mutate(|w| w.cache.quarantine(entry, cooldown))
     }
 
+    /// The retention rule's verdict, under the write lock — see
+    /// [`TraceCache::demote`](crate::TraceCache::demote).
+    pub fn demote(&self, entry: Branch, tid: TraceId) -> Option<TraceId> {
+        self.mutate(|w| w.cache.demote(entry, tid))
+    }
+
+    /// Retention counters of the one policy every sharing VM runs.
+    pub fn health_stats(&self) -> HealthStats {
+        self.read().cache.health_stats()
+    }
+
     /// Sets (or clears) the payload byte budget, installs the artifact
     /// byte-measure hook, and immediately enforces the budget. Set the
     /// budget *before* populating the cache: traces inserted earlier
@@ -333,6 +345,12 @@ impl<A> SharedTraceCache<A> {
         let list = r.cache.iter_quarantine();
         list.map(|(entry, path, left)| (entry, path.to_vec(), left))
             .collect()
+    }
+
+    /// Whether the id was assigned and later tombstoned (evicted or
+    /// quarantined) — by any VM of the session.
+    pub fn is_evicted(&self, id: TraceId) -> bool {
+        self.read().cache.is_evicted(id)
     }
 
     /// A copy of the trace object for an id (blocks, completion);

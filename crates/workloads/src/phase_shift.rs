@@ -5,8 +5,8 @@
 //! the trace machinery builds and serves a trace along the hot arm.
 //! After the flip the same branch is taken only ~5% of the time: every
 //! dispatch of the old trace now side-exits at its first guard. This is
-//! exactly the *pathological trace* the lifetime health ladder exists
-//! for — a trace that was correct when built and whose behavior rotted
+//! exactly the *pathological trace* the retention rule exists for — a
+//! trace that was correct when built and whose behavior rotted
 //! under it — and the workload family is the fixture the chaos
 //! campaigns, the warm-boot staleness regression and the `phase_shift`
 //! bench leg all drive.

@@ -29,9 +29,6 @@ struct Options {
     delay: u32,
     unroll: usize,
     dop_fusion: bool,
-    /// Lifetime trace-health subsystem (demotion ladder); `--no-health`
-    /// restores fast-trigger-only quarantining.
-    health: bool,
     out: String,
     /// Write a snapshot of the warmed VM here after the run.
     save_snapshot: Option<String>,
@@ -48,7 +45,6 @@ impl Default for Options {
             delay: 64,
             unroll: 1,
             dop_fusion: true,
-            health: true,
             out: ".".into(),
             save_snapshot: None,
             load_snapshot: None,
@@ -59,7 +55,7 @@ impl Default for Options {
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  tracevm run <workload> [--scale test|small|paper] [--engine interp|trace|exec]\n\
-         \x20                        [--threshold T] [--delay D] [--unroll N] [--no-fuse] [--no-health]\n\
+         \x20                        [--threshold T] [--delay D] [--unroll N] [--no-fuse]\n\
          \x20                        [--save-snapshot FILE] [--load-snapshot FILE]\n\
          \x20 tracevm disasm <workload> [--scale ...]\n\
          \x20 tracevm dot <workload> [--out DIR] [--scale ...]\n\
@@ -112,7 +108,6 @@ fn parse_options(args: &mut std::env::Args, opts: &mut Options) -> Result<(), St
                     .map_err(|e| format!("bad unroll: {e}"))?
             }
             "--no-fuse" => opts.dop_fusion = false,
-            "--no-health" => opts.health = false,
             "--out" => opts.out = need("--out")?,
             "--save-snapshot" => opts.save_snapshot = Some(need("--save-snapshot")?),
             "--load-snapshot" => opts.load_snapshot = Some(need("--load-snapshot")?),
@@ -219,7 +214,6 @@ fn cmd_run(w: &Workload, opts: &Options) -> Result<(), Box<dyn std::error::Error
                 EngineConfig {
                     jit: jit_config(opts),
                     dop_fusion: opts.dop_fusion,
-                    health: opts.health,
                 },
             );
             if let Some(path) = &opts.load_snapshot {
@@ -282,15 +276,8 @@ fn cmd_run(w: &Workload, opts: &Options) -> Result<(), Box<dyn std::error::Error
             println!("lowered traces      : {} bytes", engine.lowered_memory());
             let hs = engine.health_stats();
             println!(
-                "trace health        : {} outcomes, {} epochs, {} probations ({} recovered), {} demotions ({} streak), {} re-admissions watched, {} tracked",
-                hs.recorded,
-                hs.epochs,
-                hs.probations,
-                hs.recoveries,
-                hs.demotions,
-                hs.streak_demotions,
-                hs.readmitted_watched,
-                hs.tracked
+                "trace health        : {} streak demotions, {} re-admissions watched, {} cooldowns escalated",
+                hs.demotions, hs.readmitted_watched, hs.cooldown_escalations
             );
             println!(
                 "degraded            : {}",

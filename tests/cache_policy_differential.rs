@@ -3,11 +3,14 @@
 //! `TraceCache` and `SharedTraceCache` are one cache (the shared one is
 //! a lock around the same `TraceCache`, with an artifact payload and an
 //! atomic copy of the version); what still differs is how it is reached.
-//! This differential pins that nothing else does: seeded insert / try-insert / unlink / quarantine / set-budget streams,
-//! with budgets small enough to evict, run against both, and after
-//! *every* op every entry lookup over the block universe, the payload,
-//! the budget, each id's liveness and contents, the quarantine list and
-//! every counter must agree. The private cache is the one the
+//! This differential pins that nothing else does: seeded insert /
+//! try-insert / unlink / quarantine / set-budget streams, with budgets
+//! small enough to evict and one entry per stream that rots again and
+//! again (repeat quarantines, so the cooldown escalates), run against
+//! both, and after *every* op every entry lookup over the block
+//! universe, the payload, the budget, each id's liveness and contents,
+//! the quarantine list and every counter — retention counters included
+//! — must agree. The private cache is the one the
 //! conformance `ModelCache` checks event by event, so agreement carries
 //! that check over to the shared cache's victim order and counters.
 //!
@@ -17,7 +20,7 @@
 use tracecache_repro::bcg::Branch;
 use tracecache_repro::bytecode::{BlockId, FuncId};
 use tracecache_repro::tracecache::{
-    trace_cost, SharedTraceCache, TraceCache, TraceCacheError, TraceId,
+    trace_cost, SharedTraceCache, TraceCache, TraceCacheError, TraceId, COOLDOWN,
 };
 use tracecache_repro::workloads::prng::{seed_stream, Xoshiro256StarStar};
 
@@ -68,6 +71,7 @@ fn assert_same_state(private: &TraceCache, shared: &SharedTraceCache<()>, at: &s
         .collect();
     assert_eq!(quarantine, shared.quarantine_snapshot(), "{at}");
     assert_eq!(private.stats(), shared.stats(), "{at}");
+    assert_eq!(private.health_stats(), shared.health_stats(), "{at}");
 }
 
 #[test]
@@ -84,19 +88,25 @@ fn private_and_shared_caches_agree_after_every_op() {
         Some(3 * trace_cost(3)),
         Some(6 * trace_cost(4)),
     ];
-    let (mut evictions, mut refusals) = (0, 0);
+    let (mut evictions, mut refusals, mut escalations) = (0, 0, 0);
     for k in 0..seeds {
         let seed = seed_stream(BASE_SEED, k);
         let mut rng = Xoshiro256StarStar::new(seed);
         let mut private = TraceCache::new();
         let shared: SharedTraceCache<()> = SharedTraceCache::new();
+        // The entry that rots again and again in this stream.
+        let rotten = (
+            blk(rng.range_u32(0, UNIVERSE)),
+            blk(rng.range_u32(0, UNIVERSE)),
+        );
+        let rotten_path = random_path(&mut rng, rotten.1);
         for op in 0..OPS_PER_SEED {
             let at = format!("seed {seed:#x} op {op}");
             let entry = (
                 blk(rng.range_u32(0, UNIVERSE)),
                 blk(rng.range_u32(0, UNIVERSE)),
             );
-            match rng.next_below(10) {
+            match rng.next_below(12) {
                 0..=3 => {
                     let path = random_path(&mut rng, entry.1);
                     let p = private.insert_and_link(entry, path.clone(), 0.98);
@@ -115,6 +125,25 @@ fn private_and_shared_caches_agree_after_every_op() {
                     let p = private.quarantine(entry, cooldown);
                     assert_eq!(p, shared.quarantine(entry, cooldown), "{at}: quarantine");
                 }
+                9 | 10 => {
+                    // The rotten entry: rebuilt when its cooldown allows,
+                    // quarantined again as soon as it is linked.
+                    let (p, s) = (
+                        refusals_left(private.try_insert_and_link(
+                            rotten,
+                            rotten_path.clone(),
+                            0.97,
+                        )),
+                        refusals_left(shared.try_insert_and_link(
+                            rotten,
+                            rotten_path.clone(),
+                            0.97,
+                        )),
+                    );
+                    assert_eq!(p, s, "{at}: rotten try-insert");
+                    let p = private.quarantine(rotten, COOLDOWN);
+                    assert_eq!(p, shared.quarantine(rotten, COOLDOWN), "{at}: re-rot");
+                }
                 _ => {
                     let budget = *rng.pick(&budgets);
                     private.set_budget(budget);
@@ -125,8 +154,10 @@ fn private_and_shared_caches_agree_after_every_op() {
         }
         evictions += private.stats().links_evicted;
         refusals += private.stats().quarantine_rejected;
+        escalations += private.health_stats().cooldown_escalations;
     }
     // The streams must actually reach the policy's corners.
     assert!(evictions > 0, "no op stream evicted anything");
     assert!(refusals > 0, "no op stream hit the quarantine blacklist");
+    assert!(escalations > 0, "no op stream escalated a cooldown");
 }

@@ -82,8 +82,8 @@ fn engine_reduces_dispatches_on_all_workloads() {
     }
 }
 
-/// The whole configuration space — `dop_fusion` × `health` — against the
-/// frozen reference interpreter, two runs per VM: the second executes
+/// The whole configuration space — `dop_fusion` — against the frozen
+/// reference interpreter, two runs per VM: the second executes
 /// DOp-fused streams (when fusion is on; the rewrite happens as it
 /// begins) against a warm cache. Exact parity in every cell; a new knob
 /// is one more factor here.
@@ -93,13 +93,11 @@ fn every_configuration_matches_the_reference_on_all_workloads() {
         let mut reference = ReferenceVm::new(&w.program);
         let want = reference.run(&w.args, &mut NullObserver).unwrap();
         assert_eq!(reference.checksum(), w.expected_checksum, "{}", w.name);
-        for (dop_fusion, health) in [(true, true), (true, false), (false, true), (false, false)] {
-            let config = engine_config()
-                .with_dop_fusion(dop_fusion)
-                .with_health(health);
+        for dop_fusion in [true, false] {
+            let config = engine_config().with_dop_fusion(dop_fusion);
             let mut engine = TracingVm::new(&w.program, config);
             for run in 0..2 {
-                let label = format!("{} fusion={dop_fusion} health={health} run {run}", w.name);
+                let label = format!("{} fusion={dop_fusion} run {run}", w.name);
                 let report = engine.run(&w.args).unwrap();
                 assert_eq!(report.result, want, "{label}: result");
                 assert_eq!(report.checksum, reference.checksum(), "{label}: checksum");
@@ -113,7 +111,7 @@ fn every_configuration_matches_the_reference_on_all_workloads() {
             assert_eq!(
                 engine.dop_fusion_report().is_some(),
                 dop_fusion,
-                "{} fusion={dop_fusion} health={health}: fused streams",
+                "{} fusion={dop_fusion}: fused streams",
                 w.name
             );
         }

@@ -1,17 +1,21 @@
-//! Trace-health integration suite: the whole-lifetime demotion ladder
-//! driven through the full engine by the phase-shift workload family.
+//! Trace-retention integration suite: the one retention rule — a trace
+//! that leaves early `STREAK_LIMIT` times in a row is quarantined —
+//! driven through the full engine.
 //!
 //! A phase-shift workload builds a trace along a 95%-taken guard arm,
 //! then flips the bias to 5% mid-run: the trace is correct but rotten.
-//! With health on (the default), the ladder must demote it within a
-//! bounded number of dispatches and the constructor must rebuild along
-//! the new hot arm; with `--no-health` only the immediate-entry-exit
-//! fast trigger remains. Either way the run must stay bit-exact with
-//! the interpreter oracle.
+//! The streak must quarantine it and the constructor must rebuild along
+//! the new hot arm, with the run bit-exact with the interpreter oracle.
+//! Planted traces on a shared session (no constructor runs, so nothing
+//! but the rule moves a link) pin where the rule counts: per trace, at
+//! any guard, and at exactly the limit.
 
+use tracecache_repro::bytecode::{BlockId, CmpOp, Program, ProgramBuilder};
+use tracecache_repro::exec::shared::{artifact_builder, shared_session, DEFAULT_QUEUE_CAPACITY};
 use tracecache_repro::exec::{EngineConfig, TracingVm};
-use tracecache_repro::jit::TraceJitConfig;
-use tracecache_repro::vm::{NullObserver, Vm};
+use tracecache_repro::jit::{RunReport, TraceJitConfig};
+use tracecache_repro::tracecache::STREAK_LIMIT;
+use tracecache_repro::vm::{NullObserver, Value, Vm};
 use tracecache_repro::workloads::registry;
 use tracecache_repro::workloads::{Scale, Workload};
 
@@ -57,16 +61,13 @@ fn phase_shift_demotes_the_rotten_traces_and_matches_the_oracle() {
             .unwrap_or_else(|e| panic!("{}: engine run failed: {e:?}", w.name));
         let hs = vm.health_stats();
         eprintln!(
-            "{}: quarantined={} demotions={} (streak {}) probations={} recoveries={} \
-             recorded={} epochs={} entered={} completed={} exited_early={}",
+            "{}: quarantined={} demotions={} readmitted={} escalations={} \
+             entered={} completed={} exited_early={}",
             w.name,
             report.cache.traces_quarantined,
             hs.demotions,
-            hs.streak_demotions,
-            hs.probations,
-            hs.recoveries,
-            hs.recorded,
-            hs.epochs,
+            hs.readmitted_watched,
+            hs.cooldown_escalations,
             report.traces.entered,
             report.traces.completed,
             report.traces.exited_early,
@@ -81,15 +82,13 @@ fn phase_shift_demotes_the_rotten_traces_and_matches_the_oracle() {
             w.name
         );
 
-        // The rotten trace was removed (health ladder or fast trigger).
+        // The rotten trace was removed, by the rule.
         assert!(
             report.cache.traces_quarantined >= 1,
             "{}: the rotten trace was never quarantined",
             w.name
         );
-        // The ladder actually observed the run.
-        assert!(hs.recorded > 0, "{}: no outcomes recorded", w.name);
-        assert!(hs.epochs > 0, "{}: no health epoch ran", w.name);
+        assert!(hs.demotions >= 1, "{}: the streak never fired", w.name);
         // The post-flip hot arm was rebuilt and runs to completion.
         assert!(
             report.traces.completed > 0,
@@ -100,38 +99,17 @@ fn phase_shift_demotes_the_rotten_traces_and_matches_the_oracle() {
 }
 
 #[test]
-fn health_off_restores_fast_trigger_only_behavior() {
-    for w in variants() {
-        let (_, want_sum, _) = oracle(&w);
-        let mut vm = TracingVm::new(&w.program, config().with_health(false));
-        let report = vm
-            .run(&w.args)
-            .unwrap_or_else(|e| panic!("{}: engine run failed: {e:?}", w.name));
-        assert_eq!(report.checksum, want_sum, "{}: checksum diverged", w.name);
-        let hs = vm.health_stats();
-        assert_eq!(hs.recorded, 0, "{}: ledger must stay cold", w.name);
-        assert_eq!(hs.epochs, 0, "{}: no epochs with health off", w.name);
-        assert_eq!(hs.demotions, 0, "{}: no demotions with health off", w.name);
-        assert_eq!(vm.degraded_reason(), Some("health-off"), "{}", w.name);
-    }
-}
-
-#[test]
 fn health_on_is_the_default_and_reports_no_degradation() {
     let w = registry::phase_shift(Scale::Test);
     let mut vm = TracingVm::new(&w.program, config());
     vm.run(&w.args).expect("run succeeds");
     assert_eq!(vm.degraded_reason(), None, "healthy run must not degrade");
-    assert!(
-        EngineConfig::paper_default().health,
-        "self-healing must be on by default"
-    );
 }
 
-/// Hysteresis at engine scale: the ladder may demote each rotten trace
-/// once (and escalate on a genuine re-rot), but must not flap — the
-/// demotion count stays within a small multiple of the distinct entries
-/// that ever misbehaved.
+/// The anti-flap at engine scale: the rule may demote each rotten trace
+/// once (and again, on a longer cooldown, on a genuine re-rot), but must
+/// not flap — the demotion count stays within a small multiple of the
+/// distinct entries that ever misbehaved.
 #[test]
 fn demotions_are_bounded_no_flapping() {
     for w in variants() {
@@ -148,10 +126,10 @@ fn demotions_are_bounded_no_flapping() {
     }
 }
 
-/// The six paper workloads have stable branch behavior: the ladder
-/// watches them closely but demotes (at most) the odd marginal trace —
-/// mpegaudio and soot carry a couple of borderline entries at the
-/// aggressive 0.90 admission threshold.
+/// The six paper workloads have stable branch behavior: the rule
+/// demotes (at most) the odd marginal trace — mpegaudio and soot carry
+/// a couple of borderline entries at the aggressive 0.90 admission
+/// threshold.
 #[test]
 fn steady_workloads_are_barely_demoted() {
     for w in registry::all(Scale::Test) {
@@ -162,9 +140,10 @@ fn steady_workloads_are_barely_demoted() {
         assert_eq!(report.checksum, w.expected_checksum, "{}", w.name);
         let hs = vm.health_stats();
         eprintln!(
-            "{}: recorded={} epochs={} probations={} demotions={}",
-            w.name, hs.recorded, hs.epochs, hs.probations, hs.demotions
+            "{}: demotions={} probations={}",
+            w.name, hs.demotions, hs.probations
         );
+        assert_eq!(hs.probations, 0, "{}: there is no probation", w.name);
         assert!(
             hs.demotions <= 3,
             "{}: {} demotions on a steady workload",
@@ -204,4 +183,167 @@ fn tombstoned_traces_free_their_lowered_code() {
             vm.compiled_count()
         );
     }
+}
+
+/// `main(n, flip)`: a counted loop whose body first passes a guard that
+/// always holds (`n < 0` is never taken), then takes arm A while
+/// `n >= flip` and arm B after. Blocks: b1 loop head, b2 the steady
+/// guard, b3 the flipping branch, b4 arm A, b5 arm B, b6 latch.
+fn flipping_loop() -> Program {
+    let mut pb = ProgramBuilder::new();
+    let f = pb.declare_function("main", 2, true);
+    let b = pb.function_mut(f);
+    let acc = b.alloc_local();
+    b.iconst(0).store(acc);
+    let head = b.bind_new_label();
+    let exit = b.new_label();
+    let second = b.new_label();
+    let cont = b.new_label();
+    b.load(0).if_i(CmpOp::Le, exit);
+    b.load(0).if_i(CmpOp::Lt, exit);
+    b.load(0).load(1).if_icmp(CmpOp::Lt, second);
+    b.load(acc).iconst(2).iadd().store(acc).goto(cont);
+    b.bind(second);
+    b.load(acc).iconst(1).iadd().store(acc);
+    b.bind(cont);
+    b.iinc(0, -1).goto(head);
+    b.bind(exit);
+    b.load(acc).ret();
+    pb.build(f).unwrap()
+}
+
+/// `main(n)`: `n` outer iterations, each running a three-iteration inner
+/// loop. Blocks: b1 outer head, b2 inner set-up, b3 inner head, b4 inner
+/// body, b5 outer latch.
+fn loop_nest() -> Program {
+    let mut pb = ProgramBuilder::new();
+    let f = pb.declare_function("main", 1, true);
+    let b = pb.function_mut(f);
+    let acc = b.alloc_local();
+    let j = b.alloc_local();
+    b.iconst(0).store(acc);
+    let outer = b.bind_new_label();
+    let exit = b.new_label();
+    let after = b.new_label();
+    b.load(0).if_i(CmpOp::Le, exit);
+    b.iconst(3).store(j);
+    let inner = b.bind_new_label();
+    b.load(j).if_i(CmpOp::Le, after);
+    b.load(acc)
+        .load(j)
+        .iadd()
+        .store(acc)
+        .iinc(j, -1)
+        .goto(inner);
+    b.bind(after);
+    b.load(acc)
+        .load(0)
+        .iadd()
+        .store(acc)
+        .iinc(0, -1)
+        .goto(outer);
+    b.bind(exit);
+    b.load(acc).ret();
+    pb.build(f).unwrap()
+}
+
+/// Runs `program(args)` once on a fresh VM of a shared session whose
+/// cache holds exactly the planted `(entry, blocks)` traces (no
+/// constructor runs), checks it against the interpreter, and returns
+/// the report, the streak demotions and the entries still linked.
+fn run_planted(
+    program: &Program,
+    plant: &[((u32, u32), &[u32])],
+    args: &[Value],
+) -> (RunReport, u64, Vec<bool>) {
+    let blk = |b: u32| BlockId::new(program.entry(), b);
+    let (cache, session, _rx) = shared_session(DEFAULT_QUEUE_CAPACITY);
+    let mut build = artifact_builder(program);
+    for &((from, to), blocks) in plant {
+        let blocks = blocks.iter().map(|&b| blk(b)).collect();
+        cache.insert_and_link_with((blk(from), blk(to)), blocks, 0.99, &mut build);
+    }
+    let mut plain = Vm::new(program);
+    let want = plain.run(args, &mut NullObserver).unwrap();
+    let mut vm = TracingVm::new_shared(program, EngineConfig::paper_default(), session);
+    let report = vm.run(args).unwrap();
+    assert_eq!(report.result, want);
+    assert_eq!(report.checksum, plain.checksum());
+    assert_eq!(report.exec.instructions, plain.stats().instructions);
+    let linked = plant
+        .iter()
+        .map(|&((from, to), _)| cache.lookup_entry((blk(from), blk(to))).is_some())
+        .collect();
+    (report, vm.health_stats().demotions, linked)
+}
+
+/// A loop whose trace rots behind its *first* guard: after the flip
+/// every entry passes the steady guard and leaves at the flipping
+/// branch (site 1). The trace is quarantined on exactly its
+/// `STREAK_LIMIT`-th consecutive early exit — not one exit earlier, and
+/// not at some later clock tick — and is never entered again.
+#[test]
+fn a_trace_rotting_behind_its_first_guard_is_quarantined_at_the_limit() {
+    let program = flipping_loop();
+    // Steady guard → flipping branch → arm A → latch, entered once per
+    // iteration from the loop head (so the loop's own exit never runs
+    // through it).
+    let plant: &[((u32, u32), &[u32])] = &[((1, 2), &[2, 3, 4, 6])];
+    const BEFORE: i64 = 50;
+    let run = |after: u32| {
+        let after = i64::from(after);
+        // `after` iterations take arm B: n = after, …, 1.
+        let args = [Value::Int(BEFORE + after), Value::Int(after + 1)];
+        run_planted(&program, plant, &args)
+    };
+
+    let (short, demotions, linked) = run(STREAK_LIMIT - 1);
+    assert_eq!(short.traces.exited_early, u64::from(STREAK_LIMIT - 1));
+    assert_eq!((short.cache.traces_quarantined, demotions), (0, 0));
+    assert_eq!(linked, [true], "one exit short of the limit stays linked");
+
+    let (at, demotions, linked) = run(STREAK_LIMIT);
+    assert_eq!(at.traces.exited_early, u64::from(STREAK_LIMIT));
+    assert_eq!((at.cache.traces_quarantined, demotions), (1, 1));
+    assert_eq!(linked, [false], "the limit-th exit quarantines");
+
+    // Past the limit nothing enters any more: the extra iterations run
+    // in the loop, one dispatch per block (head, steady guard, flipping
+    // branch, arm B, latch).
+    let extra = 24;
+    let (long, demotions, _) = run(STREAK_LIMIT + extra);
+    assert_eq!(long.traces.exited_early, u64::from(STREAK_LIMIT));
+    assert_eq!(long.traces.entered, at.traces.entered);
+    assert_eq!((long.cache.traces_quarantined, demotions), (1, 1));
+    assert_eq!(
+        long.exec.block_dispatches - at.exec.block_dispatches,
+        5 * u64::from(extra)
+    );
+}
+
+/// The streak is counted per trace: a trace that exits at its entry on
+/// every dispatch is quarantined even though another trace completes
+/// between each of its exits, and the healthy one stays linked.
+#[test]
+fn a_rotten_trace_alternating_with_a_healthy_one_is_still_quarantined() {
+    let program = loop_nest();
+    let plant: &[((u32, u32), &[u32])] = &[
+        // Rotten: entered once per outer iteration with j = 3, but it
+        // claims the inner loop is done, so its entry guard fails.
+        ((2, 3), &[3, 5]),
+        // Healthy: the inner loop body, completing twice per outer
+        // iteration (and leaving at the inner loop's exit).
+        ((4, 3), &[3, 4]),
+    ];
+    let outer = 40;
+    let (report, demotions, linked) = run_planted(&program, plant, &[Value::Int(outer)]);
+    assert_eq!(linked, [false, true], "only the rotten trace goes");
+    assert_eq!((report.cache.traces_quarantined, demotions), (1, 1));
+    // The rotten trace left STREAK_LIMIT times; the healthy one once per
+    // outer iteration, with completions in between.
+    assert_eq!(
+        report.traces.exited_early,
+        u64::from(STREAK_LIMIT) + outer as u64
+    );
+    assert_eq!(report.traces.completed, 2 * outer as u64);
 }

@@ -5,9 +5,9 @@
 //!
 //! The phase-shift program takes its flip point as an *argument*, so A
 //! and A′ share one program hash — exactly the situation a persisted
-//! trace cache cannot distinguish at load time. Health counters are
+//! trace cache cannot distinguish at load time. Retention state is
 //! deliberately excluded from snapshots: the restored traces start with
-//! a clean ledger and must be re-convicted from live evidence alone.
+//! clean streaks and must be re-convicted from live evidence alone.
 //!
 //! Staleness heals through two tiers, and both are pinned here:
 //!
@@ -16,7 +16,7 @@
 //!   constructor rebuilds and replaces the stale links directly;
 //! * a *delayed* shift re-warms the restored traces first — prediction
 //!   stays loyal to the old arm long after the flip, and it falls to
-//!   the health ladder's side-exit streak to demote the rot.
+//!   the retention rule's early-exit streak to demote the rot.
 
 use tracecache_repro::exec::{EngineConfig, TracingVm};
 use tracecache_repro::jit::TraceJitConfig;
@@ -64,12 +64,12 @@ fn warm_snapshot() -> (Vec<u8>, i64) {
 /// rot. The booted VM sets a start delay beyond the run length so that
 /// *fresh* branches never trace — but the restored BCG nodes are past
 /// their delay, so the old entries stay live. With preemptive
-/// rebuild-and-replace suppressed, the health ladder is the line of
+/// rebuild-and-replace suppressed, the retention streak is the line of
 /// defense: it must demote the restored traces within a bounded number
 /// of dispatches (re-admission through the normal constructor may then
 /// follow once the quarantine cooldown expires).
 #[test]
-fn warm_boot_into_a_delayed_shift_is_demoted_by_the_ladder() {
+fn warm_boot_into_a_delayed_shift_is_demoted_by_the_streak() {
     let (bytes, n) = warm_snapshot();
     let w = registry::phase_shift(Scale::Test);
 
@@ -91,14 +91,11 @@ fn warm_boot_into_a_delayed_shift_is_demoted_by_the_ladder() {
     let hs = booted.health_stats();
     eprintln!(
         "delayed shift: restored_links={} reused={} quarantined={} demotions={} \
-         (streak {}) recorded={} epochs={} completed={} exited_early={}",
+         completed={} exited_early={}",
         restored_links,
         report.cache.traces_reused,
         report.cache.traces_quarantined,
         hs.demotions,
-        hs.streak_demotions,
-        hs.recorded,
-        hs.epochs,
         report.traces.completed,
         report.traces.exited_early,
     );
@@ -115,7 +112,7 @@ fn warm_boot_into_a_delayed_shift_is_demoted_by_the_ladder() {
     );
 
     // The restored traces really did serve the first phase: nothing new
-    // was constructed before the flip forced the ladder's hand.
+    // was constructed before the flip forced the rule's hand.
     assert!(
         report.traces.completed > 0,
         "restored traces never executed"
@@ -125,7 +122,7 @@ fn warm_boot_into_a_delayed_shift_is_demoted_by_the_ladder() {
         report.cache.traces_quarantined >= 1,
         "no stale trace was ever quarantined"
     );
-    assert!(hs.demotions >= 1, "the health ladder never convicted");
+    assert!(hs.demotions >= 1, "the retention streak never convicted");
     // Bounded-dispatch demotion: the rot must not soak the run — the
     // rebuilt cold-arm trace dominates with completions.
     assert!(
@@ -138,7 +135,7 @@ fn warm_boot_into_a_delayed_shift_is_demoted_by_the_ladder() {
 
 /// A′ shifted from the very first dispatch: the profiler's prediction
 /// flips almost immediately, so the constructor's rebuild-and-replace
-/// path heals the cache before the ladder needs to act.
+/// path heals the cache before the streak needs to act.
 #[test]
 fn warm_boot_into_an_abrupt_shift_is_healed_by_replacement() {
     let (bytes, n) = warm_snapshot();
@@ -174,8 +171,8 @@ fn warm_boot_into_an_abrupt_shift_is_healed_by_replacement() {
     );
 }
 
-/// Health counters are excluded from snapshots by design: a freshly
-/// booted VM starts with a clean ledger even when the donor VM had
+/// Retention counters are excluded from snapshots by design: a freshly
+/// booted VM starts at zero demotions even when the donor VM had
 /// demotions on the books.
 #[test]
 fn snapshots_do_not_carry_health_counters() {
@@ -184,16 +181,15 @@ fn snapshots_do_not_carry_health_counters() {
     donor.run(&w.args).expect("donor run succeeds");
     let donor_hs = donor.health_stats();
     assert!(
-        donor_hs.recorded > 0,
-        "donor must have health history to (not) persist"
+        donor_hs.demotions >= 1,
+        "donor must have demotions to (not) persist"
     );
     let bytes = donor.snapshot();
 
     let mut booted = TracingVm::new(&w.program, config());
     booted.load_snapshot(&bytes).expect("snapshot loads");
     let hs = booted.health_stats();
-    assert_eq!(hs.recorded, 0, "ledger history must not survive a boot");
-    assert_eq!(hs.epochs, 0);
-    assert_eq!(hs.demotions, 0);
+    assert_eq!(hs.demotions, 0, "demotions must not survive a boot");
+    assert_eq!(hs.readmitted_watched, 0);
     assert_eq!(hs.probations, 0);
 }
