@@ -139,6 +139,21 @@ echo "== trace-engine differential (debug: register/slab-bounds + invariant asse
 cargo test --features debug-invariants -q --test engine_differential --test reg_differential --test reg_golden
 cargo test -q --release --test engine_differential --test reg_differential
 
+echo "== a trace is one dispatch to the profiler (side exits re-anchor, never observe)"
+# A side exit used to observe the resumed block, crediting the failed
+# guard's node with the exit while every pass ran unprofiled in the
+# trace: the node decayed toward the exit, turned Weak, and loop traces
+# were re-planned shorter. These two tests pin the traces' length; the
+# grep keeps the executor from profiling an in-trace outcome again.
+cargo test -p trace-exec --features debug-invariants -q a_guard_that_exits_below_the_streak_keeps_its_trace
+cargo test -p trace-exec -q --release a_guard_that_exits_below_the_streak_keeps_its_trace
+cargo test --features debug-invariants -q --test trace_quality a_running_loop_keeps_its_unrolled_trace
+cargo test -q --release --test trace_quality a_running_loop_keeps_its_unrolled_trace
+if grep -nE 'bcg\.observe|pre_entry' crates/exec/src/regexec.rs; then
+    echo "crates/exec/src/regexec.rs profiles an in-trace outcome again (matches above)" >&2
+    exit 1
+fi
+
 echo "== superinstruction fusion differential (debug: stack/shadow asserts; release: at speed)"
 # The fused decoded interpreter against the reference oracle: six
 # workloads, seeded fuzz with every fusible site fused, fuel-straddle

@@ -136,11 +136,12 @@ impl BranchCorrelationGraph {
     }
 
     /// Re-anchors the stream context at `block` without recording a
-    /// branch. A trace-executing VM calls this when a trace ends: the
-    /// profiling points inside the trace were eliminated (§4.1.2 — "all
-    /// of the inlined ones are removed"), so the profiler resumes from
-    /// the trace's final block rather than inventing a bogus branch from
-    /// the trace's entry.
+    /// branch. A trace-executing VM calls this whenever a trace hands
+    /// control back, completed or early: the profiling points inside the
+    /// trace were eliminated (§4.1.2 — "all of the inlined ones are
+    /// removed"), so the profiler resumes from the block the interpreter
+    /// resumes in — the trace's final block, or the block a side exit
+    /// resumes — rather than inventing a branch from inside the trace.
     pub fn set_context(&mut self, block: BlockId) {
         self.last_block = Some(block);
         self.ctx_node = None;

@@ -18,10 +18,13 @@
 //! arena, the frame's `pc` is re-anchored at the guarded instruction and
 //! the loop resumes there, re-executing it with full semantics. The
 //! resume point sits just *past* its block's entry marker, so the
-//! dispatch event the reference system would fire on resumption is
-//! accounted for **eagerly** at the exit itself, in the same order the
-//! loop would. A trace that runs to its end hands its final terminator
-//! back to the loop the same way. Consequently the engine is
+//! block dispatch the interpreter would count on resumption is counted
+//! at the exit itself. A trace that runs to its end hands its final
+//! terminator back to the loop the same way. To the profiler a trace is
+//! the one dispatch that entered it, both ways out: no in-trace branch
+//! outcome is observed, passed or failed, and the profiler re-anchors at
+//! the block the loop resumes in — the resumed block on a side exit, the
+//! trace's last block on completion. Consequently the engine is
 //! *semantically transparent*: it executes exactly the same instruction
 //! sequence as the plain interpreter, under every configuration — a
 //! property the differential tests pin down on all six workloads. A
@@ -162,7 +165,7 @@ impl Jit<'_> {
     /// submit attempted, and nothing is parked for a constructor that
     /// will never come back.
     #[inline]
-    pub(crate) fn dispatch_signals(&mut self) {
+    fn dispatch_signals(&mut self) {
         if self.bcg.has_signals() {
             self.route_signals();
         }
@@ -295,7 +298,7 @@ impl BlockDriver for Driver<'_> {
         // The retention rule: a completion resets the streak, any early
         // exit — the entry guard's included — extends it, and the exit
         // that makes it `STREAK_LIMIT` long quarantines the trace.
-        match self.jit.execute(rt, entry.0, m)? {
+        match self.jit.execute(rt, m)? {
             TraceRun::Completed => *streak = 0,
             TraceRun::SideExited => {
                 *streak += 1;
@@ -1056,5 +1059,81 @@ mod tests {
         assert!(vm.load_snapshot(&corrupt).is_err());
         assert_eq!(vm.cache().trace_count(), 0);
         assert_eq!(vm.compiled_count(), 0);
+    }
+
+    /// A hot loop whose inner branch takes its rare side on every
+    /// `period`-th iteration. Blocks: 1 is the loop head, 2 the inner
+    /// branch, 3 / 4 its common / rare side, 5 the back edge.
+    fn rare_side_program(period: i64) -> Program {
+        let mut pb = ProgramBuilder::new();
+        let f = pb.declare_function("main", 1, true);
+        let b = pb.function_mut(f);
+        let acc = b.alloc_local();
+        b.iconst(0).store(acc);
+        let head = b.bind_new_label();
+        let exit = b.new_label();
+        let rare = b.new_label();
+        let cont = b.new_label();
+        b.load(0).if_i(CmpOp::Le, exit);
+        b.load(0).iconst(period).irem().if_i(CmpOp::Eq, rare);
+        b.load(acc).iconst(1).iadd().store(acc).goto(cont);
+        b.bind(rare);
+        b.load(acc).iconst(7).ixor().store(acc);
+        b.bind(cont);
+        b.iinc(0, -1).goto(head);
+        b.bind(exit);
+        b.load(acc).ret();
+        pb.build(f).unwrap()
+    }
+
+    #[test]
+    fn a_guard_that_exits_below_the_streak_keeps_its_trace() {
+        // The rare side fails the inner guard once in ten iterations:
+        // far below the streak, so the trace is never quarantined. The
+        // passes run unprofiled inside the trace, so the exits must not
+        // be profiled either — crediting them alone would turn the
+        // guard's node `Weak` and re-plan the loop's entry shorter.
+        let program = rare_side_program(10);
+        let blk = |b| BlockId::new(program.entry(), b);
+        let (back_edge, guard) = ((blk(5), blk(1)), (blk(1), blk(2)));
+        // A threshold the common side's 90 % clears, so the constructor
+        // traces through the inner branch and guards it.
+        let mut cfg = EngineConfig::paper_default();
+        cfg.jit = cfg.jit.with_threshold(0.85);
+        let mut engine = TracingVm::new(&program, cfg);
+        let mut exits = engine
+            .run(&[Value::Int(20_000)])
+            .unwrap()
+            .traces
+            .exited_early;
+        let warm = engine
+            .cache()
+            .lookup_entry(back_edge)
+            .expect("loop entry linked");
+        assert!(
+            engine.cache().trace(warm).blocks().contains(&blk(3)),
+            "the loop trace runs through the inner guard"
+        );
+        for run in 0..3 {
+            let r = engine.run(&[Value::Int(20_000)]).unwrap();
+            assert!(
+                r.traces.exited_early > exits,
+                "run {run}: the guard must fail"
+            );
+            exits = r.traces.exited_early;
+            assert_eq!(
+                engine.cache().lookup_entry(back_edge),
+                Some(warm),
+                "run {run}: the loop entry was re-planned"
+            );
+            let bcg = &engine.driver.jit.bcg;
+            let node = bcg.node(bcg.node_index(guard).expect("guard node"));
+            assert!(
+                node.state().is_traceable(),
+                "run {run}: guard node turned {}",
+                node.state()
+            );
+        }
+        assert_eq!(engine.health_stats().demotions, 0);
     }
 }

@@ -215,8 +215,8 @@ pub struct RExit {
     /// Decoded index of the guarded instruction (the resume point, past
     /// its block's entry marker).
     pub dpc: u32,
-    /// Block index containing it (the dispatch accounted eagerly at the
-    /// exit).
+    /// Block index containing it: the dispatch counted at the exit, and
+    /// the block the profiler re-anchors at.
     pub block: u32,
     /// Source blocks fully executed before the guard (static — guards
     /// sit at known positions in the trace).

@@ -76,9 +76,8 @@ fn sset(slab: &mut [Value], i: u32, v: Value) {
 }
 
 impl Jit<'_> {
-    /// Executes one register-lowered trace entered over the branch
-    /// `pre_entry → rt.src_blocks[0]`, borrowing the recycled register
-    /// file for the duration.
+    /// Executes one register-lowered trace, borrowing the recycled
+    /// register file for the duration.
     ///
     /// Fuel is accounted in a local counter while inside the trace and
     /// folded into the machine's counter here, on the one way out —
@@ -89,12 +88,11 @@ impl Jit<'_> {
     pub(crate) fn execute(
         &mut self,
         rt: &RegTrace,
-        pre_entry: BlockId,
         m: &mut Machine<'_>,
     ) -> Result<TraceRun, VmError> {
         let mut regs = std::mem::take(&mut self.reg_file);
         let mut instrs = 0u64;
-        let run = self.execute_with(rt, pre_entry, m, &mut regs, &mut instrs);
+        let run = self.execute_with(rt, m, &mut regs, &mut instrs);
         m.stats.instructions += instrs;
         self.reg_file = regs;
         run
@@ -109,7 +107,6 @@ impl Jit<'_> {
     fn execute_with(
         &mut self,
         rt: &RegTrace,
-        pre_entry: BlockId,
         m: &mut Machine<'_>,
         regs: &mut Vec<Value>,
         instrs: &mut u64,
@@ -192,23 +189,17 @@ impl Jit<'_> {
                 self.trace_stats.exited_early += 1;
                 self.trace_stats.blocks_in_partial += exit.blocks_done as u64;
                 self.trace_stats.instrs_in_partial += *instrs;
-                self.bcg.set_context(if exit.blocks_done == 0 {
-                    pre_entry
-                } else {
-                    rt.src_blocks[exit.blocks_done as usize - 1]
-                });
                 // The resume pc sits past its block's entry marker, so
-                // the loop will not re-fire the dispatch: account for it
-                // eagerly, in the exact order the hook would (dispatch
-                // count, observe, signal handling, outside-block
-                // count). The resumed block never
-                // re-enters the trace whose guard just failed — the
-                // remainder of the block runs in interpreter code before
-                // the next dispatch point, as in the real system.
+                // the loop will not re-fire the dispatch: count it here.
+                // The profiler only re-anchors at the resumed block, as a
+                // completion does at the trace's last block: the guard's
+                // passes ran unprofiled, so crediting its failure alone
+                // would decay its node toward the exit and shorten the
+                // next trace planned through it (§4.1.2: no profiling
+                // points inside a trace). The rest of the resumed block
+                // runs in the loop, never re-entering this trace.
                 m.stats.block_dispatches += 1;
-                let bid = BlockId::new(exit.func, exit.block);
-                let _ = self.bcg.observe(bid);
-                self.dispatch_signals();
+                self.bcg.set_context(BlockId::new(exit.func, exit.block));
                 self.trace_stats.blocks_outside += 1;
                 return Ok(TraceRun::SideExited);
             }};

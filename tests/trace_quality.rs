@@ -1,6 +1,7 @@
 //! Cross-crate trace-quality invariants: the headline properties the
 //! paper's evaluation establishes, checked at test scale.
 
+use tracecache_repro::exec::{EngineConfig, TracingVm};
 use tracecache_repro::jit::experiment::{
     delay_sweep, run_point, threshold_sweep, PAPER_DELAYS, PAPER_THRESHOLDS,
 };
@@ -131,4 +132,32 @@ fn mpegaudio_and_scimark_are_most_predictable() {
     }
     assert!(ratios["mpegaudio"] > ratios["javac"], "{ratios:?}");
     assert!(ratios["scimark"] > ratios["javac"], "{ratios:?}");
+}
+
+#[test]
+fn a_running_loop_keeps_its_unrolled_trace() {
+    // A side exit hands the profiler the resumed block as context and no
+    // in-trace outcome: the failed guard's node is never credited with
+    // the exit while its passes go unseen. Profiling the exit decayed
+    // mpegaudio's `fir_at` back-edge node toward the loop exit, cut its
+    // once-unrolled link to a single iteration and roughly doubled the
+    // trace entries per instruction.
+    let w = registry::mpegaudio(Scale::Test);
+    let mut vm = TracingVm::new(&w.program, EngineConfig::default());
+    let reports: Vec<_> = (0..4).map(|_| vm.run(&w.args).unwrap()).collect();
+    assert!(reports.iter().all(|r| r.checksum == w.expected_checksum));
+    let (prev, now) = (reports[2].traces, reports[3].traces);
+    let instrs = reports[3].exec.instructions;
+    let completed = now.completed - prev.completed;
+    let blocks_per_trace =
+        (now.blocks_in_completed - prev.blocks_in_completed) as f64 / completed as f64;
+    let entries_per_kinstr = (now.entered - prev.entered) as f64 * 1000.0 / instrs as f64;
+    assert!(
+        blocks_per_trace >= 3.5,
+        "blocks per completed trace {blocks_per_trace:.2}"
+    );
+    assert!(
+        entries_per_kinstr <= 35.0,
+        "trace entries per kinstr {entries_per_kinstr:.1}"
+    );
 }
