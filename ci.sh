@@ -154,6 +154,34 @@ if grep -nE 'bcg\.observe|pre_entry' crates/exec/src/regexec.rs; then
     exit 1
 fi
 
+echo "== loop closing (a trace linked at its own loop branch jumps to its top instead of dispatching)"
+# A completed loop trace used to hand its final branch back to the loop,
+# which re-fired the head's dispatch, observed the back edge, looked up
+# the link and re-entered the very same trace — every iteration. The
+# final branch now runs in-trace and the executor closes the loop while
+# that branch still links the trace, or goes on into the other trace it
+# links (a loop split over several traces). Debug runs assert the skipped
+# dispatch's premise (no signal pending, private cache unchanged) at
+# every closing; the smoke must report closings on mpegaudio.
+for profile in "--features debug-invariants" "--release"; do
+    # shellcheck disable=SC2086
+    cargo test -p trace-exec $profile -q a_self_linked_loop_closes_without_dispatching
+    # shellcheck disable=SC2086
+    cargo test $profile -q --test health a_loop_closes_only_through_its_own_link
+    # shellcheck disable=SC2086
+    cargo test $profile -q --test health a_loop_split_over_two_traces_closes_through_both
+    # shellcheck disable=SC2086
+    cargo test $profile -q --test reg_differential fuel_cut_at_every_instruction_matches_the_interpreter
+    # shellcheck disable=SC2086
+    cargo test $profile -q --test reg_golden
+done
+closings=$(cargo run --release -q --bin tracevm -- run mpegaudio --scale test --engine exec \
+    | sed -n 's/^loop closings *: \([0-9]*\).*/\1/p')
+if [ -z "$closings" ] || [ "$closings" -eq 0 ]; then
+    echo "tracevm run mpegaudio reported no loop closings ('${closings}')" >&2
+    exit 1
+fi
+
 echo "== superinstruction fusion differential (debug: stack/shadow asserts; release: at speed)"
 # The fused decoded interpreter against the reference oracle: six
 # workloads, seeded fuzz with every fusible site fused, fuel-straddle

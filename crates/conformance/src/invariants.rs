@@ -8,10 +8,10 @@
 //! invariants") maps every invariant to the rule it encodes.
 
 use jvm_bytecode::{FuncId, Program};
-use jvm_vm::decode::DecodedProgram;
+use jvm_vm::decode::{op, DecodedProgram};
 use trace_bcg::BranchCorrelationGraph;
 use trace_cache::TraceCache;
-use trace_exec::{RInstr, RegTrace};
+use trace_exec::{RExit, RInstr, RegTrace};
 
 /// Graph-wide counter and state-machine invariants (§3.3, §4.1.1):
 /// counters bounded by the saturation limit, `total_weight` equal to the
@@ -100,7 +100,10 @@ pub fn check_link_coherence(cache: &TraceCache, bcg: &BranchCorrelationGraph) {
 /// block entry marker; every frame image must fit the region the
 /// arena allocates for its frame; and an exit's image must rebuild
 /// exactly the operand-stack depth the verifier proved at its resume
-/// pc. A violation would make a failing guard resume the interpreter at
+/// pc. A final branch's two successor records sit on their successor's
+/// entry marker and share one image, whose depth is the one proved at
+/// the successor's first instruction. A violation would make a failing
+/// guard or a completed trace resume the interpreter at
 /// a garbage pc, on a stack it does not expect, or write outside its
 /// frame — the exact class of bug trace execution must never exhibit.
 pub fn check_side_exits(program: &Program, decoded: &DecodedProgram, rt: &RegTrace) {
@@ -118,7 +121,9 @@ pub fn check_side_exits(program: &Program, decoded: &DecodedProgram, rt: &RegTra
             );
         }
     };
-    let check_exit = |what: &str, cur: FuncId, idx: u32| {
+    // Where a record resumes: in range, inside the block it names, in
+    // the frame the stream is executing, with an image that fits it.
+    let check_record = |what: &str, cur: FuncId, idx: u32| {
         let e = &rt.exits[idx as usize];
         assert!(
             (e.func.0 as usize) < decoded.funcs.len(),
@@ -147,17 +152,37 @@ pub fn check_side_exits(program: &Program, decoded: &DecodedProgram, rt: &RegTra
             e.func
         );
         check_image(what, cur, e.image);
-        // The interpreter resumes *at* the exit's instruction, so the
-        // image must rebuild exactly the depth the verifier proved
-        // there. One marker precedes each block, so the source pc is
-        // `dpc - block - 1` (DESIGN.md, decoded layout).
+        e
+    };
+    // The image must rebuild exactly the depth the verifier proved at
+    // the source pc the loop resumes on.
+    let check_depth = |what: &str, e: &RExit, pc: u32| {
         let img = &rt.images[e.image as usize];
-        let pc = e.dpc - e.block - 1;
         assert_eq!(
             Some(u64::from(img.base) + img.stack.len() as u64),
             program.function(e.func).depth_at(pc).map(u64::from),
             "{what}: frame image depth is not the verified depth at pc {pc}"
         );
+    };
+    let check_exit = |what: &str, cur: FuncId, idx: u32| {
+        // The interpreter resumes *at* the exit's instruction. One
+        // marker precedes each block, so the source pc is
+        // `dpc - block - 1` (DESIGN.md, decoded layout).
+        let e = check_record(what, cur, idx);
+        check_depth(what, e, e.dpc - e.block - 1);
+    };
+    // A final branch's successor record resumes *on* the successor's
+    // entry marker, so the loop makes its dispatch; the image rebuilds
+    // the depth at the block's first instruction.
+    let check_successor = |cur: FuncId, idx: u32| {
+        let what = "final-branch";
+        let e = check_record(what, cur, idx);
+        assert_eq!(
+            decoded.funcs[e.func.0 as usize].code[e.dpc as usize].op,
+            op::ENTER_BLOCK,
+            "{what}: successor record does not resume on an entry marker"
+        );
+        check_depth(what, e, program.function(e.func).block(e.block).start);
     };
     let check_local = |what: &str, cur: FuncId, slot: u16| {
         assert!(
@@ -247,12 +272,22 @@ pub fn check_side_exits(program: &Program, decoded: &DecodedProgram, rt: &RegTra
                 assert!(callers.is_empty(), "guarded return below the entry depth");
                 cur = expected.func;
             }
+            RInstr::FinalBranch { exits, .. } => {
+                for &idx in exits {
+                    check_successor(cur, idx);
+                }
+                let [fall, taken] = exits.map(|i| rt.exits[i as usize].image);
+                assert_eq!(fall, taken, "final branch: successors share one image");
+            }
             RInstr::Finish { exit, .. } => check_exit("finish", cur, *exit),
             _ => {}
         }
     }
     assert!(
-        matches!(rt.code.last(), Some(RInstr::Finish { .. })),
-        "a register trace hands back to the loop through a final finish"
+        matches!(
+            rt.code.last(),
+            Some(RInstr::Finish { .. } | RInstr::FinalBranch { .. })
+        ),
+        "a register trace hands back to the loop through a final finish or branch"
     );
 }

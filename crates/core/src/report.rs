@@ -122,6 +122,7 @@ mod tests {
                 blocks_in_partial: 100,
                 instrs_in_completed: 80_000,
                 instrs_in_partial: 5_000,
+                loop_closings: 0,
                 blocks_outside: 2_000,
                 first_entry_dispatch: 40,
             },

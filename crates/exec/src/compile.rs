@@ -18,7 +18,7 @@
 //! | `invokestatic` | [`Step::EnterStatic`] — pushes the callee frame (its entry block is the next trace block by construction) |
 //! | `invokevirtual` | [`Step::GuardVirtual`] — side-exits unless the receiver resolves to the recorded callee |
 //! | `return` | [`Step::GuardReturn`] — side-exits unless the caller's continuation is the recorded next block |
-//! | last block's terminator | [`Step::Finish`] — handed back to the interpreter loop; the trace then completes |
+//! | last block's terminator | [`Step::Finish`] — a conditional branch or `goto` runs in-trace and may close the loop; any other terminator is handed back to the interpreter loop |
 //!
 //! Every step but a fall-through sits on its block's last instruction,
 //! which is where a failed guard resumes the interpreter with the
@@ -46,6 +46,19 @@ pub enum CondKind {
 }
 
 impl CondKind {
+    /// The shape and taken-target pc of a conditional branch; `None` for
+    /// any other instruction.
+    pub(crate) fn of(ins: &Instr) -> Option<(CondKind, u32)> {
+        Some(match *ins {
+            Instr::IfICmp(op, t) => (CondKind::ICmp(op), t),
+            Instr::IfI(op, t) => (CondKind::IZero(op), t),
+            Instr::IfFCmp(op, t) => (CondKind::FCmp(op), t),
+            Instr::IfNull(t) => (CondKind::Null, t),
+            Instr::IfNonNull(t) => (CondKind::NonNull, t),
+            _ => return None,
+        })
+    }
+
     /// Number of operands the branch pops.
     pub fn arity(self) -> usize {
         match self {
@@ -99,8 +112,11 @@ pub enum Step {
         /// Whether a value is returned.
         has_value: bool,
     },
-    /// The final block's terminator, executed by the interpreter loop
-    /// with full semantics; afterwards the trace has completed.
+    /// The final block's terminator; afterwards the trace has completed.
+    /// The lowering runs a conditional branch or `goto` in-trace
+    /// ([`crate::reg::RInstr::FinalBranch`]) and hands any other
+    /// terminator back to the interpreter loop
+    /// ([`crate::reg::RInstr::Finish`]).
     Finish,
 }
 
@@ -190,7 +206,8 @@ pub fn compile_blocks(
             break;
         };
         let pc = block.end - 1;
-        let cond = |kind: CondKind, target: u32| -> Result<Step, CompileError> {
+        let terminator = &func.code()[pc as usize];
+        if let Some((kind, target)) = CondKind::of(terminator) {
             let taken = BlockId::new(blk.func, func.block_index_of(target));
             let fall = BlockId::new(blk.func, func.block_index_of(pc + 1));
             // A degenerate branch to the very next instruction keeps both
@@ -205,17 +222,13 @@ pub fn compile_blocks(
             } else {
                 return err(format!("branch at {}:{pc} cannot reach {next}", blk.func));
             };
-            Ok(Step::GuardCond {
+            steps.push(Step::GuardCond {
                 kind,
                 expected_taken,
-            })
-        };
-        steps.push(match &func.code()[pc as usize] {
-            Instr::IfICmp(op, t) => cond(CondKind::ICmp(*op), *t)?,
-            Instr::IfI(op, t) => cond(CondKind::IZero(*op), *t)?,
-            Instr::IfFCmp(op, t) => cond(CondKind::FCmp(*op), *t)?,
-            Instr::IfNull(t) => cond(CondKind::Null, *t)?,
-            Instr::IfNonNull(t) => cond(CondKind::NonNull, *t)?,
+            });
+            continue;
+        }
+        steps.push(match terminator {
             Instr::Goto(t) => {
                 let target_block = BlockId::new(blk.func, func.block_index_of(*t));
                 if next != target_block {

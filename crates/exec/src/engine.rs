@@ -19,12 +19,32 @@
 //! the loop resumes there, re-executing it with full semantics. The
 //! resume point sits just *past* its block's entry marker, so the
 //! block dispatch the interpreter would count on resumption is counted
-//! at the exit itself. A trace that runs to its end hands its final
-//! terminator back to the loop the same way. To the profiler a trace is
-//! the one dispatch that entered it, both ways out: no in-trace branch
-//! outcome is observed, passed or failed, and the profiler re-anchors at
-//! the block the loop resumes in — the resumed block on a side exit, the
-//! trace's last block on completion. Consequently the engine is
+//! at the exit itself. A trace that runs to its end runs its final
+//! conditional branch or `goto` itself and resumes the loop on the chosen
+//! successor's entry marker, so the loop makes that dispatch; any other
+//! final terminator is handed back the way a guard is.
+//!
+//! **Loop closing.** When the branch into that successor links a trace,
+//! the dispatch would only enter it, so the engine skips the dispatch:
+//! the executor jumps back to the top when the trace linked there is the
+//! one that just finished, and the driver's `run_trace` goes on into any
+//! other (a loop whose body the profile split over several traces closes
+//! through all of them). Skipping it is unobservable: the profiler,
+//! re-anchored at the last block, would observe a branch whose node
+//! exists (it holds the link) and neither count nor signal; nothing was
+//! observed since the entry, so no signal is pending; a private cache
+//! cannot change inside an execution, and in shared mode the link is
+//! re-checked against the cache version at every skipped dispatch. One
+//! *execution* — one dispatch into a trace — thus runs until a guard
+//! fails or a completion finds no link, and the trace counters
+//! ([`TraceExecStats`]) count executions, with `loop_closings` counting
+//! the trace runs begun without a dispatch.
+//!
+//! To the profiler a trace execution is the one dispatch that entered
+//! it, both ways out: no in-trace branch outcome is observed, passed or
+//! failed, and the profiler re-anchors at the block the loop resumes in —
+//! the resumed block on a side exit, the trace's last block on
+//! completion. Consequently the engine is
 //! *semantically transparent*: it executes exactly the same instruction
 //! sequence as the plain interpreter, under every configuration — a
 //! property the differential tests pin down on all six workloads. A
@@ -33,13 +53,16 @@
 //! Retention is counted where the trace exits: each artifact slot keeps
 //! the trace's run of consecutive early exits, and the exit that makes
 //! it [`STREAK_LIMIT`] long quarantines the trace (see
-//! [`trace_cache::health`]).
+//! [`trace_cache::health`]). A loop closing completes an iteration, so
+//! it resets the streak as a completion does, and a trace is demoted
+//! through the entry its last iteration came in by: its loop branch if
+//! it closed, else the branch it was dispatched or gone on into at.
 
 use std::sync::Arc;
 
 use jvm_bytecode::{BlockId, Program};
 use jvm_vm::{BlockDriver, DecodedProgram, Machine, OutputItem, Value, Vm, VmError};
-use trace_bcg::{Branch, BranchCorrelationGraph, Signal};
+use trace_bcg::{Branch, BranchCorrelationGraph, NodeIdx, Signal};
 use trace_cache::{
     BcgSnapshot, CacheStats, HealthStats, TraceCache, TraceConstructor, TraceExecStats, TraceId,
     COOLDOWN, STREAK_LIMIT,
@@ -48,7 +71,6 @@ use trace_jit::{RunReport, TraceJitConfig};
 use trace_persist::{program_hash, Snapshot, SnapshotError, SnapshotReader};
 
 use crate::reg::{build_trace, RegStats, RegTrace};
-use crate::regexec::TraceRun;
 use crate::shared::{SharedSession, SNAPSHOT_LIMIT};
 
 /// Engine configuration.
@@ -127,9 +149,43 @@ pub(crate) struct Jit<'p> {
     /// Reusable register file for trace execution: grown per trace on
     /// entry, recycled across entries so the hot path never allocates.
     pub(crate) reg_file: Vec<Value>,
+    /// Block-visit profile accumulated during the first run; input to
+    /// the DOp-fusion selection (see [`jvm_vm::fuse`]). Here rather than
+    /// in the driver because a loop closing visits the loop head
+    /// without a dispatch.
+    block_visits: jvm_vm::fuse::BlockCounts,
+    /// Whether this run is the one counting `block_visits`.
+    profile_fusion: bool,
 }
 
 impl Jit<'_> {
+    /// Counts a visit of `bid` into the DOp-fusion profile, while it is
+    /// being taken.
+    #[inline]
+    pub(crate) fn count_visit(&mut self, bid: BlockId) {
+        if self.profile_fusion {
+            self.block_visits.counts[bid.func.0 as usize][bid.block as usize] += 1;
+        }
+    }
+
+    /// The private cache's version; `None` in shared mode, where another
+    /// VM may bump the cache's at any time.
+    #[cfg(feature = "debug-invariants")]
+    pub(crate) fn private_version(&self) -> Option<u64> {
+        self.shared.is_none().then(|| self.cache.version())
+    }
+
+    /// The trace linked at branch node `n`: a version compare against
+    /// whichever cache this VM dispatches against, no hashing (the slot
+    /// revalidates on a version bump).
+    #[inline]
+    pub(crate) fn linked_at(&mut self, n: NodeIdx) -> Option<TraceId> {
+        match &self.shared {
+            None => self.cache.lookup_entry_cached(&mut self.bcg, n),
+            Some(sess) => sess.cache.lookup_entry_cached(&mut self.bcg, n),
+        }
+    }
+
     /// Counters of whichever cache this VM dispatches against.
     fn cache_stats(&self) -> CacheStats {
         match &self.shared {
@@ -232,11 +288,6 @@ struct Driver<'p> {
     /// alike); slots past the end are [`Artifact::Unbuilt`].
     arts: Vec<Artifact>,
     reg_stats: RegStats,
-    /// Block-visit profile accumulated during the first run; input to
-    /// the DOp-fusion selection (see [`jvm_vm::fuse`]).
-    block_visits: jvm_vm::fuse::BlockCounts,
-    /// Whether this run is the one counting `block_visits`.
-    profile_fusion: bool,
 }
 
 impl BlockDriver for Driver<'_> {
@@ -249,25 +300,19 @@ impl BlockDriver for Driver<'_> {
     /// (EXPERIMENTS.md, "One loop, one frame arena").
     #[inline]
     fn on_block(&mut self, bid: BlockId) -> Option<Linked> {
-        if self.profile_fusion {
-            self.block_visits.counts[bid.func.0 as usize][bid.block as usize] += 1;
-        }
         let jit = &mut self.jit;
+        jit.count_visit(bid);
         let node = jit.bcg.observe(bid);
         jit.dispatch_signals();
-        // Entry check through the branch node's trace-link slot — a
-        // version compare against the cache, no hashing — dispatched
-        // statically on the cache kind. (The first block of a stream has
-        // no branch, hence no node and no entry.) In private mode
-        // signals were just handled, so a trace built by this very
+        // Entry check through the branch node's trace-link slot,
+        // dispatched statically on the cache kind. (The first block of a
+        // stream has no branch, hence no node and no entry.) In private
+        // mode signals were just handled, so a trace built by this very
         // dispatch is immediately enterable — the slot revalidates on
         // the version bump. In shared mode the slot stamp makes the
         // locked probe one version compare on the steady state.
         let linked = node.and_then(|n| {
-            let tid = match &mut jit.shared {
-                None => jit.cache.lookup_entry_cached(&mut jit.bcg, n),
-                Some(sess) => sess.cache.lookup_entry_cached(&mut jit.bcg, n),
-            }?;
+            let tid = jit.linked_at(n)?;
             Some(Linked {
                 tid,
                 entry: jit.bcg.node(n).branch(),
@@ -279,34 +324,78 @@ impl BlockDriver for Driver<'_> {
         linked
     }
 
+    /// One execution: the dispatched trace, and every trace a completion
+    /// goes on into through the link at the branch it leaves by.
     fn run_trace(&mut self, linked: Linked, m: &mut Machine<'_>) -> Result<(), VmError> {
-        let Linked { tid, entry } = linked;
-        if matches!(self.arts.get(tid.index()), Some(Artifact::Unbuilt) | None) {
-            self.resolve_artifact(tid, entry, m.decoded);
-        }
-        let Some(Artifact::Built(rt, streak)) = self.arts.get_mut(tid.index()) else {
-            // A linked trace without an artifact: its block runs in the
-            // loop.
-            self.jit.trace_stats.blocks_outside += 1;
-            return Ok(());
-        };
-        if self.jit.trace_stats.first_entry_dispatch == 0 {
-            // Warm-up marker: how many block dispatches this run paid
-            // before the very first trace entry.
-            self.jit.trace_stats.first_entry_dispatch = m.stats.block_dispatches;
-        }
-        // The retention rule: a completion resets the streak, any early
-        // exit — the entry guard's included — extends it, and the exit
-        // that makes it `STREAK_LIMIT` long quarantines the trace.
-        match self.jit.execute(rt, m)? {
-            TraceRun::Completed => *streak = 0,
-            TraceRun::SideExited => {
+        let Linked { mut tid, mut entry } = linked;
+        let mut dispatched = true;
+        // The execution's blocks and instructions, over all its traces.
+        let (mut blocks, mut instrs) = (0, 0);
+        let side_exited = loop {
+            if matches!(self.arts.get(tid.index()), Some(Artifact::Unbuilt) | None) {
+                self.resolve_artifact(tid, entry, m.decoded);
+            }
+            let Some(Artifact::Built(rt, streak)) = self.arts.get_mut(tid.index()) else {
+                if dispatched {
+                    // A linked trace without an artifact: its block runs
+                    // in the loop.
+                    self.jit.trace_stats.blocks_outside += 1;
+                    return Ok(());
+                }
+                // The last trace handed back on this block's marker, and
+                // the loop dispatches it.
+                break false;
+            };
+            if dispatched {
+                if self.jit.trace_stats.first_entry_dispatch == 0 {
+                    // Warm-up marker: how many block dispatches this run
+                    // paid before the very first trace entry.
+                    self.jit.trace_stats.first_entry_dispatch = m.stats.block_dispatches;
+                }
+                self.jit.trace_stats.entered += 1;
+            } else {
+                // Step over the marker the last trace handed back on, as
+                // the skipped dispatch would.
+                m.arena.top_mut().pc += 1;
+                self.jit.count_visit(entry.1);
+                self.jit.trace_stats.loop_closings += 1;
+            }
+            // The retention rule: a completion resets the streak, any
+            // early exit — the entry guard's included — extends it, and
+            // the exit that makes it `STREAK_LIMIT` long quarantines the
+            // trace. Every loop closing completed an iteration, and the
+            // next iteration came in over the loop branch: that is the
+            // entry to demote.
+            let run = self.jit.execute(rt, tid, m)?;
+            blocks += run.blocks;
+            instrs += run.instrs;
+            if run.closings > 0 {
+                *streak = 0;
+                entry = rt.loop_branch();
+            }
+            if run.side_exited {
                 *streak += 1;
                 if *streak >= STREAK_LIMIT {
                     let dead = self.jit.demote(entry, tid);
                     self.retire(dead);
                 }
+                break true;
             }
+            *streak = 0;
+            let Some((next, via)) = run.next else {
+                break false;
+            };
+            (tid, entry, dispatched) = (next, via, false);
+        };
+        let t = &mut self.jit.trace_stats;
+        if side_exited {
+            t.exited_early += 1;
+            t.blocks_in_partial += blocks;
+            t.instrs_in_partial += instrs;
+        } else {
+            t.completed += 1;
+            t.blocks_in_completed += blocks;
+            t.instrs_in_completed += instrs;
         }
         Ok(())
     }
@@ -451,12 +540,12 @@ impl<'p> TracingVm<'p> {
                     signal_buf: Vec::new(),
                     trace_stats: TraceExecStats::default(),
                     reg_file: Vec::new(),
+                    block_visits: jvm_vm::fuse::BlockCounts::for_program(program),
+                    profile_fusion: false,
                 },
                 config,
                 arts: Vec::new(),
                 reg_stats: RegStats::default(),
-                block_visits: jvm_vm::fuse::BlockCounts::for_program(program),
-                profile_fusion: false,
             },
             fusion_profiled: false,
             dop_fusion_report: None,
@@ -557,7 +646,7 @@ impl<'p> TracingVm<'p> {
         let driver = &mut self.driver;
         driver.retire_tombstoned_elsewhere();
         driver.jit.bcg.begin_stream();
-        driver.profile_fusion = driver.config.dop_fusion && !self.fusion_profiled;
+        driver.jit.profile_fusion = driver.config.dop_fusion && !self.fusion_profiled;
 
         let result = self.vm.run_driven(args, &mut *driver)?;
         self.fusion_profiled = driver.config.dop_fusion;
@@ -583,7 +672,7 @@ impl<'p> TracingVm<'p> {
     #[cold]
     #[inline(never)]
     fn apply_dop_fusion(&mut self) {
-        let visits = std::mem::take(&mut self.driver.block_visits);
+        let visits = std::mem::take(&mut self.driver.jit.block_visits);
         self.dop_fusion_report = Some(
             self.vm
                 .fuse_with_profile(visits, &jvm_vm::fuse::FusionConfig::default()),
@@ -714,7 +803,7 @@ mod tests {
         assert_eq!(report.exec.instructions, plain.stats().instructions);
         assert!(engine.compiled_count() > 0, "traces must actually compile");
         assert!(report.traces.entered > 0);
-        assert!(report.traces.completed > 0);
+        assert!(report.traces.completed + report.traces.loop_closings > 0);
     }
 
     #[test]
@@ -730,6 +819,45 @@ mod tests {
             "engine {} vs interpreter {}",
             report.exec.block_dispatches,
             plain.stats().block_dispatches
+        );
+    }
+
+    #[test]
+    fn a_self_linked_loop_closes_without_dispatching() {
+        // Warm, the loop's trace is linked at its own back edge: one
+        // dispatch enters it and it runs round until the loop exits.
+        let program = loop_program();
+        let args = [Value::Int(20_000)];
+        let mut plain = Vm::new(&program);
+        let want = plain.run(&args, &mut NullObserver).unwrap();
+        let mut engine = TracingVm::new(&program, EngineConfig::paper_default());
+        let warm = engine.run(&args).unwrap().traces;
+        let report = engine.run(&args).unwrap();
+        assert_eq!(report.result, want);
+        assert_eq!(report.checksum, plain.checksum());
+        assert_eq!(report.exec.instructions, plain.stats().instructions);
+        let entered = report.traces.entered - warm.entered;
+        let closings = report.traces.loop_closings - warm.loop_closings;
+        assert!(entered <= 3, "{entered} entries");
+        // A closing repeats the whole (unrolled) trace, and an iteration
+        // of the loop is two blocks: head and body.
+        let back_edge = (
+            BlockId::new(program.entry(), 2),
+            BlockId::new(program.entry(), 1),
+        );
+        let tid = engine
+            .cache()
+            .lookup_entry(back_edge)
+            .expect("back edge linked");
+        let iterations = closings * engine.cache().trace(tid).blocks().len() as u64 / 2;
+        assert!(
+            iterations >= 19_000,
+            "{closings} loop closings ran {iterations} iterations"
+        );
+        assert!(
+            report.exec.block_dispatches < 50,
+            "{} block dispatches",
+            report.exec.block_dispatches
         );
     }
 
@@ -803,7 +931,10 @@ mod tests {
         let report = engine.run(&[Value::Int(10_000)]).unwrap();
         assert_eq!(report.result, want);
         assert_eq!(report.exec.instructions, plain.stats().instructions);
-        assert!(report.traces.completed > 0, "call-crossing traces must run");
+        assert!(
+            report.traces.completed + report.traces.loop_closings > 0,
+            "call-crossing traces must run"
+        );
     }
 
     #[test]

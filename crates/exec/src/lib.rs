@@ -27,7 +27,8 @@
 //!   on the right instruction.
 //! * [`regexec`] — the register-trace executor: runs a lowered trace
 //!   against the decoded interpreter's own frame arena, heap and
-//!   counters.
+//!   counters, and closes a loop trace linked at its own loop branch
+//!   without going back to the dispatch loop.
 //! * [`engine`] — [`TracingVm`], the complete execution engine: the
 //!   decoded interpreter ([`jvm_vm::Vm`]) runs all out-of-trace code,
 //!   with the engine attached to its block-dispatch hook (profiler,

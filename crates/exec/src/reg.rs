@@ -46,6 +46,17 @@
 //! registers lazily ([`RInstr::PullStack`]) only when an instruction
 //! actually consumes one.
 //!
+//! **The final branch.** When the last block ends in a conditional branch
+//! or `goto`, the trace runs it ([`RInstr::FinalBranch`]) instead of
+//! handing it back. Its frame image is taken after the operands are
+//! popped, and each successor gets a resume record on its block's
+//! *entry marker*, so the loop makes the successor's dispatch itself.
+//! When the branch into the successor links a trace the engine skips
+//! that dispatch instead: it closes the loop in place when the trace is
+//! this one, and goes on into the other one from the marker otherwise
+//! (see [`crate::regexec`]). Any other terminator stays with
+//! [`RInstr::Finish`].
+//!
 //! **Calls.** Static calls and guarded virtual calls materialize the
 //! caller frame (arguments must cross the real stack into the callee
 //! frame), then continue lowering in a fresh callee context. In-trace
@@ -67,8 +78,10 @@
 //! `num_locals`, every side exit's [`FrameImage`] rebuilds *exactly* the
 //! operand-stack depth the verifier proved at the exit's resume pc, and
 //! every call / allocation image fits its frame's verifier-proven
-//! operand-stack bound (invariant R2 in DESIGN.md). It likewise refuses
-//! a trace that does not end in exactly one [`RInstr::Finish`], which is
+//! operand-stack bound (invariant R2 in DESIGN.md); a final branch's
+//! image must rebuild exactly the depth proved at *both* successors'
+//! first instruction. It likewise refuses a trace that does not end in
+//! exactly one [`RInstr::Finish`] or [`RInstr::FinalBranch`], which is
 //! what hands the frame back to the interpreter loop.
 //!
 //! Lowering is *total* on the traces the engine compiles, with a few
@@ -80,6 +93,7 @@
 
 use jvm_bytecode::{BlockId, ClassId, CmpOp, FuncId, Instr, Intrinsic, Program};
 use jvm_vm::{DecodedProgram, Value};
+use trace_bcg::Branch;
 use trace_cache::TraceId;
 
 use crate::compile::{compile_blocks, CompiledTrace, CondKind, Step};
@@ -206,20 +220,23 @@ pub struct FrameImage {
     pub dirty: Box<[(u16, Reg)]>,
 }
 
-/// A side-exit record: where the interpreter resumes when a guard fails,
-/// plus the frame image and the per-block accounting at that point.
+/// A resume record: where the interpreter resumes when a guard fails or
+/// the trace hands back, plus the frame image and the per-block
+/// accounting at that point.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RExit {
-    /// Function owning the guarded instruction.
+    /// Function owning the resume point.
     pub func: FuncId,
-    /// Decoded index of the guarded instruction (the resume point, past
-    /// its block's entry marker).
+    /// Decoded resume pc: a guarded instruction (past its block's entry
+    /// marker) or, for a [`RInstr::FinalBranch`] successor, the
+    /// successor block's entry marker itself.
     pub dpc: u32,
-    /// Block index containing it: the dispatch counted at the exit, and
-    /// the block the profiler re-anchors at.
+    /// Block index containing it: for a guard, the dispatch counted at
+    /// the exit and the block the profiler re-anchors at; for a final
+    /// branch, the successor block.
     pub block: u32,
-    /// Source blocks fully executed before the guard (static — guards
-    /// sit at known positions in the trace).
+    /// Source blocks fully executed before the guard or branch (static —
+    /// they sit at known positions in the trace).
     pub blocks_done: u32,
     /// Index into [`RegTrace::images`].
     pub image: u32,
@@ -475,8 +492,29 @@ pub enum RInstr {
         /// Pre-evaluation fuel weight.
         pre: u32,
     },
-    /// The final block's terminator, handed back to the interpreter
-    /// loop: materialize the exit's image and re-anchor the pc *on* the
+    /// The final block's conditional branch or `goto`, run in-trace:
+    /// evaluated and charged like [`RInstr::GuardCond`]'s passing
+    /// outcome, then the image is written back and the chosen
+    /// successor's record resumes the loop on its entry marker — unless
+    /// the successor is the trace's first block and the branch into it
+    /// still links this trace, in which case the executor jumps back to
+    /// the top of the code (a loop closing). Always the last instruction.
+    FinalBranch {
+        /// Branch shape; `None` for a `goto`.
+        kind: Option<CondKind>,
+        /// Left operand (unary kinds use only `a`).
+        a: Reg,
+        /// Right operand.
+        b: Reg,
+        /// Resume records of the fall-through and the taken successor,
+        /// indexed by the outcome; a `goto` names its one record twice.
+        /// Both share one image.
+        exits: [u32; 2],
+        /// Pre-evaluation fuel weight.
+        pre: u32,
+    },
+    /// Any other final terminator, handed back to the interpreter loop:
+    /// materialize the exit's image and re-anchor the pc *on* the
     /// terminator; the trace then completes and the loop executes (and
     /// charges) it with full semantics. Always the last instruction.
     Finish {
@@ -530,6 +568,13 @@ impl RegTrace {
     /// Number of source basic blocks.
     pub fn blocks(&self) -> usize {
         self.src_blocks.len()
+    }
+
+    /// The branch from the last source block back to the first: the one
+    /// a loop closing re-enters the trace by.
+    pub(crate) fn loop_branch(&self) -> Branch {
+        let last = *self.src_blocks.last().expect("traces are nonempty");
+        (last, self.src_blocks[0])
     }
 
     /// Real byte footprint of the register code (capacities).
@@ -715,25 +760,40 @@ impl<'a> Lowering<'a> {
     /// stack the verifier proved there — `None` (trace refused) if the
     /// abstract stack disagrees.
     fn exit_for(&mut self, func: FuncId, pc: u32) -> Option<u32> {
-        // The image is checked against the *current* frame, so the exit
-        // must anchor in it.
-        if func != self.ctx.func {
-            return None;
-        }
-        if self.program.function(func).depth_at(pc).map(u64::from) != Some(self.ctx.depth()) {
-            return None;
-        }
+        self.check_depth(func, pc)?;
         let image = self.image()?;
-        let df = self.decoded.func(func);
-        let dpc = df.pc_map[pc as usize];
+        let dpc = self.decoded.func(func).pc_map[pc as usize];
+        Some(self.push_exit(func, dpc, image))
+    }
+
+    /// A final branch's resume record on the entry marker of the block
+    /// starting at source pc `start`, sharing the branch's one `image`:
+    /// the loop resumes by dispatching that block. The image must
+    /// rebuild exactly the depth the verifier proved at `start`.
+    fn marker_exit(&mut self, func: FuncId, start: u32, image: u32) -> Option<u32> {
+        self.check_depth(func, start)?;
+        let dpc = self.decoded.func(func).block_entry(start);
+        Some(self.push_exit(func, dpc, image))
+    }
+
+    /// `Some` when the current frame is `func`'s — images are checked
+    /// against the *current* frame, so an exit must anchor in it — and
+    /// the abstract stack is exactly the depth the verifier proved at
+    /// `pc`.
+    fn check_depth(&self, func: FuncId, pc: u32) -> Option<()> {
+        let depth = self.program.function(func).depth_at(pc).map(u64::from);
+        (func == self.ctx.func && depth == Some(self.ctx.depth())).then_some(())
+    }
+
+    fn push_exit(&mut self, func: FuncId, dpc: u32, image: u32) -> u32 {
         self.exits.push(RExit {
             func,
             dpc,
-            block: df.block_of[dpc as usize],
+            block: self.decoded.func(func).block_of[dpc as usize],
             blocks_done: self.block_idx,
             image,
         });
-        Some((self.exits.len() - 1) as u32)
+        (self.exits.len() - 1) as u32
     }
 
     /// Marks every renamed local clean — called after an emitted
@@ -994,21 +1054,31 @@ pub fn lower_reg(
                 }
             }
             Step::Finish => {
-                let exit = lo.exit_for(func, pc)?;
-                let pre = lo.take_pre();
-                lo.code.push(RInstr::Finish { exit, pre });
+                let terminator = &source.code()[pc as usize];
+                let branch = match *terminator {
+                    Instr::Goto(target) => Some((None, target)),
+                    _ => CondKind::of(terminator).map(|(kind, target)| (Some(kind), target)),
+                };
+                match branch {
+                    Some((kind, target)) => lo.final_branch(func, pc, kind, target)?,
+                    None => {
+                        let exit = lo.exit_for(func, pc)?;
+                        let pre = lo.take_pre();
+                        lo.code.push(RInstr::Finish { exit, pre });
+                    }
+                }
             }
         }
         lo.block_idx += 1;
     }
-    debug_assert_eq!(lo.pending_w, 0, "Finish consumes all pending weight");
-    // The executor leaves a completed trace through its final `Finish`.
-    let finishes = lo
-        .code
-        .iter()
-        .filter(|r| matches!(r, RInstr::Finish { .. }))
-        .count();
-    if finishes != 1 || !matches!(lo.code.last(), Some(RInstr::Finish { .. })) {
+    debug_assert_eq!(
+        lo.pending_w, 0,
+        "the last instruction consumes all pending weight"
+    );
+    // The executor leaves a completed trace through its last
+    // instruction, and through no other hand-back.
+    let is_last = |r: &RInstr| matches!(r, RInstr::Finish { .. } | RInstr::FinalBranch { .. });
+    if lo.code.iter().filter(|r| is_last(r)).count() != 1 || !lo.code.last().is_some_and(is_last) {
         return None;
     }
 
@@ -1032,6 +1102,43 @@ pub fn lower_reg(
 }
 
 impl<'a> Lowering<'a> {
+    /// Lowers the last block's terminator at source `pc` — a conditional
+    /// branch of shape `kind` or, for `None`, a `goto` — taken to
+    /// `target`. One image, taken after the operands are popped, serves
+    /// both successors' marker records.
+    fn final_branch(
+        &mut self,
+        func: FuncId,
+        pc: u32,
+        kind: Option<CondKind>,
+        target: u32,
+    ) -> Option<()> {
+        let arity = kind.map_or(0, CondKind::arity);
+        self.ensure(arity)?;
+        let n = self.ctx.stack.len();
+        let (a, b) = match arity {
+            2 => (self.ctx.stack[n - 2], self.ctx.stack[n - 1]),
+            1 => (self.ctx.stack[n - 1], self.ctx.stack[n - 1]),
+            _ => (0, 0),
+        };
+        self.ctx.stack.truncate(n - arity);
+        let image = self.image()?;
+        let taken = self.marker_exit(func, target, image)?;
+        let fall = match kind {
+            Some(_) => self.marker_exit(func, pc + 1, image)?,
+            None => taken,
+        };
+        let pre = self.take_pre();
+        self.code.push(RInstr::FinalBranch {
+            kind,
+            a,
+            b,
+            exits: [fall, taken],
+            pre,
+        });
+        Some(())
+    }
+
     /// Lowers one straight-line source instruction.
     fn lower_op(&mut self, ins: &Instr) -> Option<()> {
         if let Some(op) = RBin::of(ins) {
@@ -1269,6 +1376,17 @@ fn cmp_name(op: CmpOp) -> &'static str {
     }
 }
 
+/// A guard's or final branch's condition, as the listing spells it.
+fn cond_text(kind: CondKind, a: Reg, b: Reg) -> String {
+    match kind {
+        CondKind::ICmp(op) => format!("icmp.{} r{a}, r{b}", cmp_name(op)),
+        CondKind::IZero(op) => format!("izero.{} r{a}", cmp_name(op)),
+        CondKind::FCmp(op) => format!("fcmp.{} r{a}, r{b}", cmp_name(op)),
+        CondKind::Null => format!("null r{a}"),
+        CondKind::NonNull => format!("nonnull r{a}"),
+    }
+}
+
 /// Human-readable listing of a register trace, for golden pinning and
 /// review: code, constant table, and exit records with their frame
 /// images.
@@ -1342,18 +1460,10 @@ pub fn disassemble(rt: &RegTrace) -> String {
                 expected_taken,
                 exit,
                 pre,
-            } => {
-                let k = match kind {
-                    CondKind::ICmp(op) => format!("icmp.{} r{a}, r{b}", cmp_name(*op)),
-                    CondKind::IZero(op) => format!("izero.{} r{a}", cmp_name(*op)),
-                    CondKind::FCmp(op) => format!("fcmp.{} r{a}, r{b}", cmp_name(*op)),
-                    CondKind::Null => format!("null r{a}"),
-                    CondKind::NonNull => format!("nonnull r{a}"),
-                };
-                format!(
-                    "guard {k} == {expected_taken} else exit {exit} [pre={pre}]"
-                )
-            }
+            } => format!(
+                "guard {} == {expected_taken} else exit {exit} [pre={pre}]",
+                cond_text(*kind, *a, *b)
+            ),
             RInstr::GuardSwitch {
                 selector,
                 expected,
@@ -1396,6 +1506,22 @@ pub fn disassemble(rt: &RegTrace) -> String {
                 };
                 format!("guard ret{v} -> {expected} else exit {exit} [pre={pre}]")
             }
+            RInstr::FinalBranch {
+                kind: Some(kind),
+                a,
+                b,
+                exits: [fall, taken],
+                pre,
+            } => format!(
+                "branch {} ? exit {taken} : exit {fall} [pre={pre}]",
+                cond_text(*kind, *a, *b)
+            ),
+            RInstr::FinalBranch {
+                kind: None,
+                exits: [_, taken],
+                pre,
+                ..
+            } => format!("goto exit {taken} [pre={pre}]"),
             RInstr::Finish { exit, pre, .. } => format!("finish exit {exit} [pre={pre}]"),
         };
         let _ = writeln!(s, "{i:4}: {line}");

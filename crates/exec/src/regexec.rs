@@ -10,6 +10,19 @@
 //! frame's `pc` and `sp` where the loop must resume, so leaving a trace is
 //! a reload of the loop's cached frame state and nothing else.
 //!
+//! A trace whose last block ends in a conditional branch or `goto`
+//! evaluates it here ([`RInstr::FinalBranch`]) and asks what the branch
+//! it leaves by (last block → successor) links — the node index from
+//! `bcg.node_index`, the link through the same version-compared slot the
+//! dispatch reads. If it links this very trace (the successor is the
+//! first block), the frame image is written back and the code runs again
+//! from the top: a loop closing, one iteration without a dispatch; the
+//! loop branch's node index is looked up once per run. Otherwise the
+//! frame is handed back on the successor's entry marker, and the run
+//! reports the other trace linked there, if any, for the driver to go on
+//! into without a dispatch (see [`crate::engine`] for why skipping the
+//! dispatch is unobservable).
+//!
 //! Fuel is charged in batches (each instruction's weight covers the stack
 //! ops folded into it), which is observationally identical to per-op
 //! ticking — see [`crate::reg`] — and reaches the machine's counter on
@@ -17,19 +30,31 @@
 
 use jvm_bytecode::{BlockId, Intrinsic};
 use jvm_vm::{arena, fold_checksum, HeapObj, Machine, OutputItem, Value, VmError};
+use trace_bcg::{Branch, NodeIdx};
+use trace_cache::TraceId;
 
 use crate::compile::CondKind;
 use crate::engine::Jit;
 use crate::reg::{RBin, RInstr, RUn, Reg, RegTrace};
 
-/// How a trace execution ended (errors aside).
-pub(crate) enum TraceRun {
-    /// Ran to its end; the final terminator is the loop's next
-    /// instruction.
-    Completed,
-    /// A guard failed — at any site, the entry guard's included: the
-    /// retention rule counts every early exit alike.
-    SideExited,
+/// How one run of a trace ended (errors aside).
+pub(crate) struct TraceRun {
+    /// Loop closings: completed iterations that jumped back to the top
+    /// of the code instead of handing back for a dispatch.
+    pub(crate) closings: u64,
+    /// Blocks run, every iteration included — the exiting one up to its
+    /// guard.
+    pub(crate) blocks: u64,
+    /// Instructions run, likewise.
+    pub(crate) instrs: u64,
+    /// Whether a guard failed — at any site, the entry guard's included:
+    /// the retention rule counts every early exit alike. Otherwise the
+    /// last iteration ran to its end and handed back.
+    pub(crate) side_exited: bool,
+    /// On completion, the other trace linked at the branch the last
+    /// iteration left by, with that branch: the dispatch the loop would
+    /// make on the successor's marker would find it there.
+    pub(crate) next: Option<(TraceId, Branch)>,
 }
 
 /// Reads virtual register `r` without a release-mode bounds check.
@@ -76,8 +101,10 @@ fn sset(slab: &mut [Value], i: u32, v: Value) {
 }
 
 impl Jit<'_> {
-    /// Executes one register-lowered trace, borrowing the recycled
-    /// register file for the duration.
+    /// Runs one register-lowered trace, borrowing the recycled register
+    /// file for the duration. The execution's counters — entered,
+    /// completed, exited early and their blocks — are the driver's: one
+    /// execution may go on through several traces.
     ///
     /// Fuel is accounted in a local counter while inside the trace and
     /// folded into the machine's counter here, on the one way out —
@@ -88,11 +115,12 @@ impl Jit<'_> {
     pub(crate) fn execute(
         &mut self,
         rt: &RegTrace,
+        tid: TraceId,
         m: &mut Machine<'_>,
     ) -> Result<TraceRun, VmError> {
         let mut regs = std::mem::take(&mut self.reg_file);
         let mut instrs = 0u64;
-        let run = self.execute_with(rt, m, &mut regs, &mut instrs);
+        let run = self.execute_with(rt, tid, m, &mut regs, &mut instrs);
         m.stats.instructions += instrs;
         self.reg_file = regs;
         run
@@ -102,16 +130,27 @@ impl Jit<'_> {
     /// no per-op operand-stack bookkeeping. `instrs` is the caller's
     /// fuel counter; inlined into [`Self::execute`] so it stays a local
     /// there and per-instruction ticking compares two values the
-    /// compiler keeps in registers.
+    /// compiler keeps in registers. `tid` is the id `rt` is linked
+    /// under, which a loop closing checks the link against.
     #[inline(always)]
     fn execute_with(
         &mut self,
         rt: &RegTrace,
+        tid: TraceId,
         m: &mut Machine<'_>,
         regs: &mut Vec<Value>,
         instrs: &mut u64,
     ) -> Result<TraceRun, VmError> {
-        self.trace_stats.entered += 1;
+        let (last, first) = rt.loop_branch();
+        let len = rt.src_blocks.len() as u64;
+        let mut closings = 0u64;
+        // The loop branch's profile node, looked up at the first closing
+        // attempt and kept for the rest of the run (`None` inside: the
+        // branch was never observed, so nothing links at it).
+        let mut loop_node: Option<Option<NodeIdx>> = None;
+        let mut next = None;
+        #[cfg(feature = "debug-invariants")]
+        let entry_version = self.private_version();
         let budget = m.config.max_steps - m.stats.instructions;
         // The lowering is single-assignment: every non-constant register
         // is written before it is read, so stale values from an earlier
@@ -186,9 +225,6 @@ impl Jit<'_> {
             ($idx:expr) => {{
                 let exit = &rt.exits[$idx as usize];
                 hand_back!(exit);
-                self.trace_stats.exited_early += 1;
-                self.trace_stats.blocks_in_partial += exit.blocks_done as u64;
-                self.trace_stats.instrs_in_partial += *instrs;
                 // The resume pc sits past its block's entry marker, so
                 // the loop will not re-fire the dispatch: count it here.
                 // The profiler only re-anchors at the resumed block, as a
@@ -201,7 +237,13 @@ impl Jit<'_> {
                 m.stats.block_dispatches += 1;
                 self.bcg.set_context(BlockId::new(exit.func, exit.block));
                 self.trace_stats.blocks_outside += 1;
-                return Ok(TraceRun::SideExited);
+                return Ok(TraceRun {
+                    closings,
+                    blocks: closings * len + u64::from(exit.blocks_done),
+                    instrs: *instrs,
+                    side_exited: true,
+                    next: None,
+                });
             }};
         }
 
@@ -272,6 +314,28 @@ impl Jit<'_> {
             };
         }
 
+        // Evaluates a conditional branch on registers, type-checking in
+        // interpreter pop order (right operand first).
+        macro_rules! cond {
+            ($kind:expr, $a:expr, $b:expr) => {
+                match $kind {
+                    CondKind::ICmp(op) => {
+                        let vb = guard_operand!(rget(regs, $b).as_int());
+                        let va = guard_operand!(rget(regs, $a).as_int());
+                        op.eval_i64(va, vb)
+                    }
+                    CondKind::IZero(op) => op.eval_i64(guard_operand!(rget(regs, $a).as_int()), 0),
+                    CondKind::FCmp(op) => {
+                        let vb = guard_operand!(rget(regs, $b).as_float());
+                        let va = guard_operand!(rget(regs, $a).as_float());
+                        op.eval_f64(va, vb)
+                    }
+                    CondKind::Null => matches!(rget(regs, $a), Value::Null),
+                    CondKind::NonNull => !matches!(rget(regs, $a), Value::Null),
+                }
+            };
+        }
+
         macro_rules! bin_i {
             ($a:expr, $b:expr, $f:expr) => {{
                 // Type errors surface in interpreter pop order: right
@@ -289,417 +353,469 @@ impl Jit<'_> {
             }};
         }
 
-        for t in rt.code.iter() {
-            match t {
-                RInstr::PullStack { dst } => {
-                    // Pure data movement from the real entry stack; no
-                    // source instruction, no fuel.
-                    sp -= 1;
-                    rset(regs, *dst, sget(&m.arena.slab, sp));
-                }
-                RInstr::LoadLocal { slot, dst, w } => {
-                    tick_n!(*w);
-                    rset(regs, *dst, sget(&m.arena.slab, base + u32::from(*slot)));
-                }
-                RInstr::IncLocal { slot, dst, imm, w } => {
-                    tick_n!(*w);
-                    let v = sget(&m.arena.slab, base + u32::from(*slot)).as_int()?;
-                    rset(regs, *dst, Value::Int(v.wrapping_add(*imm as i64)));
-                }
-                RInstr::IncReg { src, dst, imm, w } => {
-                    tick_n!(*w);
-                    let v = rget(regs, *src).as_int()?;
-                    rset(regs, *dst, Value::Int(v.wrapping_add(*imm as i64)));
-                }
-                RInstr::Bin { op, a, b, dst, w } => {
-                    tick_n!(*w);
-                    let v = match op {
-                        RBin::IAdd => bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_add(y)),
-                        RBin::ISub => bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_sub(y)),
-                        RBin::IMul => bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_mul(y)),
-                        RBin::IDiv => {
-                            let vb = rget(regs, *b).as_int()?;
-                            let va = rget(regs, *a).as_int()?;
-                            if vb == 0 {
-                                return Err(VmError::DivisionByZero);
+        'iteration: loop {
+            for t in rt.code.iter() {
+                match t {
+                    RInstr::PullStack { dst } => {
+                        // Pure data movement from the real entry stack; no
+                        // source instruction, no fuel.
+                        sp -= 1;
+                        rset(regs, *dst, sget(&m.arena.slab, sp));
+                    }
+                    RInstr::LoadLocal { slot, dst, w } => {
+                        tick_n!(*w);
+                        rset(regs, *dst, sget(&m.arena.slab, base + u32::from(*slot)));
+                    }
+                    RInstr::IncLocal { slot, dst, imm, w } => {
+                        tick_n!(*w);
+                        let v = sget(&m.arena.slab, base + u32::from(*slot)).as_int()?;
+                        rset(regs, *dst, Value::Int(v.wrapping_add(*imm as i64)));
+                    }
+                    RInstr::IncReg { src, dst, imm, w } => {
+                        tick_n!(*w);
+                        let v = rget(regs, *src).as_int()?;
+                        rset(regs, *dst, Value::Int(v.wrapping_add(*imm as i64)));
+                    }
+                    RInstr::Bin { op, a, b, dst, w } => {
+                        tick_n!(*w);
+                        let v = match op {
+                            RBin::IAdd => bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_add(y)),
+                            RBin::ISub => bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_sub(y)),
+                            RBin::IMul => bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_mul(y)),
+                            RBin::IDiv => {
+                                let vb = rget(regs, *b).as_int()?;
+                                let va = rget(regs, *a).as_int()?;
+                                if vb == 0 {
+                                    return Err(VmError::DivisionByZero);
+                                }
+                                Value::Int(va.wrapping_div(vb))
                             }
-                            Value::Int(va.wrapping_div(vb))
-                        }
-                        RBin::IRem => {
-                            let vb = rget(regs, *b).as_int()?;
-                            let va = rget(regs, *a).as_int()?;
-                            if vb == 0 {
-                                return Err(VmError::DivisionByZero);
+                            RBin::IRem => {
+                                let vb = rget(regs, *b).as_int()?;
+                                let va = rget(regs, *a).as_int()?;
+                                if vb == 0 {
+                                    return Err(VmError::DivisionByZero);
+                                }
+                                Value::Int(va.wrapping_rem(vb))
                             }
-                            Value::Int(va.wrapping_rem(vb))
-                        }
-                        RBin::IShl => {
-                            bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_shl(y as u32 & 63))
-                        }
-                        RBin::IShr => {
-                            bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_shr(y as u32 & 63))
-                        }
-                        RBin::IUShr => {
-                            bin_i!(*a, *b, |x: i64, y: i64| ((x as u64) >> (y as u32 & 63))
-                                as i64)
-                        }
-                        RBin::IAnd => bin_i!(*a, *b, |x: i64, y: i64| x & y),
-                        RBin::IOr => bin_i!(*a, *b, |x: i64, y: i64| x | y),
-                        RBin::IXor => bin_i!(*a, *b, |x: i64, y: i64| x ^ y),
-                        RBin::FAdd => bin_f!(*a, *b, |x: f64, y: f64| x + y),
-                        RBin::FSub => bin_f!(*a, *b, |x: f64, y: f64| x - y),
-                        RBin::FMul => bin_f!(*a, *b, |x: f64, y: f64| x * y),
-                        RBin::FDiv => bin_f!(*a, *b, |x: f64, y: f64| x / y),
-                    };
-                    rset(regs, *dst, v);
-                }
-                RInstr::Un { op, a, dst, w } => {
-                    tick_n!(*w);
-                    let v = match op {
-                        RUn::INeg => Value::Int(rget(regs, *a).as_int()?.wrapping_neg()),
-                        RUn::FNeg => Value::Float(-rget(regs, *a).as_float()?),
-                        RUn::I2F => Value::Float(rget(regs, *a).as_int()? as f64),
-                        RUn::F2I => Value::Int(rget(regs, *a).as_float()? as i64),
-                    };
-                    rset(regs, *dst, v);
-                }
-                RInstr::Intrinsic { i, a, b, dst, w } => {
-                    tick_n!(*w);
-                    match i {
-                        Intrinsic::Sqrt => {
-                            let v = Value::Float(rget(regs, *a).as_float()?.sqrt());
-                            rset(regs, *dst, v);
-                        }
-                        Intrinsic::Sin => {
-                            let v = Value::Float(rget(regs, *a).as_float()?.sin());
-                            rset(regs, *dst, v);
-                        }
-                        Intrinsic::Cos => {
-                            let v = Value::Float(rget(regs, *a).as_float()?.cos());
-                            rset(regs, *dst, v);
-                        }
-                        Intrinsic::Exp => {
-                            let v = Value::Float(rget(regs, *a).as_float()?.exp());
-                            rset(regs, *dst, v);
-                        }
-                        Intrinsic::Log => {
-                            let v = Value::Float(rget(regs, *a).as_float()?.ln());
-                            rset(regs, *dst, v);
-                        }
-                        Intrinsic::AbsF => {
-                            let v = Value::Float(rget(regs, *a).as_float()?.abs());
-                            rset(regs, *dst, v);
-                        }
-                        Intrinsic::AbsI => {
-                            let v = Value::Int(rget(regs, *a).as_int()?.wrapping_abs());
-                            rset(regs, *dst, v);
-                        }
-                        Intrinsic::MinI => {
-                            let v = bin_i!(*a, *b, |x: i64, y: i64| x.min(y));
-                            rset(regs, *dst, v);
-                        }
-                        Intrinsic::MaxI => {
-                            let v = bin_i!(*a, *b, |x: i64, y: i64| x.max(y));
-                            rset(regs, *dst, v);
-                        }
-                        Intrinsic::PrintInt => {
-                            let v = rget(regs, *a).as_int()?;
-                            if m.config.capture_output {
-                                m.output.push(OutputItem::Int(v));
+                            RBin::IShl => {
+                                bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_shl(y as u32 & 63))
+                            }
+                            RBin::IShr => {
+                                bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_shr(y as u32 & 63))
+                            }
+                            RBin::IUShr => {
+                                bin_i!(*a, *b, |x: i64, y: i64| ((x as u64) >> (y as u32 & 63))
+                                    as i64)
+                            }
+                            RBin::IAnd => bin_i!(*a, *b, |x: i64, y: i64| x & y),
+                            RBin::IOr => bin_i!(*a, *b, |x: i64, y: i64| x | y),
+                            RBin::IXor => bin_i!(*a, *b, |x: i64, y: i64| x ^ y),
+                            RBin::FAdd => bin_f!(*a, *b, |x: f64, y: f64| x + y),
+                            RBin::FSub => bin_f!(*a, *b, |x: f64, y: f64| x - y),
+                            RBin::FMul => bin_f!(*a, *b, |x: f64, y: f64| x * y),
+                            RBin::FDiv => bin_f!(*a, *b, |x: f64, y: f64| x / y),
+                        };
+                        rset(regs, *dst, v);
+                    }
+                    RInstr::Un { op, a, dst, w } => {
+                        tick_n!(*w);
+                        let v = match op {
+                            RUn::INeg => Value::Int(rget(regs, *a).as_int()?.wrapping_neg()),
+                            RUn::FNeg => Value::Float(-rget(regs, *a).as_float()?),
+                            RUn::I2F => Value::Float(rget(regs, *a).as_int()? as f64),
+                            RUn::F2I => Value::Int(rget(regs, *a).as_float()? as i64),
+                        };
+                        rset(regs, *dst, v);
+                    }
+                    RInstr::Intrinsic { i, a, b, dst, w } => {
+                        tick_n!(*w);
+                        match i {
+                            Intrinsic::Sqrt => {
+                                let v = Value::Float(rget(regs, *a).as_float()?.sqrt());
+                                rset(regs, *dst, v);
+                            }
+                            Intrinsic::Sin => {
+                                let v = Value::Float(rget(regs, *a).as_float()?.sin());
+                                rset(regs, *dst, v);
+                            }
+                            Intrinsic::Cos => {
+                                let v = Value::Float(rget(regs, *a).as_float()?.cos());
+                                rset(regs, *dst, v);
+                            }
+                            Intrinsic::Exp => {
+                                let v = Value::Float(rget(regs, *a).as_float()?.exp());
+                                rset(regs, *dst, v);
+                            }
+                            Intrinsic::Log => {
+                                let v = Value::Float(rget(regs, *a).as_float()?.ln());
+                                rset(regs, *dst, v);
+                            }
+                            Intrinsic::AbsF => {
+                                let v = Value::Float(rget(regs, *a).as_float()?.abs());
+                                rset(regs, *dst, v);
+                            }
+                            Intrinsic::AbsI => {
+                                let v = Value::Int(rget(regs, *a).as_int()?.wrapping_abs());
+                                rset(regs, *dst, v);
+                            }
+                            Intrinsic::MinI => {
+                                let v = bin_i!(*a, *b, |x: i64, y: i64| x.min(y));
+                                rset(regs, *dst, v);
+                            }
+                            Intrinsic::MaxI => {
+                                let v = bin_i!(*a, *b, |x: i64, y: i64| x.max(y));
+                                rset(regs, *dst, v);
+                            }
+                            Intrinsic::PrintInt => {
+                                let v = rget(regs, *a).as_int()?;
+                                if m.config.capture_output {
+                                    m.output.push(OutputItem::Int(v));
+                                }
+                            }
+                            Intrinsic::PrintFloat => {
+                                let v = rget(regs, *a).as_float()?;
+                                if m.config.capture_output {
+                                    m.output.push(OutputItem::Float(v));
+                                }
+                            }
+                            Intrinsic::Checksum => {
+                                let v = rget(regs, *a).as_int()?;
+                                *m.checksum = fold_checksum(*m.checksum, v);
                             }
                         }
-                        Intrinsic::PrintFloat => {
-                            let v = rget(regs, *a).as_float()?;
-                            if m.config.capture_output {
-                                m.output.push(OutputItem::Float(v));
+                    }
+                    RInstr::GetField { obj, field, dst, w } => {
+                        tick_n!(*w);
+                        let o = rget(regs, *obj).as_ref_id()?;
+                        match m.heap.get(o) {
+                            HeapObj::Object { fields, .. } => {
+                                let v = *fields.get(*field as usize).ok_or(VmError::BadField {
+                                    field: *field,
+                                    num_fields: fields.len() as u16,
+                                })?;
+                                rset(regs, *dst, v);
+                            }
+                            HeapObj::Array { .. } => {
+                                return Err(VmError::TypeError {
+                                    expected: "object",
+                                    found: "array",
+                                })
                             }
                         }
-                        Intrinsic::Checksum => {
-                            let v = rget(regs, *a).as_int()?;
-                            *m.checksum = fold_checksum(*m.checksum, v);
-                        }
                     }
-                }
-                RInstr::GetField { obj, field, dst, w } => {
-                    tick_n!(*w);
-                    let o = rget(regs, *obj).as_ref_id()?;
-                    match m.heap.get(o) {
-                        HeapObj::Object { fields, .. } => {
-                            let v = *fields.get(*field as usize).ok_or(VmError::BadField {
-                                field: *field,
-                                num_fields: fields.len() as u16,
-                            })?;
-                            rset(regs, *dst, v);
-                        }
-                        HeapObj::Array { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "object",
-                                found: "array",
-                            })
-                        }
-                    }
-                }
-                RInstr::PutField { obj, val, field, w } => {
-                    tick_n!(*w);
-                    let o = rget(regs, *obj).as_ref_id()?;
-                    let v = rget(regs, *val);
-                    match m.heap.get_mut(o) {
-                        HeapObj::Object { fields, .. } => {
-                            let len = fields.len();
-                            *fields.get_mut(*field as usize).ok_or(VmError::BadField {
-                                field: *field,
-                                num_fields: len as u16,
-                            })? = v;
-                        }
-                        HeapObj::Array { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "object",
-                                found: "array",
-                            })
-                        }
-                    }
-                }
-                RInstr::ALoad { arr, idx, dst, w } => {
-                    tick_n!(*w);
-                    let iv = rget(regs, *idx).as_int()?;
-                    let av = rget(regs, *arr).as_ref_id()?;
-                    match m.heap.get(av) {
-                        HeapObj::Array { elems } => {
-                            if iv < 0 || iv as usize >= elems.len() {
-                                return Err(VmError::IndexOutOfBounds {
-                                    index: iv,
-                                    len: elems.len(),
-                                });
+                    RInstr::PutField { obj, val, field, w } => {
+                        tick_n!(*w);
+                        let o = rget(regs, *obj).as_ref_id()?;
+                        let v = rget(regs, *val);
+                        match m.heap.get_mut(o) {
+                            HeapObj::Object { fields, .. } => {
+                                let len = fields.len();
+                                *fields.get_mut(*field as usize).ok_or(VmError::BadField {
+                                    field: *field,
+                                    num_fields: len as u16,
+                                })? = v;
                             }
-                            rset(regs, *dst, elems[iv as usize]);
-                        }
-                        HeapObj::Object { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "array",
-                                found: "object",
-                            })
-                        }
-                    }
-                }
-                RInstr::AStore { arr, idx, val, w } => {
-                    tick_n!(*w);
-                    let v = rget(regs, *val);
-                    let iv = rget(regs, *idx).as_int()?;
-                    let av = rget(regs, *arr).as_ref_id()?;
-                    match m.heap.get_mut(av) {
-                        HeapObj::Array { elems } => {
-                            if iv < 0 || iv as usize >= elems.len() {
-                                return Err(VmError::IndexOutOfBounds {
-                                    index: iv,
-                                    len: elems.len(),
-                                });
+                            HeapObj::Array { .. } => {
+                                return Err(VmError::TypeError {
+                                    expected: "object",
+                                    found: "array",
+                                })
                             }
-                            elems[iv as usize] = v;
-                        }
-                        HeapObj::Object { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "array",
-                                found: "object",
-                            })
                         }
                     }
-                }
-                RInstr::ArrayLen { arr, dst, w } => {
-                    tick_n!(*w);
-                    let av = rget(regs, *arr).as_ref_id()?;
-                    match m.heap.get(av) {
-                        HeapObj::Array { elems } => {
-                            rset(regs, *dst, Value::Int(elems.len() as i64));
-                        }
-                        HeapObj::Object { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "array",
-                                found: "object",
-                            })
+                    RInstr::ALoad { arr, idx, dst, w } => {
+                        tick_n!(*w);
+                        let iv = rget(regs, *idx).as_int()?;
+                        let av = rget(regs, *arr).as_ref_id()?;
+                        match m.heap.get(av) {
+                            HeapObj::Array { elems } => {
+                                if iv < 0 || iv as usize >= elems.len() {
+                                    return Err(VmError::IndexOutOfBounds {
+                                        index: iv,
+                                        len: elems.len(),
+                                    });
+                                }
+                                rset(regs, *dst, elems[iv as usize]);
+                            }
+                            HeapObj::Object { .. } => {
+                                return Err(VmError::TypeError {
+                                    expected: "array",
+                                    found: "object",
+                                })
+                            }
                         }
                     }
-                }
-                RInstr::NewObj {
-                    class,
-                    nfields,
-                    dst,
-                    image,
-                    w,
-                } => {
-                    tick_n!(*w);
-                    // Root every live register through the real frame,
-                    // collect, then drop the stack back (the values stay
-                    // in registers).
-                    let img = materialize!(*image);
-                    maybe_collect!();
-                    let r = m.heap.alloc_object(*class, *nfields);
-                    sp -= img.stack.len() as u32;
-                    rset(regs, *dst, Value::Ref(r));
-                }
-                RInstr::NewArray { len, dst, image, w } => {
-                    tick_n!(*w);
-                    // The interpreter pops the length before collecting.
-                    let lv = rget(regs, *len).as_int()?;
-                    let img = materialize!(*image);
-                    maybe_collect!();
-                    let r = m.heap.alloc_array(lv)?;
-                    sp -= img.stack.len() as u32;
-                    rset(regs, *dst, Value::Ref(r));
-                }
-                RInstr::GuardCond {
-                    kind,
-                    a,
-                    b,
-                    expected_taken,
-                    exit,
-                    pre,
-                } => {
-                    tick_n!(*pre);
-                    let taken = match kind {
-                        CondKind::ICmp(op) => {
-                            let vb = guard_operand!(rget(regs, *b).as_int());
-                            let va = guard_operand!(rget(regs, *a).as_int());
-                            op.eval_i64(va, vb)
+                    RInstr::AStore { arr, idx, val, w } => {
+                        tick_n!(*w);
+                        let v = rget(regs, *val);
+                        let iv = rget(regs, *idx).as_int()?;
+                        let av = rget(regs, *arr).as_ref_id()?;
+                        match m.heap.get_mut(av) {
+                            HeapObj::Array { elems } => {
+                                if iv < 0 || iv as usize >= elems.len() {
+                                    return Err(VmError::IndexOutOfBounds {
+                                        index: iv,
+                                        len: elems.len(),
+                                    });
+                                }
+                                elems[iv as usize] = v;
+                            }
+                            HeapObj::Object { .. } => {
+                                return Err(VmError::TypeError {
+                                    expected: "array",
+                                    found: "object",
+                                })
+                            }
                         }
-                        CondKind::IZero(op) => {
-                            op.eval_i64(guard_operand!(rget(regs, *a).as_int()), 0)
-                        }
-                        CondKind::FCmp(op) => {
-                            let vb = guard_operand!(rget(regs, *b).as_float());
-                            let va = guard_operand!(rget(regs, *a).as_float());
-                            op.eval_f64(va, vb)
-                        }
-                        CondKind::Null => matches!(rget(regs, *a), Value::Null),
-                        CondKind::NonNull => !matches!(rget(regs, *a), Value::Null),
-                    };
-                    if taken != *expected_taken {
-                        reg_exit!(*exit);
                     }
-                    tick_n!(1u32);
-                    m.stats.branches += 1;
-                    if taken {
+                    RInstr::ArrayLen { arr, dst, w } => {
+                        tick_n!(*w);
+                        let av = rget(regs, *arr).as_ref_id()?;
+                        match m.heap.get(av) {
+                            HeapObj::Array { elems } => {
+                                rset(regs, *dst, Value::Int(elems.len() as i64));
+                            }
+                            HeapObj::Object { .. } => {
+                                return Err(VmError::TypeError {
+                                    expected: "array",
+                                    found: "object",
+                                })
+                            }
+                        }
+                    }
+                    RInstr::NewObj {
+                        class,
+                        nfields,
+                        dst,
+                        image,
+                        w,
+                    } => {
+                        tick_n!(*w);
+                        // Root every live register through the real frame,
+                        // collect, then drop the stack back (the values stay
+                        // in registers).
+                        let img = materialize!(*image);
+                        maybe_collect!();
+                        let r = m.heap.alloc_object(*class, *nfields);
+                        sp -= img.stack.len() as u32;
+                        rset(regs, *dst, Value::Ref(r));
+                    }
+                    RInstr::NewArray { len, dst, image, w } => {
+                        tick_n!(*w);
+                        // The interpreter pops the length before collecting.
+                        let lv = rget(regs, *len).as_int()?;
+                        let img = materialize!(*image);
+                        maybe_collect!();
+                        let r = m.heap.alloc_array(lv)?;
+                        sp -= img.stack.len() as u32;
+                        rset(regs, *dst, Value::Ref(r));
+                    }
+                    RInstr::GuardCond {
+                        kind,
+                        a,
+                        b,
+                        expected_taken,
+                        exit,
+                        pre,
+                    } => {
+                        tick_n!(*pre);
+                        let taken = cond!(*kind, *a, *b);
+                        if taken != *expected_taken {
+                            reg_exit!(*exit);
+                        }
+                        tick_n!(1u32);
+                        m.stats.branches += 1;
+                        if taken {
+                            m.stats.taken_branches += 1;
+                        }
+                    }
+                    RInstr::GuardSwitch {
+                        low,
+                        targets,
+                        default,
+                        expected,
+                        selector,
+                        exit,
+                        pre,
+                    } => {
+                        tick_n!(*pre);
+                        let v = guard_operand!(rget(regs, *selector).as_int());
+                        let idx = v.wrapping_sub(*low);
+                        let actual = if idx >= 0 && (idx as usize) < targets.len() {
+                            targets[idx as usize]
+                        } else {
+                            *default
+                        };
+                        if actual != *expected {
+                            reg_exit!(*exit);
+                        }
+                        tick_n!(1u32);
+                        m.stats.branches += 1;
                         m.stats.taken_branches += 1;
                     }
-                }
-                RInstr::GuardSwitch {
-                    low,
-                    targets,
-                    default,
-                    expected,
-                    selector,
-                    exit,
-                    pre,
-                } => {
-                    tick_n!(*pre);
-                    let v = guard_operand!(rget(regs, *selector).as_int());
-                    let idx = v.wrapping_sub(*low);
-                    let actual = if idx >= 0 && (idx as usize) < targets.len() {
-                        targets[idx as usize]
-                    } else {
-                        *default
-                    };
-                    if actual != *expected {
-                        reg_exit!(*exit);
+                    RInstr::EnterStatic {
+                        callee,
+                        ret,
+                        image,
+                        w,
+                    } => {
+                        tick_n!(*w);
+                        // Arguments cross the real stack: materialize, then
+                        // let the frame push consume them.
+                        materialize!(*image);
+                        let argc = u32::from(m.decoded.func(*callee).num_params);
+                        enter_call!(*callee, argc, *ret);
                     }
-                    tick_n!(1u32);
-                    m.stats.branches += 1;
-                    m.stats.taken_branches += 1;
-                }
-                RInstr::EnterStatic {
-                    callee,
-                    ret,
-                    image,
-                    w,
-                } => {
-                    tick_n!(*w);
-                    // Arguments cross the real stack: materialize, then
-                    // let the frame push consume them.
-                    materialize!(*image);
-                    let argc = u32::from(m.decoded.func(*callee).num_params);
-                    enter_call!(*callee, argc, *ret);
-                }
-                RInstr::GuardVirtual {
-                    slot,
-                    argc,
-                    recv,
-                    expected,
-                    ret,
-                    exit,
-                    pre,
-                } => {
-                    tick_n!(*pre);
-                    let rid = guard_operand!(rget(regs, *recv).as_ref_id());
-                    let class = guard_operand!(match m.heap.get(rid) {
-                        HeapObj::Object { class, .. } => Ok(*class),
-                        HeapObj::Array { .. } => Err(VmError::TypeError {
-                            expected: "object receiver",
-                            found: "array",
-                        }),
-                    });
-                    let callee = self.program.class(class).resolve(*slot);
-                    if callee != *expected {
-                        reg_exit!(*exit);
+                    RInstr::GuardVirtual {
+                        slot,
+                        argc,
+                        recv,
+                        expected,
+                        ret,
+                        exit,
+                        pre,
+                    } => {
+                        tick_n!(*pre);
+                        let rid = guard_operand!(rget(regs, *recv).as_ref_id());
+                        let class = guard_operand!(match m.heap.get(rid) {
+                            HeapObj::Object { class, .. } => Ok(*class),
+                            HeapObj::Array { .. } => Err(VmError::TypeError {
+                                expected: "object receiver",
+                                found: "array",
+                            }),
+                        });
+                        let callee = self.program.class(class).resolve(*slot);
+                        if callee != *expected {
+                            reg_exit!(*exit);
+                        }
+                        tick_n!(1u32);
+                        m.stats.virtual_calls += 1;
+                        // The exit's image doubles as the call
+                        // materialization: both need the full frame.
+                        materialize!(rt.exits[*exit as usize].image);
+                        enter_call!(callee, u32::from(*argc), *ret);
                     }
-                    tick_n!(1u32);
-                    m.stats.virtual_calls += 1;
-                    // The exit's image doubles as the call
-                    // materialization: both need the full frame.
-                    materialize!(rt.exits[*exit as usize].image);
-                    enter_call!(callee, u32::from(*argc), *ret);
-                }
-                RInstr::RetStatic { w } => {
-                    tick_n!(*w);
-                    // The return value (if any) lives in a register; the
-                    // callee frame just goes away.
-                    leave_call!();
-                }
-                RInstr::GuardReturn {
-                    has_value,
-                    retval,
-                    expected,
-                    exit,
-                    pre,
-                } => {
-                    tick_n!(*pre);
-                    let depth = m.arena.depth();
-                    if depth < 2 {
-                        // Returning from the outermost frame ends the
-                        // program; hand it to the interpreter.
-                        reg_exit!(*exit);
+                    RInstr::RetStatic { w } => {
+                        tick_n!(*w);
+                        // The return value (if any) lives in a register; the
+                        // callee frame just goes away.
+                        leave_call!();
                     }
-                    let caller = &m.arena.frames[depth - 2];
-                    let cont = BlockId::new(
-                        caller.func,
-                        m.decoded.func(caller.func).block_of[caller.pc as usize],
-                    );
-                    if cont != *expected {
-                        reg_exit!(*exit);
+                    RInstr::GuardReturn {
+                        has_value,
+                        retval,
+                        expected,
+                        exit,
+                        pre,
+                    } => {
+                        tick_n!(*pre);
+                        let depth = m.arena.depth();
+                        if depth < 2 {
+                            // Returning from the outermost frame ends the
+                            // program; hand it to the interpreter.
+                            reg_exit!(*exit);
+                        }
+                        let caller = &m.arena.frames[depth - 2];
+                        let cont = BlockId::new(
+                            caller.func,
+                            m.decoded.func(caller.func).block_of[caller.pc as usize],
+                        );
+                        if cont != *expected {
+                            reg_exit!(*exit);
+                        }
+                        tick_n!(1u32);
+                        leave_call!();
+                        if *has_value {
+                            // Onto the *real* caller stack: the caller frame
+                            // was never part of this trace.
+                            sset(&mut m.arena.slab, sp, rget(regs, *retval));
+                            sp += 1;
+                        }
                     }
-                    tick_n!(1u32);
-                    leave_call!();
-                    if *has_value {
-                        // Onto the *real* caller stack: the caller frame
-                        // was never part of this trace.
-                        sset(&mut m.arena.slab, sp, rget(regs, *retval));
-                        sp += 1;
+                    RInstr::FinalBranch {
+                        kind,
+                        a,
+                        b,
+                        exits,
+                        pre,
+                    } => {
+                        // The last block's branch, charged like a passing
+                        // guard (a `goto` is no branch to the counters).
+                        tick_n!(*pre);
+                        let taken = match kind {
+                            None => {
+                                tick_n!(1u32);
+                                true
+                            }
+                            Some(k) => {
+                                let taken = cond!(*k, *a, *b);
+                                tick_n!(1u32);
+                                m.stats.branches += 1;
+                                if taken {
+                                    m.stats.taken_branches += 1;
+                                }
+                                taken
+                            }
+                        };
+                        let exit = &rt.exits[exits[usize::from(taken)] as usize];
+                        let succ = BlockId::new(exit.func, exit.block);
+                        let node = if succ == first {
+                            *loop_node.get_or_insert_with(|| self.bcg.node_index((last, first)))
+                        } else {
+                            self.bcg.node_index((last, succ))
+                        };
+                        let linked = node.and_then(|n| self.linked_at(n));
+                        // The dispatch skipped from here on would observe
+                        // a branch whose node exists (it links), from a
+                        // context `set_context` just reset — no count, no
+                        // signal — and find the linked trace.
+                        #[cfg(feature = "debug-invariants")]
+                        if linked.is_some() {
+                            assert!(
+                                !self.bcg.has_signals(),
+                                "a linked successor skips a dispatch with a signal pending"
+                            );
+                            assert_eq!(
+                                self.private_version(),
+                                entry_version,
+                                "the private cache changed inside a trace execution"
+                            );
+                        }
+                        if linked == Some(tid) {
+                            // The loop closes.
+                            materialize!(exit.image);
+                            closings += 1;
+                            self.trace_stats.loop_closings += 1;
+                            self.count_visit(first);
+                            continue 'iteration;
+                        }
+                        // Resume on the successor's entry marker; the
+                        // driver goes on into another linked trace from
+                        // there, or the loop makes the dispatch.
+                        hand_back!(exit);
+                        next = linked.map(|t| (t, (last, succ)));
                     }
-                }
-                RInstr::Finish { exit, pre } => {
-                    // The last block's terminator goes back to the loop:
-                    // rebuild the frame and leave `pc` on it. It runs —
-                    // and is charged — there, with full semantics.
-                    tick_n!(*pre);
-                    hand_back!(&rt.exits[*exit as usize]);
+                    RInstr::Finish { exit, pre } => {
+                        // Any other last terminator goes back to the loop:
+                        // rebuild the frame and leave `pc` on it. It runs —
+                        // and is charged — there, with full semantics.
+                        tick_n!(*pre);
+                        hand_back!(&rt.exits[*exit as usize]);
+                    }
                 }
             }
+            break;
         }
 
-        // Trace ran to completion.
-        self.trace_stats.completed += 1;
-        self.trace_stats.blocks_in_completed += rt.src_blocks.len() as u64;
-        self.trace_stats.instrs_in_completed += *instrs;
-        let last = *rt.src_blocks.last().expect("traces are nonempty");
+        // The last iteration ran to its end and handed back.
         self.bcg.set_context(last);
-        Ok(TraceRun::Completed)
+        Ok(TraceRun {
+            closings,
+            blocks: (closings + 1) * len,
+            instrs: *instrs,
+            side_exited: false,
+            next,
+        })
     }
 }

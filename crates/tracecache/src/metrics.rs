@@ -5,23 +5,37 @@
 //! completion rate, and — combined with profiler statistics — the state
 //! signal rate and trace event interval.
 
-/// Counters accumulated by the [`crate::TraceRuntime`] dispatch monitor.
+/// Counters accumulated by the [`crate::TraceRuntime`] dispatch monitor,
+/// and by the trace-executing engine.
+///
+/// The trace counters are per *execution* — one dispatch into a trace.
+/// When a trace completes at a branch that links a trace, the engine
+/// runs that one next without a dispatch (a loop closing): the same
+/// trace round and round, or a cycle of traces. One execution may thus
+/// run many traces: it is entered once, ends once (completed or exited
+/// early) and counts the blocks and instructions of all of them.
+/// `entered == completed + exited_early` holds either way, and a trace
+/// runs `entered + loop_closings` times.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceExecStats {
-    /// Traces entered (each entry is one trace dispatch).
+    /// Trace executions (each is one trace dispatch).
     pub entered: u64,
-    /// Traces that executed to completion.
+    /// Executions whose last trace ran to its end.
     pub completed: u64,
-    /// Traces exited before their last block.
+    /// Executions that left through a guard before the trace's end.
     pub exited_early: u64,
-    /// Blocks executed inside completed traces.
+    /// Blocks executed inside completed executions.
     pub blocks_in_completed: u64,
-    /// Blocks executed inside partially executed traces before exit.
+    /// Blocks executed inside early-exited executions before the exit.
     pub blocks_in_partial: u64,
-    /// Instructions executed inside completed traces.
+    /// Instructions executed inside completed executions.
     pub instrs_in_completed: u64,
-    /// Instructions executed inside partially executed traces.
+    /// Instructions executed inside early-exited executions.
     pub instrs_in_partial: u64,
+    /// Trace runs begun without a dispatch, where the last one ended:
+    /// back at its own top or in another linked trace (always 0 under
+    /// the dispatch monitor, which executes nothing).
+    pub loop_closings: u64,
     /// Blocks dispatched outside any trace.
     pub blocks_outside: u64,
     /// Block-dispatch count at the first trace entry of the run in which
@@ -93,6 +107,7 @@ mod tests {
             blocks_in_partial: 2,
             instrs_in_completed: 450,
             instrs_in_partial: 20,
+            loop_closings: 0,
             blocks_outside: 30,
             first_entry_dispatch: 3,
         }

@@ -240,6 +240,10 @@ fn cmd_run(w: &Workload, opts: &Options) -> Result<(), Box<dyn std::error::Error
                 println!("snapshot            : {} bytes -> {path}", bytes.len());
             }
             print_report(w, &r);
+            println!(
+                "loop closings       : {} (trace runs begun without a dispatch)",
+                r.traces.loop_closings
+            );
             println!("compiled traces     : {}", engine.compiled_count());
             match engine.dop_fusion_report() {
                 Some(rep) => {

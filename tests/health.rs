@@ -321,6 +321,84 @@ fn a_trace_rotting_behind_its_first_guard_is_quarantined_at_the_limit() {
     );
 }
 
+/// A trace whose last branch leads back to its first block closes its
+/// loop in the executor only while that very branch links it: the
+/// skipped dispatch would have found the trace there. Planted at the
+/// inner loop's pre-header alone, the inner-loop trace hands back at
+/// every back edge, and the remaining iterations run in the loop, one
+/// dispatch per block. Planted at its back edge too, it closes.
+#[test]
+fn a_loop_closes_only_through_its_own_link() {
+    let program = loop_nest();
+    let outer = 40;
+    let args = [Value::Int(outer)];
+    let inner_loop: &[u32] = &[3, 4];
+
+    // Each outer iteration enters at the pre-header with j = 3 and
+    // completes one inner iteration; j = 2 and 1 run in the loop.
+    let (pre_header, _, _) = run_planted(&program, &[((2, 3), inner_loop)], &args);
+    let t = pre_header.traces;
+    assert_eq!(t.loop_closings, 0, "{t:?}");
+    assert_eq!(
+        (t.entered, t.completed),
+        (outer as u64, outer as u64),
+        "{t:?}"
+    );
+
+    // Linked at the back edge as well (hash-consed: the same trace), the
+    // entry at the pre-header closes for j = 2, 1 and 0 and leaves at the
+    // inner loop's exit. Only the very first back edge cannot close: the
+    // VM has never observed that branch, so no node holds its link, and
+    // the loop's dispatch creates the node and enters once more.
+    let plant: &[((u32, u32), &[u32])] = &[((2, 3), inner_loop), ((4, 3), inner_loop)];
+    let (closed, _, linked) = run_planted(&program, plant, &args);
+    let t = closed.traces;
+    assert_eq!(linked, [true, true]);
+    assert_eq!(t.loop_closings, 3 * outer as u64 - 1, "{t:?}");
+    assert_eq!(t.entered, outer as u64 + 1, "{t:?}");
+    assert_eq!(t.exited_early, outer as u64, "{t:?}");
+    // Every outer iteration runs the inner iterations with j = 2 and 1
+    // without dispatching their head and body (four blocks), but the
+    // first re-enters over the back edge once by a dispatch.
+    assert_eq!(
+        pre_header.exec.block_dispatches - closed.exec.block_dispatches,
+        4 * outer as u64 - 1
+    );
+}
+
+/// A loop split over two traces closes through both: a completion whose
+/// branch links the other trace goes on into it without a dispatch.
+/// Planted on `flipping_loop` with arm A taken throughout: one trace
+/// runs head, steady guard and flipping branch, the other arm A and the
+/// latch.
+#[test]
+fn a_loop_split_over_two_traces_closes_through_both() {
+    let program = flipping_loop();
+    let n = 40;
+    let args = [Value::Int(n), Value::Int(0)];
+    let head: &[u32] = &[1, 2, 3];
+    let arm_a: &[u32] = &[4, 6];
+
+    // The first iteration reaches arm A in the loop and enters it; its
+    // latch's back edge was never observed, so no node holds the link
+    // and the loop dispatches it, entering the head trace. From there
+    // each trace goes on into the other until the loop's exit leaves
+    // the head trace at its first guard: 2n trace runs, two dispatched.
+    let plant: &[((u32, u32), &[u32])] = &[((6, 1), head), ((3, 4), arm_a)];
+    let (both, _, linked) = run_planted(&program, plant, &args);
+    let t = both.traces;
+    assert_eq!(linked, [true, true]);
+    assert_eq!((t.entered, t.completed, t.exited_early), (2, 1, 1), "{t:?}");
+    assert_eq!(t.loop_closings, 2 * n as u64 - 2, "{t:?}");
+
+    // With arm A's trace unlinked, the head trace completes into the
+    // loop at every iteration and is dispatched at the next.
+    let (one, _, _) = run_planted(&program, &plant[..1], &args);
+    let t = one.traces;
+    assert_eq!(t.loop_closings, 0, "{t:?}");
+    assert_eq!(t.entered, n as u64, "{t:?}");
+}
+
 /// The streak is counted per trace: a trace that exits at its entry on
 /// every dispatch is quarantined even though another trace completes
 /// between each of its exits, and the healthy one stays linked.
@@ -345,5 +423,8 @@ fn a_rotten_trace_alternating_with_a_healthy_one_is_still_quarantined() {
         report.traces.exited_early,
         u64::from(STREAK_LIMIT) + outer as u64
     );
-    assert_eq!(report.traces.completed, 2 * outer as u64);
+    assert_eq!(
+        report.traces.completed + report.traces.loop_closings,
+        2 * outer as u64
+    );
 }

@@ -14,8 +14,9 @@
 //!   against the interpreter, not just the guard-passes fast path;
 //! * the seam between trace and loop on those same programs: a fuel
 //!   limit placed at *every* instruction index cuts every hand-off
-//!   (trace entry, side exit, the final terminator handed back,
-//!   in-trace call and return) exactly where it cuts the interpreter;
+//!   (trace entry, side exit, the final branch and the loop closing it
+//!   makes, in-trace call and return) exactly where it cuts the
+//!   interpreter;
 //!   in-trace stack overflow, runtime traps and collection agree with
 //!   the interpreter's; and hand-backs that land inside DOp-fused groups
 //!   execute the remainder unfused.
@@ -328,18 +329,20 @@ fn run_state(vm: &Vm<'_>) -> (u64, u64, usize, u64, u64, u64) {
 /// Cuts `program` off at every fuel value from 0 to one past its full
 /// instruction count, on the interpreter and on an engine booted with
 /// the traces of a full run already linked, and demands the same
-/// outcome and the same machine state at every cut.
-fn assert_fuel_cuts_match(name: &str, program: &Program, args: &[Value]) {
+/// outcome and the same machine state at every cut. Returns the loop
+/// closings of the booted engine's uncut run.
+fn assert_fuel_cuts_match(name: &str, program: &Program, args: &[Value]) -> u64 {
     let config = chaos_config();
     let mut warm = TracingVm::new(program, config);
     let full = warm.run(args).unwrap();
     assert!(
-        full.traces.completed > 0 && full.traces.exited_early > 0,
+        full.traces.completed + full.traces.loop_closings > 0 && full.traces.exited_early > 0,
         "{name}: the warm-up must both complete and side-exit traces: {:?}",
         full.traces
     );
     let snapshot = warm.snapshot();
 
+    let mut closings = 0;
     for fuel in 0..=full.exec.instructions + 1 {
         let mut cut = config;
         cut.jit.vm.max_steps = fuel;
@@ -363,18 +366,27 @@ fn assert_fuel_cuts_match(name: &str, program: &Program, args: &[Value]) {
         );
         if let Ok(report) = got {
             assert!(report.traces.entered > 0, "{name}: fuel {fuel} ran cold");
+            closings = report.traces.loop_closings;
         }
     }
+    closings
 }
 
 #[test]
 fn fuel_cut_at_every_instruction_matches_the_interpreter() {
-    assert_fuel_cuts_match("cond-flip", &cond_flip_program(15), &[Value::Int(70)]);
-    assert_fuel_cuts_match("virtual-flip", &virtual_flip_program(), &[Value::Int(40)]);
-    assert_fuel_cuts_match(
-        "recursive-return",
-        &recursive_return_program(),
-        &[Value::Int(20)],
+    let closings = [
+        assert_fuel_cuts_match("cond-flip", &cond_flip_program(15), &[Value::Int(70)]),
+        assert_fuel_cuts_match("virtual-flip", &virtual_flip_program(), &[Value::Int(40)]),
+        assert_fuel_cuts_match(
+            "recursive-return",
+            &recursive_return_program(),
+            &[Value::Int(20)],
+        ),
+    ];
+    // The cuts must also land inside a loop the trace closes itself.
+    assert!(
+        closings.iter().any(|&c| c > 0),
+        "no loop closed: {closings:?}"
     );
 }
 
@@ -527,7 +539,11 @@ fn in_trace_traps_match_the_interpreter() {
         let want = plain.run(&clean, &mut NullObserver).unwrap();
         let report = engine.run(&clean).unwrap();
         assert_eq!(report.result, want, "{name}: clean run");
-        assert!(report.traces.completed > 100, "{name}: {:?}", report.traces);
+        assert!(
+            report.traces.completed + report.traces.loop_closings > 100,
+            "{name}: {:?}",
+            report.traces
+        );
 
         let trapping = [Value::Int(400), Value::Int(-5)];
         assert_eq!(
@@ -575,7 +591,7 @@ fn allocation_storm_collects_exactly_like_the_interpreter() {
             "run {run}"
         );
         assert!(
-            report.traces.completed > 1_000,
+            report.traces.completed + report.traces.loop_closings > 1_000,
             "run {run}: {:?}",
             report.traces
         );

@@ -33,7 +33,11 @@ fn register_listing_matches_golden() {
     let decoded = DecodedProgram::decode(&program);
 
     // The loop trace, entered at the body: call the leaf, return, close
-    // the back edge, and re-test the loop condition.
+    // the back edge, and re-test the loop condition. That test is the
+    // trace's final branch, run in-trace: its fall-through successor is
+    // the trace's own first block (exit 1, where a loop closing jumps
+    // back to the top), its taken one the loop exit (exit 0). Both
+    // resume on their block's entry marker and share one image.
     let chain = vec![
         BlockId::new(main_f, 1),
         BlockId::new(leaf, 0),
@@ -47,7 +51,7 @@ fn register_listing_matches_golden() {
     // assignment, weight accounting, guard fusion, or exit images must
     // show up here as a reviewed diff.
     let expected = "\
-reg trace: 7 rinstrs, 4 regs, 1 consts, 1 exits
+reg trace: 7 rinstrs, 4 regs, 1 consts, 2 exits
   const r1 = int 1
    0: r0 = local 0 [w=1]
    1: call fn#0 ret=6 img=0 [w=1]
@@ -55,14 +59,15 @@ reg trace: 7 rinstrs, 4 regs, 1 consts, 1 exits
    3: ret.static [w=1]
    4: checksum r2 [w=1]
    5: r3 = r0 + -1 [w=1]
-   6: finish exit 0 [pre=2]
-exit 0: fn#1 dpc=2 block=0 done=3 base=0 stack=[r3] dirty=[0<-r3]
+   6: branch izero.le r3 ? exit 0 : exit 1 [pre=2]
+exit 0: fn#1 dpc=10 block=3 done=3 base=0 stack=[] dirty=[0<-r3]
+exit 1: fn#1 dpc=3 block=1 done=3 base=0 stack=[] dirty=[0<-r3]
 ";
     assert_eq!(disassemble(&rt), expected);
 
     // The lowering's own accounting agrees with the listing: 11
     // compiled trace instructions became 7, the pure stack traffic
-    // vanished, and the trailing compare fused into the exit.
+    // vanished, and the trailing compare fused into the final branch.
     assert_eq!((rt.stats.before, rt.stats.after), (11, 7));
     assert_eq!(rt.stats.eliminated, 4);
     assert_eq!(rt.stats.regs, 4);
