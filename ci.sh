@@ -122,9 +122,18 @@ echo "== private vs shared cache policy differential (debug: the cache's structu
 cargo test --features debug-invariants -q --test cache_policy_differential
 cargo test -q --release --test cache_policy_differential
 
+echo "== differential matrix (every VM configuration x every source vs one oracle; debug: invariants on, release: at speed)"
+# Plain, fused, monitor, engine (DOp fusion on and off), never-entering,
+# warm-booted, shared, faulted and the two baseline selectors, each on
+# the six workloads, the three phase-shift variants and a 64-case
+# generated corpus, against one ReferenceVm run per source; and the
+# suites it replaced, whose tests are now one-row slices of it.
+cargo test --features debug-invariants -q --test matrix --test interp_differential --test fuzz_differential --test engine_differential
+cargo test -q --release --test matrix --test interp_differential --test fuzz_differential --test engine_differential
+
 echo "== fault-injection conformance (supervised deployment vs interpreter oracle)"
-# Engine-level fault campaigns: corrupt artifacts, failed budget checks,
-# constructor kills, dropped/duplicated batches — results must never move.
+# The constructor killer and the saved fault corpus; the standard plan
+# over the workloads and the generated corpus is the matrix's Faulted row.
 cargo test -p trace-conformance --features debug-invariants -q --test faults
 cargo test -p trace-conformance -q --release --test faults
 
@@ -132,12 +141,13 @@ echo "== concurrent shared-cache tests (debug-invariants: threaded paths assert 
 cargo test -p trace-cache -p trace-exec --features trace-cache/debug-invariants -q
 
 echo "== trace-engine differential (debug: register/slab-bounds + invariant asserts; release: at speed)"
-# The trace engine against the plain interpreter: six workloads, seeded
-# fuzz, the guard-flip chaos programs that force a side-exit resume from
-# every guard kind, and the loop<->trace hand-off suite (never-enter
-# equivalence, fuel cut at every instruction, in-trace overflow, traps and GC).
-cargo test --features debug-invariants -q --test engine_differential --test reg_differential --test reg_golden
-cargo test -q --release --test engine_differential --test reg_differential
+# The trace engine against the plain interpreter beyond the matrix's
+# rows: a second seeded corpus through the Engine row, the guard-flip
+# chaos programs that force a side-exit resume from
+# every guard kind, and the loop<->trace hand-off suite (fuel cut at
+# every instruction, in-trace overflow, traps and GC).
+cargo test --features debug-invariants -q --test reg_differential --test reg_golden
+cargo test -q --release --test reg_differential
 
 echo "== a trace is one dispatch to the profiler (side exits re-anchor, never observe)"
 # A side exit used to observe the resumed block, crediting the failed
@@ -183,10 +193,10 @@ if [ -z "$closings" ] || [ "$closings" -eq 0 ]; then
 fi
 
 echo "== superinstruction fusion differential (debug: stack/shadow asserts; release: at speed)"
-# The fused decoded interpreter against the reference oracle: six
-# workloads, seeded fuzz with every fusible site fused, fuel-straddle
-# cuts inside fused groups, the pinned golden listing, and the planted
-# mis-fused-boundary quirk the harness must catch.
+# The matrix's Fused row on the workloads and a second seeded corpus,
+# and what that row cannot show: fuel-straddle cuts inside
+# fused groups, profile-driven selection, the pinned golden listing, and
+# the planted mis-fused-boundary quirk the harness must catch.
 cargo test --features debug-invariants -q --test fusion_differential --test fusion_golden
 cargo test -q --release --test fusion_differential
 
@@ -210,8 +220,9 @@ grep -q '"hot_opcode_triples"' "$smoke_dir/BENCH_interp.smoke.json"
 
 echo "== snapshot round-trip differential (debug: decoder/merge asserts in situ)"
 # Persistence is lossless and canonical: six workloads + seeded fuzz
-# programs round-trip bit-identically, warm boot matches the interpreter
-# oracle, and the byte-level container format stays pinned.
+# programs round-trip bit-identically and the byte-level container
+# format stays pinned. (Warm boot against the oracle is the matrix's
+# WarmBoot row.)
 cargo test --features debug-invariants -q --test snapshot_differential --test snapshot_golden
 
 echo "== persist unit tests, cache invariants armed (a forged zero-completion trace must be refused, not planted)"

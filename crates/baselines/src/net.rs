@@ -92,9 +92,10 @@ impl TraceSelector for NetSelector {
                     || (blocks.len() > 1 && Self::is_backward(prev, block));
                 if end {
                     if blocks.len() >= 2 {
-                        // NET does not estimate completion probability;
-                        // record 0.0 as "unknown".
-                        cache.insert_and_link(*entry, std::mem::take(blocks), 0.0);
+                        // NET does not estimate completion probability: it
+                        // speculates that the recorded tail runs to its end
+                        // (the cache admits estimates in (0, 1] only).
+                        cache.insert_and_link(*entry, std::mem::take(blocks), 1.0);
                         self.recorded += 1;
                     }
                     self.mode = Mode::Profiling;

@@ -74,13 +74,6 @@ pub struct BcgImage {
     pub nodes: Vec<NodeImage>,
 }
 
-impl BcgImage {
-    /// Total successor edges across all nodes.
-    pub fn edge_count(&self) -> usize {
-        self.nodes.iter().map(|n| n.successors.len()).sum()
-    }
-}
-
 /// Why an image cannot be reconstructed into a graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ImageError {

@@ -354,11 +354,6 @@ impl Instr {
         )
     }
 
-    /// Returns `true` for the call instructions.
-    pub fn is_call(&self) -> bool {
-        matches!(self, Instr::InvokeStatic(..) | Instr::InvokeVirtual { .. })
-    }
-
     /// All *explicit* branch targets of this instruction (conditional
     /// targets, switch tables and defaults). Fall-through successors are
     /// not included.

@@ -21,7 +21,7 @@ use trace_cache::{
     CacheStats, FaultConfig, FaultPlan, FaultStats, ServiceHealthSnapshot, SupervisorConfig,
 };
 use trace_exec::{run_supervised_shared_constructor, shared_session, EngineConfig, TracingVm};
-use trace_jit::TraceJitConfig;
+use trace_jit::{RunReport, TraceJitConfig};
 
 /// Runs the VM makes against the shared cache per fault case: the first
 /// runs warm the profiler and build traces, the later ones dispatch
@@ -38,8 +38,8 @@ pub fn case_budget_bytes() -> usize {
 /// What a fault case observed, for campaign-level assertions.
 #[derive(Debug, Clone)]
 pub struct FaultCaseReport {
-    /// Runs executed against the shared session.
-    pub runs: u32,
+    /// The report of each run against the shared session, in order.
+    pub runs: Vec<RunReport>,
     /// Fault-plan draw/fire counters.
     pub faults: FaultStats,
     /// Shared-cache counters after the last run.
@@ -98,7 +98,7 @@ pub fn run_fault_case(
         backoff_max_ms: 0,
     };
 
-    let outcome: Result<(), String> = std::thread::scope(|s| {
+    let outcome: Result<Vec<RunReport>, String> = std::thread::scope(|s| {
         let h = Arc::clone(&health);
         let c = Arc::clone(&cache);
         let svc_plan = Arc::clone(&plan);
@@ -116,6 +116,7 @@ pub fn run_fault_case(
 
         let result = (|| {
             let mut vm = TracingVm::new_shared(program, config, session);
+            let mut runs = Vec::new();
             for run in 0..RUNS_PER_CASE {
                 let report = vm
                     .run(args)
@@ -145,18 +146,18 @@ pub fn run_fault_case(
                          with no recorded overrun"
                     ));
                 }
+                runs.push(report);
             }
-            Ok(())
+            Ok(runs)
         })();
         // The VM (and its session clone) is gone; the receiver side sees
         // the senders disconnect and the service thread exits.
         svc.join().expect("supervisor thread must not panic itself");
         result
     });
-    outcome?;
 
     Ok(FaultCaseReport {
-        runs: RUNS_PER_CASE,
+        runs: outcome?,
         faults: plan.stats(),
         cache: cache.stats(),
         health: health.snapshot(),

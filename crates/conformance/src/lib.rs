@@ -35,9 +35,14 @@
 //! * [`snapshot`] — hostile-input conformance for the persistence
 //!   boundary: a seeded mutation campaign (bit flips, truncations,
 //!   section swaps, length-field rewrites) over valid snapshot
-//!   containers, plus a warm-boot semantic oracle. The planted
-//!   [`Quirk::StaleSnapshotAccepted`] proves the campaign catches a
-//!   reader that silently accepts cross-program snapshots.
+//!   containers. The planted [`Quirk::StaleSnapshotAccepted`] proves the
+//!   campaign catches a reader that silently accepts cross-program
+//!   snapshots.
+//! * [`matrix`] — the differential matrix: every VM configuration
+//!   (plain, fused, monitor, engine, never-entering, warm-booted, shared,
+//!   faulted, baseline selectors) on every source (the six workloads,
+//!   the phase-shift variants, a `genprog` corpus) against one
+//!   reference-interpreter oracle, with located divergences.
 
 #![forbid(unsafe_code)]
 
@@ -46,6 +51,7 @@ pub mod faults;
 pub mod genprog;
 pub mod invariants;
 pub mod lockstep;
+pub mod matrix;
 pub mod model;
 pub mod snapshot;
 
@@ -54,6 +60,6 @@ pub use faults::{run_fault_case, FaultCaseReport};
 pub use lockstep::{Divergence, Lockstep};
 pub use model::{ModelBcg, Quirk};
 pub use snapshot::{
-    must_reject, reader_with_quirk, run_snapshot_campaign, run_warm_boot_case, stale_hash_mutants,
-    CampaignReport, Mutation, WarmBootCaseReport,
+    must_reject, reader_with_quirk, run_snapshot_campaign, stale_hash_mutants, CampaignReport,
+    Mutation,
 };

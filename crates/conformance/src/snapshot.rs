@@ -25,16 +25,11 @@
 //! campaign can expose that bug: every other suite reads snapshots it
 //! wrote itself, where the hash always matches.
 //!
-//! [`run_warm_boot_case`] is the companion semantic oracle: a VM booted
-//! from a snapshot must produce the plain interpreter's result,
-//! checksum, and instruction count exactly — a warm cache may change
-//! *speed*, never *meaning*.
+//! That a VM booted from a snapshot runs exactly as the interpreter does
+//! is the `WarmBoot` row of the differential matrix ([`crate::matrix`]).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use jvm_bytecode::Program;
-use jvm_vm::{NullObserver, Value, Vm};
-use trace_exec::{EngineConfig, TracingVm, WarmBootReport};
 use trace_persist::{SnapshotError, SnapshotReader};
 use trace_workloads::prng::Xoshiro256StarStar;
 
@@ -207,77 +202,6 @@ pub fn run_snapshot_campaign(
     report
 }
 
-/// What one warm-boot oracle case observed.
-#[derive(Debug, Clone, Copy)]
-pub struct WarmBootCaseReport {
-    /// What the boot restored and pre-built.
-    pub boot: WarmBootReport,
-    /// Block dispatches paid before the warm run's first trace entry
-    /// (`0` = the run never entered a trace).
-    pub warm_first_entry_dispatch: u64,
-    /// Same marker for the cold VM that wrote the snapshot.
-    pub cold_first_entry_dispatch: u64,
-}
-
-/// Warms a private [`TracingVm`] on `(program, args)`, snapshots it,
-/// boots a fresh VM from the snapshot, and checks the booted VM's run
-/// against the plain interpreter: result, observation checksum, and
-/// executed instruction count must match exactly (the engine is
-/// semantically transparent, warm cache or not).
-///
-/// # Errors
-///
-/// A human-readable description of the first divergence.
-pub fn run_warm_boot_case(
-    program: &Program,
-    args: &[Value],
-    config: EngineConfig,
-) -> Result<WarmBootCaseReport, String> {
-    let mut plain = Vm::new(program);
-    let want = plain
-        .run(args, &mut NullObserver)
-        .map_err(|e| format!("interpreter failed: {e:?}"))?;
-    let want_checksum = plain.checksum();
-
-    let mut warm = TracingVm::new(program, config);
-    let cold_report = warm
-        .run(args)
-        .map_err(|e| format!("warming run failed: {e:?}"))?;
-    let bytes = warm.snapshot();
-
-    let mut booted = TracingVm::new(program, config);
-    let boot = booted
-        .load_snapshot(&bytes)
-        .map_err(|e| format!("own snapshot must load: {e}"))?;
-    let got = booted
-        .run(args)
-        .map_err(|e| format!("warm-booted run failed: {e:?}"))?;
-    if got.result != want {
-        return Err(format!(
-            "warm-booted result {:?} diverged from interpreter {want:?}",
-            got.result
-        ));
-    }
-    if got.checksum != want_checksum {
-        return Err(format!(
-            "warm-booted checksum {:#x} diverged from interpreter {want_checksum:#x}",
-            got.checksum
-        ));
-    }
-    if got.exec.instructions != plain.stats().instructions {
-        return Err(format!(
-            "warm-booted instruction count {} diverged from interpreter {}",
-            got.exec.instructions,
-            plain.stats().instructions
-        ));
-    }
-    Ok(WarmBootCaseReport {
-        boot,
-        warm_first_entry_dispatch: got.traces.first_entry_dispatch,
-        cold_first_entry_dispatch: cold_report.traces.first_entry_dispatch,
-    })
-}
-
 /// A reader as configured by an (optional) planted quirk: the strict
 /// production reader normally, or the hash-check-skipping reader under
 /// [`Quirk::StaleSnapshotAccepted`](crate::model::Quirk).
@@ -328,6 +252,7 @@ pub fn must_reject(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trace_exec::TracingVm;
     use trace_workloads::registry::{all, Scale};
 
     fn warmed_snapshot() -> (Vec<u8>, u64) {
@@ -372,14 +297,5 @@ mod tests {
             }
         }
         assert_eq!(accepted, 3, "quirk must silently accept all three");
-    }
-
-    #[test]
-    fn warm_boot_oracle_matches_interpreter() {
-        let w = &all(Scale::Test)[0];
-        let report =
-            run_warm_boot_case(&w.program, &w.args, crate::faults::fault_campaign_config())
-                .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        assert!(report.boot.links_installed > 0);
     }
 }

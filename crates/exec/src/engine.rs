@@ -615,11 +615,6 @@ impl<'p> TracingVm<'p> {
         self.driver.jit.health_stats()
     }
 
-    /// Construction-service health gauges (shared mode only).
-    pub fn service_health(&self) -> Option<trace_cache::ServiceHealthSnapshot> {
-        self.shared().map(|sess| sess.health.snapshot())
-    }
-
     /// Machine-readable reason the runtime is running degraded, if it
     /// is: `"constructor-degraded"` when the shared construction service
     /// is permanently down (dispatch keeps interpreting, never wrong).
@@ -944,9 +939,19 @@ mod tests {
         let r1 = engine.run(&[Value::Int(5_000)]).unwrap();
         let r2 = engine.run(&[Value::Int(5_000)]).unwrap();
         assert_eq!(r1.result, r2.result);
-        // Second run starts with a warm cache: at least as many trace
-        // entries in the same instruction budget.
-        assert!(r2.traces.entered >= r1.traces.entered);
+        // The report's trace counters are the VM's lifetime totals, so
+        // the warm run's own trace runs are the difference.
+        let trace_runs = |t: TraceExecStats| t.entered + t.loop_closings;
+        assert!(trace_runs(r2.traces) > trace_runs(r1.traces));
+        // The second run starts with a warm cache: it dispatches fewer
+        // blocks for the same instructions.
+        assert_eq!(r2.exec.instructions, r1.exec.instructions);
+        assert!(
+            r2.exec.block_dispatches < r1.exec.block_dispatches,
+            "warm {} vs cold {} dispatches",
+            r2.exec.block_dispatches,
+            r1.exec.block_dispatches
+        );
     }
 
     #[test]

@@ -150,17 +150,9 @@ impl<'p> Vm<'p> {
         &self.decoded
     }
 
-    /// Rewrites the decoded streams according to a superinstruction
-    /// `plan` (see [`crate::fuse`]). Idempotent: any previous fusion is
-    /// undone first. Execution semantics, statistics and the dispatch
-    /// stream are unchanged; only dispatch *cost* drops.
-    pub fn apply_fusion(&mut self, plan: &FusionPlan) -> FusionReport {
-        fuse::apply(&mut self.decoded, plan)
-    }
-
-    /// Convenience: builds a [`fuse::FusionProfile`] from a profiling
-    /// run's block `counts`, selects patterns per function with `cfg`,
-    /// and applies the resulting plan.
+    /// Builds a [`fuse::FusionProfile`] from a profiling run's block
+    /// `counts`, selects patterns per function with `cfg`, and applies
+    /// the resulting plan.
     pub fn fuse_with_profile(&mut self, counts: BlockCounts, cfg: &FusionConfig) -> FusionReport {
         let profile = fuse::FusionProfile::collect(&self.decoded, counts);
         let plan = FusionPlan::select(profile, cfg);

@@ -7,7 +7,7 @@
 //! per-frame `Vec` locals/stacks. It is kept **bit-for-bit intact** as
 //! the differential oracle: the decoded engine must reproduce its
 //! instruction counts, dispatch stream, heap behaviour, checksums and
-//! errors exactly (see `tests/interp_differential.rs`), and the
+//! errors exactly (the differential matrix, `tests/matrix.rs`), and the
 //! `interp_speed` benchmark reports speedups relative to it.
 //!
 //! Do not "improve" this file; its value is that it does not change.

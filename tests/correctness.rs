@@ -1,46 +1,23 @@
 //! Cross-crate correctness: the trace machinery must never change
 //! program semantics, and every workload must match its reference
-//! implementation under every execution model.
+//! implementation. The first two tests are rows of the differential
+//! matrix (`tests/matrix.rs`) on the six workloads, whose oracles are
+//! checked against the reference implementations' checksums.
 
-use tracecache_repro::baselines::{run_with_selector, NetSelector, ReplaySelector};
+use tracecache_repro::conformance::matrix::{self, Row};
 use tracecache_repro::jit::{TraceJitConfig, TraceVm};
-use tracecache_repro::vm::{NullObserver, Vm};
 use tracecache_repro::workloads::{registry, Scale};
 
 #[test]
 fn plain_vm_matches_reference_checksums() {
-    for w in registry::all(Scale::Test) {
-        let mut vm = Vm::new(&w.program);
-        vm.run(&w.args, &mut NullObserver)
-            .unwrap_or_else(|e| panic!("{} failed: {e}", w.name));
-        assert_eq!(vm.checksum(), w.expected_checksum, "{}", w.name);
-    }
+    matrix::check_all(&matrix::workloads(), Row::Plain);
 }
 
+/// The monitor at paper defaults: result, checksum and every execution
+/// counter, instructions and block dispatches included.
 #[test]
 fn trace_vm_is_semantically_transparent() {
-    for w in registry::all(Scale::Test) {
-        let mut plain = Vm::new(&w.program);
-        let plain_result = plain.run(&w.args, &mut NullObserver).unwrap();
-
-        let mut tvm = TraceVm::new(&w.program, TraceJitConfig::paper_default());
-        let report = tvm.run(&w.args).unwrap();
-
-        assert_eq!(report.result, plain_result, "{} result", w.name);
-        assert_eq!(report.checksum, w.expected_checksum, "{} checksum", w.name);
-        assert_eq!(
-            report.exec.instructions,
-            plain.stats().instructions,
-            "{} instruction count",
-            w.name
-        );
-        assert_eq!(
-            report.exec.block_dispatches,
-            plain.stats().block_dispatches,
-            "{} block dispatches",
-            w.name
-        );
-    }
+    matrix::check_all(&matrix::workloads(), Row::Monitor);
 }
 
 #[test]
@@ -58,19 +35,6 @@ fn trace_vm_transparent_at_every_threshold() {
             report.checksum, w.expected_checksum,
             "threshold {threshold}"
         );
-    }
-}
-
-#[test]
-fn baseline_selectors_are_semantically_transparent() {
-    for w in registry::all(Scale::Test) {
-        let mut net = NetSelector::new();
-        let r = run_with_selector(&w.program, &w.args, &mut net).unwrap();
-        assert_eq!(r.checksum, w.expected_checksum, "{} under NET", w.name);
-
-        let mut rp = ReplaySelector::new();
-        let r = run_with_selector(&w.program, &w.args, &mut rp).unwrap();
-        assert_eq!(r.checksum, w.expected_checksum, "{} under rePLay", w.name);
     }
 }
 

@@ -4,27 +4,22 @@
 //! [`ReferenceVm`](tracecache_repro::vm::ReferenceVm) oracle — zero
 //! divergence allowed.
 //!
-//! Fusion is a pure dispatch-cost optimisation, so everything
-//! observable must be bit-identical to the unfused stream:
-//!
-//! * result value, checksum, captured output,
-//! * every `ExecStats` field — `instructions` counts each *constituent*
-//!   of a fused group, branch counters fire inside fused compare ops,
-//! * heap behaviour,
-//! * the **entire dispatch stream** (fusion never crosses a block
-//!   marker),
+//! * parity: the `Fused` row of the differential matrix
+//!   (`tests/matrix.rs`) compares result, checksum, captured output, heap counters, every
+//!   `ExecStats` field (`instructions` counts each *constituent* of a
+//!   fused group) and the entire dispatch stream, on the six workloads
+//!   and on this suite's seeded corpus;
 //! * fuel semantics: `OutOfFuel` fires at exactly the reference
 //!   instruction count even when the budget runs out *inside* a fused
-//!   group,
-//! * and trap parity: errors raised by a fused constituent carry the
-//!   same error value at the same instruction count.
-//!
-//! The suite also proves selection is profile-driven (different
-//! workloads choose different pattern sets) and that a planted
-//! mis-fused block boundary ([`FuseQuirk::FuseAcrossBlockBoundary`]) is
-//! caught — testing the testers.
+//!   group, with identical partial statistics;
+//! * selection is profile-driven (different workloads choose different
+//!   pattern sets);
+//! * a planted mis-fused block boundary
+//!   ([`FuseQuirk::FuseAcrossBlockBoundary`]) is caught — testing the
+//!   testers.
 
 use tracecache_repro::conformance::genprog::{args_from, build_program, gen_block};
+use tracecache_repro::conformance::matrix::{self, Row};
 use tracecache_repro::vm::fuse::FuseQuirk;
 use tracecache_repro::vm::{
     BlockCounts, FusionConfig, RecordingObserver, ReferenceVm, Vm, VmConfig,
@@ -33,14 +28,6 @@ use tracecache_repro::workloads::prng::{seed_stream, Xoshiro256StarStar};
 use tracecache_repro::workloads::registry::{self, Scale};
 
 const BASE_SEED: u64 = 0xF05E_5EED;
-
-fn cases() -> u64 {
-    if cfg!(feature = "exhaustive-tests") {
-        256
-    } else {
-        48
-    }
-}
 
 /// Profiles one run of `vm`, fuses with `cfg`, and returns the rewrite
 /// report.
@@ -54,72 +41,28 @@ fn profile_and_fuse(
     vm.fuse_with_profile(counts, cfg)
 }
 
+/// Default selection on the workloads; the thresholds must fuse
+/// something at test scale.
 #[test]
 fn fused_interpreter_matches_reference_on_all_six_workloads() {
-    let mut any_fused = false;
-    for w in registry::all(Scale::Test) {
-        let mut reference = ReferenceVm::new(&w.program);
-        let mut ref_stream = RecordingObserver::new();
-        let ref_result = reference
-            .run(&w.args, &mut ref_stream)
-            .unwrap_or_else(|e| panic!("{}: reference trap {e}", w.name));
-
-        let mut fused = Vm::new(&w.program);
-        let report = profile_and_fuse(&mut fused, &w.args, &FusionConfig::default());
-        any_fused |= report.fused() > 0;
-
-        let mut fused_stream = RecordingObserver::new();
-        let fused_result = fused
-            .run(&w.args, &mut fused_stream)
-            .unwrap_or_else(|e| panic!("{}: fused trap {e}", w.name));
-
-        assert_eq!(fused_result, ref_result, "{}: result diverged", w.name);
-        assert_eq!(
-            fused.checksum(),
-            reference.checksum(),
-            "{}: checksum diverged",
-            w.name
-        );
-        assert_eq!(
-            fused.checksum(),
-            w.expected_checksum,
-            "{}: checksum does not match the workload reference",
-            w.name
-        );
-        assert_eq!(
-            fused.stats(),
-            reference.stats(),
-            "{}: exec stats diverged (fused constituents must count)",
-            w.name
-        );
-        assert_eq!(
-            fused.heap_stats(),
-            reference.heap_stats(),
-            "{}: heap stats diverged",
-            w.name
-        );
-        assert_eq!(
-            fused.output(),
-            reference.output(),
-            "{}: output diverged",
-            w.name
-        );
-        assert_eq!(
-            fused_stream.blocks.len(),
-            ref_stream.blocks.len(),
-            "{}: dispatch stream length diverged",
-            w.name
-        );
-        assert_eq!(
-            fused_stream, ref_stream,
-            "{}: dispatch stream diverged",
-            w.name
-        );
-    }
+    let cases = matrix::workloads();
+    let cells = matrix::check_all(&cases, Row::Fused);
     assert!(
-        any_fused,
+        cells.iter().any(|(_, cell)| cell.runs[0].fused_heads > 0),
         "default thresholds must fuse something at test scale"
     );
+}
+
+/// Seeded structured fuzz with every statically fusible site fused
+/// (aggressive selection, so rare patterns get coverage too).
+#[test]
+fn fused_interpreter_matches_reference_on_random_programs() {
+    let cases = if cfg!(feature = "exhaustive-tests") {
+        256
+    } else {
+        48
+    };
+    matrix::check_all(&matrix::corpus(BASE_SEED, cases), Row::Fused);
 }
 
 /// Different workloads must select different fusion sets: the selection
@@ -143,50 +86,6 @@ fn selection_is_profile_driven_across_workloads() {
         distinct.len() >= 2,
         "workloads must not all select the same fusion set: {sets:?}"
     );
-}
-
-/// Seeded structured fuzz: the fused interpreter against the reference,
-/// with every statically fusible site fused (aggressive selection, so
-/// rare patterns get coverage too).
-#[test]
-fn fused_interpreter_matches_reference_on_random_programs() {
-    for case in 0..cases() {
-        let seed = seed_stream(BASE_SEED, case);
-        let mut rng = Xoshiro256StarStar::new(seed);
-        let stmts = gen_block(&mut rng, 3, 1, 8);
-        let program = build_program(&stmts);
-        let args = args_from(rng.next_i64());
-
-        let mut reference = ReferenceVm::new(&program);
-        let mut ref_stream = RecordingObserver::new();
-        let ref_result = reference.run(&args, &mut ref_stream);
-
-        let mut fused = Vm::new(&program);
-        profile_and_fuse(&mut fused, &args, &FusionConfig::aggressive());
-        let mut fused_stream = RecordingObserver::new();
-        let fused_result = fused.run(&args, &mut fused_stream);
-
-        assert_eq!(fused_result, ref_result, "seed {seed:#x}: result diverged");
-        assert_eq!(
-            fused.checksum(),
-            reference.checksum(),
-            "seed {seed:#x}: checksum diverged"
-        );
-        assert_eq!(
-            fused.stats(),
-            reference.stats(),
-            "seed {seed:#x}: exec stats diverged"
-        );
-        assert_eq!(
-            fused.heap_stats(),
-            reference.heap_stats(),
-            "seed {seed:#x}: heap stats diverged"
-        );
-        assert_eq!(
-            fused_stream, ref_stream,
-            "seed {seed:#x}: dispatch stream diverged"
-        );
-    }
 }
 
 /// Fuel parity: cutting the budget at every interesting point — *inside*

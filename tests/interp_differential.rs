@@ -1,110 +1,25 @@
-//! Differential oracle: the pre-decoded threaded interpreter
-//! ([`Vm`](tracecache_repro::vm::Vm)) against the frozen
-//! [`ReferenceVm`](tracecache_repro::vm::ReferenceVm) on all six
-//! workloads — zero divergence allowed.
-//!
-//! The reference is the classic fetch-decode-execute loop the VM shipped
-//! with before the decoded engine replaced it; it is kept bit-for-bit
-//! intact precisely so this suite can pin the new engine to it:
-//!
-//! * result value and checksum,
-//! * every [`ExecStats`](tracecache_repro::vm::ExecStats) field
-//!   (instructions, block dispatches, branches, calls, returns, frame
-//!   depth, …),
-//! * heap behaviour (allocations, collections, frees),
-//! * captured print output,
-//! * and the **entire dispatch stream**, block by block, in order.
+//! The pre-decoded threaded interpreter ([`Vm`](tracecache_repro::vm::Vm))
+//! against the frozen [`ReferenceVm`](tracecache_repro::vm::ReferenceVm)
+//! on the six workloads — zero divergence allowed. This is the `Plain`
+//! row of the differential matrix (`tests/matrix.rs`), which compares
+//! result, checksum, every `ExecStats` field, heap counters, captured
+//! output and the entire dispatch stream, block by block.
 
-use tracecache_repro::vm::{RecordingObserver, ReferenceVm, Vm};
-use tracecache_repro::workloads::registry::{self, Scale};
+use tracecache_repro::conformance::matrix::{self, Row};
 
 #[test]
 fn decoded_engine_matches_reference_on_all_six_workloads() {
-    for w in registry::all(Scale::Test) {
-        let mut reference = ReferenceVm::new(&w.program);
-        let mut ref_stream = RecordingObserver::new();
-        let ref_result = reference
-            .run(&w.args, &mut ref_stream)
-            .unwrap_or_else(|e| panic!("{}: reference trap {e}", w.name));
-
-        let mut decoded = Vm::new(&w.program);
-        let mut dec_stream = RecordingObserver::new();
-        let dec_result = decoded
-            .run(&w.args, &mut dec_stream)
-            .unwrap_or_else(|e| panic!("{}: decoded trap {e}", w.name));
-
-        assert_eq!(dec_result, ref_result, "{}: result diverged", w.name);
-        assert_eq!(
-            decoded.checksum(),
-            reference.checksum(),
-            "{}: checksum diverged",
-            w.name
-        );
-        assert_eq!(
-            decoded.checksum(),
-            w.expected_checksum,
-            "{}: checksum does not match the workload reference",
-            w.name
-        );
-        assert_eq!(
-            decoded.stats(),
-            reference.stats(),
-            "{}: exec stats diverged",
-            w.name
-        );
-        assert_eq!(
-            decoded.heap_stats(),
-            reference.heap_stats(),
-            "{}: heap stats diverged",
-            w.name
-        );
-        assert_eq!(
-            decoded.output(),
-            reference.output(),
-            "{}: captured output diverged",
-            w.name
-        );
-        assert_eq!(
-            dec_stream.blocks.len(),
-            ref_stream.blocks.len(),
-            "{}: dispatch count diverged",
-            w.name
-        );
-        // Element-wise with a located failure message, not one huge diff.
-        for (i, (d, r)) in dec_stream
-            .blocks
-            .iter()
-            .zip(ref_stream.blocks.iter())
-            .enumerate()
-        {
-            assert_eq!(d, r, "{}: dispatch stream diverged at event {i}", w.name);
-        }
-    }
+    let cases = matrix::workloads();
+    assert_eq!(cases.len(), 6);
+    matrix::check_all(&cases, Row::Plain);
 }
 
+/// The row runs twice on one VM, each run against the oracle: a second
+/// run must reproduce the first.
 #[test]
 fn engines_stay_identical_across_reuse() {
-    // Both VMs reset per run; a second run must reproduce the first.
-    let w = registry::compress(Scale::Test);
-    let mut reference = ReferenceVm::new(&w.program);
-    let mut decoded = Vm::new(&w.program);
-    for round in 0..2 {
-        let r = reference
-            .run(&w.args, &mut RecordingObserver::new())
-            .expect("reference runs");
-        let d = decoded
-            .run(&w.args, &mut RecordingObserver::new())
-            .expect("decoded runs");
-        assert_eq!(d, r, "round {round}: result diverged");
-        assert_eq!(
-            decoded.stats(),
-            reference.stats(),
-            "round {round}: stats diverged"
-        );
-        assert_eq!(
-            decoded.checksum(),
-            reference.checksum(),
-            "round {round}: checksum diverged"
-        );
-    }
+    let mut cases = matrix::workloads();
+    cases.retain(|case| case.label == "compress");
+    assert_eq!(cases.len(), 1);
+    matrix::check_all(&cases, Row::Plain);
 }

@@ -3,10 +3,10 @@
 //! nothing observable may change — results, checksums, and the exact
 //! instruction count must match the plain interpreter bit-for-bit.
 //!
-//! The six paper workloads are `engine_differential.rs`'s rows; this
-//! suite adds:
+//! The workloads and the seeded [`genprog`] corpus are the `Engine` rows
+//! of the differential matrix (`tests/matrix.rs`); this suite adds:
 //!
-//! * a seeded fuzz corpus over the shared [`genprog`] generator;
+//! * a second seeded corpus through the same row;
 //! * hand-built side-exit-heavy chaos programs that force every guard
 //!   kind to *fail* — conditional, switch, virtual-dispatch and
 //!   return-continuation (including the depth-0 recursive-entry case) —
@@ -24,11 +24,10 @@
 //! [`genprog`]: tracecache_repro::conformance::genprog
 
 use tracecache_repro::bytecode::{CmpOp, FunctionBuilder, Intrinsic, Program, ProgramBuilder};
-use tracecache_repro::conformance::genprog::{args_from, build_program, gen_block};
+use tracecache_repro::conformance::matrix::{self, Row};
 use tracecache_repro::exec::{compile, lower_reg, EngineConfig, TracingVm};
 use tracecache_repro::jit::TraceJitConfig;
 use tracecache_repro::vm::{fuse, NullObserver, Value, Vm, VmError};
-use tracecache_repro::workloads::prng::{seed_stream, Xoshiro256StarStar};
 
 const BASE_SEED: u64 = 0xD1FF_5EED ^ 0x4E67;
 
@@ -77,14 +76,8 @@ fn reg_engine_matches_interpreter_on_random_programs() {
     } else {
         48
     };
-    for case in 0..cases {
-        let seed = seed_stream(BASE_SEED, case);
-        let mut rng = Xoshiro256StarStar::new(seed);
-        let stmts = gen_block(&mut rng, 3, 1, 8);
-        let program = build_program(&stmts);
-        let args = args_from(rng.next_i64());
-        assert_reg_matches(&program, &args, chaos_config(), &format!("seed {seed:#x}"));
-    }
+    let corpus = matrix::corpus(BASE_SEED, cases);
+    matrix::check_all(&corpus, Row::Engine { dop_fusion: true });
 }
 
 /// A hot loop whose conditional — `load; load; if_icmp`, fusable —

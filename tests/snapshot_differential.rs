@@ -7,15 +7,15 @@
 //! BCG tables and trace listings bit-for-bit (its own snapshot equals
 //! the one it was booted from); and the warm-booted VM's execution
 //! matches the plain interpreter exactly (result, observation checksum,
-//! instruction count) while paying measurably less warm-up than the
-//! cold VM did.
+//! instruction count). That a boot warms up no slower than the cold VM
+//! did is the `WarmBoot` row of the differential matrix
+//! (`tests/matrix.rs`).
 //!
 //! Case seeds come from the workspace-wide
 //! [`seed_stream`](tracecache_repro::workloads::prng::seed_stream)
 //! convention; every assert carries enough context to reproduce.
 
 use tracecache_repro::conformance::genprog::{args_from, build_program, gen_block};
-use tracecache_repro::conformance::snapshot::run_warm_boot_case;
 use tracecache_repro::exec::{EngineConfig, TracingVm};
 use tracecache_repro::jit::TraceJitConfig;
 use tracecache_repro::persist::{program_hash, SnapshotReader};
@@ -138,41 +138,6 @@ fn workloads_round_trip_bit_identically() {
     for w in &workloads {
         check_round_trip(w.name, &w.program, std::slice::from_ref(&w.args));
     }
-}
-
-/// Warm boot matches the interpreter oracle on every workload and pays
-/// less warm-up than cold start wherever the cold run traced at all.
-#[test]
-fn warm_boot_matches_oracle_with_less_warm_up() {
-    let mut traced_somewhere = false;
-    for w in &all(Scale::Test) {
-        let report = run_warm_boot_case(&w.program, &w.args, config())
-            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        if report.cold_first_entry_dispatch > 0 {
-            traced_somewhere = true;
-            assert!(
-                report.warm_first_entry_dispatch > 0,
-                "{}: warm boot lost the traces the cold run built",
-                w.name
-            );
-            assert!(
-                report.warm_first_entry_dispatch <= report.cold_first_entry_dispatch,
-                "{}: warm boot warmed up slower than cold start ({} vs {})",
-                w.name,
-                report.warm_first_entry_dispatch,
-                report.cold_first_entry_dispatch
-            );
-            assert!(
-                report.boot.artifacts_prebuilt > 0,
-                "{}: nothing was pre-built",
-                w.name
-            );
-        }
-    }
-    assert!(
-        traced_somewhere,
-        "no workload traced; the property is vacuous"
-    );
 }
 
 /// Seeded fuzz programs round-trip losslessly: the canonical-bytes and
