@@ -64,6 +64,18 @@ if grep -n 'fn import' crates/bcg/src/image.rs; then
     exit 1
 fi
 
+echo "== no SipHash on the boot and planning paths (std HashMap / HashSet outside tests)"
+# A warm boot's profile validation used a std HashSet of packed branch
+# keys, and the trace planner a HashSet and a HashMap per signal: SipHash,
+# RandomState setup and an allocation each, on paths a fleet VM pays for
+# once per life. They use BranchTable and epoch-stamped marks now.
+for f in crates/bcg/src/image.rs crates/tracecache/src/constructor.rs crates/persist/src/hash.rs; do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'Hash(Map|Set)'; then
+        echo "$f uses std::collections::Hash{Map,Set} outside its tests (matches above)" >&2
+        exit 1
+    fi
+done
+
 echo "== one stack-discipline analysis (the verifier's; Function carries max_stack / depth_at)"
 # bytecode/depth.rs used to re-run a second transfer table over Instr to
 # recover the depths the verifier's fixpoint already held, once per VM

@@ -228,7 +228,7 @@ impl BranchCorrelationGraph {
         let lists: usize = self
             .nodes
             .iter()
-            .map(|n| n.successors.heap_bytes() + n.preds.capacity() * size_of::<NodeIdx>())
+            .map(|n| n.successors.heap_bytes() + n.preds.heap_bytes())
             .sum();
         node_fixed + lists + self.index.memory_bytes()
     }
@@ -344,6 +344,13 @@ impl BranchCorrelationGraph {
     /// module ([`crate::image`]).
     pub(crate) fn node_mut(&mut self, idx: NodeIdx) -> &mut Node {
         &mut self.nodes[idx.index()]
+    }
+
+    /// Makes room for `additional` more nodes in the node array and the
+    /// branch index, so the image merge creates them without regrowing.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.nodes.reserve(additional);
+        self.index.reserve(additional);
     }
 
     /// Crate-internal [`Self::get_or_create`] alias for the image module.
@@ -492,10 +499,7 @@ impl BranchCorrelationGraph {
                     node.cached = Some((node.successors.len() - 1) as u32);
                 }
                 self.stats.edges_created += 1;
-                let target = &mut self.nodes[nyz.index()];
-                if !target.preds.contains(&nxy) {
-                    target.preds.push(nxy);
-                }
+                self.nodes[nyz.index()].preds.insert(nxy);
                 nyz
             }
         };
@@ -1027,6 +1031,57 @@ mod tests {
             est >= node_bytes,
             "estimate {est} must cover at least the node array {node_bytes}"
         );
+    }
+
+    /// Inline successor and predecessor lists are part of the node array;
+    /// only a spilled list adds heap bytes of its own.
+    #[test]
+    fn memory_estimate_counts_only_spilled_lists() {
+        use std::mem::size_of;
+        let fixed = |g: &BranchCorrelationGraph| {
+            g.nodes.capacity() * size_of::<Node>() + g.index.memory_bytes()
+        };
+        let mut bcg = BranchCorrelationGraph::new(cfg(1, 0.97));
+        feed(&mut bcg, &[0, 1, 2, 3], 20);
+        assert_eq!(bcg.memory_estimate(), fixed(&bcg), "nothing spilled yet");
+        // Node (1, 2) gains ten predecessors (k, 1): its list spills.
+        for k in 10..20u32 {
+            bcg.begin_stream();
+            feed(&mut bcg, &[k, 1, 2], 1);
+        }
+        let n12 = bcg.node_index((blk(1), blk(2))).unwrap();
+        let spilled = bcg.node(n12).preds.heap_bytes();
+        assert!(spilled >= 10 * size_of::<NodeIdx>());
+        let succ: usize = bcg.nodes.iter().map(|n| n.successors.heap_bytes()).sum();
+        let preds: usize = bcg.nodes.iter().map(|n| n.preds.heap_bytes()).sum();
+        assert_eq!(preds, spilled, "only (1, 2)'s list spilled");
+        assert_eq!(bcg.memory_estimate(), fixed(&bcg) + succ + preds);
+    }
+
+    /// Warm boot sizes the node array and the branch index once: a merge
+    /// into an empty graph never regrows either.
+    #[test]
+    fn a_merge_into_an_empty_graph_reallocates_nothing() {
+        let mut donor = BranchCorrelationGraph::new(cfg(4, 0.90));
+        for i in 0..37u32 {
+            feed(&mut donor, &[i, 100 + i, 200 + i % 3], 40);
+        }
+        let image = crate::image::export(&donor);
+        let n = image.nodes.len();
+        assert!(n > 100 && !n.is_power_of_two());
+
+        let mut fresh = BranchCorrelationGraph::new(*donor.config());
+        crate::image::merge_into(&mut fresh, &image).unwrap();
+        assert_eq!(fresh.len(), n);
+        assert_eq!(fresh.nodes.capacity(), n, "one exact reservation");
+
+        let mut fresh = BranchCorrelationGraph::new(*donor.config());
+        fresh.reserve(n);
+        let (nodes, index) = (fresh.nodes.as_ptr(), fresh.index.capacity());
+        crate::image::merge_into(&mut fresh, &image).unwrap();
+        assert_eq!(fresh.nodes.as_ptr(), nodes, "node array regrown");
+        assert_eq!(fresh.index.capacity(), index, "branch index regrown");
+        assert_eq!(crate::image::export(&fresh), image);
     }
 
     #[test]

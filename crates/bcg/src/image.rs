@@ -32,7 +32,7 @@ use crate::config::BcgConfig;
 use crate::graph::{BranchCorrelationGraph, NodeIdx};
 use crate::node::Successor;
 use crate::state::NodeState;
-use crate::table::PackedBranch;
+use crate::table::{BranchTable, PackedBranch};
 use crate::Branch;
 
 /// One successor correlation edge of a [`NodeImage`].
@@ -217,6 +217,9 @@ pub fn merge_into(
 ) -> Result<MergeStats, ImageError> {
     let config = *bcg.config();
     validate(&config, image)?;
+    // At most every image node is new: size the node array and the
+    // branch index once instead of growing them doubling by doubling.
+    bcg.reserve(image.nodes.len());
     let mut stats = MergeStats::default();
     // Materialize every image node first, in image order: edge wiring
     // then never creates nodes out of order, so merging into an empty
@@ -269,10 +272,7 @@ pub fn merge_into(
                     stats.edges_created += 1;
                 }
             }
-            let t = bcg.node_mut(target);
-            if !t.preds.contains(&idx) {
-                t.preds.push(idx);
-            }
+            bcg.node_mut(target).preds.insert(idx);
         }
         let node = bcg.node_mut(idx);
         node.executions = node.executions.saturating_add(img.executions);
@@ -313,9 +313,10 @@ fn refresh_derived(bcg: &mut BranchCorrelationGraph, idx: NodeIdx) {
 }
 
 fn validate(config: &BcgConfig, image: &BcgImage) -> Result<(), ImageError> {
-    let mut seen = std::collections::HashSet::with_capacity(image.nodes.len());
+    let mut seen: BranchTable<()> = BranchTable::new();
+    seen.reserve(image.nodes.len());
     for img in &image.nodes {
-        if !seen.insert(PackedBranch::pack(img.branch).0) {
+        if seen.insert(PackedBranch::pack(img.branch), ()).is_some() {
             return Err(ImageError::DuplicateBranch(img.branch));
         }
         if img.since_decay >= config.decay_interval {
@@ -334,8 +335,8 @@ fn validate(config: &BcgConfig, image: &BcgImage) -> Result<(), ImageError> {
     }
     for img in &image.nodes {
         for s in &img.successors {
-            let target = PackedBranch::pack((img.branch.1, s.to_block)).0;
-            if !seen.contains(&target) {
+            let target = PackedBranch::pack((img.branch.1, s.to_block));
+            if seen.get(target).is_none() {
                 return Err(ImageError::MissingSuccessorTarget {
                     node: img.branch,
                     to_block: s.to_block,

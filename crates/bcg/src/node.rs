@@ -24,7 +24,7 @@ pub struct Successor {
 
 impl Successor {
     /// Filler for unused inline slots; never observable through
-    /// [`SuccList::as_slice`].
+    /// [`InlineList::as_slice`].
     fn placeholder() -> Self {
         Successor {
             to_block: BlockId::new(FuncId(u32::MAX), u32::MAX),
@@ -40,47 +40,56 @@ impl Successor {
 /// counter bump a pure in-`Node` access with no pointer chase.
 pub(crate) const INLINE_SUCCESSORS: usize = 4;
 
-/// A successor list with small-size inline storage. The common case
-/// (≤ [`INLINE_SUCCESSORS`] edges) lives directly in the `Node`; larger
-/// fans spill to a `Vec` once and stay there.
+/// Predecessor slots stored inline in the node before spilling to the
+/// heap. Most nodes have one or two predecessors, so a fresh node — and
+/// its drop — never touches the allocator.
+pub(crate) const INLINE_PREDS: usize = 3;
+
+/// A node's successor edges, in discovery order.
+pub(crate) type SuccList = InlineList<Successor, INLINE_SUCCESSORS>;
+
+/// A node's predecessors: distinct, in insertion order.
+pub(crate) type PredList = InlineList<NodeIdx, INLINE_PREDS>;
+
+/// A list with small-size inline storage. The common case (≤ `N`
+/// elements) lives directly in the `Node`; longer lists spill to a `Vec`
+/// once and stay there.
 #[derive(Debug, Clone)]
-pub(crate) enum SuccList {
-    Inline {
-        len: u8,
-        slots: [Successor; INLINE_SUCCESSORS],
-    },
-    Spilled(Vec<Successor>),
+pub(crate) enum InlineList<T, const N: usize> {
+    Inline { len: u8, slots: [T; N] },
+    Spilled(Vec<T>),
 }
 
-impl SuccList {
-    pub(crate) fn new() -> Self {
-        SuccList::Inline {
+impl<T: Copy, const N: usize> InlineList<T, N> {
+    /// An empty list; `filler` occupies the unused slots.
+    pub(crate) fn new(filler: T) -> Self {
+        InlineList::Inline {
             len: 0,
-            slots: [Successor::placeholder(); INLINE_SUCCESSORS],
+            slots: [filler; N],
         }
     }
 
     #[inline]
-    pub(crate) fn as_slice(&self) -> &[Successor] {
+    pub(crate) fn as_slice(&self) -> &[T] {
         match self {
-            SuccList::Inline { len, slots } => &slots[..usize::from(*len)],
-            SuccList::Spilled(v) => v,
+            InlineList::Inline { len, slots } => &slots[..usize::from(*len)],
+            InlineList::Spilled(v) => v,
         }
     }
 
     #[inline]
-    pub(crate) fn as_mut_slice(&mut self) -> &mut [Successor] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
         match self {
-            SuccList::Inline { len, slots } => &mut slots[..usize::from(*len)],
-            SuccList::Spilled(v) => v,
+            InlineList::Inline { len, slots } => &mut slots[..usize::from(*len)],
+            InlineList::Spilled(v) => v,
         }
     }
 
     #[inline]
     pub(crate) fn len(&self) -> usize {
         match self {
-            SuccList::Inline { len, .. } => usize::from(*len),
-            SuccList::Spilled(v) => v.len(),
+            InlineList::Inline { len, .. } => usize::from(*len),
+            InlineList::Spilled(v) => v.len(),
         }
     }
 
@@ -89,30 +98,30 @@ impl SuccList {
         self.len() == 0
     }
 
-    pub(crate) fn push(&mut self, s: Successor) {
+    pub(crate) fn push(&mut self, x: T) {
         match self {
-            SuccList::Inline { len, slots } => {
+            InlineList::Inline { len, slots } => {
                 let n = usize::from(*len);
-                if n < INLINE_SUCCESSORS {
-                    slots[n] = s;
+                if n < N {
+                    slots[n] = x;
                     *len += 1;
                 } else {
-                    let mut v = Vec::with_capacity(INLINE_SUCCESSORS * 2);
+                    let mut v = Vec::with_capacity(N * 2);
                     v.extend_from_slice(slots);
-                    v.push(s);
-                    *self = SuccList::Spilled(v);
+                    v.push(x);
+                    *self = InlineList::Spilled(v);
                 }
             }
-            SuccList::Spilled(v) => v.push(s),
+            InlineList::Spilled(v) => v.push(x),
         }
     }
 
     /// Keeps only elements satisfying `keep`, preserving order. A
     /// spilled list never moves back inline (re-spilling churn is worse
     /// than the few bytes).
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&Successor) -> bool) {
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
         match self {
-            SuccList::Inline { len, slots } => {
+            InlineList::Inline { len, slots } => {
                 let mut w = 0usize;
                 for r in 0..usize::from(*len) {
                     if keep(&slots[r]) {
@@ -120,20 +129,26 @@ impl SuccList {
                         w += 1;
                     }
                 }
-                for slot in slots[w..usize::from(*len)].iter_mut() {
-                    *slot = Successor::placeholder();
-                }
                 *len = w as u8;
             }
-            SuccList::Spilled(v) => v.retain(keep),
+            InlineList::Spilled(v) => v.retain(keep),
         }
     }
 
     /// Heap bytes held by this list (zero while inline).
     pub(crate) fn heap_bytes(&self) -> usize {
         match self {
-            SuccList::Inline { .. } => 0,
-            SuccList::Spilled(v) => v.capacity() * std::mem::size_of::<Successor>(),
+            InlineList::Inline { .. } => 0,
+            InlineList::Spilled(v) => v.capacity() * std::mem::size_of::<T>(),
+        }
+    }
+}
+
+impl PredList {
+    /// Appends `p` unless it is already listed.
+    pub(crate) fn insert(&mut self, p: NodeIdx) {
+        if !self.as_slice().contains(&p) {
+            self.push(p);
         }
     }
 }
@@ -172,7 +187,7 @@ pub struct Node {
     /// Nodes that have (or once had) an edge into this node; used for
     /// entry-point backtracking. Entries may be stale after decay pruning
     /// and must be re-validated by the consumer.
-    pub(crate) preds: Vec<NodeIdx>,
+    pub(crate) preds: PredList,
     /// Index into `successors` of the cached prediction.
     pub(crate) cached: Option<u32>,
     /// Trace-cache generation stamp (see
@@ -213,8 +228,8 @@ impl Node {
             since_decay: 0,
             executions: 0,
             total_weight: 0,
-            successors: SuccList::new(),
-            preds: Vec::new(),
+            successors: SuccList::new(Successor::placeholder()),
+            preds: PredList::new(NodeIdx(u32::MAX)),
             cached: None,
             generation: 0,
             link_version: LINK_NEVER,
@@ -249,7 +264,7 @@ impl Node {
 
     /// Possibly-stale predecessor node indices (validate before use).
     pub fn predecessors(&self) -> &[NodeIdx] {
-        &self.preds
+        self.preds.as_slice()
     }
 
     /// Sum of all successor counts.
@@ -406,7 +421,7 @@ mod tests {
 
     #[test]
     fn succ_list_spills_past_four_and_preserves_order() {
-        let mut l = SuccList::new();
+        let mut l = SuccList::new(Successor::placeholder());
         for i in 0..7u32 {
             l.push(Successor {
                 to_block: blk(i),
@@ -422,7 +437,7 @@ mod tests {
 
     #[test]
     fn succ_list_retain_compacts_inline_storage() {
-        let mut l = SuccList::new();
+        let mut l = SuccList::new(Successor::placeholder());
         for i in 0..4u32 {
             l.push(Successor {
                 to_block: blk(i),
@@ -441,6 +456,29 @@ mod tests {
             node: NodeIdx(9),
         });
         assert!(matches!(l, SuccList::Inline { len: 4, .. }));
+    }
+
+    #[test]
+    fn pred_list_keeps_order_across_a_spill_and_ignores_repeats() {
+        let mut l = PredList::new(NodeIdx(u32::MAX));
+        for i in [5u32, 2, 5, 9] {
+            l.insert(NodeIdx(i));
+        }
+        assert!(matches!(l, PredList::Inline { len: 3, .. }));
+        assert_eq!(l.heap_bytes(), 0, "an inline list holds no heap");
+        for i in [1u32, 2, 7, 1] {
+            l.insert(NodeIdx(i));
+        }
+        assert!(matches!(l, PredList::Spilled(_)));
+        assert!(l.heap_bytes() > 0);
+        let order: Vec<u32> = l.as_slice().iter().map(|n| n.0).collect();
+        assert_eq!(order, vec![5, 2, 9, 1, 7]);
+    }
+
+    #[test]
+    fn pred_list_is_no_larger_than_the_vec_it_replaces() {
+        use std::mem::size_of;
+        assert!(size_of::<PredList>() <= size_of::<Vec<NodeIdx>>());
     }
 
     #[test]

@@ -32,10 +32,13 @@ pub struct PackedBranch(pub u64);
 const EMPTY: u64 = u64::MAX;
 
 impl PackedBranch {
-    const FIELD_BITS: u32 = 16;
+    /// Every function id and block index must be below this to pack: 16
+    /// bits each, with all-ones reserved so no key is the empty-slot
+    /// sentinel.
+    pub const ID_LIMIT: u32 = 0xFFFF;
 
-    /// Packs a branch into its key. Panics if any component id needs 16
-    /// bits or more (see type docs).
+    /// Packs a branch into its key. Panics if any component id is
+    /// [`Self::ID_LIMIT`] or more (see type docs).
     #[inline]
     pub fn pack(branch: Branch) -> Self {
         let (from, to) = branch;
@@ -44,7 +47,7 @@ impl PackedBranch {
         let c = u64::from(to.func.0);
         let d = u64::from(to.block);
         assert!(
-            (a | b | c | d) < (1 << Self::FIELD_BITS) - 1,
+            (a | b | c | d) < u64::from(Self::ID_LIMIT),
             "block/function ids must fit in 16 bits to pack a branch key"
         );
         Self(a << 48 | b << 32 | c << 16 | d)
@@ -222,8 +225,26 @@ impl<V: Copy + Default> BranchTable<V> {
         self.len = 0;
     }
 
+    /// Makes room for `additional` more keys: the next `additional`
+    /// inserts of new keys never grow the table. One rehash at most,
+    /// straight to the final capacity, instead of one per doubling.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        let need = self.len + additional;
+        if additional == 0 || need * 8 <= self.slots.len() * 7 {
+            return;
+        }
+        let mut cap = self.slots.len().max(MIN_CAPACITY);
+        while need * 8 > cap * 7 {
+            cap *= 2;
+        }
+        self.rehash(cap);
+    }
+
     fn grow(&mut self) {
-        let new_cap = (self.slots.len() * 2).max(MIN_CAPACITY);
+        self.rehash((self.slots.len() * 2).max(MIN_CAPACITY));
+    }
+
+    fn rehash(&mut self, new_cap: usize) {
         let old = std::mem::replace(&mut self.slots, vec![(EMPTY, V::default()); new_cap]);
         let len = self.len;
         self.len = 0;
@@ -310,6 +331,35 @@ mod tests {
             t.insert(key(i % 4096, i / 4096 + 1), i);
             assert!(t.capacity().is_power_of_two());
             assert!(t.len() * 8 <= t.capacity() * 7);
+        }
+    }
+
+    #[test]
+    fn reserve_fills_without_growing_and_keeps_contents() {
+        let mut t: BranchTable<u32> = BranchTable::new();
+        t.reserve(0);
+        assert_eq!(t.capacity(), 0, "reserve(0) allocates nothing");
+        for i in 0..20u32 {
+            t.insert(key(i, 0), i);
+        }
+        let before = t.capacity();
+        t.reserve(0);
+        assert_eq!(t.capacity(), before, "reserve(0) is a no-op");
+        t.reserve(1000);
+        let cap = t.capacity();
+        assert!(cap.is_power_of_two() && cap > before);
+        for i in 0..20u32 {
+            assert_eq!(t.get(key(i, 0)), Some(i), "reserve keeps contents");
+        }
+        for i in 20..1020u32 {
+            t.insert(key(i, 1), i);
+            assert_eq!(t.capacity(), cap, "grew while filling reserved room");
+        }
+        assert_eq!(t.len(), 1020);
+        t.reserve(0);
+        assert_eq!(t.capacity(), cap);
+        for i in 20..1020u32 {
+            assert_eq!(t.get(key(i, 1)), Some(i));
         }
     }
 

@@ -27,6 +27,11 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// The region name errors carry.
+    pub(crate) fn section(&self) -> &'static str {
+        self.section
+    }
+
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.data.len() - self.pos

@@ -19,7 +19,9 @@
 //! is applied until the whole snapshot validated).
 
 use jvm_bytecode::BlockId;
-use trace_bcg::{BcgImage, BranchCorrelationGraph, NodeImage, NodeState, SuccessorImage};
+use trace_bcg::{
+    BcgImage, BranchCorrelationGraph, NodeImage, NodeState, PackedBranch, SuccessorImage,
+};
 use trace_cache::TraceCache;
 
 use crate::cache::{CacheImage, QuarantineImage, TraceImage};
@@ -207,9 +209,18 @@ fn put_block(w: &mut ByteWriter, b: BlockId) {
     w.put_u32(b.block);
 }
 
+/// Reads one block id. An id the branch-key packer cannot hold is
+/// refused here: no live graph or cache ever holds one, and the merge
+/// and the cache restore would panic on it.
 fn read_block(c: &mut Cursor<'_>) -> Result<BlockId, SnapshotError> {
     let func = c.read_u32()?;
     let block = c.read_u32()?;
+    if func >= PackedBranch::ID_LIMIT || block >= PackedBranch::ID_LIMIT {
+        return Err(SnapshotError::Malformed {
+            section: c.section(),
+            detail: format!("block id ({func}, {block}) outside the 16-bit id range"),
+        });
+    }
     Ok(BlockId::new(jvm_bytecode::FuncId(func), block))
 }
 

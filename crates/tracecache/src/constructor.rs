@@ -21,8 +21,6 @@
 //! redundant reconstructions ("to prevent cascades of state changes",
 //! §4.2).
 
-use std::collections::{HashMap, HashSet};
-
 use jvm_bytecode::BlockId;
 use trace_bcg::{BranchCorrelationGraph, NodeIdx, Signal};
 
@@ -332,12 +330,16 @@ pub struct PlanCounters {
 }
 
 /// Output of planning one signal: cache ops, nodes examined (for
-/// generation stamping / cascade suppression), and counters.
+/// generation stamping / cascade suppression), and counters — plus the
+/// planner's working buffers, kept across signals so its back-tracking
+/// and path walks allocate nothing once they have grown to the graph's
+/// size.
 #[derive(Debug, Default)]
 pub struct TracePlan {
     pub ops: Vec<LinkOp>,
     pub touched: Vec<NodeIdx>,
     pub counters: PlanCounters,
+    scratch: PlanScratch,
 }
 
 impl TracePlan {
@@ -346,6 +348,51 @@ impl TracePlan {
         self.ops.clear();
         self.touched.clear();
         self.counters = PlanCounters::default();
+    }
+}
+
+/// The planner's per-traversal sets, without hashing or per-signal
+/// allocation: `marks[n] = (stamp, position)` marks node `n` as seen by
+/// the traversal whose epoch is `stamp` (any other stamp means unseen),
+/// so a new traversal clears every mark by bumping the epoch.
+#[derive(Debug, Default)]
+struct PlanScratch {
+    epoch: u32,
+    marks: Vec<(u32, u32)>,
+    stack: Vec<NodeIdx>,
+    entries: Vec<NodeIdx>,
+    path: Vec<NodeIdx>,
+}
+
+impl PlanScratch {
+    /// Starts a traversal with every node unmarked.
+    fn next_epoch(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: a mark left by the traversal 2^32 epochs ago
+            // would read as current. Forget every mark instead.
+            self.marks.clear();
+            self.epoch = 1;
+        }
+    }
+
+    /// Marks `n` at `pos`; returns whether it was unmarked.
+    fn mark(&mut self, n: NodeIdx, pos: usize) -> bool {
+        let i = n.index();
+        if i >= self.marks.len() {
+            self.marks.resize(i + 1, (0, 0));
+        }
+        let was_unmarked = self.marks[i].0 != self.epoch;
+        self.marks[i] = (self.epoch, pos as u32);
+        was_unmarked
+    }
+
+    /// The position `n` was marked at in this traversal, if any.
+    fn position(&self, n: NodeIdx) -> Option<usize> {
+        match self.marks.get(n.index()) {
+            Some(&(stamp, pos)) if stamp == self.epoch => Some(pos as usize),
+            _ => None,
+        }
     }
 }
 
@@ -358,30 +405,32 @@ pub fn plan_for_signal<V: CorrelationView>(
     config: &ConstructorConfig,
     plan: &mut TracePlan,
 ) {
-    let entries = find_entry_points(origin, view);
-    plan.counters.entry_points += entries.len() as u64;
-    for entry in entries {
-        let (path, loop_start) = walk_path(entry, view);
+    let s = &mut plan.scratch;
+    find_entry_points(origin, view, s);
+    plan.counters.entry_points += s.entries.len() as u64;
+    for e in 0..s.entries.len() {
+        let loop_start = walk_path(s.entries[e], view, s);
         plan.counters.paths_walked += 1;
         if loop_start.is_some() {
             plan.counters.loops_unrolled += 1;
         }
-        plan.touched.extend_from_slice(&path);
-        cut_and_emit(&path, loop_start, view, config, &mut plan.ops);
+        plan.touched.extend_from_slice(&s.path);
+        cut_and_emit(&s.path, loop_start, view, config, &mut plan.ops);
     }
 }
 
 /// Step 1: back-track along strongly-correlated edges to the set of
-/// trace entry points that may reach the changed node. If the region
-/// is a pure cycle with no external entry, the origin itself serves
-/// as entry.
-fn find_entry_points<V: CorrelationView>(origin: NodeIdx, view: &V) -> Vec<NodeIdx> {
-    let mut visited: HashSet<NodeIdx> = HashSet::new();
-    let mut stack = vec![origin];
-    visited.insert(origin);
-    let mut entries = Vec::new();
-    while let Some(n) = stack.pop() {
-        if entries.len() >= MAX_ENTRY_POINTS {
+/// trace entry points that may reach the changed node, left in
+/// `s.entries`. If the region is a pure cycle with no external entry,
+/// the origin itself serves as entry.
+fn find_entry_points<V: CorrelationView>(origin: NodeIdx, view: &V, s: &mut PlanScratch) {
+    s.next_epoch();
+    s.stack.clear();
+    s.entries.clear();
+    s.stack.push(origin);
+    s.mark(origin, 0);
+    while let Some(n) = s.stack.pop() {
+        if s.entries.len() >= MAX_ENTRY_POINTS {
             break;
         }
         let mut has_strong_pred = false;
@@ -391,29 +440,30 @@ fn find_entry_points<V: CorrelationView>(origin: NodeIdx, view: &V) -> Vec<NodeI
             // p must itself be traceable.
             if view.is_traceable(p) && view.max_successor(p).is_some_and(|(t, _, _)| t == n) {
                 has_strong_pred = true;
-                if visited.insert(p) {
-                    stack.push(p);
+                if s.mark(p, 0) {
+                    s.stack.push(p);
                 }
             }
         }
         if !has_strong_pred {
-            entries.push(n);
+            s.entries.push(n);
         }
     }
-    if entries.is_empty() {
-        entries.push(origin);
+    if s.entries.is_empty() {
+        s.entries.push(origin);
     }
-    entries
 }
 
-/// Step 2: follow the path of maximum likelihood from `entry` until a
-/// loop (returns its start index), a non-traceable node, or a cap.
-fn walk_path<V: CorrelationView>(entry: NodeIdx, view: &V) -> (Vec<NodeIdx>, Option<usize>) {
-    let mut path = vec![entry];
-    let mut pos_of: HashMap<NodeIdx, usize> = HashMap::new();
-    pos_of.insert(entry, 0);
+/// Step 2: follow the path of maximum likelihood from `entry`, into
+/// `s.path`, until a loop (returns its start index), a non-traceable
+/// node, or a cap.
+fn walk_path<V: CorrelationView>(entry: NodeIdx, view: &V, s: &mut PlanScratch) -> Option<usize> {
+    s.next_epoch();
+    s.path.clear();
+    s.path.push(entry);
+    s.mark(entry, 0);
     loop {
-        let cur = *path.last().expect("path nonempty");
+        let cur = *s.path.last().expect("path nonempty");
         // Only traceable nodes may be extended *through*; a weak node
         // can end a trace but never predicts past itself.
         if !view.is_traceable(cur) {
@@ -425,20 +475,20 @@ fn walk_path<V: CorrelationView>(entry: NodeIdx, view: &V) -> (Vec<NodeIdx>, Opt
         if count == 0 {
             break;
         }
-        if let Some(&k) = pos_of.get(&next) {
-            return (path, Some(k));
+        if let Some(k) = s.position(next) {
+            return Some(k);
         }
         // Rare code never enters a trace (start-state filtering).
         if !view.is_hot(next) {
             break;
         }
-        path.push(next);
-        pos_of.insert(next, path.len() - 1);
-        if path.len() >= MAX_PATH_NODES {
+        s.path.push(next);
+        s.mark(next, s.path.len() - 1);
+        if s.path.len() >= MAX_PATH_NODES {
             break;
         }
     }
-    (path, None)
+    None
 }
 
 /// Step 3: cut the node path into traces above the completion
@@ -776,6 +826,61 @@ mod tests {
             "completion {} must satisfy the threshold",
             t.expected_completion()
         );
+    }
+
+    /// A profiled graph and every signal it raised, in order.
+    fn signalled_graph(pattern: &[u32], reps: usize) -> (BranchCorrelationGraph, Vec<Signal>) {
+        let mut bcg = bcg_with(4, 0.90);
+        let mut signals = Vec::new();
+        for _ in 0..reps {
+            for &b in pattern {
+                bcg.observe(blk(b));
+            }
+            signals.extend(bcg.take_signals());
+        }
+        (bcg, signals)
+    }
+
+    /// The planner's marks and buffers outlive a signal, a graph and an
+    /// epoch wrap without leaking into the next plan: a plan reused
+    /// across a small graph, then a large one, then past `u32::MAX`
+    /// epochs, emits exactly the ops and touched nodes of a fresh plan.
+    #[test]
+    fn a_reused_plan_emits_the_ops_of_a_fresh_one() {
+        let small = signalled_graph(&[0, 1, 2, 0, 1, 3], 200);
+        let large_pattern: Vec<u32> = (0..40)
+            .flat_map(|i| [100 + i, 200 + i % 7, 100 + i, 300 + i])
+            .collect();
+        let large = signalled_graph(&large_pattern, 60);
+        assert!(
+            large.0.len() > 4 * small.0.len(),
+            "the second graph is larger"
+        );
+        let config = ConstructorConfig::default().with_threshold(0.90);
+        let mut reused = TracePlan::default();
+        let mut planned = 0;
+        for (round, (bcg, signals)) in [&small, &large, &small, &large].into_iter().enumerate() {
+            if round == 2 {
+                // Two epochs short of the wrap: the next signal's walks
+                // cross it.
+                reused.scratch.epoch = u32::MAX - 1;
+            }
+            assert!(!signals.is_empty());
+            for sig in signals {
+                let mut fresh = TracePlan::default();
+                plan_for_signal(sig.node, bcg, &config, &mut fresh);
+                reused.clear();
+                plan_for_signal(sig.node, bcg, &config, &mut reused);
+                assert_eq!(reused.ops, fresh.ops, "round {round}, signal {sig:?}");
+                assert_eq!(
+                    reused.touched, fresh.touched,
+                    "round {round}, signal {sig:?}"
+                );
+                planned += usize::from(!fresh.ops.is_empty());
+            }
+        }
+        assert!(reused.scratch.epoch < 1000, "the epoch wrapped");
+        assert!(planned > 0, "some signal planned a trace");
     }
 
     #[test]

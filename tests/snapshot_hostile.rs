@@ -14,6 +14,7 @@
 //! vacuous: a reader whose program-hash check is disabled *does* get
 //! caught, by exactly the mutants that rewrite the hash field.
 
+use tracecache_repro::bytecode::{BlockId, FuncId};
 use tracecache_repro::conformance::genprog::{args_from, build_program, gen_block};
 use tracecache_repro::conformance::snapshot::{
     must_reject, reader_with_quirk, run_snapshot_campaign, stale_hash_mutants,
@@ -21,7 +22,7 @@ use tracecache_repro::conformance::snapshot::{
 use tracecache_repro::conformance::Quirk;
 use tracecache_repro::exec::{EngineConfig, TracingVm};
 use tracecache_repro::jit::TraceJitConfig;
-use tracecache_repro::persist::{program_hash, SnapshotError, SnapshotReader};
+use tracecache_repro::persist::{program_hash, Snapshot, SnapshotError, SnapshotReader};
 use tracecache_repro::workloads::prng::{seed_stream, Xoshiro256StarStar};
 use tracecache_repro::workloads::registry::{all, Scale};
 
@@ -161,6 +162,88 @@ fn forged_zero_completion_snapshot_is_refused_by_the_vm() {
     assert_eq!(vm.cache().trace_count(), 0);
     assert_eq!(vm.cache().link_count(), 0);
     assert_eq!(vm.compiled_count(), 0);
+}
+
+/// Ids the branch-key packer cannot hold: it keeps 16 bits per id and
+/// reserves all-ones.
+const WIDE_IDS: [u32; 3] = [0xFFFF, 0x1_0000, u32::MAX];
+
+/// `b` with its function id (`field` 0) or block index (`field` 1) set
+/// to `id`.
+fn widen(b: BlockId, field: usize, id: u32) -> BlockId {
+    if field == 0 {
+        BlockId::new(FuncId(id), b.block)
+    } else {
+        BlockId::new(b.func, id)
+    }
+}
+
+/// Forgeries, not mutants: re-checksummed containers with one block id
+/// out of the 16-bit range — in a profile node's branch, a successor, a
+/// trace's blocks or a link's entry — are refused as malformed by the
+/// reader and by a VM's warm boot, never a panic, and leave the VM cold.
+#[test]
+fn wide_id_snapshots_are_refused_without_panicking() {
+    for w in all(Scale::Test).iter().take(3) {
+        let (bytes, hash) = warmed_snapshot(&w.program, &w.args);
+        let snap = SnapshotReader::new()
+            .read(&bytes, hash)
+            .expect("own snapshot reads");
+        let with_succ = snap
+            .bcg
+            .nodes
+            .iter()
+            .position(|n| !n.successors.is_empty())
+            .expect("warming must profile edges");
+        assert!(
+            !snap.cache.links.is_empty(),
+            "{}: warming must link traces",
+            w.name
+        );
+        let mut forgeries: Vec<(String, Snapshot)> = Vec::new();
+        for id in WIDE_IDS {
+            for field in 0..2 {
+                let mut f = snap.clone();
+                f.bcg.nodes[0].branch.0 = widen(f.bcg.nodes[0].branch.0, field, id);
+                forgeries.push((format!("node from, field {field}, id {id:#x}"), f));
+                let mut f = snap.clone();
+                f.bcg.nodes[0].branch.1 = widen(f.bcg.nodes[0].branch.1, field, id);
+                forgeries.push((format!("node to, field {field}, id {id:#x}"), f));
+                let mut f = snap.clone();
+                let s = &mut f.bcg.nodes[with_succ].successors[0];
+                s.to_block = widen(s.to_block, field, id);
+                forgeries.push((format!("successor, field {field}, id {id:#x}"), f));
+                let mut f = snap.clone();
+                let last = f.cache.traces[0].blocks.last_mut().unwrap();
+                *last = widen(*last, field, id);
+                forgeries.push((format!("trace block, field {field}, id {id:#x}"), f));
+                let mut f = snap.clone();
+                f.cache.links[0].0 .0 = widen(f.cache.links[0].0 .0, field, id);
+                forgeries.push((format!("link from, field {field}, id {id:#x}"), f));
+                let mut f = snap.clone();
+                f.cache.links[0].0 .1 = widen(f.cache.links[0].0 .1, field, id);
+                forgeries.push((format!("link to, field {field}, id {id:#x}"), f));
+            }
+        }
+        for (what, forged) in forgeries {
+            let forged = forged.to_bytes();
+            let read = SnapshotReader::new().read(&forged, hash);
+            assert!(
+                matches!(read, Err(SnapshotError::Malformed { .. })),
+                "{}, {what}: reader gave {read:?}",
+                w.name
+            );
+            let mut vm = TracingVm::new(&w.program, config());
+            let boot = vm.load_snapshot(&forged);
+            assert!(
+                matches!(boot, Err(SnapshotError::Malformed { .. })),
+                "{}, {what}: warm boot gave {boot:?}",
+                w.name
+            );
+            assert_eq!(vm.cache().link_count(), 0, "{}, {what}", w.name);
+            assert_eq!(vm.compiled_count(), 0, "{}, {what}", w.name);
+        }
+    }
 }
 
 /// No partial state on rejection: a VM that refuses a mutant snapshot
