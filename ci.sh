@@ -103,6 +103,24 @@ if grep -rn 'HealthPolicy' crates/; then
     exit 1
 fi
 
+echo "== one construction service (always supervised; queue capacity, restarts and snapshot cap are constants)"
+# The off-thread constructor used to exist twice, an unsupervised loop and
+# a supervised one, around a restart policy with a backoff every caller set
+# to zero, a queue capacity every caller set to 64, two 4096-node snapshot
+# caps, and a fault plan attached in three places. A second loop or a knob
+# creeping back in shows up here first.
+if grep -rnE 'SupervisorConfig|backoff_|run_supervised_|DEFAULT_QUEUE_CAPACITY|batches_poisoned' crates/ src/ tests/ examples/ \
+    || grep -rnw 'SNAPSHOT_LIMIT' crates/ src/ tests/ examples/ \
+    || grep -rn 'capture_bounded' crates/ src/ tests/ examples/ | grep -v '^crates/tracecache/src/offthread.rs:'; then
+    echo "a removed construction-service knob or second service loop is back (matches above)" >&2
+    exit 1
+fi
+unwinds=$(sed '/#\[cfg(test)\]/,$d' crates/tracecache/src/offthread.rs | grep -c 'catch_unwind(' || true)
+if [ "$unwinds" -ne 1 ]; then
+    echo "crates/tracecache/src/offthread.rs calls catch_unwind $unwinds times outside its tests (want exactly 1)" >&2
+    exit 1
+fi
+
 echo "== cargo test (release)"
 cargo test --workspace -q --release
 
@@ -267,6 +285,13 @@ grep -q '"traces_constructed"' "$smoke_dir/BENCH_concurrent_boot.smoke.json"
 echo "== degraded-mode bench smoke (fault injection, 2 threads, test scale)"
 cargo run --release -p trace-bench --bin concurrent -- --smoke --faults 0xFA17_BE4C \
     --out "$smoke_dir/BENCH_concurrent_faults.smoke.json"
+# The constructor-killer profile must degrade the service on every workload.
+grep -q '"restarts"' "$smoke_dir/BENCH_concurrent_faults.smoke.json"
+grep -q '"degraded": true' "$smoke_dir/BENCH_concurrent_faults.smoke.json"
+if grep -q '"degraded": false' "$smoke_dir/BENCH_concurrent_faults.smoke.json"; then
+    echo "the constructor-killer profile left a workload's service running" >&2
+    exit 1
+fi
 
 echo "== bench harness smoke (1 sample, test scale)"
 TRACE_BENCH_SCALE=test TRACE_BENCH_SAMPLES=1 \

@@ -199,8 +199,6 @@ pub struct ConcurrentReport {
     /// CPUs available on the measuring host — the ceiling on wall-clock
     /// scaling.
     pub host_cpus: usize,
-    /// Construction-queue capacity used for shared modes.
-    pub queue_capacity: usize,
     /// Per-workload rows.
     pub rows: Vec<ConcurrentRow>,
     /// Single-VM snapshot warm-boot rows (cold vs warm boot), one per
@@ -262,7 +260,10 @@ impl ConcurrentReport {
         out.push_str(&format!("  \"scale\": \"{:?}\",\n", self.scale));
         out.push_str(&format!("  \"repeats\": {},\n", self.repeats));
         out.push_str(&format!("  \"host_cpus\": {},\n", self.host_cpus));
-        out.push_str(&format!("  \"queue_capacity\": {},\n", self.queue_capacity));
+        out.push_str(&format!(
+            "  \"queue_capacity\": {},\n",
+            trace_cache::QUEUE_CAPACITY
+        ));
         let ts: Vec<String> = self.threads.iter().map(|t| t.to_string()).collect();
         out.push_str(&format!("  \"thread_counts\": [{}],\n", ts.join(", ")));
         out.push_str("  \"workloads\": [\n");
@@ -564,13 +565,13 @@ fn measure_shared(
     config: EngineConfig,
     m: usize,
     repeats: usize,
-    queue_capacity: usize,
     warm: bool,
 ) -> ModePoint {
     let mut best = (f64::INFINITY, 0u64, 0u64);
     let mut best_shared = SharedPoint::default();
     for _ in 0..repeats.max(1) {
-        let (cache, session, rx) = shared_session(queue_capacity);
+        let (cache, session, rx) = shared_session();
+        let health = std::sync::Arc::clone(session.queue.health());
         let (r, built) = std::thread::scope(|s| {
             let svc = s.spawn(|| run_shared_constructor(rx, &cache, &w.program, config));
             if warm {
@@ -583,6 +584,12 @@ fn measure_shared(
             let memory = session.memory_estimate();
             drop(session);
             let stats = svc.join().expect("constructor service");
+            let hs = health.snapshot();
+            assert!(
+                hs.panics == 0 && !hs.degraded,
+                "{}: the constructor panicked with no fault plan: {hs:?}",
+                w.name
+            );
             (r, (stats.constructor.traces_created, queue, memory))
         });
         if r.0 < best.0 {
@@ -759,7 +766,6 @@ pub fn run_phase_shift_only(scale: Scale, repeats: usize, only: Option<&str>) ->
         repeats,
         threads: Vec::new(),
         host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        queue_capacity: QUEUE_CAPACITY,
         rows: Vec::new(),
         warm_boot: Vec::new(),
         phase_shift: run_phase_shift_filtered(scale, repeats, only),
@@ -774,15 +780,11 @@ pub fn run_boot_only(scale: Scale, repeats: usize, only: Option<&str>) -> Concur
         repeats,
         threads: Vec::new(),
         host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        queue_capacity: QUEUE_CAPACITY,
         rows: Vec::new(),
         warm_boot: run_warm_boot_filtered(scale, repeats, only),
         phase_shift: Vec::new(),
     }
 }
-
-/// Default construction-queue capacity for the harness.
-pub const QUEUE_CAPACITY: usize = 64;
 
 /// Thread counts measured (clipped to `max_threads`).
 pub const THREAD_LADDER: [usize; 4] = [1, 2, 4, 8];
@@ -822,16 +824,10 @@ pub fn run_filtered(
         };
         for &m in &threads {
             row.private.push(measure_private(&w, config, m, repeats));
-            row.shared_cold.push(measure_shared(
-                &w,
-                config,
-                m,
-                repeats,
-                QUEUE_CAPACITY,
-                false,
-            ));
+            row.shared_cold
+                .push(measure_shared(&w, config, m, repeats, false));
             row.shared_warm
-                .push(measure_shared(&w, config, m, repeats, QUEUE_CAPACITY, true));
+                .push(measure_shared(&w, config, m, repeats, true));
         }
         rows.push(row);
     }
@@ -840,7 +836,6 @@ pub fn run_filtered(
         repeats,
         threads,
         host_cpus,
-        queue_capacity: QUEUE_CAPACITY,
         rows,
         warm_boot: run_warm_boot_filtered(scale, repeats, only),
         phase_shift: run_phase_shift_filtered(scale, repeats, only),
@@ -1030,14 +1025,8 @@ fn measure_faulted(
     seed: u64,
 ) -> (f64, FaultCounters) {
     use std::sync::Arc;
-    use trace_cache::{FaultPlan, SupervisorConfig};
-    use trace_exec::run_supervised_shared_constructor;
+    use trace_cache::FaultPlan;
 
-    let supervisor = SupervisorConfig {
-        max_restarts: 3,
-        backoff_base_ms: 0,
-        backoff_max_ms: 0,
-    };
     let mut best_wall = f64::INFINITY;
     let mut best_instr = 0u64;
     let mut best = FaultCounters {
@@ -1046,27 +1035,13 @@ fn measure_faulted(
         health: Default::default(),
     };
     for _ in 0..repeats.max(1) {
-        let (cache, session, rx) = shared_session(QUEUE_CAPACITY);
+        let (cache, session, rx) = shared_session();
         let plan = Arc::new(FaultPlan::new(seed, fault));
-        cache.set_faults(Arc::clone(&plan));
-        session.queue.set_faults(Arc::clone(&plan));
+        session.set_faults(Arc::clone(&plan));
         session.set_cache_budget(Some(fault_budget_bytes()));
-        let health = Arc::clone(&session.health);
+        let health = Arc::clone(session.queue.health());
         let r = std::thread::scope(|s| {
-            let h = Arc::clone(&health);
-            let c = Arc::clone(&cache);
-            let svc_plan = Arc::clone(&plan);
-            let svc = s.spawn(move || {
-                run_supervised_shared_constructor(
-                    rx,
-                    &c,
-                    &w.program,
-                    config,
-                    supervisor,
-                    &h,
-                    Some(svc_plan),
-                )
-            });
+            let svc = s.spawn(|| run_shared_constructor(rx, &cache, &w.program, config));
             let r = run_workers(w, config, m, Some(&session));
             drop(session);
             svc.join().expect("supervisor thread must not panic");

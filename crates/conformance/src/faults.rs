@@ -17,10 +17,8 @@ use std::sync::Arc;
 
 use jvm_bytecode::Program;
 use jvm_vm::{NullObserver, Value, Vm};
-use trace_cache::{
-    CacheStats, FaultConfig, FaultPlan, FaultStats, ServiceHealthSnapshot, SupervisorConfig,
-};
-use trace_exec::{run_supervised_shared_constructor, shared_session, EngineConfig, TracingVm};
+use trace_cache::{CacheStats, FaultConfig, FaultPlan, FaultStats, ServiceHealthSnapshot};
+use trace_exec::{run_shared_constructor, shared_session, EngineConfig, TracingVm};
 use trace_jit::{RunReport, TraceJitConfig};
 
 /// Runs the VM makes against the shared cache per fault case: the first
@@ -85,34 +83,15 @@ pub fn run_fault_case(
         .map_err(|e| format!("interpreter failed: {e:?}"))?;
     let want_checksum = plain.checksum();
 
-    let (cache, session, rx) = shared_session(trace_exec::shared::DEFAULT_QUEUE_CAPACITY);
+    let (cache, session, rx) = shared_session();
     let plan = Arc::new(FaultPlan::new(fault_seed, fault));
-    cache.set_faults(Arc::clone(&plan));
-    session.queue.set_faults(Arc::clone(&plan));
+    session.set_faults(Arc::clone(&plan));
     let budget = case_budget_bytes();
     session.set_cache_budget(Some(budget));
-    let health = Arc::clone(&session.health);
-    let supervisor = SupervisorConfig {
-        max_restarts: 3,
-        backoff_base_ms: 0,
-        backoff_max_ms: 0,
-    };
+    let health = Arc::clone(session.queue.health());
 
     let outcome: Result<Vec<RunReport>, String> = std::thread::scope(|s| {
-        let h = Arc::clone(&health);
-        let c = Arc::clone(&cache);
-        let svc_plan = Arc::clone(&plan);
-        let svc = s.spawn(move || {
-            run_supervised_shared_constructor(
-                rx,
-                &c,
-                program,
-                config,
-                supervisor,
-                &h,
-                Some(svc_plan),
-            )
-        });
+        let svc = s.spawn(|| run_shared_constructor(rx, &cache, program, config));
 
         let result = (|| {
             let mut vm = TracingVm::new_shared(program, config, session);
@@ -181,6 +160,30 @@ mod tests {
             report.cache.budget_overruns > 0 || report.payload_bytes <= case_budget_bytes(),
             "budget must hold: {report:?}"
         );
+    }
+
+    /// `SharedSession::set_faults` is the one attachment: the plan it
+    /// hands the cache and the channel must be consulted at every site.
+    #[test]
+    fn one_attachment_reaches_every_fault_site() {
+        use trace_cache::FaultSite::*;
+        let w = &all(Scale::Test)[0];
+        let report = run_fault_case(&w.program, &w.args, FaultConfig::standard(), 5)
+            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let draws = report.faults.draws;
+        for site in [
+            CorruptArtifact,
+            BudgetCheck,
+            KillConstructor,
+            DropBatch,
+            DuplicateBatch,
+        ] {
+            assert!(
+                draws[site as usize] > 0,
+                "{site:?} never drawn: {:?}",
+                report.faults
+            );
+        }
     }
 
     #[test]

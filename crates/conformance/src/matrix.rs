@@ -28,7 +28,6 @@ use jvm_vm::{
 use trace_baselines::{run_with_selector, NetSelector, ReplaySelector};
 use trace_bcg::BranchCorrelationGraph;
 use trace_cache::{FaultConfig, TraceExecStats};
-use trace_exec::shared::DEFAULT_QUEUE_CAPACITY;
 use trace_exec::{run_shared_constructor, shared_session, EngineConfig, TracingVm};
 use trace_jit::{RunReport, TraceJitConfig, TraceVm};
 use trace_workloads::prng::{seed_stream, Xoshiro256StarStar};
@@ -532,7 +531,8 @@ impl Case {
                 cell.engine_run(&mut booted, &mut TraceExecStats::default())?;
             }
             Row::Shared => {
-                let (cache, session, rx) = shared_session(DEFAULT_QUEUE_CAPACITY);
+                let (cache, session, rx) = shared_session();
+                let health = Arc::clone(session.queue.health());
                 // Cold pass: the constructor drains while the VM profiles;
                 // dropping the VM's session disconnects the queue and the
                 // constructor exits.
@@ -545,9 +545,12 @@ impl Case {
                     svc.join().expect("the constructor thread does not panic");
                     cold
                 })?;
+                // With no fault plan, any panic the service absorbed is a bug.
+                let hs = health.snapshot();
+                cell.check(0, "constructor health", &hs, &Default::default())?;
                 // Warm pass: a fresh VM on the populated cache. Its queue
                 // has no receiver, so its signals defer into its profiler.
-                let (_, mut warm, _) = shared_session(1);
+                let (_, mut warm, _) = shared_session();
                 warm.cache = Arc::clone(&cache);
                 let mut vm = TracingVm::new_shared(program, engine_at_16, warm);
                 cell.engine_run(&mut vm, &mut TraceExecStats::default())?;

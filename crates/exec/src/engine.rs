@@ -71,7 +71,7 @@ use trace_jit::{RunReport, TraceJitConfig};
 use trace_persist::{program_hash, Snapshot, SnapshotError, SnapshotReader};
 
 use crate::reg::{build_trace, RegStats, RegTrace};
-use crate::shared::{SharedSession, SNAPSHOT_LIMIT};
+use crate::shared::SharedSession;
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -236,12 +236,12 @@ impl Jit<'_> {
                     .handle_batch(&self.signal_buf, &mut self.bcg, &mut self.cache);
             }
             Some(sess) => {
-                if sess.health.is_degraded() {
-                    sess.health.note_degraded_discard();
+                let health = sess.queue.health();
+                if health.is_degraded() {
+                    health.note_degraded_discard();
                     return;
                 }
-                let snap =
-                    BcgSnapshot::capture_bounded(&self.bcg, &self.signal_buf, SNAPSHOT_LIMIT);
+                let snap = BcgSnapshot::capture(&self.bcg, &self.signal_buf);
                 if !sess.queue.submit(snap) {
                     self.bcg.defer_signals(&self.signal_buf);
                 }
@@ -620,7 +620,9 @@ impl<'p> TracingVm<'p> {
     /// is permanently down (dispatch keeps interpreting, never wrong).
     /// `None` means fully healthy.
     pub fn degraded_reason(&self) -> Option<&'static str> {
-        let degraded = self.shared().is_some_and(|sess| sess.health.is_degraded());
+        let degraded = self
+            .shared()
+            .is_some_and(|sess| sess.queue.health().is_degraded());
         degraded.then_some("constructor-degraded")
     }
 

@@ -49,6 +49,5 @@ pub use reg::{
     disassemble, lower_reg, FrameImage, RBin, RExit, RInstr, RUn, Reg, RegStats, RegTrace,
 };
 pub use shared::{
-    artifact_builder, run_shared_constructor, run_supervised_shared_constructor, shared_session,
-    SharedCache, SharedSession,
+    artifact_builder, run_shared_constructor, shared_session, SharedCache, SharedSession,
 };

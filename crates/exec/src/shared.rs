@@ -33,9 +33,8 @@ use std::sync::Arc;
 use jvm_bytecode::{BlockId, Program};
 use jvm_vm::DecodedProgram;
 use trace_cache::{
-    construction_channel, run_constructor_service, run_supervised_constructor_service,
-    BuilderStats, ConstructionQueue, ConstructionReceiver, FaultPlan, ServiceHealth,
-    SharedTraceCache, SupervisorConfig, TraceId,
+    construction_channel, run_constructor_service, BuilderStats, ConstructionQueue,
+    ConstructionReceiver, FaultPlan, SharedTraceCache, TraceId,
 };
 
 use crate::engine::EngineConfig;
@@ -44,26 +43,15 @@ use crate::reg::{build_trace, RegTrace};
 /// The shared cache type every concurrent VM dispatches against.
 pub type SharedCache = SharedTraceCache<RegTrace>;
 
-/// Default bound on the construction queue (snapshot batches in flight).
-pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
-
-/// Per-snapshot node cap applied when a VM captures a signal batch (see
-/// [`trace_cache::BcgSnapshot::capture_bounded`]).
-pub const SNAPSHOT_LIMIT: usize = 4096;
-
 /// One VM's handle onto a shared session: the cache plus the sending
 /// side of the construction queue. Cloned once per worker VM.
 #[derive(Clone)]
 pub struct SharedSession {
     /// The shared trace cache.
     pub cache: Arc<SharedCache>,
-    /// Sending side of the construction queue.
+    /// Sending side of the construction queue; it also carries the
+    /// service's health gauges ([`ConstructionQueue::health`]).
     pub queue: ConstructionQueue,
-    /// Health gauges of the (supervised) construction service.
-    /// Dispatchers check [`ServiceHealth::is_degraded`] *before*
-    /// capturing a snapshot, so a dead constructor stops costing capture
-    /// work immediately rather than on the next failed send.
-    pub health: Arc<ServiceHealth>,
 }
 
 impl SharedSession {
@@ -80,6 +68,15 @@ impl SharedSession {
     pub fn set_cache_budget(&self, budget: Option<usize>) {
         self.cache.set_budget(budget, |a| a.memory_estimate());
     }
+
+    /// Attaches a fault plan to the whole deployment, first call wins:
+    /// the cache (corrupt artifacts, failed budget checks), the channel
+    /// (dropped and duplicated batches) and the construction service
+    /// (killed workers).
+    pub fn set_faults(&self, plan: Arc<FaultPlan>) {
+        self.cache.set_faults(Arc::clone(&plan));
+        self.queue.set_faults(plan);
+    }
 }
 
 impl std::fmt::Debug for SharedSession {
@@ -94,15 +91,12 @@ impl std::fmt::Debug for SharedSession {
 
 /// Everything a shared deployment needs: the cache, the per-VM session
 /// template, and the receiving side to hand the constructor thread.
-pub fn shared_session(
-    queue_capacity: usize,
-) -> (Arc<SharedCache>, SharedSession, ConstructionReceiver) {
+pub fn shared_session() -> (Arc<SharedCache>, SharedSession, ConstructionReceiver) {
     let cache = Arc::new(SharedCache::new());
-    let (queue, rx) = construction_channel(queue_capacity);
+    let (queue, rx) = construction_channel();
     let session = SharedSession {
         cache: Arc::clone(&cache),
         queue,
-        health: Arc::new(ServiceHealth::new()),
     };
     (cache, session, rx)
 }
@@ -125,6 +119,13 @@ pub fn artifact_builder(program: &Program) -> impl FnMut(&[BlockId]) -> Option<R
 /// Runs the construction service for a shared session until every queue
 /// handle is dropped; returns the builder's counters. Spawn on a
 /// background thread (e.g. inside [`std::thread::scope`]).
+///
+/// The service is supervised ([`trace_cache::run_constructor_service`]):
+/// a worker panic, real or injected by the session's fault plan, is
+/// absorbed and the worker restarted, up to [`trace_cache::MAX_RESTARTS`]
+/// times; the next panic marks the service permanently degraded, and
+/// every dispatcher falls back to interpreter-only execution — slower,
+/// never wrong.
 pub fn run_shared_constructor(
     rx: ConstructionReceiver,
     cache: &SharedCache,
@@ -135,32 +136,6 @@ pub fn run_shared_constructor(
         rx,
         cache,
         config.jit.constructor_config(),
-        artifact_builder(program),
-    )
-}
-
-/// [`run_shared_constructor`] under supervision: worker panics (real or
-/// injected via `faults`) are absorbed and the worker restarted with
-/// exponential backoff until `supervisor.max_restarts` is exhausted, at
-/// which point `health` flips to permanently degraded, the receiver
-/// drops, and every dispatcher falls back to interpreter-only execution
-/// — slower, never wrong.
-pub fn run_supervised_shared_constructor(
-    rx: ConstructionReceiver,
-    cache: &SharedCache,
-    program: &Program,
-    config: EngineConfig,
-    supervisor: SupervisorConfig,
-    health: &ServiceHealth,
-    faults: Option<Arc<FaultPlan>>,
-) -> BuilderStats {
-    run_supervised_constructor_service(
-        rx,
-        cache,
-        config.jit.constructor_config(),
-        supervisor,
-        health,
-        faults,
         artifact_builder(program),
     )
 }
@@ -212,7 +187,8 @@ mod tests {
         // exits. Whether this VM itself enters traces is a scheduling
         // race, so only semantics are asserted here.
         let config = EngineConfig::paper_default();
-        let (cache, session, rx) = shared_session(DEFAULT_QUEUE_CAPACITY);
+        let (cache, session, rx) = shared_session();
+        let health = Arc::clone(session.queue.health());
         let cold = std::thread::scope(|s| {
             let svc = s.spawn(|| run_shared_constructor(rx, &cache, &program, config));
             let report = {
@@ -229,18 +205,19 @@ mod tests {
         assert_eq!(cold.result, want);
         assert_eq!(cold.exec.instructions, plain.stats().instructions);
         assert!(cache.trace_count() > 0);
+        let hs = health.snapshot();
+        assert!(
+            hs.panics == 0 && !hs.degraded,
+            "constructor panicked: {hs:?}"
+        );
 
         // Warm pass: joining the service is a happens-before for every
         // published trace, so a fresh VM against the populated cache must
         // dispatch them. Its queue is disconnected — submits fail and
         // defer into the profiler, which is the degradation contract.
-        let (queue, dead_rx) = construction_channel(1);
+        let (_, mut warm_session, dead_rx) = shared_session();
         drop(dead_rx);
-        let warm_session = SharedSession {
-            cache: Arc::clone(&cache),
-            queue,
-            health: Arc::new(ServiceHealth::new()),
-        };
+        warm_session.cache = Arc::clone(&cache);
         let warm = {
             let mut vm = TracingVm::new_shared(&program, config, warm_session);
             vm.run(&[Value::Int(40_000)]).unwrap()
@@ -263,18 +240,24 @@ mod tests {
         // first's traces.
         let program = loop_program();
         let config = EngineConfig::paper_default();
-        let (cache, session, rx) = shared_session(DEFAULT_QUEUE_CAPACITY);
+        let (cache, session, rx) = shared_session();
         let mut results = Vec::new();
         for _ in 0..2 {
             let mut vm = TracingVm::new_shared(&program, config, session.clone());
             results.push(vm.run(&[Value::Int(40_000)]).unwrap().result);
         }
         assert_eq!(results[0], results[1]);
+        let health = Arc::clone(session.queue.health());
         drop(session);
         let built = run_shared_constructor(rx, &cache, &program, config);
         assert!(
             built.constructor.traces_created > 0,
             "first VM's chains must build"
+        );
+        let hs = health.snapshot();
+        assert!(
+            hs.panics == 0 && !hs.degraded,
+            "constructor panicked: {hs:?}"
         );
         let stats = cache.stats();
         assert!(
@@ -290,10 +273,10 @@ mod tests {
     fn degraded_service_stops_snapshot_capture_immediately() {
         let program = loop_program();
         let config = EngineConfig::paper_default();
-        let (_cache, session, rx) = shared_session(DEFAULT_QUEUE_CAPACITY);
+        let (_cache, session, rx) = shared_session();
         drop(rx); // no constructor ever ran
-        session.health.mark_degraded();
-        let health = Arc::clone(&session.health);
+        session.queue.health().mark_degraded();
+        let health = Arc::clone(session.queue.health());
         let queue = session.queue.clone();
 
         let mut plain = Vm::new(&program);
@@ -316,34 +299,37 @@ mod tests {
 
     /// Acceptance: killing the constructor mid-run degrades throughput
     /// (no traces are ever built) but never changes results or
-    /// deadlocks.
+    /// deadlocks. A run of this program submits two batches, and a killed
+    /// batch is never re-raised, so the test queues `MAX_RESTARTS` batches
+    /// of its own first: the VM's first batch is then the one that finds
+    /// the restarts exhausted.
     #[test]
     fn constructor_killed_mid_run_degrades_but_results_match() {
-        use trace_cache::{FaultConfig, FaultPlan, SupervisorConfig};
+        use trace_bcg::{BcgConfig, BranchCorrelationGraph};
+        use trace_cache::{BcgSnapshot, FaultConfig, FaultPlan, MAX_RESTARTS};
         let program = loop_program();
         let config = EngineConfig::paper_default();
-        let (cache, session, rx) = shared_session(DEFAULT_QUEUE_CAPACITY);
-        let health = Arc::clone(&session.health);
-        let plan = Arc::new(FaultPlan::new(11, FaultConfig::constructor_killer()));
-        let supervisor = SupervisorConfig {
-            max_restarts: 0,
-            backoff_base_ms: 0,
-            backoff_max_ms: 0,
-        };
+        let (cache, session, rx) = shared_session();
+        session.set_faults(Arc::new(FaultPlan::new(
+            11,
+            FaultConfig::constructor_killer(),
+        )));
+        let health = Arc::clone(session.queue.health());
+        let empty = BranchCorrelationGraph::new(BcgConfig::default());
+        for _ in 0..MAX_RESTARTS {
+            assert!(session.queue.submit(BcgSnapshot::capture(&empty, &[])));
+        }
 
         let mut plain = Vm::new(&program);
         let want = plain.run(&[Value::Int(40_000)], &mut NullObserver).unwrap();
         let report = std::thread::scope(|s| {
-            let h = Arc::clone(&health);
             let c = Arc::clone(&cache);
             let p = &program;
-            let svc = s.spawn(move || {
-                run_supervised_shared_constructor(rx, &c, p, config, supervisor, &h, Some(plan))
-            });
+            let svc = s.spawn(move || run_shared_constructor(rx, &c, p, config));
             let report = {
                 let mut vm = TracingVm::new_shared(&program, config, session);
                 vm.run(&[Value::Int(40_000)]).unwrap()
-            }; // dropping the session also ends the service if it never saw a batch
+            }; // dropping the session also ends the service if it never degraded
             let stats = svc.join().expect("supervisor must not panic");
             assert_eq!(
                 stats.constructor.traces_created, 0,
@@ -355,8 +341,9 @@ mod tests {
         assert_eq!(report.checksum, plain.checksum());
         assert_eq!(cache.trace_count(), 0);
         let hs = health.snapshot();
-        assert!(hs.panics >= 1, "the kill fault must have fired: {hs:?}");
-        assert!(hs.degraded, "restarts=0 degrades on first panic: {hs:?}");
+        assert!(hs.degraded, "the VM's batch exhausts the restarts: {hs:?}");
+        assert_eq!(hs.restarts, MAX_RESTARTS);
+        assert_eq!(hs.panics, MAX_RESTARTS + 1);
     }
 
     /// A trace that side-exits at entry on every dispatch — its path no
@@ -367,7 +354,7 @@ mod tests {
         let program = loop_program();
         let config = EngineConfig::paper_default();
         let blk = |b: u32| BlockId::new(program.entry(), b);
-        let (cache, session, _rx) = shared_session(DEFAULT_QUEUE_CAPACITY);
+        let (cache, session, _rx) = shared_session();
         // Plant the loop trace by hand. With argument 0 the loop guard
         // fails at entry (0 <= 0 exits immediately), so every dispatch
         // of this trace is an immediate side exit.
@@ -402,7 +389,7 @@ mod tests {
         let program = loop_program();
         let config = EngineConfig::paper_default();
         let blk = |b: u32| BlockId::new(program.entry(), b);
-        let (cache, session, _rx) = shared_session(DEFAULT_QUEUE_CAPACITY);
+        let (cache, session, _rx) = shared_session();
         // Plant the loop trace at the back edge: every iteration but the
         // first enters it.
         let entry = (blk(2), blk(1));

@@ -35,9 +35,9 @@
 //! faulting traces, whose cooldown escalates on repeats at one entry
 //! (the anti-flap of the one retention rule, [`health`]);
 //! recoverable failures surface as [`TraceCacheError`] ([`error`]);
-//! [`offthread`] supervises the constructor worker (restart with
-//! backoff, then permanent degraded mode) behind [`ServiceHealth`]
-//! gauges; and [`faults`] provides the deterministic [`FaultPlan`]
+//! [`offthread`] supervises the constructor worker (an immediate restart
+//! on a panic, up to [`MAX_RESTARTS`], then permanent degraded mode)
+//! behind [`ServiceHealth`] gauges; and [`faults`] provides the deterministic [`FaultPlan`]
 //! oracle the conformance chaos campaigns drive all of it with.
 
 #![forbid(unsafe_code)]
@@ -65,9 +65,9 @@ pub use faults::{FaultConfig, FaultPlan, FaultSite, FaultStats};
 pub use health::{HealthStats, COOLDOWN, MAX_COOLDOWN_SHIFT, STREAK_LIMIT};
 pub use metrics::TraceExecStats;
 pub use offthread::{
-    construction_channel, run_constructor_service, run_supervised_constructor_service, BcgSnapshot,
-    BuilderStats, ConstructionQueue, ConstructionReceiver, OffThreadBuilder, QueueStats,
-    ServiceHealth, ServiceHealthSnapshot, SupervisorConfig,
+    construction_channel, run_constructor_service, BcgSnapshot, BuilderStats, ConstructionQueue,
+    ConstructionReceiver, QueueStats, ServiceHealth, ServiceHealthSnapshot, MAX_RESTARTS,
+    QUEUE_CAPACITY,
 };
 pub use runtime::TraceRuntime;
 pub use shared::SharedTraceCache;

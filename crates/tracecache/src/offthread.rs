@@ -26,6 +26,17 @@
 //! re-raises the parked signals at its next decay cycle, when the queue
 //! has likely drained. Construction is delayed, never silently skipped.
 //!
+//! # Supervision
+//!
+//! The service runs every batch under `catch_unwind`. A worker that
+//! panics is replaced at once; the panic after [`MAX_RESTARTS`] restarts
+//! marks the channel's [`ServiceHealth`] permanently degraded and ends
+//! the service, and dispatchers stop capturing snapshots. The batch a
+//! panicking worker consumed is lost: unlike a queue-full drop it was
+//! never parked with `defer_signals`, so no decay cycle re-raises its
+//! signals, and its region is rebuilt only when one of its nodes changes
+//! state again.
+//!
 //! # Staleness
 //!
 //! The snapshot is a moment-in-time copy: by the time the constructor
@@ -39,10 +50,9 @@
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use jvm_bytecode::BlockId;
 use trace_bcg::{Branch, BranchCorrelationGraph, NodeIdx, NodeState, Signal};
@@ -57,10 +67,16 @@ use crate::shared::SharedTraceCache;
 /// Sentinel for successor targets that fell outside the captured region.
 const SNAP_NONE: NodeIdx = NodeIdx(u32::MAX);
 
-/// Default cap on nodes per snapshot; regions the planner can examine
-/// are far smaller in practice ([`crate::MAX_PATH_NODES`] bounds each
-/// walk).
+/// Cap on nodes per snapshot; regions the planner can examine are far
+/// smaller in practice ([`crate::MAX_PATH_NODES`] bounds each walk).
 pub const SNAPSHOT_NODE_LIMIT: usize = 4096;
+
+/// Bound on the construction queue: snapshot batches in flight.
+pub const QUEUE_CAPACITY: usize = 64;
+
+/// Worker restarts the construction service performs; the next panic
+/// degrades it for good.
+pub const MAX_RESTARTS: u64 = 3;
 
 #[derive(Debug, Clone)]
 struct SnapNode {
@@ -93,16 +109,15 @@ pub struct BcgSnapshot {
 }
 
 impl BcgSnapshot {
-    /// Captures the region around `signals` with the default node cap.
+    /// Captures the region around `signals`, at most
+    /// [`SNAPSHOT_NODE_LIMIT`] nodes. If the cap is hit the snapshot is
+    /// marked [`truncated`](Self::is_truncated); planning still works but
+    /// walks may end early (shorter traces, never wrong ones).
     pub fn capture(bcg: &BranchCorrelationGraph, signals: &[Signal]) -> Self {
         Self::capture_bounded(bcg, signals, SNAPSHOT_NODE_LIMIT)
     }
 
-    /// Captures with an explicit node cap. If the cap is hit the
-    /// snapshot is marked [`truncated`](Self::is_truncated); planning
-    /// still works but walks may end early (shorter traces, never wrong
-    /// ones).
-    pub fn capture_bounded(bcg: &BranchCorrelationGraph, signals: &[Signal], limit: usize) -> Self {
+    fn capture_bounded(bcg: &BranchCorrelationGraph, signals: &[Signal], limit: usize) -> Self {
         let mut map: HashMap<NodeIdx, u32> = HashMap::new();
         let mut order: Vec<NodeIdx> = Vec::new();
         let mut work: Vec<NodeIdx> = Vec::new();
@@ -255,7 +270,9 @@ impl CorrelationView for BcgSnapshot {
     }
 }
 
-/// Queue counters, shared between senders and the receiver.
+/// What every [`ConstructionQueue`] clone and the [`ConstructionReceiver`]
+/// share: the queue gauges, the service's health and the deployment's
+/// fault plan.
 #[derive(Debug, Default)]
 struct QueueShared {
     depth: AtomicUsize,
@@ -264,9 +281,28 @@ struct QueueShared {
     dropped: AtomicU64,
     /// Estimated bytes of the snapshots currently in flight.
     bytes: AtomicUsize,
+    health: Arc<ServiceHealth>,
     /// Optional fault oracle: [`FaultSite::DropBatch`] and
-    /// [`FaultSite::DuplicateBatch`] fire per submit.
+    /// [`FaultSite::DuplicateBatch`] fire per submit,
+    /// [`FaultSite::KillConstructor`] per batch the service receives.
     faults: OnceLock<Arc<FaultPlan>>,
+}
+
+/// A batch on the channel. Its share of the depth and byte gauges is
+/// released however it leaves: received, handed back by a full or closed
+/// channel, or discarded with the receiver of a service that degraded
+/// with batches still queued.
+struct InFlight {
+    snapshot: Option<BcgSnapshot>,
+    bytes: usize,
+    shared: Arc<QueueShared>,
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        self.shared.depth.fetch_sub(1, Relaxed);
+        self.shared.bytes.fetch_sub(self.bytes, Relaxed);
+    }
 }
 
 /// Snapshot of [`ConstructionQueue`] counters.
@@ -290,17 +326,19 @@ pub struct QueueStats {
 /// Cloneable: every worker VM holds one.
 #[derive(Debug, Clone)]
 pub struct ConstructionQueue {
-    tx: SyncSender<BcgSnapshot>,
+    tx: SyncSender<InFlight>,
     shared: Arc<QueueShared>,
 }
 
 impl ConstructionQueue {
-    /// Attaches a fault plan (shared by all clones of this queue); first
-    /// call wins. A [`FaultSite::DropBatch`] hit makes `submit` drop the
-    /// batch as if the queue were full — the dispatcher's existing
-    /// `defer_signals` path re-parks it. A [`FaultSite::DuplicateBatch`]
-    /// hit replays a successful submit once (construction must be
-    /// idempotent under replay thanks to hash-consing).
+    /// Attaches a fault plan to the channel and its service (shared by
+    /// all clones of this queue); first call wins. A
+    /// [`FaultSite::DropBatch`] hit makes `submit` drop the batch as if
+    /// the queue were full — the dispatcher's existing `defer_signals`
+    /// path re-parks it. A [`FaultSite::DuplicateBatch`] hit replays a
+    /// successful submit once (construction must be idempotent under
+    /// replay thanks to hash-consing). A [`FaultSite::KillConstructor`]
+    /// hit panics the service's worker ahead of a batch.
     pub fn set_faults(&self, plan: Arc<FaultPlan>) {
         let _ = self.shared.faults.set(plan);
     }
@@ -326,23 +364,25 @@ impl ConstructionQueue {
 
     fn submit_inner(&self, snapshot: BcgSnapshot) -> bool {
         // Gauge up *before* sending: once the batch is in the channel the
-        // receiver may dequeue — and decrement — ahead of us, transiently
+        // receiver may dequeue — and release — ahead of us, transiently
         // wrapping the depth below zero.
         let d = self.shared.depth.fetch_add(1, Relaxed) + 1;
         let bytes = snapshot.memory_estimate();
         self.shared.bytes.fetch_add(bytes, Relaxed);
-        match self.tx.try_send(snapshot) {
-            Ok(()) => {
-                self.shared.max_depth.fetch_max(d, Relaxed);
-                self.shared.submitted.fetch_add(1, Relaxed);
-                true
-            }
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                self.shared.depth.fetch_sub(1, Relaxed);
-                self.shared.bytes.fetch_sub(bytes, Relaxed);
-                self.shared.dropped.fetch_add(1, Relaxed);
-                false
-            }
+        let batch = InFlight {
+            snapshot: Some(snapshot),
+            bytes,
+            shared: Arc::clone(&self.shared),
+        };
+        // A rejected batch comes back in the error and releases its
+        // gauges as it drops.
+        if self.tx.try_send(batch).is_ok() {
+            self.shared.max_depth.fetch_max(d, Relaxed);
+            self.shared.submitted.fetch_add(1, Relaxed);
+            true
+        } else {
+            self.shared.dropped.fetch_add(1, Relaxed);
+            false
         }
     }
 
@@ -356,27 +396,35 @@ impl ConstructionQueue {
             bytes: self.shared.bytes.load(Relaxed),
         }
     }
+
+    /// Health gauges of the service at the other end of this channel.
+    /// Clone the `Arc` to read them after every queue handle is gone.
+    pub fn health(&self) -> &Arc<ServiceHealth> {
+        &self.shared.health
+    }
 }
 
 /// The constructor-thread side of the channel.
 pub struct ConstructionReceiver {
-    rx: Receiver<BcgSnapshot>,
+    rx: Receiver<InFlight>,
     shared: Arc<QueueShared>,
 }
 
 impl ConstructionReceiver {
     /// Blocks for the next batch; `None` when every sender is gone.
-    pub fn recv(&self) -> Option<BcgSnapshot> {
-        let snap = self.rx.recv().ok()?;
-        self.shared.depth.fetch_sub(1, Relaxed);
-        self.shared.bytes.fetch_sub(snap.memory_estimate(), Relaxed);
-        Some(snap)
+    fn recv(&self) -> Option<BcgSnapshot> {
+        let mut batch = self.rx.recv().ok()?;
+        batch.snapshot.take()
     }
 }
 
-/// Creates a bounded construction channel holding at most `capacity`
-/// in-flight snapshot batches.
-pub fn construction_channel(capacity: usize) -> (ConstructionQueue, ConstructionReceiver) {
+/// Creates the construction channel of one shared deployment, holding
+/// at most [`QUEUE_CAPACITY`] in-flight snapshot batches.
+pub fn construction_channel() -> (ConstructionQueue, ConstructionReceiver) {
+    channel_with_capacity(QUEUE_CAPACITY)
+}
+
+fn channel_with_capacity(capacity: usize) -> (ConstructionQueue, ConstructionReceiver) {
     let (tx, rx) = std::sync::mpsc::sync_channel(capacity);
     let shared = Arc::new(QueueShared::default());
     (
@@ -418,8 +466,9 @@ impl<A, F: FnMut(&[BlockId]) -> Option<A>> PlanSink for (&SharedTraceCache<A>, F
     }
 }
 
-/// Plans traces from snapshots and publishes them to a shared cache.
-pub struct OffThreadBuilder {
+/// Plans traces from snapshots and publishes them to a shared cache: the
+/// worker [`run_constructor_service`] runs, and replaces when it panics.
+struct OffThreadBuilder {
     config: ConstructorConfig,
     stats: BuilderStats,
     plan: TracePlan,
@@ -427,7 +476,7 @@ pub struct OffThreadBuilder {
 
 impl OffThreadBuilder {
     /// A builder with the given planner configuration.
-    pub fn new(config: ConstructorConfig) -> Self {
+    fn new(config: ConstructorConfig) -> Self {
         OffThreadBuilder {
             config,
             stats: BuilderStats::default(),
@@ -435,16 +484,11 @@ impl OffThreadBuilder {
         }
     }
 
-    /// Activity counters.
-    pub fn stats(&self) -> BuilderStats {
-        self.stats
-    }
-
     /// Processes one snapshot batch: plans every origin signal (with
     /// within-batch cascade suppression, like the in-thread
     /// constructor) and applies the resulting ops to `cache`, lowering
     /// artifacts for newly constructed traces via `build`.
-    pub fn handle_job<A>(
+    fn handle_job<A>(
         &mut self,
         snapshot: &BcgSnapshot,
         cache: &SharedTraceCache<A>,
@@ -476,35 +520,67 @@ impl OffThreadBuilder {
 /// Runs the constructor service until every [`ConstructionQueue`] clone
 /// is dropped, then returns the builder's counters. Spawn this on a
 /// background thread (e.g. inside `std::thread::scope`).
+///
+/// Each batch runs under `catch_unwind`. A worker that panics — on a bug
+/// in planning or in `build`, or on a [`FaultSite::KillConstructor`] hit
+/// of the channel's fault plan — is replaced at once, its counters
+/// carried over. The panic after [`MAX_RESTARTS`] restarts marks the
+/// channel's [`ServiceHealth`] permanently degraded and ends the service:
+/// the receiver drops, batches still queued are discarded (their gauges
+/// released), later submits fail and dispatchers stop capturing. The batch
+/// a panicking worker consumed is lost, not re-raised (see the module
+/// docs).
 pub fn run_constructor_service<A>(
     rx: ConstructionReceiver,
     cache: &SharedTraceCache<A>,
     config: ConstructorConfig,
     mut build: impl FnMut(&[BlockId]) -> Option<A>,
 ) -> BuilderStats {
+    let health = &rx.shared.health;
     let mut builder = OffThreadBuilder::new(config);
     while let Some(snapshot) = rx.recv() {
-        builder.handle_job(&snapshot, cache, &mut build);
+        let kill = rx
+            .shared
+            .faults
+            .get()
+            .is_some_and(|p| p.fire(FaultSite::KillConstructor));
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if kill {
+                panic!("injected constructor kill (FaultSite::KillConstructor)");
+            }
+            builder.handle_job(&snapshot, cache, &mut build);
+        }));
+        if outcome.is_err() {
+            health.panics.fetch_add(1, Relaxed);
+            if health.restarts.load(Relaxed) >= MAX_RESTARTS {
+                health.mark_degraded();
+                break;
+            }
+            health.restarts.fetch_add(1, Relaxed);
+            // The worker's internal state may be torn mid-job; its
+            // counters are plain sums and stay valid. Start a fresh
+            // incarnation that carries them over.
+            builder = OffThreadBuilder {
+                stats: builder.stats,
+                ..OffThreadBuilder::new(config)
+            };
+        }
     }
-    builder.stats()
+    builder.stats
 }
 
-/// Service lifecycle state, shared (via `Arc`) between the supervised
-/// constructor thread and every dispatcher.
+/// Lifecycle gauges of the construction service, kept in the channel's
+/// shared state: the service writes them, every dispatcher reads them
+/// through [`ConstructionQueue::health`].
 ///
-/// The gauge fixes the silent-death window of the unsupervised service:
-/// a dispatcher used to learn the constructor was gone only when its
-/// *next* `submit` hit a disconnected channel. With the supervisor
-/// marking itself degraded the moment restarts are exhausted,
-/// dispatchers check [`is_degraded`](Self::is_degraded) *before*
-/// capturing a snapshot and stop queueing immediately.
+/// Dispatchers check [`is_degraded`](Self::is_degraded) *before*
+/// capturing a snapshot, so a service that has given up stops costing
+/// capture work at once rather than on the next failed send.
 #[derive(Debug, Default)]
 pub struct ServiceHealth {
-    /// 0 = running, 1 = permanently degraded.
-    state: AtomicU8,
+    degraded: AtomicBool,
     restarts: AtomicU64,
     panics: AtomicU64,
-    batches_poisoned: AtomicU64,
     degraded_discards: AtomicU64,
 }
 
@@ -514,47 +590,30 @@ pub struct ServiceHealthSnapshot {
     /// Whether the service is permanently degraded (no constructor will
     /// ever process another batch; VMs run at interpreter speed).
     pub degraded: bool,
-    /// Worker restarts performed by the supervisor.
+    /// Worker restarts performed (at most [`MAX_RESTARTS`]).
     pub restarts: u64,
-    /// Worker panics absorbed (injected or real).
+    /// Worker panics absorbed (injected or real). Each consumed its batch,
+    /// whose signals are not re-raised.
     pub panics: u64,
-    /// Batches consumed by a panicking worker. The batch itself is lost,
-    /// but the profiler's decay cycle re-raises the signals it carried
-    /// (same contract as a queue-full drop).
-    pub batches_poisoned: u64,
     /// Signal batches a dispatcher discarded because the service was
     /// already degraded (no snapshot was captured for them).
     pub degraded_discards: u64,
 }
 
 impl ServiceHealth {
-    /// A healthy gauge set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Whether the service is permanently degraded.
     pub fn is_degraded(&self) -> bool {
-        self.state.load(Acquire) != 0
+        self.degraded.load(Acquire)
     }
 
     /// Marks the service permanently degraded.
     pub fn mark_degraded(&self) {
-        self.state.store(1, Release);
+        self.degraded.store(true, Release);
     }
 
     /// Records a dispatcher-side batch discard in degraded mode.
     pub fn note_degraded_discard(&self) {
         self.degraded_discards.fetch_add(1, Relaxed);
-    }
-
-    fn note_panic(&self) {
-        self.panics.fetch_add(1, Relaxed);
-        self.batches_poisoned.fetch_add(1, Relaxed);
-    }
-
-    fn note_restart(&self) {
-        self.restarts.fetch_add(1, Relaxed);
     }
 
     /// Gauge snapshot.
@@ -563,102 +622,9 @@ impl ServiceHealth {
             degraded: self.is_degraded(),
             restarts: self.restarts.load(Relaxed),
             panics: self.panics.load(Relaxed),
-            batches_poisoned: self.batches_poisoned.load(Relaxed),
             degraded_discards: self.degraded_discards.load(Relaxed),
         }
     }
-}
-
-/// Restart policy of the supervised constructor service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SupervisorConfig {
-    /// Worker restarts before the service goes permanently degraded.
-    pub max_restarts: u32,
-    /// Backoff before the first restart, doubling per restart.
-    pub backoff_base_ms: u64,
-    /// Backoff ceiling.
-    pub backoff_max_ms: u64,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            max_restarts: 5,
-            backoff_base_ms: 10,
-            backoff_max_ms: 500,
-        }
-    }
-}
-
-impl SupervisorConfig {
-    /// Backoff before restart number `n` (1-based).
-    fn backoff(&self, n: u32) -> Duration {
-        let shift = n.saturating_sub(1).min(16);
-        Duration::from_millis(
-            self.backoff_base_ms
-                .saturating_mul(1 << shift)
-                .min(self.backoff_max_ms),
-        )
-    }
-}
-
-/// [`run_constructor_service`] under supervision: each batch is handled
-/// inside `catch_unwind`, a panicking worker is replaced (counters
-/// preserved) after an exponential backoff, and once `max_restarts` is
-/// exhausted the service marks itself permanently degraded and exits —
-/// dropping the receiver, so in-flight `submit`s fail fast and
-/// dispatchers fall back to `defer_signals`.
-///
-/// A batch that poisons the worker is *consumed*: its snapshot is lost,
-/// but the signals it carried are re-raised by the profiler's decay
-/// cycle exactly as for a queue-full drop (see the module docs), so
-/// construction is delayed, never silently skipped.
-///
-/// An optional [`FaultPlan`] injects [`FaultSite::KillConstructor`]
-/// panics ahead of each batch (the deterministic chaos hook).
-pub fn run_supervised_constructor_service<A>(
-    rx: ConstructionReceiver,
-    cache: &SharedTraceCache<A>,
-    config: ConstructorConfig,
-    supervisor: SupervisorConfig,
-    health: &ServiceHealth,
-    faults: Option<Arc<FaultPlan>>,
-    mut build: impl FnMut(&[BlockId]) -> Option<A>,
-) -> BuilderStats {
-    let mut builder = OffThreadBuilder::new(config);
-    let mut restarts_used = 0u32;
-    while let Some(snapshot) = rx.recv() {
-        let kill = faults
-            .as_ref()
-            .is_some_and(|p| p.fire(FaultSite::KillConstructor));
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if kill {
-                panic!("injected constructor kill (FaultSite::KillConstructor)");
-            }
-            builder.handle_job(&snapshot, cache, &mut build);
-        }));
-        if outcome.is_err() {
-            health.note_panic();
-            if restarts_used >= supervisor.max_restarts {
-                health.mark_degraded();
-                break;
-            }
-            restarts_used += 1;
-            health.note_restart();
-            // The worker's internal state may be torn mid-job; its
-            // counters are plain sums and stay valid. Start a fresh
-            // incarnation that carries them over.
-            builder = OffThreadBuilder {
-                stats: builder.stats,
-                ..OffThreadBuilder::new(config)
-            };
-            let backoff = supervisor.backoff(restarts_used);
-            if !backoff.is_zero() {
-                std::thread::sleep(backoff);
-            }
-        }
-    }
-    builder.stats()
 }
 
 #[cfg(test)]
@@ -733,7 +699,7 @@ mod tests {
                 let t = shared.trace(id).unwrap();
                 assert_eq!(t.blocks(), &blocks[..], "blocks diverged at {entry:?}");
             }
-            let s = builder.stats().constructor;
+            let s = builder.stats.constructor;
             let c = ctor.stats();
             assert_eq!(s.signals_handled, c.signals_handled);
             assert_eq!(s.entry_points, c.entry_points);
@@ -764,12 +730,12 @@ mod tests {
         let cache: SharedTraceCache<()> = SharedTraceCache::new();
         let mut builder = OffThreadBuilder::new(ConstructorConfig::default());
         builder.handle_job(&small, &cache, &mut |_| None);
-        assert_eq!(builder.stats().snapshots_truncated, 1);
+        assert_eq!(builder.stats.snapshots_truncated, 1);
     }
 
     #[test]
     fn queue_bounds_and_counts_drops() {
-        let (tx, rx) = construction_channel(1);
+        let (tx, rx) = channel_with_capacity(1);
         let mut bcg = bcg_with(1, 0.97);
         for _ in 0..50 {
             for b in 0..3u32 {
@@ -795,7 +761,7 @@ mod tests {
     /// it, and a later submit finally constructs the trace.
     #[test]
     fn dropped_batches_are_reraised_and_eventually_built() {
-        let (tx, rx) = construction_channel(1);
+        let (tx, rx) = channel_with_capacity(1);
         let mut bcg = bcg_with(1, 0.97);
         let mut buf = Vec::new();
         for _ in 0..300 {
@@ -847,7 +813,7 @@ mod tests {
     #[test]
     fn injected_drop_fault_rejects_submits() {
         use crate::faults::{FaultConfig, FaultPlan};
-        let (tx, rx) = construction_channel(8);
+        let (tx, rx) = construction_channel();
         tx.set_faults(Arc::new(FaultPlan::new(
             3,
             FaultConfig {
@@ -867,7 +833,7 @@ mod tests {
     #[test]
     fn injected_duplicate_fault_replays_the_batch() {
         use crate::faults::{FaultConfig, FaultPlan};
-        let (tx, rx) = construction_channel(8);
+        let (tx, rx) = construction_channel();
         tx.set_faults(Arc::new(FaultPlan::new(
             3,
             FaultConfig {
@@ -890,63 +856,73 @@ mod tests {
     #[test]
     fn supervisor_restarts_then_degrades_permanently() {
         use crate::faults::{FaultConfig, FaultPlan};
-        let (tx, rx) = construction_channel(16);
+        let (tx, rx) = construction_channel();
         let cache: SharedTraceCache<()> = SharedTraceCache::new();
-        let health = Arc::new(ServiceHealth::new());
-        let plan = Arc::new(FaultPlan::new(1, FaultConfig::constructor_killer()));
-        let supervisor = SupervisorConfig {
-            max_restarts: 2,
-            backoff_base_ms: 0,
-            backoff_max_ms: 0,
-        };
+        tx.set_faults(Arc::new(FaultPlan::new(
+            1,
+            FaultConfig::constructor_killer(),
+        )));
+        let health = Arc::clone(tx.health());
         let snap = loop_snapshot();
-        for _ in 0..3 {
+        for _ in 0..=MAX_RESTARTS {
             assert!(tx.submit(snap.clone()));
         }
-        let h = Arc::clone(&health);
         let stats = std::thread::scope(|s| {
             let handle = s.spawn(|| {
-                run_supervised_constructor_service(
-                    rx,
-                    &cache,
-                    ConstructorConfig::default(),
-                    supervisor,
-                    &h,
-                    Some(plan),
-                    |_| None,
-                )
+                run_constructor_service(rx, &cache, ConstructorConfig::default(), |_| None)
             });
             handle.join().expect("supervisor itself must not panic")
         });
-        // Kill, restart; kill, restart; kill, restarts exhausted →
-        // degraded, receiver dropped.
+        // Kill and restart MAX_RESTARTS times; the next kill finds the
+        // restarts exhausted → degraded, receiver dropped.
         let hs = health.snapshot();
         assert!(hs.degraded, "service must end degraded: {hs:?}");
-        assert_eq!(hs.restarts, 2);
-        assert_eq!(hs.panics, 3);
-        assert_eq!(hs.batches_poisoned, 3);
+        assert_eq!(hs.restarts, MAX_RESTARTS);
+        assert_eq!(hs.panics, MAX_RESTARTS + 1);
         assert_eq!(stats.jobs, 0, "every batch died before processing");
         assert_eq!(cache.link_count(), 0);
         // Senders now fail fast; the dispatcher defers instead.
         assert!(!tx.submit(snap));
     }
 
+    /// A service that degrades with batches still queued discards them
+    /// with its receiver; their depth and byte gauges must go with them,
+    /// or a session's memory estimate reports phantom snapshots forever.
+    #[test]
+    fn degrading_releases_the_gauges_of_queued_batches() {
+        use crate::faults::{FaultConfig, FaultPlan};
+        let (tx, rx) = construction_channel();
+        let cache: SharedTraceCache<()> = SharedTraceCache::new();
+        tx.set_faults(Arc::new(FaultPlan::new(
+            1,
+            FaultConfig::constructor_killer(),
+        )));
+        let snap = loop_snapshot();
+        for _ in 0..MAX_RESTARTS + 3 {
+            assert!(tx.submit(snap.clone()));
+        }
+        assert!(tx.stats().bytes > 0);
+        let stats = run_constructor_service(rx, &cache, ConstructorConfig::default(), |_| None);
+        assert_eq!(stats.jobs, 0);
+        let hs = tx.health().snapshot();
+        assert!(hs.degraded, "service must end degraded: {hs:?}");
+        assert_eq!(
+            hs.panics,
+            MAX_RESTARTS + 1,
+            "two batches were never received"
+        );
+        let qs = tx.stats();
+        assert_eq!((qs.depth, qs.bytes), (0, 0), "gauges stuck: {qs:?}");
+    }
+
     #[test]
     fn supervised_service_without_faults_builds_normally() {
-        let (tx, rx) = construction_channel(16);
+        let (tx, rx) = construction_channel();
         let cache: SharedTraceCache<()> = SharedTraceCache::new();
-        let health = ServiceHealth::new();
+        let health = Arc::clone(tx.health());
         assert!(tx.submit(loop_snapshot()));
         drop(tx);
-        let stats = run_supervised_constructor_service(
-            rx,
-            &cache,
-            ConstructorConfig::default(),
-            SupervisorConfig::default(),
-            &health,
-            None,
-            |_| None,
-        );
+        let stats = run_constructor_service(rx, &cache, ConstructorConfig::default(), |_| None);
         assert!(stats.jobs == 1 && stats.constructor.links_written > 0);
         assert!(cache.link_count() > 0);
         let hs = health.snapshot();
@@ -955,9 +931,9 @@ mod tests {
 
     #[test]
     fn supervisor_survives_a_real_builder_panic_and_keeps_serving() {
-        let (tx, rx) = construction_channel(16);
+        let (tx, rx) = construction_channel();
         let cache: SharedTraceCache<u32> = SharedTraceCache::new();
-        let health = ServiceHealth::new();
+        let health = Arc::clone(tx.health());
         let snap = loop_snapshot();
         assert!(tx.submit(snap.clone()));
         assert!(tx.submit(snap));
@@ -965,24 +941,12 @@ mod tests {
         // The *build* callback panics on the first batch only — a stand-in
         // for a lowering bug — and the second batch must still be served.
         let mut first = true;
-        let stats = run_supervised_constructor_service(
-            rx,
-            &cache,
-            ConstructorConfig::default(),
-            SupervisorConfig {
-                max_restarts: 3,
-                backoff_base_ms: 0,
-                backoff_max_ms: 0,
-            },
-            &health,
-            None,
-            |blocks| {
-                if std::mem::take(&mut first) {
-                    panic!("lowering bug");
-                }
-                Some(blocks.len() as u32)
-            },
-        );
+        let stats = run_constructor_service(rx, &cache, ConstructorConfig::default(), |blocks| {
+            if std::mem::take(&mut first) {
+                panic!("lowering bug");
+            }
+            Some(blocks.len() as u32)
+        });
         let hs = health.snapshot();
         assert!(!hs.degraded, "one panic must not degrade: {hs:?}");
         assert_eq!((hs.panics, hs.restarts), (1, 1));

@@ -11,7 +11,7 @@
 //! any guard, and at exactly the limit.
 
 use tracecache_repro::bytecode::{BlockId, CmpOp, Program, ProgramBuilder};
-use tracecache_repro::exec::shared::{artifact_builder, shared_session, DEFAULT_QUEUE_CAPACITY};
+use tracecache_repro::exec::shared::{artifact_builder, shared_session};
 use tracecache_repro::exec::{EngineConfig, TracingVm};
 use tracecache_repro::jit::{RunReport, TraceJitConfig};
 use tracecache_repro::tracecache::STREAK_LIMIT;
@@ -257,7 +257,7 @@ fn run_planted(
     args: &[Value],
 ) -> (RunReport, u64, Vec<bool>) {
     let blk = |b: u32| BlockId::new(program.entry(), b);
-    let (cache, session, _rx) = shared_session(DEFAULT_QUEUE_CAPACITY);
+    let (cache, session, _rx) = shared_session();
     let mut build = artifact_builder(program);
     for &((from, to), blocks) in plant {
         let blocks = blocks.iter().map(|&b| blk(b)).collect();
