@@ -121,6 +121,23 @@ if [ "$unwinds" -ne 1 ]; then
     exit 1
 fi
 
+echo "== one bench harness (crates/bench keeps only the legs nothing else measures; one flag parser, one JSON writer)"
+# crates/bench used to carry a hot-path binary whose legs BENCH_interp.json
+# and BENCHMARK.json already measure, a future-work bench repeating
+# interp_speed's legs, a trace-monitor seam only that binary called, a
+# _filtered twin of every entry point and a scale parser per binary. A
+# retired leg or a second copy creeping back in shows up here first.
+if [ -e crates/bench/src/hot_path.rs ] || [ -e crates/bench/src/bin/hot_path.rs ] \
+    || grep -rn 'future_work_speedup\|on_block_with' crates/ src/ tests/ examples/ \
+    || grep -rnE 'fn \w+_filtered' crates/bench/; then
+    echo "a retired bench leg, seam or _filtered twin is back (the files above or the matches above)" >&2
+    exit 1
+fi
+if grep -rnE 'fn parse_scale' crates/ src/ tests/ examples/; then
+    echo "a second scale parser is back (matches above): scale names are parsed by trace_workloads::Scale::parse only" >&2
+    exit 1
+fi
+
 echo "== cargo test (release)"
 cargo test --workspace -q --release
 
@@ -230,19 +247,13 @@ echo "== superinstruction fusion differential (debug: stack/shadow asserts; rele
 cargo test --features debug-invariants -q --test fusion_differential --test fusion_golden
 cargo test -q --release --test fusion_differential
 
-echo "== hot-path bench smoke (test scale)"
-cargo run --release -p trace-bench --bin hot_path -- --smoke --out "$smoke_dir/BENCH_hot_path.smoke.json"
-
-echo "== register-IR bench smoke (scimark, lowered-reg leg must be present)"
-cargo run --release -p trace-bench --bin hot_path -- --smoke --workload scimark \
-    --out "$smoke_dir/BENCH_hot_path.reg.smoke.json"
-grep -q '"lowered-reg"' "$smoke_dir/BENCH_hot_path.reg.smoke.json"
-grep -q '"reg_lowering"' "$smoke_dir/BENCH_hot_path.reg.smoke.json"
-
-echo "== interp-speed bench smoke (test scale; fused leg + fusion stats must be present;"
-echo "   gate: never-entering engine <= 1.5x the decoded loop + bcg.observe, interleaved, min of 5)"
+echo "== interp-speed bench smoke (test scale; fused and lowered-reg legs, fusion and register-lowering"
+echo "   stats must be present; gate: never-entering engine <= 1.5x the decoded loop + bcg.observe,"
+echo "   interleaved, min of 5)"
 cargo run --release -p trace-bench --bin interp_speed -- --smoke --out "$smoke_dir/BENCH_interp.smoke.json"
 grep -q '"fused"' "$smoke_dir/BENCH_interp.smoke.json"
+grep -q '"lowered-reg"' "$smoke_dir/BENCH_interp.smoke.json"
+grep -q '"reg_lowering"' "$smoke_dir/BENCH_interp.smoke.json"
 grep -q '"never-enter"' "$smoke_dir/BENCH_interp.smoke.json"
 grep -q '"fusion"' "$smoke_dir/BENCH_interp.smoke.json"
 grep -q '"dispatches_eliminated"' "$smoke_dir/BENCH_interp.smoke.json"

@@ -3,15 +3,11 @@
 //! This is the straightforward `std::collections::HashMap` +
 //! `Vec<Successor>` BCG exactly as it existed before the hot-path
 //! overhaul: SipHash index, heap-allocated successor lists, allocating
-//! signal drain. It is kept for two jobs:
-//!
-//! * **differential testing** — the workspace tests drive this and
-//!   [`BranchCorrelationGraph`](crate::BranchCorrelationGraph) with the
-//!   same block streams and assert bit-identical signals, node states,
-//!   and successor structure;
-//! * **benchmark baseline** — `hot_path` measures ns/dispatch of both
-//!   in one binary, so the before/after numbers in
-//!   `BENCH_hot_path.json` come from the same build flags.
+//! signal drain. It is kept for one job, differential testing:
+//! `tests/index_differential.rs` drives this and
+//! [`BranchCorrelationGraph`](crate::BranchCorrelationGraph) with the
+//! same block streams and asserts bit-identical signals, node states,
+//! and successor structure.
 //!
 //! The update logic here must NOT be "improved": it is the oracle. Any
 //! behavioural change belongs in `graph.rs`, and the differential tests

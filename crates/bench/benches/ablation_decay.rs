@@ -25,9 +25,6 @@ fn bench_decay_ablation(c: &mut Criterion) {
     let program = phase_change_program(40, 4_000);
 
     let mut group = c.benchmark_group("ablation_decay");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
     group.bench_function("decay_256", |b| {
         b.iter(|| {
             let mut tvm = TraceVm::new(&program, config_with_decay(256));

@@ -13,25 +13,14 @@ use trace_bench::{criterion_group, criterion_main};
 
 use jvm_vm::Vm;
 use trace_bcg::{BcgConfig, BranchCorrelationGraph};
-use trace_bench::parse_scale;
-use trace_workloads::{registry, Scale};
-
-fn scale() -> Scale {
-    std::env::var("TRACE_BENCH_SCALE")
-        .ok()
-        .as_deref()
-        .and_then(parse_scale)
-        .unwrap_or(Scale::Small)
-}
+use trace_bench::bench_scale;
+use trace_workloads::registry;
 
 fn bench_inline_cache(c: &mut Criterion) {
-    let scale = scale();
+    let scale = bench_scale();
     let workloads = registry::all(scale);
 
     let mut group = c.benchmark_group("ablation_inline_cache");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
     for w in &workloads {
         for (label, enabled) in [("cache_on", true), ("cache_off", false)] {
             group.bench_function(format!("{}/{label}", w.name), |b| {

@@ -7,37 +7,23 @@
 //! the unroll factor (0 = bare body, 1 = paper, 2, 4) and reports trace
 //! length, completion rate, and coverage — quantifying the
 //! length-vs-completion trade-off the paper's choice sits on.
-//!
-//! Scale defaults to `small`; set `TRACE_BENCH_SCALE=paper` for the full
-//! runs.
 
 use std::hint::black_box;
 use trace_bench::harness::Criterion;
 use trace_bench::{criterion_group, criterion_main};
 
-use trace_bench::parse_scale;
+use trace_bench::bench_scale;
 use trace_jit::experiment::run_point;
 use trace_jit::TraceJitConfig;
-use trace_workloads::{registry, Scale};
-
-fn scale() -> Scale {
-    std::env::var("TRACE_BENCH_SCALE")
-        .ok()
-        .as_deref()
-        .and_then(parse_scale)
-        .unwrap_or(Scale::Small)
-}
+use trace_workloads::registry;
 
 const UNROLLS: [usize; 4] = [0, 1, 2, 4];
 
 fn bench_unroll(c: &mut Criterion) {
-    let scale = scale();
+    let scale = bench_scale();
     let workloads = registry::all(scale);
 
     let mut group = c.benchmark_group("ablation_unroll");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
     for w in &workloads {
         for unroll in UNROLLS {
             group.bench_function(format!("{}/unroll_{unroll}", w.name), |b| {

@@ -13,26 +13,15 @@ use trace_bench::harness::Criterion;
 use trace_bench::{criterion_group, criterion_main};
 
 use trace_baselines::{run_with_selector, NetSelector, ReplaySelector};
-use trace_bench::parse_scale;
+use trace_bench::bench_scale;
 use trace_jit::{experiment::run_point, TraceJitConfig};
-use trace_workloads::{registry, Scale};
-
-fn scale() -> Scale {
-    std::env::var("TRACE_BENCH_SCALE")
-        .ok()
-        .as_deref()
-        .and_then(parse_scale)
-        .unwrap_or(Scale::Small)
-}
+use trace_workloads::registry;
 
 fn bench_baselines(c: &mut Criterion) {
-    let scale = scale();
+    let scale = bench_scale();
     let workloads = registry::all(scale);
 
     let mut group = c.benchmark_group("baseline_comparison");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
     for w in &workloads {
         group.bench_function(format!("{}/bcg", w.name), |b| {
             b.iter(|| {

@@ -7,9 +7,6 @@
 //! interpreter under (a) no observer, (b) the attached profiler, and
 //! (c) the full trace system, and prints the dispatch-count table that
 //! regenerates the figures' content.
-//!
-//! Scale defaults to `small`; set `TRACE_BENCH_SCALE=paper` for the full
-//! runs.
 
 use std::hint::black_box;
 use trace_bench::harness::Criterion;
@@ -17,26 +14,15 @@ use trace_bench::{criterion_group, criterion_main};
 
 use jvm_vm::{NullObserver, Vm};
 use trace_bcg::BranchCorrelationGraph;
-use trace_bench::parse_scale;
+use trace_bench::bench_scale;
 use trace_jit::{tables, TraceJitConfig, TraceVm};
-use trace_workloads::{registry, Scale};
-
-fn scale() -> Scale {
-    std::env::var("TRACE_BENCH_SCALE")
-        .ok()
-        .as_deref()
-        .and_then(parse_scale)
-        .unwrap_or(Scale::Small)
-}
+use trace_workloads::registry;
 
 fn bench_dispatch_modes(c: &mut Criterion) {
-    let scale = scale();
+    let scale = bench_scale();
     let workloads = registry::all(scale);
 
     let mut group = c.benchmark_group("fig_dispatch_modes");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
     for w in &workloads {
         group.bench_function(format!("{}/interpreter", w.name), |b| {
             b.iter(|| {
@@ -68,7 +54,7 @@ fn bench_dispatch_modes(c: &mut Criterion) {
     group.finish();
 
     // Print the figure's dispatch-count table once.
-    let rows = trace_bench::dispatch_rows(scale);
+    let rows = trace_bench::dispatch_rows(scale, None);
     println!("\n{}", tables::fig_dispatch_modes(&rows).render());
 }
 

@@ -3,9 +3,6 @@
 //! Times the interpreter with and without the profiler attached to every
 //! block dispatch — the two columns of Table VI — and prints the derived
 //! per-million-dispatch overhead table.
-//!
-//! Scale defaults to `small`; set `TRACE_BENCH_SCALE=paper` for the full
-//! runs.
 
 use std::hint::black_box;
 use trace_bench::harness::Criterion;
@@ -13,26 +10,15 @@ use trace_bench::{criterion_group, criterion_main};
 
 use jvm_vm::{NullObserver, Vm};
 use trace_bcg::BranchCorrelationGraph;
-use trace_bench::{overhead_rows, parse_scale};
+use trace_bench::{bench_scale, overhead_rows};
 use trace_jit::{tables, TraceJitConfig};
-use trace_workloads::{registry, Scale};
-
-fn scale() -> Scale {
-    std::env::var("TRACE_BENCH_SCALE")
-        .ok()
-        .as_deref()
-        .and_then(parse_scale)
-        .unwrap_or(Scale::Small)
-}
+use trace_workloads::registry;
 
 fn bench_profiler_overhead(c: &mut Criterion) {
-    let scale = scale();
+    let scale = bench_scale();
     let workloads = registry::all(scale);
 
     let mut group = c.benchmark_group("table6_profiler_overhead");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
     for w in &workloads {
         group.bench_function(format!("{}/no_profiler", w.name), |b| {
             b.iter(|| {
@@ -56,7 +42,7 @@ fn bench_profiler_overhead(c: &mut Criterion) {
     }
     group.finish();
 
-    let rows = overhead_rows(scale, 3);
+    let rows = overhead_rows(scale, 3, None);
     println!("\n{}", tables::table6_profiler_overhead(&rows).render());
 }
 

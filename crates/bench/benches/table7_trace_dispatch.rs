@@ -6,34 +6,20 @@
 //! trace-model dispatch count, giving the predicted percentage overhead.
 //! The bench itself times the full trace VM so the prediction can be
 //! compared against a measured end-to-end run.
-//!
-//! Scale defaults to `small`; set `TRACE_BENCH_SCALE=paper` for the full
-//! runs.
 
 use std::hint::black_box;
 use trace_bench::harness::Criterion;
 use trace_bench::{criterion_group, criterion_main};
 
-use trace_bench::{overhead_rows, parse_scale};
+use trace_bench::{bench_scale, overhead_rows};
 use trace_jit::{tables, TraceJitConfig, TraceVm};
-use trace_workloads::{registry, Scale};
-
-fn scale() -> Scale {
-    std::env::var("TRACE_BENCH_SCALE")
-        .ok()
-        .as_deref()
-        .and_then(parse_scale)
-        .unwrap_or(Scale::Small)
-}
+use trace_workloads::registry;
 
 fn bench_trace_dispatch(c: &mut Criterion) {
-    let scale = scale();
+    let scale = bench_scale();
     let workloads = registry::all(scale);
 
     let mut group = c.benchmark_group("table7_trace_dispatch");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
     for w in &workloads {
         group.bench_function(format!("{}/trace_vm", w.name), |b| {
             b.iter(|| {
@@ -45,7 +31,7 @@ fn bench_trace_dispatch(c: &mut Criterion) {
     }
     group.finish();
 
-    let rows = overhead_rows(scale, 3);
+    let rows = overhead_rows(scale, 3, None);
     println!(
         "\n{}",
         tables::table7_trace_dispatch_overhead(&rows).render()

@@ -4,35 +4,21 @@
 //! rate, signal rate, event interval) exactly as `paper_tables` does,
 //! and times the underlying measurement — one full trace-VM run at the
 //! paper's chosen parameters (97% threshold, delay 64) — per workload.
-//!
-//! Scale defaults to `small`; set `TRACE_BENCH_SCALE=paper` for the full
-//! runs.
 
 use std::hint::black_box;
 use trace_bench::harness::Criterion;
 use trace_bench::{criterion_group, criterion_main};
 
-use trace_bench::{named_delay_sweeps, named_threshold_sweeps, parse_scale};
+use trace_bench::{bench_scale, named_delay_sweeps, named_threshold_sweeps};
 use trace_jit::experiment::run_point;
 use trace_jit::{tables, TraceJitConfig};
-use trace_workloads::{registry, Scale};
-
-fn scale() -> Scale {
-    std::env::var("TRACE_BENCH_SCALE")
-        .ok()
-        .as_deref()
-        .and_then(parse_scale)
-        .unwrap_or(Scale::Small)
-}
+use trace_workloads::registry;
 
 fn bench_tables(c: &mut Criterion) {
-    let scale = scale();
+    let scale = bench_scale();
     let workloads = registry::all(scale);
 
     let mut group = c.benchmark_group("tables_1_to_5");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
     for w in &workloads {
         group.bench_function(format!("{}/run_point_97", w.name), |b| {
             b.iter(|| {
@@ -49,12 +35,12 @@ fn bench_tables(c: &mut Criterion) {
     group.finish();
 
     println!("\n# regenerating Tables I-V at {scale:?} scale…");
-    let sweeps = named_threshold_sweeps(scale);
+    let sweeps = named_threshold_sweeps(scale, None);
     println!("{}", tables::table1_trace_length(&sweeps).render());
     println!("{}", tables::table2_coverage(&sweeps).render());
     println!("{}", tables::table3_completion(&sweeps).render());
     println!("{}", tables::table4_signal_rate(&sweeps).render());
-    let delays = named_delay_sweeps(scale);
+    let delays = named_delay_sweeps(scale, None);
     println!("{}", tables::table5_event_interval(&delays).render());
 }
 

@@ -1,8 +1,6 @@
-//! Multi-VM throughput benchmark driver.
-//!
-//! Runs M worker VMs over every registry workload against private vs
-//! shared trace caches (cold and pre-warmed), prints the scaling table,
-//! and writes `BENCH_concurrent.json` into the current directory.
+//! Multi-VM throughput benchmark driver: runs the legs of
+//! [`trace_bench::concurrent`], prints their tables, and writes
+//! `BENCH_concurrent.json` into the current directory.
 //!
 //! ```text
 //! concurrent [--scale test|small|paper] [--threads N] [--repeats N]
@@ -11,130 +9,55 @@
 //! ```
 //!
 //! `--smoke` is the CI setting: test scale, 2 threads, 1 repeat —
-//! seconds, not minutes. Default is small scale, 8 threads, 3 repeats.
-//! `TRACE_BENCH_SCALE` is honoured when `--scale` is absent, matching
-//! the other benches.
-//!
-//! `--faults SEED` switches to the fault-injection mode: every workload
-//! runs the supervised, payload-budgeted shared deployment under three
-//! deterministic fault profiles (none / standard / constructor-killer)
-//! and the report records eviction, quarantine, and restart counters
-//! plus the throughput retained under faults and in permanently
-//! degraded (interpreter-only) mode.
-//!
-//! `--load-snapshot` runs only the snapshot warm-boot leg (cold start vs
-//! `TracingVm::load_snapshot`, single VM) — the default full run
-//! includes this leg alongside the thread ladder.
-//!
-//! `--phase-shift` runs only the self-healing leg: each phase-shift
-//! workload on a single VM, reporting throughput, streak demotions,
-//! quarantines and re-admissions. The default full run includes this
-//! leg.
+//! seconds, not minutes. Default is small scale (or `TRACE_BENCH_SCALE`),
+//! 8 threads, 3 repeats. The default run measures the thread ladder, the
+//! snapshot warm-boot leg and the phase-shift self-healing leg;
+//! `--load-snapshot` and `--phase-shift` run only one of the last two,
+//! and `--faults SEED` runs the fault-injection mode instead: three
+//! deterministic fault profiles against the supervised, payload-budgeted
+//! shared deployment.
 
-use trace_bench::concurrent;
-use trace_bench::parse_scale;
-use trace_workloads::Scale;
+use trace_bench::{concurrent, write_report, Cli};
 
 fn main() {
-    let mut scale: Option<Scale> = None;
     let mut threads: Option<usize> = None;
-    let mut repeats: Option<usize> = None;
-    let mut workload: Option<String> = None;
-    let mut out = String::from("BENCH_concurrent.json");
-    let mut smoke = false;
     let mut boot_only = false;
     let mut phase_shift_only = false;
     let mut faults: Option<u64> = None;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--scale" => {
-                let v = args.next().unwrap_or_default();
-                scale = Some(parse_scale(&v).unwrap_or_else(|| {
-                    eprintln!("unknown scale '{v}' (use test|small|paper)");
-                    std::process::exit(2);
-                }));
-            }
+    let args = Cli {
+        usage: "concurrent [--scale test|small|paper] [--threads N] [--repeats N] \
+                [--workload NAME] [--smoke] [--faults SEED] [--load-snapshot] \
+                [--phase-shift] [--out PATH]",
+        repeats: Some((3, 1)),
+        out: Some("BENCH_concurrent.json"),
+    }
+    .parse(|flag, rest| {
+        match flag {
             "--threads" => {
-                let v = args.next().unwrap_or_default();
-                threads = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("--threads needs an integer, got '{v}'");
-                    std::process::exit(2);
-                }));
+                let v = rest.next().unwrap_or_default();
+                let n = v.parse();
+                threads = Some(n.map_err(|_| format!("--threads needs an integer, got '{v}'"))?);
             }
-            "--repeats" => {
-                let v = args.next().unwrap_or_default();
-                repeats = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("--repeats needs an integer, got '{v}'");
-                    std::process::exit(2);
-                }));
-            }
-            "--workload" => {
-                let v = args.next().unwrap_or_else(|| {
-                    eprintln!("--workload needs a name");
-                    std::process::exit(2);
-                });
-                if trace_workloads::registry::by_name(&v, Scale::Test).is_none() {
-                    eprintln!("unknown workload '{v}'");
-                    std::process::exit(2);
-                }
-                workload = Some(v);
-            }
-            "--out" => {
-                out = args.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a path");
-                    std::process::exit(2);
-                });
-            }
-            "--smoke" => smoke = true,
-            "--load-snapshot" => boot_only = true,
-            "--phase-shift" => phase_shift_only = true,
             "--faults" => {
-                let v = args.next().unwrap_or_default();
+                let v = rest.next().unwrap_or_default();
                 let digits = v.trim_start_matches("0x").replace('_', "");
                 let parsed = if v.starts_with("0x") {
                     u64::from_str_radix(&digits, 16).ok()
                 } else {
                     digits.parse().ok()
                 };
-                faults = Some(parsed.unwrap_or_else(|| {
-                    eprintln!("--faults needs a seed (decimal or 0x hex), got '{v}'");
-                    std::process::exit(2);
-                }));
+                faults = Some(parsed.ok_or(format!(
+                    "--faults needs a seed (decimal or 0x hex), got '{v}'"
+                ))?);
             }
-            "--help" | "-h" => {
-                println!(
-                    "concurrent [--scale test|small|paper] [--threads N] [--repeats N] \
-                     [--workload NAME] [--smoke] [--faults SEED] [--load-snapshot] \
-                     [--phase-shift] [--out PATH]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                std::process::exit(2);
-            }
+            "--load-snapshot" => boot_only = true,
+            "--phase-shift" => phase_shift_only = true,
+            _ => return Ok(false),
         }
-    }
-
-    let env_scale = std::env::var("TRACE_BENCH_SCALE")
-        .ok()
-        .as_deref()
-        .and_then(parse_scale);
-    let (scale, threads, repeats) = if smoke {
-        (
-            scale.unwrap_or(Scale::Test),
-            threads.unwrap_or(2),
-            repeats.unwrap_or(1),
-        )
-    } else {
-        (
-            scale.or(env_scale).unwrap_or(Scale::Small),
-            threads.unwrap_or(8),
-            repeats.unwrap_or(3),
-        )
-    };
+        Ok(true)
+    });
+    let threads = threads.unwrap_or(if args.smoke { 2 } else { 8 });
+    let (scale, repeats, only) = (args.scale, args.repeats, args.workload.as_deref());
 
     if let Some(seed) = faults {
         // Injected constructor kills are routine here — the supervisor
@@ -152,8 +75,7 @@ fn main() {
                 default_hook(info);
             }
         }));
-        let report =
-            concurrent::run_faults_filtered(scale, threads, repeats, seed, workload.as_deref());
+        let report = concurrent::run_faults(scale, threads, repeats, seed, only);
         print!("{}", report.render());
         let degraded = report.rows.iter().filter(|r| r.degraded).count();
         println!(
@@ -162,23 +84,16 @@ fn main() {
             degraded,
             report.rows.len(),
         );
-        let json = report.to_json();
-        match std::fs::write(&out, &json) {
-            Ok(()) => println!("wrote {out}"),
-            Err(e) => {
-                eprintln!("failed to write {out}: {e}");
-                std::process::exit(1);
-            }
-        }
+        write_report(&args.out, &report.to_json());
         return;
     }
 
     let report = if boot_only {
-        concurrent::run_boot_only(scale, repeats, workload.as_deref())
+        concurrent::run_boot_only(scale, repeats, only)
     } else if phase_shift_only {
-        concurrent::run_phase_shift_only(scale, repeats, workload.as_deref())
+        concurrent::run_phase_shift_only(scale, repeats, only)
     } else {
-        concurrent::run_filtered(scale, threads, repeats, workload.as_deref())
+        concurrent::run(scale, threads, repeats, only)
     };
     print!("{}", report.render());
     if !boot_only && !phase_shift_only {
@@ -191,13 +106,5 @@ fn main() {
             report.host_cpus,
         );
     }
-
-    let json = report.to_json();
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => {
-            eprintln!("failed to write {out}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_report(&args.out, &report.to_json());
 }

@@ -17,93 +17,23 @@
 //! 5 repeats, no gate. `TRACE_BENCH_SCALE` is honoured when `--scale`
 //! is absent, matching the other benches.
 
-use trace_bench::interp_speed;
-use trace_bench::parse_scale;
-use trace_workloads::Scale;
+use trace_bench::{interp_speed, Cli};
 
 fn main() {
-    let mut scale: Option<Scale> = None;
-    let mut repeats: Option<usize> = None;
-    let mut workload: Option<String> = None;
-    let mut out = String::from("BENCH_interp.json");
-    let mut smoke = false;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--scale" => {
-                let v = args.next().unwrap_or_default();
-                scale = Some(parse_scale(&v).unwrap_or_else(|| {
-                    eprintln!("unknown scale '{v}' (use test|small|paper)");
-                    std::process::exit(2);
-                }));
-            }
-            "--repeats" => {
-                let v = args.next().unwrap_or_default();
-                repeats = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("--repeats needs an integer, got '{v}'");
-                    std::process::exit(2);
-                }));
-            }
-            "--workload" => {
-                let v = args.next().unwrap_or_else(|| {
-                    eprintln!("--workload needs a name");
-                    std::process::exit(2);
-                });
-                if trace_workloads::registry::by_name(&v, Scale::Test).is_none() {
-                    eprintln!("unknown workload '{v}'");
-                    std::process::exit(2);
-                }
-                workload = Some(v);
-            }
-            "--out" => {
-                out = args.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a path");
-                    std::process::exit(2);
-                });
-            }
-            "--smoke" => smoke = true,
-            "--help" | "-h" => {
-                println!(
-                    "interp_speed [--scale test|small|paper] [--repeats N] \
-                     [--workload NAME] [--smoke] [--out PATH]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                std::process::exit(2);
-            }
-        }
+    let args = Cli {
+        usage: "interp_speed [--scale test|small|paper] [--repeats N] \
+                [--workload NAME] [--smoke] [--out PATH]",
+        repeats: Some((5, 5)),
+        out: Some("BENCH_interp.json"),
     }
+    .parse(|_, _| Ok(false));
 
-    let env_scale = std::env::var("TRACE_BENCH_SCALE")
-        .ok()
-        .as_deref()
-        .and_then(parse_scale);
-    let (scale, repeats) = if smoke {
-        (scale.unwrap_or(Scale::Test), repeats.unwrap_or(5))
-    } else {
-        (
-            scale.or(env_scale).unwrap_or(Scale::Small),
-            repeats.unwrap_or(5),
-        )
-    };
-
-    let report = interp_speed::run(scale, repeats, workload.as_deref());
+    let report = interp_speed::run(args.scale, args.repeats, args.workload.as_deref());
     print!("{}", report.render());
-
-    let json = report.to_json();
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => {
-            eprintln!("failed to write {out}: {e}");
-            std::process::exit(1);
-        }
-    }
+    trace_bench::write_report(&args.out, &report.to_json());
 
     let worst = report.max_never_enter_ratio();
-    if smoke && worst > interp_speed::NEVER_ENTER_MAX_RATIO {
+    if args.smoke && worst > interp_speed::NEVER_ENTER_MAX_RATIO {
         eprintln!(
             "never-enter engine is {worst:.2}x the loop + observe (bound {:.2}x)",
             interp_speed::NEVER_ENTER_MAX_RATIO

@@ -2,63 +2,45 @@
 //! comparison) over the six workload analogues.
 //!
 //! ```text
-//! paper_tables [--scale test|small|paper] [--table 1|2|3|4|5|6|7|fig|hotpath|all]
+//! paper_tables [--scale test|small|paper] [--table 1|2|3|4|5|6|7|fig|summary|all]
 //!              [--format text|csv] [--workload NAME]
 //! ```
 //!
-//! Defaults: `--scale small --table all`, all six workloads
-//! (`--workload` restricts every regenerated table to one of them). Tables I–IV share one threshold
+//! Defaults: `--scale small` (or `TRACE_BENCH_SCALE`) `--table all`, all
+//! six workloads (`--workload` restricts every regenerated table to one
+//! of them). Tables I–IV share one threshold
 //! sweep (thresholds 100/99/98/97/95% at delay 64); Table V sweeps the
 //! start-state delay (1/64/4096) at the 97% threshold; Tables VI–VII time
 //! the profiler against the unmodified interpreter on this machine.
 
-use std::process::ExitCode;
-
-use trace_bench::{
-    dispatch_rows_filtered, named_delay_sweeps_filtered, named_threshold_sweeps_filtered,
-    overhead_rows_filtered, parse_scale,
-};
+use trace_bench::{dispatch_rows, named_delay_sweeps, named_threshold_sweeps, overhead_rows, Cli};
 use trace_jit::tables;
-use trace_workloads::Scale;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: paper_tables [--scale test|small|paper] [--table 1..7|fig|hotpath|all] \
-         [--format text|csv] [--workload NAME]"
-    );
-    ExitCode::FAILURE
-}
+const TABLES: [&str; 10] = ["all", "1", "2", "3", "4", "5", "6", "7", "fig", "summary"];
 
-fn main() -> ExitCode {
-    let mut scale = Scale::Small;
+fn main() {
     let mut table = "all".to_owned();
-    let mut csv = false;
-    let mut workload: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--scale" => match args.next().as_deref().and_then(parse_scale) {
-                Some(s) => scale = s,
-                None => return usage(),
-            },
-            "--table" => match args.next() {
-                Some(t) => table = t,
-                None => return usage(),
-            },
-            "--format" => match args.next().as_deref() {
-                Some("text") => csv = false,
-                Some("csv") => csv = true,
-                _ => return usage(),
-            },
-            "--workload" => match args.next() {
-                Some(w) if trace_workloads::registry::by_name(&w, Scale::Test).is_some() => {
-                    workload = Some(w)
-                }
-                _ => return usage(),
-            },
-            _ => return usage(),
-        }
+    let mut format = "text".to_owned();
+    let args = Cli {
+        usage: "paper_tables [--scale test|small|paper] [--table 1..7|fig|summary|all] \
+                [--format text|csv] [--workload NAME]",
+        repeats: None,
+        out: None,
     }
+    .parse(|flag, rest| {
+        let (slot, allowed): (&mut String, &[&str]) = match flag {
+            "--table" => (&mut table, &TABLES),
+            "--format" => (&mut format, &["text", "csv"]),
+            _ => return Ok(false),
+        };
+        match rest.next() {
+            Some(v) if allowed.contains(&v.as_str()) => *slot = v,
+            v => return Err(format!("bad {flag} '{}'", v.unwrap_or_default())),
+        }
+        Ok(true)
+    });
+    let csv = format == "csv";
+    let (scale, workload) = (args.scale, args.workload.as_deref());
     let emit = |t: &tables::TextTable| {
         if csv {
             println!("{}", t.render_csv());
@@ -71,25 +53,17 @@ fn main() -> ExitCode {
     let needs_threshold_sweep = ["1", "2", "3", "4"].iter().any(|t| wants(t));
     let needs_overhead = wants("6") || wants("7");
 
-    if ![
-        "all", "1", "2", "3", "4", "5", "6", "7", "fig", "hotpath", "summary",
-    ]
-    .contains(&table.as_str())
-    {
-        return usage();
-    }
-
     eprintln!("# scale: {scale:?}");
 
     if wants("fig") {
         eprintln!("# running paper-default runs for the dispatch figure…");
-        let rows = dispatch_rows_filtered(scale, workload.as_deref());
+        let rows = dispatch_rows(scale, workload);
         emit(&tables::fig_dispatch_modes(&rows));
     }
 
     if needs_threshold_sweep {
         eprintln!("# running threshold sweeps (Tables I-IV)…");
-        let sweeps = named_threshold_sweeps_filtered(scale, workload.as_deref());
+        let sweeps = named_threshold_sweeps(scale, workload);
         if wants("1") {
             emit(&tables::table1_trace_length(&sweeps));
         }
@@ -106,13 +80,13 @@ fn main() -> ExitCode {
 
     if wants("5") {
         eprintln!("# running delay sweeps (Table V)…");
-        let sweeps = named_delay_sweeps_filtered(scale, workload.as_deref());
+        let sweeps = named_delay_sweeps(scale, workload);
         emit(&tables::table5_event_interval(&sweeps));
     }
 
     if needs_overhead {
         eprintln!("# timing profiler overhead (Tables VI-VII)…");
-        let rows = overhead_rows_filtered(scale, 3, workload.as_deref());
+        let rows = overhead_rows(scale, 3, workload);
         if wants("6") {
             emit(&tables::table6_profiler_overhead(&rows));
         }
@@ -121,25 +95,15 @@ fn main() -> ExitCode {
         }
     }
 
-    if wants("hotpath") {
-        eprintln!("# timing hot-path dispatch before/after (BENCH_hot_path.json)…");
-        let report = trace_bench::hot_path::run_filtered(scale, 3, workload.as_deref());
-        print!("{}", report.render());
-        match std::fs::write("BENCH_hot_path.json", report.to_json()) {
-            Ok(()) => eprintln!("# wrote BENCH_hot_path.json"),
-            Err(e) => eprintln!("# could not write BENCH_hot_path.json: {e}"),
-        }
-    }
-
     if table == "summary" {
         eprintln!("# running paper-vs-measured summary…");
-        let sweeps = named_threshold_sweeps_filtered(scale, workload.as_deref());
+        let sweeps = named_threshold_sweeps(scale, workload);
         let avg = |f: &dyn Fn(&trace_jit::RunReport) -> f64, row: usize| -> f64 {
             let vals: Vec<f64> = sweeps.iter().map(|(_, pts)| f(&pts[row].report)).collect();
             vals.iter().sum::<f64>() / vals.len() as f64
         };
         // Row 3 of the sweep grid is the 97% threshold.
-        let overheads = overhead_rows_filtered(scale, 3, workload.as_deref());
+        let overheads = overhead_rows(scale, 3, workload);
         let oh_avg = overheads
             .iter()
             .map(|(_, m)| m.expected_trace_overhead_pct())
@@ -183,6 +147,4 @@ fn main() -> ExitCode {
         ]);
         emit(&t);
     }
-
-    ExitCode::SUCCESS
 }

@@ -38,6 +38,9 @@ use trace_cache::QueueStats;
 use trace_exec::{run_shared_constructor, shared_session, EngineConfig, SharedSession, TracingVm};
 use trace_workloads::registry::{self, Scale, Workload};
 
+use crate::json::{fixed, Json};
+use crate::{select, workloads};
+
 /// Shared-mode observability attached to a measurement point.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SharedPoint {
@@ -74,6 +77,30 @@ pub struct ModePoint {
     pub shared: Option<SharedPoint>,
 }
 
+impl ModePoint {
+    fn json(&self) -> Json {
+        let mut fields = vec![
+            ("threads", self.threads.into()),
+            ("wall_s", fixed(self.wall_s, 6)),
+            ("instructions", self.instructions.into()),
+            ("instr_per_s", fixed(self.instr_per_s, 1)),
+            ("traces_entered", self.traces_entered.into()),
+        ];
+        if let Some(sh) = &self.shared {
+            fields.extend([
+                ("dedup_hit_rate", fixed(sh.dedup_hit_rate, 4)),
+                ("traces", sh.traces.into()),
+                ("links", sh.links.into()),
+                ("built", sh.built.into()),
+                ("queue_max_depth", sh.queue.max_depth.into()),
+                ("queue_dropped", sh.queue.dropped.into()),
+                ("memory_bytes", sh.memory_bytes.into()),
+            ]);
+        }
+        Json::Obj(fields)
+    }
+}
+
 /// One workload's scaling curves.
 #[derive(Debug, Clone)]
 pub struct ConcurrentRow {
@@ -87,37 +114,33 @@ pub struct ConcurrentRow {
     pub shared_warm: Vec<ModePoint>,
 }
 
-impl ConcurrentRow {
-    fn mode(&self, mode: &str) -> &[ModePoint] {
-        match mode {
-            "private" => &self.private,
-            "shared_cold" => &self.shared_cold,
-            "shared_warm" => &self.shared_warm,
-            other => panic!("unknown mode {other}"),
-        }
-    }
+/// Aggregate throughput of the point of `pts` at `threads`.
+fn throughput(pts: &[ModePoint], threads: usize) -> Option<f64> {
+    pts.iter()
+        .find(|p| p.threads == threads)
+        .map(|p| p.instr_per_s)
+}
 
-    /// Aggregate-throughput scaling of `mode` at `threads` relative to
-    /// one thread of the same mode (1.0 = no scaling).
-    pub fn scaling(&self, mode: &str, threads: usize) -> Option<f64> {
-        let pts = self.mode(mode);
-        let one = pts.iter().find(|p| p.threads == 1)?;
-        let at = pts.iter().find(|p| p.threads == threads)?;
-        if one.instr_per_s == 0.0 {
-            return None;
-        }
-        Some(at.instr_per_s / one.instr_per_s)
+/// `a / b`; `None` when `b` is 0.
+fn ratio(a: f64, b: f64) -> Option<f64> {
+    (b != 0.0).then(|| a / b)
+}
+
+impl ConcurrentRow {
+    /// Shared-cold aggregate throughput at `threads` relative to one
+    /// thread (1.0 = no scaling).
+    pub fn scaling(&self, threads: usize) -> Option<f64> {
+        let pts = &self.shared_cold;
+        ratio(throughput(pts, threads)?, throughput(pts, 1)?)
     }
 
     /// Warm-vs-cold startup win at `threads`: warm aggregate throughput
     /// over cold aggregate throughput.
     pub fn warm_speedup(&self, threads: usize) -> Option<f64> {
-        let cold = self.shared_cold.iter().find(|p| p.threads == threads)?;
-        let warm = self.shared_warm.iter().find(|p| p.threads == threads)?;
-        if cold.instr_per_s == 0.0 {
-            return None;
-        }
-        Some(warm.instr_per_s / cold.instr_per_s)
+        ratio(
+            throughput(&self.shared_warm, threads)?,
+            throughput(&self.shared_cold, threads)?,
+        )
     }
 }
 
@@ -140,6 +163,19 @@ pub struct BootPoint {
     pub traces_constructed: u64,
     /// Traces entered during the run.
     pub traces_entered: u64,
+}
+
+impl BootPoint {
+    fn json(&self) -> Json {
+        Json::Obj(vec![
+            ("wall_s", fixed(self.wall_s, 6)),
+            ("instructions", self.instructions.into()),
+            ("instr_per_s", fixed(self.instr_per_s, 1)),
+            ("first_entry_dispatch", self.first_entry_dispatch.into()),
+            ("traces_constructed", self.traces_constructed.into()),
+            ("traces_entered", self.traces_entered.into()),
+        ])
+    }
 }
 
 /// One workload's cold vs warm-boot comparison.
@@ -209,6 +245,19 @@ pub struct ConcurrentReport {
 }
 
 impl ConcurrentReport {
+    /// A report of `scale` and `repeats` with no leg measured yet.
+    fn new(scale: Scale, repeats: usize) -> Self {
+        ConcurrentReport {
+            scale,
+            repeats,
+            threads: Vec::new(),
+            host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            rows: Vec::new(),
+            warm_boot: Vec::new(),
+            phase_shift: Vec::new(),
+        }
+    }
+
     /// Workloads whose shared-cold run at `threads` deduped at least one
     /// trace across VMs.
     pub fn dedup_observed(&self, threads: usize) -> usize {
@@ -224,139 +273,69 @@ impl ConcurrentReport {
             .count()
     }
 
-    /// Serialises the report as JSON (hand-rolled: the workspace has no
-    /// serde and the shape is fixed).
+    /// The report as `BENCH_concurrent.json`.
     pub fn to_json(&self) -> String {
-        fn point(p: &ModePoint) -> String {
-            let mut s = format!(
-                "{{\"threads\": {}, \"wall_s\": {:.6}, \"instructions\": {}, \
-                 \"instr_per_s\": {:.1}, \"traces_entered\": {}",
-                p.threads, p.wall_s, p.instructions, p.instr_per_s, p.traces_entered
-            );
-            if let Some(sh) = &p.shared {
-                s.push_str(&format!(
-                    ", \"dedup_hit_rate\": {:.4}, \"traces\": {}, \"links\": {}, \
-                     \"built\": {}, \"queue_max_depth\": {}, \"queue_dropped\": {}, \
-                     \"memory_bytes\": {}",
-                    sh.dedup_hit_rate,
-                    sh.traces,
-                    sh.links,
-                    sh.built,
-                    sh.queue.max_depth,
-                    sh.queue.dropped,
-                    sh.memory_bytes
-                ));
-            }
-            s.push('}');
-            s
-        }
-        fn mode(points: &[ModePoint]) -> String {
-            let inner: Vec<String> = points.iter().map(point).collect();
-            format!("[{}]", inner.join(", "))
-        }
-
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"scale\": \"{:?}\",\n", self.scale));
-        out.push_str(&format!("  \"repeats\": {},\n", self.repeats));
-        out.push_str(&format!("  \"host_cpus\": {},\n", self.host_cpus));
-        out.push_str(&format!(
-            "  \"queue_capacity\": {},\n",
-            trace_cache::QUEUE_CAPACITY
-        ));
-        let ts: Vec<String> = self.threads.iter().map(|t| t.to_string()).collect();
-        out.push_str(&format!("  \"thread_counts\": [{}],\n", ts.join(", ")));
-        out.push_str("  \"workloads\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            out.push_str(&format!("    {{\"name\": \"{}\",\n", r.name));
-            out.push_str(&format!("     \"private\": {},\n", mode(&r.private)));
-            out.push_str(&format!(
-                "     \"shared_cold\": {},\n",
-                mode(&r.shared_cold)
-            ));
-            out.push_str(&format!(
-                "     \"shared_warm\": {}}}{}\n",
-                mode(&r.shared_warm),
-                {
-                    if i + 1 == self.rows.len() {
-                        ""
-                    } else {
-                        ","
-                    }
-                }
-            ));
-        }
-        out.push_str("  ],\n");
-        fn boot_point(p: &BootPoint) -> String {
-            format!(
-                "{{\"wall_s\": {:.6}, \"instructions\": {}, \"instr_per_s\": {:.1}, \
-                 \"first_entry_dispatch\": {}, \"traces_constructed\": {}, \
-                 \"traces_entered\": {}}}",
-                p.wall_s,
-                p.instructions,
-                p.instr_per_s,
-                p.first_entry_dispatch,
-                p.traces_constructed,
-                p.traces_entered
-            )
-        }
-        out.push_str("  \"warm_boot\": [\n");
-        for (i, r) in self.warm_boot.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"snapshot_bytes\": {}, \"boot_traces\": {}, \
-                 \"boot_artifacts\": {},\n     \"cold\": {},\n     \
-                 \"warm_boot\": {}}}{}\n",
-                r.name,
-                r.snapshot_bytes,
-                r.boot_traces,
-                r.boot_artifacts,
-                boot_point(&r.cold),
-                boot_point(&r.warm),
-                if i + 1 == self.warm_boot.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"phase_shift\": [\n");
-        for (i, r) in self.phase_shift.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"instr_per_s\": {:.1}, \"demotions\": {}, \
-                 \"quarantined\": {}, \"readmissions\": {}}}{}\n",
-                r.name,
-                r.instr_per_s,
-                r.demotions,
-                r.quarantined,
-                r.readmissions,
-                if i + 1 == self.phase_shift.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let workloads = self.rows.iter().map(|r| {
+            let mode = |pts: &[ModePoint]| pts.iter().map(ModePoint::json).collect();
+            Json::Obj(vec![
+                ("name", r.name.into()),
+                ("private", mode(&r.private)),
+                ("shared_cold", mode(&r.shared_cold)),
+                ("shared_warm", mode(&r.shared_warm)),
+            ])
+        });
+        let warm_boot = self.warm_boot.iter().map(|r| {
+            Json::Obj(vec![
+                ("name", r.name.into()),
+                ("snapshot_bytes", r.snapshot_bytes.into()),
+                ("boot_traces", r.boot_traces.into()),
+                ("boot_artifacts", r.boot_artifacts.into()),
+                ("cold", r.cold.json()),
+                ("warm_boot", r.warm.json()),
+            ])
+        });
+        let phase_shift = self.phase_shift.iter().map(|r| {
+            Json::Obj(vec![
+                ("name", r.name.into()),
+                ("instr_per_s", fixed(r.instr_per_s, 1)),
+                ("demotions", r.demotions.into()),
+                ("quarantined", r.quarantined.into()),
+                ("readmissions", r.readmissions.into()),
+            ])
+        });
+        Json::Obj(vec![
+            ("scale", format!("{:?}", self.scale).into()),
+            ("repeats", self.repeats.into()),
+            ("host_cpus", self.host_cpus.into()),
+            ("queue_capacity", trace_cache::QUEUE_CAPACITY.into()),
+            ("thread_counts", self.threads.iter().copied().collect()),
+            ("workloads", workloads.collect()),
+            ("warm_boot", warm_boot.collect()),
+            ("phase_shift", phase_shift.collect()),
+        ])
+        .render()
     }
 
     /// Renders an aligned text table for terminals and EXPERIMENTS.md.
     pub fn render(&self) -> String {
+        let mut sections = Vec::new();
+        if !self.rows.is_empty() {
+            sections.push(self.render_ladder());
+        }
+        if !self.warm_boot.is_empty() {
+            sections.push(self.render_warm_boot());
+        }
+        if !self.phase_shift.is_empty() {
+            sections.push(self.render_phase_shift());
+        }
+        sections.join("\n")
+    }
+
+    /// Renders the thread-ladder table: private, shared-cold and
+    /// shared-warm throughput per thread count.
+    fn render_ladder(&self) -> String {
         let max_t = self.threads.iter().copied().max().unwrap_or(1);
         let mut out = String::new();
-        if self.rows.is_empty() {
-            if !self.warm_boot.is_empty() {
-                out.push_str(&self.render_warm_boot());
-            }
-            if !self.phase_shift.is_empty() {
-                if !out.is_empty() {
-                    out.push('\n');
-                }
-                out.push_str(&self.render_phase_shift());
-            }
-            return out;
-        }
         out.push_str(&format!(
             "Concurrent trace serving, aggregate Minstr/s (scale {:?}, min of {} runs, {} host CPUs)\n",
             self.scale, self.repeats, self.host_cpus
@@ -375,11 +354,7 @@ impl ConcurrentReport {
         ));
         for r in &self.rows {
             for (i, &t) in self.threads.iter().enumerate() {
-                let get = |pts: &[ModePoint]| {
-                    pts.iter()
-                        .find(|p| p.threads == t)
-                        .map_or(0.0, |p| p.instr_per_s / 1e6)
-                };
+                let get = |pts: &[ModePoint]| throughput(pts, t).unwrap_or(0.0) / 1e6;
                 let sh = r
                     .shared_cold
                     .iter()
@@ -393,7 +368,7 @@ impl ConcurrentReport {
                     get(&r.private),
                     get(&r.shared_cold),
                     get(&r.shared_warm),
-                    r.scaling("shared_cold", t).unwrap_or(0.0),
+                    r.scaling(t).unwrap_or(0.0),
                     sh.dedup_hit_rate * 100.0,
                     sh.queue.max_depth,
                     sh.queue.dropped,
@@ -405,14 +380,6 @@ impl ConcurrentReport {
                     "", max_t, w
                 ));
             }
-        }
-        if !self.warm_boot.is_empty() {
-            out.push('\n');
-            out.push_str(&self.render_warm_boot());
-        }
-        if !self.phase_shift.is_empty() {
-            out.push('\n');
-            out.push_str(&self.render_phase_shift());
         }
         out
     }
@@ -659,19 +626,10 @@ fn measure_boot(
 /// Measures the snapshot warm-boot leg for every registry workload at
 /// `scale`: one private VM is warmed and snapshotted, then cold and
 /// warm-boot starts are compared over `repeats`.
-pub fn run_warm_boot_filtered(
-    scale: Scale,
-    repeats: usize,
-    only: Option<&str>,
-) -> Vec<WarmBootRow> {
+pub fn run_warm_boot(scale: Scale, repeats: usize, only: Option<&str>) -> Vec<WarmBootRow> {
     let config = EngineConfig::paper_default();
     let mut rows = Vec::new();
-    for w in registry::all(scale) {
-        if let Some(name) = only {
-            if w.name != name {
-                continue;
-            }
-        }
+    for w in workloads(scale, only) {
         let mut warming = TracingVm::new(&w.program, config);
         warming.run(&w.args).expect("warming run");
         let snapshot = warming.snapshot();
@@ -712,24 +670,14 @@ fn phase_shift_config() -> EngineConfig {
 /// Measures the phase-shift self-healing leg for every phase-shift
 /// variant at `scale`: one VM per repeat, best of `repeats`, checksums
 /// asserted on every run.
-pub fn run_phase_shift_filtered(
-    scale: Scale,
-    repeats: usize,
-    only: Option<&str>,
-) -> Vec<PhaseShiftRow> {
-    use trace_workloads::registry::{phase_shift, phase_shift_early, phase_shift_late};
-
+pub fn run_phase_shift(scale: Scale, repeats: usize, only: Option<&str>) -> Vec<PhaseShiftRow> {
+    let variants = vec![
+        registry::phase_shift(scale),
+        registry::phase_shift_early(scale),
+        registry::phase_shift_late(scale),
+    ];
     let mut rows = Vec::new();
-    for w in [
-        phase_shift(scale),
-        phase_shift_early(scale),
-        phase_shift_late(scale),
-    ] {
-        if let Some(name) = only {
-            if w.name != name {
-                continue;
-            }
-        }
+    for w in select(variants, only) {
         let mut best: Option<(f64, PhaseShiftRow)> = None;
         for _ in 0..repeats.max(1) {
             let mut vm = TracingVm::new(&w.program, phase_shift_config());
@@ -762,13 +710,8 @@ pub fn run_phase_shift_filtered(
 /// self-healing leg, no thread ladder, no warm boot.
 pub fn run_phase_shift_only(scale: Scale, repeats: usize, only: Option<&str>) -> ConcurrentReport {
     ConcurrentReport {
-        scale,
-        repeats,
-        threads: Vec::new(),
-        host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        rows: Vec::new(),
-        warm_boot: Vec::new(),
-        phase_shift: run_phase_shift_filtered(scale, repeats, only),
+        phase_shift: run_phase_shift(scale, repeats, only),
+        ..ConcurrentReport::new(scale, repeats)
     }
 }
 
@@ -776,27 +719,18 @@ pub fn run_phase_shift_only(scale: Scale, repeats: usize, only: Option<&str>) ->
 /// warm-boot leg, no thread ladder.
 pub fn run_boot_only(scale: Scale, repeats: usize, only: Option<&str>) -> ConcurrentReport {
     ConcurrentReport {
-        scale,
-        repeats,
-        threads: Vec::new(),
-        host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        rows: Vec::new(),
-        warm_boot: run_warm_boot_filtered(scale, repeats, only),
-        phase_shift: Vec::new(),
+        warm_boot: run_warm_boot(scale, repeats, only),
+        ..ConcurrentReport::new(scale, repeats)
     }
 }
 
 /// Thread counts measured (clipped to `max_threads`).
 pub const THREAD_LADDER: [usize; 4] = [1, 2, 4, 8];
 
-/// Measures every registry workload at `scale` across the thread ladder
-/// up to `max_threads`.
-pub fn run(scale: Scale, max_threads: usize, repeats: usize) -> ConcurrentReport {
-    run_filtered(scale, max_threads, repeats, None)
-}
-
-/// Like [`run`], optionally restricted to a single workload name.
-pub fn run_filtered(
+/// Measures every registry workload at `scale` (or only the one named
+/// `only`) across the thread ladder up to `max_threads`, then the warm-boot
+/// and phase-shift legs.
+pub fn run(
     scale: Scale,
     max_threads: usize,
     repeats: usize,
@@ -808,14 +742,8 @@ pub fn run_filtered(
         .copied()
         .filter(|&t| t <= max_threads.max(1))
         .collect();
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut rows = Vec::new();
-    for w in registry::all(scale) {
-        if let Some(name) = only {
-            if w.name != name {
-                continue;
-            }
-        }
+    for w in workloads(scale, only) {
         let mut row = ConcurrentRow {
             name: w.name,
             private: Vec::new(),
@@ -832,13 +760,11 @@ pub fn run_filtered(
         rows.push(row);
     }
     ConcurrentReport {
-        scale,
-        repeats,
         threads,
-        host_cpus,
         rows,
-        warm_boot: run_warm_boot_filtered(scale, repeats, only),
-        phase_shift: run_phase_shift_filtered(scale, repeats, only),
+        warm_boot: run_warm_boot(scale, repeats, only),
+        phase_shift: run_phase_shift(scale, repeats, only),
+        ..ConcurrentReport::new(scale, repeats)
     }
 }
 
@@ -885,19 +811,13 @@ impl FaultRow {
     /// Throughput retained under the standard fault plan relative to the
     /// clean supervised baseline (1.0 = no overhead).
     pub fn faulted_retention(&self) -> f64 {
-        if self.clean_instr_per_s == 0.0 {
-            return 0.0;
-        }
-        self.faulted_instr_per_s / self.clean_instr_per_s
+        ratio(self.faulted_instr_per_s, self.clean_instr_per_s).unwrap_or(0.0)
     }
 
     /// Throughput retained in permanently degraded (interpreter-only)
     /// mode relative to the clean supervised baseline.
     pub fn degraded_retention(&self) -> f64 {
-        if self.clean_instr_per_s == 0.0 {
-            return 0.0;
-        }
-        self.degraded_instr_per_s / self.clean_instr_per_s
+        ratio(self.degraded_instr_per_s, self.clean_instr_per_s).unwrap_or(0.0)
     }
 }
 
@@ -919,46 +839,36 @@ pub struct FaultReport {
 }
 
 impl FaultReport {
-    /// Serialises the fault report as JSON (hand-rolled, like
-    /// [`ConcurrentReport::to_json`]).
+    /// The fault report as `BENCH_concurrent.json`.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"scale\": \"{:?}\",\n", self.scale));
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(&format!("  \"repeats\": {},\n", self.repeats));
-        out.push_str(&format!("  \"fault_seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"budget_bytes\": {},\n", self.budget_bytes));
-        out.push_str("  \"workloads\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"clean_instr_per_s\": {:.1}, \
-                 \"faulted_instr_per_s\": {:.1}, \"degraded_instr_per_s\": {:.1}, \
-                 \"faulted_retention\": {:.4}, \"degraded_retention\": {:.4}, \
-                 \"faults_fired\": {}, \"traces_evicted\": {}, \"links_evicted\": {}, \
-                 \"traces_quarantined\": {}, \"quarantine_rejected\": {}, \
-                 \"budget_overruns\": {}, \"restarts\": {}, \"panics\": {}, \
-                 \"degraded\": {}}}{}\n",
-                r.name,
-                r.clean_instr_per_s,
-                r.faulted_instr_per_s,
-                r.degraded_instr_per_s,
-                r.faulted_retention(),
-                r.degraded_retention(),
-                r.faults_fired,
-                r.traces_evicted,
-                r.links_evicted,
-                r.traces_quarantined,
-                r.quarantine_rejected,
-                r.budget_overruns,
-                r.restarts,
-                r.panics,
-                r.degraded,
-                if i + 1 == self.rows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let rows = self.rows.iter().map(|r| {
+            Json::Obj(vec![
+                ("name", r.name.into()),
+                ("clean_instr_per_s", fixed(r.clean_instr_per_s, 1)),
+                ("faulted_instr_per_s", fixed(r.faulted_instr_per_s, 1)),
+                ("degraded_instr_per_s", fixed(r.degraded_instr_per_s, 1)),
+                ("faulted_retention", fixed(r.faulted_retention(), 4)),
+                ("degraded_retention", fixed(r.degraded_retention(), 4)),
+                ("faults_fired", r.faults_fired.into()),
+                ("traces_evicted", r.traces_evicted.into()),
+                ("links_evicted", r.links_evicted.into()),
+                ("traces_quarantined", r.traces_quarantined.into()),
+                ("quarantine_rejected", r.quarantine_rejected.into()),
+                ("budget_overruns", r.budget_overruns.into()),
+                ("restarts", r.restarts.into()),
+                ("panics", r.panics.into()),
+                ("degraded", r.degraded.into()),
+            ])
+        });
+        Json::Obj(vec![
+            ("scale", format!("{:?}", self.scale).into()),
+            ("threads", self.threads.into()),
+            ("repeats", self.repeats.into()),
+            ("fault_seed", self.seed.into()),
+            ("budget_bytes", self.budget_bytes.into()),
+            ("workloads", rows.collect()),
+        ])
+        .render()
     }
 
     /// Renders an aligned text table for terminals and EXPERIMENTS.md.
@@ -1060,16 +970,11 @@ fn measure_faulted(
     (best_instr as f64 / best_wall.max(f64::MIN_POSITIVE), best)
 }
 
-/// Measures every registry workload under the three fault profiles at a
-/// single thread count. The clean profile uses the same supervised,
-/// budgeted deployment (so retention numbers isolate the *faults*, not
-/// the supervision machinery).
-pub fn run_faults(scale: Scale, threads: usize, repeats: usize, seed: u64) -> FaultReport {
-    run_faults_filtered(scale, threads, repeats, seed, None)
-}
-
-/// Like [`run_faults`], optionally restricted to a single workload name.
-pub fn run_faults_filtered(
+/// Measures every registry workload (or only the one named `only`) under
+/// the three fault profiles at a single thread count. The clean profile
+/// uses the same supervised, budgeted deployment (so retention numbers
+/// isolate the *faults*, not the supervision machinery).
+pub fn run_faults(
     scale: Scale,
     threads: usize,
     repeats: usize,
@@ -1082,11 +987,11 @@ pub fn run_faults_filtered(
     let config = EngineConfig::paper_default();
     let m = threads.max(1);
     let mut rows = Vec::new();
+    // Seeds follow registry order, so a workload measured alone meets the
+    // faults it meets in the full run.
     for (k, w) in registry::all(scale).iter().enumerate() {
-        if let Some(name) = only {
-            if w.name != name {
-                continue;
-            }
+        if only.is_some_and(|n| w.name != n) {
+            continue;
         }
         let ws = seed_stream(seed, k as u64);
         let (clean_ips, _) = measure_faulted(w, config, m, repeats, FaultConfig::none(), ws);
@@ -1125,7 +1030,7 @@ mod tests {
 
     #[test]
     fn two_thread_smoke_measures_all_modes_and_checks_checksums() {
-        let report = run_filtered(Scale::Test, 2, 1, Some("compress"));
+        let report = run(Scale::Test, 2, 1, Some("compress"));
         assert_eq!(report.rows.len(), 1);
         let row = &report.rows[0];
         assert_eq!(row.private.len(), 2);
@@ -1157,7 +1062,7 @@ mod tests {
         // profile must end permanently degraded with zero constructed
         // traces surviving, while every worker checksum still matched
         // (run_workers asserts them). The report carries the counters.
-        let report = run_faults_filtered(Scale::Test, 2, 1, 0xFA17_BE4C, Some("compress"));
+        let report = run_faults(Scale::Test, 2, 1, 0xFA17_BE4C, Some("compress"));
         assert_eq!(report.rows.len(), 1);
         let row = &report.rows[0];
         assert!(row.clean_instr_per_s > 0.0);
@@ -1236,8 +1141,7 @@ mod tests {
             shared_cold: vec![mk(1, 10.0), mk(4, 25.0)],
             shared_warm: vec![mk(1, 12.0), mk(4, 40.0)],
         };
-        assert_eq!(row.scaling("private", 4), Some(3.0));
-        assert_eq!(row.scaling("shared_cold", 4), Some(2.5));
+        assert_eq!(row.scaling(4), Some(2.5));
         assert_eq!(row.warm_speedup(4), Some(40.0 / 25.0));
     }
 }

@@ -9,35 +9,29 @@
 //! [`criterion_main!`] macros re-exported from this crate, keeping the
 //! bench sources byte-for-byte familiar.
 //!
-//! Methodology: each `iter` closure is run once as warm-up, then
-//! `sample_size` timed runs; the reported number is the **minimum**
-//! (the standard estimator for deterministic workloads — all noise is
-//! positive) alongside the mean. `TRACE_BENCH_SAMPLES` overrides every
-//! group's sample size, which CI uses to smoke the benches cheaply.
+//! Methodology: each `iter` closure is run once as warm-up, then 10
+//! timed runs; the reported number is the **minimum** (the standard
+//! estimator for deterministic workloads — all noise is positive)
+//! alongside the mean. `TRACE_BENCH_SAMPLES` sets the number of timed
+//! runs, which CI uses to smoke the benches cheaply.
 
 use std::time::{Duration, Instant};
 
 /// Top-level harness handle, playing Criterion's role.
 #[derive(Debug, Default)]
-pub struct Criterion {
-    _private: (),
-}
+pub struct Criterion;
 
 impl Criterion {
     /// Starts a named group of related measurements.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup {
         BenchmarkGroup {
             name: name.into(),
-            sample_size: env_samples().unwrap_or(10),
+            sample_size: std::env::var("TRACE_BENCH_SAMPLES")
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .map_or(10, |n: usize| n.max(1)),
         }
     }
-}
-
-fn env_samples() -> Option<usize> {
-    std::env::var("TRACE_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .map(|n: usize| n.max(1))
 }
 
 /// A named group of measurements sharing sampling settings.
@@ -48,25 +42,6 @@ pub struct BenchmarkGroup {
 }
 
 impl BenchmarkGroup {
-    /// Sets how many timed runs each measurement takes (min 1).
-    /// `TRACE_BENCH_SAMPLES` in the environment wins over this.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = env_samples().unwrap_or(n.max(1));
-        self
-    }
-
-    /// Accepted for source compatibility; warm-up is always exactly one
-    /// untimed run of the closure.
-    pub fn warm_up_time(&mut self, _d: Duration) -> &mut Self {
-        self
-    }
-
-    /// Accepted for source compatibility; the measurement budget is
-    /// `sample_size` runs, not a wall-clock target.
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
-        self
-    }
-
     /// Times one closure and prints a `min / mean` line for it.
     pub fn bench_function(
         &mut self,

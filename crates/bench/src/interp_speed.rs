@@ -7,7 +7,7 @@
 //! block-entry markers, frame arena, verifier-backed unchecked stack
 //! ops) on every registry workload.
 //!
-//! Methodology matches `hot_path`: both sides execute the *identical*
+//! Methodology: every leg executes the *identical*
 //! semantic work (asserted — same instruction count, same dispatch
 //! count, same checksum), each number is the minimum over `repeats`
 //! timed runs after one untimed warm-up, and output capture is off so
@@ -15,8 +15,8 @@
 //!
 //! * **ns/instruction** — wall time over executed bytecode instructions,
 //!   the headline per-dispatch cost model number (DESIGN.md);
-//! * **ns/dispatch** — wall time over basic-block dispatches, comparable
-//!   with the `hot_path` profiler numbers.
+//! * **ns/dispatch** — wall time over basic-block dispatches, the unit
+//!   of the paper's per-dispatch profiler cost (Tables VI–VII).
 //!
 //! The report also carries the decoded-code and frame-arena byte
 //! footprints, since the decoded form trades memory for dispatch speed.
@@ -28,7 +28,8 @@
 //!   block visits, selection picks the patterns that clear the default
 //!   thresholds, and the timed passes execute the quickened stream;
 //! * a **lowered-reg** leg (warm [`TracingVm`], register-lowered
-//!   traces);
+//!   traces), with the lowering's shape counters ([`RegStats`]) of the
+//!   traces that engine compiled;
 //! * an **observe** / **never-enter** pair — the decoded `Vm` driving
 //!   `bcg.observe` from a closure observer, against a `TracingVm` whose
 //!   start delay is so long that no trace is ever built. Both execute
@@ -53,9 +54,11 @@ use jvm_vm::{
     VmConfig,
 };
 use trace_bcg::BranchCorrelationGraph;
-use trace_exec::{EngineConfig, TracingVm};
+use trace_exec::{EngineConfig, RegStats, TracingVm};
 use trace_jit::TraceJitConfig;
-use trace_workloads::registry::{self, Scale, Workload};
+use trace_workloads::registry::{Scale, Workload};
+
+use crate::json::{fixed, Json};
 
 /// CI bound on [`InterpRow::never_enter_ratio`]: the engine's
 /// out-of-trace path is the decoded loop itself, so a never-entering
@@ -87,8 +90,16 @@ pub struct FusionStats {
     pub selected: Vec<&'static str>,
 }
 
+/// Percentage by which `new` is below `base` (0 when `base` is 0).
+fn reduction_pct(new: f64, base: f64) -> f64 {
+    if base == 0.0 {
+        return 0.0;
+    }
+    (1.0 - new / base) * 100.0
+}
+
 /// One workload's timings (all minima over the repeat count).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct InterpRow {
     /// Workload name (registry name).
     pub name: String,
@@ -127,46 +138,27 @@ pub struct InterpRow {
     pub decoded_memory: DecodedMemory,
     /// Frame-arena slab footprint after the runs (bytes).
     pub arena_bytes: usize,
+    /// Register-lowering counters of the lowered-reg engine's traces.
+    pub reg: RegStats,
 }
 
 impl InterpRow {
     /// Percentage reduction in ns/instruction (positive = decoded
     /// engine faster).
     pub fn improvement_pct(&self) -> f64 {
-        if self.reference_ns_per_instr == 0.0 {
-            return 0.0;
-        }
-        (1.0 - self.decoded_ns_per_instr / self.reference_ns_per_instr) * 100.0
+        reduction_pct(self.decoded_ns_per_instr, self.reference_ns_per_instr)
     }
 
-    /// Reference interpreter, ns per block dispatch.
-    pub fn reference_ns_per_dispatch(&self) -> f64 {
-        self.reference_ns_per_instr * self.instructions as f64 / self.dispatches.max(1) as f64
-    }
-
-    /// Decoded engine, ns per block dispatch.
-    pub fn decoded_ns_per_dispatch(&self) -> f64 {
-        self.decoded_ns_per_instr * self.instructions as f64 / self.dispatches.max(1) as f64
-    }
-
-    /// Fused decoded engine, ns per block dispatch.
-    pub fn fused_ns_per_dispatch(&self) -> f64 {
-        self.fused_ns_per_instr * self.instructions as f64 / self.dispatches.max(1) as f64
+    /// A leg's ns per instruction as ns per block dispatch of the source
+    /// stream (the trace engine itself dispatches far fewer blocks).
+    pub fn per_dispatch(&self, ns_per_instr: f64) -> f64 {
+        ns_per_instr * self.instructions as f64 / self.dispatches.max(1) as f64
     }
 
     /// Percentage reduction of the fused decoded engine relative to the
     /// unfused decoded engine (positive = fusion pays).
     pub fn fused_improvement_pct(&self) -> f64 {
-        if self.decoded_ns_per_instr == 0.0 {
-            return 0.0;
-        }
-        (1.0 - self.fused_ns_per_instr / self.decoded_ns_per_instr) * 100.0
-    }
-
-    /// Register-trace engine, ns per block dispatch (of the source
-    /// stream — the engine itself dispatches far fewer blocks).
-    pub fn lowered_reg_ns_per_dispatch(&self) -> f64 {
-        self.lowered_reg_ns_per_instr * self.instructions as f64 / self.dispatches.max(1) as f64
+        reduction_pct(self.fused_ns_per_instr, self.decoded_ns_per_instr)
     }
 
     /// Never-entering engine over the decoded loop driving the bare
@@ -176,6 +168,97 @@ impl InterpRow {
             return 1.0;
         }
         self.never_enter_ns_per_instr / self.observe_ns_per_instr
+    }
+
+    /// This row as a `workloads` entry of `BENCH_interp.json`.
+    pub fn json(&self) -> Json {
+        let pairs = self.hot_pairs.iter().map(|(a, b, n)| {
+            Json::Obj(vec![
+                ("pair", format!("{a} {b}").into()),
+                ("count", (*n).into()),
+            ])
+        });
+        let triples = self.hot_triples.iter().map(|(a, b, c, n)| {
+            Json::Obj(vec![
+                ("triple", format!("{a} {b} {c}").into()),
+                ("count", (*n).into()),
+            ])
+        });
+        Json::Obj(vec![
+            ("name", self.name.as_str().into()),
+            ("instructions", self.instructions.into()),
+            ("dispatches", self.dispatches.into()),
+            (
+                "ns_per_instruction",
+                Json::Obj(vec![
+                    ("reference", fixed(self.reference_ns_per_instr, 3)),
+                    ("decoded", fixed(self.decoded_ns_per_instr, 3)),
+                    ("fused", fixed(self.fused_ns_per_instr, 3)),
+                    ("lowered-reg", fixed(self.lowered_reg_ns_per_instr, 3)),
+                    ("observe", fixed(self.observe_ns_per_instr, 3)),
+                    ("never-enter", fixed(self.never_enter_ns_per_instr, 3)),
+                    ("improvement_pct", fixed(self.improvement_pct(), 2)),
+                    (
+                        "fused_improvement_pct",
+                        fixed(self.fused_improvement_pct(), 2),
+                    ),
+                    ("never_enter_ratio", fixed(self.never_enter_ratio(), 3)),
+                    (
+                        "never_enter_median_ratio",
+                        fixed(self.never_enter_median_ratio, 3),
+                    ),
+                ]),
+            ),
+            (
+                "ns_per_dispatch",
+                Json::Obj(vec![
+                    (
+                        "reference",
+                        fixed(self.per_dispatch(self.reference_ns_per_instr), 3),
+                    ),
+                    (
+                        "decoded",
+                        fixed(self.per_dispatch(self.decoded_ns_per_instr), 3),
+                    ),
+                    (
+                        "fused",
+                        fixed(self.per_dispatch(self.fused_ns_per_instr), 3),
+                    ),
+                    (
+                        "lowered-reg",
+                        fixed(self.per_dispatch(self.lowered_reg_ns_per_instr), 3),
+                    ),
+                ]),
+            ),
+            (
+                "fusion",
+                Json::Obj(vec![
+                    ("candidates", self.fusion.candidates.into()),
+                    ("applied", self.fusion.applied.into()),
+                    (
+                        "dispatches_eliminated",
+                        self.fusion.dispatches_eliminated.into(),
+                    ),
+                    ("selected", self.fusion.selected.iter().copied().collect()),
+                ]),
+            ),
+            ("hot_opcode_pairs", pairs.collect()),
+            ("hot_opcode_triples", triples.collect()),
+            ("decoded_code_bytes", self.decoded_memory.code_bytes.into()),
+            ("decoded_map_bytes", self.decoded_memory.map_bytes.into()),
+            ("decoded_pool_bytes", self.decoded_memory.pool_bytes.into()),
+            ("arena_bytes", self.arena_bytes.into()),
+            (
+                "reg_lowering",
+                Json::Obj(vec![
+                    ("before", self.reg.before.into()),
+                    ("after", self.reg.after.into()),
+                    ("regs", self.reg.regs.into()),
+                    ("eliminated", self.reg.eliminated.into()),
+                    ("guards_fused", self.reg.guards_fused.into()),
+                ]),
+            ),
+        ])
     }
 }
 
@@ -194,15 +277,7 @@ impl InterpReport {
     /// Geometric-mean speedup (reference / decoded ns-per-instruction;
     /// > 1 means the decoded engine is faster).
     pub fn geomean_speedup(&self) -> f64 {
-        if self.rows.is_empty() {
-            return 1.0;
-        }
-        let log_sum: f64 = self
-            .rows
-            .iter()
-            .map(|r| (r.reference_ns_per_instr / r.decoded_ns_per_instr).ln())
-            .sum();
-        (log_sum / self.rows.len() as f64).exp()
+        self.geomean(|r| r.reference_ns_per_instr / r.decoded_ns_per_instr)
     }
 
     /// Geometric-mean ns/instruction improvement as a percentage
@@ -214,15 +289,13 @@ impl InterpReport {
     /// Geometric-mean speedup of the fused decoded engine over the
     /// unfused decoded engine (> 1 means fusion pays).
     pub fn geomean_fused_speedup(&self) -> f64 {
-        if self.rows.is_empty() {
-            return 1.0;
-        }
-        let log_sum: f64 = self
-            .rows
-            .iter()
-            .map(|r| (r.decoded_ns_per_instr / r.fused_ns_per_instr).ln())
-            .sum();
-        (log_sum / self.rows.len() as f64).exp()
+        self.geomean(|r| r.decoded_ns_per_instr / r.fused_ns_per_instr)
+    }
+
+    /// Geometric mean of `ratio` over the rows (1.0 with no rows).
+    fn geomean(&self, ratio: impl Fn(&InterpRow) -> f64) -> f64 {
+        let log_sum: f64 = self.rows.iter().map(|r| ratio(r).ln()).sum();
+        (log_sum / self.rows.len().max(1) as f64).exp()
     }
 
     /// The worst [`InterpRow::never_enter_ratio`] over the rows.
@@ -233,107 +306,36 @@ impl InterpReport {
             .fold(1.0, f64::max)
     }
 
-    /// Workloads on which the fused leg beat the unfused decoded leg on
-    /// ns/dispatch.
+    /// Workloads on which the fused leg beat the unfused decoded leg.
     pub fn fused_wins(&self) -> usize {
         self.rows
             .iter()
-            .filter(|r| r.fused_ns_per_dispatch() < r.decoded_ns_per_dispatch())
+            .filter(|r| r.fused_ns_per_instr < r.decoded_ns_per_instr)
             .count()
     }
 
-    /// Serialises the report as JSON (hand-rolled: the workspace has no
-    /// serde and the shape is fixed).
+    /// The report as `BENCH_interp.json`.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"scale\": \"{:?}\",\n", self.scale));
-        out.push_str(&format!("  \"repeats\": {},\n", self.repeats));
-        out.push_str(&format!(
-            "  \"geomean_speedup\": {:.4},\n",
-            self.geomean_speedup()
-        ));
-        out.push_str(&format!(
-            "  \"geomean_improvement_pct\": {:.2},\n",
-            self.geomean_improvement_pct()
-        ));
-        out.push_str(&format!(
-            "  \"geomean_fused_speedup\": {:.4},\n",
-            self.geomean_fused_speedup()
-        ));
-        out.push_str(&format!("  \"fused_wins\": {},\n", self.fused_wins()));
-        out.push_str(&format!(
-            "  \"max_never_enter_ratio\": {:.3},\n",
-            self.max_never_enter_ratio()
-        ));
-        out.push_str("  \"workloads\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let pairs: Vec<String> = r
-                .hot_pairs
-                .iter()
-                .map(|(a, b, n)| format!("{{\"pair\": \"{a} {b}\", \"count\": {n}}}"))
-                .collect();
-            let triples: Vec<String> = r
-                .hot_triples
-                .iter()
-                .map(|(a, b, c, n)| format!("{{\"triple\": \"{a} {b} {c}\", \"count\": {n}}}"))
-                .collect();
-            let selected: Vec<String> = r
-                .fusion
-                .selected
-                .iter()
-                .map(|s| format!("\"{s}\""))
-                .collect();
-            out.push_str(&format!(
-                concat!(
-                    "    {{\"name\": \"{}\", \"instructions\": {}, \"dispatches\": {},\n",
-                    "     \"ns_per_instruction\": ",
-                    "{{\"reference\": {:.3}, \"decoded\": {:.3}, \"fused\": {:.3}, ",
-                    "\"lowered-reg\": {:.3}, \"observe\": {:.3}, \"never-enter\": {:.3}, ",
-                    "\"improvement_pct\": {:.2}, \"fused_improvement_pct\": {:.2}, ",
-                    "\"never_enter_ratio\": {:.3}, \"never_enter_median_ratio\": {:.3}}},\n",
-                    "     \"ns_per_dispatch\": ",
-                    "{{\"reference\": {:.3}, \"decoded\": {:.3}, \"fused\": {:.3}, ",
-                    "\"lowered-reg\": {:.3}}},\n",
-                    "     \"fusion\": {{\"candidates\": {}, \"applied\": {}, ",
-                    "\"dispatches_eliminated\": {}, \"selected\": [{}]}},\n",
-                    "     \"hot_opcode_pairs\": [{}],\n",
-                    "     \"hot_opcode_triples\": [{}],\n",
-                    "     \"decoded_code_bytes\": {}, \"decoded_map_bytes\": {}, ",
-                    "\"decoded_pool_bytes\": {}, \"arena_bytes\": {}}}{}\n",
-                ),
-                r.name,
-                r.instructions,
-                r.dispatches,
-                r.reference_ns_per_instr,
-                r.decoded_ns_per_instr,
-                r.fused_ns_per_instr,
-                r.lowered_reg_ns_per_instr,
-                r.observe_ns_per_instr,
-                r.never_enter_ns_per_instr,
-                r.improvement_pct(),
-                r.fused_improvement_pct(),
-                r.never_enter_ratio(),
-                r.never_enter_median_ratio,
-                r.reference_ns_per_dispatch(),
-                r.decoded_ns_per_dispatch(),
-                r.fused_ns_per_dispatch(),
-                r.lowered_reg_ns_per_dispatch(),
-                r.fusion.candidates,
-                r.fusion.applied,
-                r.fusion.dispatches_eliminated,
-                selected.join(", "),
-                pairs.join(", "),
-                triples.join(", "),
-                r.decoded_memory.code_bytes,
-                r.decoded_memory.map_bytes,
-                r.decoded_memory.pool_bytes,
-                r.arena_bytes,
-                if i + 1 == self.rows.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        Json::Obj(vec![
+            ("scale", format!("{:?}", self.scale).into()),
+            ("repeats", self.repeats.into()),
+            ("geomean_speedup", fixed(self.geomean_speedup(), 4)),
+            (
+                "geomean_improvement_pct",
+                fixed(self.geomean_improvement_pct(), 2),
+            ),
+            (
+                "geomean_fused_speedup",
+                fixed(self.geomean_fused_speedup(), 4),
+            ),
+            ("fused_wins", self.fused_wins().into()),
+            (
+                "max_never_enter_ratio",
+                fixed(self.max_never_enter_ratio(), 3),
+            ),
+            ("workloads", self.rows.iter().map(InterpRow::json).collect()),
+        ])
+        .render()
     }
 
     /// Renders an aligned text table for terminals and EXPERIMENTS.md.
@@ -379,28 +381,22 @@ impl InterpReport {
                 .iter()
                 .map(|(a, b, n)| format!("{a} {b} ({n})"))
                 .collect();
-            out.push_str(&format!("hot pairs {:<10}: {}\n", r.name, pairs.join(", ")));
-        }
-        for r in &self.rows {
             let triples: Vec<String> = r
                 .hot_triples
                 .iter()
                 .map(|(a, b, c, n)| format!("{a} {b} {c} ({n})"))
                 .collect();
+            let f = &r.fusion;
             out.push_str(&format!(
-                "hot triples {:<10}: {}\n",
+                "hot pairs {0:<10}: {1}\nhot triples {0:<10}: {2}\nfusion {0:<10}: {3} candidates, \
+                 {4} applied, {5} dispatches eliminated, selected [{6}]\n",
                 r.name,
-                triples.join(", ")
-            ));
-        }
-        for r in &self.rows {
-            out.push_str(&format!(
-                "fusion {:<10}: {} candidates, {} applied, {} dispatches eliminated, selected [{}]\n",
-                r.name,
-                r.fusion.candidates,
-                r.fusion.applied,
-                r.fusion.dispatches_eliminated,
-                r.fusion.selected.join(", ")
+                pairs.join(", "),
+                triples.join(", "),
+                f.candidates,
+                f.applied,
+                f.dispatches_eliminated,
+                f.selected.join(", ")
             ));
         }
         out.push_str(&format!(
@@ -484,8 +480,6 @@ fn mnemonic(o: u8) -> &'static str {
 #[allow(clippy::type_complexity)]
 fn hot_opcode_adjacencies(
     w: &Workload,
-    top_pairs: usize,
-    top_triples: usize,
 ) -> (
     Vec<(&'static str, &'static str, u64)>,
     Vec<(&'static str, &'static str, &'static str, u64)>,
@@ -534,14 +528,14 @@ fn hot_opcode_adjacencies(
     pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     let pairs = pairs
         .into_iter()
-        .take(top_pairs)
+        .take(TOP_PAIRS)
         .map(|((a, b), n)| (mnemonic(a), mnemonic(b), n))
         .collect();
     let mut triples: Vec<((u8, u8, u8), u64)> = triple_counts.into_iter().collect();
     triples.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     let triples = triples
         .into_iter()
-        .take(top_triples)
+        .take(TOP_TRIPLES)
         .map(|((a, b, c), n)| (mnemonic(a), mnemonic(b), mnemonic(c), n))
         .collect();
     (pairs, triples)
@@ -706,7 +700,8 @@ fn measure_workload(w: &Workload, repeats: usize) -> InterpRow {
         w.name
     );
 
-    let (hot_pairs, hot_triples) = hot_opcode_adjacencies(w, TOP_PAIRS, TOP_TRIPLES);
+    let reg = reg_engine.reg_stats();
+    let (hot_pairs, hot_triples) = hot_opcode_adjacencies(w);
     let instructions = ds.instructions.max(1);
     InterpRow {
         name: w.name.to_owned(),
@@ -729,6 +724,7 @@ fn measure_workload(w: &Workload, repeats: usize) -> InterpRow {
         },
         decoded_memory: decoded.decoded().memory_estimate(),
         arena_bytes: decoded.arena_memory(),
+        reg,
     }
 }
 
@@ -736,15 +732,10 @@ fn measure_workload(w: &Workload, repeats: usize) -> InterpRow {
 /// single workload name; each reported number is the minimum over
 /// `repeats` timed full runs.
 pub fn run(scale: Scale, repeats: usize, only: Option<&str>) -> InterpReport {
-    let mut rows = Vec::new();
-    for w in registry::all(scale) {
-        if let Some(name) = only {
-            if w.name != name {
-                continue;
-            }
-        }
-        rows.push(measure_workload(&w, repeats));
-    }
+    let rows = crate::workloads(scale, only)
+        .iter()
+        .map(|w| measure_workload(w, repeats))
+        .collect();
     InterpReport {
         scale,
         repeats,
@@ -759,49 +750,29 @@ mod tests {
     #[test]
     fn row_derived_quantities_are_consistent() {
         let r = InterpRow {
-            name: "w".into(),
             instructions: 1000,
             dispatches: 100,
             reference_ns_per_instr: 10.0,
             decoded_ns_per_instr: 5.0,
             fused_ns_per_instr: 4.0,
-            lowered_reg_ns_per_instr: 2.5,
             observe_ns_per_instr: 4.0,
             never_enter_ns_per_instr: 5.0,
-            never_enter_median_ratio: 1.25,
-            hot_pairs: Vec::new(),
-            hot_triples: Vec::new(),
-            fusion: FusionStats::default(),
-            decoded_memory: DecodedMemory::default(),
-            arena_bytes: 0,
+            ..InterpRow::default()
         };
         assert!((r.improvement_pct() - 50.0).abs() < 1e-9);
-        assert!((r.reference_ns_per_dispatch() - 100.0).abs() < 1e-9);
-        assert!((r.decoded_ns_per_dispatch() - 50.0).abs() < 1e-9);
-        assert!((r.fused_ns_per_dispatch() - 40.0).abs() < 1e-9);
+        assert!((r.per_dispatch(r.reference_ns_per_instr) - 100.0).abs() < 1e-9);
+        assert!((r.per_dispatch(2.5) - 25.0).abs() < 1e-9);
         assert!((r.fused_improvement_pct() - 20.0).abs() < 1e-9);
-        assert!((r.lowered_reg_ns_per_dispatch() - 25.0).abs() < 1e-9);
         assert!((r.never_enter_ratio() - 1.25).abs() < 1e-9);
     }
 
     #[test]
     fn geomean_of_uniform_speedup_is_that_speedup() {
         let row = |ref_ns: f64, dec_ns: f64| InterpRow {
-            name: "w".into(),
-            instructions: 1,
-            dispatches: 1,
             reference_ns_per_instr: ref_ns,
             decoded_ns_per_instr: dec_ns,
             fused_ns_per_instr: dec_ns / 2.0,
-            lowered_reg_ns_per_instr: dec_ns,
-            observe_ns_per_instr: dec_ns,
-            never_enter_ns_per_instr: dec_ns,
-            never_enter_median_ratio: 1.0,
-            hot_pairs: Vec::new(),
-            hot_triples: Vec::new(),
-            fusion: FusionStats::default(),
-            decoded_memory: DecodedMemory::default(),
-            arena_bytes: 0,
+            ..InterpRow::default()
         };
         let report = InterpReport {
             scale: Scale::Test,
@@ -817,33 +788,44 @@ mod tests {
     #[test]
     fn report_runs_and_serialises_at_test_scale() {
         let report = run(Scale::Test, 1, None);
-        assert_eq!(report.rows.len(), registry::all(Scale::Test).len());
+        assert_eq!(report.rows.len(), 6);
         assert!(report.rows.iter().all(|r| r.instructions > 0));
         let json = report.to_json();
-        assert!(json.contains("\"geomean_speedup\""));
-        assert!(json.contains("\"ns_per_instruction\""));
-        assert!(json.contains("\"lowered-reg\""), "reg leg must be in JSON");
-        assert!(json.contains("\"fused\""), "fused leg must be in JSON");
-        assert!(
-            json.contains("\"never-enter\""),
-            "never-enter leg must be in JSON"
-        );
-        assert!(json.contains("\"fusion\""), "fusion stats must be in JSON");
-        assert!(json.contains("\"dispatches_eliminated\""));
-        assert!(json.contains("\"hot_opcode_pairs\""));
-        assert!(json.contains("\"hot_opcode_triples\""));
-        assert!(
-            report.rows.iter().all(|r| !r.hot_pairs.is_empty()),
-            "every workload has hot pairs"
-        );
-        assert!(
-            report.rows.iter().all(|r| !r.hot_triples.is_empty()),
-            "every workload has hot triples"
-        );
+        for key in [
+            "\"geomean_speedup\"",
+            "\"ns_per_instruction\"",
+            "\"fused\"",
+            "\"never-enter\"",
+            "\"fusion\"",
+            "\"dispatches_eliminated\"",
+            "\"hot_opcode_pairs\"",
+            "\"hot_opcode_triples\"",
+        ] {
+            assert!(json.contains(key), "{key} must be in the JSON");
+        }
         let table = report.render();
         for r in &report.rows {
+            assert!(!r.hot_pairs.is_empty(), "{}: no hot pairs", r.name);
+            assert!(!r.hot_triples.is_empty(), "{}: no hot triples", r.name);
             assert!(json.contains(&r.name));
             assert!(table.contains(&r.name));
+            // The lowered-reg leg and its lowering counters, per row.
+            let row = r.json();
+            let lowered = row
+                .get("ns_per_dispatch")
+                .and_then(|d| d.get("lowered-reg"));
+            assert!(
+                matches!(lowered, Some(&Json::Fixed(ns, 3)) if ns > 0.0),
+                "{}: lowered-reg ns/dispatch {lowered:?}",
+                r.name
+            );
+            let reg = row.get("reg_lowering").expect("reg_lowering object");
+            match (reg.get("before"), reg.get("after")) {
+                (Some(&Json::Int(before)), Some(&Json::Int(after))) => {
+                    assert!(after <= before, "{}: {after} > {before}", r.name)
+                }
+                other => panic!("{}: reg_lowering {other:?}", r.name),
+            }
         }
     }
 

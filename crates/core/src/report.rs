@@ -19,7 +19,9 @@ pub struct RunReport {
     pub profiler: ProfilerStats,
     /// Trace execution counters (entries, completions, coverage, …).
     pub traces: TraceExecStats,
-    /// Trace-constructor counters.
+    /// Trace-constructor counters. A VM of a shared session reports its
+    /// session's construction service here: session-wide numbers, every
+    /// VM's batches, as of the service's last finished batch.
     pub constructor: ConstructorStats,
     /// Trace-cache counters.
     pub cache: CacheStats,

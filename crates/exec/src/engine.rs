@@ -64,8 +64,8 @@ use jvm_bytecode::{BlockId, Program};
 use jvm_vm::{BlockDriver, DecodedProgram, Machine, OutputItem, Value, Vm, VmError};
 use trace_bcg::{Branch, BranchCorrelationGraph, NodeIdx, Signal};
 use trace_cache::{
-    BcgSnapshot, CacheStats, HealthStats, TraceCache, TraceConstructor, TraceExecStats, TraceId,
-    COOLDOWN, STREAK_LIMIT,
+    BcgSnapshot, CacheStats, ConstructorStats, HealthStats, TraceCache, TraceConstructor,
+    TraceExecStats, TraceId, COOLDOWN, STREAK_LIMIT,
 };
 use trace_jit::{RunReport, TraceJitConfig};
 use trace_persist::{program_hash, Snapshot, SnapshotError, SnapshotReader};
@@ -191,6 +191,15 @@ impl Jit<'_> {
         match &self.shared {
             Some(sess) => sess.cache.stats(),
             None => self.cache.stats(),
+        }
+    }
+
+    /// This VM's constructor counters, or in shared mode the session's
+    /// construction service's.
+    fn constructor_stats(&self) -> ConstructorStats {
+        match &self.shared {
+            Some(sess) => sess.queue.builder_stats().constructor,
+            None => self.constructor.stats(),
         }
     }
 
@@ -655,7 +664,7 @@ impl<'p> TracingVm<'p> {
             exec: self.vm.stats(),
             profiler: jit.bcg.stats(),
             traces: jit.trace_stats,
-            constructor: jit.constructor.stats(),
+            constructor: jit.constructor_stats(),
             cache: jit.cache_stats(),
         })
     }

@@ -189,17 +189,36 @@ mod tests {
         let config = EngineConfig::paper_default();
         let (cache, session, rx) = shared_session();
         let health = Arc::clone(session.queue.health());
+        let queue = session.queue.clone();
         let cold = std::thread::scope(|s| {
             let svc = s.spawn(|| run_shared_constructor(rx, &cache, &program, config));
-            let report = {
+            let (report, rerun) = {
                 let mut vm = TracingVm::new_shared(&program, config, session);
-                vm.run(&[Value::Int(40_000)]).unwrap()
-            }; // session (queue handle) dropped here → service exits
+                let report = vm.run(&[Value::Int(40_000)]).unwrap();
+                // Once the service has finished every batch of that run, a
+                // second run reports what it built: the report's
+                // constructor counters are the session's service's.
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+                while queue.builder_stats().jobs < queue.stats().submitted {
+                    assert!(std::time::Instant::now() < deadline, "service stalled");
+                    std::thread::yield_now();
+                }
+                (report, vm.run(&[Value::Int(40_000)]).unwrap())
+            };
+            drop(queue); // the last queue handle: the service exits
             let stats = svc.join().expect("constructor thread");
             assert!(
                 stats.constructor.traces_created > 0,
                 "constructor must build traces"
             );
+            assert!(
+                rerun.constructor.traces_created > 0
+                    && rerun.constructor.traces_created <= stats.constructor.traces_created,
+                "a shared-mode report carries the service's constructor counters: {:?} vs {:?}",
+                rerun.constructor,
+                stats.constructor
+            );
+            assert_eq!(rerun.result, want);
             report
         });
         assert_eq!(cold.result, want);

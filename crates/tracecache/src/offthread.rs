@@ -52,7 +52,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use jvm_bytecode::BlockId;
 use trace_bcg::{Branch, BranchCorrelationGraph, NodeIdx, NodeState, Signal};
@@ -286,6 +286,10 @@ struct QueueShared {
     /// [`FaultSite::DuplicateBatch`] fire per submit,
     /// [`FaultSite::KillConstructor`] per batch the service receives.
     faults: OnceLock<Arc<FaultPlan>>,
+    /// The service's counters as of its last finished batch. Written
+    /// whole, outside the worker's `catch_unwind`, so the value is valid
+    /// even behind a poisoned lock.
+    builder: Mutex<BuilderStats>,
 }
 
 /// A batch on the channel. Its share of the depth and byte gauges is
@@ -395,6 +399,16 @@ impl ConstructionQueue {
             dropped: self.shared.dropped.load(Relaxed),
             bytes: self.shared.bytes.load(Relaxed),
         }
+    }
+
+    /// Counters of the service at the other end of this channel as of
+    /// its last finished batch: session-wide, every VM's batches.
+    pub fn builder_stats(&self) -> BuilderStats {
+        *self
+            .shared
+            .builder
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Health gauges of the service at the other end of this channel.
@@ -550,6 +564,10 @@ pub fn run_constructor_service<A>(
             }
             builder.handle_job(&snapshot, cache, &mut build);
         }));
+        *rx.shared
+            .builder
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = builder.stats;
         if outcome.is_err() {
             health.panics.fetch_add(1, Relaxed);
             if health.restarts.load(Relaxed) >= MAX_RESTARTS {

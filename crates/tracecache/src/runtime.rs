@@ -109,22 +109,6 @@ impl TraceRuntime {
         self.step(block, cache, program, |entry| cache.lookup_entry(entry));
     }
 
-    /// Observes one dispatched block, answering the trace-entry check
-    /// with a caller-supplied lookup instead of the cache's own table.
-    /// The monitor state machine is identical to [`Self::on_block`];
-    /// `link` must agree with `cache.lookup_entry` for the stats to be
-    /// meaningful. Benchmarks use this to compare entry-lookup
-    /// strategies on the same dispatch stream.
-    pub fn on_block_with(
-        &mut self,
-        block: BlockId,
-        cache: &TraceCache,
-        program: &Program,
-        link: impl FnOnce(Branch) -> Option<TraceId>,
-    ) {
-        self.step(block, cache, program, link);
-    }
-
     /// Observes one dispatched block using the BCG node's inline
     /// trace-link slot for the entry check.
     ///

@@ -21,6 +21,18 @@ pub enum Scale {
     Paper,
 }
 
+impl Scale {
+    /// Parses a scale name: `test`, `small` or `paper`.
+    pub fn parse(name: &str) -> Option<Scale> {
+        match name {
+            "test" => Some(Scale::Test),
+            "small" => Some(Scale::Small),
+            "paper" => Some(Scale::Paper),
+            _ => None,
+        }
+    }
+}
+
 /// A ready-to-run benchmark: program, entry arguments, and the checksum
 /// its reference implementation predicts.
 #[derive(Debug, Clone)]
@@ -116,6 +128,14 @@ pub fn by_name(name: &str, scale: Scale) -> Option<Workload> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_names_parse() {
+        assert_eq!(Scale::parse("test"), Some(Scale::Test));
+        assert_eq!(Scale::parse("small"), Some(Scale::Small));
+        assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
+        assert_eq!(Scale::parse("huge"), None);
+    }
 
     #[test]
     fn all_returns_six_in_paper_order() {

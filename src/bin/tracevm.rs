@@ -66,15 +66,6 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn parse_scale(s: &str) -> Option<Scale> {
-    match s {
-        "test" => Some(Scale::Test),
-        "small" => Some(Scale::Small),
-        "paper" => Some(Scale::Paper),
-        _ => None,
-    }
-}
-
 fn parse_options(args: &mut std::env::Args, opts: &mut Options) -> Result<(), String> {
     while let Some(a) = args.next() {
         let mut need = |name: &str| {
@@ -84,7 +75,7 @@ fn parse_options(args: &mut std::env::Args, opts: &mut Options) -> Result<(), St
         match a.as_str() {
             "--scale" => {
                 let v = need("--scale")?;
-                opts.scale = parse_scale(&v).ok_or(format!("bad scale `{v}`"))?;
+                opts.scale = Scale::parse(&v).ok_or(format!("bad scale `{v}`"))?;
             }
             "--engine" => opts.engine = need("--engine")?,
             "--threshold" => {
