@@ -138,6 +138,27 @@ if grep -rnE 'fn parse_scale' crates/ src/ tests/ examples/; then
     exit 1
 fi
 
+echo "== one operation semantics (the decoded loop, its fused arms and the register executor evaluate every operation through jvm_vm::semantics)"
+# The loop's standalone arms, its fused arms (ibin! / fbin! / aload_elem!)
+# and regexec.rs (bin_i! / bin_f!, CmpOp::eval_*) each used to restate the
+# wrapping arithmetic, the division traps, the shift mask, the intrinsics
+# and the heap accesses with their trap order. A second copy creeping back
+# in shows up here first. ReferenceVm stays the independent oracle: it
+# must not evaluate through the module it checks.
+if sed '/#\[cfg(test)\]/,$d' crates/exec/src/regexec.rs \
+    | grep -nE 'VmError::(DivisionByZero|IndexOutOfBounds|BadField)|\.eval_[if]64\('; then
+    echo "crates/exec/src/regexec.rs evaluates an operation itself (matches above)" >&2
+    exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/vm/src/interp.rs | grep -nE 'macro_rules! (ibin|fbin|aload_elem)\b'; then
+    echo "crates/vm/src/interp.rs carries its own copy of an operation (matches above)" >&2
+    exit 1
+fi
+if grep -n 'semantics' crates/vm/src/reference.rs; then
+    echo "crates/vm/src/reference.rs names jvm_vm::semantics: the oracle must stay independent (matches above)" >&2
+    exit 1
+fi
+
 echo "== cargo test (release)"
 cargo test --workspace -q --release
 

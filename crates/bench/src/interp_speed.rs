@@ -412,62 +412,14 @@ impl InterpReport {
     }
 }
 
-/// Bare mnemonic for a decoded opcode, families collapsed to their
-/// generic name (all six `if_icmp` comparisons count as one pair key —
-/// the dispatch cost is per family, not per comparison).
+/// Bare mnemonic for a decoded opcode ([`op::name`]), families collapsed
+/// to their generic name (all six `if_icmp` comparisons count as one pair
+/// key, as do all intrinsics — the dispatch cost is per family, not per
+/// comparison).
 fn mnemonic(o: u8) -> &'static str {
     match o {
-        op::ENTER_BLOCK => "enter_block",
-        op::ICONST => "iconst",
-        op::FCONST => "fconst",
-        op::CONST_NULL => "const_null",
-        op::DUP => "dup",
-        op::DUP2 => "dup2",
-        op::POP => "pop",
-        op::SWAP => "swap",
-        op::LOAD => "load",
-        op::STORE => "store",
-        op::IINC => "iinc",
-        op::IADD => "iadd",
-        op::ISUB => "isub",
-        op::IMUL => "imul",
-        op::IDIV => "idiv",
-        op::IREM => "irem",
-        op::INEG => "ineg",
-        op::ISHL => "ishl",
-        op::ISHR => "ishr",
-        op::IUSHR => "iushr",
-        op::IAND => "iand",
-        op::IOR => "ior",
-        op::IXOR => "ixor",
-        op::FADD => "fadd",
-        op::FSUB => "fsub",
-        op::FMUL => "fmul",
-        op::FDIV => "fdiv",
-        op::FNEG => "fneg",
-        op::I2F => "i2f",
-        op::F2I => "f2i",
-        op::IF_ICMP_EQ..=op::IF_ICMP_GE => "if_icmp",
-        op::IF_I_EQ..=op::IF_I_GE => "if",
-        op::IF_FCMP_EQ..=op::IF_FCMP_GE => "if_fcmp",
-        op::IF_NULL => "if_null",
-        op::IF_NON_NULL => "if_nonnull",
-        op::GOTO => "goto",
-        op::TABLE_SWITCH => "tableswitch",
-        op::INVOKE_STATIC => "invokestatic",
-        op::INVOKE_VIRTUAL => "invokevirtual",
-        op::RETURN => "return",
-        op::RETURN_VOID => "return_void",
-        op::NEW => "new",
-        op::GET_FIELD => "getfield",
-        op::PUT_FIELD => "putfield",
-        op::NEW_ARRAY => "newarray",
-        op::ALOAD => "aload",
-        op::ASTORE => "astore",
-        op::ARRAY_LEN => "arraylen",
-        op::NOP => "nop",
         op::SQRT..=op::CHECKSUM => "intrinsic",
-        _ => "?",
+        _ => op::name(o),
     }
 }
 

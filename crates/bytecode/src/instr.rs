@@ -140,6 +140,24 @@ pub enum Intrinsic {
 }
 
 impl Intrinsic {
+    /// The intrinsic's mnemonic.
+    pub fn name(self) -> &'static str {
+        match self {
+            Intrinsic::Sqrt => "sqrt",
+            Intrinsic::Sin => "sin",
+            Intrinsic::Cos => "cos",
+            Intrinsic::Exp => "exp",
+            Intrinsic::Log => "log",
+            Intrinsic::AbsF => "fabs",
+            Intrinsic::AbsI => "iabs",
+            Intrinsic::MinI => "imin",
+            Intrinsic::MaxI => "imax",
+            Intrinsic::PrintInt => "print_i",
+            Intrinsic::PrintFloat => "print_f",
+            Intrinsic::Checksum => "checksum",
+        }
+    }
+
     /// Number of operands popped from the stack.
     pub fn arg_count(self) -> usize {
         match self {
@@ -182,21 +200,7 @@ impl Intrinsic {
 
 impl fmt::Display for Intrinsic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Intrinsic::Sqrt => "sqrt",
-            Intrinsic::Sin => "sin",
-            Intrinsic::Cos => "cos",
-            Intrinsic::Exp => "exp",
-            Intrinsic::Log => "log",
-            Intrinsic::AbsF => "fabs",
-            Intrinsic::AbsI => "iabs",
-            Intrinsic::MinI => "imin",
-            Intrinsic::MaxI => "imax",
-            Intrinsic::PrintInt => "print_i",
-            Intrinsic::PrintFloat => "print_f",
-            Intrinsic::Checksum => "checksum",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
     }
 }
 

@@ -19,11 +19,11 @@
 use std::sync::Arc;
 use std::thread;
 
-use jvm_bytecode::{BlockId, Program};
+use jvm_bytecode::{BlockId, CmpOp, FunctionBuilder, Intrinsic, Program, ProgramBuilder};
 use jvm_vm::heap::HeapStats;
 use jvm_vm::{
-    fuse, BlockCounts, DispatchObserver, ExecStats, FusionConfig, OutputItem, RecordingObserver,
-    ReferenceVm, Value, Vm, VmError,
+    fold_checksum, fuse, BlockCounts, DispatchObserver, ExecStats, FusionConfig, OutputItem,
+    RecordingObserver, ReferenceVm, Value, Vm, VmError,
 };
 use trace_baselines::{run_with_selector, NetSelector, ReplaySelector};
 use trace_bcg::BranchCorrelationGraph;
@@ -49,6 +49,8 @@ pub enum SourceKind {
     Registry,
     /// A branch-bias flip variant (`phase_shift`, `_early`, `_late`).
     PhaseShift,
+    /// The edge-operand loop ([`edge_operands`]).
+    EdgeOperands,
     /// A `genprog` program.
     Fuzz,
 }
@@ -101,8 +103,8 @@ pub fn cases(fuzz_cases: u64) -> Vec<Case> {
     cases
 }
 
-/// The six workloads, then the three phase-shift variants, each with its
-/// oracle.
+/// The six workloads, then the three phase-shift variants, then the
+/// edge-operand loop, each with its oracle.
 ///
 /// # Panics
 ///
@@ -118,6 +120,8 @@ pub fn named() -> Vec<Case> {
     for w in phase_shift {
         cases.push(named_case(SourceKind::PhaseShift, cases.len(), w));
     }
+    let edge = edge_operands(256);
+    cases.push(named_case(SourceKind::EdgeOperands, cases.len(), edge));
     cases
 }
 
@@ -131,6 +135,108 @@ pub fn workloads() -> Vec<Case> {
     workloads
         .map(|(k, w)| named_case(SourceKind::Registry, k, w))
         .collect()
+}
+
+/// Shift counts of the edge-operand loop: at, past and below the six
+/// bits a shift keeps.
+const EDGE_SHIFTS: [i64; 4] = [63, 64, 65, -1];
+
+/// `main(n)`: a hot loop, `i` from `n` down to 1, that checksums every
+/// operand Java's semantics special-case — `i64::MIN / -1` and `% -1`,
+/// shift counts past 63 and negative, `f2i` of NaN, ±∞ and 1e30, `fdiv`
+/// by 0.0, `iabs(i64::MIN)`, `imin` / `imax` — so that they run in the
+/// plain loop, in fused groups and in traces. The checksum it must give is
+/// replayed in Rust.
+pub fn edge_operands(n: i64) -> Workload {
+    const K: i64 = 0x9E37_79B9_7F4A_7C15_u64 as i64;
+    let mut pb = ProgramBuilder::new();
+    let f = pb.declare_function("main", 1, true);
+    let b = pb.function_mut(f);
+    let (i, x, min, neg, cnt) = (
+        0,
+        b.alloc_local(),
+        b.alloc_local(),
+        b.alloc_local(),
+        b.alloc_local(),
+    );
+    b.iconst(i64::MIN).store(min).iconst(-1).store(neg);
+    let exit = b.new_label();
+    b.load(i).if_i(CmpOp::Le, exit);
+    // Closed by a switch, so a trace of the body hands back at its end
+    // (and every switch before that end is a guard).
+    let head = b.bind_new_label();
+    b.load(i).iconst(K).imul().store(x);
+    b.load(i).iconst(7).iand().iconst(60).iadd().store(cnt);
+    let sum = Intrinsic::Checksum;
+    b.load(min).load(neg).idiv().intrinsic(sum);
+    b.load(min).iconst(-1).irem().intrinsic(sum);
+    let shifts: [fn(&mut FunctionBuilder) -> &mut FunctionBuilder; 3] =
+        [|b| b.ishl(), |b| b.ishr(), |b| b.iushr()];
+    for shift in shifts {
+        for c in EDGE_SHIFTS {
+            shift(b.load(x).iconst(c)).intrinsic(sum);
+        }
+        shift(b.load(x).load(cnt)).intrinsic(sum);
+    }
+    b.fconst(0.0).fconst(0.0).fdiv().f2i().intrinsic(sum);
+    b.load(i).i2f().fconst(0.0).fdiv().f2i().intrinsic(sum);
+    b.load(i)
+        .i2f()
+        .fneg()
+        .fconst(0.0)
+        .fdiv()
+        .f2i()
+        .intrinsic(sum);
+    b.load(i).i2f().fconst(1e30).fmul().f2i().intrinsic(sum);
+    b.load(min).intrinsic(Intrinsic::AbsI).intrinsic(sum);
+    b.load(x)
+        .load(neg)
+        .intrinsic(Intrinsic::MinI)
+        .intrinsic(sum);
+    b.load(x)
+        .load(neg)
+        .intrinsic(Intrinsic::MaxI)
+        .intrinsic(sum);
+    b.iinc(i, -1).load(i).table_switch(0, &[exit], head);
+    b.bind(exit);
+    b.load(x).ret();
+    let program = pb.build(f).expect("the edge-operand loop verifies");
+
+    // The same values under Java's definitions, spelled out.
+    let mut expected = 0;
+    for i in (1..=n).rev() {
+        let x = i.wrapping_mul(K);
+        let cnt = (i & 7) + 60;
+        let mut values = vec![i64::MIN, 0];
+        for c in EDGE_SHIFTS.into_iter().chain([cnt]) {
+            values.push(x << (c & 63));
+        }
+        for c in EDGE_SHIFTS.into_iter().chain([cnt]) {
+            values.push(x >> (c & 63));
+        }
+        for c in EDGE_SHIFTS.into_iter().chain([cnt]) {
+            values.push(((x as u64) >> (c & 63)) as i64);
+        }
+        values.extend([
+            0,
+            i64::MAX,
+            i64::MIN,
+            i64::MAX,
+            i64::MIN,
+            x.min(-1),
+            x.max(-1),
+        ]);
+        for v in values {
+            expected = fold_checksum(expected, v);
+        }
+    }
+    Workload {
+        name: "edge_operands",
+        description: "wrapping, masking and saturating operands in a hot loop",
+        program,
+        args: vec![Value::Int(n)],
+        expected_checksum: expected,
+    }
 }
 
 /// The case of the `k`-th named source, whose fault plan `k` seeds.

@@ -92,6 +92,7 @@
 //! register-file overflow, and a violated frame bound or exit depth.
 
 use jvm_bytecode::{BlockId, ClassId, CmpOp, FuncId, Instr, Intrinsic, Program};
+use jvm_vm::decode::op;
 use jvm_vm::{DecodedProgram, Value};
 use trace_bcg::Branch;
 use trace_cache::TraceId;
@@ -101,109 +102,39 @@ use crate::compile::{compile_blocks, CompiledTrace, CondKind, Step};
 /// A virtual register index into the trace's flat register file.
 pub type Reg = u16;
 
-/// Binary operations a [`RInstr::Bin`] may perform (three-address form
-/// of the stack binops; division and remainder trap on zero exactly as
-/// the interpreter does).
+/// The operation of a [`RInstr::Bin`]: the decoded opcode of a stack
+/// binop (`iadd` … `fdiv`), evaluated and named by `jvm-vm` exactly as
+/// the interpreter evaluates and names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RBin {
-    /// Wrapping integer add.
-    IAdd,
-    /// Wrapping integer subtract.
-    ISub,
-    /// Wrapping integer multiply.
-    IMul,
-    /// Integer divide; traps on zero.
-    IDiv,
-    /// Integer remainder; traps on zero.
-    IRem,
-    /// Shift left (count masked to 63 bits).
-    IShl,
-    /// Arithmetic shift right (count masked).
-    IShr,
-    /// Logical shift right (count masked).
-    IUShr,
-    /// Bitwise and.
-    IAnd,
-    /// Bitwise or.
-    IOr,
-    /// Bitwise xor.
-    IXor,
-    /// Float add.
-    FAdd,
-    /// Float subtract.
-    FSub,
-    /// Float multiply.
-    FMul,
-    /// Float divide (IEEE; never traps).
-    FDiv,
-}
+pub struct RBin(pub u8);
 
 impl RBin {
     fn of(ins: &Instr) -> Option<RBin> {
-        Some(match ins {
-            Instr::IAdd => RBin::IAdd,
-            Instr::ISub => RBin::ISub,
-            Instr::IMul => RBin::IMul,
-            Instr::IDiv => RBin::IDiv,
-            Instr::IRem => RBin::IRem,
-            Instr::IShl => RBin::IShl,
-            Instr::IShr => RBin::IShr,
-            Instr::IUShr => RBin::IUShr,
-            Instr::IAnd => RBin::IAnd,
-            Instr::IOr => RBin::IOr,
-            Instr::IXor => RBin::IXor,
-            Instr::FAdd => RBin::FAdd,
-            Instr::FSub => RBin::FSub,
-            Instr::FMul => RBin::FMul,
-            Instr::FDiv => RBin::FDiv,
+        Some(RBin(match ins {
+            Instr::IAdd => op::IADD,
+            Instr::ISub => op::ISUB,
+            Instr::IMul => op::IMUL,
+            Instr::IDiv => op::IDIV,
+            Instr::IRem => op::IREM,
+            Instr::IShl => op::ISHL,
+            Instr::IShr => op::ISHR,
+            Instr::IUShr => op::IUSHR,
+            Instr::IAnd => op::IAND,
+            Instr::IOr => op::IOR,
+            Instr::IXor => op::IXOR,
+            Instr::FAdd => op::FADD,
+            Instr::FSub => op::FSUB,
+            Instr::FMul => op::FMUL,
+            Instr::FDiv => op::FDIV,
             _ => return None,
-        })
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            RBin::IAdd => "iadd",
-            RBin::ISub => "isub",
-            RBin::IMul => "imul",
-            RBin::IDiv => "idiv",
-            RBin::IRem => "irem",
-            RBin::IShl => "ishl",
-            RBin::IShr => "ishr",
-            RBin::IUShr => "iushr",
-            RBin::IAnd => "iand",
-            RBin::IOr => "ior",
-            RBin::IXor => "ixor",
-            RBin::FAdd => "fadd",
-            RBin::FSub => "fsub",
-            RBin::FMul => "fmul",
-            RBin::FDiv => "fdiv",
-        }
+        }))
     }
 }
 
-/// Unary operations a [`RInstr::Un`] may perform.
+/// The operation of a [`RInstr::Un`]: the decoded opcode of `ineg`,
+/// `fneg`, `i2f` or `f2i`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RUn {
-    /// Wrapping integer negate.
-    INeg,
-    /// Float negate.
-    FNeg,
-    /// Int to float.
-    I2F,
-    /// Float to int (truncating `as i64` cast, saturating).
-    F2I,
-}
-
-impl RUn {
-    fn name(self) -> &'static str {
-        match self {
-            RUn::INeg => "ineg",
-            RUn::FNeg => "fneg",
-            RUn::I2F => "i2f",
-            RUn::F2I => "f2i",
-        }
-    }
-}
+pub struct RUn(pub u8);
 
 /// How to rebuild the interpreter's frame from the register file: the
 /// local slots the trace holds newer values for, and the register list
@@ -1234,12 +1165,12 @@ impl<'a> Lowering<'a> {
                 self.elim();
             }
             Instr::INeg | Instr::FNeg | Instr::I2F | Instr::F2I => {
-                let op = match ins {
-                    Instr::INeg => RUn::INeg,
-                    Instr::FNeg => RUn::FNeg,
-                    Instr::I2F => RUn::I2F,
-                    _ => RUn::F2I,
-                };
+                let op = RUn(match ins {
+                    Instr::INeg => op::INEG,
+                    Instr::FNeg => op::FNEG,
+                    Instr::I2F => op::I2F,
+                    _ => op::F2I,
+                });
                 let a = self.pop1()?;
                 let dst = self.fresh()?;
                 let w = self.take_w();
@@ -1418,10 +1349,10 @@ pub fn disassemble(rt: &RegTrace) -> String {
                 format!("r{dst} = local {slot} + {imm} [w={w}]")
             }
             RInstr::IncReg { src, dst, imm, w } => format!("r{dst} = r{src} + {imm} [w={w}]"),
-            RInstr::Bin { op, a, b, dst, w } => {
-                format!("r{dst} = {} r{a}, r{b} [w={w}]", op.name())
+            RInstr::Bin { op: bin, a, b, dst, w } => {
+                format!("r{dst} = {} r{a}, r{b} [w={w}]", op::name(bin.0))
             }
-            RInstr::Un { op, a, dst, w } => format!("r{dst} = {} r{a} [w={w}]", op.name()),
+            RInstr::Un { op: un, a, dst, w } => format!("r{dst} = {} r{a} [w={w}]", op::name(un.0)),
             RInstr::Intrinsic { i, a, b, dst, w } => {
                 let name = format!("{i:?}").to_lowercase();
                 if i.returns_value() {

@@ -23,19 +23,26 @@
 //! into without a dispatch (see [`crate::engine`] for why skipping the
 //! dispatch is unobservable).
 //!
+//! Every operation a trace performs is the interpreter's own: arithmetic,
+//! comparisons, intrinsics, heap access, switch selection and virtual
+//! dispatch are `jvm_vm::semantics` calls, the very functions the decoded
+//! loop's arms call, so a trace and the loop agree on results and on trap
+//! order by construction.
+//!
 //! Fuel is charged in batches (each instruction's weight covers the stack
 //! ops folded into it), which is observationally identical to per-op
 //! ticking — see [`crate::reg`] — and reaches the machine's counter on
 //! every way out, errors included.
 
 use jvm_bytecode::{BlockId, Intrinsic};
-use jvm_vm::{arena, fold_checksum, HeapObj, Machine, OutputItem, Value, VmError};
+use jvm_vm::decode::op;
+use jvm_vm::{arena, fold_checksum, semantics, Machine, OutputItem, Value, VmError};
 use trace_bcg::{Branch, NodeIdx};
 use trace_cache::TraceId;
 
 use crate::compile::CondKind;
 use crate::engine::Jit;
-use crate::reg::{RBin, RInstr, RUn, Reg, RegTrace};
+use crate::reg::{RInstr, Reg, RegTrace};
 
 /// How one run of a trace ended (errors aside).
 pub(crate) struct TraceRun {
@@ -314,21 +321,23 @@ impl Jit<'_> {
             };
         }
 
-        // Evaluates a conditional branch on registers, type-checking in
-        // interpreter pop order (right operand first).
+        // Evaluates a conditional branch on registers.
         macro_rules! cond {
             ($kind:expr, $a:expr, $b:expr) => {
                 match $kind {
-                    CondKind::ICmp(op) => {
-                        let vb = guard_operand!(rget(regs, $b).as_int());
-                        let va = guard_operand!(rget(regs, $a).as_int());
-                        op.eval_i64(va, vb)
+                    CondKind::ICmp(c) => {
+                        let (a, b) = (rget(regs, $a), rget(regs, $b));
+                        let (a, b) = guard_operand!(semantics::ints(a, b));
+                        semantics::icmp(c, a, b)
                     }
-                    CondKind::IZero(op) => op.eval_i64(guard_operand!(rget(regs, $a).as_int()), 0),
-                    CondKind::FCmp(op) => {
-                        let vb = guard_operand!(rget(regs, $b).as_float());
-                        let va = guard_operand!(rget(regs, $a).as_float());
-                        op.eval_f64(va, vb)
+                    CondKind::IZero(c) => {
+                        let a = guard_operand!(rget(regs, $a).as_int());
+                        semantics::icmp(c, a, 0)
+                    }
+                    CondKind::FCmp(c) => {
+                        let (a, b) = (rget(regs, $a), rget(regs, $b));
+                        let (a, b) = guard_operand!(semantics::floats(a, b));
+                        semantics::fcmp(c, a, b)
                     }
                     CondKind::Null => matches!(rget(regs, $a), Value::Null),
                     CondKind::NonNull => !matches!(rget(regs, $a), Value::Null),
@@ -336,20 +345,11 @@ impl Jit<'_> {
             };
         }
 
-        macro_rules! bin_i {
-            ($a:expr, $b:expr, $f:expr) => {{
-                // Type errors surface in interpreter pop order: right
-                // operand first.
-                let vb = rget(regs, $b).as_int()?;
-                let va = rget(regs, $a).as_int()?;
-                Value::Int($f(va, vb))
-            }};
-        }
-        macro_rules! bin_f {
-            ($a:expr, $b:expr, $f:expr) => {{
-                let vb = rget(regs, $b).as_float()?;
-                let va = rget(regs, $a).as_float()?;
-                Value::Float($f(va, vb))
+        // Writes the `$ty` result of `semantics::$op` to register `$dst`.
+        macro_rules! set {
+            ($dst:expr, $ty:ident, $op:ident($($arg:expr),*)) => {{
+                let v = Value::$ty(semantics::$op($($arg),*)?);
+                rset(regs, $dst, v);
             }};
         }
 
@@ -368,221 +368,109 @@ impl Jit<'_> {
                     }
                     RInstr::IncLocal { slot, dst, imm, w } => {
                         tick_n!(*w);
-                        let v = sget(&m.arena.slab, base + u32::from(*slot)).as_int()?;
-                        rset(regs, *dst, Value::Int(v.wrapping_add(*imm as i64)));
+                        let v = sget(&m.arena.slab, base + u32::from(*slot));
+                        rset(regs, *dst, Value::Int(semantics::iinc(v, *imm)?));
                     }
                     RInstr::IncReg { src, dst, imm, w } => {
                         tick_n!(*w);
-                        let v = rget(regs, *src).as_int()?;
-                        rset(regs, *dst, Value::Int(v.wrapping_add(*imm as i64)));
+                        let v = semantics::iinc(rget(regs, *src), *imm)?;
+                        rset(regs, *dst, Value::Int(v));
                     }
-                    RInstr::Bin { op, a, b, dst, w } => {
+                    RInstr::Bin {
+                        op: bin,
+                        a,
+                        b,
+                        dst,
+                        w,
+                    } => {
                         tick_n!(*w);
-                        let v = match op {
-                            RBin::IAdd => bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_add(y)),
-                            RBin::ISub => bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_sub(y)),
-                            RBin::IMul => bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_mul(y)),
-                            RBin::IDiv => {
-                                let vb = rget(regs, *b).as_int()?;
-                                let va = rget(regs, *a).as_int()?;
-                                if vb == 0 {
-                                    return Err(VmError::DivisionByZero);
-                                }
-                                Value::Int(va.wrapping_div(vb))
-                            }
-                            RBin::IRem => {
-                                let vb = rget(regs, *b).as_int()?;
-                                let va = rget(regs, *a).as_int()?;
-                                if vb == 0 {
-                                    return Err(VmError::DivisionByZero);
-                                }
-                                Value::Int(va.wrapping_rem(vb))
-                            }
-                            RBin::IShl => {
-                                bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_shl(y as u32 & 63))
-                            }
-                            RBin::IShr => {
-                                bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_shr(y as u32 & 63))
-                            }
-                            RBin::IUShr => {
-                                bin_i!(*a, *b, |x: i64, y: i64| ((x as u64) >> (y as u32 & 63))
-                                    as i64)
-                            }
-                            RBin::IAnd => bin_i!(*a, *b, |x: i64, y: i64| x & y),
-                            RBin::IOr => bin_i!(*a, *b, |x: i64, y: i64| x | y),
-                            RBin::IXor => bin_i!(*a, *b, |x: i64, y: i64| x ^ y),
-                            RBin::FAdd => bin_f!(*a, *b, |x: f64, y: f64| x + y),
-                            RBin::FSub => bin_f!(*a, *b, |x: f64, y: f64| x - y),
-                            RBin::FMul => bin_f!(*a, *b, |x: f64, y: f64| x * y),
-                            RBin::FDiv => bin_f!(*a, *b, |x: f64, y: f64| x / y),
+                        let (x, y) = (rget(regs, *a), rget(regs, *b));
+                        let v = match bin.0 {
+                            op::IADD => Value::Int(semantics::ibin(op::IADD, x, y)?),
+                            op::ISUB => Value::Int(semantics::ibin(op::ISUB, x, y)?),
+                            op::IMUL => Value::Int(semantics::ibin(op::IMUL, x, y)?),
+                            op::IDIV => Value::Int(semantics::ibin(op::IDIV, x, y)?),
+                            op::IREM => Value::Int(semantics::ibin(op::IREM, x, y)?),
+                            op::ISHL => Value::Int(semantics::ibin(op::ISHL, x, y)?),
+                            op::ISHR => Value::Int(semantics::ibin(op::ISHR, x, y)?),
+                            op::IUSHR => Value::Int(semantics::ibin(op::IUSHR, x, y)?),
+                            op::IAND => Value::Int(semantics::ibin(op::IAND, x, y)?),
+                            op::IOR => Value::Int(semantics::ibin(op::IOR, x, y)?),
+                            op::IXOR => Value::Int(semantics::ibin(op::IXOR, x, y)?),
+                            op::FADD => Value::Float(semantics::fbin(op::FADD, x, y)?),
+                            op::FSUB => Value::Float(semantics::fbin(op::FSUB, x, y)?),
+                            op::FMUL => Value::Float(semantics::fbin(op::FMUL, x, y)?),
+                            op::FDIV => Value::Float(semantics::fbin(op::FDIV, x, y)?),
+                            other => unreachable!("not a binop: {other}"),
                         };
                         rset(regs, *dst, v);
                     }
-                    RInstr::Un { op, a, dst, w } => {
+                    RInstr::Un { op: un, a, dst, w } => {
                         tick_n!(*w);
-                        let v = match op {
-                            RUn::INeg => Value::Int(rget(regs, *a).as_int()?.wrapping_neg()),
-                            RUn::FNeg => Value::Float(-rget(regs, *a).as_float()?),
-                            RUn::I2F => Value::Float(rget(regs, *a).as_int()? as f64),
-                            RUn::F2I => Value::Int(rget(regs, *a).as_float()? as i64),
+                        let x = rget(regs, *a);
+                        let v = match un.0 {
+                            op::INEG => Value::Int(semantics::iunary(op::INEG, x)?),
+                            op::FNEG => Value::Float(semantics::funary(op::FNEG, x)?),
+                            op::I2F => Value::Float(semantics::funary(op::I2F, x)?),
+                            op::F2I => Value::Int(semantics::iunary(op::F2I, x)?),
+                            other => unreachable!("not a unop: {other}"),
                         };
                         rset(regs, *dst, v);
                     }
                     RInstr::Intrinsic { i, a, b, dst, w } => {
                         tick_n!(*w);
+                        let x = rget(regs, *a);
                         match i {
-                            Intrinsic::Sqrt => {
-                                let v = Value::Float(rget(regs, *a).as_float()?.sqrt());
-                                rset(regs, *dst, v);
-                            }
-                            Intrinsic::Sin => {
-                                let v = Value::Float(rget(regs, *a).as_float()?.sin());
-                                rset(regs, *dst, v);
-                            }
-                            Intrinsic::Cos => {
-                                let v = Value::Float(rget(regs, *a).as_float()?.cos());
-                                rset(regs, *dst, v);
-                            }
-                            Intrinsic::Exp => {
-                                let v = Value::Float(rget(regs, *a).as_float()?.exp());
-                                rset(regs, *dst, v);
-                            }
-                            Intrinsic::Log => {
-                                let v = Value::Float(rget(regs, *a).as_float()?.ln());
-                                rset(regs, *dst, v);
-                            }
-                            Intrinsic::AbsF => {
-                                let v = Value::Float(rget(regs, *a).as_float()?.abs());
-                                rset(regs, *dst, v);
-                            }
-                            Intrinsic::AbsI => {
-                                let v = Value::Int(rget(regs, *a).as_int()?.wrapping_abs());
-                                rset(regs, *dst, v);
-                            }
-                            Intrinsic::MinI => {
-                                let v = bin_i!(*a, *b, |x: i64, y: i64| x.min(y));
-                                rset(regs, *dst, v);
-                            }
-                            Intrinsic::MaxI => {
-                                let v = bin_i!(*a, *b, |x: i64, y: i64| x.max(y));
-                                rset(regs, *dst, v);
-                            }
+                            Intrinsic::Sqrt => set!(*dst, Float, funary(op::SQRT, x)),
+                            Intrinsic::Sin => set!(*dst, Float, funary(op::SIN, x)),
+                            Intrinsic::Cos => set!(*dst, Float, funary(op::COS, x)),
+                            Intrinsic::Exp => set!(*dst, Float, funary(op::EXP, x)),
+                            Intrinsic::Log => set!(*dst, Float, funary(op::LOG, x)),
+                            Intrinsic::AbsF => set!(*dst, Float, funary(op::ABS_F, x)),
+                            Intrinsic::AbsI => set!(*dst, Int, iunary(op::ABS_I, x)),
+                            Intrinsic::MinI => set!(*dst, Int, ibin(op::MIN_I, x, rget(regs, *b))),
+                            Intrinsic::MaxI => set!(*dst, Int, ibin(op::MAX_I, x, rget(regs, *b))),
                             Intrinsic::PrintInt => {
-                                let v = rget(regs, *a).as_int()?;
+                                let v = x.as_int()?;
                                 if m.config.capture_output {
                                     m.output.push(OutputItem::Int(v));
                                 }
                             }
                             Intrinsic::PrintFloat => {
-                                let v = rget(regs, *a).as_float()?;
+                                let v = x.as_float()?;
                                 if m.config.capture_output {
                                     m.output.push(OutputItem::Float(v));
                                 }
                             }
                             Intrinsic::Checksum => {
-                                let v = rget(regs, *a).as_int()?;
-                                *m.checksum = fold_checksum(*m.checksum, v);
+                                *m.checksum = fold_checksum(*m.checksum, x.as_int()?);
                             }
                         }
                     }
                     RInstr::GetField { obj, field, dst, w } => {
                         tick_n!(*w);
-                        let o = rget(regs, *obj).as_ref_id()?;
-                        match m.heap.get(o) {
-                            HeapObj::Object { fields, .. } => {
-                                let v = *fields.get(*field as usize).ok_or(VmError::BadField {
-                                    field: *field,
-                                    num_fields: fields.len() as u16,
-                                })?;
-                                rset(regs, *dst, v);
-                            }
-                            HeapObj::Array { .. } => {
-                                return Err(VmError::TypeError {
-                                    expected: "object",
-                                    found: "array",
-                                })
-                            }
-                        }
+                        let v = *semantics::field(m.heap, rget(regs, *obj), *field)?;
+                        rset(regs, *dst, v);
                     }
                     RInstr::PutField { obj, val, field, w } => {
                         tick_n!(*w);
-                        let o = rget(regs, *obj).as_ref_id()?;
-                        let v = rget(regs, *val);
-                        match m.heap.get_mut(o) {
-                            HeapObj::Object { fields, .. } => {
-                                let len = fields.len();
-                                *fields.get_mut(*field as usize).ok_or(VmError::BadField {
-                                    field: *field,
-                                    num_fields: len as u16,
-                                })? = v;
-                            }
-                            HeapObj::Array { .. } => {
-                                return Err(VmError::TypeError {
-                                    expected: "object",
-                                    found: "array",
-                                })
-                            }
-                        }
+                        let (o, v) = (rget(regs, *obj), rget(regs, *val));
+                        *semantics::field_mut(m.heap, o, *field)? = v;
                     }
                     RInstr::ALoad { arr, idx, dst, w } => {
                         tick_n!(*w);
-                        let iv = rget(regs, *idx).as_int()?;
-                        let av = rget(regs, *arr).as_ref_id()?;
-                        match m.heap.get(av) {
-                            HeapObj::Array { elems } => {
-                                if iv < 0 || iv as usize >= elems.len() {
-                                    return Err(VmError::IndexOutOfBounds {
-                                        index: iv,
-                                        len: elems.len(),
-                                    });
-                                }
-                                rset(regs, *dst, elems[iv as usize]);
-                            }
-                            HeapObj::Object { .. } => {
-                                return Err(VmError::TypeError {
-                                    expected: "array",
-                                    found: "object",
-                                })
-                            }
-                        }
+                        let v = *semantics::element(m.heap, rget(regs, *arr), rget(regs, *idx))?;
+                        rset(regs, *dst, v);
                     }
                     RInstr::AStore { arr, idx, val, w } => {
                         tick_n!(*w);
-                        let v = rget(regs, *val);
-                        let iv = rget(regs, *idx).as_int()?;
-                        let av = rget(regs, *arr).as_ref_id()?;
-                        match m.heap.get_mut(av) {
-                            HeapObj::Array { elems } => {
-                                if iv < 0 || iv as usize >= elems.len() {
-                                    return Err(VmError::IndexOutOfBounds {
-                                        index: iv,
-                                        len: elems.len(),
-                                    });
-                                }
-                                elems[iv as usize] = v;
-                            }
-                            HeapObj::Object { .. } => {
-                                return Err(VmError::TypeError {
-                                    expected: "array",
-                                    found: "object",
-                                })
-                            }
-                        }
+                        let (ar, ix, v) = (rget(regs, *arr), rget(regs, *idx), rget(regs, *val));
+                        *semantics::element_mut(m.heap, ar, ix)? = v;
                     }
                     RInstr::ArrayLen { arr, dst, w } => {
                         tick_n!(*w);
-                        let av = rget(regs, *arr).as_ref_id()?;
-                        match m.heap.get(av) {
-                            HeapObj::Array { elems } => {
-                                rset(regs, *dst, Value::Int(elems.len() as i64));
-                            }
-                            HeapObj::Object { .. } => {
-                                return Err(VmError::TypeError {
-                                    expected: "array",
-                                    found: "object",
-                                })
-                            }
-                        }
+                        let v = semantics::arraylen(m.heap, rget(regs, *arr))?;
+                        rset(regs, *dst, Value::Int(v));
                     }
                     RInstr::NewObj {
                         class,
@@ -640,13 +528,9 @@ impl Jit<'_> {
                         pre,
                     } => {
                         tick_n!(*pre);
-                        let v = guard_operand!(rget(regs, *selector).as_int());
-                        let idx = v.wrapping_sub(*low);
-                        let actual = if idx >= 0 && (idx as usize) < targets.len() {
-                            targets[idx as usize]
-                        } else {
-                            *default
-                        };
+                        let v = rget(regs, *selector);
+                        let actual =
+                            guard_operand!(semantics::switch_target(v, *low, targets, *default));
                         if actual != *expected {
                             reg_exit!(*exit);
                         }
@@ -677,15 +561,9 @@ impl Jit<'_> {
                         pre,
                     } => {
                         tick_n!(*pre);
-                        let rid = guard_operand!(rget(regs, *recv).as_ref_id());
-                        let class = guard_operand!(match m.heap.get(rid) {
-                            HeapObj::Object { class, .. } => Ok(*class),
-                            HeapObj::Array { .. } => Err(VmError::TypeError {
-                                expected: "object receiver",
-                                found: "array",
-                            }),
-                        });
-                        let callee = self.program.class(class).resolve(*slot);
+                        let r = rget(regs, *recv);
+                        let callee = semantics::resolve_virtual(self.program, m.heap, r, *slot);
+                        let callee = guard_operand!(callee);
                         if callee != *expected {
                             reg_exit!(*exit);
                         }

@@ -36,7 +36,7 @@ use jvm_bytecode::{CmpOp, FuncId, Instr, Intrinsic, Program};
 
 /// Decoded opcodes: dense `u8` values so the interpreter loop compiles to
 /// a jump table. Conditional branches get one opcode **per comparison**
-/// (base + [`CMP_ORDER`] offset) so no second decode of a `CmpOp` happens
+/// (base + [`cmp_offset`]) so no second decode of a `CmpOp` happens
 /// at run time; intrinsics likewise get an opcode each.
 pub mod op {
     /// Block-entry marker: fires a dispatch event; costs no fuel.
@@ -168,17 +168,67 @@ pub mod op {
     pub const PRINT_FLOAT: u8 = 74;
     /// `checksum` intrinsic.
     pub const CHECKSUM: u8 = 75;
-}
 
-/// Comparison opcodes are laid out `base + index_in(CMP_ORDER)`.
-pub const CMP_ORDER: [CmpOp; 6] = [
-    CmpOp::Eq,
-    CmpOp::Ne,
-    CmpOp::Lt,
-    CmpOp::Le,
-    CmpOp::Gt,
-    CmpOp::Ge,
-];
+    /// The mnemonic of opcode `o`, operands left out: the one name table
+    /// of the decoded form. A comparison family has one name (its
+    /// comparison is an operand), an intrinsic its own; a fused or
+    /// unknown opcode is `"?"`.
+    pub fn name(o: u8) -> &'static str {
+        match o {
+            ENTER_BLOCK => "enter_block",
+            ICONST => "iconst",
+            FCONST => "fconst",
+            CONST_NULL => "const_null",
+            DUP => "dup",
+            DUP2 => "dup2",
+            POP => "pop",
+            SWAP => "swap",
+            LOAD => "load",
+            STORE => "store",
+            IINC => "iinc",
+            IADD => "iadd",
+            ISUB => "isub",
+            IMUL => "imul",
+            IDIV => "idiv",
+            IREM => "irem",
+            INEG => "ineg",
+            ISHL => "ishl",
+            ISHR => "ishr",
+            IUSHR => "iushr",
+            IAND => "iand",
+            IOR => "ior",
+            IXOR => "ixor",
+            FADD => "fadd",
+            FSUB => "fsub",
+            FMUL => "fmul",
+            FDIV => "fdiv",
+            FNEG => "fneg",
+            I2F => "i2f",
+            F2I => "f2i",
+            IF_ICMP_EQ..=IF_ICMP_GE => "if_icmp",
+            IF_I_EQ..=IF_I_GE => "if",
+            IF_FCMP_EQ..=IF_FCMP_GE => "if_fcmp",
+            IF_NULL => "if_null",
+            IF_NON_NULL => "if_nonnull",
+            GOTO => "goto",
+            TABLE_SWITCH => "tableswitch",
+            INVOKE_STATIC => "invokestatic",
+            INVOKE_VIRTUAL => "invokevirtual",
+            RETURN => "return",
+            RETURN_VOID => "return_void",
+            NEW => "new",
+            GET_FIELD => "getfield",
+            PUT_FIELD => "putfield",
+            NEW_ARRAY => "newarray",
+            ALOAD => "aload",
+            ASTORE => "astore",
+            ARRAY_LEN => "arraylen",
+            NOP => "nop",
+            SQRT..=CHECKSUM => super::INTRINSIC_ORDER[(o - SQRT) as usize].name(),
+            _ => "?",
+        }
+    }
+}
 
 /// Intrinsic opcodes are laid out `op::SQRT + index_in(INTRINSIC_ORDER)`.
 pub const INTRINSIC_ORDER: [Intrinsic; 12] = [
@@ -196,7 +246,8 @@ pub const INTRINSIC_ORDER: [Intrinsic; 12] = [
     Intrinsic::Checksum,
 ];
 
-/// Offset of a comparison within [`CMP_ORDER`].
+/// Offset of a comparison opcode from its family's base (`eq` first):
+/// comparison opcodes are laid out `base + cmp_offset(op)`.
 #[inline]
 pub fn cmp_offset(op: CmpOp) -> u8 {
     match op {
@@ -209,29 +260,17 @@ pub fn cmp_offset(op: CmpOp) -> u8 {
     }
 }
 
-/// Evaluates comparison offset `rel` (0..6, [`CMP_ORDER`] order) on ints.
+/// The comparison at offset `rel` from its family's base (inverse of
+/// [`cmp_offset`]).
 #[inline]
-pub fn eval_i_rel(rel: u8, a: i64, b: i64) -> bool {
+pub fn cmp_at(rel: u8) -> CmpOp {
     match rel {
-        0 => a == b,
-        1 => a != b,
-        2 => a < b,
-        3 => a <= b,
-        4 => a > b,
-        _ => a >= b,
-    }
-}
-
-/// Evaluates comparison offset `rel` on floats (IEEE semantics).
-#[inline]
-pub fn eval_f_rel(rel: u8, a: f64, b: f64) -> bool {
-    match rel {
-        0 => a == b,
-        1 => a != b,
-        2 => a < b,
-        3 => a <= b,
-        4 => a > b,
-        _ => a >= b,
+        0 => CmpOp::Eq,
+        1 => CmpOp::Ne,
+        2 => CmpOp::Lt,
+        3 => CmpOp::Le,
+        4 => CmpOp::Gt,
+        _ => CmpOp::Ge,
     }
 }
 
@@ -531,79 +570,42 @@ impl DecodedProgram {
     /// Renders one decoded operation (used by the decoded golden test and
     /// debugging).
     pub fn dop_to_string(&self, d: &DOp) -> String {
-        let cmp = |base: u8| CMP_ORDER[(d.op - base) as usize];
+        let name = op::name(d.op);
+        let cmp = |base: u8| cmp_at(d.op - base);
         match d.op {
-            op::ENTER_BLOCK => format!("enter_block b{}", d.b),
-            op::ICONST => format!("iconst {}", self.iconsts[d.b as usize]),
-            op::FCONST => format!("fconst {}", self.fconsts[d.b as usize]),
-            op::CONST_NULL => "const_null".into(),
-            op::DUP => "dup".into(),
-            op::DUP2 => "dup2".into(),
-            op::POP => "pop".into(),
-            op::SWAP => "swap".into(),
-            op::LOAD => format!("load {}", d.a),
-            op::STORE => format!("store {}", d.a),
-            op::IINC => format!("iinc {}, {}", d.a, d.b as i32),
-            op::IADD => "iadd".into(),
-            op::ISUB => "isub".into(),
-            op::IMUL => "imul".into(),
-            op::IDIV => "idiv".into(),
-            op::IREM => "irem".into(),
-            op::INEG => "ineg".into(),
-            op::ISHL => "ishl".into(),
-            op::ISHR => "ishr".into(),
-            op::IUSHR => "iushr".into(),
-            op::IAND => "iand".into(),
-            op::IOR => "ior".into(),
-            op::IXOR => "ixor".into(),
-            op::FADD => "fadd".into(),
-            op::FSUB => "fsub".into(),
-            op::FMUL => "fmul".into(),
-            op::FDIV => "fdiv".into(),
-            op::FNEG => "fneg".into(),
-            op::I2F => "i2f".into(),
-            op::F2I => "f2i".into(),
+            op::ENTER_BLOCK => format!("{name} b{}", d.b),
+            op::ICONST => format!("{name} {}", self.iconsts[d.b as usize]),
+            op::FCONST => format!("{name} {}", self.fconsts[d.b as usize]),
+            op::LOAD | op::STORE | op::GET_FIELD | op::PUT_FIELD => format!("{name} {}", d.a),
+            op::IINC => format!("{name} {}, {}", d.a, d.b as i32),
             op::IF_ICMP_EQ..=op::IF_ICMP_GE => {
-                format!("if_icmp {} -> {}", cmp(op::IF_ICMP_EQ), d.b)
+                format!("{name} {} -> {}", cmp(op::IF_ICMP_EQ), d.b)
             }
-            op::IF_I_EQ..=op::IF_I_GE => format!("if {} -> {}", cmp(op::IF_I_EQ), d.b),
+            op::IF_I_EQ..=op::IF_I_GE => format!("{name} {} -> {}", cmp(op::IF_I_EQ), d.b),
             op::IF_FCMP_EQ..=op::IF_FCMP_GE => {
-                format!("if_fcmp {} -> {}", cmp(op::IF_FCMP_EQ), d.b)
+                format!("{name} {} -> {}", cmp(op::IF_FCMP_EQ), d.b)
             }
-            op::IF_NULL => format!("if_null -> {}", d.b),
-            op::IF_NON_NULL => format!("if_nonnull -> {}", d.b),
-            op::GOTO => format!("goto -> {}", d.b),
+            op::IF_NULL | op::IF_NON_NULL | op::GOTO => format!("{name} -> {}", d.b),
             op::TABLE_SWITCH => {
                 let sw = &self.switches[d.b as usize];
                 let ts: Vec<String> = sw.targets.iter().map(|t| t.to_string()).collect();
                 format!(
-                    "tableswitch low={} [{}] default -> {}",
+                    "{name} low={} [{}] default -> {}",
                     sw.low,
                     ts.join(", "),
                     sw.default
                 )
             }
-            op::INVOKE_STATIC => format!("invokestatic fn#{} argc={}", d.b, d.a),
-            op::INVOKE_VIRTUAL => format!("invokevirtual slot={} argc={}", d.a, d.b),
-            op::RETURN => "return".into(),
-            op::RETURN_VOID => "return_void".into(),
-            op::NEW => format!("new class#{} fields={}", d.b, d.a),
-            op::GET_FIELD => format!("getfield {}", d.a),
-            op::PUT_FIELD => format!("putfield {}", d.a),
-            op::NEW_ARRAY => "newarray".into(),
-            op::ALOAD => "aload".into(),
-            op::ASTORE => "astore".into(),
-            op::ARRAY_LEN => "arraylen".into(),
-            op::NOP => "nop".into(),
-            op::SQRT..=op::CHECKSUM => {
-                format!("{}", INTRINSIC_ORDER[(d.op - op::SQRT) as usize])
-            }
+            op::INVOKE_STATIC => format!("{name} fn#{} argc={}", d.b, d.a),
+            op::INVOKE_VIRTUAL => format!("{name} slot={} argc={}", d.a, d.b),
+            op::NEW => format!("{name} class#{} fields={}", d.b, d.a),
             other if crate::fuse::is_fused(other) => {
                 let desc = crate::fuse::desc_for(other);
                 let head = DOp::new(crate::fuse::base_op(other), d.a, d.b);
                 format!("{{{}}} {}", desc.name, self.dop_to_string(&head))
             }
-            other => format!("?op{other}"),
+            other if name == "?" => format!("?op{other}"),
+            _ => name.into(),
         }
     }
 

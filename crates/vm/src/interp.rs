@@ -28,17 +28,20 @@
 //!    flushes them only at call/return/GC boundaries.
 //!
 //! The loop still performs the data-dependent checks a JVM would also
-//! perform (null, bounds, division by zero).
+//! perform (null, bounds, division by zero): every operation, with its
+//! checks and their order, is [`crate::semantics`]'s, shared with the
+//! fused arms and the register-trace executor.
 
 use jvm_bytecode::{BlockId, ClassId, FuncId, Program};
 
 use crate::arena::{self, FrameArena};
-use crate::decode::{eval_f_rel, eval_i_rel, op, DOp, DecodedProgram};
+use crate::decode::{cmp_at, op, DOp, DecodedProgram};
 use crate::driver::{BlockDriver, Machine, Observing};
 use crate::error::VmError;
 use crate::fuse::{self, fop, BlockCounts, FusionConfig, FusionPlan, FusionReport};
-use crate::heap::{Heap, HeapObj, HeapStats};
+use crate::heap::{Heap, HeapStats};
 use crate::observer::DispatchObserver;
+use crate::semantics;
 use crate::stats::ExecStats;
 use crate::value::{OutputItem, Value};
 
@@ -357,74 +360,36 @@ impl<'p> Vm<'p> {
                 stats.instructions += 1;
             }};
         }
-        // Evaluates the int binop `$opc` (IADD..=IXOR) with the exact
-        // semantics of the standalone handlers, including div/rem traps.
-        macro_rules! ibin {
-            ($opc:expr, $a:expr, $b:expr) => {{
-                let a: i64 = $a;
-                let b: i64 = $b;
-                match $opc {
-                    op::IADD => a.wrapping_add(b),
-                    op::ISUB => a.wrapping_sub(b),
-                    op::IMUL => a.wrapping_mul(b),
-                    op::IDIV => {
-                        if b == 0 {
-                            return Err(VmError::DivisionByZero);
-                        }
-                        a.wrapping_div(b)
-                    }
-                    op::IREM => {
-                        if b == 0 {
-                            return Err(VmError::DivisionByZero);
-                        }
-                        a.wrapping_rem(b)
-                    }
-                    op::ISHL => a.wrapping_shl(b as u32 & 63),
-                    op::ISHR => a.wrapping_shr(b as u32 & 63),
-                    op::IUSHR => ((a as u64) >> (b as u32 & 63)) as i64,
-                    op::IAND => a & b,
-                    op::IOR => a | b,
-                    op::IXOR => a ^ b,
-                    other => unreachable!("int binop family: opcode {other}"),
-                }
+        // --- Operations (crate::semantics) ----------------------------
+        // A two- or one-operand operation of family `$f` on popped
+        // operands, its `$ty` result pushed: every arm passes its own
+        // opcode, so each compiles to that one operation's body.
+        macro_rules! op2 {
+            ($ty:ident, $f:ident, $opc:expr) => {{
+                let b = pop!();
+                let a = pop!();
+                push!(Value::$ty(semantics::$f($opc, a, b)?));
+                pc += 1;
             }};
         }
-        // Float binop family (FADD..=FDIV), same semantics as the
-        // standalone handlers.
-        macro_rules! fbin {
-            ($opc:expr, $a:expr, $b:expr) => {{
-                let a: f64 = $a;
-                let b: f64 = $b;
-                match $opc {
-                    op::FADD => a + b,
-                    op::FSUB => a - b,
-                    op::FMUL => a * b,
-                    op::FDIV => a / b,
-                    other => unreachable!("float binop family: opcode {other}"),
-                }
+        macro_rules! op1 {
+            ($ty:ident, $f:ident, $opc:expr) => {{
+                let a = pop!();
+                push!(Value::$ty(semantics::$f($opc, a)?));
+                pc += 1;
             }};
         }
-        // Array element read with the exact trap order and messages of
-        // the standalone ALOAD handler.
-        macro_rules! aload_elem {
-            ($arr:expr, $idx:expr) => {{
-                let idx: i64 = $idx;
-                match heap.get($arr) {
-                    HeapObj::Array { elems } => {
-                        if idx < 0 || idx as usize >= elems.len() {
-                            return Err(VmError::IndexOutOfBounds {
-                                index: idx,
-                                len: elems.len(),
-                            });
-                        }
-                        elems[idx as usize]
-                    }
-                    HeapObj::Object { .. } => {
-                        return Err(VmError::TypeError {
-                            expected: "array",
-                            found: "object",
-                        })
-                    }
+        // A conditional branch `$len` DOps long, counted whichever way
+        // it goes.
+        macro_rules! branch {
+            ($taken:expr, $target:expr, $len:expr) => {{
+                let taken = $taken;
+                stats.branches += 1;
+                if taken {
+                    stats.taken_branches += 1;
+                    pc = $target;
+                } else {
+                    pc += $len;
                 }
             }};
         }
@@ -513,209 +478,61 @@ impl<'p> Vm<'p> {
                 }
                 op::IINC => {
                     let i = base + u32::from(d.a);
-                    let v = slot(&arena.slab, i).as_int()?;
-                    *slot_mut(&mut arena.slab, i) = Value::Int(v.wrapping_add(d.b as i32 as i64));
+                    let v = semantics::iinc(slot(&arena.slab, i), d.b as i32)?;
+                    *slot_mut(&mut arena.slab, i) = Value::Int(v);
                     pc += 1;
                 }
-                op::IADD => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(a.wrapping_add(b)));
-                    pc += 1;
-                }
-                op::ISUB => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(a.wrapping_sub(b)));
-                    pc += 1;
-                }
-                op::IMUL => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(a.wrapping_mul(b)));
-                    pc += 1;
-                }
-                op::IDIV => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    if b == 0 {
-                        return Err(VmError::DivisionByZero);
-                    }
-                    push!(Value::Int(a.wrapping_div(b)));
-                    pc += 1;
-                }
-                op::IREM => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    if b == 0 {
-                        return Err(VmError::DivisionByZero);
-                    }
-                    push!(Value::Int(a.wrapping_rem(b)));
-                    pc += 1;
-                }
-                op::INEG => {
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(a.wrapping_neg()));
-                    pc += 1;
-                }
-                op::ISHL => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(a.wrapping_shl(b as u32 & 63)));
-                    pc += 1;
-                }
-                op::ISHR => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(a.wrapping_shr(b as u32 & 63)));
-                    pc += 1;
-                }
-                op::IUSHR => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(((a as u64) >> (b as u32 & 63)) as i64));
-                    pc += 1;
-                }
-                op::IAND => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(a & b));
-                    pc += 1;
-                }
-                op::IOR => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(a | b));
-                    pc += 1;
-                }
-                op::IXOR => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(a ^ b));
-                    pc += 1;
-                }
-                op::FADD => {
-                    let b = pop!().as_float()?;
-                    let a = pop!().as_float()?;
-                    push!(Value::Float(a + b));
-                    pc += 1;
-                }
-                op::FSUB => {
-                    let b = pop!().as_float()?;
-                    let a = pop!().as_float()?;
-                    push!(Value::Float(a - b));
-                    pc += 1;
-                }
-                op::FMUL => {
-                    let b = pop!().as_float()?;
-                    let a = pop!().as_float()?;
-                    push!(Value::Float(a * b));
-                    pc += 1;
-                }
-                op::FDIV => {
-                    let b = pop!().as_float()?;
-                    let a = pop!().as_float()?;
-                    push!(Value::Float(a / b));
-                    pc += 1;
-                }
-                op::FNEG => {
-                    let a = pop!().as_float()?;
-                    push!(Value::Float(-a));
-                    pc += 1;
-                }
-                op::I2F => {
-                    let a = pop!().as_int()?;
-                    push!(Value::Float(a as f64));
-                    pc += 1;
-                }
-                op::F2I => {
-                    let a = pop!().as_float()?;
-                    push!(Value::Int(a as i64));
-                    pc += 1;
-                }
+                op::IADD => op2!(Int, ibin, op::IADD),
+                op::ISUB => op2!(Int, ibin, op::ISUB),
+                op::IMUL => op2!(Int, ibin, op::IMUL),
+                op::IDIV => op2!(Int, ibin, op::IDIV),
+                op::IREM => op2!(Int, ibin, op::IREM),
+                op::INEG => op1!(Int, iunary, op::INEG),
+                op::ISHL => op2!(Int, ibin, op::ISHL),
+                op::ISHR => op2!(Int, ibin, op::ISHR),
+                op::IUSHR => op2!(Int, ibin, op::IUSHR),
+                op::IAND => op2!(Int, ibin, op::IAND),
+                op::IOR => op2!(Int, ibin, op::IOR),
+                op::IXOR => op2!(Int, ibin, op::IXOR),
+                op::FADD => op2!(Float, fbin, op::FADD),
+                op::FSUB => op2!(Float, fbin, op::FSUB),
+                op::FMUL => op2!(Float, fbin, op::FMUL),
+                op::FDIV => op2!(Float, fbin, op::FDIV),
+                op::FNEG => op1!(Float, funary, op::FNEG),
+                op::I2F => op1!(Float, funary, op::I2F),
+                op::F2I => op1!(Int, iunary, op::F2I),
                 op::IF_ICMP_EQ..=op::IF_ICMP_GE => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    stats.branches += 1;
-                    if eval_i_rel(d.op - op::IF_ICMP_EQ, a, b) {
-                        stats.taken_branches += 1;
-                        pc = d.b;
-                    } else {
-                        pc += 1;
-                    }
+                    let b = pop!();
+                    let (a, b) = semantics::ints(pop!(), b)?;
+                    branch!(semantics::icmp(cmp_at(d.op - op::IF_ICMP_EQ), a, b), d.b, 1);
                 }
                 op::IF_I_EQ..=op::IF_I_GE => {
                     let a = pop!().as_int()?;
-                    stats.branches += 1;
-                    if eval_i_rel(d.op - op::IF_I_EQ, a, 0) {
-                        stats.taken_branches += 1;
-                        pc = d.b;
-                    } else {
-                        pc += 1;
-                    }
+                    branch!(semantics::icmp(cmp_at(d.op - op::IF_I_EQ), a, 0), d.b, 1);
                 }
                 op::IF_FCMP_EQ..=op::IF_FCMP_GE => {
-                    let b = pop!().as_float()?;
-                    let a = pop!().as_float()?;
-                    stats.branches += 1;
-                    if eval_f_rel(d.op - op::IF_FCMP_EQ, a, b) {
-                        stats.taken_branches += 1;
-                        pc = d.b;
-                    } else {
-                        pc += 1;
-                    }
+                    let b = pop!();
+                    let (a, b) = semantics::floats(pop!(), b)?;
+                    branch!(semantics::fcmp(cmp_at(d.op - op::IF_FCMP_EQ), a, b), d.b, 1);
                 }
-                op::IF_NULL => {
-                    let v = pop!();
-                    stats.branches += 1;
-                    if matches!(v, Value::Null) {
-                        stats.taken_branches += 1;
-                        pc = d.b;
-                    } else {
-                        pc += 1;
-                    }
-                }
-                op::IF_NON_NULL => {
-                    let v = pop!();
-                    stats.branches += 1;
-                    if !matches!(v, Value::Null) {
-                        stats.taken_branches += 1;
-                        pc = d.b;
-                    } else {
-                        pc += 1;
-                    }
-                }
+                op::IF_NULL => branch!(matches!(pop!(), Value::Null), d.b, 1),
+                op::IF_NON_NULL => branch!(!matches!(pop!(), Value::Null), d.b, 1),
                 op::GOTO => {
                     pc = d.b;
                 }
                 op::TABLE_SWITCH => {
-                    let v = pop!().as_int()?;
+                    let sw = &decoded.switches[d.b as usize];
+                    pc = semantics::switch_target(pop!(), sw.low, &sw.targets, sw.default)?;
                     stats.branches += 1;
                     stats.taken_branches += 1;
-                    let sw = &decoded.switches[d.b as usize];
-                    let idx = v.wrapping_sub(sw.low);
-                    pc = if idx >= 0 && (idx as usize) < sw.targets.len() {
-                        sw.targets[idx as usize]
-                    } else {
-                        sw.default
-                    };
                 }
                 op::INVOKE_STATIC => {
                     enter_call!(FuncId(d.b), u32::from(d.a));
                 }
                 op::INVOKE_VIRTUAL => {
                     let argc = d.b;
-                    let recv = slot(&arena.slab, sp - argc).as_ref_id()?;
-                    let class = match heap.get(recv) {
-                        HeapObj::Object { class, .. } => *class,
-                        HeapObj::Array { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "object receiver",
-                                found: "array",
-                            })
-                        }
-                    };
-                    let callee = program.class(class).resolve(d.a);
+                    let recv = slot(&arena.slab, sp - argc);
+                    let callee = semantics::resolve_virtual(program, heap, recv, d.a)?;
                     stats.virtual_calls += 1;
                     enter_call!(callee, argc);
                 }
@@ -744,43 +561,15 @@ impl<'p> Vm<'p> {
                     pc += 1;
                 }
                 op::GET_FIELD => {
-                    let obj = pop!().as_ref_id()?;
-                    match heap.get(obj) {
-                        HeapObj::Object { fields, .. } => {
-                            let v = *fields.get(d.a as usize).ok_or(VmError::BadField {
-                                field: d.a,
-                                num_fields: fields.len() as u16,
-                            })?;
-                            push!(v);
-                            pc += 1;
-                        }
-                        HeapObj::Array { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "object",
-                                found: "array",
-                            })
-                        }
-                    }
+                    let obj = pop!();
+                    push!(*semantics::field(heap, obj, d.a)?);
+                    pc += 1;
                 }
                 op::PUT_FIELD => {
                     let v = pop!();
-                    let obj = pop!().as_ref_id()?;
+                    let obj = pop!();
+                    *semantics::field_mut(heap, obj, d.a)? = v;
                     pc += 1;
-                    match heap.get_mut(obj) {
-                        HeapObj::Object { fields, .. } => {
-                            let len = fields.len();
-                            *fields.get_mut(d.a as usize).ok_or(VmError::BadField {
-                                field: d.a,
-                                num_fields: len as u16,
-                            })? = v;
-                        }
-                        HeapObj::Array { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "object",
-                                found: "array",
-                            })
-                        }
-                    }
                 }
                 op::NEW_ARRAY => {
                     let len = pop!().as_int()?;
@@ -790,117 +579,35 @@ impl<'p> Vm<'p> {
                     pc += 1;
                 }
                 op::ALOAD => {
-                    let idx = pop!().as_int()?;
-                    let arr = pop!().as_ref_id()?;
-                    match heap.get(arr) {
-                        HeapObj::Array { elems } => {
-                            if idx < 0 || idx as usize >= elems.len() {
-                                return Err(VmError::IndexOutOfBounds {
-                                    index: idx,
-                                    len: elems.len(),
-                                });
-                            }
-                            let v = elems[idx as usize];
-                            push!(v);
-                            pc += 1;
-                        }
-                        HeapObj::Object { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "array",
-                                found: "object",
-                            })
-                        }
-                    }
+                    let idx = pop!();
+                    let arr = pop!();
+                    push!(*semantics::element(heap, arr, idx)?);
+                    pc += 1;
                 }
                 op::ASTORE => {
                     let v = pop!();
-                    let idx = pop!().as_int()?;
-                    let arr = pop!().as_ref_id()?;
+                    let idx = pop!();
+                    let arr = pop!();
+                    *semantics::element_mut(heap, arr, idx)? = v;
                     pc += 1;
-                    match heap.get_mut(arr) {
-                        HeapObj::Array { elems } => {
-                            if idx < 0 || idx as usize >= elems.len() {
-                                return Err(VmError::IndexOutOfBounds {
-                                    index: idx,
-                                    len: elems.len(),
-                                });
-                            }
-                            elems[idx as usize] = v;
-                        }
-                        HeapObj::Object { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "array",
-                                found: "object",
-                            })
-                        }
-                    }
                 }
                 op::ARRAY_LEN => {
-                    let arr = pop!().as_ref_id()?;
-                    match heap.get(arr) {
-                        HeapObj::Array { elems } => {
-                            let len = elems.len() as i64;
-                            push!(Value::Int(len));
-                            pc += 1;
-                        }
-                        HeapObj::Object { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "array",
-                                found: "object",
-                            })
-                        }
-                    }
+                    let arr = pop!();
+                    push!(Value::Int(semantics::arraylen(heap, arr)?));
+                    pc += 1;
                 }
                 op::NOP => {
                     pc += 1;
                 }
-                op::SQRT => {
-                    let v = pop!().as_float()?;
-                    push!(Value::Float(v.sqrt()));
-                    pc += 1;
-                }
-                op::SIN => {
-                    let v = pop!().as_float()?;
-                    push!(Value::Float(v.sin()));
-                    pc += 1;
-                }
-                op::COS => {
-                    let v = pop!().as_float()?;
-                    push!(Value::Float(v.cos()));
-                    pc += 1;
-                }
-                op::EXP => {
-                    let v = pop!().as_float()?;
-                    push!(Value::Float(v.exp()));
-                    pc += 1;
-                }
-                op::LOG => {
-                    let v = pop!().as_float()?;
-                    push!(Value::Float(v.ln()));
-                    pc += 1;
-                }
-                op::ABS_F => {
-                    let v = pop!().as_float()?;
-                    push!(Value::Float(v.abs()));
-                    pc += 1;
-                }
-                op::ABS_I => {
-                    let v = pop!().as_int()?;
-                    push!(Value::Int(v.wrapping_abs()));
-                    pc += 1;
-                }
-                op::MIN_I => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(a.min(b)));
-                    pc += 1;
-                }
-                op::MAX_I => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(a.max(b)));
-                    pc += 1;
-                }
+                op::SQRT => op1!(Float, funary, op::SQRT),
+                op::SIN => op1!(Float, funary, op::SIN),
+                op::COS => op1!(Float, funary, op::COS),
+                op::EXP => op1!(Float, funary, op::EXP),
+                op::LOG => op1!(Float, funary, op::LOG),
+                op::ABS_F => op1!(Float, funary, op::ABS_F),
+                op::ABS_I => op1!(Int, iunary, op::ABS_I),
+                op::MIN_I => op2!(Int, ibin, op::MIN_I),
+                op::MAX_I => op2!(Int, ibin, op::MAX_I),
                 op::PRINT_INT => {
                     let v = pop!().as_int()?;
                     if config.capture_output {
@@ -933,20 +640,17 @@ impl<'p> Vm<'p> {
                     let y = slot(&arena.slab, base + u32::from(d2.a));
                     fstep!();
                     let d3 = shadow!(2);
-                    let b = y.as_int()?;
-                    let a = x.as_int()?;
-                    push!(Value::Int(ibin!(d3.op, a, b)));
+                    push!(Value::Int(semantics::ibin(d3.op, x, y)?));
                     pc += 3;
                 }
                 fop::LOAD_ICONST_IBIN => {
                     let x = slot(&arena.slab, base + u32::from(d.a));
                     fstep!();
                     let d2 = shadow!(1);
-                    let b = decoded.iconsts[d2.b as usize];
+                    let y = Value::Int(decoded.iconsts[d2.b as usize]);
                     fstep!();
                     let d3 = shadow!(2);
-                    let a = x.as_int()?;
-                    push!(Value::Int(ibin!(d3.op, a, b)));
+                    push!(Value::Int(semantics::ibin(d3.op, x, y)?));
                     pc += 3;
                 }
                 fop::LOAD_LOAD_ICMP => {
@@ -956,15 +660,12 @@ impl<'p> Vm<'p> {
                     let y = slot(&arena.slab, base + u32::from(d2.a));
                     fstep!();
                     let d3 = shadow!(2);
-                    let b = y.as_int()?;
-                    let a = x.as_int()?;
-                    stats.branches += 1;
-                    if eval_i_rel(d3.op - op::IF_ICMP_EQ, a, b) {
-                        stats.taken_branches += 1;
-                        pc = d3.b;
-                    } else {
-                        pc += 3;
-                    }
+                    let (a, b) = semantics::ints(x, y)?;
+                    branch!(
+                        semantics::icmp(cmp_at(d3.op - op::IF_ICMP_EQ), a, b),
+                        d3.b,
+                        3
+                    );
                 }
                 fop::LOAD_LOAD => {
                     let x = slot(&arena.slab, base + u32::from(d.a));
@@ -994,50 +695,46 @@ impl<'p> Vm<'p> {
                     let y = slot(&arena.slab, base + u32::from(d.a));
                     fstep!();
                     let d2 = shadow!(1);
-                    let b = y.as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(ibin!(d2.op, a, b)));
+                    let x = pop!();
+                    push!(Value::Int(semantics::ibin(d2.op, x, y)?));
                     pc += 2;
                 }
                 fop::ICONST_IBIN => {
-                    let b = decoded.iconsts[d.b as usize];
+                    let y = Value::Int(decoded.iconsts[d.b as usize]);
                     fstep!();
                     let d2 = shadow!(1);
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(ibin!(d2.op, a, b)));
+                    let x = pop!();
+                    push!(Value::Int(semantics::ibin(d2.op, x, y)?));
                     pc += 2;
                 }
                 fop::LOAD_ICMP => {
                     let y = slot(&arena.slab, base + u32::from(d.a));
                     fstep!();
                     let d2 = shadow!(1);
-                    let b = y.as_int()?;
-                    let a = pop!().as_int()?;
-                    stats.branches += 1;
-                    if eval_i_rel(d2.op - op::IF_ICMP_EQ, a, b) {
-                        stats.taken_branches += 1;
-                        pc = d2.b;
-                    } else {
-                        pc += 2;
-                    }
+                    let x = pop!();
+                    let (a, b) = semantics::ints(x, y)?;
+                    branch!(
+                        semantics::icmp(cmp_at(d2.op - op::IF_ICMP_EQ), a, b),
+                        d2.b,
+                        2
+                    );
                 }
                 fop::ICONST_ICMP => {
-                    let b = decoded.iconsts[d.b as usize];
+                    let y = Value::Int(decoded.iconsts[d.b as usize]);
                     fstep!();
                     let d2 = shadow!(1);
-                    let a = pop!().as_int()?;
-                    stats.branches += 1;
-                    if eval_i_rel(d2.op - op::IF_ICMP_EQ, a, b) {
-                        stats.taken_branches += 1;
-                        pc = d2.b;
-                    } else {
-                        pc += 2;
-                    }
+                    let x = pop!();
+                    let (a, b) = semantics::ints(x, y)?;
+                    branch!(
+                        semantics::icmp(cmp_at(d2.op - op::IF_ICMP_EQ), a, b),
+                        d2.b,
+                        2
+                    );
                 }
                 fop::IINC_GOTO => {
                     let i = base + u32::from(d.a);
-                    let v = slot(&arena.slab, i).as_int()?;
-                    *slot_mut(&mut arena.slab, i) = Value::Int(v.wrapping_add(d.b as i32 as i64));
+                    let v = semantics::iinc(slot(&arena.slab, i), d.b as i32)?;
+                    *slot_mut(&mut arena.slab, i) = Value::Int(v);
                     fstep!();
                     let d2 = shadow!(1);
                     // GOTO is unconditional: no branch counters, like
@@ -1045,57 +742,54 @@ impl<'p> Vm<'p> {
                     pc = d2.b;
                 }
                 fop::IADD_STORE => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    let v = Value::Int(a.wrapping_add(b));
+                    let b = pop!();
+                    let a = pop!();
+                    let v = Value::Int(semantics::ibin(op::IADD, a, b)?);
                     fstep!();
                     let d2 = shadow!(1);
                     *slot_mut(&mut arena.slab, base + u32::from(d2.a)) = v;
                     pc += 2;
                 }
                 fop::FCONST_FBIN => {
-                    let b = decoded.fconsts[d.b as usize];
+                    let y = Value::Float(decoded.fconsts[d.b as usize]);
                     fstep!();
                     let d2 = shadow!(1);
-                    let a = pop!().as_float()?;
-                    push!(Value::Float(fbin!(d2.op, a, b)));
+                    let x = pop!();
+                    push!(Value::Float(semantics::fbin(d2.op, x, y)?));
                     pc += 2;
                 }
                 fop::LOAD_ALOAD => {
-                    let iv = slot(&arena.slab, base + u32::from(d.a));
+                    let idx = slot(&arena.slab, base + u32::from(d.a));
                     fstep!();
-                    let idx = iv.as_int()?;
-                    let arr = pop!().as_ref_id()?;
-                    push!(aload_elem!(arr, idx));
+                    let arr = pop!();
+                    push!(*semantics::element(heap, arr, idx)?);
                     pc += 2;
                 }
                 fop::ICONST_ALOAD => {
-                    let idx = decoded.iconsts[d.b as usize];
+                    let idx = Value::Int(decoded.iconsts[d.b as usize]);
                     fstep!();
-                    let arr = pop!().as_ref_id()?;
-                    push!(aload_elem!(arr, idx));
+                    let arr = pop!();
+                    push!(*semantics::element(heap, arr, idx)?);
                     pc += 2;
                 }
                 fop::ALOAD_IBIN => {
-                    let idx = pop!().as_int()?;
-                    let arr = pop!().as_ref_id()?;
-                    let ev = aload_elem!(arr, idx);
+                    let idx = pop!();
+                    let arr = pop!();
+                    let y = *semantics::element(heap, arr, idx)?;
                     fstep!();
                     let d2 = shadow!(1);
-                    let b = ev.as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(ibin!(d2.op, a, b)));
+                    let x = pop!();
+                    push!(Value::Int(semantics::ibin(d2.op, x, y)?));
                     pc += 2;
                 }
                 fop::ALOAD_FBIN => {
-                    let idx = pop!().as_int()?;
-                    let arr = pop!().as_ref_id()?;
-                    let ev = aload_elem!(arr, idx);
+                    let idx = pop!();
+                    let arr = pop!();
+                    let y = *semantics::element(heap, arr, idx)?;
                     fstep!();
                     let d2 = shadow!(1);
-                    let b = ev.as_float()?;
-                    let a = pop!().as_float()?;
-                    push!(Value::Float(fbin!(d2.op, a, b)));
+                    let x = pop!();
+                    push!(Value::Float(semantics::fbin(d2.op, x, y)?));
                     pc += 2;
                 }
                 other => unreachable!("corrupt decoded stream: opcode {other}"),

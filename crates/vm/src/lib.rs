@@ -49,6 +49,7 @@ pub mod heap;
 pub mod interp;
 pub mod observer;
 pub mod reference;
+pub mod semantics;
 pub mod stats;
 pub mod value;
 

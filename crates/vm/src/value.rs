@@ -91,13 +91,18 @@ impl Value {
     }
 
     /// A short name for the value's runtime type.
+    ///
+    /// A table read, not a `match`: every executor inlines dozens of
+    /// type checks whose error paths name the kind found, and a `match`
+    /// there became a chain of selects at each one.
     pub fn kind(self) -> &'static str {
-        match self {
-            Value::Int(_) => "int",
-            Value::Float(_) => "float",
-            Value::Ref(_) => "ref",
-            Value::Null => "null",
-        }
+        const KINDS: [&str; 4] = ["int", "float", "ref", "null"];
+        KINDS[match self {
+            Value::Int(_) => 0,
+            Value::Float(_) => 1,
+            Value::Ref(_) => 2,
+            Value::Null => 3,
+        }]
     }
 
     /// Whether this value is a (possibly null) reference.

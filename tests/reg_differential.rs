@@ -420,6 +420,8 @@ struct TrapLoop {
     i: u16,
     /// A two-element array `[null, C object]`.
     pair: u16,
+    /// A two-element array `[pair, C object]`.
+    mixed: u16,
     /// Vtable slot of `C.m` (one receiver argument, returns 3).
     slot: u16,
 }
@@ -441,12 +443,21 @@ fn trap_loop_program(body: impl FnOnce(&mut FunctionBuilder, &TrapLoop)) -> Prog
     let l = TrapLoop {
         i: 0,
         pair: b.alloc_local(),
+        mixed: b.alloc_local(),
         slot,
     };
     b.iconst(0).store(acc);
     b.iconst(2).new_array().store(l.pair);
     b.load(l.pair).iconst(0).const_null().astore();
     b.load(l.pair).iconst(1).new_obj(c).astore();
+    b.iconst(2).new_array().store(l.mixed);
+    b.load(l.mixed).iconst(0).load(l.pair).astore();
+    b.load(l.mixed)
+        .iconst(1)
+        .load(l.pair)
+        .iconst(1)
+        .aload()
+        .astore();
     let head = b.bind_new_label();
     let exit = b.new_label();
     b.load(l.i).load(1).if_icmp(CmpOp::Le, exit);
@@ -502,6 +513,49 @@ fn in_trace_traps_match_the_interpreter() {
                 b.get_field(0);
             }),
             VmError::NullPointer,
+        ),
+        (
+            "remainder by zero",
+            trap_loop_program(|b, l| {
+                b.iconst(1000).load(l.i).irem();
+            }),
+            VmError::DivisionByZero,
+        ),
+        (
+            "array store out of bounds",
+            trap_loop_program(|b, l| {
+                // pair[2 - min(i, 1)] = 7: index 2 at i == 0.
+                b.load(l.pair).iconst(2);
+                l.push_clamped(b);
+                b.isub().iconst(7).astore().iconst(1);
+            }),
+            VmError::IndexOutOfBounds { index: 2, len: 2 },
+        ),
+        (
+            "field access on an array",
+            trap_loop_program(|b, l| {
+                // mixed[min(i, 1)].0: the array at i == 0.
+                b.load(l.mixed);
+                l.push_clamped(b);
+                b.aload().get_field(0);
+            }),
+            VmError::TypeError {
+                expected: "object",
+                found: "array",
+            },
+        ),
+        (
+            "array length of an object",
+            trap_loop_program(|b, l| {
+                // mixed[1 - min(i, 1)].length: the object at i == 0.
+                b.load(l.mixed).iconst(1);
+                l.push_clamped(b);
+                b.isub().aload().array_len();
+            }),
+            VmError::TypeError {
+                expected: "array",
+                found: "object",
+            },
         ),
         (
             "virtual call on null",
