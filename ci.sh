@@ -159,6 +159,18 @@ if grep -n 'semantics' crates/vm/src/reference.rs; then
     exit 1
 fi
 
+echo "== one profile (the engine runs the streams it decoded; the BCG is its only profile)"
+# TracingVm used to count a second, block-visit profile on every dispatch
+# and loop closing, rewrite its out-of-trace streams with DOp
+# superinstructions when run 2 began, and keep an EngineConfig knob and a
+# --no-fuse flag to turn that off. Turned off it cost nothing the host
+# noise could show, and the engine dispatched the same blocks either way.
+# A second profile or the rewrite creeping back in shows up here first.
+if grep -rnE 'jvm_vm::fuse|fuse::|dop_fusion|count_visit|--no-fuse' crates/exec/src src/bin; then
+    echo "the engine profiles or rewrites its decoded streams again (matches above)" >&2
+    exit 1
+fi
+
 echo "== cargo test (release)"
 cargo test --workspace -q --release
 
@@ -191,7 +203,7 @@ cargo test --features debug-invariants -q --test cache_policy_differential
 cargo test -q --release --test cache_policy_differential
 
 echo "== differential matrix (every VM configuration x every source vs one oracle; debug: invariants on, release: at speed)"
-# Plain, fused, monitor, engine (DOp fusion on and off), never-entering,
+# Plain, fused, monitor, engine (three runs on one VM), never-entering,
 # warm-booted, shared, faulted and the two baseline selectors, each on
 # the six workloads, the three phase-shift variants and a 64-case
 # generated corpus, against one ReferenceVm run per source; and the

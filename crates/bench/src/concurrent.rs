@@ -663,7 +663,6 @@ fn phase_shift_config() -> EngineConfig {
             ..trace_jit::TraceJitConfig::paper_default()
         }
         .with_threshold(0.90),
-        ..EngineConfig::paper_default()
     }
 }
 

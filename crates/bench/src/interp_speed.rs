@@ -566,31 +566,19 @@ fn measure_workload(w: &Workload, repeats: usize) -> InterpRow {
     // from three-address register code.
     let mut jit = TraceJitConfig::paper_default();
     jit.vm.capture_output = false;
-    let mut reg_engine = TracingVm::new(
-        &w.program,
-        EngineConfig {
-            jit,
-            ..EngineConfig::paper_default()
-        },
-    );
+    let mut reg_engine = TracingVm::new(&w.program, EngineConfig { jit });
     let reg_secs = min_secs(repeats, || {
         let r = reg_engine.run(&w.args).expect("runs");
         std::hint::black_box(r.checksum);
     });
 
     // The never-enter pair: the same loop, the same profiler on every
-    // block, nothing ever built. DOp fusion is off on the engine so
-    // both sides execute the identical plain decoded stream.
+    // block, nothing ever built. The engine never rewrites its decoded
+    // streams, so both sides execute the identical plain stream.
     let never_jit = jit.with_start_delay(NEVER_ENTER_START_DELAY);
     let mut observed = Vm::with_config(&w.program, config);
     let mut bcg = BranchCorrelationGraph::new(never_jit.bcg_config());
-    let mut never_engine = TracingVm::new(
-        &w.program,
-        EngineConfig {
-            jit: never_jit,
-            ..EngineConfig::paper_default().with_dop_fusion(false)
-        },
-    );
+    let mut never_engine = TracingVm::new(&w.program, EngineConfig { jit: never_jit });
     let mut never_entered = 0;
     let (obs_min, nev_min, never_enter_median_ratio) = interleaved_secs(
         repeats,

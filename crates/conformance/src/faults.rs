@@ -59,7 +59,6 @@ pub fn fault_campaign_config() -> EngineConfig {
             ..TraceJitConfig::paper_default()
         }
         .with_threshold(0.90),
-        dop_fusion: true,
     }
 }
 

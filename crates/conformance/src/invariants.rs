@@ -96,7 +96,9 @@ pub fn check_link_coherence(cache: &TraceCache, bcg: &BranchCorrelationGraph) {
 
 /// Side-exit target validity: every exit record of a register-lowered
 /// trace must resume at an in-range decoded pc of its function, inside
-/// the block the record names; every decoded switch target must be a
+/// the block the record names — a guard's or hand-back's on the block's
+/// terminator, a final branch's on an entry marker, so the loop never
+/// resumes mid-block; every decoded switch target must be a
 /// block entry marker; every frame image must fit the region the
 /// arena allocates for its frame; and an exit's image must rebuild
 /// exactly the operand-stack depth the verifier proved at its resume
@@ -169,7 +171,13 @@ pub fn check_side_exits(program: &Program, decoded: &DecodedProgram, rt: &RegTra
         // marker precedes each block, so the source pc is
         // `dpc - block - 1` (DESIGN.md, decoded layout).
         let e = check_record(what, cur, idx);
-        check_depth(what, e, e.dpc - e.block - 1);
+        let pc = e.dpc - e.block - 1;
+        assert_eq!(
+            pc + 1,
+            program.function(e.func).block(e.block).end,
+            "{what}: exit at pc {pc} is not its block's terminator"
+        );
+        check_depth(what, e, pc);
     };
     // A final branch's successor record resumes *on* the successor's
     // entry marker, so the loop makes its dispatch; the image rebuilds

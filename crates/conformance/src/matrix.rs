@@ -343,10 +343,7 @@ pub enum Row {
     Monitor,
     /// The trace-executing engine at start delay 16, three runs on one VM:
     /// result, checksum, instruction count, heap counters, output.
-    Engine {
-        /// Whether the decoded streams are DOp-fused from the second run.
-        dop_fusion: bool,
-    },
+    Engine,
     /// The engine at a start delay no run reaches, two runs: every field
     /// but the stream, and the profiler's counters of the oracle's stream.
     NeverEnter,
@@ -377,7 +374,7 @@ pub struct RunFacts {
     pub first_entry_dispatch: u64,
     /// Lowered traces the VM holds after the run.
     pub compiled: usize,
-    /// Fusions the VM's DOp rewrite applied, once it rewrote.
+    /// Fusions the `Fused` row's DOp rewrite applied.
     pub fusions: Option<u64>,
     /// Fused group heads in the VM's decoded streams after the run.
     pub fused_heads: u64,
@@ -481,7 +478,7 @@ impl Cell<'_> {
             block_dispatches: vm.interpreter().stats().block_dispatches,
             first_entry_dispatch: after.first_entry_dispatch,
             compiled: vm.compiled_count(),
-            fusions: vm.dop_fusion_report().map(fuse::FusionReport::fused),
+            fusions: None,
             fused_heads: fused_heads(&self.case.program, vm.decoded()),
         });
         *before = after;
@@ -523,15 +520,14 @@ impl Case {
     /// on a fuzz case the corpus tunables and a loop-unroll factor of 0–4
     /// drawn from the seed.
     fn engine(&self, named: TraceJitConfig) -> EngineConfig {
-        let mut config = EngineConfig::paper_default();
-        config.jit = match self.kind {
+        let jit = match self.kind {
             SourceKind::Fuzz => TraceJitConfig::paper_default()
                 .with_start_delay(2)
                 .with_threshold(0.90)
                 .with_loop_unroll((self.seed % 5) as usize),
             _ => named,
         };
-        config
+        EngineConfig { jit }
     }
 
     /// The DOp-fusion selection of the `Fused` row: the default on the
@@ -591,11 +587,10 @@ impl Case {
                 let second = TraceVm::new(program, jit).run(args);
                 cell.check(0, "report of a second instance", &second, &first)?;
             }
-            Row::Engine { dop_fusion } => {
-                let mut vm = TracingVm::new(program, engine_at_16.with_dop_fusion(dop_fusion));
+            Row::Engine => {
+                let mut vm = TracingVm::new(program, engine_at_16);
                 let mut before = TraceExecStats::default();
-                // The first run profiles for DOp fusion, the second
-                // rewrites as it begins, the third starts fused and warm.
+                // A cold run, then two on a warm cache.
                 for _ in 0..3 {
                     cell.engine_run(&mut vm, &mut before)?;
                 }
@@ -703,7 +698,7 @@ mod tests {
         let case = cases(1).pop().expect("one fuzz case");
         let cell = Cell {
             case: &case,
-            row: Row::Engine { dop_fusion: true },
+            row: Row::Engine,
             report: CellReport::default(),
         };
         let oracle = &case.oracle;
@@ -722,13 +717,7 @@ mod tests {
             .compare(1, &wrong)
             .expect_err("a wrong checksum diverges");
         let seed = format!("{:#x}", seed_stream(FUZZ_SEED, 0));
-        for part in [
-            "fuzz #0",
-            &seed,
-            "Engine { dop_fusion: true }",
-            "run 1",
-            "checksum diverged",
-        ] {
+        for part in ["fuzz #0", &seed, "Engine", "run 1", "checksum diverged"] {
             assert!(message.contains(part), "{message:?} lacks {part:?}");
         }
 

@@ -4,7 +4,9 @@
 //! next step (§6), built the way the paper builds it: the trace cache
 //! lives *inside* the interpreter's dispatch loop. Out-of-trace code runs
 //! on [`jvm_vm::Vm`]'s decoded loop — the engine has no interpreter of its
-//! own — with the engine attached to the loop's block-dispatch hook
+//! own, and the streams [`Vm::with_config`] decoded run unrewritten for
+//! the VM's life, so the profiler is its only profile — with the engine
+//! attached to the loop's block-dispatch hook
 //! ([`jvm_vm::BlockDriver`]). At every dispatch the driver feeds the
 //! profiler, handles its signals and checks the entry link; when a trace
 //! is linked the loop hands over its
@@ -78,14 +80,6 @@ use crate::shared::SharedSession;
 pub struct EngineConfig {
     /// Profiler/constructor/VM parameters (shared with the base system).
     pub jit: TraceJitConfig,
-    /// Whether the out-of-trace decoded streams are rewritten with
-    /// profile-driven DOp superinstructions ([`jvm_vm::fuse`]): block
-    /// visits are counted during the first run that completes, and the
-    /// selection is applied when the *next* run begins — a VM that runs
-    /// once never pays for streams it would not execute. Trace execution
-    /// is unaffected (traces lower from source instructions, and
-    /// quickening keeps every resume pc valid). On by default.
-    pub dop_fusion: bool,
 }
 
 impl EngineConfig {
@@ -93,14 +87,7 @@ impl EngineConfig {
     pub fn paper_default() -> Self {
         EngineConfig {
             jit: TraceJitConfig::paper_default(),
-            dop_fusion: true,
         }
-    }
-
-    /// Returns this configuration with decoded-stream DOp fusion toggled.
-    pub fn with_dop_fusion(mut self, on: bool) -> Self {
-        self.dop_fusion = on;
-        self
     }
 }
 
@@ -149,25 +136,9 @@ pub(crate) struct Jit<'p> {
     /// Reusable register file for trace execution: grown per trace on
     /// entry, recycled across entries so the hot path never allocates.
     pub(crate) reg_file: Vec<Value>,
-    /// Block-visit profile accumulated during the first run; input to
-    /// the DOp-fusion selection (see [`jvm_vm::fuse`]). Here rather than
-    /// in the driver because a loop closing visits the loop head
-    /// without a dispatch.
-    block_visits: jvm_vm::fuse::BlockCounts,
-    /// Whether this run is the one counting `block_visits`.
-    profile_fusion: bool,
 }
 
 impl Jit<'_> {
-    /// Counts a visit of `bid` into the DOp-fusion profile, while it is
-    /// being taken.
-    #[inline]
-    pub(crate) fn count_visit(&mut self, bid: BlockId) {
-        if self.profile_fusion {
-            self.block_visits.counts[bid.func.0 as usize][bid.block as usize] += 1;
-        }
-    }
-
     /// The private cache's version; `None` in shared mode, where another
     /// VM may bump the cache's at any time.
     #[cfg(feature = "debug-invariants")]
@@ -291,7 +262,6 @@ enum Artifact {
 #[derive(Debug)]
 struct Driver<'p> {
     jit: Jit<'p>,
-    config: EngineConfig,
     /// Artifact of every trace id this VM has resolved, indexed by
     /// [`TraceId::index`] (ids are dense per cache, private and shared
     /// alike); slots past the end are [`Artifact::Unbuilt`].
@@ -310,7 +280,6 @@ impl BlockDriver for Driver<'_> {
     #[inline]
     fn on_block(&mut self, bid: BlockId) -> Option<Linked> {
         let jit = &mut self.jit;
-        jit.count_visit(bid);
         let node = jit.bcg.observe(bid);
         jit.dispatch_signals();
         // Entry check through the branch node's trace-link slot,
@@ -366,7 +335,6 @@ impl BlockDriver for Driver<'_> {
                 // Step over the marker the last trace handed back on, as
                 // the skipped dispatch would.
                 m.arena.top_mut().pc += 1;
-                self.jit.count_visit(entry.1);
                 self.jit.trace_stats.loop_closings += 1;
             }
             // The retention rule: a completion resets the streak, any
@@ -524,12 +492,6 @@ pub struct TracingVm<'p> {
     /// owner of all run state (heap, frame arena, counters, output).
     vm: Vm<'p>,
     driver: Driver<'p>,
-    /// Whether a run has completed with `block_visits` counting: the
-    /// DOp-fusion profile is ready and the rewrite is due when the next
-    /// run begins.
-    fusion_profiled: bool,
-    /// Rewrite report of the applied DOp-fusion plan, once fused.
-    dop_fusion_report: Option<jvm_vm::fuse::FusionReport>,
 }
 
 impl<'p> TracingVm<'p> {
@@ -549,15 +511,10 @@ impl<'p> TracingVm<'p> {
                     signal_buf: Vec::new(),
                     trace_stats: TraceExecStats::default(),
                     reg_file: Vec::new(),
-                    block_visits: jvm_vm::fuse::BlockCounts::for_program(program),
-                    profile_fusion: false,
                 },
-                config,
                 arts: Vec::new(),
                 reg_stats: RegStats::default(),
             },
-            fusion_profiled: false,
-            dop_fusion_report: None,
         }
     }
 
@@ -642,20 +599,13 @@ impl<'p> TracingVm<'p> {
     ///
     /// Propagates runtime traps and resource limits as [`VmError`].
     pub fn run(&mut self, args: &[Value]) -> Result<RunReport, VmError> {
-        // DOp fusion profiles the first run that completes and rewrites
-        // when the next one begins; afterwards the streams are fused.
-        if self.fusion_profiled && self.dop_fusion_report.is_none() {
-            self.apply_dop_fusion();
-        }
         // Run state is reset by the loop; profiler/cache/lowered traces
         // persist.
         let driver = &mut self.driver;
         driver.retire_tombstoned_elsewhere();
         driver.jit.bcg.begin_stream();
-        driver.jit.profile_fusion = driver.config.dop_fusion && !self.fusion_profiled;
 
         let result = self.vm.run_driven(args, &mut *driver)?;
-        self.fusion_profiled = driver.config.dop_fusion;
 
         let jit = &driver.jit;
         Ok(RunReport {
@@ -667,30 +617,6 @@ impl<'p> TracingVm<'p> {
             constructor: jit.constructor_stats(),
             cache: jit.cache_stats(),
         })
-    }
-
-    /// Rewrites the decoded streams from the completed block-visit
-    /// profile. Quickening is in place (stream length, targets and
-    /// side-exit dpcs unchanged), so compiled traces and resume points
-    /// stay valid. Kept out of line: it runs once in a VM's life, and
-    /// inlined into `run` it moves the code every run executes
-    /// (EXPERIMENTS.md, "One link store", the fleet pairs).
-    #[cold]
-    #[inline(never)]
-    fn apply_dop_fusion(&mut self) {
-        let visits = std::mem::take(&mut self.driver.jit.block_visits);
-        self.dop_fusion_report = Some(
-            self.vm
-                .fuse_with_profile(visits, &jvm_vm::fuse::FusionConfig::default()),
-        );
-    }
-
-    /// The DOp-fusion rewrite report: per-function candidates
-    /// considered, fusions applied and estimated dispatches eliminated.
-    /// `None` until the run after the profiling (first completed) run
-    /// begins, or when `dop_fusion` is off.
-    pub fn dop_fusion_report(&self) -> Option<&jvm_vm::fuse::FusionReport> {
-        self.dop_fusion_report.as_ref()
     }
 
     /// Serializes the VM's profile and trace-cache contents as a

@@ -665,7 +665,6 @@ impl Jit<'_> {
                             materialize!(exit.image);
                             closings += 1;
                             self.trace_stats.loop_closings += 1;
-                            self.count_visit(first);
                             continue 'iteration;
                         }
                         // Resume on the successor's entry marker; the

@@ -47,13 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let profiled_time = t0.elapsed();
 
     // Trace-executing engine (second run = warm cache).
-    let mut engine = TracingVm::new(
-        &w.program,
-        EngineConfig {
-            jit,
-            ..EngineConfig::paper_default()
-        },
-    );
+    let mut engine = TracingVm::new(&w.program, EngineConfig { jit });
     engine.run(&w.args)?;
     let t0 = Instant::now();
     let report = engine.run(&w.args)?;
@@ -75,15 +69,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nregister lowering: {} -> {} instrs, {} virtual regs, {} stack ops eliminated, {} guards fused",
         rs.before, rs.after, rs.regs, rs.eliminated, rs.guards_fused
     );
-    if let Some(rep) = engine.dop_fusion_report() {
-        println!(
-            "dop fusion (out-of-trace) : {} of {} candidate sites fused, ~{} dispatches eliminated, selected [{}]",
-            rep.fused(),
-            rep.candidates(),
-            rep.dispatches_eliminated(),
-            rep.selected_union().join(", ")
-        );
-    }
     println!(
         "trace quality in engine   : completion {:.2}%, {} traces compiled",
         100.0 * report.completion_rate(),

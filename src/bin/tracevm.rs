@@ -28,7 +28,6 @@ struct Options {
     threshold: f64,
     delay: u32,
     unroll: usize,
-    dop_fusion: bool,
     out: String,
     /// Write a snapshot of the warmed VM here after the run.
     save_snapshot: Option<String>,
@@ -44,7 +43,6 @@ impl Default for Options {
             threshold: 0.97,
             delay: 64,
             unroll: 1,
-            dop_fusion: true,
             out: ".".into(),
             save_snapshot: None,
             load_snapshot: None,
@@ -55,7 +53,7 @@ impl Default for Options {
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  tracevm run <workload> [--scale test|small|paper] [--engine interp|trace|exec]\n\
-         \x20                        [--threshold T] [--delay D] [--unroll N] [--no-fuse]\n\
+         \x20                        [--threshold T] [--delay D] [--unroll N]\n\
          \x20                        [--save-snapshot FILE] [--load-snapshot FILE]\n\
          \x20 tracevm disasm <workload> [--scale ...]\n\
          \x20 tracevm dot <workload> [--out DIR] [--scale ...]\n\
@@ -98,7 +96,6 @@ fn parse_options(args: &mut std::env::Args, opts: &mut Options) -> Result<(), St
                     .parse()
                     .map_err(|e| format!("bad unroll: {e}"))?
             }
-            "--no-fuse" => opts.dop_fusion = false,
             "--out" => opts.out = need("--out")?,
             "--save-snapshot" => opts.save_snapshot = Some(need("--save-snapshot")?),
             "--load-snapshot" => opts.load_snapshot = Some(need("--load-snapshot")?),
@@ -204,7 +201,6 @@ fn cmd_run(w: &Workload, opts: &Options) -> Result<(), Box<dyn std::error::Error
                 &w.program,
                 EngineConfig {
                     jit: jit_config(opts),
-                    dop_fusion: opts.dop_fusion,
                 },
             );
             if let Some(path) = &opts.load_snapshot {
@@ -236,30 +232,6 @@ fn cmd_run(w: &Workload, opts: &Options) -> Result<(), Box<dyn std::error::Error
                 r.traces.loop_closings
             );
             println!("compiled traces     : {}", engine.compiled_count());
-            match engine.dop_fusion_report() {
-                Some(rep) => {
-                    println!(
-                        "dop fusion          : {} candidates, {} applied, {} dispatches eliminated",
-                        rep.candidates(),
-                        rep.fused(),
-                        rep.dispatches_eliminated()
-                    );
-                    for ff in rep.funcs.iter().filter(|f| f.candidates > 0) {
-                        println!(
-                            "  fn {:<16}: {}/{} sites fused, {} dispatches eliminated [{}]",
-                            w.program.function(ff.func).name(),
-                            ff.fused,
-                            ff.candidates,
-                            ff.dispatches_eliminated,
-                            ff.selected.join(", ")
-                        );
-                    }
-                }
-                None if opts.dop_fusion => println!(
-                    "dop fusion          : profiled; the streams are rewritten when a second run begins"
-                ),
-                None => println!("dop fusion          : off (--no-fuse)"),
-            }
             let m = engine.decoded().memory_estimate();
             println!(
                 "decoded code        : {} bytes ({} code, {} maps, {} pools)",

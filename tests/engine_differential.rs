@@ -1,8 +1,8 @@
 //! The trace-executing engine on the six workloads: the `Engine` row of
-//! the differential matrix (`tests/matrix.rs`) with DOp fusion on, three
-//! runs on one VM, each compared with the frozen reference interpreter —
-//! result, checksum, instruction count, heap counters and output. The
-//! trace machinery, guards and side exits may never change observable
+//! the differential matrix (`tests/matrix.rs`), three runs on one VM,
+//! each compared with the frozen reference interpreter — result,
+//! checksum, instruction count, heap counters and output. The trace
+//! machinery, guards and side exits may never change observable
 //! semantics; what the engine must show beyond that is one test each.
 //!
 //! (The hand-offs between loop and trace are pinned in
@@ -17,7 +17,7 @@ fn cells() -> &'static [(&'static Case, CellReport)] {
     static CASES: OnceLock<Vec<Case>> = OnceLock::new();
     static CELLS: OnceLock<Vec<(&Case, CellReport)>> = OnceLock::new();
     let cases = CASES.get_or_init(matrix::workloads);
-    CELLS.get_or_init(|| matrix::check_all(cases, Row::Engine { dop_fusion: true }))
+    CELLS.get_or_init(|| matrix::check_all(cases, Row::Engine))
 }
 
 #[test]
@@ -53,27 +53,20 @@ fn engine_reduces_dispatches_on_all_workloads() {
     }
 }
 
-/// A VM that runs once never pays for the DOp-fusion rewrite: the first
-/// run only profiles, and the streams are rewritten when a second run
-/// begins — with exact parity on both.
+/// The engine runs the streams it decoded for its whole life: the
+/// profiler is its only profile, and no run rewrites them.
 #[test]
-fn a_single_run_leaves_the_streams_unfused() {
+fn the_engine_never_rewrites_its_streams() {
     for (case, cell) in cells() {
-        let (cold, second) = (cell.runs[0], cell.runs[1]);
-        let label = &case.label;
-        assert_eq!(cold.fusions, None, "{label}: rewritten after the only run");
-        assert_eq!(
-            cold.fused_heads, 0,
-            "{label}: rewritten streams nobody will run"
-        );
-        let fused = second.fused_heads;
-        assert_eq!(second.fusions, Some(fused), "{label}: report vs streams");
-        assert!(fused > 0, "{label}: nothing fused at test scale");
+        assert_eq!(cell.runs.len(), 3, "{}", case.label);
+        for (run, facts) in cell.runs.iter().enumerate() {
+            assert_eq!(facts.fused_heads, 0, "{} run {run}: rewritten", case.label);
+        }
     }
 }
 
-/// The second and third runs, on fused streams and a warm cache, matched
-/// the oracle; they still run traces.
+/// The second and third runs, on a warm cache, matched the oracle; they
+/// still run traces.
 #[test]
 fn warm_engine_runs_stay_correct() {
     for (case, cell) in cells() {

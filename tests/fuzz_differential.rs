@@ -25,7 +25,7 @@ fn cases() -> u64 {
 #[test]
 fn engines_agree_on_random_programs() {
     let corpus = matrix::corpus(BASE_SEED, cases());
-    for row in [Row::Plain, Row::Monitor, Row::Engine { dop_fusion: true }] {
+    for row in [Row::Plain, Row::Monitor, Row::Engine] {
         matrix::check_all(&corpus, row);
     }
 }
@@ -35,5 +35,5 @@ fn engines_agree_on_random_programs() {
 #[test]
 fn unrolling_preserves_semantics_on_random_programs() {
     let corpus = matrix::corpus(BASE_SEED ^ 0xA5A5, cases());
-    matrix::check_all(&corpus, Row::Engine { dop_fusion: true });
+    matrix::check_all(&corpus, Row::Engine);
 }

@@ -32,7 +32,6 @@ fn config() -> EngineConfig {
             ..TraceJitConfig::paper_default()
         }
         .with_threshold(0.90),
-        ..EngineConfig::paper_default()
     }
 }
 
@@ -78,7 +77,6 @@ fn warm_boot_into_a_delayed_shift_is_demoted_by_the_streak() {
             start_delay: 100_000_000,
             ..config().jit
         },
-        ..config()
     };
     let mut booted = TracingVm::new(&w.program, boot_config);
     booted

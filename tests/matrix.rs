@@ -63,33 +63,22 @@ fn monitor_row() {
     cells(Row::Monitor);
 }
 
-/// Beyond parity: the first run only profiles for DOp fusion and the
-/// rewrite comes as the second begins; on the named sources every run
-/// enters traces, the first completes some from lowered code, and the
-/// engine dispatches fewer blocks than the interpreter.
-fn engine_row(dop_fusion: bool) {
-    let [named, fuzz] = cells(Row::Engine { dop_fusion });
+/// Beyond parity: the engine runs the streams it decoded, unrewritten,
+/// in every run; on the named sources every run enters traces, the first
+/// completes some from lowered code, and the engine dispatches fewer
+/// blocks than the interpreter.
+#[test]
+fn engine_row() {
+    let [named, fuzz] = cells(Row::Engine);
     for (case, cell) in named.iter().chain(&fuzz) {
-        let label = &case.label;
-        let (cold, warm) = cell.runs.split_first().expect("runs");
-        assert_eq!(
-            (cold.fusions, cold.fused_heads),
-            (None, 0),
-            "{label}: rewritten after one run"
-        );
-        for run in warm {
-            let fused = dop_fusion.then_some(run.fused_heads);
-            assert_eq!(run.fusions, fused, "{label}: report vs streams");
+        for (run, facts) in cell.runs.iter().enumerate() {
+            assert_eq!(facts.fused_heads, 0, "{} run {run}: rewritten", case.label);
         }
     }
     for (case, cell) in &named {
         let (label, cold) = (&case.label, cell.runs[0]);
         for (run, facts) in cell.runs.iter().enumerate() {
             assert!(facts.trace_runs > 0, "{label} run {run}: entered no trace");
-            assert!(
-                !dop_fusion || run == 0 || facts.fused_heads > 0,
-                "{label} run {run}: nothing fused"
-            );
         }
         assert!(cold.compiled > 0, "{label}: no trace was lowered");
         assert!(cold.completed > 0, "{label}: no trace ran to completion");
@@ -100,16 +89,6 @@ fn engine_row(dop_fusion: bool) {
             cold.block_dispatches
         );
     }
-}
-
-#[test]
-fn engine_row_fused() {
-    engine_row(true);
-}
-
-#[test]
-fn engine_row_unfused() {
-    engine_row(false);
 }
 
 #[test]

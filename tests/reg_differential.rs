@@ -18,16 +18,15 @@
 //!   makes, in-trace call and return) exactly where it cuts the
 //!   interpreter;
 //!   in-trace stack overflow, runtime traps and collection agree with
-//!   the interpreter's; and hand-backs that land inside DOp-fused groups
-//!   execute the remainder unfused.
+//!   the interpreter's.
 //!
 //! [`genprog`]: tracecache_repro::conformance::genprog
 
 use tracecache_repro::bytecode::{CmpOp, FunctionBuilder, Intrinsic, Program, ProgramBuilder};
 use tracecache_repro::conformance::matrix::{self, Row};
-use tracecache_repro::exec::{compile, lower_reg, EngineConfig, TracingVm};
+use tracecache_repro::exec::{EngineConfig, TracingVm};
 use tracecache_repro::jit::TraceJitConfig;
-use tracecache_repro::vm::{fuse, NullObserver, Value, Vm, VmError};
+use tracecache_repro::vm::{NullObserver, Value, Vm, VmError};
 
 const BASE_SEED: u64 = 0xD1FF_5EED ^ 0x4E67;
 
@@ -37,7 +36,6 @@ fn chaos_config() -> EngineConfig {
         jit: TraceJitConfig::paper_default()
             .with_start_delay(2)
             .with_threshold(0.90),
-        ..EngineConfig::paper_default()
     }
 }
 
@@ -77,12 +75,12 @@ fn reg_engine_matches_interpreter_on_random_programs() {
         48
     };
     let corpus = matrix::corpus(BASE_SEED, cases);
-    matrix::check_all(&corpus, Row::Engine { dop_fusion: true });
+    matrix::check_all(&corpus, Row::Engine);
 }
 
-/// A hot loop whose conditional — `load; load; if_icmp`, fusable —
-/// flips whenever `i & mask == 0`, closed by `iinc; goto` (a fusable
-/// pair): traces enter, side-exit and complete many times over.
+/// A hot loop whose conditional — `load; load; if_icmp` — flips
+/// whenever `i & mask == 0`, closed by `iinc; goto`: traces enter,
+/// side-exit and complete many times over.
 fn cond_flip_program(mask: i64) -> Program {
     let mut pb = ProgramBuilder::new();
     let f = pb.declare_function("main", 1, true);
@@ -486,6 +484,11 @@ impl TrapLoop {
     }
 }
 
+/// Every trap the operation semantics defines, raised inside a linked
+/// trace, leaves the machine exactly where the interpreter leaves it.
+/// The engine hands back to the plain decoded streams; the fused
+/// handlers' trap paths are the matrix's `Fused` row and
+/// `fusion_differential.rs`.
 #[test]
 fn in_trace_traps_match_the_interpreter() {
     let cases = [
@@ -648,64 +651,4 @@ fn allocation_storm_collects_exactly_like_the_interpreter() {
             "run {run}: same allocations, same collections, same survivors"
         );
     }
-}
-
-#[test]
-fn hand_backs_land_inside_fused_groups_and_on_standalone_ops() {
-    let program = cond_flip_program(63);
-    let mut plain = Vm::new(&program);
-    let mut engine = TracingVm::new(&program, EngineConfig::paper_default());
-
-    // Run 1 is shorter than the start delay: every block is profiled on
-    // the loop, nothing is traced, and the fusion selection made from it
-    // (as run 2 begins) covers every pattern of the loop body. The later
-    // runs trace (a 63/64 bias clears the threshold) and side-exit into
-    // the fused streams.
-    for (run, n) in [40, 20_000, 20_000].into_iter().enumerate() {
-        let args = [Value::Int(n)];
-        let want = plain.run(&args, &mut NullObserver).unwrap();
-        let report = engine.run(&args).unwrap();
-        assert_eq!(report.result, want, "run {run}");
-        assert_eq!(report.checksum, plain.checksum(), "run {run}");
-        assert_eq!(report.exec.instructions, plain.stats().instructions);
-        assert_eq!(report.traces.exited_early > 0, run > 0, "run {run}");
-    }
-
-    // Where do this engine's traces hand back to the loop? A guarded
-    // instruction is its block's terminator, so it is never a group
-    // *head*; it is either the tail of a group (`load; if_icmp`,
-    // `iinc; goto`) — the hand-back lands on a shadow slot and the loop
-    // must run it unfused — or a standalone op, from which the loop
-    // walks into the next block's fused heads.
-    let decoded = engine.decoded();
-    let (mut on_shadow, mut standalone) = (0, 0);
-    for trace in engine.cache().iter_traces().filter(|t| !t.is_empty()) {
-        let Ok(ct) = compile(&program, trace) else {
-            continue;
-        };
-        let rt = lower_reg(&program, decoded, &ct).expect("lowers");
-        for exit in &rt.exits {
-            let df = decoded.func(exit.func);
-            let at = exit.dpc as usize;
-            assert!(!fuse::is_fused(df.code[at].op), "a guard on a group head");
-            let covered = (at.saturating_sub(2)..at).any(|h| {
-                df.block_of[h] == exit.block
-                    && fuse::is_fused(df.code[h].op)
-                    && h + fuse::desc_for(df.code[h].op).width() > at
-            });
-            if covered {
-                on_shadow += 1;
-            } else {
-                standalone += 1;
-            }
-        }
-    }
-    assert!(on_shadow > 0, "no hand-back lands on a shadow slot");
-    assert!(standalone > 0, "no hand-back lands on a standalone op");
-    let df = decoded.func(program.entry());
-    assert!(
-        (1..df.code.len())
-            .any(|i| df.block_of[i - 1] != df.block_of[i] && fuse::is_fused(df.code[i + 1].op)),
-        "no block opens with a fused group"
-    );
 }

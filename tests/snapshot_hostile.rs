@@ -44,7 +44,6 @@ fn config() -> EngineConfig {
             ..TraceJitConfig::paper_default()
         }
         .with_threshold(0.90),
-        ..EngineConfig::paper_default()
     }
 }
 
