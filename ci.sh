@@ -30,11 +30,11 @@ if [ "$engine_lines" -ge 1400 ]; then
     exit 1
 fi
 
-echo "== cache policy written once (SharedTraceCache wraps the generic TraceCache of tracecache/src/cache.rs)"
-# TraceCache and SharedTraceCache used to carry a transcription each of
-# the hash-cons / budget / quarantine policy, with three copies of the
-# counters and a shard striping no writer could contend on. A second copy of the sweep or the tombstoning shows up here
-# first.
+echo "== cache policy written once (tracecache/src/cache.rs)"
+# A private and a shared cache used to carry a transcription each of the
+# hash-cons / budget / quarantine policy, with three copies of the
+# counters and a shard striping no writer could contend on. A second copy
+# of the sweep or the tombstoning shows up here first.
 for f in enforce_budget tombstone reclaim_if_unlinked; do
     n=$(grep -rnE "fn $f\b" crates/tracecache/src/ | wc -l)
     if [ "$n" -ne 1 ]; then
@@ -47,7 +47,7 @@ if grep -rnE 'SharedCacheStats|StatsAtomic|with_shards' crates/; then
     exit 1
 fi
 
-echo "== one link store (SharedTraceCache is a lock around the TraceCache one VM owns; trace-cache forbids unsafe)"
+echo "== one link store (the TraceCache one VM owns; trace-cache forbids unsafe)"
 # The shared cache used to keep its entry links in a second, lock-free
 # open-addressed table (AtomicPtr growth, tombstones, a retired-table
 # list, five unsafe sites) behind a Shell trait with two impls. The
@@ -103,21 +103,17 @@ if grep -rn 'HealthPolicy' crates/; then
     exit 1
 fi
 
-echo "== one construction service (always supervised; queue capacity, restarts and snapshot cap are constants)"
-# The off-thread constructor used to exist twice, an unsupervised loop and
-# a supervised one, around a restart policy with a backoff every caller set
-# to zero, a queue capacity every caller set to 64, two 4096-node snapshot
-# caps, and a fault plan attached in three places. A second loop or a knob
-# creeping back in shows up here first.
-if grep -rnE 'SupervisorConfig|backoff_|run_supervised_|DEFAULT_QUEUE_CAPACITY|batches_poisoned' crates/ src/ tests/ examples/ \
-    || grep -rnw 'SNAPSHOT_LIMIT' crates/ src/ tests/ examples/ \
-    || grep -rn 'capture_bounded' crates/ src/ tests/ examples/ | grep -v '^crates/tracecache/src/offthread.rs:'; then
-    echo "a removed construction-service knob or second service loop is back (matches above)" >&2
-    exit 1
-fi
-unwinds=$(sed '/#\[cfg(test)\]/,$d' crates/tracecache/src/offthread.rs | grep -c 'catch_unwind(' || true)
-if [ "$unwinds" -ne 1 ]; then
-    echo "crates/tracecache/src/offthread.rs calls catch_unwind $unwinds times outside its tests (want exactly 1)" >&2
+echo "== one deployment (the trace cache lives inside one VM's dispatch loop; no shared-cache serving stack)"
+# A second deployment used to run beside the private one: a cache behind a
+# lock shared by several VMs, an off-thread constructor fed bounded BCG
+# snapshots through a supervised queue, a fault-injection plan, a second
+# planner and applier interface for each, a profiler hook that parked
+# dropped signal batches, and a multi-VM bench binary. No benchmark
+# workload ran it and its one bench leg showed no throughput gain. Any of
+# its names creeping back in shows up here first.
+if grep -rnE 'new_shared|SharedTraceCache|SharedSession|offthread|FaultPlan|BcgSnapshot|CorrelationView|PlanSink|defer_signals|--bin concurrent' \
+    crates/ src/ tests/ examples/; then
+    echo "a piece of the shared-cache serving stack is back (matches above)" >&2
     exit 1
 fi
 
@@ -195,29 +191,16 @@ cargo test -p trace-cache --features debug-invariants -q repeat_quarantine
 cargo test --features debug-invariants -q --test health --test health_staleness
 cargo test -q --release --test health --test health_staleness
 
-echo "== private vs shared cache policy differential (debug: the cache's structural asserts after every op of both; release: at speed)"
-# One cache, owned or behind a lock: seeded insert / try-insert / unlink /
-# quarantine / set-budget streams must leave TraceCache and
-# SharedTraceCache in the same state after every op.
-cargo test --features debug-invariants -q --test cache_policy_differential
-cargo test -q --release --test cache_policy_differential
-
 echo "== differential matrix (every VM configuration x every source vs one oracle; debug: invariants on, release: at speed)"
 # Plain, fused, monitor, engine (three runs on one VM), never-entering,
-# warm-booted, shared, faulted and the two baseline selectors, each on
+# warm-booted and the two baseline selectors, each on
 # the six workloads, the three phase-shift variants and a 64-case
 # generated corpus, against one ReferenceVm run per source; and the
 # suites it replaced, whose tests are now one-row slices of it.
 cargo test --features debug-invariants -q --test matrix --test interp_differential --test fuzz_differential --test engine_differential
 cargo test -q --release --test matrix --test interp_differential --test fuzz_differential --test engine_differential
 
-echo "== fault-injection conformance (supervised deployment vs interpreter oracle)"
-# The constructor killer and the saved fault corpus; the standard plan
-# over the workloads and the generated corpus is the matrix's Faulted row.
-cargo test -p trace-conformance --features debug-invariants -q --test faults
-cargo test -p trace-conformance -q --release --test faults
-
-echo "== concurrent shared-cache tests (debug-invariants: threaded paths assert in situ)"
+echo "== cache and engine unit tests (debug-invariants: the cache's structural asserts after every mutation)"
 cargo test -p trace-cache -p trace-exec --features trace-cache/debug-invariants -q
 
 echo "== trace-engine differential (debug: register/slab-bounds + invariant asserts; release: at speed)"
@@ -251,8 +234,8 @@ echo "== loop closing (a trace linked at its own loop branch jumps to its top in
 # final branch now runs in-trace and the executor closes the loop while
 # that branch still links the trace, or goes on into the other trace it
 # links (a loop split over several traces). Debug runs assert the skipped
-# dispatch's premise (no signal pending, private cache unchanged) at
-# every closing; the smoke must report closings on mpegaudio.
+# dispatch's premise (no signal pending, cache unchanged) at every
+# closing; the smoke must report closings on mpegaudio.
 for profile in "--features debug-invariants" "--release"; do
     # shellcheck disable=SC2086
     cargo test -p trace-exec $profile -q a_self_linked_loop_closes_without_dispatching
@@ -307,35 +290,6 @@ echo "== snapshot hostile-input campaign (release: >=256 mutants per source)"
 # mutant must be cleanly rejected — no panics, no silent acceptance —
 # and the planted stale-hash quirk must be caught.
 cargo test -q --release --test snapshot_hostile
-
-echo "== concurrent shared-cache bench smoke (2 threads, test scale)"
-cargo run --release -p trace-bench --bin concurrent -- --smoke --out "$smoke_dir/BENCH_concurrent.smoke.json"
-grep -q '"warm_boot"' "$smoke_dir/BENCH_concurrent.smoke.json"
-grep -q '"first_entry_dispatch"' "$smoke_dir/BENCH_concurrent.smoke.json"
-
-echo "== phase-shift self-healing bench smoke (one leg per variant, test scale)"
-cargo run --release -p trace-bench --bin concurrent -- --smoke --phase-shift \
-    --out "$smoke_dir/BENCH_concurrent_phase_shift.smoke.json"
-grep -q '"phase_shift"' "$smoke_dir/BENCH_concurrent_phase_shift.smoke.json"
-grep -q '"demotions"' "$smoke_dir/BENCH_concurrent_phase_shift.smoke.json"
-grep -q '"quarantined"' "$smoke_dir/BENCH_concurrent_phase_shift.smoke.json"
-grep -q '"readmissions"' "$smoke_dir/BENCH_concurrent_phase_shift.smoke.json"
-
-echo "== snapshot warm-boot bench smoke (boot-only leg, test scale)"
-cargo run --release -p trace-bench --bin concurrent -- --smoke --load-snapshot \
-    --out "$smoke_dir/BENCH_concurrent_boot.smoke.json"
-grep -q '"traces_constructed"' "$smoke_dir/BENCH_concurrent_boot.smoke.json"
-
-echo "== degraded-mode bench smoke (fault injection, 2 threads, test scale)"
-cargo run --release -p trace-bench --bin concurrent -- --smoke --faults 0xFA17_BE4C \
-    --out "$smoke_dir/BENCH_concurrent_faults.smoke.json"
-# The constructor-killer profile must degrade the service on every workload.
-grep -q '"restarts"' "$smoke_dir/BENCH_concurrent_faults.smoke.json"
-grep -q '"degraded": true' "$smoke_dir/BENCH_concurrent_faults.smoke.json"
-if grep -q '"degraded": false' "$smoke_dir/BENCH_concurrent_faults.smoke.json"; then
-    echo "the constructor-killer profile left a workload's service running" >&2
-    exit 1
-fi
 
 echo "== bench harness smoke (1 sample, test scale)"
 TRACE_BENCH_SCALE=test TRACE_BENCH_SAMPLES=1 \

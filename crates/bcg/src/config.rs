@@ -62,7 +62,14 @@ impl BcgConfig {
     }
 
     /// Returns this configuration with a different start-state delay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start_delay` is 0: a node created with no delay left
+    /// never takes the delay-expiry transition, so it would wait for its
+    /// first decay instead.
     pub fn with_start_delay(mut self, start_delay: u32) -> Self {
+        assert!(start_delay >= 1, "start delay must be at least 1, got 0");
         self.start_delay = start_delay;
         self
     }
@@ -101,5 +108,11 @@ mod tests {
     #[should_panic(expected = "threshold")]
     fn zero_threshold_rejected() {
         let _ = BcgConfig::default().with_threshold(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "start delay")]
+    fn zero_start_delay_rejected() {
+        let _ = BcgConfig::default().with_start_delay(0);
     }
 }

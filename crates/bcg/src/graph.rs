@@ -60,12 +60,6 @@ pub struct BranchCorrelationGraph {
     /// pointer" of §4.1.2.
     ctx_node: Option<NodeIdx>,
     signals: Vec<Signal>,
-    /// Signals handed back by [`Self::defer_signals`] (e.g. because the
-    /// off-thread construction queue was full). Re-raised wholesale at
-    /// the next decay cycle — decay is the profiler's natural "look
-    /// again" moment, so a dropped batch costs at most one decay
-    /// interval of missed construction, never a lost trace.
-    deferred: Vec<Signal>,
     stats: ProfilerStats,
 }
 
@@ -79,7 +73,6 @@ impl BranchCorrelationGraph {
             last_block: None,
             ctx_node: None,
             signals: Vec::new(),
-            deferred: Vec::new(),
             stats: ProfilerStats::default(),
         }
     }
@@ -165,32 +158,6 @@ impl BranchCorrelationGraph {
     #[inline]
     pub fn has_signals(&self) -> bool {
         !self.signals.is_empty()
-    }
-
-    /// Hands a drained signal batch *back* to the profiler because the
-    /// consumer could not take it (the off-thread construction queue was
-    /// full). The signals are parked and re-raised — available again via
-    /// [`Self::drain_signals_into`] — at the next decay cycle, which is
-    /// when the profiler would next re-examine those branches anyway.
-    /// Graceful degradation under construction-queue overload therefore
-    /// delays trace construction by at most one decay interval instead
-    /// of silently losing the trace: signals fire only on *change*, so
-    /// without this hook a dropped batch would never recur.
-    ///
-    /// Parked signals are deduplicated by node — re-dropping the same
-    /// batch repeatedly cannot grow the buffer.
-    pub fn defer_signals(&mut self, signals: &[Signal]) {
-        for sig in signals {
-            if self.deferred.iter().all(|d| d.node != sig.node) {
-                self.deferred.push(*sig);
-                self.stats.signals_deferred += 1;
-            }
-        }
-    }
-
-    /// Number of signals currently parked by [`Self::defer_signals`].
-    pub fn deferred_len(&self) -> usize {
-        self.deferred.len()
     }
 
     /// Stamps a node with the trace cache's generation counter. The trace
@@ -632,13 +599,6 @@ impl BranchCorrelationGraph {
             });
             self.stats.prediction_signals += 1;
         }
-
-        // Re-raise signals parked by a full construction queue: the decay
-        // cycle is the re-delivery point (see `defer_signals`).
-        if !self.deferred.is_empty() {
-            self.stats.signals_reraised += self.deferred.len() as u64;
-            self.signals.append(&mut self.deferred);
-        }
     }
 }
 
@@ -955,42 +915,6 @@ mod tests {
         let mut bcg2 = BranchCorrelationGraph::new(cfg(2, 0.97));
         feed(&mut bcg2, &[0, 1], 10);
         assert_eq!(bcg2.take_signals(), first);
-    }
-
-    #[test]
-    fn deferred_signals_reraise_at_the_next_decay() {
-        let mut bcg = BranchCorrelationGraph::new(cfg(2, 0.97));
-        feed(&mut bcg, &[0, 1], 10);
-        assert!(bcg.has_signals());
-        let mut buf = Vec::new();
-        bcg.drain_signals_into(&mut buf);
-        let dropped = buf.clone();
-        assert!(!dropped.is_empty());
-
-        // Consumer could not take the batch: hand it back.
-        bcg.defer_signals(&dropped);
-        assert_eq!(bcg.deferred_len(), dropped.len());
-        assert!(!bcg.has_signals(), "deferring must not re-raise eagerly");
-
-        // Re-deferring the identical batch is idempotent (dedup by node).
-        bcg.defer_signals(&dropped);
-        assert_eq!(bcg.deferred_len(), dropped.len());
-        assert_eq!(bcg.stats().signals_deferred, dropped.len() as u64);
-
-        // The next decay cycle re-delivers every parked signal.
-        let n01 = bcg.node_index((blk(0), blk(1))).unwrap();
-        bcg.force_decay(n01);
-        assert!(bcg.has_signals());
-        bcg.drain_signals_into(&mut buf);
-        for d in &dropped {
-            assert!(
-                buf.iter().any(|s| s.node == d.node),
-                "deferred signal for {} must re-raise at decay",
-                d.node
-            );
-        }
-        assert_eq!(bcg.deferred_len(), 0);
-        assert_eq!(bcg.stats().signals_reraised, dropped.len() as u64);
     }
 
     #[test]

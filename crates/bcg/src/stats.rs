@@ -28,10 +28,6 @@ pub struct ProfilerStats {
     pub state_signals: u64,
     /// Prediction-change signals emitted.
     pub prediction_signals: u64,
-    /// Signals parked by `defer_signals` (construction-queue overload).
-    pub signals_deferred: u64,
-    /// Parked signals re-raised at a decay cycle.
-    pub signals_reraised: u64,
 }
 
 impl ProfilerStats {

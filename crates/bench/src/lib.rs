@@ -17,11 +17,9 @@
 //! Plus the ablations called out in `DESIGN.md`
 //! (`benches/ablation_decay.rs`, `benches/ablation_inline_cache.rs`,
 //! `benches/ablation_unroll.rs`), the Dynamo/rePLay comparison
-//! (`benches/baseline_comparison.rs`), and two measurement binaries:
+//! (`benches/baseline_comparison.rs`), and one measurement binary,
 //! `interp_speed` (whole-run ns/instruction of every interpreter and
-//! engine leg, `BENCH_interp.json`) and `concurrent` (multi-VM shared
-//! caches, snapshot warm boot, phase shift and fault injection,
-//! `BENCH_concurrent.json`). End-to-end engine against interpreter is
+//! engine leg, `BENCH_interp.json`). End-to-end engine against interpreter is
 //! the repo's benchmark (`benchmark/`, `BENCHMARK.json`); a leg that
 //! benchmark already measures is not repeated here.
 //!
@@ -34,7 +32,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod concurrent;
 pub mod harness;
 pub mod interp_speed;
 pub mod json;

@@ -13,9 +13,6 @@
 //!   cap, deterministic victims are unlinked from both caches;
 //! * **mid-trace invalidation** — a live entry link is removed from both
 //!   caches while the program is still running;
-//! * **queue overload** — a signal batch is dropped on both sides (the
-//!   full-construction-queue degradation path) and must re-raise at the
-//!   next decay cycle;
 //! * **phase shift** — the trace at one entry "rots" again and again:
 //!   it is quarantined as the retention rule would, and a decay storm
 //!   drives both constructors back to the entry, so repeat quarantines
@@ -24,7 +21,7 @@
 //!
 //! Campaigns can additionally run the whole case in the lockstep
 //! harness's deferred-construction mode ([`ChaosConfig::defer_window`]),
-//! modelling off-thread construction lag.
+//! where construction lags the profile.
 //!
 //! Every case is identified by `seed_stream(base, k)`, so a failure
 //! message names one `u64` that reproduces program, arguments, and the
@@ -32,7 +29,7 @@
 //! shrinking its statement AST (see [`shrink`]).
 
 use trace_bcg::BcgConfig;
-use trace_cache::{trace_cost, ConstructorConfig, FaultConfig, COOLDOWN};
+use trace_cache::{trace_cost, ConstructorConfig, COOLDOWN};
 use trace_workloads::prng::{seed_stream, Xoshiro256StarStar};
 
 use crate::genprog::{args_from, build_program, gen_block, Stmt};
@@ -50,9 +47,6 @@ pub enum Perturbation {
     CachePressure,
     /// Unlink one live entry mid-run.
     MidTraceInvalidation,
-    /// Drop the next signal batch back to both profilers (construction
-    /// queue full), exercising the decay-cycle re-raise.
-    QueueOverload,
     /// Set (or shrink) a payload byte budget on both caches, forcing the
     /// second-chance eviction sweep to pick identical victims.
     BudgetPressure,
@@ -60,7 +54,7 @@ pub enum Perturbation {
     /// (a faulting trace), exercising tombstone + blacklist parity.
     QuarantineTrace,
     /// Feed the next signal batch to both constructors twice (duplicated
-    /// queue delivery); hash-consing must make the replay idempotent.
+    /// delivery); hash-consing must make the replay idempotent.
     DuplicateBatch,
     /// Rot the trace at one entry again and again: quarantine it at the
     /// base cooldown, then decay every node so both constructors retry
@@ -70,12 +64,11 @@ pub enum Perturbation {
 
 impl Perturbation {
     /// Every class, for full-coverage campaigns.
-    pub const ALL: [Perturbation; 9] = [
+    pub const ALL: [Perturbation; 8] = [
         Perturbation::ForcedDecay,
         Perturbation::SignalReorder,
         Perturbation::CachePressure,
         Perturbation::MidTraceInvalidation,
-        Perturbation::QueueOverload,
         Perturbation::BudgetPressure,
         Perturbation::QuarantineTrace,
         Perturbation::DuplicateBatch,
@@ -89,7 +82,6 @@ impl Perturbation {
             Perturbation::SignalReorder => "signal-reorder",
             Perturbation::CachePressure => "cache-pressure",
             Perturbation::MidTraceInvalidation => "mid-trace-invalidation",
-            Perturbation::QueueOverload => "queue-overload",
             Perturbation::BudgetPressure => "budget-pressure",
             Perturbation::QuarantineTrace => "quarantine-trace",
             Perturbation::DuplicateBatch => "duplicate-batch",
@@ -258,9 +250,6 @@ fn inject(
                 ls.unlink(entries[rng.range_usize(0, entries.len())])?;
             }
         }
-        Perturbation::QueueOverload => {
-            ls.drop_next_batch();
-        }
         Perturbation::BudgetPressure => {
             // A budget of a few two-block traces, drawn small enough to
             // force evictions as the constructors keep building.
@@ -399,10 +388,6 @@ pub struct CorpusCase {
     pub seed: u64,
     /// Enabled perturbation classes.
     pub chaos: ChaosConfig,
-    /// Engine-level fault-injection profile and its plan seed, if the
-    /// case also runs through the execution-engine fault harness
-    /// (`faults=` / `fault_seed=` keys).
-    pub faults: Option<(FaultConfig, u64)>,
 }
 
 /// Parses the `key=value`-per-line corpus format:
@@ -414,14 +399,10 @@ pub struct CorpusCase {
 /// rate=0.05
 /// cache_cap=4
 /// defer_window=24
-/// faults=standard
-/// fault_seed=0x5eed
 /// ```
 pub fn parse_corpus_case(text: &str) -> Result<CorpusCase, String> {
     let mut seed = None;
     let mut chaos = ChaosConfig::none();
-    let mut fault_profile: Option<FaultConfig> = None;
-    let mut fault_seed: Option<u64> = None;
     for line in text.lines() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -471,38 +452,11 @@ pub fn parse_corpus_case(text: &str) -> Result<CorpusCase, String> {
                     .parse()
                     .map_err(|e| format!("bad defer_window: {e}"))?;
             }
-            "faults" => {
-                fault_profile = match value.trim() {
-                    "none" => None,
-                    "standard" => Some(FaultConfig::standard()),
-                    "constructor-killer" => Some(FaultConfig::constructor_killer()),
-                    other => return Err(format!("unknown fault profile {other}")),
-                };
-            }
-            "fault_seed" => {
-                let v = value.trim().replace('_', "");
-                let parsed = if let Some(hex) = v.strip_prefix("0x") {
-                    u64::from_str_radix(hex, 16)
-                } else {
-                    v.parse()
-                };
-                fault_seed = Some(parsed.map_err(|e| format!("bad fault_seed {v}: {e}"))?);
-            }
             other => return Err(format!("unknown corpus key {other}")),
         }
     }
     let seed = seed.ok_or("corpus case missing seed=")?;
-    let faults = match fault_profile {
-        // The fault plan seed defaults to the case seed.
-        Some(cfg) => Some((cfg, fault_seed.unwrap_or(seed))),
-        None if fault_seed.is_some() => return Err("fault_seed= given without faults=".to_string()),
-        None => None,
-    };
-    Ok(CorpusCase {
-        seed,
-        chaos,
-        faults,
-    })
+    Ok(CorpusCase { seed, chaos })
 }
 
 #[cfg(test)]
@@ -523,21 +477,13 @@ mod tests {
         assert!((c.chaos.rate - 0.1).abs() < 1e-12);
         assert_eq!(c.chaos.cache_cap, 3);
         assert_eq!(c.chaos.defer_window, 16);
-        assert!(parse_corpus_case("seed=1\nchaos=queue-overload\n").is_ok());
         assert!(parse_corpus_case("chaos=forced-decay\n").is_err());
         assert!(parse_corpus_case("seed=1\nchaos=warp-core-breach\n").is_err());
         assert!(parse_corpus_case(
             "seed=1\nchaos=budget-pressure,quarantine-trace,duplicate-batch,phase-shift\n"
         )
         .is_ok());
-
-        // Engine-level fault keys.
-        let f = parse_corpus_case("seed=7\nfaults=standard\nfault_seed=0x5eed\n").expect("parses");
-        assert_eq!(f.faults, Some((FaultConfig::standard(), 0x5eed)));
-        let f = parse_corpus_case("seed=7\nfaults=constructor-killer\n").expect("parses");
-        assert_eq!(f.faults, Some((FaultConfig::constructor_killer(), 7)));
-        assert!(parse_corpus_case("seed=7\nfaults=gamma-ray\n").is_err());
-        assert!(parse_corpus_case("seed=7\nfault_seed=3\n").is_err());
+        assert!(parse_corpus_case("seed=7\nwarp=9\n").is_err());
     }
 
     #[test]

@@ -24,14 +24,10 @@
 //! * [`chaos`] + [`genprog`] — deterministic chaos campaigns replaying
 //!   generated fuzz programs under injected perturbations (forced decay
 //!   ticks, signal reordering, cache pressure, mid-trace invalidation,
-//!   construction-queue overload, budget pressure, trace quarantine,
-//!   duplicated batches), optionally under the harness's
-//!   deferred-construction mode, with per-case seeds, AST shrinking of
-//!   failures, and a saved corpus replayed in CI.
-//! * [`faults`] — engine-level fault injection: a real [`trace_exec`]
-//!   shared deployment (budgeted cache + supervised constructor) driven
-//!   under a deterministic [`trace_cache::FaultPlan`], with the plain
-//!   interpreter as the result oracle.
+//!   budget pressure, trace quarantine, duplicated batches, phase
+//!   shifts), optionally under the harness's deferred-construction
+//!   mode, with per-case seeds, AST shrinking of failures, and a saved
+//!   corpus replayed in CI.
 //! * [`snapshot`] — hostile-input conformance for the persistence
 //!   boundary: a seeded mutation campaign (bit flips, truncations,
 //!   section swaps, length-field rewrites) over valid snapshot
@@ -39,15 +35,14 @@
 //!   campaign catches a reader that silently accepts cross-program
 //!   snapshots.
 //! * [`matrix`] — the differential matrix: every VM configuration
-//!   (plain, fused, monitor, engine, never-entering, warm-booted, shared,
-//!   faulted, baseline selectors) on every source (the six workloads,
+//!   (plain, fused, monitor, engine, never-entering, warm-booted,
+//!   baseline selectors) on every source (the six workloads,
 //!   the phase-shift variants, a `genprog` corpus) against one
 //!   reference-interpreter oracle, with located divergences.
 
 #![forbid(unsafe_code)]
 
 pub mod chaos;
-pub mod faults;
 pub mod genprog;
 pub mod invariants;
 pub mod lockstep;
@@ -56,7 +51,6 @@ pub mod model;
 pub mod snapshot;
 
 pub use chaos::{run_campaign, run_case, ChaosConfig, CorpusCase, Perturbation};
-pub use faults::{run_fault_case, FaultCaseReport};
 pub use lockstep::{Divergence, Lockstep};
 pub use model::{ModelBcg, Quirk};
 pub use snapshot::{

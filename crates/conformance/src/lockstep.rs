@@ -15,18 +15,11 @@
 //! observable consequence — decay timing, delay-expiry signalling,
 //! states, counters — must still match exactly, and does get compared.
 //!
-//! Two knobs model the shared-cache deployment's construction timing
-//! without any threads:
-//!
-//! * [`Lockstep::with_deferred_construction`] parks every compared
-//!   signal batch for a window of further dispatches before feeding it
-//!   to *both* constructors, single-threadedly reproducing off-thread
-//!   construction lag (the graphs keep evolving between the signalling
-//!   dispatch and the plan);
-//! * [`Lockstep::drop_next_batch`] hands the next batch back to both
-//!   profilers via their `defer_signals` hooks — the queue-full
-//!   degradation path — so the decay-cycle re-raise is conformance
-//!   checked too.
+//! [`Lockstep::with_deferred_construction`] parks every compared signal
+//! batch for a window of further dispatches before feeding it to *both*
+//! constructors, so the graphs keep evolving between the signalling
+//! dispatch and the plan: construction that lags the profile must
+//! still conform.
 
 use jvm_bytecode::BlockId;
 use trace_bcg::{Branch, BranchCorrelationGraph, NodeIdx, Signal};
@@ -77,10 +70,6 @@ pub struct Lockstep {
     defer_deadline: Option<u64>,
     parked_real: Vec<Signal>,
     parked_model: Vec<ModelSignal>,
-    /// Hand the next non-empty batch back to both profilers instead of
-    /// constructing (chaos: construction-queue overload).
-    drop_next: bool,
-    batches_dropped: u64,
     /// Feed the next non-empty batch to both constructors twice
     /// (chaos: duplicated delivery — construction must be idempotent).
     duplicate_next: bool,
@@ -106,8 +95,6 @@ impl Lockstep {
             defer_deadline: None,
             parked_real: Vec::new(),
             parked_model: Vec::new(),
-            drop_next: false,
-            batches_dropped: 0,
             duplicate_next: false,
             batches_duplicated: 0,
         }
@@ -116,10 +103,8 @@ impl Lockstep {
     /// Switches the harness into deferred-construction mode: signal
     /// batches are still drained and compared on the dispatch that
     /// raised them, but both constructors only see them `window`
-    /// dispatches later (accumulated, in raise order). This is the
-    /// single-threaded model of the shared-cache deployment, where
-    /// construction runs on a background thread and the profilers keep
-    /// moving in the meantime.
+    /// dispatches later (accumulated, in raise order), while the
+    /// profilers keep moving in the meantime.
     pub fn with_deferred_construction(mut self, window: u64) -> Self {
         self.defer_window = window;
         self
@@ -129,7 +114,7 @@ impl Lockstep {
     /// quirks land in the model BCG, cache quirks in the model cache.
     pub fn with_model_quirk(mut self, quirk: Quirk) -> Self {
         match quirk {
-            Quirk::ForcedDecayKeepsZeroEdges | Quirk::DroppedSignalsForgotten => {
+            Quirk::ForcedDecayKeepsZeroEdges => {
                 self.model_bcg = ModelBcg::new(*self.model_bcg.config()).with_quirk(quirk);
             }
             Quirk::EvictionLeavesStaleLink
@@ -156,20 +141,6 @@ impl Lockstep {
     /// sides see the identical permuted order, so conformance must hold.
     pub fn rotate_next_batch(&mut self, by: usize) {
         self.pending_rotation = Some(by);
-    }
-
-    /// Drops the next non-empty signal batch on both sides (chaos hook):
-    /// instead of reaching the constructors it is handed back through
-    /// `defer_signals`, exactly what a dispatcher does when the shared
-    /// construction queue is full. The batch must re-raise at the next
-    /// decay cycle on both sides identically, so conformance must hold.
-    pub fn drop_next_batch(&mut self) {
-        self.drop_next = true;
-    }
-
-    /// Batches dropped so far via [`Self::drop_next_batch`].
-    pub fn batches_dropped(&self) -> u64 {
-        self.batches_dropped
     }
 
     /// One dispatched block through both systems, with per-event checks.
@@ -244,7 +215,7 @@ impl Lockstep {
     }
 
     /// Feeds the next non-empty signal batch to both constructors twice
-    /// (chaos: duplicated queue delivery). Hash-consing makes the replay
+    /// (chaos: duplicated delivery). Hash-consing makes the replay
     /// idempotent, so conformance must hold.
     pub fn duplicate_next_batch(&mut self) {
         self.duplicate_next = true;
@@ -269,8 +240,8 @@ impl Lockstep {
     }
 
     /// Drains signals from both profilers, compares them, and routes the
-    /// (possibly chaos-rotated) batch: dropped back to the profilers,
-    /// parked for deferred construction, or fed to both constructors.
+    /// (possibly chaos-rotated) batch: parked for deferred construction,
+    /// or fed to both constructors.
     fn pump_signals(&mut self) -> Result<(), Divergence> {
         self.bcg.drain_signals_into(&mut self.sig_buf);
         self.model_bcg.drain_signals_into(&mut self.model_sig_buf);
@@ -297,17 +268,6 @@ impl Lockstep {
                 "signal batch mismatch: production {real_view:?} vs model {:?}",
                 self.model_sig_buf
             )));
-        }
-
-        if self.drop_next {
-            // Queue-overload degradation: both sides hand the batch back
-            // for re-raise at the next decay. A rotation stays pending
-            // for the batch the constructors eventually do see.
-            self.drop_next = false;
-            self.batches_dropped += 1;
-            self.bcg.defer_signals(&self.sig_buf);
-            self.model_bcg.defer_signals(&self.model_sig_buf);
-            return Ok(());
         }
 
         if let Some(by) = self.pending_rotation.take() {
@@ -502,8 +462,7 @@ impl Lockstep {
     }
 
     /// Final sweep; call when the stream ends. In deferred mode any
-    /// still-parked batches are constructed first — the background
-    /// thread would drain its queue before shutdown the same way.
+    /// still-parked batches are constructed first.
     pub fn finish(&mut self) -> Result<(), Divergence> {
         self.flush_deferred()?;
         self.sweep()
@@ -687,54 +646,6 @@ mod tests {
         assert!(
             ls.cache.link_count() > 0,
             "construction deferred is still construction"
-        );
-    }
-
-    #[test]
-    fn dropped_batches_reraise_and_stay_in_lockstep() {
-        // Drop every batch raised in the first half of the run: the
-        // deferred signals must re-raise at decay cycles on both sides
-        // and the loop must still end up traced.
-        let mut ls = harness();
-        for i in 0..4000u32 {
-            if i < 2000 {
-                ls.drop_next_batch();
-            }
-            for b in [0u32, 1, 2, if i % 16 == 15 { 3 } else { 2 }] {
-                ls.on_block(blk(b)).expect("no divergence");
-            }
-        }
-        ls.finish().expect("final sweep clean");
-        assert!(ls.batches_dropped() > 0, "drops must actually happen");
-        assert!(
-            ls.cache.link_count() > 0,
-            "re-raised signals must still produce traces"
-        );
-    }
-
-    #[test]
-    fn forgetful_defer_quirk_is_detected() {
-        // The model silently forgets dropped batches; the production
-        // profiler re-raises them at the next decay, so the very next
-        // pump after that decay must report a batch mismatch (or the
-        // constructed links must differ at a sweep).
-        let mut ls = harness().with_model_quirk(crate::model::Quirk::DroppedSignalsForgotten);
-        let mut failure = None;
-        'outer: for i in 0..4000u32 {
-            if i % 4 == 0 {
-                ls.drop_next_batch();
-            }
-            for b in [0u32, 1, 2, if i % 16 == 15 { 3 } else { 2 }] {
-                if let Err(d) = ls.on_block(blk(b)) {
-                    failure = Some(d);
-                    break 'outer;
-                }
-            }
-        }
-        let d = failure.expect("the forgetful model must be caught");
-        assert!(
-            d.what.contains("signal batch mismatch") || d.what.contains("link"),
-            "unexpected divergence field: {d}"
         );
     }
 

@@ -13,11 +13,7 @@
 //!
 //! A new configuration is one [`Row`] variant and one arm of
 //! [`Case::check`]. What a row must show beyond parity (it entered
-//! traces, it fused something, faults fired) its test reads from the
-//! [`CellReport`].
-
-use std::sync::Arc;
-use std::thread;
+//! traces, it fused something) its test reads from the [`CellReport`].
 
 use jvm_bytecode::{BlockId, CmpOp, FunctionBuilder, Intrinsic, Program, ProgramBuilder};
 use jvm_vm::heap::HeapStats;
@@ -27,19 +23,19 @@ use jvm_vm::{
 };
 use trace_baselines::{run_with_selector, NetSelector, ReplaySelector};
 use trace_bcg::BranchCorrelationGraph;
-use trace_cache::{FaultConfig, TraceExecStats};
-use trace_exec::{run_shared_constructor, shared_session, EngineConfig, TracingVm};
+use trace_cache::TraceExecStats;
+use trace_exec::{EngineConfig, TracingVm};
 use trace_jit::{RunReport, TraceJitConfig, TraceVm};
 use trace_workloads::prng::{seed_stream, Xoshiro256StarStar};
 use trace_workloads::registry::{self, Scale, Workload};
 
-use crate::faults::{fault_campaign_config, run_fault_case};
 use crate::genprog::{args_from, build_program, gen_block};
 
 /// Seed base of the generated corpus: case `k` is `seed_stream(FUZZ_SEED, k)`.
 const FUZZ_SEED: u64 = 0xD1FF_5EED;
 
-/// Seed base of the named sources, which seeds their fault plans.
+/// Seed base of the named sources: named source `k` is labelled with
+/// `seed_stream(NAMED_SEED, k)`.
 const NAMED_SEED: u64 = 0xFA17_CA5E;
 
 /// Where a program comes from.
@@ -79,8 +75,7 @@ pub struct Case {
     pub label: String,
     /// Where the program comes from.
     pub kind: SourceKind,
-    /// The generation seed of a fuzz case; the fault-plan seed of every
-    /// case.
+    /// The generation seed of a fuzz case; a label of a named one.
     pub seed: u64,
     /// The verified program.
     pub program: Program,
@@ -239,7 +234,7 @@ pub fn edge_operands(n: i64) -> Workload {
     }
 }
 
-/// The case of the `k`-th named source, whose fault plan `k` seeds.
+/// The case of the `k`-th named source.
 fn named_case(kind: SourceKind, k: usize, w: Workload) -> Case {
     let seed = seed_stream(NAMED_SEED, k as u64);
     let case = Case::new(w.name.into(), kind, seed, w.program, w.args);
@@ -347,15 +342,9 @@ pub enum Row {
     /// The engine at a start delay no run reaches, two runs: every field
     /// but the stream, and the profiler's counters of the oracle's stream.
     NeverEnter,
-    /// The fault campaign's tunables, snapshot after one run, booted into
-    /// a fresh engine: both runs as `Engine`.
+    /// Start delay 8, decay interval 64 and threshold 0.90, snapshot
+    /// after one run, booted into a fresh engine: both runs as `Engine`.
     WarmBoot,
-    /// As `Engine`, on a shared cache with the constructor on its own
-    /// thread: a cold pass, then a fresh VM on the populated cache.
-    Shared,
-    /// The supervised shared deployment under a fault plan
-    /// ([`run_fault_case`]): result, checksum, instruction count.
-    Faulted(FaultConfig),
     /// A baseline selector on the monitor: checksum and counters.
     Selector(Selector),
 }
@@ -388,8 +377,6 @@ pub struct CellReport {
     pub runs: Vec<RunFacts>,
     /// Artifacts the warm boot pre-built (`WarmBoot`).
     pub artifacts_prebuilt: usize,
-    /// Faults the plan fired (`Faulted`).
-    pub faults_fired: u64,
 }
 
 /// One cell being checked: where a mismatch is reported from.
@@ -621,7 +608,11 @@ impl Case {
                 }
             }
             Row::WarmBoot => {
-                let config = self.engine(fault_campaign_config().jit);
+                let jit = TraceJitConfig {
+                    decay_interval: 64,
+                    ..TraceJitConfig::paper_default()
+                };
+                let config = self.engine(jit.with_start_delay(8).with_threshold(0.90));
                 let mut cold = TracingVm::new(program, config);
                 cell.engine_run(&mut cold, &mut TraceExecStats::default())?;
                 let mut booted = TracingVm::new(program, config);
@@ -630,39 +621,6 @@ impl Case {
                     Err(e) => return Err(cell.diverge(1, "own snapshot", e.to_string())),
                 }
                 cell.engine_run(&mut booted, &mut TraceExecStats::default())?;
-            }
-            Row::Shared => {
-                let (cache, session, rx) = shared_session();
-                let health = Arc::clone(session.queue.health());
-                // Cold pass: the constructor drains while the VM profiles;
-                // dropping the VM's session disconnects the queue and the
-                // constructor exits.
-                thread::scope(|scope| {
-                    let svc =
-                        scope.spawn(|| run_shared_constructor(rx, &cache, program, engine_at_16));
-                    let mut vm = TracingVm::new_shared(program, engine_at_16, session);
-                    let cold = cell.engine_run(&mut vm, &mut TraceExecStats::default());
-                    drop(vm);
-                    svc.join().expect("the constructor thread does not panic");
-                    cold
-                })?;
-                // With no fault plan, any panic the service absorbed is a bug.
-                let hs = health.snapshot();
-                cell.check(0, "constructor health", &hs, &Default::default())?;
-                // Warm pass: a fresh VM on the populated cache. Its queue
-                // has no receiver, so its signals defer into its profiler.
-                let (_, mut warm, _) = shared_session();
-                warm.cache = Arc::clone(&cache);
-                let mut vm = TracingVm::new_shared(program, engine_at_16, warm);
-                cell.engine_run(&mut vm, &mut TraceExecStats::default())?;
-            }
-            Row::Faulted(fault) => {
-                let case = run_fault_case(program, args, fault, self.seed)
-                    .map_err(|e| cell.diverge(0, "fault case", e))?;
-                for (run, r) in case.runs.into_iter().enumerate() {
-                    cell.compare(run, &Observation::of_run(&Ok(r)).instructions_only())?;
-                }
-                cell.report.faults_fired = case.faults.total_fired();
             }
             Row::Selector(selector) => {
                 let run = match selector {

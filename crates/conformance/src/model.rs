@@ -42,11 +42,6 @@ pub enum Quirk {
     /// is unaffected, so only a chaos campaign that injects forced decay
     /// ticks can expose this bug.
     ForcedDecayKeepsZeroEdges,
-    /// Signals handed back by [`ModelBcg::defer_signals`] are silently
-    /// dropped instead of parked for re-raise at the next decay. The
-    /// defer path only runs under construction-queue overload, so only
-    /// a chaos campaign that drops signal batches can expose this bug.
-    DroppedSignalsForgotten,
     /// The model's budget sweep reclaims the victim trace but forgets to
     /// remove its entry link, leaving a stale link behind. Eviction only
     /// runs once a byte budget is set, so only a chaos campaign that
@@ -187,9 +182,6 @@ pub struct ModelBcg {
     last_block: Option<BlockId>,
     ctx: Option<Branch>,
     signals: Vec<ModelSignal>,
-    /// Signals handed back by [`Self::defer_signals`]; re-raised
-    /// wholesale at the next decay, like the production profiler.
-    deferred: Vec<ModelSignal>,
     quirk: Option<Quirk>,
 }
 
@@ -203,7 +195,6 @@ impl ModelBcg {
             last_block: None,
             ctx: None,
             signals: Vec::new(),
-            deferred: Vec::new(),
             quirk: None,
         }
     }
@@ -246,26 +237,6 @@ impl ModelBcg {
     pub fn drain_signals_into(&mut self, out: &mut Vec<ModelSignal>) {
         out.clear();
         out.append(&mut self.signals);
-    }
-
-    /// Hands a drained signal batch back (the consumer could not take
-    /// it — construction-queue overload). Parked signals are
-    /// deduplicated by branch and re-raised wholesale at the next decay,
-    /// mirroring the production profiler's degradation contract.
-    pub fn defer_signals(&mut self, signals: &[ModelSignal]) {
-        if self.quirk == Some(Quirk::DroppedSignalsForgotten) {
-            return;
-        }
-        for sig in signals {
-            if self.deferred.iter().all(|d| d.branch != sig.branch) {
-                self.deferred.push(*sig);
-            }
-        }
-    }
-
-    /// Number of signals currently parked by [`Self::defer_signals`].
-    pub fn deferred_len(&self) -> usize {
-        self.deferred.len()
     }
 
     /// Forgets the dispatch context (new stream / thread switch).
@@ -433,12 +404,6 @@ impl ModelBcg {
                     new: new_pred,
                 },
             });
-        }
-
-        // Re-raise signals parked by a full construction queue: the
-        // decay cycle is the re-delivery point, as in production.
-        if !self.deferred.is_empty() {
-            self.signals.append(&mut self.deferred);
         }
     }
 }
@@ -1029,46 +994,5 @@ mod tests {
     fn model_quarantine_escalation_quirk_keeps_the_base_cooldown() {
         let mut quirky = ModelCache::new().with_quirk(Quirk::EscalationForgotten);
         assert_eq!(repeat_quarantines(&mut quirky, 3), [4; 4]);
-    }
-
-    #[test]
-    fn deferred_signals_reraise_at_the_next_decay() {
-        let cfg = BcgConfig {
-            decay_interval: u32::MAX,
-            ..BcgConfig::default().with_start_delay(1).with_threshold(0.9)
-        };
-        let mut m = ModelBcg::new(cfg);
-        for _ in 0..8 {
-            m.observe(blk(0));
-            m.observe(blk(1));
-            m.observe(blk(2));
-        }
-        let mut batch = Vec::new();
-        m.drain_signals_into(&mut batch);
-        assert!(!batch.is_empty(), "the warmed loop must have signalled");
-
-        // Consumer could not take the batch: hand it back. Deferring
-        // must not re-raise eagerly, and re-deferring is idempotent.
-        m.defer_signals(&batch);
-        m.defer_signals(&batch);
-        assert_eq!(m.deferred_len(), batch.len());
-        assert!(m.take_signals().is_empty());
-
-        // The next decay re-delivers every parked signal.
-        m.force_decay((blk(0), blk(1)));
-        let reraised = m.take_signals();
-        for d in &batch {
-            assert!(
-                reraised.iter().any(|s| s.branch == d.branch),
-                "deferred signal for {:?} must re-raise at decay",
-                d.branch
-            );
-        }
-        assert_eq!(m.deferred_len(), 0);
-
-        // The forgetful quirk silently drops the same batch.
-        let mut quirky = ModelBcg::new(cfg).with_quirk(Quirk::DroppedSignalsForgotten);
-        quirky.defer_signals(&batch);
-        assert_eq!(quirky.deferred_len(), 0);
     }
 }

@@ -1,8 +1,7 @@
 //! Hostile-input conformance for the snapshot container.
 //!
-//! The chaos campaigns attack the profiling pipeline and the fault
-//! campaigns attack the execution deployment; this module attacks the
-//! **persistence boundary**: the versioned, checksummed snapshot
+//! The chaos campaigns attack the profiling pipeline; this module
+//! attacks the **persistence boundary**: the versioned, checksummed snapshot
 //! container (`trace-persist`) that carries a warmed profile and trace
 //! cache across processes. A snapshot file arrives from outside the
 //! process, so the decoder must be total — any mutation of valid bytes
@@ -252,12 +251,18 @@ pub fn must_reject(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trace_exec::TracingVm;
+    use trace_exec::{EngineConfig, TracingVm};
+    use trace_jit::TraceJitConfig;
     use trace_workloads::registry::{all, Scale};
 
     fn warmed_snapshot() -> (Vec<u8>, u64) {
         let w = &all(Scale::Test)[0];
-        let mut vm = TracingVm::new(&w.program, crate::faults::fault_campaign_config());
+        let jit = TraceJitConfig {
+            decay_interval: 64,
+            ..TraceJitConfig::paper_default()
+        };
+        let jit = jit.with_start_delay(8).with_threshold(0.90);
+        let mut vm = TracingVm::new(&w.program, EngineConfig { jit });
         vm.run(&w.args).expect("warming run");
         let hash = trace_persist::program_hash(&w.program);
         (vm.snapshot(), hash)

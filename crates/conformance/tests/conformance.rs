@@ -69,8 +69,7 @@ fn chaos_campaign_on_clean_systems_is_silent() {
 #[test]
 fn deferred_construction_campaign_is_silent() {
     // Plain lockstep replays, but with every signal batch constructed a
-    // window of dispatches late — the single-threaded model of the
-    // shared cache's off-thread constructor.
+    // window of dispatches late, while the profilers keep moving.
     let report = run_campaign(
         0xDEFE_44ED,
         48,
@@ -80,46 +79,6 @@ fn deferred_construction_campaign_is_silent() {
     if let Some((seed, d)) = report.failure {
         panic!("deferred-construction campaign diverged: seed {seed:#x}: {d}");
     }
-}
-
-/// Regression trio for the queue-overload degradation path: a model
-/// that forgets dropped batches (`Quirk::DroppedSignalsForgotten`) is
-/// invisible to plain lockstep but must be caught once the campaign
-/// drops batches, because the production profiler re-raises them at
-/// decay cycles and the model then disagrees.
-#[test]
-fn queue_overload_chaos_catches_the_forgetful_model() {
-    const BASE: u64 = 0xD40B_BA7C;
-    const CASES: u64 = 64;
-    let overload = ChaosConfig::only(Perturbation::QueueOverload);
-
-    let plain = run_campaign(
-        BASE,
-        CASES,
-        &ChaosConfig::none(),
-        Some(Quirk::DroppedSignalsForgotten),
-    );
-    assert!(
-        plain.failure.is_none(),
-        "quirk should be invisible without dropped batches, but: {:?}",
-        plain.failure
-    );
-
-    let caught = run_campaign(BASE, CASES, &overload, Some(Quirk::DroppedSignalsForgotten));
-    let (seed, d) = caught
-        .failure
-        .expect("queue-overload campaign must expose the forgetful model");
-    assert!(
-        d.what.contains("signal batch mismatch") || d.what.contains("link"),
-        "seed {seed:#x}: unexpected divergence field: {d}"
-    );
-
-    let clean = run_campaign(BASE, CASES, &overload, None);
-    assert!(
-        clean.failure.is_none(),
-        "clean model must survive the identical drop schedule, but: {:?}",
-        clean.failure
-    );
 }
 
 /// Regression trio for "chaos catches what plain lockstep cannot": a

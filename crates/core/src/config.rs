@@ -54,7 +54,12 @@ impl TraceJitConfig {
     }
 
     /// Returns this configuration with a different start-state delay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `delay` is 0 (see [`BcgConfig::with_start_delay`]).
     pub fn with_start_delay(mut self, delay: u32) -> Self {
+        assert!(delay >= 1, "start delay must be at least 1, got 0");
         self.start_delay = delay;
         self
     }
@@ -118,5 +123,11 @@ mod tests {
     #[should_panic]
     fn invalid_threshold_panics() {
         let _ = TraceJitConfig::default().with_threshold(1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "start delay")]
+    fn zero_start_delay_panics() {
+        let _ = TraceJitConfig::default().with_start_delay(0);
     }
 }

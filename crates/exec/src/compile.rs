@@ -181,9 +181,7 @@ pub fn compile(program: &Program, trace: &Trace) -> Result<CompiledTrace, Compil
 }
 
 /// Compiles a raw block sequence — the same pass as [`compile`], for
-/// callers holding only the blocks (e.g. the off-thread artifact builder,
-/// which lowers against a shared cache that hands its build hook a block
-/// slice rather than a [`Trace`]).
+/// callers holding only the blocks rather than a [`Trace`].
 ///
 /// # Errors
 ///

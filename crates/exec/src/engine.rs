@@ -34,13 +34,12 @@
 //! through all of them). Skipping it is unobservable: the profiler,
 //! re-anchored at the last block, would observe a branch whose node
 //! exists (it holds the link) and neither count nor signal; nothing was
-//! observed since the entry, so no signal is pending; a private cache
-//! cannot change inside an execution, and in shared mode the link is
-//! re-checked against the cache version at every skipped dispatch. One
-//! *execution* — one dispatch into a trace — thus runs until a guard
-//! fails or a completion finds no link, and the trace counters
-//! ([`TraceExecStats`]) count executions, with `loop_closings` counting
-//! the trace runs begun without a dispatch.
+//! observed since the entry, so no signal is pending; and the cache
+//! cannot change inside an execution. One *execution* — one dispatch
+//! into a trace — thus runs until a guard fails or a completion finds
+//! no link, and the trace counters ([`TraceExecStats`]) count
+//! executions, with `loop_closings` counting the trace runs begun
+//! without a dispatch.
 //!
 //! To the profiler a trace execution is the one dispatch that entered
 //! it, both ways out: no in-trace branch outcome is observed, passed or
@@ -60,20 +59,16 @@
 //! through the entry its last iteration came in by: its loop branch if
 //! it closed, else the branch it was dispatched or gone on into at.
 
-use std::sync::Arc;
-
 use jvm_bytecode::{BlockId, Program};
 use jvm_vm::{BlockDriver, DecodedProgram, Machine, OutputItem, Value, Vm, VmError};
 use trace_bcg::{Branch, BranchCorrelationGraph, NodeIdx, Signal};
 use trace_cache::{
-    BcgSnapshot, CacheStats, ConstructorStats, HealthStats, TraceCache, TraceConstructor,
-    TraceExecStats, TraceId, COOLDOWN, STREAK_LIMIT,
+    HealthStats, TraceCache, TraceConstructor, TraceExecStats, TraceId, STREAK_LIMIT,
 };
 use trace_jit::{RunReport, TraceJitConfig};
 use trace_persist::{program_hash, Snapshot, SnapshotError, SnapshotReader};
 
 use crate::reg::{build_trace, RegStats, RegTrace};
-use crate::shared::SharedSession;
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,12 +119,7 @@ pub(crate) struct Jit<'p> {
     pub(crate) program: &'p Program,
     pub(crate) bcg: BranchCorrelationGraph,
     constructor: TraceConstructor,
-    cache: TraceCache,
-    /// Shared-cache session, when this VM dispatches against a cache
-    /// other VMs share. Signals then go to the off-thread constructor as
-    /// bounded snapshots instead of being handled inline, and trace
-    /// lookups/artifacts resolve through the shared cache.
-    shared: Option<SharedSession>,
+    pub(crate) cache: TraceCache,
     /// Reusable signal drain buffer: the dispatch hook never allocates.
     signal_buf: Vec<Signal>,
     pub(crate) trace_stats: TraceExecStats,
@@ -139,94 +129,27 @@ pub(crate) struct Jit<'p> {
 }
 
 impl Jit<'_> {
-    /// The private cache's version; `None` in shared mode, where another
-    /// VM may bump the cache's at any time.
-    #[cfg(feature = "debug-invariants")]
-    pub(crate) fn private_version(&self) -> Option<u64> {
-        self.shared.is_none().then(|| self.cache.version())
-    }
-
-    /// The trace linked at branch node `n`: a version compare against
-    /// whichever cache this VM dispatches against, no hashing (the slot
-    /// revalidates on a version bump).
+    /// The trace linked at branch node `n`: a version compare, no
+    /// hashing (the slot revalidates on a version bump).
     #[inline]
     pub(crate) fn linked_at(&mut self, n: NodeIdx) -> Option<TraceId> {
-        match &self.shared {
-            None => self.cache.lookup_entry_cached(&mut self.bcg, n),
-            Some(sess) => sess.cache.lookup_entry_cached(&mut self.bcg, n),
-        }
+        self.cache.lookup_entry_cached(&mut self.bcg, n)
     }
 
-    /// Counters of whichever cache this VM dispatches against.
-    fn cache_stats(&self) -> CacheStats {
-        match &self.shared {
-            Some(sess) => sess.cache.stats(),
-            None => self.cache.stats(),
-        }
-    }
-
-    /// This VM's constructor counters, or in shared mode the session's
-    /// construction service's.
-    fn constructor_stats(&self) -> ConstructorStats {
-        match &self.shared {
-            Some(sess) => sess.queue.builder_stats().constructor,
-            None => self.constructor.stats(),
-        }
-    }
-
-    /// Retention counters of whichever cache this VM dispatches against.
-    fn health_stats(&self) -> HealthStats {
-        match &self.shared {
-            Some(sess) => sess.cache.health_stats(),
-            None => self.cache.health_stats(),
-        }
-    }
-
-    /// Quarantines `tid`, linked at `entry`, on its streak of early
-    /// exits; returns the tombstoned id.
-    #[cold]
-    fn demote(&mut self, entry: Branch, tid: TraceId) -> Option<TraceId> {
-        match &self.shared {
-            Some(sess) => sess.cache.demote(entry, tid),
-            None => self.cache.demote(entry, tid),
-        }
-    }
-
-    /// Drains pending profiler signals and routes them: inline
-    /// construction in private mode; bounded snapshot submission to the
-    /// off-thread constructor in shared mode, deferring the batch back
-    /// into the profiler (for decay-driven re-raise) when the queue is
-    /// full. Once the construction service is permanently degraded the
-    /// signals are discarded outright — no snapshot is captured, no
-    /// submit attempted, and nothing is parked for a constructor that
-    /// will never come back.
+    /// Drains pending profiler signals into the constructor, which
+    /// updates the cache inline.
     #[inline]
     fn dispatch_signals(&mut self) {
         if self.bcg.has_signals() {
-            self.route_signals();
+            self.handle_signals();
         }
     }
 
     #[cold]
-    fn route_signals(&mut self) {
+    fn handle_signals(&mut self) {
         self.bcg.drain_signals_into(&mut self.signal_buf);
-        match &self.shared {
-            None => {
-                self.constructor
-                    .handle_batch(&self.signal_buf, &mut self.bcg, &mut self.cache);
-            }
-            Some(sess) => {
-                let health = sess.queue.health();
-                if health.is_degraded() {
-                    health.note_degraded_discard();
-                    return;
-                }
-                let snap = BcgSnapshot::capture(&self.bcg, &self.signal_buf);
-                if !sess.queue.submit(snap) {
-                    self.bcg.defer_signals(&self.signal_buf);
-                }
-            }
-        }
+        self.constructor
+            .handle_batch(&self.signal_buf, &mut self.bcg, &mut self.cache);
     }
 }
 
@@ -245,17 +168,16 @@ struct Linked {
 /// ([`Driver::retire`]), which frees its lowered code.
 #[derive(Debug, Default)]
 enum Artifact {
-    /// Not resolved yet: built (private mode) or fetched (shared mode)
-    /// at the trace's first entry, or by a warm boot.
+    /// Not resolved yet: built at the trace's first entry, or by a warm
+    /// boot.
     #[default]
     Unbuilt,
     /// No artifact, ever: the chain stopped matching the program flow,
-    /// the register lowering refused it, or the shared builder
-    /// published none. The trace is never entered.
+    /// or the register lowering refused it. The trace is never entered.
     Refused,
-    /// The lowered trace, private or shared alike, and its current run
-    /// of consecutive early exits — the retention rule's one counter.
-    Built(Arc<RegTrace>, u32),
+    /// The lowered trace and its current run of consecutive early exits
+    /// — the retention rule's one counter.
+    Built(RegTrace, u32),
 }
 
 /// The engine's side of the loop's dispatch hook.
@@ -263,8 +185,8 @@ enum Artifact {
 struct Driver<'p> {
     jit: Jit<'p>,
     /// Artifact of every trace id this VM has resolved, indexed by
-    /// [`TraceId::index`] (ids are dense per cache, private and shared
-    /// alike); slots past the end are [`Artifact::Unbuilt`].
+    /// [`TraceId::index`] (ids are dense); slots past the end are
+    /// [`Artifact::Unbuilt`].
     arts: Vec<Artifact>,
     reg_stats: RegStats,
 }
@@ -282,13 +204,11 @@ impl BlockDriver for Driver<'_> {
         let jit = &mut self.jit;
         let node = jit.bcg.observe(bid);
         jit.dispatch_signals();
-        // Entry check through the branch node's trace-link slot,
-        // dispatched statically on the cache kind. (The first block of a
-        // stream has no branch, hence no node and no entry.) In private
-        // mode signals were just handled, so a trace built by this very
-        // dispatch is immediately enterable — the slot revalidates on
-        // the version bump. In shared mode the slot stamp makes the
-        // locked probe one version compare on the steady state.
+        // Entry check through the branch node's trace-link slot. (The
+        // first block of a stream has no branch, hence no node and no
+        // entry.) Signals were just handled, so a trace built by this
+        // very dispatch is immediately enterable — the slot revalidates
+        // on the version bump.
         let linked = node.and_then(|n| {
             let tid = jit.linked_at(n)?;
             Some(Linked {
@@ -311,7 +231,7 @@ impl BlockDriver for Driver<'_> {
         let (mut blocks, mut instrs) = (0, 0);
         let side_exited = loop {
             if matches!(self.arts.get(tid.index()), Some(Artifact::Unbuilt) | None) {
-                self.resolve_artifact(tid, entry, m.decoded);
+                self.resolve_artifact(tid, m.decoded);
             }
             let Some(Artifact::Built(rt, streak)) = self.arts.get_mut(tid.index()) else {
                 if dispatched {
@@ -353,8 +273,7 @@ impl BlockDriver for Driver<'_> {
             if run.side_exited {
                 *streak += 1;
                 if *streak >= STREAK_LIMIT {
-                    let dead = self.jit.demote(entry, tid);
-                    self.retire(dead);
+                    self.retire(entry, tid);
                 }
                 break true;
             }
@@ -382,26 +301,22 @@ impl Driver<'_> {
     /// The lowered traces this VM can dispatch.
     fn built(&self) -> impl Iterator<Item = &RegTrace> {
         self.arts.iter().filter_map(|a| match a {
-            Artifact::Built(rt, _) => Some(&**rt),
+            Artifact::Built(rt, _) => Some(rt),
             _ => None,
         })
     }
 
-    /// First entry of `tid`: builds (private mode) or fetches (shared
-    /// mode) its lowered trace and records the outcome.
+    /// First entry of `tid`: builds its lowered trace and records the
+    /// outcome.
     #[cold]
-    fn resolve_artifact(&mut self, tid: TraceId, entry: Branch, decoded: &DecodedProgram) {
-        let art = if self.jit.shared.is_some() {
-            self.fetch_shared_artifact(tid, entry)
-        } else {
-            self.build_artifact(tid, decoded).map(Arc::new)
-        };
+    fn resolve_artifact(&mut self, tid: TraceId, decoded: &DecodedProgram) {
+        let art = self.build_artifact(tid, decoded);
         self.install(tid, art);
     }
 
     /// Records the (permanent) artifact outcome for `tid`; returns
     /// whether there is an artifact.
-    fn install(&mut self, tid: TraceId, art: Option<Arc<RegTrace>>) -> bool {
+    fn install(&mut self, tid: TraceId, art: Option<RegTrace>) -> bool {
         let built = art.is_some();
         if self.arts.len() <= tid.index() {
             self.arts.resize_with(tid.index() + 1, Artifact::default);
@@ -410,8 +325,8 @@ impl Driver<'_> {
         built
     }
 
-    /// Builds the artifact of a linked trace of the private cache,
-    /// folding its lowering statistics into the VM's totals.
+    /// Builds the artifact of a linked trace, folding its lowering
+    /// statistics into the VM's totals.
     fn build_artifact(&mut self, tid: TraceId, decoded: &DecodedProgram) -> Option<RegTrace> {
         let blocks = self.jit.cache.trace(tid).blocks();
         let rt = build_trace(self.jit.program, decoded, tid, blocks)?;
@@ -424,61 +339,14 @@ impl Driver<'_> {
         Some(rt)
     }
 
-    /// Shared-mode artifact resolution. Failures surface as "no
-    /// artifact" — the VM keeps interpreting. A corrupt artifact
-    /// additionally quarantines the trace so every VM stops dispatching
-    /// it and the constructor cools down before rebuilding the key.
-    fn fetch_shared_artifact(&mut self, tid: TraceId, entry: Branch) -> Option<Arc<RegTrace>> {
-        let sess = self.jit.shared.as_ref().expect("shared mode");
-        match sess.cache.artifact_checked(tid) {
-            Ok(artifact) => {
-                #[cfg(feature = "debug-invariants")]
-                if let Some(art) = &artifact {
-                    assert_eq!(
-                        art.src_blocks.first().copied(),
-                        Some(entry.1),
-                        "published artifact must start at the linked entry's target"
-                    );
-                }
-                artifact
-            }
-            Err(trace_cache::TraceCacheError::CorruptArtifact(_)) => {
-                // Never execute a corrupt artifact: retire the trace for
-                // everyone — through the same policy path every other
-                // quarantine takes — and blacklist its key until the
-                // cooldown decays.
-                let dead = sess.cache.quarantine(entry, COOLDOWN);
-                self.retire(dead);
-                None
-            }
-            // Evicted (link outlived its trace by one probe) or unknown:
-            // ids are never reused, so "no artifact" is permanent.
-            Err(_) => None,
-        }
-    }
-
-    /// Frees the lowered code of tombstoned traces: ids are never
-    /// reused, so they can never be entered again.
-    fn retire(&mut self, dead: impl IntoIterator<Item = TraceId>) {
-        for tid in dead {
-            if let Some(slot) = self.arts.get_mut(tid.index()) {
-                *slot = Artifact::Refused;
-            }
-        }
-    }
-
-    /// Shared mode: retires the slots of traces another VM tombstoned
-    /// since this VM's last run (its own quarantines retire at once).
-    fn retire_tombstoned_elsewhere(&mut self) {
-        let Some(sess) = &self.jit.shared else {
-            return;
-        };
-        for (i, slot) in self.arts.iter_mut().enumerate() {
-            if matches!(slot, Artifact::Built(..))
-                && sess.cache.is_evicted(TraceId::from_raw(i as u32))
-            {
-                *slot = Artifact::Refused;
-            }
+    /// The retention rule's verdict on `tid`, entered at `entry`:
+    /// quarantines it ([`TraceCache::demote`]) and frees the lowered code
+    /// of the tombstoned trace — ids are never reused, so it can never
+    /// be entered again.
+    #[cold]
+    fn retire(&mut self, entry: Branch, tid: TraceId) {
+        if let Some(dead) = self.jit.cache.demote(entry, tid) {
+            self.arts[dead.index()] = Artifact::Refused;
         }
     }
 }
@@ -507,7 +375,6 @@ impl<'p> TracingVm<'p> {
                     bcg,
                     constructor: TraceConstructor::new(config.jit.constructor_config()),
                     cache: TraceCache::new(),
-                    shared: None,
                     signal_buf: Vec::new(),
                     trace_stats: TraceExecStats::default(),
                     reg_file: Vec::new(),
@@ -518,25 +385,9 @@ impl<'p> TracingVm<'p> {
         }
     }
 
-    /// Assembles an engine that dispatches against a shared cache: trace
-    /// lookups hit `session.cache`, and profiler signals are shipped to
-    /// the session's off-thread constructor instead of being handled
-    /// inline (dropped batches are deferred and re-raised by decay — see
-    /// [`crate::shared`]). The session must belong to `program`.
-    pub fn new_shared(program: &'p Program, config: EngineConfig, session: SharedSession) -> Self {
-        let mut vm = Self::new(program, config);
-        vm.driver.jit.shared = Some(session);
-        vm
-    }
-
-    /// The trace cache (shared structure with the base system).
+    /// The trace cache.
     pub fn cache(&self) -> &TraceCache {
         &self.driver.jit.cache
-    }
-
-    /// The shared-cache session, when running in shared mode.
-    pub fn shared(&self) -> Option<&SharedSession> {
-        self.driver.jit.shared.as_ref()
     }
 
     /// The decoded program the engine executes from.
@@ -550,8 +401,7 @@ impl<'p> TracingVm<'p> {
         self.driver.reg_stats
     }
 
-    /// Number of lowered traces this VM can dispatch: compiled here
-    /// (private mode) or resolved from the session (shared mode).
+    /// Number of lowered traces this VM can dispatch.
     pub fn compiled_count(&self) -> usize {
         self.driver.built().count()
     }
@@ -574,22 +424,16 @@ impl<'p> TracingVm<'p> {
         &self.vm
     }
 
-    /// Retention counters of whichever cache this VM dispatches against
-    /// (private or shared): streak demotions, watched re-admissions,
-    /// escalated cooldowns.
+    /// Retention counters of the cache: streak demotions, watched
+    /// re-admissions, escalated cooldowns.
     pub fn health_stats(&self) -> HealthStats {
-        self.driver.jit.health_stats()
+        self.driver.jit.cache.health_stats()
     }
 
     /// Machine-readable reason the runtime is running degraded, if it
-    /// is: `"constructor-degraded"` when the shared construction service
-    /// is permanently down (dispatch keeps interpreting, never wrong).
-    /// `None` means fully healthy.
+    /// is. Always `None`: no configuration degrades.
     pub fn degraded_reason(&self) -> Option<&'static str> {
-        let degraded = self
-            .shared()
-            .is_some_and(|sess| sess.queue.health().is_degraded());
-        degraded.then_some("constructor-degraded")
+        None
     }
 
     /// Executes the program, returning the same [`RunReport`] the base
@@ -602,7 +446,6 @@ impl<'p> TracingVm<'p> {
         // Run state is reset by the loop; profiler/cache/lowered traces
         // persist.
         let driver = &mut self.driver;
-        driver.retire_tombstoned_elsewhere();
         driver.jit.bcg.begin_stream();
 
         let result = self.vm.run_driven(args, &mut *driver)?;
@@ -614,24 +457,14 @@ impl<'p> TracingVm<'p> {
             exec: self.vm.stats(),
             profiler: jit.bcg.stats(),
             traces: jit.trace_stats,
-            constructor: jit.constructor_stats(),
-            cache: jit.cache_stats(),
+            constructor: jit.constructor.stats(),
+            cache: jit.cache.stats(),
         })
     }
 
     /// Serializes the VM's profile and trace-cache contents as a
     /// versioned, checksummed snapshot container (see `trace-persist`).
-    /// Private mode only: in shared mode the profile/cache of record
-    /// live in the session, not in this VM.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the VM runs in shared-cache mode.
     pub fn snapshot(&self) -> Vec<u8> {
-        assert!(
-            self.shared().is_none(),
-            "snapshot() captures the private profile/cache; this VM is in shared mode"
-        );
         let jit = &self.driver.jit;
         Snapshot::capture(program_hash(self.driver.jit.program), &jit.bcg, &jit.cache).to_bytes()
     }
@@ -651,15 +484,7 @@ impl<'p> TracingVm<'p> {
     ///
     /// [`SnapshotError`] on malformed, corrupt, version-skewed or stale
     /// (wrong program hash) input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the VM runs in shared-cache mode.
     pub fn load_snapshot(&mut self, bytes: &[u8]) -> Result<WarmBootReport, SnapshotError> {
-        assert!(
-            self.shared().is_none(),
-            "load_snapshot() targets the private profile/cache; this VM is in shared mode"
-        );
         let snap = SnapshotReader::new().read(bytes, program_hash(self.driver.jit.program))?;
         // `merge_into` validates the profile image before mutating, and
         // the cache image was validated by the reader, so from here on
@@ -693,7 +518,7 @@ impl<'p> TracingVm<'p> {
         let mut built = 0;
         for tid in tids {
             if matches!(driver.arts.get(tid.index()), None | Some(Artifact::Unbuilt)) {
-                let art = driver.build_artifact(tid, self.vm.decoded()).map(Arc::new);
+                let art = driver.build_artifact(tid, self.vm.decoded());
                 built += usize::from(driver.install(tid, art));
             }
         }

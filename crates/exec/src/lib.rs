@@ -41,13 +41,9 @@ pub mod compile;
 pub mod engine;
 pub mod reg;
 mod regexec;
-pub mod shared;
 
 pub use compile::{compile, compile_blocks, CompileError, CompiledTrace, CondKind, Step};
 pub use engine::{EngineConfig, TracingVm, WarmBootReport};
 pub use reg::{
     disassemble, lower_reg, FrameImage, RBin, RExit, RInstr, RUn, Reg, RegStats, RegTrace,
-};
-pub use shared::{
-    artifact_builder, run_shared_constructor, shared_session, SharedCache, SharedSession,
 };

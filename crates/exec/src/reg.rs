@@ -780,8 +780,7 @@ impl<'a> Lowering<'a> {
 }
 
 /// The whole artifact build, [`compile_blocks`] → [`lower_reg`]: the one
-/// way a block chain becomes executable, for the engine's private cache
-/// and the shared-cache builder alike. `None` — permanently, for this
+/// way a block chain becomes executable. `None` — permanently, for this
 /// chain — when it no longer matches the program's control flow or the
 /// lowering refuses it; the trace is then never entered.
 pub(crate) fn build_trace(
@@ -794,9 +793,8 @@ pub(crate) fn build_trace(
     lower_reg(program, decoded, &ct)
 }
 
-/// Lowers a compiled trace to register form. `decoded` is read-only —
-/// constants ride in the per-trace table, not the decoded pools — so one
-/// lowering serves both private and shared publication.
+/// Lowers a compiled trace to register form. `decoded` is read-only:
+/// constants ride in the per-trace table, not the decoded pools.
 ///
 /// Returns `None` when the trace cannot be expressed in register form
 /// (see the module docs); the engine then never enters it.

@@ -157,7 +157,7 @@ impl Jit<'_> {
         let mut loop_node: Option<Option<NodeIdx>> = None;
         let mut next = None;
         #[cfg(feature = "debug-invariants")]
-        let entry_version = self.private_version();
+        let entry_version = self.cache.version();
         let budget = m.config.max_steps - m.stats.instructions;
         // The lowering is single-assignment: every non-constant register
         // is written before it is read, so stale values from an earlier
@@ -655,9 +655,9 @@ impl Jit<'_> {
                                 "a linked successor skips a dispatch with a signal pending"
                             );
                             assert_eq!(
-                                self.private_version(),
+                                self.cache.version(),
                                 entry_version,
-                                "the private cache changed inside a trace execution"
+                                "the cache changed inside a trace execution"
                             );
                         }
                         if linked == Some(tid) {

@@ -3,17 +3,13 @@
 //! The paper has one trace cache: signals in, traces hash-consed and
 //! linked at their entry branches (§4.2). [`TraceCache`] is that cache,
 //! and everything that decides *what* is cached lives here — the entry
-//! links and the retention counters included. A VM owns one directly;
-//! [`SharedTraceCache`](crate::SharedTraceCache) is the same type behind
-//! a lock, instantiated with an optional per-trace payload (`P`) whose
-//! measured bytes ride on top of the closed-form cost, and using the
-//! per-insert budget override.
+//! links and the retention counters included. A VM owns one directly.
 //!
 //! # Memory budget and eviction
 //!
 //! [`set_budget`](TraceCache::set_budget) bounds the payload bytes the
 //! cache may hold ([`payload_bytes`](TraceCache::payload_bytes): the
-//! closed-form [`trace_cost`] accounting, plus payload bytes). When an
+//! closed-form [`trace_cost`] accounting). When an
 //! insert pushes the cache over budget, entry links are evicted by a
 //! deterministic second-chance (clock) sweep in insertion order: a link
 //! touched again since it was last considered gets one more round,
@@ -55,22 +51,20 @@ use crate::trace::{Trace, TraceId};
 pub const TRACE_BYTES_OVERHEAD: usize = 64;
 
 /// The byte cost a trace of `blocks` blocks charges against the cache
-/// budget (artifact bytes, if any, are added on top by the shared
-/// cache). Deliberately a closed form over the block count — not real
+/// budget. Deliberately a closed form over the block count — not real
 /// allocator numbers — so the eviction *policy* is reproducible in the
 /// conformance model.
 pub fn trace_cost(blocks: usize) -> usize {
     blocks * std::mem::size_of::<BlockId>() + TRACE_BYTES_OVERHEAD
 }
 
-/// Cache bookkeeping counters, private and shared cache alike.
+/// Cache bookkeeping counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// New trace objects constructed.
     pub traces_constructed: u64,
     /// Insertions that found an identical block sequence already cached
-    /// ("the trace is retrieved and linked", §4.2) — in a shared cache,
-    /// the cross-VM dedup hits.
+    /// ("the trace is retrieved and linked", §4.2).
     pub traces_reused: u64,
     /// Entry links written (new or re-linked).
     pub links_written: u64,
@@ -131,14 +125,10 @@ impl CacheStats {
 /// assert_eq!(cache.trace(id).len(), 2);
 /// ```
 #[derive(Debug, Default)]
-pub struct TraceCache<P = ()> {
+pub struct TraceCache {
     /// Slot per id ever assigned; a tombstoned (evicted or quarantined)
     /// trace keeps its slot with empty blocks. Ids are never reused.
     traces: Vec<Trace>,
-    /// Per-trace payload; reset when the trace is tombstoned.
-    payloads: Vec<P>,
-    /// Byte cost charged for each trace; zeroed when tombstoned.
-    costs: Vec<usize>,
     /// Live entry-link keys per trace (the reverse of `by_entry`).
     entry_keys: Vec<Vec<u64>>,
     /// Hash-consing index; only touched at construction time, so a std
@@ -163,7 +153,7 @@ pub struct TraceCache<P = ()> {
     referenced: HashMap<u64, bool>,
     /// Blacklist: entry key → (exact block path, refusals remaining).
     quarantined: HashMap<u64, (Vec<BlockId>, u32)>,
-    /// Sum of `costs` over live traces.
+    /// [`trace_cost`] summed over live traces.
     payload: usize,
     /// Byte budget on `payload`; `None` disables eviction entirely.
     budget: Option<usize>,
@@ -177,9 +167,7 @@ impl TraceCache {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl<P: Default> TraceCache<P> {
     /// Number of live entry links.
     pub fn link_count(&self) -> usize {
         self.by_entry.len()
@@ -269,7 +257,7 @@ impl<P: Default> TraceCache<P> {
     }
 
     /// Bytes currently charged against the budget: the [`trace_cost`]
-    /// sum over live (non-tombstoned) traces, plus their payload bytes.
+    /// sum over live (non-tombstoned) traces.
     pub fn payload_bytes(&self) -> usize {
         self.payload
     }
@@ -296,11 +284,6 @@ impl<P: Default> TraceCache<P> {
         }
     }
 
-    /// The payload of a live trace (same errors as [`Self::trace_checked`]).
-    pub(crate) fn payload_checked(&self, id: TraceId) -> Result<&P, TraceCacheError> {
-        self.trace_checked(id).map(|_| &self.payloads[id.index()])
-    }
-
     /// Whether the id was assigned and later tombstoned (evicted or
     /// quarantined).
     pub fn is_evicted(&self, id: TraceId) -> bool {
@@ -325,22 +308,6 @@ impl<P: Default> TraceCache<P> {
         })
     }
 
-    /// Estimated heap bytes: the entry table, the hash-consing index,
-    /// the trace objects, and per live trace its two block sequences and
-    /// its payload.
-    pub(crate) fn memory_estimate(&self, payload_bytes: impl Fn(&P) -> usize) -> usize {
-        use std::mem::size_of;
-        let per_index_entry = size_of::<Vec<BlockId>>() + size_of::<TraceId>() + size_of::<u64>();
-        let per_trace = size_of::<Trace>() + size_of::<P>();
-        let live = self.traces.iter().zip(&self.payloads);
-        self.by_entry.memory_bytes()
-            + self.by_blocks.capacity() * per_index_entry
-            + self.traces.capacity() * per_trace
-            + live
-                .map(|(t, p)| 2 * t.blocks.len() * size_of::<BlockId>() + payload_bytes(p))
-                .sum::<usize>()
-    }
-
     /// Hash-conses a block sequence into the cache and links it at
     /// `entry`, then enforces the byte budget (the just-written link is
     /// never the victim). Returns the trace id and whether a new trace
@@ -359,63 +326,6 @@ impl<P: Default> TraceCache<P> {
         blocks: Vec<BlockId>,
         expected_completion: f64,
     ) -> (TraceId, bool) {
-        self.insert_with(entry, blocks, expected_completion, None, |_| {
-            (P::default(), 0)
-        })
-    }
-
-    /// [`Self::insert_and_link`] behind the quarantine blacklist: if the
-    /// exact `(entry, path)` key is quarantined the insert is refused,
-    /// the cooldown ticks down by one, and at zero the key is
-    /// re-admitted (the *next* attempt succeeds).
-    pub fn try_insert_and_link(
-        &mut self,
-        entry: Branch,
-        blocks: Vec<BlockId>,
-        expected_completion: f64,
-    ) -> Result<(TraceId, bool), TraceCacheError> {
-        self.refuse_quarantined(entry, &blocks)?;
-        Ok(self.insert_and_link(entry, blocks, expected_completion))
-    }
-
-    /// The quarantine gate in front of an insert: a blacklisted `(entry,
-    /// path)` is refused and its cooldown ticks down by one; at zero the
-    /// key is re-admitted (the *next* attempt succeeds).
-    pub(crate) fn refuse_quarantined(
-        &mut self,
-        entry: Branch,
-        blocks: &[BlockId],
-    ) -> Result<(), TraceCacheError> {
-        let key = PackedBranch::pack(entry).0;
-        let Some((_, remaining)) = self
-            .quarantined
-            .get_mut(&key)
-            .filter(|(path, _)| path == blocks)
-        else {
-            return Ok(());
-        };
-        *remaining -= 1;
-        let remaining = *remaining;
-        if remaining == 0 {
-            self.quarantined.remove(&key);
-        }
-        self.stats.quarantine_rejected += 1;
-        Err(TraceCacheError::Quarantined { entry, remaining })
-    }
-
-    /// [`Self::insert_and_link`] with its two hooks: `budget_override`,
-    /// if given, is enforced in place of the configured budget, and
-    /// `build` produces a new trace's payload and its measured bytes. It
-    /// runs before any cache state is touched, so a panicking builder
-    /// leaves the cache consistent.
-    pub(crate) fn insert_with(
-        &mut self,
-        entry: Branch,
-        blocks: Vec<BlockId>,
-        expected_completion: f64,
-        budget_override: Option<usize>,
-        build: impl FnOnce(&[BlockId]) -> (P, usize),
-    ) -> (TraceId, bool) {
         assert!(!blocks.is_empty(), "trace must contain at least one block");
         assert_eq!(
             entry.1, blocks[0],
@@ -427,18 +337,14 @@ impl<P: Default> TraceCache<P> {
                 (id, false)
             }
             None => {
-                let (payload, payload_bytes) = build(&blocks);
                 let id = TraceId(self.traces.len() as u32);
-                let cost = trace_cost(blocks.len()) + payload_bytes;
+                self.payload += trace_cost(blocks.len());
                 self.traces.push(Trace {
                     id,
                     blocks: blocks.clone(),
                     expected_completion,
                 });
-                self.payloads.push(payload);
-                self.costs.push(cost);
                 self.entry_keys.push(Vec::new());
-                self.payload += cost;
                 self.by_blocks.insert(blocks, id);
                 self.stats.traces_constructed += 1;
                 (id, true)
@@ -471,9 +377,36 @@ impl<P: Default> TraceCache<P> {
         if self.flaps.contains_key(&key) {
             self.health.readmitted_watched += 1;
         }
-        self.enforce_budget(budget_override.or(self.budget), key);
+        self.enforce_budget(self.budget, key);
         self.mutated();
         (id, created)
+    }
+
+    /// [`Self::insert_and_link`] behind the quarantine blacklist: if the
+    /// exact `(entry, path)` key is quarantined the insert is refused,
+    /// the cooldown ticks down by one, and at zero the key is
+    /// re-admitted (the *next* attempt succeeds).
+    pub fn try_insert_and_link(
+        &mut self,
+        entry: Branch,
+        blocks: Vec<BlockId>,
+        expected_completion: f64,
+    ) -> Result<(TraceId, bool), TraceCacheError> {
+        let key = PackedBranch::pack(entry).0;
+        if let Some((_, remaining)) = self
+            .quarantined
+            .get_mut(&key)
+            .filter(|(path, _)| *path == blocks)
+        {
+            *remaining -= 1;
+            let remaining = *remaining;
+            if remaining == 0 {
+                self.quarantined.remove(&key);
+            }
+            self.stats.quarantine_rejected += 1;
+            return Err(TraceCacheError::Quarantined { entry, remaining });
+        }
+        Ok(self.insert_and_link(entry, blocks, expected_completion))
     }
 
     /// Removes the link at an entry branch, if any. Used when a trace's
@@ -559,16 +492,13 @@ impl<P: Default> TraceCache<P> {
         self.assert_cache_invariants();
     }
 
-    /// Tombstones a trace: reclaims its payload and its bytes, and
-    /// removes it from the hash-cons index so a rebuild mints a fresh
-    /// id.
+    /// Tombstones a trace: reclaims its bytes, and removes it from the
+    /// hash-cons index so a rebuild mints a fresh id.
     fn tombstone(&mut self, id: TraceId) {
         let i = id.index();
         debug_assert!(self.entry_keys[i].is_empty());
-        self.payload -= self.costs[i];
-        self.costs[i] = 0;
-        self.payloads[i] = P::default();
         let blocks = std::mem::take(&mut self.traces[i].blocks);
+        self.payload -= trace_cost(blocks.len());
         self.by_blocks.remove(&blocks);
         self.stats.traces_evicted += 1;
     }
@@ -650,8 +580,7 @@ impl<P: Default> TraceCache<P> {
     ///   nothing else; tombstones hold no links; completion estimates
     ///   lie in `(0, 1]`;
     /// - **budget accounting** — the payload counter equals the summed
-    ///   cost of the live traces, each at least the closed form (payload
-    ///   bytes ride on top).
+    ///   [`trace_cost`] of the live traces.
     #[cfg(feature = "debug-invariants")]
     pub fn assert_cache_invariants(&self) {
         let live = self.traces.iter().filter(|t| !t.blocks.is_empty()).count();
@@ -660,23 +589,17 @@ impl<P: Default> TraceCache<P> {
             live,
             "hash-consing index must have exactly one entry per live trace"
         );
-        assert_eq!(self.payloads.len(), self.traces.len());
         let (mut payload, mut linked) = (0, 0);
         for (i, t) in self.traces.iter().enumerate() {
             assert_eq!(t.id.index(), i, "trace id must equal its slot");
             if t.blocks.is_empty() {
-                assert_eq!(self.costs[i], 0, "tombstoned trace {i} must cost nothing");
                 assert!(
                     self.entry_keys[i].is_empty(),
                     "tombstoned trace {i} must hold no links"
                 );
                 continue;
             }
-            assert!(
-                self.costs[i] >= trace_cost(t.blocks.len()),
-                "trace {i} cost must cover the closed form"
-            );
-            payload += self.costs[i];
+            payload += trace_cost(t.blocks.len());
             assert!(
                 t.expected_completion > 0.0 && t.expected_completion <= 1.0,
                 "completion estimate {} out of (0, 1] for trace {i}",
@@ -1030,30 +953,24 @@ mod tests {
         assert_eq!(c.iter_quarantine().count(), 0);
     }
 
-    /// Repeat quarantines at one entry, with each cache reached through
-    /// closures so the same body runs against the private cache and the
-    /// shared one: the cooldown doubles per repeat up to the cap, and
-    /// every admission at the entry afterwards is a watched re-admission.
-    fn repeat_quarantine_escalates_to_the_cap<C>(
-        cache: &mut C,
-        insert: impl Fn(&mut C, Branch, Vec<BlockId>) -> Result<(TraceId, bool), TraceCacheError>,
-        quarantine: impl Fn(&mut C, Branch, u32) -> Option<TraceId>,
-        health: impl Fn(&C) -> HealthStats,
-    ) {
+    /// Repeat quarantines at one entry: the cooldown doubles per repeat
+    /// up to the cap, and every admission at the entry afterwards is a
+    /// watched re-admission.
+    #[test]
+    fn repeat_quarantine_escalates_to_the_cap() {
+        let mut c = TraceCache::new();
         let entry = (blk(0), blk(1));
         let path = vec![blk(1), blk(2)];
-        let (mut tid, _) = insert(cache, entry, path.clone()).expect("fresh insert");
+        let (mut tid, _) = c
+            .try_insert_and_link(entry, path.clone(), 0.99)
+            .expect("fresh insert");
         let repeats = MAX_COOLDOWN_SHIFT + 2;
         for n in 0..=repeats {
-            assert_eq!(
-                quarantine(cache, entry, COOLDOWN),
-                Some(tid),
-                "quarantine {n}"
-            );
+            assert_eq!(c.quarantine(entry, COOLDOWN), Some(tid), "quarantine {n}");
             // The exact (entry, path) is refused the escalated cooldown...
             let cooldown = COOLDOWN << n.min(MAX_COOLDOWN_SHIFT);
             for left in (0..cooldown).rev() {
-                match insert(cache, entry, path.clone()) {
+                match c.try_insert_and_link(entry, path.clone(), 0.99) {
                     Err(TraceCacheError::Quarantined { remaining, .. }) => {
                         assert_eq!(remaining, left, "quarantine {n}")
                     }
@@ -1061,35 +978,17 @@ mod tests {
                 }
             }
             // ...then re-admitted under a fresh id.
-            let (next, _) = insert(cache, entry, path.clone()).expect("re-admission");
+            let (next, _) = c
+                .try_insert_and_link(entry, path.clone(), 0.99)
+                .expect("re-admission");
             assert_ne!(next, tid, "re-admission mints a fresh id");
             tid = next;
         }
-        let h = health(cache);
+        let h = c.health_stats();
         assert_eq!(h.cooldown_escalations, u64::from(repeats));
         assert_eq!(h.readmitted_watched, u64::from(repeats + 1));
         assert_eq!(h.demotions, 0, "a plain quarantine is no streak demotion");
         assert_eq!(h.probations, 0);
-    }
-
-    #[test]
-    fn private_repeat_quarantine_escalates_to_the_cap() {
-        repeat_quarantine_escalates_to_the_cap(
-            &mut TraceCache::new(),
-            |c, entry, path| c.try_insert_and_link(entry, path, 0.99),
-            |c, entry, cooldown| c.quarantine(entry, cooldown),
-            TraceCache::health_stats,
-        );
-    }
-
-    #[test]
-    fn shared_repeat_quarantine_escalates_to_the_cap() {
-        repeat_quarantine_escalates_to_the_cap(
-            &mut crate::SharedTraceCache::<()>::new(),
-            |c, entry, path| c.try_insert_and_link(entry, path, 0.99),
-            |c, entry, cooldown| c.quarantine(entry, cooldown),
-            |c| c.health_stats(),
-        );
     }
 
     #[test]

@@ -25,7 +25,6 @@ use jvm_bytecode::BlockId;
 use trace_bcg::{BranchCorrelationGraph, NodeIdx, Signal};
 
 use crate::cache::TraceCache;
-use crate::error::TraceCacheError;
 
 /// Hard cap on blocks per trace.
 pub const MAX_TRACE_BLOCKS: usize = 64;
@@ -168,14 +167,7 @@ impl TraceConstructor {
                 self.stats.signals_suppressed += 1;
                 continue;
             }
-            plan_and_apply(
-                sig.node,
-                &*bcg,
-                &self.config,
-                &mut self.plan,
-                &mut self.stats,
-                cache,
-            );
+            self.plan_and_apply(sig.node, bcg, cache);
             // Everything examined is now up to date. (Marks are only
             // read across signals, at the suppression check above, so
             // stamping after the plan is applied is equivalent to
@@ -186,128 +178,48 @@ impl TraceConstructor {
         }
         self.stats.traces_created - before
     }
-}
 
-/// The construction-side face of a cache: what a [`TracePlan`]'s ops
-/// are applied to. Implemented by [`TraceCache`] (the in-thread
-/// constructor) and by a `(shared cache, artifact builder)` pair (the
-/// off-thread one).
-pub(crate) trait PlanSink {
-    /// Hash-conses `blocks` and links it at `entry`, behind the
-    /// quarantine blacklist. Returns whether a new trace was constructed.
-    fn install(
+    /// Plans one signal about `origin` into the reused plan and applies
+    /// its ops to `cache`, accumulating the constructor counters.
+    fn plan_and_apply(
         &mut self,
-        entry: trace_bcg::Branch,
-        blocks: Vec<BlockId>,
-        completion: f64,
-    ) -> Result<bool, TraceCacheError>;
-    /// Drops any link at `entry`; returns whether there was one.
-    fn remove(&mut self, entry: trace_bcg::Branch) -> bool;
-}
-
-impl PlanSink for TraceCache {
-    fn install(
-        &mut self,
-        entry: trace_bcg::Branch,
-        blocks: Vec<BlockId>,
-        completion: f64,
-    ) -> Result<bool, TraceCacheError> {
-        self.try_insert_and_link(entry, blocks, completion)
-            .map(|(_, created)| created)
-    }
-    fn remove(&mut self, entry: trace_bcg::Branch) -> bool {
-        self.unlink(entry).is_some()
-    }
-}
-
-/// Plans one signal about `origin` into `plan` (cleared first; left
-/// holding the touched nodes) and applies the plan's ops to `sink`,
-/// accumulating into `stats` — the one place a plan becomes cache calls
-/// and constructor counters, for the in-thread and the off-thread
-/// constructor alike.
-pub(crate) fn plan_and_apply<V: CorrelationView>(
-    origin: NodeIdx,
-    view: &V,
-    config: &ConstructorConfig,
-    plan: &mut TracePlan,
-    stats: &mut ConstructorStats,
-    sink: &mut impl PlanSink,
-) {
-    stats.signals_handled += 1;
-    plan.clear();
-    plan_for_signal(origin, view, config, plan);
-    stats.entry_points += plan.counters.entry_points;
-    stats.paths_walked += plan.counters.paths_walked;
-    stats.loops_unrolled += plan.counters.loops_unrolled;
-    for op in plan.ops.drain(..) {
-        match op {
-            LinkOp::Install {
-                entry,
-                blocks,
-                completion,
-            } => match sink.install(entry, blocks, completion) {
-                Ok(created) => {
-                    stats.links_written += 1;
-                    stats.traces_created += u64::from(created);
+        origin: NodeIdx,
+        bcg: &BranchCorrelationGraph,
+        cache: &mut TraceCache,
+    ) {
+        let (plan, stats) = (&mut self.plan, &mut self.stats);
+        stats.signals_handled += 1;
+        plan.clear();
+        plan_for_signal(origin, bcg, &self.config, plan);
+        stats.entry_points += plan.counters.entry_points;
+        stats.paths_walked += plan.counters.paths_walked;
+        stats.loops_unrolled += plan.counters.loops_unrolled;
+        for op in plan.ops.drain(..) {
+            match op {
+                LinkOp::Install {
+                    entry,
+                    blocks,
+                    completion,
+                } => match cache.try_insert_and_link(entry, blocks, completion) {
+                    Ok((_, created)) => {
+                        stats.links_written += 1;
+                        stats.traces_created += u64::from(created);
+                    }
+                    // Quarantined: the path faulted recently; skip the
+                    // install and let the cooldown decay.
+                    Err(_) => stats.links_quarantine_rejected += 1,
+                },
+                LinkOp::Remove { entry } => {
+                    stats.links_removed += u64::from(cache.unlink(entry).is_some());
                 }
-                // Quarantined: the path faulted recently; skip the
-                // install and let the cooldown decay.
-                Err(_) => stats.links_quarantine_rejected += 1,
-            },
-            LinkOp::Remove { entry } => stats.links_removed += u64::from(sink.remove(entry)),
+            }
         }
     }
 }
 
-/// Read-only view of a branch correlation graph, as the trace planner
-/// needs it. Implemented by the live [`BranchCorrelationGraph`] (the
-/// in-thread constructor) and by [`crate::BcgSnapshot`] (the off-thread
-/// constructor, which plans against a frozen copy so the dispatch thread
-/// keeps mutating the real graph meanwhile).
-pub trait CorrelationView {
-    /// The branch `(X, Y)` of node `n`.
-    fn branch(&self, n: NodeIdx) -> trace_bcg::Branch;
-    /// Whether a trace may be extended *through* `n`.
-    fn is_traceable(&self, n: NodeIdx) -> bool;
-    /// Whether `n` is hot enough to join a trace at all.
-    fn is_hot(&self, n: NodeIdx) -> bool;
-    /// Possibly-stale predecessor indices (the planner re-validates).
-    fn predecessors(&self, n: NodeIdx) -> &[NodeIdx];
-    /// Maximum-likelihood successor as `(target node, target block,
-    /// count)`. `None` when the node has no successors — or, for a
-    /// snapshot, when the target fell outside the captured region (the
-    /// walk then ends early, which only shortens traces).
-    fn max_successor(&self, n: NodeIdx) -> Option<(NodeIdx, BlockId, u16)>;
-    /// Correlation ratio of `n` toward `block` (0.0 if never observed).
-    fn correlation_to(&self, n: NodeIdx, block: BlockId) -> f64;
-}
-
-impl CorrelationView for BranchCorrelationGraph {
-    fn branch(&self, n: NodeIdx) -> trace_bcg::Branch {
-        self.node(n).branch()
-    }
-    fn is_traceable(&self, n: NodeIdx) -> bool {
-        self.node(n).state().is_traceable()
-    }
-    fn is_hot(&self, n: NodeIdx) -> bool {
-        self.node(n).state().is_hot()
-    }
-    fn predecessors(&self, n: NodeIdx) -> &[NodeIdx] {
-        self.node(n).predecessors()
-    }
-    fn max_successor(&self, n: NodeIdx) -> Option<(NodeIdx, BlockId, u16)> {
-        self.node(n)
-            .max_successor()
-            .map(|s| (s.node, s.to_block, s.count))
-    }
-    fn correlation_to(&self, n: NodeIdx, block: BlockId) -> f64 {
-        self.node(n).correlation_to(block)
-    }
-}
-
 /// A cache mutation the planner decided on. Pure data: applying ops in
-/// order to a [`TraceCache`] (or a [`crate::SharedTraceCache`]) yields
-/// the same link table the original in-place constructor produced.
+/// order to a [`TraceCache`] yields the same link table the original
+/// in-place constructor produced.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LinkOp {
     /// Hash-cons `blocks` and link it at `entry`.
@@ -399,23 +311,23 @@ impl PlanScratch {
 /// Runs the full §4.2 pipeline — back-track to entry points, walk each
 /// maximum-likelihood path, cut into threshold-satisfying traces — for
 /// one signal about `origin`, appending results to `plan`.
-pub fn plan_for_signal<V: CorrelationView>(
+pub fn plan_for_signal(
     origin: NodeIdx,
-    view: &V,
+    bcg: &BranchCorrelationGraph,
     config: &ConstructorConfig,
     plan: &mut TracePlan,
 ) {
     let s = &mut plan.scratch;
-    find_entry_points(origin, view, s);
+    find_entry_points(origin, bcg, s);
     plan.counters.entry_points += s.entries.len() as u64;
     for e in 0..s.entries.len() {
-        let loop_start = walk_path(s.entries[e], view, s);
+        let loop_start = walk_path(s.entries[e], bcg, s);
         plan.counters.paths_walked += 1;
         if loop_start.is_some() {
             plan.counters.loops_unrolled += 1;
         }
         plan.touched.extend_from_slice(&s.path);
-        cut_and_emit(&s.path, loop_start, view, config, &mut plan.ops);
+        cut_and_emit(&s.path, loop_start, bcg, config, &mut plan.ops);
     }
 }
 
@@ -423,7 +335,7 @@ pub fn plan_for_signal<V: CorrelationView>(
 /// trace entry points that may reach the changed node, left in
 /// `s.entries`. If the region is a pure cycle with no external entry,
 /// the origin itself serves as entry.
-fn find_entry_points<V: CorrelationView>(origin: NodeIdx, view: &V, s: &mut PlanScratch) {
+fn find_entry_points(origin: NodeIdx, bcg: &BranchCorrelationGraph, s: &mut PlanScratch) {
     s.next_epoch();
     s.stack.clear();
     s.entries.clear();
@@ -434,11 +346,14 @@ fn find_entry_points<V: CorrelationView>(origin: NodeIdx, view: &V, s: &mut Plan
             break;
         }
         let mut has_strong_pred = false;
-        for &p in view.predecessors(n) {
+        for &p in bcg.node(n).predecessors() {
             // Stale predecessor entries are filtered here: the edge
             // must still exist as p's maximum-likelihood successor and
             // p must itself be traceable.
-            if view.is_traceable(p) && view.max_successor(p).is_some_and(|(t, _, _)| t == n) {
+            let pred = bcg.node(p);
+            let strong =
+                pred.state().is_traceable() && pred.max_successor().is_some_and(|s| s.node == n);
+            if strong {
                 has_strong_pred = true;
                 if s.mark(p, 0) {
                     s.stack.push(p);
@@ -457,7 +372,7 @@ fn find_entry_points<V: CorrelationView>(origin: NodeIdx, view: &V, s: &mut Plan
 /// Step 2: follow the path of maximum likelihood from `entry`, into
 /// `s.path`, until a loop (returns its start index), a non-traceable
 /// node, or a cap.
-fn walk_path<V: CorrelationView>(entry: NodeIdx, view: &V, s: &mut PlanScratch) -> Option<usize> {
+fn walk_path(entry: NodeIdx, bcg: &BranchCorrelationGraph, s: &mut PlanScratch) -> Option<usize> {
     s.next_epoch();
     s.path.clear();
     s.path.push(entry);
@@ -466,20 +381,22 @@ fn walk_path<V: CorrelationView>(entry: NodeIdx, view: &V, s: &mut PlanScratch) 
         let cur = *s.path.last().expect("path nonempty");
         // Only traceable nodes may be extended *through*; a weak node
         // can end a trace but never predicts past itself.
-        if !view.is_traceable(cur) {
+        let node = bcg.node(cur);
+        if !node.state().is_traceable() {
             break;
         }
-        let Some((next, _, count)) = view.max_successor(cur) else {
+        let Some(succ) = node.max_successor() else {
             break;
         };
-        if count == 0 {
+        let next = succ.node;
+        if succ.count == 0 {
             break;
         }
         if let Some(k) = s.position(next) {
             return Some(k);
         }
         // Rare code never enters a trace (start-state filtering).
-        if !view.is_hot(next) {
+        if !bcg.node(next).state().is_hot() {
             break;
         }
         s.path.push(next);
@@ -494,15 +411,15 @@ fn walk_path<V: CorrelationView>(entry: NodeIdx, view: &V, s: &mut PlanScratch) 
 /// Step 3: cut the node path into traces above the completion
 /// threshold and emit install ops. A terminating loop is processed
 /// first, unrolled once (§4.2).
-fn cut_and_emit<V: CorrelationView>(
+fn cut_and_emit(
     path: &[NodeIdx],
     loop_start: Option<usize>,
-    view: &V,
+    bcg: &BranchCorrelationGraph,
     config: &ConstructorConfig,
     ops: &mut Vec<LinkOp>,
 ) {
     match loop_start {
-        None => cut_chain(path, path.len(), view, config, ops),
+        None => cut_chain(path, path.len(), bcg, config, ops),
         Some(k) => {
             // The loop body is path[k..]; build the unrolled chain of
             // 1 + loop_unroll body copies — the link probability
@@ -517,12 +434,12 @@ fn cut_and_emit<V: CorrelationView>(
             for _ in 0..copies {
                 unrolled.extend_from_slice(body);
             }
-            cut_chain(&unrolled, body.len(), view, config, ops);
+            cut_chain(&unrolled, body.len(), bcg, config, ops);
             // Then the remaining prefix path[..k] (it flows into the
             // loop head, so cut path[..=k] with the head as terminal
             // block, emitting only starts before k).
             if k > 0 {
-                cut_chain(&path[..=k], k, view, config, ops);
+                cut_chain(&path[..=k], k, bcg, config, ops);
             }
         }
     }
@@ -530,26 +447,25 @@ fn cut_and_emit<V: CorrelationView>(
 
 /// Cuts a node chain into threshold-satisfying segments, emitting a
 /// trace for every segment starting before `emit_limit`.
-fn cut_chain<V: CorrelationView>(
+fn cut_chain(
     chain: &[NodeIdx],
     emit_limit: usize,
-    view: &V,
+    bcg: &BranchCorrelationGraph,
     config: &ConstructorConfig,
     ops: &mut Vec<LinkOp>,
 ) {
+    let branch = |n: NodeIdx| bcg.node(n).branch();
     if chain.len() < 2 {
         // Nothing traceable here; drop any stale link at the lone
         // node's branch.
         if let Some(&n) = chain.first() {
-            ops.push(LinkOp::Remove {
-                entry: view.branch(n),
-            });
+            ops.push(LinkOp::Remove { entry: branch(n) });
         }
         return;
     }
     // link_prob[i] = P(chain[i+1]'s branch | chain[i]'s branch).
     let link_prob: Vec<f64> = (0..chain.len() - 1)
-        .map(|i| view.correlation_to(chain[i], view.branch(chain[i + 1]).1))
+        .map(|i| bcg.node(chain[i]).correlation_to(branch(chain[i + 1]).1))
         .collect();
 
     let mut i = 0;
@@ -566,8 +482,8 @@ fn cut_chain<V: CorrelationView>(
         }
         let len = j + 1 - i;
         if len >= MIN_TRACE_BLOCKS {
-            let entry = view.branch(chain[i]);
-            let blocks: Vec<BlockId> = chain[i..=j].iter().map(|&n| view.branch(n).1).collect();
+            let entry = branch(chain[i]);
+            let blocks: Vec<BlockId> = chain[i..=j].iter().map(|&n| branch(n).1).collect();
             #[cfg(feature = "debug-invariants")]
             {
                 assert!(
@@ -591,7 +507,7 @@ fn cut_chain<V: CorrelationView>(
             // The graph does not support a trace starting here; remove
             // any stale link so dispatch stops using it.
             ops.push(LinkOp::Remove {
-                entry: view.branch(chain[i]),
+                entry: branch(chain[i]),
             });
             i += 1;
         }

@@ -1,8 +1,8 @@
 //! Surfaced (non-panicking) failure modes of the trace cache.
 //!
 //! The paper's contract makes every cache failure recoverable: the
-//! interpreter is always a correct fallback, so a missing, evicted,
-//! quarantined or corrupt trace only ever costs speed. Library paths
+//! interpreter is always a correct fallback, so a missing, evicted or
+//! quarantined trace only ever costs speed. Library paths
 //! reachable from dispatch or the constructor loop therefore surface
 //! these conditions as values instead of panicking; callers skip the
 //! trace and keep interpreting.
@@ -33,9 +33,6 @@ pub enum TraceCacheError {
     /// storage reclaimed; ids are never reused, so the caller simply
     /// drops its reference.
     Evicted(TraceId),
-    /// The trace's execution artifact failed its integrity check; the
-    /// caller must not execute it and should quarantine the trace.
-    CorruptArtifact(TraceId),
 }
 
 impl fmt::Display for TraceCacheError {
@@ -48,9 +45,6 @@ impl fmt::Display for TraceCacheError {
             ),
             TraceCacheError::UnknownTrace(id) => write!(f, "unknown trace {id}"),
             TraceCacheError::Evicted(id) => write!(f, "trace {id} was evicted"),
-            TraceCacheError::CorruptArtifact(id) => {
-                write!(f, "artifact of trace {id} failed its integrity check")
-            }
         }
     }
 }

@@ -34,7 +34,7 @@ pub const COOLDOWN: u32 = 4;
 /// its key for `cooldown << min(n - 1, MAX_COOLDOWN_SHIFT)` attempts.
 pub const MAX_COOLDOWN_SHIFT: u32 = 4;
 
-/// Retention counters, kept by the cache (private and shared alike).
+/// Retention counters, kept by the cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HealthStats {
     /// Always 0: there is no probation state. Kept so readers of the

@@ -23,22 +23,12 @@
 //! entries, completions, early exits, and the instruction-stream coverage
 //! of trace-resident code.
 //!
-//! For concurrent deployments, [`shared`] provides a
-//! [`SharedTraceCache`] — the same cache behind a lock, whose
-//! version-stamped dispatch check takes neither lock nor hash on the
-//! steady state — and [`offthread`] moves construction to a background
-//! thread fed by bounded snapshot batches.
-//!
-//! The robustness layer spans several modules: the one cache policy
-//! ([`cache`], which [`shared`] wraps) enforces a payload byte budget
-//! with second-chance eviction and keeps a quarantine blacklist for
-//! faulting traces, whose cooldown escalates on repeats at one entry
-//! (the anti-flap of the one retention rule, [`health`]);
-//! recoverable failures surface as [`TraceCacheError`] ([`error`]);
-//! [`offthread`] supervises the constructor worker (an immediate restart
-//! on a panic, up to [`MAX_RESTARTS`], then permanent degraded mode)
-//! behind [`ServiceHealth`] gauges; and [`faults`] provides the deterministic [`FaultPlan`]
-//! oracle the conformance chaos campaigns drive all of it with.
+//! The robustness layer lives in the one cache policy ([`cache`]): an
+//! optional payload byte budget with second-chance eviction, and a
+//! quarantine blacklist for faulting traces, whose cooldown escalates on
+//! repeats at one entry (the anti-flap of the one retention rule,
+//! [`health`]). Recoverable failures surface as [`TraceCacheError`]
+//! ([`error`]).
 
 #![forbid(unsafe_code)]
 
@@ -46,29 +36,18 @@ pub mod cache;
 pub mod constructor;
 pub mod dot;
 pub mod error;
-pub mod faults;
 pub mod health;
 pub mod metrics;
-pub mod offthread;
 pub mod runtime;
-pub mod shared;
 pub mod trace;
 
 pub use cache::{trace_cost, CacheStats, TraceCache, TRACE_BYTES_OVERHEAD};
 pub use constructor::{
-    plan_for_signal, ConstructorConfig, ConstructorStats, CorrelationView, LinkOp, PlanCounters,
-    TraceConstructor, TracePlan, MAX_ENTRY_POINTS, MAX_PATH_NODES, MAX_TRACE_BLOCKS,
-    MIN_TRACE_BLOCKS,
+    plan_for_signal, ConstructorConfig, ConstructorStats, LinkOp, PlanCounters, TraceConstructor,
+    TracePlan, MAX_ENTRY_POINTS, MAX_PATH_NODES, MAX_TRACE_BLOCKS, MIN_TRACE_BLOCKS,
 };
 pub use error::TraceCacheError;
-pub use faults::{FaultConfig, FaultPlan, FaultSite, FaultStats};
 pub use health::{HealthStats, COOLDOWN, MAX_COOLDOWN_SHIFT, STREAK_LIMIT};
 pub use metrics::TraceExecStats;
-pub use offthread::{
-    construction_channel, run_constructor_service, BcgSnapshot, BuilderStats, ConstructionQueue,
-    ConstructionReceiver, QueueStats, ServiceHealth, ServiceHealthSnapshot, MAX_RESTARTS,
-    QUEUE_CAPACITY,
-};
 pub use runtime::TraceRuntime;
-pub use shared::SharedTraceCache;
 pub use trace::{Trace, TraceId};

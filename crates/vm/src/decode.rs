@@ -661,9 +661,9 @@ mod tests {
 
     #[test]
     fn decoding_is_deterministic() {
-        // A shared cache lowers a trace once, against the constructor
-        // thread's decoded copy, and hands it to VMs that each decoded
-        // their own: every decoded index must mean the same in all of them.
+        // Decoding is a pure function of the program: the decoded goldens
+        // and every pc a lowered trace pre-resolves assume that two
+        // decodes of one program agree index for index.
         let p = loop_program();
         let (a, b) = (DecodedProgram::decode(&p), DecodedProgram::decode(&p));
         assert_eq!(a.disassemble(&p), b.disassemble(&p));

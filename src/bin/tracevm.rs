@@ -9,7 +9,8 @@
 //! tracevm list
 //! ```
 //!
-//! `--threshold` takes a completion probability in `(0, 1]`.
+//! `--threshold` takes a completion probability in `(0, 1]`, `--delay` a
+//! start-state delay of at least 1.
 
 use std::process::ExitCode;
 
@@ -59,7 +60,7 @@ fn usage() -> ExitCode {
          \x20 tracevm dot <workload> [--out DIR] [--scale ...]\n\
          \x20 tracevm compare <workload> [--scale ...]\n\
          \x20 tracevm list\n\
-         T is the completion threshold, in (0, 1]"
+         T is the completion threshold, in (0, 1]; D the start delay, at least 1"
     );
     ExitCode::FAILURE
 }
@@ -87,9 +88,15 @@ fn parse_options(args: &mut std::env::Args, opts: &mut Options) -> Result<(), St
                 opts.threshold = t;
             }
             "--delay" => {
-                opts.delay = need("--delay")?
+                let d: u32 = need("--delay")?
                     .parse()
-                    .map_err(|e| format!("bad delay: {e}"))?
+                    .map_err(|e| format!("bad delay: {e}"))?;
+                // A node created with no delay left would wait for its
+                // first decay: 0 would silently mean one decay interval.
+                if d == 0 {
+                    return Err("bad delay: must be at least 1".into());
+                }
+                opts.delay = d;
             }
             "--unroll" => {
                 opts.unroll = need("--unroll")?

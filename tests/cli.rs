@@ -112,6 +112,23 @@ fn out_of_range_threshold_is_an_error_not_a_panic() {
     }
 }
 
+/// A node created with no start delay left would wait for its first
+/// decay, so `--delay 0` would silently act as one decay interval.
+#[test]
+fn zero_delay_is_an_error_not_a_decay_interval() {
+    for engine in ["exec", "trace"] {
+        let out = tracevm()
+            .args(["run", "compress", "--scale", "test", "--engine", engine])
+            .args(["--delay", "0"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{engine}:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{engine}:\n{stderr}");
+        assert!(stderr.contains("bad delay"), "{engine}:\n{stderr}");
+    }
+}
+
 #[test]
 fn dot_writes_both_files() {
     let dir = std::env::temp_dir().join("tracevm_dot_test");

@@ -6,15 +6,17 @@
 //! then flips the bias to 5% mid-run: the trace is correct but rotten.
 //! The streak must quarantine it and the constructor must rebuild along
 //! the new hot arm, with the run bit-exact with the interpreter oracle.
-//! Planted traces on a shared session (no constructor runs, so nothing
-//! but the rule moves a link) pin where the rule counts: per trace, at
-//! any guard, and at exactly the limit.
+//! Planted traces, booted from a snapshot into a VM whose profiler never
+//! signals (no constructor runs, so nothing but the rule moves a link),
+//! pin where the rule counts: per trace, at any guard, and at exactly
+//! the limit.
 
+use tracecache_repro::bcg::BranchCorrelationGraph;
 use tracecache_repro::bytecode::{BlockId, CmpOp, Program, ProgramBuilder};
-use tracecache_repro::exec::shared::{artifact_builder, shared_session};
 use tracecache_repro::exec::{EngineConfig, TracingVm};
 use tracecache_repro::jit::{RunReport, TraceJitConfig};
-use tracecache_repro::tracecache::STREAK_LIMIT;
+use tracecache_repro::persist::{program_hash, Snapshot};
+use tracecache_repro::tracecache::{TraceCache, STREAK_LIMIT};
 use tracecache_repro::vm::{NullObserver, Value, Vm};
 use tracecache_repro::workloads::registry;
 use tracecache_repro::workloads::{Scale, Workload};
@@ -246,32 +248,39 @@ fn loop_nest() -> Program {
     pb.build(f).unwrap()
 }
 
-/// Runs `program(args)` once on a fresh VM of a shared session whose
-/// cache holds exactly the planted `(entry, blocks)` traces (no
-/// constructor runs), checks it against the interpreter, and returns
-/// the report, the streak demotions and the entries still linked.
+/// Runs `program(args)` once on a fresh VM booted from a snapshot whose
+/// cache holds exactly the planted `(entry, blocks)` traces and whose
+/// profile is empty. Its start delay is one no run reaches, so no node
+/// leaves `NewlyCreated`, no signal fires and no constructor runs.
+/// Checks the run against the interpreter, and returns the report, the
+/// streak demotions and the entries still linked.
 fn run_planted(
     program: &Program,
     plant: &[((u32, u32), &[u32])],
     args: &[Value],
 ) -> (RunReport, u64, Vec<bool>) {
     let blk = |b: u32| BlockId::new(program.entry(), b);
-    let (cache, session, _rx) = shared_session();
-    let mut build = artifact_builder(program);
+    let mut cache = TraceCache::new();
     for &((from, to), blocks) in plant {
         let blocks = blocks.iter().map(|&b| blk(b)).collect();
-        cache.insert_and_link_with((blk(from), blk(to)), blocks, 0.99, &mut build);
+        cache.insert_and_link((blk(from), blk(to)), blocks, 0.99);
     }
+    let mut config = EngineConfig::paper_default();
+    config.jit = config.jit.with_start_delay(1_000_000_000);
+    let empty = BranchCorrelationGraph::new(config.jit.bcg_config());
+    let snapshot = Snapshot::capture(program_hash(program), &empty, &cache).to_bytes();
     let mut plain = Vm::new(program);
     let want = plain.run(args, &mut NullObserver).unwrap();
-    let mut vm = TracingVm::new_shared(program, EngineConfig::paper_default(), session);
+    let mut vm = TracingVm::new(program, config);
+    vm.load_snapshot(&snapshot)
+        .expect("the planted snapshot boots");
     let report = vm.run(args).unwrap();
     assert_eq!(report.result, want);
     assert_eq!(report.checksum, plain.checksum());
     assert_eq!(report.exec.instructions, plain.stats().instructions);
     let linked = plant
         .iter()
-        .map(|&((from, to), _)| cache.lookup_entry((blk(from), blk(to))).is_some())
+        .map(|&((from, to), _)| vm.cache().lookup_entry((blk(from), blk(to))).is_some())
         .collect();
     (report, vm.health_stats().demotions, linked)
 }

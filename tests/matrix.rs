@@ -14,7 +14,6 @@
 use std::sync::OnceLock;
 
 use tracecache_repro::conformance::matrix::{self, Case, CellReport, Row, Selector, SourceKind};
-use tracecache_repro::tracecache::FaultConfig;
 
 /// Checks every cell of `row`, failing at the first divergence; returns
 /// the cells of the named sources (workloads and phase-shift variants)
@@ -125,32 +124,6 @@ fn warm_boot_row() {
             case.label
         );
     }
-}
-
-/// Beyond parity: on the named sources a fresh VM dispatches the traces
-/// the cold pass's constructor published.
-#[test]
-fn shared_row() {
-    let [named, _] = cells(Row::Shared);
-    for (case, cell) in named {
-        assert!(
-            cell.runs[1].trace_runs > 0,
-            "{}: the warm pass entered no shared trace",
-            case.label
-        );
-    }
-}
-
-/// Beyond parity: the standard plan fires over the named sources and
-/// over the corpus, or the campaign tested nothing.
-#[test]
-fn faulted_row() {
-    let fired = |cells: Vec<(&Case, CellReport)>| {
-        cells.iter().map(|(_, cell)| cell.faults_fired).sum::<u64>()
-    };
-    let [named, fuzz] = cells(Row::Faulted(FaultConfig::standard()));
-    assert!(fired(named) > 0, "no fault fired on the named sources");
-    assert!(fired(fuzz) > 0, "no fault fired on the corpus");
 }
 
 #[test]
