@@ -210,7 +210,7 @@ impl BranchCorrelationGraph {
     ///
     /// The expected case is the **budgeted fast path**: the context
     /// node's prediction matches `z` and its event budget (armed by the
-    /// last slow visit, see [`Self::rearm`]) proves no decay, delay
+    /// last slow visit, see `rearm`) proves no decay, delay
     /// expiry, or counter saturation can fire yet — so the whole
     /// dispatch is two compares and three counter bumps, the paper's
     /// "couple of comparisons and a counter bump" (§4.1.2).

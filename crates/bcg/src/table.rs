@@ -2,7 +2,7 @@
 //! per-dispatch lookup.
 //!
 //! The profiler and the trace cache both key their hot tables by a
-//! [`Branch`](crate::Branch) — a `(BlockId, BlockId)` pair, 128 bits of
+//! [`Branch`] — a `(BlockId, BlockId)` pair, 128 bits of
 //! struct. Hashing that through SipHash in `std::collections::HashMap`
 //! costs more than the paper's entire per-dispatch budget ("a couple of
 //! comparisons and a counter bump", §4.1.2). [`PackedBranch`] folds the

@@ -5,8 +5,8 @@
 //! the familiar `Criterion` API the benches actually use — groups,
 //! `bench_function`, `Bencher::iter` — backed by plain
 //! [`std::time::Instant`]. Every `[[bench]]` target sets
-//! `harness = false` and drives it through the [`criterion_group!`] /
-//! [`criterion_main!`] macros re-exported from this crate, keeping the
+//! `harness = false` and drives it through the [`criterion_group!`](crate::criterion_group) /
+//! [`criterion_main!`](crate::criterion_main) macros re-exported from this crate, keeping the
 //! bench sources byte-for-byte familiar.
 //!
 //! Methodology: each `iter` closure is run once as warm-up, then 10

@@ -29,7 +29,7 @@
 //! shrinking its statement AST (see [`shrink`]).
 
 use trace_bcg::BcgConfig;
-use trace_cache::{trace_cost, ConstructorConfig, COOLDOWN};
+use trace_cache::{ConstructorConfig, COOLDOWN};
 use trace_workloads::prng::{seed_stream, Xoshiro256StarStar};
 
 use crate::genprog::{args_from, build_program, gen_block, Stmt};
@@ -47,9 +47,6 @@ pub enum Perturbation {
     CachePressure,
     /// Unlink one live entry mid-run.
     MidTraceInvalidation,
-    /// Set (or shrink) a payload byte budget on both caches, forcing the
-    /// second-chance eviction sweep to pick identical victims.
-    BudgetPressure,
     /// Quarantine the trace linked at one live entry on both caches
     /// (a faulting trace), exercising tombstone + blacklist parity.
     QuarantineTrace,
@@ -64,12 +61,11 @@ pub enum Perturbation {
 
 impl Perturbation {
     /// Every class, for full-coverage campaigns.
-    pub const ALL: [Perturbation; 8] = [
+    pub const ALL: [Perturbation; 7] = [
         Perturbation::ForcedDecay,
         Perturbation::SignalReorder,
         Perturbation::CachePressure,
         Perturbation::MidTraceInvalidation,
-        Perturbation::BudgetPressure,
         Perturbation::QuarantineTrace,
         Perturbation::DuplicateBatch,
         Perturbation::PhaseShift,
@@ -82,7 +78,6 @@ impl Perturbation {
             Perturbation::SignalReorder => "signal-reorder",
             Perturbation::CachePressure => "cache-pressure",
             Perturbation::MidTraceInvalidation => "mid-trace-invalidation",
-            Perturbation::BudgetPressure => "budget-pressure",
             Perturbation::QuarantineTrace => "quarantine-trace",
             Perturbation::DuplicateBatch => "duplicate-batch",
             Perturbation::PhaseShift => "phase-shift",
@@ -249,12 +244,6 @@ fn inject(
             if !entries.is_empty() {
                 ls.unlink(entries[rng.range_usize(0, entries.len())])?;
             }
-        }
-        Perturbation::BudgetPressure => {
-            // A budget of a few two-block traces, drawn small enough to
-            // force evictions as the constructors keep building.
-            let traces = rng.range_usize(2, chaos.cache_cap.clamp(3, 16) + 2);
-            ls.set_cache_budget(trace_cost(2) * traces)?;
         }
         Perturbation::QuarantineTrace => {
             let entries = ls.linked_entries();
@@ -479,10 +468,10 @@ mod tests {
         assert_eq!(c.chaos.defer_window, 16);
         assert!(parse_corpus_case("chaos=forced-decay\n").is_err());
         assert!(parse_corpus_case("seed=1\nchaos=warp-core-breach\n").is_err());
-        assert!(parse_corpus_case(
-            "seed=1\nchaos=budget-pressure,quarantine-trace,duplicate-batch,phase-shift\n"
-        )
-        .is_ok());
+        assert!(
+            parse_corpus_case("seed=1\nchaos=quarantine-trace,duplicate-batch,phase-shift\n")
+                .is_ok()
+        );
         assert!(parse_corpus_case("seed=7\nwarp=9\n").is_err());
     }
 

@@ -24,10 +24,10 @@
 //! * [`chaos`] + [`genprog`] — deterministic chaos campaigns replaying
 //!   generated fuzz programs under injected perturbations (forced decay
 //!   ticks, signal reordering, cache pressure, mid-trace invalidation,
-//!   budget pressure, trace quarantine, duplicated batches, phase
-//!   shifts), optionally under the harness's deferred-construction
-//!   mode, with per-case seeds, AST shrinking of failures, and a saved
-//!   corpus replayed in CI.
+//!   trace quarantine, duplicated batches, phase shifts), optionally
+//!   under the harness's deferred-construction mode, with per-case
+//!   seeds, AST shrinking of failures, and a saved corpus replayed in
+//!   CI.
 //! * [`snapshot`] — hostile-input conformance for the persistence
 //!   boundary: a seeded mutation campaign (bit flips, truncations,
 //!   section swaps, length-field rewrites) over valid snapshot

@@ -117,9 +117,7 @@ impl Lockstep {
             Quirk::ForcedDecayKeepsZeroEdges => {
                 self.model_bcg = ModelBcg::new(*self.model_bcg.config()).with_quirk(quirk);
             }
-            Quirk::EvictionLeavesStaleLink
-            | Quirk::QuarantineForgotten
-            | Quirk::EscalationForgotten => {
+            Quirk::QuarantineForgotten | Quirk::EscalationForgotten => {
                 self.model_cache = ModelCache::new().with_quirk(quirk);
             }
             Quirk::StaleSnapshotAccepted => {
@@ -191,15 +189,6 @@ impl Lockstep {
     pub fn unlink(&mut self, entry: Branch) -> Result<(), Divergence> {
         self.cache.unlink(entry);
         self.model_cache.unlink(entry);
-        self.compare_caches()
-    }
-
-    /// Sets the payload byte budget on both caches (chaos: budget
-    /// pressure) — both immediately enforce it by their second-chance
-    /// sweeps, which must pick identical victims.
-    pub fn set_cache_budget(&mut self, bytes: usize) -> Result<(), Divergence> {
-        self.cache.set_budget(Some(bytes));
-        self.model_cache.set_budget(Some(bytes));
         self.compare_caches()
     }
 

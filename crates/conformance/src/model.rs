@@ -24,7 +24,7 @@
 //! * a saturated counter (`count == max_counter`) bumps **neither** the
 //!   count nor `total_weight`, keeping correlation ratios frozen.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 use jvm_bytecode::BlockId;
 use trace_bcg::{BcgConfig, Branch, NodeState, PackedBranch, SignalKind, DECAY_SHIFT};
@@ -42,11 +42,6 @@ pub enum Quirk {
     /// is unaffected, so only a chaos campaign that injects forced decay
     /// ticks can expose this bug.
     ForcedDecayKeepsZeroEdges,
-    /// The model's budget sweep reclaims the victim trace but forgets to
-    /// remove its entry link, leaving a stale link behind. Eviction only
-    /// runs once a byte budget is set, so only a chaos campaign that
-    /// applies budget pressure can expose this bug.
-    EvictionLeavesStaleLink,
     /// The model's quarantine tombstones the faulting trace but forgets
     /// to blacklist its `(entry, path)` key, so refused rebuilds differ.
     /// Only a chaos campaign that quarantines live traces can expose
@@ -415,36 +410,27 @@ impl ModelBcg {
 const MAX_COOLDOWN_SHIFT: u32 = 4;
 
 /// The model trace cache: hash-consed sequences plus entry links, with
-/// no packed tables. Mirrors the production cache's robustness policy —
-/// the closed-form [`trace_cost`] byte accounting, the second-chance
-/// (clock) eviction sweep, tombstoning (ids never reused), the
-/// quarantine blacklist with its per-refusal cooldown decay and its
-/// escalation on repeats at one entry — written the slow way over
-/// `Branch`-keyed hash maps.
+/// no packed tables and no capacity bound. Mirrors the production
+/// cache's policy — the closed-form [`trace_cost`] byte accounting,
+/// tombstoning (ids never reused), the quarantine blacklist with its
+/// per-refusal cooldown decay and its escalation on repeats at one
+/// entry — written the slow way over `Branch`-keyed hash maps.
 #[derive(Debug, Default)]
 pub struct ModelCache {
-    /// Trace slots in construction order; tombstoned (evicted or
-    /// quarantined) traces are `None`. Slots are never reused.
+    /// Trace slots in construction order; tombstoned (quarantined)
+    /// traces are `None`. Slots are never reused.
     traces: Vec<Option<(Vec<BlockId>, f64)>>,
-    /// Byte cost charged per trace; zeroed when tombstoned.
-    costs: Vec<usize>,
     /// Live entry links per trace (the reverse of `links`).
     entry_links: Vec<Vec<Branch>>,
     by_blocks: HashMap<Vec<BlockId>, usize>,
     /// Entry branch → index into `traces`.
     links: HashMap<Branch, usize>,
-    /// Second-chance sweep order (may hold stale entries; `referenced`
-    /// is the source of truth, exactly as in production).
-    clock: VecDeque<Branch>,
-    /// Live link → second-chance bit.
-    referenced: HashMap<Branch, bool>,
     /// Blacklist: entry → (exact block path, refusals remaining).
     quarantined: HashMap<Branch, (Vec<BlockId>, u32)>,
     /// Entry → quarantines there so far (never pruned, as in
     /// production).
     flaps: HashMap<Branch, u32>,
     payload: usize,
-    budget: Option<usize>,
     quirk: Option<Quirk>,
 }
 
@@ -471,16 +457,9 @@ impl ModelCache {
         self.links.len()
     }
 
-    /// Bytes currently charged against the budget.
+    /// The [`trace_cost`] sum over live traces.
     pub fn payload_bytes(&self) -> usize {
         self.payload
-    }
-
-    /// Sets (or clears) the payload byte budget and immediately enforces
-    /// it, like the production cache.
-    pub fn set_budget(&mut self, budget: Option<usize>) {
-        self.budget = budget;
-        self.enforce_budget(None);
     }
 
     /// The quarantine blacklist, sorted by packed entry key — the same
@@ -501,11 +480,9 @@ impl ModelCache {
             Some(&id) => id,
             None => {
                 let id = self.traces.len();
-                let cost = trace_cost(blocks.len());
+                self.payload += trace_cost(blocks.len());
                 self.traces.push(Some((blocks.clone(), completion)));
-                self.costs.push(cost);
                 self.entry_links.push(Vec::new());
-                self.payload += cost;
                 self.by_blocks.insert(blocks, id);
                 id
             }
@@ -513,22 +490,11 @@ impl ModelCache {
         if let Some(old) = self.links.insert(entry, id) {
             if old != id {
                 self.entry_links[old].retain(|&b| b != entry);
-                self.reclaim_if_unlinked(old);
-            }
-        }
-        match self.referenced.entry(entry) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                e.insert(true);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(false);
-                self.clock.push_back(entry);
             }
         }
         if !self.entry_links[id].contains(&entry) {
             self.entry_links[id].push(entry);
         }
-        self.enforce_budget(Some(entry));
     }
 
     /// [`Self::insert_and_link`] behind the quarantine blacklist,
@@ -554,14 +520,13 @@ impl ModelCache {
         true
     }
 
-    /// Removes the link at an entry branch.
+    /// Removes the link at an entry branch; the trace stays retrievable
+    /// by id, as in production.
     pub fn unlink(&mut self, entry: Branch) -> bool {
         let Some(id) = self.links.remove(&entry) else {
             return false;
         };
-        self.referenced.remove(&entry);
         self.entry_links[id].retain(|&b| b != entry);
-        self.reclaim_if_unlinked(id);
         true
     }
 
@@ -593,73 +558,15 @@ impl ModelCache {
         }
         for b in std::mem::take(&mut self.entry_links[id]) {
             self.links.remove(&b);
-            self.referenced.remove(&b);
         }
         self.tombstone(id);
         true
     }
 
     fn tombstone(&mut self, id: usize) {
-        self.payload -= self.costs[id];
-        self.costs[id] = 0;
         if let Some((blocks, _)) = self.traces[id].take() {
+            self.payload -= trace_cost(blocks.len());
             self.by_blocks.remove(&blocks);
-        }
-    }
-
-    /// In budget mode an unlinked trace is reclaimed as soon as its last
-    /// link goes; without a budget it stays retrievable (production
-    /// parity).
-    fn reclaim_if_unlinked(&mut self, id: usize) {
-        if self.budget.is_some() && self.entry_links[id].is_empty() && self.traces[id].is_some() {
-            self.tombstone(id);
-        }
-    }
-
-    /// The second-chance sweep, transcribed from the production cache:
-    /// two passes over the clock clear referenced bits, the just-written
-    /// link is protected, and an empty sweep (only the protected link
-    /// left) ends the pass over budget.
-    fn enforce_budget(&mut self, protect: Option<Branch>) {
-        let Some(budget) = self.budget else {
-            return;
-        };
-        while self.payload > budget {
-            let mut victim = None;
-            let mut remaining = 2 * self.clock.len() + 1;
-            while remaining > 0 {
-                remaining -= 1;
-                let Some(key) = self.clock.pop_front() else {
-                    break;
-                };
-                match self.referenced.get(&key).copied() {
-                    None => continue, // stale: unlinked outside the sweep
-                    Some(_) if Some(key) == protect => self.clock.push_back(key),
-                    Some(true) => {
-                        self.referenced.insert(key, false);
-                        self.clock.push_back(key);
-                    }
-                    Some(false) => {
-                        victim = Some(key);
-                        break;
-                    }
-                }
-            }
-            let Some(key) = victim else {
-                break;
-            };
-            let id = if self.quirk == Some(Quirk::EvictionLeavesStaleLink) {
-                // Planted bug: the victim's payload is reclaimed but its
-                // entry link survives, dangling.
-                *self.links.get(&key).expect("sweep key must be linked")
-            } else {
-                self.links.remove(&key).expect("sweep key must be linked")
-            };
-            self.referenced.remove(&key);
-            self.entry_links[id].retain(|&b| b != key);
-            if self.entry_links[id].is_empty() {
-                self.tombstone(id);
-            }
         }
     }
 

@@ -226,46 +226,6 @@ fn fuzz_seed_stream_matches_workspace_convention() {
     assert_ne!(seed_stream(0x10C4_57E9, 0), seed_stream(0x10C4_57E9, 1));
 }
 
-/// Regression trio for the budget-eviction path: a model whose sweep
-/// reclaims the victim trace but forgets to remove its entry link
-/// (`Quirk::EvictionLeavesStaleLink`) is invisible until a campaign
-/// applies budget pressure, at which point the stale link must show up
-/// as a link-table divergence.
-#[test]
-fn budget_pressure_chaos_catches_the_stale_link_model() {
-    const BASE: u64 = 0xB4D6_E7ED;
-    const CASES: u64 = 64;
-    let pressure = ChaosConfig::only(Perturbation::BudgetPressure);
-
-    let plain = run_campaign(
-        BASE,
-        CASES,
-        &ChaosConfig::none(),
-        Some(Quirk::EvictionLeavesStaleLink),
-    );
-    assert!(
-        plain.failure.is_none(),
-        "quirk should be invisible without a budget, but: {:?}",
-        plain.failure
-    );
-
-    let caught = run_campaign(BASE, CASES, &pressure, Some(Quirk::EvictionLeavesStaleLink));
-    let (seed, d) = caught
-        .failure
-        .expect("budget-pressure campaign must expose the stale-link model");
-    assert!(
-        d.what.contains("link") || d.what.contains("payload"),
-        "seed {seed:#x}: unexpected divergence field: {d}"
-    );
-
-    let clean = run_campaign(BASE, CASES, &pressure, None);
-    assert!(
-        clean.failure.is_none(),
-        "clean model must survive the identical pressure schedule, but: {:?}",
-        clean.failure
-    );
-}
-
 /// Regression trio for the quarantine path: a model that tombstones a
 /// faulting trace but forgets to blacklist its `(entry, path)` key
 /// (`Quirk::QuarantineForgotten`) is invisible until a campaign

@@ -11,7 +11,7 @@
 //! profiler, handles its signals and checks the entry link; when a trace
 //! is linked the loop hands over its
 //! machine state and the trace runs from register-lowered, guarded
-//! straight-line code ([`crate::reg`], executed by [`crate::regexec`])
+//! straight-line code ([`crate::reg`], executed by `regexec`)
 //! against the *same* frame arena, with **no dispatch and no profiling
 //! points inside** ("a trace dispatch executes a single profiling
 //! statement, all of the inlined ones are removed", §5.4).
@@ -473,9 +473,9 @@ impl<'p> TracingVm<'p> {
     /// live profiler (saturating counter adds; deferred decay state
     /// re-enters the lazy-decay discipline clamped to the window edge,
     /// so stale counts age out at the next slow-path visit instead of
-    /// pinning predictions), restores the cache contents — budget sweep
-    /// and quarantine blacklist included — and pre-builds artifacts for
-    /// every restored trace.
+    /// pinning predictions), restores the cache contents — quarantine
+    /// blacklist included — and pre-builds artifacts for every restored
+    /// trace.
     ///
     /// No partial state on failure: every decode and validation error
     /// surfaces before the profiler or cache is touched.

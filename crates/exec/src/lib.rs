@@ -25,8 +25,8 @@
 //!   at the guarded instruction — pre-resolved to its decoded pc and
 //!   block, so leaving a trace lands the decoded interpreter directly
 //!   on the right instruction.
-//! * [`regexec`] — the register-trace executor: runs a lowered trace
-//!   against the decoded interpreter's own frame arena, heap and
+//! * `regexec` (private) — the register-trace executor: runs a lowered
+//!   trace against the decoded interpreter's own frame arena, heap and
 //!   counters, and closes a loop trace linked at its own loop branch
 //!   without going back to the dispatch loop.
 //! * [`engine`] — [`TracingVm`], the complete execution engine: the

@@ -1,7 +1,7 @@
 //! Register-machine lowering: from a checked block chain to a virtual-
 //! register linear IR.
 //!
-//! [`crate::compile`] checks a trace's block chain and names the control
+//! [`crate::compile()`] checks a trace's block chain and names the control
 //! step that leaves each block; the straight-line instructions in
 //! between are read here, from the [`Program`] itself. A real tracing JIT
 //! resolves its operand traffic *at compile time*: inside a trace every
@@ -54,7 +54,7 @@
 //! When the branch into the successor links a trace the engine skips
 //! that dispatch instead: it closes the loop in place when the trace is
 //! this one, and goes on into the other one from the marker otherwise
-//! (see [`crate::regexec`]). Any other terminator stays with
+//! (see `regexec`). Any other terminator stays with
 //! [`RInstr::Finish`].
 //!
 //! **Calls.** Static calls and guarded virtual calls materialize the

@@ -1,5 +1,5 @@
 //! Serializable image of a [`TraceCache`]: linked traces, their entry
-//! links, the quarantine blacklist, and the payload budget.
+//! links, and the quarantine blacklist.
 //!
 //! The image is **canonical**: links are sorted by packed entry key and
 //! traces densely renumbered by first appearance in that order, so
@@ -48,8 +48,6 @@ pub struct QuarantineImage {
 /// A serializable, canonical image of a trace cache.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheImage {
-    /// The payload-byte budget, if one was set.
-    pub budget: Option<u64>,
     /// Linked traces, densely numbered by first appearance in the
     /// sorted link order.
     pub traces: Vec<TraceImage>,
@@ -103,7 +101,6 @@ impl CacheImage {
             })
             .collect();
         CacheImage {
-            budget: cache.budget().map(|b| b as u64),
             traces,
             links,
             quarantine,
@@ -173,10 +170,9 @@ impl CacheImage {
         Ok(())
     }
 
-    /// Restores the image into a cache: sets the budget, installs every
-    /// link (hash-consing deduplicates shared traces; the budget sweep
-    /// runs exactly as for live inserts, so an over-budget snapshot is
-    /// trimmed, not trusted), and re-registers the quarantine blacklist.
+    /// Restores the image into a cache: installs every link (hash-consing
+    /// deduplicates shared traces, exactly as for live inserts) and
+    /// re-registers the quarantine blacklist.
     ///
     /// This is the warm-boot path, which deliberately does **not**
     /// consult the quarantine on insertion: the links being restored
@@ -189,7 +185,6 @@ impl CacheImage {
     pub fn restore_into(&self, cache: &mut TraceCache) -> Result<RestoreReport, SnapshotError> {
         self.validate()?;
         let mut report = RestoreReport::default();
-        cache.set_budget(self.budget.map(|b| b as usize));
         for &(entry, index) in &self.links {
             let t = &self.traces[index as usize];
             let (_, created) = cache.insert_and_link(entry, t.blocks.clone(), t.completion());
@@ -243,25 +238,6 @@ mod tests {
             fresh.lookup_entry((blk(9), blk(0))),
             fresh.lookup_entry((blk(5), blk(0)))
         );
-    }
-
-    #[test]
-    fn budget_round_trips_and_is_enforced_on_restore() {
-        let mut cache = seeded_cache();
-        cache.set_budget(Some(10_000));
-        let image = CacheImage::capture(&cache);
-        assert_eq!(image.budget, Some(10_000));
-        let mut fresh = TraceCache::new();
-        image.restore_into(&mut fresh).unwrap();
-        assert_eq!(fresh.budget(), Some(10_000));
-        assert!(fresh.payload_bytes() <= 10_000);
-
-        // A budget far below the snapshot's payload trims on restore.
-        let mut tiny = image.clone();
-        tiny.budget = Some(1);
-        let mut fresh = TraceCache::new();
-        tiny.restore_into(&mut fresh).unwrap();
-        assert!(fresh.payload_bytes() <= trace_cache::trace_cost(3));
     }
 
     #[test]

@@ -33,8 +33,9 @@ use crate::hash::crc32;
 /// catches text-mode line-ending mangling, like PNG's.
 pub const MAGIC: [u8; 8] = *b"TCSNAP\r\n";
 
-/// The format version this build writes and reads.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// The format version this build writes and reads. Version 2 dropped the
+/// cache section's payload budget (a flag byte and a `u64`).
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Section tag of the BCG profile table ("BCG1").
 pub const SECTION_BCG: u32 = 0x3147_4342;
@@ -81,7 +82,7 @@ impl SnapshotWriter {
         let mut w = ByteWriter::new();
         w.put_bytes(&MAGIC);
         w.put_u32(SNAPSHOT_VERSION);
-        w.put_u32(0); // flags: none defined in version 1
+        w.put_u32(0); // flags: none defined
         w.put_u64(snapshot.program_hash);
         put_section(&mut w, SECTION_BCG, encode_bcg(&snapshot.bcg));
         put_section(&mut w, SECTION_CACHE, encode_cache(&snapshot.cache));
@@ -307,16 +308,6 @@ fn decode_bcg(payload: &[u8]) -> Result<BcgImage, SnapshotError> {
 
 fn encode_cache(image: &CacheImage) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    match image.budget {
-        Some(b) => {
-            w.put_u8(1);
-            w.put_u64(b);
-        }
-        None => {
-            w.put_u8(0);
-            w.put_u64(0);
-        }
-    }
     w.put_u32(image.traces.len() as u32);
     for t in &image.traces {
         w.put_u64(t.completion_bits);
@@ -342,18 +333,6 @@ const LINK_SIZE: usize = 16 + 4;
 
 fn decode_cache(payload: &[u8]) -> Result<CacheImage, SnapshotError> {
     let mut c = Cursor::new(payload, "cache");
-    let budget_flag = c.read_u8()?;
-    let budget_value = c.read_u64()?;
-    let budget = match budget_flag {
-        0 => None,
-        1 => Some(budget_value),
-        other => {
-            return Err(SnapshotError::Malformed {
-                section: "cache",
-                detail: format!("invalid budget flag {other}"),
-            })
-        }
-    };
     let trace_count = c.read_count(TRACE_MIN)?;
     let mut traces = Vec::with_capacity(trace_count);
     for _ in 0..trace_count {
@@ -377,7 +356,6 @@ fn decode_cache(payload: &[u8]) -> Result<CacheImage, SnapshotError> {
     }
     c.finish()?;
     Ok(CacheImage {
-        budget,
         traces,
         links,
         quarantine: Vec::new(),
@@ -446,7 +424,6 @@ mod tests {
         cache.insert_and_link((blk(2), blk(0)), vec![blk(0), blk(1), blk(2)], 0.92);
         cache.insert_and_link((blk(3), blk(0)), vec![blk(0), blk(1), blk(2)], 0.92);
         cache.restore_quarantine((blk(1), blk(3)), vec![blk(3), blk(0)], 2);
-        cache.set_budget(Some(4096));
         Snapshot::capture(0xDEAD_BEEF_0BAD_F00D, &bcg, &cache)
     }
 
@@ -488,7 +465,6 @@ mod tests {
             let mut target = TraceCache::new();
             assert!(snap.cache.restore_into(&mut target).is_err());
             assert_eq!((target.trace_count(), target.link_count()), (0, 0));
-            assert_eq!(target.budget(), None, "a refused image sets no budget");
         }
     }
 

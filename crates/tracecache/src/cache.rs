@@ -4,27 +4,19 @@
 //! linked at their entry branches (§4.2). [`TraceCache`] is that cache,
 //! and everything that decides *what* is cached lives here — the entry
 //! links and the retention counters included. A VM owns one directly.
-//!
-//! # Memory budget and eviction
-//!
-//! [`set_budget`](TraceCache::set_budget) bounds the payload bytes the
-//! cache may hold ([`payload_bytes`](TraceCache::payload_bytes): the
-//! closed-form [`trace_cost`] accounting). When an
-//! insert pushes the cache over budget, entry links are evicted by a
-//! deterministic second-chance (clock) sweep in insertion order: a link
-//! touched again since it was last considered gets one more round,
-//! otherwise it is unlinked; the just-written link is never the victim.
-//! A trace whose last link goes is *tombstoned* — removed from the
-//! hash-cons index (so a rebuild mints a fresh id; ids are never reused)
-//! and its storage reclaimed. Every mutation bumps
-//! [`version`](TraceCache::version), so inline BCG link slots and
-//! in-flight cached dispatches revalidate and fall back to block
-//! dispatch.
+//! Like the paper's, the cache has no capacity bound: a trace object
+//! lives until it is quarantined, and an unlinked one stays retrievable
+//! by id. [`payload_bytes`](TraceCache::payload_bytes) reports its size
+//! in the closed-form [`trace_cost`] accounting. Every link mutation
+//! bumps [`version`](TraceCache::version), so inline BCG link slots and
+//! in-flight cached dispatches revalidate.
 //!
 //! # Quarantine
 //!
-//! [`quarantine`](TraceCache::quarantine) tombstones a faulting trace,
-//! removes all its links and blacklists its `(entry, path)` key;
+//! [`quarantine`](TraceCache::quarantine) *tombstones* a faulting trace
+//! (its storage reclaimed and its sequence removed from the hash-cons
+//! index, so a rebuild mints a fresh id; ids are never reused), removes
+//! all its links and blacklists its `(entry, path)` key;
 //! [`try_insert_and_link`](TraceCache::try_insert_and_link) then refuses
 //! to rebuild that exact trace at that entry until the cooldown decays
 //! (one tick per refused attempt), so a trace that keeps faulting cannot
@@ -33,8 +25,7 @@
 //! anti-flap of the retention rule (see [`crate::health`]). The memory of
 //! past quarantines per entry stays out of snapshots.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use jvm_bytecode::BlockId;
 use trace_bcg::node::NO_TRACE_LINK;
@@ -44,16 +35,16 @@ use crate::error::TraceCacheError;
 use crate::health::{HealthStats, COOLDOWN, MAX_COOLDOWN_SHIFT};
 use crate::trace::{Trace, TraceId};
 
-/// Fixed per-trace bookkeeping charge in the byte-budget accounting:
-/// covers the trace object, its hash-cons index entry, and the entry
-/// link(s). A named constant so the conformance model can mirror the
-/// accounting exactly.
+/// Fixed per-trace bookkeeping charge in the payload accounting: covers
+/// the trace object, its hash-cons index entry, and the entry link(s).
+/// A named constant so the conformance model can mirror the accounting
+/// exactly.
 pub const TRACE_BYTES_OVERHEAD: usize = 64;
 
-/// The byte cost a trace of `blocks` blocks charges against the cache
-/// budget. Deliberately a closed form over the block count — not real
-/// allocator numbers — so the eviction *policy* is reproducible in the
-/// conformance model.
+/// The bytes a trace of `blocks` blocks adds to
+/// [`TraceCache::payload_bytes`]. Deliberately a closed form over the
+/// block count — not real allocator numbers — so the accounting is
+/// reproducible in the conformance model.
 pub fn trace_cost(blocks: usize) -> usize {
     blocks * std::mem::size_of::<BlockId>() + TRACE_BYTES_OVERHEAD
 }
@@ -74,19 +65,14 @@ pub struct CacheStats {
     pub links_replaced: u64,
     /// Entry links removed by an unlink or a quarantine.
     pub links_removed: u64,
-    /// Entry links removed by the budget's second-chance sweep.
-    pub links_evicted: u64,
-    /// Trace objects tombstoned because their last link was evicted (or
-    /// they were quarantined) and their storage reclaimed.
+    /// Trace objects tombstoned and their storage reclaimed. Only a
+    /// quarantine tombstones, so this equals `traces_quarantined`.
     pub traces_evicted: u64,
     /// Traces tombstoned by a quarantine.
     pub traces_quarantined: u64,
     /// Construction attempts refused because the `(entry, path)` key is
     /// quarantined.
     pub quarantine_rejected: u64,
-    /// Budget-enforcement passes that ended while still over budget
-    /// (a single trace larger than the whole budget).
-    pub budget_overruns: u64,
     /// Entry branches currently linked.
     pub links_live: usize,
 }
@@ -110,7 +96,7 @@ impl CacheStats {
 /// entry branches may be "linked into the code" against the same cached
 /// sequence, and relinking an entry never destroys a trace object (old
 /// ids stay valid for the execution monitor). See the module docs for
-/// the budget, eviction and quarantine policy.
+/// the quarantine policy.
 ///
 /// ```
 /// use jvm_bytecode::{BlockId, FuncId};
@@ -126,8 +112,8 @@ impl CacheStats {
 /// ```
 #[derive(Debug, Default)]
 pub struct TraceCache {
-    /// Slot per id ever assigned; a tombstoned (evicted or quarantined)
-    /// trace keeps its slot with empty blocks. Ids are never reused.
+    /// Slot per id ever assigned; a tombstoned (quarantined) trace keeps
+    /// its slot with empty blocks. Ids are never reused.
     traces: Vec<Trace>,
     /// Live entry-link keys per trace (the reverse of `by_entry`).
     entry_keys: Vec<Vec<u64>>,
@@ -144,19 +130,10 @@ pub struct TraceCache {
     flaps: HashMap<u64, u32>,
     /// Retention counters.
     health: HealthStats,
-    /// Second-chance sweep order: live link keys, oldest first. May hold
-    /// stale keys (unlinked outside eviction); `referenced` is the
-    /// source of truth and stale keys are dropped when popped.
-    clock: VecDeque<u64>,
-    /// Live link keys → second-chance bit (set when an insert touches an
-    /// already-linked entry).
-    referenced: HashMap<u64, bool>,
     /// Blacklist: entry key → (exact block path, refusals remaining).
     quarantined: HashMap<u64, (Vec<BlockId>, u32)>,
     /// [`trace_cost`] summed over live traces.
     payload: usize,
-    /// Byte budget on `payload`; `None` disables eviction entirely.
-    budget: Option<usize>,
     stats: CacheStats,
     /// Bumped on every link mutation; lets executors cache lookups.
     version: u64,
@@ -246,18 +223,12 @@ impl TraceCache {
     /// Cache statistics.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            links_live: self.referenced.len(),
+            links_live: self.by_entry.len(),
             ..self.stats
         }
     }
 
-    /// The configured payload budget, if any.
-    pub fn budget(&self) -> Option<usize> {
-        self.budget
-    }
-
-    /// Bytes currently charged against the budget: the [`trace_cost`]
-    /// sum over live (non-tombstoned) traces.
+    /// The [`trace_cost`] sum over live (non-tombstoned) traces.
     pub fn payload_bytes(&self) -> usize {
         self.payload
     }
@@ -270,24 +241,6 @@ impl TraceCache {
     #[inline]
     pub fn trace(&self, id: TraceId) -> &Trace {
         &self.traces[id.index()]
-    }
-
-    /// The trace with the given id, surfacing unknown and evicted ids as
-    /// errors instead of panicking / handing back a tombstone. Dispatch
-    /// paths use this and fall back to block dispatch on `Err`.
-    #[inline]
-    pub fn trace_checked(&self, id: TraceId) -> Result<&Trace, TraceCacheError> {
-        match self.traces.get(id.index()) {
-            None => Err(TraceCacheError::UnknownTrace(id)),
-            Some(t) if t.blocks.is_empty() => Err(TraceCacheError::Evicted(id)),
-            Some(t) => Ok(t),
-        }
-    }
-
-    /// Whether the id was assigned and later tombstoned (evicted or
-    /// quarantined).
-    pub fn is_evicted(&self, id: TraceId) -> bool {
-        matches!(self.trace_checked(id), Err(TraceCacheError::Evicted(_)))
     }
 
     /// Iterates over every trace object ever constructed — including
@@ -309,9 +262,8 @@ impl TraceCache {
     }
 
     /// Hash-conses a block sequence into the cache and links it at
-    /// `entry`, then enforces the byte budget (the just-written link is
-    /// never the victim). Returns the trace id and whether a new trace
-    /// object was constructed.
+    /// `entry`. Returns the trace id and whether a new trace object was
+    /// constructed.
     ///
     /// This path does **not** consult the quarantine blacklist — the
     /// constructor goes through [`Self::try_insert_and_link`].
@@ -355,29 +307,16 @@ impl TraceCache {
             Some(old) if old != id => {
                 self.stats.links_replaced += 1;
                 self.entry_keys[old.index()].retain(|&k| k != key);
-                self.reclaim_if_unlinked(old);
             }
             _ => {}
         }
         self.stats.links_written += 1;
-        // Second-chance bookkeeping: a first-time link enters the sweep
-        // unreferenced; touching a live link grants it another round.
-        match self.referenced.entry(key) {
-            Entry::Occupied(mut e) => {
-                e.insert(true);
-            }
-            Entry::Vacant(e) => {
-                e.insert(false);
-                self.clock.push_back(key);
-            }
-        }
         if !self.entry_keys[id.index()].contains(&key) {
             self.entry_keys[id.index()].push(key);
         }
         if self.flaps.contains_key(&key) {
             self.health.readmitted_watched += 1;
         }
-        self.enforce_budget(self.budget, key);
         self.mutated();
         (id, created)
     }
@@ -410,14 +349,13 @@ impl TraceCache {
     }
 
     /// Removes the link at an entry branch, if any. Used when a trace's
-    /// entry is found to no longer satisfy the criteria.
+    /// entry is found to no longer satisfy the criteria. The trace object
+    /// stays retrievable by id.
     pub fn unlink(&mut self, entry: Branch) -> Option<TraceId> {
         let key = PackedBranch::pack(entry).0;
         let id = self.by_entry.remove(PackedBranch(key))?;
         self.stats.links_removed += 1;
-        self.referenced.remove(&key);
         self.entry_keys[id.index()].retain(|&k| k != key);
-        self.reclaim_if_unlinked(id);
         self.mutated();
         Some(id)
     }
@@ -441,7 +379,6 @@ impl TraceCache {
         self.restore_quarantine(entry, self.traces[id.index()].blocks.clone(), cooldown);
         for k in std::mem::take(&mut self.entry_keys[id.index()]) {
             self.by_entry.remove(PackedBranch(k));
-            self.referenced.remove(&k);
             self.stats.links_removed += 1;
         }
         self.tombstone(id);
@@ -475,15 +412,6 @@ impl TraceCache {
         self.quarantined.insert(key, (blocks, cooldown.max(1)));
     }
 
-    /// Sets (or clears) the payload byte budget and immediately enforces
-    /// it.
-    pub fn set_budget(&mut self, budget: Option<usize>) {
-        self.budget = budget;
-        // `u64::MAX` is no packed branch, so nothing is protected here.
-        self.enforce_budget(budget, u64::MAX);
-        self.mutated();
-    }
-
     /// Closes a link mutation: the version bump makes every stamped BCG
     /// slot revalidate.
     fn mutated(&mut self) {
@@ -503,69 +431,6 @@ impl TraceCache {
         self.stats.traces_evicted += 1;
     }
 
-    /// In budget mode an unlinked trace can never be chosen by the
-    /// sweep, so it is reclaimed as soon as its last link goes. Without
-    /// a budget the legacy contract holds: unlinked traces stay
-    /// retrievable by id.
-    fn reclaim_if_unlinked(&mut self, id: TraceId) {
-        if self.budget.is_some()
-            && self.entry_keys[id.index()].is_empty()
-            && !self.traces[id.index()].blocks.is_empty()
-        {
-            self.tombstone(id);
-        }
-    }
-
-    /// Evicts links (second-chance, insertion order) until the payload
-    /// fits `budget`. `protect` — the just-written link — is never
-    /// evicted; if it alone remains and the cache is still over budget,
-    /// the overrun is counted and the trace stands.
-    fn enforce_budget(&mut self, budget: Option<usize>, protect: u64) {
-        let Some(budget) = budget else {
-            return;
-        };
-        while self.payload > budget {
-            let mut victim = None;
-            // Two passes over the clock suffice: the first clears
-            // second-chance bits (and drops stale keys), the second must
-            // then land on an unreferenced, unprotected key if any
-            // exists.
-            let mut remaining = 2 * self.clock.len() + 1;
-            while remaining > 0 {
-                remaining -= 1;
-                let Some(key) = self.clock.pop_front() else {
-                    break;
-                };
-                match self.referenced.get(&key).copied() {
-                    None => continue, // stale: unlinked outside the sweep
-                    Some(_) if key == protect => self.clock.push_back(key),
-                    Some(true) => {
-                        self.referenced.insert(key, false);
-                        self.clock.push_back(key);
-                    }
-                    Some(false) => {
-                        victim = Some(key);
-                        break;
-                    }
-                }
-            }
-            let Some(key) = victim else {
-                self.stats.budget_overruns += 1;
-                break;
-            };
-            let id = self
-                .by_entry
-                .remove(PackedBranch(key))
-                .expect("sweep key must be linked");
-            self.referenced.remove(&key);
-            self.entry_keys[id.index()].retain(|&k| k != key);
-            self.stats.links_evicted += 1;
-            if self.entry_keys[id.index()].is_empty() {
-                self.tombstone(id);
-            }
-        }
-    }
-
     /// Machine-checked structural invariants, asserted after every link
     /// mutation when the `debug-invariants` feature is on:
     ///
@@ -575,11 +440,10 @@ impl TraceCache {
     ///   retrieved and linked", never duplicated);
     /// - **id coherence** — `traces[i].id == i`;
     /// - **link validity** — every reverse-list key is found in the
-    ///   entry table under its trace, lands on that trace's first block
-    ///   and is tracked by the sweep; the table and the sweep hold
-    ///   nothing else; tombstones hold no links; completion estimates
-    ///   lie in `(0, 1]`;
-    /// - **budget accounting** — the payload counter equals the summed
+    ///   entry table under its trace and lands on that trace's first
+    ///   block; the table holds nothing else; tombstones hold no links;
+    ///   completion estimates lie in `(0, 1]`;
+    /// - **payload accounting** — the payload counter equals the summed
     ///   [`trace_cost`] of the live traces.
     #[cfg(feature = "debug-invariants")]
     pub fn assert_cache_invariants(&self) {
@@ -621,22 +485,17 @@ impl TraceCache {
                     t.blocks[0],
                     "entry link must land on its trace's first block"
                 );
-                assert!(
-                    self.referenced.contains_key(&key),
-                    "live link missing from the sweep"
-                );
             }
             linked += self.entry_keys[i].len();
         }
         assert_eq!(payload, self.payload, "payload accounting drifted");
-        // Every reverse-list key is in both; equal counts leave no room
-        // for a link or a sweep entry the reverse lists do not know.
+        // Every reverse-list key is in the table; equal counts leave no
+        // room for a link the reverse lists do not know.
         assert_eq!(
             self.by_entry.len(),
             linked,
             "entry table holds a stray link"
         );
-        assert_eq!(self.referenced.len(), linked, "sweep tracks a stray link");
     }
 }
 
@@ -689,6 +548,14 @@ mod tests {
         assert_eq!(c.stats().links_replaced, 1);
         // Old trace object still retrievable by id.
         assert_eq!(c.trace(a).blocks(), &[blk(1), blk(2)]);
+        // `links_live` is the entry table's size through every mutation.
+        let other = (blk(9), blk(1));
+        c.insert_and_link(other, vec![blk(1), blk(3)], 0.99);
+        assert_eq!((c.stats().links_live, c.link_count()), (2, 2));
+        assert_eq!(c.unlink(entry), Some(b));
+        assert_eq!((c.stats().links_live, c.link_count()), (1, 1));
+        assert_eq!(c.quarantine(other, COOLDOWN), Some(b));
+        assert_eq!((c.stats().links_live, c.link_count()), (0, 0));
     }
 
     #[test]
@@ -814,113 +681,7 @@ mod tests {
         }
     }
 
-    // --- budget / eviction / quarantine ---
-
-    /// Budget sized for exactly `n` two-block traces.
-    fn budget_for(n: usize) -> usize {
-        n * trace_cost(2)
-    }
-
-    #[test]
-    fn budget_evicts_oldest_unreferenced_link_first() {
-        let mut c = TraceCache::new();
-        c.set_budget(Some(budget_for(2)));
-        let e = |i: u32| (blk(10 * i), blk(10 * i + 1));
-        let t = |i: u32| vec![blk(10 * i + 1), blk(10 * i + 2)];
-        let (a, _) = c.insert_and_link(e(0), t(0), 0.99);
-        let (b, _) = c.insert_and_link(e(1), t(1), 0.99);
-        assert!(c.payload_bytes() <= budget_for(2));
-        // Third insert forces out the oldest (a).
-        let (d, _) = c.insert_and_link(e(2), t(2), 0.99);
-        assert!(c.payload_bytes() <= budget_for(2));
-        assert_eq!(c.lookup_entry(e(0)), None, "oldest link must be evicted");
-        assert_eq!(c.lookup_entry(e(1)), Some(b));
-        assert_eq!(c.lookup_entry(e(2)), Some(d));
-        assert!(c.is_evicted(a));
-        assert!(c.trace_checked(a).is_err());
-        let s = c.stats();
-        assert_eq!(s.links_evicted, 1);
-        assert_eq!(s.traces_evicted, 1);
-        assert_eq!(s.budget_overruns, 0);
-    }
-
-    #[test]
-    fn second_chance_spares_a_retouched_link() {
-        let mut c = TraceCache::new();
-        c.set_budget(Some(budget_for(2)));
-        let e = |i: u32| (blk(10 * i), blk(10 * i + 1));
-        let t = |i: u32| vec![blk(10 * i + 1), blk(10 * i + 2)];
-        let (a, _) = c.insert_and_link(e(0), t(0), 0.99);
-        let (_b, _) = c.insert_and_link(e(1), t(1), 0.99);
-        // Re-touch the oldest: it gets a second chance, so the sweep
-        // skips it and evicts e(1) instead.
-        let _ = c.insert_and_link(e(0), t(0), 0.99);
-        let _ = c.insert_and_link(e(2), t(2), 0.99);
-        assert_eq!(c.lookup_entry(e(0)), Some(a), "retouched link survives");
-        assert_eq!(c.lookup_entry(e(1)), None, "unreferenced link evicted");
-    }
-
-    #[test]
-    fn budget_exactly_at_trace_size_admits_one_trace() {
-        let mut c = TraceCache::new();
-        c.set_budget(Some(trace_cost(2)));
-        let (a, _) = c.insert_and_link((blk(0), blk(1)), vec![blk(1), blk(2)], 0.99);
-        assert_eq!(c.payload_bytes(), trace_cost(2));
-        assert_eq!(c.stats().budget_overruns, 0);
-        // The next trace displaces the first: still exactly at budget.
-        let (b, _) = c.insert_and_link((blk(5), blk(6)), vec![blk(6), blk(7)], 0.99);
-        assert_eq!(c.payload_bytes(), trace_cost(2));
-        assert!(c.is_evicted(a));
-        assert_eq!(c.lookup_entry((blk(5), blk(6))), Some(b));
-    }
-
-    #[test]
-    fn oversized_trace_overruns_but_stands_alone() {
-        let mut c = TraceCache::new();
-        c.set_budget(Some(trace_cost(2)));
-        let blocks: Vec<BlockId> = (1..=20).map(blk).collect();
-        let (id, _) = c.insert_and_link((blk(0), blk(1)), blocks, 0.99);
-        assert_eq!(c.lookup_entry((blk(0), blk(1))), Some(id));
-        assert!(c.payload_bytes() > trace_cost(2));
-        assert_eq!(c.stats().budget_overruns, 1);
-    }
-
-    #[test]
-    fn eviction_bumps_version_and_invalidates_cached_links() {
-        let (mut bcg, n) = bcg_with_branch();
-        let mut c = TraceCache::new();
-        c.set_budget(Some(budget_for(1)));
-        let (id, _) = c.insert_and_link((blk(0), blk(1)), vec![blk(1), blk(2)], 0.99);
-        assert_eq!(c.lookup_entry_cached(&mut bcg, n), Some(id));
-        // The next insert evicts (blk0, blk1); the stamped slot must
-        // revalidate to None, never serve the dangling id.
-        let _ = c.insert_and_link((blk(5), blk(6)), vec![blk(6), blk(7)], 0.99);
-        assert_eq!(c.lookup_entry_cached(&mut bcg, n), None);
-        assert!(c.is_evicted(id));
-    }
-
-    #[test]
-    fn evicted_sequence_rebuilds_under_a_fresh_id() {
-        let mut c = TraceCache::new();
-        c.set_budget(Some(budget_for(1)));
-        let (a, created) = c.insert_and_link((blk(0), blk(1)), vec![blk(1), blk(2)], 0.99);
-        assert!(created);
-        let _ = c.insert_and_link((blk(5), blk(6)), vec![blk(6), blk(7)], 0.99);
-        assert!(c.is_evicted(a));
-        let (b, created) = c.insert_and_link((blk(0), blk(1)), vec![blk(1), blk(2)], 0.99);
-        assert!(created, "tombstoned sequence must rebuild, not dedup");
-        assert_ne!(a, b, "ids are never reused");
-    }
-
-    #[test]
-    fn unlinked_trace_reclaimed_only_in_budget_mode() {
-        let mut c = TraceCache::new();
-        c.set_budget(Some(budget_for(8)));
-        let (id, _) = c.insert_and_link((blk(0), blk(1)), vec![blk(1), blk(2)], 0.99);
-        assert_eq!(c.unlink((blk(0), blk(1))), Some(id));
-        assert!(c.is_evicted(id), "budget mode reclaims unlinked traces");
-        assert_eq!(c.payload_bytes(), 0);
-    }
+    // --- quarantine ---
 
     #[test]
     fn quarantine_tombstones_blacklists_and_readmits_after_cooldown() {
@@ -933,7 +694,7 @@ mod tests {
         assert_eq!(c.quarantine(entry, 2), Some(id));
         assert_eq!(c.lookup_entry(entry), None);
         assert_eq!(c.lookup_entry((blk(9), blk(1))), None, "all links removed");
-        assert!(c.is_evicted(id));
+        assert!(c.trace(id).is_empty(), "a quarantined trace is a tombstone");
         assert_eq!(c.iter_quarantine().count(), 1);
         // Two refused attempts decay the cooldown...
         assert!(matches!(
@@ -1029,22 +790,5 @@ mod tests {
         let mut c = TraceCache::new();
         assert_eq!(c.quarantine((blk(0), blk(1)), 3), None);
         assert_eq!(c.iter_quarantine().count(), 0);
-    }
-
-    #[test]
-    fn clearing_budget_disables_eviction() {
-        let mut c = TraceCache::new();
-        c.set_budget(Some(budget_for(1)));
-        c.insert_and_link((blk(0), blk(1)), vec![blk(1), blk(2)], 0.99);
-        c.set_budget(None);
-        for i in 1..10u32 {
-            c.insert_and_link(
-                (blk(10 * i), blk(10 * i + 1)),
-                vec![blk(10 * i + 1), blk(10 * i + 2)],
-                0.99,
-            );
-        }
-        assert_eq!(c.link_count(), 10);
-        assert_eq!(c.stats().links_evicted, 0);
     }
 }

@@ -1,17 +1,14 @@
 //! Surfaced (non-panicking) failure modes of the trace cache.
 //!
 //! The paper's contract makes every cache failure recoverable: the
-//! interpreter is always a correct fallback, so a missing, evicted or
-//! quarantined trace only ever costs speed. Library paths
-//! reachable from dispatch or the constructor loop therefore surface
-//! these conditions as values instead of panicking; callers skip the
-//! trace and keep interpreting.
+//! interpreter is always a correct fallback, so a refused construction
+//! only ever costs speed. The one surfaced failure is the quarantine
+//! blacklist's refusal; the constructor skips the trace and the VM keeps
+//! interpreting.
 
 use std::fmt;
 
 use trace_bcg::Branch;
-
-use crate::trace::TraceId;
 
 /// A recoverable trace-cache failure. Every variant means "fall back to
 /// block dispatch", never "wrong answer".
@@ -27,12 +24,6 @@ pub enum TraceCacheError {
         /// Refusals left before the key is re-admitted.
         remaining: u32,
     },
-    /// The id was never assigned by this cache.
-    UnknownTrace(TraceId),
-    /// The trace existed but was evicted (or quarantined) and its
-    /// storage reclaimed; ids are never reused, so the caller simply
-    /// drops its reference.
-    Evicted(TraceId),
 }
 
 impl fmt::Display for TraceCacheError {
@@ -43,8 +34,6 @@ impl fmt::Display for TraceCacheError {
                 "entry ({}, {}) is quarantined ({remaining} refusals remaining)",
                 entry.0, entry.1
             ),
-            TraceCacheError::UnknownTrace(id) => write!(f, "unknown trace {id}"),
-            TraceCacheError::Evicted(id) => write!(f, "trace {id} was evicted"),
         }
     }
 }

@@ -23,12 +23,11 @@
 //! entries, completions, early exits, and the instruction-stream coverage
 //! of trace-resident code.
 //!
-//! The robustness layer lives in the one cache policy ([`cache`]): an
-//! optional payload byte budget with second-chance eviction, and a
-//! quarantine blacklist for faulting traces, whose cooldown escalates on
-//! repeats at one entry (the anti-flap of the one retention rule,
-//! [`health`]). Recoverable failures surface as [`TraceCacheError`]
-//! ([`error`]).
+//! The cache, like the paper's, has no capacity bound. Its one policy
+//! beyond hash-consing and linking ([`cache`]) is a quarantine blacklist
+//! for faulting traces, whose cooldown escalates on repeats at one entry
+//! (the anti-flap of the one retention rule, [`health`]). A refused
+//! construction surfaces as [`TraceCacheError`] ([`error`]).
 
 #![forbid(unsafe_code)]
 

@@ -253,10 +253,6 @@ fn cmd_run(w: &Workload, opts: &Options) -> Result<(), Box<dyn std::error::Error
                 "trace health        : {} streak demotions, {} re-admissions watched, {} cooldowns escalated",
                 hs.demotions, hs.readmitted_watched, hs.cooldown_escalations
             );
-            println!(
-                "degraded            : {}",
-                engine.degraded_reason().unwrap_or("no")
-            );
             r.checksum
         }
         other => return Err(format!("unknown engine `{other}`").into()),

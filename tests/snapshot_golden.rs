@@ -26,7 +26,7 @@ const GOLDEN_HASH: u64 = 0x0123_4567_89AB_CDEF;
 
 /// A small, fully deterministic snapshot: a profiler warmed past its
 /// start delay on a fixed block stream, one shared trace with two entry
-/// links, one quarantine entry, and a payload budget.
+/// links, and one quarantine entry.
 fn golden_snapshot() -> Snapshot {
     let mut bcg = BranchCorrelationGraph::new(BcgConfig::paper_default().with_start_delay(2));
     for i in 0..8 {
@@ -38,12 +38,15 @@ fn golden_snapshot() -> Snapshot {
     cache.insert_and_link((blk(2), blk(0)), vec![blk(0), blk(1), blk(2)], 0.9375);
     cache.insert_and_link((blk(3), blk(0)), vec![blk(0), blk(1), blk(2)], 0.9375);
     cache.restore_quarantine((blk(1), blk(3)), vec![blk(3), blk(0)], 2);
-    cache.set_budget(Some(2048));
     Snapshot::capture(GOLDEN_HASH, &bcg, &cache)
 }
 
 /// The pinned container bytes, as hex.
-const GOLDEN_HEX: &str = "5443534e41500d0a0100000000000000efcdab896745230142434731b8000000000000000400000000000000000000000000000001000000010800000000000000000000000800000002000000000002000000070000000000030000000100000000000100000000000000020000000107000000000000000000000007000000010000000000000000000700000000000200000000000000000000000107000000000000000000000007000000010000000000010000000700000000000100000000000000030000000000000000000000000200000000000000000015326ac1434143315d0000000000000001000800000000000001000000000000000000ee3f0300000000000000000000000000000001000000000000000200000002000000000000000200000000000000000000000000000000000000030000000000000000000000000000004a50222a515541312c000000000000000100000000000000010000000000000003000000020000000200000000000000030000000000000000000000bfe5c95a";
+const GOLDEN_HEX: &str = "5443534e41500d0a0200000000000000efcdab896745230142434731b8000000000000000400000000000000000000000000000001000000010800000000000000000000000800000002000000000002000000070000000000030000000100000000000100000000000000020000000107000000000000000000000007000000010000000000000000000700000000000200000000000000000000000107000000000000000000000007000000010000000000010000000700000000000100000000000000030000000000000000000000000200000000000000000015326ac143414331540000000000000001000000000000000000ee3f030000000000000000000000000000000100000000000000020000000200000000000000020000000000000000000000000000000000000003000000000000000000000000000000c0cef057515541312c000000000000000100000000000000010000000000000003000000020000000200000000000000030000000000000000000000bfe5c95a";
+
+/// The same fixture in format version 1, whose cache section began with
+/// a payload budget (here `Some(2048)`: a flag byte and a `u64`).
+const GOLDEN_V1_HEX: &str = "5443534e41500d0a0100000000000000efcdab896745230142434731b8000000000000000400000000000000000000000000000001000000010800000000000000000000000800000002000000000002000000070000000000030000000100000000000100000000000000020000000107000000000000000000000007000000010000000000000000000700000000000200000000000000000000000107000000000000000000000007000000010000000000010000000700000000000100000000000000030000000000000000000000000200000000000000000015326ac1434143315d0000000000000001000800000000000001000000000000000000ee3f0300000000000000000000000000000001000000000000000200000002000000000000000200000000000000000000000000000000000000030000000000000000000000000000004a50222a515541312c000000000000000100000000000000010000000000000003000000020000000200000000000000030000000000000000000000bfe5c95a";
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -101,12 +104,21 @@ fn header_and_section_layout_is_pinned() {
 }
 
 /// Version skew in either direction is rejected with the right error —
-/// a future v2 reader may accept v1, but a v1 reader must never guess
-/// at bytes it does not understand.
+/// a reader must never guess at bytes it does not understand.
 #[test]
 fn version_skew_is_rejected() {
     let snap = golden_snapshot();
     let bytes = snap.to_bytes();
+
+    let v1: Vec<u8> = (0..GOLDEN_V1_HEX.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&GOLDEN_V1_HEX[i..i + 2], 16).unwrap())
+        .collect();
+    assert_eq!(
+        SnapshotReader::new().read(&v1, GOLDEN_HASH),
+        Err(SnapshotError::UnsupportedVersion { found: 1 }),
+        "a version 1 container (with its budget field) must be rejected"
+    );
 
     for skew in [SNAPSHOT_VERSION - 1, SNAPSHOT_VERSION + 1] {
         let mut m = bytes.clone();
@@ -128,7 +140,6 @@ fn golden_bytes_decode() {
         .read(&snap.to_bytes(), GOLDEN_HASH)
         .expect("golden bytes decode");
     assert_eq!(back, snap);
-    assert_eq!(back.cache.budget, Some(2048));
     assert_eq!(back.cache.traces.len(), 1, "shared trace stored once");
     assert_eq!(back.cache.links.len(), 2);
     assert_eq!(back.cache.quarantine.len(), 1);
