@@ -87,6 +87,18 @@ for f in crates/bcg/src/image.rs crates/tracecache/src/constructor.rs crates/per
     fi
 done
 
+echo "== one branch map (std's HashMap / HashSet under trace_bcg::BranchHasher)"
+# The profiler's node index, the boot validator's seen-set and the
+# cache's entry links used to live in a hand-rolled open-addressed table
+# (linear probing, an in-key empty sentinel, backward-shift deletion,
+# rehash, reserve) while the cache's quarantine and flap maps hashed
+# with SipHash. Every branch-keyed table is a BranchMap / BranchSet now.
+# The hand-rolled table creeping back in shows up here first.
+if grep -rnE 'BranchTable|fn rehash' crates/ src/ tests/ examples/; then
+    echo "a hand-rolled branch table is back (matches above)" >&2
+    exit 1
+fi
+
 echo "== one stack-discipline analysis (the verifier's; Function carries max_stack / depth_at)"
 # bytecode/depth.rs used to re-run a second transfer table over Instr to
 # recover the depths the verifier's fixpoint already held, once per VM

@@ -8,7 +8,7 @@ use crate::config::{BcgConfig, DECAY_SHIFT};
 use crate::node::{Node, Successor};
 use crate::signal::{Signal, SignalKind};
 use crate::stats::ProfilerStats;
-use crate::table::{BranchTable, PackedBranch};
+use crate::table::{BranchMap, PackedBranch};
 use crate::Branch;
 
 /// Index of a node within a [`BranchCorrelationGraph`].
@@ -45,15 +45,15 @@ impl fmt::Display for NodeIdx {
 ///   with ≤ 4 successors no pointer chase either (inline storage);
 /// * **slow path**: a linear scan of the context's known successors,
 ///   possibly constructing a new edge and node (lazy construction); only
-///   this path touches the branch index, an open-addressed
-///   [`BranchTable`] keyed by [`PackedBranch`];
+///   this path touches the branch index, a [`BranchMap`] keyed by
+///   [`PackedBranch`];
 /// * **periodic work**: every `decay_interval` executions of a node its
 ///   counters decay and its state/prediction are rechecked.
 #[derive(Debug)]
 pub struct BranchCorrelationGraph {
     config: BcgConfig,
     nodes: Vec<Node>,
-    index: BranchTable<NodeIdx>,
+    index: BranchMap<NodeIdx>,
     /// The block most recently dispatched.
     last_block: Option<BlockId>,
     /// Node of the most recent branch `(X, Y)` — the "branch context
@@ -69,7 +69,7 @@ impl BranchCorrelationGraph {
         BranchCorrelationGraph {
             config,
             nodes: Vec::new(),
-            index: BranchTable::new(),
+            index: BranchMap::default(),
             last_block: None,
             ctx_node: None,
             signals: Vec::new(),
@@ -110,7 +110,7 @@ impl BranchCorrelationGraph {
 
     /// Looks up the node for a branch, if it has ever been observed.
     pub fn node_index(&self, branch: Branch) -> Option<NodeIdx> {
-        self.index.get(PackedBranch::pack(branch))
+        self.index.get(&PackedBranch::pack(branch)).copied()
     }
 
     /// Iterates over all `(index, node)` pairs.
@@ -186,9 +186,9 @@ impl BranchCorrelationGraph {
     /// branch pairs, not the static program size; this estimate lets
     /// harnesses report that cost.
     ///
-    /// Computed from the real layout: the [`BranchTable`]'s allocated
-    /// slot array and each node's actual spill state, not an assumed
-    /// std-`HashMap` bucket scheme.
+    /// Computed from the real layout: the node array's capacity, each
+    /// node's actual spill state, and the branch index's capacity at one
+    /// `(key, value)` slot plus one SwissTable control byte each.
     pub fn memory_estimate(&self) -> usize {
         use std::mem::size_of;
         let node_fixed = self.nodes.capacity() * size_of::<Node>();
@@ -197,7 +197,13 @@ impl BranchCorrelationGraph {
             .iter()
             .map(|n| n.successors.heap_bytes() + n.preds.heap_bytes())
             .sum();
-        node_fixed + lists + self.index.memory_bytes()
+        node_fixed + lists + self.index_bytes()
+    }
+
+    /// Bytes held by the branch index: one `(key, value)` slot and one
+    /// control byte per entry it has room for.
+    fn index_bytes(&self) -> usize {
+        self.index.capacity() * (std::mem::size_of::<(PackedBranch, NodeIdx)>() + 1)
     }
 
     /// Observes one dispatched block. This is the profiler hook executed
@@ -340,7 +346,7 @@ impl BranchCorrelationGraph {
     /// Gets or lazily creates the node for `branch`.
     fn get_or_create(&mut self, branch: Branch) -> NodeIdx {
         let key = PackedBranch::pack(branch);
-        if let Some(idx) = self.index.get(key) {
+        if let Some(&idx) = self.index.get(&key) {
             return idx;
         }
         let idx = NodeIdx(self.nodes.len() as u32);
@@ -962,9 +968,8 @@ mod tests {
     #[test]
     fn memory_estimate_counts_only_spilled_lists() {
         use std::mem::size_of;
-        let fixed = |g: &BranchCorrelationGraph| {
-            g.nodes.capacity() * size_of::<Node>() + g.index.memory_bytes()
-        };
+        let fixed =
+            |g: &BranchCorrelationGraph| g.nodes.capacity() * size_of::<Node>() + g.index_bytes();
         let mut bcg = BranchCorrelationGraph::new(cfg(1, 0.97));
         feed(&mut bcg, &[0, 1, 2, 3], 20);
         assert_eq!(bcg.memory_estimate(), fixed(&bcg), "nothing spilled yet");

@@ -32,7 +32,7 @@ use crate::config::BcgConfig;
 use crate::graph::{BranchCorrelationGraph, NodeIdx};
 use crate::node::Successor;
 use crate::state::NodeState;
-use crate::table::{BranchTable, PackedBranch};
+use crate::table::{BranchSet, PackedBranch};
 use crate::Branch;
 
 /// One successor correlation edge of a [`NodeImage`].
@@ -313,10 +313,9 @@ fn refresh_derived(bcg: &mut BranchCorrelationGraph, idx: NodeIdx) {
 }
 
 fn validate(config: &BcgConfig, image: &BcgImage) -> Result<(), ImageError> {
-    let mut seen: BranchTable<()> = BranchTable::new();
-    seen.reserve(image.nodes.len());
+    let mut seen = BranchSet::with_capacity_and_hasher(image.nodes.len(), Default::default());
     for img in &image.nodes {
-        if seen.insert(PackedBranch::pack(img.branch), ()).is_some() {
+        if !seen.insert(PackedBranch::pack(img.branch)) {
             return Err(ImageError::DuplicateBranch(img.branch));
         }
         if img.since_decay >= config.decay_interval {
@@ -336,7 +335,7 @@ fn validate(config: &BcgConfig, image: &BcgImage) -> Result<(), ImageError> {
     for img in &image.nodes {
         for s in &img.successors {
             let target = PackedBranch::pack((img.branch.1, s.to_block));
-            if seen.get(target).is_none() {
+            if !seen.contains(&target) {
                 return Err(ImageError::MissingSuccessorTarget {
                     node: img.branch,
                     to_block: s.to_block,

@@ -66,7 +66,7 @@ pub use reference::ReferenceBcg;
 pub use signal::{Signal, SignalKind};
 pub use state::NodeState;
 pub use stats::ProfilerStats;
-pub use table::{BranchTable, PackedBranch};
+pub use table::{BranchHasher, BranchMap, BranchSet, PackedBranch};
 
 /// A branch: an ordered pair of consecutively executed blocks. `(X, Y)`
 /// identifies the BCG node `N_XY`.

@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use crate::class::Class;
 use crate::error::BuildError;
 use crate::function::Function;
-use crate::ids::{ClassId, FuncId, Label};
+use crate::ids::{ClassId, FuncId, Label, ID_LIMIT};
 use crate::instr::{CmpOp, Instr, Intrinsic};
 use crate::program::Program;
 use crate::verifier;
@@ -550,15 +550,30 @@ impl ProgramBuilder {
     /// # Errors
     ///
     /// Returns [`BuildError`] if any used label is unbound or double-bound,
-    /// a declared function has no body, the entry id is invalid, or the
-    /// program fails verification.
+    /// a declared function has no body, the entry id is invalid, the
+    /// program has more than [`ID_LIMIT`] functions or a function more
+    /// than [`ID_LIMIT`] blocks, or the program fails verification.
     pub fn build(self, entry: FuncId) -> Result<Program, BuildError> {
         if entry.index() >= self.functions.len() {
             return Err(BuildError::BadEntry { func: entry });
         }
+        let limit = ID_LIMIT as usize;
+        if self.functions.len() > limit {
+            return Err(BuildError::TooLarge {
+                func: None,
+                count: self.functions.len(),
+            });
+        }
         let mut functions = Vec::with_capacity(self.functions.len());
         for (i, fb) in self.functions.into_iter().enumerate() {
-            functions.push(fb.finish(FuncId(i as u32))?);
+            let f = fb.finish(FuncId(i as u32))?;
+            if f.block_count() > limit {
+                return Err(BuildError::TooLarge {
+                    func: Some(f.name().to_owned()),
+                    count: f.block_count(),
+                });
+            }
+            functions.push(f);
         }
         let classes = self
             .classes
@@ -652,6 +667,23 @@ mod tests {
             pb.build(FuncId(7)),
             Err(BuildError::BadEntry { .. })
         ));
+    }
+
+    /// One function over [`ID_LIMIT`] is refused before any is finished;
+    /// the block limit is tested end to end in the workspace tests.
+    #[test]
+    fn more_functions_than_the_id_limit_is_an_error() {
+        let mut pb = ProgramBuilder::new();
+        for i in 0..=ID_LIMIT {
+            let f = pb.declare_function(&format!("f{i}"), 0, false);
+            pb.function_mut(f).ret_void();
+        }
+        match pb.build(FuncId(0)) {
+            Err(BuildError::TooLarge { func: None, count }) => {
+                assert_eq!(count, ID_LIMIT as usize + 1)
+            }
+            other => panic!("expected TooLarge, got {other:?}"),
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::ids::FuncId;
+use crate::ids::{FuncId, ID_LIMIT};
 use crate::verifier::VerifyError;
 
 /// Error raised while assembling a program with [`crate::ProgramBuilder`].
@@ -33,6 +33,14 @@ pub enum BuildError {
         /// Offending id.
         func: FuncId,
     },
+    /// The program has more than [`ID_LIMIT`] functions (`func` is
+    /// `None`), or function `func` more than [`ID_LIMIT`] basic blocks.
+    TooLarge {
+        /// The function with too many blocks, if that is the excess.
+        func: Option<String>,
+        /// The function or block count over the limit.
+        count: usize,
+    },
     /// A function failed verification.
     Verify(VerifyError),
 }
@@ -52,6 +60,16 @@ impl fmt::Display for BuildError {
             BuildError::BadEntry { func } => {
                 write!(f, "entry function {func} does not exist")
             }
+            BuildError::TooLarge { func: None, count } => {
+                write!(f, "{count} functions (at most {ID_LIMIT} are supported)")
+            }
+            BuildError::TooLarge {
+                func: Some(func),
+                count,
+            } => write!(
+                f,
+                "function `{func}` has {count} basic blocks (at most {ID_LIMIT} are supported)"
+            ),
             BuildError::Verify(e) => write!(f, "verification failed: {e}"),
         }
     }

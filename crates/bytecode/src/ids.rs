@@ -6,6 +6,13 @@
 
 use std::fmt;
 
+/// Every function id and every block index of a [`crate::Program`] is
+/// below this: [`crate::ProgramBuilder::build`] refuses a program with
+/// more than `ID_LIMIT` functions, or with a function of more than
+/// `ID_LIMIT` basic blocks. The profiler packs a branch's four ids into
+/// 16 bits each, so every built program's branches pack.
+pub const ID_LIMIT: u32 = 0xFFFF;
+
 /// Identifier of a function within a [`crate::Program`].
 ///
 /// Assigned by [`crate::ProgramBuilder::declare_function`]; stable for the

@@ -64,7 +64,7 @@ pub use cfg::{Block, TerminatorKind};
 pub use class::Class;
 pub use error::BuildError;
 pub use function::Function;
-pub use ids::{BlockId, ClassId, FuncId, Label};
+pub use ids::{BlockId, ClassId, FuncId, Label, ID_LIMIT};
 pub use instr::{CmpOp, Instr, Intrinsic};
 pub use program::{fnv1a64, Program};
 pub use verifier::VerifyError;

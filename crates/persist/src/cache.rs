@@ -273,12 +273,8 @@ mod tests {
         let image = CacheImage::capture(&seeded_cache());
         let mut fresh = TraceCache::new();
         image.restore_into(&mut fresh).unwrap();
-        let err = fresh
-            .try_insert_and_link((blk(7), blk(8)), vec![blk(8), blk(9)], 0.9)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            trace_cache::TraceCacheError::Quarantined { .. }
-        ));
+        let refused = fresh.try_insert_and_link((blk(7), blk(8)), vec![blk(8), blk(9)], 0.9);
+        assert_eq!(refused, None);
+        assert_eq!(fresh.stats().quarantine_rejected, 1);
     }
 }

@@ -29,9 +29,8 @@ use std::collections::HashMap;
 
 use jvm_bytecode::BlockId;
 use trace_bcg::node::NO_TRACE_LINK;
-use trace_bcg::{Branch, BranchCorrelationGraph, BranchTable, NodeIdx, PackedBranch};
+use trace_bcg::{Branch, BranchCorrelationGraph, BranchMap, NodeIdx, PackedBranch};
 
-use crate::error::TraceCacheError;
 use crate::health::{HealthStats, COOLDOWN, MAX_COOLDOWN_SHIFT};
 use crate::trace::{Trace, TraceId};
 
@@ -116,22 +115,23 @@ pub struct TraceCache {
     /// its slot with empty blocks. Ids are never reused.
     traces: Vec<Trace>,
     /// Live entry-link keys per trace (the reverse of `by_entry`).
-    entry_keys: Vec<Vec<u64>>,
+    entry_keys: Vec<Vec<PackedBranch>>,
     /// Hash-consing index; only touched at construction time, so a std
     /// `HashMap` keyed by the full block sequence is fine here.
     /// Tombstoned traces are removed, so a rebuild mints a fresh id.
     by_blocks: HashMap<Vec<BlockId>, TraceId>,
-    /// The dispatch table: entry branch → linked trace. Queried at every
-    /// block boundary, hence the packed-key open-addressed table.
-    by_entry: BranchTable<TraceId>,
-    /// Packed entry key → quarantines at that entry so far: the memory
-    /// behind the cooldown escalation. Never pruned (one `u64 → u32` per
-    /// entry that ever misbehaved), never snapshotted.
-    flaps: HashMap<u64, u32>,
+    /// The dispatch table: entry branch → linked trace. The dispatch
+    /// check answers from a BCG node's inline link slot while it is
+    /// current and probes this table when it is stale.
+    by_entry: BranchMap<TraceId>,
+    /// Entry → quarantines at that entry so far: the memory behind the
+    /// cooldown escalation. Never pruned (one entry per branch that ever
+    /// misbehaved), never snapshotted.
+    flaps: BranchMap<u32>,
     /// Retention counters.
     health: HealthStats,
     /// Blacklist: entry key → (exact block path, refusals remaining).
-    quarantined: HashMap<u64, (Vec<BlockId>, u32)>,
+    quarantined: BranchMap<(Vec<BlockId>, u32)>,
     /// [`trace_cost`] summed over live traces.
     payload: usize,
     stats: CacheStats,
@@ -160,7 +160,7 @@ impl TraceCache {
     /// check performed when the interpreter takes a branch.
     #[inline]
     pub fn lookup_entry(&self, entry: Branch) -> Option<TraceId> {
-        self.by_entry.get(PackedBranch::pack(entry))
+        self.by_entry.get(&PackedBranch::pack(entry)).copied()
     }
 
     /// The dispatch check via a BCG node's inline trace-link slot.
@@ -205,7 +205,7 @@ impl TraceCache {
     pub fn iter_links(&self) -> impl Iterator<Item = (Branch, &Trace)> {
         self.by_entry
             .iter()
-            .map(|(b, id)| (b.unpack(), self.trace(id)))
+            .map(|(b, &id)| (b.unpack(), self.trace(id)))
     }
 
     /// Number of distinct trace objects ever constructed (including
@@ -253,11 +253,11 @@ impl TraceCache {
     /// remaining)`, sorted by packed entry key (for deterministic
     /// comparison harnesses).
     pub fn iter_quarantine(&self) -> impl Iterator<Item = (Branch, &[BlockId], u32)> {
-        let mut keys: Vec<&u64> = self.quarantined.keys().collect();
-        keys.sort_unstable();
+        let mut keys: Vec<PackedBranch> = self.quarantined.keys().copied().collect();
+        keys.sort_unstable_by_key(|k| k.0);
         keys.into_iter().map(|k| {
-            let (blocks, remaining) = &self.quarantined[k];
-            (PackedBranch(*k).unpack(), blocks.as_slice(), *remaining)
+            let (blocks, remaining) = &self.quarantined[&k];
+            (k.unpack(), blocks.as_slice(), *remaining)
         })
     }
 
@@ -302,8 +302,8 @@ impl TraceCache {
                 (id, true)
             }
         };
-        let key = PackedBranch::pack(entry).0;
-        match self.by_entry.insert(PackedBranch(key), id) {
+        let key = PackedBranch::pack(entry);
+        match self.by_entry.insert(key, id) {
             Some(old) if old != id => {
                 self.stats.links_replaced += 1;
                 self.entry_keys[old.index()].retain(|&k| k != key);
@@ -322,38 +322,39 @@ impl TraceCache {
     }
 
     /// [`Self::insert_and_link`] behind the quarantine blacklist: if the
-    /// exact `(entry, path)` key is quarantined the insert is refused,
-    /// the cooldown ticks down by one, and at zero the key is
-    /// re-admitted (the *next* attempt succeeds).
+    /// exact `(entry, path)` key is quarantined the insert is refused
+    /// (`None`, counted in [`CacheStats::quarantine_rejected`]), the
+    /// cooldown ticks down by one, and at zero the key is re-admitted
+    /// (the *next* attempt succeeds). A refusal only costs speed: the VM
+    /// keeps dispatching blocks.
     pub fn try_insert_and_link(
         &mut self,
         entry: Branch,
         blocks: Vec<BlockId>,
         expected_completion: f64,
-    ) -> Result<(TraceId, bool), TraceCacheError> {
-        let key = PackedBranch::pack(entry).0;
+    ) -> Option<(TraceId, bool)> {
+        let key = PackedBranch::pack(entry);
         if let Some((_, remaining)) = self
             .quarantined
             .get_mut(&key)
             .filter(|(path, _)| *path == blocks)
         {
             *remaining -= 1;
-            let remaining = *remaining;
-            if remaining == 0 {
+            if *remaining == 0 {
                 self.quarantined.remove(&key);
             }
             self.stats.quarantine_rejected += 1;
-            return Err(TraceCacheError::Quarantined { entry, remaining });
+            return None;
         }
-        Ok(self.insert_and_link(entry, blocks, expected_completion))
+        Some(self.insert_and_link(entry, blocks, expected_completion))
     }
 
     /// Removes the link at an entry branch, if any. Used when a trace's
     /// entry is found to no longer satisfy the criteria. The trace object
     /// stays retrievable by id.
     pub fn unlink(&mut self, entry: Branch) -> Option<TraceId> {
-        let key = PackedBranch::pack(entry).0;
-        let id = self.by_entry.remove(PackedBranch(key))?;
+        let key = PackedBranch::pack(entry);
+        let id = self.by_entry.remove(&key)?;
         self.stats.links_removed += 1;
         self.entry_keys[id.index()].retain(|&k| k != key);
         self.mutated();
@@ -369,7 +370,7 @@ impl TraceCache {
     /// the tombstoned id, or `None` if nothing is linked at `entry`.
     pub fn quarantine(&mut self, entry: Branch, cooldown: u32) -> Option<TraceId> {
         let id = self.lookup_entry(entry)?;
-        let flaps = self.flaps.entry(PackedBranch::pack(entry).0).or_insert(0);
+        let flaps = self.flaps.entry(PackedBranch::pack(entry)).or_insert(0);
         let shift = (*flaps).min(MAX_COOLDOWN_SHIFT);
         *flaps += 1;
         if shift > 0 {
@@ -378,7 +379,7 @@ impl TraceCache {
         let cooldown = cooldown.saturating_mul(1 << shift);
         self.restore_quarantine(entry, self.traces[id.index()].blocks.clone(), cooldown);
         for k in std::mem::take(&mut self.entry_keys[id.index()]) {
-            self.by_entry.remove(PackedBranch(k));
+            self.by_entry.remove(&k);
             self.stats.links_removed += 1;
         }
         self.tombstone(id);
@@ -408,8 +409,8 @@ impl TraceCache {
     /// offending trace died in the process that wrote the snapshot. A
     /// zero cooldown is clamped to 1, mirroring [`Self::quarantine`].
     pub fn restore_quarantine(&mut self, entry: Branch, blocks: Vec<BlockId>, cooldown: u32) {
-        let key = PackedBranch::pack(entry).0;
-        self.quarantined.insert(key, (blocks, cooldown.max(1)));
+        self.quarantined
+            .insert(PackedBranch::pack(entry), (blocks, cooldown.max(1)));
     }
 
     /// Closes a link mutation: the version bump makes every stamped BCG
@@ -476,12 +477,12 @@ impl TraceCache {
             );
             for &key in &self.entry_keys[i] {
                 assert_eq!(
-                    self.by_entry.get(PackedBranch(key)),
-                    Some(t.id),
+                    self.by_entry.get(&key),
+                    Some(&t.id),
                     "entry table out of sync with the reverse list of trace {i}"
                 );
                 assert_eq!(
-                    PackedBranch(key).unpack().1,
+                    key.unpack().1,
                     t.blocks[0],
                     "entry link must land on its trace's first block"
                 );
@@ -683,6 +684,13 @@ mod tests {
 
     // --- quarantine ---
 
+    /// Refusals left at the one blacklisted key, 0 once it is re-admitted.
+    fn refusals_left(c: &TraceCache) -> u32 {
+        let left: Vec<u32> = c.iter_quarantine().map(|(_, _, left)| left).collect();
+        assert!(left.len() <= 1, "one blacklisted key at most: {left:?}");
+        left.first().copied().unwrap_or(0)
+    }
+
     #[test]
     fn quarantine_tombstones_blacklists_and_readmits_after_cooldown() {
         let mut c = TraceCache::new();
@@ -697,14 +705,10 @@ mod tests {
         assert!(c.trace(id).is_empty(), "a quarantined trace is a tombstone");
         assert_eq!(c.iter_quarantine().count(), 1);
         // Two refused attempts decay the cooldown...
-        assert!(matches!(
-            c.try_insert_and_link(entry, path.clone(), 0.99),
-            Err(TraceCacheError::Quarantined { remaining: 1, .. })
-        ));
-        assert!(matches!(
-            c.try_insert_and_link(entry, path.clone(), 0.99),
-            Err(TraceCacheError::Quarantined { remaining: 0, .. })
-        ));
+        assert_eq!(c.try_insert_and_link(entry, path.clone(), 0.99), None);
+        assert_eq!(refusals_left(&c), 1);
+        assert_eq!(c.try_insert_and_link(entry, path.clone(), 0.99), None);
+        assert_eq!(refusals_left(&c), 0);
         // ...and the third succeeds with a fresh id.
         let (nid, created) = c.try_insert_and_link(entry, path.clone(), 0.99).unwrap();
         assert!(created);
@@ -731,12 +735,12 @@ mod tests {
             // The exact (entry, path) is refused the escalated cooldown...
             let cooldown = COOLDOWN << n.min(MAX_COOLDOWN_SHIFT);
             for left in (0..cooldown).rev() {
-                match c.try_insert_and_link(entry, path.clone(), 0.99) {
-                    Err(TraceCacheError::Quarantined { remaining, .. }) => {
-                        assert_eq!(remaining, left, "quarantine {n}")
-                    }
-                    other => panic!("quarantine {n}: refusal expected, got {other:?}"),
-                }
+                assert_eq!(
+                    c.try_insert_and_link(entry, path.clone(), 0.99),
+                    None,
+                    "quarantine {n}: refusal expected"
+                );
+                assert_eq!(refusals_left(&c), left, "quarantine {n}");
             }
             // ...then re-admitted under a fresh id.
             let (next, _) = c
@@ -782,7 +786,7 @@ mod tests {
         // The blacklisted path is still refused.
         assert!(c
             .try_insert_and_link(entry, vec![blk(1), blk(2)], 0.99)
-            .is_err());
+            .is_none());
     }
 
     #[test]

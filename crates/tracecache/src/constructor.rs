@@ -72,7 +72,9 @@ impl Default for ConstructorConfig {
     }
 }
 
-/// Counters describing constructor activity.
+/// Counters describing constructor activity. The links it writes and
+/// removes, and the installs the quarantine refuses, are counted once, in
+/// the cache's [`CacheStats`](crate::CacheStats).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConstructorStats {
     /// Signals that triggered reconstruction work.
@@ -86,16 +88,8 @@ pub struct ConstructorStats {
     pub paths_walked: u64,
     /// Loops detected and unrolled once.
     pub loops_unrolled: u64,
-    /// Entry links written (new or re-linked).
-    pub links_written: u64,
     /// New trace objects constructed.
     pub traces_created: u64,
-    /// Entry links removed because the graph no longer supports a trace
-    /// there.
-    pub links_removed: u64,
-    /// Install ops refused by the cache's quarantine blacklist (the
-    /// faulting `(entry, path)` key is still cooling down).
-    pub links_quarantine_rejected: u64,
 }
 
 /// The trace constructor. Owns no graph or cache — it is driven with
@@ -128,7 +122,7 @@ pub struct TraceConstructor {
     config: ConstructorConfig,
     generation: u64,
     stats: ConstructorStats,
-    plan: TracePlan,
+    scratch: PlanScratch,
 }
 
 impl TraceConstructor {
@@ -138,7 +132,7 @@ impl TraceConstructor {
             config,
             generation: 0,
             stats: ConstructorStats::default(),
-            plan: TracePlan::default(),
+            scratch: PlanScratch::default(),
         }
     }
 
@@ -167,106 +161,49 @@ impl TraceConstructor {
                 self.stats.signals_suppressed += 1;
                 continue;
             }
-            self.plan_and_apply(sig.node, bcg, cache);
+            self.plan_for_signal(sig.node, bcg, cache);
             // Everything examined is now up to date. (Marks are only
             // read across signals, at the suppression check above, so
-            // stamping after the plan is applied is equivalent to
+            // stamping after the signal is handled is equivalent to
             // stamping mid-walk.)
-            for &n in &self.plan.touched {
+            for &n in &self.scratch.touched {
                 bcg.mark_generation(n, self.generation);
             }
         }
         self.stats.traces_created - before
     }
 
-    /// Plans one signal about `origin` into the reused plan and applies
-    /// its ops to `cache`, accumulating the constructor counters.
-    fn plan_and_apply(
+    /// Runs the full §4.2 pipeline — back-track to entry points, walk each
+    /// maximum-likelihood path, cut into threshold-satisfying traces and
+    /// link them in `cache` — for one signal about `origin`, leaving the
+    /// nodes examined in `scratch.touched`.
+    fn plan_for_signal(
         &mut self,
         origin: NodeIdx,
         bcg: &BranchCorrelationGraph,
         cache: &mut TraceCache,
     ) {
-        let (plan, stats) = (&mut self.plan, &mut self.stats);
+        let (s, stats) = (&mut self.scratch, &mut self.stats);
         stats.signals_handled += 1;
-        plan.clear();
-        plan_for_signal(origin, bcg, &self.config, plan);
-        stats.entry_points += plan.counters.entry_points;
-        stats.paths_walked += plan.counters.paths_walked;
-        stats.loops_unrolled += plan.counters.loops_unrolled;
-        for op in plan.ops.drain(..) {
-            match op {
-                LinkOp::Install {
-                    entry,
-                    blocks,
-                    completion,
-                } => match cache.try_insert_and_link(entry, blocks, completion) {
-                    Ok((_, created)) => {
-                        stats.links_written += 1;
-                        stats.traces_created += u64::from(created);
-                    }
-                    // Quarantined: the path faulted recently; skip the
-                    // install and let the cooldown decay.
-                    Err(_) => stats.links_quarantine_rejected += 1,
-                },
-                LinkOp::Remove { entry } => {
-                    stats.links_removed += u64::from(cache.unlink(entry).is_some());
-                }
-            }
+        s.touched.clear();
+        find_entry_points(origin, bcg, s);
+        stats.entry_points += s.entries.len() as u64;
+        for e in 0..s.entries.len() {
+            let loop_start = walk_path(s.entries[e], bcg, s);
+            stats.paths_walked += 1;
+            stats.loops_unrolled += u64::from(loop_start.is_some());
+            s.touched.extend_from_slice(&s.path);
+            stats.traces_created += cut_and_emit(&s.path, loop_start, bcg, &self.config, cache);
         }
-    }
-}
-
-/// A cache mutation the planner decided on. Pure data: applying ops in
-/// order to a [`TraceCache`] yields the same link table the original
-/// in-place constructor produced.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LinkOp {
-    /// Hash-cons `blocks` and link it at `entry`.
-    Install {
-        entry: trace_bcg::Branch,
-        blocks: Vec<BlockId>,
-        completion: f64,
-    },
-    /// Drop any stale link at `entry`.
-    Remove { entry: trace_bcg::Branch },
-}
-
-/// Planner activity counters, folded into [`ConstructorStats`] by the
-/// caller.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PlanCounters {
-    pub entry_points: u64,
-    pub paths_walked: u64,
-    pub loops_unrolled: u64,
-}
-
-/// Output of planning one signal: cache ops, nodes examined (for
-/// generation stamping / cascade suppression), and counters — plus the
-/// planner's working buffers, kept across signals so its back-tracking
-/// and path walks allocate nothing once they have grown to the graph's
-/// size.
-#[derive(Debug, Default)]
-pub struct TracePlan {
-    pub ops: Vec<LinkOp>,
-    pub touched: Vec<NodeIdx>,
-    pub counters: PlanCounters,
-    scratch: PlanScratch,
-}
-
-impl TracePlan {
-    /// Clears accumulated state, retaining buffers.
-    pub fn clear(&mut self) {
-        self.ops.clear();
-        self.touched.clear();
-        self.counters = PlanCounters::default();
     }
 }
 
 /// The planner's per-traversal sets, without hashing or per-signal
 /// allocation: `marks[n] = (stamp, position)` marks node `n` as seen by
 /// the traversal whose epoch is `stamp` (any other stamp means unseen),
-/// so a new traversal clears every mark by bumping the epoch.
+/// so a new traversal clears every mark by bumping the epoch. `touched`
+/// collects every node a signal's walks examined, for generation
+/// stamping (cascade suppression).
 #[derive(Debug, Default)]
 struct PlanScratch {
     epoch: u32,
@@ -274,6 +211,7 @@ struct PlanScratch {
     stack: Vec<NodeIdx>,
     entries: Vec<NodeIdx>,
     path: Vec<NodeIdx>,
+    touched: Vec<NodeIdx>,
 }
 
 impl PlanScratch {
@@ -305,29 +243,6 @@ impl PlanScratch {
             Some(&(stamp, pos)) if stamp == self.epoch => Some(pos as usize),
             _ => None,
         }
-    }
-}
-
-/// Runs the full §4.2 pipeline — back-track to entry points, walk each
-/// maximum-likelihood path, cut into threshold-satisfying traces — for
-/// one signal about `origin`, appending results to `plan`.
-pub fn plan_for_signal(
-    origin: NodeIdx,
-    bcg: &BranchCorrelationGraph,
-    config: &ConstructorConfig,
-    plan: &mut TracePlan,
-) {
-    let s = &mut plan.scratch;
-    find_entry_points(origin, bcg, s);
-    plan.counters.entry_points += s.entries.len() as u64;
-    for e in 0..s.entries.len() {
-        let loop_start = walk_path(s.entries[e], bcg, s);
-        plan.counters.paths_walked += 1;
-        if loop_start.is_some() {
-            plan.counters.loops_unrolled += 1;
-        }
-        plan.touched.extend_from_slice(&s.path);
-        cut_and_emit(&s.path, loop_start, bcg, config, &mut plan.ops);
     }
 }
 
@@ -409,17 +324,17 @@ fn walk_path(entry: NodeIdx, bcg: &BranchCorrelationGraph, s: &mut PlanScratch) 
 }
 
 /// Step 3: cut the node path into traces above the completion
-/// threshold and emit install ops. A terminating loop is processed
-/// first, unrolled once (§4.2).
+/// threshold and link them in `cache`. A terminating loop is processed
+/// first, unrolled once (§4.2). Returns the new trace objects created.
 fn cut_and_emit(
     path: &[NodeIdx],
     loop_start: Option<usize>,
     bcg: &BranchCorrelationGraph,
     config: &ConstructorConfig,
-    ops: &mut Vec<LinkOp>,
-) {
+    cache: &mut TraceCache,
+) -> u64 {
     match loop_start {
-        None => cut_chain(path, path.len(), bcg, config, ops),
+        None => cut_chain(path, path.len(), bcg, config, cache),
         Some(k) => {
             // The loop body is path[k..]; build the unrolled chain of
             // 1 + loop_unroll body copies — the link probability
@@ -434,40 +349,44 @@ fn cut_and_emit(
             for _ in 0..copies {
                 unrolled.extend_from_slice(body);
             }
-            cut_chain(&unrolled, body.len(), bcg, config, ops);
+            let created = cut_chain(&unrolled, body.len(), bcg, config, cache);
             // Then the remaining prefix path[..k] (it flows into the
             // loop head, so cut path[..=k] with the head as terminal
             // block, emitting only starts before k).
             if k > 0 {
-                cut_chain(&path[..=k], k, bcg, config, ops);
+                created + cut_chain(&path[..=k], k, bcg, config, cache)
+            } else {
+                created
             }
         }
     }
 }
 
-/// Cuts a node chain into threshold-satisfying segments, emitting a
-/// trace for every segment starting before `emit_limit`.
+/// Cuts a node chain into threshold-satisfying segments, linking a
+/// trace in `cache` for every segment starting before `emit_limit`.
+/// Returns the new trace objects created.
 fn cut_chain(
     chain: &[NodeIdx],
     emit_limit: usize,
     bcg: &BranchCorrelationGraph,
     config: &ConstructorConfig,
-    ops: &mut Vec<LinkOp>,
-) {
+    cache: &mut TraceCache,
+) -> u64 {
     let branch = |n: NodeIdx| bcg.node(n).branch();
     if chain.len() < 2 {
         // Nothing traceable here; drop any stale link at the lone
         // node's branch.
         if let Some(&n) = chain.first() {
-            ops.push(LinkOp::Remove { entry: branch(n) });
+            cache.unlink(branch(n));
         }
-        return;
+        return 0;
     }
     // link_prob[i] = P(chain[i+1]'s branch | chain[i]'s branch).
     let link_prob: Vec<f64> = (0..chain.len() - 1)
         .map(|i| bcg.node(chain[i]).correlation_to(branch(chain[i + 1]).1))
         .collect();
 
+    let mut created = 0;
     let mut i = 0;
     while i < chain.len() && i < emit_limit {
         let mut j = i;
@@ -497,21 +416,20 @@ fn cut_chain(
                 );
                 assert_eq!(entry.1, blocks[0], "entry must land on block 0");
             }
-            ops.push(LinkOp::Install {
-                entry,
-                blocks,
-                completion: prob,
-            });
+            // A quarantined (entry, path) is refused: the path faulted
+            // recently, so nothing is linked until the cooldown decays.
+            if let Some((_, new)) = cache.try_insert_and_link(entry, blocks, prob) {
+                created += u64::from(new);
+            }
             i = j + 1;
         } else {
             // The graph does not support a trace starting here; remove
             // any stale link so dispatch stops using it.
-            ops.push(LinkOp::Remove {
-                entry: branch(chain[i]),
-            });
+            cache.unlink(branch(chain[i]));
             i += 1;
         }
     }
+    created
 }
 
 #[cfg(test)]
@@ -757,12 +675,31 @@ mod tests {
         (bcg, signals)
     }
 
+    /// Every link of a cache with its trace's blocks and completion
+    /// estimate, sorted by entry.
+    fn link_table(cache: &TraceCache) -> Vec<(trace_bcg::Branch, Vec<BlockId>, u64)> {
+        let mut links: Vec<_> = cache
+            .iter_links()
+            .map(|(entry, t)| {
+                (
+                    entry,
+                    t.blocks().to_vec(),
+                    t.expected_completion().to_bits(),
+                )
+            })
+            .collect();
+        links.sort();
+        links
+    }
+
     /// The planner's marks and buffers outlive a signal, a graph and an
-    /// epoch wrap without leaking into the next plan: a plan reused
-    /// across a small graph, then a large one, then past `u32::MAX`
-    /// epochs, emits exactly the ops and touched nodes of a fresh plan.
+    /// epoch wrap without leaking into the next signal: a constructor
+    /// reused across a small graph, a large one, one that weakens a
+    /// branch the small one linked, and then past `u32::MAX` epochs,
+    /// builds exactly the link table, cache counters and touched nodes
+    /// a fresh constructor does, signal by signal.
     #[test]
-    fn a_reused_plan_emits_the_ops_of_a_fresh_one() {
+    fn reused_scratch_builds_what_fresh_scratch_builds() {
         let small = signalled_graph(&[0, 1, 2, 0, 1, 3], 200);
         let large_pattern: Vec<u32> = (0..40)
             .flat_map(|i| [100 + i, 200 + i % 7, 100 + i, 300 + i])
@@ -772,31 +709,46 @@ mod tests {
             large.0.len() > 4 * small.0.len(),
             "the second graph is larger"
         );
+        // Branch (1, 2) and its one predecessor (0, 1) are weak here, so
+        // (1, 2)'s signal removes the link the small graph installed.
+        let flipped = signalled_graph(&[0, 1, 2, 4, 0, 1, 3, 0, 1, 2, 5, 0, 1, 3], 100);
         let config = ConstructorConfig::default().with_threshold(0.90);
-        let mut reused = TracePlan::default();
-        let mut planned = 0;
-        for (round, (bcg, signals)) in [&small, &large, &small, &large].into_iter().enumerate() {
-            if round == 2 {
+        let mut reused = TraceConstructor::new(config);
+        let (mut by_fresh, mut by_reused) = (TraceCache::new(), TraceCache::new());
+        for (round, (bcg, signals)) in [&small, &large, &flipped, &small, &large]
+            .into_iter()
+            .enumerate()
+        {
+            if round == 3 {
                 // Two epochs short of the wrap: the next signal's walks
                 // cross it.
                 reused.scratch.epoch = u32::MAX - 1;
             }
             assert!(!signals.is_empty());
             for sig in signals {
-                let mut fresh = TracePlan::default();
-                plan_for_signal(sig.node, bcg, &config, &mut fresh);
-                reused.clear();
-                plan_for_signal(sig.node, bcg, &config, &mut reused);
-                assert_eq!(reused.ops, fresh.ops, "round {round}, signal {sig:?}");
+                let mut fresh = TraceConstructor::new(config);
+                fresh.plan_for_signal(sig.node, bcg, &mut by_fresh);
+                reused.plan_for_signal(sig.node, bcg, &mut by_reused);
                 assert_eq!(
-                    reused.touched, fresh.touched,
+                    link_table(&by_reused),
+                    link_table(&by_fresh),
                     "round {round}, signal {sig:?}"
                 );
-                planned += usize::from(!fresh.ops.is_empty());
+                assert_eq!(
+                    by_reused.stats(),
+                    by_fresh.stats(),
+                    "round {round}, signal {sig:?}"
+                );
+                assert_eq!(
+                    reused.scratch.touched, fresh.scratch.touched,
+                    "round {round}, signal {sig:?}"
+                );
             }
         }
         assert!(reused.scratch.epoch < 1000, "the epoch wrapped");
-        assert!(planned > 0, "some signal planned a trace");
+        let stats = by_fresh.stats();
+        assert!(stats.traces_constructed > 0, "some signal built a trace");
+        assert!(stats.links_removed > 0, "some signal removed a link");
     }
 
     #[test]

@@ -27,14 +27,15 @@
 //! beyond hash-consing and linking ([`cache`]) is a quarantine blacklist
 //! for faulting traces, whose cooldown escalates on repeats at one entry
 //! (the anti-flap of the one retention rule, [`health`]). A refused
-//! construction surfaces as [`TraceCacheError`] ([`error`]).
+//! construction only costs speed: it links nothing, is counted in
+//! [`CacheStats::quarantine_rejected`], and the VM keeps dispatching
+//! blocks.
 
 #![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod constructor;
 pub mod dot;
-pub mod error;
 pub mod health;
 pub mod metrics;
 pub mod runtime;
@@ -42,10 +43,9 @@ pub mod trace;
 
 pub use cache::{trace_cost, CacheStats, TraceCache, TRACE_BYTES_OVERHEAD};
 pub use constructor::{
-    plan_for_signal, ConstructorConfig, ConstructorStats, LinkOp, PlanCounters, TraceConstructor,
-    TracePlan, MAX_ENTRY_POINTS, MAX_PATH_NODES, MAX_TRACE_BLOCKS, MIN_TRACE_BLOCKS,
+    ConstructorConfig, ConstructorStats, TraceConstructor, MAX_ENTRY_POINTS, MAX_PATH_NODES,
+    MAX_TRACE_BLOCKS, MIN_TRACE_BLOCKS,
 };
-pub use error::TraceCacheError;
 pub use health::{HealthStats, COOLDOWN, MAX_COOLDOWN_SHIFT, STREAK_LIMIT};
 pub use metrics::TraceExecStats;
 pub use runtime::TraceRuntime;

@@ -4,8 +4,11 @@
 //! matrix (`tests/matrix.rs`) on the six workloads, whose oracles are
 //! checked against the reference implementations' checksums.
 
+use tracecache_repro::bytecode::{BuildError, ProgramBuilder, ID_LIMIT};
 use tracecache_repro::conformance::matrix::{self, Row};
+use tracecache_repro::exec::{EngineConfig, TracingVm};
 use tracecache_repro::jit::{TraceJitConfig, TraceVm};
+use tracecache_repro::vm::{NullObserver, Value, Vm};
 use tracecache_repro::workloads::{registry, Scale};
 
 #[test]
@@ -55,4 +58,48 @@ fn workload_scales_share_program_shape() {
             t.name
         );
     }
+}
+
+/// `main` as `blocks - 1` pairs of `goto L; bind L` and a final block
+/// returning 7: one function of exactly `blocks` basic blocks.
+fn straight_line_main(blocks: u32) -> Result<tracecache_repro::bytecode::Program, BuildError> {
+    let mut pb = ProgramBuilder::new();
+    let main = pb.declare_function("main", 0, true);
+    let b = pb.function_mut(main);
+    for _ in 1..blocks {
+        let next = b.new_label();
+        b.goto(next);
+        b.bind(next);
+    }
+    b.iconst(7).ret();
+    pb.build(main)
+}
+
+/// Every block index of a built program packs into a branch key: a
+/// function over the id limit is refused by the builder, and one of
+/// exactly the limit runs under both profiled VMs to the plain VM's
+/// result.
+#[test]
+fn block_ids_at_the_id_limit_run_and_past_it_are_refused() {
+    match straight_line_main(70_001) {
+        Err(BuildError::TooLarge {
+            func: Some(func),
+            count,
+        }) => assert_eq!((func.as_str(), count), ("main", 70_001)),
+        other => panic!("70,001 blocks must be refused, got {other:?}"),
+    }
+
+    let program = straight_line_main(ID_LIMIT).expect("a function at the limit builds");
+    let main = program.entry();
+    assert_eq!(program.function(main).block_count(), ID_LIMIT as usize);
+    let want = Vm::new(&program).run(&[], &mut NullObserver).unwrap();
+    assert_eq!(want, Some(Value::Int(7)));
+    let engine = TracingVm::new(&program, EngineConfig::default())
+        .run(&[])
+        .unwrap();
+    assert_eq!(engine.result, want, "TracingVm");
+    let monitor = TraceVm::new(&program, TraceJitConfig::paper_default())
+        .run(&[])
+        .unwrap();
+    assert_eq!(monitor.result, want, "TraceVm");
 }
