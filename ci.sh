@@ -79,13 +79,22 @@ echo "== no SipHash on the boot and planning paths (std HashMap / HashSet outsid
 # A warm boot's profile validation used a std HashSet of packed branch
 # keys, and the trace planner a HashSet and a HashMap per signal: SipHash,
 # RandomState setup and an allocation each, on paths a fleet VM pays for
-# once per life. They use BranchTable and epoch-stamped marks now.
+# once per life. The validator's seen-set is a BranchSet (std's set under
+# trace_bcg::BranchHasher) and the planner uses epoch-stamped marks now.
 for f in crates/bcg/src/image.rs crates/tracecache/src/constructor.rs crates/persist/src/hash.rs; do
     if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'Hash(Map|Set)'; then
         echo "$f uses std::collections::Hash{Map,Set} outside its tests (matches above)" >&2
         exit 1
     fi
 done
+# The cache's hash-cons index hashed a whole block sequence with SipHash
+# on every install, reuse or not. Every std map or set the cache declares
+# outside its tests names BranchHasher.
+if sed '/#\[cfg(test)\]/,$d' crates/tracecache/src/cache.rs \
+    | grep -nE 'Hash(Map|Set)\b' | grep -vE '^[0-9]+:use |BranchHasher'; then
+    echo "crates/tracecache/src/cache.rs has a std map or set without BranchHasher (matches above)" >&2
+    exit 1
+fi
 
 echo "== one branch map (std's HashMap / HashSet under trace_bcg::BranchHasher)"
 # The profiler's node index, the boot validator's seen-set and the
@@ -96,6 +105,19 @@ echo "== one branch map (std's HashMap / HashSet under trace_bcg::BranchHasher)"
 # The hand-rolled table creeping back in shows up here first.
 if grep -rnE 'BranchTable|fn rehash' crates/ src/ tests/ examples/; then
     echo "a hand-rolled branch table is back (matches above)" >&2
+    exit 1
+fi
+
+echo "== one profiler oracle (the conformance model; no frozen copy of an earlier profiler)"
+# trace_bcg used to ship ReferenceBcg, a frozen copy of the pre-overhaul
+# profiler, beside the from-the-paper ModelBcg, and a unit test held the
+# two oracles equal. The lockstep harness also modelled construction
+# lagging the profile, a path no VM has taken since the off-thread
+# constructor went. Either creeping back in shows up here first.
+if [ -e crates/bcg/src/reference.rs ] \
+    || grep -rnE 'ReferenceBcg|RefNode|RefSuccessor|bcg/src/reference\.rs|with_deferred_construction|defer_window' \
+        crates/ src/ tests/ examples/; then
+    echo "a second profiler oracle or the deferred-construction mode is back (crates/bcg/src/reference.rs or the matches above)" >&2
     exit 1
 fi
 

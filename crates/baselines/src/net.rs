@@ -95,7 +95,7 @@ impl TraceSelector for NetSelector {
                         // NET does not estimate completion probability: it
                         // speculates that the recorded tail runs to its end
                         // (the cache admits estimates in (0, 1] only).
-                        cache.insert_and_link(*entry, std::mem::take(blocks), 1.0);
+                        cache.insert_and_link(*entry, blocks, 1.0);
                         self.recorded += 1;
                     }
                     self.mode = Mode::Profiling;

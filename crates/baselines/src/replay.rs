@@ -91,7 +91,7 @@ impl ReplaySelector {
             }
         }
         if blocks.len() >= 2 {
-            cache.insert_and_link((entry_prev, head), blocks, 1.0);
+            cache.insert_and_link((entry_prev, head), &blocks, 1.0);
         }
     }
 }

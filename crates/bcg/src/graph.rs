@@ -378,7 +378,7 @@ impl BranchCorrelationGraph {
     /// the number of consecutive predicted hits guaranteed not to reach
     /// the node's next event (decay due, delay expiry, or saturation of
     /// the predicted counter). Zero disarms — every visit then takes the
-    /// slow path, which is exactly the reference semantics.
+    /// slow path, which is exactly the unbudgeted rule.
     fn rearm(&mut self, nxy: NodeIdx) {
         let cfg = &self.config;
         let node = &mut self.nodes[nxy.index()];
@@ -408,8 +408,9 @@ impl BranchCorrelationGraph {
     /// edge counter, the start delay, and the decay schedule. Returns the
     /// node for `yz`, which becomes the new context.
     ///
-    /// This is the reference (pre-overhaul) logic verbatim, bracketed by
-    /// [`Self::sync_deferred`] and [`Self::rearm`].
+    /// This is the paper's per-dispatch rule as the conformance model
+    /// transcribes it, bracketed by [`Self::sync_deferred`] and
+    /// [`Self::rearm`].
     fn record_slow(&mut self, nxy: NodeIdx, yz: Branch) -> NodeIdx {
         self.sync_deferred(nxy);
         let cfg = self.config;

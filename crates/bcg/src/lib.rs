@@ -52,7 +52,6 @@ pub mod dot;
 pub mod graph;
 pub mod image;
 pub mod node;
-pub mod reference;
 pub mod signal;
 pub mod state;
 pub mod stats;
@@ -62,7 +61,6 @@ pub use config::{BcgConfig, DECAY_SHIFT};
 pub use graph::{BranchCorrelationGraph, NodeIdx};
 pub use image::{BcgImage, ImageError, MergeStats, NodeImage, SuccessorImage};
 pub use node::{Node, Successor};
-pub use reference::ReferenceBcg;
 pub use signal::{Signal, SignalKind};
 pub use state::NodeState;
 pub use stats::ProfilerStats;

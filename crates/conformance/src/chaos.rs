@@ -19,10 +19,6 @@
 //!   at one entry must escalate their cooldowns identically on both
 //!   sides.
 //!
-//! Campaigns can additionally run the whole case in the lockstep
-//! harness's deferred-construction mode ([`ChaosConfig::defer_window`]),
-//! where construction lags the profile.
-//!
 //! Every case is identified by `seed_stream(base, k)`, so a failure
 //! message names one `u64` that reproduces program, arguments, and the
 //! entire perturbation schedule. A failing case is then minimised by
@@ -99,9 +95,6 @@ pub struct ChaosConfig {
     pub rate: f64,
     /// Link-count cap for [`Perturbation::CachePressure`].
     pub cache_cap: usize,
-    /// Deferred-construction window for the whole case (0 = construct
-    /// immediately; see [`Lockstep::with_deferred_construction`]).
-    pub defer_window: u64,
 }
 
 impl ChaosConfig {
@@ -111,18 +104,15 @@ impl ChaosConfig {
             kinds: Vec::new(),
             rate: 0.0,
             cache_cap: usize::MAX,
-            defer_window: 0,
         }
     }
 
-    /// All perturbation classes at a lively rate, with construction
-    /// deferred by a small window on top.
+    /// All perturbation classes at a lively rate.
     pub fn full() -> Self {
         ChaosConfig {
             kinds: Perturbation::ALL.to_vec(),
             rate: 0.02,
             cache_cap: 4,
-            defer_window: 24,
         }
     }
 
@@ -132,14 +122,7 @@ impl ChaosConfig {
             kinds: vec![kind],
             rate: 0.05,
             cache_cap: 4,
-            defer_window: 0,
         }
-    }
-
-    /// Sets the deferred-construction window.
-    pub fn with_defer_window(mut self, window: u64) -> Self {
-        self.defer_window = window;
-        self
     }
 }
 
@@ -179,9 +162,6 @@ pub fn run_case_on(
     let args = args_from(rng.next_i64());
     let (bcg_cfg, ctor_cfg) = campaign_configs();
     let mut ls = Lockstep::new(bcg_cfg, ctor_cfg);
-    if chaos.defer_window > 0 {
-        ls = ls.with_deferred_construction(chaos.defer_window);
-    }
     if let Some(q) = quirk {
         ls = ls.with_model_quirk(q);
     }
@@ -387,7 +367,6 @@ pub struct CorpusCase {
 /// chaos=forced-decay,mid-trace-invalidation
 /// rate=0.05
 /// cache_cap=4
-/// defer_window=24
 /// ```
 pub fn parse_corpus_case(text: &str) -> Result<CorpusCase, String> {
     let mut seed = None;
@@ -435,12 +414,6 @@ pub fn parse_corpus_case(text: &str) -> Result<CorpusCase, String> {
                     .parse()
                     .map_err(|e| format!("bad cache_cap: {e}"))?;
             }
-            "defer_window" => {
-                chaos.defer_window = value
-                    .trim()
-                    .parse()
-                    .map_err(|e| format!("bad defer_window: {e}"))?;
-            }
             other => return Err(format!("unknown corpus key {other}")),
         }
     }
@@ -455,7 +428,7 @@ mod tests {
     #[test]
     fn corpus_format_round_trips() {
         let c = parse_corpus_case(
-            "# demo\nseed=0xABCD\nchaos=forced-decay, signal-reorder\nrate=0.1\ncache_cap=3\ndefer_window=16\n",
+            "# demo\nseed=0xABCD\nchaos=forced-decay, signal-reorder\nrate=0.1\ncache_cap=3\n",
         )
         .expect("parses");
         assert_eq!(c.seed, 0xABCD);
@@ -465,7 +438,6 @@ mod tests {
         );
         assert!((c.chaos.rate - 0.1).abs() < 1e-12);
         assert_eq!(c.chaos.cache_cap, 3);
-        assert_eq!(c.chaos.defer_window, 16);
         assert!(parse_corpus_case("chaos=forced-decay\n").is_err());
         assert!(parse_corpus_case("seed=1\nchaos=warp-core-breach\n").is_err());
         assert!(

@@ -13,8 +13,10 @@
 //!
 //! * [`model`] — the executable paper model: BCG node lifecycle with
 //!   the 256-execution decay, start-state delay, completion-threshold
-//!   signalling, plus a model trace constructor and cache. Supports
-//!   deliberately planted [`model::Quirk`]s for testing the tester.
+//!   signalling and every profiler counter, plus a model trace
+//!   constructor and cache — the profiler's and the cache's only
+//!   oracle. Supports deliberately planted [`model::Quirk`]s for
+//!   testing the tester.
 //! * [`lockstep`] + [`invariants`] — the comparison harness feeding
 //!   both systems the same block stream and diffing node states,
 //!   signals, caches, and links after every event; plus externally
@@ -24,10 +26,9 @@
 //! * [`chaos`] + [`genprog`] — deterministic chaos campaigns replaying
 //!   generated fuzz programs under injected perturbations (forced decay
 //!   ticks, signal reordering, cache pressure, mid-trace invalidation,
-//!   trace quarantine, duplicated batches, phase shifts), optionally
-//!   under the harness's deferred-construction mode, with per-case
-//!   seeds, AST shrinking of failures, and a saved corpus replayed in
-//!   CI.
+//!   trace quarantine, duplicated batches, phase shifts), with
+//!   per-case seeds, AST shrinking of failures, and a saved corpus
+//!   replayed in CI.
 //! * [`snapshot`] — hostile-input conformance for the persistence
 //!   boundary: a seeded mutation campaign (bit flips, truncations,
 //!   section swaps, length-field rewrites) over valid snapshot

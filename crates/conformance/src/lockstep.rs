@@ -6,7 +6,9 @@
 //! feeds them the same dispatch stream, checking after **every event**
 //! that the node just touched agrees field by field, that both sides
 //! raised the same signals in the same order, and that the caches hold
-//! the same links; a full-graph sweep runs periodically and at the end.
+//! the same links; a full-graph sweep, which also compares the whole
+//! [`ProfilerStats`](trace_bcg::ProfilerStats), runs periodically and at
+//! the end. The model is the profiler's only oracle.
 //!
 //! Two bookkeeping fields are deliberately *not* compared per event:
 //! `since_decay` and `delay_remaining`. The production fast path defers
@@ -14,12 +16,6 @@
 //! visit), so their instantaneous values differ by design while every
 //! observable consequence — decay timing, delay-expiry signalling,
 //! states, counters — must still match exactly, and does get compared.
-//!
-//! [`Lockstep::with_deferred_construction`] parks every compared signal
-//! batch for a window of further dispatches before feeding it to *both*
-//! constructors, so the graphs keep evolving between the signalling
-//! dispatch and the plan: construction that lags the profile must
-//! still conform.
 
 use jvm_bytecode::BlockId;
 use trace_bcg::{Branch, BranchCorrelationGraph, NodeIdx, Signal};
@@ -63,13 +59,6 @@ pub struct Lockstep {
     /// Rotation applied to the *next* non-empty signal batch on both
     /// sides before it reaches the constructors (chaos: signal reorder).
     pending_rotation: Option<usize>,
-    /// Dispatch window between a signal batch and its construction
-    /// (0 = construct immediately, the classic single-VM pipeline).
-    defer_window: u64,
-    /// Step at which the parked batches must be fed to the constructors.
-    defer_deadline: Option<u64>,
-    parked_real: Vec<Signal>,
-    parked_model: Vec<ModelSignal>,
     /// Feed the next non-empty batch to both constructors twice
     /// (chaos: duplicated delivery — construction must be idempotent).
     duplicate_next: bool,
@@ -91,23 +80,9 @@ impl Lockstep {
             sig_buf: Vec::new(),
             model_sig_buf: Vec::new(),
             pending_rotation: None,
-            defer_window: 0,
-            defer_deadline: None,
-            parked_real: Vec::new(),
-            parked_model: Vec::new(),
             duplicate_next: false,
             batches_duplicated: 0,
         }
-    }
-
-    /// Switches the harness into deferred-construction mode: signal
-    /// batches are still drained and compared on the dispatch that
-    /// raised them, but both constructors only see them `window`
-    /// dispatches later (accumulated, in raise order), while the
-    /// profilers keep moving in the meantime.
-    pub fn with_deferred_construction(mut self, window: u64) -> Self {
-        self.defer_window = window;
-        self
     }
 
     /// Plants a deliberate model bug (regression-test fixture). Profiler
@@ -161,10 +136,6 @@ impl Lockstep {
         self.last_touched = touched;
 
         self.pump_signals()?;
-
-        if self.defer_deadline.is_some_and(|d| self.step >= d) {
-            self.flush_deferred()?;
-        }
 
         if self.step.is_multiple_of(SWEEP_INTERVAL) {
             self.sweep()?;
@@ -228,9 +199,8 @@ impl Lockstep {
         self.bcg.iter().map(|(_, n)| n.branch()).collect()
     }
 
-    /// Drains signals from both profilers, compares them, and routes the
-    /// (possibly chaos-rotated) batch: parked for deferred construction,
-    /// or fed to both constructors.
+    /// Drains signals from both profilers, compares them, and feeds the
+    /// (possibly chaos-rotated) batch to both constructors.
     fn pump_signals(&mut self) -> Result<(), Divergence> {
         self.bcg.drain_signals_into(&mut self.sig_buf);
         self.model_bcg.drain_signals_into(&mut self.model_sig_buf);
@@ -273,16 +243,6 @@ impl Lockstep {
             1
         };
 
-        if self.defer_window > 0 {
-            for _ in 0..copies {
-                self.parked_real.extend_from_slice(&self.sig_buf);
-                self.parked_model.extend_from_slice(&self.model_sig_buf);
-            }
-            let deadline = self.step + self.defer_window;
-            self.defer_deadline.get_or_insert(deadline);
-            return Ok(());
-        }
-
         for _ in 0..copies {
             self.ctor
                 .handle_batch(&self.sig_buf, &mut self.bcg, &mut self.cache);
@@ -292,24 +252,6 @@ impl Lockstep {
                 &mut self.model_cache,
             );
         }
-        self.compare_caches()
-    }
-
-    /// Feeds every parked batch to both constructors (deferred mode).
-    fn flush_deferred(&mut self) -> Result<(), Divergence> {
-        self.defer_deadline = None;
-        if self.parked_real.is_empty() && self.parked_model.is_empty() {
-            return Ok(());
-        }
-        self.ctor
-            .handle_batch(&self.parked_real, &mut self.bcg, &mut self.cache);
-        self.model_ctor.handle_batch(
-            &self.parked_model,
-            &mut self.model_bcg,
-            &mut self.model_cache,
-        );
-        self.parked_real.clear();
-        self.parked_model.clear();
         self.compare_caches()
     }
 
@@ -432,9 +374,16 @@ impl Lockstep {
         Ok(())
     }
 
-    /// Full-graph sweep: every realised node compared, caches compared,
-    /// external invariants checked.
+    /// Full-graph sweep: the profiler counters and every realised node
+    /// compared, caches compared, external invariants checked.
     pub fn sweep(&self) -> Result<(), Divergence> {
+        if self.bcg.stats() != self.model_bcg.stats() {
+            return Err(self.diverged(format!(
+                "profiler stats {:?} vs model {:?}",
+                self.bcg.stats(),
+                self.model_bcg.stats()
+            )));
+        }
         if self.bcg.len() != self.model_bcg.len() {
             return Err(self.diverged(format!(
                 "node count {} vs model {}",
@@ -450,10 +399,8 @@ impl Lockstep {
         self.compare_caches()
     }
 
-    /// Final sweep; call when the stream ends. In deferred mode any
-    /// still-parked batches are constructed first.
+    /// Final sweep; call when the stream ends.
     pub fn finish(&mut self) -> Result<(), Divergence> {
-        self.flush_deferred()?;
         self.sweep()
     }
 
@@ -623,19 +570,30 @@ mod tests {
         ls.finish().expect("final sweep clean");
     }
 
+    /// Random block streams under random profiler configurations: the
+    /// production pipeline and the model agree on every dispatch — node
+    /// fields, signal batches, links — and in the final sweep on the
+    /// whole graph and every profiler counter.
     #[test]
-    fn deferred_construction_stays_in_lockstep_and_still_traces() {
-        let mut ls = harness().with_deferred_construction(32);
-        for i in 0..4000u32 {
-            for b in [0u32, 1, 2, if i % 16 == 15 { 3 } else { 2 }] {
-                ls.on_block(blk(b)).expect("no divergence");
+    fn production_matches_model_on_random_streams() {
+        use trace_workloads::prng::{seed_stream, Xoshiro256StarStar};
+        for case in 0..24u64 {
+            let seed = seed_stream(0xC0DE_5EED, case);
+            let mut rng = Xoshiro256StarStar::new(seed);
+            let cfg = BcgConfig {
+                start_delay: rng.range_u32(1, 8),
+                decay_interval: rng.range_u32(16, 64),
+                ..BcgConfig::default().with_threshold(0.90)
+            };
+            let mut ls = Lockstep::new(cfg, ConstructorConfig::default().with_threshold(0.90));
+            for _ in 0..2000 {
+                ls.on_block(blk(rng.range_u32(0, 12)))
+                    .unwrap_or_else(|d| panic!("seed {seed:#x}: {d}"));
             }
+            ls.finish()
+                .unwrap_or_else(|d| panic!("seed {seed:#x}: {d}"));
+            assert!(ls.bcg.stats().cache_hits > 0, "seed {seed:#x}: no hits");
         }
-        ls.finish().expect("final sweep clean");
-        assert!(
-            ls.cache.link_count() > 0,
-            "construction deferred is still construction"
-        );
     }
 
     #[test]

@@ -66,21 +66,6 @@ fn chaos_campaign_on_clean_systems_is_silent() {
     }
 }
 
-#[test]
-fn deferred_construction_campaign_is_silent() {
-    // Plain lockstep replays, but with every signal batch constructed a
-    // window of dispatches late, while the profilers keep moving.
-    let report = run_campaign(
-        0xDEFE_44ED,
-        48,
-        &ChaosConfig::none().with_defer_window(32),
-        None,
-    );
-    if let Some((seed, d)) = report.failure {
-        panic!("deferred-construction campaign diverged: seed {seed:#x}: {d}");
-    }
-}
-
 /// Regression trio for "chaos catches what plain lockstep cannot": a
 /// deliberately planted off-by-one in the model's *forced* decay prune
 /// (`Quirk::ForcedDecayKeepsZeroEdges`).

@@ -333,7 +333,7 @@ mod tests {
         let mut cache = TraceCache::new();
         let entry = (blocks[0], blocks[0]); // entry branch unused by compile
         let _ = entry;
-        let (id, _) = cache.insert_and_link((blk(p, 0), blocks[0]), blocks, 0.99);
+        let (id, _) = cache.insert_and_link((blk(p, 0), blocks[0]), &blocks, 0.99);
         (cache, id)
     }
 
@@ -455,7 +455,7 @@ mod tests {
         let mut cache = TraceCache::new();
         let (id, _) = cache.insert_and_link(
             (BlockId::new(f, 0), BlockId::new(f, 0)),
-            vec![
+            &[
                 BlockId::new(f, 0),
                 BlockId::new(leaf, 0),
                 BlockId::new(f, 1),

@@ -187,7 +187,7 @@ impl CacheImage {
         let mut report = RestoreReport::default();
         for &(entry, index) in &self.links {
             let t = &self.traces[index as usize];
-            let (_, created) = cache.insert_and_link(entry, t.blocks.clone(), t.completion());
+            let (_, created) = cache.insert_and_link(entry, &t.blocks, t.completion());
             if created {
                 report.traces_installed += 1;
             }
@@ -212,9 +212,9 @@ mod tests {
 
     fn seeded_cache() -> TraceCache {
         let mut cache = TraceCache::new();
-        cache.insert_and_link((blk(9), blk(0)), vec![blk(0), blk(1), blk(2)], 0.95);
-        cache.insert_and_link((blk(5), blk(0)), vec![blk(0), blk(1), blk(2)], 0.95);
-        cache.insert_and_link((blk(2), blk(3)), vec![blk(3), blk(4)], 0.80);
+        cache.insert_and_link((blk(9), blk(0)), &[blk(0), blk(1), blk(2)], 0.95);
+        cache.insert_and_link((blk(5), blk(0)), &[blk(0), blk(1), blk(2)], 0.95);
+        cache.insert_and_link((blk(2), blk(3)), &[blk(3), blk(4)], 0.80);
         cache.restore_quarantine((blk(7), blk(8)), vec![blk(8), blk(9)], 3);
         cache
     }
@@ -273,7 +273,7 @@ mod tests {
         let image = CacheImage::capture(&seeded_cache());
         let mut fresh = TraceCache::new();
         image.restore_into(&mut fresh).unwrap();
-        let refused = fresh.try_insert_and_link((blk(7), blk(8)), vec![blk(8), blk(9)], 0.9);
+        let refused = fresh.try_insert_and_link((blk(7), blk(8)), &[blk(8), blk(9)], 0.9);
         assert_eq!(refused, None);
         assert_eq!(fresh.stats().quarantine_rejected, 1);
     }

@@ -421,8 +421,8 @@ mod tests {
             bcg.observe(blk(if i % 12 == 11 { 3 } else { 2 }));
         }
         let mut cache = TraceCache::new();
-        cache.insert_and_link((blk(2), blk(0)), vec![blk(0), blk(1), blk(2)], 0.92);
-        cache.insert_and_link((blk(3), blk(0)), vec![blk(0), blk(1), blk(2)], 0.92);
+        cache.insert_and_link((blk(2), blk(0)), &[blk(0), blk(1), blk(2)], 0.92);
+        cache.insert_and_link((blk(3), blk(0)), &[blk(0), blk(1), blk(2)], 0.92);
         cache.restore_quarantine((blk(1), blk(3)), vec![blk(3), blk(0)], 2);
         Snapshot::capture(0xDEAD_BEEF_0BAD_F00D, &bcg, &cache)
     }

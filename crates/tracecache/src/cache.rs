@@ -26,10 +26,11 @@
 //! past quarantines per entry stays out of snapshots.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use jvm_bytecode::BlockId;
 use trace_bcg::node::NO_TRACE_LINK;
-use trace_bcg::{Branch, BranchCorrelationGraph, BranchMap, NodeIdx, PackedBranch};
+use trace_bcg::{Branch, BranchCorrelationGraph, BranchHasher, BranchMap, NodeIdx, PackedBranch};
 
 use crate::health::{HealthStats, COOLDOWN, MAX_COOLDOWN_SHIFT};
 use crate::trace::{Trace, TraceId};
@@ -103,7 +104,7 @@ impl CacheStats {
 ///
 /// let b = |i| BlockId::new(FuncId(0), i);
 /// let mut cache = TraceCache::new();
-/// let (id, created) = cache.insert_and_link((b(0), b(1)), vec![b(1), b(2)], 0.98);
+/// let (id, created) = cache.insert_and_link((b(0), b(1)), &[b(1), b(2)], 0.98);
 /// assert!(created);
 /// // Dispatch check: taking branch (b0, b1) enters the trace.
 /// assert_eq!(cache.lookup_entry((b(0), b(1))), Some(id));
@@ -116,10 +117,11 @@ pub struct TraceCache {
     traces: Vec<Trace>,
     /// Live entry-link keys per trace (the reverse of `by_entry`).
     entry_keys: Vec<Vec<PackedBranch>>,
-    /// Hash-consing index; only touched at construction time, so a std
-    /// `HashMap` keyed by the full block sequence is fine here.
-    /// Tombstoned traces are removed, so a rebuild mints a fresh id.
-    by_blocks: HashMap<Vec<BlockId>, TraceId>,
+    /// Hash-consing index keyed by the full block sequence, under the
+    /// branch maps' [`BranchHasher`]; probed by slice, so a reuse copies
+    /// nothing. Tombstoned traces are removed, so a rebuild mints a
+    /// fresh id.
+    by_blocks: HashMap<Vec<BlockId>, TraceId, BuildHasherDefault<BranchHasher>>,
     /// The dispatch table: entry branch → linked trace. The dispatch
     /// check answers from a BCG node's inline link slot while it is
     /// current and probes this table when it is stale.
@@ -263,7 +265,7 @@ impl TraceCache {
 
     /// Hash-conses a block sequence into the cache and links it at
     /// `entry`. Returns the trace id and whether a new trace object was
-    /// constructed.
+    /// constructed; only that case copies `blocks`.
     ///
     /// This path does **not** consult the quarantine blacklist — the
     /// constructor goes through [`Self::try_insert_and_link`].
@@ -275,7 +277,7 @@ impl TraceCache {
     pub fn insert_and_link(
         &mut self,
         entry: Branch,
-        blocks: Vec<BlockId>,
+        blocks: &[BlockId],
         expected_completion: f64,
     ) -> (TraceId, bool) {
         assert!(!blocks.is_empty(), "trace must contain at least one block");
@@ -283,7 +285,7 @@ impl TraceCache {
             entry.1, blocks[0],
             "entry branch must target the trace's first block"
         );
-        let (id, created) = match self.by_blocks.get(&blocks) {
+        let (id, created) = match self.by_blocks.get(blocks) {
             Some(&id) => {
                 self.stats.traces_reused += 1;
                 (id, false)
@@ -293,11 +295,11 @@ impl TraceCache {
                 self.payload += trace_cost(blocks.len());
                 self.traces.push(Trace {
                     id,
-                    blocks: blocks.clone(),
+                    blocks: blocks.to_vec(),
                     expected_completion,
                 });
                 self.entry_keys.push(Vec::new());
-                self.by_blocks.insert(blocks, id);
+                self.by_blocks.insert(blocks.to_vec(), id);
                 self.stats.traces_constructed += 1;
                 (id, true)
             }
@@ -330,14 +332,14 @@ impl TraceCache {
     pub fn try_insert_and_link(
         &mut self,
         entry: Branch,
-        blocks: Vec<BlockId>,
+        blocks: &[BlockId],
         expected_completion: f64,
     ) -> Option<(TraceId, bool)> {
         let key = PackedBranch::pack(entry);
         if let Some((_, remaining)) = self
             .quarantined
             .get_mut(&key)
-            .filter(|(path, _)| *path == blocks)
+            .filter(|(path, _)| path.as_slice() == blocks)
         {
             *remaining -= 1;
             if *remaining == 0 {
@@ -513,7 +515,7 @@ mod tests {
     fn insert_links_and_retrieves() {
         let mut c = TraceCache::new();
         let entry = (blk(0), blk(1));
-        let (id, created) = c.insert_and_link(entry, vec![blk(1), blk(2)], 0.99);
+        let (id, created) = c.insert_and_link(entry, &[blk(1), blk(2)], 0.99);
         assert!(created);
         assert_eq!(c.lookup_entry(entry), Some(id));
         assert_eq!(c.trace(id).blocks(), &[blk(1), blk(2)]);
@@ -524,9 +526,9 @@ mod tests {
     #[test]
     fn hash_consing_reuses_identical_sequences() {
         let mut c = TraceCache::new();
-        let (a, created_a) = c.insert_and_link((blk(0), blk(1)), vec![blk(1), blk(2)], 0.99);
+        let (a, created_a) = c.insert_and_link((blk(0), blk(1)), &[blk(1), blk(2)], 0.99);
         // Same sequence, different entry context.
-        let (b, created_b) = c.insert_and_link((blk(9), blk(1)), vec![blk(1), blk(2)], 0.98);
+        let (b, created_b) = c.insert_and_link((blk(9), blk(1)), &[blk(1), blk(2)], 0.98);
         assert!(created_a);
         assert!(!created_b);
         assert_eq!(a, b);
@@ -539,19 +541,19 @@ mod tests {
     fn relinking_replaces_and_counts_instability() {
         let mut c = TraceCache::new();
         let entry = (blk(0), blk(1));
-        let (a, _) = c.insert_and_link(entry, vec![blk(1), blk(2)], 0.99);
-        let (b, _) = c.insert_and_link(entry, vec![blk(1), blk(3)], 0.99);
+        let (a, _) = c.insert_and_link(entry, &[blk(1), blk(2)], 0.99);
+        let (b, _) = c.insert_and_link(entry, &[blk(1), blk(3)], 0.99);
         assert_ne!(a, b);
         assert_eq!(c.lookup_entry(entry), Some(b));
         assert_eq!(c.stats().links_replaced, 1);
         // Relinking the identical trace is not instability.
-        let _ = c.insert_and_link(entry, vec![blk(1), blk(3)], 0.99);
+        let _ = c.insert_and_link(entry, &[blk(1), blk(3)], 0.99);
         assert_eq!(c.stats().links_replaced, 1);
         // Old trace object still retrievable by id.
         assert_eq!(c.trace(a).blocks(), &[blk(1), blk(2)]);
         // `links_live` is the entry table's size through every mutation.
         let other = (blk(9), blk(1));
-        c.insert_and_link(other, vec![blk(1), blk(3)], 0.99);
+        c.insert_and_link(other, &[blk(1), blk(3)], 0.99);
         assert_eq!((c.stats().links_live, c.link_count()), (2, 2));
         assert_eq!(c.unlink(entry), Some(b));
         assert_eq!((c.stats().links_live, c.link_count()), (1, 1));
@@ -563,7 +565,7 @@ mod tests {
     fn unlink_removes_entry_but_keeps_trace() {
         let mut c = TraceCache::new();
         let entry = (blk(0), blk(1));
-        let (id, _) = c.insert_and_link(entry, vec![blk(1), blk(2)], 0.99);
+        let (id, _) = c.insert_and_link(entry, &[blk(1), blk(2)], 0.99);
         assert_eq!(c.unlink(entry), Some(id));
         assert_eq!(c.lookup_entry(entry), None);
         assert_eq!(c.trace_count(), 1);
@@ -574,14 +576,14 @@ mod tests {
     #[should_panic(expected = "entry branch must target")]
     fn entry_must_match_first_block() {
         let mut c = TraceCache::new();
-        let _ = c.insert_and_link((blk(0), blk(5)), vec![blk(1), blk(2)], 0.99);
+        let _ = c.insert_and_link((blk(0), blk(5)), &[blk(1), blk(2)], 0.99);
     }
 
     #[test]
     fn iterators_cover_links_and_traces() {
         let mut c = TraceCache::new();
-        c.insert_and_link((blk(0), blk(1)), vec![blk(1), blk(2)], 0.9);
-        c.insert_and_link((blk(2), blk(3)), vec![blk(3), blk(4)], 0.9);
+        c.insert_and_link((blk(0), blk(1)), &[blk(1), blk(2)], 0.9);
+        c.insert_and_link((blk(2), blk(3)), &[blk(3), blk(4)], 0.9);
         assert_eq!(c.iter_links().count(), 2);
         assert_eq!(c.iter_traces().count(), 2);
     }
@@ -611,7 +613,7 @@ mod tests {
         let (mut bcg, n) = bcg_with_branch();
         let mut c = TraceCache::new();
         assert_eq!(c.lookup_entry_cached(&mut bcg, n), None);
-        let (id, _) = c.insert_and_link((blk(0), blk(1)), vec![blk(1), blk(2)], 0.99);
+        let (id, _) = c.insert_and_link((blk(0), blk(1)), &[blk(1), blk(2)], 0.99);
         // The version bump makes the stale negative stamp miss, so the
         // next cached lookup revalidates and finds the new link.
         assert_eq!(c.lookup_entry_cached(&mut bcg, n), Some(id));
@@ -622,7 +624,7 @@ mod tests {
     fn unlink_invalidates_cached_positive() {
         let (mut bcg, n) = bcg_with_branch();
         let mut c = TraceCache::new();
-        let (id, _) = c.insert_and_link((blk(0), blk(1)), vec![blk(1), blk(2)], 0.99);
+        let (id, _) = c.insert_and_link((blk(0), blk(1)), &[blk(1), blk(2)], 0.99);
         assert_eq!(c.lookup_entry_cached(&mut bcg, n), Some(id));
         assert_eq!(c.unlink((blk(0), blk(1))), Some(id));
         assert_eq!(c.lookup_entry_cached(&mut bcg, n), None);
@@ -633,11 +635,11 @@ mod tests {
     fn unrelated_link_mutations_restamp_but_preserve_answers() {
         let (mut bcg, n) = bcg_with_branch();
         let mut c = TraceCache::new();
-        let (id, _) = c.insert_and_link((blk(0), blk(1)), vec![blk(1), blk(2)], 0.99);
+        let (id, _) = c.insert_and_link((blk(0), blk(1)), &[blk(1), blk(2)], 0.99);
         assert_eq!(c.lookup_entry_cached(&mut bcg, n), Some(id));
         // A mutation elsewhere bumps the version; the slot revalidates to
         // the same positive answer.
-        c.insert_and_link((blk(7), blk(8)), vec![blk(8), blk(9)], 0.99);
+        c.insert_and_link((blk(7), blk(8)), &[blk(8), blk(9)], 0.99);
         assert_eq!(c.lookup_entry_cached(&mut bcg, n), Some(id));
         assert_eq!(bcg.node(n).trace_link(), (c.version(), id.0));
     }
@@ -646,9 +648,9 @@ mod tests {
     fn relinking_entry_updates_cached_answer_across_versions() {
         let (mut bcg, n) = bcg_with_branch();
         let mut c = TraceCache::new();
-        let (a, _) = c.insert_and_link((blk(0), blk(1)), vec![blk(1), blk(2)], 0.99);
+        let (a, _) = c.insert_and_link((blk(0), blk(1)), &[blk(1), blk(2)], 0.99);
         assert_eq!(c.lookup_entry_cached(&mut bcg, n), Some(a));
-        let (b, _) = c.insert_and_link((blk(0), blk(1)), vec![blk(1), blk(3)], 0.99);
+        let (b, _) = c.insert_and_link((blk(0), blk(1)), &[blk(1), blk(3)], 0.99);
         assert_ne!(a, b);
         assert_eq!(c.lookup_entry_cached(&mut bcg, n), Some(b));
     }
@@ -668,7 +670,7 @@ mod tests {
             let i = (round % 7) as usize;
             let (from, to, _) = nodes[i];
             if round % 3 == 0 {
-                c.insert_and_link((from, to), vec![to, blk(to.block + 1)], 0.99);
+                c.insert_and_link((from, to), &[to, blk(to.block + 1)], 0.99);
             } else if round % 3 == 1 {
                 c.unlink((from, to));
             }
@@ -696,21 +698,21 @@ mod tests {
         let mut c = TraceCache::new();
         let entry = (blk(0), blk(1));
         let path = vec![blk(1), blk(2)];
-        let (id, _) = c.insert_and_link(entry, path.clone(), 0.99);
+        let (id, _) = c.insert_and_link(entry, &path, 0.99);
         // Second entry onto the same trace: quarantine removes both.
-        let _ = c.insert_and_link((blk(9), blk(1)), path.clone(), 0.99);
+        let _ = c.insert_and_link((blk(9), blk(1)), &path, 0.99);
         assert_eq!(c.quarantine(entry, 2), Some(id));
         assert_eq!(c.lookup_entry(entry), None);
         assert_eq!(c.lookup_entry((blk(9), blk(1))), None, "all links removed");
         assert!(c.trace(id).is_empty(), "a quarantined trace is a tombstone");
         assert_eq!(c.iter_quarantine().count(), 1);
         // Two refused attempts decay the cooldown...
-        assert_eq!(c.try_insert_and_link(entry, path.clone(), 0.99), None);
+        assert_eq!(c.try_insert_and_link(entry, &path, 0.99), None);
         assert_eq!(refusals_left(&c), 1);
-        assert_eq!(c.try_insert_and_link(entry, path.clone(), 0.99), None);
+        assert_eq!(c.try_insert_and_link(entry, &path, 0.99), None);
         assert_eq!(refusals_left(&c), 0);
         // ...and the third succeeds with a fresh id.
-        let (nid, created) = c.try_insert_and_link(entry, path.clone(), 0.99).unwrap();
+        let (nid, created) = c.try_insert_and_link(entry, &path, 0.99).unwrap();
         assert!(created);
         assert_ne!(nid, id);
         assert_eq!(c.lookup_entry(entry), Some(nid));
@@ -727,7 +729,7 @@ mod tests {
         let entry = (blk(0), blk(1));
         let path = vec![blk(1), blk(2)];
         let (mut tid, _) = c
-            .try_insert_and_link(entry, path.clone(), 0.99)
+            .try_insert_and_link(entry, &path, 0.99)
             .expect("fresh insert");
         let repeats = MAX_COOLDOWN_SHIFT + 2;
         for n in 0..=repeats {
@@ -736,7 +738,7 @@ mod tests {
             let cooldown = COOLDOWN << n.min(MAX_COOLDOWN_SHIFT);
             for left in (0..cooldown).rev() {
                 assert_eq!(
-                    c.try_insert_and_link(entry, path.clone(), 0.99),
+                    c.try_insert_and_link(entry, &path, 0.99),
                     None,
                     "quarantine {n}: refusal expected"
                 );
@@ -744,7 +746,7 @@ mod tests {
             }
             // ...then re-admitted under a fresh id.
             let (next, _) = c
-                .try_insert_and_link(entry, path.clone(), 0.99)
+                .try_insert_and_link(entry, &path, 0.99)
                 .expect("re-admission");
             assert_ne!(next, tid, "re-admission mints a fresh id");
             tid = next;
@@ -760,9 +762,9 @@ mod tests {
     fn demote_spares_a_relinked_entry() {
         let mut c = TraceCache::new();
         let entry = (blk(0), blk(1));
-        let (old, _) = c.insert_and_link(entry, vec![blk(1), blk(2)], 0.99);
+        let (old, _) = c.insert_and_link(entry, &[blk(1), blk(2)], 0.99);
         // The constructor relinks the entry before the verdict lands.
-        let (new, _) = c.insert_and_link(entry, vec![blk(1), blk(3)], 0.99);
+        let (new, _) = c.insert_and_link(entry, &[blk(1), blk(3)], 0.99);
         assert_eq!(c.demote(entry, old), None, "stale verdict skipped");
         assert_eq!(c.lookup_entry(entry), Some(new));
         assert_eq!(c.health_stats().demotions, 0);
@@ -776,16 +778,16 @@ mod tests {
     fn quarantine_only_blocks_the_exact_path() {
         let mut c = TraceCache::new();
         let entry = (blk(0), blk(1));
-        c.insert_and_link(entry, vec![blk(1), blk(2)], 0.99);
+        c.insert_and_link(entry, &[blk(1), blk(2)], 0.99);
         c.quarantine(entry, 4);
         // A different path at the same entry is admitted.
         let (id, _) = c
-            .try_insert_and_link(entry, vec![blk(1), blk(3)], 0.99)
+            .try_insert_and_link(entry, &[blk(1), blk(3)], 0.99)
             .expect("different path must be admitted");
         assert_eq!(c.lookup_entry(entry), Some(id));
         // The blacklisted path is still refused.
         assert!(c
-            .try_insert_and_link(entry, vec![blk(1), blk(2)], 0.99)
+            .try_insert_and_link(entry, &[blk(1), blk(2)], 0.99)
             .is_none());
     }
 

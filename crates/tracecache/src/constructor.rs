@@ -193,7 +193,7 @@ impl TraceConstructor {
             stats.paths_walked += 1;
             stats.loops_unrolled += u64::from(loop_start.is_some());
             s.touched.extend_from_slice(&s.path);
-            stats.traces_created += cut_and_emit(&s.path, loop_start, bcg, &self.config, cache);
+            stats.traces_created += cut_and_emit(s, loop_start, bcg, &self.config, cache);
         }
     }
 }
@@ -203,7 +203,9 @@ impl TraceConstructor {
 /// the traversal whose epoch is `stamp` (any other stamp means unseen),
 /// so a new traversal clears every mark by bumping the epoch. `touched`
 /// collects every node a signal's walks examined, for generation
-/// stamping (cascade suppression).
+/// stamping (cascade suppression). `unrolled` holds a loop path's
+/// unrolled chain and `blocks` the segment being linked, so cutting
+/// allocates nothing once the buffers have grown.
 #[derive(Debug, Default)]
 struct PlanScratch {
     epoch: u32,
@@ -212,6 +214,8 @@ struct PlanScratch {
     entries: Vec<NodeIdx>,
     path: Vec<NodeIdx>,
     touched: Vec<NodeIdx>,
+    unrolled: Vec<NodeIdx>,
+    blocks: Vec<BlockId>,
 }
 
 impl PlanScratch {
@@ -323,18 +327,19 @@ fn walk_path(entry: NodeIdx, bcg: &BranchCorrelationGraph, s: &mut PlanScratch) 
     None
 }
 
-/// Step 3: cut the node path into traces above the completion
+/// Step 3: cut the node path `s.path` into traces above the completion
 /// threshold and link them in `cache`. A terminating loop is processed
 /// first, unrolled once (§4.2). Returns the new trace objects created.
 fn cut_and_emit(
-    path: &[NodeIdx],
+    s: &mut PlanScratch,
     loop_start: Option<usize>,
     bcg: &BranchCorrelationGraph,
     config: &ConstructorConfig,
     cache: &mut TraceCache,
 ) -> u64 {
+    let (path, blocks) = (&s.path, &mut s.blocks);
     match loop_start {
-        None => cut_chain(path, path.len(), bcg, config, cache),
+        None => cut_chain(path, path.len(), blocks, bcg, config, cache),
         Some(k) => {
             // The loop body is path[k..]; build the unrolled chain of
             // 1 + loop_unroll body copies — the link probability
@@ -344,17 +349,16 @@ fn cut_and_emit(
             // first copy are emitted (later-copy starts would
             // duplicate entry links).
             let body = &path[k..];
-            let copies = 1 + config.loop_unroll;
-            let mut unrolled: Vec<NodeIdx> = Vec::with_capacity(body.len() * copies);
-            for _ in 0..copies {
-                unrolled.extend_from_slice(body);
+            s.unrolled.clear();
+            for _ in 0..1 + config.loop_unroll {
+                s.unrolled.extend_from_slice(body);
             }
-            let created = cut_chain(&unrolled, body.len(), bcg, config, cache);
+            let created = cut_chain(&s.unrolled, body.len(), blocks, bcg, config, cache);
             // Then the remaining prefix path[..k] (it flows into the
             // loop head, so cut path[..=k] with the head as terminal
             // block, emitting only starts before k).
             if k > 0 {
-                created + cut_chain(&path[..=k], k, bcg, config, cache)
+                created + cut_chain(&path[..=k], k, blocks, bcg, config, cache)
             } else {
                 created
             }
@@ -363,11 +367,13 @@ fn cut_and_emit(
 }
 
 /// Cuts a node chain into threshold-satisfying segments, linking a
-/// trace in `cache` for every segment starting before `emit_limit`.
-/// Returns the new trace objects created.
+/// trace in `cache` for every segment starting before `emit_limit`
+/// (each segment's blocks are gathered in `blocks`). Returns the new
+/// trace objects created.
 fn cut_chain(
     chain: &[NodeIdx],
     emit_limit: usize,
+    blocks: &mut Vec<BlockId>,
     bcg: &BranchCorrelationGraph,
     config: &ConstructorConfig,
     cache: &mut TraceCache,
@@ -381,18 +387,15 @@ fn cut_chain(
         }
         return 0;
     }
-    // link_prob[i] = P(chain[i+1]'s branch | chain[i]'s branch).
-    let link_prob: Vec<f64> = (0..chain.len() - 1)
-        .map(|i| bcg.node(chain[i]).correlation_to(branch(chain[i + 1]).1))
-        .collect();
-
     let mut created = 0;
     let mut i = 0;
     while i < chain.len() && i < emit_limit {
         let mut j = i;
         let mut prob = 1.0;
         while j + 1 < chain.len() && (j + 1 - i) < MAX_TRACE_BLOCKS {
-            let extended = prob * link_prob[j];
+            // P(chain[j+1]'s branch | chain[j]'s branch).
+            let link = bcg.node(chain[j]).correlation_to(branch(chain[j + 1]).1);
+            let extended = prob * link;
             if extended < config.threshold {
                 break;
             }
@@ -402,7 +405,8 @@ fn cut_chain(
         let len = j + 1 - i;
         if len >= MIN_TRACE_BLOCKS {
             let entry = branch(chain[i]);
-            let blocks: Vec<BlockId> = chain[i..=j].iter().map(|&n| branch(n).1).collect();
+            blocks.clear();
+            blocks.extend(chain[i..=j].iter().map(|&n| branch(n).1));
             #[cfg(feature = "debug-invariants")]
             {
                 assert!(

@@ -73,8 +73,8 @@ mod tests {
     #[test]
     fn renders_chains_and_entries() {
         let mut cache = TraceCache::new();
-        cache.insert_and_link((blk(0), blk(1)), vec![blk(1), blk(2), blk(1)], 0.98);
-        cache.insert_and_link((blk(5), blk(6)), vec![blk(6), blk(7)], 0.99);
+        cache.insert_and_link((blk(0), blk(1)), &[blk(1), blk(2), blk(1)], 0.98);
+        cache.insert_and_link((blk(5), blk(6)), &[blk(6), blk(7)], 0.99);
         let out = to_dot(&cache);
         assert!(out.starts_with("digraph traces {"));
         assert!(out.contains("entry"));

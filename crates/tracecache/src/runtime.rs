@@ -46,7 +46,7 @@ struct ActiveTrace {
 /// let program = pb.build(f)?;
 /// let b = |i| BlockId::new(f, i);
 /// let mut cache = TraceCache::new();
-/// cache.insert_and_link((b(0), b(0)), vec![b(0), b(1)], 1.0);
+/// cache.insert_and_link((b(0), b(0)), &[b(0), b(1)], 1.0);
 ///
 /// let mut rt = TraceRuntime::new();
 /// for blk in [b(0), b(0), b(1)] {
@@ -227,7 +227,7 @@ mod tests {
     fn cache_with_trace(program: &Program, entry_from: u32, blocks: &[u32]) -> TraceCache {
         let mut cache = TraceCache::new();
         let seq: Vec<BlockId> = blocks.iter().map(|&b| blk(program, b)).collect();
-        cache.insert_and_link((blk(program, entry_from), seq[0]), seq, 0.99);
+        cache.insert_and_link((blk(program, entry_from), seq[0]), &seq, 0.99);
         cache
     }
 
@@ -280,7 +280,7 @@ mod tests {
         let p = program_with_blocks();
         let mut cache = cache_with_trace(&p, 0, &[1, 3]);
         // Second trace entered by (1, 2).
-        cache.insert_and_link((blk(&p, 1), blk(&p, 2)), vec![blk(&p, 2), blk(&p, 3)], 0.99);
+        cache.insert_and_link((blk(&p, 1), blk(&p, 2)), &[blk(&p, 2), blk(&p, 3)], 0.99);
         let mut rt = TraceRuntime::new();
         // b0, b1 (enter t0), b2 (diverges from t0, enters t1), b3 (completes t1).
         for b in [0, 1, 2, 3] {
@@ -298,7 +298,7 @@ mod tests {
         let p = program_with_blocks();
         // Loop-shaped trace: entered by (3, 1), covering [1, 3].
         let mut cache = TraceCache::new();
-        cache.insert_and_link((blk(&p, 3), blk(&p, 1)), vec![blk(&p, 1), blk(&p, 3)], 0.99);
+        cache.insert_and_link((blk(&p, 3), blk(&p, 1)), &[blk(&p, 1), blk(&p, 3)], 0.99);
         let mut rt = TraceRuntime::new();
         rt.on_block(blk(&p, 3), &cache, &p);
         for _ in 0..5 {
@@ -332,7 +332,7 @@ mod tests {
     fn node_slot_path_matches_direct_path() {
         let p = program_with_blocks();
         let mut cache = cache_with_trace(&p, 0, &[1, 3]);
-        cache.insert_and_link((blk(&p, 1), blk(&p, 2)), vec![blk(&p, 2), blk(&p, 3)], 0.99);
+        cache.insert_and_link((blk(&p, 1), blk(&p, 2)), &[blk(&p, 2), blk(&p, 3)], 0.99);
         // Mix of entries, completions, divergences, and misses.
         let stream = [0u32, 1, 3, 0, 1, 2, 3, 0, 1, 3, 2, 2, 0, 1, 3];
         let mut direct = TraceRuntime::new();

@@ -262,8 +262,8 @@ fn run_planted(
     let blk = |b: u32| BlockId::new(program.entry(), b);
     let mut cache = TraceCache::new();
     for &((from, to), blocks) in plant {
-        let blocks = blocks.iter().map(|&b| blk(b)).collect();
-        cache.insert_and_link((blk(from), blk(to)), blocks, 0.99);
+        let blocks: Vec<BlockId> = blocks.iter().map(|&b| blk(b)).collect();
+        cache.insert_and_link((blk(from), blk(to)), &blocks, 0.99);
     }
     let mut config = EngineConfig::paper_default();
     config.jit = config.jit.with_start_delay(1_000_000_000);

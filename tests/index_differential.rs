@@ -1,19 +1,23 @@
-//! Differential tests: the overhauled hot path (packed-key
-//! open-addressed index, inline successors, budgeted fast path, inline
-//! trace-link slots) against the frozen pre-overhaul reference.
+//! Differential tests of the hot path (packed-key branch index, inline
+//! successors, budgeted fast path, inline trace-link slots).
 //!
-//! [`ReferenceBcg`] is the straightforward `HashMap` + `Vec` profiler
-//! exactly as it existed before the overhaul; these tests drive it and
-//! [`BranchCorrelationGraph`] with the *same* dynamic block streams —
-//! the six workload analogues at test scale — and require bit-identical
-//! signal sequences, node structure, statistics, and trace-monitor
-//! behaviour. Any divergence introduced by the optimised path fails
-//! here, not in a benchmark.
+//! The profiler's oracle is the conformance model: [`Lockstep`] drives
+//! the production [`BranchCorrelationGraph`], `TraceConstructor` and
+//! `TraceCache` and the from-the-paper `ModelBcg`, `ModelConstructor`
+//! and `ModelCache` with the *same* dynamic block streams — the six
+//! workload analogues at test scale — and requires identical signal
+//! sequences, node structure, links and [`ProfilerStats`] after every
+//! dispatch and in the final sweep. The monitor tests hold the per-node
+//! inline trace-link slots to direct cache lookups. Any divergence
+//! introduced by the optimised path fails here, not in a benchmark.
+//!
+//! [`ProfilerStats`]: tracecache_repro::bcg::ProfilerStats
 
-use tracecache_repro::bcg::{BcgConfig, BranchCorrelationGraph, ReferenceBcg, Signal};
-use tracecache_repro::bytecode::BlockId;
+use tracecache_repro::bcg::{BcgConfig, BranchCorrelationGraph};
+use tracecache_repro::bytecode::{BlockId, FuncId};
+use tracecache_repro::conformance::Lockstep;
 use tracecache_repro::jit::TraceJitConfig;
-use tracecache_repro::tracecache::{TraceCache, TraceConstructor, TraceRuntime};
+use tracecache_repro::tracecache::{ConstructorConfig, TraceCache, TraceConstructor, TraceRuntime};
 use tracecache_repro::vm::Vm;
 use tracecache_repro::workloads::registry::{self, Scale};
 
@@ -40,105 +44,42 @@ fn configs() -> Vec<BcgConfig> {
     ]
 }
 
-/// Replays `stream` into both profilers, asserting the signal sequences
-/// are identical dispatch-by-dispatch, then compares the final graphs
-/// node by node.
-fn assert_profilers_agree(name: &str, stream: &[BlockId], config: BcgConfig) {
-    let mut new = BranchCorrelationGraph::new(config);
-    let mut reference = ReferenceBcg::new(config);
-    let mut new_sigs: Vec<Signal> = Vec::new();
-
-    for (i, &b) in stream.iter().enumerate() {
-        new.observe(b);
-        reference.observe(b);
-        if new.has_signals() || reference.has_signals() {
-            new.drain_signals_into(&mut new_sigs);
-            let ref_sigs = reference.take_signals();
-            assert_eq!(
-                new_sigs, ref_sigs,
-                "{name}: signal mismatch at dispatch {i}"
-            );
-        }
-    }
-
-    assert_eq!(new.stats(), reference.stats(), "{name}: stats diverged");
-    assert_eq!(new.len(), reference.len(), "{name}: node count diverged");
-    for (idx, ref_node) in reference.iter() {
-        let node = new.node(idx);
-        assert_eq!(node.branch(), ref_node.branch(), "{name}: {idx} branch");
-        assert_eq!(node.state(), ref_node.state(), "{name}: {idx} state");
-        assert_eq!(
-            node.executions(),
-            ref_node.executions(),
-            "{name}: {idx} executions"
-        );
-        assert_eq!(
-            node.total_weight(),
-            ref_node.total_weight(),
-            "{name}: {idx} weight"
-        );
-        // Successor lists: same order, same counts, same targets.
-        let succs: Vec<(BlockId, u16, u32)> = node
-            .successors()
-            .iter()
-            .map(|s| (s.to_block, s.count, s.node.0))
-            .collect();
-        let ref_succs: Vec<(BlockId, u16, u32)> = ref_node
-            .successors()
-            .iter()
-            .map(|s| (s.to_block, s.count, s.node.0))
-            .collect();
-        assert_eq!(succs, ref_succs, "{name}: {idx} successors");
-        assert_eq!(
-            node.predecessors(),
-            ref_node.predecessors(),
-            "{name}: {idx} predecessors"
-        );
-        assert_eq!(
-            node.predicted().map(|s| s.to_block),
-            ref_node.predicted().map(|s| s.to_block),
-            "{name}: {idx} prediction"
-        );
-    }
-}
-
+/// Production and model agree on every dispatch of every workload, and
+/// in the final sweep on the whole graph and every profiler counter.
 #[test]
 fn profilers_agree_on_all_workload_streams() {
     for w in registry::all(Scale::Test) {
-        let stream = stream_of(&w);
         for config in configs() {
-            assert_profilers_agree(w.name, &stream, config);
+            let ctor = ConstructorConfig::default().with_threshold(config.threshold);
+            let mut ls = Lockstep::new(config, ctor);
+            ls.run_program(&w.program, &w.args)
+                .unwrap_or_else(|d| panic!("{} (delay {}): {d}", w.name, config.start_delay));
+            let stats = ls.bcg.stats();
+            assert!(
+                stats.cache_hits > stats.cache_misses,
+                "{}: the inline cache should predict most dispatches: {stats:?}",
+                w.name
+            );
         }
     }
 }
 
-/// Node-index lookups agree with the reference's `HashMap` exactly,
-/// including for branches that were never observed.
+/// The branch index finds every realised node at its own index, and
+/// nothing for branches that were never observed.
 #[test]
 fn node_index_lookups_agree_with_reference() {
     let w = registry::compress(Scale::Test);
-    let stream = stream_of(&w);
-    let config = BcgConfig::paper_default();
-    let mut new = BranchCorrelationGraph::new(config);
-    let mut reference = ReferenceBcg::new(config);
-    for &b in &stream {
-        new.observe(b);
-        reference.observe(b);
+    let mut bcg = BranchCorrelationGraph::new(BcgConfig::paper_default());
+    for b in stream_of(&w) {
+        bcg.observe(b);
     }
-    // Every realized branch, plus synthetic never-seen pairs.
-    for (_, node) in reference.iter() {
-        assert_eq!(
-            new.node_index(node.branch()),
-            reference.node_index(node.branch())
-        );
+    assert!(!bcg.is_empty(), "compress realises a graph");
+    for (idx, node) in bcg.iter() {
+        assert_eq!(bcg.node_index(node.branch()), Some(idx));
     }
     for i in 0..64u32 {
-        let bogus = (
-            BlockId::new(tracecache_repro::bytecode::FuncId(7), i),
-            BlockId::new(tracecache_repro::bytecode::FuncId(9), i + 1),
-        );
-        assert_eq!(new.node_index(bogus), None);
-        assert_eq!(reference.node_index(bogus), None);
+        let bogus = (BlockId::new(FuncId(7), i), BlockId::new(FuncId(9), i + 1));
+        assert_eq!(bcg.node_index(bogus), None);
     }
 }
 

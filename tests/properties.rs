@@ -162,7 +162,7 @@ fn runtime_accounting_balances() {
             let seq: Vec<BlockId> = (0..rng.range_usize(1, 6))
                 .map(|_| blk(rng.range_u32(0, 8)))
                 .collect();
-            cache.insert_and_link((blk(from), seq[0]), seq, 0.97);
+            cache.insert_and_link((blk(from), seq[0]), &seq, 0.97);
         }
         let mut rt = TraceRuntime::new();
         for &s in &stream {

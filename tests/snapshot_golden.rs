@@ -35,8 +35,8 @@ fn golden_snapshot() -> Snapshot {
         bcg.observe(blk(if i == 7 { 3 } else { 2 }));
     }
     let mut cache = TraceCache::new();
-    cache.insert_and_link((blk(2), blk(0)), vec![blk(0), blk(1), blk(2)], 0.9375);
-    cache.insert_and_link((blk(3), blk(0)), vec![blk(0), blk(1), blk(2)], 0.9375);
+    cache.insert_and_link((blk(2), blk(0)), &[blk(0), blk(1), blk(2)], 0.9375);
+    cache.insert_and_link((blk(3), blk(0)), &[blk(0), blk(1), blk(2)], 0.9375);
     cache.restore_quarantine((blk(1), blk(3)), vec![blk(3), blk(0)], 2);
     Snapshot::capture(GOLDEN_HASH, &bcg, &cache)
 }
