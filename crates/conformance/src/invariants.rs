@@ -96,15 +96,15 @@ pub fn check_link_coherence(cache: &TraceCache, bcg: &BranchCorrelationGraph) {
 
 /// Side-exit target validity: every exit record of a register-lowered
 /// trace must resume at an in-range decoded pc of its function, inside
-/// the block the record names — a guard's or hand-back's on the block's
-/// terminator, a final branch's on an entry marker, so the loop never
-/// resumes mid-block; every decoded switch target must be a
-/// block entry marker; every frame image must fit the region the
-/// arena allocates for its frame; and an exit's image must rebuild
-/// exactly the operand-stack depth the verifier proved at its resume
-/// pc. A final branch's two successor records sit on their successor's
-/// entry marker and share one image, whose depth is the one proved at
-/// the successor's first instruction. A violation would make a failing
+/// the block the record names — a guard's or an outermost return's on
+/// the block's terminator, a final branch's or switch's on an entry
+/// marker, so the loop never resumes mid-block; every decoded switch
+/// target must be a block entry marker; every frame image must fit the
+/// region the arena allocates for its frame; and an exit's image must
+/// rebuild exactly the operand-stack depth the verifier proved at its
+/// resume pc. A final branch's or switch's successor records sit on
+/// their successor's entry marker and share one image, whose depth is
+/// the one proved at each successor's first instruction. A violation would make a failing
 /// guard or a completed trace resume the interpreter at
 /// a garbage pc, on a stack it does not expect, or write outside its
 /// frame — the exact class of bug trace execution must never exhibit.
@@ -179,9 +179,9 @@ pub fn check_side_exits(program: &Program, decoded: &DecodedProgram, rt: &RegTra
         );
         check_depth(what, e, pc);
     };
-    // A final branch's successor record resumes *on* the successor's
-    // entry marker, so the loop makes its dispatch; the image rebuilds
-    // the depth at the block's first instruction.
+    // A final branch's or switch's successor record resumes *on* the
+    // successor's entry marker, so the loop makes its dispatch; the
+    // image rebuilds the depth at the block's first instruction.
     let check_successor = |cur: FuncId, idx: u32| {
         let what = "final-branch";
         let e = check_record(what, cur, idx);
@@ -287,15 +287,34 @@ pub fn check_side_exits(program: &Program, decoded: &DecodedProgram, rt: &RegTra
                 let [fall, taken] = exits.map(|i| rt.exits[i as usize].image);
                 assert_eq!(fall, taken, "final branch: successors share one image");
             }
-            RInstr::Finish { exit, .. } => check_exit("finish", cur, *exit),
+            RInstr::FinalSwitch { exits, default, .. } => {
+                let image = rt.exits[*default as usize].image;
+                for &idx in exits.iter().chain(std::iter::once(default)) {
+                    check_successor(cur, idx);
+                    assert_eq!(
+                        rt.exits[idx as usize].image, image,
+                        "final switch: successors share one image"
+                    );
+                }
+            }
+            RInstr::FinalCall { image, ret, .. } => {
+                check_image("final-call", cur, *image);
+                check_resume("final-call-ret", cur, *ret);
+            }
+            RInstr::FinalReturn { exit, .. } => check_exit("final-return", cur, *exit),
             _ => {}
         }
     }
     assert!(
         matches!(
             rt.code.last(),
-            Some(RInstr::Finish { .. } | RInstr::FinalBranch { .. })
+            Some(
+                RInstr::FinalBranch { .. }
+                    | RInstr::FinalSwitch { .. }
+                    | RInstr::FinalCall { .. }
+                    | RInstr::FinalReturn { .. }
+            )
         ),
-        "a register trace hands back to the loop through a final finish or branch"
+        "a register trace hands back to the loop through its final terminator"
     );
 }

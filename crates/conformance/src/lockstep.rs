@@ -557,6 +557,29 @@ mod tests {
     }
 
     #[test]
+    fn an_orphaned_region_is_planned_in_lockstep() {
+        // The stream of trace-cache's
+        // `a_region_orphaned_by_a_weakened_branch_is_planned_at_its_head`:
+        // `(0, 1)` weakens in the second half, orphaning the region
+        // `(1, 2) (2, 3) (3, 4)` downstream of it. Both sides plan it
+        // from its head.
+        let mut ls = Lockstep::new(
+            BcgConfig::default().with_start_delay(4),
+            ConstructorConfig::default(),
+        );
+        for i in 0..1200u32 {
+            let via = if i >= 600 && i % 4 >= 2 { 5 } else { 2 };
+            for b in [0, 1, via, 3, 4, if i % 2 == 0 { 7 } else { 8 }] {
+                ls.on_block(blk(b)).expect("no divergence");
+            }
+        }
+        ls.finish().expect("final sweep clean");
+        let head = ls.cache.lookup_entry((blk(1), blk(2)));
+        let head = head.expect("the orphaned region is linked at its head");
+        assert_eq!(ls.cache.trace(head).blocks(), &[blk(2), blk(3), blk(4)]);
+    }
+
+    #[test]
     fn forced_decay_stays_in_lockstep() {
         let mut ls = harness();
         for _ in 0..200 {

@@ -18,7 +18,7 @@
 //! | `invokestatic` | [`Step::EnterStatic`] — pushes the callee frame (its entry block is the next trace block by construction) |
 //! | `invokevirtual` | [`Step::GuardVirtual`] — side-exits unless the receiver resolves to the recorded callee |
 //! | `return` | [`Step::GuardReturn`] — side-exits unless the caller's continuation is the recorded next block |
-//! | last block's terminator | [`Step::Finish`] — a conditional branch or `goto` runs in-trace and may close the loop; any other terminator is handed back to the interpreter loop |
+//! | last block's terminator | [`Step::Finish`] — runs in-trace, whatever it is, and may close the loop or go on into the trace its successor links; only a return from the outermost frame is handed back to the interpreter loop |
 //!
 //! Every step but a fall-through sits on its block's last instruction,
 //! which is where a failed guard resumes the interpreter with the
@@ -113,10 +113,9 @@ pub enum Step {
         has_value: bool,
     },
     /// The final block's terminator; afterwards the trace has completed.
-    /// The lowering runs a conditional branch or `goto` in-trace
-    /// ([`crate::reg::RInstr::FinalBranch`]) and hands any other
-    /// terminator back to the interpreter loop
-    /// ([`crate::reg::RInstr::Finish`]).
+    /// The lowering runs it in-trace as the trace's one final
+    /// instruction ([`crate::reg::RInstr::FinalBranch`] and its
+    /// siblings).
     Finish,
 }
 

@@ -22,9 +22,10 @@
 //! resume point sits just *past* its block's entry marker, so the
 //! block dispatch the interpreter would count on resumption is counted
 //! at the exit itself. A trace that runs to its end runs its final
-//! conditional branch or `goto` itself and resumes the loop on the chosen
-//! successor's entry marker, so the loop makes that dispatch; any other
-//! final terminator is handed back the way a guard is.
+//! terminator itself — branch, switch, call or return — and resumes the
+//! loop on the successor's entry marker, so the loop makes that dispatch.
+//! Only a return from the outermost frame, which ends the program, is
+//! left for the loop to execute.
 //!
 //! **Loop closing.** When the branch into that successor links a trace,
 //! the dispatch would only enter it, so the engine skips the dispatch:

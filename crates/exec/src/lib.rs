@@ -45,5 +45,6 @@ mod regexec;
 pub use compile::{compile, compile_blocks, CompileError, CompiledTrace, CondKind, Step};
 pub use engine::{EngineConfig, TracingVm, WarmBootReport};
 pub use reg::{
-    disassemble, lower_reg, FrameImage, RBin, RExit, RInstr, RUn, Reg, RegStats, RegTrace,
+    disassemble, lower_reg, CallTarget, FrameImage, RBin, RExit, RInstr, RUn, Reg, RegStats,
+    RegTrace,
 };

@@ -26,7 +26,7 @@
 //! past quarantines per entry stays out of snapshots.
 
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasher, BuildHasherDefault};
 
 use jvm_bytecode::BlockId;
 use trace_bcg::node::NO_TRACE_LINK;
@@ -47,6 +47,11 @@ pub const TRACE_BYTES_OVERHEAD: usize = 64;
 /// reproducible in the conformance model.
 pub fn trace_cost(blocks: usize) -> usize {
     blocks * std::mem::size_of::<BlockId>() + TRACE_BYTES_OVERHEAD
+}
+
+/// The hash-cons index's key for a block sequence.
+fn blocks_hash(blocks: &[BlockId]) -> u64 {
+    BuildHasherDefault::<BranchHasher>::default().hash_one(blocks)
 }
 
 /// Cache bookkeeping counters.
@@ -117,11 +122,12 @@ pub struct TraceCache {
     traces: Vec<Trace>,
     /// Live entry-link keys per trace (the reverse of `by_entry`).
     entry_keys: Vec<Vec<PackedBranch>>,
-    /// Hash-consing index keyed by the full block sequence, under the
-    /// branch maps' [`BranchHasher`]; probed by slice, so a reuse copies
-    /// nothing. Tombstoned traces are removed, so a rebuild mints a
-    /// fresh id.
-    by_blocks: HashMap<Vec<BlockId>, TraceId, BuildHasherDefault<BranchHasher>>,
+    /// Hash-consing index: the [`BranchHasher`] hash of a block sequence
+    /// → the live traces with that hash (almost always one). A probe
+    /// compares against `traces[id].blocks`, so a sequence is stored
+    /// once, in its trace. Tombstoned traces are removed, so a rebuild
+    /// mints a fresh id.
+    by_blocks: HashMap<u64, Vec<TraceId>, BuildHasherDefault<BranchHasher>>,
     /// The dispatch table: entry branch → linked trace. The dispatch
     /// check answers from a BCG node's inline link slot while it is
     /// current and probes this table when it is stale.
@@ -285,8 +291,9 @@ impl TraceCache {
             entry.1, blocks[0],
             "entry branch must target the trace's first block"
         );
-        let (id, created) = match self.by_blocks.get(blocks) {
-            Some(&id) => {
+        let hash = blocks_hash(blocks);
+        let (id, created) = match self.find(hash, blocks) {
+            Some(id) => {
                 self.stats.traces_reused += 1;
                 (id, false)
             }
@@ -299,7 +306,7 @@ impl TraceCache {
                     expected_completion,
                 });
                 self.entry_keys.push(Vec::new());
-                self.by_blocks.insert(blocks.to_vec(), id);
+                self.by_blocks.entry(hash).or_default().push(id);
                 self.stats.traces_constructed += 1;
                 (id, true)
             }
@@ -423,6 +430,15 @@ impl TraceCache {
         self.assert_cache_invariants();
     }
 
+    /// The live trace whose block sequence is `blocks`, whose hash is
+    /// `hash`.
+    fn find(&self, hash: u64, blocks: &[BlockId]) -> Option<TraceId> {
+        let ids = self.by_blocks.get(&hash)?;
+        ids.iter()
+            .copied()
+            .find(|id| self.traces[id.index()].blocks == blocks)
+    }
+
     /// Tombstones a trace: reclaims its bytes, and removes it from the
     /// hash-cons index so a rebuild mints a fresh id.
     fn tombstone(&mut self, id: TraceId) {
@@ -430,7 +446,15 @@ impl TraceCache {
         debug_assert!(self.entry_keys[i].is_empty());
         let blocks = std::mem::take(&mut self.traces[i].blocks);
         self.payload -= trace_cost(blocks.len());
-        self.by_blocks.remove(&blocks);
+        let hash = blocks_hash(&blocks);
+        let ids = self
+            .by_blocks
+            .get_mut(&hash)
+            .expect("a live trace is indexed");
+        ids.retain(|&t| t != id);
+        if ids.is_empty() {
+            self.by_blocks.remove(&hash);
+        }
         self.stats.traces_evicted += 1;
     }
 
@@ -451,9 +475,9 @@ impl TraceCache {
     #[cfg(feature = "debug-invariants")]
     pub fn assert_cache_invariants(&self) {
         let live = self.traces.iter().filter(|t| !t.blocks.is_empty()).count();
+        let indexed: usize = self.by_blocks.values().map(Vec::len).sum();
         assert_eq!(
-            self.by_blocks.len(),
-            live,
+            indexed, live,
             "hash-consing index must have exactly one entry per live trace"
         );
         let (mut payload, mut linked) = (0, 0);
@@ -473,8 +497,8 @@ impl TraceCache {
                 t.expected_completion
             );
             assert_eq!(
-                self.by_blocks.get(&t.blocks),
-                Some(&t.id),
+                self.find(blocks_hash(&t.blocks), &t.blocks),
+                Some(t.id),
                 "trace {i} must be findable under its own block sequence"
             );
             for &key in &self.entry_keys[i] {

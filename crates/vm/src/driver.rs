@@ -27,8 +27,8 @@
 //!   in, with `pc` at the decoded instruction to execute next and `sp` at
 //!   its operand-stack top; the loop reloads all of its cached frame
 //!   state from there. In particular a trace never *finishes* a program:
-//!   a final terminator it does not run itself (a return, say) is handed
-//!   back by leaving `pc` on it.
+//!   a final terminator it does not run itself (the outermost return) is
+//!   handed back by leaving `pc` on it.
 //! * On `Err` the run ends with that error, exactly as for a trap raised
 //!   by the loop itself.
 

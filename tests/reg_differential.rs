@@ -26,7 +26,7 @@ use tracecache_repro::bytecode::{CmpOp, FunctionBuilder, Intrinsic, Program, Pro
 use tracecache_repro::conformance::matrix::{self, Row};
 use tracecache_repro::exec::{EngineConfig, TracingVm};
 use tracecache_repro::jit::TraceJitConfig;
-use tracecache_repro::vm::{NullObserver, Value, Vm, VmError};
+use tracecache_repro::vm::{NullObserver, ReferenceVm, Value, Vm, VmError};
 
 const BASE_SEED: u64 = 0xD1FF_5EED ^ 0x4E67;
 
@@ -650,5 +650,128 @@ fn allocation_storm_collects_exactly_like_the_interpreter() {
             plain.heap_stats(),
             "run {run}: same allocations, same collections, same survivors"
         );
+    }
+}
+
+/// A loop closed by a `tableswitch`: its trace is the body unrolled once,
+/// and the switch is that trace's last terminator.
+fn switch_closed_program() -> Program {
+    let mut pb = ProgramBuilder::new();
+    let f = pb.declare_function("main", 1, true);
+    let b = pb.function_mut(f);
+    let acc = b.alloc_local();
+    b.iconst(0).store(acc);
+    let head = b.bind_new_label();
+    let exit = b.new_label();
+    b.load(acc).load(0).iadd().store(acc);
+    b.iinc(0, -1).load(0).table_switch(0, &[exit], head);
+    b.bind(exit);
+    b.load(acc).ret();
+    pb.build(f).unwrap()
+}
+
+/// A loop calling a two-block leaf from two sites. The leaf's return
+/// continues at either site, so its last block ends every trace through
+/// it: `[c1, leaf…]` and `[c2, head, a, leaf…]`, each ending in the
+/// leaf's `return` into the other's first block.
+fn return_chained_program() -> Program {
+    let mut pb = ProgramBuilder::new();
+    let leaf = pb.declare_function("leaf", 1, true);
+    {
+        let b = pb.function_mut(leaf);
+        let tail = b.new_label();
+        b.load(0).iconst(3).iadd().goto(tail);
+        b.bind(tail);
+        b.ret();
+    }
+    let f = pb.declare_function("main", 1, true);
+    let b = pb.function_mut(f);
+    let acc = b.alloc_local();
+    b.iconst(0).store(acc);
+    let head = b.bind_new_label();
+    let exit = b.new_label();
+    b.load(0).if_i(CmpOp::Le, exit);
+    b.load(acc).invoke_static(leaf); // a
+    b.iconst(5).ixor().invoke_static(leaf); // c1
+    b.store(acc).iinc(0, -1).goto(head); // c2
+    b.bind(exit);
+    b.load(acc).ret();
+    pb.build(f).unwrap()
+}
+
+/// A loop whose virtual call alternates between two receivers picked in
+/// the calling block, so the traces through either callee end at that
+/// call: `[A.v, cont, head, call]` and `[B.v, cont, head, call]`.
+fn call_chained_program() -> Program {
+    let mut pb = ProgramBuilder::new();
+    let am = pb.declare_function("A.v", 1, true);
+    pb.function_mut(am).iconst(1).ret();
+    let bm = pb.declare_function("B.v", 1, true);
+    pb.function_mut(bm).iconst(2).ret();
+    let a = pb.declare_class("A", None, 0);
+    let slot = pb.add_method(a, am);
+    let bc = pb.declare_class("B", Some(a), 0);
+    pb.override_method(bc, slot, bm);
+    let f = pb.declare_function("main", 1, true);
+    let b = pb.function_mut(f);
+    let acc = b.alloc_local();
+    let objs = b.alloc_local();
+    b.iconst(2).new_array().store(objs);
+    b.load(objs).iconst(0).new_obj(a).astore();
+    b.load(objs).iconst(1).new_obj(bc).astore();
+    b.iconst(0).store(acc);
+    let head = b.bind_new_label();
+    let exit = b.new_label();
+    b.load(0).if_i(CmpOp::Le, exit);
+    b.load(objs)
+        .load(0)
+        .iconst(1)
+        .iand()
+        .aload()
+        .invoke_virtual(slot, 1);
+    b.load(acc).iadd().store(acc).iinc(0, -1).goto(head);
+    b.bind(exit);
+    b.load(acc).ret();
+    pb.build(f).unwrap()
+}
+
+/// A trace whose last block ends in a `tableswitch`, a `return` or a
+/// call runs that terminator itself and goes on into the trace linked at
+/// the branch it leaves by, without a dispatch: warm, one dispatch
+/// enters the loop and every further trace run is a loop closing. Every
+/// run matches the reference interpreter, and so does every fuel cut.
+#[test]
+fn final_switch_return_and_call_go_on_without_dispatching() {
+    for (name, program, n) in [
+        ("switch-closed", switch_closed_program(), 600),
+        ("return-chained", return_chained_program(), 600),
+        ("call-chained", call_chained_program(), 600),
+    ] {
+        let args = [Value::Int(n)];
+        let mut reference = ReferenceVm::new(&program);
+        let want = reference.run(&args, &mut NullObserver).unwrap();
+        let mut engine = TracingVm::new(&program, EngineConfig::paper_default());
+        let mut before = engine.run(&args).unwrap().traces;
+        for run in 1..4 {
+            let report = engine.run(&args).unwrap();
+            assert_eq!(report.result, want, "{name} run {run}");
+            assert_eq!(report.checksum, reference.checksum(), "{name} run {run}");
+            assert_eq!(
+                report.exec.instructions,
+                reference.stats().instructions,
+                "{name} run {run}"
+            );
+            let (entered, closings) = (
+                report.traces.entered - before.entered,
+                report.traces.loop_closings - before.loop_closings,
+            );
+            assert!(entered <= 2, "{name} run {run}: {entered} entries");
+            assert!(
+                closings * 2 >= n as u64 / 2,
+                "{name} run {run}: {closings} closings"
+            );
+            before = report.traces;
+        }
+        assert_fuel_cuts_match(name, &program, &[Value::Int(24)]);
     }
 }
