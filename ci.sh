@@ -311,6 +311,23 @@ if grep -rnE 'RInstr::Finish\b|Finish \{' crates/exec/src/ crates/conformance/sr
     exit 1
 fi
 
+echo "== a lowered trace at its exact size (24-byte RInstr, switch tables in one pool, no Vec in RegTrace)"
+# RInstr was 48 bytes while two switch variants carried their tables
+# inline, and every RegTrace array was a Vec whose spare capacity stayed
+# allocated for the trace's life; together they doubled
+# exec.lowered_bytes. The compiler asserts the 24 bytes; this keeps the
+# arrays exact and the tables out of line, and the counting-allocator
+# test keeps memory_estimate equal to the bytes a trace holds.
+if sed -n '/^pub struct RegTrace {/,/^}/p' crates/exec/src/reg.rs | grep -nE 'Vec<'; then
+    echo "pub struct RegTrace holds a Vec again (matches above): store arrays as Box<[T]>" >&2
+    exit 1
+fi
+if sed -n '/^pub enum RInstr {/,/^}/p' crates/exec/src/reg.rs | grep -nE 'Box<\[u32\]>'; then
+    echo "enum RInstr carries a table inline again (matches above): tables live in the SwitchPool" >&2
+    exit 1
+fi
+cargo test -q --release --test lowered_footprint
+
 echo "== superinstruction fusion differential (debug: stack/shadow asserts; release: at speed)"
 # The matrix's Fused row on the workloads and a second seeded corpus,
 # and what that row cannot show: fuel-straddle cuts inside

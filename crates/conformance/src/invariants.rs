@@ -228,7 +228,7 @@ pub fn check_side_exits(program: &Program, decoded: &DecodedProgram, rt: &RegTra
     // and require every guard's exit to anchor inside it.
     let mut cur = rt.src_blocks[0].func;
     let mut callers: Vec<FuncId> = Vec::new();
-    for r in &rt.code {
+    for r in rt.code.iter() {
         match r {
             RInstr::LoadLocal { slot, .. } | RInstr::IncLocal { slot, .. } => {
                 check_local("local", cur, *slot)
@@ -238,17 +238,17 @@ pub fn check_side_exits(program: &Program, decoded: &DecodedProgram, rt: &RegTra
             }
             RInstr::GuardCond { exit, .. } => check_exit("guard-cond", cur, *exit),
             RInstr::GuardSwitch {
-                targets,
-                default,
+                table,
                 expected,
                 exit,
                 ..
             } => {
                 check_exit("guard-switch", cur, *exit);
-                for &t in targets.iter() {
-                    check_marker("guard-switch", cur, t);
+                let t = rt.switches.table(*table);
+                for &target in t.targets {
+                    check_marker("guard-switch", cur, target);
                 }
-                check_marker("guard-switch-default", cur, *default);
+                check_marker("guard-switch-default", cur, t.default);
                 check_marker("guard-switch-expected", cur, *expected);
             }
             RInstr::EnterStatic {
@@ -287,9 +287,10 @@ pub fn check_side_exits(program: &Program, decoded: &DecodedProgram, rt: &RegTra
                 let [fall, taken] = exits.map(|i| rt.exits[i as usize].image);
                 assert_eq!(fall, taken, "final branch: successors share one image");
             }
-            RInstr::FinalSwitch { exits, default, .. } => {
-                let image = rt.exits[*default as usize].image;
-                for &idx in exits.iter().chain(std::iter::once(default)) {
+            RInstr::FinalSwitch { table, .. } => {
+                let t = rt.switches.table(*table);
+                let image = rt.exits[t.default as usize].image;
+                for &idx in t.targets.iter().chain(std::iter::once(&t.default)) {
                     check_successor(cur, idx);
                     assert_eq!(
                         rt.exits[idx as usize].image, image,

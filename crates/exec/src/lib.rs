@@ -46,5 +46,5 @@ pub use compile::{compile, compile_blocks, CompileError, CompiledTrace, CondKind
 pub use engine::{EngineConfig, TracingVm, WarmBootReport};
 pub use reg::{
     disassemble, lower_reg, CallTarget, FrameImage, RBin, RExit, RInstr, RUn, Reg, RegStats,
-    RegTrace,
+    RegTrace, SwitchPool, SwitchTable,
 };

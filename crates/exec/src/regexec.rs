@@ -587,9 +587,7 @@ impl Jit<'_> {
                         }
                     }
                     RInstr::GuardSwitch {
-                        low,
-                        targets,
-                        default,
+                        table,
                         expected,
                         selector,
                         exit,
@@ -597,8 +595,10 @@ impl Jit<'_> {
                     } => {
                         tick_n!(*pre);
                         let v = rget(regs, *selector);
-                        let actual =
-                            guard_operand!(semantics::switch_target(v, *low, targets, *default));
+                        let t = rt.switches.table(*table);
+                        let actual = guard_operand!(semantics::switch_target(
+                            v, t.low, t.targets, t.default
+                        ));
                         if actual != *expected {
                             reg_exit!(*exit);
                         }
@@ -707,16 +707,16 @@ impl Jit<'_> {
                         }
                     }
                     RInstr::FinalSwitch {
-                        low,
-                        exits,
-                        default,
+                        table,
                         selector,
                         pre,
                     } => {
                         tick_n!(*pre);
                         let v = rget(regs, *selector);
-                        let exit =
-                            guard_operand!(semantics::switch_target(v, *low, exits, *default));
+                        let t = rt.switches.table(*table);
+                        let exit = guard_operand!(semantics::switch_target(
+                            v, t.low, t.targets, t.default
+                        ));
                         tick_n!(1u32);
                         m.stats.branches += 1;
                         m.stats.taken_branches += 1;

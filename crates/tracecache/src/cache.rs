@@ -312,17 +312,19 @@ impl TraceCache {
             }
         };
         let key = PackedBranch::pack(entry);
-        match self.by_entry.insert(key, id) {
-            Some(old) if old != id => {
-                self.stats.links_replaced += 1;
-                self.entry_keys[old.index()].retain(|&k| k != key);
-            }
-            _ => {}
-        }
+        let old = self.by_entry.insert(key, id);
         self.stats.links_written += 1;
-        if !self.entry_keys[id.index()].contains(&key) {
-            self.entry_keys[id.index()].push(key);
+        if old == Some(id) {
+            // Rewriting the link already there: no lookup answers
+            // differently, so no stamped slot needs to revalidate, and
+            // nothing is re-admitted.
+            return (id, created);
         }
+        if let Some(old) = old {
+            self.stats.links_replaced += 1;
+            self.entry_keys[old.index()].retain(|&k| k != key);
+        }
+        self.entry_keys[id.index()].push(key);
         if self.flaps.contains_key(&key) {
             self.health.readmitted_watched += 1;
         }
@@ -780,6 +782,35 @@ mod tests {
         assert_eq!(h.readmitted_watched, u64::from(repeats + 1));
         assert_eq!(h.demotions, 0, "a plain quarantine is no streak demotion");
         assert_eq!(h.probations, 0);
+    }
+
+    #[test]
+    fn rewriting_the_same_link_is_no_mutation_and_no_readmission() {
+        let mut c = TraceCache::new();
+        let entry = (blk(0), blk(1));
+        let path = vec![blk(1), blk(2)];
+        let (tid, _) = c.insert_and_link(entry, &path, 0.99);
+        c.quarantine(entry, 1);
+        assert_eq!(c.try_insert_and_link(entry, &path, 0.99), None);
+        let (tid2, _) = c
+            .try_insert_and_link(entry, &path, 0.99)
+            .expect("re-admission");
+        assert_ne!(tid2, tid);
+        let (health, version) = (c.health_stats(), c.version());
+        assert_eq!(health.readmitted_watched, 1);
+        // The planner revisits the entry and writes the same link again.
+        assert_eq!(c.insert_and_link(entry, &path, 0.99), (tid2, false));
+        assert_eq!(
+            c.health_stats(),
+            health,
+            "an identical rewrite re-admits nothing"
+        );
+        assert_eq!(c.version(), version, "an identical rewrite mutates nothing");
+        assert_eq!(c.lookup_entry(entry), Some(tid2));
+        // A different trace at the same entry is a re-admission again.
+        c.insert_and_link(entry, &[blk(1), blk(3)], 0.99);
+        assert_eq!(c.health_stats().readmitted_watched, 2);
+        assert!(c.version() > version);
     }
 
     #[test]

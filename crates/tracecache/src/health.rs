@@ -42,7 +42,8 @@ pub struct HealthStats {
     pub probations: u64,
     /// Traces quarantined by the early-exit streak.
     pub demotions: u64,
-    /// Links written at an entry that was quarantined before.
+    /// Links changed at an entry that was quarantined before (rewriting
+    /// the link already there is not counted).
     pub readmitted_watched: u64,
     /// Quarantines whose cooldown was escalated (a repeat at one entry).
     pub cooldown_escalations: u64,

@@ -24,7 +24,7 @@
 
 use tracecache_repro::bytecode::{CmpOp, FunctionBuilder, Intrinsic, Program, ProgramBuilder};
 use tracecache_repro::conformance::matrix::{self, Row};
-use tracecache_repro::exec::{EngineConfig, TracingVm};
+use tracecache_repro::exec::{compile, lower_reg, EngineConfig, RInstr, TracingVm};
 use tracecache_repro::jit::TraceJitConfig;
 use tracecache_repro::vm::{NullObserver, ReferenceVm, Value, Vm, VmError};
 
@@ -774,4 +774,104 @@ fn final_switch_return_and_call_go_on_without_dispatching() {
         }
         assert_fuel_cuts_match(name, &program, &[Value::Int(24)]);
     }
+}
+
+/// A loop whose trace holds both switch kinds, with different tables: a
+/// mid-trace `tableswitch` guard (low −2, two entries) whose
+/// out-of-range default is the hot arm and whose two entries, taken 2 of
+/// every 32 iterations, side-exit; and a final `tableswitch` (low 5,
+/// three entries) whose selector reaches every entry and the default.
+/// Both tables live in the trace's one switch pool, so reading either at
+/// the other's offset picks a wrong low, length or successor.
+fn two_switch_program() -> Program {
+    let mut pb = ProgramBuilder::new();
+    let f = pb.declare_function("main", 1, true);
+    let b = pb.function_mut(f);
+    let acc = b.alloc_local();
+    b.iconst(0).store(acc);
+    let head = b.bind_new_label();
+    let exit = b.new_label();
+    let (r1, r2, hot, join) = (b.new_label(), b.new_label(), b.new_label(), b.new_label());
+    let (odd, far) = (b.new_label(), b.new_label());
+    b.load(0).if_i(CmpOp::Le, exit);
+    // Selector (i & 31) - 30, in -30..=1: -2 and -1 hit the table.
+    b.load(0).iconst(31).iand().iconst(30).isub();
+    b.table_switch(-2, &[r1, r2], hot);
+    b.bind(r1);
+    b.load(acc).iconst(1000).iadd().store(acc).goto(join);
+    b.bind(r2);
+    b.load(acc).iconst(2000).iadd().store(acc).goto(join);
+    b.bind(hot);
+    b.load(acc)
+        .iconst(3)
+        .imul()
+        .load(0)
+        .iadd()
+        .store(acc)
+        .goto(join);
+    b.bind(join);
+    b.load(acc).intrinsic(Intrinsic::Checksum);
+    b.iinc(0, -1);
+    // Selector (i & 3) + 5, in 5..=8: 5 and 7 loop, 6 and 8 take a detour.
+    b.load(0).iconst(3).iand().iconst(5).iadd();
+    b.table_switch(5, &[head, odd, head], far);
+    b.bind(odd);
+    b.load(acc).iconst(7).ixor().store(acc).goto(head);
+    b.bind(far);
+    b.load(acc).iconst(11).iadd().store(acc).goto(head);
+    b.bind(exit);
+    b.load(acc).ret();
+    pb.build(f).unwrap()
+}
+
+/// Warm, the trace through both switches side-exits only where the
+/// guard's own table sends the selector, and every run and every fuel
+/// cut matches the reference interpreter.
+#[test]
+fn both_switch_kinds_read_their_own_tables() {
+    let program = two_switch_program();
+    let n = 3_200;
+    let args = [Value::Int(n)];
+    let mut reference = ReferenceVm::new(&program);
+    let want = reference.run(&args, &mut NullObserver).unwrap();
+    let mut engine = TracingVm::new(&program, chaos_config());
+    let mut before = engine.run(&args).unwrap().traces;
+
+    let decoded = engine.decoded();
+    let both = engine.cache().iter_traces().any(|trace| {
+        let Some(rt) = compile(&program, trace)
+            .ok()
+            .and_then(|ct| lower_reg(&program, decoded, &ct))
+        else {
+            return false;
+        };
+        let guard = rt.code.iter().find_map(|r| match r {
+            RInstr::GuardSwitch { table, .. } => Some(rt.switches.table(*table)),
+            _ => None,
+        });
+        let last = match rt.code.last() {
+            Some(RInstr::FinalSwitch { table, .. }) => Some(rt.switches.table(*table)),
+            _ => None,
+        };
+        matches!((guard, last), (Some(g), Some(f)) if (g.low, g.targets.len(), f.low, f.targets.len()) == (-2, 2, 5, 3))
+    });
+    assert!(both, "no trace holds the guard switch and the final switch");
+
+    for run in 1..4 {
+        let report = engine.run(&args).unwrap();
+        assert_eq!(report.result, want, "run {run}");
+        assert_eq!(report.checksum, reference.checksum(), "run {run}");
+        assert_eq!(
+            report.exec.instructions,
+            reference.stats().instructions,
+            "run {run}"
+        );
+        let exited = report.traces.exited_early - before.exited_early;
+        assert!(
+            exited > 0 && exited <= n as u64 / 16 + 4,
+            "run {run}: {exited} side exits"
+        );
+        before = report.traces;
+    }
+    assert_fuel_cuts_match("two-switch", &program, &[Value::Int(64)]);
 }
