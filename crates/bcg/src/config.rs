@@ -4,6 +4,10 @@
 /// counts halve every [`BcgConfig::decay_interval`] executions).
 pub const DECAY_SHIFT: u32 = 1;
 
+/// Saturation bound of the edge counters: the paper's counters are 16
+/// bits wide, and a counter at the bound stops counting rather than wrap.
+pub const MAX_COUNTER: u16 = u16::MAX;
+
 /// Tunable parameters of the branch correlation graph.
 ///
 /// The two *algorithm* parameters from the paper's evaluation (§5.2) are
@@ -25,8 +29,6 @@ pub struct BcgConfig {
     /// Executions of a node between decays of its edge counters
     /// (paper: 256).
     pub decay_interval: u32,
-    /// Saturation bound for the 16-bit edge counters.
-    pub max_counter: u16,
     /// Whether the per-node predicted-successor inline cache is used for
     /// the fast path. Disabling it changes only the profiler's own cost
     /// model (hit/miss statistics), never the graph it builds — used by
@@ -42,7 +44,6 @@ impl BcgConfig {
             start_delay: 64,
             threshold: 0.97,
             decay_interval: 256,
-            max_counter: u16::MAX,
             inline_cache: true,
         }
     }

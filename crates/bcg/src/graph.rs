@@ -4,7 +4,7 @@ use std::fmt;
 
 use jvm_bytecode::BlockId;
 
-use crate::config::{BcgConfig, DECAY_SHIFT};
+use crate::config::{BcgConfig, DECAY_SHIFT, MAX_COUNTER};
 use crate::node::{Node, Successor};
 use crate::signal::{Signal, SignalKind};
 use crate::stats::ProfilerStats;
@@ -40,15 +40,18 @@ impl fmt::Display for NodeIdx {
 /// The per-dispatch cost model mirrors §4.1.2 of the paper:
 ///
 /// * **fast path** (expected): the dispatched block matches the context
-///   node's cached prediction — two comparisons, one counter bump, and the
-///   edge's embedded target index becomes the new context; no hashing, and
-///   with ≤ 4 successors no pointer chase either (inline storage);
+///   node's cached prediction and no event is due — a few comparisons,
+///   the counter bumps, and the edge's embedded target index becomes the
+///   new context; no hashing, and with ≤ 4 successors no pointer chase
+///   either (inline storage);
 /// * **slow path**: a linear scan of the context's known successors,
 ///   possibly constructing a new edge and node (lazy construction); only
 ///   this path touches the branch index, a [`BranchMap`] keyed by
 ///   [`PackedBranch`];
 /// * **periodic work**: every `decay_interval` executions of a node its
 ///   counters decay and its state/prediction are rechecked.
+///
+/// Both paths leave every node field exact after every dispatch.
 #[derive(Debug)]
 pub struct BranchCorrelationGraph {
     config: BcgConfig,
@@ -214,31 +217,19 @@ impl BranchCorrelationGraph {
     /// block of a stream. The integrated VM threads this into the trace
     /// cache's per-node link slot so the dispatch monitor never hashes.
     ///
-    /// The expected case is the **budgeted fast path**: the context
-    /// node's prediction matches `z` and its event budget (armed by the
-    /// last slow visit, see `rearm`) proves no decay, delay
-    /// expiry, or counter saturation can fire yet — so the whole
-    /// dispatch is two compares and three counter bumps, the paper's
-    /// "couple of comparisons and a counter bump" (§4.1.2).
+    /// The expected case is the fast path, `predicted_hit`: the paper's
+    /// "couple of comparisons and a counter bump" (§4.1.2). Any other
+    /// visit runs `record_slow`, the paper's rule in full.
     #[inline]
     pub fn observe(&mut self, z: BlockId) -> Option<NodeIdx> {
         self.stats.dispatches += 1;
         // First block of the stream has no branch yet.
         let y = self.last_block.replace(z)?;
         let next = match self.ctx_node {
-            Some(nxy) => {
-                let node = &mut self.nodes[nxy.index()];
-                if node.fp_budget != 0 && node.fp_block == z {
-                    node.fp_budget -= 1;
-                    node.executions += 1;
-                    node.total_weight += 1;
-                    node.successors.as_mut_slice()[node.fp_slot as usize].count += 1;
-                    self.stats.cache_hits += 1;
-                    node.fp_next
-                } else {
-                    self.record_slow(nxy, (y, z))
-                }
-            }
+            Some(nxy) => match self.predicted_hit(nxy, z) {
+                Some(next) => next,
+                None => self.record_slow(nxy, (y, z)),
+            },
             None => self.get_or_create((y, z)),
         };
         #[cfg(feature = "debug-invariants")]
@@ -252,6 +243,37 @@ impl BranchCorrelationGraph {
         Some(next)
     }
 
+    /// The fast path: `z` is the context node's prediction and this
+    /// visit fires no event — the predicted counter is below
+    /// [`MAX_COUNTER`], the decay window does not close, and the start
+    /// delay does not expire. It then does exactly what
+    /// [`Self::record_slow`] would: every counter bump, the decay window
+    /// and the delay countdown. Returns `None`, changing nothing, for
+    /// any other visit (and for every visit with `inline_cache` off).
+    #[inline(always)]
+    fn predicted_hit(&mut self, nxy: NodeIdx, z: BlockId) -> Option<NodeIdx> {
+        let cfg = &self.config;
+        let node = &mut self.nodes[nxy.index()];
+        let p = node.prediction.filter(|p| p.block == z)?;
+        if !cfg.inline_cache
+            || node.since_decay + 1 >= cfg.decay_interval
+            || node.delay_remaining == 1
+        {
+            return None;
+        }
+        let s = &mut node.successors.as_mut_slice()[p.slot as usize];
+        if s.count == MAX_COUNTER {
+            return None;
+        }
+        s.count += 1;
+        node.total_weight += 1;
+        node.executions += 1;
+        node.since_decay += 1;
+        node.delay_remaining = node.delay_remaining.saturating_sub(1);
+        self.stats.cache_hits += 1;
+        Some(p.next)
+    }
+
     /// The `debug-invariants` layer: machine-checkable properties of one
     /// live node, asserted after every dispatch through it. Each check
     /// names the paper rule it encodes (DESIGN.md, "Conformance
@@ -262,17 +284,14 @@ impl BranchCorrelationGraph {
         use crate::state::NodeState;
         let cfg = &self.config;
         let node = &self.nodes[idx.index()];
-        // §4.1: 16-bit decayed counters saturate at the bound, never wrap.
-        let mut sum = 0u32;
-        for s in node.successors.as_slice() {
-            assert!(
-                s.count <= cfg.max_counter,
-                "{idx}: counter {} above saturation bound {}",
-                s.count,
-                cfg.max_counter
-            );
-            sum += u32::from(s.count);
-        }
+        // §4.1: the counters are 16-bit (`u16`, saturating at
+        // `MAX_COUNTER`); their sum is the node's weight.
+        let sum: u32 = node
+            .successors
+            .as_slice()
+            .iter()
+            .map(|s| u32::from(s.count))
+            .sum();
         assert_eq!(
             node.total_weight, sum,
             "{idx}: total_weight out of sync with successor counters"
@@ -293,23 +312,18 @@ impl BranchCorrelationGraph {
             node.since_decay,
             cfg.decay_interval
         );
-        // The cached prediction must index a live successor slot.
-        if let Some(ci) = node.cached {
-            assert!(
-                (ci as usize) < node.successors.len(),
-                "{idx}: cached prediction slot {ci} dangles"
+        // The prediction indexes a live successor slot and equals it:
+        // its block and target node are that slot's.
+        if let Some(p) = node.prediction {
+            let Some(s) = node.successors.as_slice().get(p.slot as usize) else {
+                panic!("{idx}: prediction slot {} dangles", p.slot);
+            };
+            assert_eq!(
+                (p.block, p.next),
+                (s.to_block, s.node),
+                "{idx}: prediction differs from successor slot {}",
+                p.slot
             );
-        }
-        // Budgeted fast path: while armed, the armed slot mirrors the
-        // cached prediction and its embedded target link, and the spent
-        // budget never exceeds what was armed.
-        if node.fp_budget != 0 {
-            assert!(node.fp_budget <= node.fp_armed, "{idx}: budget overspent");
-            let ci = node.cached.expect("armed fast path requires a prediction");
-            assert_eq!(node.fp_slot, ci, "{idx}: armed slot diverged from cache");
-            let s = &node.successors.as_slice()[ci as usize];
-            assert_eq!(node.fp_block, s.to_block, "{idx}: armed block stale");
-            assert_eq!(node.fp_next, s.node, "{idx}: armed target link stale");
         }
     }
 
@@ -331,18 +345,6 @@ impl BranchCorrelationGraph {
         self.get_or_create(branch)
     }
 
-    /// Applies pending fast-path bookkeeping and disarms the budget so
-    /// the next visit takes the slow path. The image merge uses this to
-    /// put a node back under the lazy-decay discipline before folding
-    /// foreign counters in: a stale armed budget could otherwise run a
-    /// counter past saturation or skate over a newly-due decay.
-    pub(crate) fn settle_and_disarm(&mut self, idx: NodeIdx) {
-        self.sync_deferred(idx);
-        let node = &mut self.nodes[idx.index()];
-        node.fp_budget = 0;
-        node.fp_armed = 0;
-    }
-
     /// Gets or lazily creates the node for `branch`.
     fn get_or_create(&mut self, branch: Branch) -> NodeIdx {
         let key = PackedBranch::pack(branch);
@@ -356,63 +358,13 @@ impl BranchCorrelationGraph {
         idx
     }
 
-    /// Applies the bookkeeping the fast path deferred: `elapsed` fast
-    /// hits each conceptually incremented `since_decay` and decremented
-    /// `delay_remaining`, but the budget guarantees neither crossed its
-    /// event boundary, so applying them in one batch is exact.
-    fn sync_deferred(&mut self, nxy: NodeIdx) {
-        let node = &mut self.nodes[nxy.index()];
-        let elapsed = node.fp_armed - node.fp_budget;
-        if elapsed > 0 {
-            node.since_decay += elapsed;
-            if node.delay_remaining > 0 {
-                // Budget ≤ delay_remaining - 1 at arm time, so the
-                // countdown cannot have reached zero in between.
-                node.delay_remaining -= elapsed;
-            }
-            node.fp_armed = node.fp_budget;
-        }
-    }
-
-    /// Re-arms the budgeted fast path after a slow visit: the budget is
-    /// the number of consecutive predicted hits guaranteed not to reach
-    /// the node's next event (decay due, delay expiry, or saturation of
-    /// the predicted counter). Zero disarms — every visit then takes the
-    /// slow path, which is exactly the unbudgeted rule.
-    fn rearm(&mut self, nxy: NodeIdx) {
-        let cfg = &self.config;
-        let node = &mut self.nodes[nxy.index()];
-        node.fp_budget = 0;
-        node.fp_armed = 0;
-        if !cfg.inline_cache {
-            return;
-        }
-        let Some(ci) = node.cached else { return };
-        let s = node.successors.as_slice()[ci as usize];
-        let until_saturation = u32::from(cfg.max_counter) - u32::from(s.count);
-        let until_decay = (cfg.decay_interval - node.since_decay).saturating_sub(1);
-        let until_delay = if node.delay_remaining > 0 {
-            node.delay_remaining - 1
-        } else {
-            u32::MAX
-        };
-        let budget = until_saturation.min(until_decay).min(until_delay);
-        node.fp_budget = budget;
-        node.fp_armed = budget;
-        node.fp_block = s.to_block;
-        node.fp_next = s.node;
-        node.fp_slot = ci;
-    }
-
     /// Records that branch `yz` followed the branch at `nxy`, updating the
     /// edge counter, the start delay, and the decay schedule. Returns the
     /// node for `yz`, which becomes the new context.
     ///
     /// This is the paper's per-dispatch rule as the conformance model
-    /// transcribes it, bracketed by [`Self::sync_deferred`] and
-    /// [`Self::rearm`].
+    /// transcribes it.
     fn record_slow(&mut self, nxy: NodeIdx, yz: Branch) -> NodeIdx {
-        self.sync_deferred(nxy);
         let cfg = self.config;
         let z = yz.1;
 
@@ -422,16 +374,14 @@ impl BranchCorrelationGraph {
             let node = &mut self.nodes[nxy.index()];
             node.executions += 1;
             if cfg.inline_cache {
-                if let Some(ci) = node.cached {
-                    let s = &mut node.successors.as_mut_slice()[ci as usize];
-                    if s.to_block == z {
-                        if s.count < cfg.max_counter {
-                            s.count += 1;
-                            node.total_weight += 1;
-                        }
-                        self.stats.cache_hits += 1;
-                        next = Some(s.node);
+                if let Some(p) = node.prediction.filter(|p| p.block == z) {
+                    let s = &mut node.successors.as_mut_slice()[p.slot as usize];
+                    if s.count < MAX_COUNTER {
+                        s.count += 1;
+                        node.total_weight += 1;
                     }
+                    self.stats.cache_hits += 1;
+                    next = Some(p.next);
                 }
             }
             if next.is_none() {
@@ -444,13 +394,13 @@ impl BranchCorrelationGraph {
                     .position(|s| s.to_block == z)
                 {
                     let s = &mut node.successors.as_mut_slice()[i];
-                    if s.count < cfg.max_counter {
+                    if s.count < MAX_COUNTER {
                         s.count += 1;
                         node.total_weight += 1;
                     }
                     let s_node = s.node;
-                    if node.cached.is_none() {
-                        node.cached = Some(i as u32);
+                    if node.prediction.is_none() {
+                        node.predict(i);
                     }
                     next = Some(s_node);
                 }
@@ -469,8 +419,8 @@ impl BranchCorrelationGraph {
                     node: nyz,
                 });
                 node.total_weight += 1;
-                if node.cached.is_none() {
-                    node.cached = Some((node.successors.len() - 1) as u32);
+                if node.prediction.is_none() {
+                    node.predict(node.successors.len() - 1);
                 }
                 self.stats.edges_created += 1;
                 self.nodes[nyz.index()].preds.insert(nxy);
@@ -515,7 +465,6 @@ impl BranchCorrelationGraph {
         if decay_due {
             self.decay(nxy);
         }
-        self.rearm(nxy);
         next
     }
 
@@ -524,14 +473,10 @@ impl BranchCorrelationGraph {
     /// test/chaos hook: the conformance campaigns use it to explore
     /// counter-decay interleavings that a natural dispatch stream would
     /// need billions of blocks to reach. Semantically it is exactly the
-    /// decay the node would have performed at its next interval boundary
-    /// (deferred fast-path bookkeeping is applied first, and the
-    /// budgeted fast path is re-armed afterwards), so a model following
-    /// the paper's decay rule stays in lockstep.
+    /// decay the node would have performed at its next interval boundary,
+    /// so a model following the paper's decay rule stays in lockstep.
     pub fn force_decay(&mut self, idx: NodeIdx) {
-        self.sync_deferred(idx);
         self.decay(idx);
-        self.rearm(idx);
         #[cfg(feature = "debug-invariants")]
         self.assert_node_invariants(idx);
     }
@@ -558,13 +503,7 @@ impl BranchCorrelationGraph {
             .sum();
 
         // Re-elect the cached prediction: the maximally correlated edge.
-        node.cached = node
-            .successors
-            .as_slice()
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, s)| s.count)
-            .map(|(i, _)| i as u32);
+        node.reelect();
 
         let new_state = if node.delay_remaining > 0 {
             // Still filtered; no re-evaluation until hot. While delayed
@@ -822,20 +761,6 @@ mod tests {
         assert_eq!(bcg.len(), before + 1);
     }
 
-    #[test]
-    fn counters_saturate_without_overflow() {
-        let mut bcg = BranchCorrelationGraph::new(BcgConfig {
-            decay_interval: u32::MAX, // never decay: force saturation path
-            max_counter: 100,
-            ..cfg(1, 0.97)
-        });
-        feed(&mut bcg, &[0, 1], 500);
-        let n01 = bcg.node_index((blk(0), blk(1))).unwrap();
-        let node = bcg.node(n01);
-        assert_eq!(node.successors()[0].count, 100);
-        assert_eq!(node.total_weight(), 100);
-    }
-
     /// Decay truncation can drop the maximal successor's correlation
     /// back below the completion threshold: a Strong node must demote to
     /// Weak (with a state-change signal), not stay pinned Strong.
@@ -881,7 +806,7 @@ mod tests {
             decay_interval: u32::MAX, // never decay: drive to saturation
             ..cfg(1, 0.97)
         });
-        assert_eq!(bcg.config().max_counter, u16::MAX);
+        assert_eq!(MAX_COUNTER, u16::MAX);
         // 70_000 executions per branch: > u16::MAX, would wrap to ~4464.
         feed(&mut bcg, &[0, 1], 70_000);
         let n01 = bcg.node_index((blk(0), blk(1))).unwrap();
@@ -892,6 +817,100 @@ mod tests {
         assert_eq!(node.successors()[0].count, u16::MAX);
         assert_eq!(node.total_weight(), u32::from(u16::MAX));
         assert_eq!(node.state(), NodeState::Unique);
+    }
+
+    /// Feeds `pattern` `reps` times through `cfg` and through `cfg` with
+    /// the inline cache off, where every visit runs `record_slow` (the
+    /// conformance model's rule), checking after every dispatch that the
+    /// two graphs agree on every node field, on the signals raised and on
+    /// the decay count. Returns the fast graph, the dispatches (1-based)
+    /// on which `(0, 1)` signalled and those on which a node decayed.
+    fn against_the_slow_rule(
+        cfg: BcgConfig,
+        pattern: &[u32],
+        reps: usize,
+    ) -> (BranchCorrelationGraph, Vec<u64>, Vec<u64>) {
+        let mut fast = BranchCorrelationGraph::new(cfg);
+        let mut slow = BranchCorrelationGraph::new(BcgConfig {
+            inline_cache: false,
+            ..cfg
+        });
+        let fields = |n: &Node| {
+            let succ: Vec<Successor> = n.successors().to_vec();
+            let exact = (n.since_decay(), n.delay_remaining());
+            (n.state(), n.executions(), n.total_weight(), succ, exact)
+        };
+        let (mut signalled, mut decayed) = (Vec::new(), Vec::new());
+        for &b in pattern.iter().cycle().take(pattern.len() * reps) {
+            let decays = fast.stats().decays;
+            fast.observe(blk(b));
+            slow.observe(blk(b));
+            let d = fast.stats().dispatches;
+            assert_eq!(fast.len(), slow.len(), "dispatch {d}");
+            for ((i, f), (_, s)) in fast.iter().zip(slow.iter()) {
+                assert_eq!(fields(f), fields(s), "dispatch {d}, {i}");
+            }
+            let signals = fast.take_signals();
+            assert_eq!(signals, slow.take_signals(), "dispatch {d}");
+            assert_eq!(fast.stats().decays, slow.stats().decays, "dispatch {d}");
+            if signals.iter().any(|s| s.branch == (blk(0), blk(1))) {
+                signalled.push(d);
+            }
+            if fast.stats().decays > decays {
+                decayed.push(d);
+            }
+        }
+        (fast, signalled, decayed)
+    }
+
+    /// A predicted hit on which an event falls due — the start delay's
+    /// last visit, the visit that closes the decay window, a hit on a
+    /// saturated counter — acts on that very dispatch, as the slow rule
+    /// does, and leaves `since_decay` / `delay_remaining` equal to it.
+    #[test]
+    fn predicted_hits_at_an_event_boundary_act_on_that_dispatch() {
+        // On a 0 1 0 1 ... stream, (0, 1)'s k-th execution is dispatch
+        // 1 + 2k; its first makes the edge, every later one is a
+        // predicted hit. (1, 0)'s k-th execution is one dispatch later.
+        let exec = |k: u64| 1 + 2 * k;
+        let n01 = (blk(0), blk(1));
+
+        // The delay (5) expires on the 5th execution, a predicted hit.
+        let (g, signalled, _) = against_the_slow_rule(cfg(5, 0.97), &[0, 1], 8);
+        assert_eq!(signalled, [exec(5)]);
+        let node = g.node(g.node_index(n01).unwrap());
+        assert_eq!(
+            (node.delay_remaining(), node.state()),
+            (0, NodeState::Unique)
+        );
+
+        // The 8th execution closes an 8-execution decay window.
+        let short = BcgConfig {
+            decay_interval: 8,
+            ..cfg(1, 0.97)
+        };
+        let (g, _, decayed) = against_the_slow_rule(short, &[0, 1], 12);
+        assert_eq!(decayed, [exec(8), exec(8) + 1]);
+        assert_eq!(g.node(g.node_index(n01).unwrap()).since_decay(), 3);
+
+        // The 65,536th execution hits a counter already at the bound.
+        let never = BcgConfig {
+            decay_interval: u32::MAX,
+            ..cfg(1, 0.97)
+        };
+        let reps = usize::from(MAX_COUNTER) + 2;
+        let (g, _, decayed) = against_the_slow_rule(never, &[0, 1], reps);
+        assert!(decayed.is_empty());
+        assert_eq!(
+            g.stats().cache_misses,
+            2,
+            "only the two edge creations miss"
+        );
+        let node = g.node(g.node_index(n01).unwrap());
+        assert_eq!(node.executions(), u64::from(MAX_COUNTER) + 1);
+        assert_eq!(node.successors()[0].count, MAX_COUNTER);
+        assert_eq!(node.total_weight(), u32::from(MAX_COUNTER));
+        assert_eq!(node.since_decay(), u32::from(MAX_COUNTER) + 1);
     }
 
     #[test]

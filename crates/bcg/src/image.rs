@@ -2,33 +2,27 @@
 //!
 //! An [`BcgImage`] is the persistence-facing view of a
 //! [`BranchCorrelationGraph`]: exactly the observable profile state —
-//! branches, execution counts, decayed successor counters, and the two
-//! deferred-work countdowns (`since_decay`, `delay_remaining`) — and
-//! nothing derived. State tags, cached predictions, predecessor lists,
-//! inline-cache arming, and trace-link stamps are all recomputed on
-//! restore, so an image round-trips bit-identically regardless of how
-//! the live graph's fast path happened to be armed at export time.
+//! branches, state tags, execution counts, decayed successor counters,
+//! and the two countdowns (`since_decay`, `delay_remaining`) — and
+//! nothing derived. Cached predictions, predecessor lists and
+//! trace-link stamps are recomputed on restore, so an image round-trips
+//! bit-identically.
 //!
 //! Two operations:
 //!
-//! * [`export`] captures a live graph, settling the budgeted fast
-//!   path's lazily-deferred bookkeeping (the `fp_armed - fp_budget`
-//!   window of pending `since_decay` / `delay_remaining` updates)
-//!   arithmetically, without mutating the graph;
+//! * [`export`] copies a live graph's profile state, without mutating
+//!   the graph;
 //! * [`merge_into`] folds an image into a *live* graph — the warm-boot
 //!   path; into an empty graph it reconstructs the image exactly —
-//!   with saturating counter addition and clamping rules that
-//!   put every merged node back under the lazy-decay discipline: the
-//!   node is disarmed, its decay window is clamped strictly below the
-//!   interval, and the next slow visit re-arms it from the merged
-//!   counters, so stale loaded counts age out under normal decay
-//!   instead of pinning the prediction.
+//!   with saturating counter addition and a decay window clamped
+//!   strictly below the interval, so stale loaded counts age out under
+//!   normal decay instead of pinning the prediction.
 
 use std::fmt;
 
 use jvm_bytecode::BlockId;
 
-use crate::config::BcgConfig;
+use crate::config::{BcgConfig, MAX_COUNTER};
 use crate::graph::{BranchCorrelationGraph, NodeIdx};
 use crate::node::Successor;
 use crate::state::NodeState;
@@ -57,11 +51,10 @@ pub struct NodeImage {
     pub state: NodeState,
     /// Lifetime execution count.
     pub executions: u64,
-    /// Executions remaining before the node leaves the start state,
-    /// with any fast-path-deferred decrements already applied.
+    /// Executions remaining before the node leaves the start state.
     pub delay_remaining: u32,
-    /// Executions since the last decay, with any fast-path-deferred
-    /// increments already applied (strictly below the decay interval).
+    /// Executions since the last decay (strictly below the decay
+    /// interval).
     pub since_decay: u32,
     /// Successor edges in slot order.
     pub successors: Vec<SuccessorImage>,
@@ -149,40 +142,24 @@ pub struct MergeStats {
 }
 
 /// Captures a live graph as an image.
-///
-/// The budgeted fast path defers `since_decay` / `delay_remaining`
-/// bookkeeping while armed (`fp_armed - fp_budget` elapsed hits are
-/// pending); the export applies that arithmetic into the image — the
-/// arming budget guarantees neither countdown crossed its boundary, so
-/// the settled values are exact — without touching the graph.
 pub fn export(bcg: &BranchCorrelationGraph) -> BcgImage {
     let nodes = bcg
         .iter()
-        .map(|(_, node)| {
-            let elapsed = node.fp_armed - node.fp_budget;
-            let delay_remaining = if node.delay_remaining > 0 {
-                // Arm-time budget was capped at delay_remaining - 1, so
-                // the countdown cannot have hit zero while armed.
-                node.delay_remaining - elapsed
-            } else {
-                0
-            };
-            NodeImage {
-                branch: node.branch,
-                state: node.state,
-                executions: node.executions,
-                delay_remaining,
-                since_decay: node.since_decay + elapsed,
-                successors: node
-                    .successors
-                    .as_slice()
-                    .iter()
-                    .map(|s| SuccessorImage {
-                        to_block: s.to_block,
-                        count: s.count,
-                    })
-                    .collect(),
-            }
+        .map(|(_, node)| NodeImage {
+            branch: node.branch,
+            state: node.state,
+            executions: node.executions,
+            delay_remaining: node.delay_remaining,
+            since_decay: node.since_decay,
+            successors: node
+                .successors
+                .as_slice()
+                .iter()
+                .map(|s| SuccessorImage {
+                    to_block: s.to_block,
+                    count: s.count,
+                })
+                .collect(),
         })
         .collect();
     BcgImage { nodes }
@@ -190,14 +167,13 @@ pub fn export(bcg: &BranchCorrelationGraph) -> BcgImage {
 
 /// Folds an image into a live graph — the warm-boot merge.
 ///
-/// Per node: the pending fast-path bookkeeping of the live node is
-/// settled and the node disarmed; executions and matching successor
-/// counters are added with saturation at the configured bound; the
-/// start-state delay takes the *minimum* of the two countdowns (work
-/// already done in either process counts); and the decay window takes
-/// the *sum clamped to `decay_interval - 1`* — so a node whose combined
-/// window would have crossed the boundary decays at its very next slow
-/// visit, which is what makes stale loaded counts age out rather than
+/// Per node: executions and matching successor counters are added with
+/// saturation at [`MAX_COUNTER`]; the start-state delay takes the
+/// *minimum* of the two countdowns (work already done in either process
+/// counts); and the decay window takes the *sum clamped to
+/// `decay_interval - 1`* — so a node whose combined window would have
+/// crossed the boundary decays at its very next visit, which is what
+/// makes stale loaded counts age out rather than
 /// pin the prediction. A node with no live profile yet adopts the stored
 /// state tag, and nodes are materialized in image order, so merging into
 /// an empty graph reproduces the image — indices, and therefore a
@@ -243,12 +219,6 @@ pub fn merge_into(
             let node = bcg.node_mut(idx);
             node.executions == 0 && node.successors.is_empty()
         };
-        // Settle the deferred window, then disarm: the merged node must
-        // re-enter the lazy-decay discipline from a clean slow-path
-        // state, so the next visit re-arms against the *merged*
-        // counters (a stale armed budget could otherwise run a counter
-        // past saturation or skate over a now-due decay).
-        bcg.settle_and_disarm(idx);
         for s in &img.successors {
             let target = bcg.get_or_create_node((img.branch.1, s.to_block));
             let node = bcg.node_mut(idx);
@@ -260,7 +230,7 @@ pub fn merge_into(
             {
                 Some(edge) => {
                     let merged = u32::from(edge.count) + u32::from(s.count);
-                    edge.count = merged.min(u32::from(config.max_counter)) as u16;
+                    edge.count = merged.min(u32::from(MAX_COUNTER)) as u16;
                     stats.edges_merged += 1;
                 }
                 None => {
@@ -303,13 +273,7 @@ fn refresh_derived(bcg: &mut BranchCorrelationGraph, idx: NodeIdx) {
         .iter()
         .map(|s| u32::from(s.count))
         .sum();
-    node.cached = node
-        .successors
-        .as_slice()
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, s)| s.count)
-        .map(|(i, _)| i as u32);
+    node.reelect();
 }
 
 fn validate(config: &BcgConfig, image: &BcgImage) -> Result<(), ImageError> {
@@ -407,10 +371,10 @@ mod tests {
     }
 
     #[test]
-    fn export_settles_armed_fast_path_bookkeeping() {
-        // A long predictable run leaves the hot node armed with pending
-        // deferred bookkeeping; the exported window must include it.
-        let mut bcg = BranchCorrelationGraph::new(cfg(1, 0.97));
+    fn export_copies_the_countdowns_as_they_stand() {
+        // 100 reps: (0, 1) has executed 99 times, all but the first as
+        // predicted hits, inside a 200-execution delay and one window.
+        let mut bcg = BranchCorrelationGraph::new(cfg(200, 0.97));
         feed(&mut bcg, &[0, 1], 100);
         let image = export(&bcg);
         let img01 = image
@@ -418,16 +382,11 @@ mod tests {
             .iter()
             .find(|n| n.branch == (blk(0), blk(1)))
             .expect("node exists");
-        // 100 reps => 99 executions of (0,1) past creation; the raw node
-        // field lags while armed, the image must not.
+        assert_eq!((img01.since_decay, img01.delay_remaining), (99, 101));
         let n01 = bcg.node_index((blk(0), blk(1))).unwrap();
-        let raw = bcg.node(n01);
-        let pending = raw.fp_armed - raw.fp_budget;
-        assert!(pending > 0, "test needs an armed node with pending hits");
-        assert_eq!(img01.since_decay, raw.since_decay + pending);
-        // Restoring and continuing must behave like the original graph.
-        let cont = restore(*bcg.config(), &image).unwrap();
-        assert!(cont.node(n01).since_decay < cont.config().decay_interval);
+        let restored = restore(*bcg.config(), &image).unwrap();
+        let node = restored.node(n01);
+        assert_eq!((node.since_decay(), node.delay_remaining()), (99, 101));
     }
 
     #[test]
@@ -494,21 +453,28 @@ mod tests {
 
     #[test]
     fn merge_saturates_counters_and_sums_executions() {
+        // Two profiles of 40,000 undecayed executions each: their sum
+        // passes the 16-bit bound.
         let config = BcgConfig {
-            max_counter: 100,
+            decay_interval: u32::MAX,
             ..cfg(1, 0.97)
         };
         let mut a = BranchCorrelationGraph::new(config);
-        feed(&mut a, &[0, 1], 80);
+        feed(&mut a, &[0, 1], 40_000);
         let image = export(&a);
         let mut b = BranchCorrelationGraph::new(config);
-        feed(&mut b, &[0, 1], 80);
+        feed(&mut b, &[0, 1], 40_000);
         let n01 = b.node_index((blk(0), blk(1))).unwrap();
         let before_exec = b.node(n01).executions();
+        assert_eq!(b.node(n01).successors()[0].count, 39_999);
         merge_into(&mut b, &image).unwrap();
         let node = b.node(n01);
-        assert_eq!(node.successors()[0].count, 100, "saturates at the bound");
-        assert_eq!(node.total_weight(), 100);
+        assert_eq!(
+            node.successors()[0].count,
+            MAX_COUNTER,
+            "saturates at the bound"
+        );
+        assert_eq!(node.total_weight(), u32::from(MAX_COUNTER));
         assert_eq!(
             node.executions(),
             before_exec
@@ -521,14 +487,11 @@ mod tests {
         );
     }
 
-    /// Satellite regression: a merged profile's `since_decay` /
-    /// `delay_remaining` must re-enter the lazy-decay discipline — the
-    /// clamped window stays strictly below the interval (the live
-    /// invariant), the node is disarmed so the next visit takes the
-    /// slow path, and that visit fires the decay the combined window
-    /// earned *before* re-arming against the decayed counters.
+    /// A merged decay window that would cross the interval is clamped
+    /// one shy of it (the live invariant), and the next visit fires the
+    /// decay the combined window earned.
     #[test]
-    fn merge_then_decay_ordering_re_enters_lazy_discipline() {
+    fn a_merged_window_past_the_interval_decays_at_the_next_visit() {
         let config = cfg(1, 0.97);
         let interval = config.decay_interval;
         // Two graphs, each more than half way to the next decay on the
@@ -548,7 +511,6 @@ mod tests {
         // parks it one shy so the invariant holds...
         assert_eq!(node.since_decay, interval - 1);
         assert!(node.since_decay < interval, "live invariant");
-        assert_eq!(node.fp_budget, 0, "merged node must be disarmed");
         assert_eq!(b.stats().decays, decays_before, "merge itself never decays");
         let weight_before = node.total_weight();
 

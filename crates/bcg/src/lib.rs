@@ -57,7 +57,7 @@ pub mod state;
 pub mod stats;
 pub mod table;
 
-pub use config::{BcgConfig, DECAY_SHIFT};
+pub use config::{BcgConfig, DECAY_SHIFT, MAX_COUNTER};
 pub use graph::{BranchCorrelationGraph, NodeIdx};
 pub use image::{BcgImage, ImageError, MergeStats, NodeImage, SuccessorImage};
 pub use node::{Node, Successor};

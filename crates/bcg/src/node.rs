@@ -188,8 +188,9 @@ pub struct Node {
     /// entry-point backtracking. Entries may be stale after decay pruning
     /// and must be re-validated by the consumer.
     pub(crate) preds: PredList,
-    /// Index into `successors` of the cached prediction.
-    pub(crate) cached: Option<u32>,
+    /// The predicted successor (see `Prediction`); `None` until the
+    /// node records its first edge.
+    pub(crate) prediction: Option<Prediction>,
     /// Trace-cache generation stamp (see
     /// [`crate::BranchCorrelationGraph::mark_generation`]).
     pub(crate) generation: u64,
@@ -200,23 +201,24 @@ pub struct Node {
     /// [`NO_TRACE_LINK`]. Negative results are cached too — that is the
     /// entire point, since almost every dispatch misses.
     pub(crate) link_raw: u32,
-    /// Predicted target block while the budgeted fast path is armed
-    /// (`fp_budget > 0`); meaningless otherwise.
-    pub(crate) fp_block: BlockId,
-    /// Context node a fast-path hit moves to (the prediction's target).
-    pub(crate) fp_next: NodeIdx,
-    /// Successor slot of the prediction (copy of `cached` while armed).
-    pub(crate) fp_slot: u32,
-    /// Fast-path hits remaining before a forced slow visit. Armed by the
-    /// slow path to `min` of the distances to the next *event* on this
-    /// node — decay due, delay expiry, counter saturation — so the fast
-    /// path needs no per-event test: while the budget lasts, no event
-    /// can possibly fire.
-    pub(crate) fp_budget: u32,
-    /// `fp_budget` at arm time; `fp_armed - fp_budget` is the number of
-    /// fast hits whose `since_decay` / `delay_remaining` bookkeeping is
-    /// still pending (applied lazily at the next slow visit).
-    pub(crate) fp_armed: u32,
+}
+
+/// A node's inline-cache prediction: the successor slot it names, with
+/// that slot's block and target node copied beside it, so a predicted
+/// hit compares and follows it without reading the successor list first.
+/// Always equal to `successors[slot]`'s block and node: a slot's block
+/// and node never change, and the one step that moves slots, decay's
+/// pruning, re-elects the prediction. It is written only where the
+/// prediction changes: the first edge, a scan hit with no prediction,
+/// decay's re-election and an image merge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Prediction {
+    /// Index into `successors`.
+    pub(crate) slot: u32,
+    /// `successors[slot].to_block`.
+    pub(crate) block: BlockId,
+    /// `successors[slot].node`: the context a predicted hit moves to.
+    pub(crate) next: NodeIdx,
 }
 
 impl Node {
@@ -230,15 +232,10 @@ impl Node {
             total_weight: 0,
             successors: SuccList::new(Successor::placeholder()),
             preds: PredList::new(NodeIdx(u32::MAX)),
-            cached: None,
+            prediction: None,
             generation: 0,
             link_version: LINK_NEVER,
             link_raw: NO_TRACE_LINK,
-            fp_block: BlockId::new(FuncId(u32::MAX), u32::MAX),
-            fp_next: NodeIdx(u32::MAX),
-            fp_slot: 0,
-            fp_budget: 0,
-            fp_armed: 0,
         }
     }
 
@@ -290,9 +287,48 @@ impl Node {
         self.successors.as_slice().iter().max_by_key(|s| s.count)
     }
 
+    /// Executions since the last decay, strictly below the decay
+    /// interval between dispatches.
+    pub fn since_decay(&self) -> u32 {
+        self.since_decay
+    }
+
+    /// Executions left before the node leaves the start state (0 once
+    /// it has).
+    pub fn delay_remaining(&self) -> u32 {
+        self.delay_remaining
+    }
+
     /// The cached (predicted) successor, if any.
     pub fn predicted(&self) -> Option<&Successor> {
-        self.cached.map(|i| &self.successors.as_slice()[i as usize])
+        self.prediction
+            .map(|p| &self.successors.as_slice()[p.slot as usize])
+    }
+
+    /// Makes successor `slot` the prediction.
+    pub(crate) fn predict(&mut self, slot: usize) {
+        let s = self.successors.as_slice()[slot];
+        self.prediction = Some(Prediction {
+            slot: slot as u32,
+            block: s.to_block,
+            next: s.node,
+        });
+    }
+
+    /// Re-elects the prediction: the maximally correlated successor, the
+    /// last one on ties (`Iterator::max_by_key`), or none if the node has
+    /// no successors left.
+    pub(crate) fn reelect(&mut self) {
+        self.prediction = None;
+        if let Some((i, _)) = self
+            .successors
+            .as_slice()
+            .iter()
+            .enumerate()
+            .max_by_key(|(_, s)| s.count)
+        {
+            self.predict(i);
+        }
     }
 
     /// Correlation ratio of a successor: `count / total_weight`, in

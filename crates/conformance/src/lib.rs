@@ -1,9 +1,9 @@
 //! Model-based conformance harness for the trace-cache workspace.
 //!
 //! The production profiler ([`trace_bcg`]) and trace cache
-//! ([`trace_cache`]) are heavily engineered: budgeted fast paths,
-//! deferred counter settlement, hash-consed trace objects, inline
-//! version-stamped trace links. This crate re-derives the *naive*
+//! ([`trace_cache`]) are heavily engineered: an inline-cache fast path,
+//! packed branch keys, hash-consed trace objects, inline version-stamped
+//! trace links. This crate re-derives the *naive*
 //! semantics straight from the paper (Berndl & Hendren, CGO 2003) as an
 //! executable model — allocation-happy, `HashMap`-keyed, no fast paths —
 //! and checks the optimised systems against it in lockstep on every

@@ -9,13 +9,6 @@
 //! the same links; a full-graph sweep, which also compares the whole
 //! [`ProfilerStats`](trace_bcg::ProfilerStats), runs periodically and at
 //! the end. The model is the profiler's only oracle.
-//!
-//! Two bookkeeping fields are deliberately *not* compared per event:
-//! `since_decay` and `delay_remaining`. The production fast path defers
-//! them behind its arming budget (they are settled at the next slow
-//! visit), so their instantaneous values differ by design while every
-//! observable consequence — decay timing, delay-expiry signalling,
-//! states, counters — must still match exactly, and does get compared.
 
 use jvm_bytecode::BlockId;
 use trace_bcg::{Branch, BranchCorrelationGraph, NodeIdx, Signal};
@@ -274,6 +267,14 @@ impl Lockstep {
                 "{branch:?}: executions {} vs model {}",
                 real.executions(),
                 model.executions
+            )));
+        }
+        let real_countdowns = (real.since_decay(), real.delay_remaining());
+        let model_countdowns = (model.since_decay, model.delay_remaining);
+        if real_countdowns != model_countdowns {
+            return Err(self.diverged(format!(
+                "{branch:?}: (since_decay, delay_remaining) {real_countdowns:?} vs model \
+                 {model_countdowns:?}"
             )));
         }
         if real.total_weight() != model.total_weight {

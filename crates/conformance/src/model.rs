@@ -5,8 +5,8 @@
 //! the start-state delay, completion-threshold signalling, and trace
 //! cutting by expected completion probability (§3.7, §4.2) — written
 //! directly from the prose, with none of the production crates'
-//! machinery (no packed keys, no inline caches, no budgeted fast path,
-//! no hash-consed arena). Nodes are keyed by their [`Branch`] in plain
+//! machinery (no packed keys, no inline caches, no fast path, no
+//! hash-consed arena). Nodes are keyed by their [`Branch`] in plain
 //! hash maps, successor lists are `Vec`s, and every event is processed
 //! the slow way.
 //!
@@ -28,7 +28,7 @@
 //! * `Iterator::max_by_key` returns the **last** maximal element on
 //!   ties; both the maximum-likelihood successor and decay's cached
 //!   re-election depend on that tie-break;
-//! * a saturated counter (`count == max_counter`) bumps **neither** the
+//! * a saturated counter (`count == MAX_COUNTER`) bumps **neither** the
 //!   count nor `total_weight`, keeping correlation ratios frozen.
 
 use std::collections::{HashMap, HashSet};
@@ -41,6 +41,11 @@ use trace_cache::{
     trace_cost, ConstructorConfig, MAX_ENTRY_POINTS, MAX_PATH_NODES, MAX_TRACE_BLOCKS,
     MIN_TRACE_BLOCKS,
 };
+
+/// Saturation bound of the 16-bit edge counters. Transcribed from
+/// `trace_bcg::MAX_COUNTER`; the model keeps its own copy on purpose, so
+/// lockstep flags any drift between the two.
+const MAX_COUNTER: u16 = u16::MAX;
 
 /// A deliberately planted model bug, used by the regression tests to
 /// prove the harness detects real divergences. `None` in normal runs.
@@ -305,7 +310,7 @@ impl ModelBcg {
             match node.successors.iter().position(|s| s.to_block == z) {
                 Some(i) => {
                     let s = &mut node.successors[i];
-                    if s.count < cfg.max_counter {
+                    if s.count < MAX_COUNTER {
                         s.count += 1;
                         node.total_weight += 1;
                     }

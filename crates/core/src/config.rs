@@ -71,7 +71,6 @@ impl TraceJitConfig {
             threshold: self.threshold,
             decay_interval: self.decay_interval,
             inline_cache: self.inline_cache,
-            ..BcgConfig::paper_default()
         }
     }
 

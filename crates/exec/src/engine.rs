@@ -471,10 +471,9 @@ impl<'p> TracingVm<'p> {
     }
 
     /// Warm boot: decodes a snapshot, **merges** its profile into the
-    /// live profiler (saturating counter adds; deferred decay state
-    /// re-enters the lazy-decay discipline clamped to the window edge,
-    /// so stale counts age out at the next slow-path visit instead of
-    /// pinning predictions), restores the cache contents — quarantine
+    /// live profiler (saturating counter adds; the decay window is
+    /// clamped to the window edge, so stale counts age out at the next
+    /// visit instead of pinning predictions), restores the cache contents — quarantine
     /// blacklist included — and pre-builds artifacts for every restored
     /// trace.
     ///

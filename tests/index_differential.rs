@@ -1,5 +1,5 @@
 //! Differential tests of the hot path (packed-key branch index, inline
-//! successors, budgeted fast path, inline trace-link slots).
+//! successors, the inline-cache fast path, inline trace-link slots).
 //!
 //! The profiler's oracle is the conformance model: [`Lockstep`] drives
 //! the production [`BranchCorrelationGraph`], `TraceConstructor` and
