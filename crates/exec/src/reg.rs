@@ -688,6 +688,9 @@ struct Lowering<'a> {
     images: Vec<FrameImage>,
     /// The switch pool's words.
     switches: Vec<u32>,
+    /// Scratch for a frame image's dirty slots, copied out at its exact
+    /// length.
+    dirty: Vec<(u16, Reg)>,
     ctx: Ctx,
     callers: Vec<Ctx>,
     next_reg: u32,
@@ -783,20 +786,21 @@ impl<'a> Lowering<'a> {
         if self.ctx.depth() > u64::from(max_stack) {
             return None;
         }
-        let dirty: Vec<(u16, Reg)> = self
-            .ctx
-            .rename
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, e)| match e {
-                Some((r, true)) => Some((slot as u16, *r)),
-                _ => None,
-            })
-            .collect();
+        self.dirty.clear();
+        self.dirty.extend(
+            self.ctx
+                .rename
+                .iter()
+                .enumerate()
+                .filter_map(|(slot, e)| match e {
+                    Some((r, true)) => Some((slot as u16, *r)),
+                    _ => None,
+                }),
+        );
         self.images.push(FrameImage {
             base: self.ctx.pending,
-            stack: self.ctx.stack.clone().into_boxed_slice(),
-            dirty: dirty.into_boxed_slice(),
+            stack: Box::from(self.ctx.stack.as_slice()),
+            dirty: Box::from(self.dirty.as_slice()),
         });
         Some((self.images.len() - 1) as u32)
     }
@@ -932,6 +936,7 @@ pub fn lower_reg(
         exits: Vec::with_capacity(ct.steps.len() + 1),
         images: Vec::with_capacity(ct.steps.len() + 1),
         switches: Vec::new(),
+        dirty: Vec::new(),
         ctx: Ctx::new(decoded, first.func),
         callers: Vec::new(),
         next_reg: 0,

@@ -82,18 +82,6 @@ pub struct CacheStats {
     pub links_live: usize,
 }
 
-impl CacheStats {
-    /// Fraction of insertions served by hash-consing, in `[0, 1]`.
-    pub fn dedup_hit_rate(&self) -> f64 {
-        let total = self.traces_constructed + self.traces_reused;
-        if total == 0 {
-            0.0
-        } else {
-            self.traces_reused as f64 / total as f64
-        }
-    }
-}
-
 /// The trace cache: trace objects hash-consed by block sequence, plus the
 /// dispatch table linking entry branches to traces.
 ///
