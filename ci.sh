@@ -22,6 +22,12 @@ cargo build --workspace --release
 echo "== cargo doc -D warnings (every intra-doc link resolves and names a public item)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --keep-going
 
+echo "== non-test lines (crates/*/src + src/, each file cut at its first #[cfg(test)])"
+# The product's size by one fixed method, printed so a change can state
+# what it adds or removes; not a gate.
+find crates/*/src src -name '*.rs' -print0 | sort -z \
+    | xargs -0 -n1 sed '/#\[cfg(test)\]/,$d' | wc -l
+
 echo "== engine.rs size guard (the engine drives jvm-vm's loop; it has no interpreter of its own)"
 # 2,942 lines when it carried a private DOp executor and a second trace
 # tier, 1,333 with the optimizer knob, AOT replay and three artifact
@@ -118,6 +124,19 @@ if [ -e crates/bcg/src/reference.rs ] \
     || grep -rnE 'ReferenceBcg|RefNode|RefSuccessor|bcg/src/reference\.rs|with_deferred_construction|defer_window' \
         crates/ src/ tests/ examples/; then
     echo "a second profiler oracle or the deferred-construction mode is back (crates/bcg/src/reference.rs or the matches above)" >&2
+    exit 1
+fi
+
+echo "== exact profiler nodes (one prediction per node; no deferred bookkeeping; 16-bit counters)"
+# Each BCG node used to carry a fast-path budget that deferred its decay
+# window and delay countdown to the next slow visit, a second copy of its
+# prediction to go with it, and a configurable counter bound; the image
+# export settled the deferred counts arithmetically and the lockstep
+# oracle could not compare those two fields per event. Any of it creeping
+# back in shows up here first.
+if grep -rnE 'fp_budget|fp_armed|sync_deferred|settle_and_disarm|max_counter' \
+    crates/bcg crates/conformance; then
+    echo "the profiler's deferred bookkeeping or a configurable counter bound is back (matches above)" >&2
     exit 1
 fi
 
