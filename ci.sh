@@ -193,6 +193,16 @@ if [ -e crates/bench/src/hot_path.rs ] || [ -e crates/bench/src/bin/hot_path.rs 
     echo "a retired bench leg, seam or _filtered twin is back (the files above or the matches above)" >&2
     exit 1
 fi
+# It also carried eight cargo-bench targets on an in-tree copy of the
+# Criterion API, each reprinting a paper_tables table or an ablation that
+# paper_tables now prints, and the profiler carried an inline_cache switch
+# only one of them turned off. One evaluation driver is paper_tables.
+if [ -e crates/bench/benches ] || [ -e crates/bench/src/harness.rs ] \
+    || grep -n '^\[\[bench\]\]' Cargo.toml crates/*/Cargo.toml \
+    || grep -rnE 'criterion_(group|main)|TRACE_BENCH_SAMPLES|inline_cache' crates/ src/ tests/ examples/; then
+    echo "a bench target, the Criterion-style harness or the inline_cache knob is back (the files above or the matches above)" >&2
+    exit 1
+fi
 if grep -rnE 'fn parse_scale' crates/ src/ tests/ examples/; then
     echo "a second scale parser is back (matches above): scale names are parsed by trace_workloads::Scale::parse only" >&2
     exit 1
@@ -383,9 +393,15 @@ echo "== snapshot hostile-input campaign (release: >=256 mutants per source)"
 # and the planted stale-hash quirk must be caught.
 cargo test -q --release --test snapshot_hostile
 
-echo "== bench harness smoke (1 sample, test scale)"
-TRACE_BENCH_SCALE=test TRACE_BENCH_SAMPLES=1 \
-    cargo bench -p trace-bench --bench table6_profiler_overhead >/dev/null
+echo "== paper_tables smoke (test scale, csv: the ablation and baseline tables)"
+for t in unroll decay inline baselines; do
+    cargo run --release -q -p trace-bench --bin paper_tables -- \
+        --scale test --table "$t" --format csv >"$smoke_dir/table_$t.csv" 2>/dev/null
+    if [ "$(grep -cv '^#' "$smoke_dir/table_$t.csv")" -lt 3 ]; then
+        echo "paper_tables --table $t printed no rows" >&2
+        exit 1
+    fi
+done
 
 echo "== the repo's benchmark (its own workspace: build, unit tests, 2-round smoke of every leg, oracle-checked)"
 # benchmark/ is not a workspace member, so nothing above compiles it: a

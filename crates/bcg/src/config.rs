@@ -29,11 +29,6 @@ pub struct BcgConfig {
     /// Executions of a node between decays of its edge counters
     /// (paper: 256).
     pub decay_interval: u32,
-    /// Whether the per-node predicted-successor inline cache is used for
-    /// the fast path. Disabling it changes only the profiler's own cost
-    /// model (hit/miss statistics), never the graph it builds — used by
-    /// the §4.1.2 ablation bench.
-    pub inline_cache: bool,
 }
 
 impl BcgConfig {
@@ -44,7 +39,6 @@ impl BcgConfig {
             start_delay: 64,
             threshold: 0.97,
             decay_interval: 256,
-            inline_cache: true,
         }
     }
 
@@ -93,7 +87,6 @@ mod tests {
         assert_eq!(c.start_delay, 64);
         assert_eq!(c.threshold, 0.97);
         assert_eq!(c.decay_interval, 256);
-        assert!(c.inline_cache);
     }
 
     #[test]

@@ -1,40 +1,51 @@
 //! Regenerates the paper's Tables I–VII (and the Figures 1–2 dispatch
-//! comparison) over the six workload analogues.
+//! comparison) over the six workload analogues, and the repo's ablations
+//! of the paper's design choices.
 //!
 //! ```text
-//! paper_tables [--scale test|small|paper] [--table 1|2|3|4|5|6|7|fig|summary|all]
+//! paper_tables [--scale test|small|paper]
+//!              [--table 1|2|3|4|5|6|7|fig|unroll|decay|inline|baselines|summary|all]
 //!              [--format text|csv] [--workload NAME]
 //! ```
 //!
 //! Defaults: `--scale small` (or `TRACE_BENCH_SCALE`) `--table all`, all
-//! six workloads (`--workload` restricts every regenerated table to one
-//! of them). Tables I–IV share one threshold
+//! six workloads (`--workload` restricts every table with a workload
+//! column to one of them). Tables I–IV share one threshold
 //! sweep (thresholds 100/99/98/97/95% at delay 64); Table V sweeps the
 //! start-state delay (1/64/4096) at the 97% threshold; Tables VI–VII time
 //! the profiler against the unmodified interpreter on this machine.
+//! `unroll` runs the paper default at loop-unroll factors 0/1/2/4;
+//! `decay` runs a two-phase program with and without periodic decay (it
+//! has no workload column and ignores `--scale`); `inline` counts the
+//! profiler's inline-cache hits over a plain interpreter run; `baselines`
+//! runs the BCG, Dynamo-style NET and rePLay-style selection.
 
-use trace_bench::{dispatch_rows, named_delay_sweeps, named_threshold_sweeps, overhead_rows, Cli};
+use trace_bench::{
+    baseline_rows, decay_rows, dispatch_rows, inline_hit_rows, named_delay_sweeps,
+    named_threshold_sweeps, overhead_rows, unroll_sweeps, Cli, UNROLLS,
+};
 use trace_jit::tables;
 
-const TABLES: [&str; 10] = ["all", "1", "2", "3", "4", "5", "6", "7", "fig", "summary"];
+const TABLES: &str = "all 1 2 3 4 5 6 7 fig unroll decay inline baselines summary";
 
 fn main() {
     let mut table = "all".to_owned();
     let mut format = "text".to_owned();
     let args = Cli {
-        usage: "paper_tables [--scale test|small|paper] [--table 1..7|fig|summary|all] \
+        usage: "paper_tables [--scale test|small|paper] \
+                [--table 1..7|fig|unroll|decay|inline|baselines|summary|all] \
                 [--format text|csv] [--workload NAME]",
         repeats: None,
         out: None,
     }
     .parse(|flag, rest| {
-        let (slot, allowed): (&mut String, &[&str]) = match flag {
-            "--table" => (&mut table, &TABLES),
-            "--format" => (&mut format, &["text", "csv"]),
+        let (slot, allowed) = match flag {
+            "--table" => (&mut table, TABLES),
+            "--format" => (&mut format, "text csv"),
             _ => return Ok(false),
         };
         match rest.next() {
-            Some(v) if allowed.contains(&v.as_str()) => *slot = v,
+            Some(v) if allowed.split(' ').any(|a| a == v) => *slot = v,
             v => return Err(format!("bad {flag} '{}'", v.unwrap_or_default())),
         }
         Ok(true)
@@ -95,6 +106,29 @@ fn main() {
         }
     }
 
+    if wants("unroll") {
+        eprintln!("# running the loop-unroll ablation…");
+        let sweeps = unroll_sweeps(scale, workload);
+        emit(&tables::ablation_unroll(&UNROLLS, &sweeps));
+    }
+
+    if wants("decay") {
+        eprintln!("# running the decay ablation (two-phase program)…");
+        emit(&tables::ablation_decay(&decay_rows()));
+    }
+
+    if wants("inline") {
+        eprintln!("# counting inline-cache hits…");
+        let rows = inline_hit_rows(scale, workload);
+        emit(&tables::inline_hit_ratios(&rows));
+    }
+
+    if wants("baselines") {
+        eprintln!("# running the BCG, NET and rePLay selectors…");
+        let rows = baseline_rows(scale, workload);
+        emit(&tables::baseline_comparison(&rows));
+    }
+
     if table == "summary" {
         eprintln!("# running paper-vs-measured summary…");
         let sweeps = named_threshold_sweeps(scale, workload);
@@ -111,7 +145,7 @@ fn main() {
             / overheads.len() as f64;
         let mut t = tables::TextTable::new(
             "Paper vs measured: headline aggregates at threshold 97%, delay 64",
-            vec!["quantity".into(), "paper".into(), "measured".into()],
+            ["quantity", "paper", "measured"],
         );
         t.push_row(vec![
             "avg trace length (blocks)".into(),

@@ -1,52 +1,57 @@
 //! # trace-bench
 //!
 //! The benchmark harness that regenerates **every table and figure** of
-//! the paper's evaluation (§5) over the six workload analogues:
+//! the paper's evaluation (§5) over the six workload analogues, and the
+//! repo's ablations of the paper's design choices. One binary,
+//! `paper_tables`, prints all of them:
 //!
-//! | artifact | regenerator |
+//! | artifact | `paper_tables --table` |
 //! |---|---|
-//! | Figures 1–2 (dispatch models) | `benches/fig_dispatch_modes.rs`, `paper_tables --table fig` |
-//! | Table I (trace length vs threshold) | `benches/tables_1_to_5.rs`, `paper_tables --table 1` |
-//! | Table II (coverage vs threshold) | `paper_tables --table 2` |
-//! | Table III (completion rate vs threshold) | `paper_tables --table 3` |
-//! | Table IV (dispatches per signal) | `paper_tables --table 4` |
-//! | Table V (dispatches per trace event vs delay) | `paper_tables --table 5` |
-//! | Table VI (profiler overhead) | `benches/table6_profiler_overhead.rs`, `paper_tables --table 6` |
-//! | Table VII (trace-dispatch overhead) | `benches/table7_trace_dispatch.rs`, `paper_tables --table 7` |
+//! | Figures 1–2 (dispatch models) | `fig` |
+//! | Table I (trace length vs threshold) | `1` |
+//! | Table II (coverage vs threshold) | `2` |
+//! | Table III (completion rate vs threshold) | `3` |
+//! | Table IV (dispatches per signal) | `4` |
+//! | Table V (dispatches per trace event vs delay) | `5` |
+//! | Table VI (profiler overhead) | `6` |
+//! | Table VII (trace-dispatch overhead) | `7` |
+//! | loop-unroll ablation (§4.2) | `unroll` |
+//! | decay vs cumulative counters (§4.1.1) | `decay` |
+//! | inline-cache hit ratios (§4.1.2) | `inline` |
+//! | BCG vs Dynamo NET vs rePLay (§2–3) | `baselines` |
 //!
-//! Plus the ablations called out in `DESIGN.md`
-//! (`benches/ablation_decay.rs`, `benches/ablation_inline_cache.rs`,
-//! `benches/ablation_unroll.rs`), the Dynamo/rePLay comparison
-//! (`benches/baseline_comparison.rs`), and one measurement binary,
-//! `interp_speed` (whole-run ns/instruction of every interpreter and
-//! engine leg, `BENCH_interp.json`). End-to-end engine against interpreter is
-//! the repo's benchmark (`benchmark/`, `BENCHMARK.json`); a leg that
-//! benchmark already measures is not repeated here.
+//! One measurement binary, `interp_speed`, times every interpreter and
+//! engine leg over whole runs (`BENCH_interp.json`). End-to-end engine
+//! against interpreter is the repo's benchmark (`benchmark/`,
+//! `BENCHMARK.json`); a leg that benchmark already measures is not
+//! repeated here.
 //!
 //! Every binary parses its common flags with [`Cli::parse`], restricts
 //! workloads with [`workloads`], and writes its JSON through [`json`].
-//! All benches run on the in-tree [`harness`] — the workspace builds
-//! fully offline, with no external benchmarking dependency — at the
-//! scale [`bench_scale`] reads from `TRACE_BENCH_SCALE` (`small` by
-//! default; `paper` for the full runs).
+//! Without `--scale`, a binary runs at the scale [`bench_scale`] reads
+//! from `TRACE_BENCH_SCALE` (`small` by default; `paper` for the full
+//! runs).
 
 #![forbid(unsafe_code)]
 
-pub mod harness;
 pub mod interp_speed;
 pub mod json;
 
 use jvm_bytecode::{CmpOp, Program, ProgramBuilder};
+use jvm_vm::Vm;
+use trace_baselines::{run_with_selector, NetSelector, ReplaySelector};
+use trace_bcg::{BcgConfig, BranchCorrelationGraph, ProfilerStats};
 use trace_jit::experiment::{
     delay_sweep, run_point, threshold_sweep, SweepPoint, PAPER_DELAYS, PAPER_THRESHOLDS,
 };
 use trace_jit::overhead::{measure_overhead, OverheadMeasurement};
 use trace_jit::report::RunReport;
-use trace_jit::TraceJitConfig;
+use trace_jit::tables::SelectorResult;
+use trace_jit::{TraceJitConfig, TraceVm};
 use trace_workloads::{registry, Scale, Workload};
 
 /// The scale `TRACE_BENCH_SCALE` names, `Small` when it is unset or
-/// unknown: the benches' scale, and a binary's when `--scale` is absent.
+/// unknown: a binary's scale when `--scale` is absent.
 pub fn bench_scale() -> Scale {
     std::env::var("TRACE_BENCH_SCALE")
         .ok()
@@ -183,48 +188,46 @@ pub fn write_report(path: &str, json: &str) {
     }
 }
 
+/// `f` of each of the six registry workloads at `scale`, or of the one
+/// named `only`, beside the workload's name.
+fn per_workload<T>(
+    scale: Scale,
+    only: Option<&str>,
+    f: impl Fn(&Workload) -> T,
+) -> Vec<(String, T)> {
+    let ws = workloads(scale, only);
+    ws.iter().map(|w| (w.name.to_owned(), f(w))).collect()
+}
+
+/// `w`'s run under `cfg`.
+fn run(w: &Workload, cfg: TraceJitConfig) -> RunReport {
+    run_point(&w.program, &w.args, cfg).expect("workload runs")
+}
+
 /// Threshold sweeps (Tables I–IV), optionally restricted to one workload.
 pub fn named_threshold_sweeps(scale: Scale, only: Option<&str>) -> Vec<(String, Vec<SweepPoint>)> {
-    workloads(scale, only)
-        .iter()
-        .map(|w| {
-            let pts = threshold_sweep(
-                &w.program,
-                &w.args,
-                &PAPER_THRESHOLDS,
-                64,
-                TraceJitConfig::paper_default(),
-            )
+    per_workload(scale, only, |w| {
+        let cfg = TraceJitConfig::paper_default();
+        let pts = threshold_sweep(&w.program, &w.args, &PAPER_THRESHOLDS, 64, cfg)
             .expect("workload runs");
-            for p in &pts {
-                assert_eq!(
-                    p.report.checksum, w.expected_checksum,
-                    "{} checksum mismatch at threshold {}",
-                    w.name, p.threshold
-                );
-            }
-            (w.name.to_owned(), pts)
-        })
-        .collect()
+        for p in &pts {
+            assert_eq!(
+                p.report.checksum, w.expected_checksum,
+                "{} checksum mismatch at threshold {}",
+                w.name, p.threshold
+            );
+        }
+        pts
+    })
 }
 
 /// Delay sweeps (Table V) at the 97% threshold, optionally restricted
 /// to one workload.
 pub fn named_delay_sweeps(scale: Scale, only: Option<&str>) -> Vec<(String, Vec<SweepPoint>)> {
-    workloads(scale, only)
-        .iter()
-        .map(|w| {
-            let pts = delay_sweep(
-                &w.program,
-                &w.args,
-                &PAPER_DELAYS,
-                0.97,
-                TraceJitConfig::paper_default(),
-            )
-            .expect("workload runs");
-            (w.name.to_owned(), pts)
-        })
-        .collect()
+    per_workload(scale, only, |w| {
+        let cfg = TraceJitConfig::paper_default();
+        delay_sweep(&w.program, &w.args, &PAPER_DELAYS, 0.97, cfg).expect("workload runs")
+    })
 }
 
 /// Overhead measurements (Tables VI–VII), optionally restricted to one
@@ -234,35 +237,81 @@ pub fn overhead_rows(
     repeats: usize,
     only: Option<&str>,
 ) -> Vec<(String, OverheadMeasurement)> {
-    workloads(scale, only)
-        .iter()
-        .map(|w| {
-            let m = measure_overhead(
-                &w.program,
-                &w.args,
-                TraceJitConfig::paper_default(),
-                repeats,
-            )
-            .expect("workload runs");
-            (w.name.to_owned(), m)
-        })
-        .collect()
+    per_workload(scale, only, |w| {
+        let cfg = TraceJitConfig::paper_default();
+        measure_overhead(&w.program, &w.args, cfg, repeats).expect("workload runs")
+    })
 }
 
 /// Single paper-default runs (Figures 1–2), optionally restricted to
 /// one workload.
 pub fn dispatch_rows(scale: Scale, only: Option<&str>) -> Vec<(String, RunReport)> {
-    workloads(scale, only)
-        .iter()
-        .map(|w| {
-            let r = run_point(&w.program, &w.args, TraceJitConfig::paper_default())
-                .expect("workload runs");
-            (w.name.to_owned(), r)
+    per_workload(scale, only, |w| run(w, TraceJitConfig::paper_default()))
+}
+
+/// Loop-unroll factors of the unroll ablation: 0 is the bare loop body,
+/// 1 the paper's rule.
+pub const UNROLLS: [usize; 4] = [0, 1, 2, 4];
+
+/// Paper-default runs at each of [`UNROLLS`] (the unroll ablation),
+/// optionally restricted to one workload.
+pub fn unroll_sweeps(scale: Scale, only: Option<&str>) -> Vec<(String, Vec<RunReport>)> {
+    per_workload(scale, only, |w| {
+        let cfg = TraceJitConfig::paper_default();
+        UNROLLS.map(|u| run(w, cfg.with_loop_unroll(u))).to_vec()
+    })
+}
+
+/// The decay ablation: [`phase_change_program`]`(40, 4_000)` under the
+/// paper's decay every 256 executions and under a decay interval too
+/// large ever to fire (cumulative counters), both at start delay 16.
+pub fn decay_rows() -> Vec<(String, RunReport)> {
+    let program = phase_change_program(40, 4_000);
+    [("decay=256 (paper)", 256), ("decay disabled", u32::MAX)]
+        .into_iter()
+        .map(|(name, interval)| {
+            let mut cfg = TraceJitConfig::paper_default().with_start_delay(16);
+            cfg.decay_interval = interval;
+            let r = TraceVm::new(&program, cfg).run(&[]);
+            (name.to_owned(), r.expect("phase program runs"))
         })
         .collect()
 }
 
-/// A two-phase program for the cache-stability ablation: it alternates
+/// The profiler's counters after it observes every block dispatch of a
+/// plain interpreter run (the inline-cache measurement), optionally
+/// restricted to one workload.
+pub fn inline_hit_rows(scale: Scale, only: Option<&str>) -> Vec<(String, ProfilerStats)> {
+    per_workload(scale, only, |w| {
+        let mut bcg = BranchCorrelationGraph::new(BcgConfig::paper_default());
+        let mut observe = |blk| {
+            bcg.observe(blk);
+        };
+        Vm::new(&w.program)
+            .run(&w.args, &mut observe)
+            .expect("workload runs");
+        bcg.stats()
+    })
+}
+
+/// Coverage and completion of the BCG (paper default), Dynamo-style NET
+/// and rePLay-style selection, in that order, optionally restricted to
+/// one workload.
+pub fn baseline_rows(scale: Scale, only: Option<&str>) -> Vec<(String, [SelectorResult; 3])> {
+    per_workload(scale, only, |w| {
+        let bcg = run(w, TraceJitConfig::paper_default());
+        let net = run_with_selector(&w.program, &w.args, &mut NetSelector::new());
+        let rp = run_with_selector(&w.program, &w.args, &mut ReplaySelector::new());
+        let (net, rp) = (net.expect("workload runs"), rp.expect("workload runs"));
+        [
+            (bcg.coverage_completed(), bcg.completion_rate()),
+            (net.coverage_completed(), net.completion_rate()),
+            (rp.coverage_completed(), rp.completion_rate()),
+        ]
+    })
+}
+
+/// A two-phase program for the decay ablation: it alternates
 /// between two loop bodies every `phase_len` outer iterations, so a
 /// decaying profiler re-learns each phase while a cumulative one
 /// stays polluted by the old phase.
@@ -363,6 +412,50 @@ mod tests {
                 bare.parse_from(args(bad), |_, _| Ok(false)).is_err(),
                 "{bad}"
             );
+        }
+    }
+
+    /// EXPERIMENTS.md: the BCG's completed traces cover at least as much
+    /// of the stream as NET's and rePLay's on every workload.
+    #[test]
+    fn bcg_covers_at_least_what_net_and_replay_cover() {
+        let rows = baseline_rows(Scale::Test, None);
+        assert_eq!(rows.len(), 6);
+        for (name, [(bcg, _), (net, _), (replay, _)]) in &rows {
+            assert!(bcg >= net && bcg >= replay, "{name}: {bcg} {net} {replay}");
+        }
+    }
+
+    /// EXPERIMENTS.md: decay lets the profiler re-learn each phase, so it
+    /// raises more signals than cumulative counters do.
+    #[test]
+    fn decay_raises_more_signals_than_cumulative_counters() {
+        let signals: Vec<u64> = decay_rows()
+            .iter()
+            .map(|(_, r)| r.profiler.state_signals + r.profiler.prediction_signals)
+            .collect();
+        assert!(signals[0] > signals[1], "{signals:?}");
+    }
+
+    /// EXPERIMENTS.md: each extra unrolled copy lengthens mpegaudio's
+    /// loop traces.
+    #[test]
+    fn unrolling_lengthens_mpegaudio_traces() {
+        let sweeps = unroll_sweeps(Scale::Test, Some("mpegaudio"));
+        let lens: Vec<f64> = sweeps[0].1.iter().map(|r| r.avg_trace_length()).collect();
+        assert_eq!(lens.len(), UNROLLS.len());
+        assert!(lens.windows(2).all(|w| w[0] < w[1]), "{lens:?}");
+    }
+
+    /// EXPERIMENTS.md: the inline cache answers most dispatches on every
+    /// workload.
+    #[test]
+    fn predictions_answer_most_dispatches() {
+        let rows = inline_hit_rows(Scale::Test, None);
+        assert_eq!(rows.len(), 6);
+        for (name, s) in &rows {
+            let r = s.cache_hit_ratio();
+            assert!(r > 0.8 && r <= 1.0, "{name}: hit ratio {r}");
         }
     }
 

@@ -520,11 +520,6 @@ impl ProgramBuilder {
         id
     }
 
-    /// Looks up a declared class by name.
-    pub fn class_id(&self, name: &str) -> Option<ClassId> {
-        self.class_names.get(name).copied()
-    }
-
     /// Appends a new virtual method to the class, returning its vtable
     /// slot. Subclasses declared *after* this call inherit it.
     pub fn add_method(&mut self, class: ClassId, func: FuncId) -> u16 {
@@ -710,13 +705,11 @@ mod tests {
     }
 
     #[test]
-    fn func_and_class_name_lookup() {
+    fn func_name_lookup() {
         let mut pb = ProgramBuilder::new();
         let f = pb.declare_function("main", 0, false);
         pb.function_mut(f).ret_void();
-        let c = pb.declare_class("C", None, 0);
         assert_eq!(pb.func_id("main"), Some(f));
-        assert_eq!(pb.class_id("C"), Some(c));
         assert_eq!(pb.func_id("nope"), None);
     }
 

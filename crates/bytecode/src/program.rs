@@ -149,12 +149,6 @@ impl Program {
         self.function(id.func).block_len(id.block)
     }
 
-    /// The entry block of a function.
-    #[inline]
-    pub fn entry_block(&self, func: FuncId) -> BlockId {
-        BlockId::new(func, 0)
-    }
-
     /// Total number of static basic blocks across all functions.
     pub fn total_blocks(&self) -> usize {
         self.functions.iter().map(Function::block_count).sum()
@@ -163,13 +157,6 @@ impl Program {
     /// Total number of static instructions across all functions.
     pub fn total_instructions(&self) -> usize {
         self.functions.iter().map(|f| f.code().len()).sum()
-    }
-
-    /// Iterates over every [`BlockId`] in the program.
-    pub fn block_ids(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.functions
-            .iter()
-            .flat_map(|f| (0..f.block_count() as u32).map(move |b| BlockId::new(f.id(), b)))
     }
 }
 
@@ -243,9 +230,7 @@ mod tests {
         let p = two_function_program();
         assert_eq!(p.total_blocks(), 3);
         assert_eq!(p.total_instructions(), 5);
-        let entry = p.entry_block(FuncId(1));
-        assert_eq!(p.block_len(entry), 2);
-        assert_eq!(p.block_ids().count(), 3);
+        assert_eq!(p.block_len(BlockId::new(FuncId(1), 0)), 2);
     }
 
     #[test]

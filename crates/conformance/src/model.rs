@@ -302,7 +302,7 @@ impl ModelBcg {
         let known = {
             let node = self.nodes.get_mut(&xy).expect("context node exists");
             node.executions += 1;
-            if cfg.inline_cache && node.predicted().is_some_and(|s| s.to_block == z) {
+            if node.predicted().is_some_and(|s| s.to_block == z) {
                 self.stats.cache_hits += 1;
             } else {
                 self.stats.cache_misses += 1;

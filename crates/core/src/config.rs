@@ -19,9 +19,6 @@ pub struct TraceJitConfig {
     pub start_delay: u32,
     /// Node executions between counter decays (paper: 256).
     pub decay_interval: u32,
-    /// Whether the profiler's predicted-successor inline cache is enabled
-    /// (ablation knob; on in the paper).
-    pub inline_cache: bool,
     /// Extra loop-body copies appended when a trace ends in a loop
     /// (paper: 1, "unrolled once"; ablation knob).
     pub loop_unroll: usize,
@@ -36,7 +33,6 @@ impl TraceJitConfig {
             threshold: 0.97,
             start_delay: 64,
             decay_interval: 256,
-            inline_cache: true,
             loop_unroll: 1,
             vm: VmConfig::default(),
         }
@@ -70,7 +66,6 @@ impl TraceJitConfig {
             start_delay: self.start_delay,
             threshold: self.threshold,
             decay_interval: self.decay_interval,
-            inline_cache: self.inline_cache,
         }
     }
 

@@ -75,17 +75,6 @@ impl RunReport {
         }
     }
 
-    /// The same interval measured in instructions, as the prose definition
-    /// in §5.2 words it.
-    pub fn trace_event_interval_instructions(&self) -> f64 {
-        let events = self.constructor.traces_created + self.profiler.total_signals();
-        if events == 0 {
-            f64::INFINITY
-        } else {
-            self.exec.instructions as f64 / events as f64
-        }
-    }
-
     /// Dispatch totals under the three execution models (Figures 1–2 plus
     /// the trace model).
     pub fn dispatch_counts(&self) -> DispatchCounts {
@@ -145,7 +134,6 @@ mod tests {
         assert_eq!(r.completion_rate(), 0.95);
         assert_eq!(r.dispatches_per_state_signal(), 5_000.0);
         assert_eq!(r.trace_event_interval(), 2_000.0);
-        assert_eq!(r.trace_event_interval_instructions(), 10_000.0);
     }
 
     #[test]

@@ -1,12 +1,17 @@
 //! Plain-text rendering of the paper's tables.
 //!
-//! Each `table_*` builder takes measured data and produces a [`TextTable`]
+//! Each `table*` builder takes measured data and produces a [`TextTable`]
 //! laid out like the corresponding table in the paper, so the
-//! `paper_tables` harness can print side-by-side comparable output.
+//! `paper_tables` harness can print side-by-side comparable output; the
+//! `ablation_*` builders, [`inline_hit_ratios`] and [`baseline_comparison`]
+//! lay out the repo's ablations of the paper's design choices the same way.
+
+use std::iter::once;
 
 use crate::experiment::SweepPoint;
 use crate::overhead::OverheadMeasurement;
 use crate::report::RunReport;
+use trace_bcg::ProfilerStats;
 
 /// A simple aligned text table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,10 +26,13 @@ pub struct TextTable {
 
 impl TextTable {
     /// Creates an empty table with a title and headers.
-    pub fn new(title: impl Into<String>, headers: Vec<String>) -> Self {
+    pub fn new<H: Into<String>>(
+        title: impl Into<String>,
+        headers: impl IntoIterator<Item = H>,
+    ) -> Self {
         TextTable {
             title: title.into(),
-            headers,
+            headers: headers.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
         }
     }
@@ -146,9 +154,8 @@ fn threshold_table(
     value: impl Fn(&RunReport) -> f64,
     fmt: impl Fn(f64) -> String,
 ) -> TextTable {
-    let mut headers = vec!["threshold".to_owned()];
-    headers.extend(sweeps.iter().map(|(n, _)| n.clone()));
-    headers.push("average".to_owned());
+    let names = sweeps.iter().map(|(n, _)| n.as_str());
+    let headers = once("threshold").chain(names).chain(["average"]);
     let mut table = TextTable::new(title, headers);
     let nrows = sweeps.first().map(|(_, pts)| pts.len()).unwrap_or(0);
     for i in 0..nrows {
@@ -210,9 +217,8 @@ pub fn table4_signal_rate(sweeps: &[NamedSweep]) -> TextTable {
 /// Table V: thousands of dispatches per trace event at the 97% threshold,
 /// one row per start-state delay.
 pub fn table5_event_interval(sweeps: &[NamedSweep]) -> TextTable {
-    let mut headers = vec!["delay".to_owned()];
-    headers.extend(sweeps.iter().map(|(n, _)| n.clone()));
-    headers.push("average".to_owned());
+    let names = sweeps.iter().map(|(n, _)| n.as_str());
+    let headers = once("delay").chain(names).chain(["average"]);
     let mut table = TextTable::new(
         "Table V: Thousands of Dispatches per Trace Event at 97% threshold",
         headers,
@@ -236,12 +242,12 @@ pub fn table5_event_interval(sweeps: &[NamedSweep]) -> TextTable {
 pub fn table6_profiler_overhead(rows: &[(String, OverheadMeasurement)]) -> TextTable {
     let mut table = TextTable::new(
         "Table VI: Profiler overhead per basic block dispatch",
-        vec![
-            "benchmark".to_owned(),
-            "no profiler (s)".to_owned(),
-            "dispatches (M)".to_owned(),
-            "profiler (s)".to_owned(),
-            "overhead / 1e6 disp (s)".to_owned(),
+        [
+            "benchmark",
+            "no profiler (s)",
+            "dispatches (M)",
+            "profiler (s)",
+            "overhead / 1e6 disp (s)",
         ],
     );
     for (name, m) in rows {
@@ -260,12 +266,12 @@ pub fn table6_profiler_overhead(rows: &[(String, OverheadMeasurement)]) -> TextT
 pub fn table7_trace_dispatch_overhead(rows: &[(String, OverheadMeasurement)]) -> TextTable {
     let mut table = TextTable::new(
         "Table VII: Profiler dispatch overhead (trace model)",
-        vec![
-            "benchmark".to_owned(),
-            "trace dispatches (M)".to_owned(),
-            "overhead / 1e6 disp (s)".to_owned(),
-            "expected overhead (s)".to_owned(),
-            "% overhead".to_owned(),
+        [
+            "benchmark",
+            "trace dispatches (M)",
+            "overhead / 1e6 disp (s)",
+            "expected overhead (s)",
+            "% overhead",
         ],
     );
     for (name, m) in rows {
@@ -285,13 +291,13 @@ pub fn table7_trace_dispatch_overhead(rows: &[(String, OverheadMeasurement)]) ->
 pub fn fig_dispatch_modes(rows: &[(String, RunReport)]) -> TextTable {
     let mut table = TextTable::new(
         "Figures 1-2: dispatches per execution model",
-        vec![
-            "benchmark".to_owned(),
-            "per-instruction".to_owned(),
-            "per-block".to_owned(),
-            "per-trace".to_owned(),
-            "block/instr".to_owned(),
-            "trace/block".to_owned(),
+        [
+            "benchmark",
+            "per-instruction",
+            "per-block",
+            "per-trace",
+            "block/instr",
+            "trace/block",
         ],
     );
     for (name, r) in rows {
@@ -308,13 +314,107 @@ pub fn fig_dispatch_modes(rows: &[(String, RunReport)]) -> TextTable {
     table
 }
 
+/// The loop-unroll ablation (§4.2's "unrolled once" rule): one row per
+/// unroll factor, one column per benchmark; each cell is average trace
+/// length / completion rate / coverage by completed traces. `sweeps[w].1[i]`
+/// is benchmark `w`'s run at `unrolls[i]`.
+pub fn ablation_unroll(unrolls: &[usize], sweeps: &[(String, Vec<RunReport>)]) -> TextTable {
+    let names = sweeps.iter().map(|(n, _)| n.as_str());
+    let mut table = TextTable::new(
+        "Ablation: loop unroll factor (avg trace length / completion rate / coverage)",
+        once("unroll").chain(names),
+    );
+    for (i, unroll) in unrolls.iter().enumerate() {
+        let mut row = vec![unroll.to_string()];
+        row.extend(sweeps.iter().map(|(_, rs)| {
+            let r = &rs[i];
+            format!(
+                "{:.1} / {:.1}% / {:.0}%",
+                r.avg_trace_length(),
+                100.0 * r.completion_rate(),
+                100.0 * r.coverage_completed()
+            )
+        }));
+        table.push_row(row);
+    }
+    table
+}
+
+/// The decay ablation (§4.1.1): one row per profiler configuration run on
+/// the two-phase program.
+pub fn ablation_decay(rows: &[(String, RunReport)]) -> TextTable {
+    let mut table = TextTable::new(
+        "Ablation: periodic decay vs cumulative counters (two-phase program)",
+        [
+            "profiler",
+            "completion",
+            "coverage",
+            "traces",
+            "relinked",
+            "signals",
+        ],
+    );
+    for (name, r) in rows {
+        table.push_row(vec![
+            name.clone(),
+            format!("{:.3}", r.completion_rate()),
+            format!("{:.3}", r.coverage_incl_partial()),
+            r.cache.traces_constructed.to_string(),
+            r.cache.links_replaced.to_string(),
+            (r.profiler.state_signals + r.profiler.prediction_signals).to_string(),
+        ]);
+    }
+    table
+}
+
+/// The inline-cache measurement (§4.1.2): the fraction of dispatches the
+/// profiler's predicted-successor cache answers, with the graph's size,
+/// per benchmark.
+pub fn inline_hit_ratios(rows: &[(String, ProfilerStats)]) -> TextTable {
+    let mut table = TextTable::new(
+        "Inline-cache hit ratio (fraction of dispatches fast-pathed)",
+        ["benchmark", "hit ratio", "nodes", "edges"],
+    );
+    for (name, s) in rows {
+        table.push_row(vec![
+            name.clone(),
+            format!("{:.4}", s.cache_hit_ratio()),
+            s.nodes_created.to_string(),
+            s.edges_created.to_string(),
+        ]);
+    }
+    table
+}
+
+/// One selector's run: coverage by completed traces, completion rate.
+pub type SelectorResult = (f64, f64);
+
+/// The selector comparison (§2–3): the BCG against Dynamo-style NET and
+/// rePLay-style promotion, in that order, over the same dispatch monitor.
+pub fn baseline_comparison(rows: &[(String, [SelectorResult; 3])]) -> TextTable {
+    let mut table = TextTable::new(
+        "Selector comparison (coverage by completed traces / completion rate)",
+        ["benchmark", "bcg", "net (dynamo)", "replay"],
+    );
+    for (name, selectors) in rows {
+        let mut row = vec![name.clone()];
+        row.extend(
+            selectors
+                .iter()
+                .map(|(cov, comp)| format!("{:.0}% / {:.1}%", cov * 100.0, comp * 100.0)),
+        );
+        table.push_row(row);
+    }
+    table
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn text_table_renders_aligned() {
-        let mut t = TextTable::new("T", vec!["a".into(), "bb".into()]);
+        let mut t = TextTable::new("T", ["a", "bb"]);
         t.push_row(vec!["1".into(), "2".into()]);
         t.push_row(vec!["333".into(), "4".into()]);
         let s = t.render();
@@ -399,8 +499,24 @@ mod tests {
     }
 
     #[test]
+    fn baseline_comparison_has_one_column_per_selector() {
+        let t = baseline_comparison(&[(
+            "alpha".to_owned(),
+            [(0.93, 0.993), (0.48, 0.515), (0.05, 1.0)],
+        )]);
+        assert_eq!(
+            t.headers,
+            vec!["benchmark", "bcg", "net (dynamo)", "replay"]
+        );
+        assert_eq!(
+            t.rows[0],
+            vec!["alpha", "93% / 99.3%", "48% / 51.5%", "5% / 100.0%"]
+        );
+    }
+
+    #[test]
     fn csv_rendering_quotes_and_comments() {
-        let mut t = TextTable::new("Table X: things", vec!["a,b".into(), "c".into()]);
+        let mut t = TextTable::new("Table X: things", ["a,b", "c"]);
         t.push_row(vec!["1\"2".into(), "3".into()]);
         let csv = t.render_csv();
         let lines: Vec<&str> = csv.lines().collect();
@@ -412,7 +528,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "row width")]
     fn row_width_is_enforced() {
-        let mut t = TextTable::new("T", vec!["a".into()]);
+        let mut t = TextTable::new("T", ["a"]);
         t.push_row(vec!["1".into(), "2".into()]);
     }
 

@@ -75,11 +75,6 @@ impl TraceRuntime {
         self.stats
     }
 
-    /// Identifier of the trace currently executing, if any.
-    pub fn active_trace(&self) -> Option<TraceId> {
-        self.active.map(|a| a.id)
-    }
-
     /// Resets the stream context (between runs) but keeps the metrics.
     /// An in-flight trace is abandoned as a partial execution.
     pub fn begin_stream(&mut self) {
@@ -357,9 +352,7 @@ mod tests {
         let mut rt = TraceRuntime::new();
         rt.on_block(blk(&p, 0), &cache, &p);
         rt.on_block(blk(&p, 1), &cache, &p); // mid-trace
-        assert!(rt.active_trace().is_some());
         rt.begin_stream();
-        assert!(rt.active_trace().is_none());
         let s = rt.stats();
         assert_eq!(s.exited_early, 1);
         assert_eq!(s.blocks_in_partial, 1);

@@ -31,12 +31,6 @@ impl DispatchCounts {
     pub fn trace_over_block(&self) -> f64 {
         ratio(self.per_block, self.per_trace)
     }
-
-    /// Dispatch-reduction factor of trace dispatch over instruction
-    /// dispatch.
-    pub fn trace_over_instruction(&self) -> f64 {
-        ratio(self.per_instruction, self.per_trace)
-    }
 }
 
 fn ratio(num: u64, den: u64) -> f64 {
@@ -60,7 +54,6 @@ mod tests {
         };
         assert_eq!(d.block_over_instruction(), 4.0);
         assert_eq!(d.trace_over_block(), 5.0);
-        assert_eq!(d.trace_over_instruction(), 20.0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use tracecache_repro::baselines::{run_with_selector, NetSelector, ReplaySelector
 use tracecache_repro::bcg::dot as bcg_dot;
 use tracecache_repro::bytecode::disasm;
 use tracecache_repro::exec::{EngineConfig, TracingVm};
-use tracecache_repro::jit::{RunReport, TraceJitConfig, TraceVm};
+use tracecache_repro::jit::{tables, RunReport, TraceJitConfig, TraceVm};
 use tracecache_repro::tracecache::dot as trace_dot;
 use tracecache_repro::vm::{ExecStats, NullObserver, Value, Vm};
 use tracecache_repro::workloads::{registry, Scale, Workload};
@@ -261,24 +261,17 @@ fn cmd_run(w: &Workload, opts: &Options) -> Result<(), Box<dyn std::error::Error
 }
 
 fn cmd_compare(w: &Workload, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    println!("{}: coverage by completed traces / completion rate", w.name);
     let bcg = TraceVm::new(&w.program, jit_config(opts)).run(&w.args)?;
-    let mut net = NetSelector::new();
-    let net_r = run_with_selector(&w.program, &w.args, &mut net)?;
-    let mut rp = ReplaySelector::new();
-    let rp_r = run_with_selector(&w.program, &w.args, &mut rp)?;
-    let fmt = |cov: f64, comp: f64| format!("{:5.1}% / {:5.1}%", cov * 100.0, comp * 100.0);
-    println!(
-        "  bcg    : {}",
-        fmt(bcg.coverage_completed(), bcg.completion_rate())
-    );
-    println!(
-        "  net    : {}",
-        fmt(net_r.coverage_completed(), net_r.completion_rate())
-    );
-    println!(
-        "  replay : {}",
-        fmt(rp_r.coverage_completed(), rp_r.completion_rate())
+    let net = run_with_selector(&w.program, &w.args, &mut NetSelector::new())?;
+    let rp = run_with_selector(&w.program, &w.args, &mut ReplaySelector::new())?;
+    let cells = [
+        (bcg.coverage_completed(), bcg.completion_rate()),
+        (net.coverage_completed(), net.completion_rate()),
+        (rp.coverage_completed(), rp.completion_rate()),
+    ];
+    print!(
+        "{}",
+        tables::baseline_comparison(&[(w.name.to_owned(), cells)]).render()
     );
     Ok(())
 }

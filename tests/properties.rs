@@ -72,7 +72,6 @@ fn bcg_invariants_hold_on_random_streams() {
             start_delay: delay,
             threshold,
             decay_interval: decay,
-            ..BcgConfig::paper_default()
         });
         for &s in &stream {
             bcg.observe(blk(s));
