@@ -358,7 +358,7 @@ pub fn ablation_decay(rows: &[(String, RunReport)]) -> TextTable {
         table.push_row(vec![
             name.clone(),
             format!("{:.3}", r.completion_rate()),
-            format!("{:.3}", r.coverage_incl_partial()),
+            format!("{:.3}", r.coverage_completed()),
             r.cache.traces_constructed.to_string(),
             r.cache.links_replaced.to_string(),
             (r.profiler.state_signals + r.profiler.prediction_signals).to_string(),
