@@ -208,6 +208,21 @@ if grep -rnE 'fn parse_scale' crates/ src/ tests/ examples/; then
     exit 1
 fi
 
+echo "== one selection harness (core::TraceVm runs the BCG, NET and rePLay under one monitor; paper_tables runs each configuration once)"
+# The baselines used to run under a second harness in a crate of their
+# own (run_with_selector, with its own report type), the monitor had a
+# second lookup path through the BCG node's slot that a differential test
+# held equal to the first, and paper_tables ran the same configuration up
+# to six times per workload through a sweep module and one row builder
+# per table. Any of it creeping back in shows up here first. (The \b
+# spares tests/trace_quality.rs's threshold_sweep_produces_... test.)
+if [ -e crates/baselines ] || grep -n 'trace-baselines' Cargo.toml crates/*/Cargo.toml \
+    || grep -rnE 'run_with_selector|SelectorReport|on_block_at_node|trace_baselines|fn (run_point|threshold_sweep|delay_sweep)\b|inline_hit_rows' \
+        crates/ src/ tests/ examples/; then
+    echo "a second selection harness or a per-table run is back (crates/baselines or the matches above)" >&2
+    exit 1
+fi
+
 echo "== one operation semantics (the decoded loop, its fused arms and the register executor evaluate every operation through jvm_vm::semantics)"
 # The loop's standalone arms, its fused arms (ibin! / fbin! / aload_elem!)
 # and regexec.rs (bin_i! / bin_f!, CmpOp::eval_*) each used to restate the
@@ -393,7 +408,7 @@ echo "== snapshot hostile-input campaign (release: >=256 mutants per source)"
 # and the planted stale-hash quirk must be caught.
 cargo test -q --release --test snapshot_hostile
 
-echo "== paper_tables smoke (test scale, csv: the ablation and baseline tables)"
+echo "== paper_tables smoke (test scale, csv: the ablation and baseline tables; every deterministic table pinned)"
 for t in unroll decay inline baselines; do
     cargo run --release -q -p trace-bench --bin paper_tables -- \
         --scale test --table "$t" --format csv >"$smoke_dir/table_$t.csv" 2>/dev/null
@@ -402,6 +417,9 @@ for t in unroll decay inline baselines; do
         exit 1
     fi
 done
+# Tables I-V, fig, unroll, decay, inline and baselines, byte for byte
+# against crates/bench/tests/paper_tables_test_scale.csv.
+cargo test -q --release -p trace-bench --test paper_tables_golden
 
 echo "== the repo's benchmark (its own workspace: build, unit tests, 2-round smoke of every leg, oracle-checked)"
 # benchmark/ is not a workspace member, so nothing above compiles it: a

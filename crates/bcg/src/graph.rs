@@ -214,8 +214,8 @@ impl BranchCorrelationGraph {
     ///
     /// Returns the node of the branch just observed — `(previous block,
     /// z)` — which is the new context node, or `None` for the first
-    /// block of a stream. The integrated VM threads this into the trace
-    /// cache's per-node link slot so the dispatch monitor never hashes.
+    /// block of a stream. The trace engine threads this into the trace
+    /// cache's per-node link slot so its entry check never hashes.
     ///
     /// The expected case is the fast path, `predicted_hit`: the paper's
     /// "couple of comparisons and a counter bump" (§4.1.2). Any other

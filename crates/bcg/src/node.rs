@@ -169,8 +169,8 @@ pub(crate) const LINK_NEVER: u64 = u64::MAX;
 /// summarised to the trace cache, the start-state delay countdown, the
 /// predicted-successor inline cache, the generation stamp the trace
 /// cache uses to suppress signal cascades (§4.2), and the inline
-/// trace-link slot the dispatch monitor uses to skip per-block cache
-/// lookups.
+/// trace-link slot the trace engine's entry check uses to skip per-block
+/// cache lookups.
 #[derive(Debug, Clone)]
 pub struct Node {
     pub(crate) branch: Branch,

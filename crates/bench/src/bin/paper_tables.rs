@@ -16,15 +16,19 @@
 //! the profiler against the unmodified interpreter on this machine.
 //! `unroll` runs the paper default at loop-unroll factors 0/1/2/4;
 //! `decay` runs a two-phase program with and without periodic decay (it
-//! has no workload column and ignores `--scale`); `inline` counts the
-//! profiler's inline-cache hits over a plain interpreter run; `baselines`
+//! has no workload column and ignores `--scale`); `inline` reads the
+//! profiler's inline-cache hits from the paper-default run; `baselines`
 //! runs the BCG, Dynamo-style NET and rePLay-style selection.
+//!
+//! Every table reads its `TraceVm` reports from one [`Runs`], which runs
+//! each workload once per distinct configuration: the paper default
+//! (threshold 97 %, delay 64, unroll 1) is one run however many tables
+//! print it.
 
 use trace_bench::{
-    baseline_rows, decay_rows, dispatch_rows, inline_hit_rows, named_delay_sweeps,
-    named_threshold_sweeps, overhead_rows, unroll_sweeps, Cli, UNROLLS,
+    baseline_rows, decay_rows, overhead_rows, Cli, Runs, DELAYS, THRESHOLDS, UNROLLS,
 };
-use trace_jit::tables;
+use trace_jit::{tables, TraceJitConfig};
 
 const TABLES: &str = "all 1 2 3 4 5 6 7 fig unroll decay inline baselines summary";
 
@@ -65,39 +69,40 @@ fn main() {
     let needs_overhead = wants("6") || wants("7");
 
     eprintln!("# scale: {scale:?}");
+    let paper = TraceJitConfig::paper_default();
+    let mut runs = Runs::new(scale, workload);
 
     if wants("fig") {
         eprintln!("# running paper-default runs for the dispatch figure…");
-        let rows = dispatch_rows(scale, workload);
-        emit(&tables::fig_dispatch_modes(&rows));
+        emit(&tables::fig_dispatch_modes(&runs.each(paper)));
     }
 
     if needs_threshold_sweep {
         eprintln!("# running threshold sweeps (Tables I-IV)…");
-        let sweeps = named_threshold_sweeps(scale, workload);
+        let sweeps = runs.sweep(&THRESHOLDS.map(|t| paper.with_threshold(t)));
         if wants("1") {
-            emit(&tables::table1_trace_length(&sweeps));
+            emit(&tables::table1_trace_length(&THRESHOLDS, &sweeps));
         }
         if wants("2") {
-            emit(&tables::table2_coverage(&sweeps));
+            emit(&tables::table2_coverage(&THRESHOLDS, &sweeps));
         }
         if wants("3") {
-            emit(&tables::table3_completion(&sweeps));
+            emit(&tables::table3_completion(&THRESHOLDS, &sweeps));
         }
         if wants("4") {
-            emit(&tables::table4_signal_rate(&sweeps));
+            emit(&tables::table4_signal_rate(&THRESHOLDS, &sweeps));
         }
     }
 
     if wants("5") {
         eprintln!("# running delay sweeps (Table V)…");
-        let sweeps = named_delay_sweeps(scale, workload);
-        emit(&tables::table5_event_interval(&sweeps));
+        let sweeps = runs.sweep(&DELAYS.map(|d| paper.with_start_delay(d)));
+        emit(&tables::table5_event_interval(&DELAYS, &sweeps));
     }
 
     if needs_overhead {
         eprintln!("# timing profiler overhead (Tables VI-VII)…");
-        let rows = overhead_rows(scale, 3, workload);
+        let rows = overhead_rows(&mut runs, 3);
         if wants("6") {
             emit(&tables::table6_profiler_overhead(&rows));
         }
@@ -108,7 +113,7 @@ fn main() {
 
     if wants("unroll") {
         eprintln!("# running the loop-unroll ablation…");
-        let sweeps = unroll_sweeps(scale, workload);
+        let sweeps = runs.sweep(&UNROLLS.map(|u| paper.with_loop_unroll(u)));
         emit(&tables::ablation_unroll(&UNROLLS, &sweeps));
     }
 
@@ -118,26 +123,23 @@ fn main() {
     }
 
     if wants("inline") {
-        eprintln!("# counting inline-cache hits…");
-        let rows = inline_hit_rows(scale, workload);
-        emit(&tables::inline_hit_ratios(&rows));
+        eprintln!("# reading inline-cache hits…");
+        emit(&tables::inline_hit_ratios(&runs.each(paper)));
     }
 
     if wants("baselines") {
         eprintln!("# running the BCG, NET and rePLay selectors…");
-        let rows = baseline_rows(scale, workload);
-        emit(&tables::baseline_comparison(&rows));
+        emit(&tables::baseline_comparison(&baseline_rows(&mut runs)));
     }
 
     if table == "summary" {
         eprintln!("# running paper-vs-measured summary…");
-        let sweeps = named_threshold_sweeps(scale, workload);
-        let avg = |f: &dyn Fn(&trace_jit::RunReport) -> f64, row: usize| -> f64 {
-            let vals: Vec<f64> = sweeps.iter().map(|(_, pts)| f(&pts[row].report)).collect();
+        let defaults = runs.each(paper);
+        let avg = |f: &dyn Fn(&trace_jit::RunReport) -> f64| -> f64 {
+            let vals: Vec<f64> = defaults.iter().map(|(_, r)| f(r)).collect();
             vals.iter().sum::<f64>() / vals.len() as f64
         };
-        // Row 3 of the sweep grid is the 97% threshold.
-        let overheads = overhead_rows(scale, 3, workload);
+        let overheads = overhead_rows(&mut runs, 3);
         let oh_avg = overheads
             .iter()
             .map(|(_, m)| m.expected_trace_overhead_pct())
@@ -150,17 +152,17 @@ fn main() {
         t.push_row(vec![
             "avg trace length (blocks)".into(),
             "7.5".into(),
-            format!("{:.1}", avg(&|r| r.avg_trace_length(), 3)),
+            format!("{:.1}", avg(&|r| r.avg_trace_length())),
         ]);
         t.push_row(vec![
             "stream coverage, completed traces".into(),
             "87.1%".into(),
-            format!("{:.1}%", 100.0 * avg(&|r| r.coverage_completed(), 3)),
+            format!("{:.1}%", 100.0 * avg(&|r| r.coverage_completed())),
         ]);
         t.push_row(vec![
             "stream coverage incl. partial".into(),
             "90.7%".into(),
-            format!("{:.1}%", 100.0 * avg(&|r| r.coverage_incl_partial(), 3)),
+            format!("{:.1}%", 100.0 * avg(&|r| r.coverage_incl_partial())),
         ]);
         t.push_row(vec![
             "trace completion rate (min over benchmarks)".into(),
@@ -168,9 +170,9 @@ fn main() {
             format!(
                 "{:.1}%",
                 100.0
-                    * sweeps
+                    * defaults
                         .iter()
-                        .map(|(_, pts)| pts[3].report.completion_rate())
+                        .map(|(_, r)| r.completion_rate())
                         .fold(f64::INFINITY, f64::min)
             ),
         ]);

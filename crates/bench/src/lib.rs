@@ -26,6 +26,10 @@
 //! `BENCHMARK.json`); a leg that benchmark already measures is not
 //! repeated here.
 //!
+//! `paper_tables` reads every `TraceVm` report from one [`Runs`], which
+//! runs each workload once per distinct configuration, so the paper
+//! default is one run however many tables print it.
+//!
 //! Every binary parses its common flags with [`Cli::parse`], restricts
 //! workloads with [`workloads`], and writes its JSON through [`json`].
 //! Without `--scale`, a binary runs at the scale [`bench_scale`] reads
@@ -38,16 +42,10 @@ pub mod interp_speed;
 pub mod json;
 
 use jvm_bytecode::{CmpOp, Program, ProgramBuilder};
-use jvm_vm::Vm;
-use trace_baselines::{run_with_selector, NetSelector, ReplaySelector};
-use trace_bcg::{BcgConfig, BranchCorrelationGraph, ProfilerStats};
-use trace_jit::experiment::{
-    delay_sweep, run_point, threshold_sweep, SweepPoint, PAPER_DELAYS, PAPER_THRESHOLDS,
-};
 use trace_jit::overhead::{measure_overhead, OverheadMeasurement};
 use trace_jit::report::RunReport;
-use trace_jit::tables::SelectorResult;
-use trace_jit::{TraceJitConfig, TraceVm};
+use trace_jit::tables::{NamedSweep, SelectorResult};
+use trace_jit::{NetSelector, ReplaySelector, TraceJitConfig, TraceSelector, TraceVm};
 use trace_workloads::{registry, Scale, Workload};
 
 /// The scale `TRACE_BENCH_SCALE` names, `Small` when it is unset or
@@ -188,78 +186,86 @@ pub fn write_report(path: &str, json: &str) {
     }
 }
 
-/// `f` of each of the six registry workloads at `scale`, or of the one
-/// named `only`, beside the workload's name.
-fn per_workload<T>(
-    scale: Scale,
-    only: Option<&str>,
-    f: impl Fn(&Workload) -> T,
-) -> Vec<(String, T)> {
-    let ws = workloads(scale, only);
-    ws.iter().map(|w| (w.name.to_owned(), f(w))).collect()
-}
+/// The completion thresholds of the paper's Tables I–IV (at delay 64).
+pub const THRESHOLDS: [f64; 5] = [1.00, 0.99, 0.98, 0.97, 0.95];
 
-/// `w`'s run under `cfg`.
-fn run(w: &Workload, cfg: TraceJitConfig) -> RunReport {
-    run_point(&w.program, &w.args, cfg).expect("workload runs")
-}
-
-/// Threshold sweeps (Tables I–IV), optionally restricted to one workload.
-pub fn named_threshold_sweeps(scale: Scale, only: Option<&str>) -> Vec<(String, Vec<SweepPoint>)> {
-    per_workload(scale, only, |w| {
-        let cfg = TraceJitConfig::paper_default();
-        let pts = threshold_sweep(&w.program, &w.args, &PAPER_THRESHOLDS, 64, cfg)
-            .expect("workload runs");
-        for p in &pts {
-            assert_eq!(
-                p.report.checksum, w.expected_checksum,
-                "{} checksum mismatch at threshold {}",
-                w.name, p.threshold
-            );
-        }
-        pts
-    })
-}
-
-/// Delay sweeps (Table V) at the 97% threshold, optionally restricted
-/// to one workload.
-pub fn named_delay_sweeps(scale: Scale, only: Option<&str>) -> Vec<(String, Vec<SweepPoint>)> {
-    per_workload(scale, only, |w| {
-        let cfg = TraceJitConfig::paper_default();
-        delay_sweep(&w.program, &w.args, &PAPER_DELAYS, 0.97, cfg).expect("workload runs")
-    })
-}
-
-/// Overhead measurements (Tables VI–VII), optionally restricted to one
-/// workload.
-pub fn overhead_rows(
-    scale: Scale,
-    repeats: usize,
-    only: Option<&str>,
-) -> Vec<(String, OverheadMeasurement)> {
-    per_workload(scale, only, |w| {
-        let cfg = TraceJitConfig::paper_default();
-        measure_overhead(&w.program, &w.args, cfg, repeats).expect("workload runs")
-    })
-}
-
-/// Single paper-default runs (Figures 1–2), optionally restricted to
-/// one workload.
-pub fn dispatch_rows(scale: Scale, only: Option<&str>) -> Vec<(String, RunReport)> {
-    per_workload(scale, only, |w| run(w, TraceJitConfig::paper_default()))
-}
+/// The start-state delays of the paper's Table V (at threshold 97 %).
+pub const DELAYS: [u32; 3] = [1, 64, 4096];
 
 /// Loop-unroll factors of the unroll ablation: 0 is the bare loop body,
 /// 1 the paper's rule.
 pub const UNROLLS: [usize; 4] = [0, 1, 2, 4];
 
-/// Paper-default runs at each of [`UNROLLS`] (the unroll ablation),
-/// optionally restricted to one workload.
-pub fn unroll_sweeps(scale: Scale, only: Option<&str>) -> Vec<(String, Vec<RunReport>)> {
-    per_workload(scale, only, |w| {
-        let cfg = TraceJitConfig::paper_default();
-        UNROLLS.map(|u| run(w, cfg.with_loop_unroll(u))).to_vec()
-    })
+/// Every [`TraceVm`] run the tables read, one per workload and distinct
+/// configuration: a table that needs a configuration another table has
+/// already run reads that run's report.
+#[derive(Debug)]
+pub struct Runs {
+    workloads: Vec<Workload>,
+    /// `reports[w]`: workload `w`'s configurations run so far, with
+    /// their reports.
+    reports: Vec<Vec<(TraceJitConfig, RunReport)>>,
+}
+
+impl Runs {
+    /// No runs yet over the six registry workloads at `scale`, or over
+    /// the one named `only`.
+    pub fn new(scale: Scale, only: Option<&str>) -> Self {
+        let workloads = workloads(scale, only);
+        let reports = workloads.iter().map(|_| Vec::new()).collect();
+        Runs { workloads, reports }
+    }
+
+    /// Workload `w`'s report under `cfg`, from a fresh [`TraceVm`] the
+    /// first time it is asked for.
+    fn report(&mut self, w: usize, cfg: TraceJitConfig) -> RunReport {
+        let kept = &mut self.reports[w];
+        if let Some((_, r)) = kept.iter().find(|(c, _)| *c == cfg) {
+            return r.clone();
+        }
+        let wl = &self.workloads[w];
+        let r = TraceVm::new(&wl.program, cfg)
+            .run(&wl.args)
+            .expect("workload runs");
+        assert_eq!(
+            r.checksum, wl.expected_checksum,
+            "{} checksum mismatch under {cfg:?}",
+            wl.name
+        );
+        kept.push((cfg, r.clone()));
+        r
+    }
+
+    /// One column per workload: its reports under each of `cfgs`.
+    pub fn sweep(&mut self, cfgs: &[TraceJitConfig]) -> Vec<NamedSweep> {
+        (0..self.workloads.len())
+            .map(|w| {
+                let reports = cfgs.iter().map(|&c| self.report(w, c)).collect();
+                (self.workloads[w].name.to_owned(), reports)
+            })
+            .collect()
+    }
+
+    /// Each workload's report under `cfg`.
+    pub fn each(&mut self, cfg: TraceJitConfig) -> Vec<(String, RunReport)> {
+        (0..self.workloads.len())
+            .map(|w| (self.workloads[w].name.to_owned(), self.report(w, cfg)))
+            .collect()
+    }
+}
+
+/// Overhead measurements (Tables VI–VII) at the paper default, each
+/// timing the minimum of `repeats` runs.
+pub fn overhead_rows(runs: &mut Runs, repeats: usize) -> Vec<(String, OverheadMeasurement)> {
+    let cfg = TraceJitConfig::paper_default();
+    let reports = runs.each(cfg);
+    (runs.workloads.iter().zip(reports))
+        .map(|(w, (_, r))| {
+            let dispatches = r.traces.trace_dispatches();
+            let m = measure_overhead(&w.program, &w.args, cfg, repeats, dispatches);
+            (w.name.to_owned(), m.expect("workload runs"))
+        })
+        .collect()
 }
 
 /// The decay ablation: [`phase_change_program`]`(40, 4_000)` under the
@@ -278,37 +284,25 @@ pub fn decay_rows() -> Vec<(String, RunReport)> {
         .collect()
 }
 
-/// The profiler's counters after it observes every block dispatch of a
-/// plain interpreter run (the inline-cache measurement), optionally
-/// restricted to one workload.
-pub fn inline_hit_rows(scale: Scale, only: Option<&str>) -> Vec<(String, ProfilerStats)> {
-    per_workload(scale, only, |w| {
-        let mut bcg = BranchCorrelationGraph::new(BcgConfig::paper_default());
-        let mut observe = |blk| {
-            bcg.observe(blk);
-        };
-        Vm::new(&w.program)
-            .run(&w.args, &mut observe)
-            .expect("workload runs");
-        bcg.stats()
-    })
-}
-
 /// Coverage and completion of the BCG (paper default), Dynamo-style NET
-/// and rePLay-style selection, in that order, optionally restricted to
-/// one workload.
-pub fn baseline_rows(scale: Scale, only: Option<&str>) -> Vec<(String, [SelectorResult; 3])> {
-    per_workload(scale, only, |w| {
-        let bcg = run(w, TraceJitConfig::paper_default());
-        let net = run_with_selector(&w.program, &w.args, &mut NetSelector::new());
-        let rp = run_with_selector(&w.program, &w.args, &mut ReplaySelector::new());
-        let (net, rp) = (net.expect("workload runs"), rp.expect("workload runs"));
-        [
-            (bcg.coverage_completed(), bcg.completion_rate()),
-            (net.coverage_completed(), net.completion_rate()),
-            (rp.coverage_completed(), rp.completion_rate()),
-        ]
-    })
+/// and rePLay-style selection, in that order.
+pub fn baseline_rows(runs: &mut Runs) -> Vec<(String, [SelectorResult; 3])> {
+    fn cells(r: &RunReport) -> SelectorResult {
+        (r.coverage_completed(), r.completion_rate())
+    }
+    fn baseline(w: &Workload, cfg: TraceJitConfig, selector: impl TraceSelector) -> SelectorResult {
+        let r = TraceVm::with_selector(&w.program, cfg, selector).run(&w.args);
+        cells(&r.expect("workload runs"))
+    }
+    let cfg = TraceJitConfig::paper_default();
+    let reports = runs.each(cfg);
+    (runs.workloads.iter().zip(reports))
+        .map(|(w, (name, bcg))| {
+            let net = baseline(w, cfg, NetSelector::new());
+            let rp = baseline(w, cfg, ReplaySelector::new());
+            (name, [cells(&bcg), net, rp])
+        })
+        .collect()
 }
 
 /// A two-phase program for the decay ablation: it alternates
@@ -419,7 +413,7 @@ mod tests {
     /// of the stream as NET's and rePLay's on every workload.
     #[test]
     fn bcg_covers_at_least_what_net_and_replay_cover() {
-        let rows = baseline_rows(Scale::Test, None);
+        let rows = baseline_rows(&mut Runs::new(Scale::Test, None));
         assert_eq!(rows.len(), 6);
         for (name, [(bcg, _), (net, _), (replay, _)]) in &rows {
             assert!(bcg >= net && bcg >= replay, "{name}: {bcg} {net} {replay}");
@@ -441,7 +435,9 @@ mod tests {
     /// loop traces.
     #[test]
     fn unrolling_lengthens_mpegaudio_traces() {
-        let sweeps = unroll_sweeps(Scale::Test, Some("mpegaudio"));
+        let paper = TraceJitConfig::paper_default();
+        let sweeps = Runs::new(Scale::Test, Some("mpegaudio"))
+            .sweep(&UNROLLS.map(|u| paper.with_loop_unroll(u)));
         let lens: Vec<f64> = sweeps[0].1.iter().map(|r| r.avg_trace_length()).collect();
         assert_eq!(lens.len(), UNROLLS.len());
         assert!(lens.windows(2).all(|w| w[0] < w[1]), "{lens:?}");
@@ -451,20 +447,31 @@ mod tests {
     /// workload.
     #[test]
     fn predictions_answer_most_dispatches() {
-        let rows = inline_hit_rows(Scale::Test, None);
+        let rows = Runs::new(Scale::Test, None).each(TraceJitConfig::paper_default());
         assert_eq!(rows.len(), 6);
-        for (name, s) in &rows {
-            let r = s.cache_hit_ratio();
+        for (name, report) in &rows {
+            let r = report.profiler.cache_hit_ratio();
             assert!(r > 0.8 && r <= 1.0, "{name}: hit ratio {r}");
         }
     }
 
+    /// Tables I–IV's sweep has a column per workload and a report per
+    /// threshold, and a configuration asked for again is not run again.
     #[test]
-    fn sweeps_cover_all_workloads() {
-        let sweeps = named_threshold_sweeps(Scale::Test, None);
+    fn sweeps_cover_all_workloads_and_run_each_configuration_once() {
+        let paper = TraceJitConfig::paper_default();
+        let mut runs = Runs::new(Scale::Test, None);
+        let sweeps = runs.sweep(&THRESHOLDS.map(|t| paper.with_threshold(t)));
         assert_eq!(sweeps.len(), 6);
-        for (_, pts) in &sweeps {
-            assert_eq!(pts.len(), PAPER_THRESHOLDS.len());
+        for (_, reports) in &sweeps {
+            assert_eq!(reports.len(), THRESHOLDS.len());
         }
+        // The 97 % point is the paper default.
+        let defaults = runs.each(paper);
+        assert_eq!(defaults[0].1, sweeps[0].1[3]);
+        assert!(runs
+            .reports
+            .iter()
+            .all(|kept| kept.len() == THRESHOLDS.len()));
     }
 }

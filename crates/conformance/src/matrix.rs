@@ -21,11 +21,10 @@ use jvm_vm::{
     fold_checksum, fuse, BlockCounts, DispatchObserver, ExecStats, FusionConfig, OutputItem,
     RecordingObserver, ReferenceVm, Value, Vm, VmError,
 };
-use trace_baselines::{run_with_selector, NetSelector, ReplaySelector};
 use trace_bcg::BranchCorrelationGraph;
 use trace_cache::TraceExecStats;
 use trace_exec::{EngineConfig, TracingVm};
-use trace_jit::{RunReport, TraceJitConfig, TraceVm};
+use trace_jit::{NetSelector, ReplaySelector, RunReport, TraceJitConfig, TraceVm};
 use trace_workloads::prng::{seed_stream, Xoshiro256StarStar};
 use trace_workloads::registry::{self, Scale, Workload};
 
@@ -354,7 +353,8 @@ pub enum Row {
     /// Start delay 8, decay interval 64 and threshold 0.90, snapshot
     /// after one run, booted into a fresh engine: both runs as `Engine`.
     WarmBoot,
-    /// A baseline selector on the monitor: checksum and counters.
+    /// A baseline selector under `core::TraceVm`: result, checksum,
+    /// counters.
     Selector(Selector),
 }
 
@@ -636,24 +636,16 @@ impl Case {
                 cell.engine_run(&mut booted, &mut TraceExecStats::default())?;
             }
             Row::Selector(selector) => {
+                let jit = TraceJitConfig::paper_default();
                 let run = match selector {
-                    Selector::Net => run_with_selector(program, args, &mut NetSelector::new()),
+                    Selector::Net => {
+                        TraceVm::with_selector(program, jit, NetSelector::new()).run(args)
+                    }
                     Selector::Replay => {
-                        run_with_selector(program, args, &mut ReplaySelector::new())
+                        TraceVm::with_selector(program, jit, ReplaySelector::new()).run(args)
                     }
                 };
-                let obs = match run {
-                    Ok(r) => Observation {
-                        checksum: Some(r.checksum),
-                        exec: Some(r.exec),
-                        ..Observation::default()
-                    },
-                    Err(e) => Observation {
-                        result: Some(Err(e)),
-                        ..Observation::default()
-                    },
-                };
-                cell.compare(0, &obs)?;
+                cell.compare(0, &Observation::of_run(&run))?;
             }
         }
         Ok(cell.report)

@@ -7,10 +7,13 @@
 //! monitored by the trace-dispatch runtime — all wired together by
 //! [`TraceVm`].
 //!
-//! On top of the integrated VM sit the experiment harness
-//! ([`experiment`]), the wall-clock overhead model ([`overhead`],
-//! Tables VI–VII) and plain-text table rendering ([`tables`]) used to
-//! regenerate every table and figure of the paper's evaluation.
+//! [`TraceVm`] is the one harness that runs a trace-selection policy
+//! under that monitor ([`selector`]): the paper's BCG by default, or one
+//! of the two baselines the paper positions itself against, Dynamo-style
+//! NET ([`net`]) and rePLay-style promotion ([`replay`]). Beside it sit
+//! the wall-clock overhead model ([`overhead`], Tables VI–VII) and
+//! plain-text table rendering ([`tables`]) used to regenerate every
+//! table and figure of the paper's evaluation.
 //!
 //! # Example
 //!
@@ -47,14 +50,18 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
-pub mod experiment;
+pub mod net;
 pub mod overhead;
+pub mod replay;
 pub mod report;
+pub mod selector;
 pub mod tables;
 pub mod tracevm;
 
 pub use config::TraceJitConfig;
-pub use experiment::{delay_sweep, run_point, threshold_sweep, SweepPoint};
+pub use net::NetSelector;
 pub use overhead::{measure_overhead, OverheadMeasurement};
+pub use replay::ReplaySelector;
 pub use report::RunReport;
+pub use selector::{BcgSelector, TraceSelector};
 pub use tracevm::TraceVm;

@@ -11,11 +11,11 @@
 
 use std::collections::HashMap;
 
-use jvm_bytecode::{BlockId, Program};
+use jvm_bytecode::BlockId;
 use trace_bcg::Branch;
 use trace_cache::TraceCache;
 
-use crate::common::TraceSelector;
+use crate::selector::TraceSelector;
 
 /// Dynamo's published hot threshold.
 pub const DEFAULT_HOT_THRESHOLD: u32 = 50;
@@ -78,11 +78,7 @@ impl Default for NetSelector {
 }
 
 impl TraceSelector for NetSelector {
-    fn name(&self) -> &'static str {
-        "net"
-    }
-
-    fn on_block(&mut self, block: BlockId, cache: &mut TraceCache, _program: &Program) {
+    fn on_block(&mut self, block: BlockId, cache: &mut TraceCache) {
         let prev = self.prev.replace(block);
         let Some(prev) = prev else { return };
 
@@ -122,14 +118,24 @@ impl TraceSelector for NetSelector {
             }
         }
     }
+
+    fn begin_stream(&mut self) {
+        // A tail recorded across two runs would not be a path either ran.
+        self.prev = None;
+        self.mode = Mode::Profiling;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::run_with_selector;
+    use crate::{TraceJitConfig, TraceVm};
     use jvm_bytecode::{CmpOp, ProgramBuilder};
     use jvm_vm::Value;
+
+    fn paper() -> TraceJitConfig {
+        TraceJitConfig::paper_default()
+    }
 
     fn loop_program() -> jvm_bytecode::Program {
         let mut pb = ProgramBuilder::new();
@@ -150,9 +156,9 @@ mod tests {
     #[test]
     fn hot_loop_gets_recorded_and_covered() {
         let program = loop_program();
-        let mut net = NetSelector::new();
-        let report = run_with_selector(&program, &[Value::Int(10_000)], &mut net).unwrap();
-        assert!(net.recorded() > 0, "hot loop must be recorded");
+        let mut tvm = TraceVm::with_selector(&program, paper(), NetSelector::new());
+        let report = tvm.run(&[Value::Int(10_000)]).unwrap();
+        assert!(tvm.selector().recorded() > 0, "hot loop must be recorded");
         assert!(report.traces.entered > 0);
         assert!(
             report.coverage_completed() > 0.5,
@@ -164,10 +170,10 @@ mod tests {
     #[test]
     fn cold_code_is_not_recorded() {
         let program = loop_program();
-        let mut net = NetSelector::new();
+        let mut tvm = TraceVm::with_selector(&program, paper(), NetSelector::new());
         // Only 10 iterations: under the hot threshold of 50.
-        let report = run_with_selector(&program, &[Value::Int(10)], &mut net).unwrap();
-        assert_eq!(net.recorded(), 0);
+        let report = tvm.run(&[Value::Int(10)]).unwrap();
+        assert_eq!(tvm.selector().recorded(), 0);
         assert_eq!(report.traces.entered, 0);
     }
 

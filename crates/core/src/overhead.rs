@@ -14,7 +14,6 @@ use jvm_vm::{NullObserver, Value, Vm, VmError};
 use trace_bcg::BranchCorrelationGraph;
 
 use crate::config::TraceJitConfig;
-use crate::tracevm::TraceVm;
 
 /// Result of one overhead measurement (one benchmark).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,7 +75,8 @@ impl OverheadMeasurement {
 /// Measures profiler overhead for one program following the paper's §5.4
 /// methodology. Each timing takes the **minimum over `repeats` runs** —
 /// the standard way to suppress scheduler noise for deterministic
-/// workloads.
+/// workloads. `trace_dispatches` is the trace-dispatch count of a
+/// [`crate::TraceVm`] run of the program under `config`.
 ///
 /// # Errors
 ///
@@ -86,6 +86,7 @@ pub fn measure_overhead(
     args: &[Value],
     config: TraceJitConfig,
     repeats: usize,
+    trace_dispatches: u64,
 ) -> Result<OverheadMeasurement, VmError> {
     let repeats = repeats.max(1);
     let mut vm_config = config.vm;
@@ -118,15 +119,12 @@ pub fn measure_overhead(
         profiled_seconds = profiled_seconds.min(start.elapsed().as_secs_f64());
     }
 
-    // (c) Trace-dispatch count from a full trace-VM run.
-    let report = TraceVm::new(program, config).run(args)?;
-
     Ok(OverheadMeasurement {
         base_seconds,
         profiled_seconds,
         block_dispatches,
         instructions,
-        trace_dispatches: report.traces.trace_dispatches(),
+        trace_dispatches,
     })
 }
 
@@ -182,13 +180,12 @@ mod tests {
     #[test]
     fn measure_overhead_produces_consistent_counts() {
         let p = loop_program();
-        let m = measure_overhead(
-            &p,
-            &[Value::Int(30_000)],
+        let (args, config) = (
+            [Value::Int(30_000)],
             TraceJitConfig::paper_default().with_start_delay(16),
-            2,
-        )
-        .unwrap();
+        );
+        let report = crate::TraceVm::new(&p, config).run(&args).unwrap();
+        let m = measure_overhead(&p, &args, config, 2, report.traces.trace_dispatches()).unwrap();
         assert!(m.base_seconds > 0.0);
         assert!(m.profiled_seconds > 0.0);
         assert!(m.block_dispatches > 30_000);

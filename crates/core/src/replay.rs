@@ -11,10 +11,10 @@
 
 use std::collections::HashMap;
 
-use jvm_bytecode::{BlockId, Program};
+use jvm_bytecode::BlockId;
 use trace_cache::TraceCache;
 
-use crate::common::TraceSelector;
+use crate::selector::TraceSelector;
 
 /// rePLay's published promotion threshold: 32 consecutive same-direction
 /// executions.
@@ -103,11 +103,7 @@ impl Default for ReplaySelector {
 }
 
 impl TraceSelector for ReplaySelector {
-    fn name(&self) -> &'static str {
-        "replay"
-    }
-
-    fn on_block(&mut self, block: BlockId, cache: &mut TraceCache, _program: &Program) {
+    fn on_block(&mut self, block: BlockId, cache: &mut TraceCache) {
         let prev = self.prev.replace(block);
         let Some(prev) = prev else { return };
 
@@ -141,14 +137,22 @@ impl TraceSelector for ReplaySelector {
             self.build_frame(prev, block, cache);
         }
     }
+
+    fn begin_stream(&mut self) {
+        self.prev = None;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::run_with_selector;
+    use crate::{TraceJitConfig, TraceVm};
     use jvm_bytecode::{CmpOp, ProgramBuilder};
     use jvm_vm::Value;
+
+    fn paper() -> TraceJitConfig {
+        TraceJitConfig::paper_default()
+    }
 
     fn loop_program() -> jvm_bytecode::Program {
         let mut pb = ProgramBuilder::new();
@@ -192,9 +196,9 @@ mod tests {
     #[test]
     fn biased_loop_promotes_and_frames_complete() {
         let program = loop_program();
-        let mut sel = ReplaySelector::new();
-        let report = run_with_selector(&program, &[Value::Int(10_000)], &mut sel).unwrap();
-        assert!(sel.promotions() > 0);
+        let mut tvm = TraceVm::with_selector(&program, paper(), ReplaySelector::new());
+        let report = tvm.run(&[Value::Int(10_000)]).unwrap();
+        assert!(tvm.selector().promotions() > 0);
         assert!(report.traces.entered > 0);
         assert!(
             report.completion_rate() > 0.95,
@@ -206,15 +210,16 @@ mod tests {
     #[test]
     fn alternating_branch_is_never_promoted() {
         let program = alternating_program();
-        let mut sel = ReplaySelector::new();
-        let report = run_with_selector(&program, &[Value::Int(10_000)], &mut sel).unwrap();
+        let run = |program: &jvm_bytecode::Program| {
+            TraceVm::with_selector(program, paper(), ReplaySelector::new())
+                .run(&[Value::Int(10_000)])
+                .unwrap()
+        };
+        let report = run(&program);
         // The alternating branch itself can never reach a 32-streak; only
         // the unconditional parts may be framed. Coverage is therefore
         // limited compared to the loop case.
-        let loop_report = {
-            let mut sel2 = ReplaySelector::new();
-            run_with_selector(&loop_program(), &[Value::Int(10_000)], &mut sel2).unwrap()
-        };
+        let loop_report = run(&loop_program());
         assert!(report.coverage_completed() <= loop_report.coverage_completed());
     }
 
@@ -223,11 +228,11 @@ mod tests {
         // The loop-head branch is "continue" 1000 times (promoted), then
         // "exit" once: that direction change must demote it.
         let program = loop_program();
-        let mut sel = ReplaySelector::with_params(4, 64);
-        let _ = run_with_selector(&program, &[Value::Int(1_000)], &mut sel).unwrap();
-        assert!(sel.promotions() > 0);
+        let mut tvm = TraceVm::with_selector(&program, paper(), ReplaySelector::with_params(4, 64));
+        tvm.run(&[Value::Int(1_000)]).unwrap();
+        assert!(tvm.selector().promotions() > 0);
         assert!(
-            sel.demotions() > 0,
+            tvm.selector().demotions() > 0,
             "loop exit must demote the promoted head branch"
         );
     }

@@ -8,10 +8,8 @@
 
 use std::iter::once;
 
-use crate::experiment::SweepPoint;
 use crate::overhead::OverheadMeasurement;
 use crate::report::RunReport;
-use trace_bcg::ProfilerStats;
 
 /// A simple aligned text table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,29 +140,28 @@ fn average(values: &[f64]) -> f64 {
     }
 }
 
-/// A named set of sweep points — one benchmark column.
-pub type NamedSweep = (String, Vec<SweepPoint>);
+/// One benchmark's reports, one per point of a parameter grid — one
+/// table column.
+pub type NamedSweep = (String, Vec<RunReport>);
 
-/// Builds a threshold-indexed table: one row per threshold, one column per
-/// benchmark plus an average column, with `value` extracting the metric
-/// and `fmt` rendering a cell.
-fn threshold_table(
+/// Builds a grid-indexed table: one row per grid point (labelled in the
+/// `label` column by `points`), one column per benchmark plus an average
+/// column, with `value` extracting the metric and `fmt` rendering a cell.
+/// `sweeps[w].1[i]` is benchmark `w`'s report at grid point `i`.
+fn grid_table(
     title: &str,
+    label: &str,
+    points: impl IntoIterator<Item = String>,
     sweeps: &[NamedSweep],
     value: impl Fn(&RunReport) -> f64,
     fmt: impl Fn(f64) -> String,
 ) -> TextTable {
     let names = sweeps.iter().map(|(n, _)| n.as_str());
-    let headers = once("threshold").chain(names).chain(["average"]);
+    let headers = once(label).chain(names).chain(["average"]);
     let mut table = TextTable::new(title, headers);
-    let nrows = sweeps.first().map(|(_, pts)| pts.len()).unwrap_or(0);
-    for i in 0..nrows {
-        let threshold = sweeps[0].1[i].threshold;
-        let mut row = vec![fmt_threshold(threshold)];
-        let vals: Vec<f64> = sweeps
-            .iter()
-            .map(|(_, pts)| value(&pts[i].report))
-            .collect();
+    for (i, point) in points.into_iter().enumerate() {
+        let vals: Vec<f64> = sweeps.iter().map(|(_, rs)| value(&rs[i])).collect();
+        let mut row = vec![point];
         row.extend(vals.iter().map(|&v| fmt(v)));
         row.push(fmt(average(&vals)));
         table.push_row(row);
@@ -172,10 +169,23 @@ fn threshold_table(
     table
 }
 
+/// A threshold-indexed table (Tables I–IV).
+fn threshold_table(
+    title: &str,
+    thresholds: &[f64],
+    sweeps: &[NamedSweep],
+    value: impl Fn(&RunReport) -> f64,
+    fmt: impl Fn(f64) -> String,
+) -> TextTable {
+    let points = thresholds.iter().map(|&t| fmt_threshold(t));
+    grid_table(title, "threshold", points, sweeps, value, fmt)
+}
+
 /// Table I: average executed trace length (blocks) vs. threshold.
-pub fn table1_trace_length(sweeps: &[NamedSweep]) -> TextTable {
+pub fn table1_trace_length(thresholds: &[f64], sweeps: &[NamedSweep]) -> TextTable {
     threshold_table(
         "Table I: Trace Length vs. Threshold (basic blocks)",
+        thresholds,
         sweeps,
         RunReport::avg_trace_length,
         |v| format!("{v:.1}"),
@@ -184,9 +194,10 @@ pub fn table1_trace_length(sweeps: &[NamedSweep]) -> TextTable {
 
 /// Table II: instruction stream coverage by completed traces vs.
 /// threshold.
-pub fn table2_coverage(sweeps: &[NamedSweep]) -> TextTable {
+pub fn table2_coverage(thresholds: &[f64], sweeps: &[NamedSweep]) -> TextTable {
     threshold_table(
         "Table II: Instruction Stream Coverage vs. Threshold",
+        thresholds,
         sweeps,
         RunReport::coverage_completed,
         |v| format!("{:.0}%", v * 100.0),
@@ -194,9 +205,10 @@ pub fn table2_coverage(sweeps: &[NamedSweep]) -> TextTable {
 }
 
 /// Table III: dynamic trace (frame) completion rate vs. threshold.
-pub fn table3_completion(sweeps: &[NamedSweep]) -> TextTable {
+pub fn table3_completion(thresholds: &[f64], sweeps: &[NamedSweep]) -> TextTable {
     threshold_table(
         "Table III: Frame completion rate vs. Threshold",
+        thresholds,
         sweeps,
         RunReport::completion_rate,
         fmt_completion,
@@ -205,9 +217,10 @@ pub fn table3_completion(sweeps: &[NamedSweep]) -> TextTable {
 
 /// Table IV: thousands of dispatches per state-change signal vs.
 /// threshold.
-pub fn table4_signal_rate(sweeps: &[NamedSweep]) -> TextTable {
+pub fn table4_signal_rate(thresholds: &[f64], sweeps: &[NamedSweep]) -> TextTable {
     threshold_table(
         "Table IV: Thousands of Dispatches per State Change Signal",
+        thresholds,
         sweeps,
         RunReport::dispatches_per_state_signal,
         fmt_kdispatch,
@@ -216,26 +229,15 @@ pub fn table4_signal_rate(sweeps: &[NamedSweep]) -> TextTable {
 
 /// Table V: thousands of dispatches per trace event at the 97% threshold,
 /// one row per start-state delay.
-pub fn table5_event_interval(sweeps: &[NamedSweep]) -> TextTable {
-    let names = sweeps.iter().map(|(n, _)| n.as_str());
-    let headers = once("delay").chain(names).chain(["average"]);
-    let mut table = TextTable::new(
+pub fn table5_event_interval(delays: &[u32], sweeps: &[NamedSweep]) -> TextTable {
+    grid_table(
         "Table V: Thousands of Dispatches per Trace Event at 97% threshold",
-        headers,
-    );
-    let nrows = sweeps.first().map(|(_, pts)| pts.len()).unwrap_or(0);
-    for i in 0..nrows {
-        let delay = sweeps[0].1[i].delay;
-        let mut row = vec![delay.to_string()];
-        let vals: Vec<f64> = sweeps
-            .iter()
-            .map(|(_, pts)| pts[i].report.trace_event_interval())
-            .collect();
-        row.extend(vals.iter().map(|&v| fmt_kdispatch(v)));
-        row.push(fmt_kdispatch(average(&vals)));
-        table.push_row(row);
-    }
-    table
+        "delay",
+        delays.iter().map(u32::to_string),
+        sweeps,
+        RunReport::trace_event_interval,
+        fmt_kdispatch,
+    )
 }
 
 /// Table VI: profiler overhead per basic-block dispatch.
@@ -318,7 +320,7 @@ pub fn fig_dispatch_modes(rows: &[(String, RunReport)]) -> TextTable {
 /// unroll factor, one column per benchmark; each cell is average trace
 /// length / completion rate / coverage by completed traces. `sweeps[w].1[i]`
 /// is benchmark `w`'s run at `unrolls[i]`.
-pub fn ablation_unroll(unrolls: &[usize], sweeps: &[(String, Vec<RunReport>)]) -> TextTable {
+pub fn ablation_unroll(unrolls: &[usize], sweeps: &[NamedSweep]) -> TextTable {
     let names = sweeps.iter().map(|(n, _)| n.as_str());
     let mut table = TextTable::new(
         "Ablation: loop unroll factor (avg trace length / completion rate / coverage)",
@@ -370,12 +372,13 @@ pub fn ablation_decay(rows: &[(String, RunReport)]) -> TextTable {
 /// The inline-cache measurement (§4.1.2): the fraction of dispatches the
 /// profiler's predicted-successor cache answers, with the graph's size,
 /// per benchmark.
-pub fn inline_hit_ratios(rows: &[(String, ProfilerStats)]) -> TextTable {
+pub fn inline_hit_ratios(rows: &[(String, RunReport)]) -> TextTable {
     let mut table = TextTable::new(
         "Inline-cache hit ratio (fraction of dispatches fast-pathed)",
         ["benchmark", "hit ratio", "nodes", "edges"],
     );
-    for (name, s) in rows {
+    for (name, r) in rows {
+        let s = &r.profiler;
         table.push_row(vec![
             name.clone(),
             format!("{:.4}", s.cache_hit_ratio()),
@@ -453,25 +456,17 @@ mod tests {
         }
     }
 
+    const THRESHOLDS: [f64; 3] = [1.0, 0.99, 0.97];
+
     fn sample_sweeps() -> Vec<NamedSweep> {
-        use crate::experiment::SweepPoint;
-        let mk = |len: f64| -> Vec<SweepPoint> {
-            [1.0, 0.99, 0.97]
-                .iter()
-                .map(|&t| SweepPoint {
-                    threshold: t,
-                    delay: 64,
-                    report: sample_report(len),
-                })
-                .collect()
-        };
+        let mk = |len: f64| vec![sample_report(len); 3];
         vec![("alpha".to_owned(), mk(4.0)), ("beta".to_owned(), mk(6.0))]
     }
 
     #[test]
     fn threshold_tables_have_benchmark_columns_and_average() {
         let sweeps = sample_sweeps();
-        let t1 = table1_trace_length(&sweeps);
+        let t1 = table1_trace_length(&THRESHOLDS, &sweeps);
         assert_eq!(t1.headers, vec!["threshold", "alpha", "beta", "average"]);
         assert_eq!(t1.rows.len(), 3);
         // Row label is the threshold; the average of 4.0 and 6.0 is 5.0.
@@ -480,20 +475,20 @@ mod tests {
         assert_eq!(t1.rows[0][2], "6.0");
         assert_eq!(t1.rows[0][3], "5.0");
 
-        let t2 = table2_coverage(&sweeps);
+        let t2 = table2_coverage(&THRESHOLDS, &sweeps);
         assert_eq!(t2.rows[0][1], "80%"); // 800/1000 instructions
 
-        let t3 = table3_completion(&sweeps);
+        let t3 = table3_completion(&THRESHOLDS, &sweeps);
         assert_eq!(t3.rows[0][1], "99+"); // 10/10 completed
 
-        let t4 = table4_signal_rate(&sweeps);
+        let t4 = table4_signal_rate(&THRESHOLDS, &sweeps);
         assert_eq!(t4.rows[0][1], "0.1"); // 200 dispatches / 2 signals / 1000
     }
 
     #[test]
     fn table5_rows_are_labelled_by_delay() {
         let sweeps = sample_sweeps();
-        let t5 = table5_event_interval(&sweeps);
+        let t5 = table5_event_interval(&[64, 1, 4096], &sweeps);
         assert_eq!(t5.rows[0][0], "64");
         assert_eq!(t5.rows.len(), 3);
     }

@@ -1,86 +1,67 @@
 //! The integrated trace-dispatching VM.
 
-use jvm_bytecode::{BlockId, Program};
-use jvm_vm::{DispatchObserver, Value, Vm, VmError};
-use trace_bcg::{BranchCorrelationGraph, Signal};
-use trace_cache::{TraceCache, TraceConstructor, TraceRuntime};
+use jvm_bytecode::Program;
+use jvm_vm::{Value, Vm, VmError};
+use trace_bcg::BranchCorrelationGraph;
+use trace_cache::{TraceCache, TraceRuntime};
 
 use crate::config::TraceJitConfig;
 use crate::report::RunReport;
+use crate::selector::{BcgSelector, TraceSelector};
 
-/// The paper's system, assembled: interpreter + BCG profiler + trace
-/// constructor + trace cache + trace-dispatch monitor.
+/// The paper's system, assembled: interpreter + trace selector + trace
+/// cache + trace-dispatch monitor.
 ///
 /// On every basic-block dispatch (the seam described in §4.1.2):
 ///
-/// 1. the **profiler** records the branch in the correlation graph,
-///    decaying and re-checking states on its periodic schedule, and
-///    hands back the branch's node;
-/// 2. the **trace runtime** checks the dispatch against the cache's linked
-///    traces through that node's inline trace-link slot (entering,
-///    advancing, completing or abandoning a trace) — no hashing at block
-///    boundaries;
-/// 3. pending profiler **signals** are handed to the **constructor**,
-///    which rebuilds exactly the affected region of the cache.
+/// 1. the **trace runtime** checks the dispatch against the cache's
+///    linked traces (entering, advancing, completing or abandoning a
+///    trace);
+/// 2. the **selector** sees the dispatch and may change the cache. The
+///    default, [`BcgSelector`], records the branch in the correlation
+///    graph and hands pending signals to the constructor, which rebuilds
+///    exactly the affected region of the cache. A trace constructed *by*
+///    a dispatch is therefore not entered by it.
 ///
-/// Profiler state, cache contents and metrics accumulate across runs of
+/// [`TraceVm::with_selector`] runs another policy (NET, rePLay) under the
+/// same monitor, so every selector's numbers are comparable.
+///
+/// Selector state, cache contents and metrics accumulate across runs of
 /// the same `TraceVm`, modelling a long-running VM; create a fresh
 /// `TraceVm` per experiment point instead.
 #[derive(Debug)]
-pub struct TraceVm<'p> {
+pub struct TraceVm<'p, S = BcgSelector> {
     program: &'p Program,
     config: TraceJitConfig,
     vm: Vm<'p>,
-    bcg: BranchCorrelationGraph,
-    constructor: TraceConstructor,
+    selector: S,
     cache: TraceCache,
     runtime: TraceRuntime,
-    /// Reusable signal drain buffer: the dispatch loop never allocates.
-    signal_buf: Vec<Signal>,
-}
-
-/// The observer wired into the interpreter's dispatch loop.
-struct JitObserver<'a, 'p> {
-    program: &'p Program,
-    bcg: &'a mut BranchCorrelationGraph,
-    constructor: &'a mut TraceConstructor,
-    cache: &'a mut TraceCache,
-    runtime: &'a mut TraceRuntime,
-    signal_buf: &'a mut Vec<Signal>,
-}
-
-impl DispatchObserver for JitObserver<'_, '_> {
-    #[inline]
-    fn on_block(&mut self, block: BlockId) {
-        // Profile first: observing yields the node of the branch just
-        // taken, whose inline trace-link slot answers the monitor's
-        // entry check without hashing. The monitor still sees the cache
-        // as of the previous dispatch (the constructor has not run yet),
-        // so a trace constructed *by* this dispatch cannot also be
-        // entered by it.
-        let node = self.bcg.observe(block);
-        self.runtime
-            .on_block_at_node(block, node, self.bcg, self.cache, self.program);
-        if self.bcg.has_signals() {
-            self.bcg.drain_signals_into(self.signal_buf);
-            self.constructor
-                .handle_batch(self.signal_buf, self.bcg, self.cache);
-        }
-    }
 }
 
 impl<'p> TraceVm<'p> {
-    /// Assembles the system for a program.
+    /// Assembles the paper's system (the BCG selector) for a program.
     pub fn new(program: &'p Program, config: TraceJitConfig) -> Self {
+        Self::with_selector(program, config, BcgSelector::new(&config))
+    }
+
+    /// Read access to the profiler graph (e.g. for inspection examples).
+    pub fn bcg(&self) -> &BranchCorrelationGraph {
+        self.selector.bcg()
+    }
+}
+
+impl<'p, S: TraceSelector> TraceVm<'p, S> {
+    /// Assembles the system with `selector` choosing the traces. Of
+    /// `config`, only `config.vm` reaches a selector other than the BCG.
+    pub fn with_selector(program: &'p Program, config: TraceJitConfig, selector: S) -> Self {
         TraceVm {
             program,
             config,
             vm: Vm::with_config(program, config.vm),
-            bcg: BranchCorrelationGraph::new(config.bcg_config()),
-            constructor: TraceConstructor::new(config.constructor_config()),
+            selector,
             cache: TraceCache::new(),
             runtime: TraceRuntime::new(),
-            signal_buf: Vec::new(),
         }
     }
 
@@ -94,9 +75,9 @@ impl<'p> TraceVm<'p> {
         &self.config
     }
 
-    /// Read access to the profiler graph (e.g. for inspection examples).
-    pub fn bcg(&self) -> &BranchCorrelationGraph {
-        &self.bcg
+    /// The selector.
+    pub fn selector(&self) -> &S {
+        &self.selector
     }
 
     /// Read access to the trace cache.
@@ -110,27 +91,27 @@ impl<'p> TraceVm<'p> {
     ///
     /// Propagates any [`VmError`] from the interpreter.
     pub fn run(&mut self, args: &[Value]) -> Result<RunReport, VmError> {
-        self.bcg.begin_stream();
+        self.selector.begin_stream();
         self.runtime.begin_stream();
-        let result = {
-            let mut observer = JitObserver {
-                program: self.program,
-                bcg: &mut self.bcg,
-                constructor: &mut self.constructor,
-                cache: &mut self.cache,
-                runtime: &mut self.runtime,
-                signal_buf: &mut self.signal_buf,
-            };
-            self.vm.run(args, &mut observer)?
-        };
+        let (program, selector, cache, runtime) = (
+            self.program,
+            &mut self.selector,
+            &mut self.cache,
+            &mut self.runtime,
+        );
+        let result = self.vm.run(args, &mut |block| {
+            runtime.on_block(block, cache, program);
+            selector.on_block(block, cache);
+        })?;
         self.runtime.finish_stream();
+        let (profiler, constructor) = self.selector.stats();
         Ok(RunReport {
             result,
             checksum: self.vm.checksum(),
             exec: self.vm.stats(),
-            profiler: self.bcg.stats(),
+            profiler,
             traces: self.runtime.stats(),
-            constructor: self.constructor.stats(),
+            constructor,
             cache: self.cache.stats(),
         })
     }
@@ -313,6 +294,25 @@ mod tests {
         assert!(r2.profiler.dispatches > r1.profiler.dispatches);
         // Second run reuses the warmed cache: more trace entries.
         assert!(r2.traces.entered >= r1.traces.entered);
+    }
+
+    /// A selector that never installs a trace: everything runs outside,
+    /// and it reports no profiler or constructor counters.
+    #[test]
+    fn a_selector_that_builds_nothing_reports_zeros() {
+        struct Null;
+        impl TraceSelector for Null {
+            fn on_block(&mut self, _: jvm_bytecode::BlockId, _: &mut TraceCache) {}
+            fn begin_stream(&mut self) {}
+        }
+        let program = loop_program();
+        let mut tvm = TraceVm::with_selector(&program, TraceJitConfig::paper_default(), Null);
+        let report = tvm.run(&[Value::Int(100)]).unwrap();
+        assert!(report.exec.instructions > 0);
+        assert_eq!(report.traces.entered, 0);
+        assert_eq!(report.traces.blocks_outside, report.exec.block_dispatches);
+        assert_eq!(report.profiler, Default::default());
+        assert_eq!(report.constructor, Default::default());
     }
 
     #[test]

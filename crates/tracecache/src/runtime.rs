@@ -10,7 +10,6 @@
 //! cache's linked traces.
 
 use jvm_bytecode::{BlockId, Program};
-use trace_bcg::{Branch, BranchCorrelationGraph, NodeIdx};
 
 use crate::cache::TraceCache;
 use crate::metrics::TraceExecStats;
@@ -97,48 +96,8 @@ impl TraceRuntime {
     }
 
     /// Observes one dispatched block. `program` supplies per-block
-    /// instruction counts; `cache` supplies the entry links (probed
-    /// through the hash table at every block boundary — prefer
-    /// [`Self::on_block_at_node`] when a BCG node is at hand).
+    /// instruction counts; `cache` supplies the entry links.
     pub fn on_block(&mut self, block: BlockId, cache: &TraceCache, program: &Program) {
-        self.step(block, cache, program, |entry| cache.lookup_entry(entry));
-    }
-
-    /// Observes one dispatched block using the BCG node's inline
-    /// trace-link slot for the entry check.
-    ///
-    /// `node` is what [`BranchCorrelationGraph::observe`] returned for
-    /// this block — the node of the branch `(previous block, block)` —
-    /// so the entry check becomes a version compare on the node instead
-    /// of a hash probe. Behaviour is identical to [`Self::on_block`];
-    /// the differential tests assert it.
-    pub fn on_block_at_node(
-        &mut self,
-        block: BlockId,
-        node: Option<NodeIdx>,
-        bcg: &mut BranchCorrelationGraph,
-        cache: &TraceCache,
-        program: &Program,
-    ) {
-        self.step(block, cache, program, |entry| match node {
-            Some(n) => {
-                debug_assert_eq!(bcg.node(n).branch(), entry, "node is the observed branch");
-                cache.lookup_entry_cached(bcg, n)
-            }
-            None => cache.lookup_entry(entry),
-        });
-    }
-
-    /// One dispatch against the cache; `link` answers "does taking this
-    /// branch enter a trace?" however the caller can do it cheapest.
-    #[inline]
-    fn step(
-        &mut self,
-        block: BlockId,
-        cache: &TraceCache,
-        program: &Program,
-        link: impl FnOnce(Branch) -> Option<TraceId>,
-    ) {
         let block_len = u64::from(program.block_len(block));
         let prev = self.prev.replace(block);
 
@@ -166,7 +125,7 @@ impl TraceRuntime {
 
         // Not inside a trace: does taking (prev, block) enter one?
         if let Some(prev) = prev {
-            if let Some(id) = link((prev, block)) {
+            if let Some(id) = cache.lookup_entry((prev, block)) {
                 let trace = cache.trace(id);
                 debug_assert_eq!(trace.blocks()[0], block, "entry targets first block");
                 self.stats.entered += 1;
@@ -321,28 +280,6 @@ mod tests {
         assert_eq!(s.entered, 0);
         assert_eq!(s.blocks_outside, 3);
         assert_eq!(s.trace_dispatches(), 3);
-    }
-
-    #[test]
-    fn node_slot_path_matches_direct_path() {
-        let p = program_with_blocks();
-        let mut cache = cache_with_trace(&p, 0, &[1, 3]);
-        cache.insert_and_link((blk(&p, 1), blk(&p, 2)), &[blk(&p, 2), blk(&p, 3)], 0.99);
-        // Mix of entries, completions, divergences, and misses.
-        let stream = [0u32, 1, 3, 0, 1, 2, 3, 0, 1, 3, 2, 2, 0, 1, 3];
-        let mut direct = TraceRuntime::new();
-        for &b in &stream {
-            direct.on_block(blk(&p, b), &cache, &p);
-        }
-        direct.finish_stream();
-        let mut bcg = trace_bcg::BranchCorrelationGraph::new(trace_bcg::BcgConfig::paper_default());
-        let mut slot = TraceRuntime::new();
-        for &b in &stream {
-            let n = bcg.observe(blk(&p, b));
-            slot.on_block_at_node(blk(&p, b), n, &mut bcg, &cache, &p);
-        }
-        slot.finish_stream();
-        assert_eq!(direct.stats(), slot.stats());
     }
 
     #[test]

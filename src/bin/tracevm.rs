@@ -14,11 +14,12 @@
 
 use std::process::ExitCode;
 
-use tracecache_repro::baselines::{run_with_selector, NetSelector, ReplaySelector};
 use tracecache_repro::bcg::dot as bcg_dot;
 use tracecache_repro::bytecode::disasm;
 use tracecache_repro::exec::{EngineConfig, TracingVm};
-use tracecache_repro::jit::{tables, RunReport, TraceJitConfig, TraceVm};
+use tracecache_repro::jit::{
+    tables, NetSelector, ReplaySelector, RunReport, TraceJitConfig, TraceVm,
+};
 use tracecache_repro::tracecache::dot as trace_dot;
 use tracecache_repro::vm::{ExecStats, NullObserver, Value, Vm};
 use tracecache_repro::workloads::{registry, Scale, Workload};
@@ -261,9 +262,10 @@ fn cmd_run(w: &Workload, opts: &Options) -> Result<(), Box<dyn std::error::Error
 }
 
 fn cmd_compare(w: &Workload, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    let bcg = TraceVm::new(&w.program, jit_config(opts)).run(&w.args)?;
-    let net = run_with_selector(&w.program, &w.args, &mut NetSelector::new())?;
-    let rp = run_with_selector(&w.program, &w.args, &mut ReplaySelector::new())?;
+    let cfg = jit_config(opts);
+    let bcg = TraceVm::new(&w.program, cfg).run(&w.args)?;
+    let net = TraceVm::with_selector(&w.program, cfg, NetSelector::new()).run(&w.args)?;
+    let rp = TraceVm::with_selector(&w.program, cfg, ReplaySelector::new()).run(&w.args)?;
     let cells = [
         (bcg.coverage_completed(), bcg.completion_rate()),
         (net.coverage_completed(), net.completion_rate()),

@@ -13,11 +13,11 @@
 //! * [`bcg`] — the branch correlation graph profiler (paper §3.5/§4.1);
 //! * [`tracecache`] — the trace constructor, cache and dispatch monitor
 //!   (paper §3.6–§4.2);
-//! * [`jit`] — the integrated trace-dispatching VM plus the experiment
-//!   harness regenerating the paper's tables;
+//! * [`jit`] — the integrated trace-dispatching VM, the one harness that
+//!   runs a trace selector under the dispatch monitor: the paper's BCG,
+//!   or Dynamo-style NET and rePLay-style selection for comparison
+//!   (paper §2);
 //! * [`workloads`] — the six benchmark analogues (paper §5.1);
-//! * [`baselines`] — Dynamo-style NET and rePLay-style selection for
-//!   comparison (paper §2);
 //! * [`exec`] — the paper's stated future work (§6): compiled, guarded
 //!   trace execution with side exits, retiring exactly the
 //!   interpreter's instruction sequence;
@@ -49,7 +49,6 @@
 
 pub use jvm_bytecode as bytecode;
 pub use jvm_vm as vm;
-pub use trace_baselines as baselines;
 pub use trace_bcg as bcg;
 pub use trace_cache as tracecache;
 pub use trace_conformance as conformance;

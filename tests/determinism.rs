@@ -1,15 +1,15 @@
 //! Determinism: every layer of the system is seeded and re-runnable —
 //! identical inputs must give bit-identical reports.
 
-use tracecache_repro::jit::experiment::run_point;
-use tracecache_repro::jit::TraceJitConfig;
+use tracecache_repro::jit::{TraceJitConfig, TraceVm};
 use tracecache_repro::workloads::{registry, Scale};
 
 #[test]
 fn repeated_runs_are_bit_identical() {
     for w in registry::all(Scale::Test) {
-        let a = run_point(&w.program, &w.args, TraceJitConfig::paper_default()).unwrap();
-        let b = run_point(&w.program, &w.args, TraceJitConfig::paper_default()).unwrap();
+        let cfg = TraceJitConfig::paper_default();
+        let a = TraceVm::new(&w.program, cfg).run(&w.args).unwrap();
+        let b = TraceVm::new(&w.program, cfg).run(&w.args).unwrap();
         assert_eq!(a, b, "{} must be deterministic", w.name);
     }
 }

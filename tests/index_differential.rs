@@ -7,7 +7,7 @@
 //! and `ModelCache` with the *same* dynamic block streams — the six
 //! workload analogues at test scale — and requires identical signal
 //! sequences, node structure, links and [`ProfilerStats`] after every
-//! dispatch and in the final sweep. The monitor tests hold the per-node
+//! dispatch and in the final sweep. The coherence test holds the per-node
 //! inline trace-link slots to direct cache lookups. Any divergence
 //! introduced by the optimised path fails here, not in a benchmark.
 //!
@@ -17,7 +17,7 @@ use tracecache_repro::bcg::{BcgConfig, BranchCorrelationGraph};
 use tracecache_repro::bytecode::{BlockId, FuncId};
 use tracecache_repro::conformance::Lockstep;
 use tracecache_repro::jit::TraceJitConfig;
-use tracecache_repro::tracecache::{ConstructorConfig, TraceCache, TraceConstructor, TraceRuntime};
+use tracecache_repro::tracecache::{ConstructorConfig, TraceCache, TraceConstructor};
 use tracecache_repro::vm::Vm;
 use tracecache_repro::workloads::registry::{self, Scale};
 
@@ -83,45 +83,6 @@ fn node_index_lookups_agree_with_reference() {
     }
 }
 
-/// Runs the full profile→construct→monitor pipeline twice over the same
-/// stream — once answering entry checks with direct cache lookups, once
-/// through the per-node inline trace-link slots — and requires identical
-/// trace caches and monitor statistics.
-#[test]
-fn node_slot_monitor_matches_direct_monitor_on_workloads() {
-    for w in registry::all(Scale::Test) {
-        let stream = stream_of(&w);
-        let config = TraceJitConfig::paper_default().with_start_delay(16);
-
-        let run = |use_slots: bool| {
-            let mut bcg = BranchCorrelationGraph::new(config.bcg_config());
-            let mut ctor = TraceConstructor::new(config.constructor_config());
-            let mut cache = TraceCache::new();
-            let mut rt = TraceRuntime::new();
-            let mut buf = Vec::new();
-            bcg.begin_stream();
-            for &b in &stream {
-                let node = bcg.observe(b);
-                if use_slots {
-                    rt.on_block_at_node(b, node, &mut bcg, &cache, &w.program);
-                } else {
-                    rt.on_block(b, &cache, &w.program);
-                }
-                if bcg.has_signals() {
-                    bcg.drain_signals_into(&mut buf);
-                    ctor.handle_batch(&buf, &mut bcg, &mut cache);
-                }
-            }
-            rt.finish_stream();
-            (rt.stats(), cache.stats(), cache.version())
-        };
-
-        let direct = run(false);
-        let slotted = run(true);
-        assert_eq!(direct, slotted, "{}: monitor paths diverged", w.name);
-    }
-}
-
 /// After a full pipeline run, every node's cached trace-link answer
 /// agrees with a direct lookup; after unlinking everything (a version
 /// bump), every cached answer revalidates to `None`.
@@ -134,17 +95,17 @@ fn trace_links_stay_coherent_through_cache_mutation() {
     let mut bcg = BranchCorrelationGraph::new(config.bcg_config());
     let mut ctor = TraceConstructor::new(config.constructor_config());
     let mut cache = TraceCache::new();
-    let mut rt = TraceRuntime::new();
     let mut buf = Vec::new();
     for &b in &stream {
-        let node = bcg.observe(b);
-        rt.on_block_at_node(b, node, &mut bcg, &cache, &w.program);
+        // The engine's entry check: the observed node's inline slot.
+        if let Some(node) = bcg.observe(b) {
+            cache.lookup_entry_cached(&mut bcg, node);
+        }
         if bcg.has_signals() {
             bcg.drain_signals_into(&mut buf);
             ctor.handle_batch(&buf, &mut bcg, &mut cache);
         }
     }
-    rt.finish_stream();
     assert!(cache.trace_count() > 0, "javac must produce traces");
 
     // Coherence: cached answers equal direct answers on every node.

@@ -3,9 +3,6 @@
 
 use tracecache_repro::bytecode::{BlockId, FuncId};
 use tracecache_repro::exec::{EngineConfig, TracingVm};
-use tracecache_repro::jit::experiment::{
-    delay_sweep, run_point, threshold_sweep, PAPER_DELAYS, PAPER_THRESHOLDS,
-};
 use tracecache_repro::jit::{TraceJitConfig, TraceVm};
 use tracecache_repro::vm::Value;
 use tracecache_repro::workloads::{registry, Scale};
@@ -19,7 +16,7 @@ fn paper_cfg() -> TraceJitConfig {
 #[test]
 fn all_workloads_reach_reasonable_coverage() {
     for w in registry::all(Scale::Test) {
-        let r = run_point(&w.program, &w.args, paper_cfg()).unwrap();
+        let r = TraceVm::new(&w.program, paper_cfg()).run(&w.args).unwrap();
         assert!(
             r.coverage_completed() > 0.5,
             "{}: coverage {:.2}",
@@ -34,7 +31,7 @@ fn completion_rate_is_high_at_97_percent_threshold() {
     // Table III's shape: at the 97% threshold, completion must be ≥ 90%
     // everywhere (the paper reports ≥ 97% at full scale).
     for w in registry::all(Scale::Test) {
-        let r = run_point(&w.program, &w.args, paper_cfg()).unwrap();
+        let r = TraceVm::new(&w.program, paper_cfg()).run(&w.args).unwrap();
         assert!(r.traces.entered > 0, "{}: no traces entered", w.name);
         assert!(
             r.completion_rate() > 0.9,
@@ -48,7 +45,7 @@ fn completion_rate_is_high_at_97_percent_threshold() {
 #[test]
 fn traces_reduce_dispatches_on_every_workload() {
     for w in registry::all(Scale::Test) {
-        let r = run_point(&w.program, &w.args, paper_cfg()).unwrap();
+        let r = TraceVm::new(&w.program, paper_cfg()).run(&w.args).unwrap();
         let d = r.dispatch_counts();
         assert!(d.per_trace < d.per_block, "{}: {d:?}", w.name);
         assert!(d.per_block < d.per_instruction, "{}: {d:?}", w.name);
@@ -58,10 +55,9 @@ fn traces_reduce_dispatches_on_every_workload() {
 #[test]
 fn threshold_sweep_produces_valid_metrics_everywhere() {
     let w = registry::raytrace(Scale::Test);
-    let pts = threshold_sweep(&w.program, &w.args, &PAPER_THRESHOLDS, 16, paper_cfg()).unwrap();
-    assert_eq!(pts.len(), PAPER_THRESHOLDS.len());
-    for p in &pts {
-        let r = &p.report;
+    for threshold in [1.00, 0.99, 0.98, 0.97, 0.95] {
+        let cfg = paper_cfg().with_threshold(threshold);
+        let r = TraceVm::new(&w.program, cfg).run(&w.args).unwrap();
         assert!(r.coverage_completed() >= 0.0 && r.coverage_completed() <= 1.0);
         assert!(r.coverage_incl_partial() >= r.coverage_completed());
         assert!(r.completion_rate() >= 0.0 && r.completion_rate() <= 1.0);
@@ -74,18 +70,11 @@ fn larger_delay_increases_trace_event_interval() {
     // Table V's shape: the trace event interval grows with the start
     // delay (fewer branches become hot, fewer signals + traces).
     let w = registry::compress(Scale::Test);
-    let pts = delay_sweep(
-        &w.program,
-        &w.args,
-        &PAPER_DELAYS,
-        0.97,
-        TraceJitConfig::paper_default(),
-    )
-    .unwrap();
-    let intervals: Vec<f64> = pts
-        .iter()
-        .map(|p| p.report.trace_event_interval())
-        .collect();
+    let intervals = [1, 64, 4096].map(|delay| {
+        let cfg = TraceJitConfig::paper_default().with_start_delay(delay);
+        let r = TraceVm::new(&w.program, cfg).run(&w.args).unwrap();
+        r.trace_event_interval()
+    });
     assert!(
         intervals[0] <= intervals[1] && intervals[1] <= intervals[2],
         "event interval must grow with delay: {intervals:?}"
@@ -112,7 +101,7 @@ fn every_constructed_trace_satisfies_its_threshold() {
 #[test]
 fn entered_traces_balance_completed_plus_early_exits() {
     for w in registry::all(Scale::Test) {
-        let r = run_point(&w.program, &w.args, paper_cfg()).unwrap();
+        let r = TraceVm::new(&w.program, paper_cfg()).run(&w.args).unwrap();
         assert_eq!(
             r.traces.entered,
             r.traces.completed + r.traces.exited_early,
@@ -129,7 +118,7 @@ fn mpegaudio_and_scimark_are_most_predictable() {
     // irregular ones (javac, soot).
     let mut ratios = std::collections::HashMap::new();
     for w in registry::all(Scale::Test) {
-        let r = run_point(&w.program, &w.args, paper_cfg()).unwrap();
+        let r = TraceVm::new(&w.program, paper_cfg()).run(&w.args).unwrap();
         ratios.insert(w.name, r.profiler.cache_hit_ratio());
     }
     assert!(ratios["mpegaudio"] > ratios["javac"], "{ratios:?}");
