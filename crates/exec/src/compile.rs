@@ -9,28 +9,28 @@
 //! against the program's control flow (restored snapshots reach this
 //! pass, so it verifies rather than trusts):
 //!
-//! | source terminator | step |
-//! |---|---|
-//! | conditional branch | [`Step::GuardCond`] — side-exits if the outcome differs from the recorded direction |
-//! | `goto` | [`Step::Jump`] — no guard needed |
-//! | implicit fall-through | [`Step::FallThrough`] — block boundary; the block's last instruction is straight-line |
-//! | `tableswitch` | [`Step::GuardSwitch`] — side-exits unless the selector lands on the recorded target |
-//! | `invokestatic` | [`Step::EnterStatic`] — pushes the callee frame (its entry block is the next trace block by construction) |
-//! | `invokevirtual` | [`Step::GuardVirtual`] — side-exits unless the receiver resolves to the recorded callee |
-//! | `return` | [`Step::GuardReturn`] — side-exits unless the caller's continuation is the recorded next block |
-//! | last block's terminator | [`Step::Finish`] — runs in-trace, whatever it is, and may close the loop or go on into the trace its successor links; only a return from the outermost frame is handed back to the interpreter loop |
+//! | source terminator | next block must be | step |
+//! |---|---|---|
+//! | conditional branch | its taken or fall-through successor | [`Step::Terminator`] |
+//! | `goto` | its target | [`Step::Jump`] — no instruction |
+//! | implicit fall-through | the block at the next pc | [`Step::FallThrough`] — no instruction; the block's last instruction is straight-line |
+//! | `tableswitch` | one of its targets | [`Step::Terminator`] |
+//! | `invokestatic` | the callee's entry block | [`Step::Terminator`] |
+//! | `invokevirtual` | some function's entry block | [`Step::Terminator`] |
+//! | `return` | any block (the caller resumes there) | [`Step::Terminator`] |
+//! | last block's terminator | — | [`Step::Terminator`] |
 //!
-//! Every step but a fall-through sits on its block's last instruction,
-//! which is where a failed guard resumes the interpreter with the
-//! operand stack untouched.
+//! A [`Step::Terminator`] runs in-trace as one instruction, whatever its
+//! shape: the trace runs on when the terminator reaches the trace's next
+//! block, and leaves on any other successor (see [`crate::reg`]).
 
 use std::error::Error;
 use std::fmt;
 
-use jvm_bytecode::{BlockId, CmpOp, FuncId, Instr, Program};
+use jvm_bytecode::{BlockId, CmpOp, Instr, Program};
 use trace_cache::{Trace, TraceId};
 
-/// The shape of a guarded conditional branch.
+/// The shape of a conditional branch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CondKind {
     /// Two-int comparison (`if_icmp`).
@@ -71,52 +71,15 @@ impl CondKind {
 /// How one block of a compiled trace continues into the next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
-    /// Guarded conditional branch: continue in-trace if the outcome
-    /// equals `expected_taken`, otherwise side-exit at the branch.
-    GuardCond {
-        /// Branch shape.
-        kind: CondKind,
-        /// Direction the trace recorded.
-        expected_taken: bool,
-    },
-    /// Unconditional jump (a `goto` inside the trace).
+    /// A `goto` into the next block: no instruction, one instruction's
+    /// fuel.
     Jump,
-    /// Block boundary with fall-through (no control transfer).
+    /// A fall-through into the next block: no instruction at all.
     FallThrough,
-    /// Guarded `tableswitch`: side-exit unless the selector maps to
-    /// `expected_pc`.
-    GuardSwitch {
-        /// The pc the trace expects the switch to select.
-        expected_pc: u32,
-    },
-    /// Static call whose callee body continues the trace.
-    EnterStatic {
-        /// The callee.
-        callee: FuncId,
-    },
-    /// Virtual call with a receiver guard: side-exit unless dispatch
-    /// resolves to `expected`.
-    GuardVirtual {
-        /// Vtable slot.
-        slot: u16,
-        /// Argument count including the receiver.
-        argc: u16,
-        /// Callee the trace recorded.
-        expected: FuncId,
-    },
-    /// Return with a continuation guard: side-exit unless the caller
-    /// resumes in `expected`.
-    GuardReturn {
-        /// The continuation block the trace recorded.
-        expected: BlockId,
-        /// Whether a value is returned.
-        has_value: bool,
-    },
-    /// The final block's terminator; afterwards the trace has completed.
-    /// The lowering runs it in-trace as the trace's one final
-    /// instruction ([`crate::reg::RInstr::FinalBranch`] and its
-    /// siblings).
-    Finish,
+    /// The block's terminator — a branch, switch, call or return, or
+    /// whatever ends the last block — run in-trace as one instruction
+    /// ([`crate::reg::RInstr::Branch`] and its siblings).
+    Terminator,
 }
 
 /// A trace checked against its program: the block chain plus, for every
@@ -129,7 +92,7 @@ pub struct CompiledTrace {
     /// needs no cache access on the hot path).
     pub src_blocks: Vec<BlockId>,
     /// `steps[i]` leaves `src_blocks[i]`; the last one is
-    /// [`Step::Finish`].
+    /// [`Step::Terminator`].
     pub steps: Vec<Step>,
     /// Source instruction count across all blocks.
     pub src_instrs: usize,
@@ -199,98 +162,43 @@ pub fn compile_blocks(
         let block = func.block(blk.block);
         src_instrs += block.len() as usize;
         let Some(&next) = blocks.get(i + 1) else {
-            steps.push(Step::Finish);
+            steps.push(Step::Terminator);
             break;
         };
         let pc = block.end - 1;
-        let terminator = &func.code()[pc as usize];
-        if let Some((kind, target)) = CondKind::of(terminator) {
-            let taken = BlockId::new(blk.func, func.block_index_of(target));
-            let fall = BlockId::new(blk.func, func.block_index_of(pc + 1));
-            // A degenerate branch to the very next instruction keeps both
-            // outcomes on the trace. Guarding on "taken" is still
-            // *correct* (a false outcome side-exits and the interpreter
-            // resumes at the branch), merely conservative for this rare
-            // shape.
-            let expected_taken = if next == taken {
-                true
-            } else if next == fall {
-                false
-            } else {
-                return err(format!("branch at {}:{pc} cannot reach {next}", blk.func));
-            };
-            steps.push(Step::GuardCond {
-                kind,
-                expected_taken,
-            });
-            continue;
-        }
-        steps.push(match terminator {
-            Instr::Goto(t) => {
-                let target_block = BlockId::new(blk.func, func.block_index_of(*t));
-                if next != target_block {
-                    return err(format!(
-                        "goto at {}:{pc} targets {target_block}, trace expects {next}",
-                        blk.func
-                    ));
-                }
-                Step::Jump
-            }
+        let block_at = |pc: u32| BlockId::new(blk.func, func.block_index_of(pc));
+        let (step, reachable) = match func.code()[pc as usize] {
+            Instr::Goto(t) => (Step::Jump, next == block_at(t)),
             Instr::TableSwitch {
-                targets, default, ..
-            } => {
-                if next.func != blk.func {
-                    return err("switch successor must stay in the function");
-                }
-                let reachable = targets
+                ref targets,
+                default,
+                ..
+            } => (
+                Step::Terminator,
+                targets
                     .iter()
-                    .chain(std::iter::once(default))
-                    .any(|&t| func.block_index_of(t) == next.block);
-                if !reachable {
-                    return err(format!("switch at {}:{pc} cannot reach {next}", blk.func));
-                }
-                Step::GuardSwitch {
-                    expected_pc: func.block(next.block).start,
-                }
-            }
-            Instr::InvokeStatic(callee) => {
-                if next != BlockId::new(*callee, 0) {
-                    return err(format!(
-                        "static call at {}:{pc} enters {callee}, trace expects {next}",
-                        blk.func
-                    ));
-                }
-                Step::EnterStatic { callee: *callee }
-            }
-            Instr::InvokeVirtual { slot, argc } => {
-                if next.block != 0 {
-                    return err(format!(
-                        "virtual call at {}:{pc} must enter a function entry, trace expects {next}",
-                        blk.func
-                    ));
-                }
-                Step::GuardVirtual {
-                    slot: *slot,
-                    argc: *argc,
-                    expected: next.func,
-                }
-            }
-            ret @ (Instr::Return | Instr::ReturnVoid) => Step::GuardReturn {
-                expected: next,
-                has_value: matches!(ret, Instr::Return),
-            },
-            _ => {
+                    .chain(std::iter::once(&default))
+                    .any(|&t| next == block_at(t)),
+            ),
+            Instr::InvokeStatic(callee) => (Step::Terminator, next == BlockId::new(callee, 0)),
+            Instr::InvokeVirtual { .. } => (Step::Terminator, next.block == 0),
+            Instr::Return | Instr::ReturnVoid => (Step::Terminator, true),
+            ref term => match CondKind::of(term) {
+                Some((_, t)) => (
+                    Step::Terminator,
+                    next == block_at(t) || next == block_at(pc + 1),
+                ),
                 // Implicit fall-through into a leader.
-                let fall = BlockId::new(blk.func, func.block_index_of(pc + 1));
-                if next != fall {
-                    return err(format!(
-                        "fall-through at {}:{pc} reaches {fall}, trace expects {next}",
-                        blk.func
-                    ));
-                }
-                Step::FallThrough
-            }
-        });
+                None => (Step::FallThrough, next == block_at(pc + 1)),
+            },
+        };
+        if !reachable {
+            return err(format!(
+                "the terminator at {}:{pc} cannot reach {next}",
+                blk.func
+            ));
+        }
+        steps.push(step);
     }
 
     Ok(CompiledTrace {
@@ -345,31 +253,32 @@ mod tests {
         assert_eq!(ct.blocks(), 3);
         assert_eq!(
             ct.steps,
-            vec![
-                Step::GuardCond {
-                    kind: CondKind::IZero(CmpOp::Le),
-                    expected_taken: false,
-                },
-                Step::Jump,
-                Step::Finish,
-            ]
+            vec![Step::Terminator, Step::Jump, Step::Terminator]
         );
         assert_eq!(ct.src_instrs, 2 + 6 + 2);
     }
 
     #[test]
-    fn taken_branch_direction_is_recorded() {
+    fn the_recorded_direction_stays_on_the_trace() {
+        use crate::reg::{lower_reg, RInstr, ON_TRACE};
         let p = loop_program();
-        // Trace: b1 -> b3 (exit taken).
-        let (cache, id) = make_trace(&p, vec![blk(&p, 1), blk(&p, 3)]);
-        let ct = compile(&p, cache.trace(id)).unwrap();
-        assert!(matches!(
-            ct.steps[0],
-            Step::GuardCond {
-                expected_taken: true,
-                ..
-            }
-        ));
+        let decoded = jvm_vm::DecodedProgram::decode(&p);
+        // b1 -> b3 (exit taken) keeps the taken outcome on the trace; b1
+        // -> b2 the fall-through.
+        for (next, on) in [(3, 1), (2, 0)] {
+            let (cache, id) = make_trace(&p, vec![blk(&p, 1), blk(&p, next)]);
+            let ct = compile(&p, cache.trace(id)).unwrap();
+            let rt = lower_reg(&p, &decoded, &ct).unwrap();
+            let Some(RInstr::Branch { exits, .. }) = rt
+                .code
+                .iter()
+                .find(|r| matches!(r, RInstr::Branch { exits, .. } if exits.contains(&ON_TRACE)))
+            else {
+                panic!("no guarding branch");
+            };
+            assert_eq!(exits[on], ON_TRACE, "b1 -> b{next}");
+            assert_ne!(exits[1 - on], ON_TRACE, "b1 -> b{next}");
+        }
     }
 
     #[test]
@@ -444,7 +353,7 @@ mod tests {
     }
 
     #[test]
-    fn call_and_return_compile_to_guards() {
+    fn call_and_return_compile_to_terminators() {
         let mut pb = ProgramBuilder::new();
         let leaf = pb.declare_function("leaf", 0, true);
         pb.function_mut(leaf).iconst(5).ret();
@@ -464,14 +373,7 @@ mod tests {
         let ct = compile(&p, cache.trace(id)).unwrap();
         assert_eq!(
             ct.steps,
-            vec![
-                Step::EnterStatic { callee: leaf },
-                Step::GuardReturn {
-                    expected: BlockId::new(f, 1),
-                    has_value: true,
-                },
-                Step::Finish,
-            ]
+            vec![Step::Terminator, Step::Terminator, Step::Terminator]
         );
     }
 

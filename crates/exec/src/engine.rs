@@ -16,14 +16,13 @@
 //! points inside** ("a trace dispatch executes a single profiling
 //! statement, all of the inlined ones are removed", §5.4).
 //!
-//! Guard failures side-exit: the frame image is written back into the
-//! arena, the frame's `pc` is re-anchored at the guarded instruction and
-//! the loop resumes there, re-executing it with full semantics. The
-//! resume point sits just *past* its block's entry marker, so the
-//! block dispatch the interpreter would count on resumption is counted
-//! at the exit itself. A trace that runs to its end runs its final
-//! terminator itself — branch, switch, call or return — and resumes the
-//! loop on the successor's entry marker, so the loop makes that dispatch.
+//! A trace leaves one way. It runs every block's terminator itself —
+//! branch, switch, call or return — and runs on while the successor is
+//! its next block; on any other successor, a failed guard's or the last
+//! block's alike, the frame image is written back into the arena and the
+//! loop resumes on the successor's entry marker, so the loop makes that
+//! block's dispatch, as the paper's interpreter dispatches the block a
+//! trace diverges to. Leaving short of the last block is an early exit.
 //! Only a return from the outermost frame, which ends the program, is
 //! left for the loop to execute.
 //!
@@ -43,10 +42,11 @@
 //! without a dispatch.
 //!
 //! To the profiler a trace execution is the one dispatch that entered
-//! it, both ways out: no in-trace branch outcome is observed, passed or
-//! failed, and the profiler re-anchors at the block the loop resumes in —
-//! the resumed block on a side exit, the trace's last block on
-//! completion. Consequently the engine is
+//! it, early exit or completion: no in-trace branch outcome is observed,
+//! and the profiler re-anchors at the block the trace left — the guard's
+//! block on an early exit, the trace's last block on completion — so the
+//! loop's dispatch of the successor observes the branch taken out of the
+//! trace. Consequently the engine is
 //! *semantically transparent*: it executes exactly the same instruction
 //! sequence as the plain interpreter, under every configuration — a
 //! property the differential tests pin down on all six workloads. A
@@ -529,7 +529,8 @@ impl<'p> TracingVm<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jvm_bytecode::{CmpOp, ProgramBuilder};
+    use jvm_bytecode::{CmpOp, FuncId, ProgramBuilder};
+    use jvm_vm::decode::op;
     use jvm_vm::{NullObserver, Vm};
 
     fn loop_program() -> Program {
@@ -982,6 +983,187 @@ mod tests {
         b.bind(exit);
         b.load(acc).ret();
         pb.build(f).unwrap()
+    }
+
+    /// Wraps the engine's dispatch hook to watch a planted trace's first
+    /// early exit: where the trace left the top frame, how many
+    /// dispatches it counted itself, and the dispatch the loop made next,
+    /// with whether the profiler's context was `guard` there.
+    struct Probe<'d, 'p> {
+        driver: &'d mut Driver<'p>,
+        guard: BlockId,
+        /// Top frame's function and `pc`, and the dispatches counted
+        /// inside the run, at the early exit.
+        exit: Option<(FuncId, u32, u64)>,
+        /// The next dispatched block, and whether its dispatch observed
+        /// the branch from `guard` (a node the profiler had not made).
+        next: Option<(BlockId, bool)>,
+    }
+
+    impl BlockDriver for Probe<'_, '_> {
+        type Trace = Linked;
+
+        fn on_block(&mut self, bid: BlockId) -> Option<Linked> {
+            if self.exit.is_none() || self.next.is_some() {
+                return self.driver.on_block(bid);
+            }
+            let branch = (self.guard, bid);
+            let fresh = self.driver.jit.bcg.node_index(branch).is_none();
+            let linked = self.driver.on_block(bid);
+            let observed = fresh && self.driver.jit.bcg.node_index(branch).is_some();
+            self.next = Some((bid, observed));
+            linked
+        }
+
+        fn run_trace(&mut self, linked: Linked, m: &mut Machine<'_>) -> Result<(), VmError> {
+            let (dispatches, exits) = (
+                m.stats.block_dispatches,
+                self.driver.jit.trace_stats.exited_early,
+            );
+            self.driver.run_trace(linked, m)?;
+            if self.exit.is_none() && self.driver.jit.trace_stats.exited_early > exits {
+                let t = m.arena.top();
+                self.exit = Some((t.func, t.pc, m.stats.block_dispatches - dispatches));
+            }
+            Ok(())
+        }
+    }
+
+    /// Runs `program(args)` with the one trace `blocks` planted at
+    /// `entry` (the profiler never signals, so nothing else is built),
+    /// and checks its first early exit, at `guard`'s terminator: the top
+    /// frame sits on the entry marker of the off-trace successor `succ`,
+    /// the trace counted no dispatch, and the loop's next dispatch is
+    /// `succ`'s, observed from `guard` — one dispatch for the exit, with
+    /// the profiler re-anchored at the guard's block.
+    fn assert_exit_resumes_on_the_marker(
+        program: &Program,
+        entry: Branch,
+        blocks: &[BlockId],
+        args: &[Value],
+        (guard, succ): Branch,
+    ) {
+        let mut plain = Vm::new(program);
+        let want = plain.run(args, &mut NullObserver).unwrap();
+        let mut cfg = EngineConfig::paper_default();
+        cfg.jit = cfg.jit.with_start_delay(1_000_000_000);
+        let mut engine = TracingVm::new(program, cfg);
+        engine.driver.jit.cache.insert_and_link(entry, blocks, 0.99);
+        engine.driver.jit.bcg.begin_stream();
+        let mut probe = Probe {
+            driver: &mut engine.driver,
+            guard,
+            exit: None,
+            next: None,
+        };
+        assert_eq!(engine.vm.run_driven(args, &mut probe), Ok(want));
+        let (exit, next) = (probe.exit, probe.next);
+        let marker = program.function(succ.func).block(succ.block).start;
+        let df = engine.vm.decoded().func(succ.func);
+        assert_eq!(exit, Some((succ.func, df.block_entry(marker), 0)));
+        assert_eq!(df.code[df.block_entry(marker) as usize].op, op::ENTER_BLOCK);
+        assert_eq!(next, Some((succ, true)));
+        assert_eq!(engine.driver.jit.trace_stats.exited_early, 1);
+        assert_eq!(engine.vm.stats().instructions, plain.stats().instructions);
+    }
+
+    #[test]
+    fn a_failed_conditional_guard_resumes_on_the_taken_marker() {
+        let program = loop_program();
+        let blk = |b| BlockId::new(program.entry(), b);
+        // The loop head's guard expects another iteration; with n = 0
+        // the branch is taken to the loop exit.
+        assert_exit_resumes_on_the_marker(
+            &program,
+            (blk(0), blk(1)),
+            &[blk(1), blk(2)],
+            &[Value::Int(0)],
+            (blk(1), blk(3)),
+        );
+    }
+
+    #[test]
+    fn a_failed_switch_guard_resumes_on_the_selected_marker() {
+        let mut pb = ProgramBuilder::new();
+        let f = pb.declare_function("main", 1, true);
+        {
+            let b = pb.function_mut(f);
+            let (end, a0, a1, dflt) = (b.new_label(), b.new_label(), b.new_label(), b.new_label());
+            b.load(0).if_i(CmpOp::Lt, end); // b0
+            b.load(0).table_switch(0, &[a0, a1], dflt); // b1
+            for (label, k) in [(a0, 10), (a1, 20), (dflt, 30), (end, -1)] {
+                b.bind(label);
+                b.iconst(k).ret(); // b2 .. b5
+            }
+        }
+        let program = pb.build(f).unwrap();
+        let blk = |b| BlockId::new(f, b);
+        // The trace expects selector 0; selector 1 picks the second arm.
+        assert_exit_resumes_on_the_marker(
+            &program,
+            (blk(0), blk(1)),
+            &[blk(1), blk(2)],
+            &[Value::Int(1)],
+            (blk(1), blk(3)),
+        );
+    }
+
+    #[test]
+    fn a_failed_virtual_guard_resumes_on_the_resolved_callee_marker() {
+        let mut pb = ProgramBuilder::new();
+        let am = pb.declare_function("A.m", 1, true);
+        pb.function_mut(am).iconst(17).ret();
+        let bm = pb.declare_function("B.m", 1, true);
+        pb.function_mut(bm).iconst(91).ret();
+        let a = pb.declare_class("A", None, 0);
+        let slot = pb.add_method(a, am);
+        let bc = pb.declare_class("B", Some(a), 0);
+        pb.override_method(bc, slot, bm);
+        let f = pb.declare_function("main", 0, true);
+        {
+            let b = pb.function_mut(f);
+            let call = b.new_label();
+            b.new_obj(bc).goto(call); // b0
+            b.bind(call);
+            b.invoke_virtual(slot, 1); // b1
+            b.ret(); // b2
+        }
+        let program = pb.build(f).unwrap();
+        // The trace expects A.m; the receiver is a B.
+        assert_exit_resumes_on_the_marker(
+            &program,
+            (BlockId::new(f, 0), BlockId::new(f, 1)),
+            &[BlockId::new(f, 1), BlockId::new(am, 0)],
+            &[],
+            (BlockId::new(f, 1), BlockId::new(bm, 0)),
+        );
+    }
+
+    #[test]
+    fn a_failed_return_guard_resumes_on_the_continuation_marker() {
+        let mut pb = ProgramBuilder::new();
+        let leaf = pb.declare_function("leaf", 0, true);
+        pb.function_mut(leaf).iconst(5).ret();
+        let f = pb.declare_function("main", 0, true);
+        pb.function_mut(f)
+            .invoke_static(leaf) // b0
+            .pop()
+            .invoke_static(leaf) // b1
+            .pop()
+            .iconst(0)
+            .ret(); // b2
+        let program = pb.build(f).unwrap();
+        let main = |b| BlockId::new(f, b);
+        // Entered by the first call, the trace expects the second call's
+        // continuation; the callee returns at the trace's entry depth to
+        // the first one's.
+        assert_exit_resumes_on_the_marker(
+            &program,
+            (main(0), BlockId::new(leaf, 0)),
+            &[BlockId::new(leaf, 0), main(2)],
+            &[],
+            (BlockId::new(leaf, 0), main(1)),
+        );
     }
 
     #[test]

@@ -8,23 +8,21 @@
 //!
 //! * [`compile`](mod@compile) — checks a cached trace (a sequence of
 //!   basic blocks) against the program's control flow and names the
-//!   control step that leaves each block: conditional branches whose
-//!   direction the trace predicts become **guards** that side-exit back
-//!   to the interpreter when the prediction fails; virtual calls get
-//!   receiver guards; returns get continuation guards; everything else
-//!   runs unchanged. (The paper leaves optimising traces as future work,
-//!   §3.7; so does this crate — there is no trace optimizer, and the
-//!   engine executes exactly the interpreter's instruction sequence.)
+//!   control step that leaves each block: a `goto` or fall-through inside
+//!   the trace needs no instruction; every other terminator runs
+//!   in-trace. (The paper leaves optimising traces as future work, §3.7;
+//!   so does this crate — there is no trace optimizer, and the engine
+//!   executes exactly the interpreter's instruction sequence.)
 //! * [`reg`] — the lowering stage: an abstract-stack pass renames
 //!   operand-stack slots and locals to **virtual registers**, folding
 //!   stack traffic into three-address [`RInstr`]s, fusing
-//!   compare-and-branch into single guard ops, and pre-resolving
-//!   constants into a per-trace constant table. Every guard carries a
-//!   [`FrameImage`] mapping live registers back to the stack/locals
-//!   frame, so a side exit reconstructs the interpreter frame exactly
-//!   at the guarded instruction — pre-resolved to its decoded pc and
-//!   block, so leaving a trace lands the decoded interpreter directly
-//!   on the right instruction.
+//!   compare-and-branch into single branch ops, and pre-resolving
+//!   constants into a per-trace constant table. Each terminator becomes
+//!   one control instruction that runs on while its successor is the
+//!   trace's next block; any other successor leaves the trace one way,
+//!   whether a guard failed or the trace completed: a [`FrameImage`]
+//!   taken after the terminator is written back and the decoded
+//!   interpreter resumes on the successor's entry marker, to dispatch it.
 //! * `regexec` (private) — the register-trace executor: runs a lowered
 //!   trace against the decoded interpreter's own frame arena, heap and
 //!   counters, and closes a loop trace linked at its own loop branch
@@ -46,5 +44,5 @@ pub use compile::{compile, compile_blocks, CompileError, CompiledTrace, CondKind
 pub use engine::{EngineConfig, TracingVm, WarmBootReport};
 pub use reg::{
     disassemble, lower_reg, CallTarget, FrameImage, RBin, RExit, RInstr, RUn, Reg, RegStats,
-    RegTrace, SwitchPool, SwitchTable,
+    RegTrace, SwitchPool, SwitchTable, ON_TRACE,
 };

@@ -366,11 +366,14 @@ fn a_loop_closes_only_through_its_own_link() {
     assert_eq!(t.entered, outer as u64 + 1, "{t:?}");
     assert_eq!(t.exited_early, outer as u64, "{t:?}");
     // Every outer iteration runs the inner iterations with j = 2 and 1
-    // without dispatching their head and body (four blocks), but the
-    // first re-enters over the back edge once by a dispatch.
+    // without dispatching their head and body (four blocks), and its
+    // early exit at j = 0 runs the inner head's branch in the trace and
+    // leaves on the latch's marker, so that head is not dispatched
+    // either (a fifth); but the first re-enters over the back edge once
+    // by a dispatch.
     assert_eq!(
         pre_header.exec.block_dispatches - closed.exec.block_dispatches,
-        4 * outer as u64 - 1
+        5 * outer as u64 - 1
     );
 }
 

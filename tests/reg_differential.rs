@@ -845,14 +845,15 @@ fn both_switch_kinds_read_their_own_tables() {
         else {
             return false;
         };
-        let guard = rt.code.iter().find_map(|r| match r {
-            RInstr::GuardSwitch { table, .. } => Some(rt.switches.table(*table)),
-            _ => None,
-        });
-        let last = match rt.code.last() {
-            Some(RInstr::FinalSwitch { table, .. }) => Some(rt.switches.table(*table)),
+        let switch = |r: &RInstr| match r {
+            RInstr::Switch { table, .. } => Some(rt.switches.table(*table)),
             _ => None,
         };
+        let Some((last, body)) = rt.code.split_last() else {
+            return false;
+        };
+        let guard = body.iter().find_map(switch);
+        let last = switch(last);
         matches!((guard, last), (Some(g), Some(f)) if (g.low, g.targets.len(), f.low, f.targets.len()) == (-2, 2, 5, 3))
     });
     assert!(both, "no trace holds the guard switch and the final switch");
