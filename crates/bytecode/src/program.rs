@@ -1,6 +1,5 @@
 //! The whole-program container.
 
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use crate::cfg::Block;
@@ -39,7 +38,6 @@ pub struct Program {
     functions: Vec<Function>,
     classes: Vec<Class>,
     entry: FuncId,
-    by_name: HashMap<String, FuncId>,
     /// Memo of [`Program::content_hash`].
     content_hash: OnceLock<u64>,
 }
@@ -60,15 +58,10 @@ impl Program {
             entry.index() < functions.len(),
             "entry function out of range"
         );
-        let by_name = functions
-            .iter()
-            .map(|f| (f.name().to_owned(), f.id()))
-            .collect();
         Program {
             functions,
             classes,
             entry,
-            by_name,
             content_hash: OnceLock::new(),
         }
     }
@@ -126,11 +119,6 @@ impl Program {
     #[inline]
     pub fn class(&self, id: ClassId) -> &Class {
         &self.classes[id.index()]
-    }
-
-    /// Looks a function up by name.
-    pub fn function_by_name(&self, name: &str) -> Option<&Function> {
-        self.by_name.get(name).map(|&id| self.function(id))
     }
 
     /// The block designated by a [`BlockId`].
@@ -217,12 +205,10 @@ mod tests {
     }
 
     #[test]
-    fn lookup_by_id_and_name() {
+    fn lookup_by_id() {
         let p = two_function_program();
         assert_eq!(p.entry(), FuncId(0));
         assert_eq!(p.function(FuncId(1)).name(), "leaf");
-        assert_eq!(p.function_by_name("main").unwrap().id(), FuncId(0));
-        assert!(p.function_by_name("absent").is_none());
     }
 
     #[test]

@@ -25,31 +25,3 @@ pub struct ExecStats {
     /// Conditional branches that were taken.
     pub taken_branches: u64,
 }
-
-impl ExecStats {
-    /// Average basic-block length in instructions over this run, or 0.0 if
-    /// nothing was executed.
-    pub fn avg_block_len(&self) -> f64 {
-        if self.block_dispatches == 0 {
-            0.0
-        } else {
-            self.instructions as f64 / self.block_dispatches as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn avg_block_len_handles_zero() {
-        assert_eq!(ExecStats::default().avg_block_len(), 0.0);
-        let s = ExecStats {
-            instructions: 30,
-            block_dispatches: 10,
-            ..ExecStats::default()
-        };
-        assert_eq!(s.avg_block_len(), 3.0);
-    }
-}

@@ -104,11 +104,6 @@ impl Value {
             Value::Null => 3,
         }]
     }
-
-    /// Whether this value is a (possibly null) reference.
-    pub fn is_reference(self) -> bool {
-        matches!(self, Value::Ref(_) | Value::Null)
-    }
 }
 
 impl Default for Value {
@@ -194,12 +189,9 @@ mod tests {
     }
 
     #[test]
-    fn kind_and_reference_classification() {
+    fn kind_names() {
         assert_eq!(Value::Int(0).kind(), "int");
         assert_eq!(Value::Null.kind(), "null");
-        assert!(Value::Null.is_reference());
-        assert!(Value::Ref(RefId(0)).is_reference());
-        assert!(!Value::Float(0.0).is_reference());
     }
 
     #[test]

@@ -2,12 +2,6 @@
 
 use jvm_bytecode::FunctionBuilder;
 
-/// Emits code pushing `arr[k]` where `arr` is a local slot and `k` a
-/// constant index.
-pub fn emit_arr_get(b: &mut FunctionBuilder, arr: u16, k: i64) {
-    b.load(arr).iconst(k).aload();
-}
-
 /// Emits `arr[k] += delta` for a constant index.
 pub fn emit_arr_inc(b: &mut FunctionBuilder, arr: u16, k: i64, delta: i64) {
     b.load(arr)
@@ -18,11 +12,6 @@ pub fn emit_arr_inc(b: &mut FunctionBuilder, arr: u16, k: i64, delta: i64) {
         .iconst(delta)
         .iadd()
         .astore();
-}
-
-/// Emits `arr[k] = v` for constant index and value.
-pub fn emit_arr_set_const(b: &mut FunctionBuilder, arr: u16, k: i64, v: i64) {
-    b.load(arr).iconst(k).iconst(v).astore();
 }
 
 #[cfg(test)]
@@ -39,9 +28,9 @@ mod tests {
             let b = pb.function_mut(f);
             let a = b.alloc_local();
             b.iconst(3).new_array().store(a);
-            emit_arr_set_const(b, a, 1, 10);
+            b.load(a).iconst(1).iconst(10).astore();
             emit_arr_inc(b, a, 1, 5);
-            emit_arr_get(b, a, 1);
+            b.load(a).iconst(1).aload();
             b.intrinsic(Intrinsic::Checksum);
             b.ret_void();
         }
