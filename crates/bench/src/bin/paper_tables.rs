@@ -102,7 +102,7 @@ fn main() {
 
     if needs_overhead {
         eprintln!("# timing profiler overhead (Tables VI-VII)…");
-        let rows = overhead_rows(&mut runs, 3);
+        let rows = overhead_rows(&mut runs);
         if wants("6") {
             emit(&tables::table6_profiler_overhead(&rows));
         }
@@ -139,7 +139,7 @@ fn main() {
             let vals: Vec<f64> = defaults.iter().map(|(_, r)| f(r)).collect();
             vals.iter().sum::<f64>() / vals.len() as f64
         };
-        let overheads = overhead_rows(&mut runs, 3);
+        let overheads = overhead_rows(&mut runs);
         let oh_avg = overheads
             .iter()
             .map(|(_, m)| m.expected_trace_overhead_pct())

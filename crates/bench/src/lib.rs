@@ -196,6 +196,12 @@ pub const DELAYS: [u32; 3] = [1, 64, 4096];
 /// 1 the paper's rule.
 pub const UNROLLS: [usize; 4] = [0, 1, 2, 4];
 
+/// Rounds of Tables VI–VII's timings: each times the unprofiled and the
+/// profiled run back to back, and each leg reports its minimum. Three
+/// rounds, one leg after the other, moved a row's overhead by up to 12
+/// points between two back-to-back runs.
+pub const OVERHEAD_ROUNDS: usize = 15;
+
 /// Every [`TraceVm`] run the tables read, one per workload and distinct
 /// configuration: a table that needs a configuration another table has
 /// already run reads that run's report.
@@ -255,14 +261,14 @@ impl Runs {
 }
 
 /// Overhead measurements (Tables VI–VII) at the paper default, each
-/// timing the minimum of `repeats` runs.
-pub fn overhead_rows(runs: &mut Runs, repeats: usize) -> Vec<(String, OverheadMeasurement)> {
+/// timing the minimum of [`OVERHEAD_ROUNDS`] rounds.
+pub fn overhead_rows(runs: &mut Runs) -> Vec<(String, OverheadMeasurement)> {
     let cfg = TraceJitConfig::paper_default();
     let reports = runs.each(cfg);
     (runs.workloads.iter().zip(reports))
         .map(|(w, (_, r))| {
             let dispatches = r.traces.trace_dispatches();
-            let m = measure_overhead(&w.program, &w.args, cfg, repeats, dispatches);
+            let m = measure_overhead(&w.program, &w.args, cfg, OVERHEAD_ROUNDS, dispatches);
             (w.name.to_owned(), m.expect("workload runs"))
         })
         .collect()

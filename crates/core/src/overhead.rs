@@ -47,15 +47,6 @@ impl OverheadMeasurement {
         self.per_dispatch_seconds() * 1e6
     }
 
-    /// Block-dispatch profiling overhead as a percentage of the base run
-    /// (the paper's ≈28.6% per-basic-block figure).
-    pub fn block_profiling_overhead_pct(&self) -> f64 {
-        if self.base_seconds == 0.0 {
-            return 0.0;
-        }
-        ((self.profiled_seconds - self.base_seconds) / self.base_seconds * 100.0).max(0.0)
-    }
-
     /// Table VII's "Expected Overhead": trace dispatches × per-dispatch
     /// profiler cost, in seconds.
     pub fn expected_trace_overhead_seconds(&self) -> f64 {
@@ -73,9 +64,11 @@ impl OverheadMeasurement {
 }
 
 /// Measures profiler overhead for one program following the paper's §5.4
-/// methodology. Each timing takes the **minimum over `repeats` runs** —
+/// methodology. Each timing takes the **minimum over `repeats` rounds** —
 /// the standard way to suppress scheduler noise for deterministic
-/// workloads. `trace_dispatches` is the trace-dispatch count of a
+/// workloads — and every round times both legs back to back, which goes
+/// first alternating, so that host drift hits both alike.
+/// `trace_dispatches` is the trace-dispatch count of a
 /// [`crate::TraceVm`] run of the program under `config`.
 ///
 /// # Errors
@@ -92,31 +85,32 @@ pub fn measure_overhead(
     let mut vm_config = config.vm;
     vm_config.capture_output = false;
 
-    // (a) Unmodified interpreter.
-    let mut base_seconds = f64::INFINITY;
+    let (mut base_seconds, mut profiled_seconds) = (f64::INFINITY, f64::INFINITY);
     let mut block_dispatches = 0;
     let mut instructions = 0;
-    for _ in 0..repeats {
-        let mut vm = Vm::with_config(program, vm_config);
-        let start = Instant::now();
-        vm.run(args, &mut NullObserver)?;
-        base_seconds = base_seconds.min(start.elapsed().as_secs_f64());
-        block_dispatches = vm.stats().block_dispatches;
-        instructions = vm.stats().instructions;
-    }
-
-    // (b) Profiler attached to every block dispatch (profiler only — the
-    // paper times the profiling hook, not trace construction, which it
-    // shows is orders of magnitude rarer).
-    let mut profiled_seconds = f64::INFINITY;
-    for _ in 0..repeats {
-        let mut vm = Vm::with_config(program, vm_config);
-        let mut bcg = BranchCorrelationGraph::new(config.bcg_config());
-        let start = Instant::now();
-        vm.run(args, &mut |block| {
-            bcg.observe(block);
-        })?;
-        profiled_seconds = profiled_seconds.min(start.elapsed().as_secs_f64());
+    for round in 0..repeats {
+        for profiled in [round % 2 == 1, round % 2 == 0] {
+            let mut vm = Vm::with_config(program, vm_config);
+            if profiled {
+                // (b) Profiler attached to every block dispatch (profiler
+                // only — the paper times the profiling hook, not trace
+                // construction, which it shows is orders of magnitude
+                // rarer).
+                let mut bcg = BranchCorrelationGraph::new(config.bcg_config());
+                let start = Instant::now();
+                vm.run(args, &mut |block| {
+                    bcg.observe(block);
+                })?;
+                profiled_seconds = profiled_seconds.min(start.elapsed().as_secs_f64());
+            } else {
+                // (a) Unmodified interpreter.
+                let start = Instant::now();
+                vm.run(args, &mut NullObserver)?;
+                base_seconds = base_seconds.min(start.elapsed().as_secs_f64());
+                block_dispatches = vm.stats().block_dispatches;
+                instructions = vm.stats().instructions;
+            }
+        }
     }
 
     Ok(OverheadMeasurement {
@@ -159,7 +153,6 @@ mod tests {
             trace_dispatches: 10_000_000,
         };
         assert!((m.overhead_per_million_dispatches() - 0.02).abs() < 1e-12);
-        assert!((m.block_profiling_overhead_pct() - 20.0).abs() < 1e-9);
         assert!((m.expected_trace_overhead_seconds() - 0.2).abs() < 1e-9);
         assert!((m.expected_trace_overhead_pct() - 2.0).abs() < 1e-9);
     }
@@ -174,7 +167,6 @@ mod tests {
             trace_dispatches: 100,
         };
         assert_eq!(m.per_dispatch_seconds(), 0.0);
-        assert_eq!(m.block_profiling_overhead_pct(), 0.0);
     }
 
     #[test]
