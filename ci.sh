@@ -301,12 +301,15 @@ echo "== trace-engine differential (debug: register/slab-bounds + invariant asse
 cargo test --features debug-invariants -q --test reg_differential --test reg_golden
 cargo test -q --release --test reg_differential
 
-echo "== a trace is one dispatch to the profiler (side exits re-anchor, never observe)"
-# A side exit used to observe the resumed block, crediting the failed
-# guard's node with the exit while every pass ran unprofiled in the
-# trace: the node decayed toward the exit, turned Weak, and loop traces
-# were re-planned shorter. These two tests pin the traces' length; the
-# grep keeps the executor from profiling an in-trace outcome again.
+echo "== a trace is one dispatch to the profiler (early exits re-anchor, never observe)"
+# An early exit used to observe the block it resumed in, crediting the
+# failed guard's node with the exit while every pass ran unprofiled in
+# the trace: the node decayed toward the exit, turned Weak, and loop
+# traces were re-planned shorter. An early exit now only re-anchors the
+# profiler at the leaving block, and the loop's dispatch of the
+# off-trace successor observes the branch taken. These two tests pin
+# the traces' length; the grep keeps the executor from profiling an
+# in-trace outcome again.
 cargo test -p trace-exec --features debug-invariants -q a_guard_that_exits_below_the_streak_keeps_its_trace
 cargo test -p trace-exec -q --release a_guard_that_exits_below_the_streak_keeps_its_trace
 cargo test --features debug-invariants -q --test trace_quality a_running_loop_keeps_its_unrolled_trace
@@ -354,6 +357,26 @@ if grep -rnE 'RInstr::Finish\b|Finish \{' crates/exec/src/ crates/conformance/sr
     echo "a final terminator is handed back to the loop again (matches above)" >&2
     exit 1
 fi
+
+echo "== one way out of a trace (a failed guard leaves on its off-trace successor's entry marker, as a completion does)"
+# A failed guard used to hand its instruction back to the loop through a
+# second exit protocol: four Guard* instructions beside their final
+# forms, frame images taken before the guard popped its operands, and a
+# resume point mid-block whose skipped dispatch reg_exit! counted by
+# hand. Every control instruction now runs its terminator in-trace and
+# leaves one way; the unit tests pin each guard kind's resume point
+# (the successor's marker, one loop dispatch, the profiler re-anchored
+# at the guard's block). The old protocol creeping back in shows up
+# here first.
+if grep -rnE 'GuardCond|GuardSwitch|GuardVirtual|GuardReturn|macro_rules! reg_exit' \
+    crates/exec/src/ crates/conformance/src/; then
+    echo "a second exit protocol is back (matches above)" >&2
+    exit 1
+fi
+for profile in "--features debug-invariants" "--release"; do
+    # shellcheck disable=SC2086
+    cargo test -p trace-exec $profile -q resumes_on_the
+done
 
 echo "== a lowered trace at its exact size (24-byte RInstr, switch tables in one pool, no Vec in RegTrace)"
 # RInstr was 48 bytes while two switch variants carried their tables
